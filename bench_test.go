@@ -475,6 +475,28 @@ func BenchmarkSimCore(b *testing.B) {
 	}
 }
 
+// BenchmarkWireFIFO measures one packet crossing a netem.Wire with 64
+// packets in flight: a chained schedule plus a pop that promotes the
+// successor (see DESIGN.md §2). Chain storage is the simulator's slab,
+// so steady state must report 0 allocs/op.
+func BenchmarkWireFIFO(b *testing.B) {
+	s := sim.New(1)
+	var w *netem.Wire
+	// Each delivery sends the packet round again, 64 µs later.
+	w = netem.NewWire(s, 64*sim.Microsecond, packet.NodeFunc(func(p *packet.Packet) { w.Recv(p) }))
+	for j := 0; j < 64; j++ {
+		w.Recv(packet.NewData(1, int64(j), packet.MTU, 0))
+		s.RunUntil(s.Now() + sim.Microsecond)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	start := s.Executed()
+	s.RunUntil(s.Now() + sim.Time(b.N)*sim.Microsecond)
+	if got := s.Executed() - start; got != uint64(b.N) || s.Pending() != 64 {
+		b.Fatalf("%d deliveries and %d in flight, want %d and 64", got, s.Pending(), b.N)
+	}
+}
+
 // BenchmarkPacketChurn measures one data/ACK exchange through the packet
 // free-list (see DESIGN.md §2): steady state must report 0 allocs/op.
 func BenchmarkPacketChurn(b *testing.B) {

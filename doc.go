@@ -36,8 +36,9 @@
 // "workloads"/"app" clauses; drivers abcsim -exp shortflows|video|rpc).
 //
 // The simulation fast path is engineered to be allocation-free in steady
-// state: the event core recycles inline event structs through a 4-ary
-// heap with a slot free-list (internal/sim), packets cycle through a
+// state: the event core keeps event payloads in a recycled slot slab
+// under a 4-ary heap of keys, and queues each wire's in-flight packets
+// as a FIFO chain behind one heap entry (internal/sim), packets cycle through a
 // free-list with single-owner release semantics (internal/packet — see
 // packet.Get for the ownership rules), per-packet delay statistics
 // stream through fixed-memory Greenwald-Khanna sketches

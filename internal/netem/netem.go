@@ -18,11 +18,18 @@ import (
 	"abc/internal/trace"
 )
 
-// Wire models a fixed propagation delay with unbounded bandwidth.
+// Wire models a fixed propagation delay with unbounded bandwidth. The
+// zero value with S, Delay and Dst set is ready to use.
 type Wire struct {
 	S     *sim.Simulator
 	Delay sim.Time
 	Dst   packet.Node
+
+	// inflight is the FIFO of packets on the wire: with a constant Delay
+	// their delivery times never decrease, so the whole wire costs the
+	// event heap one entry. After Delay shrinks, a packet that would
+	// overtake falls back to an ordinary event (see sim.Chain).
+	inflight sim.Chain
 }
 
 // NewWire returns a wire that delivers packets to dst after delay.
@@ -30,13 +37,14 @@ func NewWire(s *sim.Simulator, delay sim.Time, dst packet.Node) *Wire {
 	return &Wire{S: s, Delay: delay, Dst: dst}
 }
 
-// wireDeliver is the static delivery callback: scheduling it with AfterArgs
-// avoids a per-packet closure on the busiest path in the simulator.
+// wireDeliver is the static delivery callback: scheduling it with its
+// arguments avoids a per-packet closure on the busiest path in the
+// simulator.
 func wireDeliver(a, b any) { a.(*Wire).Dst.Recv(b.(*packet.Packet)) }
 
 // Recv implements packet.Node.
 func (w *Wire) Recv(p *packet.Packet) {
-	w.S.AfterArgs(w.Delay, wireDeliver, w, p)
+	w.S.ChainAfterArgs(&w.inflight, w.Delay, wireDeliver, w, p)
 }
 
 // DeliveryFunc observes packets delivered by a link or receiver.
@@ -76,10 +84,6 @@ type TraceLink struct {
 
 	running   bool
 	delivered int64 // bytes
-	startedAt sim.Time
-	// opportunityB counts the opportunity bytes elapsed while the link
-	// was active (for utilization accounting).
-	active bool
 }
 
 // NewTraceLink wires a trace-driven link. Capacity-aware qdiscs receive a

@@ -29,6 +29,75 @@ func TestWireDelays(t *testing.T) {
 	}
 }
 
+// arrival is one delivery observed at the far end of a wire.
+type arrival struct {
+	seq int64
+	at  sim.Time
+}
+
+func checkArrivals(t *testing.T, got, want []arrival) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("arrivals %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("arrival %d = %v, want %v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestWireZeroValueLiteral: the examples build wires as struct literals
+// and set Dst afterwards, so a Wire must work without a constructor, in
+// FIFO order, with all in-flight packets counted as pending.
+func TestWireZeroValueLiteral(t *testing.T) {
+	s := sim.New(1)
+	w := &Wire{S: s, Delay: 5 * sim.Millisecond}
+	var got []arrival
+	w.Dst = packet.NodeFunc(func(p *packet.Packet) { got = append(got, arrival{p.Seq, s.Now()}); p.Release() })
+	for i := int64(0); i < 3; i++ {
+		w.Recv(packet.NewData(1, i, packet.MTU, s.Now()))
+		s.RunUntil(s.Now() + sim.Millisecond)
+	}
+	if s.Pending() != 3 {
+		t.Fatalf("Pending() = %d with three packets in flight", s.Pending())
+	}
+	s.Run()
+	checkArrivals(t, got, []arrival{{0, 5 * sim.Millisecond}, {1, 6 * sim.Millisecond}, {2, 7 * sim.Millisecond}})
+}
+
+// TestWireDelayShrinkOvertakes: a wire is a delay, not a queue. After the
+// delay shrinks mid-run (topo.Edge.SetDelay writes the field), packets
+// sent later overtake the ones still in flight, same-instant arrivals
+// keep their sending order, and once the delay is restored new packets
+// queue behind the old ones again: each packet arrives at exactly
+// send time + the delay in force when it was sent.
+func TestWireDelayShrinkOvertakes(t *testing.T) {
+	s := sim.New(1)
+	var got []arrival
+	w := &Wire{S: s, Delay: 10 * sim.Millisecond, Dst: packet.NodeFunc(func(p *packet.Packet) {
+		got = append(got, arrival{p.Seq, s.Now()})
+		p.Release()
+	})}
+	send := func(seq int64) { w.Recv(packet.NewData(1, seq, packet.MTU, s.Now())) }
+	send(0) // arrives at 10 ms
+	s.RunUntil(sim.Millisecond)
+	send(1) // arrives at 11 ms
+	w.Delay = 2 * sim.Millisecond
+	send(2) // arrives at 3 ms: overtakes 0 and 1
+	send(3) // arrives at 3 ms, behind 2
+	s.RunUntil(2 * sim.Millisecond)
+	w.Delay = 10 * sim.Millisecond
+	send(4) // arrives at 12 ms
+	w.Delay = 9 * sim.Millisecond
+	send(5) // arrives at 11 ms, behind 1 (sent later)
+	s.Run()
+	checkArrivals(t, got, []arrival{
+		{2, 3 * sim.Millisecond}, {3, 3 * sim.Millisecond}, {0, 10 * sim.Millisecond},
+		{1, 11 * sim.Millisecond}, {5, 11 * sim.Millisecond}, {4, 12 * sim.Millisecond},
+	})
+}
+
 func TestTraceLinkDeliversAtTraceRate(t *testing.T) {
 	s := sim.New(1)
 	tr := trace.Constant("c", 12e6)

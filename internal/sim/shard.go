@@ -33,7 +33,7 @@ import (
 const timeInf = Time(math.MaxInt64)
 
 // Shard is one partition of a sharded simulation: a full Simulator (its
-// own 4-ary heap, slot free-list, clock and RNG) advanced by its
+// own 4-ary heap, slot slab, clock and RNG) advanced by its
 // Coordinator in bounded windows.
 type Shard struct {
 	*Simulator

@@ -7,19 +7,37 @@
 // deterministic: two simulations configured identically (including RNG
 // seeds) produce byte-identical results.
 //
-// The event queue is a hand-rolled 4-ary min-heap over inline event
-// structs. Scheduling state (the heap slice, the slot table and its free
-// list) is recycled across events, so At/After/Stop and the run loop are
-// allocation-free in steady state; the only per-event allocation is
-// whatever closure the caller passes in. Callers on hot paths can avoid
-// even that with AtArgs/AfterArgs, which carry a static function plus two
-// pointer-shaped arguments inline in the event. Timer.Stop removes the
-// event from the heap eagerly, so canceled events cost nothing and
-// Pending() reflects live events only.
+// The event queue is a hand-rolled 4-ary min-heap of 24-byte keys
+// {at, seq, slot}. An event's payload (callback and arguments) does not
+// move with its key: it lives in a slab of slots, beside the slot's heap
+// index and generation, so sifts touch keys only. Scheduling state (the
+// heap slice, the slab and its free list) is recycled across events, so
+// At/After/Stop and the run loop are allocation-free in steady state; the
+// only per-event allocation is whatever closure the caller passes in.
+// Callers on hot paths can avoid even that with AtArgs/AfterArgs, which
+// carry a static function plus two pointer-shaped arguments inline in
+// the slot. Timer.Stop removes the event from the heap eagerly, so
+// canceled events cost nothing.
+//
+// A source whose timestamps never decrease — the packets in flight on a
+// constant-delay wire — schedules through a Chain (ChainAfterArgs). The
+// chain's events are linked in the slab in scheduling order and only the
+// oldest one's key sits in the heap; when it fires, its successor's key
+// replaces the root. The heap is then as deep as there are active
+// sources, not events in flight. The invariant is "timestamps
+// non-decreasing, else ordinary event": a chained schedule that would
+// run before the chain's newest pending event is pushed into the heap
+// like any other event. Determinism is untouched, because a chained
+// event takes the next sequence number when it is scheduled, exactly as
+// an ordinary one would, and (time, seq) remains the total order: each
+// chain is sorted by it, so its head is its minimum and the heap root is
+// the global minimum. Pending() counts every scheduled, unfired event,
+// chained or not.
 package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"time"
 )
@@ -58,22 +76,52 @@ func (t Time) String() string { return fmt.Sprintf("%.3fms", t.Millis()) }
 // boxing them into the event is allocation-free.
 type ArgsFunc func(a, b any)
 
-// event is a scheduled callback, stored inline in the heap slice. seq
-// breaks ties between events scheduled for the same instant:
-// earlier-scheduled events run first. Exactly one of fn and fn2 is set.
-type event struct {
+// key is one heap entry: an event's place in the (at, seq) total order
+// and the slab slot that holds its payload. seq breaks ties between
+// events scheduled for the same instant: earlier-scheduled events run
+// first. Sifts move only keys, so a 4-child scan reads about one cache
+// line.
+type key struct {
 	at   Time
 	seq  uint64
-	fn   func()
-	fn2  ArgsFunc
-	a, b any
 	slot int32
 }
 
-// slotInfo tracks one Timer handle slot: the event's current heap index
-// and a generation counter that invalidates stale Timers when the slot is
-// recycled.
-type slotInfo struct {
+// less returns 1 if k orders strictly ahead of o and 0 otherwise: the
+// borrow out of the 128-bit subtraction (k.at:k.seq) - (o.at:o.seq).
+// Timestamps are never negative, so the unsigned comparison is exact. It
+// is branch-free on purpose: which of four children is the smallest is a
+// coin toss the branch predictor loses, and siftDown asks three times a
+// level.
+func (k key) less(o key) uint64 {
+	_, borrow := bits.Sub64(k.seq, o.seq, 0)
+	_, borrow = bits.Sub64(uint64(k.at), uint64(o.at), borrow)
+	return borrow
+}
+
+// before reports whether k orders strictly ahead of o.
+func (k key) before(o key) bool { return k.less(o) != 0 }
+
+// noSlot terminates a chain's next links.
+const noSlot int32 = -1
+
+// slot is one slab entry: the payload of a scheduled event plus its
+// bookkeeping. Exactly one of fn and fn2 is set while the event is
+// pending. A slot is recycled through the free list when its event fires
+// or is stopped; gen then invalidates outstanding Timers and Chains.
+type slot struct {
+	fn   func()
+	fn2  ArgsFunc
+	a, b any
+	// at and seq repeat the key of a chain-scheduled event, so that the
+	// event can enter the heap when its predecessor fires. Ordinary
+	// events leave them unset: their key lives in the heap only.
+	at  Time
+	seq uint64
+	// next is the slot of the chain successor waiting behind this event,
+	// or noSlot.
+	next int32
+	// idx is the key's heap index while the key is in the heap.
 	idx int32
 	gen uint32
 }
@@ -102,17 +150,38 @@ func (t Timer) Stop() bool {
 	return true
 }
 
+// Chain is a FIFO of scheduled events from one source whose timestamps
+// never decrease, such as the packets in flight on a constant-delay wire.
+// Only the oldest event's key sits in the heap; the rest wait in the
+// slab, linked in scheduling order, and each enters the heap when its
+// predecessor fires. The zero Chain is empty and ready to use; it holds
+// no storage of its own, so it is meant to be embedded by value. A Chain
+// belongs to the one Simulator it is scheduled on.
+type Chain struct {
+	// tail is the slot of the most recently chained event and gen that
+	// slot's generation at the time: the tail is still pending exactly
+	// while the two generations match (generations start at 1, so the
+	// zero Chain never matches).
+	tail int32
+	gen  uint32
+}
+
 // Simulator owns the virtual clock and the event queue.
 type Simulator struct {
-	now  Time
-	seq  uint64
-	heap []event
-	// slots maps Timer handles to heap positions; free lists recyclable
-	// slot indices. Both are reused for the life of the simulator.
-	slots []slotInfo
+	now Time
+	seq uint64
+	// heap orders the keys of every pending event except those waiting
+	// behind a chain head.
+	heap []key
+	// slots is the payload slab, indexed by key.slot and Timer.slot; free
+	// lists recyclable slot indices. Both are reused for the life of the
+	// simulator.
+	slots []slot
 	free  []int32
-	rng  *rand.Rand
-	seed int64
+	// chained counts pending events that wait behind a chain head.
+	chained int
+	rng     *rand.Rand
+	seed    int64
 	// executed counts events run, useful for runaway detection in tests.
 	executed uint64
 	// limit aborts Run after this many events (0 = unlimited).
@@ -144,39 +213,31 @@ func (s *Simulator) Executed() uint64 { return s.executed }
 // SetEventLimit aborts Run after n events; 0 disables the limit.
 func (s *Simulator) SetEventLimit(n uint64) { s.limit = n }
 
-// less orders events by (at, seq).
-func (s *Simulator) less(i, j int) bool {
-	if s.heap[i].at != s.heap[j].at {
-		return s.heap[i].at < s.heap[j].at
-	}
-	return s.heap[i].seq < s.heap[j].seq
-}
-
-// place writes ev into heap position i and updates its slot's index.
-func (s *Simulator) place(i int, ev event) {
-	s.heap[i] = ev
-	s.slots[ev.slot].idx = int32(i)
+// place writes k into heap position i and updates its slot's index.
+func (s *Simulator) place(i int, k key) {
+	s.heap[i] = k
+	s.slots[k.slot].idx = int32(i)
 }
 
 // siftUp restores the heap invariant upward from position i.
 func (s *Simulator) siftUp(i int) {
-	ev := s.heap[i]
+	k := s.heap[i]
 	for i > 0 {
 		parent := (i - 1) / 4
 		p := s.heap[parent]
-		if ev.at > p.at || (ev.at == p.at && ev.seq > p.seq) {
+		if !k.before(p) {
 			break
 		}
 		s.place(i, p)
 		i = parent
 	}
-	s.place(i, ev)
+	s.place(i, k)
 }
 
 // siftDown restores the heap invariant downward from position i.
 func (s *Simulator) siftDown(i int) {
 	n := len(s.heap)
-	ev := s.heap[i]
+	k := s.heap[i]
 	for {
 		first := 4*i + 1
 		if first >= n {
@@ -188,32 +249,28 @@ func (s *Simulator) siftDown(i int) {
 			end = n
 		}
 		for c := first + 1; c < end; c++ {
-			if s.less(c, best) {
-				best = c
-			}
+			best += (c - best) * int(s.heap[c].less(s.heap[best])) // best = c if smaller
 		}
 		b := s.heap[best]
-		if ev.at < b.at || (ev.at == b.at && ev.seq < b.seq) {
+		if k.before(b) {
 			break
 		}
 		s.place(i, b)
 		i = best
 	}
-	s.place(i, ev)
+	s.place(i, k)
 }
 
-// heapPush inserts ev.
-func (s *Simulator) heapPush(ev event) {
-	s.heap = append(s.heap, ev)
-	s.slots[ev.slot].idx = int32(len(s.heap) - 1)
+// heapPush inserts k.
+func (s *Simulator) heapPush(k key) {
+	s.heap = append(s.heap, k)
 	s.siftUp(len(s.heap) - 1)
 }
 
-// heapRemove deletes the event at heap index i, preserving the invariant.
+// heapRemove deletes the key at heap index i, preserving the invariant.
 func (s *Simulator) heapRemove(i int) {
 	n := len(s.heap) - 1
 	last := s.heap[n]
-	s.heap[n] = event{} // drop closure/arg references
 	s.heap = s.heap[:n]
 	if i == n {
 		return
@@ -225,31 +282,39 @@ func (s *Simulator) heapRemove(i int) {
 	}
 }
 
-// allocSlot returns a slot index for a new event, reusing freed slots.
-func (s *Simulator) allocSlot() int32 {
-	if n := len(s.free); n > 0 {
-		sl := s.free[n-1]
-		s.free = s.free[:n-1]
-		return sl
-	}
-	// Generations start at 1 so the zero Timer never matches a live slot.
-	s.slots = append(s.slots, slotInfo{gen: 1})
-	return int32(len(s.slots) - 1)
-}
-
-// freeSlot invalidates outstanding Timers for the slot and recycles it.
-func (s *Simulator) freeSlot(sl int32) {
-	s.slots[sl].gen++
-	s.free = append(s.free, sl)
-}
-
-// schedule inserts an event at absolute time t.
-func (s *Simulator) schedule(t Time, fn func(), fn2 ArgsFunc, a, b any) Timer {
+// newEvent stores an event's payload in a recycled or new slot.
+func (s *Simulator) newEvent(t Time, fn func(), fn2 ArgsFunc, a, b any) int32 {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
 	}
-	sl := s.allocSlot()
-	s.heapPush(event{at: t, seq: s.seq, fn: fn, fn2: fn2, a: a, b: b, slot: sl})
+	var i int32
+	if n := len(s.free); n > 0 {
+		i = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		// Generations start at 1 so the zero Timer and the zero Chain
+		// never match a live slot.
+		s.slots = append(s.slots, slot{gen: 1, next: noSlot})
+		i = int32(len(s.slots) - 1)
+	}
+	sl := &s.slots[i]
+	sl.fn, sl.fn2, sl.a, sl.b = fn, fn2, a, b
+	return i
+}
+
+// freeSlot recycles slot i: it drops the closure/arg references and
+// invalidates outstanding Timers and Chains that name the slot.
+func (s *Simulator) freeSlot(i int32) {
+	sl := &s.slots[i]
+	sl.fn, sl.fn2, sl.a, sl.b = nil, nil, nil, nil
+	sl.gen++
+	s.free = append(s.free, i)
+}
+
+// schedule inserts an ordinary event at absolute time t.
+func (s *Simulator) schedule(t Time, fn func(), fn2 ArgsFunc, a, b any) Timer {
+	sl := s.newEvent(t, fn, fn2, a, b)
+	s.heapPush(key{at: t, seq: s.seq, slot: sl})
 	s.seq++
 	return Timer{s: s, slot: sl, gen: s.slots[sl].gen}
 }
@@ -282,47 +347,88 @@ func (s *Simulator) AfterArgs(d Time, fn ArgsFunc, a, b any) Timer {
 	return s.schedule(s.now+d, nil, fn, a, b)
 }
 
+// ChainAfterArgs schedules fn(a, b) to run d after the current time as
+// the next event of chain c; see AtArgs for fn, a and b. The event takes
+// its sequence number now, exactly as AfterArgs would assign it, and
+// runs at the same point of the (time, insertion-order) order; there is
+// no Timer because a chained event cannot be stopped. While the
+// timestamps scheduled on c never decrease, only the oldest pending one
+// costs a heap entry. An event earlier than the chain's newest pending
+// one (the source's delay shrank) is scheduled as an ordinary event
+// instead, so the caller need not know which case it is in.
+func (s *Simulator) ChainAfterArgs(c *Chain, d Time, fn ArgsFunc, a, b any) {
+	if d < 0 {
+		d = 0
+	}
+	t := s.now + d
+	i := s.newEvent(t, nil, fn, a, b)
+	sl := &s.slots[i]
+	sl.at, sl.seq = t, s.seq
+	s.seq++
+	k := key{at: t, seq: sl.seq, slot: i}
+	switch tail := &s.slots[c.tail]; {
+	case tail.gen != c.gen: // the tail has fired: the event heads c anew
+		s.heapPush(k)
+	case t < tail.at: // would overtake: ordinary event, c keeps its tail
+		s.heapPush(k)
+		return
+	default:
+		tail.next = i
+		s.chained++
+	}
+	c.tail, c.gen = i, sl.gen
+}
+
 // Halt stops the run loop after the current event completes.
 func (s *Simulator) Halt() { s.halted = true }
 
-// Pending reports the number of scheduled events. Canceled events are
-// removed eagerly and never counted.
-func (s *Simulator) Pending() int { return len(s.heap) }
+// Pending reports the number of scheduled events that have not fired,
+// chained ones included. Canceled events are removed eagerly and never
+// counted.
+func (s *Simulator) Pending() int { return len(s.heap) + s.chained }
 
-// popHead removes the root event and returns it.
-func (s *Simulator) popHead() event {
-	ev := s.heap[0]
-	s.heapRemove(0)
-	s.freeSlot(ev.slot)
-	return ev
-}
-
-// dispatch runs one event's callback.
-func (s *Simulator) dispatch(ev event) {
+// step pops the earliest event and runs its callback. If a chain
+// successor waits behind it, the successor's key takes over the root in
+// one siftDown instead of a remove and a push.
+func (s *Simulator) step() {
+	k := s.heap[0]
+	sl := &s.slots[k.slot]
+	fn, fn2, a, b := sl.fn, sl.fn2, sl.a, sl.b
+	if nx := sl.next; nx != noSlot {
+		sl.next = noSlot
+		succ := &s.slots[nx]
+		s.heap[0] = key{at: succ.at, seq: succ.seq, slot: nx}
+		s.chained--
+		s.siftDown(0)
+	} else {
+		s.heapRemove(0)
+	}
+	s.freeSlot(k.slot)
+	s.now = k.at
 	s.executed++
 	if s.limit != 0 && s.executed > s.limit {
 		panic(fmt.Sprintf("sim: event limit %d exceeded at %v", s.limit, s.now))
 	}
-	if ev.fn2 != nil {
-		ev.fn2(ev.a, ev.b)
+	if fn2 != nil {
+		fn2(a, b)
 	} else {
-		ev.fn()
+		fn()
 	}
 }
 
-// RunUntil executes events in order until the queue is empty or the next
-// event is strictly after end. The clock is left at min(end, last event
-// time). Reports the number of events executed by this call.
+// RunUntil executes events in order until the queue is empty, the next
+// event is strictly after end, or Halt is called. Unless halted, the
+// clock is left at end; a halted run leaves it at the last executed
+// event, because events at or before end may remain. Reports the number
+// of events executed by this call.
 func (s *Simulator) RunUntil(end Time) uint64 {
 	start := s.executed
 	s.halted = false
-	for len(s.heap) > 0 && !s.halted {
-		if s.heap[0].at > end {
-			break
+	for len(s.heap) > 0 && s.heap[0].at <= end {
+		if s.halted {
+			return s.executed - start
 		}
-		ev := s.popHead()
-		s.now = ev.at
-		s.dispatch(ev)
+		s.step()
 	}
 	if s.now < end {
 		s.now = end
@@ -338,13 +444,8 @@ func (s *Simulator) RunUntil(end Time) uint64 {
 func (s *Simulator) RunBefore(limit Time) uint64 {
 	start := s.executed
 	s.halted = false
-	for len(s.heap) > 0 && !s.halted {
-		if s.heap[0].at >= limit {
-			break
-		}
-		ev := s.popHead()
-		s.now = ev.at
-		s.dispatch(ev)
+	for len(s.heap) > 0 && !s.halted && s.heap[0].at < limit {
+		s.step()
 	}
 	return s.executed - start
 }
@@ -354,9 +455,7 @@ func (s *Simulator) Run() uint64 {
 	start := s.executed
 	s.halted = false
 	for len(s.heap) > 0 && !s.halted {
-		ev := s.popHead()
-		s.now = ev.at
-		s.dispatch(ev)
+		s.step()
 	}
 	return s.executed - start
 }
