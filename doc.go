@@ -19,8 +19,10 @@
 // never duplicated or silently lost. Every flow's data path and ACK
 // path are explicit routes over the graph, so asymmetric paths,
 // congested reverse (ACK) links, per-flow RTTs and mid-path cross
-// traffic are all plain specs (internal/exp.Spec) — or declarative JSON
-// scenario files (cmd/abcsim -scenario, examples/scenarios/), including
+// traffic are all plain specs (internal/exp.Spec, in a chain notation
+// that is shorthand for the general mesh notation; exp.Run lowers the
+// first to the second and compiles both through one pipeline) — or
+// declarative JSON scenario files (cmd/abcsim -scenario, examples/scenarios/), including
 // a timed "events" timeline (reroute, set_rate, set_delay,
 // link_down/link_up). Schemes and queueing disciplines self-register
 // (cc.Register, qdisc.Register) from their own packages, so the harness

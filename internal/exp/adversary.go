@@ -58,34 +58,6 @@ type AdversaryReport struct {
 	Stripped int64 `json:"stripped"`
 }
 
-// specAttacks collects every attack the spec can ever install: build-time
-// attacks on chain links, reverse links and mesh edges, plus attacks
-// scheduled by "attack" events.
-func specAttacks(spec *Spec) []*topo.Attack {
-	var out []*topo.Attack
-	for i := range spec.Links {
-		if a := spec.Links[i].Attack; a != nil {
-			out = append(out, a)
-		}
-	}
-	for i := range spec.ReverseLinks {
-		if a := spec.ReverseLinks[i].Attack; a != nil {
-			out = append(out, a)
-		}
-	}
-	for i := range spec.Edges {
-		if a := spec.Edges[i].Link.Attack; a != nil {
-			out = append(out, a)
-		}
-	}
-	for i := range spec.Events {
-		if a := spec.Events[i].Attack; a != nil {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
 // advCollector accumulates the per-class recorders behind an
 // AdversaryReport while the run executes.
 type advCollector struct {
@@ -107,23 +79,28 @@ type advCollector struct {
 // newAdvCollector returns a collector when the spec contains an adversary
 // (any attack, any misbehaving flow, any lying router) and nil otherwise,
 // so honest runs carry zero overhead and a nil Result.Adversary.
-func newAdvCollector(spec *Spec) *advCollector {
-	attacks := specAttacks(spec)
+func newAdvCollector(spec *Spec, p *plan) *advCollector {
+	// Every attack the spec can ever install: build-time attacks on the
+	// compiled edges, plus attacks scheduled by "attack" events.
+	var attacks []*topo.Attack
+	lying := false
+	for i := range p.edges {
+		ls := p.edges[i].link
+		if ls.Attack != nil {
+			attacks = append(attacks, ls.Attack)
+		}
+		lying = lying || ls.Qdisc.ABCLie != 0
+	}
+	for i := range spec.Events {
+		if a := spec.Events[i].Attack; a != nil {
+			attacks = append(attacks, a)
+		}
+	}
 	attackers := map[int]bool{}
 	for i := range spec.Flows {
 		if spec.Flows[i].Misbehave != "" {
 			attackers[i] = true
 		}
-	}
-	lying := false
-	for i := range spec.Links {
-		lying = lying || spec.Links[i].Qdisc.ABCLie != 0
-	}
-	for i := range spec.ReverseLinks {
-		lying = lying || spec.ReverseLinks[i].Qdisc.ABCLie != 0
-	}
-	for i := range spec.Edges {
-		lying = lying || spec.Edges[i].Link.Qdisc.ABCLie != 0
 	}
 	if len(attacks) == 0 && len(attackers) == 0 && !lying {
 		return nil

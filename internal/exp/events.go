@@ -1,9 +1,8 @@
 // Timed topology events: a Spec may carry a timeline of mid-run
 // mutations — route changes, link rate/delay changes, link outages —
-// executed on the simulation clock through the topo.Router API. Both the
-// chain and the mesh compiler schedule events through here; chain links
-// are addressed by the canonical edge names "fwd<i>" / "rev<i>", mesh
-// edges by their declared names. Everything that can be validated
+// executed on the simulation clock through the topo.Router API. Edges are
+// addressed by the compiled graph's edge names: a mesh's as declared, a
+// chain's links as "fwd<i>" / "rev<i>". Everything that can be validated
 // statically (edge names, flow indices, route well-formedness, target
 // link kinds) is validated before the run starts, so a typo'd timeline
 // is a Spec error rather than a mid-run surprise.

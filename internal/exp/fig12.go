@@ -1,9 +1,9 @@
 // Fig. 12: ABC's max-min weight policy versus RCP's Zombie-List policy
 // when long-running ABC and Cubic flows share a 96 Mbit/s dual-queue
 // bottleneck with Poisson arrivals of short (10 KB) Cubic flows at
-// several offered loads. This experiment needs dynamically created flows,
-// so it builds its topo.Graph directly rather than through the Spec
-// harness.
+// several offered loads. It builds its topo.Graph by hand rather than
+// through Spec.Workloads only to keep its golden digests: the Spec
+// harness draws from the RNG and numbers flows in a different order.
 package exp
 
 import (
@@ -110,10 +110,9 @@ func meanStd(xs []float64) (float64, float64) {
 
 // fig12Run executes one 96 Mbit/s dual-queue run with 3 ABC + 3 Cubic
 // long flows and Poisson short Cubic flows at the offered load, returning
-// the long flows' throughputs in Mbit/s. The experiment needs flows
-// created mid-run, so it builds its topo.Graph directly instead of going
-// through the Spec harness; routes for the short flows are installed on
-// the same graph as they arrive.
+// the long flows' throughputs in Mbit/s. Routes for the short flows are
+// installed on the hand-built graph as they arrive (see the file comment
+// for why this is not a Spec).
 func fig12Run(policy string, load float64, dur sim.Time, seed int64) (abcT, cubicT []float64, err error) {
 	const linkBps = 96e6
 	const shortBytes = 10 * 1024
@@ -145,7 +144,7 @@ func fig12Run(policy string, load float64, dur sim.Time, seed int64) (abcT, cubi
 	// attach wires one flow onto the graph: data over the bottleneck
 	// edge, ACKs over the return edge.
 	attach := func(id int, scheme string) (*cc.Endpoint, *netem.Receiver, error) {
-		alg, aerr := NewAlgorithm(scheme)
+		alg, aerr := cc.New(scheme)
 		if aerr != nil {
 			return nil, nil, aerr
 		}

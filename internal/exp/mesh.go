@@ -1,266 +1,287 @@
-// Mesh compilation: a Spec whose topology is Nodes/Edges instead of
-// Links/ReverseLinks describes an arbitrary directed multigraph — named
-// junctions, named edges between them (each carrying a full LinkSpec, or
-// Kind "wire" for a pure propagation hop) — and every flow routes its
-// data and its ACKs over explicit edge-name sequences (FlowSpec.Path /
-// AckPath). Because ACK paths are real routes over real edges, a reverse
-// edge can host an ABC router or a marking qdisc, and the accel/brake
-// echo a receiver stamps onto its ACKs (packet.NewAck) is subject to
-// demotion there exactly like forward-path data marks — the sender ends
-// up pacing to the minimum of marks over the whole round trip.
+// The spec compiler. Both Spec notations reduce to one plan — named
+// junctions, named directed edges between them (each carrying a full
+// LinkSpec, or Kind "wire" for a pure propagation hop), and one resolved
+// data/ACK edge route per flow and workload — and one back end builds
+// the topology graph from it. This file holds the plan, the mesh
+// notation's front end (meshPlan; the chain's is lowerChain in lower.go)
+// and that back end (build).
 //
-// Route well-formedness is validated before any wiring happens
-// (topo.Graph.CheckPath): unknown edges, non-contiguous sequences and
-// routes that revisit a junction are Spec errors, not silent drops.
+// Because ACK paths are real routes over real edges, a reverse edge can
+// host an ABC router or a marking qdisc, and the accel/brake echo a
+// receiver stamps onto its ACKs (packet.NewAck) is subject to demotion
+// there exactly like forward-path data marks — the sender ends up pacing
+// to the minimum of marks over the whole round trip.
+//
+// What is validated where: a front end checks what only its notation can
+// get wrong (meshPlan: node and edge names, edge endpoints, route edge
+// names, an ACK path that does not start where the data path ends;
+// lowerChain: spans, wire links). The back end checks what holds for any
+// plan: link and qdisc configuration per edge, and every route's
+// well-formedness against the built graph (topo.Graph.CheckPath:
+// non-contiguous sequences and routes that revisit a junction are Spec
+// errors before any flow is wired, not silent drops).
 package exp
 
 import (
 	"fmt"
 	"slices"
 
-	"abc/internal/metrics"
 	"abc/internal/qdisc"
-	"abc/internal/sim"
 	"abc/internal/topo"
-	"abc/internal/trace"
 )
 
-// runMesh compiles and executes a mesh-form Spec. Defaults have already
-// been applied by Run.
-func runMesh(spec Spec) (*Result, *metrics.DelayRecorder, error) {
+// plan is what a Spec of either notation compiles to before anything is
+// built. Junction i becomes node id i of the graph and edge i edge id i.
+type plan struct {
+	nodes []string
+	edges []planEdge
+	// edgeID addresses edges by name, for event timelines and
+	// backgrounds.
+	edgeID map[string]int
+	// routes and wroutes are the resolved routes of Spec.Flows and
+	// Spec.Workloads, by index.
+	routes, wroutes []flowRoute
+	// links is len(Spec.Links) for a lowered chain and 0 for a mesh. A
+	// chain measures utilization against its forward links only, and
+	// reports its disciplines as Result.Qdiscs (edges[:links]) and
+	// ReverseQdiscs (the rest) instead of by edge name.
+	links int
+}
+
+// planEdge is one directed edge of a plan, between junction indices.
+type planEdge struct {
+	name     string
+	from, to int
+	link     *LinkSpec
+}
+
+// routeFields are the routing fields a FlowSpec and a WorkloadSpec share,
+// with the owner's kind ("flow", "workload") and index for errors.
+type routeFields struct {
+	kind            string
+	i               int
+	dir             Direction
+	enterAt, exitAt int
+	path, ackPath   []string
+}
+
+// resolveRoutes fills the plan's routes by passing every flow's and
+// workload's routing fields through the notation's route function.
+func (p *plan) resolveRoutes(spec *Spec, route func(routeFields) (flowRoute, error)) (err error) {
+	p.routes = make([]flowRoute, len(spec.Flows))
+	for i := range spec.Flows {
+		fs := &spec.Flows[i]
+		p.routes[i], err = route(routeFields{"flow", i, fs.Dir, fs.EnterAt, fs.ExitAt, fs.Path, fs.AckPath})
+		if err != nil {
+			return err
+		}
+	}
+	p.wroutes = make([]flowRoute, len(spec.Workloads))
+	for i := range spec.Workloads {
+		ws := &spec.Workloads[i]
+		p.wroutes[i], err = route(routeFields{"workload", i, ws.Dir, ws.EnterAt, ws.ExitAt, ws.Path, ws.AckPath})
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// autoScheme picks the deriving scheme for an "auto" qdisc on edge e: the
+// first flow, else the first workload, whose data route crosses it; else
+// the first whose ACK route does — a reverse-path router serves the
+// flows whose echoes it carries. onData reports that a data route
+// decided; nothing crossing the edge yields "" (droptail).
+func (p *plan) autoScheme(spec *Spec, e int) (scheme string, onData bool) {
+	for _, ack := range []bool{false, true} {
+		for f, r := range p.routes {
+			if slices.Contains(r.dir(ack), e) {
+				return spec.Flows[f].Scheme, !ack
+			}
+		}
+		for w, r := range p.wroutes {
+			if slices.Contains(r.dir(ack), e) {
+				return spec.Workloads[w].Scheme, !ack
+			}
+		}
+	}
+	return "", false
+}
+
+// meshPlan validates a mesh-notation Spec and resolves its names.
+func meshPlan(spec *Spec) (*plan, error) {
 	if len(spec.Links) > 0 || len(spec.ReverseLinks) > 0 {
-		return nil, nil, fmt.Errorf("exp: Links/ReverseLinks (chain) and Nodes/Edges (mesh) are mutually exclusive")
+		return nil, fmt.Errorf("exp: Links/ReverseLinks (chain) and Nodes/Edges (mesh) are mutually exclusive")
 	}
 	if len(spec.Nodes) == 0 {
-		return nil, nil, fmt.Errorf("exp: mesh spec has edges but no nodes")
+		return nil, fmt.Errorf("exp: mesh spec has edges but no nodes")
 	}
 	if len(spec.Edges) == 0 {
-		return nil, nil, fmt.Errorf("exp: mesh spec has nodes but no edges")
+		return nil, fmt.Errorf("exp: mesh spec has nodes but no edges")
 	}
-	if len(spec.Flows) == 0 && len(spec.Workloads) == 0 {
-		return nil, nil, fmt.Errorf("exp: no flows in spec")
+	p := &plan{
+		nodes:  spec.Nodes,
+		edges:  make([]planEdge, len(spec.Edges)),
+		edgeID: make(map[string]int, len(spec.Edges)),
 	}
-
-	res := &Result{Spec: spec, adv: newAdvCollector(&spec)}
-	pooled := &metrics.DelayRecorder{}
-	g, err := meshGraph(&spec)
-	if err != nil {
-		return nil, nil, err
-	}
-	s := g.S
-	res.Graph = g
-	attachObs(g)
-
 	nodeID := make(map[string]int, len(spec.Nodes))
-	for _, name := range spec.Nodes {
+	for i, name := range spec.Nodes {
 		if name == "" {
-			return nil, nil, fmt.Errorf("exp: empty node name")
+			return nil, fmt.Errorf("exp: empty node name")
 		}
 		if _, dup := nodeID[name]; dup {
-			return nil, nil, fmt.Errorf("exp: duplicate node %q", name)
+			return nil, fmt.Errorf("exp: duplicate node %q", name)
 		}
-		nodeID[name] = g.AddNode(name)
+		nodeID[name] = i
 	}
-
-	edgeID := make(map[string]int, len(spec.Edges))
-	res.EdgeQdiscs = make(map[string]qdisc.Qdisc, len(spec.Edges))
-	var firstQ qdisc.Qdisc
-	var firstCap func(now sim.Time) float64
 	for i := range spec.Edges {
 		es := &spec.Edges[i]
 		if es.Name == "" {
-			return nil, nil, fmt.Errorf("exp: edges[%d]: missing name", i)
+			return nil, fmt.Errorf("exp: edges[%d]: missing name", i)
 		}
-		if _, dup := edgeID[es.Name]; dup {
-			return nil, nil, fmt.Errorf("exp: duplicate edge %q", es.Name)
+		if _, dup := p.edgeID[es.Name]; dup {
+			return nil, fmt.Errorf("exp: duplicate edge %q", es.Name)
 		}
 		from, ok := nodeID[es.From]
 		if !ok {
-			return nil, nil, fmt.Errorf("exp: edge %q: unknown node %q", es.Name, es.From)
+			return nil, fmt.Errorf("exp: edge %q: unknown node %q", es.Name, es.From)
 		}
 		to, ok := nodeID[es.To]
 		if !ok {
-			return nil, nil, fmt.Errorf("exp: edge %q: unknown node %q", es.Name, es.To)
+			return nil, fmt.Errorf("exp: edge %q: unknown node %q", es.Name, es.To)
 		}
-		ls := &es.Link
-		var mk topo.LinkFactory
-		if ls.wire() {
-			if ls.Trace != nil || ls.Rate != nil || ls.Wifi != nil {
-				return nil, nil, fmt.Errorf("exp: edge %q: wire edges carry no bottleneck model", es.Name)
-			}
-			if ls.Qdisc != (QdiscSpec{}) {
-				return nil, nil, fmt.Errorf("exp: edge %q: wire edges have no qdisc", es.Name)
-			}
-		} else {
-			kind, err := ls.kind()
-			if err != nil {
-				return nil, nil, fmt.Errorf("exp: edge %q: %v", es.Name, err)
-			}
-			// The bottleneck schedules on the feeding junction's shard.
-			fromSim := g.SimFor(from)
-			qd, err := ls.Qdisc.build(meshAutoScheme(&spec, es.Name), fromSim)
-			if err != nil {
-				return nil, nil, fmt.Errorf("exp: edge %q: %v", es.Name, err)
-			}
-			mk, err = linkFactory(fromSim, ls, kind, qd)
-			if err != nil {
-				return nil, nil, fmt.Errorf("exp: edge %q: %v", es.Name, err)
-			}
-			res.EdgeQdiscs[es.Name] = qd
-			res.Qdiscs = append(res.Qdiscs, qd)
-			if firstQ == nil {
-				firstQ = qd
-				firstCap = capacityFn(ls)
-			}
-		}
-		id, err := g.AddEdge(es.Name, from, to, ls.Delay, ls.Impair, mk)
-		if err != nil {
-			return nil, nil, err
-		}
-		if ls.Attack != nil {
-			if err := ls.Attack.Validate(); err != nil {
-				return nil, nil, fmt.Errorf("exp: edge %q: %v", es.Name, err)
-			}
-			g.Edge(id).SetAttack(ls.Attack)
-		}
-		edgeID[es.Name] = id
+		p.edges[i] = planEdge{name: es.Name, from: from, to: to, link: &es.Link}
+		p.edgeID[es.Name] = i
 	}
 
-	routes := make([]flowRoute, len(spec.Flows))
-	for i := range spec.Flows {
-		fs := &spec.Flows[i]
-		if fs.Dir != Forward || fs.EnterAt != 0 || fs.ExitAt != 0 {
-			return nil, nil, fmt.Errorf("exp: flow %d: Dir/EnterAt/ExitAt are chain fields; mesh flows route via Path/AckPath", i)
-		}
-		r, err := meshRoute(g, edgeID, fs.Path, fs.AckPath, fmt.Sprintf("flow %d", i))
-		if err != nil {
-			return nil, nil, err
-		}
-		routes[i] = r
-	}
-	wroutes := make([]flowRoute, len(spec.Workloads))
-	for i := range spec.Workloads {
-		ws := &spec.Workloads[i]
-		if ws.Dir != Forward || ws.EnterAt != 0 || ws.ExitAt != 0 {
-			return nil, nil, fmt.Errorf("exp: workload %d: Dir/EnterAt/ExitAt are chain fields; mesh workloads route via Path/AckPath", i)
-		}
-		r, err := meshRoute(g, edgeID, ws.Path, ws.AckPath, fmt.Sprintf("workload %d", i))
-		if err != nil {
-			return nil, nil, err
-		}
-		wroutes[i] = r
-	}
-	if err := wireFlows(g, &spec, res, pooled, routes); err != nil {
-		return nil, nil, err
-	}
-	runners, err := startWorkloads(s, g, &spec, res, pooled, wroutes)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := scheduleEvents(s, g, &spec, res, edgeID); err != nil {
-		return nil, nil, err
-	}
-	if err := startBackgrounds(g, &spec, res, edgeID); err != nil {
-		return nil, nil, err
-	}
-	if err := startRouting(g, &spec, res); err != nil {
-		return nil, nil, err
-	}
-
-	runAndMeasure(g, &spec, res, pooled, firstQ, firstCap)
-	if err := finishWorkloads(runners); err != nil {
-		return nil, nil, err
-	}
-
-	// Utilization against the tightest trace edge, counting only flows
-	// whose data path traverses it (the mesh analogue of the chain rule).
-	tightestTraceUtilization(&spec, res, len(spec.Edges),
-		func(ei int) *trace.Trace { return spec.Edges[ei].Link.Trace },
-		func(f, ei int) bool {
-			return slices.Contains(spec.Flows[f].Path, spec.Edges[ei].Name)
-		},
-		func(w, ei int) bool {
-			return slices.Contains(spec.Workloads[w].Path, spec.Edges[ei].Name)
-		})
-	return res, pooled, nil
+	return p, p.resolveRoutes(spec, p.meshRoute)
 }
 
-// meshRoute resolves one data/ACK path pair over named edges and checks
-// their well-formedness, including that a non-empty ACK route picks up
-// where the data route ends: ACKs are generated by the receiver at the
-// data path's terminal node, so a disconnected AckPath would teleport
-// them. The ACK route may end anywhere, though — it models the congested
-// or marked segment of the return journey, and whatever remains after
-// its last edge is the same implicit lossless wire an empty AckPath uses
-// for the whole reverse path (RouteFlow's tail delay carries the
-// residual RTT).
-func meshRoute(g *topo.Graph, edgeID map[string]int, path, ackPath []string, what string) (flowRoute, error) {
-	if len(path) == 0 {
-		return flowRoute{}, fmt.Errorf("exp: %s: mesh flows need a Path", what)
+// meshRoute resolves one data/ACK path pair over named edges. A
+// non-empty ACK route must pick up where the data route ends: ACKs are
+// generated by the receiver at the data path's terminal node, so a
+// disconnected AckPath would teleport them. The ACK route may end
+// anywhere, though — it models the congested or marked segment of the
+// return journey, and whatever remains after its last edge is the same
+// implicit lossless wire an empty AckPath uses for the whole reverse
+// path (RouteFlow's tail delay carries the residual RTT).
+func (p *plan) meshRoute(rf routeFields) (flowRoute, error) {
+	if rf.dir != Forward || rf.enterAt != 0 || rf.exitAt != 0 {
+		return flowRoute{}, fmt.Errorf("exp: %s %d: Dir/EnterAt/ExitAt are chain fields; mesh %ss route via Path/AckPath", rf.kind, rf.i, rf.kind)
 	}
-	data, err := resolvePath(g, edgeID, path, what, "path")
+	if len(rf.path) == 0 {
+		return flowRoute{}, fmt.Errorf("exp: %s %d: mesh flows need a Path", rf.kind, rf.i)
+	}
+	data, err := p.resolve(rf, rf.path, "path")
 	if err != nil {
 		return flowRoute{}, err
 	}
-	ack, err := resolvePath(g, edgeID, ackPath, what, "ack path")
+	ack, err := p.resolve(rf, rf.ackPath, "ack path")
 	if err != nil {
 		return flowRoute{}, err
 	}
 	if len(ack) > 0 {
-		recv := g.Edge(data[len(data)-1]).To
-		if first := g.Edge(ack[0]).From; first != recv {
-			return flowRoute{}, fmt.Errorf("exp: %s: ack path starts at node %q but data path ends at %q",
-				what, first.Name, recv.Name)
+		recv, first := p.edges[data[len(data)-1]].to, p.edges[ack[0]].from
+		if first != recv {
+			return flowRoute{}, fmt.Errorf("exp: %s %d: ack path starts at node %q but data path ends at %q",
+				rf.kind, rf.i, p.nodes[first], p.nodes[recv])
 		}
 	}
 	return flowRoute{data: data, ack: ack}, nil
 }
 
-// resolvePath maps a sequence of edge names to edge ids and validates
-// route well-formedness up front, so a malformed mesh route fails as a
-// Spec error before any wiring happens.
-func resolvePath(g *topo.Graph, edgeID map[string]int, names []string, owner, what string) ([]int, error) {
+// resolve maps a sequence of edge names to edge ids.
+func (p *plan) resolve(rf routeFields, names []string, what string) ([]int, error) {
 	if len(names) == 0 {
 		return nil, nil
 	}
 	ids := make([]int, len(names))
 	for j, name := range names {
-		id, ok := edgeID[name]
+		id, ok := p.edgeID[name]
 		if !ok {
-			return nil, fmt.Errorf("exp: %s %s: unknown edge %q", owner, what, name)
+			return nil, fmt.Errorf("exp: %s %d %s: unknown edge %q", rf.kind, rf.i, what, name)
 		}
 		ids[j] = id
-	}
-	if err := g.CheckPath(ids); err != nil {
-		return nil, fmt.Errorf("exp: %s %s %v", owner, what, err)
 	}
 	return ids, nil
 }
 
-// meshAutoScheme picks the deriving scheme for an "auto" qdisc on a mesh
-// edge: the first flow whose data path traverses it, else the first
-// workload's, else the first flow (then workload) whose ACK path does (a
-// reverse-path router serves the flows whose echoes it carries).
-func meshAutoScheme(spec *Spec, edge string) string {
-	for f := range spec.Flows {
-		if slices.Contains(spec.Flows[f].Path, edge) {
-			return spec.Flows[f].Scheme
+// build adds the plan's junctions and edges to the graph — each
+// bottleneck and its discipline scheduling on the simulator of the
+// junction feeding it — fills the Result's qdisc views, and checks every
+// route against the finished graph.
+func (p *plan) build(g *topo.Graph, spec *Spec, res *Result) error {
+	for _, name := range p.nodes {
+		g.AddNode(name)
+	}
+	res.edgeQ = make([]qdisc.Qdisc, len(p.edges))
+	if p.links == 0 {
+		res.EdgeQdiscs = make(map[string]qdisc.Qdisc, len(p.edges))
+	}
+	for i := range p.edges {
+		e := &p.edges[i]
+		ls := e.link
+		var mk topo.LinkFactory
+		if ls.wire() {
+			if ls.Trace != nil || ls.Rate != nil || ls.Wifi != nil {
+				return fmt.Errorf("exp: edge %q: wire edges carry no bottleneck model", e.name)
+			}
+			if ls.Qdisc != (QdiscSpec{}) {
+				return fmt.Errorf("exp: edge %q: wire edges have no qdisc", e.name)
+			}
+		} else {
+			fromSim := g.SimFor(e.from)
+			scheme, _ := p.autoScheme(spec, i)
+			qd, err := ls.Qdisc.build(scheme, fromSim)
+			if err != nil {
+				return fmt.Errorf("exp: edge %q: %v", e.name, err)
+			}
+			mk, err = linkFactory(fromSim, ls, qd)
+			if err != nil {
+				return fmt.Errorf("exp: edge %q: %v", e.name, err)
+			}
+			res.edgeQ[i] = qd
+			switch {
+			case p.links == 0:
+				res.EdgeQdiscs[e.name] = qd
+				res.Qdiscs = append(res.Qdiscs, qd)
+			case i < p.links:
+				res.Qdiscs = append(res.Qdiscs, qd)
+			default:
+				res.ReverseQdiscs = append(res.ReverseQdiscs, qd)
+			}
+		}
+		id, err := g.AddEdge(e.name, e.from, e.to, ls.Delay, ls.Impair, mk)
+		if err != nil {
+			return err
+		}
+		if ls.Attack != nil {
+			if err := ls.Attack.Validate(); err != nil {
+				return fmt.Errorf("exp: edge %q: %v", e.name, err)
+			}
+			g.Edge(id).SetAttack(ls.Attack)
 		}
 	}
-	for w := range spec.Workloads {
-		if slices.Contains(spec.Workloads[w].Path, edge) {
-			return spec.Workloads[w].Scheme
+	for i, r := range p.routes {
+		if err := checkRoute(g, r, "flow", i); err != nil {
+			return err
 		}
 	}
-	for f := range spec.Flows {
-		if slices.Contains(spec.Flows[f].AckPath, edge) {
-			return spec.Flows[f].Scheme
+	for i, r := range p.wroutes {
+		if err := checkRoute(g, r, "workload", i); err != nil {
+			return err
 		}
 	}
-	for w := range spec.Workloads {
-		if slices.Contains(spec.Workloads[w].AckPath, edge) {
-			return spec.Workloads[w].Scheme
-		}
+	return nil
+}
+
+// checkRoute validates both directions of one resolved route.
+func checkRoute(g *topo.Graph, r flowRoute, kind string, i int) error {
+	if err := g.CheckPath(r.data); err != nil {
+		return fmt.Errorf("exp: %s %d path %v", kind, i, err)
 	}
-	return ""
+	if err := g.CheckPath(r.ack); err != nil {
+		return fmt.Errorf("exp: %s %d ack path %v", kind, i, err)
+	}
+	return nil
 }

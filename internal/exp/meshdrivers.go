@@ -35,7 +35,7 @@ type MeshResult struct {
 	// Flows reports each flow in spec order: the A-path flow, the B-path
 	// flow, then the crossing flow.
 	Flows []MeshFlowSummary
-	// Drops counts unrouted arrivals (must be zero: the mesh compiler
+	// Drops counts unrouted arrivals (must be zero: the compiler
 	// validates routes up front).
 	Drops int64
 }

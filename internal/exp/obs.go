@@ -12,7 +12,6 @@ import (
 
 	"abc/internal/abc"
 	"abc/internal/obs"
-	"abc/internal/qdisc"
 	"abc/internal/sim"
 	"abc/internal/topo"
 )
@@ -58,56 +57,33 @@ func EnableMetrics(reg *obs.Registry, period sim.Time) {
 }
 
 // attachObs hands the process-wide recorder, if any, to a freshly built
-// scenario graph. Called by both spec compilers right after graph
-// construction, before any edges exist (AddEdge wires links as they
-// appear).
+// scenario graph. Called right after graph construction, before any
+// edges exist (AddEdge wires links as they appear).
 func attachObs(g *topo.Graph) {
 	if r := traceRec.Load(); r != nil {
 		g.SetRecorder(r)
 	}
 }
 
-// namedQdisc pairs an addressable edge name with its built discipline
-// for metric labels.
-type namedQdisc struct {
-	name string
-	q    qdisc.Qdisc
-}
-
 // runSampler captures everything one scenario publishes per sample into
-// the metrics registry. Handles are resolved once at construction so
-// the per-sample work is atomic stores plus a few map-free loops.
+// the metrics registry.
 type runSampler struct {
-	reg    *obs.Registry
-	g      *topo.Graph
-	res    *Result
-	qdiscs []namedQdisc
+	reg *obs.Registry
+	g   *topo.Graph
+	res *Result
 	// prevEvents tracks the executed-event count already published, so
 	// obs.MetricSimEvents aggregates correctly across parallel cells.
 	prevEvents uint64
 }
 
 // newRunSampler builds the sampler for one scenario, or nil when
-// metrics are off. It must be called after the result's qdisc lists are
-// populated (post buildChain / mesh edge compilation).
+// metrics are off. It must be called after the graph's edges are built.
 func newRunSampler(g *topo.Graph, res *Result) *runSampler {
 	reg := metReg.Load()
 	if reg == nil {
 		return nil
 	}
 	rs := &runSampler{reg: reg, g: g, res: res}
-	if res.EdgeQdiscs != nil {
-		for name, q := range res.EdgeQdiscs {
-			rs.qdiscs = append(rs.qdiscs, namedQdisc{name: name, q: q})
-		}
-	} else {
-		for i, q := range res.Qdiscs {
-			rs.qdiscs = append(rs.qdiscs, namedQdisc{name: fmt.Sprintf("fwd%d", i), q: q})
-		}
-		for i, q := range res.ReverseQdiscs {
-			rs.qdiscs = append(rs.qdiscs, namedQdisc{name: fmt.Sprintf("rev%d", i), q: q})
-		}
-	}
 	reg.Help("abc_queue_pkts", "Instantaneous bottleneck queue depth in packets.")
 	reg.Help("abc_queue_bytes", "Instantaneous bottleneck queue depth in bytes.")
 	reg.Help("abc_tokens", "ABC router token-bucket level (Algorithm 1).")
@@ -143,15 +119,19 @@ func (rs *runSampler) sample(now sim.Time) {
 	reg.Counter(obs.MetricSimEvents).Add(int64(events - rs.prevEvents))
 	rs.prevEvents = events
 
-	for _, nq := range rs.qdiscs {
-		reg.Gauge(`abc_queue_pkts{edge="` + nq.name + `"}`).Set(float64(nq.q.Len()))
-		reg.Gauge(`abc_queue_bytes{edge="` + nq.name + `"}`).Set(float64(nq.q.Bytes()))
-		if r, ok := nq.q.(*abc.Router); ok {
-			reg.Gauge(`abc_tokens{edge="` + nq.name + `"}`).Set(r.Token())
-			reg.Counter(`abc_marks_total{edge="` + nq.name + `",kind="accel"}`).Store(r.AccelMarked)
-			reg.Counter(`abc_marks_total{edge="` + nq.name + `",kind="brake"}`).Store(r.BrakeMarked)
-			reg.Counter(`abc_marks_total{edge="` + nq.name + `",kind="echo_demoted"}`).Store(r.EchoDemoted)
-			reg.Counter(`abc_qdisc_drops_total{edge="` + nq.name + `"}`).Store(r.Stats.DroppedPackets)
+	for id, q := range rs.res.edgeQ {
+		if q == nil {
+			continue // wire
+		}
+		name := g.Edge(id).Name
+		reg.Gauge(`abc_queue_pkts{edge="` + name + `"}`).Set(float64(q.Len()))
+		reg.Gauge(`abc_queue_bytes{edge="` + name + `"}`).Set(float64(q.Bytes()))
+		if r, ok := q.(*abc.Router); ok {
+			reg.Gauge(`abc_tokens{edge="` + name + `"}`).Set(r.Token())
+			reg.Counter(`abc_marks_total{edge="` + name + `",kind="accel"}`).Store(r.AccelMarked)
+			reg.Counter(`abc_marks_total{edge="` + name + `",kind="brake"}`).Store(r.BrakeMarked)
+			reg.Counter(`abc_marks_total{edge="` + name + `",kind="echo_demoted"}`).Store(r.EchoDemoted)
+			reg.Counter(`abc_qdisc_drops_total{edge="` + name + `"}`).Store(r.Stats.DroppedPackets)
 		}
 	}
 

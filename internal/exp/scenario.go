@@ -103,7 +103,9 @@
 //	]
 //
 // Mesh edges are addressed by their declared names; chain links by the
-// canonical names "fwd<i>" / "rev<i>" (link i of links / reverse_links).
+// canonical names "fwd<i>" / "rev<i>" (link i of links / reverse_links)
+// — a chain is shorthand for the mesh with those junctions and edges,
+// and both notations compile through one pipeline.
 // A reroute's path must start at the junction the flow's existing route
 // starts at; set_rate targets rate links, and set_delay needs an edge
 // built with a positive delay_ms. Packets in flight on edges a reroute
@@ -610,19 +612,19 @@ type ScenarioBackground struct {
 // Scenario is a complete declarative scenario file: either a chain
 // (links / reverse_links) or a mesh (nodes / edges).
 type Scenario struct {
-	Name         string         `json:"name"`
-	Seed         int64          `json:"seed"`
-	DurationS    float64        `json:"duration_s"`
-	WarmupS      float64        `json:"warmup_s"`
-	RTTms        float64        `json:"rtt_ms"`
-	SampleMs     float64        `json:"sample_ms"`
+	Name      string  `json:"name"`
+	Seed      int64   `json:"seed"`
+	DurationS float64 `json:"duration_s"`
+	WarmupS   float64 `json:"warmup_s"`
+	RTTms     float64 `json:"rtt_ms"`
+	SampleMs  float64 `json:"sample_ms"`
 	// Shards splits the simulation into this many parallel event queues
 	// synchronized by conservative lookahead (0/1 = the sequential
 	// simulator). ShardMap pins named junctions (mesh node names, or the
 	// chain junctions "fwd<i>"/"rev<i>") to shard indices; unpinned
 	// junctions are placed by the automatic partitioner.
-	Shards   int            `json:"shards,omitempty"`
-	ShardMap map[string]int `json:"shard_map,omitempty"`
+	Shards       int            `json:"shards,omitempty"`
+	ShardMap     map[string]int `json:"shard_map,omitempty"`
 	Links        []ScenarioLink `json:"links,omitempty"`
 	ReverseLinks []ScenarioLink `json:"reverse_links,omitempty"`
 	Nodes        []string       `json:"nodes,omitempty"`
@@ -1018,13 +1020,13 @@ func (sc *Scenario) Compile() (Spec, error) {
 	}
 	if len(sc.Background) > 0 {
 		// Edge names are known at compile time: mesh edge names, or the
-		// chain links "fwd<i>"/"rev<i>".
+		// chain links' canonical names.
 		known := make(map[string]bool, len(sc.Links)+len(sc.ReverseLinks)+len(sc.Edges))
-		for i := range sc.Links {
-			known[fmt.Sprintf("fwd%d", i)] = true
+		for _, name := range chainNames(Forward, len(sc.Links)) {
+			known[name] = true
 		}
-		for i := range sc.ReverseLinks {
-			known[fmt.Sprintf("rev%d", i)] = true
+		for _, name := range chainNames(Reverse, len(sc.ReverseLinks)) {
+			known[name] = true
 		}
 		for i := range sc.Edges {
 			known[sc.Edges[i].Name] = true

@@ -2,10 +2,10 @@
 // per-shard event queues advanced in parallel by a sim.Coordinator
 // (conservative lookahead synchronization; see internal/sim/shard.go).
 // This file owns the spec-level plumbing: which specs are shardable,
-// how a spec's topology becomes a partitioner input, and how per-flow
-// metrics are pooled deterministically after a sharded run.
+// how a plan becomes a partitioner input, and how per-flow metrics are
+// pooled deterministically after a sharded run.
 //
-// Placement rules the compilers follow:
+// Placement rules the compiler follows:
 //   - A junction lives on the shard the partitioner assigns it
 //     (topo.Partition: zero-delay edges are never cut, Spec.ShardMap
 //     pins nodes manually).
@@ -14,9 +14,10 @@
 //     inject packets synchronously into their neighbor.
 //   - A receiver also injects ACKs synchronously into the ACK route's
 //     origin junction, so that junction must share the receiver's
-//     shard. Mesh specs guarantee it structurally (the ACK path starts
-//     where the data path ends); chain specs get a synthetic zero-delay
-//     tie between the two junctions in the partitioner input.
+//     shard. Where a flow's two junctions differ (a chain's ACKs enter
+//     the opposite chain at its first junction) the partitioner input
+//     gets a zero-delay tie between them; a mesh ACK path starts where
+//     the data path ends, so it needs none.
 //
 // Pooled metrics (the pooled delay recorder, adversary class recorders)
 // are not written per packet in sharded mode — receivers on different
@@ -27,6 +28,7 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 
 	"abc/internal/metrics"
 	"abc/internal/sim"
@@ -58,121 +60,46 @@ func checkShardable(spec *Spec) error {
 	return nil
 }
 
-// shardOverride translates Spec.ShardMap node names into partitioner
-// node indices via the name → index mapping of the compiled topology.
-func shardOverride(spec *Spec, nodeIdx map[string]int) (map[int]int, error) {
-	if len(spec.ShardMap) == 0 {
-		return nil, nil
-	}
-	o := make(map[int]int, len(spec.ShardMap))
-	for name, sh := range spec.ShardMap {
-		id, ok := nodeIdx[name]
-		if !ok {
-			return nil, fmt.Errorf("exp: ShardMap: unknown node %q", name)
-		}
-		o[id] = sh
-	}
-	return o, nil
-}
-
-// chainGraph builds the topology graph for a chain-form spec: the plain
-// single-simulator graph at Shards <= 1, a partitioned one otherwise.
-// Chain junctions are named (and ShardMap-addressable) as "fwd<i>" /
-// "rev<i>", matching the edge naming used by event timelines.
-func chainGraph(spec *Spec, spans []span) (*topo.Graph, error) {
+// newGraph creates the empty topology graph a plan is built into: the
+// plain single-simulator graph at Shards <= 1, one partitioned over a
+// coordinator's shards otherwise. The partitioner sees the plan's edges
+// plus one zero-delay tie per flow whose receiver's junction (where its
+// data route ends) is not the junction its ACK route starts at — the
+// receiver injects ACKs there synchronously, so the two must share a
+// shard. Spec.ShardMap pins junctions by name.
+func newGraph(spec *Spec, p *plan) (*topo.Graph, error) {
 	if spec.Shards <= 1 {
 		return topo.New(sim.New(spec.Seed)), nil
 	}
 	if err := checkShardable(spec); err != nil {
 		return nil, err
 	}
-	// Reproduce buildChain's node creation order: fwd0..fwdN first, then
-	// rev0..revM when a reverse chain exists.
-	nodeIdx := map[string]int{}
-	var n int
-	addChain := func(prefix string, links int) int {
-		base := n
-		for i := 0; i <= links; i++ {
-			nodeIdx[fmt.Sprintf("%s%d", prefix, i)] = n
-			n++
+	pedges := make([]topo.PartEdge, 0, len(p.edges)+len(p.routes))
+	for i := range p.edges {
+		e := &p.edges[i]
+		pedges = append(pedges, topo.PartEdge{From: e.from, To: e.to, Delay: e.link.Delay})
+	}
+	for _, r := range p.routes {
+		if len(r.ack) == 0 {
+			continue // direct ACK wire: no junction injection
 		}
-		return base
+		last, ackOrigin := p.edges[r.data[len(r.data)-1]].to, p.edges[r.ack[0]].from
+		if last != ackOrigin {
+			pedges = append(pedges, topo.PartEdge{From: last, To: ackOrigin, Delay: 0})
+		}
 	}
-	fwdBase := addChain("fwd", len(spec.Links))
-	revBase := -1
-	if len(spec.ReverseLinks) > 0 {
-		revBase = addChain("rev", len(spec.ReverseLinks))
-	}
-	var pedges []topo.PartEdge
-	for i := range spec.Links {
-		pedges = append(pedges, topo.PartEdge{From: fwdBase + i, To: fwdBase + i + 1, Delay: spec.Links[i].Delay})
-	}
-	for i := range spec.ReverseLinks {
-		pedges = append(pedges, topo.PartEdge{From: revBase + i, To: revBase + i + 1, Delay: spec.ReverseLinks[i].Delay})
-	}
-	// Synthetic ties: each flow's receiver (at its data chain's exit
-	// junction) injects ACKs synchronously into the opposite chain's
-	// first junction, so the two must share a shard.
-	for i := range spec.Flows {
-		fs := &spec.Flows[i]
-		var last, ackOrigin int
-		if fs.Dir == Reverse {
-			last, ackOrigin = revBase+spans[i].exit, fwdBase
-		} else {
-			if revBase < 0 {
-				continue // direct ACK wire: no junction injection
+	var override map[int]int
+	if len(spec.ShardMap) > 0 {
+		override = make(map[int]int, len(spec.ShardMap))
+		for name, sh := range spec.ShardMap {
+			id := slices.Index(p.nodes, name)
+			if id < 0 {
+				return nil, fmt.Errorf("exp: ShardMap: unknown node %q", name)
 			}
-			last, ackOrigin = fwdBase+spans[i].exit, revBase
+			override[id] = sh
 		}
-		pedges = append(pedges, topo.PartEdge{From: last, To: ackOrigin, Delay: 0})
 	}
-	override, err := shardOverride(spec, nodeIdx)
-	if err != nil {
-		return nil, err
-	}
-	assign, err := topo.Partition(n, pedges, spec.Shards, override)
-	if err != nil {
-		return nil, err
-	}
-	return topo.NewSharded(sim.NewCoordinator(spec.Seed, spec.Shards), assign), nil
-}
-
-// meshGraph builds the topology graph for a mesh-form spec, partitioning
-// spec.Nodes (in declaration order) when sharded. Node and edge name
-// validation beyond what the partitioner needs stays with runMesh.
-func meshGraph(spec *Spec) (*topo.Graph, error) {
-	if spec.Shards <= 1 {
-		return topo.New(sim.New(spec.Seed)), nil
-	}
-	if err := checkShardable(spec); err != nil {
-		return nil, err
-	}
-	nodeIdx := make(map[string]int, len(spec.Nodes))
-	for i, name := range spec.Nodes {
-		if _, dup := nodeIdx[name]; name == "" || dup {
-			// Defer to runMesh's canonical validation error.
-			return topo.New(sim.New(spec.Seed)), nil
-		}
-		nodeIdx[name] = i
-	}
-	pedges := make([]topo.PartEdge, 0, len(spec.Edges))
-	for i := range spec.Edges {
-		es := &spec.Edges[i]
-		from, ok := nodeIdx[es.From]
-		if !ok {
-			return nil, fmt.Errorf("exp: edge %q: unknown node %q", es.Name, es.From)
-		}
-		to, ok := nodeIdx[es.To]
-		if !ok {
-			return nil, fmt.Errorf("exp: edge %q: unknown node %q", es.Name, es.To)
-		}
-		pedges = append(pedges, topo.PartEdge{From: from, To: to, Delay: es.Link.Delay})
-	}
-	override, err := shardOverride(spec, nodeIdx)
-	if err != nil {
-		return nil, err
-	}
-	assign, err := topo.Partition(len(spec.Nodes), pedges, spec.Shards, override)
+	assign, err := topo.Partition(len(p.nodes), pedges, spec.Shards, override)
 	if err != nil {
 		return nil, err
 	}

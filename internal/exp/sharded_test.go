@@ -170,6 +170,13 @@ func TestShardedSpecValidation(t *testing.T) {
 		t.Errorf("unknown ShardMap node not rejected: %v", err)
 	}
 
+	// A negative shard count is a typo, not a request for "off".
+	spec = base()
+	spec.Shards = -3
+	if _, _, err := Run(spec); err == nil || !strings.Contains(err.Error(), "negative Shards") {
+		t.Errorf("negative Shards not rejected: %v", err)
+	}
+
 	// set_delay on a shard-cut edge would retune the synchronization
 	// lookahead; the timeline compiler must reject it statically. Pin
 	// hop0's endpoints (j1 -> j2) apart so it is a cut by construction.

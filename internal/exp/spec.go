@@ -1,0 +1,378 @@
+// Package exp contains one runner per table/figure of the paper's
+// evaluation, built on a generic scenario harness: flows of any
+// registered scheme traverse a topology graph (internal/topo) of
+// bottleneck links — trace-driven, rate-driven or Wi-Fi modelled — with
+// optional impairments, and both the data path and the ACK path are
+// explicit routes, so reverse-path bottlenecks and per-flow RTTs are
+// first-class. Schemes and queueing disciplines are resolved through the
+// cc and qdisc registries; this package constructs nothing by name.
+//
+// A Spec has two notations — a chain (Links/ReverseLinks) and a mesh
+// (Nodes/Edges) — and one compiler. Run is the pipeline, one file per
+// stage: spec.go declares the types; lower.go (chain) and mesh.go (mesh)
+// are the front ends, which only validate their notation and translate
+// it into a plan of named junctions, named edges and resolved per-flow
+// edge routes; mesh.go's back end builds the graph from the plan
+// (shard.go partitions it when Shards > 1); wire.go attaches links,
+// endpoints and receivers; harness.go runs the clock and measures.
+package exp
+
+import (
+	"abc/internal/abc"
+	"abc/internal/app"
+	"abc/internal/cc"
+	_ "abc/internal/explicit" // registers the XCP/XCPw/RCP/VCP schemes and routers
+	"abc/internal/metrics"
+	"abc/internal/netem"
+	"abc/internal/qdisc"
+	"abc/internal/sim"
+	"abc/internal/topo"
+	"abc/internal/trace"
+	"abc/internal/wifi"
+)
+
+// Schemes lists every congestion-control scheme in the paper's
+// evaluation, in the order Fig. 9 reports them.
+var Schemes = []string{
+	"ABC", "XCP", "XCPw", "Cubic+Codel", "Cubic+PIE",
+	"Copa", "Sprout", "Vegas", "Verus", "BBR", "PCC", "Cubic",
+}
+
+// ExplicitSchemes is the Appendix D comparison set.
+var ExplicitSchemes = []string{"ABC", "XCP", "XCPw", "VCP", "RCP"}
+
+// QdiscSpec selects the bottleneck discipline for a link.
+type QdiscSpec struct {
+	// Kind names a registered discipline (qdisc.Kinds lists them), or
+	// "auto" (the default) to derive it from the first flow, then
+	// workload, whose data path traverses the link. A mesh edge no data
+	// path uses derives from the first flow whose ACK path does; a chain
+	// link no data path uses is droptail.
+	Kind string
+	// Buffer is the queue limit in packets (default 250, the paper's
+	// emulation buffer).
+	Buffer int
+	// ABCDelayThreshold overrides dt for ABC routers (Fig. 10 sweeps
+	// 20/60/100 ms).
+	ABCDelayThreshold sim.Time
+	// ABCFeedback selects dequeue- vs enqueue-rate feedback (Fig. 2).
+	ABCFeedback abc.FeedbackMode
+	// ABCConfig, when non-nil, fully overrides the ABC router
+	// configuration (ablation sweeps); Buffer still applies if
+	// ABCConfig.Limit is zero.
+	ABCConfig *abc.RouterConfig
+	// ABCLie makes the ABC router misbehave: the fraction of brake-bound
+	// packets it fraudulently promotes back to accelerate. Only the plain
+	// "abc" kind consumes it.
+	ABCLie float64
+}
+
+// WiFiLinkSpec configures a Kind "wifi" link: the modelled 802.11n AP.
+type WiFiLinkSpec struct {
+	// Config parameterizes the AP (zero fields take wifi defaults).
+	Config wifi.LinkConfig
+	// Estimate attaches the §4.1 link-rate estimator as the capacity
+	// provider for capacity-aware qdiscs (the ABC deployment).
+	Estimate bool
+	// EstWindow is the estimator's smoothing window (default 40 ms).
+	EstWindow sim.Time
+}
+
+// LinkSpec describes one bottleneck hop of a chain or mesh edge.
+type LinkSpec struct {
+	// Kind selects the link model: "trace", "rate", "wifi", or "" to
+	// infer from whichever of Trace/Rate/Wifi is set. Mesh edges
+	// (Spec.Edges) additionally accept "wire": a pure propagation hop —
+	// Delay and Impair only, no bottleneck and no qdisc.
+	Kind string
+	// Trace drives a delivery-opportunity (Mahimahi-style) link.
+	Trace *trace.Trace
+	// Rate drives a store-and-forward link with a time-varying bit rate.
+	Rate netem.RateFunc
+	// Wifi drives an A-MPDU-batching 802.11n link.
+	Wifi  *WiFiLinkSpec
+	Qdisc QdiscSpec
+	// Lookahead enables the PK-ABC future-capacity oracle on trace
+	// links (§6.6).
+	Lookahead sim.Time
+	// Delay is this hop's propagation delay, applied after transmission.
+	// The default 0 keeps hops back-to-back, with the path's residual
+	// propagation in the per-flow access tails (RTT/2 each way), which
+	// preserves the paper's RTT accounting.
+	Delay sim.Time
+	// Impair adds an impairment stage (jitter, random/burst loss,
+	// reordering) in front of the link.
+	Impair topo.Impairments
+	// Attack installs an adversarial stage on the edge at build time:
+	// targeted drops, extra delay or mark-stripping against the flows its
+	// Target selects. Retunable mid-run via "attack"/"clear_attack"
+	// events.
+	Attack *topo.Attack
+}
+
+// wire reports whether the spec is a pure propagation hop (mesh only).
+func (ls *LinkSpec) wire() bool { return ls.Kind == "wire" }
+
+// Direction selects which chain carries a flow's data.
+type Direction int
+
+const (
+	// Forward flows send data over Spec.Links; their ACKs return over
+	// Spec.ReverseLinks (or a plain wire when there are none).
+	Forward Direction = iota
+	// Reverse flows send data over Spec.ReverseLinks; their ACKs return
+	// over Spec.Links. They model uplink cross traffic that congests the
+	// forward flows' ACK path.
+	Reverse
+)
+
+// FlowSpec describes one flow.
+type FlowSpec struct {
+	Scheme string
+	// Start/Stop bound the flow's lifetime; Stop 0 means run to the end.
+	Start, Stop sim.Time
+	// Source is the data source; nil means backlogged.
+	Source cc.Source
+	// Dir selects the chain carrying this flow's data (default Forward).
+	Dir Direction
+	// EnterAt is the index of the first link of the flow's chain it
+	// traverses (cross-traffic flows can skip upstream links).
+	// Out-of-range values are an error.
+	EnterAt int
+	// ExitAt is the 1-based index of the last link traversed, letting
+	// cross traffic leave the path early; 0 means the end of the chain.
+	ExitAt int
+	// RTT overrides Spec.RTT for this flow (heterogeneous-RTT
+	// scenarios): RTT/2 of access latency on each of the flow's data and
+	// ACK tails.
+	RTT sim.Time
+	// Path routes the flow's data over named mesh edges (Spec.Edges), in
+	// order. Mesh specs require it; chain specs must leave it empty (they
+	// route via Dir/EnterAt/ExitAt instead).
+	Path []string
+	// AckPath routes the flow's ACKs over named mesh edges. Empty means
+	// an uncongested direct wire back to the sender (what a chain without
+	// ReverseLinks lowers to).
+	AckPath []string
+	// Misbehave wraps the constructed algorithm in a misbehaving-sender
+	// shim. The only recognized value is "greedy": a sender that ignores
+	// brakes, CE and negative explicit feedback (cc.Greedy). Empty means
+	// an honest sender.
+	Misbehave string
+	// Mutate, if set, adjusts the constructed algorithm before the run
+	// (ablation switches such as abc.Sender.DisableAI).
+	Mutate func(alg cc.Algorithm)
+	// App attaches a closed-loop application (ABR video, RPC) that
+	// drives this flow's source; mutually exclusive with Source.
+	App *AppSpec
+}
+
+// EdgeSpec is one directed edge of a mesh topology (Spec.Edges): a named
+// hop between two named nodes, carrying a LinkSpec exactly like a chain
+// hop does (Kind "wire" makes it a pure propagation edge). Chain link i
+// of Links is shorthand for EdgeSpec{"fwd<i>", "fwd<i>", "fwd<i+1>"},
+// link i of ReverseLinks for the same over "rev".
+type EdgeSpec struct {
+	// Name identifies the edge in FlowSpec.Path / AckPath.
+	Name string
+	// From and To name the edge's endpoints (Spec.Nodes).
+	From, To string
+	// Link configures the hop: bottleneck model, qdisc, delay,
+	// impairments.
+	Link LinkSpec
+}
+
+// Spec is a complete scenario in one of two mutually exclusive
+// notations: a chain (Links / ReverseLinks, flows routed by
+// Dir/EnterAt/ExitAt) or a mesh (Nodes / Edges, flows routed by explicit
+// Path/AckPath edge lists). The chain is shorthand: Run lowers it to the
+// mesh with junctions and edges "fwd<i>" / "rev<i>" and compiles both
+// through one pipeline, so every clause that addresses an edge or a
+// junction by name works the same way on either.
+type Spec struct {
+	Seed     int64
+	Duration sim.Time
+	// Warmup excludes the initial transient from all metrics.
+	Warmup sim.Time
+	// RTT is the round-trip propagation delay (paper default 100 ms).
+	RTT   sim.Time
+	Links []LinkSpec
+	// ReverseLinks is the ACK-path chain: forward flows' ACKs traverse
+	// it in order, and Reverse-direction flows send their data over it.
+	// Empty means an uncongested wire, the paper's emulation default.
+	ReverseLinks []LinkSpec
+	// Nodes and Edges declare a mesh topology: named junctions and
+	// directed edges between them. Any directed multigraph is allowed —
+	// parallel edges, asymmetric reverse paths, disjoint subpaths through
+	// shared junctions. Flows route over it via FlowSpec.Path / AckPath.
+	Nodes []string
+	Edges []EdgeSpec
+	Flows []FlowSpec
+	// Workloads spawn finite flows mid-run from open-loop arrival
+	// processes, reported per-workload in Result.Workloads.
+	Workloads []WorkloadSpec
+	// Events is the timed mutation timeline: reroutes, rate and delay
+	// changes, link outages, executed on the simulation clock. Edges are
+	// addressed by name — mesh edges by their EdgeSpec.Name, chain links
+	// as "fwd<i>" / "rev<i>" (link i of Links / ReverseLinks).
+	Events []EventSpec
+	// Shards splits the simulation into this many parallel event queues
+	// advanced under conservative lookahead synchronization (0 or 1 =
+	// the sequential simulator, byte-identical to previous releases;
+	// negative values are a Spec error).
+	// Junctions are partitioned automatically (topo.Partition) unless
+	// pinned via ShardMap; shard-cut edges must have positive Delay.
+	// Sharded specs cannot use Workloads or Sample/Probe time series.
+	Shards int
+	// ShardMap pins named junctions (mesh node names, or chain junctions
+	// "fwd<i>" / "rev<i>") to shard indices; unnamed junctions are placed
+	// by the automatic partitioner around the pins.
+	ShardMap map[string]int
+	// Sample enables time-series collection at this period (0 = off).
+	// Negative values are a Spec error, not "off".
+	Sample sim.Time
+	// Probe, when set, is called once per sample period with the
+	// partially built result, letting experiments record custom series
+	// (e.g. Fig. 6's wabc/wcubic windows). Setting Probe without Sample
+	// is a Spec error — the probe would never fire.
+	Probe func(now sim.Time, r *Result)
+	// Routing enables the route-computation layer: a policy watches link
+	// state (link_down / link_up / set_delay) and recomputes managed
+	// flows' routes through the same Router machinery scripted reroute
+	// events use, making handover and flap recovery emergent behavior.
+	// Sequential-only (rejected at Shards > 1).
+	Routing *RoutingSpec
+	// Background attaches fluid background aggregates to named edges
+	// (mesh edge names, or chain links "fwd<i>" / "rev<i>"): each is a
+	// deterministic fixed-step rate process standing in for many
+	// virtual flows, draining link capacity and contributing queue
+	// occupancy at constant cost regardless of the flow count. Couplers
+	// step on each edge's home simulator, so backgrounds compose with
+	// Shards.
+	Background []BackgroundSpec
+}
+
+// FlowResult reports one flow's measurements over [Warmup, Duration].
+type FlowResult struct {
+	Scheme    string
+	Bytes     int64
+	TputMbps  float64
+	Delay     metrics.DelayRecorder // one-way per-packet delay, ms
+	QDelay    metrics.DelayRecorder // accumulated queuing delay, ms
+	Lost      int64
+	Retx      int64
+	Tput      *metrics.Timeseries // when sampling
+	Endpoint  *cc.Endpoint
+	Algorithm cc.Algorithm
+	// App is the closed-loop application bound to the flow, when any
+	// (AppSpec kind "abr" → *app.ABR, "rpc" → *app.RPC).
+	App app.App
+}
+
+// Result is a completed scenario.
+type Result struct {
+	Spec  Spec
+	Flows []FlowResult
+	// Workloads reports each open-loop workload in Spec.Workloads order.
+	Workloads   []WorkloadResult
+	Utilization float64
+	// QueueDelayTS samples the first link's standing queue delay when
+	// sampling is enabled.
+	QueueDelayTS *metrics.Timeseries
+	// WeightTS samples a dual queue's ABC weight when present.
+	WeightTS *metrics.Timeseries
+	// Qdiscs exposes the built bottleneck disciplines, first hop first.
+	Qdiscs []qdisc.Qdisc
+	// ReverseQdiscs exposes the reverse-chain disciplines, first reverse
+	// hop first.
+	ReverseQdiscs []qdisc.Qdisc
+	// EdgeQdiscs maps mesh edge names to their built disciplines (nil for
+	// chain scenarios; wire edges have no entry).
+	EdgeQdiscs map[string]qdisc.Qdisc
+	// Drops counts packets that reached a junction with no forwarding
+	// entry for their flow and direction. In a static scenario anything
+	// non-zero indicates a wiring bug (a flow id without a routed path);
+	// under a reroute event timeline it additionally counts packets that
+	// were in flight on abandoned edges when their route moved — the
+	// handover losses the conservation contract makes explicit.
+	Drops int64
+	// ImpairDrops counts packets deliberately discarded by impairment
+	// stages (lossy-link scenarios).
+	ImpairDrops int64
+	// LinkDownDrops counts packets dropped at the entry of edges taken
+	// down by link_down events.
+	LinkDownDrops int64
+	// AdvDrops / AdvDelayed / AdvStripped count adversarial-stage actions
+	// across all edges: packets dropped, delayed, and accel marks
+	// stripped by installed attacks.
+	AdvDrops    int64
+	AdvDelayed  int64
+	AdvStripped int64
+	// Adversary splits the run's degradation metrics into victim,
+	// bystander and attacker classes; nil when the spec has no adversary
+	// (no attacks, no misbehaving flows, no lying routers).
+	Adversary *AdversaryReport
+	// Events annotates each executed Spec.Events entry in execution
+	// order.
+	Events []EventResult
+	// RouteChanges annotates every route the Spec.Routing policy
+	// switched, in execution order — the emergent counterpart of the
+	// scripted Events annotations, and what golden digests lock for the
+	// autoroute/flapstorm drivers.
+	RouteChanges []RouteChangeResult
+	// Graph is the compiled topology, available to Probe callbacks and
+	// post-run inspection (edge stats, custom traffic injection).
+	Graph *topo.Graph
+	// Backgrounds reports each fluid aggregate in Spec.Background order:
+	// bytes offered/served/dropped and the mean service share it took
+	// from its edge.
+	Backgrounds []BackgroundResult
+
+	// edgeQ holds the built discipline of every graph edge, by edge id
+	// (nil for wires): the one list the Qdiscs/ReverseQdiscs/EdgeQdiscs
+	// views above are cut from.
+	edgeQ []qdisc.Qdisc
+
+	// adv classifies flows into victim/bystander/attacker and collects
+	// the per-class workload FCTs behind Adversary; nil for honest specs.
+	adv *advCollector
+
+	// bg holds the running couplers so runAndMeasure can collect their
+	// stats after the clock stops.
+	bg []*bgRunner
+}
+
+// AggTputMbps sums flow throughputs.
+func (r *Result) AggTputMbps() float64 {
+	var t float64
+	for i := range r.Flows {
+		t += r.Flows[i].TputMbps
+	}
+	return t
+}
+
+// MeanDelayMs averages flow mean delays weighted by sample count.
+func (r *Result) MeanDelayMs() float64 {
+	var sum float64
+	var n int
+	for i := range r.Flows {
+		c := r.Flows[i].Delay.Count()
+		sum += r.Flows[i].Delay.Mean() * float64(c)
+		n += c
+	}
+	if n == 0 {
+		return 0
+	}
+	return sum / float64(n)
+}
+
+// Summary condenses a result for scatter/bar figures.
+func (r *Result) Summary(scheme string, pooled *metrics.DelayRecorder) metrics.Summary {
+	return metrics.Summary{
+		Scheme:      scheme,
+		Utilization: r.Utilization,
+		TputMbps:    r.AggTputMbps(),
+		MeanMs:      pooled.Mean(),
+		P95Ms:       pooled.P95(),
+	}
+}

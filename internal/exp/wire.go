@@ -1,0 +1,251 @@
+// Wiring: the stage that turns compiled edges and resolved routes into
+// live components — the link model and discipline behind each edge, and
+// each flow's algorithm, endpoint and receiver with its two routes
+// installed.
+package exp
+
+import (
+	"fmt"
+
+	"abc/internal/cc"
+	"abc/internal/metrics"
+	"abc/internal/netem"
+	"abc/internal/packet"
+	"abc/internal/qdisc"
+	"abc/internal/sim"
+	"abc/internal/topo"
+	"abc/internal/wifi"
+)
+
+// build resolves the spec through the qdisc registry. scheme is the
+// deriving scheme for "auto" kinds ("" falls back to droptail).
+func (q QdiscSpec) build(scheme string, s *sim.Simulator) (qdisc.Qdisc, error) {
+	kind := q.Kind
+	if kind == "auto" || kind == "" {
+		kind = cc.QdiscFor(scheme)
+	}
+	bs := qdisc.BuildSpec{
+		Kind:           kind,
+		Buffer:         q.Buffer,
+		DelayThreshold: q.ABCDelayThreshold,
+		Feedback:       uint8(q.ABCFeedback),
+		Rand:           s.Rand(),
+	}
+	if q.ABCConfig != nil {
+		// Only the plain ABC router consumes a full RouterConfig;
+		// letting other kinds silently ignore one would be exactly the
+		// misconfiguration the explicit spec is meant to prevent.
+		if kind != "abc" {
+			return nil, fmt.Errorf("exp: ABCConfig set for qdisc kind %q, which does not consume it", kind)
+		}
+		bs.Config = q.ABCConfig
+	}
+	if q.ABCLie != 0 {
+		// Same contract as ABCConfig: a lying-router fraction on a kind
+		// that has no lying mode is a spec error, not a silent no-op.
+		if kind != "abc" {
+			return nil, fmt.Errorf("exp: ABCLie set for qdisc kind %q, which does not consume it", kind)
+		}
+		bs.Lie = q.ABCLie
+	}
+	return qdisc.Build(bs)
+}
+
+// linkFactory returns the topo.LinkFactory for one link spec, inferring
+// the link model from whichever of Trace/Rate/Wifi is set when Kind is
+// empty.
+func linkFactory(s *sim.Simulator, ls *LinkSpec, qd qdisc.Qdisc) (topo.LinkFactory, error) {
+	kind := ls.Kind
+	switch {
+	case kind != "":
+	case ls.Trace != nil:
+		kind = "trace"
+	case ls.Rate != nil:
+		kind = "rate"
+	case ls.Wifi != nil:
+		kind = "wifi"
+	default:
+		return nil, fmt.Errorf("exp: link has neither trace, rate nor wifi")
+	}
+	switch kind {
+	case "trace":
+		if ls.Trace == nil {
+			return nil, fmt.Errorf("exp: link kind %q without a trace", kind)
+		}
+		return func(dst packet.Node) (topo.Link, error) {
+			l := netem.NewTraceLink(s, ls.Trace, qd, dst)
+			l.Lookahead = ls.Lookahead
+			return l, nil
+		}, nil
+	case "rate":
+		if ls.Rate == nil {
+			return nil, fmt.Errorf("exp: link kind %q without a rate function", kind)
+		}
+		return func(dst packet.Node) (topo.Link, error) {
+			return netem.NewRateLink(s, ls.Rate, qd, dst), nil
+		}, nil
+	case "wifi":
+		ws := ls.Wifi
+		if ws == nil {
+			return nil, fmt.Errorf("exp: link kind %q without a wifi spec", kind)
+		}
+		return func(dst packet.Node) (topo.Link, error) {
+			cfg := ws.Config
+			var est *wifi.Estimator
+			if ws.Estimate {
+				win := ws.EstWindow
+				if win <= 0 {
+					win = 40 * sim.Millisecond
+				}
+				mb, fs := cfg.MaxBatch, cfg.FrameSize
+				if mb <= 0 {
+					mb = wifi.DefaultLinkConfig().MaxBatch
+				}
+				if fs <= 0 {
+					fs = packet.MTU
+				}
+				est = wifi.NewEstimator(mb, fs, win)
+			}
+			return wifi.NewLink(s, cfg, qd, dst, est), nil
+		}, nil
+	}
+	return nil, fmt.Errorf("exp: unknown link kind %q", kind)
+}
+
+// capacityFn returns a capacity sampler (bits/sec) for a link spec, used
+// by the queue-delay time series.
+func capacityFn(ls *LinkSpec) func(now sim.Time) float64 {
+	switch {
+	case ls.Trace != nil:
+		tr := ls.Trace
+		return func(now sim.Time) float64 { return tr.CapacityBps(now, 100*sim.Millisecond) }
+	case ls.Rate != nil:
+		return ls.Rate
+	case ls.Wifi != nil:
+		cfg := ls.Wifi.Config
+		return func(now sim.Time) float64 { return wifi.TrueCapacityBps(cfg, now) }
+	}
+	return func(sim.Time) float64 { return 0 }
+}
+
+// flowRoute is one flow's resolved data and ACK edge sequences over the
+// topology graph.
+type flowRoute struct{ data, ack []int }
+
+// dir returns the route of one direction.
+func (r flowRoute) dir(ack bool) []int {
+	if ack {
+		return r.ack
+	}
+	return r.data
+}
+
+// wireFlows constructs every flow's algorithm, endpoint and receiver and
+// installs its routes, attaching the per-flow metrics hooks. By the time
+// it runs, a flow is just a pair of edge sequences.
+//
+// The endpoint lives on the shard of the data route's origin junction
+// and the receiver on that of its terminal junction (they inject packets
+// synchronously into those junctions); an unsharded graph has the one
+// simulator and shard 0 for both. On sharded graphs the pooled/adversary
+// recorders are not touched per packet — poolShardedMetrics rebuilds
+// them from the per-flow recorders after the run.
+func wireFlows(g *topo.Graph, spec *Spec, res *Result, pooled *metrics.DelayRecorder, routes []flowRoute) error {
+	sharded := g.Sharded()
+	res.Flows = make([]FlowResult, len(spec.Flows))
+	for i := range spec.Flows {
+		fs := &spec.Flows[i]
+		alg, err := cc.New(fs.Scheme)
+		if err != nil {
+			return err
+		}
+		if fs.Mutate != nil {
+			fs.Mutate(alg)
+		}
+		switch fs.Misbehave {
+		case "":
+		case "greedy":
+			alg = cc.NewGreedy(alg)
+		default:
+			return fmt.Errorf("exp: flow %d: unknown Misbehave %q (recognized: \"greedy\")", i, fs.Misbehave)
+		}
+		fr := &res.Flows[i]
+		fr.Scheme = fs.Scheme
+		fr.Algorithm = alg
+
+		flowRTT := fs.RTT
+		if flowRTT <= 0 {
+			flowRTT = spec.RTT
+		}
+
+		data := routes[i].data
+		origin := g.Edge(data[0]).From.ID
+		last := g.Edge(data[len(data)-1]).To.ID
+		epSim, recvSim := g.SimFor(origin), g.SimFor(last)
+		epShard, recvShard := g.ShardOf(origin), g.ShardOf(last)
+
+		ep := cc.NewEndpoint(epSim, i, nil, alg)
+		if r := g.Recorder(); r != nil {
+			ep.SetObs(r, int32(i))
+		}
+		ep.Src = fs.Source
+		if fs.App != nil {
+			if fs.Source != nil {
+				return fmt.Errorf("exp: flow %d: App and Source are mutually exclusive (the app owns the source)", i)
+			}
+			a, err := buildApp(epSim, ep, fs.App, spec.Warmup)
+			if err != nil {
+				return fmt.Errorf("exp: flow %d: %v", i, err)
+			}
+			fr.App = a
+			epSim.At(fs.Start, func() { a.Start(epSim.Now()) })
+		}
+		fr.Endpoint = ep
+		// The receiver injects ACKs into the ACK route and the route
+		// terminates at the endpoint, so its injection/terminal shards are
+		// the receiver's and endpoint's respectively.
+		ackEntry, err := g.RouteFlowAt(i, true, routes[i].ack, flowRTT/2, ep, epShard, recvShard)
+		if err != nil {
+			return err
+		}
+		recv := netem.NewReceiver(recvSim, i, ackEntry)
+		start, warm, flowID := fs.Start, spec.Warmup, i
+		recv.OnData = func(now sim.Time, p *packet.Packet) {
+			if now < warm || now < start {
+				return
+			}
+			fr.Bytes += int64(p.Size)
+			d := now - p.SentAt
+			fr.Delay.Add(d)
+			fr.QDelay.Add(p.QueueDelay)
+			if !sharded {
+				pooled.Add(d)
+				if res.adv != nil {
+					res.adv.addDelay(flowID, d)
+				}
+			}
+		}
+		dataEntry, err := g.RouteFlowAt(i, false, data, flowRTT/2, recv, recvShard, epShard)
+		if err != nil {
+			return err
+		}
+		ep.Out = dataEntry
+
+		epSim.At(fs.Start, ep.Start)
+		if fs.Stop > 0 {
+			epSim.At(fs.Stop, ep.Stop)
+		}
+		if spec.Sample > 0 {
+			counter := &metrics.RateCounter{}
+			prev := recv.OnData
+			recv.OnData = func(now sim.Time, p *packet.Packet) {
+				counter.Add(p.Size)
+				prev(now, p)
+			}
+			fr.Tput = metrics.NewTimeseries(recvSim, spec.Sample, spec.Duration, func(now sim.Time) float64 {
+				return counter.SampleBps(now) / 1e6
+			})
+		}
+	}
+	return nil
+}

@@ -22,7 +22,8 @@ import (
 // WorkloadSpec describes one open-loop arrival process: flows of Scheme
 // arrive with Arrival-drawn gaps, carry Sizes-drawn bytes, complete, and
 // report flow-completion times. Routing uses the same fields as a
-// FlowSpec (Dir/EnterAt/ExitAt on chains, Path/AckPath on meshes).
+// FlowSpec (Dir/EnterAt/ExitAt in chain notation, Path/AckPath in mesh
+// notation) and resolves through the same front ends.
 type WorkloadSpec struct {
 	Scheme string
 	// Class labels the workload in results (default "w<index>").

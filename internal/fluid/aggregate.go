@@ -62,9 +62,9 @@ type AggregateConfig struct {
 	// Eta, Delta, Dt override the Eq.-13 constants for KindAIMD;
 	// defaults are the paper's emulation parameters (0.98, 133 ms,
 	// 20 ms).
-	Eta    float64
-	Delta  sim.Time
-	Dt     sim.Time
+	Eta   float64
+	Delta sim.Time
+	Dt    sim.Time
 	// MaxQueueBytes caps the fluid backlog, mirroring the bounded
 	// buffer real background packets would share (default 250 MTU).
 	MaxQueueBytes float64

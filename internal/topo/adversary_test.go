@@ -37,8 +37,8 @@ func attackEdge(t *testing.T, seed int64, delay sim.Time, flows ...int) (*sim.Si
 
 func TestAttackValidate(t *testing.T) {
 	bad := []Attack{
-		{},                                      // no target, no action
-		{Target: Target{Flows: []int{1}}},       // no action
+		{},                                // no target, no action
+		{Target: Target{Flows: []int{1}}}, // no action
 		{Target: Target{Fraction: 1.5}, DropRate: 0.1},                 // fraction out of range
 		{Target: Target{Flows: []int{-1}}, DropRate: 0.1},              // negative flow
 		{Target: Target{Flows: []int{1}}, DropRate: 2},                 // drop rate out of range

@@ -766,20 +766,22 @@ func (g *Graph) RouteFlow(flow int, ack bool, edges []int, tailDelay sim.Time, t
 	return g.routeFlow(flow, ack, edges, tailDelay, terminal, 0, 0)
 }
 
-// RouteFlowAt is RouteFlow for sharded graphs. termShard pins the shard
-// the terminal element lives (and schedules) on; injShard names the
-// shard of the element that injects into the route and only matters for
-// direct routes (no edges), where the returned tail is entered from the
-// injector's shard rather than from a junction. When the route's last
-// node and the terminal share a shard the tail is the usual access-
-// latency wire; otherwise the tail becomes a cross-shard hop and
-// tailDelay must be positive, for the same reason a shard-cut edge needs
-// positive delay.
+// RouteFlowAt is RouteFlow with the shards pinned, which sharded graphs
+// need: termShard is the shard the terminal element lives (and
+// schedules) on; injShard names the shard of the element that injects
+// into the route and only matters for direct routes (no edges), where
+// the returned tail is entered from the injector's shard rather than
+// from a junction. When the route's last node and the terminal share a
+// shard the tail is the usual access-latency wire; otherwise the tail
+// becomes a cross-shard hop and tailDelay must be positive, for the same
+// reason a shard-cut edge needs positive delay. An unsharded graph has
+// the one shard 0.
 func (g *Graph) RouteFlowAt(flow int, ack bool, edges []int, tailDelay sim.Time, terminal packet.Node, termShard, injShard int) (packet.Node, error) {
-	if !g.Sharded() {
-		return nil, fmt.Errorf("topo: flow %d: RouteFlowAt needs a sharded graph", flow)
+	n := 1
+	if g.Sharded() {
+		n = g.coord.Shards()
 	}
-	if n := g.coord.Shards(); termShard < 0 || termShard >= n || injShard < 0 || injShard >= n {
+	if termShard < 0 || termShard >= n || injShard < 0 || injShard >= n {
 		return nil, fmt.Errorf("topo: flow %d: shard out of range", flow)
 	}
 	return g.routeFlow(flow, ack, edges, tailDelay, terminal, termShard, injShard)
