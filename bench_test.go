@@ -621,10 +621,11 @@ func BenchmarkFIBLookup(b *testing.B) {
 
 // BenchmarkShardedRun measures the conservative-lookahead coordinator
 // end to end: the four-bottleneck ring at 1 shard (the plain sequential
-// simulator) vs 4 shards (per-shard event queues on worker goroutines
-// with cross-shard mailbox handoff). On a multi-core host the 4-shard
-// run approaches the topology's parallel speedup; on any host the two
-// results are byte-identical (TestShardedMeshDigestInvariant). The
+// simulator) vs 4 shards (per-shard event queues, each owned by one of
+// min(4, GOMAXPROCS, NumCPU) workers, with cross-shard mailbox handoff).
+// The ring is too small for sharding to pay — bench workload
+// mesh_shard2 is the one that measures the speedup — but on any host
+// the two results are byte-identical (TestShardedMeshDigestInvariant). The
 // allocs/op ceilings in bench_thresholds.txt keep the cross-shard
 // handoff from allocating per packet: both sub-benchmarks simulate the
 // same traffic, so their allocation gap is pure sharding overhead.

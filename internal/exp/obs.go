@@ -96,6 +96,9 @@ func newRunSampler(g *topo.Graph, res *Result) *runSampler {
 	reg.Help("abc_shard_rounds_total", "Conservative-sync windows executed by the coordinator.")
 	reg.Help("abc_shard_events_total", "Events executed per shard.")
 	reg.Help("abc_shard_horizon_lag_seconds", "How far each shard's horizon trails the furthest shard.")
+	reg.Help("abc_shard_busy_seconds", "Wall time the shard's worker spent merging its mail and executing its windows.")
+	reg.Help("abc_shard_wait_seconds", "Wall time the shard's worker spent at the barrier and in the coordinator's serial section.")
+	reg.Help("abc_shard_mail_total", "Cross-shard messages merged into destination heaps.")
 	return rs
 }
 
@@ -111,8 +114,11 @@ func (rs *runSampler) sample(now sim.Time) {
 			events += ex
 			reg.Counter(fmt.Sprintf(`abc_shard_events_total{shard="%d"}`, i)).Store(int64(ex))
 			reg.Gauge(fmt.Sprintf(`abc_shard_horizon_lag_seconds{shard="%d"}`, i)).Set(c.HorizonLag(i).Seconds())
+			reg.Gauge(fmt.Sprintf(`abc_shard_busy_seconds{shard="%d"}`, i)).Set(c.Busy(i).Seconds())
+			reg.Gauge(fmt.Sprintf(`abc_shard_wait_seconds{shard="%d"}`, i)).Set(c.Wait(i).Seconds())
 		}
 		reg.Counter("abc_shard_rounds_total").Store(int64(c.Rounds()))
+		reg.Counter("abc_shard_mail_total").Store(int64(c.Mail()))
 	} else {
 		events = g.S.Executed()
 	}

@@ -2,21 +2,25 @@ package exp
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
+	"abc/internal/obs"
 	"abc/internal/sim"
 )
 
 // TestShardedMeshDigestInvariant is the multi-shard golden pick: the
 // sharded-mesh driver must serialize byte-identically at 1, 2 and 4
-// shards. Anything less means the conservative synchronization let an
-// event fire in a shard's past, or a pooled metric depended on
-// cross-flow arrival interleaving.
+// shards, whether one goroutine runs every shard inline (GOMAXPROCS 1)
+// or helper workers run them behind the barrier. Anything less means the
+// conservative synchronization let an event fire in a shard's past, the
+// mailbox merge depended on who ran it, or a pooled metric depended on
+// cross-flow arrival interleaving. No worker may outlive its run.
 func TestShardedMeshDigestInvariant(t *testing.T) {
 	const dur = 10 * sim.Second
-	digests := map[int]string{}
-	for _, shards := range []int{1, 2, 4} {
+	digest := func(shards int) string {
+		t.Helper()
 		r, err := ShardedMesh(shards, dur, 1)
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
@@ -34,10 +38,51 @@ func TestShardedMeshDigestInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		digests[shards] = d
+		return d
 	}
-	if digests[2] != digests[1] || digests[4] != digests[1] {
-		t.Errorf("digests diverge across shard counts: %v", digests)
+	want := digest(1)
+	goroutines := runtime.NumGoroutine()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, shards := range []int{2, 4} {
+			if got := digest(shards); got != want {
+				t.Errorf("GOMAXPROCS=%d shards=%d: digest %s, want the sequential %s", procs, shards, got, want)
+			}
+		}
+	}
+	// A helper past its last barrier may still be exiting: give it time.
+	for spins := 0; runtime.NumGoroutine() > goroutines; runtime.Gosched() {
+		if spins++; spins > 1e7 {
+			t.Fatalf("%d goroutines after the sharded runs, %d before them", runtime.NumGoroutine(), goroutines)
+		}
+	}
+}
+
+// TestShardedMetricsSampling: a metered sharded run publishes the
+// coordinator's self-accounting next to the per-shard event counts.
+func TestShardedMetricsSampling(t *testing.T) {
+	reg := obs.NewRegistry()
+	EnableMetrics(reg, 200*sim.Millisecond)
+	defer EnableMetrics(nil, 0)
+	if _, err := ShardedMesh(2, 2*sim.Second, 1); err != nil {
+		t.Fatal(err)
+	}
+	have := map[string]float64{}
+	for _, s := range reg.Snapshot() {
+		have[s.Name] = s.Value
+	}
+	for _, name := range []string{
+		"abc_shard_rounds_total",
+		"abc_shard_mail_total",
+		`abc_shard_events_total{shard="1"}`,
+		`abc_shard_busy_seconds{shard="0"}`,
+		`abc_shard_busy_seconds{shard="1"}`,
+		`abc_shard_wait_seconds{shard="1"}`,
+	} {
+		if have[name] <= 0 {
+			t.Errorf("%s = %g after a metered sharded run, want > 0", name, have[name])
+		}
 	}
 }
 

@@ -2,7 +2,7 @@
 // into one start/stop pair for the command-line binaries: a CPU profile
 // with an exit-time heap snapshot, and a runtime execution trace. The
 // sharded simulator is the main customer — `go tool trace` on a capture
-// shows the per-shard worker goroutines, the synchronization barriers
+// shows the shard-owning worker goroutines, the synchronization barriers
 // between time windows, and any shard starving its neighbors — but the
 // hooks profile any abcsim/abcreport invocation.
 package prof

@@ -5,32 +5,115 @@
 // Each cross-shard channel (src, dst) carries a positive lookahead: the
 // minimum latency any message posted by src can impose on dst. Before
 // each window the coordinator collects every shard's earliest pending
-// event time (its null-message lower bound), closes the bounds under the
-// channel graph (an idle shard may still be woken by a neighbor, so the
-// bound must account for transitive wakeups), and derives a per-shard
-// horizon: the earliest instant at which a cross-shard message could
-// still arrive. Shards then execute events strictly before their horizon
-// in parallel, one goroutine per shard, and hand cross-shard events to
-// per-(src,dst) mailbox lanes. At the barrier the coordinator drains the
-// lanes into the destination heaps in (timestamp, source shard, posting
-// order) order — the same tie-break discipline as the event heap's
-// (time, seq) rule — so sequence numbers, and therefore execution order,
-// are a pure function of the configuration and seed. No shard ever
-// receives an event in its past, and progress is guaranteed because
-// every lookahead is positive.
+// event time (its null-message lower bound: the heap top or the earliest
+// message still parked in a mailbox lane towards it), closes the bounds
+// under the channel graph (an idle shard may still be woken by a
+// neighbor, so the bound must account for transitive wakeups), and
+// derives a per-shard horizon: the earliest instant at which a
+// cross-shard message could still arrive. Shards then execute events
+// strictly before their horizon. No shard ever receives an event in its
+// past, and progress is guaranteed because every lookahead is positive.
+//
+// # Workers
+//
+// A Run uses W = min(shards, GOMAXPROCS, NumCPU) workers, fixed when Run
+// starts. Worker w owns shards w, w+W, w+2W, … for the whole Run and
+// runs their windows inline, one after the other, so a shard's heap and
+// slab stay in one core's cache. The goroutine that called Run is worker
+// 0: between the release and the join of a window it has nothing else to
+// do. Only W-1 helper goroutines exist, and with W = 1 (one shard, one
+// usable core, GOMAXPROCS 1) Run is a plain loop over the shards with no
+// goroutine, atomic operation or channel in it, which costs what the
+// sequential simulator costs. Because W never exceeds the cores the
+// process may use, a waiting worker never spins against a worker that
+// needs its core.
+//
+// # Barrier
+//
+// One window is: the coordinator bumps every helper's gate (release),
+// runs its own shards, then waits on its own gate until the W-1 helpers
+// have bumped it (join). A gate is a counter, a parked flag and a
+// 1-buffered channel on a cache line of their own. The waiter polls the
+// counter for a fixed budget (spinYields × spinLoads loads, yielding the
+// processor between batches), then announces parked, re-checks the
+// counter, and only then blocks on the channel. A signaller bumps the
+// counter and then swaps parked from true to false; whoever wins that
+// swap owns the wake-up: the signaller sends a token, or the waiter
+// proceeds without one. sync/atomic operations are sequentially
+// consistent, so of "waiter stores parked, then loads the counter" and
+// "signaller adds to the counter, then swaps parked" at least one side
+// sees the other's write: no wake-up is lost, and because a token is
+// sent only after a swap that the waiter then always consumes, none is
+// left over. The same operations carry the data: everything the
+// coordinator wrote before the release (bounds, horizons, the lane
+// parity) happens-before a helper's window, and everything a helper
+// wrote in its window (heaps, lanes, clocks, counters) happens-before
+// the coordinator's return from the join.
+//
+// # Mailboxes
+//
+// A cross-shard event is appended to the (src, dst) lane by its
+// producer, which also keeps the lane's minimum timestamp for the next
+// lower-bound pass. A lane has two boxes: producers write box p during a
+// window while each destination's worker, at the start of that window
+// and on its own core, merges box 1-p — the previous window's mail —
+// into its shards' heaps; the barrier flips p. The merge visits a
+// shard's inbound lanes in source order, concatenates them and sorts
+// stably by timestamp, which is (timestamp, source shard, posting
+// order) — the event heap's own (time, seq) tie-break discipline.
+// Every worker merges every one of its shards every window, active or
+// not, so a box never holds mail from two windows. Sequence numbers are
+// therefore what a drain at the barrier would have assigned: between
+// the barrier and the start of a shard's next window nothing schedules
+// on it, with one exception, a GlobalAt callback, and the coordinator
+// merges all mail serially immediately before it runs one (and once
+// more when Run returns). Execution order is thus a pure function of
+// configuration and seed, whatever W is.
+//
+// # What it buys
+//
+// On the 2-core bench host, bench workload mesh_shard2 (16-bottleneck
+// mesh at 2 shards, 8 ms windows, 1817 of them in 16 simulated seconds)
+// runs 1.4–1.45× as fast as its sequential twin in a quiet stretch and
+// 1.05–1.25× in a busy one; the channel-per-shard hand-off this replaced
+// ran 0.9–0.98×. DESIGN.md "Sharded execution" has every number. The
+// ceiling is set by per-window event imbalance (Σmax/Σmean ≈ 1.12 at 2
+// shards, so ≤ 1.78×) and by the cut traffic: a packet that crosses the
+// cut changes cores, and a shard's events cost more while both cores run
+// than when the same windows run back to back on one.
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"sort"
-	"sync"
+	"sync/atomic"
+	"time"
 
 	"abc/internal/obs"
 )
 
 // timeInf is a sentinel "no pending event" timestamp.
 const timeInf = Time(math.MaxInt64)
+
+// cacheLine is the unit that state written by different workers is
+// padded to, so that no two of them share a line.
+const cacheLine = 64
+
+// A gate waiter polls spinYields batches of spinLoads loads, yielding
+// the processor after each batch, before it parks: about 300 µs on the
+// bench host, two typical mesh windows. Parking and the futex wake-up
+// behind it cost about 80 µs there, on the critical path, so the budget
+// is sized to make parks rare (25 in 3634 waits against 1640 at a 20 µs
+// budget; DESIGN.md has the sweep) while bounding what a long wait —
+// a GlobalAt callback, a lopsided window — can burn.
+const (
+	spinYields = 1024
+	spinLoads  = 128
+)
 
 // Shard is one partition of a sharded simulation: a full Simulator (its
 // own 4-ary heap, slot slab, clock and RNG) advanced by its
@@ -39,6 +122,13 @@ type Shard struct {
 	*Simulator
 	id int
 	c  *Coordinator
+
+	// Written by the worker that owns the shard (see Coordinator.Busy):
+	// the self-accounting counters and the reused merge buffer.
+	busy, wait time.Duration
+	mail       uint64
+	inbox      []mailItem
+	_          [2*cacheLine - 72]byte
 }
 
 // ID returns the shard's index within its coordinator.
@@ -52,12 +142,75 @@ func (sh *Shard) Post(dst int, at Time, fn ArgsFunc, a, b any) {
 	sh.c.post(sh.id, dst, at, fn, a, b)
 }
 
-// mailItem is one cross-shard message parked in a lane until the next
-// barrier.
+// mailItem is one cross-shard message parked in a lane until its
+// destination's next window.
 type mailItem struct {
 	at   Time
 	fn   ArgsFunc
 	a, b any
+}
+
+// mailbox is one half of a lane: the messages posted during one window
+// and the earliest of their timestamps (timeInf when empty).
+type mailbox struct {
+	items []mailItem
+	min   Time
+	_     [cacheLine - 32]byte
+}
+
+// lane buffers the messages of one (src, dst) channel. It has a single
+// producer, the worker running src, which appends to box[wr]; the worker
+// running dst empties box[wr^1] meanwhile, so neither needs a lock.
+type lane struct{ box [2]mailbox }
+
+// gate is where one worker waits for others: a helper for the
+// coordinator's release, the coordinator for the helpers' join.
+type gate struct {
+	n      atomic.Uint32
+	parked atomic.Bool
+	wake   chan struct{}
+	_      [cacheLine - 16]byte
+}
+
+// signal bumps the counter and wakes the waiter if it has parked.
+func (g *gate) signal() {
+	g.n.Add(1)
+	if g.parked.CompareAndSwap(true, false) {
+		g.wake <- struct{}{}
+	}
+}
+
+// wait returns once the counter equals target: spin, then park. The
+// package comment gives the argument that no wake-up is lost.
+func (g *gate) wait(target uint32) {
+	for {
+		for i := 0; i < spinYields; i++ {
+			for j := 0; j < spinLoads; j++ {
+				if g.n.Load() == target {
+					return
+				}
+			}
+			runtime.Gosched()
+		}
+		g.parked.Store(true)
+		if g.n.Load() == target && g.parked.CompareAndSwap(true, false) {
+			return
+		}
+		<-g.wake // a signaller won the swap, or will: its token is ours
+	}
+}
+
+// worker is the per-worker state of one Run. Worker 0 is the goroutine
+// that called Run and waits on its gate for the join; the others are
+// helpers and wait on theirs for the release.
+type worker struct {
+	gate
+	// idleSince is when the worker finished its last window (Run's start
+	// before the first); panicked holds a value recovered from a shard
+	// event on a helper until the coordinator re-raises it.
+	idleSince time.Time
+	panicked  any
+	_         [cacheLine - 40]byte
 }
 
 // globalEvent is a coordinator-level event (topology mutation, attack
@@ -75,16 +228,20 @@ type Coordinator struct {
 	// la[src*n+dst] is the minimum lookahead of the (src, dst) channel;
 	// 0 means no channel exists (or none registered yet).
 	la []Time
-	// lanes[src*n+dst] buffers cross-shard messages during a window.
-	// Each lane has a single producer (the src shard's goroutine), so
-	// appends need no locks; the coordinator drains them at barriers.
-	lanes   [][]mailItem
+	// lanes[src*n+dst] buffers cross-shard messages; wr is the box
+	// producers append to, flipped at every barrier.
+	lanes   []lane
+	wr      int
 	globals []globalEvent
 	gNext   int
 	started bool
 
-	work []chan Time
-	wg   sync.WaitGroup
+	// Barrier state of the current Run (nil and zero between Runs):
+	// joined is the join gate's target, one per helper per release; stop
+	// tells released helpers to exit.
+	workers []worker
+	joined  uint32
+	stop    bool
 
 	// rec, when set, receives one EvHorizon event per shard per window
 	// (the lookahead observability feed); rounds counts synchronization
@@ -96,7 +253,6 @@ type Coordinator struct {
 	nb      []Time
 	out     []Time
 	horizon []Time
-	inbox   []mailItem
 }
 
 // NewCoordinator creates n shards. Every shard shares the same base seed
@@ -110,10 +266,13 @@ func NewCoordinator(seed int64, n int) *Coordinator {
 	c := &Coordinator{
 		n:       n,
 		la:      make([]Time, n*n),
-		lanes:   make([][]mailItem, n*n),
+		lanes:   make([]lane, n*n),
 		nb:      make([]Time, n),
 		out:     make([]Time, n),
 		horizon: make([]Time, n),
+	}
+	for i := range c.lanes {
+		c.lanes[i].box[0].min, c.lanes[i].box[1].min = timeInf, timeInf
 	}
 	for i := 0; i < n; i++ {
 		c.shards = append(c.shards, &Shard{Simulator: New(seed), id: i, c: c})
@@ -135,6 +294,29 @@ func (c *Coordinator) SetTrace(rec *obs.Recorder) { c.rec = rec }
 // the conservative algorithm's null-message overhead (each round is one
 // lower-bound fixpoint plus a barrier).
 func (c *Coordinator) Rounds() uint64 { return c.rounds }
+
+// Busy reports the wall time shard i's worker has spent merging the
+// shard's mail and executing its windows. Like Wait and Mail it is valid
+// between windows (GlobalAt callbacks) and after Run.
+func (c *Coordinator) Busy(i int) time.Duration { return c.shards[i].busy }
+
+// Wait reports the wall time shard i's worker has spent between
+// finishing a round's windows and starting the next round's: the barrier
+// plus the coordinator's serial section (bounds, horizons, global
+// events). A worker that owns several shards charges each of them its
+// wait, so over a Run Wait(i) plus the Busy of all the worker's shards
+// is the Run's wall time.
+func (c *Coordinator) Wait(i int) time.Duration { return c.shards[i].wait }
+
+// Mail reports how many cross-shard messages have been merged into
+// destination heaps.
+func (c *Coordinator) Mail() uint64 {
+	var n uint64
+	for _, sh := range c.shards {
+		n += sh.mail
+	}
+	return n
+}
 
 // HorizonLag reports, for shard i, how far its most recent horizon
 // trailed the round's furthest horizon — 0 when the shard runs at the
@@ -202,21 +384,31 @@ func (c *Coordinator) post(src, dst int, at Time, fn ArgsFunc, a, b any) {
 	if min := c.shards[src].Simulator.now + c.la[src*c.n+dst]; at < min {
 		panic(fmt.Sprintf("sim: post on channel %d->%d at %v violates lookahead (min %v)", src, dst, at, min))
 	}
-	li := src*c.n + dst
-	c.lanes[li] = append(c.lanes[li], mailItem{at: at, fn: fn, a: a, b: b})
+	box := &c.lanes[src*c.n+dst].box[c.wr]
+	box.items = append(box.items, mailItem{at: at, fn: fn, a: a, b: b})
+	if at < box.min {
+		box.min = at
+	}
 }
 
-// lowerBounds fills nb with each shard's earliest pending event time and
-// closes it under the channel graph into out: out[j] is a lower bound on
-// the timestamp of ANY event shard j may ever execute from now on, even
-// if its heap is empty and it is only woken transitively by neighbors.
-// This is the Chandy-Misra null-message fixpoint, computed by relaxation
-// (positive lookahead guarantees convergence in <= n passes).
+// lowerBounds fills nb with each shard's earliest pending event time —
+// its heap top or the earliest message the last window posted to it —
+// and closes it under the channel graph into out: out[j] is a lower
+// bound on the timestamp of ANY event shard j may ever execute from now
+// on, even if its heap is empty and it is only woken transitively by
+// neighbors. This is the Chandy-Misra null-message fixpoint, computed by
+// relaxation (positive lookahead guarantees convergence in <= n passes).
 func (c *Coordinator) lowerBounds() {
+	rd := c.wr ^ 1
 	for i, sh := range c.shards {
 		t := timeInf
 		if len(sh.Simulator.heap) > 0 {
 			t = sh.Simulator.heap[0].at
+		}
+		for src := 0; src < c.n; src++ {
+			if m := c.lanes[src*c.n+i].box[rd].min; m < t {
+				t = m
+			}
 		}
 		c.nb[i] = t
 		c.out[i] = t
@@ -241,66 +433,175 @@ func (c *Coordinator) lowerBounds() {
 	}
 }
 
-// drain moves every lane targeting dst into its heap, in (timestamp,
-// source shard, posting order) order, so sequence-number assignment —
-// and therefore same-instant tie-breaking — is deterministic.
-func (c *Coordinator) drain(dst int) {
-	buf := c.inbox[:0]
+// merge moves the previous window's mail for dst into its heap, in
+// (timestamp, source shard, posting order) order, so sequence-number
+// assignment — and therefore same-instant tie-breaking — is
+// deterministic. It runs on dst's worker at the start of a window, or on
+// the coordinator between windows.
+func (c *Coordinator) merge(dst int) {
+	sh := c.shards[dst]
+	rd := c.wr ^ 1
+	buf := sh.inbox[:0]
 	for src := 0; src < c.n; src++ {
-		li := src*c.n + dst
-		items := c.lanes[li]
-		for _, m := range items {
-			// Stable insert by timestamp: iteration order (src asc, then
-			// posting order) supplies the tie-break for equal times.
-			k := len(buf)
-			for k > 0 && buf[k-1].at > m.at {
-				k--
-			}
-			buf = append(buf, mailItem{})
-			copy(buf[k+1:], buf[k:])
-			buf[k] = m
+		box := &c.lanes[src*c.n+dst].box[rd]
+		if len(box.items) == 0 {
+			continue
 		}
-		for i := range items {
-			items[i] = mailItem{} // drop arg references
-		}
-		c.lanes[li] = items[:0]
+		buf = append(buf, box.items...)
+		clear(box.items) // drop arg references
+		box.items = box.items[:0]
+		box.min = timeInf
 	}
-	sh := c.shards[dst].Simulator
-	for _, m := range buf {
-		sh.schedule(m.at, nil, m.fn, m.a, m.b)
+	if len(buf) == 0 {
+		return
 	}
+	// Lanes were appended in source order, each in posting order: a stable
+	// sort by timestamp leaves exactly that as the tie-break.
+	slices.SortStableFunc(buf, func(x, y mailItem) int { return cmp.Compare(x.at, y.at) })
 	for i := range buf {
-		buf[i] = mailItem{}
+		m := &buf[i]
+		sh.Simulator.schedule(m.at, nil, m.fn, m.a, m.b)
 	}
-	c.inbox = buf[:0]
+	sh.mail += uint64(len(buf))
+	clear(buf)
+	sh.inbox = buf[:0]
 }
 
-// worker is the persistent per-shard goroutine: it runs one window per
-// horizon received and signals the barrier.
-func (c *Coordinator) worker(i int, work <-chan Time) {
-	sh := c.shards[i].Simulator
-	for limit := range work {
-		sh.RunBefore(limit)
-		c.wg.Done()
+// mergeAll is the coordinator's serial merge: before a global event may
+// schedule onto a shard, and when Run returns.
+func (c *Coordinator) mergeAll() {
+	for dst := 0; dst < c.n; dst++ {
+		c.merge(dst)
 	}
+}
+
+// chargeWait adds the time worker w has been idle, up to now, to the
+// Wait of every shard it owns.
+func (c *Coordinator) chargeWait(w int, now time.Time) {
+	idle := now.Sub(c.workers[w].idleSince)
+	for i := w; i < c.n; i += len(c.workers) {
+		c.shards[i].wait += idle
+	}
+}
+
+// runShards is worker w's share of one window: for each shard it owns,
+// merge the mail, then execute up to the horizon if anything is due.
+func (c *Coordinator) runShards(w int) {
+	now := time.Now()
+	c.chargeWait(w, now)
+	for i := w; i < c.n; i += len(c.workers) {
+		sh := c.shards[i]
+		c.merge(i)
+		if c.nb[i] < c.horizon[i] {
+			sh.Simulator.RunBefore(c.horizon[i])
+		}
+		t := time.Now()
+		sh.busy += t.Sub(now)
+		now = t
+	}
+	c.workers[w].idleSince = now
+}
+
+// helper is the body of worker w > 0: one runShards per release until
+// the coordinator says stop. A panic out of a shard event is parked in
+// the worker for the coordinator to re-raise, and the join still
+// happens, so nobody waits forever.
+func (c *Coordinator) helper(w int) {
+	me, join := &c.workers[w].gate, &c.workers[0].gate
+	for epoch := uint32(1); ; epoch++ {
+		me.wait(epoch)
+		if c.stop {
+			join.signal()
+			return
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					c.workers[w].panicked = r
+				}
+			}()
+			c.runShards(w)
+		}()
+		join.signal()
+	}
+}
+
+// release lets every helper run once; join returns when the helpers
+// released so far have all signalled back (at once if they already had).
+func (c *Coordinator) release() {
+	helpers := c.workers[1:]
+	c.joined += uint32(len(helpers))
+	for i := range helpers {
+		helpers[i].signal()
+	}
+}
+
+func (c *Coordinator) join() { c.workers[0].wait(c.joined) }
+
+// round executes one window on every worker and flips the lanes. With
+// no helpers it touches no gate.
+func (c *Coordinator) round() {
+	helpers := c.workers[1:]
+	c.release()
+	c.runShards(0)
+	if len(helpers) > 0 {
+		c.join()
+	}
+	c.wr ^= 1
+	for i := range helpers {
+		if r := helpers[i].panicked; r != nil {
+			panic(r)
+		}
+	}
+}
+
+// stopHelpers ends the Run's helper goroutines, whether Run returns or
+// panics: it joins a window still in flight, then releases the helpers
+// once more with stop set and waits until each has passed its last use
+// of the coordinator.
+func (c *Coordinator) stopHelpers() {
+	c.join()
+	c.stop = true
+	c.release()
+	c.join()
+	c.stop = false
 }
 
 // Run advances all shards until no event at or before end remains,
-// then leaves every shard clock at end (RunUntil semantics). Reports
-// the number of shard events executed.
+// then leaves every shard clock at end (RunUntil semantics). If a shard
+// event calls Halt, Run returns at the end of that window instead and
+// leaves the clocks where they are. A panic out of a shard event is
+// re-raised here, on the calling goroutine, whichever worker ran the
+// shard. Reports the number of shard events executed.
 func (c *Coordinator) Run(end Time) uint64 {
 	c.started = true
 	sort.SliceStable(c.globals, func(i, j int) bool { return c.globals[i].at < c.globals[j].at })
 	var start uint64
 	for _, sh := range c.shards {
 		start += sh.Executed()
+		sh.Simulator.halted = false
 	}
-	c.work = make([]chan Time, c.n)
-	for i := range c.work {
-		c.work[i] = make(chan Time, 1)
-		go c.worker(i, c.work[i])
+	began := time.Now()
+	c.workers = make([]worker, min(c.n, runtime.GOMAXPROCS(0), runtime.NumCPU()))
+	c.joined = 0
+	for w := range c.workers {
+		c.workers[w].idleSince = began
+		if len(c.workers) > 1 {
+			c.workers[w].wake = make(chan struct{}, 1)
+		}
 	}
-	for {
+	for w := 1; w < len(c.workers); w++ {
+		go c.helper(w)
+	}
+	defer func() {
+		if len(c.workers) > 1 {
+			c.stopHelpers()
+		}
+		c.workers = nil
+		c.started = false
+	}()
+	halted := false
+	for !halted {
 		c.lowerBounds()
 		allDone := true
 		for _, t := range c.nb {
@@ -323,8 +624,10 @@ func (c *Coordinator) Run(end Time) uint64 {
 				}
 			}
 			if fire {
-				// Every shard has quiesced to g: advance clocks and run
-				// all coordinator events at this instant in order.
+				// Every shard has quiesced to g: put the mail where the
+				// callbacks expect it, advance clocks and run all
+				// coordinator events at this instant in order.
+				c.mergeAll()
 				for _, sh := range c.shards {
 					if sh.Simulator.now < g {
 						sh.Simulator.now = g
@@ -365,31 +668,19 @@ func (c *Coordinator) Run(end Time) uint64 {
 			}
 		}
 		c.rounds++
-		active := 0
-		for i := range c.shards {
-			if c.nb[i] < c.horizon[i] {
-				active++
-			}
-		}
-		c.wg.Add(active)
-		for i := range c.shards {
-			if c.nb[i] < c.horizon[i] {
-				c.work[i] <- c.horizon[i]
-			}
-		}
-		c.wg.Wait()
-		for dst := 0; dst < c.n; dst++ {
-			c.drain(dst)
+		c.round()
+		for _, sh := range c.shards {
+			halted = halted || sh.Simulator.halted
 		}
 	}
-	for i := range c.work {
-		close(c.work[i])
+	c.mergeAll()
+	finish := time.Now()
+	for w := range c.workers {
+		c.chargeWait(w, finish)
 	}
-	c.work = nil
-	c.started = false
 	var total uint64
 	for _, sh := range c.shards {
-		if sh.Simulator.now < end {
+		if !halted && sh.Simulator.now < end {
 			sh.Simulator.now = end
 		}
 		total += sh.Executed()

@@ -2,7 +2,12 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
+	"time"
+	"unsafe"
 )
 
 // TestCoordinatorPingPong bounces a message between two shards with 5ms
@@ -166,6 +171,300 @@ func TestCoordinatorDeterminism(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("trace diverges at %d: %q vs %q", i, a[i], b[i])
+		}
+	}
+}
+
+// settleGoroutines waits for helper goroutines that have passed their
+// last barrier to finish exiting, and fails if the count stays above
+// want: a worker left behind by Run.
+func settleGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Run, want %d", runtime.NumGoroutine(), want)
+		}
+		runtime.Gosched()
+	}
+}
+
+// withProcs runs fn under the given GOMAXPROCS and restores the old
+// value.
+func withProcs(n int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	fn()
+}
+
+// chatter is a randomised fan-out model over n shards: tokens hop
+// between neighbours on a two-way ring with delays quantised to one
+// tick, so cross posts from different sources tie at the same instant
+// all the time; the last shard starts idle and is only woken
+// transitively; global events schedule onto every shard mid-run. Every
+// decision draws from the executing shard's RNG, so the per-shard logs
+// depend on execution order and nothing else.
+type chatter struct {
+	c    *Coordinator
+	logs [][]string
+}
+
+// token is one hop's argument: where it executes and what it carries.
+type token struct {
+	sh      *Shard
+	id, ttl int
+}
+
+// tick is the model's time quantum.
+const tick = 100 * Microsecond
+
+func chatterHop(a, b any) {
+	m, tk := a.(*chatter), b.(*token)
+	sh, id := tk.sh, tk.sh.ID()
+	m.logs[id] = append(m.logs[id], fmt.Sprintf("%v t%d/%d", sh.Now(), tk.id, tk.ttl))
+	if tk.ttl == 0 {
+		return
+	}
+	n, rng := m.c.Shards(), sh.Rand()
+	for k := rng.Intn(40) / 39; k >= 0; k-- { // one successor, rarely two
+		next := &token{sh: sh, id: tk.id*2 + k, ttl: tk.ttl - 1}
+		if n == 1 || rng.Intn(4) == 0 {
+			sh.AfterArgs(Time(rng.Intn(3))*tick, chatterHop, m, next)
+			continue
+		}
+		dst := (id + 1 + (n-2)*rng.Intn(2)) % n // a ring neighbour, either way
+		next.sh = m.c.Shard(dst)
+		at := sh.Now() + m.c.Lookahead(id, dst) + Time(rng.Intn(2))*tick
+		sh.Post(dst, at, chatterHop, m, next)
+	}
+}
+
+// runChatter builds the model on n shards and runs it; probe, if set,
+// is called from inside every global event.
+func runChatter(n int, seed int64, probe func()) *chatter {
+	m := &chatter{c: NewCoordinator(seed, n), logs: make([][]string, n)}
+	c := m.c
+	for i := 0; i < n && n > 1; i++ {
+		c.SetLookahead(i, (i+1)%n, 2*tick)
+		c.SetLookahead(i, (i+n-1)%n, 3*tick)
+	}
+	for i := 0; i == 0 || i < n-1; i++ {
+		c.Shard(i).AtArgs(Time(i)*tick, chatterHop, m, &token{sh: c.Shard(i), id: i + 1, ttl: 150})
+	}
+	for k := 1; k <= 4; k++ {
+		k, at := k, Time(k)*30*tick
+		c.GlobalAt(at, func() {
+			for i := 0; i < n; i++ {
+				c.Shard(i).AtArgs(at, chatterHop, m, &token{sh: c.Shard(i), id: 100 * k, ttl: 20})
+			}
+			if probe != nil {
+				probe()
+			}
+		})
+	}
+	c.Run(100 * Millisecond)
+	return m
+}
+
+// sameExecution fails the test unless got executed exactly what want
+// did: windows, mail, per-shard event counts and per-shard order.
+func sameExecution(t *testing.T, what string, got, want *chatter) {
+	t.Helper()
+	if g, w := got.c.Rounds(), want.c.Rounds(); g != w {
+		t.Errorf("%s: %d rounds, want %d", what, g, w)
+	}
+	if g, w := got.c.Mail(), want.c.Mail(); g != w {
+		t.Errorf("%s: %d mail items, want %d", what, g, w)
+	}
+	for i := range want.logs {
+		if g, w := got.c.Shard(i).Executed(), want.c.Shard(i).Executed(); g != w {
+			t.Errorf("%s: shard %d executed %d events, want %d", what, i, g, w)
+		}
+		if !slices.Equal(got.logs[i], want.logs[i]) {
+			t.Errorf("%s: shard %d execution order diverges", what, i)
+		}
+	}
+}
+
+// TestCoordinatorWorkerCountInvariance: the execution order of every
+// shard, the event counts and the number of windows must not depend on
+// how many workers run the shards — one inline loop at GOMAXPROCS 1,
+// helpers behind the spin-then-park barrier above it.
+func TestCoordinatorWorkerCountInvariance(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for n := 1; n <= 4; n++ {
+		var ref *chatter
+		for _, procs := range []int{1, 2, 4} {
+			var m *chatter
+			withProcs(procs, func() { m = runChatter(n, int64(40+n), nil) })
+			settleGoroutines(t, base)
+			if ref != nil {
+				sameExecution(t, fmt.Sprintf("shards=%d procs=%d", n, procs), m, ref)
+				continue
+			}
+			ref = m
+			var events uint64
+			for i := 0; i < n; i++ {
+				events += m.c.Shard(i).Executed()
+			}
+			t.Logf("shards=%d: %d events, %d mail, %d rounds", n, events, m.c.Mail(), m.c.Rounds())
+			if events < 500 || (n > 1 && (m.c.Mail() < 500 || m.c.Rounds() < 150)) {
+				t.Fatalf("shards=%d: model too quiet: %d events, %d mail", n, events, m.c.Mail())
+			}
+			if len(m.logs[n-1]) == 0 {
+				t.Fatalf("shards=%d: the idle shard was never woken", n)
+			}
+		}
+	}
+}
+
+// TestCoordinatorInlineOnOneProc: with one usable processor there is
+// nothing to run a helper on, so Run starts none — it is a plain loop —
+// and still produces what four processors produce.
+func TestCoordinatorInlineOnOneProc(t *testing.T) {
+	base := runtime.NumGoroutine()
+	var want *chatter
+	withProcs(4, func() { want = runChatter(4, 9, nil) })
+	settleGoroutines(t, base)
+	withProcs(1, func() {
+		probes := 0
+		got := runChatter(4, 9, func() {
+			probes++
+			if n := runtime.NumGoroutine(); n > base {
+				t.Errorf("%d goroutines inside Run at GOMAXPROCS 1, %d before it: a helper was started", n, base)
+			}
+		})
+		if probes == 0 {
+			t.Fatal("the probe never ran")
+		}
+		sameExecution(t, "inline", got, want)
+	})
+}
+
+// TestCoordinatorPanicReachesCaller: a panic out of a shard event — here
+// the event limit, on a shard a helper runs when there is a second
+// processor — must surface on the goroutine that called Run, carrying
+// the original value, with every helper stopped.
+func TestCoordinatorPanicReachesCaller(t *testing.T) {
+	base := runtime.NumGoroutine()
+	withProcs(2, func() {
+		c := NewCoordinator(1, 2)
+		c.SetLookahead(0, 1, Millisecond)
+		c.SetLookahead(1, 0, Millisecond)
+		for i := 0; i < 2; i++ {
+			sh := c.Shard(i)
+			sh.Every(Millisecond, func() bool { return true })
+		}
+		c.Shard(1).SetEventLimit(25)
+		var got any
+		func() {
+			defer func() { got = recover() }()
+			c.Run(Second)
+		}()
+		msg, _ := got.(string)
+		if !strings.Contains(msg, "event limit 25 exceeded") {
+			t.Fatalf("Run panicked with %v, want shard 1's event-limit message", got)
+		}
+	})
+	settleGoroutines(t, base)
+}
+
+// TestCoordinatorHalt: Halt from a shard event ends Run at the next
+// barrier with the clocks left where they are, and a second Run picks
+// up every event the first one left.
+func TestCoordinatorHalt(t *testing.T) {
+	c := NewCoordinator(1, 2)
+	c.SetLookahead(0, 1, Millisecond)
+	c.SetLookahead(1, 0, Millisecond)
+	ticks := [2]int{}
+	for i := 0; i < 2; i++ {
+		i := i
+		c.Shard(i).Every(Millisecond, func() bool { ticks[i]++; return true })
+	}
+	c.Shard(1).At(10*Millisecond+Microsecond, c.Shard(1).Halt)
+	const end = 50 * Millisecond
+	first := c.Run(end)
+	if now := c.Shard(1).Now(); now != 10*Millisecond+Microsecond {
+		t.Errorf("halting shard's clock at %v, want the halting event's time", now)
+	}
+	if now := c.Shard(0).Now(); now >= end || ticks[0] >= 50 {
+		t.Errorf("shard 0 ran on to %v (%d ticks) after shard 1 halted", now, ticks[0])
+	}
+	second := c.Run(end)
+	if first+second != 101 || ticks != [2]int{50, 50} {
+		t.Errorf("executed %d+%d events, ticks %v; want 101 in all and 50 ticks each", first, second, ticks)
+	}
+	for i := 0; i < 2; i++ {
+		if now := c.Shard(i).Now(); now != end {
+			t.Errorf("shard %d clock %v after the resumed Run, want %v", i, now, end)
+		}
+	}
+}
+
+// TestCoordinatorMergeLargeUnsortedLane: a lane that arrives in
+// descending timestamp order — two cut edges of different delay do
+// that — must merge in (timestamp, posting order) order, and in n log n.
+func TestCoordinatorMergeLargeUnsortedLane(t *testing.T) {
+	const items = 50000
+	c := NewCoordinator(1, 2)
+	c.SetLookahead(0, 1, Millisecond)
+	var order []int
+	record := ArgsFunc(func(a, b any) { order = append(order, *b.(*int)) })
+	c.Shard(0).At(0, func() {
+		for i := 0; i < items; i++ {
+			i := i
+			// Pairs share a timestamp; timestamps fall as i rises.
+			c.Shard(0).Post(1, Millisecond+Time((items-1-i)/2), record, nil, &i)
+		}
+	})
+	start := time.Now()
+	c.Run(Second)
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("merging %d items took %v", items, d)
+	}
+	if len(order) != items || c.Mail() != items {
+		t.Fatalf("delivered %d items, merged %d, want %d", len(order), c.Mail(), items)
+	}
+	for k, i := range order {
+		// Descending pairs, each pair in posting order: 49998 49999 49996 49997 …
+		if want := items - 2 - k + 2*(k%2); i != want {
+			t.Fatalf("delivery %d is item %d, want %d", k, i, want)
+		}
+	}
+}
+
+// TestCoordinatorSelfAccounting: a worker is either executing its
+// shards' windows or waiting for the next one, so neither clock may
+// stand still and together they cannot exceed the run's wall time.
+func TestCoordinatorSelfAccounting(t *testing.T) {
+	start := time.Now()
+	m := runChatter(2, 5, nil)
+	wall := time.Since(start)
+	workers := min(2, runtime.GOMAXPROCS(0), runtime.NumCPU())
+	for w := 0; w < workers; w++ {
+		sum := m.c.Wait(w)
+		for i := w; i < 2; i += workers {
+			if m.c.Busy(i) <= 0 || m.c.Wait(i) <= 0 {
+				t.Errorf("shard %d: busy %v, wait %v, want both positive", i, m.c.Busy(i), m.c.Wait(i))
+			}
+			sum += m.c.Busy(i)
+		}
+		if sum > wall {
+			t.Errorf("worker %d: busy+wait = %v exceeds the run's %v", w, sum, wall)
+		}
+	}
+}
+
+// TestCoordinatorPadding pins the layout the false-sharing argument
+// rests on: what different workers write sits on different cache lines.
+func TestCoordinatorPadding(t *testing.T) {
+	for name, size := range map[string]uintptr{
+		"mailbox": unsafe.Sizeof(mailbox{}),
+		"gate":    unsafe.Sizeof(gate{}),
+		"worker":  unsafe.Sizeof(worker{}),
+		"Shard":   unsafe.Sizeof(Shard{}),
+	} {
+		if size%cacheLine != 0 {
+			t.Errorf("sizeof(%s) = %d, not a multiple of the %d-byte cache line", name, size, cacheLine)
 		}
 	}
 }
