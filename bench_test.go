@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"abc/internal/app"
+	"abc/internal/cc"
 	"abc/internal/exp"
 	"abc/internal/netem"
 	"abc/internal/obs"
@@ -494,6 +495,48 @@ func BenchmarkWireFIFO(b *testing.B) {
 	s.RunUntil(s.Now() + sim.Time(b.N)*sim.Microsecond)
 	if got := s.Executed() - start; got != uint64(b.N) || s.Pending() != 64 {
 		b.Fatalf("%d deliveries and %d in flight, want %d and 64", got, s.Pending(), b.N)
+	}
+}
+
+// ackClockWindow is a constant-window cc.Algorithm that halts the
+// simulator once it has seen stopAt ACKs.
+type ackClockWindow struct {
+	s            *sim.Simulator
+	w            float64
+	acks, stopAt int64
+}
+
+func (a *ackClockWindow) Name() string { return "fixed" }
+func (a *ackClockWindow) OnAck(sim.Time, *cc.Endpoint, cc.AckInfo) {
+	if a.acks++; a.acks == a.stopAt {
+		a.s.Halt()
+	}
+}
+func (a *ackClockWindow) OnCongestion(sim.Time, *cc.Endpoint) {}
+func (a *ackClockWindow) OnRTO(sim.Time, *cc.Endpoint)        {}
+func (a *ackClockWindow) CwndPkts() float64                   { return a.w }
+
+// BenchmarkEndpointAckClock measures one turn of the ACK clock: a data
+// packet from cc.Endpoint over a wire to netem.Receiver and its ACK over
+// a second wire back, 256 packets in flight. In steady state the
+// endpoint's scoreboard ring, the receiver and both wires reuse what they
+// hold, so it must report 0 allocs/op (enforced via bench_thresholds.txt).
+func BenchmarkEndpointAckClock(b *testing.B) {
+	s := sim.New(1)
+	alg := &ackClockWindow{s: s, w: 256}
+	back := netem.NewWire(s, 10*sim.Millisecond, nil)
+	rcv := netem.NewReceiver(s, 1, back)
+	ep := cc.NewEndpoint(s, 1, netem.NewWire(s, 10*sim.Millisecond, rcv), alg)
+	back.Dst = ep
+	ep.Start()
+	s.RunUntil(sim.Second) // ring, event slab and packet free-list at size
+	b.ReportAllocs()
+	b.ResetTimer()
+	start := alg.acks
+	alg.stopAt = start + int64(b.N)
+	s.RunUntil(s.Now() + sim.Time(b.N)*sim.Second)
+	if got := alg.acks - start; got != int64(b.N) || ep.Inflight() != 256 || ep.LostPackets != 0 {
+		b.Fatalf("%d ACKs, %d in flight, %d lost; want %d, 256, 0", got, ep.Inflight(), ep.LostPackets, b.N)
 	}
 }
 

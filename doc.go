@@ -42,7 +42,11 @@
 // under a 4-ary heap of keys, and queues each wire's in-flight packets
 // as a FIFO chain behind one heap entry (internal/sim), packets cycle through a
 // free-list with single-owner release semantics (internal/packet — see
-// packet.Get for the ownership rules), per-packet delay statistics
+// packet.Get for the ownership rules), a trace link keeps its place in
+// its delivery trace between queries (trace.Cursor) and a sender keeps
+// its outstanding packets in a ring indexed by sequence number
+// (cc.Endpoint), so the per-packet path neither searches nor hashes,
+// per-packet delay statistics
 // stream through fixed-memory Greenwald-Khanna sketches
 // (internal/metrics), and the multi-run figure drivers fan independent
 // (trace, scheme, seed) cells across a bounded worker pool

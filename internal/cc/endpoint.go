@@ -7,6 +7,14 @@
 // Algorithm. ABC itself (package internal/abc) plugs into the same
 // interface, exactly as the paper's kernel module plugs into pluggable
 // TCP.
+//
+// The endpoint's scoreboard exploits that sequence numbers are handed out
+// consecutively: outstanding packets live in a ring of slots indexed by
+// sequence number over the span [base, nextSeq), each slot free, in flight
+// or lost and queued for retransmission. Acknowledging, declaring lost
+// and retransmitting a packet are each an index and a state change; loss
+// detection is a pointer moving up the span (see Endpoint.ring for the
+// rules base and low obey).
 package cc
 
 import (
@@ -79,58 +87,26 @@ type Source interface {
 	Done() bool
 }
 
-// sent tracks one outstanding packet.
+// A scoreboard slot is free (never sent, or acknowledged), in flight, or
+// declared lost and waiting in lostQueue for its retransmission.
+const (
+	slotFree uint8 = iota
+	slotInflight
+	slotLost
+)
+
+// sent is one scoreboard slot: the state of the sequence number that maps
+// to it (see Endpoint.ring).
 type sent struct {
-	seq    int64
-	size   int
 	sentAt sim.Time
+	size   int32
+	state  uint8
 	retx   bool
 }
 
-// seqHeap is a hand-rolled min-heap of outstanding sequence numbers for
-// O(log n) loss detection. Avoiding container/heap keeps push/pop free
-// of the per-call int64 boxing that used to dominate sender allocations.
-type seqHeap []int64
-
-func (h *seqHeap) push(v int64) {
-	q := append(*h, v)
-	i := len(q) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if q[parent] <= q[i] {
-			break
-		}
-		q[parent], q[i] = q[i], q[parent]
-		i = parent
-	}
-	*h = q
-}
-
-func (h *seqHeap) pop() int64 {
-	q := *h
-	v := q[0]
-	n := len(q) - 1
-	q[0] = q[n]
-	q = q[:n]
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		least := l
-		if r := l + 1; r < n && q[r] < q[l] {
-			least = r
-		}
-		if q[i] <= q[least] {
-			break
-		}
-		q[i], q[least] = q[least], q[i]
-		i = least
-	}
-	*h = q
-	return v
-}
+// initialRing is the scoreboard's starting size in slots; it doubles
+// whenever the outstanding span fills it.
+const initialRing = 16
 
 // Endpoint is one sender. It implements packet.Node to receive ACKs.
 type Endpoint struct {
@@ -154,12 +130,26 @@ type Endpoint struct {
 	started bool
 	stopped bool
 
-	nextSeq   int64
-	inflight  map[int64]sent
-	outSeqs   seqHeap
-	hiSacked  int64 // highest individually acked sequence
-	cumAcked  int64
+	// The scoreboard. Sequence numbers are handed out consecutively, so
+	// everything outstanding lies in the span [base, nextSeq) and ring, a
+	// power of two of slots indexed by seq & (len-1) and at least as long
+	// as the span, holds one slot per sequence. base is the lowest
+	// sequence whose slot is not free: it never passes a packet that is
+	// in flight or waiting in lostQueue, so a retransmission finds its
+	// slot. low is the loss scan pointer: no slot in [base, low) is in
+	// flight. A retransmission re-enters below everything else
+	// outstanding and pulls low back down to itself.
+	ring     []sent
+	base     int64
+	low      int64
+	nextSeq  int64
+	inflight int   // slots in flight
+	hiSacked int64 // highest individually acked sequence
+	cumAcked int64
+	// lostQueue[lostHead:] are the sequences awaiting retransmission, in
+	// ascending order; the consumed prefix is dropped when the queue drains.
 	lostQueue []int64
+	lostHead  int
 
 	srtt, rttvar sim.Time
 	minRTT       sim.Time
@@ -204,7 +194,7 @@ func NewEndpoint(s *sim.Simulator, flow int, out packet.Node, alg Algorithm) *En
 		PktSize:       packet.MTU,
 		MinRTO:        250 * sim.Millisecond,
 		ReorderThresh: 3,
-		inflight:      make(map[int64]sent),
+		ring:          make([]sent, initialRing),
 		minRTT:        math.MaxInt64,
 	}
 	e.paceFn = e.paceNext
@@ -275,7 +265,7 @@ func (e *Endpoint) MinRTT() sim.Time {
 }
 
 // Inflight returns the number of outstanding packets.
-func (e *Endpoint) Inflight() int { return len(e.inflight) }
+func (e *Endpoint) Inflight() int { return e.inflight }
 
 // NextSeq returns the next unsent sequence number.
 func (e *Endpoint) NextSeq() int64 { return e.nextSeq }
@@ -304,7 +294,7 @@ func (e *Endpoint) rto() sim.Time {
 // checkRTO fires a timeout if nothing has been acknowledged for an RTO
 // while data is outstanding.
 func (e *Endpoint) checkRTO() {
-	if len(e.inflight) == 0 {
+	if e.inflight == 0 {
 		return
 	}
 	now := e.S.Now()
@@ -315,14 +305,19 @@ func (e *Endpoint) checkRTO() {
 	e.rtoBackoff++
 	// Declare everything outstanding lost and retransmit from the
 	// oldest (go-back-N style recovery keeps the framework simple and
-	// is only exercised during outages).
-	for seq := range e.inflight {
-		e.lostQueue = append(e.lostQueue, seq)
-		delete(e.inflight, seq)
+	// is only exercised during outages). The walk is in sequence order,
+	// so each queueLost is an append unless older losses are still queued.
+	for seq := e.low; seq < e.nextSeq; seq++ {
+		if s := e.slot(seq); s.state == slotInflight {
+			s.state = slotLost
+			e.queueLost(seq)
+		}
 	}
-	e.outSeqs = e.outSeqs[:0]
-	e.LostPackets += int64(len(e.lostQueue))
-	sortInt64s(e.lostQueue)
+	e.inflight = 0
+	e.low = e.nextSeq
+	// Counts the whole queue, so a loss still waiting from before the
+	// timeout is counted a second time; experiment results depend on it.
+	e.LostPackets += int64(len(e.lostQueue) - e.lostHead)
 	e.recoveryUntil = e.nextSeq
 	e.Alg.OnRTO(now, e)
 	if !e.pacing {
@@ -330,14 +325,63 @@ func (e *Endpoint) checkRTO() {
 	}
 }
 
-// sortInt64s sorts in place (tiny helper avoiding sort.Slice allocation
-// on the hot path).
-func sortInt64s(a []int64) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
+// slot returns the scoreboard slot of seq, which must lie in the span.
+func (e *Endpoint) slot(seq int64) *sent {
+	return &e.ring[seq&int64(len(e.ring)-1)]
+}
+
+// acked frees the slot of an acknowledged sequence and returns it, or nil
+// when the ACK acknowledges nothing: its sequence is outside the span, or
+// its slot is not in flight (a duplicate ACK; the original's ACK arriving
+// after a spurious loss declaration, the retransmission still queued).
+func (e *Endpoint) acked(seq int64) *sent {
+	if seq < e.base || seq >= e.nextSeq {
+		return nil
 	}
+	s := e.slot(seq)
+	if s.state != slotInflight {
+		return nil
+	}
+	s.state = slotFree
+	e.inflight--
+	for e.base < e.nextSeq && e.slot(e.base).state == slotFree {
+		e.base++
+	}
+	if e.low < e.base {
+		e.low = e.base
+	}
+	return s
+}
+
+// growRing doubles the ring, moving every slot of the span to its new index.
+func (e *Endpoint) growRing() {
+	bigger := make([]sent, 2*len(e.ring))
+	for seq := e.base; seq < e.nextSeq; seq++ {
+		bigger[seq&int64(len(bigger)-1)] = *e.slot(seq)
+	}
+	e.ring = bigger
+}
+
+// queueLost inserts seq into the ascending retransmission queue. Losses
+// are found in sequence order, so this is an append except when a lower
+// sequence is declared lost while higher ones still wait (a timed-out
+// retransmission).
+func (e *Endpoint) queueLost(seq int64) {
+	q := append(e.lostQueue, seq)
+	for i := len(q) - 1; i > e.lostHead && q[i] < q[i-1]; i-- {
+		q[i], q[i-1] = q[i-1], q[i]
+	}
+	e.lostQueue = q
+}
+
+// popLost removes and returns the lowest queued sequence.
+func (e *Endpoint) popLost() int64 {
+	seq := e.lostQueue[e.lostHead]
+	e.lostHead++
+	if e.lostHead == len(e.lostQueue) {
+		e.lostQueue, e.lostHead = e.lostQueue[:0], 0
+	}
+	return seq
 }
 
 // available reports whether the source has data.
@@ -369,7 +413,7 @@ func (e *Endpoint) canSend() bool {
 	if e.stopped {
 		return false
 	}
-	if float64(len(e.inflight)) >= e.Alg.CwndPkts() {
+	if float64(e.inflight) >= e.Alg.CwndPkts() {
 		return false
 	}
 	if len(e.lostQueue) > 0 {
@@ -384,11 +428,16 @@ func (e *Endpoint) sendOne() {
 	var seq int64
 	retx := false
 	if len(e.lostQueue) > 0 {
-		seq = e.lostQueue[0]
-		e.lostQueue = e.lostQueue[1:]
+		seq = e.popLost()
 		retx = true
 		e.RetxPackets++
+		if seq < e.low {
+			e.low = seq
+		}
 	} else {
+		if e.nextSeq-e.base == int64(len(e.ring)) {
+			e.growRing()
+		}
 		seq = e.nextSeq
 		e.nextSeq++
 		if e.Src != nil {
@@ -403,8 +452,8 @@ func (e *Endpoint) sendOne() {
 	if st, ok := e.Alg.(DataStamper); ok {
 		st.StampData(now, e, p)
 	}
-	e.inflight[seq] = sent{seq: seq, size: e.PktSize, sentAt: now, retx: retx}
-	e.outSeqs.push(seq)
+	*e.slot(seq) = sent{sentAt: now, size: int32(e.PktSize), state: slotInflight, retx: retx}
+	e.inflight++
 	e.SentPackets++
 	e.Out.Recv(p)
 }
@@ -459,7 +508,7 @@ func (e *Endpoint) maybeComplete() {
 	if e.completeFired || e.OnComplete == nil {
 		return
 	}
-	if e.sourceDone() && len(e.inflight) == 0 && len(e.lostQueue) == 0 {
+	if e.sourceDone() && e.inflight == 0 && len(e.lostQueue) == 0 {
 		e.completeFired = true
 		e.OnComplete(e.S.Now())
 	}
@@ -482,9 +531,8 @@ func (e *Endpoint) Recv(p *packet.Packet) {
 	now := e.S.Now()
 	info := AckInfo{Ack: p}
 
-	if s, ok := e.inflight[p.Seq]; ok {
-		delete(e.inflight, p.Seq)
-		info.AckedBytes = s.size
+	if s := e.acked(p.Seq); s != nil {
+		info.AckedBytes = int(s.size)
 		e.AckedPackets++
 		e.AckedBytes += int64(s.size)
 		if !p.Retx && !s.retx {
@@ -507,7 +555,7 @@ func (e *Endpoint) Recv(p *packet.Packet) {
 
 	e.detectLoss(now)
 
-	info.Inflight = len(e.inflight)
+	info.Inflight = e.inflight
 	e.Alg.OnAck(now, e, info)
 	if e.rec.Enabled(obs.CatCC) {
 		var bps int64
@@ -535,41 +583,33 @@ func (e *Endpoint) Recv(p *packet.Packet) {
 // detectLoss declares packets below the reordering window lost.
 func (e *Endpoint) detectLoss(now sim.Time) {
 	lost := false
-	for len(e.outSeqs) > 0 {
-		top := e.outSeqs[0]
-		s, stillOut := e.inflight[top]
-		if !stillOut {
-			e.outSeqs.pop() // already acked (lazy deletion)
-			continue
-		}
-		if top <= e.hiSacked-e.ReorderThresh {
-			if s.retx {
-				// A retransmission is already in flight for this
-				// sequence; dup-ACK evidence predates it, so normally
-				// wait for its ACK. But if the retransmission itself
-				// has been out for an RTO it was lost too — without
-				// this check one dropped retransmission would block
-				// loss detection (and congestion signals) forever.
-				if now-s.sentAt <= e.rto() {
-					break
-				}
-			}
-			e.outSeqs.pop()
-			delete(e.inflight, top)
-			e.lostQueue = append(e.lostQueue, top)
-			e.LostPackets++
-			lost = true
-			continue
-		}
-		break
+	limit := e.hiSacked - e.ReorderThresh
+	if limit >= e.nextSeq {
+		limit = e.nextSeq - 1 // a negative threshold must not run the scan off the span
 	}
-	if lost {
-		sortInt64s(e.lostQueue)
-		// One congestion event per window.
-		if e.hiSacked >= e.recoveryUntil {
-			e.recoveryUntil = e.nextSeq
-			e.Alg.OnCongestion(now, e)
+	for ; e.low <= limit; e.low++ {
+		s := e.slot(e.low)
+		if s.state != slotInflight {
+			continue // acked, or already queued for retransmission
 		}
+		// A retransmission is already in flight for this sequence;
+		// dup-ACK evidence predates it, so normally wait for its ACK.
+		// But if the retransmission itself has been out for an RTO it
+		// was lost too — without this check one dropped retransmission
+		// would block loss detection (and congestion signals) forever.
+		if s.retx && now-s.sentAt <= e.rto() {
+			break
+		}
+		s.state = slotLost
+		e.inflight--
+		e.queueLost(e.low)
+		e.LostPackets++
+		lost = true
+	}
+	// One congestion event per window.
+	if lost && e.hiSacked >= e.recoveryUntil {
+		e.recoveryUntil = e.nextSeq
+		e.Alg.OnCongestion(now, e)
 	}
 }
 

@@ -66,7 +66,10 @@ type TraceLink struct {
 	// OnDeliver, if set, observes every delivered packet.
 	OnDeliver DeliveryFunc
 
-	tr *trace.Trace
+	// oppCur and capCur are the link's two streams of trace queries, each a
+	// clock that only moves forward: the delivery instants (opportunity,
+	// scheduleNext) and the capacity window that slides with now.
+	oppCur, capCur trace.Cursor
 	// oppFn is the bound opportunity callback, created once so arming the
 	// next delivery does not allocate a method-value closure per packet.
 	oppFn func()
@@ -89,7 +92,7 @@ type TraceLink struct {
 // NewTraceLink wires a trace-driven link. Capacity-aware qdiscs receive a
 // provider reporting the trace's windowed rate.
 func NewTraceLink(s *sim.Simulator, tr *trace.Trace, q qdisc.Qdisc, dst packet.Node) *TraceLink {
-	l := &TraceLink{S: s, Q: q, Dst: dst, CapWindow: 80 * sim.Millisecond, tr: tr}
+	l := &TraceLink{S: s, Q: q, Dst: dst, CapWindow: 80 * sim.Millisecond, oppCur: tr.Cursor(), capCur: tr.Cursor()}
 	l.oppFn = l.opportunity
 	if ca, ok := q.(qdisc.CapacityAware); ok {
 		ca.SetCapacityProvider(l.CapacityBps)
@@ -98,7 +101,7 @@ func NewTraceLink(s *sim.Simulator, tr *trace.Trace, q qdisc.Qdisc, dst packet.N
 }
 
 // Trace returns the underlying trace.
-func (l *TraceLink) Trace() *trace.Trace { return l.tr }
+func (l *TraceLink) Trace() *trace.Trace { return l.oppCur.Trace() }
 
 // SetObs implements obs.Sink: the link records enqueue/dequeue/drop
 // events under the given source id and forwards the recorder to its
@@ -125,14 +128,14 @@ func (l *TraceLink) SetBackground(bg qdisc.Background) {
 // CapacityBps reports the link capacity estimate at time now.
 func (l *TraceLink) CapacityBps(now sim.Time) float64 {
 	if l.Lookahead > 0 {
-		return l.tr.FutureCapacityBps(now, l.Lookahead)
+		return l.capCur.FutureCapacityBps(now, l.Lookahead)
 	}
 	if now < l.CapWindow {
 		// Early in the run the trailing window is unpopulated; use the
 		// forward window so routers do not see a zero-capacity link.
-		return l.tr.FutureCapacityBps(now, l.CapWindow)
+		return l.capCur.FutureCapacityBps(now, l.CapWindow)
 	}
-	return l.tr.CapacityBps(now, l.CapWindow)
+	return l.capCur.CapacityBps(now, l.CapWindow)
 }
 
 // DeliveredBytes reports the total payload bytes delivered.
@@ -159,8 +162,7 @@ func (l *TraceLink) Recv(p *packet.Packet) {
 
 // scheduleNext arms the next delivery opportunity strictly after now.
 func (l *TraceLink) scheduleNext(now sim.Time) {
-	next := l.tr.NextOpportunity(now)
-	l.S.At(next, l.oppFn)
+	l.S.At(l.oppCur.NextOpportunity(now), l.oppFn)
 }
 
 // opportunity fires at a trace delivery instant and drains one MTU per
@@ -168,7 +170,7 @@ func (l *TraceLink) scheduleNext(now sim.Time) {
 // several opportunities per millisecond timestamp).
 func (l *TraceLink) opportunity() {
 	now := l.S.Now()
-	k := int(l.tr.CountIn(now, now+1))
+	k := int(l.oppCur.CountIn(now, now+1))
 	if k < 1 {
 		k = 1
 	}

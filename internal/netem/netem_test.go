@@ -270,3 +270,60 @@ func TestTraceLinkHighRateMultiOpportunity(t *testing.T) {
 		t.Errorf("delivered %d packets, want ≈ %.0f", sink.Count, want)
 	}
 }
+
+// TestTraceLinkIdleAcrossPeriods drains a trace link, leaves it idle for
+// more than three periods, refills it from another point of the period,
+// and checks every delivery against the trace itself: each burst starts at
+// the first opportunity after its packets arrived, continues on
+// consecutive opportunities, and an instant that carries k opportunities
+// delivers k packets. The link keeps its place in the trace between
+// queries, so this is the sequence (short steps, a long jump, short steps)
+// that has to give what looking each instant up from scratch gives.
+func TestTraceLinkIdleAcrossPeriods(t *testing.T) {
+	ms := sim.Millisecond
+	// Irregular spacing, a doubled timestamp, opportunities on the first
+	// and last instants of the 50 ms period, and a capacity query stream
+	// on the same link as the router would make.
+	tr, err := trace.New("gaps", []sim.Time{
+		0, 3 * ms, 3 * ms, 4 * ms, 17*ms + 250, 30 * ms, 30 * ms, 30 * ms, 41 * ms, 50*ms - 1,
+	}, 50*ms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := sim.New(1)
+	var got []sim.Time
+	link := NewTraceLink(s, tr, qdisc.NewDropTail(0), packet.NodeFunc(func(p *packet.Packet) {
+		got = append(got, s.Now())
+		p.Release()
+	}))
+	var want []sim.Time
+	burst := func(at sim.Time, n int) {
+		s.At(at, func() {
+			for i := 0; i < n; i++ {
+				link.Recv(packet.NewData(1, int64(i), packet.MTU, at))
+			}
+			if c, w := link.CapacityBps(at), tr.CapacityBps(at, link.CapWindow); at >= link.CapWindow && c != w {
+				t.Errorf("CapacityBps(%v) = %v, trace says %v", at, c, w)
+			}
+		})
+		for now, left := at, n; left > 0; {
+			now = tr.NextOpportunity(now)
+			for k := tr.CountIn(now, now+1); k > 0 && left > 0; k-- {
+				want = append(want, now)
+				left--
+			}
+		}
+	}
+	burst(2*ms, 13)                // drains at 52 ms, early in the second period
+	burst(52*ms+3*50*ms+26*ms, 12) // 3.5 periods later, mid-period
+	burst(1000*ms-1, 3)            // on the last instant of a period
+	s.RunUntil(2 * sim.Second)
+	if len(got) != len(want) {
+		t.Fatalf("delivered %d packets, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("delivery %d at %v, the trace's opportunity is at %v\n got  %v\n want %v", i, got[i], want[i], got, want)
+		}
+	}
+}

@@ -20,7 +20,9 @@ type Receiver struct {
 	OnData DeliveryFunc
 
 	nextExpected int64
-	// pending holds out-of-order sequence numbers above nextExpected.
+	// pending holds out-of-order sequence numbers above nextExpected. It
+	// is nil until the first packet arrives out of order: most flows never
+	// reorder, and reading a nil map is fine.
 	pending map[int64]bool
 
 	// Delivered counts data packets received (including retransmits).
@@ -31,7 +33,7 @@ type Receiver struct {
 
 // NewReceiver returns a receiver for the flow that sends ACKs to out.
 func NewReceiver(s *sim.Simulator, flow int, out packet.Node) *Receiver {
-	return &Receiver{S: s, Flow: flow, Out: out, pending: make(map[int64]bool)}
+	return &Receiver{S: s, Flow: flow, Out: out}
 }
 
 // Recv implements packet.Node for data packets.
@@ -56,6 +58,9 @@ func (r *Receiver) Recv(p *packet.Packet) {
 			r.nextExpected++
 		}
 	} else if p.Seq > r.nextExpected {
+		if r.pending == nil {
+			r.pending = make(map[int64]bool)
+		}
 		r.pending[p.Seq] = true
 	}
 	ack := packet.NewAck(p, r.nextExpected, now)

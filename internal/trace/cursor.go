@@ -1,0 +1,152 @@
+package trace
+
+import (
+	"sort"
+
+	"abc/internal/sim"
+)
+
+// pos is a point x on a trace's looping timeline: the period it falls in
+// and how many of that period's opportunities lie before it.
+type pos struct {
+	// full is the number of whole periods before x.
+	full int64
+	// idx is the number of opportunities in [full*period, x): a lower
+	// bound into ops for x - full*period.
+	idx int
+}
+
+// count returns the number of opportunities in [0, x) for the x p stands at.
+func (p pos) count(t *Trace) int64 {
+	return p.full*int64(len(t.ops)) + int64(p.idx)
+}
+
+// next returns the first opportunity at or after the x p stands at.
+func (p pos) next(t *Trace) sim.Time {
+	start := sim.Time(p.full) * t.period
+	if p.idx < len(t.ops) {
+		return start + t.ops[p.idx]
+	}
+	return start + t.period + t.ops[0]
+}
+
+// lowerBound returns the number of opportunities of one period before rem,
+// given that at least lo of them are: a binary search over ops[lo:].
+func (t *Trace) lowerBound(lo int, rem sim.Time) int {
+	tail := t.ops[lo:]
+	return lo + sort.Search(len(tail), func(i int) bool { return tail[i] >= rem })
+}
+
+// locate puts p at x >= 0 from scratch: one division for the period, one
+// binary search over the whole period. Every stateless Trace method is
+// this, and it is the cursor's fallback.
+func (t *Trace) locate(p *pos, x sim.Time) {
+	p.full = int64(x / t.period)
+	p.idx = t.lowerBound(0, x%t.period)
+}
+
+// cursorSteps bounds the linear advance: a link's successive queries are
+// rarely more than a few opportunities apart, and past that a binary
+// search over what is left is cheaper than walking.
+const cursorSteps = 8
+
+// walk moves p forward to x >= 0 if x lies in p's period or the one after,
+// at or past p's position: up to cursorSteps opportunities one by one,
+// then a binary search over the rest of the period. It reports false, with
+// p no longer meaningful, when x is not ahead like that (a backwards query,
+// a jump of more than a period).
+func (t *Trace) walk(p *pos, x sim.Time) bool {
+	rem := x - sim.Time(p.full)*t.period
+	if rem >= t.period && rem < 2*t.period {
+		p.full++
+		p.idx = 0
+		rem -= t.period
+	}
+	if rem < 0 || rem >= t.period || (p.idx > 0 && t.ops[p.idx-1] >= rem) {
+		return false
+	}
+	i := p.idx
+	for n := 0; n < cursorSteps && i < len(t.ops) && t.ops[i] < rem; n++ {
+		i++
+	}
+	if i < len(t.ops) && t.ops[i] < rem {
+		i = t.lowerBound(i, rem)
+	}
+	p.idx = i
+	return true
+}
+
+// seek moves p to x >= 0, walking if it can and locating afresh if not.
+// Where p ends up depends on x alone, never on where it stood.
+func (t *Trace) seek(p *pos, x sim.Time) {
+	if !t.walk(p, x) {
+		t.locate(p, x)
+	}
+}
+
+// Cursor answers the same questions as its Trace, with the same answers,
+// but remembers where the last interval's two ends fell and advances from
+// there. A caller whose clock moves forward — a link asking about now and
+// now+1 at each delivery instant, a router asking for the rate over a
+// window that slides with now — pays a few comparisons per query instead
+// of two binary searches. The cursor is a memo of a pure function: any
+// query order is legal and returns what the Trace method returns; order
+// only decides how fast. Keep one cursor per stream of queries (a sliding
+// window and a point query interleaved on one cursor would keep
+// dislodging each other). The zero Cursor is not usable; get one from
+// Trace.Cursor. A Cursor is a value with no pointers into itself, so it
+// may be embedded and copied.
+type Cursor struct {
+	t *Trace
+	// from and to stand at the two ends of the last CountIn interval;
+	// NextOpportunity(now) uses to, standing at now+1.
+	from, to pos
+}
+
+// Cursor returns a cursor over t, positioned at time zero.
+func (t *Trace) Cursor() Cursor { return Cursor{t: t} }
+
+// Trace returns the trace the cursor reads.
+func (c *Cursor) Trace() *Trace { return c.t }
+
+// countUpTo is Trace.countUpTo through p.
+func (c *Cursor) countUpTo(p *pos, x sim.Time) int64 {
+	if x <= 0 {
+		return 0
+	}
+	c.t.seek(p, x)
+	return p.count(c.t)
+}
+
+// CountIn is Trace.CountIn.
+func (c *Cursor) CountIn(from, to sim.Time) int64 {
+	if to <= from {
+		return 0
+	}
+	return c.countUpTo(&c.to, to) - c.countUpTo(&c.from, from)
+}
+
+// NextOpportunity is Trace.NextOpportunity. Right after CountIn(now, now+1)
+// the answer is already under the cursor.
+func (c *Cursor) NextOpportunity(now sim.Time) sim.Time {
+	if now < 0 {
+		now = -1
+	}
+	c.t.seek(&c.to, now+1)
+	return c.to.next(c.t)
+}
+
+// CapacityBps is Trace.CapacityBps.
+func (c *Cursor) CapacityBps(now, window sim.Time) float64 {
+	from, ok := trailingWindow(now, window)
+	if !ok {
+		return 0
+	}
+	return rateBps(c.CountIn(from, now), now-from)
+}
+
+// FutureCapacityBps is Trace.FutureCapacityBps.
+func (c *Cursor) FutureCapacityBps(now, window sim.Time) float64 {
+	window = defaultWindow(window)
+	return rateBps(c.CountIn(now, now+window), window)
+}

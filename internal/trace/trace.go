@@ -8,6 +8,12 @@
 // last timestamp (rounded up to a millisecond). These are exactly the
 // semantics of Mahimahi's LinkShell, which the paper uses for all cellular
 // experiments.
+//
+// A Trace is immutable and its methods are stateless: any goroutine may
+// ask about any instant. A Cursor (cursor.go) answers the same questions
+// for one caller whose clock moves forward, by advancing from where the
+// last query landed instead of searching the period again; it returns
+// exactly what the Trace method returns, in any query order.
 package trace
 
 import (
@@ -128,15 +134,14 @@ func (t *Trace) Period() sim.Time { return t.period }
 // Opportunities returns the number of delivery opportunities per period.
 func (t *Trace) Opportunities() int { return len(t.ops) }
 
-// countUpTo returns the number of opportunities in [0, x) for x >= 0.
+// countUpTo returns the number of opportunities in [0, x); 0 for x <= 0.
 func (t *Trace) countUpTo(x sim.Time) int64 {
 	if x <= 0 {
 		return 0
 	}
-	full := int64(x / t.period)
-	rem := x % t.period
-	idx := sort.Search(len(t.ops), func(i int) bool { return t.ops[i] >= rem })
-	return full*int64(len(t.ops)) + int64(idx)
+	var p pos
+	t.locate(&p, x)
+	return p.count(t)
 }
 
 // CountIn returns the number of delivery opportunities in the half-open
@@ -148,45 +153,56 @@ func (t *Trace) CountIn(from, to sim.Time) int64 {
 	return t.countUpTo(to) - t.countUpTo(from)
 }
 
-// NextOpportunity returns the first opportunity time strictly after now.
+// NextOpportunity returns the first opportunity time strictly after now:
+// with integer timestamps, the first one at or after now+1.
 func (t *Trace) NextOpportunity(now sim.Time) sim.Time {
 	if now < 0 {
 		now = -1
 	}
-	cycle := now / t.period
-	rem := now % t.period
-	idx := sort.Search(len(t.ops), func(i int) bool { return t.ops[i] > rem })
-	if idx < len(t.ops) {
-		return cycle*t.period + t.ops[idx]
-	}
-	return (cycle+1)*t.period + t.ops[0]
+	var p pos
+	t.locate(&p, now+1)
+	return p.next(t)
 }
 
 // CapacityBps returns the average link capacity over the window ending at
 // now, in bits per second, assuming each opportunity carries one MTU.
 func (t *Trace) CapacityBps(now, window sim.Time) float64 {
-	if window <= 0 {
-		window = 100 * sim.Millisecond
-	}
-	from := now - window
-	if from < 0 {
-		from = 0
-	}
-	if now <= from {
+	from, ok := trailingWindow(now, window)
+	if !ok {
 		return 0
 	}
-	n := t.CountIn(from, now)
-	return float64(n) * packet.MTU * 8 / (now - from).Seconds()
+	return rateBps(t.CountIn(from, now), now-from)
 }
 
 // FutureCapacityBps returns the average capacity over [now, now+window):
 // the oracle used by PK-ABC (§6.6).
 func (t *Trace) FutureCapacityBps(now, window sim.Time) float64 {
+	window = defaultWindow(window)
+	return rateBps(t.CountIn(now, now+window), window)
+}
+
+// defaultWindow replaces a non-positive averaging window by 100 ms.
+func defaultWindow(window sim.Time) sim.Time {
 	if window <= 0 {
-		window = 100 * sim.Millisecond
+		return 100 * sim.Millisecond
 	}
-	n := t.CountIn(now, now+window)
-	return float64(n) * packet.MTU * 8 / window.Seconds()
+	return window
+}
+
+// trailingWindow returns the start of the averaging window that ends at
+// now, clipped at time zero; ok is false when nothing of it is left.
+func trailingWindow(now, window sim.Time) (from sim.Time, ok bool) {
+	from = now - defaultWindow(window)
+	if from < 0 {
+		from = 0
+	}
+	return from, now > from
+}
+
+// rateBps converts n opportunities over span into bits per second, each
+// opportunity carrying one MTU.
+func rateBps(n int64, span sim.Time) float64 {
+	return float64(n) * packet.MTU * 8 / span.Seconds()
 }
 
 // AvgRateBps returns the long-run average capacity of the trace.

@@ -19,7 +19,7 @@ trap 'rm -f "$tmp"' EXIT
 count="${BENCH_COUNT:-5x}"
 
 go test -run '^$' \
-    -bench 'BenchmarkSimCore$|BenchmarkPacketChurn$|BenchmarkForwardHop$|BenchmarkTracedHop$|BenchmarkFIBLookup$|BenchmarkWorkloadChurn$|BenchmarkShardedRun$|BenchmarkHybridBackground$' \
+    -bench 'BenchmarkSimCore$|BenchmarkWireFIFO$|BenchmarkEndpointAckClock$|BenchmarkPacketChurn$|BenchmarkForwardHop$|BenchmarkTracedHop$|BenchmarkFIBLookup$|BenchmarkWorkloadChurn$|BenchmarkShardedRun$|BenchmarkHybridBackground$' \
     -benchmem -benchtime "$count" . >"$tmp"
 go test -run '^$' -bench 'BenchmarkSweepScalar$|BenchmarkSweepGrid$' \
     -benchmem -benchtime "$count" ./internal/fluid/ >>"$tmp"
