@@ -1,9 +1,8 @@
 // Observability flags: a Prometheus-style /metrics endpoint with a
 // periodic stderr progress line, and a flight-recorder trace dumped to a
-// file after the run. Both default off; neither perturbs results —
-// tracing is passive by construction (golden digests are identical with
-// it enabled), while -metrics schedules sampling events and is meant for
-// watching long sweeps, not for digest comparisons.
+// file after the run. Both default off and neither perturbs results:
+// tracing and metric sampling are passive by construction (golden
+// digests are identical with both enabled).
 package main
 
 import (

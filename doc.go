@@ -4,8 +4,10 @@
 // needs (a deterministic discrete-event network simulator, Mahimahi-style
 // trace emulation, an 802.11n MAC model, AQMs) and every baseline it is
 // evaluated against (Cubic, Vegas, Copa, BBR, PCC-Vivace, Sprout, Verus,
-// XCP, RCP, VCP), plus a benchmark harness regenerating each table and
-// figure of the paper's evaluation.
+// XCP, RCP, VCP), plus one table of experiment drivers (exp.Drivers)
+// that regenerates each table and figure of the paper's evaluation:
+// abcsim -exp runs an entry, abcreport a selection, and the golden
+// corpus and the driver-table test run them all.
 //
 // Experiments are scenarios over a topology graph (internal/topo): a
 // directed graph of junction nodes and edges, each edge an optional
@@ -56,5 +58,5 @@
 //
 // See DESIGN.md for the system inventory, the topology/registry
 // architecture and fast path (§1–§2) and the experiment index mapping
-// each benchmark to its paper figure or table (§3).
+// each -exp name to its paper figure or table (§3).
 package abc

@@ -7,6 +7,9 @@
 package exp
 
 import (
+	"fmt"
+	"io"
+
 	"abc/internal/abc"
 	"abc/internal/metrics"
 	"abc/internal/sim"
@@ -22,102 +25,76 @@ type AblationPoint struct {
 	MeanMs float64
 }
 
-// runABCWith runs ABC with a customized router config.
-func runABCWith(mutate func(*abc.RouterConfig), dur sim.Time, seed int64) (util, p95, mean float64, err error) {
+// AblationSweep is one parameter's sweep.
+type AblationSweep struct {
+	Title  string
+	Points []AblationPoint
+}
+
+// ablationSweeps lists the swept parameters in report order.
+var ablationSweeps = []struct {
+	title, param string
+	values       []float64
+	set          func(c *abc.RouterConfig, v float64)
+}{
+	// dt (the paper evaluates 20/60/100 ms on Wi-Fi): larger thresholds
+	// trade delay for throughput.
+	{"delay threshold dt", "dt_ms", []float64{5, 20, 60, 100},
+		func(c *abc.RouterConfig, v float64) { c.DelayThreshold = sim.FromSeconds(v / 1000) }},
+	// δ around the Theorem 3.1 boundary (2/3·τ = 67 ms at τ=100 ms):
+	// small δ over-reacts and oscillates, large δ drains slowly.
+	{"drain constant delta", "delta_ms", []float64{30, 67, 133, 266, 532},
+		func(c *abc.RouterConfig, v float64) { c.Delta = sim.FromSeconds(v / 1000) }},
+	// η: the paper's 0.98 trades a little throughput for much lower
+	// delay than η=1.
+	{"target utilization eta", "eta", []float64{0.85, 0.9, 0.95, 0.98, 1.0},
+		func(c *abc.RouterConfig, v float64) { c.Eta = v }},
+	// Algorithm 1's token bucket cap: tiny caps throttle legitimate
+	// accelerates, huge caps allow bursts.
+	{"token bucket limit", "token_limit", []float64{1.5, 4, 10, 50},
+		func(c *abc.RouterConfig, v float64) { c.TokenLimit = v }},
+	// The dequeue-rate measurement window T.
+	{"measurement window T", "window_ms", []float64{10, 25, 50, 100, 200},
+		func(c *abc.RouterConfig, v float64) { c.Window = sim.FromSeconds(v / 1000) }},
+}
+
+// Ablations runs every sweep: one backlogged ABC flow on Verizon1 per
+// parameter value, everything else at the router's defaults.
+func Ablations(dur sim.Time, seed int64) ([]AblationSweep, error) {
 	tr := trace.MustNamedCellular("Verizon1")
-	cfg := abc.DefaultRouterConfig()
-	mutate(&cfg)
-	res, _, err := Run(Spec{
-		Seed:     seed,
-		Duration: dur,
-		RTT:      100 * sim.Millisecond,
-		Links:    []LinkSpec{{Trace: tr, Qdisc: QdiscSpec{Kind: "abc", ABCConfig: &cfg}}},
-		Flows:    []FlowSpec{{Scheme: "ABC"}},
-	})
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	f := &res.Flows[0]
-	return res.Utilization, f.QDelay.P95(), f.QDelay.Mean(), nil
-}
-
-// AblateDelayThreshold sweeps dt (the paper evaluates 20/60/100 ms on
-// Wi-Fi): larger thresholds trade delay for throughput.
-func AblateDelayThreshold(dur sim.Time, seed int64) ([]AblationPoint, error) {
-	var out []AblationPoint
-	for _, dtMs := range []float64{5, 20, 60, 100} {
-		u, p95, mean, err := runABCWith(func(c *abc.RouterConfig) {
-			c.DelayThreshold = sim.FromSeconds(dtMs / 1000)
-		}, dur, seed)
-		if err != nil {
-			return nil, err
+	out := make([]AblationSweep, len(ablationSweeps))
+	for i, sw := range ablationSweeps {
+		out[i].Title = sw.title
+		for _, v := range sw.values {
+			cfg := abc.DefaultRouterConfig()
+			sw.set(&cfg, v)
+			res, _, err := Run(Spec{
+				Seed:     seed,
+				Duration: dur,
+				RTT:      100 * sim.Millisecond,
+				Links:    []LinkSpec{{Trace: tr, Qdisc: QdiscSpec{Kind: "abc", ABCConfig: &cfg}}},
+				Flows:    []FlowSpec{{Scheme: "ABC"}},
+			})
+			if err != nil {
+				return nil, err
+			}
+			q := &res.Flows[0].QDelay
+			out[i].Points = append(out[i].Points, AblationPoint{
+				Param: sw.param, Value: v, Util: res.Utilization, P95Ms: q.P95(), MeanMs: q.Mean(),
+			})
 		}
-		out = append(out, AblationPoint{Param: "dt_ms", Value: dtMs, Util: u, P95Ms: p95, MeanMs: mean})
 	}
 	return out, nil
 }
 
-// AblateDelta sweeps δ around the Theorem 3.1 boundary (2/3·τ = 67 ms at
-// τ=100 ms): small δ over-reacts and oscillates, large δ drains slowly.
-func AblateDelta(dur sim.Time, seed int64) ([]AblationPoint, error) {
-	var out []AblationPoint
-	for _, deltaMs := range []float64{30, 67, 133, 266, 532} {
-		u, p95, mean, err := runABCWith(func(c *abc.RouterConfig) {
-			c.Delta = sim.FromSeconds(deltaMs / 1000)
-		}, dur, seed)
-		if err != nil {
-			return nil, err
+func printAblations(w io.Writer, sweeps []AblationSweep) {
+	for _, sw := range sweeps {
+		fmt.Fprintf(w, "## %s\n", sw.Title)
+		for _, p := range sw.Points {
+			fmt.Fprintf(w, "%-12s=%7.2f  util=%5.1f%%  qdelay mean=%6.1f ms  p95=%6.1f ms\n",
+				p.Param, p.Value, p.Util*100, p.MeanMs, p.P95Ms)
 		}
-		out = append(out, AblationPoint{Param: "delta_ms", Value: deltaMs, Util: u, P95Ms: p95, MeanMs: mean})
 	}
-	return out, nil
-}
-
-// AblateEta sweeps the target utilization η: the paper's 0.98 trades a
-// little throughput for much lower delay than η=1.
-func AblateEta(dur sim.Time, seed int64) ([]AblationPoint, error) {
-	var out []AblationPoint
-	for _, eta := range []float64{0.85, 0.9, 0.95, 0.98, 1.0} {
-		u, p95, mean, err := runABCWith(func(c *abc.RouterConfig) {
-			c.Eta = eta
-		}, dur, seed)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, AblationPoint{Param: "eta", Value: eta, Util: u, P95Ms: p95, MeanMs: mean})
-	}
-	return out, nil
-}
-
-// AblateTokenLimit sweeps Algorithm 1's token bucket cap: tiny caps
-// throttle legitimate accelerates, huge caps allow bursts.
-func AblateTokenLimit(dur sim.Time, seed int64) ([]AblationPoint, error) {
-	var out []AblationPoint
-	for _, lim := range []float64{1.5, 4, 10, 50} {
-		u, p95, mean, err := runABCWith(func(c *abc.RouterConfig) {
-			c.TokenLimit = lim
-		}, dur, seed)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, AblationPoint{Param: "token_limit", Value: lim, Util: u, P95Ms: p95, MeanMs: mean})
-	}
-	return out, nil
-}
-
-// AblateWindow sweeps the dequeue-rate measurement window T.
-func AblateWindow(dur sim.Time, seed int64) ([]AblationPoint, error) {
-	var out []AblationPoint
-	for _, winMs := range []float64{10, 25, 50, 100, 200} {
-		u, p95, mean, err := runABCWith(func(c *abc.RouterConfig) {
-			c.Window = sim.FromSeconds(winMs / 1000)
-		}, dur, seed)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, AblationPoint{Param: "window_ms", Value: winMs, Util: u, P95Ms: p95, MeanMs: mean})
-	}
-	return out, nil
 }
 
 // ProxiedComparison runs standard and proxied-encoding ABC on the same

@@ -11,6 +11,7 @@ package exp
 
 import (
 	"fmt"
+	"io"
 
 	"abc/internal/cc"
 	"abc/internal/metrics"
@@ -110,27 +111,20 @@ func jain(res *Result) float64 {
 // a well-isolated scheme degrades only the victim, and the bystanders'
 // throughput and delay stay at their honest baseline.
 func Targeted(schemes []string, dur sim.Time, seed int64) (map[string]TargetedResult, error) {
-	if len(schemes) == 0 {
-		schemes = []string{"ABC", "Cubic", "XCP", "RCP"}
-	}
 	if dur <= 0 {
 		dur = 30 * sim.Second
 	}
-	results := make([]TargetedResult, len(schemes))
-	err := forEachCell(len(schemes), func(i int) string {
-		return fmt.Sprintf("targeted scheme=%s seed=%d", schemes[i], seed)
-	}, func(i int) error {
-		honest, _, err := Run(targetedSpec(schemes[i], dur, seed))
+	return sweepMap("targeted", schemes, []string{"ABC", "Cubic", "XCP", "RCP"}, seed, func(sch string) (r TargetedResult, err error) {
+		honest, _, err := Run(targetedSpec(sch, dur, seed))
 		if err != nil {
-			return err
+			return r, err
 		}
-		spec := targetedSpec(schemes[i], dur, seed)
+		spec := targetedSpec(sch, dur, seed)
 		spec.Links[0].Attack = targetedAttack()
 		attacked, _, err := Run(spec)
 		if err != nil {
-			return err
+			return r, err
 		}
-		var r TargetedResult
 		r.Victim.HonestMbps, r.Victim.HonestP95Ms,
 			r.Bystander.HonestMbps, r.Bystander.HonestP95Ms = classStats(honest)
 		r.Victim.AttackedMbps, r.Victim.AttackedP95Ms,
@@ -142,17 +136,8 @@ func Targeted(schemes []string, dur sim.Time, seed int64) (map[string]TargetedRe
 		r.Stripped = attacked.AdvStripped
 		r.Report = attacked.Adversary
 		r.Events = attacked.Events
-		results[i] = r
-		return nil
+		return r, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]TargetedResult, len(schemes))
-	for i, sch := range schemes {
-		out[sch] = results[i]
-	}
-	return out, nil
 }
 
 // GreedyResult is one scheme's outcome on the greedy-sender scenario:
@@ -188,27 +173,20 @@ type GreedyResult struct {
 // senders that ignore feedback still face the router's per-packet
 // allocations to everyone else.
 func Greedy(schemes []string, dur sim.Time, seed int64) (map[string]GreedyResult, error) {
-	if len(schemes) == 0 {
-		schemes = ExplicitSchemes
-	}
 	if dur <= 0 {
 		dur = 30 * sim.Second
 	}
-	results := make([]GreedyResult, len(schemes))
-	err := forEachCell(len(schemes), func(i int) string {
-		return fmt.Sprintf("greedy scheme=%s seed=%d", schemes[i], seed)
-	}, func(i int) error {
-		honest, _, err := Run(targetedSpec(schemes[i], dur, seed))
+	return sweepMap("greedy", schemes, ExplicitSchemes, seed, func(sch string) (r GreedyResult, err error) {
+		honest, _, err := Run(targetedSpec(sch, dur, seed))
 		if err != nil {
-			return err
+			return r, err
 		}
-		spec := targetedSpec(schemes[i], dur, seed)
+		spec := targetedSpec(sch, dur, seed)
 		spec.Flows[0].Misbehave = "greedy"
 		greedy, _, err := Run(spec)
 		if err != nil {
-			return err
+			return r, err
 		}
-		var r GreedyResult
 		r.BaselineMbps = honest.Flows[0].TputMbps
 		r.GreedyMbps = greedy.Flows[0].TputMbps
 		r.StolenMbps = r.GreedyMbps - r.BaselineMbps
@@ -221,37 +199,34 @@ func Greedy(schemes []string, dur sim.Time, seed int64) (map[string]GreedyResult
 		r.JainGreedy = jain(greedy)
 		g, ok := greedy.Flows[0].Algorithm.(*cc.Greedy)
 		if !ok {
-			return fmt.Errorf("exp: greedy driver: flow 0 algorithm is %T, want *cc.Greedy", greedy.Flows[0].Algorithm)
+			return r, fmt.Errorf("exp: greedy driver: flow 0 algorithm is %T, want *cc.Greedy", greedy.Flows[0].Algorithm)
 		}
 		r.BrakesIgnored = g.BrakesIgnored
 		r.CEsIgnored = g.CEsIgnored
 		r.FeedbackClamped = g.FeedbackClamped
 		r.Report = greedy.Adversary
-		results[i] = r
-		return nil
+		return r, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]GreedyResult, len(schemes))
-	for i, sch := range schemes {
-		out[sch] = results[i]
-	}
-	return out, nil
 }
 
-// FormatTargetedResult renders one scheme's targeted-attack rows.
-func FormatTargetedResult(scheme string, r TargetedResult) string {
-	return fmt.Sprintf("%-14s victim  %5.2f -> %5.2f Mbit/s  p95 %6.1f -> %6.1f ms\n"+
-		"%-14s others  %5.2f -> %5.2f Mbit/s  p95 %6.1f -> %6.1f ms  jain %.3f -> %.3f  drops=%d delayed=%d stripped=%d\n",
-		scheme, r.Victim.HonestMbps, r.Victim.AttackedMbps, r.Victim.HonestP95Ms, r.Victim.AttackedP95Ms,
-		"", r.Bystander.HonestMbps, r.Bystander.AttackedMbps, r.Bystander.HonestP95Ms, r.Bystander.AttackedP95Ms,
-		r.JainHonest, r.JainAttacked, r.Drops, r.Delayed, r.Stripped)
+// printTargeted renders each scheme's targeted-attack rows.
+func printTargeted(w io.Writer, out map[string]TargetedResult) {
+	for _, sch := range sortedKeys(out) {
+		r := out[sch]
+		fmt.Fprintf(w, "%-14s victim  %5.2f -> %5.2f Mbit/s  p95 %6.1f -> %6.1f ms\n"+
+			"%-14s others  %5.2f -> %5.2f Mbit/s  p95 %6.1f -> %6.1f ms  jain %.3f -> %.3f  drops=%d delayed=%d stripped=%d\n",
+			sch, r.Victim.HonestMbps, r.Victim.AttackedMbps, r.Victim.HonestP95Ms, r.Victim.AttackedP95Ms,
+			"", r.Bystander.HonestMbps, r.Bystander.AttackedMbps, r.Bystander.HonestP95Ms, r.Bystander.AttackedP95Ms,
+			r.JainHonest, r.JainAttacked, r.Drops, r.Delayed, r.Stripped)
+	}
 }
 
-// FormatGreedyResult renders one scheme's greedy-sender row.
-func FormatGreedyResult(scheme string, r GreedyResult) string {
-	return fmt.Sprintf("%-14s greedy %5.2f Mbit/s (honest baseline %5.2f, stolen %+5.2f)  honest mean %5.2f  jain %.3f -> %.3f  brakes=%d ce=%d clamped=%d\n",
-		scheme, r.GreedyMbps, r.BaselineMbps, r.StolenMbps, r.HonestMeanMbps,
-		r.JainBaseline, r.JainGreedy, r.BrakesIgnored, r.CEsIgnored, r.FeedbackClamped)
+// printGreedy renders each scheme's greedy-sender row.
+func printGreedy(w io.Writer, out map[string]GreedyResult) {
+	for _, sch := range sortedKeys(out) {
+		r := out[sch]
+		fmt.Fprintf(w, "%-14s greedy %5.2f Mbit/s (honest baseline %5.2f, stolen %+5.2f)  honest mean %5.2f  jain %.3f -> %.3f  brakes=%d ce=%d clamped=%d\n",
+			sch, r.GreedyMbps, r.BaselineMbps, r.StolenMbps, r.HonestMeanMbps,
+			r.JainBaseline, r.JainGreedy, r.BrakesIgnored, r.CEsIgnored, r.FeedbackClamped)
+	}
 }

@@ -10,6 +10,7 @@ package exp
 
 import (
 	"fmt"
+	"io"
 
 	"abc/internal/app"
 	"abc/internal/metrics"
@@ -55,19 +56,12 @@ type ShortFlowsResult struct {
 // workload of heavy-tailed web-like short flows (10 KB–1 MB bounded
 // Pareto) over a cellular trace. traceName "" picks Verizon1.
 func ShortFlows(schemes []string, traceName string, dur sim.Time, seed int64) ([]ShortFlowsResult, error) {
-	if len(schemes) == 0 {
-		schemes = AppSchemes
-	}
 	tr, err := appTrace(traceName)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]ShortFlowsResult, len(schemes))
-	err = forEachCell(len(schemes), func(i int) string {
-		return fmt.Sprintf("shortflows trace=%s scheme=%s seed=%d", appTraceName(traceName), schemes[i], seed)
-	}, func(i int) error {
-		scheme := schemes[i]
-		spec := Spec{
+	return sweep("shortflows trace="+appTraceName(traceName), schemes, AppSchemes, seed, func(scheme string) (ShortFlowsResult, error) {
+		res, _, err := Run(Spec{
 			Seed:     seed,
 			Duration: dur,
 			Links:    []LinkSpec{{Trace: tr, Qdisc: QdiscSpec{Kind: "auto", Buffer: 250}}},
@@ -79,13 +73,12 @@ func ShortFlows(schemes []string, traceName string, dur sim.Time, seed int64) ([
 				Sizes:   app.BoundedPareto{Min: 10 * 1024, Max: 1024 * 1024, Alpha: 1.2},
 				RefMbps: tr.AvgRateBps() / 1e6,
 			}},
-		}
-		res, _, rerr := Run(spec)
-		if rerr != nil {
-			return rerr
+		})
+		if err != nil {
+			return ShortFlowsResult{}, err
 		}
 		w := &res.Workloads[0]
-		out[i] = ShortFlowsResult{
+		return ShortFlowsResult{
 			Scheme:       scheme,
 			FCT:          w.Stats(),
 			Spawned:      w.Spawned,
@@ -95,13 +88,8 @@ func ShortFlows(schemes []string, traceName string, dur sim.Time, seed int64) ([
 			QDelayP95:    w.QDelay.P95(),
 			LongTputMbps: res.Flows[0].TputMbps,
 			Utilization:  res.Utilization,
-		}
-		return nil
+		}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // VideoResult is one scheme's row of the ABR video experiment.
@@ -118,19 +106,12 @@ type VideoResult struct {
 // scheme's delivery rate and self-inflicted queueing allow. traceName ""
 // picks Verizon1.
 func VideoExp(schemes []string, traceName string, dur sim.Time, seed int64) ([]VideoResult, error) {
-	if len(schemes) == 0 {
-		schemes = AppSchemes
-	}
 	tr, err := appTrace(traceName)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]VideoResult, len(schemes))
-	err = forEachCell(len(schemes), func(i int) string {
-		return fmt.Sprintf("video trace=%s scheme=%s seed=%d", appTraceName(traceName), schemes[i], seed)
-	}, func(i int) error {
-		scheme := schemes[i]
-		spec := Spec{
+	return sweep("video trace="+appTraceName(traceName), schemes, AppSchemes, seed, func(scheme string) (VideoResult, error) {
+		res, _, err := Run(Spec{
 			Seed:     seed,
 			Duration: dur,
 			Links:    []LinkSpec{{Trace: tr, Qdisc: QdiscSpec{Kind: "auto", Buffer: 250}}},
@@ -138,24 +119,18 @@ func VideoExp(schemes []string, traceName string, dur sim.Time, seed int64) ([]V
 				Scheme: scheme,
 				App:    &AppSpec{Kind: "abr"},
 			}},
-		}
-		res, _, rerr := Run(spec)
-		if rerr != nil {
-			return rerr
+		})
+		if err != nil {
+			return VideoResult{}, err
 		}
 		f := &res.Flows[0]
-		out[i] = VideoResult{
+		return VideoResult{
 			Scheme:    scheme,
 			QoE:       f.App.(*app.ABR).QoE(),
 			QDelayP95: f.QDelay.P95(),
 			TputMbps:  f.TputMbps,
-		}
-		return nil
+		}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // RPCResult is one scheme's row of the RPC experiment.
@@ -179,18 +154,11 @@ const rpcClients = 3
 // cellular trace; per-call completion times pool across clients.
 // traceName "" picks Verizon1.
 func RPCExp(schemes []string, traceName string, dur sim.Time, seed int64) ([]RPCResult, error) {
-	if len(schemes) == 0 {
-		schemes = AppSchemes
-	}
 	tr, err := appTrace(traceName)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]RPCResult, len(schemes))
-	err = forEachCell(len(schemes), func(i int) string {
-		return fmt.Sprintf("rpc trace=%s scheme=%s seed=%d", appTraceName(traceName), schemes[i], seed)
-	}, func(i int) error {
-		scheme := schemes[i]
+	return sweep("rpc trace="+appTraceName(traceName), schemes, AppSchemes, seed, func(scheme string) (RPCResult, error) {
 		pool := &metrics.DelayRecorder{}
 		flows := []FlowSpec{{Scheme: scheme}}
 		for c := 0; c < rpcClients; c++ {
@@ -199,15 +167,14 @@ func RPCExp(schemes []string, traceName string, dur sim.Time, seed int64) ([]RPC
 				App:    &AppSpec{Kind: "rpc", RPC: app.RPCConfig{FCT: pool}},
 			})
 		}
-		spec := Spec{
+		res, _, err := Run(Spec{
 			Seed:     seed,
 			Duration: dur,
 			Links:    []LinkSpec{{Trace: tr, Qdisc: QdiscSpec{Kind: "auto", Buffer: 250}}},
 			Flows:    flows,
-		}
-		res, _, rerr := Run(spec)
-		if rerr != nil {
-			return rerr
+		})
+		if err != nil {
+			return RPCResult{}, err
 		}
 		row := RPCResult{
 			Scheme:       scheme,
@@ -226,11 +193,34 @@ func RPCExp(schemes []string, traceName string, dur sim.Time, seed int64) ([]RPC
 			}
 		}
 		row.FCT = metrics.NewFCTStats("rpc", pool, nil, bytes)
-		out[i] = row
-		return nil
+		return row, nil
 	})
-	if err != nil {
-		return nil, err
+}
+
+// printShortFlows renders the short-flows table.
+func printShortFlows(w io.Writer, rows []ShortFlowsResult) {
+	fmt.Fprintf(w, "%-14s %8s %12s %12s %10s %10s %10s\n",
+		"Scheme", "Flows", "FCT mean", "FCT p95", "Slowdown", "q p95(ms)", "Bulk Mbps")
+	for _, r := range rows {
+		fmt.Fprintf(w, "%-14s %8d %9.0f ms %9.0f ms %10.2f %10.0f %10.2f\n",
+			r.Scheme, r.FCT.Count, r.FCT.MeanMs, r.FCT.P95Ms, r.FCT.P95Slowdown,
+			r.QDelayP95, r.LongTputMbps)
 	}
-	return out, nil
+}
+
+// printVideo renders one QoE row per scheme.
+func printVideo(w io.Writer, rows []VideoResult) {
+	for _, r := range rows {
+		fmt.Fprintf(w, "%-14s %v  queue p95=%4.0f ms\n", r.Scheme, r.QoE, r.QDelayP95)
+	}
+}
+
+// printRPC renders the RPC table.
+func printRPC(w io.Writer, rows []RPCResult) {
+	fmt.Fprintf(w, "%-14s %8s %12s %12s %10s %10s\n",
+		"Scheme", "Calls", "FCT mean", "FCT p95", "q p95(ms)", "Bulk Mbps")
+	for _, r := range rows {
+		fmt.Fprintf(w, "%-14s %8d %9.0f ms %9.0f ms %10.0f %10.2f\n",
+			r.Scheme, r.Calls, r.FCT.MeanMs, r.FCT.P95Ms, r.QDelayP95, r.LongTputMbps)
+	}
 }

@@ -5,6 +5,8 @@ package exp
 
 import (
 	"fmt"
+	"io"
+	"slices"
 	"sort"
 
 	"abc/internal/abc"
@@ -52,12 +54,7 @@ func LTETrace() *trace.Trace {
 // throughput and queuing-delay trajectories.
 func Fig1Timeseries(seed int64) ([]TimeseriesRun, error) {
 	tr := LTETrace()
-	schemes := []string{"Cubic", "Verus", "Cubic+Codel", "ABC"}
-	out := make([]TimeseriesRun, len(schemes))
-	err := forEachCell(len(schemes), func(i int) string {
-		return fmt.Sprintf("fig1 trace=LTE scheme=%s seed=%d", schemes[i], seed)
-	}, func(i int) error {
-		sch := schemes[i]
+	return sweep("fig1 trace=LTE", []string{"Cubic", "Verus", "Cubic+Codel", "ABC"}, nil, seed, func(sch string) (TimeseriesRun, error) {
 		res, pooled, err := Run(Spec{
 			Seed:     seed,
 			Duration: 30 * sim.Second,
@@ -68,20 +65,25 @@ func Fig1Timeseries(seed int64) ([]TimeseriesRun, error) {
 			Sample:   200 * sim.Millisecond,
 		})
 		if err != nil {
-			return err
+			return TimeseriesRun{}, err
 		}
-		out[i] = TimeseriesRun{
+		return TimeseriesRun{
 			Scheme:  sch,
 			Tput:    res.Flows[0].Tput,
 			QDelay:  res.QueueDelayTS,
 			Summary: res.Summary(sch, pooled),
-		}
-		return nil
+		}, nil
 	})
-	if err != nil {
-		return nil, err
+}
+
+func printFig1(w io.Writer, runs []TimeseriesRun) {
+	for _, r := range runs {
+		fmt.Fprintf(w, "## %s\n%v\n", r.Scheme, r.Summary)
+		fmt.Fprintln(w, "t(s)  tput(Mbps)  qdelay(ms)")
+		for i := 0; i < len(r.Tput.Times); i += 5 {
+			fmt.Fprintf(w, "%5.1f %10.2f %10.1f\n", r.Tput.Times[i], r.Tput.Values[i], r.QDelay.Values[i])
+		}
 	}
-	return out, nil
 }
 
 // Fig2Result compares ABC's dequeue-rate feedback with the enqueue-rate
@@ -128,6 +130,13 @@ func Fig2FeedbackMode(seed int64) (*Fig2Result, error) {
 	return &Fig2Result{Dequeue: deq, Enqueue: enq, QDelayP95Dequeue: dq95, QDelayP95Enqueue: eq95}, nil
 }
 
+func printFig2(w io.Writer, r *Fig2Result) {
+	fmt.Fprintf(w, "dequeue feedback: %v  (p95 queuing %.0f ms)\n", r.Dequeue, r.QDelayP95Dequeue)
+	fmt.Fprintf(w, "enqueue feedback: %v  (p95 queuing %.0f ms)\n", r.Enqueue, r.QDelayP95Enqueue)
+	fmt.Fprintf(w, "enqueue/dequeue p95 queuing-delay ratio: %.2fx (paper: ~2x)\n",
+		r.QDelayP95Enqueue/r.QDelayP95Dequeue)
+}
+
 // ScatterKind selects the Fig. 8 sub-figure.
 type ScatterKind int
 
@@ -144,9 +153,6 @@ const (
 // Fig8Scatter reproduces Fig. 8: every scheme's (p95 delay, utilization)
 // on Verizon-like traces, optionally across two cellular hops.
 func Fig8Scatter(kind ScatterKind, schemes []string, dur sim.Time, seed int64) ([]metrics.Summary, error) {
-	if len(schemes) == 0 {
-		schemes = Schemes
-	}
 	down := trace.MustNamedCellular("Verizon1")
 	up := trace.MustNamedCellular("Verizon2")
 	var links []LinkSpec
@@ -158,27 +164,44 @@ func Fig8Scatter(kind ScatterKind, schemes []string, dur sim.Time, seed int64) (
 	case UplinkDownlink:
 		links = []LinkSpec{{Trace: up}, {Trace: down}}
 	}
-	out := make([]metrics.Summary, len(schemes))
-	err := forEachCell(len(schemes), func(i int) string {
-		return fmt.Sprintf("fig8 kind=%d scheme=%s seed=%d", kind, schemes[i], seed)
-	}, func(i int) error {
-		sch := schemes[i]
-		ls := make([]LinkSpec, len(links))
-		copy(ls, links)
+	return sweep(fmt.Sprintf("fig8 kind=%d", kind), schemes, Schemes, seed, func(sch string) (metrics.Summary, error) {
 		res, pooled, err := Run(Spec{
 			Seed: seed, Duration: dur, RTT: 100 * sim.Millisecond,
-			Links: ls, Flows: []FlowSpec{{Scheme: sch}},
+			Links: slices.Clone(links), Flows: []FlowSpec{{Scheme: sch}},
 		})
 		if err != nil {
-			return err
+			return metrics.Summary{}, err
 		}
-		out[i] = res.Summary(sch, pooled)
-		return nil
+		return res.Summary(sch, pooled), nil
 	})
-	if err != nil {
-		return nil, err
+}
+
+// Fig8Panel is one Fig. 8 sub-figure: every scheme's summary on one
+// path kind.
+type Fig8Panel struct {
+	Path string
+	Rows []metrics.Summary
+}
+
+// fig8Panels runs Fig. 8's three sub-figures in the paper's order.
+func fig8Panels(p Params) ([]Fig8Panel, error) {
+	paths := []string{Downlink: "downlink", Uplink: "uplink", UplinkDownlink: "uplink+downlink"}
+	out := make([]Fig8Panel, len(paths))
+	for kind, path := range paths {
+		rows, err := Fig8Scatter(ScatterKind(kind), p.Schemes, p.Dur, p.Seed)
+		if err != nil {
+			return nil, err
+		}
+		out[kind] = Fig8Panel{Path: path, Rows: rows}
 	}
 	return out, nil
+}
+
+func printFig8(w io.Writer, panels []Fig8Panel) {
+	for _, p := range panels {
+		fmt.Fprintf(w, "## %s\n", p.Path)
+		printSummaries(w, p.Rows)
+	}
 }
 
 // BarsResult holds Fig. 9/15/16 data: per-trace, per-scheme summaries.
@@ -282,6 +305,31 @@ func SummaryTable(bars *BarsResult) []Table1Row {
 	return rows
 }
 
+// printBars renders Fig. 9/16's cross-trace averages.
+func printBars(w io.Writer, bars *BarsResult) {
+	fmt.Fprintf(w, "%-14s %8s %12s %12s\n", "Scheme", "AvgUtil", "AvgMean(ms)", "AvgP95(ms)")
+	for _, sch := range bars.Schemes {
+		u, m, p := bars.Average(sch)
+		fmt.Fprintf(w, "%-14s %7.1f%% %12.0f %12.0f\n", sch, u*100, m, p)
+	}
+}
+
+// printMeanDelay renders Fig. 15's column of the same bars.
+func printMeanDelay(w io.Writer, bars *BarsResult) {
+	fmt.Fprintf(w, "%-14s %12s\n", "Scheme", "AvgMean(ms)")
+	for _, sch := range bars.Schemes {
+		_, m, _ := bars.Average(sch)
+		fmt.Fprintf(w, "%-14s %12.0f\n", sch, m)
+	}
+}
+
+func printTable1(w io.Writer, rows []Table1Row) {
+	fmt.Fprintf(w, "%-14s %10s %16s\n", "Scheme", "Norm Tput", "Norm Delay (95%)")
+	for _, r := range rows {
+		fmt.Fprintf(w, "%-14s %10.2f %16.2f\n", r.Scheme, r.NormTput, r.NormDelay)
+	}
+}
+
 // Fig18RTTSweep reproduces Fig. 18: each scheme across propagation RTTs
 // of 20/50/100/200 ms on a Verizon-like trace. Keyed [rttMs][scheme].
 func Fig18RTTSweep(schemes []string, dur sim.Time, seed int64) (map[int]map[string]metrics.Summary, error) {
@@ -332,6 +380,23 @@ func Fig18RTTSweep(schemes []string, dur sim.Time, seed int64) (map[int]map[stri
 	return out, nil
 }
 
+// printFig18 renders one block per RTT, schemes sorted (the result is
+// keyed by name, so request order is not available).
+func printFig18(w io.Writer, out map[int]map[string]metrics.Summary) {
+	rtts := make([]int, 0, len(out))
+	for rtt := range out {
+		rtts = append(rtts, rtt)
+	}
+	sort.Ints(rtts)
+	for _, rtt := range rtts {
+		fmt.Fprintf(w, "## RTT %d ms\n", rtt)
+		for _, sch := range sortedKeys(out[rtt]) {
+			s := out[rtt][sch]
+			fmt.Fprintf(w, "%-14s util=%5.1f%%  p95=%6.0f ms\n", sch, s.Utilization*100, s.P95Ms)
+		}
+	}
+}
+
 // PKABCResult compares standard ABC with the perfect-knowledge oracle.
 type PKABCResult struct {
 	ABC, PK metrics.Summary
@@ -364,6 +429,11 @@ func PKABC(dur sim.Time, seed int64) (*PKABCResult, error) {
 		return nil, err
 	}
 	return &PKABCResult{ABC: std, PK: pk, QDelayP95ABC: stdQ, QDelayP95PK: pkQ}, nil
+}
+
+func printPKABC(w io.Writer, r *PKABCResult) {
+	fmt.Fprintf(w, "ABC:    %v (p95 queuing %.0f ms)\n", r.ABC, r.QDelayP95ABC)
+	fmt.Fprintf(w, "PK-ABC: %v (p95 queuing %.0f ms)\n", r.PK, r.QDelayP95PK)
 }
 
 // Fig13Result reports the application-limited-flows experiment.
@@ -411,14 +481,7 @@ func Fig13AppLimited(n int, aggAppMbps float64, dur sim.Time, seed int64) (*Fig1
 	return out, nil
 }
 
-// FormatSummaries renders summaries sorted by scheme order for reports.
-func FormatSummaries(sums []metrics.Summary) string {
-	s := ""
-	sorted := make([]metrics.Summary, len(sums))
-	copy(sorted, sums)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Scheme < sorted[j].Scheme })
-	for _, x := range sorted {
-		s += fmt.Sprintln(x)
-	}
-	return s
+func printFig13(w io.Writer, r *Fig13Result) {
+	fmt.Fprintf(w, "util=%.1f%%  backlogged=%.2f Mbps  app-limited agg=%.2f Mbps  p95 queuing=%.0f ms\n",
+		r.Utilization*100, r.BackloggedTputMbps, r.AppLimitedTputMbps, r.QDelayP95)
 }

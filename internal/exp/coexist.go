@@ -4,6 +4,9 @@
 package exp
 
 import (
+	"fmt"
+	"io"
+
 	"abc/internal/abc"
 	"abc/internal/metrics"
 	"abc/internal/netem"
@@ -292,3 +295,28 @@ func (o *onOffWindows) OnSend(sim.Time, int) {}
 
 // Done implements cc.Source.
 func (o *onOffWindows) Done() bool { return false }
+
+func printFig6(w io.Writer, r *Fig6Result) {
+	fmt.Fprintf(w, "tracking error vs ideal: %.1f%%, p95 queuing delay %.0f ms\n",
+		r.TrackError*100, r.QDelayP95)
+	fmt.Fprintln(w, "t(s)  tput(Mbps)  wabc  wcubic  wireless(Mbps)")
+	for i := 0; i < len(r.WABC.Times); i += 10 {
+		fmt.Fprintf(w, "%5.1f %10.2f %6.0f %7.0f %8.1f\n",
+			r.WABC.Times[i], r.Tput.Values[min(i, len(r.Tput.Values)-1)],
+			r.WABC.Values[i], r.WCubic.Values[i], r.WirelessRate.Values[i])
+	}
+}
+
+func printFig7(w io.Writer, r *Fig7Result) {
+	fmt.Fprintf(w, "steady throughputs (Mbps): %v\n", r.SteadyTput)
+	fmt.Fprintf(w, "Jain=%.3f  ABC queue p95=%.0f ms  Cubic queue p95=%.0f ms\n",
+		r.Jain, r.ABCQDelayP95, r.CubicQDelayP95)
+}
+
+func printFig11(w io.Writer, r *Fig11Result) {
+	fmt.Fprintf(w, "tracking error vs ideal: %.1f%%\n", r.TrackError*100)
+	fmt.Fprintln(w, "t(s)  tput(Mbps)  ideal(Mbps)")
+	for i := 0; i < len(r.Ideal.Times) && i < len(r.Tput.Values); i += 4 {
+		fmt.Fprintf(w, "%5.1f %10.2f %10.1f\n", r.Ideal.Times[i], r.Tput.Values[i], r.Ideal.Values[i])
+	}
+}

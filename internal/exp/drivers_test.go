@@ -1,0 +1,110 @@
+package exp
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"os"
+	"testing"
+
+	"abc/internal/sim"
+)
+
+// noGoldenRow names every table driver the golden corpus does not
+// digest, with the reason. A driver must be in the corpus or here:
+// dropping out of both silently is what TestDriverTable forbids. Every
+// one of these still runs and prints under TestDriverTable.
+var noGoldenRow = map[string]string{
+	"table1":    "a pure function of the bars fig9-bars digests (SummaryTable)",
+	"fig3":      "three fixed 250 s runs; shape asserted by TestFig3AIConvergesMIMDDoesNot",
+	"fig4":      "fixed-length Wi-Fi characterization; asserted by TestFig4SlopeMatchesTheory",
+	"fig5":      "fixed-length Wi-Fi sweep; asserted by TestFig5PredictionAccuracy",
+	"fig7":      "fixed 200 s run; asserted by TestFig7FairSharingLowABCDelay",
+	"fig13":     "asserted by TestFig13AppLimited",
+	"fig14":     "fig10-wifi digests the same RunWiFi path; only the MCS walk differs",
+	"fig15":     "prints another column of the bars fig9-bars digests",
+	"fig16":     "fig9-bars digests the same Fig9Bars path; only the scheme set differs",
+	"fig18":     "asserted by TestFig18ABCHoldsAcrossRTTs",
+	"jain":      "62 flows over five fixed 60 s runs; asserted by TestJainFairness",
+	"ablations": "asserted by TestAblationsProduceMonotoneTradeoffs",
+	"proxied":   "asserted by TestProxiedEncodingEquivalent",
+	"pkabc":     "asserted by TestPKABCHalvesDelay",
+	"stability": "fluid model, no simulator; asserted by TestStabilityRegion",
+	"schemes":   "lists the registries, runs nothing",
+}
+
+// TestDriverTable is the "does every driver still run" check for the
+// whole catalogue: unique names, a Run that returns something
+// serializable at a short duration, a Print that writes something and
+// writes it the same way twice, and a golden corpus that names only
+// table drivers and misses none without saying why, and a DESIGN.md
+// index that matches the table.
+func TestDriverTable(t *testing.T) {
+	seen := map[string]bool{}
+	for _, d := range Drivers {
+		d := d
+		if seen[d.Name] {
+			t.Errorf("duplicate driver name %q", d.Name)
+		}
+		seen[d.Name] = true
+		t.Run(d.Name, func(t *testing.T) {
+			if d.Paper == "" || d.Desc == "" {
+				t.Errorf("index columns incomplete: paper=%q desc=%q", d.Paper, d.Desc)
+			}
+			v, err := d.Run(Params{Seed: 1, Dur: 4 * sim.Second, Runs: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := json.Marshal(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(b) <= 2 {
+				t.Fatalf("result serialized to %d bytes", len(b))
+			}
+			var first, second bytes.Buffer
+			d.Print(&first, v)
+			d.Print(&second, v)
+			if first.Len() == 0 {
+				t.Error("Print wrote nothing")
+			}
+			if !bytes.Equal(first.Bytes(), second.Bytes()) {
+				t.Errorf("Print is not deterministic:\n%s\nvs\n%s", first.Bytes(), second.Bytes())
+			}
+		})
+	}
+
+	inCorpus := map[string]bool{}
+	for _, c := range goldenCases() {
+		if _, ok := Lookup(c.driver); !ok {
+			t.Errorf("golden case %q names no table driver (%q)", c.name, c.driver)
+		}
+		inCorpus[c.driver] = true
+	}
+	for _, d := range Drivers {
+		_, excused := noGoldenRow[d.Name]
+		switch {
+		case inCorpus[d.Name] && excused:
+			t.Errorf("driver %q has a corpus row and a noGoldenRow excuse; drop the excuse", d.Name)
+		case !inCorpus[d.Name] && !excused:
+			t.Errorf("driver %q has no golden corpus row and no noGoldenRow entry saying why", d.Name)
+		}
+	}
+	for name := range noGoldenRow {
+		if !seen[name] {
+			t.Errorf("noGoldenRow names %q, which is not a driver", name)
+		}
+	}
+
+	// DESIGN.md §3 prints the table; it is documentation, not a second
+	// list, so it must say what the table says.
+	design, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range Drivers {
+		if row := fmt.Sprintf("| `%s` | %s | %s |", d.Name, d.Paper, d.Desc); !bytes.Contains(design, []byte(row)) {
+			t.Errorf("DESIGN.md §3 is missing the index row\n%s", row)
+		}
+	}
+}

@@ -13,6 +13,7 @@ package exp
 
 import (
 	"fmt"
+	"io"
 
 	"abc/internal/metrics"
 	"abc/internal/netem"
@@ -85,31 +86,18 @@ func handoverSpec(scheme string, handoverAt, dur sim.Time, seed int64) Spec {
 // handover losses (counted, never duplicated), and the driver reports
 // how quickly each scheme's throughput re-converges on the new cell.
 func Handover(schemes []string, dur sim.Time, seed int64) (map[string]HandoverResult, error) {
-	if len(schemes) == 0 {
-		schemes = []string{"ABC", "Cubic"}
-	}
 	if dur <= 0 {
 		dur = 30 * sim.Second
 	}
 	handoverAt := dur / 2
-	results := make([]HandoverResult, len(schemes))
-	err := forEachCell(len(schemes), func(i int) string {
-		return fmt.Sprintf("handover scheme=%s seed=%d", schemes[i], seed)
-	}, func(i int) error {
-		spec := handoverSpec(schemes[i], handoverAt, dur, seed)
-		res, _, err := Run(spec)
+	return sweepMap("handover", schemes, []string{"ABC", "Cubic"}, seed, func(sch string) (HandoverResult, error) {
+		res, _, err := Run(handoverSpec(sch, handoverAt, dur, seed))
 		if err != nil {
-			return err
+			return HandoverResult{}, err
 		}
 		f0 := &res.Flows[0]
 		r := HandoverResult{
-			Flow: metrics.Summary{
-				Scheme:      schemes[i],
-				Utilization: res.Utilization,
-				TputMbps:    f0.TputMbps,
-				MeanMs:      f0.Delay.Mean(),
-				P95Ms:       f0.Delay.P95(),
-			},
+			Flow:          flowSummary(sch, res, f0),
 			HandoverDrops: res.Drops,
 			Retx:          f0.Retx,
 			Events:        res.Events,
@@ -117,17 +105,20 @@ func Handover(schemes []string, dur sim.Time, seed int64) (map[string]HandoverRe
 		// res.Spec carries the normalized Warmup (Run defaults it on its
 		// own copy); the driver-local spec still says zero.
 		r.PreMbps, r.PostMbps = splitMean(f0.Tput, handoverAt, res.Spec.Warmup)
-		results[i] = r
-		return nil
+		return r, nil
 	})
-	if err != nil {
-		return nil, err
+}
+
+// flowSummary is the paper's summary row for one flow of a run: the
+// run's utilization with that flow's own throughput and delays.
+func flowSummary(scheme string, res *Result, f *FlowResult) metrics.Summary {
+	return metrics.Summary{
+		Scheme:      scheme,
+		Utilization: res.Utilization,
+		TputMbps:    f.TputMbps,
+		MeanMs:      f.Delay.Mean(),
+		P95Ms:       f.Delay.P95(),
 	}
-	out := make(map[string]HandoverResult, len(schemes))
-	for i, sch := range schemes {
-		out[sch] = results[i]
-	}
-	return out, nil
 }
 
 // splitMean averages a sampled throughput series before and after the
@@ -181,18 +172,12 @@ type FlapResult struct {
 // at the dead link, timeout-driven retransmissions, and the delay cost
 // of the queue that rebuilds on recovery.
 func LinkFlap(schemes []string, dur sim.Time, seed int64) (map[string]FlapResult, error) {
-	if len(schemes) == 0 {
-		schemes = []string{"ABC", "Cubic"}
-	}
 	if dur <= 0 {
 		dur = 30 * sim.Second
 	}
 	const outage = 500 * sim.Millisecond
-	results := make([]FlapResult, len(schemes))
-	err := forEachCell(len(schemes), func(i int) string {
-		return fmt.Sprintf("linkflap scheme=%s seed=%d", schemes[i], seed)
-	}, func(i int) error {
-		spec := Spec{
+	return sweepMap("linkflap", schemes, []string{"ABC", "Cubic"}, seed, func(sch string) (FlapResult, error) {
+		res, _, err := Run(Spec{
 			Seed:     seed,
 			Duration: dur,
 			RTT:      80 * sim.Millisecond,
@@ -200,42 +185,26 @@ func LinkFlap(schemes []string, dur sim.Time, seed int64) (map[string]FlapResult
 				Rate:  netem.ConstRate(12e6),
 				Qdisc: QdiscSpec{Kind: "auto"},
 			}},
-			Flows: []FlowSpec{{Scheme: schemes[i]}},
+			Flows: []FlowSpec{{Scheme: sch}},
 			Events: []EventSpec{
 				{At: dur / 3, Kind: EventLinkDown, Edge: "fwd0"},
 				{At: dur/3 + outage, Kind: EventLinkUp, Edge: "fwd0"},
 				{At: 2 * dur / 3, Kind: EventLinkDown, Edge: "fwd0"},
 				{At: 2*dur/3 + outage, Kind: EventLinkUp, Edge: "fwd0"},
 			},
-		}
-		res, _, err := Run(spec)
+		})
 		if err != nil {
-			return err
+			return FlapResult{}, err
 		}
 		f0 := &res.Flows[0]
-		results[i] = FlapResult{
-			Flow: metrics.Summary{
-				Scheme:      schemes[i],
-				Utilization: res.Utilization,
-				TputMbps:    f0.TputMbps,
-				MeanMs:      f0.Delay.Mean(),
-				P95Ms:       f0.Delay.P95(),
-			},
+		return FlapResult{
+			Flow:        flowSummary(sch, res, f0),
 			OutageDrops: res.LinkDownDrops,
 			Lost:        f0.Lost,
 			Retx:        f0.Retx,
 			Events:      res.Events,
-		}
-		return nil
+		}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]FlapResult, len(schemes))
-	for i, sch := range schemes {
-		out[sch] = results[i]
-	}
-	return out, nil
 }
 
 // AutoRouteResult is one scheme's outcome on the emergent-handover
@@ -291,47 +260,26 @@ func autoRouteSpec(scheme string, outageAt, recoverAt, dur sim.Time, seed int64)
 // RouteChanges are part of the golden digest: the emergent timeline is
 // locked exactly like a scripted one.
 func AutoRoute(schemes []string, dur sim.Time, seed int64) (map[string]AutoRouteResult, error) {
-	if len(schemes) == 0 {
-		schemes = []string{"ABC", "Cubic"}
-	}
 	if dur <= 0 {
 		dur = 30 * sim.Second
 	}
 	outageAt, recoverAt := dur/2, dur-dur/4
-	results := make([]AutoRouteResult, len(schemes))
-	err := forEachCell(len(schemes), func(i int) string {
-		return fmt.Sprintf("autoroute scheme=%s seed=%d", schemes[i], seed)
-	}, func(i int) error {
-		res, _, err := Run(autoRouteSpec(schemes[i], outageAt, recoverAt, dur, seed))
+	return sweepMap("autoroute", schemes, []string{"ABC", "Cubic"}, seed, func(sch string) (AutoRouteResult, error) {
+		res, _, err := Run(autoRouteSpec(sch, outageAt, recoverAt, dur, seed))
 		if err != nil {
-			return err
+			return AutoRouteResult{}, err
 		}
 		f0 := &res.Flows[0]
 		r := AutoRouteResult{
-			Flow: metrics.Summary{
-				Scheme:      schemes[i],
-				Utilization: res.Utilization,
-				TputMbps:    f0.TputMbps,
-				MeanMs:      f0.Delay.Mean(),
-				P95Ms:       f0.Delay.P95(),
-			},
+			Flow:          flowSummary(sch, res, f0),
 			OutageDrops:   res.LinkDownDrops,
 			StrandedDrops: res.Drops,
 			Retx:          f0.Retx,
 			RouteChanges:  res.RouteChanges,
 		}
 		r.PreMbps, r.PostMbps = splitMean(f0.Tput, outageAt, res.Spec.Warmup)
-		results[i] = r
-		return nil
+		return r, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]AutoRouteResult, len(schemes))
-	for i, sch := range schemes {
-		out[sch] = results[i]
-	}
-	return out, nil
 }
 
 // FlapStormResult is one scheme's outcome on the flap-storm scenario.
@@ -358,19 +306,13 @@ type FlapStormResult struct {
 // absorbs entirely (the route must not move for it). Scripted events
 // supply only the link state; every route change is emergent.
 func FlapStorm(schemes []string, dur sim.Time, seed int64) (map[string]FlapStormResult, error) {
-	if len(schemes) == 0 {
-		schemes = []string{"ABC", "Cubic"}
-	}
 	if dur <= 0 {
 		dur = 30 * sim.Second
 	}
 	const outage = 300 * sim.Millisecond
 	const blip = 20 * sim.Millisecond // under the 30 ms convergence window
-	results := make([]FlapStormResult, len(schemes))
-	err := forEachCell(len(schemes), func(i int) string {
-		return fmt.Sprintf("flapstorm scheme=%s seed=%d", schemes[i], seed)
-	}, func(i int) error {
-		spec := Spec{
+	return sweepMap("flapstorm", schemes, []string{"ABC", "Cubic"}, seed, func(sch string) (FlapStormResult, error) {
+		res, _, err := Run(Spec{
 			Seed:     seed,
 			Duration: dur,
 			RTT:      80 * sim.Millisecond,
@@ -386,7 +328,7 @@ func FlapStorm(schemes []string, dur sim.Time, seed int64) (map[string]FlapStorm
 				{Name: "qB", From: "m2", To: "dst",
 					Link: LinkSpec{Kind: "wire", Delay: 8 * sim.Millisecond}},
 			},
-			Flows: []FlowSpec{{Scheme: schemes[i], Path: []string{"pA", "pB"}}},
+			Flows: []FlowSpec{{Scheme: sch, Path: []string{"pA", "pB"}}},
 			Events: []EventSpec{
 				{At: dur / 4, Kind: EventLinkDown, Edge: "pA"},
 				{At: dur/4 + outage, Kind: EventLinkUp, Edge: "pA"},
@@ -399,58 +341,63 @@ func FlapStorm(schemes []string, dur sim.Time, seed int64) (map[string]FlapStorm
 				Policy:           "shortest",
 				RecomputeLatency: 30 * sim.Millisecond,
 			},
-		}
-		res, _, err := Run(spec)
+		})
 		if err != nil {
-			return err
+			return FlapStormResult{}, err
 		}
 		f0 := &res.Flows[0]
-		results[i] = FlapStormResult{
-			Flow: metrics.Summary{
-				Scheme:      schemes[i],
-				Utilization: res.Utilization,
-				TputMbps:    f0.TputMbps,
-				MeanMs:      f0.Delay.Mean(),
-				P95Ms:       f0.Delay.P95(),
-			},
+		return FlapStormResult{
+			Flow:          flowSummary(sch, res, f0),
 			OutageDrops:   res.LinkDownDrops,
 			StrandedDrops: res.Drops,
 			Lost:          f0.Lost,
 			Retx:          f0.Retx,
 			RouteChanges:  res.RouteChanges,
-		}
-		return nil
+		}, nil
 	})
-	if err != nil {
-		return nil, err
+}
+
+// printHandover renders each scheme's handover row, then the executed
+// timeline (the same script for every scheme).
+func printHandover(w io.Writer, out map[string]HandoverResult) {
+	names := sortedKeys(out)
+	for _, sch := range names {
+		r := out[sch]
+		fmt.Fprintf(w, "%-14s tput=%6.2f Mbit/s (pre %5.2f, post %5.2f)  p95=%6.1f ms  handover drops=%d  retx=%d\n",
+			sch, r.Flow.TputMbps, r.PreMbps, r.PostMbps, r.Flow.P95Ms, r.HandoverDrops, r.Retx)
 	}
-	out := make(map[string]FlapStormResult, len(schemes))
-	for i, sch := range schemes {
-		out[sch] = results[i]
+	printEvents(w, out[names[0]].Events)
+}
+
+// printFlap renders each scheme's flapping-link row.
+func printFlap(w io.Writer, out map[string]FlapResult) {
+	for _, sch := range sortedKeys(out) {
+		r := out[sch]
+		fmt.Fprintf(w, "%-14s tput=%6.2f Mbit/s  p95=%6.1f ms  outage drops=%d  lost=%d  retx=%d\n",
+			sch, r.Flow.TputMbps, r.Flow.P95Ms, r.OutageDrops, r.Lost, r.Retx)
 	}
-	return out, nil
 }
 
-// FormatAutoRouteResult renders one scheme's emergent-handover row.
-func FormatAutoRouteResult(scheme string, r AutoRouteResult) string {
-	return fmt.Sprintf("%-14s tput=%6.2f Mbit/s (pre %5.2f, post %5.2f)  p95=%6.1f ms  route changes=%d  outage drops=%d  stranded=%d  retx=%d\n",
-		scheme, r.Flow.TputMbps, r.PreMbps, r.PostMbps, r.Flow.P95Ms, len(r.RouteChanges), r.OutageDrops, r.StrandedDrops, r.Retx)
+// printAutoRoute renders each scheme's emergent-handover row, then the
+// first scheme's route changes.
+func printAutoRoute(w io.Writer, out map[string]AutoRouteResult) {
+	names := sortedKeys(out)
+	for _, sch := range names {
+		r := out[sch]
+		fmt.Fprintf(w, "%-14s tput=%6.2f Mbit/s (pre %5.2f, post %5.2f)  p95=%6.1f ms  route changes=%d  outage drops=%d  stranded=%d  retx=%d\n",
+			sch, r.Flow.TputMbps, r.PreMbps, r.PostMbps, r.Flow.P95Ms, len(r.RouteChanges), r.OutageDrops, r.StrandedDrops, r.Retx)
+	}
+	printRouteChanges(w, out[names[0]].RouteChanges)
 }
 
-// FormatFlapStormResult renders one scheme's flap-storm row.
-func FormatFlapStormResult(scheme string, r FlapStormResult) string {
-	return fmt.Sprintf("%-14s tput=%6.2f Mbit/s  p95=%6.1f ms  route changes=%d  outage drops=%d  stranded=%d  lost=%d  retx=%d\n",
-		scheme, r.Flow.TputMbps, r.Flow.P95Ms, len(r.RouteChanges), r.OutageDrops, r.StrandedDrops, r.Lost, r.Retx)
-}
-
-// FormatHandoverResult renders one scheme's handover row.
-func FormatHandoverResult(scheme string, r HandoverResult) string {
-	return fmt.Sprintf("%-14s tput=%6.2f Mbit/s (pre %5.2f, post %5.2f)  p95=%6.1f ms  handover drops=%d  retx=%d\n",
-		scheme, r.Flow.TputMbps, r.PreMbps, r.PostMbps, r.Flow.P95Ms, r.HandoverDrops, r.Retx)
-}
-
-// FormatFlapResult renders one scheme's flapping-link row.
-func FormatFlapResult(scheme string, r FlapResult) string {
-	return fmt.Sprintf("%-14s tput=%6.2f Mbit/s  p95=%6.1f ms  outage drops=%d  lost=%d  retx=%d\n",
-		scheme, r.Flow.TputMbps, r.Flow.P95Ms, r.OutageDrops, r.Lost, r.Retx)
+// printFlapStorm renders each scheme's flap-storm row, then the first
+// scheme's route changes.
+func printFlapStorm(w io.Writer, out map[string]FlapStormResult) {
+	names := sortedKeys(out)
+	for _, sch := range names {
+		r := out[sch]
+		fmt.Fprintf(w, "%-14s tput=%6.2f Mbit/s  p95=%6.1f ms  route changes=%d  outage drops=%d  stranded=%d  lost=%d  retx=%d\n",
+			sch, r.Flow.TputMbps, r.Flow.P95Ms, len(r.RouteChanges), r.OutageDrops, r.StrandedDrops, r.Lost, r.Retx)
+	}
+	printRouteChanges(w, out[names[0]].RouteChanges)
 }

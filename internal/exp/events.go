@@ -78,7 +78,7 @@ type EventResult struct {
 // run as coordinator globals: every shard quiesces to the event time
 // before the mutation applies, so a topology change is never observed
 // partially by a shard that ran ahead.
-func scheduleEvents(s *sim.Simulator, g *topo.Graph, spec *Spec, res *Result, edgeID map[string]int) error {
+func scheduleEvents(g *topo.Graph, spec *Spec, res *Result, edgeID map[string]int) error {
 	if len(spec.Events) == 0 {
 		return nil
 	}
@@ -102,7 +102,7 @@ func scheduleEvents(s *sim.Simulator, g *topo.Graph, spec *Spec, res *Result, ed
 		if c := g.Coordinator(); c != nil {
 			c.GlobalAt(ev.At, fire)
 		} else {
-			s.At(ev.At, fire)
+			g.S.At(ev.At, fire)
 		}
 	}
 	return nil

@@ -3,6 +3,9 @@
 package exp
 
 import (
+	"fmt"
+	"io"
+
 	"abc/internal/abc"
 	"abc/internal/cc"
 	"abc/internal/metrics"
@@ -38,7 +41,7 @@ func Fig3Fairness(withAI bool, seed int64) (*Fig3Result, error) {
 	spec := Spec{
 		Seed:     seed,
 		Duration: dur,
-		Warmup:   time(2),
+		Warmup:   2 * sim.Second,
 		RTT:      100 * sim.Millisecond,
 		Links: []LinkSpec{{
 			Rate:  netem.ConstRate(24e6),
@@ -59,9 +62,6 @@ func Fig3Fairness(withAI bool, seed int64) (*Fig3Result, error) {
 	}
 	return fig3Finish(res, withAI)
 }
-
-// time is a tiny helper: seconds to sim.Time.
-func time(s float64) sim.Time { return sim.FromSeconds(s) }
 
 // fig3Finish computes the fairness index over the all-active window
 // (100 s – 125 s, when all five flows run).
@@ -107,7 +107,7 @@ func fig3NoAI(seed int64) (*Fig3Result, error) {
 	spec := Spec{
 		Seed:     seed,
 		Duration: dur,
-		Warmup:   time(2),
+		Warmup:   2 * sim.Second,
 		RTT:      100 * sim.Millisecond,
 		Links: []LinkSpec{{
 			Rate:  netem.ConstRate(24e6),
@@ -121,6 +121,25 @@ func fig3NoAI(seed int64) (*Fig3Result, error) {
 		return nil, err
 	}
 	return fig3Finish(res, false)
+}
+
+// fig3Both runs Fig. 3 without, then with, additive increase.
+func fig3Both(p Params) ([]*Fig3Result, error) {
+	var out []*Fig3Result
+	for _, ai := range []bool{false, true} {
+		r, err := Fig3Fairness(ai, p.Seed)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, r)
+	}
+	return out, nil
+}
+
+func printFig3(w io.Writer, runs []*Fig3Result) {
+	for _, r := range runs {
+		fmt.Fprintf(w, "additive increase=%v: Jain index (all 5 active) = %.3f\n", r.WithAI, r.JainAllActive)
+	}
 }
 
 // JainFairness runs n concurrent ABC flows on a 24 Mbit/s wired
@@ -150,4 +169,29 @@ func JainFairness(n int, seed int64) (float64, error) {
 		rates[i] = res.Flows[i].TputMbps
 	}
 	return metrics.JainIndex(rates), nil
+}
+
+// JainPoint is one flow count of the §6.5 sweep.
+type JainPoint struct {
+	Flows int
+	Jain  float64
+}
+
+// jainSweep runs JainFairness at 2 to 32 flows.
+func jainSweep(p Params) ([]JainPoint, error) {
+	var out []JainPoint
+	for _, n := range []int{2, 4, 8, 16, 32} {
+		idx, err := JainFairness(n, p.Seed)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, JainPoint{Flows: n, Jain: idx})
+	}
+	return out, nil
+}
+
+func printJain(w io.Writer, pts []JainPoint) {
+	for _, p := range pts {
+		fmt.Fprintf(w, "flows=%2d  Jain index=%.3f\n", p.Flows, p.Jain)
+	}
 }

@@ -8,6 +8,7 @@ package exp
 
 import (
 	"fmt"
+	"io"
 	"math"
 
 	"abc/internal/cc"
@@ -90,6 +91,31 @@ func Fig12WeightPolicy(policy string, cfg Fig12Config) ([]Fig12Point, error) {
 		out = append(out, pt)
 	}
 	return out, nil
+}
+
+// fig12Both runs the experiment under max-min, then under zombie-list.
+func fig12Both(p Params) ([]Fig12Point, error) {
+	cfg := DefaultFig12Config()
+	cfg.Runs, cfg.Duration, cfg.Seed = p.Runs, p.Dur, p.Seed
+	var out []Fig12Point
+	for _, pol := range []string{"maxmin", "zombie"} {
+		pts, err := Fig12WeightPolicy(pol, cfg)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, pts...)
+	}
+	return out, nil
+}
+
+func printFig12(w io.Writer, pts []Fig12Point) {
+	for i, p := range pts {
+		if i == 0 || p.Policy != pts[i-1].Policy {
+			fmt.Fprintf(w, "## %s\n", p.Policy)
+		}
+		fmt.Fprintf(w, "load=%5.1f%%  ABC %5.2f±%.2f Mbps   Cubic %5.2f±%.2f Mbps\n",
+			p.OfferedLoad*100, p.ABCMean, p.ABCStd, p.CubicMean, p.CubicStd)
+	}
 }
 
 func meanStd(xs []float64) (float64, float64) {
@@ -222,9 +248,14 @@ func fig12Run(policy string, load float64, dur sim.Time, seed int64) (abcT, cubi
 		return nil, nil, schedErr
 	}
 
+	// A run no longer than the warmup measures nothing: report zero
+	// rather than 0/0.
 	span := (dur - warmup).Seconds()
 	for i := 0; i < 6; i++ {
-		mbps := float64(longBytes[i]) * 8 / span / 1e6
+		var mbps float64
+		if span > 0 {
+			mbps = float64(longBytes[i]) * 8 / span / 1e6
+		}
 		if i < 3 {
 			abcT = append(abcT, mbps)
 		} else {

@@ -6,6 +6,7 @@ package exp
 
 import (
 	"fmt"
+	"io"
 
 	"abc/internal/metrics"
 	"abc/internal/sim"
@@ -25,15 +26,8 @@ type Fig17Run struct {
 // Fig17SquareWave runs the given schemes (default ABC, RCP, XCPw) on the
 // 12↔24 Mbit/s square wave for 10 s.
 func Fig17SquareWave(schemes []string, seed int64) ([]Fig17Run, error) {
-	if len(schemes) == 0 {
-		schemes = []string{"ABC", "RCP", "XCPw"}
-	}
 	tr := trace.SquareWave("fig17", 12e6, 24e6, 500*sim.Millisecond)
-	out := make([]Fig17Run, len(schemes))
-	err := forEachCell(len(schemes), func(i int) string {
-		return fmt.Sprintf("fig17 trace=squarewave scheme=%s seed=%d", schemes[i], seed)
-	}, func(i int) error {
-		sch := schemes[i]
+	return sweep("fig17 trace=squarewave", schemes, []string{"ABC", "RCP", "XCPw"}, seed, func(sch string) (Fig17Run, error) {
 		res, pooled, err := Run(Spec{
 			Seed:     seed,
 			Duration: 10 * sim.Second,
@@ -44,19 +38,21 @@ func Fig17SquareWave(schemes []string, seed int64) ([]Fig17Run, error) {
 			Sample:   100 * sim.Millisecond,
 		})
 		if err != nil {
-			return err
+			return Fig17Run{}, err
 		}
-		out[i] = Fig17Run{
+		return Fig17Run{
 			Scheme:    sch,
 			Tput:      res.Flows[0].Tput,
 			QDelay:    res.QueueDelayTS,
 			Summary:   res.Summary(sch, pooled),
 			QDelayP95: res.Flows[0].QDelay.P95(),
-		}
-		return nil
+		}, nil
 	})
-	if err != nil {
-		return nil, err
+}
+
+func printFig17(w io.Writer, runs []Fig17Run) {
+	for _, r := range runs {
+		fmt.Fprintf(w, "%-6s util=%.1f%%  p95 queuing=%.0f ms\n",
+			r.Scheme, r.Summary.Utilization*100, r.QDelayP95)
 	}
-	return out, nil
 }

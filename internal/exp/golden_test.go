@@ -19,6 +19,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"sort"
 	"testing"
@@ -31,9 +32,24 @@ var updateGolden = flag.Bool("update-golden", false,
 
 const goldenPath = "testdata/golden.json"
 
+// goldenCase is one corpus row: a table driver run at fixed Params, or
+// — where the corpus locks a sub-case Params cannot say — a closure.
 type goldenCase struct {
-	name string
-	run  func() (any, error)
+	name   string
+	driver string
+	params Params
+	sub    func() (any, error)
+}
+
+func (c goldenCase) run() (any, error) {
+	if c.sub != nil {
+		return c.sub()
+	}
+	d, ok := Lookup(c.driver)
+	if !ok {
+		return nil, fmt.Errorf("golden case %q names no driver %q", c.name, c.driver)
+	}
+	return d.Run(c.params)
 }
 
 // goldenCases enumerates every locked-down driver. Durations are short —
@@ -41,63 +57,72 @@ type goldenCase struct {
 // physics (the physics assertions live in the figure tests).
 func goldenCases() []goldenCase {
 	const short = 8 * sim.Second
-	fig12 := func(policy string) (any, error) {
-		cfg := DefaultFig12Config()
-		cfg.Runs, cfg.Duration, cfg.Seed = 1, short, 1
-		return Fig12WeightPolicy(policy, cfg)
+	at := func(schemes ...string) Params { return Params{Seed: 1, Dur: short, Schemes: schemes} }
+	fig12 := func(policy string) func() (any, error) {
+		return func() (any, error) {
+			cfg := DefaultFig12Config()
+			cfg.Runs, cfg.Duration, cfg.Seed = 1, short, 1
+			return Fig12WeightPolicy(policy, cfg)
+		}
+	}
+	// The three sharded-mesh entries digest the same result with the
+	// shard count masked, so the corpus itself asserts the sharded
+	// runtime's digest invariance: all three lines must stay equal.
+	shardedMesh := func(shards int) func() (any, error) {
+		return func() (any, error) {
+			r, err := ShardedMesh(shards, short, 1)
+			if err != nil {
+				return nil, err
+			}
+			c := *r
+			c.Shards = 0
+			return &c, nil
+		}
 	}
 	return []goldenCase{
-		{"fig1-timeseries", func() (any, error) { return Fig1Timeseries(1) }},
-		{"fig2-feedback-mode", func() (any, error) { return Fig2FeedbackMode(1) }},
-		{"fig6-nonabc-bottleneck", func() (any, error) { return Fig6NonABCBottleneck(1) }},
-		{"fig8-scatter-downlink", func() (any, error) {
+		{name: "fig1-timeseries", driver: "fig1", params: at()},
+		{name: "fig2-feedback-mode", driver: "fig2", params: at()},
+		{name: "fig6-nonabc-bottleneck", driver: "fig6", params: at()},
+		// One of the fig8 driver's three panels.
+		{name: "fig8-scatter-downlink", driver: "fig8", sub: func() (any, error) {
 			return Fig8Scatter(Downlink, []string{"ABC", "Cubic"}, short, 1)
 		}},
-		{"fig9-bars", func() (any, error) { return Fig9Bars([]string{"ABC", "Cubic"}, nil, short, 1) }},
-		{"fig10-wifi", func() (any, error) { return Fig10WiFi(1, AlternatingMCS(1), short, 1) }},
-		{"fig11-cross-traffic", func() (any, error) { return Fig11CrossTraffic(1) }},
-		{"fig12-maxmin", func() (any, error) { return fig12("maxmin") }},
-		{"fig12-zombie", func() (any, error) { return fig12("zombie") }},
-		{"fig17-square-wave", func() (any, error) { return Fig17SquareWave([]string{"ABC", "RCP"}, 1) }},
-		{"uplink-congested-ack", func() (any, error) {
-			return UplinkCongestedACK([]string{"ABC", "Cubic"}, 2, short, 1)
+		{name: "fig9-bars", driver: "fig9", params: at("ABC", "Cubic")},
+		{name: "fig10-wifi", driver: "fig10", params: at()},
+		{name: "fig11-cross-traffic", driver: "fig11", params: at()},
+		// One policy each of the fig12 driver's two.
+		{name: "fig12-maxmin", driver: "fig12", sub: fig12("maxmin")},
+		{name: "fig12-zombie", driver: "fig12", sub: fig12("zombie")},
+		{name: "fig17-square-wave", driver: "fig17", params: at("ABC", "RCP")},
+		{name: "uplink-congested-ack", driver: "uplink", params: at("ABC", "Cubic")},
+		// One scheme of the heterortt driver's rows, without the scheme
+		// column the driver adds.
+		{name: "hetero-rtt", driver: "heterortt", sub: func() (any, error) {
+			return HeteroRTTFairness("ABC", nil, short, 1)
 		}},
-		{"hetero-rtt", func() (any, error) { return HeteroRTTFairness("ABC", nil, short, 1) }},
-		{"lossy-random", func() (any, error) { return LossyLink([]string{"ABC"}, nil, false, short, 1) }},
-		{"lossy-bursty", func() (any, error) { return LossyLink([]string{"ABC"}, nil, true, short, 1) }},
-		{"mesh-shared-junction", func() (any, error) {
-			return MeshSharedJunction([]string{"ABC", "Cubic"}, short, 1)
+		// One loss model each of the lossy driver's two.
+		{name: "lossy-random", driver: "lossy", sub: func() (any, error) {
+			return LossyLink([]string{"ABC"}, nil, false, short, 1)
 		}},
-		{"marked-uplink", func() (any, error) { return MarkedUplink([]string{"ABC", "Cubic"}, 2, short, 1) }},
-		{"handover", func() (any, error) { return Handover([]string{"ABC", "Cubic"}, short, 1) }},
-		{"flap", func() (any, error) { return LinkFlap([]string{"ABC", "Cubic"}, short, 1) }},
-		{"autoroute", func() (any, error) { return AutoRoute([]string{"ABC", "Cubic"}, short, 1) }},
-		{"flapstorm", func() (any, error) { return FlapStorm([]string{"ABC", "Cubic"}, short, 1) }},
-		{"targeted", func() (any, error) { return Targeted([]string{"ABC", "Cubic"}, short, 1) }},
-		{"greedy", func() (any, error) { return Greedy([]string{"ABC", "XCP"}, short, 1) }},
-		{"app-shortflows", func() (any, error) { return ShortFlows([]string{"ABC", "Cubic"}, "", short, 1) }},
-		{"app-video", func() (any, error) { return VideoExp([]string{"ABC", "Cubic"}, "", short, 1) }},
-		{"app-rpc", func() (any, error) { return RPCExp([]string{"ABC", "Cubic"}, "", short, 1) }},
-		{"hybrid", func() (any, error) { return Hybrid("", nil, short, 1) }},
-		// The three sharded-mesh entries digest the same result with the
-		// shard count masked, so the corpus itself asserts the sharded
-		// runtime's digest invariance: all three lines must stay equal.
-		{"sharded-mesh-s1", func() (any, error) { return shardedMeshGolden(1, short) }},
-		{"sharded-mesh-s2", func() (any, error) { return shardedMeshGolden(2, short) }},
-		{"sharded-mesh-s4", func() (any, error) { return shardedMeshGolden(4, short) }},
+		{name: "lossy-bursty", driver: "lossy", sub: func() (any, error) {
+			return LossyLink([]string{"ABC"}, nil, true, short, 1)
+		}},
+		{name: "mesh-shared-junction", driver: "mesh", params: at("ABC", "Cubic")},
+		{name: "marked-uplink", driver: "markeduplink", params: at("ABC", "Cubic")},
+		{name: "handover", driver: "handover", params: at("ABC", "Cubic")},
+		{name: "flap", driver: "flap", params: at("ABC", "Cubic")},
+		{name: "autoroute", driver: "autoroute", params: at("ABC", "Cubic")},
+		{name: "flapstorm", driver: "flapstorm", params: at("ABC", "Cubic")},
+		{name: "targeted", driver: "targeted", params: at("ABC", "Cubic")},
+		{name: "greedy", driver: "greedy", params: at("ABC", "XCP")},
+		{name: "app-shortflows", driver: "shortflows", params: at("ABC", "Cubic")},
+		{name: "app-video", driver: "video", params: at("ABC", "Cubic")},
+		{name: "app-rpc", driver: "rpc", params: at("ABC", "Cubic")},
+		{name: "hybrid", driver: "hybrid", params: at()},
+		{name: "sharded-mesh-s1", driver: "sharded", sub: shardedMesh(1)},
+		{name: "sharded-mesh-s2", driver: "sharded", sub: shardedMesh(2)},
+		{name: "sharded-mesh-s4", driver: "sharded", sub: shardedMesh(4)},
 	}
-}
-
-// shardedMeshGolden runs the sharded-mesh driver and masks the shard
-// count, the one field allowed to differ between the s1/s2/s4 entries.
-func shardedMeshGolden(shards int, dur sim.Time) (any, error) {
-	r, err := ShardedMesh(shards, dur, 1)
-	if err != nil {
-		return nil, err
-	}
-	c := *r
-	c.Shards = 0
-	return &c, nil
 }
 
 // goldenDigest canonicalizes a driver result and digests it. The byte

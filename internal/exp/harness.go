@@ -79,11 +79,11 @@ func Run(spec Spec) (*Result, *metrics.DelayRecorder, error) {
 	if err := wireFlows(g, &spec, res, pooled, p.routes); err != nil {
 		return nil, nil, err
 	}
-	runners, err := startWorkloads(g.S, g, &spec, res, pooled, p.wroutes)
+	runners, err := startWorkloads(g, &spec, res, pooled, p.wroutes)
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := scheduleEvents(g.S, g, &spec, res, p.edgeID); err != nil {
+	if err := scheduleEvents(g, &spec, res, p.edgeID); err != nil {
 		return nil, nil, err
 	}
 	if err := startBackgrounds(g, &spec, res, p.edgeID); err != nil {
@@ -179,16 +179,7 @@ func runAndMeasure(g *topo.Graph, spec *Spec, res *Result, pooled *metrics.Delay
 		})
 	}
 
-	sampler := scheduleMetrics(g, spec, res)
-
-	if c := g.Coordinator(); c != nil {
-		c.Run(spec.Duration)
-	} else {
-		s.RunUntil(spec.Duration)
-	}
-	if sampler != nil {
-		sampler.sample(spec.Duration)
-	}
+	runSampled(g, spec, res)
 
 	// Per-flow throughput over each flow's measured window.
 	for i := range res.Flows {

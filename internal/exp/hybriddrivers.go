@@ -9,7 +9,10 @@
 package exp
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
+	"time"
 
 	"abc/internal/app"
 	"abc/internal/metrics"
@@ -55,23 +58,36 @@ type HybridCell struct {
 	QDelayP95 float64
 }
 
+// HybridRun is the hybrid driver's value. Cells is the result, and all
+// that serializes; Wall is each cell's wall-clock cost — the hybrid
+// mode's claim is that a million fluid users cost about what none do —
+// which is host noise, printed but never digested.
+type HybridRun struct {
+	Cells []HybridCell
+	Wall  []time.Duration
+}
+
+// MarshalJSON serializes the cells alone.
+func (h *HybridRun) MarshalJSON() ([]byte, error) { return json.Marshal(h.Cells) }
+
 // Hybrid runs the hybrid fluid/packet experiment: per background scale
 // in scales (nil = HybridScales), a 60 Mbps rate bottleneck with an ABC
 // qdisc carries one ABR video flow and hybridRPCClients RPC clients
 // packet-by-packet, plus one "const" fluid aggregate of scale virtual
 // users at hybridBpsPerUser each (skipped when scale is 0). scheme ""
 // picks ABC.
-func Hybrid(scheme string, scales []int, dur sim.Time, seed int64) ([]HybridCell, error) {
+func Hybrid(scheme string, scales []int, dur sim.Time, seed int64) (*HybridRun, error) {
 	if scheme == "" {
 		scheme = "ABC"
 	}
 	if len(scales) == 0 {
 		scales = HybridScales
 	}
-	out := make([]HybridCell, len(scales))
+	run := &HybridRun{Cells: make([]HybridCell, len(scales)), Wall: make([]time.Duration, len(scales))}
 	err := forEachCell(len(scales), func(i int) string {
 		return fmt.Sprintf("hybrid scheme=%s users=%d seed=%d", scheme, scales[i], seed)
 	}, func(i int) error {
+		t0 := time.Now()
 		users := scales[i]
 		pool := &metrics.DelayRecorder{}
 		flows := []FlowSpec{{
@@ -126,11 +142,21 @@ func Hybrid(scheme string, scales []int, dur sim.Time, seed int64) ([]HybridCell
 			cell.BgServedMB = res.Backgrounds[0].ServedMB
 			cell.BgMeanShare = res.Backgrounds[0].MeanShare
 		}
-		out[i] = cell
+		run.Cells[i], run.Wall[i] = cell, time.Since(t0)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	return run, nil
+}
+
+func printHybrid(w io.Writer, run *HybridRun) {
+	fmt.Fprintf(w, "%10s %10s %8s %10s %10s %10s %9s %10s\n",
+		"Users", "BgMbps", "BgShare", "VideoKbps", "RPC mean", "RPC p95", "q p95(ms)", "wall")
+	for i, c := range run.Cells {
+		fmt.Fprintf(w, "%10d %10.3f %7.1f%% %10.0f %7.0f ms %7.0f ms %9.0f %10v\n",
+			c.Users, c.BgOfferedMbps, c.BgMeanShare*100, c.VideoQoE.MeanKbps,
+			c.RPCFCT.MeanMs, c.RPCFCT.P95Ms, c.QDelayP95, run.Wall[i].Round(time.Millisecond))
+	}
 }

@@ -231,9 +231,13 @@ func TestProxiedEncodingEquivalent(t *testing.T) {
 // sweeps: larger dt must not reduce delay, and η=1 must not lower
 // utilization versus η=0.9.
 func TestAblationsProduceMonotoneTradeoffs(t *testing.T) {
-	dt, err := AblateDelayThreshold(20*sim.Second, 1)
+	sweeps, err := Ablations(20*sim.Second, 1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	dt, eta := sweeps[0].Points, sweeps[2].Points
+	if dt[0].Param != "dt_ms" || eta[0].Param != "eta" {
+		t.Fatalf("sweep order changed: got %s, %s", dt[0].Param, eta[0].Param)
 	}
 	for _, p := range dt {
 		t.Logf("dt=%v: util=%.2f p95=%.0f", p.Value, p.Util, p.P95Ms)
@@ -241,10 +245,6 @@ func TestAblationsProduceMonotoneTradeoffs(t *testing.T) {
 	if dt[0].P95Ms > dt[len(dt)-1].P95Ms {
 		t.Errorf("p95 at dt=%v (%.0f) exceeds dt=%v (%.0f)",
 			dt[0].Value, dt[0].P95Ms, dt[len(dt)-1].Value, dt[len(dt)-1].P95Ms)
-	}
-	eta, err := AblateEta(20*sim.Second, 1)
-	if err != nil {
-		t.Fatal(err)
 	}
 	for _, p := range eta {
 		t.Logf("eta=%v: util=%.2f p95=%.0f", p.Value, p.Util, p.P95Ms)

@@ -11,6 +11,7 @@ package exp
 
 import (
 	"fmt"
+	"io"
 	"strings"
 
 	"abc/internal/abc"
@@ -75,20 +76,14 @@ func meshJunctionSpec(scheme string, dur sim.Time, seed int64) Spec {
 // bottleneck to itself, so a fair scheme lands all three near 8 Mbit/s —
 // cross-path interference at the junction would show up as deviation.
 func MeshSharedJunction(schemes []string, dur sim.Time, seed int64) (map[string]MeshResult, error) {
-	if len(schemes) == 0 {
-		schemes = []string{"ABC", "Cubic"}
-	}
 	if dur <= 0 {
 		dur = 30 * sim.Second
 	}
-	results := make([]MeshResult, len(schemes))
-	err := forEachCell(len(schemes), func(i int) string {
-		return fmt.Sprintf("mesh-junction scheme=%s seed=%d", schemes[i], seed)
-	}, func(i int) error {
-		spec := meshJunctionSpec(schemes[i], dur, seed)
+	return sweepMap("mesh-junction", schemes, []string{"ABC", "Cubic"}, seed, func(sch string) (MeshResult, error) {
+		spec := meshJunctionSpec(sch, dur, seed)
 		res, _, err := Run(spec)
 		if err != nil {
-			return err
+			return MeshResult{}, err
 		}
 		r := MeshResult{Drops: res.Drops}
 		for f := range res.Flows {
@@ -100,17 +95,8 @@ func MeshSharedJunction(schemes []string, dur sim.Time, seed int64) (map[string]
 				P95Ms:    fr.Delay.P95(),
 			})
 		}
-		results[i] = r
-		return nil
+		return r, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]MeshResult, len(schemes))
-	for i, sch := range schemes {
-		out[sch] = results[i]
-	}
-	return out, nil
 }
 
 // MarkedUplinkResult is one scheme's outcome on the marked-uplink
@@ -140,9 +126,6 @@ type MarkedUplinkResult struct {
 // sender's effective signal is the minimum of marks over the whole round
 // trip.
 func MarkedUplink(schemes []string, uplinkMbps float64, dur sim.Time, seed int64) (map[string]MarkedUplinkResult, error) {
-	if len(schemes) == 0 {
-		schemes = []string{"ABC", "Cubic"}
-	}
 	if uplinkMbps <= 0 {
 		uplinkMbps = 2
 	}
@@ -150,11 +133,7 @@ func MarkedUplink(schemes []string, uplinkMbps float64, dur sim.Time, seed int64
 		dur = 30 * sim.Second
 	}
 	down := trace.MustNamedCellular("Verizon1")
-	results := make([]MarkedUplinkResult, len(schemes))
-	err := forEachCell(len(schemes), func(i int) string {
-		return fmt.Sprintf("marked-uplink scheme=%s seed=%d", schemes[i], seed)
-	}, func(i int) error {
-		sch := schemes[i]
+	return sweepMap("marked-uplink", schemes, []string{"ABC", "Cubic"}, seed, func(sch string) (MarkedUplinkResult, error) {
 		res, _, err := Run(Spec{
 			Seed:     seed,
 			Duration: dur,
@@ -173,17 +152,11 @@ func MarkedUplink(schemes []string, uplinkMbps float64, dur sim.Time, seed int64
 			},
 		})
 		if err != nil {
-			return err
+			return MarkedUplinkResult{}, err
 		}
 		f0 := &res.Flows[0]
 		r := MarkedUplinkResult{
-			Down: metrics.Summary{
-				Scheme:      sch,
-				Utilization: res.Utilization,
-				TputMbps:    f0.TputMbps,
-				MeanMs:      f0.Delay.Mean(),
-				P95Ms:       f0.Delay.P95(),
-			},
+			Down:       flowSummary(sch, res, f0),
 			QDelayP95:  f0.QDelay.P95(),
 			UpTputMbps: res.Flows[1].TputMbps,
 		}
@@ -194,25 +167,29 @@ func MarkedUplink(schemes []string, uplinkMbps float64, dur sim.Time, seed int64
 			r.EchoDemoted = router.EchoDemoted
 			r.EchoKept = router.EchoAccelKept
 		}
-		results[i] = r
-		return nil
+		return r, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]MarkedUplinkResult, len(schemes))
-	for i, sch := range schemes {
-		out[sch] = results[i]
-	}
-	return out, nil
 }
 
-// FormatMeshResult renders one scheme's shared-junction rows.
-func FormatMeshResult(scheme string, r MeshResult) string {
-	s := fmt.Sprintf("%s:\n", scheme)
-	for _, f := range r.Flows {
-		s += fmt.Sprintf("  %-12s tput=%6.2f Mbit/s  delay mean=%6.1f ms  p95=%6.1f ms\n",
-			f.Path, f.TputMbps, f.MeanMs, f.P95Ms)
+// printMesh renders each scheme's shared-junction rows.
+func printMesh(w io.Writer, out map[string]MeshResult) {
+	for _, sch := range sortedKeys(out) {
+		fmt.Fprintf(w, "%s:\n", sch)
+		for _, f := range out[sch].Flows {
+			fmt.Fprintf(w, "  %-12s tput=%6.2f Mbit/s  delay mean=%6.1f ms  p95=%6.1f ms\n",
+				f.Path, f.TputMbps, f.MeanMs, f.P95Ms)
+		}
 	}
-	return s
+}
+
+// printMarkedUplink renders the marked-uplink table.
+func printMarkedUplink(w io.Writer, out map[string]MarkedUplinkResult) {
+	fmt.Fprintf(w, "%-14s %8s %10s %12s %10s %10s %10s\n",
+		"Scheme", "DownUtil", "Down Mbps", "p95 q (ms)", "RevBrakes", "Demoted", "Up Mbps")
+	for _, sch := range sortedKeys(out) {
+		r := out[sch]
+		fmt.Fprintf(w, "%-14s %7.1f%% %10.2f %12.0f %10d %10d %10.2f\n",
+			sch, r.Down.Utilization*100, r.Down.TputMbps, r.QDelayP95,
+			r.ReverseBrakes, r.EchoDemoted, r.UpTputMbps)
+	}
 }

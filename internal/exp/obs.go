@@ -1,9 +1,9 @@
 // Observability wiring for the harness: process-wide switches that
 // attach a flight recorder and a metrics registry to every scenario the
-// harness runs. Both are off by default and both are passive with
-// respect to golden digests in their default state — tracing never
-// schedules simulator events at all, and metric sampling (which does
-// schedule a sampler) only activates when EnableMetrics was called.
+// harness runs. Both are off by default and both are passive: neither
+// schedules a simulator event, draws from an RNG or changes state the
+// simulation can observe, so golden digests are byte-identical with
+// either or both enabled (TestGoldenTracingInvariance).
 package exp
 
 import (
@@ -34,20 +34,17 @@ var (
 // cells read the switch once at cell start.
 func EnableTracing(r *obs.Recorder) { traceRec.Store(r) }
 
-// TracingRecorder returns the recorder installed by EnableTracing (nil
-// when tracing is off).
-func TracingRecorder() *obs.Recorder { return traceRec.Load() }
-
 // EnableMetrics publishes live run metrics into reg, sampled every
 // period of virtual time: per-edge queue depth/bytes (plus ABC tokens
 // and mark counts on ABC bottlenecks), per-flow cwnd/pacing-rate (plus
 // ReverseBrakes for ABC senders), graph-wide drop counters, shard
 // synchronization counters, and the well-known obs.MetricSimSeconds /
-// obs.MetricSimEvents read by the progress line. Unlike tracing, the
-// sampler schedules real simulator events, so runs with metrics enabled
-// are NOT digest-comparable to runs without; gauges show the most
-// recent sample from whichever sweep cell sampled last, while counters
-// aggregate across cells. Pass a nil registry to turn metrics off.
+// obs.MetricSimEvents read by the progress line. Like tracing, sampling
+// is passive: the run loop pauses at each sample instant and reads, it
+// schedules nothing, so results are digest-identical with metrics on.
+// Gauges show the most recent sample from whichever sweep cell sampled
+// last, while counters aggregate across cells. Pass a nil registry to
+// turn metrics off.
 func EnableMetrics(reg *obs.Registry, period sim.Time) {
 	if period <= 0 {
 		period = sim.Second
@@ -165,32 +162,33 @@ func (rs *runSampler) sample(now sim.Time) {
 	reg.Counter(`abc_drops_total{cause="adversary"}`).Store(g.AdversaryDrops())
 }
 
-// scheduleMetrics arms the run's metric sampler, when metrics are
-// enabled: a periodic simulator event on sequential runs, pre-scheduled
-// coordinator barriers on sharded ones (GlobalAt must be registered
-// before Run). Must be called before the simulation starts. It returns
-// the sampler so the runner can publish one final snapshot after the
-// run (nil when metrics are off).
-func scheduleMetrics(g *topo.Graph, spec *Spec, res *Result) *runSampler {
+// runSampled runs the scenario to spec.Duration, publishing a metrics
+// snapshot every sampling period and once at the end when metrics are
+// enabled. Each snapshot is taken with every event strictly before its
+// instant executed and none at it — the sequential path pauses the
+// clock there (RunBefore), the sharded one registers coordinator
+// barriers — so no simulator event is scheduled for it on either path.
+func runSampled(g *topo.Graph, spec *Spec, res *Result) {
 	rs := newRunSampler(g, res)
-	if rs == nil {
-		return nil
-	}
-	period := sim.Time(metPeriodNs.Load())
-	if c := g.Coordinator(); c != nil {
+	c := g.Coordinator()
+	if rs != nil {
+		period := sim.Time(metPeriodNs.Load())
 		for t := period; t <= spec.Duration; t += period {
 			at := t
-			c.GlobalAt(at, func() { rs.sample(at) })
+			if c != nil {
+				c.GlobalAt(at, func() { rs.sample(at) })
+			} else {
+				g.S.RunBefore(at)
+				rs.sample(at)
+			}
 		}
-		return rs
 	}
-	s := g.S
-	s.Every(period, func() bool {
-		if s.Now() > spec.Duration {
-			return false
-		}
-		rs.sample(s.Now())
-		return true
-	})
-	return rs
+	if c != nil {
+		c.Run(spec.Duration)
+	} else {
+		g.S.RunUntil(spec.Duration)
+	}
+	if rs != nil {
+		rs.sample(spec.Duration)
+	}
 }

@@ -13,11 +13,12 @@ import (
 )
 
 // TestGoldenTracingInvariance re-runs the full golden corpus with the
-// flight recorder attached at full category mask and requires every
-// digest to stay byte-identical to the committed corpus: tracing must be
-// purely passive — no scheduled events, no RNG draws, no state the
-// simulation can observe. The final assertion that events were actually
-// captured keeps the test from passing vacuously if the wiring breaks.
+// flight recorder attached at full category mask and metrics sampling
+// on, and requires every digest to stay byte-identical to the committed
+// corpus: both must be purely passive — no scheduled events, no RNG
+// draws, no state the simulation can observe. The final assertions that
+// events were captured and samples published keep the test from passing
+// vacuously if the wiring breaks.
 func TestGoldenTracingInvariance(t *testing.T) {
 	data, err := os.ReadFile(goldenPath)
 	if err != nil {
@@ -30,6 +31,9 @@ func TestGoldenTracingInvariance(t *testing.T) {
 	rec := obs.NewRecorder(1<<16, obs.CatAll)
 	EnableTracing(rec)
 	defer EnableTracing(nil)
+	reg := obs.NewRegistry()
+	EnableMetrics(reg, 250*sim.Millisecond)
+	defer EnableMetrics(nil, 0)
 	for _, c := range goldenCases() {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
@@ -42,12 +46,15 @@ func TestGoldenTracingInvariance(t *testing.T) {
 				t.Fatal(err)
 			}
 			if w, ok := want[c.name]; ok && w != d {
-				t.Errorf("digest changed with tracing enabled:\n got %s\nwant %s\ntracing must not perturb the simulation", d, w)
+				t.Errorf("digest changed with tracing and metrics enabled:\n got %s\nwant %s\nneither may perturb the simulation", d, w)
 			}
 		})
 	}
 	if rec.Total() == 0 {
 		t.Fatal("full-mask recorder captured no events across the corpus — trace wiring is dead")
+	}
+	if reg.Counter(obs.MetricSimEvents).Value() == 0 {
+		t.Fatal("metrics registry saw no simulator events across the corpus — sampler wiring is dead")
 	}
 }
 

@@ -115,3 +115,40 @@ func forEachCell(n int, label func(i int) string, fn func(i int) error) error {
 	}
 	return nil
 }
+
+// sweep is the per-scheme sweep every comparison driver shares: it
+// resolves the scheme set (schemes, else def), runs cell once per scheme
+// across the worker pool — each cell labelled "<label> scheme=… seed=…"
+// for error reports — and returns the rows in scheme order.
+func sweep[R any](label string, schemes, def []string, seed int64, cell func(scheme string) (R, error)) ([]R, error) {
+	if len(schemes) == 0 {
+		schemes = def
+	}
+	rows := make([]R, len(schemes))
+	err := forEachCell(len(schemes), func(i int) string {
+		return fmt.Sprintf("%s scheme=%s seed=%d", label, schemes[i], seed)
+	}, func(i int) (err error) {
+		rows[i], err = cell(schemes[i])
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return rows, nil
+}
+
+// sweepMap is sweep with the rows keyed by scheme name.
+func sweepMap[R any](label string, schemes, def []string, seed int64, cell func(scheme string) (R, error)) (map[string]R, error) {
+	if len(schemes) == 0 {
+		schemes = def
+	}
+	rows, err := sweep(label, schemes, nil, seed, cell)
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string]R, len(schemes))
+	for i, sch := range schemes {
+		out[sch] = rows[i]
+	}
+	return out, nil
+}

@@ -10,6 +10,7 @@ package exp
 
 import (
 	"fmt"
+	"io"
 
 	"abc/internal/cc"
 	"abc/internal/metrics"
@@ -43,18 +44,11 @@ type UplinkResult struct {
 // ACK clock outright; the rate-limited cross flow keeps the reverse path
 // congested but alive, which is where the schemes differ.
 func UplinkCongestedACK(schemes []string, uplinkMbps float64, dur sim.Time, seed int64) (map[string]UplinkResult, error) {
-	if len(schemes) == 0 {
-		schemes = []string{"ABC", "Cubic", "Cubic+Codel", "BBR"}
-	}
 	if uplinkMbps <= 0 {
 		uplinkMbps = 2
 	}
 	down := trace.MustNamedCellular("Verizon1")
-	results := make([]UplinkResult, len(schemes))
-	err := forEachCell(len(schemes), func(i int) string {
-		return fmt.Sprintf("uplink trace=Verizon1 scheme=%s seed=%d", schemes[i], seed)
-	}, func(i int) error {
-		sch := schemes[i]
+	return sweepMap("uplink trace=Verizon1", schemes, []string{"ABC", "Cubic", "Cubic+Codel", "BBR"}, seed, func(sch string) (UplinkResult, error) {
 		res, _, err := Run(Spec{
 			Seed:     seed,
 			Duration: dur,
@@ -70,37 +64,33 @@ func UplinkCongestedACK(schemes []string, uplinkMbps float64, dur sim.Time, seed
 			},
 		})
 		if err != nil {
-			return err
+			return UplinkResult{}, err
 		}
 		// The summary reports the downlink flow alone: the pooled
 		// recorder would fold the uplink cross flow's (heavily queued)
 		// per-packet delays into the scheme's numbers.
 		f0 := &res.Flows[0]
 		r := UplinkResult{
-			Down: metrics.Summary{
-				Scheme:      sch,
-				Utilization: res.Utilization,
-				TputMbps:    f0.TputMbps,
-				MeanMs:      f0.Delay.Mean(),
-				P95Ms:       f0.Delay.P95(),
-			},
+			Down:       flowSummary(sch, res, f0),
 			QDelayP95:  f0.QDelay.P95(),
 			UpTputMbps: res.Flows[1].TputMbps,
 		}
 		if dt, ok := res.ReverseQdiscs[0].(*qdisc.DropTail); ok {
 			r.AckPathDrops = dt.Stats.DroppedPackets
 		}
-		results[i] = r
-		return nil
+		return r, nil
 	})
-	if err != nil {
-		return nil, err
+}
+
+// printUplink renders the congested-uplink table.
+func printUplink(w io.Writer, out map[string]UplinkResult) {
+	fmt.Fprintf(w, "%-14s %8s %10s %12s %12s %10s\n",
+		"Scheme", "DownUtil", "Down Mbps", "p95 q (ms)", "AckDrops", "Up Mbps")
+	for _, sch := range sortedKeys(out) {
+		r := out[sch]
+		fmt.Fprintf(w, "%-14s %7.1f%% %10.2f %12.0f %12d %10.2f\n",
+			sch, r.Down.Utilization*100, r.Down.TputMbps, r.QDelayP95, r.AckPathDrops, r.UpTputMbps)
 	}
-	out := make(map[string]UplinkResult, len(schemes))
-	for i, sch := range schemes {
-		out[sch] = results[i]
-	}
-	return out, nil
 }
 
 // HeteroRTTResult reports the heterogeneous-RTT fairness sweep.
@@ -153,6 +143,30 @@ func HeteroRTTFairness(scheme string, rttsMs []int, dur sim.Time, seed int64) (*
 	}
 	out.Jain = metrics.JainIndex(out.TputMbps)
 	return out, nil
+}
+
+// HeteroRTTRun is one scheme's row of the heterogeneous-RTT driver.
+type HeteroRTTRun struct {
+	Scheme string
+	*HeteroRTTResult
+}
+
+// heteroRTTSweep runs HeteroRTTFairness per scheme (default ABC, Cubic)
+// at the default RTT ladder.
+func heteroRTTSweep(p Params) ([]HeteroRTTRun, error) {
+	return sweep("heterortt", p.Schemes, []string{"ABC", "Cubic"}, p.Seed, func(sch string) (HeteroRTTRun, error) {
+		r, err := HeteroRTTFairness(sch, nil, p.Dur, p.Seed)
+		return HeteroRTTRun{Scheme: sch, HeteroRTTResult: r}, err
+	})
+}
+
+func printHeteroRTT(w io.Writer, runs []HeteroRTTRun) {
+	for _, r := range runs {
+		fmt.Fprintf(w, "## %s (Jain=%.3f, worst-flow p95 queuing %.0f ms)\n", r.Scheme, r.Jain, r.MaxQDelayP95)
+		for i, ms := range r.RTTsMs {
+			fmt.Fprintf(w, "rtt=%3d ms  %6.2f Mbps\n", ms, r.TputMbps[i])
+		}
+	}
 }
 
 // LossyPoint is one (scheme, loss rate) cell of the robustness sweep.
@@ -216,4 +230,31 @@ func LossyLink(schemes []string, lossRates []float64, bursty bool, dur sim.Time,
 		return nil, err
 	}
 	return out, nil
+}
+
+// lossyBoth runs the sweep under random loss, then under bursty loss.
+func lossyBoth(p Params) ([]LossyPoint, error) {
+	var out []LossyPoint
+	for _, bursty := range []bool{false, true} {
+		pts, err := LossyLink(p.Schemes, nil, bursty, p.Dur, p.Seed)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, pts...)
+	}
+	return out, nil
+}
+
+func printLossy(w io.Writer, pts []LossyPoint) {
+	for i, p := range pts {
+		if i == 0 || p.Bursty != pts[i-1].Bursty {
+			kind := "random"
+			if p.Bursty {
+				kind = "bursty"
+			}
+			fmt.Fprintf(w, "## %s loss\n", kind)
+		}
+		fmt.Fprintf(w, "%-14s loss=%5.3f  tput=%6.2f Mbps  p95=%6.0f ms  dropped=%d\n",
+			p.Scheme, p.LossRate, p.TputMbps, p.P95Ms, p.ImpairDrops)
+	}
 }

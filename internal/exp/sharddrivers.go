@@ -14,6 +14,7 @@ package exp
 
 import (
 	"fmt"
+	"io"
 	"strings"
 
 	"abc/internal/netem"
@@ -105,4 +106,38 @@ func ShardedMesh(shards int, dur sim.Time, seed int64) (*ShardedMeshResult, erro
 		})
 	}
 	return r, nil
+}
+
+// shardedRuns runs the ring at 1, 2 and 4 shards and fails unless every
+// flow's result is identical to the one-shard run.
+func shardedRuns(p Params) ([]*ShardedMeshResult, error) {
+	var out []*ShardedMeshResult
+	for _, shards := range []int{1, 2, 4} {
+		r, err := ShardedMesh(shards, p.Dur, p.Seed)
+		if err != nil {
+			return nil, err
+		}
+		for i := range r.Flows {
+			if len(out) > 0 && r.Flows[i] != out[0].Flows[i] {
+				return nil, fmt.Errorf("flow %d diverged between shards=1 and shards=%d", i, shards)
+			}
+		}
+		out = append(out, r)
+	}
+	return out, nil
+}
+
+func printSharded(w io.Writer, runs []*ShardedMeshResult) {
+	for i, r := range runs {
+		fmt.Fprintf(w, "shards=%d (drops=%d)\n", r.Shards, r.Drops)
+		fmt.Fprintf(w, "  %-8s %-12s %10s %10s %10s %6s\n",
+			"Scheme", "Path", "Mbps", "mean(ms)", "p95(ms)", "lost")
+		for _, f := range r.Flows {
+			fmt.Fprintf(w, "  %-8s %-12s %10.2f %10.1f %10.1f %6d\n",
+				f.Scheme, f.Path, f.TputMbps, f.MeanMs, f.P95Ms, f.Lost)
+		}
+		if i > 0 {
+			fmt.Fprintf(w, "  identical to shards=1\n")
+		}
+	}
 }

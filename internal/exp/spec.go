@@ -15,6 +15,11 @@
 // edge routes; mesh.go's back end builds the graph from the plan
 // (shard.go partitions it when Shards > 1); wire.go attaches links,
 // endpoints and receivers; harness.go runs the clock and measures.
+//
+// The runners themselves are catalogued once, in drivers.go: Drivers is
+// the table the CLIs, the report, the golden corpus and the driver test
+// all iterate, and each runner's print function sits next to its result
+// type (shared print helpers in print.go).
 package exp
 
 import (

@@ -4,6 +4,9 @@
 package exp
 
 import (
+	"fmt"
+	"io"
+
 	"abc/internal/fluid"
 	"abc/internal/sim"
 )
@@ -31,4 +34,15 @@ func StabilityRegion() *StabilityResult {
 		}
 	}
 	return res
+}
+
+func printStability(w io.Writer, r *StabilityResult) {
+	fmt.Fprintf(w, "empirical boundary: delta/tau = %.2f (Theorem 3.1: 2/3)\n", r.Boundary)
+	for _, p := range r.Points {
+		mark := "unstable"
+		if p.Converged {
+			mark = "stable"
+		}
+		fmt.Fprintf(w, "delta/tau=%.2f  %-8s  peak-to-peak=%.4f s\n", p.DeltaOverTau, mark, p.PeakToPeak)
+	}
 }

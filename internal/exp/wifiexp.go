@@ -5,7 +5,9 @@ package exp
 
 import (
 	"fmt"
+	"io"
 	"math"
+	"sort"
 
 	"abc/internal/abc"
 	"abc/internal/metrics"
@@ -110,10 +112,10 @@ type Fig5Point struct {
 // links. Near and above saturation the prediction lands within 5% of the
 // true link capacity.
 func Fig5RatePrediction(seed int64) ([]Fig5Point, error) {
-	links := map[string]int{"Link1": 2, "Link2": 4, "Link3": 6}
 	loads := []float64{1, 2, 4, 6, 8, 10, 14, 18, 22, 26, 30, 36, 42, 48}
 	var out []Fig5Point
-	for name, mcs := range links {
+	for i, mcs := range []int{2, 4, 6} { // Link1..Link3's fixed MCS
+		name := fmt.Sprintf("Link%d", i+1)
 		cfg := wifi.DefaultLinkConfig()
 		m := mcs
 		cfg.MCS = func(sim.Time) int { return m }
@@ -304,12 +306,24 @@ func Fig5MaxErrorBacklogged(points []Fig5Point) float64 {
 	return worst
 }
 
-// FormatFig5 renders the prediction table.
-func FormatFig5(points []Fig5Point) string {
-	s := ""
+func printFig5(w io.Writer, points []Fig5Point) {
 	for _, p := range points {
-		s += fmt.Sprintf("%-6s offered=%5.1f  predicted=%6.2f  true=%6.2f  cap=%v\n",
+		fmt.Fprintf(w, "%-6s offered=%5.1f  predicted=%6.2f  true=%6.2f  cap=%v\n",
 			p.Link, p.OfferedMbps, p.PredictedMbps, p.TrueMbps, p.CapRegion)
 	}
-	return s
+	fmt.Fprintf(w, "worst backlogged error: %.1f%% (paper: within 5%%)\n",
+		Fig5MaxErrorBacklogged(points)*100)
+}
+
+func printFig4(w io.Writer, r *Fig4Result) {
+	fmt.Fprintf(w, "samples: %d, fitted slope %.3f ms/frame, theory S/R %.3f ms/frame\n",
+		len(r.Samples), r.FittedSlopeMs, r.TheorySlopeMs)
+	batches := make([]int, 0, len(r.MeanTIA))
+	for b := range r.MeanTIA {
+		batches = append(batches, b)
+	}
+	sort.Ints(batches)
+	for _, b := range batches {
+		fmt.Fprintf(w, "batch=%2d mean TIA=%6.2f ms\n", b, r.MeanTIA[b])
+	}
 }

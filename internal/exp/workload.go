@@ -148,7 +148,7 @@ type workloadRunner struct {
 // process. Spawned flows get ids after the static flows'. The returned
 // runners must be finished (finishWorkloads) after the run to surface
 // mid-run wiring errors and final active counts.
-func startWorkloads(s *sim.Simulator, g *topo.Graph, spec *Spec, res *Result, pooled *metrics.DelayRecorder, routes []flowRoute) ([]*workloadRunner, error) {
+func startWorkloads(g *topo.Graph, spec *Spec, res *Result, pooled *metrics.DelayRecorder, routes []flowRoute) ([]*workloadRunner, error) {
 	if len(spec.Workloads) == 0 {
 		return nil, nil
 	}
@@ -181,11 +181,11 @@ func startWorkloads(s *sim.Simulator, g *topo.Graph, spec *Spec, res *Result, po
 			stop = spec.Duration
 		}
 		r := &workloadRunner{
-			s: s, g: g, spec: spec, ws: ws, wr: wr, pooled: pooled,
+			s: g.S, g: g, spec: spec, ws: ws, wr: wr, pooled: pooled,
 			adv: res.adv, route: routes[i], nextID: &nextID, stopAt: stop,
 		}
 		runners = append(runners, r)
-		s.At(ws.Start, r.schedule)
+		g.S.At(ws.Start, r.schedule)
 	}
 	return runners, nil
 }

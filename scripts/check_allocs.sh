@@ -1,14 +1,23 @@
 #!/bin/sh
-# check_allocs.sh BENCH_OUTPUT THRESHOLD_FILE
+# check_allocs.sh [THRESHOLD_FILE]
 #
-# Fails (exit 1) if any benchmark listed in the threshold file reports
-# more allocs/op in the `go test -bench -benchmem` output than its
-# committed maximum, or is missing from the output entirely. Keeps the
-# zero-alloc event core and packet free-lists from silently rotting.
+# Runs every benchmark named in the threshold file (default
+# bench_thresholds.txt — the file is the one list of guarded benchmarks;
+# the -bench pattern is built from it) with -benchmem and fails (exit 1)
+# if any reports more allocs/op than its committed maximum, or is
+# missing from the output entirely. Keeps the zero-alloc event core and
+# packet free-lists from silently rotting.
 set -eu
 
-out="$1"
-thresholds="$2"
+cd "$(dirname "$0")/.."
+
+thresholds="${1:-bench_thresholds.txt}"
+out="$(mktemp)"
+trap 'rm -f "$out"' EXIT
+
+# Sub-benchmark rows (BenchmarkShardedRun/shards=1) select their parent.
+pattern=$(awk '!/^#/ && NF { sub(/\/.*/, "", $1); if (!seen[$1]++) { printf "%s^%s$", sep, $1; sep = "|" } }' "$thresholds")
+go test -run '^$' -bench "$pattern" -benchmem -benchtime 3x . | tee "$out"
 
 fail=0
 while read -r name max; do
