@@ -2,7 +2,9 @@
 // periodic stderr progress line, and a flight-recorder trace dumped to a
 // file after the run. Both default off and neither perturbs results:
 // tracing and metric sampling are passive by construction (golden
-// digests are identical with both enabled).
+// digests are identical with both enabled). Every run is a coordinator
+// run, so the abc_shard_* series and the "shard" trace category are
+// published for one-shard runs too.
 package main
 
 import (

@@ -55,15 +55,7 @@ func LTETrace() *trace.Trace {
 func Fig1Timeseries(seed int64) ([]TimeseriesRun, error) {
 	tr := LTETrace()
 	return sweep("fig1 trace=LTE", []string{"Cubic", "Verus", "Cubic+Codel", "ABC"}, nil, seed, func(sch string) (TimeseriesRun, error) {
-		res, pooled, err := Run(Spec{
-			Seed:     seed,
-			Duration: 30 * sim.Second,
-			Warmup:   2 * sim.Second,
-			RTT:      100 * sim.Millisecond,
-			Links:    []LinkSpec{{Trace: tr}},
-			Flows:    []FlowSpec{{Scheme: sch}},
-			Sample:   200 * sim.Millisecond,
-		})
+		res, pooled, err := Run(fig1Spec(tr, sch, seed))
 		if err != nil {
 			return TimeseriesRun{}, err
 		}
@@ -74,6 +66,20 @@ func Fig1Timeseries(seed int64) ([]TimeseriesRun, error) {
 			Summary: res.Summary(sch, pooled),
 		}, nil
 	})
+}
+
+// fig1Spec is one scheme's Fig. 1 run: a backlogged flow over the LTE
+// trace, sampled for the time plots.
+func fig1Spec(tr *trace.Trace, scheme string, seed int64) Spec {
+	return Spec{
+		Seed:     seed,
+		Duration: 30 * sim.Second,
+		Warmup:   2 * sim.Second,
+		RTT:      100 * sim.Millisecond,
+		Links:    []LinkSpec{{Trace: tr}},
+		Flows:    []FlowSpec{{Scheme: scheme}},
+		Sample:   200 * sim.Millisecond,
+	}
 }
 
 func printFig1(w io.Writer, runs []TimeseriesRun) {

@@ -63,12 +63,9 @@ func Fig6NonABCBottleneck(seed int64) (*Fig6Result, error) {
 			wcubTS = &metrics.Timeseries{}
 			rateTS = &metrics.Timeseries{}
 		}
-		wabcTS.Times = append(wabcTS.Times, now.Seconds())
-		wabcTS.Values = append(wabcTS.Values, s.WABC())
-		wcubTS.Times = append(wcubTS.Times, now.Seconds())
-		wcubTS.Values = append(wcubTS.Values, s.WCubic())
-		rateTS.Times = append(rateTS.Times, now.Seconds())
-		rateTS.Values = append(rateTS.Values, wireless.CapacityBps(now, 100*sim.Millisecond)/1e6)
+		wabcTS.Add(now, s.WABC())
+		wcubTS.Add(now, s.WCubic())
+		rateTS.Add(now, wireless.CapacityBps(now, 100*sim.Millisecond)/1e6)
 	}
 	res, _, err := Run(spec)
 	if err != nil {
@@ -226,8 +223,7 @@ func Fig11CrossTraffic(seed int64) (*Fig11Result, error) {
 		if wired < ideal {
 			ideal = wired
 		}
-		idealTS.Times = append(idealTS.Times, t)
-		idealTS.Values = append(idealTS.Values, ideal)
+		idealTS.Add(now, ideal)
 	}
 	res, _, err := Run(spec)
 	if err != nil {

@@ -73,11 +73,12 @@ type EventResult struct {
 }
 
 // scheduleEvents validates the Spec's event timeline against the
-// compiled graph and schedules each event on the simulator. edgeID maps
-// addressable edge names to graph edge ids. On sharded graphs events
-// run as coordinator globals: every shard quiesces to the event time
-// before the mutation applies, so a topology change is never observed
-// partially by a shard that ran ahead.
+// compiled graph and registers each event on the coordinator timeline.
+// edgeID maps addressable edge names to graph edge ids. Every shard
+// quiesces to the event time before the mutation applies, so a topology
+// change is never observed partially by a shard that ran ahead, and at
+// one instant timeline events run in Spec order before any simulator
+// event.
 func scheduleEvents(g *topo.Graph, spec *Spec, res *Result, edgeID map[string]int) error {
 	if len(spec.Events) == 0 {
 		return nil
@@ -99,11 +100,7 @@ func scheduleEvents(g *topo.Graph, spec *Spec, res *Result, edgeID map[string]in
 			apply()
 			res.Events = append(res.Events, EventResult{AtMs: at.Millis(), Kind: kind, Target: target})
 		}
-		if c := g.Coordinator(); c != nil {
-			c.GlobalAt(ev.At, fire)
-		} else {
-			g.S.At(ev.At, fire)
-		}
+		g.Coordinator().GlobalAt(ev.At, fire)
 	}
 	return nil
 }

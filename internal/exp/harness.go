@@ -1,7 +1,9 @@
 // The run pipeline: Run takes a Spec of either notation through its
 // front end, the compiler, wiring, the clock and measurement. Each stage
 // has a file of its own (see the package comment); this one holds the
-// driver and the run + measure stage.
+// driver and the run + measure stage — one sim.Coordinator.Run for every
+// spec, with everything that watches it hung on the coordinator's
+// barrier hook.
 package exp
 
 import (
@@ -29,9 +31,8 @@ func Run(spec Spec) (*Result, *metrics.DelayRecorder, error) {
 		spec.Warmup = 4 * sim.Second
 	}
 	// Misconfigurations that used to no-op silently are Spec errors: a
-	// probe that never fires, a sampling period that would arm timers in
-	// the past and a negative shard count are all wiring bugs, not
-	// requests for "off".
+	// probe that never fires, a negative sampling period and a negative
+	// shard count are all wiring bugs, not requests for "off".
 	if spec.Sample < 0 {
 		return nil, nil, fmt.Errorf("exp: negative Sample %v", spec.Sample)
 	}
@@ -60,8 +61,8 @@ func Run(spec Spec) (*Result, *metrics.DelayRecorder, error) {
 		return nil, nil, fmt.Errorf("exp: no flows in spec")
 	}
 
-	// Compile: the graph (spread over shards when Shards > 1), its edges
-	// and their disciplines.
+	// Compile: the graph over its coordinator (one shard unless Shards
+	// asks for more), its edges and their disciplines.
 	res := &Result{Spec: spec, adv: newAdvCollector(&spec, p)}
 	pooled := &metrics.DelayRecorder{}
 	g, err := newGraph(&spec, p)
@@ -144,42 +145,66 @@ func tightestTraceUtilization(spec *Spec, res *Result, p *plan) {
 	res.Utilization = metrics.Utilization(delivered, minCapBytes)
 }
 
+// sampledSeries is one time series of the run with the reader that
+// produces its next value.
+type sampledSeries struct {
+	ts   *metrics.Timeseries
+	read func(now sim.Time) float64
+}
+
+// sampled adds a time series that the run's observer (runAndMeasure)
+// fills from read every Spec.Sample.
+func (r *Result) sampled(read func(now sim.Time) float64) *metrics.Timeseries {
+	ts := &metrics.Timeseries{Period: r.Spec.Sample}
+	r.series = append(r.series, sampledSeries{ts, read})
+	return ts
+}
+
 // runAndMeasure attaches the scenario-wide time series, runs the
-// simulation to spec.Duration and finalizes the per-flow counters. The
+// coordinator to spec.Duration and finalizes the per-flow counters. The
 // standing-queue-delay series watches the scenario's leading bottleneck
-// (an all-wire mesh has none). Sharded graphs run under the coordinator
-// and pool their run-wide delay recorders from the per-flow ones
-// afterwards (checkShardable guarantees no time series here).
+// (an all-wire mesh has none).
+//
+// Everything that watches the run — the time series in registration
+// order, then Spec.Probe, then the -metrics sampler — is a reader called
+// at coordinator barriers (sim.Coordinator.Every): at a sample instant
+// all shards have executed what lies strictly before it, that instant's
+// timeline events have applied, and none of its simulator events has
+// run. No observer is a simulator event, so a run executes the same
+// events whether or not anything watches it.
 func runAndMeasure(g *topo.Graph, spec *Spec, res *Result, pooled *metrics.DelayRecorder, p *plan) {
-	s := g.S
-	first := slices.IndexFunc(res.edgeQ, func(q qdisc.Qdisc) bool { return q != nil })
-	if spec.Sample > 0 && first >= 0 {
-		firstQ, firstCap := res.edgeQ[first], capacityFn(p.edges[first].link)
-		res.QueueDelayTS = metrics.NewTimeseries(s, spec.Sample, spec.Duration, func(now sim.Time) float64 {
-			mu := firstCap(now)
-			if mu <= 0 {
-				return 0
-			}
-			return float64(firstQ.Bytes()) * 8 / mu * 1000 // ms
-		})
-		if dq, ok := firstQ.(*sched.DualQueue); ok {
-			res.WeightTS = metrics.NewTimeseries(s, spec.Sample, spec.Duration, func(now sim.Time) float64 {
-				return dq.WeightABC()
+	c := g.Coordinator()
+	if spec.Sample > 0 {
+		if first := slices.IndexFunc(res.edgeQ, func(q qdisc.Qdisc) bool { return q != nil }); first >= 0 {
+			firstQ, firstCap := res.edgeQ[first], capacityFn(p.edges[first].link)
+			res.QueueDelayTS = res.sampled(func(now sim.Time) float64 {
+				mu := firstCap(now)
+				if mu <= 0 {
+					return 0
+				}
+				return float64(firstQ.Bytes()) * 8 / mu * 1000 // ms
 			})
-		}
-	}
-
-	if spec.Sample > 0 && spec.Probe != nil {
-		s.Every(spec.Sample, func() bool {
-			if s.Now() > spec.Duration {
-				return false
+			if dq, ok := firstQ.(*sched.DualQueue); ok {
+				res.WeightTS = res.sampled(func(sim.Time) float64 { return dq.WeightABC() })
 			}
-			spec.Probe(s.Now(), res)
-			return true
+		}
+		c.Every(spec.Sample, func(now sim.Time) {
+			for _, s := range res.series {
+				s.ts.Add(now, s.read(now))
+			}
+			if spec.Probe != nil {
+				spec.Probe(now, res)
+			}
 		})
 	}
-
-	runSampled(g, spec, res)
+	rs := newRunSampler(g, res)
+	if rs != nil {
+		c.Every(rs.period, rs.sample)
+	}
+	c.Run(spec.Duration)
+	if rs != nil && spec.Duration%rs.period != 0 {
+		rs.sample(spec.Duration) // the run ended between two ticks
+	}
 
 	// Per-flow throughput over each flow's measured window.
 	for i := range res.Flows {

@@ -3,7 +3,8 @@
 // harness runs. Both are off by default and both are passive: neither
 // schedules a simulator event, draws from an RNG or changes state the
 // simulation can observe, so golden digests are byte-identical with
-// either or both enabled (TestGoldenTracingInvariance).
+// either or both enabled (TestGoldenTracingInvariance). The metrics
+// sampler is one of the run's barrier readers (runAndMeasure).
 package exp
 
 import (
@@ -28,10 +29,10 @@ var (
 
 // EnableTracing attaches a flight recorder to every scenario the
 // harness runs from now on: the topology graph, its links and qdiscs,
-// every flow endpoint and (on sharded runs) the coordinator emit trace
-// events into it, filtered by the recorder's category mask. Pass nil to
-// turn tracing back off. Safe to call concurrently with running sweeps;
-// cells read the switch once at cell start.
+// every flow endpoint and the coordinator emit trace events into it,
+// filtered by the recorder's category mask. Pass nil to turn tracing
+// back off. Safe to call concurrently with running sweeps; cells read
+// the switch once at cell start.
 func EnableTracing(r *obs.Recorder) { traceRec.Store(r) }
 
 // EnableMetrics publishes live run metrics into reg, sampled every
@@ -40,8 +41,10 @@ func EnableTracing(r *obs.Recorder) { traceRec.Store(r) }
 // ReverseBrakes for ABC senders), graph-wide drop counters, shard
 // synchronization counters, and the well-known obs.MetricSimSeconds /
 // obs.MetricSimEvents read by the progress line. Like tracing, sampling
-// is passive: the run loop pauses at each sample instant and reads, it
-// schedules nothing, so results are digest-identical with metrics on.
+// is passive: the coordinator calls the sampler at a barrier once per
+// period (and the harness once more at the end of a run whose last tick
+// fell short of it); nothing is scheduled, so results are
+// digest-identical with metrics on.
 // Gauges show the most recent sample from whichever sweep cell sampled
 // last, while counters aggregate across cells. Pass a nil registry to
 // turn metrics off.
@@ -63,11 +66,12 @@ func attachObs(g *topo.Graph) {
 }
 
 // runSampler captures everything one scenario publishes per sample into
-// the metrics registry.
+// the metrics registry, every period of virtual time.
 type runSampler struct {
-	reg *obs.Registry
-	g   *topo.Graph
-	res *Result
+	reg    *obs.Registry
+	period sim.Time
+	g      *topo.Graph
+	res    *Result
 	// prevEvents tracks the executed-event count already published, so
 	// obs.MetricSimEvents aggregates correctly across parallel cells.
 	prevEvents uint64
@@ -80,7 +84,7 @@ func newRunSampler(g *topo.Graph, res *Result) *runSampler {
 	if reg == nil {
 		return nil
 	}
-	rs := &runSampler{reg: reg, g: g, res: res}
+	rs := &runSampler{reg: reg, period: sim.Time(metPeriodNs.Load()), g: g, res: res}
 	reg.Help("abc_queue_pkts", "Instantaneous bottleneck queue depth in packets.")
 	reg.Help("abc_queue_bytes", "Instantaneous bottleneck queue depth in bytes.")
 	reg.Help("abc_tokens", "ABC router token-bucket level (Algorithm 1).")
@@ -90,12 +94,12 @@ func newRunSampler(g *topo.Graph, res *Result) *runSampler {
 	reg.Help("abc_flow_rate_bps", "Pacing rate in bits/sec (0 = ACK-clocked).")
 	reg.Help("abc_flow_reverse_brakes", "Brakes the ABC sender consumed off the reverse path.")
 	reg.Help("abc_drops_total", "Packets dropped, by cause.")
-	reg.Help("abc_shard_rounds_total", "Conservative-sync windows executed by the coordinator.")
+	reg.Help("abc_shard_rounds_total", "Windows executed by the run's coordinator (at one shard a window ends at each timeline event or sample instant).")
 	reg.Help("abc_shard_events_total", "Events executed per shard.")
 	reg.Help("abc_shard_horizon_lag_seconds", "How far each shard's horizon trails the furthest shard.")
 	reg.Help("abc_shard_busy_seconds", "Wall time the shard's worker spent merging its mail and executing its windows.")
 	reg.Help("abc_shard_wait_seconds", "Wall time the shard's worker spent at the barrier and in the coordinator's serial section.")
-	reg.Help("abc_shard_mail_total", "Cross-shard messages merged into destination heaps.")
+	reg.Help("abc_shard_mail_total", "Cross-shard messages merged into destination heaps (0 at one shard).")
 	return rs
 }
 
@@ -105,20 +109,17 @@ func (rs *runSampler) sample(now sim.Time) {
 	reg.Gauge(obs.MetricSimSeconds).Set(now.Seconds())
 
 	var events uint64
-	if c := g.Coordinator(); c != nil {
-		for i := 0; i < c.Shards(); i++ {
-			ex := c.Shard(i).Executed()
-			events += ex
-			reg.Counter(fmt.Sprintf(`abc_shard_events_total{shard="%d"}`, i)).Store(int64(ex))
-			reg.Gauge(fmt.Sprintf(`abc_shard_horizon_lag_seconds{shard="%d"}`, i)).Set(c.HorizonLag(i).Seconds())
-			reg.Gauge(fmt.Sprintf(`abc_shard_busy_seconds{shard="%d"}`, i)).Set(c.Busy(i).Seconds())
-			reg.Gauge(fmt.Sprintf(`abc_shard_wait_seconds{shard="%d"}`, i)).Set(c.Wait(i).Seconds())
-		}
-		reg.Counter("abc_shard_rounds_total").Store(int64(c.Rounds()))
-		reg.Counter("abc_shard_mail_total").Store(int64(c.Mail()))
-	} else {
-		events = g.S.Executed()
+	c := g.Coordinator()
+	for i := 0; i < c.Shards(); i++ {
+		ex := c.Shard(i).Executed()
+		events += ex
+		reg.Counter(fmt.Sprintf(`abc_shard_events_total{shard="%d"}`, i)).Store(int64(ex))
+		reg.Gauge(fmt.Sprintf(`abc_shard_horizon_lag_seconds{shard="%d"}`, i)).Set(c.HorizonLag(i).Seconds())
+		reg.Gauge(fmt.Sprintf(`abc_shard_busy_seconds{shard="%d"}`, i)).Set(c.Busy(i).Seconds())
+		reg.Gauge(fmt.Sprintf(`abc_shard_wait_seconds{shard="%d"}`, i)).Set(c.Wait(i).Seconds())
 	}
+	reg.Counter("abc_shard_rounds_total").Store(int64(c.Rounds()))
+	reg.Counter("abc_shard_mail_total").Store(int64(c.Mail()))
 	reg.Counter(obs.MetricSimEvents).Add(int64(events - rs.prevEvents))
 	rs.prevEvents = events
 
@@ -160,35 +161,4 @@ func (rs *runSampler) sample(now sim.Time) {
 	reg.Counter(`abc_drops_total{cause="impair"}`).Store(g.ImpairDrops())
 	reg.Counter(`abc_drops_total{cause="link_down"}`).Store(g.DownDrops())
 	reg.Counter(`abc_drops_total{cause="adversary"}`).Store(g.AdversaryDrops())
-}
-
-// runSampled runs the scenario to spec.Duration, publishing a metrics
-// snapshot every sampling period and once at the end when metrics are
-// enabled. Each snapshot is taken with every event strictly before its
-// instant executed and none at it — the sequential path pauses the
-// clock there (RunBefore), the sharded one registers coordinator
-// barriers — so no simulator event is scheduled for it on either path.
-func runSampled(g *topo.Graph, spec *Spec, res *Result) {
-	rs := newRunSampler(g, res)
-	c := g.Coordinator()
-	if rs != nil {
-		period := sim.Time(metPeriodNs.Load())
-		for t := period; t <= spec.Duration; t += period {
-			at := t
-			if c != nil {
-				c.GlobalAt(at, func() { rs.sample(at) })
-			} else {
-				g.S.RunBefore(at)
-				rs.sample(at)
-			}
-		}
-	}
-	if c != nil {
-		c.Run(spec.Duration)
-	} else {
-		g.S.RunUntil(spec.Duration)
-	}
-	if rs != nil {
-		rs.sample(spec.Duration)
-	}
 }

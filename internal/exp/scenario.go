@@ -129,8 +129,8 @@
 // positive drain_ms makes changes make-before-break (the old path keeps
 // draining for that window); "flows" restricts management to the listed
 // flow indices (default: all flows — each flow's data route plus its
-// ACK route when the latter is table-backed). Routing is
-// sequential-only (rejected with shards > 1).
+// ACK route when the latter is table-backed). Routing is one-shard only
+// (rejected with shards > 1).
 //
 // Adversaries come in three declarable forms. A targeted attack is an
 // "attack" clause on any link or edge (wire edges included), or an
@@ -173,9 +173,10 @@
 //
 // A top-level "shards" count splits the simulation into that many
 // parallel event queues synchronized by conservative lookahead (runs
-// are deterministic for a fixed seed and shard count), and "shard_map"
-// pins named junctions to shard indices, overriding the automatic
-// partitioner:
+// are deterministic for a fixed seed and shard count; "sample_ms"
+// series are legal at any count, "workloads" and "routing" only at
+// one), and "shard_map" pins named junctions to shard indices,
+// overriding the automatic partitioner:
 //
 //	"shards": 2,
 //	"shard_map": {"gw": 0, "sink": 1}
@@ -619,10 +620,10 @@ type Scenario struct {
 	RTTms     float64 `json:"rtt_ms"`
 	SampleMs  float64 `json:"sample_ms"`
 	// Shards splits the simulation into this many parallel event queues
-	// synchronized by conservative lookahead (0/1 = the sequential
-	// simulator). ShardMap pins named junctions (mesh node names, or the
-	// chain junctions "fwd<i>"/"rev<i>") to shard indices; unpinned
-	// junctions are placed by the automatic partitioner.
+	// synchronized by conservative lookahead (0/1 = one queue). ShardMap
+	// pins named junctions (mesh node names, or the chain junctions
+	// "fwd<i>"/"rev<i>") to shard indices; unpinned junctions are placed
+	// by the automatic partitioner.
 	Shards       int            `json:"shards,omitempty"`
 	ShardMap     map[string]int `json:"shard_map,omitempty"`
 	Links        []ScenarioLink `json:"links,omitempty"`

@@ -1,9 +1,10 @@
-// Sharded compilation: Spec.Shards > 1 splits the simulation into
-// per-shard event queues advanced in parallel by a sim.Coordinator
-// (conservative lookahead synchronization; see internal/sim/shard.go).
-// This file owns the spec-level plumbing: which specs are shardable,
-// how a plan becomes a partitioner input, and how per-flow metrics are
-// pooled deterministically after a sharded run.
+// Shard placement: every run is advanced by a sim.Coordinator
+// (conservative lookahead synchronization; see internal/sim/shard.go),
+// over one shard unless Spec.Shards asks for more, in which case the
+// graph is spread over that many event queues running in parallel. This
+// file owns the spec-level plumbing: which specs may use more than one
+// shard, how a plan becomes a partitioner input, and how per-flow
+// metrics are pooled deterministically after a multi-shard run.
 //
 // Placement rules the compiler follows:
 //   - A junction lives on the shard the partitioner assigns it
@@ -20,10 +21,13 @@
 //     the data path ends, so it needs none.
 //
 // Pooled metrics (the pooled delay recorder, adversary class recorders)
-// are not written per packet in sharded mode — receivers on different
-// shards would race — but merged from the per-flow recorders after the
-// run, in flow order (metrics.DelayRecorder.Merge), which keeps the
-// result a pure function of (spec, seed, shard count).
+// are written per packet on one shard. Above one, receivers on
+// different shards would race, so they are merged from the per-flow
+// recorders after the run, in flow order
+// (metrics.DelayRecorder.Merge), which keeps the result a pure function
+// of (spec, seed, shard count). A sketch merge is not sample-for-sample
+// what per-packet adds produce, which is why the shard count — an input
+// — still selects between the two here and nowhere else.
 package exp
 
 import (
@@ -39,11 +43,16 @@ import (
 // run; beyond this a typo is far more likely than a 128-core box.
 const maxShards = 64
 
-// checkShardable rejects spec features the sharded path does not
-// support. Workloads spawn flows mid-run (route installs and harness
-// RNG draws from arbitrary shard contexts); Sample/Probe time series
-// interleave per-packet callbacks across flows on one clock. Both keep
-// their sequential semantics at Shards <= 1.
+// checkShardable rejects what a spec may not combine with Shards > 1.
+// Both remaining gates are simulator events on shard 0 that act on the
+// whole graph — a workload arrival installs routes and builds endpoints
+// wherever its path leads, the route-computation timer rewrites every
+// junction's table — and both were measured as coordinator-barrier
+// callbacks instead and kept as events: arrivals at barriers cost bench
+// workload flow_churn about 8 % of its speed and changed its event
+// count (21 k fewer events, a different result digest), and the
+// recompute timer at a barrier flipped a same-instant tie that moves the
+// autoroute and flapstorm goldens (mean delay 59.7330 -> 59.7339 ms).
 func checkShardable(spec *Spec) error {
 	if spec.Shards > maxShards {
 		return fmt.Errorf("exp: Shards %d exceeds the maximum %d", spec.Shards, maxShards)
@@ -51,25 +60,22 @@ func checkShardable(spec *Spec) error {
 	if len(spec.Workloads) > 0 {
 		return fmt.Errorf("exp: Shards > 1 does not support Workloads (mid-run flow spawning is inherently cross-shard); run with Shards 1")
 	}
-	if spec.Sample > 0 || spec.Probe != nil {
-		return fmt.Errorf("exp: Shards > 1 does not support Sample/Probe time series; run with Shards 1")
-	}
 	if spec.Routing != nil {
 		return fmt.Errorf("exp: Shards > 1 does not support Routing (route recomputation mutates tables across shards); run with Shards 1")
 	}
 	return nil
 }
 
-// newGraph creates the empty topology graph a plan is built into: the
-// plain single-simulator graph at Shards <= 1, one partitioned over a
-// coordinator's shards otherwise. The partitioner sees the plan's edges
-// plus one zero-delay tie per flow whose receiver's junction (where its
-// data route ends) is not the junction its ACK route starts at — the
-// receiver injects ACKs there synchronously, so the two must share a
-// shard. Spec.ShardMap pins junctions by name.
+// newGraph creates the empty topology graph a plan is built into, over
+// a coordinator of max(1, Spec.Shards) shards. One shard holds every
+// junction and needs no partition. For more, the partitioner sees the
+// plan's edges plus one zero-delay tie per flow whose receiver's
+// junction (where its data route ends) is not the junction its ACK
+// route starts at — the receiver injects ACKs there synchronously, so
+// the two must share a shard. Spec.ShardMap pins junctions by name.
 func newGraph(spec *Spec, p *plan) (*topo.Graph, error) {
 	if spec.Shards <= 1 {
-		return topo.New(sim.New(spec.Seed)), nil
+		return topo.NewSharded(sim.NewCoordinator(spec.Seed, 1), nil), nil
 	}
 	if err := checkShardable(spec); err != nil {
 		return nil, err
@@ -107,9 +113,9 @@ func newGraph(spec *Spec, p *plan) (*topo.Graph, error) {
 }
 
 // poolShardedMetrics rebuilds the run-wide pooled recorders from the
-// per-flow recorders after a sharded run, in flow order — the
+// per-flow recorders after a multi-shard run, in flow order — the
 // deterministic replacement for the per-packet pooled/adversary updates
-// the sequential receivers perform inline.
+// the receivers of a one-shard run perform inline.
 func poolShardedMetrics(res *Result, pooled *metrics.DelayRecorder) {
 	for i := range res.Flows {
 		fr := &res.Flows[i]

@@ -46,7 +46,7 @@ type ShardedMeshResult struct {
 // shardedMeshSpec builds the four-bottleneck ring. Rates and delays are
 // deliberately non-round so no two event timestamps coincide by
 // construction, keeping the digest insensitive to tie-break differences
-// between the sequential heap and the cross-shard mailbox drain.
+// between one shard's heap and the cross-shard mailbox drain.
 func shardedMeshSpec(shards int, dur sim.Time, seed int64) Spec {
 	rates := []float64{21.7e6, 34.1e6, 27.9e6, 40.3e6}
 	schemes := []string{"ABC", "Cubic", "ABC", "Cubic"}
@@ -78,7 +78,7 @@ func shardedMeshSpec(shards int, dur sim.Time, seed int64) Spec {
 }
 
 // ShardedMesh runs the four-bottleneck ring with the given shard count
-// (<= 1 is the sequential simulator). The result is a pure function of
+// (<= 1 is one shard). The result is a pure function of
 // (dur, seed) alone — TestShardedMeshDigestInvariant and the golden
 // corpus hold it byte-identical across shard counts.
 func ShardedMesh(shards int, dur sim.Time, seed int64) (*ShardedMeshResult, error) {

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"math"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -129,13 +130,11 @@ func shardedTolerance(t *testing.T, what string, seq, sh, frac float64) {
 func TestShardedHandoverMatchesSequential(t *testing.T) {
 	const dur = 12 * sim.Second
 	spec := handoverSpec("ABC", dur/2, dur, 1)
-	spec.Sample = 0 // time series are sequential-only
 	seq, _, err := Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec = handoverSpec("ABC", dur/2, dur, 1)
-	spec.Sample = 0
 	spec.Shards = 2
 	sh, _, err := Run(spec)
 	if err != nil {
@@ -146,6 +145,9 @@ func TestShardedHandoverMatchesSequential(t *testing.T) {
 	}
 	shardedTolerance(t, "throughput", seq.Flows[0].TputMbps, sh.Flows[0].TputMbps, 0.15)
 	shardedTolerance(t, "mean delay", seq.Flows[0].Delay.Mean(), sh.Flows[0].Delay.Mean(), 0.15)
+	if got, want := len(sh.Flows[0].Tput.Times), len(seq.Flows[0].Tput.Times); got != want || got != int(dur/spec.Sample) {
+		t.Errorf("throughput series has %d samples sharded, %d sequential, want %d", got, want, dur/spec.Sample)
+	}
 	if seqB, shB := seq.Flows[0].Bytes, sh.Flows[0].Bytes; seqB == 0 || shB == 0 {
 		t.Fatalf("no traffic: sequential %d bytes, sharded %d", seqB, shB)
 	}
@@ -189,8 +191,110 @@ func TestShardedTargetedMatchesSequential(t *testing.T) {
 	shardedTolerance(t, "victim class p95", seq.Adversary.VictimP95Ms, sh.Adversary.VictimP95Ms, 0.2)
 }
 
-// TestShardedSpecValidation pins the sharded path's feature gates and
-// the cross-shard event restrictions.
+// TestShardedSampleProbe: time series and probes are barrier reads, so
+// the sharded mesh — whose result does not depend on the shard count —
+// must produce the same series, sample for sample, and call the probe at
+// the same instants with the same view of every flow, whether one worker
+// or several wrote the state being read.
+func TestShardedSampleProbe(t *testing.T) {
+	const dur, period = 3 * sim.Second, 100 * sim.Millisecond
+	type view struct {
+		res    *Result
+		probed []sim.Time
+		cwnd   [][]float64
+	}
+	run := func(shards int) view {
+		t.Helper()
+		var v view
+		spec := shardedMeshSpec(shards, dur, 1)
+		spec.Sample = period
+		spec.Probe = func(now sim.Time, r *Result) {
+			v.probed = append(v.probed, now)
+			w := make([]float64, len(r.Flows))
+			for i := range r.Flows {
+				w[i] = r.Flows[i].Algorithm.CwndPkts()
+			}
+			v.cwnd = append(v.cwnd, w)
+		}
+		res, _, err := Run(spec)
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		v.res = res
+		return v
+	}
+	want := run(1)
+	if len(want.probed) != int(dur/period) {
+		t.Fatalf("probe called %d times, want %d", len(want.probed), dur/period)
+	}
+	for i, at := range want.probed {
+		if at != sim.Time(i+1)*period {
+			t.Fatalf("probe call %d at %v, want %v", i, at, sim.Time(i+1)*period)
+		}
+	}
+	if ts := want.res.Flows[0].Tput; len(ts.Times) != len(want.probed) || ts.Max() == 0 {
+		t.Fatalf("flow 0 throughput series: %d samples, max %g", len(ts.Times), ts.Max())
+	}
+	for _, shards := range []int{2, 4} {
+		got := run(shards)
+		if !reflect.DeepEqual(got.probed, want.probed) || !reflect.DeepEqual(got.cwnd, want.cwnd) {
+			t.Errorf("shards=%d: the probe saw different instants or windows than at one shard", shards)
+		}
+		for i := range want.res.Flows {
+			if !reflect.DeepEqual(got.res.Flows[i].Tput, want.res.Flows[i].Tput) {
+				t.Errorf("shards=%d flow %d: throughput series differs from the one-shard run", shards, i)
+			}
+		}
+		if !reflect.DeepEqual(got.res.QueueDelayTS, want.res.QueueDelayTS) {
+			t.Errorf("shards=%d: queue-delay series differs from the one-shard run", shards)
+		}
+	}
+}
+
+// TestSampleIsPassive: a time series costs the run nothing it can
+// observe — the same events execute and every flow measures the same,
+// whatever the sampling period and whether or not it divides anything.
+func TestSampleIsPassive(t *testing.T) {
+	specs := map[string]func() Spec{
+		"handover": func() Spec { return handoverSpec("ABC", 3*sim.Second, 6*sim.Second, 1) },
+		"fig1": func() Spec {
+			spec := fig1Spec(LTETrace(), "ABC", 1)
+			spec.Duration = 6 * sim.Second
+			return spec
+		},
+	}
+	for name, mk := range specs {
+		var want *Result
+		for _, period := range []sim.Time{0, 100 * sim.Millisecond, 7 * sim.Millisecond} {
+			spec := mk()
+			spec.Sample = period
+			got, _, err := Run(spec)
+			if err != nil {
+				t.Fatalf("%s sample=%v: %v", name, period, err)
+			}
+			if want == nil {
+				want = got
+				continue
+			}
+			if g, w := got.Graph.S.Executed(), want.Graph.S.Executed(); g != w {
+				t.Errorf("%s sample=%v: %d events executed, %d unsampled", name, period, g, w)
+			}
+			for i := range want.Flows {
+				g, w := &got.Flows[i], &want.Flows[i]
+				if g.Bytes != w.Bytes || g.Lost != w.Lost || g.Retx != w.Retx ||
+					!reflect.DeepEqual(&g.Delay, &w.Delay) || !reflect.DeepEqual(&g.QDelay, &w.QDelay) {
+					t.Errorf("%s sample=%v flow %d: measurements differ from the unsampled run", name, period, i)
+				}
+			}
+			if n := len(got.Flows[0].Tput.Times); n != int(spec.Duration/period) {
+				t.Errorf("%s sample=%v: %d samples, want %d", name, period, n, spec.Duration/period)
+			}
+		}
+	}
+}
+
+// TestShardedSpecValidation pins what may not be combined with
+// Shards > 1 and the cross-shard event restrictions.
 func TestShardedSpecValidation(t *testing.T) {
 	base := func() Spec {
 		spec := shardedMeshSpec(2, 10*sim.Second, 1)
@@ -198,12 +302,6 @@ func TestShardedSpecValidation(t *testing.T) {
 	}
 
 	spec := base()
-	spec.Sample = 100 * sim.Millisecond
-	if _, _, err := Run(spec); err == nil || !strings.Contains(err.Error(), "Sample") {
-		t.Errorf("Sample on a sharded spec not rejected: %v", err)
-	}
-
-	spec = base()
 	spec.Workloads = []WorkloadSpec{{Scheme: "Cubic", Path: []string{"bot0", "hop0"}}}
 	if _, _, err := Run(spec); err == nil || !strings.Contains(err.Error(), "Workloads") {
 		t.Errorf("Workloads on a sharded spec not rejected: %v", err)

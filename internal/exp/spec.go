@@ -12,9 +12,11 @@
 // stage: spec.go declares the types; lower.go (chain) and mesh.go (mesh)
 // are the front ends, which only validate their notation and translate
 // it into a plan of named junctions, named edges and resolved per-flow
-// edge routes; mesh.go's back end builds the graph from the plan
-// (shard.go partitions it when Shards > 1); wire.go attaches links,
-// endpoints and receivers; harness.go runs the clock and measures.
+// edge routes; mesh.go's back end builds the graph from the plan, over
+// the coordinator shard.go creates (one shard, or Shards of them with
+// the plan partitioned); wire.go attaches links, endpoints and
+// receivers; harness.go runs the coordinator and measures. There is one
+// run path: a one-shard run is a coordinator run like any other.
 //
 // The runners themselves are catalogued once, in drivers.go: Drivers is
 // the table the CLIs, the report, the golden corpus and the driver test
@@ -223,29 +225,35 @@ type Spec struct {
 	Events []EventSpec
 	// Shards splits the simulation into this many parallel event queues
 	// advanced under conservative lookahead synchronization (0 or 1 =
-	// the sequential simulator, byte-identical to previous releases;
-	// negative values are a Spec error).
-	// Junctions are partitioned automatically (topo.Partition) unless
-	// pinned via ShardMap; shard-cut edges must have positive Delay.
-	// Sharded specs cannot use Workloads or Sample/Probe time series.
+	// one queue under the same coordinator; negative values are a Spec
+	// error). Junctions are partitioned automatically (topo.Partition)
+	// unless pinned via ShardMap; shard-cut edges must have positive
+	// Delay. Specs with Shards > 1 cannot use Workloads or Routing.
 	Shards int
 	// ShardMap pins named junctions (mesh node names, or chain junctions
 	// "fwd<i>" / "rev<i>") to shard indices; unnamed junctions are placed
 	// by the automatic partitioner around the pins.
 	ShardMap map[string]int
-	// Sample enables time-series collection at this period (0 = off).
-	// Negative values are a Spec error, not "off".
+	// Sample enables time-series collection at this period (0 = off):
+	// at Sample, 2*Sample, … up to Duration the harness reads every
+	// series at a coordinator barrier — after the events strictly before
+	// that instant and the Events entries at it, before its simulator
+	// events. A read, not an event: the run executes the same events
+	// with or without it, at any shard count. Negative values are a
+	// Spec error, not "off".
 	Sample sim.Time
-	// Probe, when set, is called once per sample period with the
-	// partially built result, letting experiments record custom series
-	// (e.g. Fig. 6's wabc/wcubic windows). Setting Probe without Sample
-	// is a Spec error — the probe would never fire.
+	// Probe, when set, is called at every sample instant, after the
+	// series, with the partially built result, letting experiments
+	// record custom series (e.g. Fig. 6's wabc/wcubic windows). It may
+	// read any flow or edge whatever shard owns it; it must not
+	// schedule. Setting Probe without Sample is a Spec error — the
+	// probe would never fire.
 	Probe func(now sim.Time, r *Result)
 	// Routing enables the route-computation layer: a policy watches link
 	// state (link_down / link_up / set_delay) and recomputes managed
 	// flows' routes through the same Router machinery scripted reroute
 	// events use, making handover and flap recovery emergent behavior.
-	// Sequential-only (rejected at Shards > 1).
+	// One-shard only (rejected at Shards > 1).
 	Routing *RoutingSpec
 	// Background attaches fluid background aggregates to named edges
 	// (mesh edge names, or chain links "fwd<i>" / "rev<i>"): each is a
@@ -345,6 +353,10 @@ type Result struct {
 	// bg holds the running couplers so runAndMeasure can collect their
 	// stats after the clock stops.
 	bg []*bgRunner
+
+	// series lists the run's time series with their readers, in the
+	// order they were added; runAndMeasure's observer fills them.
+	series []sampledSeries
 }
 
 // AggTputMbps sums flow throughputs.

@@ -146,10 +146,10 @@ func (r flowRoute) dir(ack bool) []int {
 //
 // The endpoint lives on the shard of the data route's origin junction
 // and the receiver on that of its terminal junction (they inject packets
-// synchronously into those junctions); an unsharded graph has the one
-// simulator and shard 0 for both. On sharded graphs the pooled/adversary
-// recorders are not touched per packet — poolShardedMetrics rebuilds
-// them from the per-flow recorders after the run.
+// synchronously into those junctions). Above one shard the
+// pooled/adversary recorders are not touched per packet —
+// poolShardedMetrics rebuilds them from the per-flow recorders after the
+// run.
 func wireFlows(g *topo.Graph, spec *Spec, res *Result, pooled *metrics.DelayRecorder, routes []flowRoute) error {
 	sharded := g.Sharded()
 	res.Flows = make([]FlowResult, len(spec.Flows))
@@ -242,7 +242,7 @@ func wireFlows(g *topo.Graph, spec *Spec, res *Result, pooled *metrics.DelayReco
 				counter.Add(p.Size)
 				prev(now, p)
 			}
-			fr.Tput = metrics.NewTimeseries(recvSim, spec.Sample, spec.Duration, func(now sim.Time) float64 {
+			fr.Tput = res.sampled(func(now sim.Time) float64 {
 				return counter.SampleBps(now) / 1e6
 			})
 		}

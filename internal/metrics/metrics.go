@@ -117,27 +117,19 @@ func (d *DelayRecorder) Percentile(p float64) float64 {
 // P95 is the 95th percentile, the paper's headline delay metric.
 func (d *DelayRecorder) P95() float64 { return d.Percentile(95) }
 
-// Timeseries samples a value on a fixed period, for the paper's
-// throughput/queuing-delay time plots.
+// Timeseries records a value sampled on a fixed period, for the paper's
+// throughput/queuing-delay time plots. It is a plain recorder: whoever
+// owns the clock (the harness's barrier observer) calls Add.
 type Timeseries struct {
 	Period sim.Time
 	Times  []float64 // seconds
 	Values []float64
 }
 
-// NewTimeseries starts sampling fn every period on the simulator.
-func NewTimeseries(s *sim.Simulator, period sim.Time, until sim.Time, fn func(now sim.Time) float64) *Timeseries {
-	ts := &Timeseries{Period: period}
-	s.Every(period, func() bool {
-		now := s.Now()
-		if now > until {
-			return false
-		}
-		ts.Times = append(ts.Times, now.Seconds())
-		ts.Values = append(ts.Values, fn(now))
-		return true
-	})
-	return ts
+// Add appends the sample v taken at time now.
+func (t *Timeseries) Add(now sim.Time, v float64) {
+	t.Times = append(t.Times, now.Seconds())
+	t.Values = append(t.Values, v)
 }
 
 // Mean returns the mean of the sampled values.

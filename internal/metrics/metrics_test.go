@@ -150,15 +150,12 @@ func TestRateCounter(t *testing.T) {
 }
 
 func TestTimeseriesSampling(t *testing.T) {
-	s := sim.New(1)
-	v := 0.0
-	ts := NewTimeseries(s, 100*sim.Millisecond, sim.Second, func(now sim.Time) float64 {
-		v++
-		return v
-	})
-	s.RunUntil(2 * sim.Second)
-	if len(ts.Values) != 10 {
-		t.Fatalf("samples = %d", len(ts.Values))
+	ts := &Timeseries{Period: 100 * sim.Millisecond}
+	for i := 1; i <= 10; i++ {
+		ts.Add(sim.Time(i)*ts.Period, float64(i))
+	}
+	if len(ts.Values) != 10 || ts.Times[0] != 0.1 || ts.Times[9] != 1 {
+		t.Fatalf("samples = %d, times %v", len(ts.Values), ts.Times)
 	}
 	if ts.Mean() != 5.5 {
 		t.Errorf("mean = %v", ts.Mean())

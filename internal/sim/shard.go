@@ -65,10 +65,10 @@
 // not, so a box never holds mail from two windows. Sequence numbers are
 // therefore what a drain at the barrier would have assigned: between
 // the barrier and the start of a shard's next window nothing schedules
-// on it, with one exception, a GlobalAt callback, and the coordinator
-// merges all mail serially immediately before it runs one (and once
-// more when Run returns). Execution order is thus a pure function of
-// configuration and seed, whatever W is.
+// on it, with one exception, a GlobalAt or Every callback, and the
+// coordinator merges all mail serially immediately before it runs one
+// (and once more when Run returns). Execution order is thus a pure
+// function of configuration and seed, whatever W is.
 //
 // # What it buys
 //
@@ -221,6 +221,13 @@ type globalEvent struct {
 	fn func()
 }
 
+// ticker is a periodic barrier hook (Every): next is the instant of its
+// next call.
+type ticker struct {
+	period, next Time
+	fn           func(now Time)
+}
+
 // Coordinator owns a set of shards and advances them in bounded windows.
 type Coordinator struct {
 	shards []*Shard
@@ -234,6 +241,7 @@ type Coordinator struct {
 	wr      int
 	globals []globalEvent
 	gNext   int
+	tickers []ticker
 	started bool
 
 	// Barrier state of the current Run (nil and zero between Runs):
@@ -357,10 +365,8 @@ func (c *Coordinator) Lookahead(src, dst int) Time { return c.la[src*c.n+dst] }
 // GlobalAt schedules fn at absolute time t on the coordinator timeline.
 // It fires at a barrier where every shard's clock has quiesced to t, so
 // fn may touch any shard's components. Events at equal times run in
-// registration order, before any same-instant shard event — mirroring
-// the sequential harness, where timeline events are scheduled at compile
-// time and hold lower sequence numbers than runtime packet events.
-// GlobalAt must be called before Run.
+// registration order, before any same-instant shard event. GlobalAt
+// must be called before Run.
 func (c *Coordinator) GlobalAt(t Time, fn func()) {
 	if c.started {
 		panic("sim: GlobalAt after Run started")
@@ -369,6 +375,25 @@ func (c *Coordinator) GlobalAt(t Time, fn func()) {
 		panic("sim: GlobalAt in the past")
 	}
 	c.globals = append(c.globals, globalEvent{at: t, fn: fn})
+}
+
+// Every calls fn at period, 2*period, … for as long as Run reaches those
+// instants, at the same kind of barrier GlobalAt fires at: every shard
+// has executed its events strictly before the instant and none at it,
+// and every shard's clock reads the instant. At one instant the order is
+// GlobalAt events, then Every hooks in registration order, then shard
+// events. A hook is a reader: it costs no simulator event and no per-call
+// allocation, so on one shard (no mail whose merge a barrier could move)
+// a run executes the same events with or without it. Every must be
+// called before Run.
+func (c *Coordinator) Every(period Time, fn func(now Time)) {
+	if c.started {
+		panic("sim: Every after Run started")
+	}
+	if period <= 0 {
+		panic("sim: Every requires a positive period")
+	}
+	c.tickers = append(c.tickers, ticker{period: period, next: period, fn: fn})
 }
 
 // post appends a message to the (src, dst) lane. Before Run it schedules
@@ -610,9 +635,13 @@ func (c *Coordinator) Run(end Time) uint64 {
 				break
 			}
 		}
+		// g is the next barrier instant: a GlobalAt event or an Every tick.
 		g := timeInf
 		if c.gNext < len(c.globals) {
 			g = c.globals[c.gNext].at
+		}
+		for i := range c.tickers {
+			g = min(g, c.tickers[i].next)
 		}
 		if g <= end {
 			allDone = false
@@ -626,7 +655,7 @@ func (c *Coordinator) Run(end Time) uint64 {
 			if fire {
 				// Every shard has quiesced to g: put the mail where the
 				// callbacks expect it, advance clocks and run all
-				// coordinator events at this instant in order.
+				// coordinator events at this instant, then its hooks.
 				c.mergeAll()
 				for _, sh := range c.shards {
 					if sh.Simulator.now < g {
@@ -636,6 +665,12 @@ func (c *Coordinator) Run(end Time) uint64 {
 				for c.gNext < len(c.globals) && c.globals[c.gNext].at == g {
 					c.globals[c.gNext].fn()
 					c.gNext++
+				}
+				for i := range c.tickers {
+					if tk := &c.tickers[i]; tk.next == g {
+						tk.next += tk.period
+						tk.fn(g)
+					}
 				}
 				continue
 			}

@@ -76,33 +76,76 @@ func TestCoordinatorIdleShardWakeup(t *testing.T) {
 	}
 }
 
-// TestCoordinatorGlobalEvents checks that coordinator events fire with
-// all shard clocks quiesced to the event time, in registration order,
-// and before same-instant shard events.
+// TestCoordinatorGlobalEvents pins the barrier contract of GlobalAt and
+// Every: callbacks run with every shard quiesced strictly before the
+// instant and every clock reading it; at one instant the order is
+// timeline events in registration order, then hooks in registration
+// order, then shard events; a hook fires at period, 2*period, … up to
+// and including the end of the Run, once each, and carries on across
+// Runs — at any shard and worker count.
 func TestCoordinatorGlobalEvents(t *testing.T) {
-	c := NewCoordinator(1, 2)
-	c.SetLookahead(0, 1, 1*Millisecond)
-	c.SetLookahead(1, 0, 1*Millisecond)
-	var order []string
-	c.Shard(0).At(10*Millisecond, func() { order = append(order, "shard0@10") })
-	c.GlobalAt(10*Millisecond, func() {
-		if n0, n1 := c.Shard(0).Now(), c.Shard(1).Now(); n0 != 10*Millisecond || n1 != 10*Millisecond {
-			t.Errorf("global fired with clocks %v/%v, want 10ms/10ms", n0, n1)
+	const period = 4 * Millisecond
+	for _, n := range []int{1, 3} {
+		for _, procs := range []int{1, 2, 4} {
+			c := NewCoordinator(1, n)
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					if i != j {
+						c.SetLookahead(i, j, Millisecond)
+					}
+				}
+			}
+			var order []string
+			// Workers run shard events concurrently: each notes, in a slot
+			// of its own, how much of the barrier log it could already see.
+			seen := make([]int, n)
+			for i := 0; i < n; i++ {
+				i := i
+				c.Shard(i).At(8*Millisecond, func() { seen[i] = len(order) })
+			}
+			at := func(what string, now Time) {
+				for i := 0; i < n; i++ {
+					if got := c.Shard(i).Now(); got != now {
+						t.Errorf("shards=%d procs=%d: %s ran with shard %d at %v, want %v", n, procs, what, i, got, now)
+					}
+				}
+				order = append(order, fmt.Sprintf("%s@%d", what, now/Millisecond))
+			}
+			c.GlobalAt(8*Millisecond, func() { at("globalA", 8*Millisecond) })
+			c.Every(period, func(now Time) { at("hookA", now) })
+			c.GlobalAt(8*Millisecond, func() { at("globalB", 8*Millisecond) })
+			c.GlobalAt(5*Millisecond, func() { at("globalEarly", 5*Millisecond) })
+			c.Every(2*period, func(now Time) { at("hookB", now) })
+			withProcs(procs, func() {
+				c.Run(22 * Millisecond) // ends between two ticks
+				c.Run(24 * Millisecond) // ends on one
+			})
+			want := []string{
+				"hookA@4", "globalEarly@5",
+				"globalA@8", "globalB@8", "hookA@8", "hookB@8",
+				"hookA@12", "hookA@16", "hookB@16", "hookA@20", "hookA@24", "hookB@24",
+			}
+			if !slices.Equal(order, want) {
+				t.Fatalf("shards=%d procs=%d: order %v, want %v", n, procs, order, want)
+			}
+			for i, got := range seen {
+				if got != 6 {
+					t.Errorf("shards=%d procs=%d: shard %d's event at 8ms ran after %d barrier callbacks, want all 6 up to that instant", n, procs, i, got)
+				}
+			}
 		}
-		order = append(order, "globalA")
-	})
-	c.GlobalAt(10*Millisecond, func() { order = append(order, "globalB") })
-	c.GlobalAt(5*Millisecond, func() { order = append(order, "globalEarly") })
-	c.Run(20 * Millisecond)
-	want := []string{"globalEarly", "globalA", "globalB", "shard0@10"}
-	if len(order) != len(want) {
-		t.Fatalf("order %v, want %v", order, want)
 	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order %v, want %v", order, want)
+
+	// Like GlobalAt, Every is set-up only: registering from inside a Run
+	// is a bug, not a request to start late.
+	c := NewCoordinator(1, 1)
+	c.Every(Millisecond, func(Time) { c.Every(Millisecond, func(Time) {}) })
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "Every after Run started") {
+			t.Errorf("Every from inside Run panicked with %q, want the after-Run message", msg)
 		}
-	}
+	}()
+	c.Run(Second)
 }
 
 // TestCoordinatorLookaheadValidation pins the safety contracts: no

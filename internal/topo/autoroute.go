@@ -227,9 +227,9 @@ type managedRoute struct {
 // NewAutoRouter builds the route-computation layer for a graph.
 // recomputeLatency models control-plane convergence and must be
 // positive: it is both the reaction delay after a link-state change and
-// the coalescing window for changes that arrive together. Sequential
+// the coalescing window for changes that arrive together. One-shard
 // graphs only — route recomputation mutates tables across the whole
-// topology.
+// topology from an event on shard 0.
 func NewAutoRouter(g *Graph, p Policy, recomputeLatency sim.Time) (*AutoRouter, error) {
 	if g.Sharded() {
 		return nil, fmt.Errorf("topo: autoroute: sharded graphs do not support route computation")
@@ -248,8 +248,8 @@ func (a *AutoRouter) SetDrain(d sim.Time) { a.drain = d }
 
 // Manage places one direction of a flow under policy control. The route
 // must already be installed and reroutable (table-backed, not a direct
-// wire, not a fan-out); its origin and destination junctions are fixed
-// here, from the installed route.
+// wire); its origin and destination junctions are fixed here, from the
+// installed route.
 func (a *AutoRouter) Manage(flow int, ack bool) error {
 	g := a.g
 	rt, ok := g.routes[hopKey{flow: int32(flow), ack: ack}]
@@ -258,9 +258,6 @@ func (a *AutoRouter) Manage(flow int, ack bool) error {
 	}
 	if rt.origin < 0 {
 		return fmt.Errorf("topo: autoroute: flow %d %s route is a direct wire (nothing to recompute)", flow, dirName(ack))
-	}
-	if rt.fan {
-		return fmt.Errorf("topo: autoroute: flow %d %s route is a fan-out (fan-out routes cannot be rerouted)", flow, dirName(ack))
 	}
 	for _, m := range a.managed {
 		if m.flow == flow && m.ack == ack {

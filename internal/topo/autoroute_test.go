@@ -261,7 +261,7 @@ func TestAutoRouterDrainingMakeBeforeBreak(t *testing.T) {
 // cannot support, loudly.
 func TestAutoRouterValidation(t *testing.T) {
 	s := sim.New(1)
-	g, e1, e2, e3, _ := delayDiamond(t, s)
+	g, e1, e2, _, _ := delayDiamond(t, s)
 	if _, err := NewAutoRouter(g, ShortestPathPolicy{}, 0); err == nil {
 		t.Error("zero recompute latency accepted")
 	}
@@ -289,13 +289,6 @@ func TestAutoRouterValidation(t *testing.T) {
 	}
 	if err := ar.Manage(1, false); err == nil {
 		t.Error("double manage accepted")
-	}
-	if _, err := g.RouteFanout(2, false, [][]int{{e1}, {e3}}, 0,
-		[]packet.Node{&packet.Sink{}, &packet.Sink{}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ar.Manage(2, false); err == nil {
-		t.Error("managing a fan-out route accepted")
 	}
 }
 

@@ -94,55 +94,6 @@ func TestFIBClassRecycling(t *testing.T) {
 	}
 }
 
-// TestFanoutDelivers: the origin duplicates every packet onto each
-// branch and each branch delivers to its own terminal.
-func TestFanoutDelivers(t *testing.T) {
-	s := sim.New(1)
-	g, e1, _, e3, _ := twoPathGraph(t, s)
-	sb, sc := &packet.Sink{}, &packet.Sink{}
-	entry, err := g.RouteFanout(1, false, [][]int{{e1}, {e3}}, sim.Millisecond, []packet.Node{sb, sc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	send(s, entry, 1, 20)
-	s.RunUntil(sim.Second)
-	if sb.Count != 20 || sc.Count != 20 {
-		t.Fatalf("branches delivered %d/%d, want 20/20", sb.Count, sc.Count)
-	}
-	if d := g.UnroutedDrops(); d != 0 {
-		t.Fatalf("unrouted drops = %d", d)
-	}
-}
-
-// TestFanoutValidation: malformed fan-outs fail loudly at install time,
-// and fan routes are excluded from reroutes and route computation.
-func TestFanoutValidation(t *testing.T) {
-	s := sim.New(1)
-	g, e1, e2, e3, e4 := twoPathGraph(t, s)
-	sinks := []packet.Node{&packet.Sink{}, &packet.Sink{}}
-	if _, err := g.RouteFanout(1, false, [][]int{{e1}}, 0, sinks[:1]); err == nil {
-		t.Error("single-branch fan-out accepted")
-	}
-	if _, err := g.RouteFanout(1, false, [][]int{{e1}, {e3}}, 0, sinks[:1]); err == nil {
-		t.Error("branch/terminal count mismatch accepted")
-	}
-	if _, err := g.RouteFanout(1, false, [][]int{{e1, e2}, {e3, e4}}, 0, sinks); err == nil {
-		t.Error("branches converging on one node accepted")
-	}
-	if _, err := g.RouteFanout(1, false, [][]int{{e1}, {e4}}, 0, sinks); err == nil {
-		t.Error("branches with different origins accepted")
-	}
-	if _, err := g.RouteFanout(1, false, [][]int{{e1}, {e3}}, 0, sinks); err != nil {
-		t.Fatalf("valid fan-out rejected: %v", err)
-	}
-	if err := g.Router().CheckReroute(1, false, []int{e1}); err == nil {
-		t.Error("reroute of a fan-out route accepted")
-	}
-	if _, err := g.RouteFanout(1, false, [][]int{{e1}, {e3}}, 0, sinks); err == nil {
-		t.Error("duplicate fan-out install accepted")
-	}
-}
-
 // TestRerouteDrainingDeliversInFlight: with a make-before-break window
 // covering the drain time, every packet in flight on the abandoned path
 // reaches the receiver — zero stranded drops — and the overrides are

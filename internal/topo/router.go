@@ -49,9 +49,6 @@ func (r *Router) CheckReroute(flow int, ack bool, edges []int) error {
 	if rt.origin < 0 {
 		return fmt.Errorf("topo: reroute: flow %d %s route is a direct wire (no junctions to re-decide)", flow, dirName(ack))
 	}
-	if rt.fan {
-		return fmt.Errorf("topo: reroute: flow %d %s route is a fan-out (fan-out routes cannot be rerouted)", flow, dirName(ack))
-	}
 	if len(edges) == 0 {
 		return fmt.Errorf("topo: reroute: flow %d: empty route", flow)
 	}
@@ -83,7 +80,7 @@ func (r *Router) Reroute(flow int, ack bool, edges []int) error {
 // through per-flow override entries. When the window closes the
 // overrides are removed and any stragglers are counted as unrouted drops
 // at their next junction, so the conservation contract (delivered + drop
-// counters = sent) holds throughout. Sequential graphs only.
+// counters = sent) holds throughout. One-shard graphs only.
 func (r *Router) RerouteDraining(flow int, ack bool, edges []int, drain sim.Time) error {
 	if r.g.Sharded() {
 		return fmt.Errorf("topo: reroute: flow %d: draining reroutes are not supported on sharded graphs", flow)

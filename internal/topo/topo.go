@@ -63,18 +63,11 @@ type hopKey struct {
 	ack  bool
 }
 
-// hop is one forwarding-table entry. Exactly one of its shapes applies:
-// edge >= 0 forwards onto that edge; fan (edge < 0) duplicates the
-// packet onto every listed edge (multicast fan-out); terminal (edge < 0,
-// fan nil) delivers to that element; all-zero (edge < 0, fan and
-// terminal nil) delivers through the arriving flow's own access tail —
-// the sentinel that lets flows with different receivers and RTTs share
-// one aggregated class entry.
-type hop struct {
-	edge     int32
-	terminal packet.Node
-	fan      []int32
-}
+// hop is one forwarding-table entry: edge >= 0 forwards onto that edge;
+// edge < 0 ends the route and delivers through the arriving flow's own
+// access tail — the sentinel that lets flows with different receivers
+// and RTTs share one aggregated class entry.
+type hop struct{ edge int32 }
 
 // Node is a junction: packets arriving here are forwarded by a FIB class
 // lookup — flows whose route (direction and exact edge sequence) is
@@ -84,7 +77,7 @@ type Node struct {
 	ID   int
 	Name string
 	g    *Graph
-	// shard is the node's home shard; 0 on unsharded graphs.
+	// shard is the node's home shard; 0 on one-shard graphs.
 	shard int
 	// table is the forwarding table, keyed by FIB class id; Router
 	// mutates it mid-run.
@@ -142,22 +135,6 @@ func (n *Node) forward(h hop, dir int, p *packet.Packet) {
 		n.g.edges[h.edge].Recv(p)
 		return
 	}
-	if h.fan != nil {
-		// Multicast fan-out: duplicate onto every branch. Copies are
-		// fresh free-list packets; the original rides the first branch,
-		// sent last so the copies never read a consumed packet.
-		for _, e := range h.fan[1:] {
-			q := packet.Get()
-			*q = *p
-			n.g.edges[e].Recv(q)
-		}
-		n.g.edges[h.fan[0]].Recv(p)
-		return
-	}
-	if h.terminal != nil {
-		h.terminal.Recv(p)
-		return
-	}
 	n.g.tails[dir][p.Flow].Recv(p)
 }
 
@@ -186,7 +163,7 @@ type Edge struct {
 
 	g *Graph
 	// home is the simulator the edge's elements schedule on: the From
-	// node's shard on sharded graphs, the graph's simulator otherwise.
+	// node's shard.
 	home *sim.Simulator
 	// head is the first element of the edge's chain:
 	// impairments → link → delay wire → To.
@@ -335,9 +312,6 @@ type routeState struct {
 	// class is the FIB class the route's table entries are aggregated
 	// under, or -1 for direct routes (which never touch tables).
 	class int32
-	// fan marks multicast fan-out routes (RouteFanout); they own a
-	// dedicated class and cannot be rerouted.
-	fan bool
 	// tail is the delivery element the route's last node hands packets
 	// to: the per-flow access-latency wire when the route has one, else
 	// the terminal itself. A reroute moves it to the new last node. On
@@ -367,16 +341,19 @@ type fibClass struct {
 	// refs counts the flows attached to the class; the last detach
 	// uninstalls its table entries and recycles the id.
 	refs int
-	// fan marks a multicast fan-out class (never shared, never rerouted).
-	fan bool
 }
 
 // Graph is the topology under construction and, once flows are routed,
 // the running network.
 type Graph struct {
-	// S is the graph's simulator: the one simulator on sequential runs,
-	// shard 0's on sharded runs (use SimFor for per-node placement).
-	S     *sim.Simulator
+	// S is shard 0's simulator — the only one unless the graph is
+	// sharded (use SimFor for per-node placement).
+	S *sim.Simulator
+	// sims holds one simulator per shard; a node's shard indexes it.
+	sims []*sim.Simulator
+	// coord advances the shards when the graph was built over one
+	// (NewSharded); the graph itself needs it only to cut an edge across
+	// two shards and to pass the flight recorder on.
 	coord *sim.Coordinator
 	// assign maps node id -> shard on sharded graphs (see Partition).
 	assign []int
@@ -437,60 +414,57 @@ func (e *Edge) wireObs() {
 
 // nowNS resolves the node's home-shard clock; only trace points pay for
 // it, inside an Enabled guard.
-func (n *Node) nowNS() int64 {
-	g := n.g
-	if g.coord == nil {
-		return int64(g.S.Now())
-	}
-	return int64(g.coord.Shard(n.shard).Simulator.Now())
-}
+func (n *Node) nowNS() int64 { return int64(n.g.sims[n.shard].Now()) }
 
-// New returns an empty graph on the simulator.
+// New returns an empty one-shard graph on a bare simulator, which the
+// caller runs itself.
 func New(s *sim.Simulator) *Graph {
-	return &Graph{S: s, routes: make(map[hopKey]routeState), classByRoute: make(map[string]int32)}
-}
-
-// NewSharded returns an empty graph spread over the coordinator's
-// shards: node i of the graph lives on shard assign[i] (AddNode consumes
-// the assignment in creation order; see Partition for computing one).
-// Same-shard edges behave exactly as on a sequential graph; edges whose
-// endpoints land on different shards hand packets across via the
-// coordinator's mailboxes, with the edge's propagation delay as the
-// channel lookahead — which is why a shard-cut edge must have positive
-// delay.
-func NewSharded(c *sim.Coordinator, assign []int) *Graph {
-	return &Graph{S: c.Shard(0).Simulator, coord: c, assign: assign,
+	return &Graph{S: s, sims: []*sim.Simulator{s},
 		routes: make(map[hopKey]routeState), classByRoute: make(map[string]int32)}
 }
 
-// Sharded reports whether the graph spans multiple shard simulators.
-func (g *Graph) Sharded() bool { return g.coord != nil }
+// NewSharded returns an empty graph spread over the coordinator's
+// shards, which the caller runs through the coordinator: node i of the
+// graph lives on shard assign[i] (AddNode consumes the assignment in
+// creation order; see Partition for computing one). A one-shard
+// coordinator needs no assignment. Same-shard edges behave exactly as on
+// a one-shard graph; edges whose endpoints land on different shards hand
+// packets across via the coordinator's mailboxes, with the edge's
+// propagation delay as the channel lookahead — which is why a shard-cut
+// edge must have positive delay.
+func NewSharded(c *sim.Coordinator, assign []int) *Graph {
+	g := New(c.Shard(0).Simulator)
+	for i := 1; i < c.Shards(); i++ {
+		g.sims = append(g.sims, c.Shard(i).Simulator)
+	}
+	g.coord, g.assign = c, assign
+	return g
+}
 
-// Coordinator returns the graph's shard coordinator (nil if unsharded).
+// Sharded reports whether the graph spans more than one shard simulator.
+func (g *Graph) Sharded() bool { return len(g.sims) > 1 }
+
+// Coordinator returns the coordinator the graph was built over (nil for
+// a graph on a bare simulator).
 func (g *Graph) Coordinator() *sim.Coordinator { return g.coord }
 
-// ShardOf reports the shard a node lives on (0 on unsharded graphs).
+// ShardOf reports the shard a node lives on (0 on one-shard graphs).
 func (g *Graph) ShardOf(node int) int { return g.nodes[node].shard }
 
 // SimFor returns the simulator a node's components must schedule on.
-func (g *Graph) SimFor(node int) *sim.Simulator {
-	if g.coord == nil {
-		return g.S
-	}
-	return g.coord.Shard(g.nodes[node].shard).Simulator
-}
+func (g *Graph) SimFor(node int) *sim.Simulator { return g.sims[g.nodes[node].shard] }
 
 // AddNode adds a junction and returns its id.
 func (g *Graph) AddNode(name string) int {
 	id := len(g.nodes)
 	shard := 0
-	if g.coord != nil {
+	if g.Sharded() {
 		if id >= len(g.assign) {
 			panic(fmt.Sprintf("topo: node %d exceeds the shard assignment (%d nodes partitioned)", id, len(g.assign)))
 		}
 		shard = g.assign[id]
-		if shard < 0 || shard >= g.coord.Shards() {
-			panic(fmt.Sprintf("topo: node %d assigned to shard %d of %d", id, shard, g.coord.Shards()))
+		if shard < 0 || shard >= len(g.sims) {
+			panic(fmt.Sprintf("topo: node %d assigned to shard %d of %d", id, shard, len(g.sims)))
 		}
 	}
 	n := &Node{ID: id, Name: name, g: g, shard: shard, table: make(map[int32]hop)}
@@ -689,10 +663,8 @@ func (g *Graph) detachClass(id int32) {
 	if c.refs > 0 {
 		return
 	}
-	if !c.fan {
-		g.uninstallClass(id, c.edges)
-		delete(g.classByRoute, classKey(c.ack, c.edges))
-	}
+	g.uninstallClass(id, c.edges)
+	delete(g.classByRoute, classKey(c.ack, c.edges))
 	g.classes[id] = fibClass{}
 	g.freeClasses = append(g.freeClasses, id)
 }
@@ -774,13 +746,10 @@ func (g *Graph) RouteFlow(flow int, ack bool, edges []int, tailDelay sim.Time, t
 // from a junction. When the route's last node and the terminal share a
 // shard the tail is the usual access-latency wire; otherwise the tail
 // becomes a cross-shard hop and tailDelay must be positive, for the same
-// reason a shard-cut edge needs positive delay. An unsharded graph has
-// the one shard 0.
+// reason a shard-cut edge needs positive delay. A one-shard graph has
+// only shard 0.
 func (g *Graph) RouteFlowAt(flow int, ack bool, edges []int, tailDelay sim.Time, terminal packet.Node, termShard, injShard int) (packet.Node, error) {
-	n := 1
-	if g.Sharded() {
-		n = g.coord.Shards()
-	}
+	n := len(g.sims)
 	if termShard < 0 || termShard >= n || injShard < 0 || injShard >= n {
 		return nil, fmt.Errorf("topo: flow %d: shard out of range", flow)
 	}
@@ -820,90 +789,15 @@ func (g *Graph) routeFlow(flow int, ack bool, edges []int, tailDelay sim.Time, t
 	return origin, nil
 }
 
-// RouteFanout installs a multicast-style fan-out route for one direction
-// of a flow: the shared origin duplicates every packet onto each
-// branch's first edge, the branches forward independently, and branch i
-// delivers to terminals[i] behind a tailDelay access wire. Branches must
-// all start at the same junction and be node-disjoint beyond it — each
-// junction keeps exactly one decision per class. Fan-out routes own a
-// dedicated (never aggregated) class, cannot be rerouted, and are
-// sequential-only.
-func (g *Graph) RouteFanout(flow int, ack bool, branches [][]int, tailDelay sim.Time, terminals []packet.Node) (packet.Node, error) {
-	if g.Sharded() {
-		return nil, fmt.Errorf("topo: flow %d: fan-out routes are not supported on sharded graphs", flow)
-	}
-	key := hopKey{flow: int32(flow), ack: ack}
-	if _, dup := g.routes[key]; dup {
-		return nil, fmt.Errorf("topo: flow %d %s route installed twice", flow, dirName(ack))
-	}
-	if len(branches) < 2 {
-		return nil, fmt.Errorf("topo: flow %d: fan-out needs at least two branches (RouteFlow installs single routes)", flow)
-	}
-	if len(terminals) != len(branches) {
-		return nil, fmt.Errorf("topo: flow %d: %d branches but %d terminals", flow, len(branches), len(terminals))
-	}
-	seen := make(map[*Node]int)
-	var origin *Node
-	for bi, br := range branches {
-		if len(br) == 0 {
-			return nil, fmt.Errorf("topo: flow %d: fan-out branch %d is empty", flow, bi)
-		}
-		if err := g.CheckPath(br); err != nil {
-			return nil, fmt.Errorf("topo: flow %d branch %d %v", flow, bi, err)
-		}
-		from := g.edges[br[0]].From
-		if origin == nil {
-			origin = from
-		} else if from != origin {
-			return nil, fmt.Errorf("topo: flow %d: branch %d starts at %q, branch 0 at %q — fan-out branches share one origin",
-				flow, bi, from.Name, origin.Name)
-		}
-		for _, eid := range br {
-			to := g.edges[eid].To
-			if prev, dup := seen[to]; dup {
-				return nil, fmt.Errorf("topo: flow %d: branches %d and %d both traverse node %q — fan-out branches must be node-disjoint",
-					flow, prev, bi, to.Name)
-			}
-			seen[to] = bi
-		}
-	}
-	rt := routeState{origin: origin.ID, fan: true, tailDelay: tailDelay}
-	id := g.newClassID(fibClass{ack: ack, refs: 1, fan: true})
-	fan := make([]int32, len(branches))
-	for bi, br := range branches {
-		fan[bi] = int32(br[0])
-		var tail packet.Node = terminals[bi]
-		if tailDelay > 0 {
-			tail = netem.NewWire(g.S, tailDelay, terminals[bi])
-		}
-		for i, eid := range br {
-			next := hop{edge: -1, terminal: tail}
-			if i < len(br)-1 {
-				next = hop{edge: int32(br[i+1])}
-			}
-			g.edges[eid].To.table[id] = next
-		}
-	}
-	origin.table[id] = hop{edge: -1, fan: fan}
-	rt.class = id
-	g.setFlowClass(flow, ack, id)
-	g.routes[key] = rt
-	return origin, nil
-}
-
 // buildTail constructs the delivery element installed at a route's last
 // node (or handed to a direct route's injector), given the shard that
-// element is entered from. Unsharded graphs build the classic wire; on
-// sharded graphs a tail whose terminal lives on another shard becomes a
-// cross-shard hop with tailDelay as its lookahead.
+// element is entered from: the access-latency wire on that shard when
+// the terminal lives there too, otherwise a cross-shard hop with
+// tailDelay as its lookahead.
 func (g *Graph) buildTail(rt *routeState, fromShard int) (packet.Node, error) {
-	if !g.Sharded() || fromShard == rt.termShard {
-		s := g.S
-		if g.Sharded() {
-			s = g.coord.Shard(fromShard).Simulator
-		}
+	if fromShard == rt.termShard {
 		if rt.tailDelay > 0 {
-			return netem.NewWire(s, rt.tailDelay, rt.terminal), nil
+			return netem.NewWire(g.sims[fromShard], rt.tailDelay, rt.terminal), nil
 		}
 		return rt.terminal, nil
 	}
