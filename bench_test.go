@@ -13,6 +13,7 @@ import (
 	"abc/internal/app"
 	"abc/internal/cc"
 	"abc/internal/exp"
+	"abc/internal/metrics"
 	"abc/internal/netem"
 	"abc/internal/obs"
 	"abc/internal/packet"
@@ -106,6 +107,32 @@ func BenchmarkEndpointAckClock(b *testing.B) {
 	s.RunUntil(s.Now() + sim.Time(b.N)*sim.Second)
 	if got := alg.acks - start; got != int64(b.N) || ep.Inflight() != 256 || ep.LostPackets != 0 {
 		b.Fatalf("%d ACKs, %d in flight, %d lost; want %d, 256, 0", got, ep.Inflight(), ep.LostPackets, b.N)
+	}
+}
+
+// BenchmarkDelayRecorderAdd measures the per-packet metrics path: one op
+// is 1000 delay samples into a metrics.DelayRecorder that is past its
+// 1000 raw samples, then one P95 — an array increment each, and a walk
+// over the counters. Every octave the stream touches exists before the
+// timer starts, so it must report 0 allocs/op (enforced via
+// bench_thresholds.txt).
+func BenchmarkDelayRecorderAdd(b *testing.B) {
+	var d metrics.DelayRecorder
+	delay := func(i int) sim.Time { return sim.Time(1+i%997) * 211 * sim.Microsecond } // 0.2 to 210 ms
+	for i := 0; i < 2000; i++ {
+		d.Add(delay(i))
+	}
+	var p95 float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < 1000; j++ {
+			d.Add(delay(j))
+		}
+		p95 = d.P95()
+	}
+	if d.Count() != 2000+1000*b.N || p95 < 190 || p95 > 210 {
+		b.Fatalf("%d samples, p95 %.1f ms; want %d and about 200", d.Count(), p95, 2000+1000*b.N)
 	}
 }
 

@@ -49,8 +49,8 @@
 // its outstanding packets in a ring indexed by sequence number
 // (cc.Endpoint), so the per-packet path neither searches nor hashes,
 // per-packet delay statistics
-// stream through fixed-memory Greenwald-Khanna sketches
-// (internal/metrics), and the multi-run figure drivers fan independent
+// stream into fixed-memory log-linear histograms, one array increment
+// a sample (internal/metrics), and the multi-run figure drivers fan independent
 // (trace, scheme, seed) cells across a bounded worker pool
 // (internal/exp) with byte-identical results to a sequential sweep.
 // CI guards the zero-alloc property against regression

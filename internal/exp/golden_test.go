@@ -6,6 +6,14 @@
 // output byte — a float, a counter, an ordering — fails here mechanically
 // instead of relying on ad-hoc byte comparisons between branches.
 //
+// Each case carries two digests. "full" is the digest of the whole
+// serialization. "masked" is the digest of the same serialization with
+// every number under a key matching percentileMask replaced by null: it
+// is what a change to the percentile estimator (metrics.DelayRecorder's
+// engine) must leave alone, because the recorder feeds nothing back into
+// the simulation. A case whose full digest moves while its masked digest
+// holds changed percentile fields and nothing else.
+//
 // After an *intentional* output change, regenerate with
 //
 //	go test ./internal/exp/ -run TestGoldenFigures -update-golden
@@ -15,12 +23,14 @@
 package exp
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+	"regexp"
 	"sort"
 	"testing"
 
@@ -31,6 +41,19 @@ var updateGolden = flag.Bool("update-golden", false,
 	"rewrite testdata/golden.json with recomputed digests")
 
 const goldenPath = "testdata/golden.json"
+
+// percentileMask matches the result keys that hold a percentile read
+// from a DelayRecorder, or a mean of such percentiles, and nothing else.
+// In the corpus that is P95Ms, P95Slowdown, QDelayP95 (and its Enqueue,
+// Dequeue, NoCross variants), MaxQDelayP95, AttackedP95Ms, HonestP95Ms,
+// victim_p95_ms and bystander_p95_ms.
+var percentileMask = regexp.MustCompile(`(?i)p95|p50|p99`)
+
+// goldenEntry is one corpus row of testdata/golden.json.
+type goldenEntry struct {
+	Full   string `json:"full"`
+	Masked string `json:"masked"`
+}
 
 // goldenCase is one corpus row: a table driver run at fixed Params, or
 // — where the corpus locks a sub-case Params cannot say — a closure.
@@ -125,24 +148,67 @@ func goldenCases() []goldenCase {
 	}
 }
 
-// goldenDigest canonicalizes a driver result and digests it. The byte
-// length comes along so a result type that quietly stops marshalling
-// (unexported fields, nil maps) fails loudly instead of locking down an
-// empty object.
+// goldenDigest is the full digest of a driver result, for the tests
+// that compare two runs with each other.
 func goldenDigest(v any) (digest string, size int, err error) {
+	e, size, err := goldenDigests(v)
+	return e.Full, size, err
+}
+
+// goldenDigests canonicalizes a driver result and digests it, whole and
+// percentile-masked. The byte length comes along so a result type that
+// quietly stops marshalling (unexported fields, nil maps) fails loudly
+// instead of locking down an empty object.
+func goldenDigests(v any) (e goldenEntry, size int, err error) {
 	b, err := json.Marshal(v)
 	if err != nil {
-		return "", 0, err
+		return e, 0, err
 	}
+	// Round-trip through a generic tree with the numbers kept as their
+	// literal text, so masking changes nothing but the masked values.
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.UseNumber()
+	var tree any
+	if err := dec.Decode(&tree); err != nil {
+		return e, 0, err
+	}
+	mb, err := json.Marshal(maskPercentiles(tree, false))
+	if err != nil {
+		return e, 0, err
+	}
+	return goldenEntry{Full: sha256Hex(b), Masked: sha256Hex(mb)}, len(b), nil
+}
+
+func sha256Hex(b []byte) string {
 	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), len(b), nil
+	return hex.EncodeToString(sum[:])
+}
+
+// maskPercentiles returns v with every number at or below a key that
+// matches percentileMask replaced by nil.
+func maskPercentiles(v any, masked bool) any {
+	switch x := v.(type) {
+	case map[string]any:
+		for k, child := range x {
+			x[k] = maskPercentiles(child, masked || percentileMask.MatchString(k))
+		}
+	case []any:
+		for i, child := range x {
+			x[i] = maskPercentiles(child, masked)
+		}
+	case json.Number:
+		if masked {
+			return nil
+		}
+	}
+	return v
 }
 
 // TestGoldenFigures recomputes every case and diffs its digest against
 // the checked-in corpus. With -update-golden it rewrites the corpus
 // instead of diffing.
 func TestGoldenFigures(t *testing.T) {
-	want := map[string]string{}
+	want := map[string]goldenEntry{}
 	if !*updateGolden {
 		data, err := os.ReadFile(goldenPath)
 		if err != nil {
@@ -153,7 +219,7 @@ func TestGoldenFigures(t *testing.T) {
 		}
 	}
 	cases := goldenCases()
-	got := make(map[string]string, len(cases))
+	got := make(map[string]goldenEntry, len(cases))
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
@@ -161,7 +227,7 @@ func TestGoldenFigures(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			d, n, err := goldenDigest(v)
+			d, n, err := goldenDigests(v)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -175,8 +241,10 @@ func TestGoldenFigures(t *testing.T) {
 			switch w, ok := want[c.name]; {
 			case !ok:
 				t.Errorf("no golden digest for %q; add it with -update-golden", c.name)
-			case w != d:
-				t.Errorf("output digest changed:\n got %s\nwant %s\nif intentional, regenerate with -update-golden and commit the new corpus", d, w)
+			case w.Masked != d.Masked:
+				t.Errorf("output digest changed:\n got %s\nwant %s\nif intentional, regenerate with -update-golden and commit the new corpus", d.Full, w.Full)
+			case w.Full != d.Full:
+				t.Errorf("percentile fields changed (the masked digest holds, so nothing else did):\n got %s\nwant %s\nif intentional, regenerate with -update-golden and commit the new corpus", d.Full, w.Full)
 			}
 		})
 	}

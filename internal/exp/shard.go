@@ -24,10 +24,12 @@
 // are written per packet on one shard. Above one, receivers on
 // different shards would race, so they are merged from the per-flow
 // recorders after the run, in flow order
-// (metrics.DelayRecorder.Merge), which keeps the result a pure function
-// of (spec, seed, shard count). A sketch merge is not sample-for-sample
-// what per-packet adds produce, which is why the shard count — an input
-// — still selects between the two here and nowhere else.
+// (metrics.DelayRecorder.Merge). A merge adds histogram counters, so a
+// pooled recorder's Count and every percentile are the same either way
+// and at any shard count; only the pooled Mean's float sum rounds
+// differently in flow order than in arrival order (by a relative 8e-14
+// on the sharded mesh), and that rounding is all the shard count — an
+// input — still selects here.
 package exp
 
 import (

@@ -60,6 +60,41 @@ func TestShardedMeshDigestInvariant(t *testing.T) {
 	}
 }
 
+// TestShardedPooledPercentilesInvariant: the pooled recorder is fed per
+// packet on one shard and merged from the per-flow recorders above one,
+// and a merge is bucket-wise addition, so its count and percentiles may
+// not depend on the shard count. Its mean may, in the last bits: the
+// float sum is taken in arrival order on one shard and in flow order
+// above.
+func TestShardedPooledPercentilesInvariant(t *testing.T) {
+	type pooledStats struct {
+		count         int
+		p50, p95, p99 float64
+	}
+	var want pooledStats
+	var wantMean float64
+	for _, shards := range []int{1, 2, 4} {
+		_, pooled, err := Run(shardedMeshSpec(shards, 10*sim.Second, 1))
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		got := pooledStats{pooled.Count(), pooled.Percentile(50), pooled.Percentile(95), pooled.Percentile(99)}
+		if shards == 1 {
+			if got.count <= 4000 {
+				t.Fatalf("pooled recorder holds %d samples; the run is too short to leave the raw-sample regime", got.count)
+			}
+			want, wantMean = got, pooled.Mean()
+			continue
+		}
+		if got != want {
+			t.Errorf("shards=%d: pooled %+v, want the one-shard %+v", shards, got, want)
+		}
+		if math.Abs(pooled.Mean()-wantMean) > 1e-12*wantMean {
+			t.Errorf("shards=%d: pooled mean %v, one-shard %v", shards, pooled.Mean(), wantMean)
+		}
+	}
+}
+
 // TestShardedMetricsSampling: a metered sharded run publishes the
 // coordinator's self-accounting next to the per-shard event counts.
 func TestShardedMetricsSampling(t *testing.T) {

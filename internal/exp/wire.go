@@ -147,9 +147,10 @@ func (r flowRoute) dir(ack bool) []int {
 // The endpoint lives on the shard of the data route's origin junction
 // and the receiver on that of its terminal junction (they inject packets
 // synchronously into those junctions). Above one shard the
-// pooled/adversary recorders are not touched per packet —
-// poolShardedMetrics rebuilds them from the per-flow recorders after the
-// run.
+// pooled/adversary recorders are not touched per packet (receivers on
+// different shards would race) — poolShardedMetrics rebuilds them from
+// the per-flow recorders after the run, to the same counts and
+// percentiles.
 func wireFlows(g *topo.Graph, spec *Spec, res *Result, pooled *metrics.DelayRecorder, routes []flowRoute) error {
 	sharded := g.Sharded()
 	res.Flows = make([]FlowResult, len(spec.Flows))

@@ -3,162 +3,125 @@ package metrics
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 )
 
-// TestDelayRecorderMerge: merging K recorders fed disjoint slices of a
-// sample stream must agree with one recorder fed the whole stream —
-// exactly on count/mean/min/max, within the summed epsilon bound on
-// percentiles.
+// sameDistribution fails unless a and b agree exactly on count, extremes
+// and every integer percentile, and on the mean to float rounding.
+func sameDistribution(t *testing.T, what string, a, b *DelayRecorder) {
+	t.Helper()
+	if a.Count() != b.Count() {
+		t.Fatalf("%s: count %d != %d", what, a.Count(), b.Count())
+	}
+	if math.Abs(a.Mean()-b.Mean()) > 1e-9*math.Abs(b.Mean()) {
+		t.Fatalf("%s: mean %v != %v", what, a.Mean(), b.Mean())
+	}
+	for p := 0.0; p <= 100; p++ {
+		if x, y := a.Percentile(p), b.Percentile(p); x != y {
+			t.Fatalf("%s: p%g %v != %v", what, p, x, y)
+		}
+	}
+}
+
+// TestDelayRecorderMerge: a recorder is a function of the multiset of
+// samples it saw. Any split of a stream into parts — empty ones, raw
+// ones (<= rawLimit samples) and bucketed ones — recorded separately
+// and merged in any order and any grouping equals the one recorder that
+// saw the whole stream, leaves its sources as they were, and goes on
+// taking samples as that recorder does.
 func TestDelayRecorderMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	for _, parts := range []int{2, 4, 7} {
-		for _, n := range []int{10, 999, 20000} {
-			samples := make([]float64, n)
-			for i := range samples {
-				// Heavy-tailed-ish mixture, the shape delay data takes.
-				v := rng.ExpFloat64() * 20
-				if rng.Float64() < 0.1 {
-					v += 200 * rng.Float64()
-				}
-				samples[i] = v
-			}
-			var whole DelayRecorder
-			shards := make([]DelayRecorder, parts)
-			for i, v := range samples {
-				whole.AddSample(v)
-				shards[i%parts].AddSample(v)
-			}
-			var merged DelayRecorder
-			for i := range shards {
-				merged.Merge(&shards[i])
-			}
-			if merged.Count() != whole.Count() {
-				t.Fatalf("parts=%d n=%d: merged count %d != %d", parts, n, merged.Count(), whole.Count())
-			}
-			if math.Abs(merged.Mean()-whole.Mean()) > 1e-9 {
-				t.Fatalf("parts=%d n=%d: merged mean %v != %v", parts, n, merged.Mean(), whole.Mean())
-			}
-			if merged.Percentile(0) != whole.Percentile(0) || merged.Percentile(100) != whole.Percentile(100) {
-				t.Fatalf("parts=%d n=%d: min/max drifted under merge", parts, n)
-			}
-			sorted := append([]float64(nil), samples...)
-			sort.Float64s(sorted)
-			for _, p := range []float64{50, 95, 99} {
-				got := merged.Percentile(p)
-				// Allowed rank error: one epsilon per merged sketch plus
-				// the query's own epsilon (conservative).
-				slack := int(math.Ceil(defaultEpsilon*float64(n)))*(parts+1) + 1
-				rank := int(math.Ceil(p / 100 * float64(n)))
-				lo, hi := rank-1-slack, rank-1+slack
-				if lo < 0 {
-					lo = 0
-				}
-				if hi >= n {
-					hi = n - 1
-				}
-				if got < sorted[lo] || got > sorted[hi] {
-					t.Fatalf("parts=%d n=%d p%g: merged %v outside rank band [%v, %v]",
-						parts, n, p, got, sorted[lo], sorted[hi])
-				}
+	// The sizes of consecutive parts of the stream.
+	splits := map[string][]int{
+		"all-raw":          {3, 0, 400, 250},
+		"raw-sum-spills":   {700, 0, 600, 1},
+		"raw-and-bucketed": {0, 12, 5_000, 999, 1_001, 2_500},
+		"bucketed":         {4_000, 20_000, 1_500},
+		"round-robin":      nil, // 20 000 samples dealt to 7 parts in turn
+	}
+	for name, sizes := range splits {
+		n := 20_000
+		if sizes != nil {
+			n = 0
+			for _, s := range sizes {
+				n += s
 			}
 		}
-	}
-}
-
-// TestMergeMixedEpsilonAdoptsLooserBound: merging sketches built with
-// different epsilon bounds must adopt the looser of the two and keep the
-// merged quantiles within the summed rank error versus the exact order
-// statistics. (The regression: merge used to compress the source's wide
-// bands against the *destination's* epsilon, silently voiding the rank
-// guarantee when the destination was the tighter sketch.)
-func TestMergeMixedEpsilonAdoptsLooserBound(t *testing.T) {
-	const (
-		n        = 40_000
-		tightEps = defaultEpsilon // 0.0005
-		looseEps = 0.02
-	)
-	for _, dir := range []string{"loose-into-tight", "tight-into-loose"} {
-		rng := rand.New(rand.NewSource(9))
 		samples := make([]float64, n)
-		tight := &gkSketch{eps: tightEps}
-		loose := &gkSketch{eps: looseEps}
 		for i := range samples {
-			v := rng.ExpFloat64() * 15
-			if rng.Float64() < 0.1 {
-				v += 300 * rng.Float64()
+			// Heavy-tailed-ish mixture, the shape delay data takes,
+			// with exact zeros in it.
+			v := rng.ExpFloat64() * 20
+			switch {
+			case rng.Float64() < 0.1:
+				v += 200 * rng.Float64()
+			case rng.Float64() < 0.01:
+				v = 0
 			}
 			samples[i] = v
-			if i%2 == 0 {
-				tight.Add(v)
-			} else {
-				loose.Add(v)
+		}
+		var whole DelayRecorder
+		for _, v := range samples {
+			whole.AddSample(v)
+		}
+		var parts []*DelayRecorder
+		if sizes == nil {
+			for k := 0; k < 7; k++ {
+				parts = append(parts, new(DelayRecorder))
 			}
-		}
-		dst, src := tight, loose
-		if dir == "tight-into-loose" {
-			dst, src = loose, tight
-		}
-		dst.merge(src)
-		if got := dst.epsilon(); got != looseEps {
-			t.Fatalf("%s: merged epsilon %v, want looser bound %v", dir, got, looseEps)
-		}
-		if dst.bufLimit != 0 && dst.bufLimit != dst.bufCap() {
-			t.Fatalf("%s: stale insert-buffer cap %d (epsilon now %v wants %d)",
-				dir, dst.bufLimit, dst.epsilon(), dst.bufCap())
-		}
-		if dst.Count() != n {
-			t.Fatalf("%s: merged count %d != %d", dir, dst.Count(), n)
-		}
-		sorted := append([]float64(nil), samples...)
-		sort.Float64s(sorted)
-		// Allowed rank error: one epsilon per constituent sketch (the
-		// mergeable-summary bound) plus the query's own margin at the
-		// merged — looser — epsilon.
-		slack := int(math.Ceil((tightEps+looseEps)*n)) + int(math.Ceil(looseEps*n)) + 1
-		for _, p := range []float64{25, 50, 90, 95, 99} {
-			rank := int(math.Ceil(p / 100 * n))
-			got := dst.Query(int64(rank))
-			lo, hi := clampIdx(rank-1-slack, n), clampIdx(rank-1+slack, n)
-			if got < sorted[lo] || got > sorted[hi] {
-				t.Fatalf("%s p%g: merged %v outside rank band [%v, %v] (slack %d ranks)",
-					dir, p, got, sorted[lo], sorted[hi], slack)
+			for i, v := range samples {
+				parts[i%7].AddSample(v)
 			}
-		}
-		// The merged sketch must stay usable as a stream: further Adds
-		// flush against the adopted bound without violating it.
-		for i := 0; i < 2*dst.bufCap(); i++ {
-			dst.Add(sorted[n/2])
-		}
-		if dst.Count() != int64(n+2*dst.bufCap()) {
-			t.Fatalf("%s: post-merge Adds lost samples", dir)
-		}
-	}
-}
-
-// TestDelayRecorderMergeExact: Exact recorders merge into an Exact
-// recorder with bit-identical percentiles.
-func TestDelayRecorderMergeExact(t *testing.T) {
-	var a, b, whole DelayRecorder
-	a.Exact, b.Exact, whole.Exact = true, true, true
-	for i := 0; i < 100; i++ {
-		v := float64((i * 37) % 101)
-		whole.AddSample(v)
-		if i%2 == 0 {
-			a.AddSample(v)
 		} else {
-			b.AddSample(v)
+			rest := samples
+			for _, s := range sizes {
+				d := new(DelayRecorder)
+				for _, v := range rest[:s] {
+					d.AddSample(v)
+				}
+				rest = rest[s:]
+				parts = append(parts, d)
+			}
 		}
-	}
-	var m DelayRecorder
-	m.Exact = true
-	m.Merge(&a)
-	m.Merge(&b)
-	for _, p := range []float64{0, 25, 50, 95, 100} {
-		if m.Percentile(p) != whole.Percentile(p) {
-			t.Fatalf("p%g: exact merge %v != %v", p, m.Percentile(p), whole.Percentile(p))
+		for trial := 0; trial < 4; trial++ {
+			rng.Shuffle(len(parts), func(i, j int) { parts[i], parts[j] = parts[j], parts[i] })
+			// Left fold, then a two-level grouping of the same order:
+			// commutative and associative.
+			var fold DelayRecorder
+			for _, p := range parts {
+				fold.Merge(p)
+			}
+			sameDistribution(t, name+" fold", &fold, &whole)
+			var left, right, tree DelayRecorder
+			for i, p := range parts {
+				if i < len(parts)/2 {
+					left.Merge(p)
+				} else {
+					right.Merge(p)
+				}
+			}
+			tree.Merge(&right)
+			tree.Merge(&left)
+			sameDistribution(t, name+" tree", &tree, &whole)
+
+			// Still a stream: the same further samples keep them equal.
+			var cont DelayRecorder
+			for _, v := range samples {
+				cont.AddSample(v)
+			}
+			for i := 0; i < 1_500; i++ {
+				v := rng.ExpFloat64() * 30
+				fold.AddSample(v)
+				cont.AddSample(v)
+			}
+			sameDistribution(t, name+" continued", &fold, &cont)
 		}
+		// The sources are unchanged: merging them again still works.
+		var again DelayRecorder
+		for _, p := range parts {
+			again.Merge(p)
+		}
+		sameDistribution(t, name+" sources reused", &again, &whole)
 	}
 }
 

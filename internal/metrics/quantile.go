@@ -1,258 +1,201 @@
-// Greenwald-Khanna streaming quantile sketch (SIGMOD '01), the engine
-// behind DelayRecorder's fixed-memory percentile estimates. The sketch
-// keeps a sorted list of tuples (v, g, delta) such that for every tuple
-// the true rank of v lies in [rmin, rmin+delta], with rmin the running sum
-// of g. Inserts are buffered and merged in sorted batches so the
-// per-sample cost is amortized O(log b + s/b); memory is
-// O((1/eps)·log(eps·n)) instead of one float64 per sample.
+// Log-linear histogram, the engine behind DelayRecorder's fixed-memory
+// percentiles: the relative-error, mergeable design of DDSketch (Masson,
+// Rim & Lee, VLDB 2019) and HdrHistogram, keyed on the sample's own
+// IEEE-754 bits so that recording a sample is one array increment.
 //
-// For small inputs (n < 1/(2·eps) samples, i.e. before the first
-// compression) the sketch holds every sample with g=1, delta=0 and
-// queries degenerate to exact nearest-rank percentiles, which keeps unit
-// tests on handfuls of samples bit-exact with a sorted slice.
+// Bucket layout. A positive float64 is sign(1) | exponent(11) |
+// mantissa(52). A sample's bucket key is its bits shifted right by 43:
+// the exponent (its octave, [2^e, 2^(e+1))) followed by the top
+// subBits = 9 mantissa bits (one of 512 equal slices of that octave).
+// Keys order as the values do, a bucket [lo, hi) is lo·2⁻⁹ wide, and an
+// octave's 512 counters are allocated the first time a sample lands in
+// it, so memory follows the dynamic range the samples cover (4 KiB an
+// octave, ten octaves between 1 ms and 1 s), not their number. Zero has
+// a bucket of its own; min and max are tracked exactly.
+//
+// Error bound. quantile(r) walks the counters to the bucket that holds
+// the rank-r order statistic — there is no rank error — and returns
+// that bucket's midpoint clamped to [min, max], which is within 2⁻¹⁰
+// (0.098 %) of the order statistic itself. A bound on the value, not on
+// the rank, is the one delay reporting wants: the paper's tables print
+// a p95 to three or four digits, and where the distribution is steep (a
+// bufferbloat tail) a rank that is off by 0.05 % of the samples can move
+// the value by a per cent, while a value bound holds whatever the shape.
+//
+// Small samples. The first rawLimit samples are kept as they are and
+// answered by sorting them, so handfuls of samples, per-class FCT
+// recorders and unit tests get exact nearest-rank percentiles and never
+// pay for a counter block; the 1001st sample moves them into buckets.
+//
+// A histogram is a pure function of the multiset of samples it has
+// seen: order, batching, merging and querying change neither its state
+// nor any later answer.
+//
+// Domain. Recorders hold delays, completion times and slowdowns, all
+// ≥ 0. A negative or NaN sample is recorded as 0. +Inf and values above
+// 2⁶⁰ are ordinary samples in high octaves (a percentile that lands on
+// +Inf returns +Inf). Subnormals share the exponent-0 octave, where the
+// bound is absolute (below 2⁻¹⁰³¹) rather than relative.
 package metrics
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
 
-// defaultEpsilon is the rank-error bound: p95 on n samples is off by at
-// most epsilon·n ranks. 0.0005 keeps sketches exact below 1000 samples
-// and within ±0.05% rank at the millions of samples a 60 s cellular run
-// produces, while bounding memory to a few thousand tuples.
-const defaultEpsilon = 0.0005
+const (
+	// rawLimit is how many samples are kept raw before bucketing.
+	rawLimit = 1000
+	// subBits is the number of mantissa bits in a bucket key: 512
+	// buckets an octave.
+	subBits  = 9
+	keyShift = 52 - subBits
+)
 
-// gkTuple is one summary entry: value, rank gap to the previous tuple's
-// minimum rank, and rank uncertainty.
-type gkTuple struct {
-	v     float64
-	g     int64
-	delta int64
+// octave holds the counters of one power-of-two range. uint64 cannot
+// wrap: a run would have to record 2⁶⁴ samples.
+type octave [1 << subBits]uint64
+
+// histogram is the percentile engine. The zero value is ready to use.
+type histogram struct {
+	n        uint64
+	min, max float64
+	// raw holds the samples while n <= rawLimit and is nil afterwards.
+	raw []float64
+	// zero counts the samples equal to 0; octs[i] counts those with
+	// float64 exponent base+i, nil until one arrives.
+	zero uint64
+	base int
+	octs []*octave
 }
 
-// gkSketch is a Greenwald-Khanna epsilon-approximate quantile summary.
-// The zero value is ready to use with defaultEpsilon.
-type gkSketch struct {
-	eps    float64
-	n      int64
-	tuples []gkTuple
-	// spare is the previous tuple buffer, recycled as the next flush's
-	// merge destination so steady-state flushes do not allocate.
-	spare []gkTuple
-	buf   []float64
-	// bufLimit caches bufCap() so the per-sample path skips the float
-	// division.
-	bufLimit int
-}
-
-// epsilon returns the configured error bound.
-func (s *gkSketch) epsilon() float64 {
-	if s.eps <= 0 {
-		return defaultEpsilon
+// add records one sample.
+func (h *histogram) add(v float64) {
+	if !(v > 0) {
+		v = 0 // negative or NaN: outside the domain
 	}
-	return s.eps
-}
-
-// bufCap is the insert-buffer size: one compression period's worth of
-// samples, so merges amortize to O(1) comparisons per sample.
-func (s *gkSketch) bufCap() int { return int(1/(2*s.epsilon())) + 1 }
-
-// Add inserts one observation.
-func (s *gkSketch) Add(v float64) {
-	if s.bufLimit == 0 {
-		s.bufLimit = s.bufCap()
-	}
-	s.buf = append(s.buf, v)
-	s.n++
-	if len(s.buf) >= s.bufLimit {
-		s.flush()
-	}
-}
-
-// Count returns the number of observations.
-func (s *gkSketch) Count() int64 { return s.n }
-
-// flush sort-merges the buffered samples into the tuple list and
-// compresses mergeable neighbours in the same pass.
-func (s *gkSketch) flush() {
-	if len(s.buf) == 0 {
+	h.widen(v, v)
+	h.n++
+	if h.n <= rawLimit {
+		h.raw = append(h.raw, v)
 		return
 	}
-	sort.Float64s(s.buf)
-	// Merge the sorted buffer and the existing tuples into the recycled
-	// spare buffer. New samples enter with g=1; delta is the standard
-	// insertion bound floor(2·eps·n)-ish, except at the extremes which
-	// must stay exact.
-	maxDelta := int64(2 * s.epsilon() * float64(s.n))
-	need := len(s.tuples) + len(s.buf)
-	merged := s.spare[:0]
-	if cap(merged) < need {
-		merged = make([]gkTuple, 0, need+need/2)
+	if h.raw != nil {
+		h.spill() // the 1001st sample
 	}
-	ti, bi := 0, 0
-	for ti < len(s.tuples) || bi < len(s.buf) {
-		if bi >= len(s.buf) {
-			merged = append(merged, s.tuples[ti])
-			ti++
+	*h.counter(v)++
+}
+
+// widen stretches [min, max] to cover [lo, hi], before n counts them.
+func (h *histogram) widen(lo, hi float64) {
+	if h.n == 0 || lo < h.min {
+		h.min = lo
+	}
+	if h.n == 0 || hi > h.max {
+		h.max = hi
+	}
+}
+
+// spill moves the raw samples into buckets, once.
+func (h *histogram) spill() {
+	for _, v := range h.raw {
+		*h.counter(v)++
+	}
+	h.raw = nil
+}
+
+// counter returns the counter of v's bucket.
+func (h *histogram) counter(v float64) *uint64 {
+	if v == 0 {
+		return &h.zero
+	}
+	key := math.Float64bits(v) >> keyShift
+	e, sub := int(key>>subBits), key&(1<<subBits-1)
+	if i := uint(e - h.base); i < uint(len(h.octs)) && h.octs[i] != nil {
+		return &h.octs[i][sub]
+	}
+	return &h.newOctave(e)[sub]
+}
+
+// bucketMid returns the midpoint of sub-bucket sub of the octave with
+// float64 exponent e.
+func bucketMid(e, sub int) float64 {
+	return math.Float64frombits((uint64(e)<<subBits|uint64(sub))<<keyShift | 1<<(keyShift-1))
+}
+
+// newOctave widens octs to cover exponent e and allocates its counters,
+// on the first sample that lands there.
+func (h *histogram) newOctave(e int) *octave {
+	switch {
+	case len(h.octs) == 0:
+		h.base, h.octs = e, make([]*octave, 1)
+	case e < h.base:
+		h.octs = append(make([]*octave, h.base-e, h.base-e+len(h.octs)), h.octs...)
+		h.base = e
+	case e >= h.base+len(h.octs):
+		h.octs = append(h.octs, make([]*octave, e-h.base-len(h.octs)+1)...)
+	}
+	o := new(octave)
+	h.octs[e-h.base] = o
+	return o
+}
+
+// merge adds every sample o holds to h, leaving o as it was: raw
+// samples are re-added, counters are summed bucket by bucket.
+func (h *histogram) merge(o *histogram) {
+	if o.n <= rawLimit {
+		for _, v := range o.raw {
+			h.add(v)
+		}
+		return
+	}
+	h.spill()
+	h.widen(o.min, o.max)
+	h.n += o.n
+	h.zero += o.zero
+	for i, src := range o.octs {
+		if src == nil {
 			continue
 		}
-		if ti >= len(s.tuples) {
-			merged = append(merged, s.newTuple(s.buf[bi], len(merged) == 0, bi == len(s.buf)-1, maxDelta))
-			bi++
+		for j, c := range src {
+			if c != 0 {
+				*h.counter(bucketMid(o.base+i, j)) += c
+			}
+		}
+	}
+}
+
+// quantile returns the rank-r order statistic (1-based, r in [1, n]):
+// exactly while the samples are raw, otherwise the midpoint of the
+// bucket that holds it, clamped to [min, max]. It reads only; sorting
+// raw in place keeps the multiset.
+func (h *histogram) quantile(r uint64) float64 {
+	if h.n <= rawLimit {
+		sort.Float64s(h.raw)
+		return h.raw[r-1]
+	}
+	cum := h.zero
+	if r <= cum {
+		return 0
+	}
+	for i, o := range h.octs {
+		if o == nil {
 			continue
 		}
-		if s.tuples[ti].v <= s.buf[bi] {
-			merged = append(merged, s.tuples[ti])
-			ti++
-		} else {
-			// A tuple with a larger value remains, so this insert is
-			// never the new maximum.
-			merged = append(merged, s.newTuple(s.buf[bi], len(merged) == 0, false, maxDelta))
-			bi++
+		for j, c := range o {
+			if cum += c; cum >= r {
+				v := bucketMid(h.base+i, j)
+				// The +Inf bucket's "midpoint" is a NaN; the
+				// negated comparison sends it to max.
+				if !(v <= h.max) {
+					v = h.max
+				}
+				if v < h.min {
+					v = h.min
+				}
+				return v
+			}
 		}
 	}
-	s.buf = s.buf[:0]
-	s.spare = s.tuples[:0]
-	s.tuples = s.compress(merged)
-}
-
-// newTuple builds the insertion tuple for value v. Extremes carry delta 0
-// so min/max stay exact.
-func (s *gkSketch) newTuple(v float64, first, last bool, maxDelta int64) gkTuple {
-	d := maxDelta
-	if d > 0 {
-		d-- // standard GK insertion uses floor(2·eps·n)-1 when positive
-	}
-	if first || last {
-		d = 0
-	}
-	return gkTuple{v: v, g: 1, delta: d}
-}
-
-// compress merges adjacent tuples whose combined rank band fits within
-// the error budget, bounding summary size.
-func (s *gkSketch) compress(ts []gkTuple) []gkTuple {
-	if len(ts) <= 2 {
-		return ts
-	}
-	budget := int64(2 * s.epsilon() * float64(s.n))
-	out := ts[:1] // never merge away the minimum
-	for i := 1; i < len(ts); i++ {
-		t := ts[i]
-		last := &out[len(out)-1]
-		// Merging last into t: t absorbs last's gap.
-		if len(out) > 1 && i < len(ts)-1 && last.g+t.g+t.delta <= budget {
-			t.g += last.g
-			out[len(out)-1] = t
-		} else {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// Query returns the value whose rank is within epsilon·n of r (1-based).
-// With an uncompressed summary this is exactly the rank-r order statistic.
-func (s *gkSketch) Query(r int64) float64 {
-	s.flush()
-	if len(s.tuples) == 0 {
-		return 0
-	}
-	if r < 1 {
-		r = 1
-	}
-	if r > s.n {
-		r = s.n
-	}
-	margin := int64(s.epsilon() * float64(s.n))
-	var rmin int64
-	for i := range s.tuples {
-		rmin += s.tuples[i].g
-		if i+1 == len(s.tuples) {
-			return s.tuples[i].v
-		}
-		nextRmax := rmin + s.tuples[i+1].g + s.tuples[i+1].delta
-		if nextRmax > r+margin {
-			return s.tuples[i].v
-		}
-	}
-	return s.tuples[len(s.tuples)-1].v
-}
-
-// Min returns the smallest observation (exact).
-func (s *gkSketch) Min() float64 {
-	s.flush()
-	if len(s.tuples) == 0 {
-		return 0
-	}
-	return s.tuples[0].v
-}
-
-// Max returns the largest observation (exact).
-func (s *gkSketch) Max() float64 {
-	s.flush()
-	if len(s.tuples) == 0 {
-		return 0
-	}
-	return s.tuples[len(s.tuples)-1].v
-}
-
-// merge folds another sketch into this one: both are flushed, the tuple
-// lists are merged in value order with their (g, delta) bands kept
-// verbatim, and the result is compressed against the combined count.
-// Each tuple's rank band stays valid in the merged summary (ranks only
-// shift by whole tuples from the other side, which the running g sums
-// account for), so the merged error is bounded by the sum of the two
-// sketches' epsilons — the standard mergeable-summary bound. o is
-// flushed but otherwise unchanged.
-//
-// When the two sketches were built with different epsilons the merged
-// summary adopts the looser bound: the source's (g, delta) bands are
-// only as tight as its own epsilon allows, so compressing them against a
-// tighter destination budget would claim a rank guarantee the tuples
-// cannot support.
-func (s *gkSketch) merge(o *gkSketch) {
-	s.flush()
-	o.flush()
-	if o.n == 0 {
-		return
-	}
-	if o.epsilon() > s.epsilon() {
-		s.eps = o.epsilon()
-		s.bufLimit = 0 // recompute the insert-buffer cap for the new bound
-	}
-	if s.n == 0 {
-		s.n = o.n
-		s.tuples = append(s.tuples[:0], o.tuples...)
-		return
-	}
-	need := len(s.tuples) + len(o.tuples)
-	merged := s.spare[:0]
-	if cap(merged) < need {
-		merged = make([]gkTuple, 0, need+need/2)
-	}
-	si, oi := 0, 0
-	for si < len(s.tuples) || oi < len(o.tuples) {
-		switch {
-		case oi >= len(o.tuples):
-			merged = append(merged, s.tuples[si])
-			si++
-		case si >= len(s.tuples):
-			merged = append(merged, o.tuples[oi])
-			oi++
-		case s.tuples[si].v <= o.tuples[oi].v:
-			merged = append(merged, s.tuples[si])
-			si++
-		default:
-			merged = append(merged, o.tuples[oi])
-			oi++
-		}
-	}
-	s.n += o.n
-	s.spare = s.tuples[:0]
-	s.tuples = s.compress(merged)
-}
-
-// TupleCount reports the summary size (for memory-bound tests).
-func (s *gkSketch) TupleCount() int {
-	s.flush()
-	return len(s.tuples)
+	return h.max
 }
