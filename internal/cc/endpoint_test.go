@@ -14,6 +14,12 @@ type lossyPipe struct {
 	ep      *Endpoint
 	delay   sim.Time
 	dropSet map[int64]bool
+	// bps, if positive, serialises data packets through a bottleneck of
+	// that rate ahead of the delay.
+	bps       float64
+	busyUntil sim.Time
+	// extra, if set, adds forward delay to a data packet.
+	extra func(now sim.Time, p *packet.Packet) sim.Time
 	// Delivered counts data packets that survived.
 	Delivered int64
 	cum       int64
@@ -30,7 +36,18 @@ func (lp *lossyPipe) Recv(p *packet.Packet) {
 		delete(lp.dropSet, p.Seq) // drop once
 		return
 	}
-	lp.s.After(lp.delay, func() {
+	now, d := lp.s.Now(), lp.delay
+	if lp.bps > 0 {
+		if lp.busyUntil < now {
+			lp.busyUntil = now
+		}
+		lp.busyUntil += sim.FromSeconds(float64(p.Size*8) / lp.bps)
+		d += lp.busyUntil - now
+	}
+	if lp.extra != nil {
+		d += lp.extra(now, p)
+	}
+	lp.s.After(d, func() {
 		lp.Delivered++
 		// Cumulative-ack bookkeeping like a real receiver.
 		if p.Seq == lp.cum {

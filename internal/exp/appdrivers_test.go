@@ -5,6 +5,7 @@ import (
 
 	"abc/internal/app"
 	"abc/internal/netem"
+	"abc/internal/packet"
 	"abc/internal/qdisc"
 	"abc/internal/sim"
 	"abc/internal/trace"
@@ -349,5 +350,40 @@ func TestAppDriversDeterministic(t *testing.T) {
 				t.Errorf("sequential digest %s != parallel digest %s", seq, par)
 			}
 		})
+	}
+}
+
+// TestShortFlowEventBudget bounds what a churn of short flows costs the
+// event queue: a 14-packet flow pays for its packets (trace-link
+// opportunities, two wire hops a packet, two an ACK) and a wake or two of
+// its endpoint, not for a housekeeping poll every 10 ms of its life. With
+// the periodic tick this run executed 5.3 events per delivered packet, 3.15
+// without it.
+func TestShortFlowEventBudget(t *testing.T) {
+	spec := Spec{
+		Seed:     1,
+		Duration: 8 * sim.Second,
+		Warmup:   sim.Nanosecond, // count every delivery
+		RTT:      100 * sim.Millisecond,
+		Links:    []LinkSpec{{Trace: trace.Constant("c24", 24e6), Qdisc: QdiscSpec{Kind: "droptail", Buffer: 250}}},
+		Workloads: []WorkloadSpec{{
+			Scheme:  "Cubic",
+			Arrival: app.Poisson{PerSec: 60},
+			Sizes:   app.FixedSize{Bytes: 20 << 10},
+		}},
+	}
+	res, _, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &res.Workloads[0]
+	if w.Completed < 400 {
+		t.Fatalf("only %d of %d flows completed", w.Completed, w.Spawned)
+	}
+	pkts := float64(w.Bytes) / packet.MTU
+	perPkt := float64(res.Graph.S.Executed()) / pkts
+	t.Logf("%d events, %.0f delivered packets: %.2f events a packet", res.Graph.S.Executed(), pkts, perPkt)
+	if perPkt > 3.6 {
+		t.Errorf("%.2f events per delivered packet, want at most 3.6", perPkt)
 	}
 }

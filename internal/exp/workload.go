@@ -44,7 +44,7 @@ type WorkloadSpec struct {
 	// MaxActive caps concurrently active spawned flows; arrivals beyond
 	// the cap are rejected and counted (default 1024). The cap bounds
 	// the *live* simulation load under overload (endpoints sending,
-	// housekeeping timers, queue occupancy) where an open-loop process
+	// retransmission timers, queue occupancy) where an open-loop process
 	// outpaces the link indefinitely; per-flow route entries on the
 	// graph persist for the run, so total footprint still grows with
 	// Spawned, just without unbounded concurrent work.
