@@ -121,23 +121,8 @@ func (c *advCollector) victim(flow int) bool {
 	return false
 }
 
-// addDelay pools one measured packet delay into the flow's class.
-// Attacker delays are not pooled: the report contrasts the honest
-// classes.
-func (c *advCollector) addDelay(flow int, d sim.Time) {
-	if c.attackers[flow] {
-		return
-	}
-	if c.victim(flow) {
-		c.victimDelay.Add(d)
-	} else {
-		c.bystanderDelay.Add(d)
-	}
-}
-
-// mergeDelay pools one flow's whole delay recorder into its class — the
-// sharded harness's deterministic post-run replacement for the
-// per-packet addDelay calls, with the same attacker exclusion.
+// mergeDelay pools one flow's delay recorder into its class. Attacker
+// delays are not pooled: the report contrasts the honest classes.
 func (c *advCollector) mergeDelay(flow int, rec *metrics.DelayRecorder) {
 	if c.attackers[flow] {
 		return

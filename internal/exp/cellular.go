@@ -473,7 +473,6 @@ func Fig13AppLimited(n int, aggAppMbps float64, dur sim.Time, seed int64) (*Fig1
 		return nil, err
 	}
 	out := &Fig13Result{Utilization: res.Utilization}
-	qd := metrics.DelayRecorder{}
 	for i := range res.Flows {
 		f := &res.Flows[i]
 		if i == 0 {
@@ -481,7 +480,6 @@ func Fig13AppLimited(n int, aggAppMbps float64, dur sim.Time, seed int64) (*Fig1
 		} else {
 			out.AppLimitedTputMbps += f.TputMbps
 		}
-		qd.Add(sim.FromSeconds(f.QDelay.P95() / 1000))
 	}
 	out.QDelayP95 = res.Flows[0].QDelay.P95()
 	return out, nil

@@ -1,9 +1,8 @@
 // Fig. 12: ABC's max-min weight policy versus RCP's Zombie-List policy
 // when long-running ABC and Cubic flows share a 96 Mbit/s dual-queue
 // bottleneck with Poisson arrivals of short (10 KB) Cubic flows at
-// several offered loads. It builds its topo.Graph by hand rather than
-// through Spec.Workloads only to keep its golden digests: the Spec
-// harness draws from the RNG and numbers flows in a different order.
+// several offered loads. Each (load, run) cell is one Spec: the long
+// flows are its Flows, the short flows one Workload.
 package exp
 
 import (
@@ -11,12 +10,9 @@ import (
 	"io"
 	"math"
 
-	"abc/internal/cc"
+	"abc/internal/app"
 	"abc/internal/netem"
-	"abc/internal/packet"
-	"abc/internal/qdisc"
 	"abc/internal/sim"
-	"abc/internal/topo"
 )
 
 // Fig12Point is one (policy, load) cell.
@@ -51,14 +47,15 @@ func DefaultFig12Config() Fig12Config {
 // Fig12WeightPolicy runs the experiment for one policy ("maxmin" or
 // "zombie") and returns one point per offered load.
 func Fig12WeightPolicy(policy string, cfg Fig12Config) ([]Fig12Point, error) {
+	def := DefaultFig12Config()
 	if cfg.Runs <= 0 {
-		cfg.Runs = 10
+		cfg.Runs = def.Runs
 	}
 	if cfg.Duration <= 0 {
-		cfg.Duration = 40 * sim.Second
+		cfg.Duration = def.Duration
 	}
 	if len(cfg.Loads) == 0 {
-		cfg.Loads = []float64{0.0625, 0.125, 0.25, 0.50}
+		cfg.Loads = def.Loads
 	}
 	// Every (load, run) cell is an independent simulation; fan them all
 	// out and aggregate per load afterwards, preserving run order so the
@@ -134,141 +131,53 @@ func meanStd(xs []float64) (float64, float64) {
 	return mean, math.Sqrt(v / float64(len(xs)))
 }
 
-// fig12Run executes one 96 Mbit/s dual-queue run with 3 ABC + 3 Cubic
-// long flows and Poisson short Cubic flows at the offered load, returning
-// the long flows' throughputs in Mbit/s. Routes for the short flows are
-// installed on the hand-built graph as they arrive (see the file comment
-// for why this is not a Spec).
-func fig12Run(policy string, load float64, dur sim.Time, seed int64) (abcT, cubicT []float64, err error) {
+// fig12Spec is one cell: a 96 Mbit/s dual-queue link shared by 3 ABC +
+// 3 Cubic long flows and Poisson arrivals of 10 KB Cubic flows offering
+// the given fraction of the link (no arrival process at load 0).
+func fig12Spec(policy string, load float64, dur sim.Time, seed int64) Spec {
 	const linkBps = 96e6
 	const shortBytes = 10 * 1024
-	const warmup = 4 * sim.Second
+	spec := Spec{
+		Seed:     seed,
+		Duration: dur,
+		Warmup:   4 * sim.Second,
+		RTT:      100 * sim.Millisecond,
+		Links:    []LinkSpec{{Rate: netem.ConstRate(linkBps), Qdisc: QdiscSpec{Kind: "dual-" + policy}}},
+		Flows: []FlowSpec{
+			{Scheme: "ABC"}, {Scheme: "ABC"}, {Scheme: "ABC"},
+			{Scheme: "Cubic"}, {Scheme: "Cubic"}, {Scheme: "Cubic"},
+		},
+	}
+	if load > 0 {
+		spec.Workloads = []WorkloadSpec{{
+			Scheme:  "Cubic",
+			Arrival: app.Poisson{PerSec: load * linkBps / (shortBytes * 8)},
+			Sizes:   app.FixedSize{Bytes: shortBytes},
+		}}
+	}
+	return spec
+}
 
-	s := sim.New(seed)
-	qd, err := qdisc.Build(qdisc.BuildSpec{Kind: "dual-" + policy})
+// fig12Run executes one cell and returns the long flows' throughputs in
+// Mbit/s (zero for a run no longer than the warm-up).
+func fig12Run(policy string, load float64, dur sim.Time, seed int64) (abcT, cubicT []float64, err error) {
+	res, _, err := Run(fig12Spec(policy, load, dur, seed))
 	if err != nil {
 		return nil, nil, err
 	}
-
-	// Two-node graph: the bottleneck edge carries data left to right, a
-	// pure-delay edge carries ACKs back.
-	g := topo.New(s)
-	attachObs(g)
-	lhs, rhs := g.AddNode("lhs"), g.AddNode("rhs")
-	dataEdge, err := g.AddEdge("data", lhs, rhs, 50*sim.Millisecond, topo.Impairments{},
-		func(dst packet.Node) (topo.Link, error) {
-			return netem.NewRateLink(s, netem.ConstRate(linkBps), qd, dst), nil
-		})
-	if err != nil {
-		return nil, nil, err
+	// A short flow refused by the MaxActive cap would lower the offered
+	// load silently.
+	for i := range res.Workloads {
+		if n := res.Workloads[i].Rejected; n > 0 {
+			return nil, nil, fmt.Errorf("exp: fig12: %d short flows rejected; offered load not delivered", n)
+		}
 	}
-	ackEdge, err := g.AddEdge("ack", rhs, lhs, 50*sim.Millisecond, topo.Impairments{}, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	// attach wires one flow onto the graph: data over the bottleneck
-	// edge, ACKs over the return edge.
-	attach := func(id int, scheme string) (*cc.Endpoint, *netem.Receiver, error) {
-		alg, aerr := cc.New(scheme)
-		if aerr != nil {
-			return nil, nil, aerr
-		}
-		ep := cc.NewEndpoint(s, id, nil, alg)
-		if rec := g.Recorder(); rec != nil {
-			ep.SetObs(rec, int32(id))
-		}
-		ackEntry, aerr := g.RouteFlow(id, true, []int{ackEdge}, 0, ep)
-		if aerr != nil {
-			return nil, nil, aerr
-		}
-		recv := netem.NewReceiver(s, id, ackEntry)
-		dataEntry, aerr := g.RouteFlow(id, false, []int{dataEdge}, 0, recv)
-		if aerr != nil {
-			return nil, nil, aerr
-		}
-		ep.Out = dataEntry
-		return ep, recv, nil
-	}
-
-	// Long flows: ids 0..5 (0-2 ABC, 3-5 Cubic).
-	longBytes := make([]int64, 6)
-	for i := 0; i < 6; i++ {
-		scheme := "ABC"
-		if i >= 3 {
-			scheme = "Cubic"
-		}
-		ep, recv, aerr := attach(i, scheme)
-		if aerr != nil {
-			return nil, nil, aerr
-		}
-		idx := i
-		recv.OnData = func(now sim.Time, p *packet.Packet) {
-			if now >= warmup {
-				longBytes[idx] += int64(p.Size)
-			}
-		}
-		ep.Start()
-	}
-
-	// Poisson short Cubic flows.
-	arrivalRate := load * linkBps / (shortBytes * 8) // flows/sec
-	nextID := 100
-	var schedErr error
-	var schedule func()
-	schedule = func() {
-		gap := sim.FromSeconds(expRand(s, arrivalRate))
-		s.After(gap, func() {
-			if s.Now() >= dur {
-				return
-			}
-			id := nextID
-			nextID++
-			ep, _, aerr := attach(id, "Cubic")
-			if aerr != nil {
-				// Surface after the run: dropping the offered load on
-				// the floor would corrupt the experiment silently.
-				if schedErr == nil {
-					schedErr = aerr
-				}
-				return
-			}
-			ep.Src = cc.NewFixed(shortBytes)
-			ep.OnComplete = func(now sim.Time) { ep.Stop() }
-			ep.Start()
-			schedule()
-		})
-	}
-	if arrivalRate > 0 {
-		schedule()
-	}
-
-	s.RunUntil(dur)
-	if schedErr != nil {
-		return nil, nil, schedErr
-	}
-
-	// A run no longer than the warmup measures nothing: report zero
-	// rather than 0/0.
-	span := (dur - warmup).Seconds()
-	for i := 0; i < 6; i++ {
-		var mbps float64
-		if span > 0 {
-			mbps = float64(longBytes[i]) * 8 / span / 1e6
-		}
-		if i < 3 {
-			abcT = append(abcT, mbps)
+	for i := range res.Flows {
+		if fr := &res.Flows[i]; fr.Scheme == "ABC" {
+			abcT = append(abcT, fr.TputMbps)
 		} else {
-			cubicT = append(cubicT, mbps)
+			cubicT = append(cubicT, fr.TputMbps)
 		}
 	}
 	return abcT, cubicT, nil
-}
-
-// expRand draws an exponential inter-arrival time with the given rate.
-func expRand(s *sim.Simulator, rate float64) float64 {
-	if rate <= 0 {
-		return math.MaxFloat64
-	}
-	return s.Rand().ExpFloat64() / rate
 }

@@ -64,23 +64,26 @@ func Run(spec Spec) (*Result, *metrics.DelayRecorder, error) {
 	// Compile: the graph over its coordinator (one shard unless Shards
 	// asks for more), its edges and their disciplines.
 	res := &Result{Spec: spec, adv: newAdvCollector(&spec, p)}
-	pooled := &metrics.DelayRecorder{}
 	g, err := newGraph(&spec, p)
 	if err != nil {
 		return nil, nil, err
 	}
 	res.Graph = g
-	attachObs(g)
+	// The flight recorder goes on before any edge exists: AddEdge wires
+	// links as they appear.
+	if r := traceRec.Load(); r != nil {
+		g.SetRecorder(r)
+	}
 	if err := p.build(g, &spec, res); err != nil {
 		return nil, nil, err
 	}
 
 	// Wire: flows, arrival processes, the event timeline, fluid
 	// backgrounds, route computation.
-	if err := wireFlows(g, &spec, res, pooled, p.routes); err != nil {
+	if err := wireFlows(g, &spec, res, p.routes); err != nil {
 		return nil, nil, err
 	}
-	runners, err := startWorkloads(g, &spec, res, pooled, p.wroutes)
+	runners, err := startWorkloads(g, &spec, res, p.wroutes)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -95,7 +98,7 @@ func Run(spec Spec) (*Result, *metrics.DelayRecorder, error) {
 	}
 
 	// Run and measure.
-	runAndMeasure(g, &spec, res, pooled, p)
+	pooled := runAndMeasure(g, &spec, res, p)
 	if err := finishWorkloads(runners); err != nil {
 		return nil, nil, err
 	}
@@ -161,9 +164,9 @@ func (r *Result) sampled(read func(now sim.Time) float64) *metrics.Timeseries {
 }
 
 // runAndMeasure attaches the scenario-wide time series, runs the
-// coordinator to spec.Duration and finalizes the per-flow counters. The
-// standing-queue-delay series watches the scenario's leading bottleneck
-// (an all-wire mesh has none).
+// coordinator to spec.Duration, finalizes the per-flow counters and
+// returns the pooled delay recorder. The standing-queue-delay series
+// watches the scenario's leading bottleneck (an all-wire mesh has none).
 //
 // Everything that watches the run — the time series in registration
 // order, then Spec.Probe, then the -metrics sampler — is a reader called
@@ -172,7 +175,7 @@ func (r *Result) sampled(read func(now sim.Time) float64) *metrics.Timeseries {
 // timeline events have applied, and none of its simulator events has
 // run. No observer is a simulator event, so a run executes the same
 // events whether or not anything watches it.
-func runAndMeasure(g *topo.Graph, spec *Spec, res *Result, pooled *metrics.DelayRecorder, p *plan) {
+func runAndMeasure(g *topo.Graph, spec *Spec, res *Result, p *plan) *metrics.DelayRecorder {
 	c := g.Coordinator()
 	if spec.Sample > 0 {
 		if first := slices.IndexFunc(res.edgeQ, func(q qdisc.Qdisc) bool { return q != nil }); first >= 0 {
@@ -229,9 +232,7 @@ func runAndMeasure(g *topo.Graph, spec *Spec, res *Result, pooled *metrics.Delay
 		fr.Lost = fr.Endpoint.LostPackets
 		fr.Retx = fr.Endpoint.RetxPackets
 	}
-	if g.Sharded() {
-		poolShardedMetrics(res, pooled)
-	}
+	pooled := poolDelays(res)
 	res.Drops = g.UnroutedDrops()
 	res.ImpairDrops = g.ImpairDrops()
 	res.LinkDownDrops = g.DownDrops()
@@ -242,4 +243,27 @@ func runAndMeasure(g *topo.Graph, spec *Spec, res *Result, pooled *metrics.Delay
 	if res.adv != nil {
 		res.Adversary = res.adv.report(spec, res)
 	}
+	return pooled
+}
+
+// poolDelays builds the run-wide delay recorders from the per-flow ones
+// after the run: every declared flow's recorder in flow order, into the
+// pooled recorder and into its adversary class, then each workload's
+// into the pooled recorder. While the run executes a receiver writes
+// only its own flow's (or workload's) recorder, so shards share nothing,
+// and the pooled recorder — Mean included — is a function of the
+// per-flow recorders alone, the same at every shard count.
+func poolDelays(res *Result) *metrics.DelayRecorder {
+	pooled := &metrics.DelayRecorder{}
+	for i := range res.Flows {
+		d := &res.Flows[i].Delay
+		pooled.Merge(d)
+		if res.adv != nil {
+			res.adv.mergeDelay(i, d)
+		}
+	}
+	for i := range res.Workloads {
+		pooled.Merge(&res.Workloads[i].delay)
+	}
+	return pooled
 }

@@ -1,6 +1,10 @@
 package exp
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"abc/internal/sim"
@@ -53,5 +57,40 @@ func TestHarnessCubicBuffers(t *testing.T) {
 	// Cubic should bufferbloat: delays well above the propagation RTT.
 	if p95C < 150 {
 		t.Errorf("Cubic p95 %.0f ms suspiciously low for a deep buffer", p95C)
+	}
+}
+
+// TestOneWayOntoTheGraph guards the pipeline's shape: outside wire.go no
+// file of this package constructs an endpoint or a receiver (attachFlow
+// is the one place a flow goes on a graph), and outside wifiexp.go — the
+// link-level Fig. 4/5 micro-experiments, which have no flows — none
+// builds a simulator or a graph of its own or runs one bare. A flow
+// wired elsewhere is one the sampler, the tracer and the pooled metrics
+// do not see.
+func TestOneWayOntoTheGraph(t *testing.T) {
+	only := map[string]string{
+		"sim.New(":           "wifiexp.go",
+		"topo.New(":          "wifiexp.go",
+		".RunUntil(":         "wifiexp.go",
+		"cc.NewEndpoint(":    "wire.go",
+		"netem.NewReceiver(": "wire.go",
+	}
+	files, err := filepath.Glob("*.go")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no source files found: %v", err)
+	}
+	for _, file := range files {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for call, home := range only {
+			if file != home && bytes.Contains(src, []byte(call)) {
+				t.Errorf("%s calls %s — only %s may", file, call, home)
+			}
+		}
 	}
 }

@@ -56,15 +56,6 @@ func EnableMetrics(reg *obs.Registry, period sim.Time) {
 	metReg.Store(reg)
 }
 
-// attachObs hands the process-wide recorder, if any, to a freshly built
-// scenario graph. Called right after graph construction, before any
-// edges exist (AddEdge wires links as they appear).
-func attachObs(g *topo.Graph) {
-	if r := traceRec.Load(); r != nil {
-		g.SetRecorder(r)
-	}
-}
-
 // runSampler captures everything one scenario publishes per sample into
 // the metrics registry, every period of virtual time.
 type runSampler struct {

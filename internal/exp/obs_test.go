@@ -164,3 +164,61 @@ func TestMetricsSampling(t *testing.T) {
 		}
 	}
 }
+
+// TestFig12OnSharedPipeline: a Fig. 12 cell is a Spec on the one run
+// path, so whatever observes every other run observes it — the metrics
+// sampler sees its bottleneck (chain link "fwd0"), its events and its
+// coordinator, the flight recorder carries the coordinator's horizon
+// events next to the packet events, and the short flows are a workload
+// with its accounting: none refused at the heaviest load, every spawned
+// one either completed or still in flight.
+func TestFig12OnSharedPipeline(t *testing.T) {
+	rec := obs.NewRecorder(1<<16, obs.CatAll)
+	EnableTracing(rec)
+	defer EnableTracing(nil)
+	reg := obs.NewRegistry()
+	EnableMetrics(reg, 100*sim.Millisecond)
+	defer EnableMetrics(nil, 0)
+
+	cfg := Fig12Config{Runs: 1, Duration: 5 * sim.Second, Loads: []float64{0.5}, Seed: 1}
+	if _, err := Fig12WeightPolicy("maxmin", cfg); err != nil {
+		t.Fatal(err)
+	}
+	have := map[string]float64{}
+	for _, s := range reg.Snapshot() {
+		have[s.Name] = s.Value
+	}
+	if _, ok := have[`abc_queue_pkts{edge="fwd0"}`]; !ok {
+		t.Error(`registry has no abc_queue_pkts{edge="fwd0"} after a metered fig12 cell`)
+	}
+	for _, name := range []string{obs.MetricSimEvents, "abc_shard_rounds_total"} {
+		if have[name] <= 0 {
+			t.Errorf("%s = %g after a metered fig12 cell, want > 0", name, have[name])
+		}
+	}
+	horizons := 0
+	for _, e := range rec.Snapshot() {
+		if e.Kind == obs.EvHorizon {
+			horizons++
+		}
+	}
+	if horizons == 0 {
+		t.Error("trace of a fig12 cell carries no coordinator horizon events")
+	}
+
+	res, _, err := Run(fig12Spec("maxmin", 0.5, cfg.Duration, cfg.Seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Workloads) != 1 {
+		t.Fatalf("%d workloads at load 0.5, want 1", len(res.Workloads))
+	}
+	w := &res.Workloads[0]
+	if w.Spawned == 0 || w.Rejected != 0 || w.Spawned != w.Completed+w.Active {
+		t.Errorf("short flows: spawned %d, completed %d, active %d, rejected %d; want spawned = completed + active > 0 and none rejected",
+			w.Spawned, w.Completed, w.Active, w.Rejected)
+	}
+	if spec := fig12Spec("maxmin", 0, cfg.Duration, cfg.Seed); len(spec.Workloads) != 0 {
+		t.Errorf("load 0 declares %d workloads, want none", len(spec.Workloads))
+	}
+}

@@ -3,8 +3,7 @@
 // over one shard unless Spec.Shards asks for more, in which case the
 // graph is spread over that many event queues running in parallel. This
 // file owns the spec-level plumbing: which specs may use more than one
-// shard, how a plan becomes a partitioner input, and how per-flow
-// metrics are pooled deterministically after a multi-shard run.
+// shard and how a plan becomes a partitioner input.
 //
 // Placement rules the compiler follows:
 //   - A junction lives on the shard the partitioner assigns it
@@ -20,23 +19,17 @@
 //     gets a zero-delay tie between them; a mesh ACK path starts where
 //     the data path ends, so it needs none.
 //
-// Pooled metrics (the pooled delay recorder, adversary class recorders)
-// are written per packet on one shard. Above one, receivers on
-// different shards would race, so they are merged from the per-flow
-// recorders after the run, in flow order
-// (metrics.DelayRecorder.Merge). A merge adds histogram counters, so a
-// pooled recorder's Count and every percentile are the same either way
-// and at any shard count; only the pooled Mean's float sum rounds
-// differently in flow order than in arrival order (by a relative 8e-14
-// on the sharded mesh), and that rounding is all the shard count — an
-// input — still selects here.
+// No recorder is shared between shards while a run executes: a receiver
+// writes only its own flow's, and the run-wide ones (the pooled delay
+// recorder, the adversary class recorders) are merged from those after
+// the run, in flow order, at every shard count (poolDelays in
+// harness.go). The shard count selects no code path in measurement.
 package exp
 
 import (
 	"fmt"
 	"slices"
 
-	"abc/internal/metrics"
 	"abc/internal/sim"
 	"abc/internal/topo"
 )
@@ -112,18 +105,4 @@ func newGraph(spec *Spec, p *plan) (*topo.Graph, error) {
 		return nil, err
 	}
 	return topo.NewSharded(sim.NewCoordinator(spec.Seed, spec.Shards), assign), nil
-}
-
-// poolShardedMetrics rebuilds the run-wide pooled recorders from the
-// per-flow recorders after a multi-shard run, in flow order — the
-// deterministic replacement for the per-packet pooled/adversary updates
-// the receivers of a one-shard run perform inline.
-func poolShardedMetrics(res *Result, pooled *metrics.DelayRecorder) {
-	for i := range res.Flows {
-		fr := &res.Flows[i]
-		pooled.Merge(&fr.Delay)
-		if res.adv != nil {
-			res.adv.mergeDelay(i, &fr.Delay)
-		}
-	}
 }

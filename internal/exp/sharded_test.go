@@ -7,8 +7,10 @@ import (
 	"strings"
 	"testing"
 
+	"abc/internal/metrics"
 	"abc/internal/obs"
 	"abc/internal/sim"
+	"abc/internal/topo"
 )
 
 // TestShardedMeshDigestInvariant is the multi-shard golden pick: the
@@ -60,37 +62,47 @@ func TestShardedMeshDigestInvariant(t *testing.T) {
 	}
 }
 
-// TestShardedPooledPercentilesInvariant: the pooled recorder is fed per
-// packet on one shard and merged from the per-flow recorders above one,
-// and a merge is bucket-wise addition, so its count and percentiles may
-// not depend on the shard count. Its mean may, in the last bits: the
-// float sum is taken in arrival order on one shard and in flow order
-// above.
+// TestShardedPooledPercentilesInvariant: the pooled recorder and the
+// adversary's victim and bystander recorders are merged from the
+// per-flow recorders in flow order after the run, so each — count,
+// percentiles and mean — is a function of the per-flow recorders alone
+// and may not depend on the shard count in any bit.
 func TestShardedPooledPercentilesInvariant(t *testing.T) {
-	type pooledStats struct {
-		count         int
-		p50, p95, p99 float64
+	type stats struct {
+		count               int
+		mean, p50, p95, p99 float64
 	}
-	var want pooledStats
-	var wantMean float64
+	of := func(d *metrics.DelayRecorder) stats {
+		return stats{d.Count(), d.Mean(), d.Percentile(50), d.Percentile(95), d.Percentile(99)}
+	}
+	var want [3]stats
 	for _, shards := range []int{1, 2, 4} {
-		_, pooled, err := Run(shardedMeshSpec(shards, 10*sim.Second, 1))
+		spec := shardedMeshSpec(shards, 10*sim.Second, 1)
+		// One attacked flow splits the flows into a victim and three
+		// bystanders. Delay only: a drop would draw from an RNG.
+		spec.Edges[0].Link.Attack = &topo.Attack{
+			Target:     topo.Target{Flows: []int{0}},
+			ExtraDelay: 3 * sim.Millisecond,
+		}
+		res, pooled, err := Run(spec)
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
-		got := pooledStats{pooled.Count(), pooled.Percentile(50), pooled.Percentile(95), pooled.Percentile(99)}
+		got := [3]stats{of(pooled), of(&res.adv.victimDelay), of(&res.adv.bystanderDelay)}
 		if shards == 1 {
-			if got.count <= 4000 {
-				t.Fatalf("pooled recorder holds %d samples; the run is too short to leave the raw-sample regime", got.count)
+			if got[0].count <= 4000 {
+				t.Fatalf("pooled recorder holds %d samples; the run is too short to leave the raw-sample regime", got[0].count)
 			}
-			want, wantMean = got, pooled.Mean()
+			if got[1].count == 0 || got[1].count+got[2].count != got[0].count {
+				t.Fatalf("victim %d + bystander %d samples, pooled %d", got[1].count, got[2].count, got[0].count)
+			}
+			want = got
 			continue
 		}
-		if got != want {
-			t.Errorf("shards=%d: pooled %+v, want the one-shard %+v", shards, got, want)
-		}
-		if math.Abs(pooled.Mean()-wantMean) > 1e-12*wantMean {
-			t.Errorf("shards=%d: pooled mean %v, one-shard %v", shards, pooled.Mean(), wantMean)
+		for i, name := range []string{"pooled", "victim", "bystander"} {
+			if got[i] != want[i] {
+				t.Errorf("shards=%d: %s %+v, want the one-shard %+v", shards, name, got[i], want[i])
+			}
 		}
 	}
 }

@@ -140,19 +140,43 @@ func (r flowRoute) dir(ack bool) []int {
 	return r.data
 }
 
-// wireFlows constructs every flow's algorithm, endpoint and receiver and
-// installs its routes, attaching the per-flow metrics hooks. By the time
-// it runs, a flow is just a pair of edge sequences.
-//
-// The endpoint lives on the shard of the data route's origin junction
-// and the receiver on that of its terminal junction (they inject packets
-// synchronously into those junctions). Above one shard the
-// pooled/adversary recorders are not touched per packet (receivers on
-// different shards would race) — poolShardedMetrics rebuilds them from
-// the per-flow recorders after the run, to the same counts and
-// percentiles.
-func wireFlows(g *topo.Graph, spec *Spec, res *Result, pooled *metrics.DelayRecorder, routes []flowRoute) error {
-	sharded := g.Sharded()
+// attachFlow puts one flow on the graph: the endpoint on the shard of
+// the data route's origin junction, the receiver on that of its terminal
+// junction (both inject packets synchronously into those junctions), and
+// the two routes between them, each ending in an rtt/2 access tail. It
+// schedules nothing; the caller sets the source and the receiver's
+// OnData hook and starts the endpoint.
+func attachFlow(g *topo.Graph, id int, alg cc.Algorithm, route flowRoute, rtt sim.Time) (*cc.Endpoint, *netem.Receiver, error) {
+	origin := g.Edge(route.data[0]).From.ID
+	last := g.Edge(route.data[len(route.data)-1]).To.ID
+	epShard, recvShard := g.ShardOf(origin), g.ShardOf(last)
+
+	ep := cc.NewEndpoint(g.SimFor(origin), id, nil, alg)
+	if r := g.Recorder(); r != nil {
+		ep.SetObs(r, int32(id))
+	}
+	// The receiver injects ACKs into the ACK route and the route
+	// terminates at the endpoint, so its injection/terminal shards are
+	// the receiver's and endpoint's respectively.
+	ackEntry, err := g.RouteFlowAt(id, true, route.ack, rtt/2, ep, epShard, recvShard)
+	if err != nil {
+		return nil, nil, err
+	}
+	recv := netem.NewReceiver(g.SimFor(last), id, ackEntry)
+	dataEntry, err := g.RouteFlowAt(id, false, route.data, rtt/2, recv, recvShard, epShard)
+	if err != nil {
+		return nil, nil, err
+	}
+	ep.Out = dataEntry
+	return ep, recv, nil
+}
+
+// wireFlows constructs every declared flow's algorithm, attaches the flow
+// (attachFlow) and hangs the per-flow metrics hooks on its receiver. By
+// the time it runs, a flow is just a pair of edge sequences. A receiver
+// writes only its own flow's recorders, whatever shard it runs on;
+// poolDelays builds the run-wide ones from them after the run.
+func wireFlows(g *topo.Graph, spec *Spec, res *Result, routes []flowRoute) error {
 	res.Flows = make([]FlowResult, len(spec.Flows))
 	for i := range spec.Flows {
 		fs := &spec.Flows[i]
@@ -178,17 +202,11 @@ func wireFlows(g *topo.Graph, spec *Spec, res *Result, pooled *metrics.DelayReco
 		if flowRTT <= 0 {
 			flowRTT = spec.RTT
 		}
-
-		data := routes[i].data
-		origin := g.Edge(data[0]).From.ID
-		last := g.Edge(data[len(data)-1]).To.ID
-		epSim, recvSim := g.SimFor(origin), g.SimFor(last)
-		epShard, recvShard := g.ShardOf(origin), g.ShardOf(last)
-
-		ep := cc.NewEndpoint(epSim, i, nil, alg)
-		if r := g.Recorder(); r != nil {
-			ep.SetObs(r, int32(i))
+		ep, recv, err := attachFlow(g, i, alg, routes[i], flowRTT)
+		if err != nil {
+			return err
 		}
+		epSim := ep.S
 		ep.Src = fs.Source
 		if fs.App != nil {
 			if fs.Source != nil {
@@ -202,35 +220,15 @@ func wireFlows(g *topo.Graph, spec *Spec, res *Result, pooled *metrics.DelayReco
 			epSim.At(fs.Start, func() { a.Start(epSim.Now()) })
 		}
 		fr.Endpoint = ep
-		// The receiver injects ACKs into the ACK route and the route
-		// terminates at the endpoint, so its injection/terminal shards are
-		// the receiver's and endpoint's respectively.
-		ackEntry, err := g.RouteFlowAt(i, true, routes[i].ack, flowRTT/2, ep, epShard, recvShard)
-		if err != nil {
-			return err
-		}
-		recv := netem.NewReceiver(recvSim, i, ackEntry)
-		start, warm, flowID := fs.Start, spec.Warmup, i
+		start, warm := fs.Start, spec.Warmup
 		recv.OnData = func(now sim.Time, p *packet.Packet) {
 			if now < warm || now < start {
 				return
 			}
 			fr.Bytes += int64(p.Size)
-			d := now - p.SentAt
-			fr.Delay.Add(d)
+			fr.Delay.Add(now - p.SentAt)
 			fr.QDelay.Add(p.QueueDelay)
-			if !sharded {
-				pooled.Add(d)
-				if res.adv != nil {
-					res.adv.addDelay(flowID, d)
-				}
-			}
 		}
-		dataEntry, err := g.RouteFlowAt(i, false, data, flowRTT/2, recv, recvShard, epShard)
-		if err != nil {
-			return err
-		}
-		ep.Out = dataEntry
 
 		epSim.At(fs.Start, ep.Start)
 		if fs.Stop > 0 {

@@ -13,7 +13,6 @@ import (
 	"abc/internal/app"
 	"abc/internal/cc"
 	"abc/internal/metrics"
-	"abc/internal/netem"
 	"abc/internal/packet"
 	"abc/internal/sim"
 	"abc/internal/topo"
@@ -67,6 +66,10 @@ type WorkloadResult struct {
 	// FCT holds completion times (ms); Slowdown the RefMbps-normalized
 	// ratios; QDelay per-packet accumulated queueing delay (ms).
 	FCT, Slowdown, QDelay metrics.DelayRecorder
+
+	// delay holds the spawned flows' post-warmup one-way packet delays,
+	// for the run's pooled recorder (poolDelays).
+	delay metrics.DelayRecorder
 }
 
 // Stats condenses the result for reports.
@@ -135,7 +138,6 @@ type workloadRunner struct {
 	spec   *Spec
 	ws     *WorkloadSpec
 	wr     *WorkloadResult
-	pooled *metrics.DelayRecorder
 	adv    *advCollector
 	route  flowRoute
 	nextID *int
@@ -148,7 +150,7 @@ type workloadRunner struct {
 // process. Spawned flows get ids after the static flows'. The returned
 // runners must be finished (finishWorkloads) after the run to surface
 // mid-run wiring errors and final active counts.
-func startWorkloads(g *topo.Graph, spec *Spec, res *Result, pooled *metrics.DelayRecorder, routes []flowRoute) ([]*workloadRunner, error) {
+func startWorkloads(g *topo.Graph, spec *Spec, res *Result, routes []flowRoute) ([]*workloadRunner, error) {
 	if len(spec.Workloads) == 0 {
 		return nil, nil
 	}
@@ -181,7 +183,7 @@ func startWorkloads(g *topo.Graph, spec *Spec, res *Result, pooled *metrics.Dela
 			stop = spec.Duration
 		}
 		r := &workloadRunner{
-			s: g.S, g: g, spec: spec, ws: ws, wr: wr, pooled: pooled,
+			s: g.S, g: g, spec: spec, ws: ws, wr: wr,
 			adv: res.adv, route: routes[i], nextID: &nextID, stopAt: stop,
 		}
 		runners = append(runners, r)
@@ -249,32 +251,20 @@ func (r *workloadRunner) spawn(now sim.Time) {
 	if rtt <= 0 {
 		rtt = r.spec.RTT
 	}
-	ep := cc.NewEndpoint(r.s, id, nil, alg)
-	if rec := r.g.Recorder(); rec != nil {
-		ep.SetObs(rec, int32(id))
-	}
-	ackEntry, err := r.g.RouteFlow(id, true, r.route.ack, rtt/2, ep)
+	ep, recv, err := attachFlow(r.g, id, alg, r.route, rtt)
 	if err != nil {
 		r.fail(err)
 		return
 	}
-	recv := netem.NewReceiver(r.s, id, ackEntry)
-	warm := r.spec.Warmup
-	wr, pooled := r.wr, r.pooled
+	warm, wr := r.spec.Warmup, r.wr
 	recv.OnData = func(t sim.Time, p *packet.Packet) {
 		if t < warm {
 			return
 		}
 		wr.Bytes += int64(p.Size)
-		pooled.Add(t - p.SentAt)
+		wr.delay.Add(t - p.SentAt)
 		wr.QDelay.Add(p.QueueDelay)
 	}
-	dataEntry, err := r.g.RouteFlow(id, false, r.route.data, rtt/2, recv)
-	if err != nil {
-		r.fail(err)
-		return
-	}
-	ep.Out = dataEntry
 	ep.Src = cc.NewFixed(size)
 	r.active++
 	r.wr.Spawned++

@@ -36,8 +36,8 @@ func (d *DelayRecorder) AddSample(v float64) {
 // Merge folds another recorder's samples into this one, as if every
 // sample o recorded had been Added here: exactly so for Count and every
 // percentile (histogram counters add), to float rounding for Mean. The
-// sharded harness uses it to pool per-shard and per-flow recorders after
-// the run. o is unchanged.
+// harness uses it to pool the per-flow recorders after every run. o is
+// unchanged.
 func (d *DelayRecorder) Merge(o *DelayRecorder) {
 	d.sum += o.sum
 	d.hist.merge(&o.hist)
