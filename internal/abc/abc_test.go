@@ -7,6 +7,7 @@ import (
 
 	"abc/internal/cc"
 	"abc/internal/packet"
+	"abc/internal/qdisc"
 	"abc/internal/sim"
 )
 
@@ -403,33 +404,37 @@ func TestWindowsCappedAtTwiceInflight(t *testing.T) {
 // --- rate meter ---
 
 func TestRateMeterWindowedRate(t *testing.T) {
-	m := newRateMeter(100 * sim.Millisecond)
+	m := qdisc.RateMeter{Window: 100 * sim.Millisecond}
 	now := sim.Time(0)
 	// 10 packets of MTU over 100 ms = 1.2 Mbit/s.
 	for i := 0; i < 10; i++ {
 		now += 10 * sim.Millisecond
-		m.add(now, packet.MTU)
+		m.Add(now, packet.MTU)
 	}
-	got := m.bps(now)
+	got := m.BytesPerSec(now) * 8
 	want := 10.0 * packet.MTU * 8 / 0.1
 	if math.Abs(got-want)/want > 0.01 {
 		t.Errorf("rate %.0f, want %.0f", got, want)
 	}
 	// After the window passes with no traffic the rate decays to zero.
-	if got := m.bps(now + 200*sim.Millisecond); got != 0 {
+	if got := m.BytesPerSec(now + 200*sim.Millisecond); got != 0 {
 		t.Errorf("stale rate %.0f, want 0", got)
 	}
 }
 
 func TestRateMeterCompaction(t *testing.T) {
-	m := newRateMeter(10 * sim.Millisecond)
+	// Ten thousand samples cross the meter's compaction many times; the
+	// reading must still be exactly the window's content (the samples at
+	// now-10ms .. now). How many entries the meter retains is pinned next
+	// to its storage, in internal/qdisc.
+	m := qdisc.RateMeter{Window: 10 * sim.Millisecond}
 	now := sim.Time(0)
 	for i := 0; i < 10000; i++ {
 		now += sim.Millisecond
-		m.add(now, 100)
+		m.Add(now, 100)
 	}
-	if len(m.times)-m.head > 100 {
-		t.Errorf("meter retains %d entries for a 10-entry window", len(m.times)-m.head)
+	if got := m.BytesPerSec(now); got != 11*100/0.01 {
+		t.Errorf("rate %.0f B/s after compaction, want %.0f", got, 11*100/0.01)
 	}
 }
 

@@ -71,60 +71,17 @@ func DefaultRouterConfig() RouterConfig {
 	}
 }
 
-// rateMeter measures a byte rate over a sliding time window.
-type rateMeter struct {
-	window sim.Time
-	times  []sim.Time
-	bytes  []int
-	sum    int64
-	head   int
-}
-
-func newRateMeter(window sim.Time) *rateMeter { return &rateMeter{window: window} }
-
-func (m *rateMeter) add(now sim.Time, n int) {
-	m.times = append(m.times, now)
-	m.bytes = append(m.bytes, n)
-	m.sum += int64(n)
-	m.prune(now)
-}
-
-func (m *rateMeter) prune(now sim.Time) {
-	for m.head < len(m.times) && m.times[m.head] < now-m.window {
-		m.sum -= int64(m.bytes[m.head])
-		m.head++
-	}
-	if m.head > 256 && m.head*2 >= len(m.times) {
-		n := copy(m.times, m.times[m.head:])
-		copy(m.bytes, m.bytes[m.head:])
-		m.times = m.times[:n]
-		m.bytes = m.bytes[:n]
-		m.head = 0
-	}
-}
-
-// bps returns the windowed rate in bits/sec.
-func (m *rateMeter) bps(now sim.Time) float64 {
-	m.prune(now)
-	return float64(m.sum) * 8 / m.window.Seconds()
-}
-
-// Router is the ABC qdisc: a FIFO whose dequeue path computes per-packet
-// accelerate/brake feedback. It implements qdisc.Qdisc and
-// qdisc.CapacityAware.
+// Router is the ABC qdisc: the shared droptail store (its Limit is
+// Cfg.Limit) whose dequeue path computes per-packet accelerate/brake
+// feedback. It implements qdisc.Qdisc and qdisc.CapacityAware.
 type Router struct {
-	Cfg   RouterConfig
-	Stats qdisc.Stats
-
-	capacity func(now sim.Time) float64
-
-	q     []*packet.Packet
-	head  int
-	bytes int
+	Cfg RouterConfig
+	qdisc.Queue
+	qdisc.Capacity
 
 	token    float64
-	deqMeter *rateMeter
-	enqMeter *rateMeter
+	deqMeter qdisc.RateMeter
+	enqMeter qdisc.RateMeter
 
 	// AccelMarked / BrakeMarked count feedback decisions on data packets
 	// for tests and the marking-fraction invariants.
@@ -180,14 +137,11 @@ func NewRouter(cfg RouterConfig) *Router {
 	}
 	return &Router{
 		Cfg:      cfg,
-		deqMeter: newRateMeter(cfg.Window),
-		enqMeter: newRateMeter(cfg.Window),
+		Queue:    qdisc.Queue{Limit: cfg.Limit},
+		deqMeter: qdisc.RateMeter{Window: cfg.Window},
+		enqMeter: qdisc.RateMeter{Window: cfg.Window},
 	}
 }
-
-// SetCapacityProvider implements qdisc.CapacityAware; the owning link
-// installs its µ(t) estimate (trace rate, Wi-Fi estimator, or PK oracle).
-func (r *Router) SetCapacityProvider(f func(now sim.Time) float64) { r.capacity = f }
 
 // SetBackground implements qdisc.BackgroundAware: the router accounts
 // for the fluid aggregate as if its virtual packets were really in the
@@ -197,39 +151,19 @@ func (r *Router) SetBackground(bg qdisc.Background) { r.bg = bg }
 
 // Enqueue implements qdisc.Qdisc.
 func (r *Router) Enqueue(now sim.Time, p *packet.Packet) bool {
-	if r.Cfg.Limit > 0 {
-		occupied := r.Len()
-		if r.bg != nil {
-			// The buffer is shared: fluid backlog occupies slots exactly
-			// as real background packets would.
-			occupied += int(r.bg.QueueBytes(now) / packet.MTU)
-		}
-		if occupied >= r.Cfg.Limit {
-			r.Stats.DroppedPackets++
-			return false
-		}
+	// The buffer is shared with the fluid backlog.
+	if !r.Admit(now, p, qdisc.Slots(r.bg, now)) {
+		return false
 	}
-	p.EnqueuedAt = now
-	r.q = append(r.q, p)
-	r.bytes += p.Size
-	r.enqMeter.add(now, p.Size)
-	r.Stats.EnqueuedPackets++
+	r.enqMeter.Add(now, p.Size)
 	return true
-}
-
-// mu returns the current link-capacity estimate in bits/sec.
-func (r *Router) mu(now sim.Time) float64 {
-	if r.capacity == nil {
-		return 0
-	}
-	return r.capacity(now)
 }
 
 // QueueDelay returns the router's current queuing-delay estimate
 // x(t) = queued bytes / µ(t).
 func (r *Router) QueueDelay(now sim.Time) sim.Time {
-	mu := r.mu(now)
-	queued := float64(r.bytes)
+	mu := r.Mu(now)
+	queued := float64(r.Bytes())
 	if r.bg != nil {
 		queued += r.bg.QueueBytes(now)
 	}
@@ -244,7 +178,7 @@ func (r *Router) QueueDelay(now sim.Time) sim.Time {
 
 // TargetRate computes tr(t) of Eq. 1 in bits/sec.
 func (r *Router) TargetRate(now sim.Time) float64 {
-	mu := r.mu(now)
+	mu := r.Mu(now)
 	if mu <= 0 {
 		return 0
 	}
@@ -265,9 +199,9 @@ func (r *Router) AccelFraction(now sim.Time) float64 {
 	var ref float64
 	switch r.Cfg.Feedback {
 	case EnqueueRate:
-		ref = r.enqMeter.bps(now)
+		ref = r.enqMeter.BytesPerSec(now) * 8
 	default:
-		ref = r.deqMeter.bps(now)
+		ref = r.deqMeter.BytesPerSec(now) * 8
 	}
 	if r.bg != nil {
 		// The fluid aggregate's service is part of the total rate the
@@ -301,21 +235,11 @@ func (r *Router) AccelFraction(now sim.Time) float64 {
 // go through the same bucket, which extends the minimum over reverse-path
 // bottlenecks hosting an ABC router.
 func (r *Router) Dequeue(now sim.Time) *packet.Packet {
-	if r.head >= len(r.q) {
+	p := r.Pop()
+	if p == nil {
 		return nil
 	}
-	p := r.q[r.head]
-	r.q[r.head] = nil
-	r.head++
-	r.bytes -= p.Size
-	if r.head > 64 && r.head*2 >= len(r.q) {
-		n := copy(r.q, r.q[r.head:])
-		r.q = r.q[:n]
-		r.head = 0
-	}
-	r.deqMeter.add(now, p.Size)
-	r.Stats.DequeuedPackets++
-	r.Stats.DequeuedBytes += int64(p.Size)
+	r.deqMeter.Add(now, p.Size)
 
 	// No token credit for the aggregate's virtual dequeues: with N real
 	// background flows each of their packets would accrue f AND consume
@@ -368,12 +292,6 @@ func (r *Router) Dequeue(now sim.Time) *packet.Packet {
 	}
 	return p
 }
-
-// Len implements qdisc.Qdisc.
-func (r *Router) Len() int { return len(r.q) - r.head }
-
-// Bytes implements qdisc.Qdisc.
-func (r *Router) Bytes() int { return r.bytes }
 
 func minf(a, b float64) float64 {
 	if a < b {

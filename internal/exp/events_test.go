@@ -10,7 +10,6 @@ import (
 	"abc/internal/metrics"
 	"abc/internal/netem"
 	"abc/internal/packet"
-	"abc/internal/qdisc"
 	"abc/internal/sim"
 )
 
@@ -134,11 +133,7 @@ func TestRoutingConservationRandomTimelines(t *testing.T) {
 		}
 		var qdrops int64
 		for _, q := range res.Qdiscs {
-			dt, ok := q.(*qdisc.DropTail)
-			if !ok {
-				t.Fatalf("iter %d: unexpected qdisc %T", i, q)
-			}
-			qdrops += dt.Stats.DroppedPackets
+			qdrops += q.Counters().DroppedPackets
 		}
 		accounted := deliveredBytes/packet.MTU + qdrops + res.Drops + res.LinkDownDrops
 		if sent != accounted {

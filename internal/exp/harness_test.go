@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -91,6 +92,37 @@ func TestOneWayOntoTheGraph(t *testing.T) {
 			if file != home && bytes.Contains(src, []byte(call)) {
 				t.Errorf("%s calls %s — only %s may", file, call, home)
 			}
+		}
+	}
+}
+
+// TestOnePacketStore guards the disciplines' shape: the slice ring, the
+// enqueue-time stamp and every counter increment live in the file that
+// defines qdisc.Queue (and its rate meter), so a discipline file holds a
+// decision and nothing the per-hop conservation check would have to
+// trust separately. A ninth copy of the ring or a hand-counted drop in
+// any discipline package fails here.
+func TestOnePacketStore(t *testing.T) {
+	const home = "../qdisc/queue.go"
+	storeOnly := regexp.MustCompile(`Stats\.\w+(\+\+| \+=)|EnqueuedAt = now|head\*2 >= len\(`)
+	var files []string
+	for _, pkg := range []string{"qdisc", "abc", "explicit", "sched"} {
+		m, err := filepath.Glob("../" + pkg + "/*.go")
+		if err != nil || len(m) == 0 {
+			t.Fatalf("no source files found in %s: %v", pkg, err)
+		}
+		files = append(files, m...)
+	}
+	for _, file := range files {
+		if strings.HasSuffix(file, "_test.go") || file == home {
+			continue
+		}
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range storeOnly.FindAll(src, -1) {
+			t.Errorf("%s has %q — only %s may", file, m, home)
 		}
 	}
 }

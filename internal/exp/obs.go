@@ -121,12 +121,12 @@ func (rs *runSampler) sample(now sim.Time) {
 		name := g.Edge(id).Name
 		reg.Gauge(`abc_queue_pkts{edge="` + name + `"}`).Set(float64(q.Len()))
 		reg.Gauge(`abc_queue_bytes{edge="` + name + `"}`).Set(float64(q.Bytes()))
+		reg.Counter(`abc_qdisc_drops_total{edge="` + name + `"}`).Store(q.Counters().DroppedPackets)
 		if r, ok := q.(*abc.Router); ok {
 			reg.Gauge(`abc_tokens{edge="` + name + `"}`).Set(r.Token())
 			reg.Counter(`abc_marks_total{edge="` + name + `",kind="accel"}`).Store(r.AccelMarked)
 			reg.Counter(`abc_marks_total{edge="` + name + `",kind="brake"}`).Store(r.BrakeMarked)
 			reg.Counter(`abc_marks_total{edge="` + name + `",kind="echo_demoted"}`).Store(r.EchoDemoted)
-			reg.Counter(`abc_qdisc_drops_total{edge="` + name + `"}`).Store(r.Stats.DroppedPackets)
 		}
 	}
 

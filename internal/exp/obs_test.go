@@ -116,51 +116,72 @@ func TestForEachCellErrorLabel(t *testing.T) {
 
 // TestMetricsSampling runs a small scenario with live metrics enabled
 // and checks the registry ends up with the advertised families: per-edge
-// queue and token gauges, per-flow cwnd, the coordinator's counters (one
+// queue gauges and discipline drops on every discipline, token and mark
+// series on an ABC one, per-flow cwnd, the coordinator's counters (one
 // shard is a coordinator run like any other), and the sim-progress pair
 // read by the progress line — which must end on the run's duration
 // whether the last tick fell on it (200 ms) or short of it (300 ms).
 func TestMetricsSampling(t *testing.T) {
-	for _, period := range []sim.Time{200 * sim.Millisecond, 300 * sim.Millisecond} {
-		reg := obs.NewRegistry()
-		EnableMetrics(reg, period)
-		_, _, err := Run(Spec{
-			Seed:     1,
-			Duration: 2 * sim.Second,
-			Warmup:   500 * sim.Millisecond,
-			RTT:      50 * sim.Millisecond,
-			Links:    []LinkSpec{{Rate: netem.ConstRate(10e6), Qdisc: QdiscSpec{Kind: "abc"}}},
-			Flows:    []FlowSpec{{Scheme: "ABC"}},
-		})
-		EnableMetrics(nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		have := map[string]obs.Sample{}
-		for _, s := range reg.Snapshot() {
-			have[s.Name] = s
-		}
-		for _, name := range []string{
-			`abc_queue_pkts{edge="fwd0"}`,
-			`abc_queue_bytes{edge="fwd0"}`,
+	common := []string{
+		`abc_queue_pkts{edge="fwd0"}`,
+		`abc_queue_bytes{edge="fwd0"}`,
+		`abc_qdisc_drops_total{edge="fwd0"}`,
+		`abc_flow_cwnd_pkts{flow="0"}`,
+		`abc_shard_events_total{shard="0"}`,
+		"abc_shard_rounds_total",
+		obs.MetricSimSeconds,
+		obs.MetricSimEvents,
+	}
+	// The discipline's drop counter is read through qdisc.Qdisc, so a
+	// Cubic flow overrunning a shallow CoDel buffer reports its drops
+	// exactly as an ABC router would.
+	cases := []struct {
+		scheme string
+		qdisc  QdiscSpec
+		extra  []string
+		drops  bool
+	}{
+		{scheme: "ABC", qdisc: QdiscSpec{Kind: "abc"}, extra: []string{
 			`abc_tokens{edge="fwd0"}`,
 			`abc_marks_total{edge="fwd0",kind="accel"}`,
-			`abc_flow_cwnd_pkts{flow="0"}`,
 			`abc_flow_reverse_brakes{flow="0"}`,
-			`abc_shard_events_total{shard="0"}`,
-			"abc_shard_rounds_total",
-			obs.MetricSimSeconds,
-			obs.MetricSimEvents,
-		} {
-			if _, ok := have[name]; !ok {
-				t.Errorf("period %v: registry missing %s after a metered run", period, name)
+		}},
+		{scheme: "Cubic", qdisc: QdiscSpec{Kind: "codel", Buffer: 20}, drops: true},
+	}
+	for _, period := range []sim.Time{200 * sim.Millisecond, 300 * sim.Millisecond} {
+		for _, tc := range cases {
+			reg := obs.NewRegistry()
+			EnableMetrics(reg, period)
+			_, _, err := Run(Spec{
+				Seed:     1,
+				Duration: 2 * sim.Second,
+				Warmup:   500 * sim.Millisecond,
+				RTT:      50 * sim.Millisecond,
+				Links:    []LinkSpec{{Rate: netem.ConstRate(10e6), Qdisc: tc.qdisc}},
+				Flows:    []FlowSpec{{Scheme: tc.scheme}},
+			})
+			EnableMetrics(nil, 0)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if s := have[obs.MetricSimSeconds]; s.Value != 2 {
-			t.Errorf("period %v: final %s = %g, want 2 (the run duration)", period, obs.MetricSimSeconds, s.Value)
-		}
-		if s := have[obs.MetricSimEvents]; s.Value <= 0 {
-			t.Errorf("period %v: %s = %g, want > 0", period, obs.MetricSimEvents, s.Value)
+			have := map[string]obs.Sample{}
+			for _, s := range reg.Snapshot() {
+				have[s.Name] = s
+			}
+			for _, name := range append(common, tc.extra...) {
+				if _, ok := have[name]; !ok {
+					t.Errorf("%s, period %v: registry missing %s after a metered run", tc.scheme, period, name)
+				}
+			}
+			if s := have[`abc_qdisc_drops_total{edge="fwd0"}`]; tc.drops && s.Value <= 0 {
+				t.Errorf("%s, period %v: abc_qdisc_drops_total = %g, want the shallow buffer's drops", tc.scheme, period, s.Value)
+			}
+			if s := have[obs.MetricSimSeconds]; s.Value != 2 {
+				t.Errorf("%s, period %v: final %s = %g, want 2 (the run duration)", tc.scheme, period, obs.MetricSimSeconds, s.Value)
+			}
+			if s := have[obs.MetricSimEvents]; s.Value <= 0 {
+				t.Errorf("%s, period %v: %s = %g, want > 0", tc.scheme, period, obs.MetricSimEvents, s.Value)
+			}
 		}
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"abc/internal/cc"
 	"abc/internal/metrics"
 	"abc/internal/netem"
-	"abc/internal/qdisc"
 	"abc/internal/sim"
 	"abc/internal/topo"
 	"abc/internal/trace"
@@ -70,15 +69,12 @@ func UplinkCongestedACK(schemes []string, uplinkMbps float64, dur sim.Time, seed
 		// recorder would fold the uplink cross flow's (heavily queued)
 		// per-packet delays into the scheme's numbers.
 		f0 := &res.Flows[0]
-		r := UplinkResult{
-			Down:       flowSummary(sch, res, f0),
-			QDelayP95:  f0.QDelay.P95(),
-			UpTputMbps: res.Flows[1].TputMbps,
-		}
-		if dt, ok := res.ReverseQdiscs[0].(*qdisc.DropTail); ok {
-			r.AckPathDrops = dt.Stats.DroppedPackets
-		}
-		return r, nil
+		return UplinkResult{
+			Down:         flowSummary(sch, res, f0),
+			QDelayP95:    f0.QDelay.P95(),
+			UpTputMbps:   res.Flows[1].TputMbps,
+			AckPathDrops: res.ReverseQdiscs[0].Counters().DroppedPackets,
+		}, nil
 	})
 }
 

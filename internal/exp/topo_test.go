@@ -9,7 +9,6 @@ import (
 	"abc/internal/abc"
 	"abc/internal/netem"
 	"abc/internal/packet"
-	"abc/internal/qdisc"
 	"abc/internal/sim"
 	"abc/internal/topo"
 	"abc/internal/trace"
@@ -231,13 +230,7 @@ func TestReverseFlowActuallyCongests(t *testing.T) {
 	if with.Flows[2].Bytes == 0 {
 		t.Error("reverse-direction flow delivered nothing")
 	}
-	ackDrops := func(r *Result) int64 {
-		dt, ok := r.ReverseQdiscs[0].(*qdisc.DropTail)
-		if !ok {
-			t.Fatalf("reverse qdisc is %T, want droptail", r.ReverseQdiscs[0])
-		}
-		return dt.Stats.DroppedPackets
-	}
+	ackDrops := func(r *Result) int64 { return r.ReverseQdiscs[0].Counters().DroppedPackets }
 	if d := ackDrops(with); d == 0 {
 		t.Error("congested reverse link recorded no drops")
 	}

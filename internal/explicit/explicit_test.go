@@ -6,6 +6,7 @@ import (
 
 	"abc/internal/cc"
 	"abc/internal/packet"
+	"abc/internal/qdisc"
 	"abc/internal/sim"
 )
 
@@ -244,13 +245,13 @@ func TestVCPSenderMIAIMD(t *testing.T) {
 }
 
 func TestMeterRate(t *testing.T) {
-	m := newMeter(100 * sim.Millisecond)
+	m := qdisc.RateMeter{Window: 100 * sim.Millisecond}
 	now := sim.Time(0)
 	for i := 0; i < 10; i++ {
 		now += 10 * sim.Millisecond
-		m.add(now, 1000)
+		m.Add(now, 1000)
 	}
-	if got := m.byteRate(now); math.Abs(got-100000) > 1 {
+	if got := m.BytesPerSec(now); math.Abs(got-100000) > 1 {
 		t.Errorf("byte rate %v", got)
 	}
 }

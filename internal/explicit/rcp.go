@@ -30,14 +30,9 @@ func DefaultRCPConfig() RCPConfig { return RCPConfig{Alpha: 0.5, Beta: 0.25, Lim
 //
 // and stamps min(R, header) into departing packets.
 type RCPRouter struct {
-	Cfg   RCPConfig
-	Stats qdisc.Stats
-
-	capacity func(now sim.Time) float64
-
-	q     []*packet.Packet
-	head  int
-	bytes int
+	Cfg RCPConfig
+	qdisc.Queue
+	qdisc.Capacity
 
 	rate          float64 // bytes/sec
 	meanRTT       sim.Time
@@ -47,34 +42,19 @@ type RCPRouter struct {
 
 // NewRCPRouter returns an RCP router qdisc.
 func NewRCPRouter(cfg RCPConfig) *RCPRouter {
-	return &RCPRouter{Cfg: cfg, meanRTT: 100 * sim.Millisecond}
-}
-
-// SetCapacityProvider implements qdisc.CapacityAware.
-func (r *RCPRouter) SetCapacityProvider(f func(now sim.Time) float64) { r.capacity = f }
-
-func (r *RCPRouter) mu(now sim.Time) float64 {
-	if r.capacity == nil {
-		return 0
-	}
-	return r.capacity(now)
+	return &RCPRouter{Cfg: cfg, Queue: qdisc.Queue{Limit: cfg.Limit}, meanRTT: 100 * sim.Millisecond}
 }
 
 // Enqueue implements qdisc.Qdisc.
 func (r *RCPRouter) Enqueue(now sim.Time, p *packet.Packet) bool {
-	if r.Cfg.Limit > 0 && r.Len() >= r.Cfg.Limit {
-		r.Stats.DroppedPackets++
+	if !r.Admit(now, p, 0) {
 		return false
 	}
 	if r.intervalStart == 0 {
 		r.intervalStart = now
-		r.rate = r.mu(now) / 8 / 2 // start at half capacity
+		r.rate = r.Mu(now) / 8 / 2 // start at half capacity
 	}
-	p.EnqueuedAt = now
-	r.q = append(r.q, p)
-	r.bytes += p.Size
 	r.arrivedBytes += int64(p.Size)
-	r.Stats.EnqueuedPackets++
 	r.maybeUpdate(now)
 	return true
 }
@@ -86,14 +66,14 @@ func (r *RCPRouter) maybeUpdate(now sim.Time) {
 	if T < d/2 { // RCP updates at least every d (use d/2 for agility)
 		return
 	}
-	c := r.mu(now) / 8
+	c := r.Mu(now) / 8
 	if c <= 0 {
 		r.intervalStart = now
 		r.arrivedBytes = 0
 		return
 	}
 	y := float64(r.arrivedBytes) / T.Seconds()
-	q := float64(r.bytes)
+	q := float64(r.Bytes())
 	adj := (T.Seconds() / d.Seconds()) *
 		(r.Cfg.Alpha*(c-y) - r.Cfg.Beta*q/d.Seconds()) / c
 	r.rate *= 1 + adj
@@ -109,32 +89,16 @@ func (r *RCPRouter) maybeUpdate(now sim.Time) {
 
 // Dequeue implements qdisc.Qdisc.
 func (r *RCPRouter) Dequeue(now sim.Time) *packet.Packet {
-	if r.head >= len(r.q) {
+	p := r.Pop()
+	if p == nil {
 		return nil
-	}
-	p := r.q[r.head]
-	r.q[r.head] = nil
-	r.head++
-	r.bytes -= p.Size
-	if r.head > 64 && r.head*2 >= len(r.q) {
-		n := copy(r.q, r.q[r.head:])
-		r.q = r.q[:n]
-		r.head = 0
 	}
 	rateBits := r.rate * 8
 	if p.RCPRate == 0 || rateBits < p.RCPRate {
 		p.RCPRate = rateBits
 	}
-	r.Stats.DequeuedPackets++
-	r.Stats.DequeuedBytes += int64(p.Size)
 	return p
 }
-
-// Len implements qdisc.Qdisc.
-func (r *RCPRouter) Len() int { return len(r.q) - r.head }
-
-// Bytes implements qdisc.Qdisc.
-func (r *RCPRouter) Bytes() int { return r.bytes }
 
 // RCPSender paces at the router-stamped rate.
 type RCPSender struct {

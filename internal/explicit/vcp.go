@@ -40,14 +40,9 @@ func DefaultVCPConfig() VCPConfig {
 // VCPRouter measures its load factor each period and stamps the code into
 // departing packets (codes only ever increase along the path).
 type VCPRouter struct {
-	Cfg   VCPConfig
-	Stats qdisc.Stats
-
-	capacity func(now sim.Time) float64
-
-	q     []*packet.Packet
-	head  int
-	bytes int
+	Cfg VCPConfig
+	qdisc.Queue
+	qdisc.Capacity
 
 	periodStart  sim.Time
 	arrivedBytes int64
@@ -56,26 +51,18 @@ type VCPRouter struct {
 
 // NewVCPRouter returns a VCP router qdisc.
 func NewVCPRouter(cfg VCPConfig) *VCPRouter {
-	return &VCPRouter{Cfg: cfg, code: vcpLow}
+	return &VCPRouter{Cfg: cfg, Queue: qdisc.Queue{Limit: cfg.Limit}, code: vcpLow}
 }
-
-// SetCapacityProvider implements qdisc.CapacityAware.
-func (v *VCPRouter) SetCapacityProvider(f func(now sim.Time) float64) { v.capacity = f }
 
 // Enqueue implements qdisc.Qdisc.
 func (v *VCPRouter) Enqueue(now sim.Time, p *packet.Packet) bool {
-	if v.Cfg.Limit > 0 && v.Len() >= v.Cfg.Limit {
-		v.Stats.DroppedPackets++
+	if !v.Admit(now, p, 0) {
 		return false
 	}
 	if v.periodStart == 0 {
 		v.periodStart = now
 	}
-	p.EnqueuedAt = now
-	v.q = append(v.q, p)
-	v.bytes += p.Size
 	v.arrivedBytes += int64(p.Size)
-	v.Stats.EnqueuedPackets++
 	v.maybeUpdate(now)
 	return true
 }
@@ -86,14 +73,11 @@ func (v *VCPRouter) maybeUpdate(now sim.Time) {
 	if T < v.Cfg.Period {
 		return
 	}
-	var c float64
-	if v.capacity != nil {
-		c = v.capacity(now) / 8 // bytes/sec
-	}
+	c := v.Mu(now) / 8 // bytes/sec
 	if c <= 0 {
 		v.code = vcpOverload
 	} else {
-		rho := (float64(v.arrivedBytes) + v.Cfg.KappaQ*float64(v.bytes)) /
+		rho := (float64(v.arrivedBytes) + v.Cfg.KappaQ*float64(v.Bytes())) /
 			(v.Cfg.Gamma * c * T.Seconds())
 		switch {
 		case rho < 0.8:
@@ -110,31 +94,15 @@ func (v *VCPRouter) maybeUpdate(now sim.Time) {
 
 // Dequeue implements qdisc.Qdisc.
 func (v *VCPRouter) Dequeue(now sim.Time) *packet.Packet {
-	if v.head >= len(v.q) {
+	p := v.Pop()
+	if p == nil {
 		return nil
-	}
-	p := v.q[v.head]
-	v.q[v.head] = nil
-	v.head++
-	v.bytes -= p.Size
-	if v.head > 64 && v.head*2 >= len(v.q) {
-		n := copy(v.q, v.q[v.head:])
-		v.q = v.q[:n]
-		v.head = 0
 	}
 	if v.code > p.VCPLoad {
 		p.VCPLoad = v.code
 	}
-	v.Stats.DequeuedPackets++
-	v.Stats.DequeuedBytes += int64(p.Size)
 	return p
 }
-
-// Len implements qdisc.Qdisc.
-func (v *VCPRouter) Len() int { return len(v.q) - v.head }
-
-// Bytes implements qdisc.Qdisc.
-func (v *VCPRouter) Bytes() int { return v.bytes }
 
 // VCPSender applies MI/AI/MD per the received code with the VCP paper's
 // parameters α=1.0, β=0.875, ξ=0.0625.

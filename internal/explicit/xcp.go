@@ -48,14 +48,9 @@ func DefaultXCPConfig() XCPConfig {
 // cwnd and RTT in the congestion header; routers only ever reduce the
 // feedback field (min along the path).
 type XCPRouter struct {
-	Cfg   XCPConfig
-	Stats qdisc.Stats
-
-	capacity func(now sim.Time) float64
-
-	q     []*packet.Packet
-	head  int
-	bytes int
+	Cfg XCPConfig
+	qdisc.Queue
+	qdisc.Capacity
 
 	// Control-interval accounting.
 	intervalStart sim.Time
@@ -69,45 +64,8 @@ type XCPRouter struct {
 	// computed for the current interval.
 	perByte float64
 
-	// Sliding-window meters for the XCPw variant.
-	arrMeter *meter
-}
-
-// meter is a sliding-window byte-rate estimator.
-type meter struct {
-	window sim.Time
-	times  []sim.Time
-	bytes  []int
-	sum    int64
-	head   int
-}
-
-func newMeter(w sim.Time) *meter { return &meter{window: w} }
-
-func (m *meter) add(now sim.Time, n int) {
-	m.times = append(m.times, now)
-	m.bytes = append(m.bytes, n)
-	m.sum += int64(n)
-	m.prune(now)
-}
-
-func (m *meter) prune(now sim.Time) {
-	for m.head < len(m.times) && m.times[m.head] < now-m.window {
-		m.sum -= int64(m.bytes[m.head])
-		m.head++
-	}
-	if m.head > 256 && m.head*2 >= len(m.times) {
-		n := copy(m.times, m.times[m.head:])
-		copy(m.bytes, m.bytes[m.head:])
-		m.times = m.times[:n]
-		m.bytes = m.bytes[:n]
-		m.head = 0
-	}
-}
-
-func (m *meter) byteRate(now sim.Time) float64 {
-	m.prune(now)
-	return float64(m.sum) / m.window.Seconds()
+	// Sliding-window arrival meter for the XCPw variant.
+	arrMeter qdisc.RateMeter
 }
 
 // NewXCPRouter returns an XCP (or XCPw) router qdisc.
@@ -117,46 +75,30 @@ func NewXCPRouter(cfg XCPConfig) *XCPRouter {
 	}
 	return &XCPRouter{
 		Cfg:           cfg,
+		Queue:         qdisc.Queue{Limit: cfg.Limit},
 		meanRTT:       100 * sim.Millisecond,
 		minQueueBytes: math.MaxInt,
-		arrMeter:      newMeter(cfg.Window),
+		arrMeter:      qdisc.RateMeter{Window: cfg.Window},
 	}
-}
-
-// SetCapacityProvider implements qdisc.CapacityAware.
-func (x *XCPRouter) SetCapacityProvider(f func(now sim.Time) float64) { x.capacity = f }
-
-func (x *XCPRouter) mu(now sim.Time) float64 {
-	if x.capacity == nil {
-		return 0
-	}
-	return x.capacity(now)
 }
 
 // Enqueue implements qdisc.Qdisc.
 func (x *XCPRouter) Enqueue(now sim.Time, p *packet.Packet) bool {
-	if x.Cfg.Limit > 0 && x.Len() >= x.Cfg.Limit {
-		x.Stats.DroppedPackets++
+	if !x.Admit(now, p, 0) {
 		return false
 	}
 	if x.intervalStart == 0 {
 		x.intervalStart = now
 	}
-	p.EnqueuedAt = now
-	x.q = append(x.q, p)
-	x.bytes += p.Size
 	x.arrivedBytes += int64(p.Size)
-	x.arrMeter.add(now, p.Size)
+	x.arrMeter.Add(now, p.Size)
 	if p.XCP.Valid {
 		if p.XCP.RTT > 0 {
 			x.rttSum += p.XCP.RTT
 			x.rttCount++
 		}
 	}
-	if x.bytes < x.minQueueBytes {
-		x.minQueueBytes = x.bytes
-	}
-	x.Stats.EnqueuedPackets++
+	x.minQueueBytes = min(x.minQueueBytes, x.Bytes())
 	x.maybeCloseInterval(now)
 	return true
 }
@@ -172,10 +114,10 @@ func (x *XCPRouter) maybeCloseInterval(now sim.Time) {
 	}
 	dur := (now - x.intervalStart).Seconds()
 	y := float64(x.arrivedBytes) / dur // input rate, bytes/sec
-	c := x.mu(now) / 8                 // capacity, bytes/sec
+	c := x.Mu(now) / 8                 // capacity, bytes/sec
 	q := float64(x.minQueueBytes)
 	if x.minQueueBytes == math.MaxInt {
-		q = float64(x.bytes)
+		q = float64(x.Bytes())
 	}
 	phi := x.Cfg.Alpha*d.Seconds()*(c-y) - x.Cfg.Beta*q // bytes
 	if x.arrivedBytes > 0 {
@@ -201,9 +143,9 @@ func (x *XCPRouter) feedbackFor(now sim.Time, p *packet.Packet) float64 {
 		// XCPw: instantaneous aggregate feedback over the sliding
 		// window, apportioned by byte share of the window's traffic.
 		d := x.meanRTT
-		y := x.arrMeter.byteRate(now)
-		c := x.mu(now) / 8
-		phi := x.Cfg.Alpha*d.Seconds()*(c-y) - x.Cfg.Beta*float64(x.bytes)
+		y := x.arrMeter.BytesPerSec(now)
+		c := x.Mu(now) / 8
+		phi := x.Cfg.Alpha*d.Seconds()*(c-y) - x.Cfg.Beta*float64(x.Bytes())
 		winBytes := y * d.Seconds()
 		if winBytes <= float64(p.Size) {
 			winBytes = float64(p.Size)
@@ -222,37 +164,19 @@ func (x *XCPRouter) feedbackFor(now sim.Time, p *packet.Packet) float64 {
 
 // Dequeue implements qdisc.Qdisc.
 func (x *XCPRouter) Dequeue(now sim.Time) *packet.Packet {
-	if x.head >= len(x.q) {
+	p := x.Pop()
+	if p == nil {
 		return nil
 	}
-	p := x.q[x.head]
-	x.q[x.head] = nil
-	x.head++
-	x.bytes -= p.Size
-	if x.head > 64 && x.head*2 >= len(x.q) {
-		n := copy(x.q, x.q[x.head:])
-		x.q = x.q[:n]
-		x.head = 0
-	}
-	if x.bytes < x.minQueueBytes {
-		x.minQueueBytes = x.bytes
-	}
+	x.minQueueBytes = min(x.minQueueBytes, x.Bytes())
 	if p.XCP.Valid {
 		fb := x.feedbackFor(now, p)
 		if fb < p.XCP.Feedback {
 			p.XCP.Feedback = fb
 		}
 	}
-	x.Stats.DequeuedPackets++
-	x.Stats.DequeuedBytes += int64(p.Size)
 	return p
 }
-
-// Len implements qdisc.Qdisc.
-func (x *XCPRouter) Len() int { return len(x.q) - x.head }
-
-// Bytes implements qdisc.Qdisc.
-func (x *XCPRouter) Bytes() int { return x.bytes }
 
 // XCPSender is the window-based XCP endpoint algorithm: it stamps the
 // congestion header on data and applies the echoed feedback per ACK.

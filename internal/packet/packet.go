@@ -160,8 +160,10 @@ var pool = sync.Pool{New: func() any { return new(Packet) }}
 // holds the pointer last is responsible for either forwarding it (links,
 // qdiscs, wires) or releasing it (terminal consumers: the receiver for
 // data packets, the sender endpoint for ACKs, and whichever element drops
-// it). Qdisc.Enqueue returning false leaves ownership with the caller;
-// drops inside a qdisc's Dequeue are released by the qdisc itself.
+// it). Qdisc.Enqueue returning false leaves ownership with the caller and
+// the packet untouched; a packet a discipline drops after accepting it
+// (CoDel, from Dequeue) is released in exactly one place, qdisc.Queue's
+// drop, which also counts it.
 func Get() *Packet { return pool.Get().(*Packet) }
 
 // Release zeroes p and returns it to the free list. The caller must not

@@ -18,14 +18,12 @@ type CoDel struct {
 	Target sim.Time
 	// Interval is the sliding-minimum window (RFC default 100 ms).
 	Interval sim.Time
-	// Limit bounds the queue in packets; overflow is dropped at the tail.
-	Limit int
 	// UseECN marks ECN-capable packets instead of dropping them.
 	UseECN bool
 
-	Stats Stats
+	// Queue is the store; overflow past its Limit is dropped at the tail.
+	Queue
 
-	q             fifo
 	firstAboveAt  sim.Time // when sojourn first went above target (0 = not above)
 	dropping      bool
 	dropNextAt    sim.Time
@@ -39,22 +37,13 @@ func NewCoDel(limit int, useECN bool) *CoDel {
 	return &CoDel{
 		Target:   5 * sim.Millisecond,
 		Interval: 100 * sim.Millisecond,
-		Limit:    limit,
 		UseECN:   useECN,
+		Queue:    Queue{Limit: limit},
 	}
 }
 
 // Enqueue implements Qdisc.
-func (c *CoDel) Enqueue(now sim.Time, p *packet.Packet) bool {
-	if c.Limit > 0 && c.q.len() >= c.Limit {
-		c.Stats.DroppedPackets++
-		return false
-	}
-	p.EnqueuedAt = now
-	c.q.push(p)
-	c.Stats.EnqueuedPackets++
-	return true
-}
+func (c *CoDel) Enqueue(now sim.Time, p *packet.Packet) bool { return c.Admit(now, p, 0) }
 
 // controlLaw returns the next drop time after t for the current count.
 func (c *CoDel) controlLaw(t sim.Time) sim.Time {
@@ -64,13 +53,13 @@ func (c *CoDel) controlLaw(t sim.Time) sim.Time {
 // doDequeue pops one packet and updates the "ok to drop" condition, per
 // the RFC pseudocode.
 func (c *CoDel) doDequeue(now sim.Time) (*packet.Packet, bool) {
-	p := c.q.pop()
+	p := c.take()
 	if p == nil {
 		c.firstAboveAt = 0
 		return nil, false
 	}
 	sojourn := now - p.EnqueuedAt
-	if sojourn < c.Target || c.q.bytes <= packet.MTU {
+	if sojourn < c.Target || c.Bytes() <= packet.MTU {
 		c.firstAboveAt = 0
 		return p, false
 	}
@@ -98,15 +87,13 @@ func (c *CoDel) Dequeue(now sim.Time) *packet.Packet {
 				if c.UseECN && p.ECN.ECNCapable() {
 					// Marking suffices: signal and leave the
 					// dropping schedule advanced.
-					p.ECN = packet.CE
-					c.Stats.MarkedPackets++
+					c.mark(p)
 					c.dropCount++
 					c.dropNextAt = c.controlLaw(c.dropNextAt)
 					break
 				}
-				c.Stats.DroppedPackets++
+				c.drop(p)
 				c.dropCount++
-				p.Release() // dropped inside the discipline: it owns p
 				p, okToDrop = c.doDequeue(now)
 				if p == nil {
 					c.dropping = false
@@ -122,11 +109,9 @@ func (c *CoDel) Dequeue(now sim.Time) *packet.Packet {
 	} else if okToDrop {
 		// Enter dropping state with one signal.
 		if c.UseECN && p.ECN.ECNCapable() {
-			p.ECN = packet.CE
-			c.Stats.MarkedPackets++
+			c.mark(p)
 		} else {
-			c.Stats.DroppedPackets++
-			p.Release() // dropped inside the discipline: it owns p
+			c.drop(p)
 			p, _ = c.doDequeue(now)
 		}
 		c.dropping = true
@@ -140,15 +125,5 @@ func (c *CoDel) Dequeue(now sim.Time) *packet.Packet {
 		c.dropNextAt = c.controlLaw(now)
 		c.lastDropCount = c.dropCount
 	}
-	if p != nil {
-		c.Stats.DequeuedPackets++
-		c.Stats.DequeuedBytes += int64(p.Size)
-	}
-	return p
+	return c.deliver(p)
 }
-
-// Len implements Qdisc.
-func (c *CoDel) Len() int { return c.q.len() }
-
-// Bytes implements Qdisc.
-func (c *CoDel) Bytes() int { return c.q.bytes }

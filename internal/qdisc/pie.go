@@ -18,16 +18,14 @@ type PIE struct {
 	TUpdate sim.Time
 	// Alpha and Beta are the PI controller gains (RFC defaults).
 	Alpha, Beta float64
-	// Limit bounds the queue in packets.
-	Limit int
 	// UseECN marks ECN-capable packets instead of dropping while the drop
 	// probability is below 10% (RFC 8033 §5.1).
 	UseECN bool
 
-	Stats Stats
+	// Queue is the store; its Limit bounds the queue in packets.
+	Queue
 
 	rng *rand.Rand
-	q   fifo
 
 	dropProb     float64
 	qdelayOld    sim.Time
@@ -49,8 +47,8 @@ func NewPIE(limit int, useECN bool, rng *rand.Rand) *PIE {
 		TUpdate:    15 * sim.Millisecond,
 		Alpha:      0.125,
 		Beta:       1.25,
-		Limit:      limit,
 		UseECN:     useECN,
+		Queue:      Queue{Limit: limit},
 		rng:        rng,
 		burstAllow: 150 * sim.Millisecond,
 	}
@@ -61,7 +59,7 @@ func (pi *PIE) qdelay() sim.Time {
 	if pi.avgDrainRate <= 0 {
 		return 0
 	}
-	return sim.FromSeconds(float64(pi.q.bytes) / pi.avgDrainRate)
+	return sim.FromSeconds(float64(pi.Bytes()) / pi.avgDrainRate)
 }
 
 // update recomputes the drop probability; called lazily from Enqueue and
@@ -115,40 +113,32 @@ func (pi *PIE) Enqueue(now sim.Time, p *packet.Packet) bool {
 		pi.lastUpdate = now
 	}
 	pi.update(now)
-	if pi.Limit > 0 && pi.q.len() >= pi.Limit {
-		pi.Stats.DroppedPackets++
-		return false
+	if pi.full(0) {
+		return pi.Refuse()
 	}
 	if pi.burstAllow <= 0 && pi.dropProb > 0 && pi.qdelay() > pi.Target/2 {
 		if pi.rng.Float64() < pi.dropProb {
 			if !pi.UseECN || pi.dropProb >= 0.1 || !p.ECN.ECNCapable() {
-				pi.Stats.DroppedPackets++
-				return false
+				return pi.Refuse()
 			}
-			p.ECN = packet.CE
-			pi.Stats.MarkedPackets++
+			pi.mark(p)
 		}
 	}
-	p.EnqueuedAt = now
-	pi.q.push(p)
-	pi.Stats.EnqueuedPackets++
-	return true
+	return pi.Admit(now, p, 0)
 }
 
 // Dequeue implements Qdisc, also feeding the departure-rate estimator.
 func (pi *PIE) Dequeue(now sim.Time) *packet.Packet {
 	pi.update(now)
-	p := pi.q.pop()
+	p := pi.Pop()
 	if p == nil {
 		pi.inMeasure = false
 		return nil
 	}
-	pi.Stats.DequeuedPackets++
-	pi.Stats.DequeuedBytes += int64(p.Size)
 	// Departure-rate measurement per RFC 8033 §4.3: measure while at
 	// least a threshold of data is queued.
 	const threshold = 10 * packet.MTU
-	if pi.q.bytes >= threshold && !pi.inMeasure {
+	if pi.Bytes() >= threshold && !pi.inMeasure {
 		pi.inMeasure = true
 		pi.measStart = now
 		pi.departedB = 0
@@ -167,9 +157,3 @@ func (pi *PIE) Dequeue(now sim.Time) *packet.Packet {
 	}
 	return p
 }
-
-// Len implements Qdisc.
-func (pi *PIE) Len() int { return pi.q.len() }
-
-// Bytes implements Qdisc.
-func (pi *PIE) Bytes() int { return pi.q.bytes }

@@ -7,6 +7,19 @@
 // calls Enqueue when a packet arrives and Dequeue at each transmission
 // opportunity. Time is supplied by the caller so disciplines stay free of
 // any global clock and remain trivially testable.
+//
+// A discipline is a decision over one shared store. Queue (queue.go) is
+// the FIFO ring, the buffer limit and the five Stats counters, and the
+// only code that admits, refuses, pops, CE-marks or drops a queued packet;
+// every leaf discipline here and in internal/abc and internal/explicit
+// embeds it by value. A new discipline therefore writes what it decides —
+// RED's average, CoDel's state machine, Algorithm 1 — in Enqueue and
+// Dequeue around Admit/Refuse/Pop, registers a kind, and gets Len, Bytes,
+// Counters, a row of the conformance table (conformance_test.go) and a
+// BenchmarkQdiscChurn sub-benchmark for free (its 0 allocs/op ceiling is
+// one line in bench_thresholds.txt); a router that needs µ(t) or a
+// windowed rate embeds Capacity and holds a RateMeter. A composite
+// (sched.DualQueue) owns no store and sums its children's counters.
 package qdisc
 
 import (
@@ -26,6 +39,8 @@ type Qdisc interface {
 	Len() int
 	// Bytes returns the number of queued bytes.
 	Bytes() int
+	// Counters returns the discipline's packet accounting so far.
+	Counters() Stats
 }
 
 // CapacityAware is implemented by disciplines that need the link's current
@@ -63,113 +78,34 @@ type BackgroundAware interface {
 	SetBackground(bg Background)
 }
 
-// Stats counts events common to every discipline.
-type Stats struct {
-	EnqueuedPackets int64
-	DroppedPackets  int64
-	MarkedPackets   int64 // CE marks by AQM
-	DequeuedPackets int64
-	DequeuedBytes   int64
-}
-
-// fifo is the common packet store: a slice-backed FIFO with byte counting.
-type fifo struct {
-	pkts  []*packet.Packet
-	bytes int
-	head  int
-}
-
-func (f *fifo) push(p *packet.Packet) {
-	f.pkts = append(f.pkts, p)
-	f.bytes += p.Size
-}
-
-func (f *fifo) pop() *packet.Packet {
-	if f.head >= len(f.pkts) {
-		return nil
+// Slots is the number of buffer slots bg's fluid backlog occupies at now,
+// counted in MTU-sized packets exactly as real background packets would
+// be; 0 without a background.
+func Slots(bg Background, now sim.Time) int {
+	if bg == nil {
+		return 0
 	}
-	p := f.pkts[f.head]
-	f.pkts[f.head] = nil
-	f.head++
-	f.bytes -= p.Size
-	// Compact once the dead prefix dominates, keeping amortized O(1).
-	if f.head > 64 && f.head*2 >= len(f.pkts) {
-		n := copy(f.pkts, f.pkts[f.head:])
-		f.pkts = f.pkts[:n]
-		f.head = 0
-	}
-	return p
+	return int(bg.QueueBytes(now) / packet.MTU)
 }
-
-func (f *fifo) peek() *packet.Packet {
-	if f.head >= len(f.pkts) {
-		return nil
-	}
-	return f.pkts[f.head]
-}
-
-func (f *fifo) len() int { return len(f.pkts) - f.head }
 
 // DropTail is a FIFO with a packet-count limit, the buffer model used for
 // the paper's 250-packet cellular bottleneck buffers.
 type DropTail struct {
-	Limit int // packets; <=0 means unlimited
-	Stats Stats
-	q     fifo
-	bg    Background
+	Queue
+	bg Background
 }
 
 // NewDropTail returns a droptail queue bounded to limit packets.
-func NewDropTail(limit int) *DropTail { return &DropTail{Limit: limit} }
+func NewDropTail(limit int) *DropTail { return &DropTail{Queue: Queue{Limit: limit}} }
 
 // SetBackground implements BackgroundAware: the buffer is shared, so
-// fluid backlog occupies droptail slots exactly as real background
-// packets would.
+// fluid backlog occupies droptail slots.
 func (d *DropTail) SetBackground(bg Background) { d.bg = bg }
 
 // Enqueue implements Qdisc.
 func (d *DropTail) Enqueue(now sim.Time, p *packet.Packet) bool {
-	if d.Limit > 0 {
-		occupied := d.q.len()
-		if d.bg != nil {
-			occupied += int(d.bg.QueueBytes(now) / packet.MTU)
-		}
-		if occupied >= d.Limit {
-			d.Stats.DroppedPackets++
-			return false
-		}
-	}
-	p.EnqueuedAt = now
-	d.q.push(p)
-	d.Stats.EnqueuedPackets++
-	return true
+	return d.Admit(now, p, Slots(d.bg, now))
 }
 
 // Dequeue implements Qdisc.
-func (d *DropTail) Dequeue(now sim.Time) *packet.Packet {
-	p := d.q.pop()
-	if p != nil {
-		d.Stats.DequeuedPackets++
-		d.Stats.DequeuedBytes += int64(p.Size)
-	}
-	return p
-}
-
-// Len implements Qdisc.
-func (d *DropTail) Len() int { return d.q.len() }
-
-// Bytes implements Qdisc.
-func (d *DropTail) Bytes() int { return d.q.bytes }
-
-// markOrDrop applies an AQM congestion signal to p: ECN-capable packets
-// are CE-marked (and kept), others indicate they must be dropped.
-// It reports whether the packet survives.
-func markOrDrop(p *packet.Packet, st *Stats) bool {
-	if p.ECN.ECNCapable() {
-		p.ECN = packet.CE
-		st.MarkedPackets++
-		return true
-	}
-	st.DroppedPackets++
-	return false
-}
+func (d *DropTail) Dequeue(now sim.Time) *packet.Packet { return d.Pop() }

@@ -257,17 +257,7 @@ func TestQdiscConservation(t *testing.T) {
 					out++
 				}
 			}
-			var stats Stats
-			switch qq := q.(type) {
-			case *DropTail:
-				stats = qq.Stats
-			case *CoDel:
-				stats = qq.Stats
-			case *PIE:
-				stats = qq.Stats
-			case *RED:
-				stats = qq.Stats
-			}
+			stats := q.Counters()
 			// CoDel drops at dequeue time too, so account via stats.
 			total := out + int64(q.Len()) + stats.DroppedPackets
 			if total != in {
@@ -279,13 +269,29 @@ func TestQdiscConservation(t *testing.T) {
 }
 
 func TestMarkOrDrop(t *testing.T) {
-	var st Stats
+	// The store's two congestion signals: a CE mark keeps the packet, a
+	// refusal hands it back to the caller untouched.
+	var q Queue
 	p := mkPkt(1, packet.Accel)
-	if !markOrDrop(p, &st) || p.ECN != packet.CE || st.MarkedPackets != 1 {
+	if q.mark(p); p.ECN != packet.CE || q.Stats.MarkedPackets != 1 {
 		t.Errorf("ECN-capable packet should be CE-marked: %v", p.ECN)
 	}
 	p2 := mkPkt(2, packet.NotECT)
-	if markOrDrop(p2, &st) || st.DroppedPackets != 1 {
+	if q.Refuse() || q.Stats.DroppedPackets != 1 || p2.ECN != packet.NotECT {
 		t.Error("NotECT packet should be dropped")
+	}
+}
+
+// TestRateMeterRetention pins the meter's storage: past its window it
+// keeps a bounded tail however many samples went through.
+func TestRateMeterRetention(t *testing.T) {
+	m := RateMeter{Window: 10 * sim.Millisecond}
+	now := sim.Time(0)
+	for i := 0; i < 10000; i++ {
+		now += sim.Millisecond
+		m.Add(now, 100)
+	}
+	if live := len(m.times) - m.head; live > 100 || cap(m.times) > 2048 {
+		t.Errorf("meter retains %d entries (cap %d) for an 11-entry window", live, cap(m.times))
 	}
 }

@@ -19,15 +19,13 @@ type RED struct {
 	MaxP float64
 	// Wq is the EWMA weight for the average queue length.
 	Wq float64
-	// Limit bounds the instantaneous queue in packets.
-	Limit int
 	// UseECN marks instead of dropping where possible.
 	UseECN bool
 
-	Stats Stats
+	// Queue is the store; its Limit bounds the instantaneous queue.
+	Queue
 
 	rng     *rand.Rand
-	q       fifo
 	avg     float64
 	count   int // packets since last mark/drop
 	idleAt  sim.Time
@@ -45,17 +43,16 @@ func NewRED(limit int, useECN bool, rng *rand.Rand) *RED {
 		MaxTh:  float64(limit) * 0.6,
 		MaxP:   0.1,
 		Wq:     0.002,
-		Limit:  limit,
 		UseECN: useECN,
+		Queue:  Queue{Limit: limit},
 		rng:    rng,
 	}
 }
 
 // Enqueue implements Qdisc.
 func (r *RED) Enqueue(now sim.Time, p *packet.Packet) bool {
-	if r.Limit > 0 && r.q.len() >= r.Limit {
-		r.Stats.DroppedPackets++
-		return false
+	if r.full(0) {
+		return r.Refuse()
 	}
 	// Update the average, decaying it for idle periods.
 	if r.wasIdle {
@@ -67,7 +64,7 @@ func (r *RED) Enqueue(now sim.Time, p *packet.Packet) bool {
 		}
 		r.wasIdle = false
 	}
-	r.avg = (1-r.Wq)*r.avg + r.Wq*float64(r.q.len())
+	r.avg = (1-r.Wq)*r.avg + r.Wq*float64(r.Len())
 
 	drop := false
 	switch {
@@ -96,23 +93,17 @@ func (r *RED) Enqueue(now sim.Time, p *packet.Packet) bool {
 		r.count = 0
 	}
 	if drop {
-		if r.UseECN && p.ECN.ECNCapable() {
-			p.ECN = packet.CE
-			r.Stats.MarkedPackets++
-		} else {
-			r.Stats.DroppedPackets++
-			return false
+		if !r.UseECN || !p.ECN.ECNCapable() {
+			return r.Refuse()
 		}
+		r.mark(p)
 	}
-	p.EnqueuedAt = now
-	r.q.push(p)
-	r.Stats.EnqueuedPackets++
-	return true
+	return r.Admit(now, p, 0)
 }
 
 // Dequeue implements Qdisc.
 func (r *RED) Dequeue(now sim.Time) *packet.Packet {
-	p := r.q.pop()
+	p := r.Pop()
 	if p == nil {
 		if !r.wasIdle {
 			r.wasIdle = true
@@ -120,17 +111,9 @@ func (r *RED) Dequeue(now sim.Time) *packet.Packet {
 		}
 		return nil
 	}
-	r.Stats.DequeuedPackets++
-	r.Stats.DequeuedBytes += int64(p.Size)
-	if r.q.len() == 0 {
+	if r.Len() == 0 {
 		r.wasIdle = true
 		r.idleAt = now
 	}
 	return p
 }
-
-// Len implements Qdisc.
-func (r *RED) Len() int { return r.q.len() }
-
-// Bytes implements Qdisc.
-func (r *RED) Bytes() int { return r.q.bytes }

@@ -79,8 +79,8 @@ type DualQueue struct {
 	// Other is the non-ABC queue.
 	Other *qdisc.DropTail
 
-	capacity func(now sim.Time) float64
-	wABC     float64
+	qdisc.Capacity
+	wABC float64
 
 	// Per-queue service accounting for weighted scheduling.
 	servedABC   float64
@@ -100,8 +100,6 @@ type DualQueue struct {
 	otherReservoir []int
 	abcSeen        int64
 	otherSeen      int64
-
-	Stats qdisc.Stats
 }
 
 // NewDualQueue returns the coexistence router.
@@ -130,7 +128,7 @@ func NewDualQueue(cfg Config) *DualQueue {
 // router sees only ABC's share of the link (§5.2: "ABC's target rate
 // calculation considers only ABC's share of the link capacity").
 func (d *DualQueue) SetCapacityProvider(f func(now sim.Time) float64) {
-	d.capacity = f
+	d.Capacity.SetCapacityProvider(f)
 	d.ABC.SetCapacityProvider(func(now sim.Time) float64 {
 		return d.wABC * f(now)
 	})
@@ -145,22 +143,13 @@ func (d *DualQueue) Enqueue(now sim.Time, p *packet.Packet) bool {
 		d.intervalStart = now
 	}
 	d.maybeReweigh(now)
-	var ok bool
-	if p.ABCFlow {
-		if d.Cfg.ABCLimit > 0 && d.ABC.Len() >= d.Cfg.ABCLimit {
-			d.Stats.DroppedPackets++
-			return false
-		}
-		ok = d.ABC.Enqueue(now, p)
-	} else {
-		ok = d.Other.Enqueue(now, p)
+	if !p.ABCFlow {
+		return d.Other.Enqueue(now, p)
 	}
-	if ok {
-		d.Stats.EnqueuedPackets++
-	} else {
-		d.Stats.DroppedPackets++
+	if d.Cfg.ABCLimit > 0 && d.ABC.Len() >= d.Cfg.ABCLimit {
+		return d.ABC.Refuse() // counted on the child it was bound for
 	}
-	return ok
+	return d.ABC.Enqueue(now, p)
 }
 
 // Dequeue implements qdisc.Qdisc: serve the queue with the least
@@ -209,8 +198,6 @@ func (d *DualQueue) Dequeue(now sim.Time) *packet.Packet {
 		d.otherSeen++
 		reservoirAdd(&d.otherReservoir, p.Flow, d.otherSeen)
 	}
-	d.Stats.DequeuedPackets++
-	d.Stats.DequeuedBytes += int64(p.Size)
 	return p
 }
 
@@ -220,16 +207,26 @@ func (d *DualQueue) Len() int { return d.ABC.Len() + d.Other.Len() }
 // Bytes implements qdisc.Qdisc.
 func (d *DualQueue) Bytes() int { return d.ABC.Bytes() + d.Other.Bytes() }
 
+// Counters implements qdisc.Qdisc: the dual queue stores nothing itself,
+// so its accounting is the sum of its two children's.
+func (d *DualQueue) Counters() qdisc.Stats {
+	a, o := d.ABC.Stats, d.Other.Stats
+	return qdisc.Stats{
+		EnqueuedPackets: a.EnqueuedPackets + o.EnqueuedPackets,
+		DroppedPackets:  a.DroppedPackets + o.DroppedPackets,
+		MarkedPackets:   a.MarkedPackets + o.MarkedPackets,
+		DequeuedPackets: a.DequeuedPackets + o.DequeuedPackets,
+		DequeuedBytes:   a.DequeuedBytes + o.DequeuedBytes,
+	}
+}
+
 // maybeReweigh recomputes queue weights once per interval.
 func (d *DualQueue) maybeReweigh(now sim.Time) {
 	if d.intervalStart == 0 || now-d.intervalStart < d.Cfg.Interval {
 		return
 	}
 	dur := (now - d.intervalStart).Seconds()
-	var c float64
-	if d.capacity != nil {
-		c = d.capacity(now) / 8 // bytes/sec
-	}
+	c := d.Mu(now) / 8 // bytes/sec
 	switch d.Cfg.Policy {
 	case ZombieList:
 		d.reweighZombie()

@@ -220,8 +220,8 @@ func TestDualQueueRespectsLimits(t *testing.T) {
 	if dq.ABC.Len() > 5 || dq.Other.Len() > 5 {
 		t.Errorf("limits exceeded: %d / %d", dq.ABC.Len(), dq.Other.Len())
 	}
-	if dq.Stats.DroppedPackets == 0 {
-		t.Error("no drops counted")
+	if got := dq.Counters().DroppedPackets; got != 10 {
+		t.Errorf("%d drops counted, want 5 per queue", got)
 	}
 }
 
