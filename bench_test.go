@@ -20,6 +20,8 @@ import (
 	"abc/internal/qdisc"
 	"abc/internal/sim"
 	"abc/internal/topo"
+	"abc/internal/trace"
+	"abc/internal/wifi"
 )
 
 // BenchmarkSimCore measures the raw event core: schedule, cancel and pop
@@ -200,6 +202,76 @@ func BenchmarkQdiscChurn(b *testing.B) {
 				b.Fatalf("queue holds %d packets, want the standing %d", q.Len(), standing)
 			}
 		})
+	}
+}
+
+// BenchmarkLinkChurn measures the link models' per-packet path, one
+// sub-benchmark per model, untraced and with the flight recorder at
+// CatPacket: each delivered packet is offered straight back, so a standing
+// 64 packets circulate through a droptail queue and the link's schedule,
+// and one op is 256 of them delivered. Everything a packet touches —
+// netem.Port's admit, sojourn booking, delivery count and its three
+// events, the model's timers, the A-MPDU slice — is reused, so every row
+// must report 0 allocs/op, the traced Wi-Fi AP included.
+func BenchmarkLinkChurn(b *testing.B) {
+	const standing, perOp = 64, 256
+	models := []struct {
+		kind  string
+		build func(s *sim.Simulator, q qdisc.Qdisc, dst packet.Node) topo.Link
+	}{
+		{"trace", func(s *sim.Simulator, q qdisc.Qdisc, dst packet.Node) topo.Link {
+			return netem.NewTraceLink(s, trace.Constant("churn", 12e6), q, dst)
+		}},
+		{"rate", func(s *sim.Simulator, q qdisc.Qdisc, dst packet.Node) topo.Link {
+			return netem.NewRateLink(s, netem.ConstRate(12e6), q, dst)
+		}},
+		{"wifi", func(s *sim.Simulator, q qdisc.Qdisc, dst packet.Node) topo.Link {
+			return wifi.NewLink(s, wifi.DefaultLinkConfig(), q, dst, nil)
+		}},
+	}
+	for _, m := range models {
+		for _, mask := range []obs.Cat{0, obs.CatPacket} {
+			rec := "off"
+			if mask != 0 {
+				rec = "packet"
+			}
+			b.Run("kind="+m.kind+"/rec="+rec, func(b *testing.B) {
+				s := sim.New(1)
+				q := qdisc.NewDropTail(1000)
+				var l topo.Link
+				var delivered, stopAt int64
+				l = m.build(s, q, packet.NodeFunc(func(p *packet.Packet) {
+					if delivered++; delivered == stopAt {
+						s.Halt()
+					}
+					l.Recv(p)
+				}))
+				if mask != 0 {
+					l.(obs.Sink).SetObs(obs.NewRecorder(1<<10, mask), 0)
+				}
+				for j := 0; j < standing; j++ {
+					l.Recv(packet.NewData(1, int64(j), packet.MTU, 0))
+				}
+				// churn runs until n more packets have been delivered (the
+				// AP finishes the batch that reaches n).
+				churn := func(n int64) {
+					start := delivered
+					stopAt = start + n
+					s.Run()
+					if got := delivered - start; got < n || got >= n+standing {
+						b.Fatalf("%d packets delivered, want %d", got, n)
+					}
+				}
+				churn(1 << 15) // queue ring, event slab and batch slice at size
+				b.ReportAllocs()
+				b.ResetTimer()
+				churn(int64(b.N) * perOp)
+				inService := q.Counters().DequeuedPackets - l.DeliveredBytes()/packet.MTU
+				if int64(q.Len())+inService != standing {
+					b.Fatalf("%d queued + %d in service, want the standing %d", q.Len(), inService, standing)
+				}
+			})
+		}
 	}
 }
 

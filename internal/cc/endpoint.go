@@ -182,7 +182,6 @@ type Endpoint struct {
 	CEEchoes     int64
 
 	pacing        bool
-	pacerArmed    bool
 	completeFired bool
 
 	// Housekeeping (see Start). startAt anchors the grid. While wakeArmed,
@@ -235,9 +234,9 @@ func NewEndpoint(s *sim.Simulator, flow int, out packet.Node, alg Algorithm) *En
 // in between would go unnoticed until the next one.
 //
 // Start also anchors the housekeeping grid, the instants Start + k·10 ms.
-// Housekeeping is checkRTO followed by trySend (armPacer for a paced
-// sender), and it only ever runs on the grid, as the 100 Hz tick it
-// replaces did. What differs is which grid instants it runs at:
+// Housekeeping is checkRTO followed by trySend (a paced sender sends from
+// paceNext instead), and it only ever runs on the grid, as the 100 Hz
+// tick it replaces did. What differs is which grid instants it runs at:
 //
 //   - A flow that clocks itself — backlogged, or sending one finite
 //     transfer — can only need housekeeping for its timeout, at the first
@@ -279,7 +278,7 @@ func (e *Endpoint) Start() {
 		}
 	}
 	if e.pacing {
-		e.armPacer()
+		e.paceNext()
 	} else {
 		e.trySend()
 	}
@@ -299,9 +298,7 @@ func (e *Endpoint) Stop() {
 func (e *Endpoint) housekeep() {
 	e.wakeArmed = false
 	e.checkRTO()
-	if e.pacing {
-		e.armPacer()
-	} else {
+	if !e.pacing {
 		e.trySend()
 	}
 	e.armWake(e.S.Now() + 1)
@@ -373,9 +370,7 @@ func (e *Endpoint) BeginTransfer() {
 	if !e.started || e.stopped {
 		return
 	}
-	if e.pacing {
-		e.armPacer()
-	} else {
+	if !e.pacing {
 		e.trySend()
 	}
 	e.armWake(e.S.Now())
@@ -601,19 +596,10 @@ func (e *Endpoint) sendOne() {
 	e.Out.Recv(p)
 }
 
-// armPacer schedules the next paced transmission if not already armed.
-func (e *Endpoint) armPacer() {
-	if e.pacerArmed || e.stopped {
-		return
-	}
-	e.pacerArmed = true
-	e.paceNext()
-}
-
-// paceNext sends one packet if allowed and re-arms at the pacing rate.
+// paceNext sends one packet if allowed and re-arms at the pacing rate,
+// from Start until Stop.
 func (e *Endpoint) paceNext() {
 	if e.stopped {
-		e.pacerArmed = false
 		return
 	}
 	now := e.S.Now()

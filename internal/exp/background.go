@@ -10,8 +10,6 @@ import (
 	"fmt"
 
 	"abc/internal/fluid"
-	"abc/internal/netem"
-	"abc/internal/qdisc"
 	"abc/internal/sim"
 	"abc/internal/topo"
 )
@@ -113,19 +111,14 @@ func startBackgrounds(g *topo.Graph, spec *Spec, res *Result, edgeID map[string]
 			return fmt.Errorf("exp: background[%d]: unknown edge %q", i, bs.Edge)
 		}
 		e := g.Edge(id)
-		// The coupler reads capacity and packet backlog from the live
-		// link, so mid-run set_rate events stay visible to the fluid.
-		var capf func(now sim.Time) float64
-		var qd qdisc.Qdisc
-		switch l := e.Link.(type) {
-		case *netem.TraceLink:
-			capf, qd = l.CapacityBps, l.Q
-		case *netem.RateLink:
-			capf, qd = func(now sim.Time) float64 { return l.Rate(now) }, l.Q
-		default:
+		// The coupler reads capacity from the live link, so mid-run
+		// set_rate events stay visible to the fluid, and packet backlog
+		// from the edge's discipline.
+		host, ok := e.Link.(interface{ CapacityBps(now sim.Time) float64 })
+		if !ok {
 			return fmt.Errorf("exp: background[%d]: edge %q: link model %T cannot host a fluid background (trace and rate links only)", i, bs.Edge, e.Link)
 		}
-		c, err := fluid.NewCoupler(bs.config(spec), capf, qd.Bytes)
+		c, err := fluid.NewCoupler(bs.config(spec), host.CapacityBps, res.edgeQ[id].Bytes)
 		if err != nil {
 			return fmt.Errorf("exp: background[%d] (edge %q): %w", i, bs.Edge, err)
 		}

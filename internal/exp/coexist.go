@@ -119,29 +119,32 @@ type Fig7Result struct {
 	Jain float64
 }
 
-// Fig7Coexistence reproduces Fig. 7: two ABC then two Cubic flows arrive
-// one after another on a 24 Mbit/s dual-queue ABC bottleneck and share it
-// fairly, with ABC keeping low queuing delay.
-func Fig7Coexistence(seed int64) (*Fig7Result, error) {
-	dur := 200 * sim.Second
-	flows := []FlowSpec{
-		{Scheme: "ABC", Start: 0},
-		{Scheme: "ABC", Start: 25 * sim.Second},
-		{Scheme: "Cubic", Start: 50 * sim.Second},
-		{Scheme: "Cubic", Start: 75 * sim.Second},
-	}
-	res, _, err := Run(Spec{
+// fig7Spec is Fig. 7's scenario.
+func fig7Spec(seed int64) Spec {
+	return Spec{
 		Seed:     seed,
-		Duration: dur,
+		Duration: 200 * sim.Second,
 		Warmup:   2 * sim.Second,
 		RTT:      100 * sim.Millisecond,
 		Links: []LinkSpec{{
 			Rate:  netem.ConstRate(24e6),
 			Qdisc: QdiscSpec{Kind: "dual-maxmin", Buffer: 250},
 		}},
-		Flows:  flows,
+		Flows: []FlowSpec{
+			{Scheme: "ABC", Start: 0},
+			{Scheme: "ABC", Start: 25 * sim.Second},
+			{Scheme: "Cubic", Start: 50 * sim.Second},
+			{Scheme: "Cubic", Start: 75 * sim.Second},
+		},
 		Sample: sim.Second,
-	})
+	}
+}
+
+// Fig7Coexistence reproduces Fig. 7: two ABC then two Cubic flows arrive
+// one after another on a 24 Mbit/s dual-queue ABC bottleneck and share it
+// fairly, with ABC keeping low queuing delay.
+func Fig7Coexistence(seed int64) (*Fig7Result, error) {
+	res, _, err := Run(fig7Spec(seed))
 	if err != nil {
 		return nil, err
 	}

@@ -103,10 +103,26 @@ func TestOneWayOntoTheGraph(t *testing.T) {
 // trust separately. A ninth copy of the ring or a hand-counted drop in
 // any discipline package fails here.
 func TestOnePacketStore(t *testing.T) {
-	const home = "../qdisc/queue.go"
 	storeOnly := regexp.MustCompile(`Stats\.\w+(\+\+| \+=)|EnqueuedAt = now|head\*2 >= len\(`)
+	onlyIn(t, "../qdisc/queue.go", storeOnly, "qdisc", "abc", "explicit", "sched")
+}
+
+// TestOnePort guards the link models' shape the same way: offering a
+// packet to a discipline, booking its sojourn, counting a delivery and the
+// three packet events live in the file that defines netem.Port, so a link
+// model file holds a service schedule. A fourth hand-written shell — the
+// Wi-Fi AP's had no recorder hookup at all — fails here.
+func TestOnePort(t *testing.T) {
+	portOnly := regexp.MustCompile(`\.Q\.Enqueue\(|QueueDelay \+=|Ev(Enqueue|Dequeue|QdiscDrop)\b|delivered \+=`)
+	onlyIn(t, "../netem/port.go", portOnly, "netem", "wifi")
+}
+
+// onlyIn fails for every match of re in a non-test file of the sibling
+// packages pkgs other than home.
+func onlyIn(t *testing.T, home string, re *regexp.Regexp, pkgs ...string) {
+	t.Helper()
 	var files []string
-	for _, pkg := range []string{"qdisc", "abc", "explicit", "sched"} {
+	for _, pkg := range pkgs {
 		m, err := filepath.Glob("../" + pkg + "/*.go")
 		if err != nil || len(m) == 0 {
 			t.Fatalf("no source files found in %s: %v", pkg, err)
@@ -121,7 +137,7 @@ func TestOnePacketStore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, m := range storeOnly.FindAll(src, -1) {
+		for _, m := range re.FindAll(src, -1) {
 			t.Errorf("%s has %q — only %s may", file, m, home)
 		}
 	}

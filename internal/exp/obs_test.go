@@ -7,9 +7,12 @@ import (
 	"strings"
 	"testing"
 
+	"abc/internal/abc"
 	"abc/internal/netem"
 	"abc/internal/obs"
+	"abc/internal/sched"
 	"abc/internal/sim"
+	"abc/internal/wifi"
 )
 
 // TestGoldenTracingInvariance re-runs the full golden corpus with the
@@ -241,5 +244,106 @@ func TestFig12OnSharedPipeline(t *testing.T) {
 	}
 	if spec := fig12Spec("maxmin", 0, cfg.Duration, cfg.Seed); len(spec.Workloads) != 0 {
 		t.Errorf("load 0 declares %d workloads, want none", len(spec.Workloads))
+	}
+}
+
+// tracedKinds runs fn with a flight recorder attached at mask and returns
+// how many events of each kind it recorded.
+func tracedKinds(t *testing.T, mask obs.Cat, fn func()) map[obs.Kind]int64 {
+	t.Helper()
+	rec := obs.NewRecorder(1<<18, mask)
+	EnableTracing(rec)
+	defer EnableTracing(nil)
+	fn()
+	if rec.Overwritten() != 0 {
+		t.Fatal("recorder ring too small for the run")
+	}
+	kinds := map[obs.Kind]int64{}
+	for _, e := range rec.Snapshot() {
+		kinds[e.Kind]++
+	}
+	return kinds
+}
+
+// TestWiFiEdgeTraced: the AP shares the netem links' port, so an ABC run
+// over it is as visible to the flight recorder as one over a trace link —
+// one enqueue event per admitted packet, one dequeue event per packet
+// delivered (the A-MPDU in the air when the clock stops has left the
+// queue and not yet been booked), one accel or brake event per marking
+// decision of the router behind it.
+func TestWiFiEdgeTraced(t *testing.T) {
+	rc := abc.DefaultRouterConfig()
+	rc.Limit = 1000
+	cfg := wifi.DefaultLinkConfig()
+	var res *Result
+	kinds := tracedKinds(t, obs.CatPacket|obs.CatMark, func() {
+		var err error
+		res, _, err = Run(Spec{
+			Seed:     1,
+			Duration: 5 * sim.Second,
+			RTT:      60 * sim.Millisecond,
+			Links: []LinkSpec{{
+				Wifi:  &WiFiLinkSpec{Config: cfg, Estimate: true},
+				Qdisc: QdiscSpec{Kind: "abc", ABCConfig: &rc},
+			}},
+			Flows: []FlowSpec{{Scheme: "ABC"}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	r := res.Qdiscs[0].(*abc.Router)
+	st := r.Counters()
+	if st.EnqueuedPackets == 0 || r.AccelMarked == 0 || r.BrakeMarked == 0 {
+		t.Fatalf("run too quiet to test: counters %+v, accel %d, brake %d", st, r.AccelMarked, r.BrakeMarked)
+	}
+	if kinds[obs.EvEnqueue] != st.EnqueuedPackets || kinds[obs.EvQdiscDrop] != st.DroppedPackets {
+		t.Errorf("%d enqueue and %d drop events, counters %+v", kinds[obs.EvEnqueue], kinds[obs.EvQdiscDrop], st)
+	}
+	if inAir := st.DequeuedPackets - kinds[obs.EvDequeue]; inAir < 0 || inAir > int64(cfg.MaxBatch) {
+		t.Errorf("%d dequeue events for %d dequeued packets: the difference is not one batch in the air", kinds[obs.EvDequeue], st.DequeuedPackets)
+	}
+	if kinds[obs.EvAccel] != r.AccelMarked || kinds[obs.EvBrake] != r.BrakeMarked {
+		t.Errorf("%d accel and %d brake events, router counted %d and %d", kinds[obs.EvAccel], kinds[obs.EvBrake], r.AccelMarked, r.BrakeMarked)
+	}
+}
+
+// TestDualQueueChildMarksTraced: on Fig. 7's dual-queue bottleneck the
+// marking router is the composite's ABC child, and the composite hands it
+// the recorder — every accel and brake it issues is an event.
+func TestDualQueueChildMarksTraced(t *testing.T) {
+	spec := fig7Spec(1)
+	spec.Duration = 30 * sim.Second
+	var res *Result
+	kinds := tracedKinds(t, obs.CatMark, func() {
+		var err error
+		if res, _, err = Run(spec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	child := res.Qdiscs[0].(*sched.DualQueue).ABC
+	if child.AccelMarked == 0 || child.BrakeMarked == 0 {
+		t.Fatalf("ABC child marked %d accel, %d brake: run too quiet to test", child.AccelMarked, child.BrakeMarked)
+	}
+	if kinds[obs.EvAccel] != child.AccelMarked || kinds[obs.EvBrake] != child.BrakeMarked {
+		t.Errorf("%d accel and %d brake events, the ABC child counted %d and %d",
+			kinds[obs.EvAccel], kinds[obs.EvBrake], child.AccelMarked, child.BrakeMarked)
+	}
+}
+
+// TestImpairDropsTraced: a packet the impairment stage discards leaves an
+// event like every other drop cause, under random and under bursty loss.
+func TestImpairDropsTraced(t *testing.T) {
+	for _, bursty := range []bool{false, true} {
+		var pts []LossyPoint
+		kinds := tracedKinds(t, obs.CatPacket, func() {
+			var err error
+			if pts, err = LossyLink([]string{"ABC"}, []float64{0.01}, bursty, 8*sim.Second, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if drops := pts[0].ImpairDrops; drops == 0 || kinds[obs.EvImpairDrop] != drops {
+			t.Errorf("bursty=%t: %d impair_drop events, %d impairment drops counted", bursty, kinds[obs.EvImpairDrop], drops)
+		}
 	}
 }

@@ -8,6 +8,17 @@
 // for all cellular experiments): a trace-driven link delivers up to one
 // MTU's worth of bytes per delivery opportunity, unused opportunities are
 // wasted, and the bottleneck buffer is a pluggable qdisc.
+//
+// A bottleneck link is a service schedule around one shared shell. Port
+// (port.go) is the discipline, the downstream element, the recorder
+// hookup and the delivered-byte count, and the only code that admits a
+// packet, books its sojourn, or counts and forwards it; TraceLink,
+// RateLink and wifi.Link embed it by value. A new link model therefore
+// writes when it takes from the queue and when it delivers — Recv around
+// Admit, then Q.Dequeue, Depart and Deliver at its own instants — and
+// gets SetObs, DeliveredBytes, a row of TestLinkConformance and a
+// BenchmarkLinkChurn sub-benchmark for free; a model whose service a
+// fluid background can share embeds hostPort instead.
 package netem
 
 import (
@@ -47,24 +58,20 @@ func (w *Wire) Recv(p *packet.Packet) {
 	w.S.ChainAfterArgs(&w.inflight, w.Delay, wireDeliver, w, p)
 }
 
-// DeliveryFunc observes packets delivered by a link or receiver.
+// DeliveryFunc observes packets delivered to a receiver.
 type DeliveryFunc func(now sim.Time, p *packet.Packet)
 
 // TraceLink is a bottleneck link whose transmissions follow a delivery-
 // opportunity trace. Each opportunity carries up to one MTU of bytes; the
 // remainder of an opportunity is wasted (Mahimahi semantics).
 type TraceLink struct {
-	S   *sim.Simulator
-	Q   qdisc.Qdisc
-	Dst packet.Node
+	hostPort
 	// CapWindow is the sliding window used to report µ(t) to capacity-
 	// aware qdiscs (the paper's emulation gives routers the link rate).
 	CapWindow sim.Time
 	// Lookahead, when positive, reports the capacity Lookahead into the
 	// future instead of the trailing window: the PK-ABC oracle (§6.6).
 	Lookahead sim.Time
-	// OnDeliver, if set, observes every delivered packet.
-	OnDeliver DeliveryFunc
 
 	// oppCur and capCur are the link's two streams of trace queries, each a
 	// clock that only moves forward: the delivery instants (opportunity,
@@ -74,25 +81,19 @@ type TraceLink struct {
 	// next delivery does not allocate a method-value closure per packet.
 	oppFn func()
 
-	// rec/obsSrc feed the flight recorder (obs.Sink); nil rec = off.
-	rec    *obs.Recorder
-	obsSrc int32
-
-	// bg is the fluid background aggregate coupled into this link; it
-	// consumes a share of each delivery opportunity. bgDebt carries the
-	// fractional opportunity bytes the fluid has claimed but not yet
-	// been charged, so the long-run split is exact and deterministic.
-	bg     qdisc.Background
+	// bgDebt carries the fractional opportunity bytes the fluid background
+	// has claimed but not yet been charged, so the long-run split is exact
+	// and deterministic.
 	bgDebt float64
 
-	running   bool
-	delivered int64 // bytes
+	running bool
 }
 
 // NewTraceLink wires a trace-driven link. Capacity-aware qdiscs receive a
 // provider reporting the trace's windowed rate.
 func NewTraceLink(s *sim.Simulator, tr *trace.Trace, q qdisc.Qdisc, dst packet.Node) *TraceLink {
-	l := &TraceLink{S: s, Q: q, Dst: dst, CapWindow: 80 * sim.Millisecond, oppCur: tr.Cursor(), capCur: tr.Cursor()}
+	l := &TraceLink{CapWindow: 80 * sim.Millisecond, oppCur: tr.Cursor(), capCur: tr.Cursor()}
+	l.Port = Port{S: s, Q: q, Dst: dst}
 	l.oppFn = l.opportunity
 	if ca, ok := q.(qdisc.CapacityAware); ok {
 		ca.SetCapacityProvider(l.CapacityBps)
@@ -102,28 +103,6 @@ func NewTraceLink(s *sim.Simulator, tr *trace.Trace, q qdisc.Qdisc, dst packet.N
 
 // Trace returns the underlying trace.
 func (l *TraceLink) Trace() *trace.Trace { return l.oppCur.Trace() }
-
-// SetObs implements obs.Sink: the link records enqueue/dequeue/drop
-// events under the given source id and forwards the recorder to its
-// qdisc when that also implements obs.Sink (the ABC router's mark
-// events).
-func (l *TraceLink) SetObs(rec *obs.Recorder, src int32) {
-	l.rec, l.obsSrc = rec, src
-	if s, ok := l.Q.(obs.Sink); ok {
-		s.SetObs(rec, src)
-	}
-}
-
-// SetBackground implements qdisc.BackgroundAware: the fluid aggregate
-// eats its service share out of every delivery opportunity, and the
-// recorder-style forwarding hands the aggregate to the qdisc too when
-// that is background-aware (the ABC router's total-load accounting).
-func (l *TraceLink) SetBackground(bg qdisc.Background) {
-	l.bg = bg
-	if b, ok := l.Q.(qdisc.BackgroundAware); ok {
-		b.SetBackground(bg)
-	}
-}
 
 // CapacityBps reports the link capacity estimate at time now.
 func (l *TraceLink) CapacityBps(now sim.Time) float64 {
@@ -138,23 +117,10 @@ func (l *TraceLink) CapacityBps(now sim.Time) float64 {
 	return l.capCur.CapacityBps(now, l.CapWindow)
 }
 
-// DeliveredBytes reports the total payload bytes delivered.
-func (l *TraceLink) DeliveredBytes() int64 { return l.delivered }
-
 // Recv implements packet.Node: arriving packets enter the qdisc.
 func (l *TraceLink) Recv(p *packet.Packet) {
 	now := l.S.Now()
-	if !l.Q.Enqueue(now, p) {
-		if l.rec.Enabled(obs.CatPacket) {
-			l.rec.Emit(int64(now), obs.EvQdiscDrop, l.obsSrc, int32(p.Flow), 0, 0)
-		}
-		p.Release() // dropped by the discipline
-		return
-	}
-	if l.rec.Enabled(obs.CatPacket) {
-		l.rec.Emit(int64(now), obs.EvEnqueue, l.obsSrc, int32(p.Flow), int64(l.Q.Len()), int64(l.Q.Bytes()))
-	}
-	if !l.running {
+	if l.Admit(now, p) && !l.running {
 		l.running = true
 		l.scheduleNext(now)
 	}
@@ -167,7 +133,8 @@ func (l *TraceLink) scheduleNext(now sim.Time) {
 
 // opportunity fires at a trace delivery instant and drains one MTU per
 // opportunity scheduled at this exact instant (traces at high rates carry
-// several opportunities per millisecond timestamp).
+// several opportunities per millisecond timestamp). A packet's sojourn
+// ends at the opportunity that carries it.
 func (l *TraceLink) opportunity() {
 	now := l.S.Now()
 	k := int(l.oppCur.CountIn(now, now+1))
@@ -202,15 +169,8 @@ func (l *TraceLink) opportunity() {
 		} else {
 			budget -= p.Size
 		}
-		p.QueueDelay += now - p.EnqueuedAt
-		if l.rec.Enabled(obs.CatPacket) {
-			l.rec.Emit(int64(now), obs.EvDequeue, l.obsSrc, int32(p.Flow), int64(now-p.EnqueuedAt), int64(l.Q.Len()))
-		}
-		if l.OnDeliver != nil {
-			l.OnDeliver(now, p)
-		}
-		l.delivered += int64(p.Size)
-		l.Dst.Recv(p)
+		l.Depart(now, p)
+		l.Deliver(p)
 	}
 	if l.Q.Len() > 0 {
 		l.scheduleNext(now)
@@ -225,53 +185,27 @@ type RateFunc func(now sim.Time) float64
 // RateLink is a store-and-forward link with a (piecewise) time-varying
 // bit rate, used for wired segments and stepped wireless links.
 type RateLink struct {
-	S    *sim.Simulator
-	Q    qdisc.Qdisc
-	Dst  packet.Node
+	hostPort
 	Rate RateFunc
-	// OnDeliver, if set, observes every transmitted packet.
-	OnDeliver DeliveryFunc
 
-	busy      bool
-	delivered int64
-
-	// bg is the fluid background aggregate coupled into this link;
-	// transmissions run at the residual (1 − share) of the link rate.
-	bg qdisc.Background
-
-	// rec/obsSrc feed the flight recorder (obs.Sink); nil rec = off.
-	rec    *obs.Recorder
-	obsSrc int32
-}
-
-// SetObs implements obs.Sink (see TraceLink.SetObs).
-func (l *RateLink) SetObs(rec *obs.Recorder, src int32) {
-	l.rec, l.obsSrc = rec, src
-	if s, ok := l.Q.(obs.Sink); ok {
-		s.SetObs(rec, src)
-	}
-}
-
-// SetBackground implements qdisc.BackgroundAware (see
-// TraceLink.SetBackground): foreground transmissions see the residual
-// service rate left by the fluid aggregate.
-func (l *RateLink) SetBackground(bg qdisc.Background) {
-	l.bg = bg
-	if b, ok := l.Q.(qdisc.BackgroundAware); ok {
-		b.SetBackground(bg)
-	}
+	busy bool
 }
 
 // NewRateLink wires a rate-driven link. Capacity-aware qdiscs receive the
-// exact rate function; the provider reads the Rate field at call time, so
-// a mid-run SetRate is immediately visible to the discipline.
+// exact rate function.
 func NewRateLink(s *sim.Simulator, rate RateFunc, q qdisc.Qdisc, dst packet.Node) *RateLink {
-	l := &RateLink{S: s, Q: q, Dst: dst, Rate: rate}
+	l := &RateLink{Rate: rate}
+	l.Port = Port{S: s, Q: q, Dst: dst}
 	if ca, ok := q.(qdisc.CapacityAware); ok {
-		ca.SetCapacityProvider(func(now sim.Time) float64 { return l.Rate(now) })
+		ca.SetCapacityProvider(l.CapacityBps)
 	}
 	return l
 }
+
+// CapacityBps reports the link rate at time now. It reads the Rate field
+// at call time, so a mid-run SetRate is immediately visible to the
+// discipline and to a coupled fluid background.
+func (l *RateLink) CapacityBps(now sim.Time) float64 { return l.Rate(now) }
 
 // SetRate replaces the link's rate function mid-run. The transmission in
 // progress finishes at the rate it started with; subsequent packets (and
@@ -287,23 +221,9 @@ func (l *RateLink) SetRate(rate RateFunc) {
 // ConstRate returns a RateFunc for a fixed bits/sec capacity.
 func ConstRate(bps float64) RateFunc { return func(sim.Time) float64 { return bps } }
 
-// DeliveredBytes reports total bytes transmitted.
-func (l *RateLink) DeliveredBytes() int64 { return l.delivered }
-
 // Recv implements packet.Node.
 func (l *RateLink) Recv(p *packet.Packet) {
-	now := l.S.Now()
-	if !l.Q.Enqueue(now, p) {
-		if l.rec.Enabled(obs.CatPacket) {
-			l.rec.Emit(int64(now), obs.EvQdiscDrop, l.obsSrc, int32(p.Flow), 0, 0)
-		}
-		p.Release()
-		return
-	}
-	if l.rec.Enabled(obs.CatPacket) {
-		l.rec.Emit(int64(now), obs.EvEnqueue, l.obsSrc, int32(p.Flow), int64(l.Q.Len()), int64(l.Q.Bytes()))
-	}
-	if !l.busy {
+	if l.Admit(l.S.Now(), p) && !l.busy {
 		l.startNext()
 	}
 }
@@ -312,7 +232,8 @@ func (l *RateLink) Recv(p *packet.Packet) {
 // per-packet closure).
 func rateLinkFinish(a, b any) { a.(*RateLink).finish(b.(*packet.Packet)) }
 
-// startNext begins transmitting the head packet if any.
+// startNext begins transmitting the head packet if any; its sojourn ends
+// as its transmission starts.
 func (l *RateLink) startNext() {
 	now := l.S.Now()
 	p := l.Q.Dequeue(now)
@@ -321,10 +242,7 @@ func (l *RateLink) startNext() {
 		return
 	}
 	l.busy = true
-	p.QueueDelay += now - p.EnqueuedAt
-	if l.rec.Enabled(obs.CatPacket) {
-		l.rec.Emit(int64(now), obs.EvDequeue, l.obsSrc, int32(p.Flow), int64(now-p.EnqueuedAt), int64(l.Q.Len()))
-	}
+	l.Depart(now, p)
 	rate := l.Rate(now)
 	if l.bg != nil {
 		// Residual service: the fluid aggregate holds its share of the
@@ -345,11 +263,6 @@ func (l *RateLink) startNext() {
 
 // finish completes a transmission and hands the packet on.
 func (l *RateLink) finish(p *packet.Packet) {
-	now := l.S.Now()
-	if l.OnDeliver != nil {
-		l.OnDeliver(now, p)
-	}
-	l.delivered += int64(p.Size)
-	l.Dst.Recv(p)
+	l.Deliver(p)
 	l.startNext()
 }

@@ -62,9 +62,12 @@ const (
 	// KindNone is the zero Kind; it never appears in a recorded event.
 	KindNone Kind = iota
 
-	// Packet life cycle (CatPacket).
+	// Packet life cycle (CatPacket). EvDequeue is emitted at the instant
+	// the link model books the sojourn: a trace link at the delivery
+	// opportunity, a rate link at transmission start, the Wi-Fi AP at the
+	// block ACK — so there A includes the batch's airtime.
 	EvEnqueue      // packet accepted by a qdisc. A=queue len after, B=queue bytes after
-	EvDequeue      // packet left a qdisc. A=queueing delay ns, B=queue len after
+	EvDequeue      // packet's stay at the hop ended. A=sojourn ns, B=queue len after
 	EvQdiscDrop    // qdisc rejected the packet (buffer full / AQM)
 	EvUnroutedDrop // node had no FIB entry for the flow
 	EvDownDrop     // packet arrived at a downed link
@@ -103,6 +106,9 @@ const (
 	// Forwarding (CatHop).
 	EvHop // packet forwarded one hop. Src=node id, A=edge id
 
+	// Appended after the kinds above so their numbers stay put.
+	EvImpairDrop // edge's impairment stage (random or burst loss) discarded the packet (CatPacket). Src=edge id
+
 	kindCount // sentinel
 )
 
@@ -137,6 +143,7 @@ var kindInfo = [kindCount]struct {
 	EvCwnd:         {"cwnd", CatCC},
 	EvHorizon:      {"horizon", CatShard},
 	EvHop:          {"hop", CatHop},
+	EvImpairDrop:   {"impair_drop", CatPacket},
 }
 
 // String returns the stable wire name of the kind.

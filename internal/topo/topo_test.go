@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"abc/internal/netem"
+	"abc/internal/obs"
 	"abc/internal/packet"
 	"abc/internal/qdisc"
 	"abc/internal/sim"
@@ -100,6 +101,8 @@ func TestLossGateDropsAndCounts(t *testing.T) {
 	s := sim.New(1)
 	g := New(s)
 	a, b := g.AddNode("a"), g.AddNode("b")
+	rec := obs.NewRecorder(1<<12, obs.CatPacket)
+	g.SetRecorder(rec)
 	e1 := rateEdge(t, g, s, a, b, 0, Impairments{LossRate: 0.5})
 	sink := &packet.Sink{}
 	entry, err := g.RouteFlow(1, false, []int{e1}, 0, sink)
@@ -118,6 +121,16 @@ func TestLossGateDropsAndCounts(t *testing.T) {
 	}
 	if drops < n/3 || drops > 2*n/3 {
 		t.Fatalf("loss gate dropped %d of %d at p=0.5, far off", drops, n)
+	}
+	// Every counted drop is one trace event under the edge's id.
+	var events int64
+	for _, ev := range rec.Snapshot() {
+		if ev.Kind == obs.EvImpairDrop && ev.Src == int32(e1) && ev.Flow == 1 {
+			events++
+		}
+	}
+	if events != drops {
+		t.Fatalf("%d impair_drop events for %d counted drops", events, drops)
 	}
 }
 

@@ -10,6 +10,7 @@ package wifi
 import (
 	"math/rand"
 
+	"abc/internal/netem"
 	"abc/internal/packet"
 	"abc/internal/qdisc"
 	"abc/internal/sim"
@@ -66,23 +67,19 @@ func DefaultLinkConfig() LinkConfig {
 type BatchObserver func(now sim.Time, b int, tia sim.Time, bitrate float64)
 
 // Link is the AP: packets enter a qdisc (droptail or an ABC router) and
-// leave in A-MPDU batches.
+// leave in A-MPDU batches. It embeds the bare netem.Port, so it is an
+// obs.Sink like the netem links but hosts no fluid background.
 type Link struct {
-	S   *sim.Simulator
+	netem.Port
 	Cfg LinkConfig
-	Q   qdisc.Qdisc
-	Dst packet.Node
 	// Est, when set, is fed every block ACK and provides the capacity
 	// estimate to a capacity-aware qdisc.
 	Est *Estimator
 	// OnBatch, if set, observes batches (Fig. 4 sampling).
 	OnBatch BatchObserver
-	// OnDeliver, if set, observes each delivered frame.
-	OnDeliver func(now sim.Time, p *packet.Packet)
 
-	rng       *rand.Rand
-	busy      bool
-	delivered int64
+	rng  *rand.Rand
+	busy bool
 	// batch is the in-flight A-MPDU, reused across batches; finishFn is
 	// the bound completion callback. Together they keep the per-batch
 	// path allocation-free.
@@ -104,7 +101,7 @@ func NewLink(s *sim.Simulator, cfg LinkConfig, q qdisc.Qdisc, dst packet.Node, e
 	if cfg.MCS == nil {
 		cfg.MCS = func(sim.Time) int { return 5 }
 	}
-	l := &Link{S: s, Cfg: cfg, Q: q, Dst: dst, Est: est, rng: s.Rand()}
+	l := &Link{Port: netem.Port{S: s, Q: q, Dst: dst}, Cfg: cfg, Est: est, rng: s.Rand()}
 	l.finishFn = l.finishBatch
 	if est != nil {
 		if ca, ok := q.(qdisc.CapacityAware); ok {
@@ -114,17 +111,9 @@ func NewLink(s *sim.Simulator, cfg LinkConfig, q qdisc.Qdisc, dst packet.Node, e
 	return l
 }
 
-// DeliveredBytes reports total payload bytes delivered.
-func (l *Link) DeliveredBytes() int64 { return l.delivered }
-
 // Recv implements packet.Node.
 func (l *Link) Recv(p *packet.Packet) {
-	now := l.S.Now()
-	if !l.Q.Enqueue(now, p) {
-		p.Release()
-		return
-	}
-	if !l.busy {
+	if l.Admit(l.S.Now(), p) && !l.busy {
 		l.startBatch()
 	}
 }
@@ -162,18 +151,15 @@ func (l *Link) startBatch() {
 }
 
 // finishBatch fires at the block-ACK instant: it delivers the batch,
-// feeds the estimator, and starts the next A-MPDU.
+// feeds the estimator, and starts the next A-MPDU. A frame's sojourn ends
+// here, not at batch start, so it includes the batch's airtime.
 func (l *Link) finishBatch() {
 	done := l.S.Now()
 	b := len(l.batch)
 	for i, p := range l.batch {
 		l.batch[i] = nil
-		p.QueueDelay += done - p.EnqueuedAt
-		l.delivered += int64(p.Size)
-		if l.OnDeliver != nil {
-			l.OnDeliver(done, p)
-		}
-		l.Dst.Recv(p)
+		l.Depart(done, p)
+		l.Deliver(p)
 	}
 	if l.Est != nil {
 		l.Est.OnBlockAck(done, b, l.batchTIA, l.batchBitrate)
@@ -203,10 +189,13 @@ type Estimator struct {
 	// Cap enables the 2x-current-rate prediction cap.
 	Cap bool
 
-	samples  []estSample
-	head     int
-	deqBytes []estSample
-	deqHead  int
+	samples []estSample
+	head    int
+	// deq meters dequeued bytes for the 2x cap over 5·Window, a longer
+	// horizon than the estimate itself: with a lightly loaded link,
+	// batches arrive sparser than T and a T-length cap window would
+	// collapse to zero between batches.
+	deq qdisc.RateMeter
 	// lastMu holds the most recent per-batch estimate so a lightly
 	// loaded link (batches sparser than the window) still reports its
 	// last known capacity instead of zero, which would deadlock an ABC
@@ -236,7 +225,8 @@ func (e *Estimator) OnBlockAck(now sim.Time, b int, tia sim.Time, bitrate float6
 	tiaFull := tia + sim.FromSeconds(float64((e.M-b)*e.S*8)/bitrate)
 	mu := float64(e.M*e.S*8) / tiaFull.Seconds()
 	e.samples = append(e.samples, estSample{now, mu})
-	e.deqBytes = append(e.deqBytes, estSample{now, float64(b * e.S)})
+	e.deq.Window = 5 * e.Window
+	e.deq.Add(now, b*e.S)
 	e.lastMu = mu
 	e.prune(now)
 }
@@ -249,18 +239,6 @@ func (e *Estimator) prune(now sim.Time) {
 		n := copy(e.samples, e.samples[e.head:])
 		e.samples = e.samples[:n]
 		e.head = 0
-	}
-	// The dequeue meter for the 2x cap uses a longer horizon than the
-	// estimate itself: with a lightly loaded link, batches arrive
-	// sparser than T and a T-length cap window would collapse to zero
-	// between batches.
-	for e.deqHead < len(e.deqBytes) && e.deqBytes[e.deqHead].at < now-5*e.Window {
-		e.deqHead++
-	}
-	if e.deqHead > 64 && e.deqHead*2 >= len(e.deqBytes) {
-		n := copy(e.deqBytes, e.deqBytes[e.deqHead:])
-		e.deqBytes = e.deqBytes[:n]
-		e.deqHead = 0
 	}
 }
 
@@ -281,11 +259,8 @@ func (e *Estimator) RateBps(now sim.Time) float64 {
 	}
 	if e.Cap && mu > 0 {
 		// Dequeue rate over the (longer) cap horizon.
-		var bytes float64
-		for _, s := range e.deqBytes[e.deqHead:] {
-			bytes += s.v
-		}
-		cr := bytes * 8 / (5 * e.Window).Seconds()
+		e.deq.Window = 5 * e.Window
+		cr := e.deq.BytesPerSec(now) * 8
 		if cap2 := 2 * cr; mu > cap2 && cap2 > 0 {
 			mu = cap2
 		}
