@@ -41,9 +41,6 @@ type Greedy struct {
 // NewGreedy wraps inner in a greedy misbehaving sender.
 func NewGreedy(inner Algorithm) *Greedy { return &Greedy{inner: inner} }
 
-// Inner returns the wrapped algorithm (reports unwrap it for stats).
-func (g *Greedy) Inner() Algorithm { return g.inner }
-
 // Name implements Algorithm.
 func (g *Greedy) Name() string { return g.inner.Name() + "/greedy" }
 

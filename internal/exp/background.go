@@ -11,7 +11,6 @@ import (
 
 	"abc/internal/fluid"
 	"abc/internal/sim"
-	"abc/internal/topo"
 )
 
 // BackgroundSpec attaches one fluid aggregate to one edge.
@@ -92,7 +91,8 @@ type bgRunner struct {
 // Every bad form is a loud error: unknown edge, duplicate edge, link
 // models without background-aware service loops, and bad aggregate
 // parameters (via fluid's validation).
-func startBackgrounds(g *topo.Graph, spec *Spec, res *Result, edgeID map[string]int) error {
+func (c *compiled) startBackgrounds() error {
+	g, spec, edgeID := c.g, c.spec, c.p.edgeID
 	if len(spec.Background) == 0 {
 		return nil
 	}
@@ -118,22 +118,23 @@ func startBackgrounds(g *topo.Graph, spec *Spec, res *Result, edgeID map[string]
 		if !ok {
 			return fmt.Errorf("exp: background[%d]: edge %q: link model %T cannot host a fluid background (trace and rate links only)", i, bs.Edge, e.Link)
 		}
-		c, err := fluid.NewCoupler(bs.config(spec), host.CapacityBps, res.edgeQ[id].Bytes)
+		cp, err := fluid.NewCoupler(bs.config(spec), host.CapacityBps, c.edgeQ[id].Bytes)
 		if err != nil {
 			return fmt.Errorf("exp: background[%d] (edge %q): %w", i, bs.Edge, err)
 		}
-		if err := e.SetBackground(c); err != nil {
+		if err := e.SetBackground(cp); err != nil {
 			return fmt.Errorf("exp: background[%d]: %w", i, err)
 		}
-		c.Start(e.Home(), spec.Duration)
-		res.bg = append(res.bg, &bgRunner{spec: bs, coupler: c})
+		cp.Start(e.Home(), spec.Duration)
+		c.bg = append(c.bg, &bgRunner{spec: bs, coupler: cp})
 	}
 	return nil
 }
 
 // collectBackgrounds fills Result.Backgrounds after the clock stops.
-func collectBackgrounds(res *Result) {
-	for _, r := range res.bg {
+func (c *compiled) collectBackgrounds() {
+	res := c.res
+	for _, r := range c.bg {
 		st := r.coupler.Stats()
 		res.Backgrounds = append(res.Backgrounds, BackgroundResult{
 			Edge:            r.spec.Edge,

@@ -74,12 +74,13 @@ type EventResult struct {
 
 // scheduleEvents validates the Spec's event timeline against the
 // compiled graph and registers each event on the coordinator timeline.
-// edgeID maps addressable edge names to graph edge ids. Every shard
+// Every shard
 // quiesces to the event time before the mutation applies, so a topology
 // change is never observed partially by a shard that ran ahead, and at
 // one instant timeline events run in Spec order before any simulator
 // event.
-func scheduleEvents(g *topo.Graph, spec *Spec, res *Result, edgeID map[string]int) error {
+func (c *compiled) scheduleEvents() error {
+	g, spec, res, edgeID := c.g, c.spec, c.res, c.p.edgeID
 	if len(spec.Events) == 0 {
 		return nil
 	}

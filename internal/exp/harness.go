@@ -1,5 +1,8 @@
-// The run pipeline: Run takes a Spec of either notation through its
-// front end, the compiler, wiring, the clock and measurement. Each stage
+// The run pipeline: a Spec of either notation goes through validate,
+// its front end, the builder and wiring (compile) and then the clock and
+// measurement (run). Run is the two in sequence; Check is compile alone,
+// which makes "valid" and "builds" one judgement: there is no second
+// list of rules to keep in step with what the stages accept. Each stage
 // has a file of its own (see the package comment); this one holds the
 // driver and the run + measure stage — one sim.Coordinator.Run for every
 // spec, with everything that watches it hung on the coordinator's
@@ -11,6 +14,7 @@ import (
 	"slices"
 
 	"abc/internal/metrics"
+	"abc/internal/obs"
 	"abc/internal/packet"
 	"abc/internal/qdisc"
 	"abc/internal/sched"
@@ -18,92 +22,118 @@ import (
 	"abc/internal/topo"
 )
 
+// compiled is a Spec built onto a graph with every stage wired and no
+// event run: what Check stops at and run starts from. It owns the wiring
+// state the stages hand each other, so Result carries output only.
+type compiled struct {
+	spec *Spec // &res.Spec: the caller's Spec with defaults applied
+	p    *plan
+	g    *topo.Graph
+	res  *Result
+	// edgeQ holds the built discipline of every graph edge, by edge id
+	// (nil for wires): the one list Result's Qdiscs/ReverseQdiscs/
+	// EdgeQdiscs views are cut from.
+	edgeQ []qdisc.Qdisc
+	// adv classifies flows into victim/bystander/attacker and collects
+	// the per-class workload FCTs behind Result.Adversary; nil for honest
+	// specs.
+	adv *advCollector
+	// bg holds the running couplers, whose stats are collected after the
+	// clock stops.
+	bg []*bgRunner
+	// series lists the run's time series with their readers, in the
+	// order they were added; the run's observer fills them.
+	series    []sampledSeries
+	workloads []*workloadRunner
+}
+
 // Run executes the scenario and returns its result along with the pooled
 // per-packet delay recorder used for the paper's delay metrics.
 func Run(spec Spec) (*Result, *metrics.DelayRecorder, error) {
-	if spec.Duration <= 0 {
+	c, err := compile(spec, traceRec.Load())
+	if err != nil {
+		return nil, nil, err
+	}
+	return c.run()
+}
+
+// Check reports whether Run would accept the spec, without running it: a
+// Spec is valid iff it builds. It is Run stopped where the clock would
+// start — the same stages raise the same errors — with no flight recorder
+// attached, so a check emits and publishes nothing.
+func Check(spec Spec) error {
+	_, err := compile(spec, nil)
+	return err
+}
+
+// compile is everything before the clock: validate the Spec, translate
+// its notation into a plan, and build and wire the plan onto a graph that
+// emits into rec (nil = untraced).
+func compile(in Spec, rec *obs.Recorder) (*compiled, error) {
+	if err := in.validate(); err != nil {
+		return nil, err
+	}
+	c := &compiled{res: &Result{Spec: in}}
+	spec := &c.res.Spec
+	c.spec = spec
+	if spec.Duration == 0 {
 		spec.Duration = 60 * sim.Second
 	}
-	if spec.RTT <= 0 {
+	if spec.RTT == 0 {
 		spec.RTT = 100 * sim.Millisecond
 	}
-	if spec.Warmup <= 0 {
+	if spec.Warmup == 0 {
 		spec.Warmup = 4 * sim.Second
-	}
-	// Misconfigurations that used to no-op silently are Spec errors: a
-	// probe that never fires, a negative sampling period and a negative
-	// shard count are all wiring bugs, not requests for "off".
-	if spec.Sample < 0 {
-		return nil, nil, fmt.Errorf("exp: negative Sample %v", spec.Sample)
-	}
-	if spec.Probe != nil && spec.Sample <= 0 {
-		return nil, nil, fmt.Errorf("exp: Probe set without Sample; the probe would never fire (set Sample to the probe period)")
-	}
-	if spec.Shards < 0 {
-		return nil, nil, fmt.Errorf("exp: negative Shards %d", spec.Shards)
-	}
-	if err := validateRouting(&spec); err != nil {
-		return nil, nil, err
 	}
 
 	// Front end: either notation becomes a plan.
-	var p *plan
 	var err error
 	if len(spec.Nodes) > 0 || len(spec.Edges) > 0 {
-		p, err = meshPlan(&spec)
+		c.p, err = meshPlan(spec)
 	} else {
-		p, err = lowerChain(&spec)
+		c.p, err = lowerChain(spec)
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if len(spec.Flows) == 0 && len(spec.Workloads) == 0 {
-		return nil, nil, fmt.Errorf("exp: no flows in spec")
+		return nil, fmt.Errorf("exp: no flows in spec")
 	}
 
-	// Compile: the graph over its coordinator (one shard unless Shards
-	// asks for more), its edges and their disciplines.
-	res := &Result{Spec: spec, adv: newAdvCollector(&spec, p)}
-	g, err := newGraph(&spec, p)
-	if err != nil {
-		return nil, nil, err
+	// Build: the graph over its coordinator (one shard unless Shards asks
+	// for more), its edges and their disciplines.
+	c.adv = newAdvCollector(spec, c.p)
+	if c.g, err = newGraph(spec, c.p); err != nil {
+		return nil, err
 	}
-	res.Graph = g
+	c.res.Graph = c.g
 	// The flight recorder goes on before any edge exists: AddEdge wires
 	// links as they appear.
-	if r := traceRec.Load(); r != nil {
-		g.SetRecorder(r)
+	c.g.SetRecorder(rec)
+	// Build the edges, then wire: flows, arrival processes, the event
+	// timeline, fluid backgrounds, route computation.
+	for _, stage := range wiring {
+		if err := stage(c); err != nil {
+			return nil, err
+		}
 	}
-	if err := p.build(g, &spec, res); err != nil {
-		return nil, nil, err
-	}
+	return c, nil
+}
 
-	// Wire: flows, arrival processes, the event timeline, fluid
-	// backgrounds, route computation.
-	if err := wireFlows(g, &spec, res, p.routes); err != nil {
-		return nil, nil, err
-	}
-	runners, err := startWorkloads(g, &spec, res, p.wroutes)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := scheduleEvents(g, &spec, res, p.edgeID); err != nil {
-		return nil, nil, err
-	}
-	if err := startBackgrounds(g, &spec, res, p.edgeID); err != nil {
-		return nil, nil, err
-	}
-	if err := startRouting(g, &spec, res); err != nil {
-		return nil, nil, err
-	}
+// wiring lists compile's stages after the graph exists, in order.
+var wiring = []func(*compiled) error{
+	(*compiled).build, (*compiled).wireFlows, (*compiled).startWorkloads,
+	(*compiled).scheduleEvents, (*compiled).startBackgrounds, (*compiled).startRouting,
+}
 
-	// Run and measure.
-	pooled := runAndMeasure(g, &spec, res, p)
-	if err := finishWorkloads(runners); err != nil {
+// run starts the clock on a compiled spec and measures.
+func (c *compiled) run() (*Result, *metrics.DelayRecorder, error) {
+	pooled := c.runAndMeasure()
+	if err := finishWorkloads(c.workloads); err != nil {
 		return nil, nil, err
 	}
-	tightestTraceUtilization(&spec, res, p)
-	return res, pooled, nil
+	c.tightestTraceUtilization()
+	return c.res, pooled, nil
 }
 
 // tightestTraceUtilization sets res.Utilization against the tightest
@@ -113,7 +143,8 @@ func Run(spec Spec) (*Result, *metrics.DelayRecorder, error) {
 // delivering the fewest bytes between Warmup and Duration is the
 // reference, and only flows and workloads whose data route crosses it
 // count as delivered bytes.
-func tightestTraceUtilization(spec *Spec, res *Result, p *plan) {
+func (c *compiled) tightestTraceUtilization() {
+	spec, res, p := c.spec, c.res, c.p
 	candidates := p.edges
 	if p.links > 0 {
 		candidates = p.edges[:p.links]
@@ -157,9 +188,9 @@ type sampledSeries struct {
 
 // sampled adds a time series that the run's observer (runAndMeasure)
 // fills from read every Spec.Sample.
-func (r *Result) sampled(read func(now sim.Time) float64) *metrics.Timeseries {
-	ts := &metrics.Timeseries{Period: r.Spec.Sample}
-	r.series = append(r.series, sampledSeries{ts, read})
+func (c *compiled) sampled(read func(now sim.Time) float64) *metrics.Timeseries {
+	ts := &metrics.Timeseries{Period: c.spec.Sample}
+	c.series = append(c.series, sampledSeries{ts, read})
 	return ts
 }
 
@@ -175,12 +206,13 @@ func (r *Result) sampled(read func(now sim.Time) float64) *metrics.Timeseries {
 // timeline events have applied, and none of its simulator events has
 // run. No observer is a simulator event, so a run executes the same
 // events whether or not anything watches it.
-func runAndMeasure(g *topo.Graph, spec *Spec, res *Result, p *plan) *metrics.DelayRecorder {
-	c := g.Coordinator()
+func (c *compiled) runAndMeasure() *metrics.DelayRecorder {
+	g, spec, res := c.g, c.spec, c.res
+	coord := g.Coordinator()
 	if spec.Sample > 0 {
-		if first := slices.IndexFunc(res.edgeQ, func(q qdisc.Qdisc) bool { return q != nil }); first >= 0 {
-			firstQ, firstCap := res.edgeQ[first], capacityFn(p.edges[first].link)
-			res.QueueDelayTS = res.sampled(func(now sim.Time) float64 {
+		if first := slices.IndexFunc(c.edgeQ, func(q qdisc.Qdisc) bool { return q != nil }); first >= 0 {
+			firstQ, firstCap := c.edgeQ[first], capacityFn(c.p.edges[first].link)
+			res.QueueDelayTS = c.sampled(func(now sim.Time) float64 {
 				mu := firstCap(now)
 				if mu <= 0 {
 					return 0
@@ -188,11 +220,11 @@ func runAndMeasure(g *topo.Graph, spec *Spec, res *Result, p *plan) *metrics.Del
 				return float64(firstQ.Bytes()) * 8 / mu * 1000 // ms
 			})
 			if dq, ok := firstQ.(*sched.DualQueue); ok {
-				res.WeightTS = res.sampled(func(sim.Time) float64 { return dq.WeightABC() })
+				res.WeightTS = c.sampled(func(sim.Time) float64 { return dq.WeightABC() })
 			}
 		}
-		c.Every(spec.Sample, func(now sim.Time) {
-			for _, s := range res.series {
+		coord.Every(spec.Sample, func(now sim.Time) {
+			for _, s := range c.series {
 				s.ts.Add(now, s.read(now))
 			}
 			if spec.Probe != nil {
@@ -200,11 +232,11 @@ func runAndMeasure(g *topo.Graph, spec *Spec, res *Result, p *plan) *metrics.Del
 			}
 		})
 	}
-	rs := newRunSampler(g, res)
+	rs := newRunSampler(c)
 	if rs != nil {
-		c.Every(rs.period, rs.sample)
+		coord.Every(rs.period, rs.sample)
 	}
-	c.Run(spec.Duration)
+	coord.Run(spec.Duration)
 	if rs != nil && spec.Duration%rs.period != 0 {
 		rs.sample(spec.Duration) // the run ended between two ticks
 	}
@@ -232,16 +264,16 @@ func runAndMeasure(g *topo.Graph, spec *Spec, res *Result, p *plan) *metrics.Del
 		fr.Lost = fr.Endpoint.LostPackets
 		fr.Retx = fr.Endpoint.RetxPackets
 	}
-	pooled := poolDelays(res)
+	pooled := c.poolDelays()
 	res.Drops = g.UnroutedDrops()
 	res.ImpairDrops = g.ImpairDrops()
 	res.LinkDownDrops = g.DownDrops()
 	res.AdvDrops = g.AdversaryDrops()
 	res.AdvDelayed = g.AdversaryDelayed()
 	res.AdvStripped = g.AdversaryStripped()
-	collectBackgrounds(res)
-	if res.adv != nil {
-		res.Adversary = res.adv.report(spec, res)
+	c.collectBackgrounds()
+	if c.adv != nil {
+		res.Adversary = c.adv.report(spec, res)
 	}
 	return pooled
 }
@@ -253,13 +285,13 @@ func runAndMeasure(g *topo.Graph, spec *Spec, res *Result, p *plan) *metrics.Del
 // only its own flow's (or workload's) recorder, so shards share nothing,
 // and the pooled recorder — Mean included — is a function of the
 // per-flow recorders alone, the same at every shard count.
-func poolDelays(res *Result) *metrics.DelayRecorder {
-	pooled := &metrics.DelayRecorder{}
+func (c *compiled) poolDelays() *metrics.DelayRecorder {
+	res, pooled := c.res, &metrics.DelayRecorder{}
 	for i := range res.Flows {
 		d := &res.Flows[i].Delay
 		pooled.Merge(d)
-		if res.adv != nil {
-			res.adv.mergeDelay(i, d)
+		if c.adv != nil {
+			c.adv.mergeDelay(i, d)
 		}
 	}
 	for i := range res.Workloads {

@@ -8,7 +8,12 @@ import (
 	"strings"
 	"testing"
 
+	"abc/internal/app"
+	"abc/internal/cc"
+	"abc/internal/netem"
+	"abc/internal/obs"
 	"abc/internal/sim"
+	"abc/internal/topo"
 	"abc/internal/trace"
 )
 
@@ -76,10 +81,23 @@ func TestOneWayOntoTheGraph(t *testing.T) {
 		"cc.NewEndpoint(":    "wire.go",
 		"netem.NewReceiver(": "wire.go",
 	}
+	for file, src := range sources(t) {
+		for call, home := range only {
+			if file != home && bytes.Contains(src, []byte(call)) {
+				t.Errorf("%s calls %s — only %s may", file, call, home)
+			}
+		}
+	}
+}
+
+// sources reads this package's non-test files, by name.
+func sources(t *testing.T) map[string][]byte {
+	t.Helper()
 	files, err := filepath.Glob("*.go")
 	if err != nil || len(files) == 0 {
 		t.Fatalf("no source files found: %v", err)
 	}
+	srcs := make(map[string][]byte, len(files))
 	for _, file := range files {
 		if strings.HasSuffix(file, "_test.go") {
 			continue
@@ -88,11 +106,132 @@ func TestOneWayOntoTheGraph(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for call, home := range only {
-			if file != home && bytes.Contains(src, []byte(call)) {
-				t.Errorf("%s calls %s — only %s may", file, call, home)
-			}
+		srcs[file] = src
+	}
+	return srcs
+}
+
+// TestOneJudge guards the rule that a Spec is valid iff it builds: the
+// scenario translator constructs nothing and re-checks nothing the
+// pipeline checks while it builds (it ends in Check instead), and the
+// routing clause is judged from one place.
+func TestOneJudge(t *testing.T) {
+	srcs := sources(t)
+	for _, call := range []string{"cc.New(", "validateRouting(", "fluid.NewAggregate(", ".Validate()"} {
+		if bytes.Contains(srcs["scenario.go"], []byte(call)) {
+			t.Errorf("scenario.go calls %s — the pipeline stage that builds it is the judge", call)
 		}
+	}
+	calls := 0
+	for _, src := range srcs {
+		calls += bytes.Count(src, []byte("validateRouting(")) - bytes.Count(src, []byte("func validateRouting("))
+	}
+	if calls != 1 {
+		t.Errorf("validateRouting has %d call sites, want the one in Spec.validate", calls)
+	}
+}
+
+// TestCheckAgreesWithRun: Check is Run without the clock, so on every
+// example scenario and on malformed specs of every stage — validate,
+// either front end, the builder, each wiring stage — the two return the
+// same error text or both nil. A Check emits nothing into an enabled
+// flight recorder.
+func TestCheckAgreesWithRun(t *testing.T) {
+	rec := obs.NewRecorder(1<<10, obs.CatAll)
+	EnableTracing(rec)
+	defer EnableTracing(nil)
+	agree := func(name string, spec Spec, wantErr bool) {
+		t.Helper()
+		spec.Duration = sim.Millisecond
+		before := rec.Total()
+		check := Check(spec)
+		if n := rec.Total() - before; n != 0 {
+			t.Errorf("%s: Check recorded %d trace events", name, n)
+		}
+		_, _, run := Run(spec)
+		if (check == nil) != (run == nil) || (check != nil && check.Error() != run.Error()) {
+			t.Errorf("%s: Check = %v, Run = %v", name, check, run)
+		}
+		if (run != nil) != wantErr {
+			t.Errorf("%s: Run = %v, want an error: %v", name, run, wantErr)
+		}
+	}
+
+	paths, err := filepath.Glob("../../examples/scenarios/*.json")
+	if err != nil || len(paths) < 18 {
+		t.Fatalf("found %d example scenarios, want at least 18: %v", len(paths), err)
+	}
+	for _, path := range paths {
+		sc, err := LoadScenario(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := sc.Compile()
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		agree(path, spec, false)
+	}
+
+	rate := func() LinkSpec { return LinkSpec{Rate: netem.ConstRate(8e6)} }
+	chain := func() Spec {
+		return Spec{Links: []LinkSpec{rate()}, Flows: []FlowSpec{{Scheme: "ABC"}}}
+	}
+	mesh := func() Spec {
+		return Spec{
+			Nodes: []string{"a", "b"},
+			Edges: []EdgeSpec{{Name: "e", From: "a", To: "b", Link: rate()}, {Name: "w", From: "a", To: "b", Link: LinkSpec{Kind: "wire"}}},
+			Flows: []FlowSpec{{Scheme: "ABC", Path: []string{"e"}}},
+		}
+	}
+	agree("chain", chain(), false)
+	agree("mesh", mesh(), false)
+	malformed := []struct {
+		name string
+		base func() Spec
+		set  func(*Spec)
+	}{
+		{"negative start", chain, func(s *Spec) { s.Flows[0].Start = -1 }},
+		{"loss of 7", chain, func(s *Spec) { s.Links[0].Impair.LossRate = 7 }},
+		{"probe without sample", chain, func(s *Spec) { s.Probe = func(sim.Time, *Result) {} }},
+		{"unknown routing policy", chain, func(s *Spec) { s.Routing = &RoutingSpec{Policy: "rip"} }},
+		{"workloads at two shards", chain, func(s *Spec) {
+			s.Shards, s.Workloads = 2, []WorkloadSpec{{Scheme: "ABC", Arrival: app.Poisson{PerSec: 1}, Sizes: app.FixedSize{Bytes: 1}}}
+		}},
+		{"shard pin out of range", mesh, func(s *Spec) { s.Shards, s.ShardMap = 2, map[string]int{"a": 2} }},
+		{"no links", chain, func(s *Spec) { s.Links = nil }},
+		{"no flows", chain, func(s *Spec) { s.Flows = nil }},
+		{"wire on a chain", chain, func(s *Spec) { s.Links[0] = LinkSpec{Kind: "wire"} }},
+		{"enter_at out of range", chain, func(s *Spec) { s.Flows[0].EnterAt = 3 }},
+		{"path on a chain", chain, func(s *Spec) { s.Flows[0].Path = []string{"fwd0"} }},
+		{"both notations", mesh, func(s *Spec) { s.Links = []LinkSpec{rate()} }},
+		{"duplicate node", mesh, func(s *Spec) { s.Nodes = []string{"a", "a"} }},
+		{"edge to unknown node", mesh, func(s *Spec) { s.Edges[0].To = "z" }},
+		{"unknown path edge", mesh, func(s *Spec) { s.Flows[0].Path = []string{"zz"} }},
+		{"ack path from the wrong node", mesh, func(s *Spec) { s.Flows[0].AckPath = []string{"w"} }},
+		{"unknown shard-map node", mesh, func(s *Spec) { s.Shards, s.ShardMap = 2, map[string]int{"z": 0} }},
+		{"unknown qdisc kind", chain, func(s *Spec) { s.Links[0].Qdisc.Kind = "fq_pie" }},
+		{"lie on droptail", chain, func(s *Spec) { s.Links[0].Qdisc = QdiscSpec{Kind: "droptail", ABCLie: 0.3} }},
+		{"link without a model", chain, func(s *Spec) { s.Links[0] = LinkSpec{} }},
+		{"qdisc on a wire", mesh, func(s *Spec) { s.Edges[1].Link.Qdisc.Buffer = 9 }},
+		{"attack rate above one", chain, func(s *Spec) { s.Links[0].Attack = &topo.Attack{Target: topo.Target{Flows: []int{0}}, DropRate: 2} }},
+		{"unknown scheme", chain, func(s *Spec) { s.Flows[0].Scheme = "nope" }},
+		{"unknown misbehave", chain, func(s *Spec) { s.Flows[0].Misbehave = "rude" }},
+		{"app and source", chain, func(s *Spec) { s.Flows[0].Source, s.Flows[0].App = cc.NewFixed(1), &AppSpec{Kind: "rpc"} }},
+		{"unknown app kind", chain, func(s *Spec) { s.Flows[0].App = &AppSpec{Kind: "quic"} }},
+		{"workload without sizes", chain, func(s *Spec) { s.Workloads = []WorkloadSpec{{Scheme: "ABC", Arrival: app.Poisson{PerSec: 1}}} }},
+		{"event on an unknown edge", chain, func(s *Spec) { s.Events = []EventSpec{{Kind: EventLinkDown, Edge: "zz"}} }},
+		{"unknown event kind", chain, func(s *Spec) { s.Events = []EventSpec{{Kind: "teleport"}} }},
+		{"set_rate on a wire", mesh, func(s *Spec) { s.Events = []EventSpec{{Kind: EventSetRate, Edge: "w", RateMbps: 2}} }},
+		{"unroutable reroute", mesh, func(s *Spec) { s.Events = []EventSpec{{Kind: EventReroute, Path: []string{"w", "e"}}} }},
+		{"background on a wire", mesh, func(s *Spec) { s.Background = []BackgroundSpec{{Edge: "w", Kind: "const", RateMbps: 1}} }},
+		{"background of an unknown kind", chain, func(s *Spec) { s.Background = []BackgroundSpec{{Edge: "fwd0", Kind: "poisson", RateMbps: 1}} }},
+		{"kfailover without a backup", mesh, func(s *Spec) { s.Edges, s.Routing = s.Edges[:1], &RoutingSpec{Policy: "kfailover"} }},
+	}
+	for _, m := range malformed {
+		spec := m.base()
+		m.set(&spec)
+		agree(m.name, spec, true)
 	}
 }
 

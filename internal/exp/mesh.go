@@ -12,14 +12,14 @@
 // there exactly like forward-path data marks — the sender ends up pacing
 // to the minimum of marks over the whole round trip.
 //
-// What is validated where: a front end checks what only its notation can
-// get wrong (meshPlan: node and edge names, edge endpoints, route edge
-// names, an ACK path that does not start where the data path ends;
-// lowerChain: spans, wire links). The back end checks what holds for any
-// plan: link and qdisc configuration per edge, and every route's
-// well-formedness against the built graph (topo.Graph.CheckPath:
-// non-contiguous sequences and routes that revisit a junction are Spec
-// errors before any flow is wired, not silent drops).
+// One rule decides validity: translate, validate, build — a Spec is
+// valid iff it builds (see harness.go). Each stage rejects what it alone
+// can see: Spec.validate the graph-independent ranges, a front end what
+// only its notation can get wrong (names, endpoints, spans, an ACK path
+// that does not start where the data path ends), the back end here what
+// holds for any plan — link and qdisc configuration per edge, and every
+// route against the built graph (topo.Graph.CheckPath: non-contiguous
+// sequences and routes that revisit a junction).
 package exp
 
 import (
@@ -210,11 +210,12 @@ func (p *plan) resolve(rf routeFields, names []string, what string) ([]int, erro
 // bottleneck and its discipline scheduling on the simulator of the
 // junction feeding it — fills the Result's qdisc views, and checks every
 // route against the finished graph.
-func (p *plan) build(g *topo.Graph, spec *Spec, res *Result) error {
+func (c *compiled) build() error {
+	p, g, spec, res := c.p, c.g, c.spec, c.res
 	for _, name := range p.nodes {
 		g.AddNode(name)
 	}
-	res.edgeQ = make([]qdisc.Qdisc, len(p.edges))
+	c.edgeQ = make([]qdisc.Qdisc, len(p.edges))
 	if p.links == 0 {
 		res.EdgeQdiscs = make(map[string]qdisc.Qdisc, len(p.edges))
 	}
@@ -240,7 +241,7 @@ func (p *plan) build(g *topo.Graph, spec *Spec, res *Result) error {
 			if err != nil {
 				return fmt.Errorf("exp: edge %q: %v", e.name, err)
 			}
-			res.edgeQ[i] = qd
+			c.edgeQ[i] = qd
 			switch {
 			case p.links == 0:
 				res.EdgeQdiscs[e.name] = qd

@@ -14,7 +14,6 @@ import (
 	"abc/internal/abc"
 	"abc/internal/obs"
 	"abc/internal/sim"
-	"abc/internal/topo"
 )
 
 var (
@@ -61,8 +60,7 @@ func EnableMetrics(reg *obs.Registry, period sim.Time) {
 type runSampler struct {
 	reg    *obs.Registry
 	period sim.Time
-	g      *topo.Graph
-	res    *Result
+	c      *compiled
 	// prevEvents tracks the executed-event count already published, so
 	// obs.MetricSimEvents aggregates correctly across parallel cells.
 	prevEvents uint64
@@ -70,12 +68,12 @@ type runSampler struct {
 
 // newRunSampler builds the sampler for one scenario, or nil when
 // metrics are off. It must be called after the graph's edges are built.
-func newRunSampler(g *topo.Graph, res *Result) *runSampler {
+func newRunSampler(c *compiled) *runSampler {
 	reg := metReg.Load()
 	if reg == nil {
 		return nil
 	}
-	rs := &runSampler{reg: reg, period: sim.Time(metPeriodNs.Load()), g: g, res: res}
+	rs := &runSampler{reg: reg, period: sim.Time(metPeriodNs.Load()), c: c}
 	reg.Help("abc_queue_pkts", "Instantaneous bottleneck queue depth in packets.")
 	reg.Help("abc_queue_bytes", "Instantaneous bottleneck queue depth in bytes.")
 	reg.Help("abc_tokens", "ABC router token-bucket level (Algorithm 1).")
@@ -96,7 +94,7 @@ func newRunSampler(g *topo.Graph, res *Result) *runSampler {
 
 // sample publishes one snapshot at virtual time now.
 func (rs *runSampler) sample(now sim.Time) {
-	reg, g := rs.reg, rs.g
+	reg, g := rs.reg, rs.c.g
 	reg.Gauge(obs.MetricSimSeconds).Set(now.Seconds())
 
 	var events uint64
@@ -114,7 +112,7 @@ func (rs *runSampler) sample(now sim.Time) {
 	reg.Counter(obs.MetricSimEvents).Add(int64(events - rs.prevEvents))
 	rs.prevEvents = events
 
-	for id, q := range rs.res.edgeQ {
+	for id, q := range rs.c.edgeQ {
 		if q == nil {
 			continue // wire
 		}
@@ -130,8 +128,8 @@ func (rs *runSampler) sample(now sim.Time) {
 		}
 	}
 
-	for i := range rs.res.Flows {
-		fr := &rs.res.Flows[i]
+	for i := range rs.c.res.Flows {
+		fr := &rs.c.res.Flows[i]
 		label := fmt.Sprintf(`{flow="%d"}`, i)
 		reg.Gauge("abc_flow_cwnd_pkts" + label).Set(fr.Algorithm.CwndPkts())
 		var bps float64

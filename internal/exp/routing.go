@@ -1,6 +1,6 @@
 // Spec plumbing for the route-computation layer (internal/topo's
-// AutoRouter): validation of the Routing clause, policy construction,
-// and the Result annotations for emergent route changes. The layer is
+// AutoRouter): policy construction and the Result annotations for
+// emergent route changes (validateRouting is in validate.go). The layer is
 // opt-in per Spec and one-shard only (its recompute timer is a simulator
 // event that rewrites every junction's table; checkShardable has the
 // measured reason it is not a barrier callback); scripted `events`
@@ -9,8 +9,6 @@
 package exp
 
 import (
-	"fmt"
-
 	"abc/internal/sim"
 	"abc/internal/topo"
 )
@@ -54,47 +52,6 @@ type RouteChangeResult struct {
 	Path []string `json:"path"`
 }
 
-// validateRouting rejects malformed Routing clauses before any wiring
-// happens. Nil Routing is valid (the layer is opt-in).
-func validateRouting(spec *Spec) error {
-	rs := spec.Routing
-	if rs == nil {
-		return nil
-	}
-	switch rs.Policy {
-	case "", "shortest":
-		if rs.K != 0 {
-			return fmt.Errorf("exp: routing: K is a kfailover knob; policy %q would silently ignore K=%d (set Policy \"kfailover\" or drop K)", "shortest", rs.K)
-		}
-	case "kfailover":
-		if rs.K < 0 {
-			return fmt.Errorf("exp: routing: negative K %d", rs.K)
-		}
-	default:
-		return fmt.Errorf("exp: routing: unknown policy %q (want \"shortest\" or \"kfailover\")", rs.Policy)
-	}
-	if rs.RecomputeLatency < 0 {
-		return fmt.Errorf("exp: routing: negative RecomputeLatency %v", rs.RecomputeLatency)
-	}
-	if rs.Drain < 0 {
-		return fmt.Errorf("exp: routing: negative Drain %v", rs.Drain)
-	}
-	seen := make(map[int]bool, len(rs.Flows))
-	for _, f := range rs.Flows {
-		if f < 0 || f >= len(spec.Flows) {
-			return fmt.Errorf("exp: routing: flow index %d out of range (spec has %d flows)", f, len(spec.Flows))
-		}
-		if seen[f] {
-			return fmt.Errorf("exp: routing: flow %d listed twice", f)
-		}
-		seen[f] = true
-	}
-	if len(spec.Flows) == 0 {
-		return fmt.Errorf("exp: routing: spec has no flows to manage (workload-spawned flows are not manageable)")
-	}
-	return nil
-}
-
 // defaultRecomputeLatency is the control-plane convergence delay when
 // the Routing clause leaves RecomputeLatency zero.
 const defaultRecomputeLatency = 10 * sim.Millisecond
@@ -104,9 +61,9 @@ const defaultRecomputeLatency = 10 * sim.Millisecond
 // selected flow's data route plus its ACK route when that route is
 // table-backed (chain flows without ReverseLinks ACK over a direct wire,
 // which has no junctions to re-decide). Called after flows are wired and
-// before the run starts; validateRouting has already accepted the
-// clause.
-func startRouting(g *topo.Graph, spec *Spec, res *Result) error {
+// before the run starts; validate has already accepted the clause.
+func (c *compiled) startRouting() error {
+	g, spec, res := c.g, c.spec, c.res
 	rs := spec.Routing
 	if rs == nil {
 		return nil

@@ -46,7 +46,7 @@ func TestScenarioNegativeSampleMs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sc.Compile(); err == nil || !strings.Contains(err.Error(), "sample_ms") {
+	if _, err := sc.Compile(); err == nil || !strings.Contains(err.Error(), "negative Sample") {
 		t.Fatalf("Compile error = %v, want negative sample_ms rejection", err)
 	}
 }
@@ -111,7 +111,8 @@ func TestRoutingRejectedWhenSharded(t *testing.T) {
 func TestScenarioRoutingClause(t *testing.T) {
 	const mesh = `{"nodes":["a","b","c"],
 		"edges":[{"name":"e1","from":"a","to":"b","kind":"rate","rate_mbps":8},
-		         {"name":"e2","from":"b","to":"c","kind":"rate","rate_mbps":8}],
+		         {"name":"e2","from":"b","to":"c","kind":"rate","rate_mbps":8},
+		         {"name":"e3","from":"a","to":"c","kind":"rate","rate_mbps":8}],
 		"flows":[{"scheme":"ABC","path":["e1","e2"]}],`
 
 	sc, err := ParseScenario([]byte(mesh + `"routing":{"policy":"kfailover","k":1,"recompute_ms":20,"drain_ms":50,"flows":[0]}}`))
@@ -132,8 +133,8 @@ func TestScenarioRoutingClause(t *testing.T) {
 	for _, bad := range []struct{ clause, frag string }{
 		{`"routing":{"policy":"shortest","k":2}`, "kfailover knob"},
 		{`"routing":{"policy":"rip"}`, "unknown policy"},
-		{`"routing":{"recompute_ms":-1}`, "recompute_ms"},
-		{`"routing":{"drain_ms":-1}`, "drain_ms"},
+		{`"routing":{"recompute_ms":-1}`, "negative RecomputeLatency"},
+		{`"routing":{"drain_ms":-1}`, "negative Drain"},
 		{`"routing":{"flows":[3]}`, "out of range"},
 	} {
 		sc, err := ParseScenario([]byte(mesh + bad.clause + `}`))

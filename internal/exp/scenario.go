@@ -4,6 +4,16 @@
 // through the registries, which means a scenario file can name anything
 // a package has registered without this package knowing about it.
 //
+// One rule decides whether a file is valid: Compile translates it,
+// Spec.validate range-checks it and the run pipeline builds it (Check);
+// it is valid iff it builds. This file therefore rejects only what a
+// Spec cannot express — unknown enum strings, conflicting shorthands,
+// fields a clause would drop, missing traces and replay logs, numbers
+// that do not fit the clock — and every other error below (unknown
+// schemes, kinds and edges, out-of-range values, unroutable paths,
+// clauses that cannot be combined) is the pipeline's own, raised at
+// compile time with the text Run would give.
+//
 // The format (all durations in the units their field names say):
 //
 //	{
@@ -129,8 +139,7 @@
 // positive drain_ms makes changes make-before-break (the old path keeps
 // draining for that window); "flows" restricts management to the listed
 // flow indices (default: all flows — each flow's data route plus its
-// ACK route when the latter is table-backed). Routing is one-shard only
-// (rejected with shards > 1).
+// ACK route when the latter is table-backed). Routing is one-shard only.
 //
 // Adversaries come in three declarable forms. A targeted attack is an
 // "attack" clause on any link or edge (wire edges included), or an
@@ -162,9 +171,7 @@
 // virtual AIMD flows driven by the Eq.-13 machinery; rtt_ms sets the
 // ensemble RTT), and "onoff" (rate_mbps gated by an on_s/off_s diurnal
 // square schedule). start_s/stop_s bound activity, step_ms overrides
-// the 10 ms coupling step. Trace and rate links only; unknown edges,
-// unknown kinds, non-positive rates and malformed schedules are
-// compile-time errors:
+// the 10 ms coupling step. Trace and rate links only:
 //
 //	"background": [
 //	  {"edge": "fwd0", "kind": "onoff", "flows": 1000000,
@@ -186,14 +193,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"abc/internal/app"
 	"abc/internal/cc"
-	"abc/internal/fluid"
-	"abc/internal/metrics"
 	"abc/internal/netem"
+	"abc/internal/packet"
 	"abc/internal/sim"
 	"abc/internal/topo"
 	"abc/internal/trace"
@@ -229,33 +237,29 @@ type ScenarioAttack struct {
 	ExtraDelayMs float64 `json:"extra_delay_ms,omitempty"`
 }
 
+// attackDirs spells the attack clause's dir enum.
+var attackDirs = map[string]topo.TargetDir{
+	"": topo.TargetBoth, "both": topo.TargetBoth, "data": topo.TargetData, "ack": topo.TargetAck,
+}
+
 // compile builds the topo.Attack. where locates the clause in errors.
-func (sa *ScenarioAttack) compile(where string) (*topo.Attack, error) {
-	a := &topo.Attack{
+func (sa *ScenarioAttack) compile(ck *clock, where string) (*topo.Attack, error) {
+	dir, ok := attackDirs[sa.Dir]
+	if !ok {
+		return nil, fmt.Errorf("%s: unknown dir %q (want both, data or ack)", where, sa.Dir)
+	}
+	return &topo.Attack{
 		Target: topo.Target{
 			Flows:    sa.Flows,
 			Fraction: sa.Fraction,
-			From:     sim.FromSeconds(sa.FromS),
-			To:       sim.FromSeconds(sa.ToS),
+			Dir:      dir,
+			From:     ck.s(sa.FromS),
+			To:       ck.s(sa.ToS),
 		},
 		DropRate:   sa.DropRate,
 		StripMarks: sa.StripMarks,
-		ExtraDelay: ms(sa.ExtraDelayMs),
-	}
-	switch sa.Dir {
-	case "", "both":
-		a.Target.Dir = topo.TargetBoth
-	case "data":
-		a.Target.Dir = topo.TargetData
-	case "ack":
-		a.Target.Dir = topo.TargetAck
-	default:
-		return nil, fmt.Errorf("%s: unknown dir %q (want both, data or ack)", where, sa.Dir)
-	}
-	if err := a.Validate(); err != nil {
-		return nil, fmt.Errorf("%s: %v", where, err)
-	}
-	return a, nil
+		ExtraDelay: ck.ms(sa.ExtraDelayMs),
+	}, nil
 }
 
 // ScenarioLink is the JSON link clause.
@@ -331,7 +335,7 @@ type ScenarioSource struct {
 const sourceKinds = "backlogged, rate, onoff, fixed"
 
 // compile builds the cc.Source. where locates the clause in errors.
-func (ss *ScenarioSource) compile(where string) (cc.Source, error) {
+func (ss *ScenarioSource) compile(ck *clock, where string) (cc.Source, error) {
 	switch ss.Kind {
 	case "backlogged":
 		if ss.Mbps != 0 || ss.Bytes != 0 || ss.OnS != 0 || ss.OffS != 0 || ss.StartS != 0 {
@@ -348,9 +352,9 @@ func (ss *ScenarioSource) compile(where string) (cc.Source, error) {
 			return nil, fmt.Errorf("%s: onoff source needs on_s > 0 and off_s >= 0", where)
 		}
 		return &cc.OnOff{
-			Start:  sim.FromSeconds(ss.StartS),
-			OnFor:  sim.FromSeconds(ss.OnS),
-			OffFor: sim.FromSeconds(ss.OffS),
+			Start:  ck.s(ss.StartS),
+			OnFor:  ck.s(ss.OnS),
+			OffFor: ck.s(ss.OffS),
 		}, nil
 	case "fixed":
 		if ss.Bytes <= 0 {
@@ -391,11 +395,6 @@ func (sa *ScenarioApp) compile(where string) (*AppSpec, error) {
 	case "abr":
 		if sa.ThinkMs != 0 || sa.RespKB != 0 {
 			return nil, fmt.Errorf("%s: think_ms/resp_kb are rpc fields", where)
-		}
-		switch sa.Policy {
-		case "", "buffer", "rate":
-		default:
-			return nil, fmt.Errorf("%s: unknown abr policy %q (want buffer or rate)", where, sa.Policy)
 		}
 		if sa.Policy != "rate" && (sa.HistoryChunks != 0 || sa.Safety != 0) {
 			return nil, fmt.Errorf("%s: history_chunks/safety are rate-policy fields", where)
@@ -675,34 +674,62 @@ func ParseScenario(data []byte) (*Scenario, error) {
 	return &sc, nil
 }
 
-// ms converts a float millisecond count to sim.Time.
-func ms(v float64) sim.Time { return sim.FromSeconds(v / 1000) }
+// clock converts the scenario's float durations to sim.Time and keeps the
+// first that does not fit its int64 nanoseconds: a duration_s of 1e300
+// would otherwise wrap negative or saturate, depending on the CPU, and
+// mean something the file does not say.
+type clock struct{ err error }
+
+// s converts seconds.
+func (ck *clock) s(v float64) sim.Time {
+	if ck.err == nil && !(math.Abs(v) < math.MaxInt64/float64(sim.Second)) {
+		ck.err = fmt.Errorf("scenario: a duration of %g s does not fit the clock", v)
+	}
+	return sim.FromSeconds(v)
+}
+
+// ms converts milliseconds.
+func (ck *clock) ms(v float64) sim.Time { return ck.s(v / 1000) }
+
+// synthetic guards the steps/square trace generators, which materialise
+// one entry per delivery opportunity on a 1 ms grid, holding each rate
+// for one period. The period is tested as the clock sees it (1e-9 ms is
+// positive and still 0 ns), and the loop's length and size are bounded,
+// so a stray exponent is an error rather than a gigabyte.
+func synthetic(where, key string, period sim.Time, bps ...float64) error {
+	const max = 1 << 22 // ms and packets a loop: 70 minutes at 14 Mbit/s
+	n := sim.Time(len(bps))
+	if period <= 0 || period > max*sim.Millisecond/n || slices.Max(bps)*(n*period).Seconds() > max*packet.MTU*8 {
+		return fmt.Errorf("%s: %s must be at least 1 ns, and one loop of the trace at most %d ms and %d packets", where, key, max, max)
+	}
+	return nil
+}
 
 // compileLink turns one link clause into a LinkSpec.
-func compileLink(sl *ScenarioLink, idx int, chain string) (LinkSpec, error) {
+func compileLink(ck *clock, sl *ScenarioLink, idx int, chain string) (LinkSpec, error) {
 	ls := LinkSpec{
 		Kind:      sl.Kind,
-		Delay:     ms(sl.DelayMs),
-		Lookahead: ms(sl.LookaheadMs),
+		Delay:     ck.ms(sl.DelayMs),
+		Lookahead: ck.ms(sl.LookaheadMs),
 		Impair: topo.Impairments{
 			LossRate:      sl.Loss,
 			BurstLossRate: sl.BurstLoss,
 			BurstPBad:     sl.BurstPBad,
 			BurstPGood:    sl.BurstPGood,
-			Jitter:        ms(sl.JitterMs),
+			Jitter:        ck.ms(sl.JitterMs),
 			ReorderProb:   sl.ReorderProb,
-			ReorderDelay:  ms(sl.ReorderDelayMs),
+			ReorderDelay:  ck.ms(sl.ReorderDelayMs),
 		},
 		Qdisc: QdiscSpec{
 			Kind:              sl.Qdisc.Kind,
 			Buffer:            sl.Qdisc.Buffer,
-			ABCDelayThreshold: ms(sl.Qdisc.DTms),
+			ABCDelayThreshold: ck.ms(sl.Qdisc.DTms),
 			ABCLie:            sl.Qdisc.Lie,
 		},
 	}
 	where := fmt.Sprintf("scenario: %s[%d]", chain, idx)
 	if sl.Attack != nil {
-		a, err := sl.Attack.compile(where + ".attack")
+		a, err := sl.Attack.compile(ck, where+".attack")
 		if err != nil {
 			return LinkSpec{}, err
 		}
@@ -710,11 +737,8 @@ func compileLink(sl *ScenarioLink, idx int, chain string) (LinkSpec, error) {
 	}
 	switch sl.Kind {
 	case "wire":
-		// Pure propagation hop (mesh edges only): no bottleneck model, no
-		// qdisc. Anything that configures one is a contradiction.
-		if chain != "edges" {
-			return LinkSpec{}, fmt.Errorf("%s: wire is a mesh edge kind; chain links need a bottleneck", where)
-		}
+		// Pure propagation hop: no bottleneck model, no qdisc. The stray
+		// fields would be dropped in translation, so they are caught here.
 		if sl.Trace != "" || len(sl.StepsMbps) > 0 || sl.SquareHiMbps > 0 ||
 			sl.RateMbps > 0 || sl.MCS != nil || sl.Estimate || sl.LookaheadMs > 0 {
 			return LinkSpec{}, fmt.Errorf("%s: wire links carry no bottleneck model", where)
@@ -722,7 +746,6 @@ func compileLink(sl *ScenarioLink, idx int, chain string) (LinkSpec, error) {
 		if sl.Qdisc != (ScenarioQdisc{}) {
 			return LinkSpec{}, fmt.Errorf("%s: wire links have no qdisc", where)
 		}
-		ls.Qdisc = QdiscSpec{}
 	case "trace", "":
 		switch {
 		case sl.Trace != "":
@@ -732,25 +755,25 @@ func compileLink(sl *ScenarioLink, idx int, chain string) (LinkSpec, error) {
 			}
 			ls.Trace = tr
 		case len(sl.StepsMbps) > 0:
-			if sl.StepMs <= 0 {
-				return LinkSpec{}, fmt.Errorf("%s: steps_mbps without step_ms", where)
-			}
 			bps := make([]float64, len(sl.StepsMbps))
 			for i, m := range sl.StepsMbps {
 				bps[i] = m * 1e6
 			}
-			ls.Trace = trace.Steps(fmt.Sprintf("%s-steps-%d", chain, idx), bps, ms(sl.StepMs))
+			step := ck.ms(sl.StepMs)
+			if err := synthetic(where, "step_ms", step, bps...); err != nil {
+				return LinkSpec{}, err
+			}
+			ls.Trace = trace.Steps(fmt.Sprintf("%s-steps-%d", chain, idx), bps, step)
 		case sl.SquareHiMbps > 0:
-			if sl.SquareHalfMs <= 0 {
-				return LinkSpec{}, fmt.Errorf("%s: square wave without square_half_ms", where)
+			half := ck.ms(sl.SquareHalfMs)
+			if err := synthetic(where, "square_half_ms", half, sl.SquareLoMbps*1e6, sl.SquareHiMbps*1e6); err != nil {
+				return LinkSpec{}, err
 			}
 			ls.Trace = trace.SquareWave(fmt.Sprintf("%s-square-%d", chain, idx),
-				sl.SquareLoMbps*1e6, sl.SquareHiMbps*1e6, ms(sl.SquareHalfMs))
+				sl.SquareLoMbps*1e6, sl.SquareHiMbps*1e6, half)
 		case sl.RateMbps > 0 && sl.Kind == "":
 			ls.Kind = "rate"
 			ls.Rate = netem.ConstRate(sl.RateMbps * 1e6)
-		default:
-			return LinkSpec{}, fmt.Errorf("%s: trace link needs trace, steps_mbps or square_*", where)
 		}
 		if ls.Kind == "" {
 			ls.Kind = "trace"
@@ -767,51 +790,40 @@ func compileLink(sl *ScenarioLink, idx int, chain string) (LinkSpec, error) {
 			cfg.MCS = func(sim.Time) int { return mcs }
 		}
 		ls.Wifi = &WiFiLinkSpec{Config: cfg, Estimate: sl.Estimate}
-	default:
-		return LinkSpec{}, fmt.Errorf("%s: unknown link kind %q", where, sl.Kind)
 	}
 	return ls, nil
 }
 
-// Compile turns the scenario into a runnable Spec. Scheme names are
-// validated against the registry up front so a typo fails with the list
-// of registered schemes instead of mid-run.
+// Compile turns the scenario into a runnable Spec: it translates the
+// file's vocabulary — string enums, shorthands, trace names and replay
+// files, float units — rejecting what the translation would otherwise
+// lose, and hands the Spec to Check. A scenario is valid iff it builds,
+// so every error Run could raise is a Compile error.
 func (sc *Scenario) Compile() (Spec, error) {
+	var ck clock
 	spec := Spec{
 		Seed:     sc.Seed,
-		Duration: sim.FromSeconds(sc.DurationS),
-		Warmup:   sim.FromSeconds(sc.WarmupS),
-		RTT:      ms(sc.RTTms),
-		Sample:   ms(sc.SampleMs),
+		Duration: ck.s(sc.DurationS),
+		Warmup:   ck.s(sc.WarmupS),
+		RTT:      ck.ms(sc.RTTms),
+		Sample:   ck.ms(sc.SampleMs),
 		Shards:   sc.Shards,
 		ShardMap: sc.ShardMap,
 	}
-	if sc.Shards < 0 {
-		return Spec{}, fmt.Errorf("scenario: negative shards")
-	}
-	if sc.SampleMs < 0 {
-		return Spec{}, fmt.Errorf("scenario: negative sample_ms")
-	}
-	if sc.DurationS < 0 || sc.WarmupS < 0 || sc.RTTms < 0 {
-		return Spec{}, fmt.Errorf("scenario: negative duration_s/warmup_s/rtt_ms")
-	}
+	// A Go sweep may carry its ShardMap down to one shard; a file that
+	// pins junctions and never asks for shards has lost a key.
 	if len(sc.ShardMap) > 0 && sc.Shards <= 1 {
 		return Spec{}, fmt.Errorf("scenario: shard_map needs shards > 1")
 	}
-	for name, idx := range sc.ShardMap {
-		if idx < 0 || idx >= sc.Shards {
-			return Spec{}, fmt.Errorf("scenario: shard_map[%q] = %d out of range [0, %d)", name, idx, sc.Shards)
-		}
-	}
 	for i := range sc.Links {
-		ls, err := compileLink(&sc.Links[i], i, "links")
+		ls, err := compileLink(&ck, &sc.Links[i], i, "links")
 		if err != nil {
 			return Spec{}, err
 		}
 		spec.Links = append(spec.Links, ls)
 	}
 	for i := range sc.ReverseLinks {
-		ls, err := compileLink(&sc.ReverseLinks[i], i, "reverse_links")
+		ls, err := compileLink(&ck, &sc.ReverseLinks[i], i, "reverse_links")
 		if err != nil {
 			return Spec{}, err
 		}
@@ -820,7 +832,7 @@ func (sc *Scenario) Compile() (Spec, error) {
 	spec.Nodes = append(spec.Nodes, sc.Nodes...)
 	for i := range sc.Edges {
 		se := &sc.Edges[i]
-		ls, err := compileLink(&se.ScenarioLink, i, "edges")
+		ls, err := compileLink(&ck, &se.ScenarioLink, i, "edges")
 		if err != nil {
 			return Spec{}, err
 		}
@@ -828,89 +840,60 @@ func (sc *Scenario) Compile() (Spec, error) {
 	}
 	for i := range sc.Flows {
 		sf := &sc.Flows[i]
-		if _, err := cc.New(sf.Scheme); err != nil {
-			return Spec{}, fmt.Errorf("scenario: flows[%d]: %v", i, err)
-		}
+		where := fmt.Sprintf("scenario: flows[%d]", i)
 		fs := FlowSpec{
 			Scheme:    sf.Scheme,
-			Start:     sim.FromSeconds(sf.StartS),
-			Stop:      sim.FromSeconds(sf.StopS),
+			Start:     ck.s(sf.StartS),
+			Stop:      ck.s(sf.StopS),
 			EnterAt:   sf.EnterAt,
 			ExitAt:    sf.ExitAt,
-			RTT:       ms(sf.RTTms),
+			RTT:       ck.ms(sf.RTTms),
 			Path:      sf.Path,
 			AckPath:   sf.AckPath,
 			Misbehave: sf.Misbehave,
 		}
-		switch sf.Misbehave {
-		case "", "greedy":
-		default:
-			return Spec{}, fmt.Errorf("scenario: flows[%d]: unknown misbehave %q (want greedy)", i, sf.Misbehave)
+		var err error
+		if fs.Dir, err = compileDir(where, sf.Dir); err != nil {
+			return Spec{}, err
 		}
-		switch sf.Dir {
-		case "", "forward":
-		case "reverse":
-			fs.Dir = Reverse
-		default:
-			return Spec{}, fmt.Errorf("scenario: flows[%d]: unknown dir %q", i, sf.Dir)
-		}
-		if len(sf.Path) > 0 && (sf.Dir != "" || sf.EnterAt != 0 || sf.ExitAt != 0) {
-			return Spec{}, fmt.Errorf("scenario: flows[%d]: path routes over mesh edges; dir/enter_at/exit_at are chain fields", i)
-		}
-		where := fmt.Sprintf("scenario: flows[%d]", i)
-		if sf.RateMbps > 0 {
-			if sf.Source != nil {
+		src := sf.Source
+		if sf.RateMbps != 0 {
+			if src != nil {
 				return Spec{}, fmt.Errorf("%s: rate_mbps is shorthand for a rate source; drop it when a source clause is present", where)
 			}
-			fs.Source = cc.NewRateLimited(sf.RateMbps * 1e6)
+			src = &ScenarioSource{Kind: "rate", Mbps: sf.RateMbps}
 		}
-		if sf.Source != nil {
-			src, err := sf.Source.compile(where + ".source")
-			if err != nil {
+		if src != nil {
+			if fs.Source, err = src.compile(&ck, where+".source"); err != nil {
 				return Spec{}, err
 			}
-			fs.Source = src
 		}
 		if sf.App != nil {
-			if fs.Source != nil {
-				return Spec{}, fmt.Errorf("%s: app and source are mutually exclusive (the app owns the source)", where)
-			}
-			as, err := sf.App.compile(where + ".app")
-			if err != nil {
+			if fs.App, err = sf.App.compile(where + ".app"); err != nil {
 				return Spec{}, err
 			}
-			fs.App = as
 		}
 		spec.Flows = append(spec.Flows, fs)
 	}
 	for i := range sc.Workloads {
 		sw := &sc.Workloads[i]
 		where := fmt.Sprintf("scenario: workloads[%d]", i)
-		if _, err := cc.New(sw.Scheme); err != nil {
-			return Spec{}, fmt.Errorf("%s: %v", where, err)
-		}
 		ws := WorkloadSpec{
 			Scheme:    sw.Scheme,
 			Class:     sw.Class,
-			Start:     sim.FromSeconds(sw.StartS),
-			Stop:      sim.FromSeconds(sw.StopS),
+			Start:     ck.s(sw.StartS),
+			Stop:      ck.s(sw.StopS),
 			EnterAt:   sw.EnterAt,
 			ExitAt:    sw.ExitAt,
 			Path:      sw.Path,
 			AckPath:   sw.AckPath,
-			RTT:       ms(sw.RTTms),
+			RTT:       ck.ms(sw.RTTms),
 			MaxActive: sw.MaxActive,
 			RefMbps:   sw.RefMbps,
 		}
-		switch sw.Dir {
-		case "", "forward":
-		case "reverse":
-			ws.Dir = Reverse
-		default:
-			return Spec{}, fmt.Errorf("%s: unknown dir %q", where, sw.Dir)
-		}
-		if len(sw.Path) > 0 && (sw.Dir != "" || sw.EnterAt != 0 || sw.ExitAt != 0) {
-			return Spec{}, fmt.Errorf("%s: path routes over mesh edges; dir/enter_at/exit_at are chain fields", where)
+		var err error
+		if ws.Dir, err = compileDir(where, sw.Dir); err != nil {
+			return Spec{}, err
 		}
 		kind, file := "", ""
 		if sw.Arrival != nil {
@@ -920,16 +903,14 @@ func (sc *Scenario) Compile() (Spec, error) {
 			return Spec{}, fmt.Errorf("%s: file is a replay-arrival field", where)
 		}
 		switch kind {
-		case "", "poisson":
+		case "", "poisson", "deterministic":
 			if sw.PerS <= 0 {
 				return Spec{}, fmt.Errorf("%s: needs per_s > 0", where)
 			}
 			ws.Arrival = app.Poisson{PerSec: sw.PerS}
-		case "deterministic":
-			if sw.PerS <= 0 {
-				return Spec{}, fmt.Errorf("%s: needs per_s > 0", where)
+			if kind == "deterministic" {
+				ws.Arrival = app.Deterministic{Gap: ck.s(1 / sw.PerS)}
 			}
-			ws.Arrival = app.Deterministic{Gap: sim.FromSeconds(1 / sw.PerS)}
 		case "replay":
 			// The log carries both the arrival instants and the transfer
 			// sizes, so the synthetic-process knobs must be absent.
@@ -955,131 +936,73 @@ func (sc *Scenario) Compile() (Spec, error) {
 			return Spec{}, fmt.Errorf("%s: unknown arrival %q (want poisson, deterministic or replay)", where, kind)
 		}
 		if ws.Sizes == nil {
-			sizes, err := sw.Size.compile(where + ".size")
-			if err != nil {
+			if ws.Sizes, err = sw.Size.compile(where + ".size"); err != nil {
 				return Spec{}, err
 			}
-			ws.Sizes = sizes
 		}
 		spec.Workloads = append(spec.Workloads, ws)
 	}
 	for i := range sc.Events {
 		se := &sc.Events[i]
-		where := fmt.Sprintf("scenario: events[%d]", i)
-		if se.AtS < 0 {
-			return Spec{}, fmt.Errorf("%s: negative at_s", where)
-		}
-		switch se.Kind {
-		case EventReroute, EventSetRate, EventSetDelay, EventLinkDown, EventLinkUp,
-			EventAttack, EventClearAttack:
-		default:
-			return Spec{}, fmt.Errorf("%s: unknown event kind %q", where, se.Kind)
-		}
-		var attack *topo.Attack
-		if se.Attack != nil {
-			a, err := se.Attack.compile(where + ".attack")
-			if err != nil {
-				return Spec{}, err
-			}
-			attack = a
-		}
-		// Kind-specific field validation (edge names, flow indices, route
-		// shapes) happens against the compiled graph in scheduleEvents;
-		// here only the clause shape is checked.
-		spec.Events = append(spec.Events, EventSpec{
-			At:       sim.FromSeconds(se.AtS),
+		ev := EventSpec{
+			At:       ck.s(se.AtS),
 			Kind:     se.Kind,
 			Flow:     se.Flow,
 			Ack:      se.Ack,
 			Path:     se.Path,
 			Edge:     se.Edge,
 			RateMbps: se.RateMbps,
-			Delay:    ms(se.DelayMs),
-			Attack:   attack,
-		})
+			Delay:    ck.ms(se.DelayMs),
+		}
+		if se.Attack != nil {
+			var err error
+			if ev.Attack, err = se.Attack.compile(&ck, fmt.Sprintf("scenario: events[%d].attack", i)); err != nil {
+				return Spec{}, err
+			}
+		}
+		spec.Events = append(spec.Events, ev)
 	}
-	if sc.Routing != nil {
-		sr := sc.Routing
-		if sr.RecomputeMs < 0 {
-			return Spec{}, fmt.Errorf("scenario: routing: negative recompute_ms")
-		}
-		if sr.DrainMs < 0 {
-			return Spec{}, fmt.Errorf("scenario: routing: negative drain_ms")
-		}
+	if sr := sc.Routing; sr != nil {
 		spec.Routing = &RoutingSpec{
 			Policy:           sr.Policy,
 			K:                sr.K,
-			RecomputeLatency: ms(sr.RecomputeMs),
-			Drain:            ms(sr.DrainMs),
+			RecomputeLatency: ck.ms(sr.RecomputeMs),
+			Drain:            ck.ms(sr.DrainMs),
 			Flows:            sr.Flows,
 		}
-		// Fail the remaining clause checks (policy name, K misuse, flow
-		// indices) at compile time, not first run.
-		if err := validateRouting(&spec); err != nil {
-			return Spec{}, err
-		}
 	}
-	if len(sc.Background) > 0 {
-		// Edge names are known at compile time: mesh edge names, or the
-		// chain links' canonical names.
-		known := make(map[string]bool, len(sc.Links)+len(sc.ReverseLinks)+len(sc.Edges))
-		for _, name := range chainNames(Forward, len(sc.Links)) {
-			known[name] = true
-		}
-		for _, name := range chainNames(Reverse, len(sc.ReverseLinks)) {
-			known[name] = true
-		}
-		for i := range sc.Edges {
-			known[sc.Edges[i].Name] = true
-		}
-		seen := make(map[string]bool, len(sc.Background))
-		for i := range sc.Background {
-			sb := &sc.Background[i]
-			where := fmt.Sprintf("scenario: background[%d]", i)
-			if sb.Edge == "" {
-				return Spec{}, fmt.Errorf("%s: missing edge", where)
-			}
-			if !known[sb.Edge] {
-				return Spec{}, fmt.Errorf("%s: unknown edge %q", where, sb.Edge)
-			}
-			if seen[sb.Edge] {
-				return Spec{}, fmt.Errorf("%s: edge %q already carries an aggregate", where, sb.Edge)
-			}
-			seen[sb.Edge] = true
-			bs := BackgroundSpec{
-				Edge:     sb.Edge,
-				Kind:     sb.Kind,
-				Flows:    sb.Flows,
-				RateMbps: sb.RateMbps,
-				Ramp:     sim.FromSeconds(sb.RampS),
-				On:       sim.FromSeconds(sb.OnS),
-				Off:      sim.FromSeconds(sb.OffS),
-				Start:    sim.FromSeconds(sb.StartS),
-				Stop:     sim.FromSeconds(sb.StopS),
-				Step:     ms(sb.StepMs),
-				RTT:      ms(sb.RTTms),
-			}
-			// Validate the aggregate parameters (kind, rate, schedule) at
-			// compile time, not first run; fluid owns the rules.
-			if _, err := fluid.NewAggregate(bs.config(&spec)); err != nil {
-				return Spec{}, fmt.Errorf("%s: %v", where, err)
-			}
-			spec.Background = append(spec.Background, bs)
-		}
+	for i := range sc.Background {
+		sb := &sc.Background[i]
+		spec.Background = append(spec.Background, BackgroundSpec{
+			Edge:     sb.Edge,
+			Kind:     sb.Kind,
+			Flows:    sb.Flows,
+			RateMbps: sb.RateMbps,
+			Ramp:     ck.s(sb.RampS),
+			On:       ck.s(sb.OnS),
+			Off:      ck.s(sb.OffS),
+			Start:    ck.s(sb.StartS),
+			Stop:     ck.s(sb.StopS),
+			Step:     ck.ms(sb.StepMs),
+			RTT:      ck.ms(sb.RTTms),
+		})
+	}
+	if ck.err != nil {
+		return Spec{}, ck.err
+	}
+	if err := Check(spec); err != nil {
+		return Spec{}, err
 	}
 	return spec, nil
 }
 
-// RunScenario loads, compiles and runs a scenario file, returning the
-// result and the pooled delay recorder.
-func RunScenario(path string) (*Result, *metrics.DelayRecorder, error) {
-	sc, err := LoadScenario(path)
-	if err != nil {
-		return nil, nil, err
+// compileDir parses a flow's or workload's dir enum.
+func compileDir(where, dir string) (Direction, error) {
+	switch dir {
+	case "", "forward":
+		return Forward, nil
+	case "reverse":
+		return Reverse, nil
 	}
-	spec, err := sc.Compile()
-	if err != nil {
-		return nil, nil, err
-	}
-	return Run(spec)
+	return 0, fmt.Errorf("%s: unknown dir %q (want forward or reverse)", where, dir)
 }

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"abc/internal/app"
 	"abc/internal/cc"
@@ -92,6 +93,32 @@ func TestScenarioMeshFieldValidation(t *testing.T) {
 		{"wire on chain link",
 			`{"links":[{"kind":"wire","delay_ms":5}],"flows":[{"scheme":"ABC"}]}`,
 			"mesh edge kind"},
+		// A period that is positive as a float and 0 ns on the clock used to
+		// panic inside Compile (trace.Steps dividing by it).
+		{"step_ms rounds to 0 ns",
+			`{"links":[{"steps_mbps":[8,4],"step_ms":1e-9}],"flows":[{"scheme":"ABC"}]}`,
+			"step_ms must be at least 1 ns"},
+		{"square_half_ms rounds to 0 ns",
+			`{"links":[{"square_high_mbps":8,"square_low_mbps":4,"square_half_ms":1e-9}],"flows":[{"scheme":"ABC"}]}`,
+			"square_half_ms must be at least 1 ns"},
+		{"synthetic trace of a gigabyte",
+			`{"links":[{"steps_mbps":[1e6],"step_ms":1e6}],"flows":[{"scheme":"ABC"}]}`,
+			"one loop of the trace at most"},
+		// Silent acceptances: each of these ran, as something else.
+		{"loss above one", `{"links":[{"rate_mbps":8,"loss":7}],"flows":[{"scheme":"ABC"}]}`, "not a probability"},
+		{"negative loss", `{"links":[{"rate_mbps":8,"loss":-1}],"flows":[{"scheme":"ABC"}]}`, "not a probability"},
+		{"negative delay_ms", `{"links":[{"rate_mbps":8,"delay_ms":-5}],"flows":[{"scheme":"ABC"}]}`, "negative Delay"},
+		{"negative buffer", `{"links":[{"rate_mbps":8,"qdisc":{"buffer":-4}}],"flows":[{"scheme":"ABC"}]}`, "negative Qdisc.Buffer"},
+		{"duration past the clock", `{"duration_s":1e300,"links":[{"rate_mbps":8}],"flows":[{"scheme":"ABC"}]}`, "does not fit the clock"},
+		// Errors Run always raised and Compile did not.
+		{"lie on droptail", `{"links":[{"rate_mbps":8,"qdisc":{"kind":"droptail","lie":0.3}}],"flows":[{"scheme":"ABC"}]}`, "ABCLie"},
+		{"background on wifi", `{"links":[{"kind":"wifi"}],"flows":[{"scheme":"ABC"}],
+			"background":[{"edge":"fwd0","kind":"const","rate_mbps":1}]}`, "cannot host a fluid background"},
+		{"enter_at out of range", `{"links":[{"rate_mbps":8}],"flows":[{"scheme":"ABC","enter_at":3}]}`, "EnterAt 3 out of range"},
+		{"kfailover without a backup",
+			`{"nodes":["a","b"],"edges":[{"name":"e","from":"a","to":"b","kind":"rate","rate_mbps":8}],
+			  "flows":[{"scheme":"ABC","path":["e"]}],"routing":{"policy":"kfailover"}}`,
+			"no edge-disjoint backup path"},
 	}
 	for _, tc := range cases {
 		sc, err := ParseScenario([]byte(tc.in))
@@ -168,10 +195,13 @@ func TestScenarioBackgroundClause(t *testing.T) {
 }
 
 // FuzzScenarioJSON throws arbitrary bytes at the scenario parser and
-// compiler: neither may panic, and anything the parser accepts must
-// marshal back to JSON the parser accepts again (the round-trip contract
-// the example files rely on). The seed corpus (testdata/fuzz) includes
-// every example scenario plus malformed fragments.
+// compiler, and runs what they accept: neither may panic, anything the
+// parser accepts must marshal back to JSON the parser accepts again (the
+// round-trip contract the example files rely on), and anything Compile
+// accepts must — when small enough to run in a fuzz iteration — execute
+// 100 ms of simulated time without a panic, a mid-run wiring error or an
+// event-budget overrun. The seed corpus (testdata/fuzz) includes every
+// example scenario plus malformed fragments.
 func FuzzScenarioJSON(f *testing.F) {
 	paths, _ := filepath.Glob("../../examples/scenarios/*.json")
 	for _, path := range paths {
@@ -207,6 +237,13 @@ func FuzzScenarioJSON(f *testing.F) {
 	f.Add([]byte(`{"links":[{"rate_mbps":60}],"flows":[{"scheme":"ABC"}],"background":[{"edge":"fwd0","kind":"poisson","rate_mbps":1}]}`))
 	f.Add([]byte(`{"links":[{"rate_mbps":60}],"flows":[{"scheme":"ABC"}],"background":[{"edge":"fwd0","kind":"const","rate_mbps":-4}]}`))
 	f.Add([]byte(`{"links":[{"rate_mbps":60}],"flows":[{"scheme":"ABC"}],"background":[{"edge":"uplink9","kind":"aimd","flows":100}]}`))
+	// What used to panic, hang or run as something else (all must-reject),
+	// and a k-failover mesh that does have its backup (must run).
+	f.Add([]byte(`{"links":[{"rate_mbps":8}],"flows":[{"scheme":"ABC","start_s":-1}]}`))
+	f.Add([]byte(`{"links":[{"rate_mbps":8}],"workloads":[{"scheme":"Cubic","per_s":1,"start_s":-1,"size":{"kind":"fixed","kb":10}}]}`))
+	f.Add([]byte(`{"links":[{"steps_mbps":[8,4],"step_ms":1e-9}],"flows":[{"scheme":"ABC"}]}`))
+	f.Add([]byte(`{"links":[{"rate_mbps":8}],"workloads":[{"scheme":"Cubic","per_s":1e12,"size":{"kind":"fixed","kb":10}}]}`))
+	f.Add([]byte(`{"nodes":["a","b","c"],"edges":[{"name":"e1","from":"a","to":"b","kind":"rate","rate_mbps":8},{"name":"e2","from":"b","to":"c","kind":"rate","rate_mbps":8},{"name":"e3","from":"a","to":"c","kind":"rate","rate_mbps":8}],"flows":[{"scheme":"ABC","path":["e1","e2"]}],"events":[{"at_s":0.02,"kind":"link_down","edge":"e1"}],"routing":{"policy":"kfailover","k":1,"flows":[0]}}`))
 	f.Add([]byte(`[]`))
 	f.Add([]byte(`{`))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -214,7 +251,8 @@ func FuzzScenarioJSON(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if _, err := sc.Compile(); err != nil {
+		spec, err := sc.Compile()
+		if err != nil {
 			return
 		}
 		out, err := json.Marshal(sc)
@@ -223,6 +261,21 @@ func FuzzScenarioJSON(f *testing.F) {
 		}
 		if _, err := ParseScenario(out); err != nil {
 			t.Fatalf("marshal of accepted scenario re-parses with error: %v", err)
+		}
+		if len(data) > 4<<10 || len(spec.Flows) > 8 || len(spec.Workloads) > 4 ||
+			len(spec.Links)+len(spec.ReverseLinks)+len(spec.Edges) > 16 || spec.Shards > 4 {
+			return
+		}
+		spec.Duration = 100 * sim.Millisecond
+		c, err := compile(spec, nil)
+		if err != nil {
+			t.Fatalf("a scenario Compile accepted does not build at 100 ms: %v", err)
+		}
+		for i, coord := 0, c.g.Coordinator(); i < coord.Shards(); i++ {
+			coord.Shard(i).SetEventLimit(3e6)
+		}
+		if _, _, err := c.run(); err != nil {
+			t.Fatalf("a scenario Compile accepted failed mid-run: %v", err)
 		}
 	})
 }
@@ -297,6 +350,9 @@ func TestScenarioSourceClauses(t *testing.T) {
 		{"abr nonpositive ladder rung", `{"scheme": "Cubic", "app": {"kind": "abr", "ladder_kbps": [-300, 100]}}`},
 		{"abr non-ascending ladder", `{"scheme": "Cubic", "app": {"kind": "abr", "ladder_kbps": [300, 300]}}`},
 		{"rpc negative think_ms", `{"scheme": "Cubic", "app": {"kind": "rpc", "think_ms": -200}}`},
+		{"negative start_s", `{"scheme": "Cubic", "start_s": -1}`},
+		{"stop_s before start_s", `{"scheme": "Cubic", "start_s": 3, "stop_s": 2}`},
+		{"negative rate_mbps", `{"scheme": "Cubic", "rate_mbps": -3}`},
 		{"abr negative chunk_s", `{"scheme": "Cubic", "app": {"kind": "abr", "chunk_s": -2}}`},
 	}
 	for _, tc := range bad {
@@ -373,16 +429,15 @@ func TestScenarioWorkloadClauses(t *testing.T) {
 		{"choice nonpositive size", `{"scheme": "Cubic", "per_s": 1, "size": {"kind": "choice", "sizes_kb": [0]}}`},
 		{"unknown dir", `{"scheme": "Cubic", "per_s": 1, "dir": "sideways", "size": {"kind": "fixed", "kb": 1}}`},
 		{"mesh path on chain", `{"scheme": "Cubic", "per_s": 1, "path": ["x"], "size": {"kind": "fixed", "kb": 1}}`},
+		{"negative start_s", `{"scheme": "Cubic", "per_s": 1, "start_s": -1, "size": {"kind": "fixed", "kb": 1}}`},
+		{"poisson flood", `{"scheme": "Cubic", "per_s": 1e12, "size": {"kind": "fixed", "kb": 1}}`},
+		{"deterministic flood", `{"scheme": "Cubic", "arrival": "deterministic", "per_s": 1e12, "size": {"kind": "fixed", "kb": 1}}`},
 	}
 	for _, tc := range bad {
-		// Some routing errors surface at Run (the chain/mesh compilers own
-		// route validation, as for flows); both layers count as rejection.
-		spec, err := compile(tc.workload)
+		// A flood that compiled would hang the run, so rejection has a deadline.
+		err := within(t, 5*time.Second, func() error { _, err := compile(tc.workload); return err })
 		if err == nil {
-			_, _, err = Run(spec)
-		}
-		if err == nil {
-			t.Errorf("%s: compiled and ran without error", tc.name)
+			t.Errorf("%s: compiled without error", tc.name)
 		}
 	}
 }

@@ -2,8 +2,8 @@
 // (conservative lookahead synchronization; see internal/sim/shard.go),
 // over one shard unless Spec.Shards asks for more, in which case the
 // graph is spread over that many event queues running in parallel. This
-// file owns the spec-level plumbing: which specs may use more than one
-// shard and how a plan becomes a partitioner input.
+// file owns how a plan becomes a partitioner input (which specs may use
+// more than one shard is checkShardable's business, in validate.go).
 //
 // Placement rules the compiler follows:
 //   - A junction lives on the shard the partitioner assigns it
@@ -34,33 +34,6 @@ import (
 	"abc/internal/topo"
 )
 
-// maxShards bounds Spec.Shards to something a machine could plausibly
-// run; beyond this a typo is far more likely than a 128-core box.
-const maxShards = 64
-
-// checkShardable rejects what a spec may not combine with Shards > 1.
-// Both remaining gates are simulator events on shard 0 that act on the
-// whole graph — a workload arrival installs routes and builds endpoints
-// wherever its path leads, the route-computation timer rewrites every
-// junction's table — and both were measured as coordinator-barrier
-// callbacks instead and kept as events: arrivals at barriers cost bench
-// workload flow_churn about 8 % of its speed and changed its event
-// count (21 k fewer events, a different result digest), and the
-// recompute timer at a barrier flipped a same-instant tie that moves the
-// autoroute and flapstorm goldens (mean delay 59.7330 -> 59.7339 ms).
-func checkShardable(spec *Spec) error {
-	if spec.Shards > maxShards {
-		return fmt.Errorf("exp: Shards %d exceeds the maximum %d", spec.Shards, maxShards)
-	}
-	if len(spec.Workloads) > 0 {
-		return fmt.Errorf("exp: Shards > 1 does not support Workloads (mid-run flow spawning is inherently cross-shard); run with Shards 1")
-	}
-	if spec.Routing != nil {
-		return fmt.Errorf("exp: Shards > 1 does not support Routing (route recomputation mutates tables across shards); run with Shards 1")
-	}
-	return nil
-}
-
 // newGraph creates the empty topology graph a plan is built into, over
 // a coordinator of max(1, Spec.Shards) shards. One shard holds every
 // junction and needs no partition. For more, the partitioner sees the
@@ -71,9 +44,6 @@ func checkShardable(spec *Spec) error {
 func newGraph(spec *Spec, p *plan) (*topo.Graph, error) {
 	if spec.Shards <= 1 {
 		return topo.NewSharded(sim.NewCoordinator(spec.Seed, 1), nil), nil
-	}
-	if err := checkShardable(spec); err != nil {
-		return nil, err
 	}
 	pedges := make([]topo.PartEdge, 0, len(p.edges)+len(p.routes))
 	for i := range p.edges {

@@ -84,11 +84,15 @@ func TestShardedPooledPercentilesInvariant(t *testing.T) {
 			Target:     topo.Target{Flows: []int{0}},
 			ExtraDelay: 3 * sim.Millisecond,
 		}
-		res, pooled, err := Run(spec)
+		c, err := compile(spec, nil)
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
-		got := [3]stats{of(pooled), of(&res.adv.victimDelay), of(&res.adv.bystanderDelay)}
+		_, pooled, err := c.run()
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		got := [3]stats{of(pooled), of(&c.adv.victimDelay), of(&c.adv.bystanderDelay)}
 		if shards == 1 {
 			if got[0].count <= 4000 {
 				t.Fatalf("pooled recorder holds %d samples; the run is too short to leave the raw-sample regime", got[0].count)
@@ -423,7 +427,7 @@ func TestScenarioShardsClause(t *testing.T) {
 	bad := []struct {
 		name, in, want string
 	}{
-		{"negative shards", `{"shards": -1, "flows": []}`, "negative shards"},
+		{"negative shards", `{"shards": -1, "flows": []}`, "negative Shards"},
 		{"map without shards", `{"shard_map": {"a": 0}, "flows": []}`, "shards > 1"},
 		{"pin out of range", `{"shards": 2, "shard_map": {"a": 2}, "flows": []}`, "out of range"},
 	}

@@ -9,14 +9,16 @@
 //
 // A Spec has two notations — a chain (Links/ReverseLinks) and a mesh
 // (Nodes/Edges) — and one compiler. Run is the pipeline, one file per
-// stage: spec.go declares the types; lower.go (chain) and mesh.go (mesh)
-// are the front ends, which only validate their notation and translate
-// it into a plan of named junctions, named edges and resolved per-flow
-// edge routes; mesh.go's back end builds the graph from the plan, over
-// the coordinator shard.go creates (one shard, or Shards of them with
-// the plan partitioned); wire.go attaches links, endpoints and
-// receivers; harness.go runs the coordinator and measures. There is one
-// run path: a one-shard run is a coordinator run like any other.
+// stage: spec.go declares the types; validate.go range-checks a Spec
+// before anything is built; lower.go (chain) and mesh.go (mesh) are the
+// front ends, which only validate their notation and translate it into a
+// plan of named junctions, named edges and resolved per-flow edge
+// routes; mesh.go's back end builds the graph from the plan, over the
+// coordinator shard.go creates (one shard, or Shards of them with the
+// plan partitioned); wire.go attaches links, endpoints and receivers;
+// harness.go runs the coordinator and measures. There is one run path —
+// a one-shard run is a coordinator run like any other — and one judge: a
+// Spec is valid iff it builds, so Check is Run stopped before the clock.
 //
 // The runners themselves are catalogued once, in drivers.go: Drivers is
 // the table the CLIs, the report, the golden corpus and the driver test
@@ -81,8 +83,6 @@ type WiFiLinkSpec struct {
 	// Estimate attaches the §4.1 link-rate estimator as the capacity
 	// provider for capacity-aware qdiscs (the ABC deployment).
 	Estimate bool
-	// EstWindow is the estimator's smoothing window (default 40 ms).
-	EstWindow sim.Time
 }
 
 // LinkSpec describes one bottleneck hop of a chain or mesh edge.
@@ -136,7 +136,8 @@ const (
 // FlowSpec describes one flow.
 type FlowSpec struct {
 	Scheme string
-	// Start/Stop bound the flow's lifetime; Stop 0 means run to the end.
+	// Start/Stop bound the flow's lifetime; Stop 0 means run to the end,
+	// and a Stop at or before Start is an error (it would never send).
 	Start, Stop sim.Time
 	// Source is the data source; nil means backlogged.
 	Source cc.Source
@@ -340,23 +341,6 @@ type Result struct {
 	// bytes offered/served/dropped and the mean service share it took
 	// from its edge.
 	Backgrounds []BackgroundResult
-
-	// edgeQ holds the built discipline of every graph edge, by edge id
-	// (nil for wires): the one list the Qdiscs/ReverseQdiscs/EdgeQdiscs
-	// views above are cut from.
-	edgeQ []qdisc.Qdisc
-
-	// adv classifies flows into victim/bystander/attacker and collects
-	// the per-class workload FCTs behind Adversary; nil for honest specs.
-	adv *advCollector
-
-	// bg holds the running couplers so runAndMeasure can collect their
-	// stats after the clock stops.
-	bg []*bgRunner
-
-	// series lists the run's time series with their readers, in the
-	// order they were added; runAndMeasure's observer fills them.
-	series []sampledSeries
 }
 
 // AggTputMbps sums flow throughputs.
@@ -366,21 +350,6 @@ func (r *Result) AggTputMbps() float64 {
 		t += r.Flows[i].TputMbps
 	}
 	return t
-}
-
-// MeanDelayMs averages flow mean delays weighted by sample count.
-func (r *Result) MeanDelayMs() float64 {
-	var sum float64
-	var n int
-	for i := range r.Flows {
-		c := r.Flows[i].Delay.Count()
-		sum += r.Flows[i].Delay.Mean() * float64(c)
-		n += c
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
 }
 
 // Summary condenses a result for scatter/bar figures.

@@ -51,6 +51,10 @@ func (q QdiscSpec) build(scheme string, s *sim.Simulator) (qdisc.Qdisc, error) {
 	return qdisc.Build(bs)
 }
 
+// estWindow is the smoothing window of a Wi-Fi edge's §4.1 link-rate
+// estimator.
+const estWindow = 40 * sim.Millisecond
+
 // linkFactory returns the topo.LinkFactory for one link spec, inferring
 // the link model from whichever of Trace/Rate/Wifi is set when Kind is
 // empty.
@@ -93,10 +97,6 @@ func linkFactory(s *sim.Simulator, ls *LinkSpec, qd qdisc.Qdisc) (topo.LinkFacto
 			cfg := ws.Config
 			var est *wifi.Estimator
 			if ws.Estimate {
-				win := ws.EstWindow
-				if win <= 0 {
-					win = 40 * sim.Millisecond
-				}
 				mb, fs := cfg.MaxBatch, cfg.FrameSize
 				if mb <= 0 {
 					mb = wifi.DefaultLinkConfig().MaxBatch
@@ -104,7 +104,7 @@ func linkFactory(s *sim.Simulator, ls *LinkSpec, qd qdisc.Qdisc) (topo.LinkFacto
 				if fs <= 0 {
 					fs = packet.MTU
 				}
-				est = wifi.NewEstimator(mb, fs, win)
+				est = wifi.NewEstimator(mb, fs, estWindow)
 			}
 			return wifi.NewLink(s, cfg, qd, dst, est), nil
 		}, nil
@@ -176,7 +176,8 @@ func attachFlow(g *topo.Graph, id int, alg cc.Algorithm, route flowRoute, rtt si
 // the time it runs, a flow is just a pair of edge sequences. A receiver
 // writes only its own flow's recorders, whatever shard it runs on;
 // poolDelays builds the run-wide ones from them after the run.
-func wireFlows(g *topo.Graph, spec *Spec, res *Result, routes []flowRoute) error {
+func (c *compiled) wireFlows() error {
+	g, spec, res, routes := c.g, c.spec, c.res, c.p.routes
 	res.Flows = make([]FlowResult, len(spec.Flows))
 	for i := range spec.Flows {
 		fs := &spec.Flows[i]
@@ -241,7 +242,7 @@ func wireFlows(g *topo.Graph, spec *Spec, res *Result, routes []flowRoute) error
 				counter.Add(p.Size)
 				prev(now, p)
 			}
-			fr.Tput = res.sampled(func(now sim.Time) float64 {
+			fr.Tput = c.sampled(func(now sim.Time) float64 {
 				return counter.SampleBps(now) / 1e6
 			})
 		}

@@ -147,20 +147,20 @@ type workloadRunner struct {
 }
 
 // startWorkloads validates every workload and schedules its arrival
-// process. Spawned flows get ids after the static flows'. The returned
-// runners must be finished (finishWorkloads) after the run to surface
-// mid-run wiring errors and final active counts.
-func startWorkloads(g *topo.Graph, spec *Spec, res *Result, routes []flowRoute) ([]*workloadRunner, error) {
+// process. Spawned flows get ids after the static flows'. The runners
+// must be finished (finishWorkloads) after the run to surface mid-run
+// wiring errors and final active counts.
+func (c *compiled) startWorkloads() error {
+	g, spec, res, routes := c.g, c.spec, c.res, c.p.wroutes
 	if len(spec.Workloads) == 0 {
-		return nil, nil
+		return nil
 	}
 	res.Workloads = make([]WorkloadResult, len(spec.Workloads))
 	nextID := len(spec.Flows)
-	runners := make([]*workloadRunner, 0, len(spec.Workloads))
 	for i := range spec.Workloads {
 		ws := &spec.Workloads[i]
 		if ws.Arrival == nil {
-			return nil, fmt.Errorf("exp: workload %d: missing Arrival process", i)
+			return fmt.Errorf("exp: workload %d: missing Arrival process", i)
 		}
 		// Stateful arrival processes (replays) rewind so the same Spec can
 		// drive several runs.
@@ -168,10 +168,10 @@ func startWorkloads(g *topo.Graph, spec *Spec, res *Result, routes []flowRoute) 
 			rst.Reset()
 		}
 		if ws.Sizes == nil {
-			return nil, fmt.Errorf("exp: workload %d: missing Sizes distribution", i)
+			return fmt.Errorf("exp: workload %d: missing Sizes distribution", i)
 		}
 		if _, err := cc.New(ws.Scheme); err != nil {
-			return nil, fmt.Errorf("exp: workload %d: %v", i, err)
+			return fmt.Errorf("exp: workload %d: %v", i, err)
 		}
 		wr := &res.Workloads[i]
 		wr.Class = ws.Class
@@ -184,12 +184,12 @@ func startWorkloads(g *topo.Graph, spec *Spec, res *Result, routes []flowRoute) 
 		}
 		r := &workloadRunner{
 			s: g.S, g: g, spec: spec, ws: ws, wr: wr,
-			adv: res.adv, route: routes[i], nextID: &nextID, stopAt: stop,
+			adv: c.adv, route: routes[i], nextID: &nextID, stopAt: stop,
 		}
-		runners = append(runners, r)
+		c.workloads = append(c.workloads, r)
 		g.S.At(ws.Start, r.schedule)
 	}
-	return runners, nil
+	return nil
 }
 
 // finishWorkloads records end-of-run state and surfaces the first

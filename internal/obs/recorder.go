@@ -208,9 +208,6 @@ func (r *Recorder) Enabled(c Cat) bool {
 // SetMask replaces the enabled-category bitmask.
 func (r *Recorder) SetMask(mask Cat) { r.mask.Store(uint32(mask)) }
 
-// Mask returns the current enabled-category bitmask.
-func (r *Recorder) Mask() Cat { return Cat(r.mask.Load()) }
-
 // Emit records one event. It allocates nothing and is safe for
 // concurrent use. Callers are expected to have checked Enabled first;
 // Emit re-checks the mask so racing SetMask calls stay consistent.
