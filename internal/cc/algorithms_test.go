@@ -1,6 +1,7 @@
 package cc
 
 import (
+	"math/rand"
 	"testing"
 
 	"abc/internal/packet"
@@ -144,6 +145,66 @@ func TestBBRTracksDeliveryRate(t *testing.T) {
 	}
 	if b.CwndPkts() < 4 {
 		t.Errorf("cwnd %v below floor", b.CwndPkts())
+	}
+}
+
+// scanMax is the windowed max maxFilter replaced: keep every sample, cut
+// the expired prefix at each add, scan the rest at each query.
+type scanMax struct {
+	window  sim.Time
+	samples []bwSample
+}
+
+func (f *scanMax) add(now sim.Time, v float64) {
+	f.samples = append(f.samples, bwSample{now, v})
+	cut := 0
+	for cut < len(f.samples) && f.samples[cut].at < now-f.window {
+		cut++
+	}
+	f.samples = f.samples[cut:]
+}
+
+func (f *scanMax) max() float64 {
+	var m float64
+	for _, s := range f.samples {
+		if s.bps > m {
+			m = s.bps
+		}
+	}
+	return m
+}
+
+// TestMaxFilterMatchesScan: the monotonic deque returns exactly what the
+// full scan did, on random streams full of tied values, repeated
+// timestamps, zeros and gaps longer than the window.
+func TestMaxFilterMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for stream := 0; stream < 200; stream++ {
+		window := sim.Time(1+rng.Intn(50)) * sim.Millisecond
+		f, ref := maxFilter{window: window}, scanMax{window: window}
+		now := sim.Time(0)
+		for i := 0; i < 2000; i++ {
+			switch rng.Intn(4) {
+			case 0: // same instant
+			case 1:
+				now += sim.Time(rng.Intn(3)) * window
+			default:
+				now += sim.Time(rng.Int63n(int64(window)))
+			}
+			v := float64(rng.Intn(8)) // few values: ties are the norm
+			if rng.Intn(3) == 0 {
+				v = rng.Float64() * 8
+			}
+			f.add(now, v)
+			ref.add(now, v)
+			if got, want := f.max(), ref.max(); got != want {
+				t.Fatalf("stream %d, sample %d at %v: max %v, scan %v", stream, i, now, got, want)
+			}
+		}
+	}
+	var empty maxFilter
+	if empty.max() != 0 {
+		t.Error("empty filter max != 0")
 	}
 }
 

@@ -17,29 +17,41 @@ type bwSample struct {
 	bps float64
 }
 
-// maxFilter keeps the maximum over a sliding time window.
+// maxFilter keeps the maximum of non-negative samples, added at
+// non-decreasing times, over a sliding time window. It is a monotonic
+// deque: samples[head:] holds, oldest first, only the samples no later
+// one is at least as large as, so their values strictly decrease and the
+// front is the window's maximum. A sample is evicted once it is older
+// than the window at an add, as when every sample was kept and scanned.
 type maxFilter struct {
 	window  sim.Time
 	samples []bwSample
+	head    int
 }
 
 func (f *maxFilter) add(now sim.Time, v float64) {
-	f.samples = append(f.samples, bwSample{now, v})
-	cut := 0
-	for cut < len(f.samples) && f.samples[cut].at < now-f.window {
-		cut++
+	n := len(f.samples)
+	for n > f.head && f.samples[n-1].bps <= v {
+		n--
 	}
-	f.samples = f.samples[cut:]
+	f.samples = f.samples[:n]
+	if n == cap(f.samples) && f.head >= n/2 {
+		// Reuse the array: the dead prefix is at least half of it.
+		n = copy(f.samples, f.samples[f.head:])
+		f.samples, f.head = f.samples[:n], 0
+	}
+	f.samples = append(f.samples, bwSample{now, v})
+	for f.head < len(f.samples) && f.samples[f.head].at < now-f.window {
+		f.head++
+	}
 }
 
+// max returns the largest sample in the window, or 0 with none.
 func (f *maxFilter) max() float64 {
-	var m float64
-	for _, s := range f.samples {
-		if s.bps > m {
-			m = s.bps
-		}
+	if f.head == len(f.samples) {
+		return 0
 	}
-	return m
+	return f.samples[f.head].bps
 }
 
 // BBR is the simplified BBR v1 model.

@@ -250,11 +250,20 @@ func TestEndpointStopHaltsTraffic(t *testing.T) {
 	pipe.ep = ep
 	ep.Start()
 	s.RunUntil(500 * sim.Millisecond)
-	sent := ep.SentPackets
+	sent, inflight := ep.SentPackets, ep.Inflight()
 	ep.Stop()
 	s.RunUntil(2 * sim.Second)
 	if ep.SentPackets != sent {
 		t.Errorf("sent %d more packets after Stop", ep.SentPackets-sent)
+	}
+	// The ACKs of what was in flight reach a stopped endpoint; so does a
+	// data packet, which no endpoint takes.
+	if ep.LateAcks != int64(inflight) || inflight == 0 {
+		t.Errorf("LateAcks = %d, want the %d packets in flight at Stop", ep.LateAcks, inflight)
+	}
+	ep.Recv(packet.NewData(0, 0, packet.MTU, s.Now()))
+	if ep.Misrouted != 1 || ep.LateAcks != int64(inflight) {
+		t.Errorf("Misrouted = %d, LateAcks = %d after a stray data packet", ep.Misrouted, ep.LateAcks)
 	}
 }
 

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"runtime"
 	"testing"
 
 	"abc/internal/app"
@@ -385,5 +386,95 @@ func TestShortFlowEventBudget(t *testing.T) {
 	t.Logf("%d events, %.0f delivered packets: %.2f events a packet", res.Graph.S.Executed(), pkts, perPkt)
 	if perPkt > 3.6 {
 		t.Errorf("%.2f events per delivered packet, want at most 3.6", perPkt)
+	}
+}
+
+// churnSpec is bench workload flow_churn's shape: one 40 Mbit/s DropTail
+// link under two open-loop Poisson processes of 20 KiB flows, Cubic at
+// 100/s and ABC at 77/s (about 72 % load).
+func churnSpec(dur, stop sim.Time) Spec {
+	return Spec{
+		Seed:     1,
+		Duration: dur,
+		Warmup:   dur / 10,
+		Links:    []LinkSpec{{Kind: "rate", Rate: netem.ConstRate(40e6), Qdisc: QdiscSpec{Kind: "droptail", Buffer: 250}}},
+		Workloads: []WorkloadSpec{
+			{Scheme: "Cubic", Arrival: app.Poisson{PerSec: 100}, Sizes: app.FixedSize{Bytes: 20 << 10}, Stop: stop},
+			{Scheme: "ABC", Arrival: app.Poisson{PerSec: 77}, Sizes: app.FixedSize{Bytes: 20 << 10}, Stop: stop},
+		},
+	}
+}
+
+// TestFinishedFlowsLeaveNothing: a completed spawned flow is unrouted
+// with its last packet, so what a run retains does not grow with the
+// flows it churned through. The parent of this test kept every finished
+// flow's routes, tails, receiver and endpoint reachable: ≈ 1.46 KB a
+// flow.
+func TestFinishedFlowsLeaveNothing(t *testing.T) {
+	// Churn for 1.5 s, then four 100 MB flows that cannot finish by 2 s:
+	// ids below the held workload's are all completed, the rest active.
+	spec := churnSpec(2*sim.Second, 1500*sim.Millisecond)
+	spec.Workloads = append(spec.Workloads, WorkloadSpec{
+		Scheme: "Cubic", Class: "held", Start: 1500 * sim.Millisecond,
+		Arrival: app.Deterministic{Gap: 100 * sim.Millisecond}, Sizes: app.FixedSize{Bytes: 100 << 20},
+	})
+	res, _, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	churned := 0
+	for _, w := range res.Workloads[:2] {
+		if w.Active != 0 || w.Completed != w.Spawned {
+			t.Fatalf("%s: %d of %d flows still active; the churn must finish before the held flows start", w.Class, w.Active, w.Spawned)
+		}
+		churned += w.Spawned
+	}
+	held := res.Workloads[2]
+	if held.Active != held.Spawned || held.Spawned == 0 {
+		t.Fatalf("held: %d of %d flows active, want all of at least one", held.Active, held.Spawned)
+	}
+	wrong, first := 0, -1
+	for id := 0; id < churned+held.Spawned; id++ {
+		for _, ack := range []bool{false, true} {
+			if _, ok := res.Graph.RouteOf(id, ack); ok != (id >= churned) {
+				wrong++
+				if first < 0 {
+					first = id
+				}
+			}
+		}
+	}
+	if wrong > 0 {
+		t.Errorf("%d route directions of %d flows disagree with completion (first: flow %d; ids below %d completed)",
+			wrong, churned+held.Spawned, first, churned)
+	}
+	if res.Drops != 0 {
+		t.Errorf("%d unrouted drops: a flow was torn down with packets in flight", res.Drops)
+	}
+
+	// Retained heap, with the Result held, between a ≈ 400-flow and a
+	// ≈ 4000-flow run.
+	retained := func(dur sim.Time) (uint64, int) {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		res, _, err := Run(churnSpec(dur, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		spawned := res.Workloads[0].Spawned + res.Workloads[1].Spawned
+		runtime.KeepAlive(res)
+		return after.HeapAlloc - min(after.HeapAlloc, before.HeapAlloc), spawned
+	}
+	small, n1 := retained(2260 * sim.Millisecond)
+	large, n2 := retained(22600 * sim.Millisecond)
+	perFlow := (float64(large) - float64(small)) / float64(n2-n1)
+	t.Logf("retained %d B after %d flows, %d B after %d: %.0f B per extra flow", small, n1, large, n2, perFlow)
+	if perFlow >= 256 {
+		t.Errorf("retained heap grows by %.0f B per finished flow, want < 256", perFlow)
 	}
 }

@@ -180,6 +180,11 @@ func validateRouting(spec *Spec) error {
 // count (21 k fewer events, a different result digest), and the
 // recompute timer at a barrier flipped a same-instant tie that moves the
 // autoroute and flapstorm goldens (mean delay 59.7330 -> 59.7339 ms).
+// The Workloads gate also covers teardown: a spawned flow is unrouted
+// from the Release of its last packet, counted by a plain packet.Tally
+// and acted on by topo.Graph.UnrouteFlow, both single-shard, so a
+// cross-shard spawn must first make the tally shard-safe and the unroute
+// a barrier-time table edit.
 func checkShardable(spec *Spec) error {
 	if spec.Shards > maxShards {
 		return fmt.Errorf("exp: Shards %d exceeds the maximum %d", spec.Shards, maxShards)

@@ -44,9 +44,10 @@ type WorkloadSpec struct {
 	// the cap are rejected and counted (default 1024). The cap bounds
 	// the *live* simulation load under overload (endpoints sending,
 	// retransmission timers, queue occupancy) where an open-loop process
-	// outpaces the link indefinitely; per-flow route entries on the
-	// graph persist for the run, so total footprint still grows with
-	// Spawned, just without unbounded concurrent work.
+	// outpaces the link indefinitely. A completed flow is unrouted with
+	// its last packet and leaves only a class and a tail slot per
+	// direction on the graph (≈ 40 B), so footprint follows the active
+	// flows, not Spawned.
 	MaxActive int
 	// RefMbps, when > 0, additionally reports each FCT as a slowdown
 	// against an ideal same-size transfer at this rate plus one RTT.
@@ -266,11 +267,21 @@ func (r *workloadRunner) spawn(now sim.Time) {
 		wr.QDelay.Add(p.QueueDelay)
 	}
 	ep.Src = cc.NewFixed(size)
+	tally := &packet.Tally{}
+	ep.Tally = tally
 	r.active++
 	r.wr.Spawned++
 	measured := now >= warm
 	ep.OnComplete = func(done sim.Time) {
 		ep.Stop()
+		// The flow's own ACKs or spurious retransmissions may still be in
+		// flight: its routes, and with them everything of the flow the
+		// graph references, go with its last packet.
+		tally.Finish(func() {
+			if err := r.g.UnrouteFlow(id); err != nil {
+				r.fail(err)
+			}
+		})
 		r.active--
 		r.wr.Completed++
 		if !measured {

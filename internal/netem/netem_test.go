@@ -253,6 +253,9 @@ func TestReceiverIgnoresWrongFlowAndAcks(t *testing.T) {
 	if count != 0 || r.Delivered != 0 {
 		t.Errorf("receiver accepted foreign traffic: count=%d", count)
 	}
+	if r.Misrouted != 2 {
+		t.Errorf("Misrouted = %d, want 2", r.Misrouted)
+	}
 }
 
 func TestTraceLinkHighRateMultiOpportunity(t *testing.T) {

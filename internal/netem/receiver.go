@@ -29,6 +29,9 @@ type Receiver struct {
 	Delivered int64
 	// DeliveredBytes counts payload bytes received.
 	DeliveredBytes int64
+	// Misrouted counts arrivals that were not this flow's data packets:
+	// the receiver releases them unread.
+	Misrouted int64
 }
 
 // NewReceiver returns a receiver for the flow that sends ACKs to out.
@@ -41,6 +44,7 @@ func (r *Receiver) Recv(p *packet.Packet) {
 	if p.IsAck || p.Flow != r.Flow {
 		// Misrouted traffic still ends here: the receiver is the last
 		// holder, so the ownership contract says it releases.
+		r.Misrouted++
 		p.Release()
 		return
 	}

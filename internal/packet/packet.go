@@ -133,6 +133,59 @@ type Packet struct {
 	// AppLimited marks packets from application-limited flows (used only
 	// for reporting).
 	AppLimited bool
+
+	// tally, when set, counts this packet among its flow's live packets
+	// (see Tally); NewAck passes it on and Release gives it back.
+	tally *Tally
+}
+
+// Tally counts one flow's live packets — every data packet its sender
+// attaches and every ACK NewAck builds from one, each until it is
+// released — and runs a callback once the flow is finished and the
+// count is back at zero: the instant none of the flow's packets is left
+// anywhere (queued, on a wire, inside an impairment, in link service),
+// so whatever only that flow used can be torn down without any later
+// event reaching it. Live is the flow's exact in-flight term.
+//
+// A Tally is a plain counter: every packet it counts must be created
+// and released on one simulator goroutine. Workload-spawned flows, the
+// only ones that carry one, are single-shard for that reason (exp's
+// checkShardable); spawning flows across shards (ROADMAP item 6) must
+// make it shard-safe first.
+type Tally struct {
+	live    int
+	onDrain func()
+}
+
+// Attach counts p, which must not be counted yet, as one of the flow's
+// live packets until p is released.
+func (t *Tally) Attach(p *Packet) {
+	p.tally = t
+	t.live++
+}
+
+// Live reports how many of the flow's packets have not been released.
+func (t *Tally) Live() int { return t.live }
+
+// Finish, called once, declares that the flow will attach no more
+// packets of its own. onDrain runs exactly once: now if no packet is
+// live, otherwise from the Release of the last one.
+func (t *Tally) Finish(onDrain func()) {
+	if t.live == 0 {
+		onDrain()
+		return
+	}
+	t.onDrain = onDrain
+}
+
+// release uncounts one packet and drains a finished flow at zero.
+func (t *Tally) release() {
+	t.live--
+	if t.live == 0 && t.onDrain != nil {
+		drain := t.onDrain
+		t.onDrain = nil
+		drain()
+	}
 }
 
 // XCPHeader is the congestion header carried by XCP/XCPw packets.
@@ -168,9 +221,15 @@ func Get() *Packet { return pool.Get().(*Packet) }
 
 // Release zeroes p and returns it to the free list. The caller must not
 // touch p afterwards. Test sinks that retain packets simply skip Release.
+// A tallied packet is uncounted last, so a drain callback it triggers
+// runs with p already back on the free list.
 func (p *Packet) Release() {
+	t := p.tally
 	*p = Packet{}
 	pool.Put(p)
+	if t != nil {
+		t.release()
+	}
 }
 
 // NewData returns a data packet of the given flow, sequence and size,
@@ -183,10 +242,13 @@ func NewData(flow int, seq int64, size int, now sim.Time) *Packet {
 
 // NewAck builds the acknowledgement for data packet p, carrying the
 // receiver's cumulative ack and echoing ABC/ECN signals. The ACK is drawn
-// from the free list; p itself is left untouched (the caller still owns
-// and eventually releases it).
+// from the free list and counted by p's Tally, if any; p itself is left
+// untouched (the caller still owns and eventually releases it).
 func NewAck(p *Packet, cumAck int64, now sim.Time) *Packet {
 	a := Get()
+	if p.tally != nil {
+		p.tally.Attach(a)
+	}
 	a.Flow = p.Flow
 	a.Seq = p.Seq
 	a.CumAck = cumAck

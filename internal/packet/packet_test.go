@@ -173,6 +173,59 @@ func TestPoolRecyclesZeroed(t *testing.T) {
 	q.Release()
 }
 
+// TestTallyDrainsOnce: a tallied data packet and the ACK built from it
+// are both counted until released; the drain callback runs only after
+// Finish and at zero, exactly once, and untallied packets never touch a
+// tally.
+func TestTallyDrainsOnce(t *testing.T) {
+	var tl Tally
+	drains := 0
+	d1, d2 := NewData(1, 0, MTU, 0), NewData(1, 1, MTU, 0)
+	tl.Attach(d1)
+	tl.Attach(d2)
+	a1 := NewAck(d1, 1, 0)
+	if tl.Live() != 3 {
+		t.Fatalf("live = %d after two data packets and one ACK, want 3", tl.Live())
+	}
+	stray := NewData(2, 0, MTU, 0)
+	strayAck := NewAck(stray, 1, 0)
+	stray.Release()
+	strayAck.Release()
+	d1.Release()
+	d2.Release()
+	if tl.Live() != 1 {
+		t.Fatalf("live = %d, want 1 (untallied releases must not count)", tl.Live())
+	}
+	tl.Finish(func() { drains++ })
+	if drains != 0 {
+		t.Fatal("drained at Finish with an ACK still live")
+	}
+	a1.Release()
+	if drains != 1 || tl.Live() != 0 {
+		t.Fatalf("drains = %d, live = %d after the last release; want 1, 0", drains, tl.Live())
+	}
+	// Nothing brings it back, not even one more counted packet.
+	late := NewData(1, 2, MTU, 0)
+	tl.Attach(late)
+	late.Release()
+	if drains != 1 {
+		t.Fatalf("drained %d times, want exactly once", drains)
+	}
+
+	// Finishing an already idle flow drains on the spot.
+	var idle Tally
+	idle.Finish(func() { drains++ })
+	if drains != 2 {
+		t.Fatal("Finish at zero did not drain immediately")
+	}
+	// Untallied packets stay untallied, through ACKs and the free list.
+	p := NewData(3, 0, MTU, 0)
+	if a := NewAck(p, 1, 0); a.tally != nil {
+		t.Error("ACK of an untallied packet carries a tally")
+	}
+	p.Release()
+}
+
 func TestNewAckLeavesDataPacketIntact(t *testing.T) {
 	p := NewData(1, 9, MTU, 100)
 	p.ECN = Brake

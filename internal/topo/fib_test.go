@@ -3,6 +3,8 @@ package topo
 import (
 	"testing"
 
+	"abc/internal/cc"
+	"abc/internal/netem"
 	"abc/internal/packet"
 	"abc/internal/sim"
 )
@@ -91,6 +93,147 @@ func TestFIBClassRecycling(t *testing.T) {
 	}
 	if len(g.freeClasses) != 1 || g.freeClasses[0] != second {
 		t.Fatalf("freeClasses = %v, want [%d]", g.freeClasses, second)
+	}
+}
+
+// TestUnrouteFlowInvertsRouteFlow: unrouting one of two flows sharing a
+// class keeps the class's entries and the other flow forwarding;
+// unrouting the second leaves no table entry and no registry entry,
+// recycles the class id, and turns a straggler into a counted unrouted
+// drop. Sharded graphs refuse.
+func TestUnrouteFlowInvertsRouteFlow(t *testing.T) {
+	s := sim.New(1)
+	g, e1, e2, e3, e4 := twoPathGraph(t, s)
+	sink1, sink2 := &packet.Sink{}, &packet.Sink{}
+	entry, err := g.RouteFlow(1, false, []int{e1, e2}, 5*sim.Millisecond, sink1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.RouteFlow(2, false, []int{e1, e2}, 0, sink2); err != nil {
+		t.Fatal(err)
+	}
+	shared := g.classOf[0][1]
+	if err := g.UnrouteFlow(1); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := g.RouteOf(1, false); ok {
+		t.Error("RouteOf(1) still reports a route")
+	}
+	if g.classOf[0][1] != -1 || g.tails[0][1] != nil {
+		t.Errorf("flow 1 slots = class %d, tail %v; want -1, nil", g.classOf[0][1], g.tails[0][1])
+	}
+	if n := len(g.Node(1).table); n != 1 || g.classes[shared].refs != 1 {
+		t.Fatalf("node b has %d entries, shared class refs %d; want 1, 1", n, g.classes[shared].refs)
+	}
+	send(s, entry, 2, 10)
+	s.RunUntil(sim.Second)
+	if sink2.Count != 10 || g.UnroutedDrops() != 0 {
+		t.Fatalf("flow 2 delivered %d/10 with %d unrouted drops after its class-mate left", sink2.Count, g.UnroutedDrops())
+	}
+
+	if err := g.UnrouteFlow(2); err != nil {
+		t.Fatal(err)
+	}
+	for id := 0; id < 4; id++ {
+		if n := len(g.Node(id).table); n != 0 {
+			t.Errorf("node %d keeps %d table entries with no flow routed", id, n)
+		}
+	}
+	if len(g.routes) != 0 || len(g.classByRoute) != 0 {
+		t.Errorf("registry keeps %d routes, %d class keys", len(g.routes), len(g.classByRoute))
+	}
+	if _, err := g.RouteFlow(3, false, []int{e3, e4}, 0, &packet.Sink{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := g.classOf[0][3]; got != shared || len(g.classes) != 1 {
+		t.Errorf("new route got class %d of %d, want recycled id %d of 1", got, len(g.classes), shared)
+	}
+	// A straggler of an unrouted flow is dropped and counted at the first
+	// junction it reaches.
+	g.Node(0).Recv(packet.NewData(1, 99, packet.MTU, s.Now()))
+	if d := g.UnroutedDrops(); d != 1 || sink1.Count != 0 {
+		t.Errorf("straggler: %d unrouted drops, %d delivered; want 1, 0", d, sink1.Count)
+	}
+	if err := g.UnrouteFlow(1); err == nil {
+		t.Error("unrouting a flow twice succeeded")
+	}
+
+	c := sim.NewCoordinator(1, 2)
+	sg := NewSharded(c, []int{0, 1})
+	a, b := sg.AddNode("a"), sg.AddNode("b")
+	e := rateEdge(t, sg, sg.SimFor(a), a, b, sim.Millisecond, Impairments{})
+	if _, err := sg.RouteFlowAt(1, false, []int{e}, sim.Millisecond, &packet.Sink{}, 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := sg.UnrouteFlow(1); err == nil {
+		t.Error("UnrouteFlow on a sharded graph succeeded")
+	}
+	if _, ok := sg.RouteOf(1, false); !ok {
+		t.Error("a refused UnrouteFlow removed the route anyway")
+	}
+}
+
+// TestUnrouteWaitsForLateAcks: with reordering on the ACK path a finite
+// flow completes while ACKs of its spurious retransmissions are still in
+// flight. Teardown tied to its packet tally keeps both routes through
+// Finish and removes them when the last late ACK is released: every
+// packet that was live at Finish except the ACK completing the flow
+// reaches the stopped endpoint as a late ACK, none is an unrouted drop.
+func TestUnrouteWaitsForLateAcks(t *testing.T) {
+	s := sim.New(7)
+	g := New(s)
+	a, b := g.AddNode("a"), g.AddNode("b")
+	fwd := rateEdge(t, g, s, a, b, 10*sim.Millisecond, Impairments{})
+	rev := rateEdge(t, g, s, b, a, 10*sim.Millisecond, Impairments{ReorderProb: 0.3, ReorderDelay: 8 * sim.Millisecond})
+	alg, err := cc.New("Cubic")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep := cc.NewEndpoint(s, 1, nil, alg)
+	ackEntry, err := g.RouteFlow(1, true, []int{rev}, 0, ep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recv := netem.NewReceiver(s, 1, ackEntry)
+	if ep.Out, err = g.RouteFlow(1, false, []int{fwd}, 0, recv); err != nil {
+		t.Fatal(err)
+	}
+	tally := &packet.Tally{}
+	ep.Tally, ep.Src = tally, cc.NewFixed(60*packet.MTU)
+	liveAtFinish := -1
+	var finishedAt, drainedAt sim.Time
+	ep.OnComplete = func(now sim.Time) {
+		ep.Stop()
+		finishedAt, liveAtFinish = now, tally.Live()
+		tally.Finish(func() {
+			drainedAt = s.Now()
+			if err := g.UnrouteFlow(1); err != nil {
+				t.Error(err)
+			}
+		})
+		if _, ok := g.RouteOf(1, true); !ok {
+			t.Error("ACK route removed at Finish with ACKs still in flight")
+		}
+	}
+	s.At(0, ep.Start)
+	s.RunUntil(5 * sim.Second)
+
+	if liveAtFinish < 2 || ep.RetxPackets == 0 {
+		t.Fatalf("live at Finish = %d, %d retransmissions: the case needs late ACKs", liveAtFinish, ep.RetxPackets)
+	}
+	if drainedAt <= finishedAt {
+		t.Errorf("drained at %v, not after completion at %v", drainedAt, finishedAt)
+	}
+	if got, want := ep.LateAcks, int64(liveAtFinish-1); got != want {
+		t.Errorf("LateAcks = %d, want %d (live at Finish minus the completing ACK)", got, want)
+	}
+	if tally.Live() != 0 || g.UnroutedDrops() != 0 {
+		t.Errorf("live = %d, unrouted drops = %d after the drain; want 0, 0", tally.Live(), g.UnroutedDrops())
+	}
+	for _, ack := range []bool{false, true} {
+		if _, ok := g.RouteOf(1, ack); ok {
+			t.Errorf("%s route survived the drain", dirName(ack))
+		}
 	}
 }
 

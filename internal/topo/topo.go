@@ -337,7 +337,9 @@ type routeState struct {
 // through the arriving flow's own tail (Graph.tails), which is what lets
 // flows with different receivers and access latencies share a class.
 type fibClass struct {
-	ack   bool
+	// key is the class's classByRoute key (classKey), kept so attach
+	// and detach churn never rebuilds it.
+	key   string
 	edges []int
 	// refs counts the flows attached to the class; the last detach
 	// uninstalls its table entries and recycles the id.
@@ -361,7 +363,7 @@ type Graph struct {
 	nodes  []*Node
 	edges  []*Edge
 	// routes registers every installed route by (flow, direction) for
-	// mid-run mutation and conservation accounting.
+	// mid-run mutation and conservation accounting, until UnrouteFlow.
 	routes map[hopKey]routeState
 	// classes is the FIB class registry; classByRoute deduplicates
 	// classes by (direction, exact edge sequence) and freeClasses
@@ -609,18 +611,17 @@ func (g *Graph) CheckPath(edges []int) error {
 	return nil
 }
 
-// classKey canonicalizes a (direction, edge sequence) pair for the class
-// dedup map. Only route installs and reroutes pay for it, never the
-// per-packet path.
-func classKey(ack bool, edges []int) string {
-	b := make([]byte, 0, 1+4*len(edges))
+// classKey appends the canonical form of a (direction, edge sequence)
+// pair — the class dedup map's key — to b. Only route installs, reroutes
+// and teardowns pay for it, never the per-packet path.
+func classKey(b []byte, ack bool, edges []int) []byte {
 	if ack {
 		b = append(b, 1)
 	}
 	for _, e := range edges {
 		b = append(b, byte(e), byte(e>>8), byte(e>>16), byte(e>>24))
 	}
-	return string(b)
+	return b
 }
 
 // newClassID returns a recycled or fresh class id with the given state.
@@ -637,15 +638,18 @@ func (g *Graph) newClassID(c fibClass) int32 {
 
 // attachClass binds one more flow to the class for (ack, edges),
 // creating the class — and installing its table entries — when this is
-// the first flow routed over that exact sequence.
+// the first flow routed over that exact sequence. The key is built in a
+// stack buffer, so joining an existing class allocates nothing.
 func (g *Graph) attachClass(ack bool, edges []int) int32 {
-	key := classKey(ack, edges)
-	if id, ok := g.classByRoute[key]; ok {
+	var buf [64]byte
+	b := classKey(buf[:0], ack, edges)
+	if id, ok := g.classByRoute[string(b)]; ok {
 		g.classes[id].refs++
 		g.traceClass(obs.EvClassAttach, id, g.classes[id].refs)
 		return id
 	}
-	id := g.newClassID(fibClass{ack: ack, edges: append([]int(nil), edges...), refs: 1})
+	key := string(b)
+	id := g.newClassID(fibClass{key: key, edges: append([]int(nil), edges...), refs: 1})
 	g.classByRoute[key] = id
 	g.installClass(id, edges)
 	g.traceClass(obs.EvClassAttach, id, 1)
@@ -669,7 +673,7 @@ func (g *Graph) detachClass(id int32) {
 		return
 	}
 	g.uninstallClass(id, c.edges)
-	delete(g.classByRoute, classKey(c.ack, c.edges))
+	delete(g.classByRoute, c.key)
 	g.classes[id] = fibClass{}
 	g.freeClasses = append(g.freeClasses, id)
 }
@@ -811,6 +815,44 @@ func (g *Graph) buildTail(rt *routeState, fromShard int) (packet.Node, error) {
 	}
 	g.coord.SetLookahead(fromShard, rt.termShard, rt.tailDelay)
 	return &crossHop{src: g.coord.Shard(fromShard), dst: rt.termShard, delay: rt.tailDelay, to: rt.terminal}, nil
+}
+
+// UnrouteFlow is routeFlow's inverse for both directions of a flow:
+// each leaves its FIB class (the last flow off a class uninstalls the
+// class's table entries, as a reroute does), drops any draining
+// overrides and its registry entry, and has its class slot reset to -1
+// and its tail slot to nil. What the graph keeps of the flow afterwards
+// is those two emptied slots per direction; its tails, terminals and
+// whatever they reference become garbage. A packet of the flow that
+// still arrives at a junction is an unrouted drop, so a caller unroutes
+// a flow only once its last packet is released (packet.Tally).
+//
+// Sharded graphs are refused: a flow's junctions may live on several
+// shards, and one shard's event must not rewrite another's tables.
+func (g *Graph) UnrouteFlow(flow int) error {
+	if g.Sharded() {
+		return fmt.Errorf("topo: flow %d: sharded graphs cannot unroute (the flow's junctions span shards)", flow)
+	}
+	routed := false
+	for _, ack := range [2]bool{false, true} {
+		key := hopKey{flow: int32(flow), ack: ack}
+		rt, ok := g.routes[key]
+		if !ok {
+			continue
+		}
+		routed = true
+		clearOverrides(key, &rt)
+		if rt.class >= 0 {
+			g.detachClass(rt.class)
+			g.setFlowClass(flow, ack, -1)
+			g.setFlowTail(flow, ack, nil)
+		}
+		delete(g.routes, key)
+	}
+	if !routed {
+		return fmt.Errorf("topo: flow %d has no route to remove", flow)
+	}
+	return nil
 }
 
 // RouteOf reports the edge sequence currently installed for one
