@@ -141,11 +141,12 @@ type Endpoint struct {
 	// OnComplete fires once when a finite source has been fully
 	// delivered and acknowledged.
 	OnComplete func(now sim.Time)
-	// Tally, when set, counts every data packet the endpoint sends (and,
-	// through the receiver's NewAck, every ACK of one) until it is
-	// released: workload-spawned flows use it to tear their routes down
-	// with their last packet (packet.Tally).
-	Tally *packet.Tally
+	// Tally is the flow's packet books: every data packet the endpoint
+	// sends and, through the receiver's NewAck, every ACK of one, and how
+	// each ended. Workload-spawned flows also tear their routes down with
+	// their last packet through it (packet.Tally). Spread it before Start
+	// on a sharded run.
+	Tally packet.Tally
 
 	started bool
 	stopped bool
@@ -185,10 +186,6 @@ type Endpoint struct {
 	AckedBytes   int64
 	LostPackets  int64
 	CEEchoes     int64
-	// LateAcks counts ACKs that arrived after Stop and Misrouted packets
-	// that were not this flow's ACKs: the endpoint releases both unread.
-	LateAcks  int64
-	Misrouted int64
 
 	pacing        bool
 	completeFired bool
@@ -592,9 +589,7 @@ func (e *Endpoint) sendOne() {
 		}
 	}
 	p := packet.NewData(e.Flow, seq, e.PktSize, now)
-	if e.Tally != nil {
-		e.Tally.Attach(p)
-	}
+	e.Tally.Attach(p)
 	p.Retx = retx
 	if e.Src != nil {
 		p.AppLimited = true
@@ -662,13 +657,11 @@ func (e *Endpoint) maybeComplete() {
 func (e *Endpoint) Recv(p *packet.Packet) {
 	if !p.IsAck || p.Flow != e.Flow {
 		// Misrouted traffic: the endpoint is still the last holder.
-		e.Misrouted++
-		p.Release()
+		p.Drop(packet.Misrouted)
 		return
 	}
 	if e.stopped {
-		e.LateAcks++
-		p.Release()
+		p.Drop(packet.Late)
 		return
 	}
 	defer p.Release()

@@ -256,14 +256,16 @@ func TestEndpointStopHaltsTraffic(t *testing.T) {
 	if ep.SentPackets != sent {
 		t.Errorf("sent %d more packets after Stop", ep.SentPackets-sent)
 	}
-	// The ACKs of what was in flight reach a stopped endpoint; so does a
-	// data packet, which no endpoint takes.
-	if ep.LateAcks != int64(inflight) || inflight == 0 {
-		t.Errorf("LateAcks = %d, want the %d packets in flight at Stop", ep.LateAcks, inflight)
+	// The ACKs of what was in flight reach a stopped endpoint and end
+	// late; so does a data packet, which no endpoint takes: misrouted.
+	if late := ep.Tally.Books().Released[packet.Late]; late != int64(inflight) || inflight == 0 {
+		t.Errorf("late ACKs = %d, want the %d packets in flight at Stop", late, inflight)
 	}
-	ep.Recv(packet.NewData(0, 0, packet.MTU, s.Now()))
-	if ep.Misrouted != 1 || ep.LateAcks != int64(inflight) {
-		t.Errorf("Misrouted = %d, LateAcks = %d after a stray data packet", ep.Misrouted, ep.LateAcks)
+	stray := packet.NewData(0, 0, packet.MTU, s.Now())
+	ep.Tally.Attach(stray)
+	ep.Recv(stray)
+	if b := ep.Tally.Books(); b.Released[packet.Misrouted] != 1 || b.Released[packet.Late] != int64(inflight) {
+		t.Errorf("misrouted = %d, late = %d after a stray data packet", b.Released[packet.Misrouted], b.Released[packet.Late])
 	}
 }
 

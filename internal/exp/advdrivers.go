@@ -16,6 +16,7 @@ import (
 	"abc/internal/cc"
 	"abc/internal/metrics"
 	"abc/internal/netem"
+	"abc/internal/packet"
 	"abc/internal/sim"
 	"abc/internal/topo"
 )
@@ -131,7 +132,7 @@ func Targeted(schemes []string, dur sim.Time, seed int64) (map[string]TargetedRe
 			r.Bystander.AttackedMbps, r.Bystander.AttackedP95Ms = classStats(attacked)
 		r.JainHonest = jain(honest)
 		r.JainAttacked = jain(attacked)
-		r.Drops = attacked.AdvDrops
+		r.Drops = attacked.Ledger.Released[packet.Adversary]
 		r.Delayed = attacked.AdvDelayed
 		r.Stripped = attacked.AdvStripped
 		r.Report = attacked.Adversary

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"abc/internal/packet"
 	"abc/internal/sim"
 	"abc/internal/topo"
 )
@@ -36,7 +37,7 @@ func TestTargetedVictimDegradesBystandersHold(t *testing.T) {
 			r.JainHonest, r.JainAttacked)
 	}
 	// The 1% drop rate may land zero drops on the starved victim's
-	// trickle (AdvDrops > 0 is asserted by the 100%-drop event tests);
+	// trickle (adversary drops > 0 are asserted by the 100%-drop event tests);
 	// delay and stripping hit every selected packet, so they must fire.
 	if r.Delayed == 0 || r.Stripped == 0 {
 		t.Errorf("adversary counters should fire: drops=%d delayed=%d stripped=%d",
@@ -119,12 +120,11 @@ func TestSameTimestampEventsApplyInSpecOrder(t *testing.T) {
 	}
 
 	cleared := run([]EventSpec{attackEv, clearEv})
-	if cleared.AdvDrops != 0 {
-		t.Errorf("attack-then-clear at one timestamp should leave no attack, got %d adversarial drops",
-			cleared.AdvDrops)
+	if n := cleared.Ledger.Released[packet.Adversary]; n != 0 {
+		t.Errorf("attack-then-clear at one timestamp should leave no attack, got %d adversarial drops", n)
 	}
 	installed := run([]EventSpec{clearEv, attackEv})
-	if installed.AdvDrops == 0 {
+	if installed.Ledger.Released[packet.Adversary] == 0 {
 		t.Error("clear-then-attack at one timestamp should leave the attack installed, got no adversarial drops")
 	}
 	if cleared.Flows[0].TputMbps <= installed.Flows[0].TputMbps {
@@ -153,10 +153,10 @@ func TestEventsOnDownEdge(t *testing.T) {
 	if len(res.Events) != 4 {
 		t.Fatalf("executed %d events, want 4: %+v", len(res.Events), res.Events)
 	}
-	if res.LinkDownDrops == 0 {
+	if res.Ledger.Released[packet.LinkDown] == 0 {
 		t.Error("the outage window should drop arrivals")
 	}
-	if res.AdvDrops == 0 {
+	if res.Ledger.Released[packet.Adversary] == 0 {
 		t.Error("the attack installed during the outage should drop flow 0's packets after link_up")
 	}
 	if res.Flows[0].TputMbps >= res.Flows[1].TputMbps/10 {

@@ -16,6 +16,7 @@ package exp
 import (
 	"abc/internal/app"
 	"abc/internal/metrics"
+	"abc/internal/packet"
 	"abc/internal/sim"
 	"abc/internal/topo"
 )
@@ -51,8 +52,8 @@ type AdversaryReport struct {
 	// sessions (nil when the class has none).
 	VictimQoE    *metrics.QoE `json:"victim_qoe,omitempty"`
 	BystanderQoE *metrics.QoE `json:"bystander_qoe,omitempty"`
-	// Drops / Delayed / Stripped mirror Result.AdvDrops/AdvDelayed/
-	// AdvStripped for self-contained report rendering.
+	// Drops / Delayed / Stripped mirror the ledger's adversary drops and
+	// Result.AdvDelayed/AdvStripped for self-contained report rendering.
 	Drops    int64 `json:"drops"`
 	Delayed  int64 `json:"delayed"`
 	Stripped int64 `json:"stripped"`
@@ -182,7 +183,7 @@ func (c *advCollector) report(spec *Spec, res *Result) *AdversaryReport {
 	rep := &AdversaryReport{
 		VictimP95Ms:    c.victimDelay.P95(),
 		BystanderP95Ms: c.bystanderDelay.P95(),
-		Drops:          res.AdvDrops,
+		Drops:          res.Ledger.Released[packet.Adversary],
 		Delayed:        res.AdvDelayed,
 		Stripped:       res.AdvStripped,
 	}

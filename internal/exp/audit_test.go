@@ -1,0 +1,109 @@
+package exp
+
+import (
+	"strings"
+	"testing"
+
+	"abc/internal/netem"
+	"abc/internal/packet"
+	"abc/internal/qdisc"
+	"abc/internal/sim"
+)
+
+// refusing wraps a discipline and hands each packet it refuses to
+// onRefuse, which reports whether to tell the port it was queued instead.
+type refusing struct {
+	qdisc.Qdisc
+	onRefuse func(p *packet.Packet) bool
+}
+
+func (r *refusing) Enqueue(now sim.Time, p *packet.Packet) bool {
+	return r.Qdisc.Enqueue(now, p) || r.onRefuse(p)
+}
+
+// TestAuditCatchesMutations seeds three bookkeeping bugs into a compiled
+// run, each through the graph it built, and requires Run to fail with the
+// identity each one breaks: a swallowed packet leaves the books holding a
+// packet the network does not; a refused packet dropped a second time,
+// and a refusal booked as an impairment loss, leave the refusals on the
+// books disagreeing with the discipline's.
+func TestAuditCatchesMutations(t *testing.T) {
+	spec := Spec{
+		Seed:     1,
+		Duration: 2 * sim.Second,
+		Warmup:   500 * sim.Millisecond,
+		RTT:      50 * sim.Millisecond,
+		Links:    []LinkSpec{{Rate: netem.ConstRate(10e6), Qdisc: QdiscSpec{Kind: "droptail", Buffer: 20}}},
+		Flows:    []FlowSpec{{Scheme: "Cubic"}},
+	}
+	link := func(c *compiled) *netem.RateLink { return c.g.Edge(0).Link.(*netem.RateLink) }
+	cases := []struct {
+		name   string
+		mutate func(c *compiled)
+		want   string
+	}{
+		{"clean", func(*compiled) {}, ""},
+		{"leak", func(c *compiled) {
+			l := link(c)
+			dst, n := l.Dst, 0
+			l.Dst = packet.NodeFunc(func(p *packet.Packet) {
+				if n++; n != 100 {
+					dst.Recv(p)
+				}
+			})
+		}, "packets live on the books, the network holds"},
+		{"dropped twice", func(c *compiled) {
+			l := link(c)
+			l.Q = &refusing{l.Q, func(p *packet.Packet) bool {
+				twin := packet.Get()
+				*twin = *p
+				twin.Drop(packet.Refused)
+				return false
+			}}
+		}, "ended refused or dropped inside a discipline, the disciplines dropped"},
+		{"wrong cause", func(c *compiled) {
+			l := link(c)
+			l.Q = &refusing{l.Q, func(p *packet.Packet) bool {
+				p.Drop(packet.Impair)
+				return true
+			}}
+		}, "ended refused or dropped inside a discipline, the disciplines dropped"},
+	}
+	for _, tc := range cases {
+		c, err := compile(spec, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.mutate(c)
+		_, _, err = c.run()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: Run returned %v, want an error naming %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestShardedRingAudit: every data path of the four-bottleneck ring
+// crosses a shard cut at 2 and 4 shards, so packets end on shards other
+// than the one that attached them, in other rows of their flow's tally.
+// The books balance at 1, 2 and 4 shards, and the ledger is the same at
+// every shard count.
+func TestShardedRingAudit(t *testing.T) {
+	var want packet.Books
+	for _, shards := range []int{1, 2, 4} {
+		res, _, err := Run(shardedMeshSpec(shards, 3*sim.Second, 1))
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		if shards == 1 {
+			want = res.Ledger
+			if want.Released[packet.Delivered] == 0 || want.Released[packet.Acked] == 0 {
+				t.Fatalf("ledger %+v: the ring delivered nothing", want)
+			}
+		} else if res.Ledger != want {
+			t.Errorf("shards=%d: ledger %+v, one shard %+v", shards, res.Ledger, want)
+		}
+	}
+}

@@ -17,6 +17,7 @@ import (
 
 	"abc/internal/metrics"
 	"abc/internal/netem"
+	"abc/internal/packet"
 	"abc/internal/sim"
 	"abc/internal/trace"
 )
@@ -156,7 +157,7 @@ type FlapResult struct {
 	// Flow summarizes the flow over the whole run, outages included.
 	Flow metrics.Summary
 	// OutageDrops counts packets dropped at the downed link's entry
-	// (Result.LinkDownDrops).
+	// (the ledger's packet.LinkDown entry).
 	OutageDrops int64
 	// Lost / Retx are the sender's loss-detection and retransmission
 	// counts.
@@ -199,7 +200,7 @@ func LinkFlap(schemes []string, dur sim.Time, seed int64) (map[string]FlapResult
 		f0 := &res.Flows[0]
 		return FlapResult{
 			Flow:        flowSummary(sch, res, f0),
-			OutageDrops: res.LinkDownDrops,
+			OutageDrops: res.Ledger.Released[packet.LinkDown],
 			Lost:        f0.Lost,
 			Retx:        f0.Retx,
 			Events:      res.Events,
@@ -218,7 +219,7 @@ type AutoRouteResult struct {
 	// the outage instant (excluding warmup).
 	PreMbps, PostMbps float64
 	// OutageDrops counts packets that hit the downed links' gates during
-	// the policy's convergence window (Result.LinkDownDrops).
+	// the policy's convergence window (the ledger's packet.LinkDown entry).
 	OutageDrops int64
 	// StrandedDrops counts packets stranded at junctions by the route
 	// changes (Result.Drops) — with the make-before-break drain window
@@ -272,7 +273,7 @@ func AutoRoute(schemes []string, dur sim.Time, seed int64) (map[string]AutoRoute
 		f0 := &res.Flows[0]
 		r := AutoRouteResult{
 			Flow:          flowSummary(sch, res, f0),
-			OutageDrops:   res.LinkDownDrops,
+			OutageDrops:   res.Ledger.Released[packet.LinkDown],
 			StrandedDrops: res.Drops,
 			Retx:          f0.Retx,
 			RouteChanges:  res.RouteChanges,
@@ -286,9 +287,9 @@ func AutoRoute(schemes []string, dur sim.Time, seed int64) (map[string]AutoRoute
 type FlapStormResult struct {
 	// Flow summarizes the flow over the whole run, outages included.
 	Flow metrics.Summary
-	// OutageDrops counts packets dropped at downed links' gates
-	// (Result.LinkDownDrops); StrandedDrops the packets stranded at
-	// junctions by emergent reroutes (Result.Drops).
+	// OutageDrops counts packets dropped at downed links' gates (the
+	// ledger's packet.LinkDown entry); StrandedDrops the packets stranded
+	// at junctions by emergent reroutes (Result.Drops).
 	OutageDrops, StrandedDrops int64
 	// Lost / Retx are the sender's loss-detection and retransmission
 	// counts.
@@ -348,7 +349,7 @@ func FlapStorm(schemes []string, dur sim.Time, seed int64) (map[string]FlapStorm
 		f0 := &res.Flows[0]
 		return FlapStormResult{
 			Flow:          flowSummary(sch, res, f0),
-			OutageDrops:   res.LinkDownDrops,
+			OutageDrops:   res.Ledger.Released[packet.LinkDown],
 			StrandedDrops: res.Drops,
 			Lost:          f0.Lost,
 			Retx:          f0.Retx,

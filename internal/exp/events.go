@@ -29,8 +29,8 @@ const (
 	// EventSetDelay changes an edge's propagation delay to Delay. Only
 	// edges built with a positive delay own a delay stage to retune.
 	EventSetDelay = "set_delay"
-	// EventLinkDown takes an edge down: arrivals are dropped (counted in
-	// Result.LinkDownDrops) until a matching link_up.
+	// EventLinkDown takes an edge down: arrivals are dropped (booked as
+	// packet.LinkDown in Result.Ledger) until a matching link_up.
 	EventLinkDown = "link_down"
 	// EventLinkUp brings a downed edge back up.
 	EventLinkUp = "link_up"

@@ -135,10 +135,11 @@ func TestRoutingConservationRandomTimelines(t *testing.T) {
 		for _, q := range res.Qdiscs {
 			qdrops += q.Counters().DroppedPackets
 		}
-		accounted := deliveredBytes/packet.MTU + qdrops + res.Drops + res.LinkDownDrops
+		down := res.Ledger.Released[packet.LinkDown]
+		accounted := deliveredBytes/packet.MTU + qdrops + res.Drops + down
 		if sent != accounted {
 			t.Fatalf("iter %d (events %+v): conservation violated: sent %d != delivered %d + qdrops %d + unrouted %d + down %d",
-				i, spec.Events, sent, deliveredBytes/packet.MTU, qdrops, res.Drops, res.LinkDownDrops)
+				i, spec.Events, sent, deliveredBytes/packet.MTU, qdrops, res.Drops, down)
 		}
 	}
 }
@@ -316,7 +317,7 @@ func TestChainEventAddressing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.LinkDownDrops == 0 {
+	if res.Ledger.Released[packet.LinkDown] == 0 {
 		t.Fatal("link_down on fwd0 dropped nothing; chain addressing is broken")
 	}
 	if len(res.Events) != 3 {

@@ -45,6 +45,9 @@ type compiled struct {
 	// order they were added; the run's observer fills them.
 	series    []sampledSeries
 	workloads []*workloadRunner
+	// flows holds every declared flow's sender and receiver, in flow
+	// order: what the ledger and the audit read.
+	flows []flowEnds
 }
 
 // Run executes the scenario and returns its result along with the pooled
@@ -130,6 +133,9 @@ var wiring = []func(*compiled) error{
 func (c *compiled) run() (*Result, *metrics.DelayRecorder, error) {
 	pooled := c.runAndMeasure()
 	if err := finishWorkloads(c.workloads); err != nil {
+		return nil, nil, err
+	}
+	if err := c.audit(); err != nil {
 		return nil, nil, err
 	}
 	c.tightestTraceUtilization()
@@ -237,8 +243,10 @@ func (c *compiled) runAndMeasure() *metrics.DelayRecorder {
 		coord.Every(rs.period, rs.sample)
 	}
 	coord.Run(spec.Duration)
-	if rs != nil && spec.Duration%rs.period != 0 {
-		rs.sample(spec.Duration) // the run ended between two ticks
+	if rs != nil {
+		// The last tick ran before the events at its instant, or the run
+		// ended between two ticks: publish what the run ended with.
+		rs.sample(spec.Duration)
 	}
 
 	// Per-flow throughput over each flow's measured window.
@@ -265,10 +273,8 @@ func (c *compiled) runAndMeasure() *metrics.DelayRecorder {
 		fr.Retx = fr.Endpoint.RetxPackets
 	}
 	pooled := c.poolDelays()
-	res.Drops = g.UnroutedDrops()
-	res.ImpairDrops = g.ImpairDrops()
-	res.LinkDownDrops = g.DownDrops()
-	res.AdvDrops = g.AdversaryDrops()
+	res.Ledger = c.ledger()
+	res.Drops = res.Ledger.Released[packet.Unrouted]
 	res.AdvDelayed = g.AdversaryDelayed()
 	res.AdvStripped = g.AdversaryStripped()
 	c.collectBackgrounds()

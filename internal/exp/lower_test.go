@@ -42,8 +42,8 @@ func sameRun(t *testing.T, chain, mesh *Result) {
 	if chain.Utilization != mesh.Utilization {
 		t.Errorf("utilization: chain %v, mesh %v", chain.Utilization, mesh.Utilization)
 	}
-	if chain.Drops != mesh.Drops || chain.ImpairDrops != mesh.ImpairDrops {
-		t.Errorf("drops/impair drops: chain %d/%d, mesh %d/%d", chain.Drops, chain.ImpairDrops, mesh.Drops, mesh.ImpairDrops)
+	if chain.Ledger != mesh.Ledger {
+		t.Errorf("ledger: chain %+v, mesh %+v", chain.Ledger, mesh.Ledger)
 	}
 	if !reflect.DeepEqual(chain.Events, mesh.Events) {
 		t.Errorf("events: chain %+v, mesh %+v", chain.Events, mesh.Events)

@@ -13,6 +13,7 @@ import (
 
 	"abc/internal/abc"
 	"abc/internal/obs"
+	"abc/internal/packet"
 	"abc/internal/sim"
 )
 
@@ -37,7 +38,7 @@ func EnableTracing(r *obs.Recorder) { traceRec.Store(r) }
 // EnableMetrics publishes live run metrics into reg, sampled every
 // period of virtual time: per-edge queue depth/bytes (plus ABC tokens
 // and mark counts on ABC bottlenecks), per-flow cwnd/pacing-rate (plus
-// ReverseBrakes for ABC senders), graph-wide drop counters, shard
+// ReverseBrakes for ABC senders), the ledger's drops by cause, shard
 // synchronization counters, and the well-known obs.MetricSimSeconds /
 // obs.MetricSimEvents read by the progress line. Like tracing, sampling
 // is passive: the coordinator calls the sampler at a barrier once per
@@ -61,9 +62,11 @@ type runSampler struct {
 	reg    *obs.Registry
 	period sim.Time
 	c      *compiled
-	// prevEvents tracks the executed-event count already published, so
-	// obs.MetricSimEvents aggregates correctly across parallel cells.
+	// prevEvents and prevBooks track the executed-event count and the
+	// ledger already published, so obs.MetricSimEvents and
+	// abc_drops_total aggregate correctly across parallel cells.
 	prevEvents uint64
+	prevBooks  packet.Books
 }
 
 // newRunSampler builds the sampler for one scenario, or nil when
@@ -146,8 +149,9 @@ func (rs *runSampler) sample(now sim.Time) {
 		}
 	}
 
-	reg.Counter(`abc_drops_total{cause="unrouted"}`).Store(g.UnroutedDrops())
-	reg.Counter(`abc_drops_total{cause="impair"}`).Store(g.ImpairDrops())
-	reg.Counter(`abc_drops_total{cause="link_down"}`).Store(g.DownDrops())
-	reg.Counter(`abc_drops_total{cause="adversary"}`).Store(g.AdversaryDrops())
+	books := rs.c.ledger()
+	for c := packet.Refused; c < packet.NumCauses; c++ {
+		reg.Counter(`abc_drops_total{cause="` + c.String() + `"}`).Add(books.Released[c] - rs.prevBooks.Released[c])
+	}
+	rs.prevBooks = books
 }

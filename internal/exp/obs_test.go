@@ -10,6 +10,7 @@ import (
 	"abc/internal/abc"
 	"abc/internal/netem"
 	"abc/internal/obs"
+	"abc/internal/packet"
 	"abc/internal/sched"
 	"abc/internal/sim"
 	"abc/internal/wifi"
@@ -19,8 +20,12 @@ import (
 // flight recorder attached at full category mask and metrics sampling
 // on, and requires every digest to stay byte-identical to the committed
 // corpus: both must be purely passive — no scheduled events, no RNG
-// draws, no state the simulation can observe. The final assertions that
-// events were captured and samples published keep the test from passing
+// draws, no state the simulation can observe. Each case gets a recorder
+// and a registry of its own, so it can also require every traced drop
+// cause to have one event per packet the ledger booked under it (the
+// sampler publishes the ledger as abc_drops_total, summed over the
+// case's runs). The final assertions that events were captured, samples
+// published and every traced cause met keep the test from passing
 // vacuously if the wiring breaks.
 func TestGoldenTracingInvariance(t *testing.T) {
 	data, err := os.ReadFile(goldenPath)
@@ -31,14 +36,16 @@ func TestGoldenTracingInvariance(t *testing.T) {
 	if err := json.Unmarshal(data, &want); err != nil {
 		t.Fatalf("corrupt %s: %v", goldenPath, err)
 	}
-	rec := obs.NewRecorder(1<<16, obs.CatAll)
-	EnableTracing(rec)
 	defer EnableTracing(nil)
-	reg := obs.NewRegistry()
-	EnableMetrics(reg, 250*sim.Millisecond)
 	defer EnableMetrics(nil, 0)
+	var events, simEvents int64
+	seen := map[obs.Kind]int64{}
 	for _, c := range goldenCases() {
 		c := c
+		rec := obs.NewRecorder(1<<16, obs.CatAll)
+		EnableTracing(rec)
+		reg := obs.NewRegistry()
+		EnableMetrics(reg, 250*sim.Millisecond)
 		t.Run(c.name, func(t *testing.T) {
 			v, err := c.run()
 			if err != nil {
@@ -51,14 +58,40 @@ func TestGoldenTracingInvariance(t *testing.T) {
 			if w, ok := want[c.name]; ok && w.Full != d {
 				t.Errorf("digest changed with tracing and metrics enabled:\n got %s\nwant %s\nneither may perturb the simulation", d, w.Full)
 			}
+			for k, cause := range dropEvents {
+				booked := reg.Counter(`abc_drops_total{cause="` + cause.String() + `"}`).Value()
+				traced := int64(rec.Emitted(k))
+				if traced != booked {
+					t.Errorf("%d %s events, %d packets the ledger booked as %s", traced, k, booked, cause)
+				}
+				seen[k] += traced
+			}
 		})
+		events += int64(rec.Total())
+		simEvents += reg.Counter(obs.MetricSimEvents).Value()
 	}
-	if rec.Total() == 0 {
+	if events == 0 {
 		t.Fatal("full-mask recorder captured no events across the corpus — trace wiring is dead")
 	}
-	if reg.Counter(obs.MetricSimEvents).Value() == 0 {
+	if simEvents == 0 {
 		t.Fatal("metrics registry saw no simulator events across the corpus — sampler wiring is dead")
 	}
+	for k := range dropEvents {
+		if seen[k] == 0 {
+			t.Errorf("no %s event across the corpus: its cause goes unchecked", k)
+		}
+	}
+}
+
+// dropEvents maps every traced drop event to the cause the dropped
+// packet is booked under.
+var dropEvents = map[obs.Kind]packet.Cause{
+	obs.EvQdiscDrop:    packet.Refused,
+	obs.EvAQMDrop:      packet.AQM,
+	obs.EvUnroutedDrop: packet.Unrouted,
+	obs.EvDownDrop:     packet.LinkDown,
+	obs.EvAttackDrop:   packet.Adversary,
+	obs.EvImpairDrop:   packet.Impair,
 }
 
 // TestForEachCellPanic asserts a panicking cell is converted into an
@@ -135,9 +168,13 @@ func TestMetricsSampling(t *testing.T) {
 		obs.MetricSimSeconds,
 		obs.MetricSimEvents,
 	}
+	for c := packet.Refused; c < packet.NumCauses; c++ {
+		common = append(common, `abc_drops_total{cause="`+c.String()+`"}`)
+	}
 	// The discipline's drop counter is read through qdisc.Qdisc, so a
 	// Cubic flow overrunning a shallow CoDel buffer reports its drops
-	// exactly as an ABC router would.
+	// exactly as an ABC router would — and the ledger books each of them,
+	// refused at the port or dropped on CoDel's dequeue side.
 	cases := []struct {
 		scheme string
 		qdisc  QdiscSpec
@@ -176,8 +213,12 @@ func TestMetricsSampling(t *testing.T) {
 					t.Errorf("%s, period %v: registry missing %s after a metered run", tc.scheme, period, name)
 				}
 			}
-			if s := have[`abc_qdisc_drops_total{edge="fwd0"}`]; tc.drops && s.Value <= 0 {
-				t.Errorf("%s, period %v: abc_qdisc_drops_total = %g, want the shallow buffer's drops", tc.scheme, period, s.Value)
+			qd := have[`abc_qdisc_drops_total{edge="fwd0"}`].Value
+			if tc.drops && qd <= 0 {
+				t.Errorf("%s, period %v: abc_qdisc_drops_total = %g, want the shallow buffer's drops", tc.scheme, period, qd)
+			}
+			if booked := have[`abc_drops_total{cause="refused"}`].Value + have[`abc_drops_total{cause="aqm"}`].Value; booked != qd {
+				t.Errorf("%s, period %v: the ledger booked %g refused and AQM drops, the discipline dropped %g", tc.scheme, period, booked, qd)
 			}
 			if s := have[obs.MetricSimSeconds]; s.Value != 2 {
 				t.Errorf("%s, period %v: final %s = %g, want 2 (the run duration)", tc.scheme, period, obs.MetricSimSeconds, s.Value)

@@ -12,6 +12,7 @@ import (
 
 	"abc/internal/app"
 	"abc/internal/metrics"
+	"abc/internal/packet"
 )
 
 // sortedKeys returns a scheme-keyed result's names in sorted order: the
@@ -90,13 +91,13 @@ func PrintResult(w io.Writer, res *Result, pooled *metrics.DelayRecorder) {
 		fmt.Fprintf(w, "utilization: %.1f%%\n", res.Utilization*100)
 	}
 	fmt.Fprintf(w, "pooled delay: mean %.0f ms, p95 %.0f ms\n", pooled.Mean(), pooled.P95())
-	if res.ImpairDrops > 0 {
-		fmt.Fprintf(w, "impairment drops: %d\n", res.ImpairDrops)
+	if n := res.Ledger.Released[packet.Impair]; n > 0 {
+		fmt.Fprintf(w, "impairment drops: %d\n", n)
 	}
 	printEvents(w, res.Events)
 	printRouteChanges(w, res.RouteChanges)
-	if res.LinkDownDrops > 0 {
-		fmt.Fprintf(w, "link-down drops: %d\n", res.LinkDownDrops)
+	if n := res.Ledger.Released[packet.LinkDown]; n > 0 {
+		fmt.Fprintf(w, "link-down drops: %d\n", n)
 	}
 	if res.Drops > 0 {
 		if len(spec.Events) > 0 {

@@ -199,9 +199,11 @@ func TestScenarioBackgroundClause(t *testing.T) {
 // parser accepts must marshal back to JSON the parser accepts again (the
 // round-trip contract the example files rely on), and anything Compile
 // accepts must — when small enough to run in a fuzz iteration — execute
-// 100 ms of simulated time without a panic, a mid-run wiring error or an
-// event-budget overrun. The seed corpus (testdata/fuzz) includes every
-// example scenario plus malformed fragments.
+// 100 ms of simulated time without a panic, a mid-run wiring error, an
+// event-budget overrun or packet books that do not balance (Run's
+// audit): at one shard whatever the input asks for, and again at two
+// whenever Check accepts it there. The seed corpus (testdata/fuzz)
+// includes every example scenario plus malformed fragments.
 func FuzzScenarioJSON(f *testing.F) {
 	paths, _ := filepath.Glob("../../examples/scenarios/*.json")
 	for _, path := range paths {
@@ -267,15 +269,21 @@ func FuzzScenarioJSON(f *testing.F) {
 			return
 		}
 		spec.Duration = 100 * sim.Millisecond
-		c, err := compile(spec, nil)
-		if err != nil {
-			t.Fatalf("a scenario Compile accepted does not build at 100 ms: %v", err)
-		}
-		for i, coord := 0, c.g.Coordinator(); i < coord.Shards(); i++ {
-			coord.Shard(i).SetEventLimit(3e6)
-		}
-		if _, _, err := c.run(); err != nil {
-			t.Fatalf("a scenario Compile accepted failed mid-run: %v", err)
+		for _, shards := range []int{1, 2} {
+			spec.Shards = shards
+			if shards > 1 && Check(spec) != nil {
+				continue
+			}
+			c, err := compile(spec, nil)
+			if err != nil {
+				t.Fatalf("a scenario Compile accepted does not build at 100 ms and %d shard(s): %v", shards, err)
+			}
+			for i, coord := 0, c.g.Coordinator(); i < coord.Shards(); i++ {
+				coord.Shard(i).SetEventLimit(3e6)
+			}
+			if _, _, err := c.run(); err != nil {
+				t.Fatalf("a scenario Compile accepted failed mid-run at %d shard(s): %v", shards, err)
+			}
 		}
 	})
 }

@@ -15,6 +15,7 @@ import (
 	"abc/internal/cc"
 	"abc/internal/metrics"
 	"abc/internal/netem"
+	"abc/internal/packet"
 	"abc/internal/sim"
 	"abc/internal/topo"
 	"abc/internal/trace"
@@ -218,7 +219,7 @@ func LossyLink(schemes []string, lossRates []float64, bursty bool, dur sim.Time,
 			Bursty:      bursty,
 			TputMbps:    res.Flows[0].TputMbps,
 			P95Ms:       pooled.P95(),
-			ImpairDrops: res.ImpairDrops,
+			ImpairDrops: res.Ledger.Released[packet.Impair],
 		}
 		return nil
 	})

@@ -9,6 +9,7 @@ import (
 
 	"abc/internal/metrics"
 	"abc/internal/obs"
+	"abc/internal/packet"
 	"abc/internal/sim"
 	"abc/internal/topo"
 )
@@ -226,7 +227,7 @@ func TestShardedTargetedMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sh.AdvDelayed == 0 && sh.AdvDrops == 0 {
+	if sh.AdvDelayed == 0 && sh.Ledger.Released[packet.Adversary] == 0 {
 		t.Fatal("sharded run recorded no adversarial actions; attack not exercised")
 	}
 	var seqTput, shTput float64

@@ -33,6 +33,7 @@ import (
 	_ "abc/internal/explicit" // registers the XCP/XCPw/RCP/VCP schemes and routers
 	"abc/internal/metrics"
 	"abc/internal/netem"
+	"abc/internal/packet"
 	"abc/internal/qdisc"
 	"abc/internal/sim"
 	"abc/internal/topo"
@@ -303,23 +304,26 @@ type Result struct {
 	// EdgeQdiscs maps mesh edge names to their built disciplines (nil for
 	// chain scenarios; wire edges have no entry).
 	EdgeQdiscs map[string]qdisc.Qdisc
-	// Drops counts packets that reached a junction with no forwarding
-	// entry for their flow and direction. In a static scenario anything
-	// non-zero indicates a wiring bug (a flow id without a routed path);
-	// under a reroute event timeline it additionally counts packets that
-	// were in flight on abandoned edges when their route moved — the
-	// handover losses the conservation contract makes explicit.
+	// Ledger is the run's packet books: every packet of every flow (and
+	// every stray injected through topo.Graph.Entry) attached, and every
+	// one that ended, by cause — one packet.Tally per flow, summed after
+	// the run. It balances: Run fails unless the audit (audit.go) finds
+	// it agreeing with what the endpoints, receivers, disciplines and
+	// links counted on their own. Read a drop count as
+	// Ledger.Released[packet.Impair] and so on.
+	Ledger packet.Books
+	// Drops is Ledger.Released[packet.Unrouted]: packets that reached a
+	// junction with no forwarding entry for their flow and direction. In
+	// a static scenario anything non-zero indicates a wiring bug (a flow
+	// id without a routed path); under a reroute event timeline it
+	// additionally counts packets that were in flight on abandoned edges
+	// when their route moved — the handover losses the conservation
+	// contract makes explicit.
 	Drops int64
-	// ImpairDrops counts packets deliberately discarded by impairment
-	// stages (lossy-link scenarios).
-	ImpairDrops int64
-	// LinkDownDrops counts packets dropped at the entry of edges taken
-	// down by link_down events.
-	LinkDownDrops int64
-	// AdvDrops / AdvDelayed / AdvStripped count adversarial-stage actions
-	// across all edges: packets dropped, delayed, and accel marks
-	// stripped by installed attacks.
-	AdvDrops    int64
+	// AdvDelayed / AdvStripped count adversarial-stage actions that end
+	// no packet, across all edges: packets delayed and accel marks
+	// stripped by installed attacks (their drops are
+	// Ledger.Released[packet.Adversary]).
 	AdvDelayed  int64
 	AdvStripped int64
 	// Adversary splits the run's degradation metrics into victim,

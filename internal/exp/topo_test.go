@@ -148,7 +148,7 @@ func digest(res *Result, pooledMean, pooledP95 float64) []flowDigest {
 			Lost:        f.Lost,
 			Retx:        f.Retx,
 			Drops:       res.Drops,
-			ImpairDrops: res.ImpairDrops,
+			ImpairDrops: res.Ledger.Released[packet.Impair],
 			PooledMean:  pooledMean,
 			PooledP95:   pooledP95,
 			Utilization: res.Utilization,

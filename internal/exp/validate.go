@@ -171,7 +171,9 @@ func validateRouting(spec *Spec) error {
 }
 
 // checkShardable rejects what a spec may not combine with Shards > 1,
-// and ShardMap pins to shards it does not have. Both remaining gates are simulator events on shard 0 that act on the
+// and ShardMap pins to shards it does not have.
+//
+// Both remaining gates are simulator events on shard 0 that act on the
 // whole graph — a workload arrival installs routes and builds endpoints
 // wherever its path leads, the route-computation timer rewrites every
 // junction's table — and both were measured as coordinator-barrier
@@ -181,10 +183,11 @@ func validateRouting(spec *Spec) error {
 // recompute timer at a barrier flipped a same-instant tie that moves the
 // autoroute and flapstorm goldens (mean delay 59.7330 -> 59.7339 ms).
 // The Workloads gate also covers teardown: a spawned flow is unrouted
-// from the Release of its last packet, counted by a plain packet.Tally
-// and acted on by topo.Graph.UnrouteFlow, both single-shard, so a
-// cross-shard spawn must first make the tally shard-safe and the unroute
-// a barrier-time table edit.
+// from the end of its last packet by topo.Graph.UnrouteFlow, which
+// edits tables on whatever shards the flow's junctions live on, so a
+// cross-shard spawn must first make the unroute a barrier-time table
+// edit. (The flow's packet.Tally is already shard-safe: one row per
+// shard.)
 func checkShardable(spec *Spec) error {
 	if spec.Shards > maxShards {
 		return fmt.Errorf("exp: Shards %d exceeds the maximum %d", spec.Shards, maxShards)

@@ -141,17 +141,18 @@ func (r flowRoute) dir(ack bool) []int {
 }
 
 // attachFlow puts one flow on the graph: the endpoint on the shard of
-// the data route's origin junction, the receiver on that of its terminal
-// junction (both inject packets synchronously into those junctions), and
-// the two routes between them, each ending in an rtt/2 access tail. It
-// schedules nothing; the caller sets the source and the receiver's
-// OnData hook and starts the endpoint.
+// the data route's origin junction with the flow's tally, the receiver
+// on that of its terminal junction (both inject packets synchronously
+// into those junctions), and the two routes between them, each ending in
+// an rtt/2 access tail. It schedules nothing; the caller sets the source
+// and the receiver's OnData hook and starts the endpoint.
 func attachFlow(g *topo.Graph, id int, alg cc.Algorithm, route flowRoute, rtt sim.Time) (*cc.Endpoint, *netem.Receiver, error) {
 	origin := g.Edge(route.data[0]).From.ID
 	last := g.Edge(route.data[len(route.data)-1]).To.ID
 	epShard, recvShard := g.ShardOf(origin), g.ShardOf(last)
 
 	ep := cc.NewEndpoint(g.SimFor(origin), id, nil, alg)
+	ep.Tally.Spread(g.Coordinator().Shards(), epShard)
 	if r := g.Recorder(); r != nil {
 		ep.SetObs(r, int32(id))
 	}
@@ -207,6 +208,7 @@ func (c *compiled) wireFlows() error {
 		if err != nil {
 			return err
 		}
+		c.flows = append(c.flows, flowEnds{ep, recv})
 		epSim := ep.S
 		ep.Src = fs.Source
 		if fs.App != nil {

@@ -145,6 +145,11 @@ type workloadRunner struct {
 	stopAt sim.Time
 	active int
 	err    error
+	// live holds the spawned flows whose packets have not all ended, by
+	// id. A drained flow leaves it, its account folded into drained, so
+	// what the runner keeps of finished flows is one account.
+	live    map[int]flowEnds
+	drained account
 }
 
 // startWorkloads validates every workload and schedules its arrival
@@ -186,6 +191,7 @@ func (c *compiled) startWorkloads() error {
 		r := &workloadRunner{
 			s: g.S, g: g, spec: spec, ws: ws, wr: wr,
 			adv: c.adv, route: routes[i], nextID: &nextID, stopAt: stop,
+			live: map[int]flowEnds{},
 		}
 		c.workloads = append(c.workloads, r)
 		g.S.At(ws.Start, r.schedule)
@@ -267,8 +273,8 @@ func (r *workloadRunner) spawn(now sim.Time) {
 		wr.QDelay.Add(p.QueueDelay)
 	}
 	ep.Src = cc.NewFixed(size)
-	tally := &packet.Tally{}
-	ep.Tally = tally
+	f := flowEnds{ep, recv}
+	r.live[id] = f
 	r.active++
 	r.wr.Spawned++
 	measured := now >= warm
@@ -276,11 +282,14 @@ func (r *workloadRunner) spawn(now sim.Time) {
 		ep.Stop()
 		// The flow's own ACKs or spurious retransmissions may still be in
 		// flight: its routes, and with them everything of the flow the
-		// graph references, go with its last packet.
-		tally.Finish(func() {
+		// graph references, go with its last packet, and its books are
+		// folded into the workload's.
+		ep.Tally.Finish(func() {
 			if err := r.g.UnrouteFlow(id); err != nil {
 				r.fail(err)
 			}
+			r.drained.add(f.account())
+			delete(r.live, id)
 		})
 		r.active--
 		r.wr.Completed++

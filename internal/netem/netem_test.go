@@ -246,15 +246,19 @@ func TestReceiverIgnoresWrongFlowAndAcks(t *testing.T) {
 	s := sim.New(1)
 	count := 0
 	r := NewReceiver(s, 1, packet.NodeFunc(func(*packet.Packet) { count++ }))
-	r.Recv(packet.NewData(2, 0, packet.MTU, 0)) // wrong flow
+	var books packet.Tally
+	p := packet.NewData(2, 0, packet.MTU, 0) // wrong flow
+	books.Attach(p)
+	r.Recv(p)
 	a := packet.NewData(1, 0, packet.MTU, 0)
 	a.IsAck = true
+	books.Attach(a)
 	r.Recv(a) // an ACK
 	if count != 0 || r.Delivered != 0 {
 		t.Errorf("receiver accepted foreign traffic: count=%d", count)
 	}
-	if r.Misrouted != 2 {
-		t.Errorf("Misrouted = %d, want 2", r.Misrouted)
+	if b := books.Books(); b.Released[packet.Misrouted] != 2 || b.Live() != 0 {
+		t.Errorf("misrouted = %d, live = %d; want both packets ended misrouted", b.Released[packet.Misrouted], b.Live())
 	}
 }
 

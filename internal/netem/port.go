@@ -43,13 +43,14 @@ func (pt *Port) SetObs(rec *obs.Recorder, src int32) {
 func (pt *Port) DeliveredBytes() int64 { return pt.delivered }
 
 // Admit offers an arriving packet to the discipline and reports whether
-// it was queued; a refused packet is released here, its last holder.
+// it was queued; a refused packet is dropped here, its last holder, as
+// packet.Refused.
 func (pt *Port) Admit(now sim.Time, p *packet.Packet) bool {
 	if !pt.Q.Enqueue(now, p) {
 		if pt.rec.Enabled(obs.CatPacket) {
 			pt.rec.Emit(int64(now), obs.EvQdiscDrop, pt.obsSrc, int32(p.Flow), 0, 0)
 		}
-		p.Release()
+		p.Drop(packet.Refused)
 		return false
 	}
 	if pt.rec.Enabled(obs.CatPacket) {

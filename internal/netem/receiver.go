@@ -27,11 +27,6 @@ type Receiver struct {
 
 	// Delivered counts data packets received (including retransmits).
 	Delivered int64
-	// DeliveredBytes counts payload bytes received.
-	DeliveredBytes int64
-	// Misrouted counts arrivals that were not this flow's data packets:
-	// the receiver releases them unread.
-	Misrouted int64
 }
 
 // NewReceiver returns a receiver for the flow that sends ACKs to out.
@@ -43,14 +38,12 @@ func NewReceiver(s *sim.Simulator, flow int, out packet.Node) *Receiver {
 func (r *Receiver) Recv(p *packet.Packet) {
 	if p.IsAck || p.Flow != r.Flow {
 		// Misrouted traffic still ends here: the receiver is the last
-		// holder, so the ownership contract says it releases.
-		r.Misrouted++
-		p.Release()
+		// holder, so the ownership contract says it drops it.
+		p.Drop(packet.Misrouted)
 		return
 	}
 	now := r.S.Now()
 	r.Delivered++
-	r.DeliveredBytes += int64(p.Size)
 	if r.OnData != nil {
 		r.OnData(now, p)
 	}

@@ -68,7 +68,7 @@ const (
 	// block ACK — so there A includes the batch's airtime.
 	EvEnqueue      // packet accepted by a qdisc. A=queue len after, B=queue bytes after
 	EvDequeue      // packet's stay at the hop ended. A=sojourn ns, B=queue len after
-	EvQdiscDrop    // qdisc rejected the packet (buffer full / AQM)
+	EvQdiscDrop    // qdisc refused the packet at enqueue (buffer full, or an enqueue-side AQM such as RED or PIE)
 	EvUnroutedDrop // node had no FIB entry for the flow
 	EvDownDrop     // packet arrived at a downed link
 
@@ -108,6 +108,7 @@ const (
 
 	// Appended after the kinds above so their numbers stay put.
 	EvImpairDrop // edge's impairment stage (random or burst loss) discarded the packet (CatPacket). Src=edge id
+	EvAQMDrop    // discipline dropped a packet it had queued (CoDel's dequeue side; CatPacket). Src=edge id
 
 	kindCount // sentinel
 )
@@ -144,6 +145,7 @@ var kindInfo = [kindCount]struct {
 	EvHorizon:      {"horizon", CatShard},
 	EvHop:          {"hop", CatHop},
 	EvImpairDrop:   {"impair_drop", CatPacket},
+	EvAQMDrop:      {"aqm_drop", CatPacket},
 }
 
 // String returns the stable wire name of the kind.
@@ -186,6 +188,8 @@ type Recorder struct {
 	mu    sync.Mutex
 	ring  []Event
 	total uint64 // events ever emitted; ring[total%cap] is the next slot
+	// emitted counts the events ever emitted per kind, wraparound or not.
+	emitted [kindCount]uint64
 }
 
 // NewRecorder returns a recorder holding the most recent capacity
@@ -218,6 +222,7 @@ func (r *Recorder) Emit(t int64, k Kind, src, flow int32, a, b int64) {
 	r.mu.Lock()
 	r.ring[r.total%uint64(len(r.ring))] = Event{T: t, A: a, B: b, Src: src, Flow: flow, Kind: k}
 	r.total++
+	r.emitted[k]++
 	r.mu.Unlock()
 }
 
@@ -237,6 +242,17 @@ func (r *Recorder) Total() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.total
+}
+
+// Emitted returns how many events of kind k have ever been emitted,
+// including those the ring has since overwritten.
+func (r *Recorder) Emitted(k Kind) uint64 {
+	if r == nil {
+		return 0
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.emitted[k]
 }
 
 // Overwritten returns how many events have been lost to ring

@@ -134,54 +134,166 @@ type Packet struct {
 	// for reporting).
 	AppLimited bool
 
-	// tally, when set, counts this packet among its flow's live packets
-	// (see Tally); NewAck passes it on and Release gives it back.
+	// shard is the shard the packet is on: where its tally books its end
+	// (see Tally). It sits in AppLimited's padding.
+	shard int32
+	// tally, when set, counts this packet on its flow's books (see
+	// Tally); NewAck passes it on and the packet's end books it there.
 	tally *Tally
 }
 
-// Tally counts one flow's live packets — every data packet its sender
-// attaches and every ACK NewAck builds from one, each until it is
-// released — and runs a callback once the flow is finished and the
-// count is back at zero: the instant none of the flow's packets is left
-// anywhere (queued, on a wire, inside an impairment, in link service),
-// so whatever only that flow used can be torn down without any later
-// event reaching it. Live is the flow's exact in-flight term.
+// Cause is how a packet left the simulation: consumed at its terminal
+// (Delivered, Acked — the two ends Release books), or dropped, and why.
+// Every cause from Refused on is a drop.
+type Cause uint8
+
+const (
+	// Delivered is a data packet its receiver consumed.
+	Delivered Cause = iota
+	// Acked is an ACK its sender consumed.
+	Acked
+	// Refused is a packet a discipline turned away at a link's port.
+	Refused
+	// AQM is a packet a discipline dropped after queueing it (CoDel's
+	// dequeue side).
+	AQM
+	// Unrouted is a packet that reached a junction with no forwarding
+	// entry for its flow and direction.
+	Unrouted
+	// LinkDown is a packet that arrived at an edge taken down.
+	LinkDown
+	// Adversary is a packet an attack stage discarded.
+	Adversary
+	// Impair is a packet an impairment stage (random or burst loss)
+	// discarded.
+	Impair
+	// Late is an ACK that reached its sender after Stop.
+	Late
+	// Misrouted is a packet that reached a receiver or a sender that is
+	// not its own.
+	Misrouted
+	// NumCauses counts the causes.
+	NumCauses
+)
+
+var causeNames = [NumCauses]string{"delivered", "acked", "refused", "aqm", "unrouted", "link_down", "adversary", "impair", "late", "misrouted"}
+
+// String returns the cause's stable name (the abc_drops_total label).
+func (c Cause) String() string { return causeNames[c] }
+
+// Books is what a set of packets did: how many data packets and ACKs
+// were attached, and how many ended, by cause. It is one shard's row of
+// a Tally, or any number of rows and tallies summed.
+type Books struct {
+	Data, Acks int64
+	Released   [NumCauses]int64
+}
+
+// Add adds o's counts to b.
+func (b *Books) Add(o Books) {
+	b.Data += o.Data
+	b.Acks += o.Acks
+	for c, n := range o.Released {
+		b.Released[c] += n
+	}
+}
+
+// Live is the attached packets that have not ended: the books' in-flight
+// term, so attached = Σ released + Live holds by construction.
+func (b Books) Live() int64 {
+	n := b.Data + b.Acks
+	for _, r := range b.Released {
+		n -= r
+	}
+	return n
+}
+
+// Tally is one flow's packet books — every data packet its sender
+// attaches and every ACK NewAck builds from one, and how each ended — and
+// runs a callback once the flow is finished and none of its packets is
+// live: the instant none is left anywhere (queued, on a wire, inside an
+// impairment, in link service), so whatever only that flow used can be
+// torn down without any later event reaching it.
 //
-// A Tally is a plain counter: every packet it counts must be created
-// and released on one simulator goroutine. Workload-spawned flows, the
-// only ones that carry one, are single-shard for that reason (exp's
-// checkShardable); spawning flows across shards (ROADMAP item 6) must
-// make it shard-safe first.
+// The books are kept in one row per shard, and a packet's attach and end
+// are booked in the row of the shard it is on, which a cross-shard hop
+// moves (MoveTo). Each shard writes only its own row, so a flow whose
+// packets cross shards needs neither locks nor atomics; the rows are
+// summed (Books, Live) where no shard runs. Shard 0's row is inline, so
+// a one-shard tally allocates nothing, and the zero Tally is a one-shard
+// tally whose sender is on shard 0 (see Spread).
 type Tally struct {
-	live    int
+	home    int
+	first   Books
+	more    []Books
 	onDrain func()
 }
 
-// Attach counts p, which must not be counted yet, as one of the flow's
-// live packets until p is released.
-func (t *Tally) Attach(p *Packet) {
-	p.tally = t
-	t.live++
+// Spread readies the tally, before its first packet, for a run over
+// shards (≥ 1) shards in which the flow's sender attaches on shard home.
+func (t *Tally) Spread(shards, home int) { t.home, t.more = home, make([]Books, shards-1) }
+
+// row returns shard's row.
+func (t *Tally) row(shard int32) *Books {
+	if shard == 0 {
+		return &t.first
+	}
+	return &t.more[shard-1]
 }
 
-// Live reports how many of the flow's packets have not been released.
-func (t *Tally) Live() int { return t.live }
+// Attach counts p, which no tally counts yet, as one of the flow's
+// packets, attached on the sender's shard.
+func (t *Tally) Attach(p *Packet) { t.attach(p, int32(t.home)) }
+
+// Adopt counts p as attached on shard unless a tally counts it already:
+// how packets injected from outside any flow stay on the books.
+func (t *Tally) Adopt(p *Packet, shard int) {
+	if p.tally == nil {
+		t.attach(p, int32(shard))
+	}
+}
+
+func (t *Tally) attach(p *Packet, shard int32) {
+	p.tally, p.shard = t, shard
+	if r := t.row(shard); p.IsAck {
+		r.Acks++
+	} else {
+		r.Data++
+	}
+}
+
+// Books returns the tally's rows summed. Call it only where no shard
+// writes one: from the shard of a one-shard flow, at a coordinator
+// barrier, or after the run.
+func (t *Tally) Books() Books {
+	b := t.first
+	for _, r := range t.more {
+		b.Add(r)
+	}
+	return b
+}
+
+// Live reports how many of the flow's packets have not ended, under
+// Books' rule.
+func (t *Tally) Live() int { return int(t.Books().Live()) }
 
 // Finish, called once, declares that the flow will attach no more
 // packets of its own. onDrain runs exactly once: now if no packet is
-// live, otherwise from the Release of the last one.
+// live, otherwise from the end of the last one. Only a one-shard flow
+// may be finished: the check at each end reads every row.
 func (t *Tally) Finish(onDrain func()) {
-	if t.live == 0 {
+	if t.Live() == 0 {
 		onDrain()
 		return
 	}
 	t.onDrain = onDrain
 }
 
-// release uncounts one packet and drains a finished flow at zero.
-func (t *Tally) release() {
-	t.live--
-	if t.live == 0 && t.onDrain != nil {
+// release books one packet's end on shard and drains a finished flow at
+// zero.
+func (t *Tally) release(shard int32, c Cause) {
+	t.row(shard).Released[c]++
+	if t.onDrain != nil && t.Live() == 0 {
 		drain := t.onDrain
 		t.onDrain = nil
 		drain()
@@ -211,26 +323,42 @@ var pool = sync.Pool{New: func() any { return new(Packet) }}
 //
 // Ownership rules: a packet has exactly one owner at a time — whoever
 // holds the pointer last is responsible for either forwarding it (links,
-// qdiscs, wires) or releasing it (terminal consumers: the receiver for
-// data packets, the sender endpoint for ACKs, and whichever element drops
-// it). Qdisc.Enqueue returning false leaves ownership with the caller and
+// qdiscs, wires) or ending it, exactly once, in one of two ways: Release
+// by its terminal consumer (the receiver for data packets, the sender
+// endpoint for ACKs), or Drop with the cause by whichever element drops
+// it. Qdisc.Enqueue returning false leaves ownership with the caller and
 // the packet untouched; a packet a discipline drops after accepting it
-// (CoDel, from Dequeue) is released in exactly one place, qdisc.Queue's
+// (CoDel, from Dequeue) is dropped in exactly one place, qdisc.Queue's
 // drop, which also counts it.
 func Get() *Packet { return pool.Get().(*Packet) }
 
-// Release zeroes p and returns it to the free list. The caller must not
-// touch p afterwards. Test sinks that retain packets simply skip Release.
-// A tallied packet is uncounted last, so a drain callback it triggers
-// runs with p already back on the free list.
+// Release ends p at its terminal consumer: it is Drop with the
+// consumption cause, Delivered for a data packet and Acked for an ACK.
+// Test sinks that retain packets simply skip it.
 func (p *Packet) Release() {
-	t := p.tally
+	c := Delivered
+	if p.IsAck {
+		c = Acked
+	}
+	p.Drop(c)
+}
+
+// Drop ends p for cause c: it zeroes p, returns it to the free list and
+// books the end on p's tally, if any, in the row of the shard p is on.
+// The caller must not touch p afterwards. The end is booked last, so a
+// drain callback it triggers runs with p already back on the free list.
+func (p *Packet) Drop(c Cause) {
+	t, shard := p.tally, p.shard
 	*p = Packet{}
 	pool.Put(p)
 	if t != nil {
-		t.release()
+		t.release(shard, c)
 	}
 }
+
+// MoveTo records that p now belongs to shard: a cross-shard hop calls it
+// before handing p over, so p's end is booked in that shard's row.
+func (p *Packet) MoveTo(shard int) { p.shard = int32(shard) }
 
 // NewData returns a data packet of the given flow, sequence and size,
 // drawn from the free list.
@@ -242,18 +370,19 @@ func NewData(flow int, seq int64, size int, now sim.Time) *Packet {
 
 // NewAck builds the acknowledgement for data packet p, carrying the
 // receiver's cumulative ack and echoing ABC/ECN signals. The ACK is drawn
-// from the free list and counted by p's Tally, if any; p itself is left
-// untouched (the caller still owns and eventually releases it).
+// from the free list and attached to p's Tally, if any, on the shard p
+// is on; p itself is left untouched (the caller still owns and
+// eventually releases it).
 func NewAck(p *Packet, cumAck int64, now sim.Time) *Packet {
 	a := Get()
+	a.IsAck = true
 	if p.tally != nil {
-		p.tally.Attach(a)
+		p.tally.attach(a, p.shard)
 	}
 	a.Flow = p.Flow
 	a.Seq = p.Seq
 	a.CumAck = cumAck
 	a.Size = AckSize
-	a.IsAck = true
 	a.Retx = p.Retx
 	a.AckSentAt = p.SentAt
 	a.AckQueueDelay = p.QueueDelay

@@ -226,6 +226,34 @@ func TestTallyDrainsOnce(t *testing.T) {
 	p.Release()
 }
 
+// TestTallyRowsPerShard: a spread tally books an attach on the sender's
+// shard and each end on the shard the packet was moved to, so no row
+// balances alone while their sum does; Adopt leaves a tallied packet on
+// its own books, and every end names its cause.
+func TestTallyRowsPerShard(t *testing.T) {
+	var tl, strays Tally
+	tl.Spread(3, 1)
+	strays.Spread(3, 0)
+	d := NewData(1, 0, MTU, 0)
+	tl.Attach(d)
+	strays.Adopt(d, 2)
+	d.MoveTo(2)
+	a := NewAck(d, 1, 0)
+	d.Release()
+	a.MoveTo(0)
+	a.Drop(Late)
+	if got := tl.Books(); got.Data != 1 || got.Acks != 1 || got.Released[Delivered] != 1 || got.Released[Late] != 1 || got.Live() != 0 {
+		t.Fatalf("books = %+v, want one data packet delivered and one ACK ended late", got)
+	}
+	if tl.first.Live() != -1 || tl.more[0].Live() != 1 || tl.more[1].Live() != 0 {
+		t.Fatalf("rows %+v %+v %+v: want the ACK's end on shard 0, the data attach on shard 1, the ACK's attach and the data end on shard 2",
+			tl.first, tl.more[0], tl.more[1])
+	}
+	if b := strays.Books(); b != (Books{}) {
+		t.Fatalf("Adopt booked a packet its flow already tallies: %+v", b)
+	}
+}
+
 func TestNewAckLeavesDataPacketIntact(t *testing.T) {
 	p := NewData(1, 9, MTU, 100)
 	p.ECN = Brake

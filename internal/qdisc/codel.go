@@ -5,6 +5,7 @@ package qdisc
 import (
 	"math"
 
+	"abc/internal/obs"
 	"abc/internal/packet"
 	"abc/internal/sim"
 )
@@ -13,6 +14,7 @@ import (
 // exceeds Target for at least Interval trigger the dropping state, in which
 // packets are dropped (or CE-marked if ECN-capable) at intervals shrinking
 // with the square root of the drop count, per the RFC 8289 control law.
+// It is an obs.Sink: each dequeue-side drop emits an EvAQMDrop.
 type CoDel struct {
 	// Target is the acceptable standing queue delay (RFC default 5 ms).
 	Target sim.Time
@@ -29,6 +31,22 @@ type CoDel struct {
 	dropNextAt    sim.Time
 	dropCount     int
 	lastDropCount int
+
+	// rec/obsSrc feed the flight recorder; nil rec = off.
+	rec    *obs.Recorder
+	obsSrc int32
+}
+
+// SetObs implements obs.Sink.
+func (c *CoDel) SetObs(rec *obs.Recorder, src int32) { c.rec, c.obsSrc = rec, src }
+
+// aqmDrop traces a dequeue-side drop and hands the packet to the store's
+// one drop point.
+func (c *CoDel) aqmDrop(now sim.Time, p *packet.Packet) {
+	if c.rec.Enabled(obs.CatPacket) {
+		c.rec.Emit(int64(now), obs.EvAQMDrop, c.obsSrc, int32(p.Flow), 0, 0)
+	}
+	c.drop(p)
 }
 
 // NewCoDel returns a CoDel queue with RFC 8289 defaults and the given
@@ -92,7 +110,7 @@ func (c *CoDel) Dequeue(now sim.Time) *packet.Packet {
 					c.dropNextAt = c.controlLaw(c.dropNextAt)
 					break
 				}
-				c.drop(p)
+				c.aqmDrop(now, p)
 				c.dropCount++
 				p, okToDrop = c.doDequeue(now)
 				if p == nil {
@@ -111,7 +129,7 @@ func (c *CoDel) Dequeue(now sim.Time) *packet.Packet {
 		if c.UseECN && p.ECN.ECNCapable() {
 			c.mark(p)
 		} else {
-			c.drop(p)
+			c.aqmDrop(now, p)
 			p, _ = c.doDequeue(now)
 		}
 		c.dropping = true

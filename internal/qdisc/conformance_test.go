@@ -145,13 +145,14 @@ func TestDisciplineConformance(t *testing.T) {
 // start emitting, a new CapacityAware would be handed µ(t). The table was
 // written down before the disciplines shared a store and must not move
 // because of what they embed. (The dual-* rows are sinks on purpose: the
-// composite hands the recorder to its ABC child.)
+// composite hands the recorder to its ABC child. So is codel: it traces
+// the drops it makes on its dequeue side.)
 func TestDisciplineCapabilities(t *testing.T) {
 	type caps struct{ capacity, background, sink bool }
 	want := map[string]caps{
 		"abc":         {true, true, true},
 		"abc-proxied": {true, true, true},
-		"codel":       {},
+		"codel":       {sink: true},
 		"droptail":    {background: true},
 		"dual-maxmin": {capacity: true, sink: true},
 		"dual-zombie": {capacity: true, sink: true},

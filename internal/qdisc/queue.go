@@ -102,12 +102,12 @@ func (q *Queue) deliver(p *packet.Packet) *packet.Packet {
 	return p
 }
 
-// drop counts a taken packet as dropped inside the discipline and
-// releases it: the queue owned it, and this is the one place such a
+// drop counts a taken packet as dropped inside the discipline and ends
+// it as packet.AQM: the queue owned it, and this is the one place such a
 // packet goes back to the free list.
 func (q *Queue) drop(p *packet.Packet) {
 	q.Stats.DroppedPackets++
-	p.Release()
+	p.Drop(packet.AQM)
 }
 
 // mark applies an AQM congestion signal to an ECN-capable packet.

@@ -416,6 +416,23 @@ func (c *Coordinator) post(src, dst int, at Time, fn ArgsFunc, a, b any) {
 	}
 }
 
+// EachPending calls fn with the arguments of every event pending on any
+// shard (Simulator.EachPending) and of every cross-shard message not yet
+// merged into its destination's heap. Call it between windows or after
+// Run.
+func (c *Coordinator) EachPending(fn func(a, b any)) {
+	for _, sh := range c.shards {
+		sh.Simulator.EachPending(fn)
+	}
+	for i := range c.lanes {
+		for j := range c.lanes[i].box {
+			for _, m := range c.lanes[i].box[j].items {
+				fn(m.a, m.b)
+			}
+		}
+	}
+}
+
 // lowerBounds fills nb with each shard's earliest pending event time —
 // its heap top or the earliest message the last window posted to it —
 // and closes it under the channel graph into out: out[j] is a lower

@@ -387,6 +387,17 @@ func (s *Simulator) Halt() { s.halted = true }
 // counted.
 func (s *Simulator) Pending() int { return len(s.heap) + s.chained }
 
+// EachPending calls fn with the two arguments of every pending
+// AtArgs/AfterArgs/ChainAfterArgs event, chained ones included, in slab
+// order: how an audit finds what the event queue holds.
+func (s *Simulator) EachPending(fn func(a, b any)) {
+	for i := range s.slots {
+		if sl := &s.slots[i]; sl.fn2 != nil {
+			fn(sl.a, sl.b)
+		}
+	}
+}
+
 // step pops the earliest event and runs its callback. If a chain
 // successor waits behind it, the successor's key takes over the root in
 // one siftDown instead of a remove and a push.

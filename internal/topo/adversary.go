@@ -221,11 +221,10 @@ func (e *Edge) applyAttack(p *packet.Packet) bool {
 		return true
 	}
 	if a.DropRate > 0 && e.advRng.Float64() < a.DropRate {
-		e.AdvDrops++
 		if e.g.rec.Enabled(obs.CatAttack) {
 			e.g.rec.Emit(int64(e.home.Now()), obs.EvAttackDrop, int32(e.ID), int32(p.Flow), 0, 0)
 		}
-		p.Release()
+		p.Drop(packet.Adversary)
 		return false
 	}
 	if a.StripMarks && p.ECN == packet.Accel {

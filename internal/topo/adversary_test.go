@@ -65,8 +65,8 @@ func TestTargetedDropHitsOnlyVictim(t *testing.T) {
 	e.SetAttack(&Attack{Target: Target{Flows: []int{1}}, DropRate: 1})
 	entry := g.Node(e.From.ID)
 	for i := 0; i < 50; i++ {
-		entry.Recv(packet.NewData(1, int64(i), packet.MTU, 0))
-		entry.Recv(packet.NewData(2, int64(i), packet.MTU, 0))
+		entry.Recv(booked(g, packet.NewData(1, int64(i), packet.MTU, 0)))
+		entry.Recv(booked(g, packet.NewData(2, int64(i), packet.MTU, 0)))
 	}
 	s.Run()
 	if n := len(*got[1]); n != 0 {
@@ -75,8 +75,8 @@ func TestTargetedDropHitsOnlyVictim(t *testing.T) {
 	if n := len(*got[2]); n != 50 {
 		t.Errorf("bystander flow 2 delivered %d packets, want 50", n)
 	}
-	if e.AdvDrops != 50 || g.AdversaryDrops() != 50 {
-		t.Errorf("AdvDrops = %d (graph %d), want 50", e.AdvDrops, g.AdversaryDrops())
+	if d := ended(g, packet.Adversary); d != 50 {
+		t.Errorf("adversary drops = %d, want 50", d)
 	}
 }
 
@@ -210,8 +210,8 @@ func TestSetAttackRetune(t *testing.T) {
 	entry := g.Node(e.From.ID)
 	inject := func(n int) {
 		for i := 0; i < n; i++ {
-			entry.Recv(packet.NewData(1, 0, packet.MTU, 0))
-			entry.Recv(packet.NewData(2, 0, packet.MTU, 0))
+			entry.Recv(booked(g, packet.NewData(1, 0, packet.MTU, 0)))
+			entry.Recv(booked(g, packet.NewData(2, 0, packet.MTU, 0)))
 		}
 	}
 	inject(10) // phase 1: flow 1 victimized
@@ -229,8 +229,8 @@ func TestSetAttackRetune(t *testing.T) {
 	if n := len(*got[2]); n != 20 {
 		t.Errorf("flow 2 delivered %d, want 20 (victim only in phase 2)", n)
 	}
-	if e.AdvDrops != 20 {
-		t.Errorf("AdvDrops = %d, want 20", e.AdvDrops)
+	if d := ended(g, packet.Adversary); d != 20 {
+		t.Errorf("adversary drops = %d, want 20", d)
 	}
 }
 

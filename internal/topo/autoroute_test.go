@@ -87,7 +87,7 @@ func TestShortestPathEmergentReroute(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 100
-	send(s, entry, 1, n) // one per ms from t=0
+	send(g, entry, 1, n) // one per ms from t=0
 	s.At(20500*sim.Microsecond, func() { g.Edge(e1).SetDown(true) })
 	s.At(60500*sim.Microsecond, func() { g.Edge(e1).SetDown(false) })
 	s.RunUntil(2 * sim.Second)
@@ -101,12 +101,12 @@ func TestShortestPathEmergentReroute(t *testing.T) {
 	if route, _ := g.RouteOf(1, false); route[0] != e1 || route[1] != e2 {
 		t.Fatalf("final route = %v, want the recovered shortest path", route)
 	}
-	total := int64(sink.Count) + g.DownDrops() + g.UnroutedDrops()
-	if total != n {
+	down, unrouted := ended(g, packet.LinkDown), ended(g, packet.Unrouted)
+	if total := int64(sink.Count) + down + unrouted; total != n {
 		t.Fatalf("conservation violated: delivered %d + down %d + unrouted %d != %d",
-			sink.Count, g.DownDrops(), g.UnroutedDrops(), n)
+			sink.Count, down, unrouted, n)
 	}
-	if g.DownDrops() == 0 {
+	if down == 0 {
 		t.Fatal("expected packets sent during the convergence window to hit the down gate")
 	}
 }
@@ -252,7 +252,7 @@ func TestAutoRouterDrainingMakeBeforeBreak(t *testing.T) {
 	if sink.Count != n {
 		t.Fatalf("delivered %d/%d; make-before-break must drain the old path", sink.Count, n)
 	}
-	if d := g.UnroutedDrops(); d != 0 {
+	if d := ended(g, packet.Unrouted); d != 0 {
 		t.Fatalf("unrouted drops = %d, want 0", d)
 	}
 }

@@ -37,7 +37,7 @@ func TestFIBClassSharing(t *testing.T) {
 	if n := len(g.Node(1).table); n != 1 {
 		t.Fatalf("node b has %d table entries, want 1 (shared class)", n)
 	}
-	send(s, entry, 1, 10)
+	send(g, entry, 1, 10)
 	for i := 0; i < 10; i++ {
 		seq := int64(i)
 		s.At(sim.Time(i)*sim.Millisecond, func() {
@@ -125,10 +125,10 @@ func TestUnrouteFlowInvertsRouteFlow(t *testing.T) {
 	if n := len(g.Node(1).table); n != 1 || g.classes[shared].refs != 1 {
 		t.Fatalf("node b has %d entries, shared class refs %d; want 1, 1", n, g.classes[shared].refs)
 	}
-	send(s, entry, 2, 10)
+	send(g, entry, 2, 10)
 	s.RunUntil(sim.Second)
-	if sink2.Count != 10 || g.UnroutedDrops() != 0 {
-		t.Fatalf("flow 2 delivered %d/10 with %d unrouted drops after its class-mate left", sink2.Count, g.UnroutedDrops())
+	if sink2.Count != 10 || ended(g, packet.Unrouted) != 0 {
+		t.Fatalf("flow 2 delivered %d/10 with %d unrouted drops after its class-mate left", sink2.Count, ended(g, packet.Unrouted))
 	}
 
 	if err := g.UnrouteFlow(2); err != nil {
@@ -150,8 +150,8 @@ func TestUnrouteFlowInvertsRouteFlow(t *testing.T) {
 	}
 	// A straggler of an unrouted flow is dropped and counted at the first
 	// junction it reaches.
-	g.Node(0).Recv(packet.NewData(1, 99, packet.MTU, s.Now()))
-	if d := g.UnroutedDrops(); d != 1 || sink1.Count != 0 {
+	g.Node(0).Recv(booked(g, packet.NewData(1, 99, packet.MTU, s.Now())))
+	if d := ended(g, packet.Unrouted); d != 1 || sink1.Count != 0 {
 		t.Errorf("straggler: %d unrouted drops, %d delivered; want 1, 0", d, sink1.Count)
 	}
 	if err := g.UnrouteFlow(1); err == nil {
@@ -178,7 +178,7 @@ func TestUnrouteFlowInvertsRouteFlow(t *testing.T) {
 // flight. Teardown tied to its packet tally keeps both routes through
 // Finish and removes them when the last late ACK is released: every
 // packet that was live at Finish except the ACK completing the flow
-// reaches the stopped endpoint as a late ACK, none is an unrouted drop.
+// reaches the stopped endpoint and ends late, none is an unrouted drop.
 func TestUnrouteWaitsForLateAcks(t *testing.T) {
 	s := sim.New(7)
 	g := New(s)
@@ -198,8 +198,8 @@ func TestUnrouteWaitsForLateAcks(t *testing.T) {
 	if ep.Out, err = g.RouteFlow(1, false, []int{fwd}, 0, recv); err != nil {
 		t.Fatal(err)
 	}
-	tally := &packet.Tally{}
-	ep.Tally, ep.Src = tally, cc.NewFixed(60*packet.MTU)
+	tally := &ep.Tally
+	ep.Src = cc.NewFixed(60 * packet.MTU)
 	liveAtFinish := -1
 	var finishedAt, drainedAt sim.Time
 	ep.OnComplete = func(now sim.Time) {
@@ -224,11 +224,12 @@ func TestUnrouteWaitsForLateAcks(t *testing.T) {
 	if drainedAt <= finishedAt {
 		t.Errorf("drained at %v, not after completion at %v", drainedAt, finishedAt)
 	}
-	if got, want := ep.LateAcks, int64(liveAtFinish-1); got != want {
-		t.Errorf("LateAcks = %d, want %d (live at Finish minus the completing ACK)", got, want)
+	books := tally.Books()
+	if got, want := books.Released[packet.Late], int64(liveAtFinish-1); got != want {
+		t.Errorf("late ACKs = %d, want %d (live at Finish minus the completing ACK)", got, want)
 	}
-	if tally.Live() != 0 || g.UnroutedDrops() != 0 {
-		t.Errorf("live = %d, unrouted drops = %d after the drain; want 0, 0", tally.Live(), g.UnroutedDrops())
+	if books.Live() != 0 || books.Released[packet.Unrouted] != 0 {
+		t.Errorf("live = %d, unrouted drops = %d after the drain; want 0, 0", books.Live(), books.Released[packet.Unrouted])
 	}
 	for _, ack := range []bool{false, true} {
 		if _, ok := g.RouteOf(1, ack); ok {
@@ -252,7 +253,7 @@ func TestRerouteDrainingDeliversInFlight(t *testing.T) {
 	const n = 50
 	s.At(0, func() {
 		for i := 0; i < n; i++ {
-			entry.Recv(packet.NewData(1, int64(i), packet.MTU, s.Now()))
+			entry.Recv(booked(g, packet.NewData(1, int64(i), packet.MTU, s.Now())))
 		}
 	})
 	s.At(10*sim.Millisecond, func() {
@@ -264,7 +265,7 @@ func TestRerouteDrainingDeliversInFlight(t *testing.T) {
 	if sink.Count != n {
 		t.Fatalf("delivered %d/%d across a draining reroute", sink.Count, n)
 	}
-	if d := g.UnroutedDrops(); d != 0 {
+	if d := ended(g, packet.Unrouted); d != 0 {
 		t.Fatalf("unrouted drops = %d, want 0 (the drain window covers the in-flight packets)", d)
 	}
 	if g.Node(1).override != nil {
@@ -286,7 +287,7 @@ func TestRerouteDrainingExpiryCountsStragglers(t *testing.T) {
 	const n = 50
 	s.At(0, func() {
 		for i := 0; i < n; i++ {
-			entry.Recv(packet.NewData(1, int64(i), packet.MTU, s.Now()))
+			entry.Recv(booked(g, packet.NewData(1, int64(i), packet.MTU, s.Now())))
 		}
 	})
 	// 50 MTU packets at 8 Mbit/s serialize over ~75 ms; a 20 ms window
@@ -297,7 +298,7 @@ func TestRerouteDrainingExpiryCountsStragglers(t *testing.T) {
 		}
 	})
 	s.RunUntil(3 * sim.Second)
-	drops := g.UnroutedDrops()
+	drops := ended(g, packet.Unrouted)
 	if drops == 0 {
 		t.Fatal("expected stragglers past the drain window to be counted")
 	}
@@ -323,7 +324,7 @@ func TestRerouteDrainingSuperseded(t *testing.T) {
 	const n = 50
 	s.At(0, func() {
 		for i := 0; i < n; i++ {
-			entry.Recv(packet.NewData(1, int64(i), packet.MTU, s.Now()))
+			entry.Recv(booked(g, packet.NewData(1, int64(i), packet.MTU, s.Now())))
 		}
 	})
 	r := g.Router()
@@ -338,9 +339,9 @@ func TestRerouteDrainingSuperseded(t *testing.T) {
 		}
 	})
 	s.RunUntil(3 * sim.Second)
-	if int64(sink.Count)+g.UnroutedDrops() != n {
+	if drops := ended(g, packet.Unrouted); int64(sink.Count)+drops != n {
 		t.Fatalf("conservation violated: %d delivered + %d drops != %d sent",
-			sink.Count, g.UnroutedDrops(), n)
+			sink.Count, drops, n)
 	}
 	if route, _ := g.RouteOf(1, false); len(route) != 2 || route[0] != e1 {
 		t.Fatalf("final route = %v, want [%d %d]", route, e1, e2)

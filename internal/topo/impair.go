@@ -40,35 +40,23 @@ func (im Impairments) zero() bool {
 		im.Jitter <= 0 && im.ReorderProb <= 0
 }
 
-// impairStats aggregates drops across the stage's elements and is their
-// one drop point: counted, traced under the edge id, released.
-type impairStats struct {
-	drops int64
-	s     *sim.Simulator
-	// rec/obsSrc feed the flight recorder (obs.Sink); nil rec = off.
-	rec    *obs.Recorder
-	obsSrc int32
-}
-
-// SetObs implements obs.Sink.
-func (st *impairStats) SetObs(rec *obs.Recorder, src int32) { st.rec, st.obsSrc = rec, src }
-
-func (st *impairStats) drop(p *packet.Packet) {
-	st.drops++
-	if st.rec.Enabled(obs.CatPacket) {
-		st.rec.Emit(int64(st.s.Now()), obs.EvImpairDrop, st.obsSrc, int32(p.Flow), 0, 0)
+// dropImpaired is the one drop point of the edge's impairment stage:
+// traced under the edge id, dropped as packet.Impair.
+func (e *Edge) dropImpaired(p *packet.Packet) {
+	if e.g.rec.Enabled(obs.CatPacket) {
+		e.g.rec.Emit(int64(e.home.Now()), obs.EvImpairDrop, int32(e.ID), int32(p.Flow), 0, 0)
 	}
-	p.Release()
+	p.Drop(packet.Impair)
 }
 
-// build assembles the stage in a fixed order — loss, burst loss,
+// build assembles edge e's stage in a fixed order — loss, burst loss,
 // reordering, jitter — and returns its head. The fixed order keeps runs
 // deterministic and reproducible from the spec alone. All elements share
-// rng, the owning edge's private stream seeded from the edge name: the
-// pattern one edge draws never depends on what other edges exist or
-// forward (see Graph.AddEdge).
-func (im Impairments) build(s *sim.Simulator, rng *rand.Rand, dst packet.Node) (packet.Node, *impairStats) {
-	st := &impairStats{s: s}
+// one RNG, the edge's private stream seeded from its name: the pattern
+// one edge draws never depends on what other edges exist or forward (see
+// Graph.AddEdge).
+func (im Impairments) build(e *Edge, dst packet.Node) packet.Node {
+	s, rng := e.home, e.rand("impair")
 	head := dst
 	if im.Jitter > 0 {
 		head = &jitterPipe{s: s, rng: rng, dst: head, max: im.Jitter}
@@ -84,12 +72,12 @@ func (im Impairments) build(s *sim.Simulator, rng *rand.Rand, dst packet.Node) (
 		if pGood <= 0 {
 			pGood = 0.2
 		}
-		head = &burstGate{rng: rng, dst: head, lossBad: im.BurstLossRate, pBad: pBad, pGood: pGood, st: st}
+		head = &burstGate{rng: rng, dst: head, lossBad: im.BurstLossRate, pBad: pBad, pGood: pGood, e: e}
 	}
 	if im.LossRate > 0 {
-		head = &lossGate{rng: rng, dst: head, p: im.LossRate, st: st}
+		head = &lossGate{rng: rng, dst: head, p: im.LossRate, e: e}
 	}
-	return head, st
+	return head
 }
 
 // lossGate drops packets independently with probability p.
@@ -97,13 +85,13 @@ type lossGate struct {
 	rng *rand.Rand
 	dst packet.Node
 	p   float64
-	st  *impairStats
+	e   *Edge
 }
 
 // Recv implements packet.Node.
 func (l *lossGate) Recv(p *packet.Packet) {
 	if l.rng.Float64() < l.p {
-		l.st.drop(p)
+		l.e.dropImpaired(p)
 		return
 	}
 	l.dst.Recv(p)
@@ -117,7 +105,7 @@ type burstGate struct {
 	pBad    float64 // good → bad transition probability per packet
 	pGood   float64 // bad → good transition probability per packet
 	bad     bool
-	st      *impairStats
+	e       *Edge
 }
 
 // Recv implements packet.Node.
@@ -130,7 +118,7 @@ func (b *burstGate) Recv(p *packet.Packet) {
 		b.bad = true
 	}
 	if b.bad && b.rng.Float64() < b.lossBad {
-		b.st.drop(p)
+		b.e.dropImpaired(p)
 		return
 	}
 	b.dst.Recv(p)

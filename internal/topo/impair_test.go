@@ -8,9 +8,10 @@ import (
 	"abc/internal/sim"
 )
 
-// testRNG builds a stage RNG the way AddEdge would for an edge name.
-func testRNG(s *sim.Simulator, name string) *Edge {
-	return &Edge{Name: name, g: &Graph{S: s}}
+// testEdge is a bare edge of the given name on s, untraced: enough for
+// an impairment stage to draw its RNG and drop through.
+func testEdge(s *sim.Simulator, name string) *Edge {
+	return &Edge{Name: name, g: &Graph{S: s}, home: s}
 }
 
 // TestGilbertElliottStationaryLoss checks the burst-loss gate against the
@@ -33,20 +34,24 @@ func TestGilbertElliottStationaryLoss(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := sim.New(7)
 			sink := &packet.Sink{}
-			head, st := Impairments{
+			head := Impairments{
 				BurstLossRate: tc.lossBad,
 				BurstPBad:     tc.pBad,
 				BurstPGood:    tc.pGood,
-			}.build(s, testRNG(s, "ge").rand("impair"), sink)
+			}.build(testEdge(s, "ge"), sink)
+			var books packet.Tally
 			for i := 0; i < n; i++ {
-				head.Recv(packet.NewData(1, int64(i), packet.MTU, 0))
+				p := packet.NewData(1, int64(i), packet.MTU, 0)
+				books.Attach(p)
+				head.Recv(p)
 			}
-			if int64(sink.Count)+st.drops != n {
-				t.Fatalf("delivered %d + dropped %d != sent %d", sink.Count, st.drops, n)
+			drops := books.Books().Released[packet.Impair]
+			if int64(sink.Count)+drops != n {
+				t.Fatalf("delivered %d + dropped %d != sent %d", sink.Count, drops, n)
 			}
 			piBad := tc.pBad / (tc.pBad + tc.pGood)
 			want := piBad * tc.lossBad
-			got := float64(st.drops) / n
+			got := float64(drops) / n
 			if rel := math.Abs(got-want) / want; rel > 0.10 {
 				t.Errorf("empirical loss %.4f vs stationary π_bad·lossBad %.4f (off %.0f%%)",
 					got, want, rel*100)
@@ -84,7 +89,7 @@ func TestReorderConservesPackets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	send(s, entry, 1, n)
+	send(g, entry, 1, n)
 	s.RunUntil(30 * sim.Second)
 	if len(seen) != n {
 		t.Fatalf("saw %d distinct seqs, want %d", len(seen), n)
@@ -97,7 +102,7 @@ func TestReorderConservesPackets(t *testing.T) {
 	if inverted == 0 {
 		t.Fatal("no reordering at p=0.3")
 	}
-	if d := g.ImpairDrops(); d != 0 {
+	if d := ended(g, packet.Impair); d != 0 {
 		t.Fatalf("reorder stage recorded %d drops", d)
 	}
 }

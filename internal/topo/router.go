@@ -9,10 +9,11 @@
 // through its impairment/link/delay chain and arrive at the edge's head
 // node, where the next table lookup decides their fate: nodes shared
 // with the new route forward them along it, nodes off the new route
-// count them as unrouted drops and release them. Nothing is duplicated
-// and nothing vanishes silently — every packet ends up delivered or in
-// exactly one drop counter, which the harness's conservation property
-// test asserts over randomized event timelines.
+// drop them as packet.Unrouted. Nothing is duplicated and nothing
+// vanishes silently — every packet ends exactly once, delivered or
+// dropped under one cause on its flow's books, which the harness's
+// conservation property test asserts over randomized event timelines
+// and its audit after every run.
 package topo
 
 import (
@@ -78,9 +79,9 @@ func (r *Router) Reroute(flow int, ack bool, edges []int) error {
 // old route that are off the new one keep forwarding this flow's
 // in-flight packets along the old path — all the way to the receiver —
 // through per-flow override entries. When the window closes the
-// overrides are removed and any stragglers are counted as unrouted drops
-// at their next junction, so the conservation contract (delivered + drop
-// counters = sent) holds throughout. One-shard graphs only.
+// overrides are removed and any stragglers are dropped as unrouted at
+// their next junction, so the conservation contract (delivered + drops
+// by cause = sent) holds throughout. One-shard graphs only.
 func (r *Router) RerouteDraining(flow int, ack bool, edges []int, drain sim.Time) error {
 	if r.g.Sharded() {
 		return fmt.Errorf("topo: reroute: flow %d: draining reroutes are not supported on sharded graphs", flow)

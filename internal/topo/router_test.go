@@ -3,6 +3,7 @@ package topo
 import (
 	"testing"
 
+	"abc/internal/obs"
 	"abc/internal/packet"
 	"abc/internal/sim"
 )
@@ -34,7 +35,7 @@ func TestRerouteMovesTraffic(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		seq := int64(i)
 		s.At(sim.Time(i)*10*sim.Millisecond, func() {
-			entry.Recv(packet.NewData(1, seq, packet.MTU, s.Now()))
+			entry.Recv(booked(g, packet.NewData(1, seq, packet.MTU, s.Now())))
 		})
 	}
 	s.At(505*sim.Millisecond, func() {
@@ -46,7 +47,7 @@ func TestRerouteMovesTraffic(t *testing.T) {
 	if sink.Count != 100 {
 		t.Fatalf("delivered %d/100 across the reroute", sink.Count)
 	}
-	if d := g.UnroutedDrops(); d != 0 {
+	if d := ended(g, packet.Unrouted); d != 0 {
 		t.Fatalf("unrouted drops = %d, want 0 (swap happened with nothing in flight)", d)
 	}
 	if got := g.Edge(e3).Link.DeliveredBytes(); got != 49*packet.MTU {
@@ -60,6 +61,8 @@ func TestRerouteMovesTraffic(t *testing.T) {
 func TestRerouteStrandsInFlightAsCountedDrops(t *testing.T) {
 	s := sim.New(1)
 	g, e1, e2, e3, e4 := twoPathGraph(t, s)
+	rec := obs.NewRecorder(1<<12, obs.CatPacket)
+	g.SetRecorder(rec)
 	sink := &packet.Sink{}
 	entry, err := g.RouteFlow(1, false, []int{e1, e2}, 0, sink)
 	if err != nil {
@@ -71,7 +74,7 @@ func TestRerouteStrandsInFlightAsCountedDrops(t *testing.T) {
 	// duplicated onto the new path, not silently lost.
 	s.At(0, func() {
 		for i := 0; i < n; i++ {
-			entry.Recv(packet.NewData(1, int64(i), packet.MTU, s.Now()))
+			entry.Recv(booked(g, packet.NewData(1, int64(i), packet.MTU, s.Now())))
 		}
 	})
 	s.At(10*sim.Millisecond, func() {
@@ -80,15 +83,17 @@ func TestRerouteStrandsInFlightAsCountedDrops(t *testing.T) {
 		}
 	})
 	s.RunUntil(2 * sim.Second)
-	drops := g.UnroutedDrops()
+	drops := ended(g, packet.Unrouted)
 	if drops == 0 {
 		t.Fatal("expected in-flight packets stranded on the old path to be counted")
 	}
 	if int64(sink.Count)+drops != n {
 		t.Fatalf("conservation violated: delivered %d + drops %d != sent %d", sink.Count, drops, n)
 	}
-	if g.Node(2).Drops != 0 { // node c is on the new path only
-		t.Fatalf("node c counted %d drops, want 0", g.Node(2).Drops)
+	for _, ev := range rec.Snapshot() {
+		if ev.Kind == obs.EvUnroutedDrop && ev.Src != 1 { // node b; c is on the new path only
+			t.Fatalf("unrouted drop at node %d, want every one at node b", ev.Src)
+		}
 	}
 }
 
@@ -148,19 +153,16 @@ func TestLinkDownGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	send(s, entry, 1, 10) // one per ms from t=0
+	send(g, entry, 1, 10) // one per ms from t=0
 	s.At(4500*sim.Microsecond, func() { g.Edge(e1).SetDown(true) })
 	s.At(7500*sim.Microsecond, func() { g.Edge(e1).SetDown(false) })
 	s.RunUntil(sim.Second)
-	e := g.Edge(e1)
-	if e.DownDrops != 3 { // packets at t=5,6,7 ms hit the gate
-		t.Fatalf("down drops = %d, want 3", e.DownDrops)
+	down := ended(g, packet.LinkDown)
+	if down != 3 { // packets at t=5,6,7 ms hit the gate
+		t.Fatalf("down drops = %d, want 3", down)
 	}
-	if int64(sink.Count)+e.DownDrops != 10 {
-		t.Fatalf("conservation violated: %d delivered + %d down drops != 10", sink.Count, e.DownDrops)
-	}
-	if g.DownDrops() != e.DownDrops {
-		t.Fatalf("graph DownDrops %d != edge %d", g.DownDrops(), e.DownDrops)
+	if int64(sink.Count)+down != 10 {
+		t.Fatalf("conservation violated: %d delivered + %d down drops != 10", sink.Count, down)
 	}
 }
 
@@ -225,16 +227,16 @@ func TestDataAndAckRoutesShareJunction(t *testing.T) {
 		t.Fatalf("ACK route sharing nodes with the data route rejected: %v", err)
 	}
 	s.At(0, func() {
-		dataEntry.Recv(packet.NewData(1, 0, packet.MTU, s.Now()))
+		dataEntry.Recv(booked(g, packet.NewData(1, 0, packet.MTU, s.Now())))
 		ack := packet.Get()
 		ack.Flow, ack.IsAck, ack.Size = 1, true, packet.AckSize
-		ackEntry.Recv(ack)
+		ackEntry.Recv(booked(g, ack))
 	})
 	s.RunUntil(sim.Second)
 	if dataSink.Count != 1 || ackSink.Count != 1 {
 		t.Fatalf("data %d, ack %d delivered; want 1 and 1", dataSink.Count, ackSink.Count)
 	}
-	if d := g.UnroutedDrops(); d != 0 {
+	if d := ended(g, packet.Unrouted); d != 0 {
 		t.Fatalf("unrouted drops = %d", d)
 	}
 }

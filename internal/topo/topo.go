@@ -22,10 +22,14 @@
 // the manually wired element chains it replaces — a static route through
 // the forwarding tables is byte-identical to the precompiled pipeline it
 // superseded. Misrouted packets — a flow arriving at a node with no table
-// entry for it — are counted, not silently released; UnroutedDrops is
-// the first thing to check when a new topology misbehaves (after a
-// mid-run reroute a non-zero count is expected: packets in flight on
-// abandoned edges drain to the next junction and are dropped there).
+// entry for it — are dropped as packet.Unrouted, not silently released;
+// that entry of the packet books (packet.Tally) is the first thing to
+// check when a new topology misbehaves (after a mid-run reroute a
+// non-zero count is expected: packets in flight on abandoned edges drain
+// to the next junction and are dropped there). Every other drop on the
+// graph — a downed edge, an attack, an impairment — is likewise one
+// packet.Drop with its cause, booked on the packet's flow; the graph
+// itself counts no drops.
 package topo
 
 import (
@@ -88,9 +92,6 @@ type Node struct {
 	// old route's hops here for the drain window, so in-flight packets
 	// keep draining to the receiver while new packets take the new path.
 	override map[hopKey]hop
-	// Drops counts arrivals with no table entry (wiring bugs, or packets
-	// stranded on an abandoned route after a mid-run reroute).
-	Drops int64
 }
 
 // Recv implements packet.Node: one forwarding decision. The fast path is
@@ -115,13 +116,12 @@ func (n *Node) Recv(p *packet.Packet) {
 	h, ok := n.table[cls]
 	if !ok {
 		// No route for this (flow, direction) here: the node is the last
-		// holder. Count the drop so both wiring bugs and reroute-stranded
+		// holder. Book the drop so both wiring bugs and reroute-stranded
 		// packets are visible.
-		n.Drops++
 		if g.rec.Enabled(obs.CatPacket) {
 			g.rec.Emit(n.nowNS(), obs.EvUnroutedDrop, int32(n.ID), int32(p.Flow), 0, 0)
 		}
-		p.Release()
+		p.Drop(packet.Unrouted)
 		return
 	}
 	n.forward(h, dir, p)
@@ -152,13 +152,10 @@ type Edge struct {
 	Delay sim.Time
 	// Link is the edge's bottleneck element (nil for pure delay hops).
 	Link Link
-	// DownDrops counts packets discarded at the edge's entry while the
-	// edge was administratively down (SetDown).
-	DownDrops int64
-	// AdvDrops / AdvDelayed / AdvStripped count the installed attack's
-	// actions: targeted discards, targeted extra-delay deferrals and
-	// accel marks demoted by mark-stripping (adversary.go).
-	AdvDrops    int64
+	// AdvDelayed / AdvStripped count the installed attack's actions that
+	// do not end a packet: targeted extra-delay deferrals and accel marks
+	// demoted by mark-stripping (adversary.go). Its discards are drops,
+	// booked as packet.Adversary.
 	AdvDelayed  int64
 	AdvStripped int64
 
@@ -174,16 +171,14 @@ type Edge struct {
 	// cross replaces the wire on shard-cut edges: the propagation delay
 	// is absorbed by the cross-shard handoff (see crossHop).
 	cross *crossHop
-	// impair exposes the impairment stage's drop counters.
-	impair *impairStats
 	// attack is the installed adversary stage (nil = honest edge); advRng
 	// is its private RNG, created on first install and kept across
 	// retunes so an event timeline swapping attacks stays deterministic.
 	attack *Attack
 	advRng *rand.Rand
-	// down gates the edge: while set, arriving packets are counted into
-	// DownDrops and released. Packets already inside the chain (queued in
-	// the qdisc, in flight on the wire) still drain.
+	// down gates the edge: while set, arriving packets are dropped as
+	// packet.LinkDown. Packets already inside the chain (queued in the
+	// qdisc, in flight on the wire) still drain.
 	down bool
 }
 
@@ -191,11 +186,10 @@ type Edge struct {
 // gate, then the attack stage, then the impairment/link/delay chain.
 func (e *Edge) Recv(p *packet.Packet) {
 	if e.down {
-		e.DownDrops++
 		if e.g.rec.Enabled(obs.CatPacket) {
 			e.g.rec.Emit(int64(e.home.Now()), obs.EvDownDrop, int32(e.ID), int32(p.Flow), 0, 0)
 		}
-		p.Release()
+		p.Drop(packet.LinkDown)
 		return
 	}
 	if e.attack != nil && !e.applyAttack(p) {
@@ -205,7 +199,7 @@ func (e *Edge) Recv(p *packet.Packet) {
 }
 
 // SetDown takes the edge down (true) or back up (false). While down,
-// packets arriving at the edge are dropped and counted in DownDrops;
+// packets arriving at the edge are dropped as packet.LinkDown;
 // packets already queued or in flight on the edge still drain — an
 // outage severs the hop, it does not vaporize its buffer. State changes
 // notify the graph's link-state watchers (OnLinkChange).
@@ -294,14 +288,6 @@ func (e *Edge) SetBackground(bg qdisc.Background) error {
 // to stay shard-local.
 func (e *Edge) Home() *sim.Simulator { return e.home }
 
-// ImpairDrops reports packets dropped by this edge's impairment stage.
-func (e *Edge) ImpairDrops() int64 {
-	if e.impair == nil {
-		return 0
-	}
-	return e.impair.drops
-}
-
 // routeState records one installed (flow, direction) route so Router can
 // atomically swap it later.
 type routeState struct {
@@ -385,6 +371,9 @@ type Graph struct {
 	// points guard on rec.Enabled, which is nil-safe, so the disabled
 	// path costs one pointer test on the per-packet paths.
 	rec *obs.Recorder
+	// stray books the packets injected through Entry without a flow's
+	// tally (see Strays).
+	stray packet.Tally
 }
 
 // SetRecorder attaches a flight recorder to the graph: junctions, edges
@@ -407,13 +396,10 @@ func (g *Graph) SetRecorder(rec *obs.Recorder) {
 // off).
 func (g *Graph) Recorder() *obs.Recorder { return g.rec }
 
-// wireObs hands the graph recorder to the edge's impairment stage and to
-// its link if that can carry one (a netem.Port forwards it to its qdisc,
-// a dual queue to its ABC child), all under the edge id.
+// wireObs hands the graph recorder to the edge's link if that can carry
+// one (a netem.Port forwards it to its qdisc, a dual queue to its ABC
+// child), under the edge id. The edge's own stages emit through g.rec.
 func (e *Edge) wireObs() {
-	if e.impair != nil {
-		e.impair.SetObs(e.g.rec, int32(e.ID))
-	}
 	if s, ok := e.Link.(obs.Sink); ok {
 		s.SetObs(e.g.rec, int32(e.ID))
 	}
@@ -445,6 +431,7 @@ func NewSharded(c *sim.Coordinator, assign []int) *Graph {
 		g.sims = append(g.sims, c.Shard(i).Simulator)
 	}
 	g.coord, g.assign = c, assign
+	g.stray.Spread(c.Shards(), 0)
 	return g
 }
 
@@ -524,9 +511,7 @@ func (g *Graph) AddEdge(name string, from, to int, delay sim.Time, imp Impairmen
 		tail = l
 	}
 	if !imp.zero() {
-		head, stats := imp.build(e.home, e.rand("impair"), tail)
-		tail = head
-		e.impair = stats
+		tail = imp.build(e, tail)
 	}
 	e.head = tail
 	g.edges = append(g.edges, e)
@@ -551,8 +536,10 @@ type crossHop struct {
 // shard (no per-packet closure).
 func crossDeliver(a, b any) { a.(packet.Node).Recv(b.(*packet.Packet)) }
 
-// Recv implements packet.Node on the source shard.
+// Recv implements packet.Node on the source shard: p moves to the
+// destination shard before it is posted, so its end is booked there.
 func (h *crossHop) Recv(p *packet.Packet) {
+	p.MoveTo(h.dst)
 	h.src.Post(h.dst, h.src.Now()+h.delay, crossDeliver, h.to, p)
 }
 
@@ -575,8 +562,20 @@ func (g *Graph) Edge(id int) *Edge { return g.edges[id] }
 func (g *Graph) Edges() int { return len(g.edges) }
 
 // Entry returns the entry element of an edge — the hop a sender attached
-// at the edge's tail node transmits into (gate included).
-func (g *Graph) Entry(edge int) packet.Node { return g.edges[edge] }
+// at the edge's tail node transmits into (gate included). A packet that
+// enters there without a flow's tally is adopted by the graph's stray
+// tally, so traffic injected from outside any flow stays on the books.
+func (g *Graph) Entry(edge int) packet.Node {
+	e := g.edges[edge]
+	return packet.NodeFunc(func(p *packet.Packet) {
+		g.stray.Adopt(p, e.From.shard)
+		e.Recv(p)
+	})
+}
+
+// Strays returns the tally that books the packets injected through Entry
+// without one of their own.
+func (g *Graph) Strays() *packet.Tally { return &g.stray }
 
 // CheckPath verifies that an edge sequence is a well-formed route over
 // the graph: every id names an existing edge, consecutive edges are
@@ -872,48 +871,6 @@ func dirName(ack bool) string {
 		return "ack"
 	}
 	return "data"
-}
-
-// UnroutedDrops sums packets dropped at junctions because no table entry
-// existed for their (flow, direction) — wiring bugs in static
-// topologies, expected transients across mid-run reroutes.
-func (g *Graph) UnroutedDrops() int64 {
-	var n int64
-	for _, nd := range g.nodes {
-		n += nd.Drops
-	}
-	return n
-}
-
-// ImpairDrops sums packets dropped by impairment stages across all edges
-// (deliberate loss, as opposed to UnroutedDrops' wiring bugs).
-func (g *Graph) ImpairDrops() int64 {
-	var n int64
-	for _, e := range g.edges {
-		n += e.ImpairDrops()
-	}
-	return n
-}
-
-// DownDrops sums packets dropped at the entry of administratively-down
-// edges across the graph (link_down outage windows).
-func (g *Graph) DownDrops() int64 {
-	var n int64
-	for _, e := range g.edges {
-		n += e.DownDrops
-	}
-	return n
-}
-
-// AdversaryDrops sums packets discarded by installed attack stages
-// across all edges (targeted loss, as opposed to ImpairDrops' oblivious
-// loss).
-func (g *Graph) AdversaryDrops() int64 {
-	var n int64
-	for _, e := range g.edges {
-		n += e.AdvDrops
-	}
-	return n
 }
 
 // AdversaryDelayed sums packets deferred by attack extra-delay stages

@@ -23,15 +23,27 @@ func rateEdge(t *testing.T, g *Graph, s *sim.Simulator, from, to int, delay sim.
 	return id
 }
 
-// send pushes n MTU data packets of the flow into entry.
-func send(s *sim.Simulator, entry packet.Node, flow, n int) {
+// send pushes n MTU data packets of the flow into entry, one per
+// millisecond from t = 0, each booked on the graph's stray tally.
+func send(g *Graph, entry packet.Node, flow, n int) {
+	s := g.S
 	for i := 0; i < n; i++ {
 		seq := int64(i)
 		s.At(sim.Time(i)*sim.Millisecond, func() {
-			entry.Recv(packet.NewData(flow, seq, packet.MTU, s.Now()))
+			entry.Recv(booked(g, packet.NewData(flow, seq, packet.MTU, s.Now())))
 		})
 	}
 }
+
+// booked attaches p to the graph's stray tally — the books a test keeps
+// its injected packets on — and returns it.
+func booked(g *Graph, p *packet.Packet) *packet.Packet {
+	g.Strays().Adopt(p, 0)
+	return p
+}
+
+// ended reports how many of the packets a test booked ended for cause c.
+func ended(g *Graph, c packet.Cause) int64 { return g.Strays().Books().Released[c] }
 
 func TestRouteFlowDelivers(t *testing.T) {
 	s := sim.New(1)
@@ -44,12 +56,12 @@ func TestRouteFlowDelivers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	send(s, entry, 7, 20)
+	send(g, entry, 7, 20)
 	s.RunUntil(sim.Second)
 	if sink.Count != 20 {
 		t.Fatalf("delivered %d/20 packets", sink.Count)
 	}
-	if d := g.UnroutedDrops(); d != 0 {
+	if d := ended(g, packet.Unrouted); d != 0 {
 		t.Fatalf("unrouted drops = %d, want 0", d)
 	}
 	if got := g.Edge(e1).Link.DeliveredBytes(); got != 20*packet.MTU {
@@ -90,10 +102,30 @@ func TestUnroutedPacketsCounted(t *testing.T) {
 	if _, err := g.RouteFlow(1, false, []int{e1}, 0, &packet.Sink{}); err != nil {
 		t.Fatal(err)
 	}
-	send(s, g.Entry(e1), 2, 5)
+	send(g, g.Entry(e1), 2, 5)
 	s.RunUntil(sim.Second)
-	if d := g.UnroutedDrops(); d != 5 {
+	if d := ended(g, packet.Unrouted); d != 5 {
 		t.Fatalf("unrouted drops = %d, want 5", d)
+	}
+}
+
+// TestEntryBooksStrays: a packet that enters an edge without a flow's
+// tally is adopted by the graph's stray tally; one that has a tally keeps
+// it.
+func TestEntryBooksStrays(t *testing.T) {
+	s := sim.New(1)
+	g := New(s)
+	a, b := g.AddNode("a"), g.AddNode("b")
+	e1 := rateEdge(t, g, s, a, b, 0, Impairments{})
+	var own packet.Tally
+	mine := packet.NewData(1, 0, packet.MTU, 0)
+	own.Attach(mine)
+	g.Entry(e1).Recv(mine)
+	g.Entry(e1).Recv(packet.NewData(2, 0, packet.MTU, 0))
+	s.RunUntil(sim.Second)
+	if st, ob := g.Strays().Books(), own.Books(); st.Data != 1 || st.Released[packet.Unrouted] != 1 ||
+		ob.Data != 1 || ob.Released[packet.Unrouted] != 1 {
+		t.Fatalf("strays %+v, own %+v; want one packet on each, ended unrouted", st, ob)
 	}
 }
 
@@ -110,9 +142,9 @@ func TestLossGateDropsAndCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 2000
-	send(s, entry, 1, n)
+	send(g, entry, 1, n)
 	s.RunUntil(10 * sim.Second)
-	drops := g.Edge(e1).ImpairDrops()
+	drops := ended(g, packet.Impair)
 	if drops == 0 || drops == n {
 		t.Fatalf("loss gate dropped %d of %d, want 0 < drops < %d", drops, n, n)
 	}
@@ -152,7 +184,7 @@ func TestJitterPreservesOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	send(s, entry, 1, 200)
+	send(g, entry, 1, 200)
 	s.RunUntil(10 * sim.Second)
 	if len(seqs) != 200 {
 		t.Fatalf("delivered %d/200", len(seqs))
@@ -188,7 +220,7 @@ func TestReorderPipeReorders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	send(s, entry, 1, 500)
+	send(g, entry, 1, 500)
 	s.RunUntil(10 * sim.Second)
 	if inverted == 0 {
 		t.Fatal("reorder pipe produced no reordering at p=0.2")
@@ -214,9 +246,9 @@ func TestImpairmentsDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		send(s, entry, 1, 1000)
+		send(g, entry, 1, 1000)
 		s.RunUntil(10 * sim.Second)
-		return sink.Count, g.ImpairDrops()
+		return sink.Count, ended(g, packet.Impair)
 	}
 	d1, x1 := run()
 	d2, x2 := run()

@@ -118,6 +118,10 @@ func (l *Link) Recv(p *packet.Packet) {
 	}
 }
 
+// InService returns the A-MPDU in the air: the packets the link has
+// dequeued and not yet delivered (empty while idle).
+func (l *Link) InService() []*packet.Packet { return l.batch }
+
 // overhead draws h(t) for one batch.
 func (l *Link) overhead() sim.Time {
 	j := l.Cfg.OverheadJitter
