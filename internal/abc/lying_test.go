@@ -62,10 +62,19 @@ func TestHonestRouterDrawsNothing(t *testing.T) {
 	}
 }
 
-// TestLieFractionViaBuildSpec: the qdisc registry threads Lie into the
-// router config and rejects out-of-range fractions.
+// TestLieFractionViaBuildSpec: a lie reaches the router through the
+// registry's one Config, and is an error wherever it could not be
+// honoured — out of range, or on a router that draws from no random
+// stream (an "abc" built without one, the proxied router; the dual
+// queue's child is internal/qdisc's conformance test's).
 func TestLieFractionViaBuildSpec(t *testing.T) {
-	q, err := qdisc.Build(qdisc.BuildSpec{Kind: "abc", Lie: 0.25, Rand: rand.New(rand.NewSource(1))})
+	lie := func(f float64) *RouterConfig {
+		cfg := DefaultRouterConfig()
+		cfg.LieFraction = f
+		return &cfg
+	}
+	rng := rand.New(rand.NewSource(1))
+	q, err := qdisc.Build(qdisc.BuildSpec{Kind: "abc", Config: lie(0.25), Rand: rng})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,10 +85,15 @@ func TestLieFractionViaBuildSpec(t *testing.T) {
 	if r.rng == nil {
 		t.Error("builder did not attach the RNG")
 	}
-	if _, err := qdisc.Build(qdisc.BuildSpec{Kind: "abc", Lie: 1.5}); err == nil {
-		t.Error("Lie 1.5 accepted")
-	}
-	if _, err := qdisc.Build(qdisc.BuildSpec{Kind: "abc", Lie: -0.1}); err == nil {
-		t.Error("Lie -0.1 accepted")
+	for _, bad := range []struct {
+		kind string
+		lie  float64
+		rng  *rand.Rand
+	}{
+		{"abc", 1.5, rng}, {"abc", -0.1, rng}, {"abc", 0.25, nil}, {"abc-proxied", 0.25, rng},
+	} {
+		if _, err := qdisc.Build(qdisc.BuildSpec{Kind: bad.kind, Config: lie(bad.lie), Rand: bad.rng}); err == nil {
+			t.Errorf("%s: lie %g (rng %v) accepted", bad.kind, bad.lie, bad.rng != nil)
+		}
 	}
 }

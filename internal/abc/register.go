@@ -5,61 +5,50 @@ package abc
 
 import (
 	"fmt"
+	"math/rand"
 
 	"abc/internal/cc"
 	"abc/internal/qdisc"
 )
 
-// routerConfigFor resolves a BuildSpec into a RouterConfig, applying the
-// harness conventions: an explicit *RouterConfig override wins (with the
-// buffer still defaulted if unset), otherwise the spec's delay threshold
-// and feedback mode are layered over the defaults.
-func routerConfigFor(s qdisc.BuildSpec) (RouterConfig, error) {
+// RouterConfigFor is the one rule by which every ABC-family kind — "abc",
+// "abc-proxied", and sched's "dual-maxmin" and "dual-zombie" — configures
+// its router: the BuildSpec's Config, which must be a *RouterConfig,
+// taken whole, else DefaultRouterConfig. A Limit of 0 (and the default's,
+// when there is no Config) takes limit, the kind's own queue-limit rule.
+// A field the router cannot honour is an error: a LieFraction outside
+// [0, 1], or any lie when rng, the stream the router would draw it from,
+// is nil.
+func RouterConfigFor(s qdisc.BuildSpec, limit int, rng *rand.Rand) (RouterConfig, error) {
 	cfg := DefaultRouterConfig()
-	override := false
-	switch c := s.Config.(type) {
-	case nil:
-	case *RouterConfig:
+	cfg.Limit = 0
+	if s.Config != nil {
+		c, ok := s.Config.(*RouterConfig)
+		if !ok {
+			return RouterConfig{}, fmt.Errorf("abc: qdisc %s given a %T, not an *abc.RouterConfig", s.Kind, s.Config)
+		}
 		cfg = *c
-		override = true
-	default:
-		return RouterConfig{}, &UnknownConfigError{Kind: s.Kind, Config: s.Config}
 	}
 	if cfg.Limit == 0 {
-		cfg.Limit = s.Buffer
+		cfg.Limit = limit
 	}
-	if s.DelayThreshold > 0 {
-		cfg.DelayThreshold = s.DelayThreshold
-	}
-	if !override {
-		cfg.Feedback = FeedbackMode(s.Feedback)
-	}
-	if s.Lie != 0 {
-		if s.Lie < 0 || s.Lie > 1 {
-			return RouterConfig{}, fmt.Errorf("abc: lie fraction %g outside [0, 1]", s.Lie)
-		}
-		cfg.LieFraction = s.Lie
+	switch lie := cfg.LieFraction; {
+	case !(lie >= 0 && lie <= 1):
+		return RouterConfig{}, fmt.Errorf("abc: lie fraction %g outside [0, 1]", lie)
+	case lie != 0 && rng == nil:
+		return RouterConfig{}, fmt.Errorf("abc: qdisc %s cannot lie: its router draws from no random stream", s.Kind)
 	}
 	return cfg, nil
-}
-
-// UnknownConfigError reports a BuildSpec.Config of a type the ABC builders
-// do not understand.
-type UnknownConfigError struct {
-	Kind   string
-	Config any
-}
-
-func (e *UnknownConfigError) Error() string {
-	return "abc: qdisc " + e.Kind + " given a non-ABC config"
 }
 
 func init() {
 	cc.Register(cc.Scheme{Name: "ABC", New: func() cc.Algorithm { return NewSender() }, Qdisc: "abc"})
 	cc.Register(cc.Scheme{Name: "ABC-proxied", New: func() cc.Algorithm { return NewProxiedSender() }, Qdisc: "abc-proxied"})
 
-	qdisc.Register("abc", func(s qdisc.BuildSpec) (qdisc.Qdisc, error) {
-		cfg, err := routerConfigFor(s)
+	qdisc.RegisterConfigured("abc", func(s qdisc.BuildSpec) (qdisc.Qdisc, error) {
+		// The one kind deaf to Buffer: its queue limit is the
+		// configuration's, the default's 250 when that names none.
+		cfg, err := RouterConfigFor(s, DefaultRouterConfig().Limit, s.Rand)
 		if err != nil {
 			return nil, err
 		}
@@ -67,13 +56,11 @@ func init() {
 		r.rng = s.Rand
 		return r, nil
 	})
-	qdisc.Register("abc-proxied", func(s qdisc.BuildSpec) (qdisc.Qdisc, error) {
-		cfg := DefaultRouterConfig()
-		cfg.Limit = s.Buffer
-		if s.DelayThreshold > 0 {
-			cfg.DelayThreshold = s.DelayThreshold
+	qdisc.RegisterConfigured("abc-proxied", func(s qdisc.BuildSpec) (qdisc.Qdisc, error) {
+		cfg, err := RouterConfigFor(s, s.Buffer, nil)
+		if err != nil {
+			return nil, err
 		}
-		cfg.Feedback = FeedbackMode(s.Feedback)
 		return NewProxiedRouter(cfg), nil
 	})
 }

@@ -118,6 +118,14 @@ type sent struct {
 // whenever the outstanding span fills it.
 const initialRing = 16
 
+// pktSize is every data packet's size, and reorderThresh the dup-ACK
+// reordering threshold in packets: a packet reorderThresh or more below
+// the highest SACKed sequence is declared lost.
+const (
+	pktSize       = packet.MTU
+	reorderThresh = 3
+)
+
 // housekeepingTick is the spacing of the grid of instants, counted from
 // Start, at which an endpoint checks its retransmission timer and polls
 // a source that had nothing to send (see Start).
@@ -132,12 +140,8 @@ type Endpoint struct {
 	Alg Algorithm
 	// Src is the data source; nil means backlogged.
 	Src Source
-	// PktSize is the data packet size (default MTU).
-	PktSize int
 	// MinRTO floors the retransmission timeout.
 	MinRTO sim.Time
-	// ReorderThresh is the dup-ACK reordering threshold in packets.
-	ReorderThresh int64
 	// OnComplete fires once when a finite source has been fully
 	// delivered and acknowledged.
 	OnComplete func(now sim.Time)
@@ -219,25 +223,23 @@ func (e *Endpoint) SetObs(rec *obs.Recorder, src int32) { e.rec, e.obsSrc = rec,
 // NewEndpoint wires a sender for the flow. Call Start to begin.
 func NewEndpoint(s *sim.Simulator, flow int, out packet.Node, alg Algorithm) *Endpoint {
 	e := &Endpoint{
-		S:             s,
-		Flow:          flow,
-		Out:           out,
-		Alg:           alg,
-		PktSize:       packet.MTU,
-		MinRTO:        250 * sim.Millisecond,
-		ReorderThresh: 3,
-		ring:          make([]sent, initialRing),
-		minRTT:        math.MaxInt64,
+		S:      s,
+		Flow:   flow,
+		Out:    out,
+		Alg:    alg,
+		MinRTO: 250 * sim.Millisecond,
+		ring:   make([]sent, initialRing),
+		minRTT: math.MaxInt64,
 	}
 	e.paceFn = e.paceNext
 	return e
 }
 
-// Start begins transmission at the current simulation time. Src, MinRTO,
-// ReorderThresh and PktSize are set before it and left alone afterwards:
-// the endpoint works out when it next needs waking from Src and MinRTO as
-// they are at each of its events, so a source swapped or a floor lowered
-// in between would go unnoticed until the next one.
+// Start begins transmission at the current simulation time. Src and
+// MinRTO are set before it and left alone afterwards: the endpoint works
+// out when it next needs waking from Src and MinRTO as they are at each
+// of its events, so a source swapped or a floor lowered in between would
+// go unnoticed until the next one.
 //
 // Start also anchors the housekeeping grid, the instants Start + k·10 ms.
 // Housekeeping is checkRTO followed by trySend (a paced sender sends from
@@ -585,10 +587,10 @@ func (e *Endpoint) sendOne() {
 		seq = e.nextSeq
 		e.nextSeq++
 		if e.Src != nil {
-			e.Src.OnSend(now, e.PktSize)
+			e.Src.OnSend(now, pktSize)
 		}
 	}
-	p := packet.NewData(e.Flow, seq, e.PktSize, now)
+	p := packet.NewData(e.Flow, seq, pktSize, now)
 	e.Tally.Attach(p)
 	p.Retx = retx
 	if e.Src != nil {
@@ -597,7 +599,7 @@ func (e *Endpoint) sendOne() {
 	if st, ok := e.Alg.(DataStamper); ok {
 		st.StampData(now, e, p)
 	}
-	*e.slot(seq) = sent{sentAt: now, size: int32(e.PktSize), state: slotInflight, retx: retx}
+	*e.slot(seq) = sent{sentAt: now, size: pktSize, state: slotInflight, retx: retx}
 	e.inflight++
 	e.SentPackets++
 	e.Out.Recv(p)
@@ -621,7 +623,7 @@ func (e *Endpoint) paceNext() {
 		e.S.After(5*sim.Millisecond, e.paceFn)
 		return
 	}
-	gap := sim.FromSeconds(float64(e.PktSize*8) / rate)
+	gap := sim.FromSeconds(float64(pktSize*8) / rate)
 	if gap < 10*sim.Microsecond {
 		gap = 10 * sim.Microsecond
 	}
@@ -721,11 +723,7 @@ func (e *Endpoint) Recv(p *packet.Packet) {
 // detectLoss declares packets below the reordering window lost.
 func (e *Endpoint) detectLoss(now sim.Time) {
 	lost := false
-	limit := e.hiSacked - e.ReorderThresh
-	if limit >= e.nextSeq {
-		limit = e.nextSeq - 1 // a negative threshold must not run the scan off the span
-	}
-	for ; e.low <= limit; e.low++ {
+	for limit := e.hiSacked - reorderThresh; e.low <= limit; e.low++ {
 		s := e.slot(e.low)
 		if s.state != slotInflight {
 			continue // acked, or already queued for retransmission

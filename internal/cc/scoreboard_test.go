@@ -12,7 +12,7 @@ import (
 // chaosPipe is a seeded path that does everything to an endpoint's
 // scoreboard a network can: it serialises data at a fixed rate, drops
 // data and ACKs at random, holds some packets back far enough that more
-// than ReorderThresh later ones overtake them, repeats some ACKs, and
+// than reorderThresh later ones overtake them, repeats some ACKs, and
 // swallows all data during two blackouts longer than the RTO.
 type chaosPipe struct {
 	s   *sim.Simulator

@@ -90,7 +90,9 @@ func newAdvCollector(spec *Spec, p *plan) *advCollector {
 		if ls.Attack != nil {
 			attacks = append(attacks, ls.Attack)
 		}
-		lying = lying || ls.Qdisc.ABCLie != 0
+		if c := ls.Qdisc.ABCConfig; c != nil && c.LieFraction != 0 {
+			lying = true
+		}
 	}
 	for i := range spec.Events {
 		if a := spec.Events[i].Attack; a != nil {

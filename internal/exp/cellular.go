@@ -110,13 +110,15 @@ func Fig2FeedbackMode(seed int64) (*Fig2Result, error) {
 		Seed: 42, Duration: 60 * sim.Second, MeanMbps: 10, Sigma: 0.25,
 	})
 	run := func(mode abc.FeedbackMode) (metrics.Summary, float64, error) {
+		cfg := abc.DefaultRouterConfig()
+		cfg.Feedback = mode
 		res, pooled, err := Run(Spec{
 			Seed:     seed,
 			Duration: 60 * sim.Second,
 			RTT:      100 * sim.Millisecond,
 			Links: []LinkSpec{{
 				Trace: tr,
-				Qdisc: QdiscSpec{Kind: "abc", ABCFeedback: mode},
+				Qdisc: QdiscSpec{Kind: "abc", ABCConfig: &cfg},
 			}},
 			Flows: []FlowSpec{{Scheme: "ABC"}},
 		})

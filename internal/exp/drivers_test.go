@@ -16,7 +16,7 @@ import (
 // one of these still runs and prints under TestDriverTable.
 var noGoldenRow = map[string]string{
 	"table1":    "a pure function of the bars fig9-bars digests (SummaryTable)",
-	"fig3":      "three fixed 250 s runs; shape asserted by TestFig3AIConvergesMIMDDoesNot",
+	"fig3":      "two fixed 250 s runs; shape asserted by TestFig3AIConvergesMIMDDoesNot",
 	"fig4":      "fixed-length Wi-Fi characterization; asserted by TestFig4SlopeMatchesTheory",
 	"fig5":      "fixed-length Wi-Fi sweep; asserted by TestFig5PredictionAccuracy",
 	"fig7":      "fixed 200 s run; asserted by TestFig7FairSharingLowABCDelay",

@@ -26,52 +26,18 @@ type Fig3Result struct {
 // Fig3Fairness reproduces Fig. 3: five ABC flows with the same RTT start
 // and depart one by one on a 24 Mbit/s link. With the additive-increase
 // term the flows converge to equal shares; without it (pure MIMD) they
-// hold whatever split they happened to start with.
+// hold whatever split they happened to start with. The fairness index is
+// taken over the all-active window, the 1 s samples in [105, 123] s.
 func Fig3Fairness(withAI bool, seed int64) (*Fig3Result, error) {
-	const n = 5
-	dur := 250 * sim.Second
-	flows := make([]FlowSpec, n)
-	for i := range flows {
-		flows[i] = FlowSpec{
-			Scheme: "ABC",
-			Start:  sim.Time(i) * 25 * sim.Second,
-			Stop:   dur - sim.Time(i)*25*sim.Second,
-		}
-	}
-	spec := Spec{
-		Seed:     seed,
-		Duration: dur,
-		Warmup:   2 * sim.Second,
-		RTT:      100 * sim.Millisecond,
-		Links: []LinkSpec{{
-			Rate:  netem.ConstRate(24e6),
-			Qdisc: QdiscSpec{Kind: "abc", Buffer: 500},
-		}},
-		Flows:  flows,
-		Sample: sim.Second,
-	}
-	res, _, err := Run(spec)
+	res, _, err := Run(fig3Spec(withAI, seed))
 	if err != nil {
 		return nil, err
 	}
-	// Disable AI per flow after construction is impossible through Run;
-	// instead the harness runs standard ABC. For the MIMD ablation we
-	// rebuild with the DisableAI flag below.
-	if !withAI {
-		return fig3NoAI(seed)
-	}
-	return fig3Finish(res, withAI)
-}
-
-// fig3Finish computes the fairness index over the all-active window
-// (100 s – 125 s, when all five flows run).
-func fig3Finish(res *Result, withAI bool) (*Fig3Result, error) {
 	out := &Fig3Result{WithAI: withAI}
 	rates := make([]float64, len(res.Flows))
 	for i := range res.Flows {
-		out.Tput = append(out.Tput, res.Flows[i].Tput)
-		// Mean over samples in [105, 123] s.
 		ts := res.Flows[i].Tput
+		out.Tput = append(out.Tput, ts)
 		var sum float64
 		var n int
 		for j, t := range ts.Times {
@@ -88,9 +54,9 @@ func fig3Finish(res *Result, withAI bool) (*Fig3Result, error) {
 	return out, nil
 }
 
-// fig3NoAI rebuilds the scenario with DisableAI senders, which requires
-// constructing the algorithms directly.
-func fig3NoAI(seed int64) (*Fig3Result, error) {
+// fig3Spec is Fig. 3's scenario; without additive increase every sender
+// runs pure MIMD (abc.Sender.DisableAI).
+func fig3Spec(withAI bool, seed int64) Spec {
 	const n = 5
 	dur := 250 * sim.Second
 	flows := make([]FlowSpec, n)
@@ -99,12 +65,12 @@ func fig3NoAI(seed int64) (*Fig3Result, error) {
 			Scheme: "ABC",
 			Start:  sim.Time(i) * 25 * sim.Second,
 			Stop:   dur - sim.Time(i)*25*sim.Second,
-			Mutate: func(alg cc.Algorithm) {
-				alg.(*abc.Sender).DisableAI = true
-			},
+		}
+		if !withAI {
+			flows[i].Mutate = func(alg cc.Algorithm) { alg.(*abc.Sender).DisableAI = true }
 		}
 	}
-	spec := Spec{
+	return Spec{
 		Seed:     seed,
 		Duration: dur,
 		Warmup:   2 * sim.Second,
@@ -116,11 +82,6 @@ func fig3NoAI(seed int64) (*Fig3Result, error) {
 		Flows:  flows,
 		Sample: sim.Second,
 	}
-	res, _, err := Run(spec)
-	if err != nil {
-		return nil, err
-	}
-	return fig3Finish(res, false)
 }
 
 // fig3Both runs Fig. 3 without, then with, additive increase.

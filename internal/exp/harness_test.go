@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"abc/internal/abc"
 	"abc/internal/app"
 	"abc/internal/cc"
 	"abc/internal/netem"
@@ -211,7 +212,12 @@ func TestCheckAgreesWithRun(t *testing.T) {
 		{"ack path from the wrong node", mesh, func(s *Spec) { s.Flows[0].AckPath = []string{"w"} }},
 		{"unknown shard-map node", mesh, func(s *Spec) { s.Shards, s.ShardMap = 2, map[string]int{"z": 0} }},
 		{"unknown qdisc kind", chain, func(s *Spec) { s.Links[0].Qdisc.Kind = "fq_pie" }},
-		{"lie on droptail", chain, func(s *Spec) { s.Links[0].Qdisc = QdiscSpec{Kind: "droptail", ABCLie: 0.3} }},
+		{"lie on droptail", chain, func(s *Spec) {
+			s.Links[0].Qdisc = QdiscSpec{Kind: "droptail", ABCConfig: &abc.RouterConfig{LieFraction: 0.3}}
+		}},
+		{"dt on xcp", chain, func(s *Spec) {
+			s.Links[0].Qdisc = QdiscSpec{Kind: "xcp", ABCConfig: &abc.RouterConfig{DelayThreshold: sim.Second}}
+		}},
 		{"link without a model", chain, func(s *Spec) { s.Links[0] = LinkSpec{} }},
 		{"qdisc on a wire", mesh, func(s *Spec) { s.Edges[1].Link.Qdisc.Buffer = 9 }},
 		{"attack rate above one", chain, func(s *Spec) { s.Links[0].Attack = &topo.Attack{Target: topo.Target{Flows: []int{0}}, DropRate: 2} }},

@@ -12,8 +12,6 @@ package exp
 import (
 	"fmt"
 	"strconv"
-
-	"abc/internal/cc"
 )
 
 // chainNames spells the first n canonical names of a chain, "fwd0",
@@ -92,25 +90,5 @@ func lowerChain(spec *Spec) (*plan, error) {
 	}
 	fwd, rev := ids[:nf:nf], ids[nf:]
 
-	err := p.resolveRoutes(spec, func(rf routeFields) (flowRoute, error) { return chainRoute(rf, fwd, rev) })
-	if err != nil {
-		return nil, err
-	}
-
-	// The compiler derives an "auto" discipline from an edge's ACK
-	// traffic when no data crosses it (a reverse-path router serves the
-	// flows whose echoes it carries). A chain link never did: one that no
-	// data route crosses is plain droptail, so pin those.
-	for i := range p.edges {
-		ls := p.edges[i].link
-		if k := ls.Qdisc.Kind; k != "auto" && k != "" {
-			continue
-		}
-		if _, onData := p.autoScheme(spec, i); !onData {
-			pinned := *ls
-			pinned.Qdisc.Kind = cc.QdiscFor("")
-			p.edges[i].link = &pinned
-		}
-	}
-	return p, nil
+	return p, p.resolveRoutes(spec, func(rf routeFields) (flowRoute, error) { return chainRoute(rf, fwd, rev) })
 }

@@ -148,41 +148,43 @@ func TestChainEqualsHandWrittenMesh(t *testing.T) {
 	})
 }
 
-// TestChainAutoQdiscIgnoresAckRoutes: a mesh edge only ACKs cross derives
-// its "auto" discipline from the flow whose echoes it carries; a chain
-// link in the same position has always been droptail, and the lowering
-// must keep it so.
-func TestChainAutoQdiscIgnoresAckRoutes(t *testing.T) {
-	up := LinkSpec{Rate: netem.ConstRate(4e6)}
-	chain, _, err := Run(Spec{
-		Seed: 1, Duration: sim.Second, Warmup: sim.Second / 2,
-		Links:        []LinkSpec{{Rate: netem.ConstRate(10e6)}},
-		ReverseLinks: []LinkSpec{up},
-		Flows:        []FlowSpec{{Scheme: "ABC"}},
-	})
+// TestAutoQdiscChainMeshAlike: "auto" is one rule on either notation. A
+// link only ACKs cross derives its discipline from the flow whose echoes
+// it carries — a chain's reverse link exactly as the mesh edge it is
+// shorthand for — so the two runs agree packet for packet. The uplink is
+// too thin for the ACK stream, so the derived router demotes echoes and
+// a droptail there would have run differently.
+func TestAutoQdiscChainMeshAlike(t *testing.T) {
+	down, up := LinkSpec{Rate: netem.ConstRate(10e6)}, LinkSpec{Rate: netem.ConstRate(0.2e6)}
+	common := Spec{Seed: 1, Duration: 3 * sim.Second, Warmup: sim.Second / 2}
+
+	chain := common
+	chain.Links, chain.ReverseLinks = []LinkSpec{down}, []LinkSpec{up}
+	chain.Flows = []FlowSpec{{Scheme: "ABC"}}
+
+	mesh := common
+	mesh.Nodes = []string{"a", "b"}
+	mesh.Edges = []EdgeSpec{{Name: "fwd0", From: "a", To: "b", Link: down}, {Name: "rev0", From: "b", To: "a", Link: up}}
+	mesh.Flows = []FlowSpec{{Scheme: "ABC", Path: []string{"fwd0"}, AckPath: []string{"rev0"}}}
+
+	cres, _, err := Run(chain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := chain.Qdiscs[0].(*abc.Router); !ok {
-		t.Errorf("chain fwd0 is %T, want the ABC router derived from its data flow", chain.Qdiscs[0])
-	}
-	if _, ok := chain.ReverseQdiscs[0].(*qdisc.DropTail); !ok {
-		t.Errorf("chain rev0 is %T, want droptail (no data route crosses it)", chain.ReverseQdiscs[0])
-	}
-	mesh, _, err := Run(Spec{
-		Seed: 1, Duration: sim.Second, Warmup: sim.Second / 2,
-		Nodes: []string{"a", "b"},
-		Edges: []EdgeSpec{
-			{Name: "down", From: "a", To: "b", Link: LinkSpec{Rate: netem.ConstRate(10e6)}},
-			{Name: "up", From: "b", To: "a", Link: up},
-		},
-		Flows: []FlowSpec{{Scheme: "ABC", Path: []string{"down"}, AckPath: []string{"up"}}},
-	})
+	mres, _, err := Run(mesh)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := mesh.EdgeQdiscs["up"].(*abc.Router); !ok {
-		t.Errorf("mesh up is %T, want the ABC router derived from the ACK route", mesh.EdgeQdiscs["up"])
+	sameRun(t, cres, mres)
+	for name, q := range map[string]qdisc.Qdisc{"chain rev0": cres.ReverseQdiscs[0], "mesh rev0": mres.EdgeQdiscs["rev0"]} {
+		r, ok := q.(*abc.Router)
+		if !ok {
+			t.Errorf("%s is %T, want the ABC router derived from the ACK route", name, q)
+			continue
+		}
+		if r.EchoDemoted == 0 {
+			t.Errorf("%s demoted no echo", name)
+		}
 	}
 }
 

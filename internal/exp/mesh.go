@@ -87,25 +87,25 @@ func (p *plan) resolveRoutes(spec *Spec, route func(routeFields) (flowRoute, err
 	return nil
 }
 
-// autoScheme picks the deriving scheme for an "auto" qdisc on edge e: the
-// first flow, else the first workload, whose data route crosses it; else
-// the first whose ACK route does — a reverse-path router serves the
-// flows whose echoes it carries. onData reports that a data route
-// decided; nothing crossing the edge yields "" (droptail).
-func (p *plan) autoScheme(spec *Spec, e int) (scheme string, onData bool) {
+// autoScheme is the one rule for an "auto" qdisc on edge e, whichever
+// notation the edge came from: the scheme of the first flow, else the
+// first workload, whose data route crosses it; else of the first whose
+// ACK route does — a reverse-path router serves the flows whose echoes
+// it carries. Nothing crossing the edge yields "" (droptail).
+func (p *plan) autoScheme(spec *Spec, e int) string {
 	for _, ack := range []bool{false, true} {
 		for f, r := range p.routes {
 			if slices.Contains(r.dir(ack), e) {
-				return spec.Flows[f].Scheme, !ack
+				return spec.Flows[f].Scheme
 			}
 		}
 		for w, r := range p.wroutes {
 			if slices.Contains(r.dir(ack), e) {
-				return spec.Workloads[w].Scheme, !ack
+				return spec.Workloads[w].Scheme
 			}
 		}
 	}
-	return "", false
+	return ""
 }
 
 // meshPlan validates a mesh-notation Spec and resolves its names.
@@ -232,8 +232,7 @@ func (c *compiled) build() error {
 			}
 		} else {
 			fromSim := g.SimFor(e.from)
-			scheme, _ := p.autoScheme(spec, i)
-			qd, err := ls.Qdisc.build(scheme, fromSim)
+			qd, err := ls.Qdisc.build(p.autoScheme(spec, i), fromSim)
 			if err != nil {
 				return fmt.Errorf("exp: edge %q: %v", e.name, err)
 			}

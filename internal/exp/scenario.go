@@ -42,7 +42,9 @@
 // (constant rate_mbps) and "wifi" (fixed "mcs", optional "estimate" for
 // the §4.1 estimator). Every link takes optional delay_ms, jitter_ms,
 // loss, burst_loss/burst_p_bad/burst_p_good, reorder_prob/
-// reorder_delay_ms and a qdisc clause naming any registered kind.
+// reorder_delay_ms and a qdisc clause naming any registered kind; its
+// dt_ms and lie build the router configuration of an ABC-family kind
+// and are errors on any other.
 // Flows take scheme, start_s/stop_s, dir ("forward"/"reverse"),
 // enter_at/exit_at, rtt_ms and either rate_mbps (shorthand for an
 // application-limited rate source) or an explicit source clause —
@@ -198,6 +200,7 @@ import (
 	"path/filepath"
 	"slices"
 
+	"abc/internal/abc"
 	"abc/internal/app"
 	"abc/internal/cc"
 	"abc/internal/netem"
@@ -216,6 +219,22 @@ type ScenarioQdisc struct {
 	// Lie makes an ABC router misbehave: the fraction of brake-bound
 	// packets it fraudulently promotes back to accelerate.
 	Lie float64 `json:"lie,omitempty"`
+}
+
+// routerConfig compiles the clause's dt_ms and lie into the router
+// configuration they name: nil when neither is set, else the paper's
+// defaults with them applied and the queue limit left to the kind.
+func (q ScenarioQdisc) routerConfig(ck *clock) *abc.RouterConfig {
+	if q.DTms == 0 && q.Lie == 0 {
+		return nil
+	}
+	cfg := abc.DefaultRouterConfig()
+	cfg.Limit = 0
+	if dt := ck.ms(q.DTms); dt != 0 {
+		cfg.DelayThreshold = dt
+	}
+	cfg.LieFraction = q.Lie
+	return &cfg
 }
 
 // ScenarioAttack is the JSON attack clause: a targeted adversarial stage
@@ -721,10 +740,9 @@ func compileLink(ck *clock, sl *ScenarioLink, idx int, chain string) (LinkSpec, 
 			ReorderDelay:  ck.ms(sl.ReorderDelayMs),
 		},
 		Qdisc: QdiscSpec{
-			Kind:              sl.Qdisc.Kind,
-			Buffer:            sl.Qdisc.Buffer,
-			ABCDelayThreshold: ck.ms(sl.Qdisc.DTms),
-			ABCLie:            sl.Qdisc.Lie,
+			Kind:      sl.Qdisc.Kind,
+			Buffer:    sl.Qdisc.Buffer,
+			ABCConfig: sl.Qdisc.routerConfig(ck),
 		},
 	}
 	where := fmt.Sprintf("scenario: %s[%d]", chain, idx)

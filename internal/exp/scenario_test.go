@@ -111,7 +111,10 @@ func TestScenarioMeshFieldValidation(t *testing.T) {
 		{"negative buffer", `{"links":[{"rate_mbps":8,"qdisc":{"buffer":-4}}],"flows":[{"scheme":"ABC"}]}`, "negative Qdisc.Buffer"},
 		{"duration past the clock", `{"duration_s":1e300,"links":[{"rate_mbps":8}],"flows":[{"scheme":"ABC"}]}`, "does not fit the clock"},
 		// Errors Run always raised and Compile did not.
-		{"lie on droptail", `{"links":[{"rate_mbps":8,"qdisc":{"kind":"droptail","lie":0.3}}],"flows":[{"scheme":"ABC"}]}`, "ABCLie"},
+		{"lie on droptail", `{"links":[{"rate_mbps":8,"qdisc":{"kind":"droptail","lie":0.3}}],"flows":[{"scheme":"ABC"}]}`, `kind "droptail" takes no configuration`},
+		{"dt_ms on droptail", `{"links":[{"rate_mbps":8,"qdisc":{"kind":"droptail","dt_ms":50}}],"flows":[{"scheme":"ABC"}]}`, `kind "droptail" takes no configuration`},
+		{"dt_ms on xcp", `{"links":[{"rate_mbps":8,"qdisc":{"kind":"xcp","dt_ms":50}}],"flows":[{"scheme":"XCP"}]}`, `kind "xcp" takes no configuration`},
+		{"lie on the proxied router", `{"links":[{"rate_mbps":8,"qdisc":{"kind":"abc-proxied","lie":0.3}}],"flows":[{"scheme":"ABC-proxied"}]}`, "cannot lie"},
 		{"background on wifi", `{"links":[{"kind":"wifi"}],"flows":[{"scheme":"ABC"}],
 			"background":[{"edge":"fwd0","kind":"const","rate_mbps":1}]}`, "cannot host a fluid background"},
 		{"enter_at out of range", `{"links":[{"rate_mbps":8}],"flows":[{"scheme":"ABC","enter_at":3}]}`, "EnterAt 3 out of range"},

@@ -55,26 +55,21 @@ var ExplicitSchemes = []string{"ABC", "XCP", "XCPw", "VCP", "RCP"}
 type QdiscSpec struct {
 	// Kind names a registered discipline (qdisc.Kinds lists them), or
 	// "auto" (the default) to derive it from the first flow, then
-	// workload, whose data path traverses the link. A mesh edge no data
-	// path uses derives from the first flow whose ACK path does; a chain
-	// link no data path uses is droptail.
+	// workload, whose data route crosses the edge, else the first whose
+	// ACK route does — on a chain link as on a mesh edge.
 	Kind string
 	// Buffer is the queue limit in packets (default 250, the paper's
-	// emulation buffer).
+	// emulation buffer), of each child for the dual-* kinds. The "abc"
+	// kind is the one exception: it reads no Buffer and holds up to its
+	// ABCConfig's Limit, 250 by default.
 	Buffer int
-	// ABCDelayThreshold overrides dt for ABC routers (Fig. 10 sweeps
-	// 20/60/100 ms).
-	ABCDelayThreshold sim.Time
-	// ABCFeedback selects dequeue- vs enqueue-rate feedback (Fig. 2).
-	ABCFeedback abc.FeedbackMode
-	// ABCConfig, when non-nil, fully overrides the ABC router
-	// configuration (ablation sweeps); Buffer still applies if
-	// ABCConfig.Limit is zero.
+	// ABCConfig, when non-nil, is the whole router configuration of an
+	// ABC-family kind ("abc", "abc-proxied", "dual-*": dt, η, δ, T, the
+	// token limit, the feedback mode, a lie); nil runs the paper's
+	// defaults. A Limit of 0 leaves the queue limit to the kind. Any
+	// other kind rejects one, and a lie is rejected by every kind but
+	// "abc", whose router alone draws from a random stream.
 	ABCConfig *abc.RouterConfig
-	// ABCLie makes the ABC router misbehave: the fraction of brake-bound
-	// packets it fraudulently promotes back to accelerate. Only the plain
-	// "abc" kind consumes it.
-	ABCLie float64
 }
 
 // WiFiLinkSpec configures a Kind "wifi" link: the modelled 802.11n AP.

@@ -68,7 +68,10 @@ func (spec *Spec) validate() error {
 	link := func(kind string, i int, ls *LinkSpec) {
 		im, qd := &ls.Impair, &ls.Qdisc
 		nonNeg(kind, i, dur{"Delay", ls.Delay}, dur{"Lookahead", ls.Lookahead}, dur{"Impair.Jitter", im.Jitter},
-			dur{"Impair.ReorderDelay", im.ReorderDelay}, dur{"Qdisc.ABCDelayThreshold", qd.ABCDelayThreshold})
+			dur{"Impair.ReorderDelay", im.ReorderDelay})
+		if qd.ABCConfig != nil {
+			nonNeg(kind, i, dur{"Qdisc.ABCConfig.DelayThreshold", qd.ABCConfig.DelayThreshold})
+		}
 		if qd.Buffer < 0 {
 			fail(kind, i, "negative Qdisc.Buffer %d", qd.Buffer)
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"abc/internal/abc"
 	"abc/internal/app"
 	"abc/internal/netem"
 	"abc/internal/sim"
@@ -62,7 +63,7 @@ func TestSpecValidateRanges(t *testing.T) {
 		{"negative Lookahead", func(s *Spec) { s.Links[0].Lookahead = -1 }},
 		{"negative Impair.Jitter", func(s *Spec) { s.Links[0].Impair.Jitter = -1 }},
 		{"negative Impair.ReorderDelay", func(s *Spec) { s.Links[0].Impair.ReorderDelay = -1 }},
-		{"negative Qdisc.ABCDelayThreshold", func(s *Spec) { s.Links[0].Qdisc.ABCDelayThreshold = -1 }},
+		{"negative Qdisc.ABCConfig.DelayThreshold", func(s *Spec) { s.Links[0].Qdisc.ABCConfig = &abc.RouterConfig{DelayThreshold: -1} }},
 		{"negative Qdisc.Buffer", func(s *Spec) { s.Links[0].Qdisc.Buffer = -4 }},
 		{"Impair.LossRate 7 is not a probability", func(s *Spec) { s.Links[0].Impair.LossRate = 7 }},
 		{"Impair.LossRate -1 is not a probability", func(s *Spec) { s.Links[0].Impair.LossRate = -1 }},

@@ -17,36 +17,16 @@ import (
 	"abc/internal/wifi"
 )
 
-// build resolves the spec through the qdisc registry. scheme is the
-// deriving scheme for "auto" kinds ("" falls back to droptail).
+// build resolves the spec through the qdisc registry, which rejects an
+// ABCConfig the kind cannot honour. scheme is the deriving scheme for
+// "auto" kinds ("" falls back to droptail).
 func (q QdiscSpec) build(scheme string, s *sim.Simulator) (qdisc.Qdisc, error) {
-	kind := q.Kind
-	if kind == "auto" || kind == "" {
-		kind = cc.QdiscFor(scheme)
+	bs := qdisc.BuildSpec{Kind: q.Kind, Buffer: q.Buffer, Rand: s.Rand()}
+	if bs.Kind == "auto" || bs.Kind == "" {
+		bs.Kind = cc.QdiscFor(scheme)
 	}
-	bs := qdisc.BuildSpec{
-		Kind:           kind,
-		Buffer:         q.Buffer,
-		DelayThreshold: q.ABCDelayThreshold,
-		Feedback:       uint8(q.ABCFeedback),
-		Rand:           s.Rand(),
-	}
-	if q.ABCConfig != nil {
-		// Only the plain ABC router consumes a full RouterConfig;
-		// letting other kinds silently ignore one would be exactly the
-		// misconfiguration the explicit spec is meant to prevent.
-		if kind != "abc" {
-			return nil, fmt.Errorf("exp: ABCConfig set for qdisc kind %q, which does not consume it", kind)
-		}
+	if q.ABCConfig != nil { // a nil *RouterConfig would be a non-nil Config
 		bs.Config = q.ABCConfig
-	}
-	if q.ABCLie != 0 {
-		// Same contract as ABCConfig: a lying-router fraction on a kind
-		// that has no lying mode is a spec error, not a silent no-op.
-		if kind != "abc" {
-			return nil, fmt.Errorf("exp: ABCLie set for qdisc kind %q, which does not consume it", kind)
-		}
-		bs.Lie = q.ABCLie
 	}
 	return qdisc.Build(bs)
 }

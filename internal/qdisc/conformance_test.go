@@ -5,12 +5,12 @@ import (
 	"strings"
 	"testing"
 
-	_ "abc/internal/abc"
+	"abc/internal/abc"
 	_ "abc/internal/explicit"
 	"abc/internal/obs"
 	"abc/internal/packet"
 	"abc/internal/qdisc"
-	_ "abc/internal/sched"
+	"abc/internal/sched"
 	"abc/internal/sim"
 )
 
@@ -36,7 +36,9 @@ func build(t testing.TB, kind string, buffer int) qdisc.Qdisc {
 // queued packets, the store stamps EnqueuedAt, each leaf is FIFO, a
 // refused packet comes back untouched (the caller owns it) and a packet
 // dropped inside the discipline is released exactly once — zeroed, and
-// counted once.
+// counted once. Every leaf, and each child of a dual queue, fills to the
+// 8-packet limit and never past it — except "abc", which reads no Buffer
+// and holds its router configuration's 250 (see exp.QdiscSpec.Buffer).
 func TestDisciplineConformance(t *testing.T) {
 	type offered struct {
 		p    *packet.Packet
@@ -48,6 +50,17 @@ func TestDisciplineConformance(t *testing.T) {
 	for _, kind := range qdisc.Kinds() {
 		t.Run(kind, func(t *testing.T) {
 			q := build(t, kind, 8)
+			limit := 8
+			if kind == "abc" {
+				limit = abc.DefaultRouterConfig().Limit
+			}
+			leaves := func() []int {
+				if dq, ok := q.(*sched.DualQueue); ok {
+					return []int{dq.ABC.Len(), dq.Other.Len()}
+				}
+				return []int{q.Len()}
+			}
+			peak := 0
 			rng := rand.New(rand.NewSource(11))
 			var queued []offered // accepted, not yet seen leaving
 			var nOffered, refused, delivered, deliveredBytes, zeroed int64
@@ -87,6 +100,12 @@ func TestDisciplineConformance(t *testing.T) {
 					t.Fatalf("t=%v: Len %d Bytes %d, model holds %d packets / %d bytes",
 						now, q.Len(), q.Bytes(), len(queued), bytes)
 				}
+				for _, n := range leaves() {
+					if n > limit {
+						t.Fatalf("t=%v: a queue holds %d packets, over its limit %d", now, n, limit)
+					}
+					peak = max(peak, n)
+				}
 				st := q.Counters()
 				inside := st.DroppedPackets - refused
 				if st.EnqueuedPackets+refused != nOffered || inside != zeroed ||
@@ -123,6 +142,9 @@ func TestDisciplineConformance(t *testing.T) {
 			}
 			if refused == 0 {
 				t.Error("script never overran the limit")
+			}
+			if peak != limit {
+				t.Errorf("queue peaked at %d packets, want its limit %d", peak, limit)
 			}
 			if kind == "codel" && zeroed == 0 {
 				t.Error("script never made CoDel drop from inside")
@@ -175,6 +197,33 @@ func TestDisciplineCapabilities(t *testing.T) {
 		_, got.sink = q.(obs.Sink)
 		if w, ok := want[kind]; !ok || got != w {
 			t.Errorf("%s: capabilities %+v, want %+v (in table: %v)", kind, got, w, ok)
+		}
+	}
+}
+
+// TestConfigOnlyWhereRead: qdisc.Build hands a Config only to the four
+// ABC-family kinds, which read an *abc.RouterConfig, and rejects one for
+// every other kind rather than ignore it. Within the family a Config of
+// another type is an error, and so is a lie on every kind but "abc", the
+// one router that draws from a random stream.
+func TestConfigOnlyWhereRead(t *testing.T) {
+	family := map[string]bool{"abc": true, "abc-proxied": true, "dual-maxmin": true, "dual-zombie": true}
+	rng := rand.New(rand.NewSource(3))
+	for _, kind := range qdisc.Kinds() {
+		cfg := abc.DefaultRouterConfig()
+		_, err := qdisc.Build(qdisc.BuildSpec{Kind: kind, Config: &cfg, Rand: rng})
+		if (err == nil) != family[kind] {
+			t.Errorf("%s: Build with a RouterConfig: err = %v, want accepted = %v", kind, err, family[kind])
+		}
+		if !family[kind] {
+			continue
+		}
+		if _, err := qdisc.Build(qdisc.BuildSpec{Kind: kind, Config: 20 * sim.Millisecond}); err == nil {
+			t.Errorf("%s: a sim.Time Config accepted", kind)
+		}
+		cfg.LieFraction = 0.3
+		if _, err := qdisc.Build(qdisc.BuildSpec{Kind: kind, Config: &cfg, Rand: rng}); (err == nil) != (kind == "abc") {
+			t.Errorf("%s: Build with a lie: err = %v", kind, err)
 		}
 	}
 }

@@ -10,42 +10,28 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-
-	"abc/internal/sim"
 )
 
 // DefaultBuffer is the queue limit applied when a BuildSpec leaves Buffer
 // unset: the paper's 250-packet cellular emulation buffer.
 const DefaultBuffer = 250
 
-// BuildSpec describes one discipline instance generically. Fields beyond
-// Kind and Buffer are interpreted by the registered builder; providers
-// that need richer configuration read their own config type from Config.
+// BuildSpec describes one discipline instance generically.
 type BuildSpec struct {
 	// Kind names the registered discipline ("" builds a droptail FIFO).
 	Kind string
 	// Buffer is the queue limit in packets (<= 0 means DefaultBuffer).
+	// Every kind bounds its queue by it — each child's, for the dual-*
+	// composites — except "abc", whose limit is its router
+	// configuration's (250 unless the configuration says otherwise).
 	Buffer int
-	// DelayThreshold carries a delay-target override for disciplines that
-	// have one (ABC's dt, swept by Fig. 10).
-	DelayThreshold sim.Time
-	// Feedback is a provider-defined mode selector (ABC uses it to pick
-	// dequeue- vs enqueue-rate feedback, Fig. 2).
-	Feedback uint8
-	// Lie configures a misbehaving (lying) router for kinds that model
-	// one: the fraction of brake-bound packets the router fraudulently
-	// promotes back to accelerate (ABC's lying-router mode). Callers
-	// must not set it for kinds without a misbehaving variant (the exp
-	// harness enforces this for QdiscSpec, as with Config).
-	Lie float64
-	// Config, when non-nil, is a provider-specific full configuration
-	// (e.g. *abc.RouterConfig for ablation sweeps). Builders that
-	// interpret Config must reject values of a type they do not
-	// recognize; callers must not pass a Config to a kind that takes
-	// none (the exp harness enforces this for QdiscSpec).
+	// Config is a provider-specific configuration (*abc.RouterConfig for
+	// the ABC family). Build rejects one handed to a kind registered with
+	// Register rather than RegisterConfigured; a builder that reads
+	// Config rejects a type it does not know.
 	Config any
-	// Rand supplies randomness to probabilistic disciplines (RED, PIE).
-	// Builders must tolerate nil.
+	// Rand supplies randomness to probabilistic disciplines (RED, PIE, a
+	// lying ABC router). Builders must tolerate nil.
 	Rand *rand.Rand
 }
 
@@ -53,22 +39,35 @@ type BuildSpec struct {
 // already defaulted by Build.
 type Builder func(spec BuildSpec) (Qdisc, error)
 
-var builders = map[string]Builder{}
+// registered is one kind's builder and whether it reads BuildSpec.Config.
+type registered struct {
+	build  Builder
+	config bool
+}
 
-// Register installs a builder for a kind. It panics on duplicates, which
-// turns conflicting registrations into an immediate startup failure
-// instead of a silent override.
-func Register(kind string, b Builder) {
-	if kind == "" || b == nil {
+var builders = map[string]registered{}
+
+// Register installs a builder for a kind that reads no Config. It panics
+// on duplicates, which turns conflicting registrations into an immediate
+// startup failure instead of a silent override.
+func Register(kind string, b Builder) { register(kind, registered{b, false}) }
+
+// RegisterConfigured installs a builder for a kind that reads
+// BuildSpec.Config, under Register's rules.
+func RegisterConfigured(kind string, b Builder) { register(kind, registered{b, true}) }
+
+func register(kind string, r registered) {
+	if kind == "" || r.build == nil {
 		panic("qdisc: Register with empty kind or nil builder")
 	}
 	if _, dup := builders[kind]; dup {
 		panic(fmt.Sprintf("qdisc: duplicate Register(%q)", kind))
 	}
-	builders[kind] = b
+	builders[kind] = r
 }
 
-// Build constructs the discipline named by spec.Kind via the registry.
+// Build constructs the discipline named by spec.Kind via the registry. A
+// Config handed to a kind that reads none is an error, not a no-op.
 func Build(spec BuildSpec) (Qdisc, error) {
 	kind := spec.Kind
 	if kind == "" {
@@ -77,11 +76,14 @@ func Build(spec BuildSpec) (Qdisc, error) {
 	if spec.Buffer <= 0 {
 		spec.Buffer = DefaultBuffer
 	}
-	b, ok := builders[kind]
+	r, ok := builders[kind]
 	if !ok {
 		return nil, fmt.Errorf("qdisc: unknown kind %q (registered: %v)", kind, Kinds())
 	}
-	return b(spec)
+	if spec.Config != nil && !r.config {
+		return nil, fmt.Errorf("qdisc: kind %q takes no configuration (given a %T)", kind, spec.Config)
+	}
+	return r.build(spec)
 }
 
 // Kinds returns the registered kind names, sorted.

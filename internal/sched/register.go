@@ -3,25 +3,28 @@
 package sched
 
 import (
+	"abc/internal/abc"
 	"abc/internal/qdisc"
 )
 
-// buildDual constructs a dual queue with the harness conventions: the
-// buffer bounds both queues and the delay threshold override reaches the
-// inner ABC router.
+// buildDual constructs a dual queue whose inner ABC router is configured
+// by abc.RouterConfigFor. The buffer bounds each queue; the router's own
+// limit stays 0 (unbounded inside the dual queue's) unless the
+// configuration names one.
 func buildDual(policy WeightPolicy) qdisc.Builder {
 	return func(s qdisc.BuildSpec) (qdisc.Qdisc, error) {
-		cfg := DefaultConfig()
-		cfg.Policy = policy
-		cfg.ABCLimit, cfg.OtherLimit = s.Buffer, s.Buffer
-		if s.DelayThreshold > 0 {
-			cfg.Router.DelayThreshold = s.DelayThreshold
+		rc, err := abc.RouterConfigFor(s, 0, nil)
+		if err != nil {
+			return nil, err
 		}
+		cfg := DefaultConfig()
+		cfg.Policy, cfg.Router = policy, rc
+		cfg.ABCLimit, cfg.OtherLimit = s.Buffer, s.Buffer
 		return NewDualQueue(cfg), nil
 	}
 }
 
 func init() {
-	qdisc.Register("dual-maxmin", buildDual(MaxMin))
-	qdisc.Register("dual-zombie", buildDual(ZombieList))
+	qdisc.RegisterConfigured("dual-maxmin", buildDual(MaxMin))
+	qdisc.RegisterConfigured("dual-zombie", buildDual(ZombieList))
 }

@@ -2,15 +2,18 @@
 # cli_diff.sh GIT_REF
 #
 # The byte-for-byte check behind "this change moves no result": builds
-# abcsim from GIT_REF (a `git archive` export into a temporary directory,
-# so neither the working tree nor .git is touched) and from the working
-# tree, runs every -exp id of the working tree's `-exp list` at -dur 6
-# and -dur 13 plus every examples/scenarios/*.json on both, and diffs the
-# two outputs. Only `-exp hybrid`'s last column is masked — it is wall
-# clock, different on every run by design. Prints each difference and
-# exits 1 if there is any. The golden digests alone do not cover this:
-# fig13 and hybrid.json have moved under a change with 29/29 of them
-# green.
+# abcsim and abcreport from GIT_REF (a `git archive` export into a
+# temporary directory, so neither the working tree nor .git is touched)
+# and from the working tree, runs every -exp id of the working tree's
+# `-exp list` at -dur 6 and -dur 13, every examples/scenarios/*.json and
+# `abcreport -fast` on both, and diffs the two outputs. The report runs
+# parameter combinations the -exp runs never do (fig10 with two users,
+# fig12 at two runs, fig18 on a scheme subset). Only the hybrid
+# experiment's last column is masked, under -exp hybrid and in the
+# report — it is wall clock, different on every run by design. Prints
+# each difference and exits 1 if there is any. The golden digests alone
+# do not cover this: fig13 and hybrid.json have moved under a change with
+# 29/29 of them green.
 set -eu
 
 [ $# -eq 1 ] || { echo "usage: $0 <git-ref>" >&2; exit 2; }
@@ -22,36 +25,43 @@ trap 'rm -rf "$tmp"' EXIT
 
 mkdir "$tmp/src"
 git archive "$ref" | tar -x -C "$tmp/src"
-(cd "$tmp/src" && go build -o "$tmp/abcsim.ref" ./cmd/abcsim)
-go build -o "$tmp/abcsim.tree" ./cmd/abcsim
+for cmd in abcsim abcreport; do
+    (cd "$tmp/src" && go build -o "$tmp/$cmd.ref" "./cmd/$cmd")
+    go build -o "$tmp/$cmd.tree" "./cmd/$cmd"
+done
+
+# wall: the sed expression masking a line's trailing wall-clock column.
+wall='s/[[:space:]]+[0-9.]+(ns|µs|ms|s)$/ WALL/'
 
 # mask EXP: a filter hiding what may differ between two runs of EXP.
 mask() {
     if [ "$1" = hybrid ]; then
-        sed -E 's/[[:space:]]+[0-9.]+(ns|µs|ms|s)$/ WALL/'
+        sed -E "$wall"
     else
         cat
     fi
 }
 
-# run_all BINARY OUTFILE: scenario paths are relative to the working
-# tree, so both binaries read the same files. A run that fails prints its
-# error into the output like any other line.
+# run_all SIDE OUTFILE: runs SIDE's (ref or tree) binaries. Scenario
+# paths are relative to the working tree, so both read the same files. A
+# run that fails prints its error into the output like any other line.
 run_all() {
     for e in $("$tmp/abcsim.tree" -exp list | awk '{print $1}'); do
         for dur in 6 13; do
             echo "=== -exp $e -dur $dur"
-            "$1" -exp "$e" -dur "$dur" 2>&1 | mask "$e"
+            "$tmp/abcsim.$1" -exp "$e" -dur "$dur" 2>&1 | mask "$e"
         done
     done
     for f in examples/scenarios/*.json; do
         echo "=== -scenario $f"
-        "$1" -scenario "$f" 2>&1 | cat
+        "$tmp/abcsim.$1" -scenario "$f" 2>&1 | cat
     done
+    echo "=== abcreport -fast"
+    "$tmp/abcreport.$1" -fast 2>&1 | sed -E "/^### hybrid /,/^##/ $wall"
 } >"$2"
 
-run_all "$tmp/abcsim.ref" "$tmp/ref.txt"
-run_all "$tmp/abcsim.tree" "$tmp/tree.txt"
+run_all ref "$tmp/ref.txt"
+run_all tree "$tmp/tree.txt"
 
 if diff -u "$tmp/ref.txt" "$tmp/tree.txt"; then
     echo "cli_diff: $(grep -c '^===' "$tmp/tree.txt") runs identical to $ref"
