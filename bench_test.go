@@ -386,16 +386,17 @@ func BenchmarkFIBLookup(b *testing.B) {
 
 // BenchmarkShardedRun measures the conservative-lookahead coordinator
 // end to end: the four-bottleneck ring at 1 shard (the plain sequential
-// simulator) vs 4 shards (per-shard event queues, each owned by one of
-// min(4, GOMAXPROCS, NumCPU) workers, with cross-shard mailbox handoff).
-// The ring is too small for sharding to pay — bench workload
-// mesh_shard2 is the one that measures the speedup — but on any host
-// the two results are byte-identical (TestShardedMeshDigestInvariant). The
-// allocs/op ceilings in bench_thresholds.txt keep the cross-shard
-// handoff from allocating per packet: both sub-benchmarks simulate the
-// same traffic, so their allocation gap is pure sharding overhead.
+// simulator), at 2 (one worker per core on a 2-core host) and at 4
+// (per-shard event queues, each owned by one of min(4, GOMAXPROCS,
+// NumCPU) workers, with cross-shard mailbox handoff). The ring is too
+// small for sharding to pay — bench workload mesh_shard2 is the one that
+// measures the speedup — but on any host the results are byte-identical
+// (TestShardedMeshDigestInvariant). The allocs/op ceilings in
+// bench_thresholds.txt keep the cross-shard handoff from allocating per
+// packet: the sub-benchmarks simulate the same traffic, so their
+// allocation gaps are pure sharding overhead.
 func BenchmarkShardedRun(b *testing.B) {
-	for _, shards := range []int{1, 4} {
+	for _, shards := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -155,7 +155,7 @@ func (r *Router) Enqueue(now sim.Time, p *packet.Packet) bool {
 	if !r.Admit(now, p, qdisc.Slots(r.bg, now)) {
 		return false
 	}
-	r.enqMeter.Add(now, p.Size)
+	r.enqMeter.Add(now, int(p.Size))
 	return true
 }
 
@@ -239,7 +239,7 @@ func (r *Router) Dequeue(now sim.Time) *packet.Packet {
 	if p == nil {
 		return nil
 	}
-	r.deqMeter.Add(now, p.Size)
+	r.deqMeter.Add(now, int(p.Size))
 
 	// No token credit for the aggregate's virtual dequeues: with N real
 	// background flows each of their packets would accrue f AND consume

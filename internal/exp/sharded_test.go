@@ -1,11 +1,13 @@
 package exp
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"abc/internal/metrics"
 	"abc/internal/obs"
@@ -158,6 +160,37 @@ func TestShardedMeshRepeatable(t *testing.T) {
 		} else if d != first {
 			t.Fatalf("run %d digest %s != first %s", i, d, first)
 		}
+	}
+}
+
+// BenchmarkShardBusy is the sharing diagnostic: it runs the sharded mesh
+// at 2 shards and reports each shard's Coordinator.Busy per event it
+// executed. The windows and their events do not depend on the worker
+// count, so
+//
+//	go test ./internal/exp -run '^$' -bench ShardBusy -cpu 1,2
+//
+// prints the cost of the same work run by one worker (GOMAXPROCS 1, the
+// shards back to back) and by two (side by side). A two-worker row above
+// the one-worker row is what the shards charge each other through the
+// memory system: state one shard writes on a cache line another shard
+// reads or writes.
+func BenchmarkShardBusy(b *testing.B) {
+	var busy [2]time.Duration
+	var events [2]uint64
+	for i := 0; i < b.N; i++ {
+		res, _, err := Run(shardedMeshSpec(2, 16*sim.Second, 1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		c := res.Graph.Coordinator()
+		for s := range busy {
+			busy[s] += c.Busy(s)
+			events[s] += c.Shard(s).Executed()
+		}
+	}
+	for s := range busy {
+		b.ReportMetric(float64(busy[s].Nanoseconds())/float64(events[s]), fmt.Sprintf("shard%d-busy-ns/event", s))
 	}
 }
 

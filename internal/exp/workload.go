@@ -134,7 +134,6 @@ func buildApp(s *sim.Simulator, ep *cc.Endpoint, as *AppSpec, warmup sim.Time) (
 
 // workloadRunner drives one arrival process over the compiled graph.
 type workloadRunner struct {
-	s      *sim.Simulator
 	g      *topo.Graph
 	spec   *Spec
 	ws     *WorkloadSpec
@@ -189,7 +188,7 @@ func (c *compiled) startWorkloads() error {
 			stop = spec.Duration
 		}
 		r := &workloadRunner{
-			s: g.S, g: g, spec: spec, ws: ws, wr: wr,
+			g: g, spec: spec, ws: ws, wr: wr,
 			adv: c.adv, route: routes[i], nextID: &nextID, stopAt: stop,
 			live: map[int]flowEnds{},
 		}
@@ -219,16 +218,17 @@ func (r *workloadRunner) schedule() {
 	if r.err != nil {
 		return
 	}
-	gap := r.ws.Arrival.Next(r.s.Rand())
-	now := r.s.Now()
+	s := r.g.S
+	gap := r.ws.Arrival.Next(s.Rand())
+	now := s.Now()
 	if gap <= 0 {
 		gap = 1 // degenerate processes still make progress
 	}
 	if gap >= r.stopAt-now {
 		return
 	}
-	r.s.After(gap, func() {
-		r.spawn(r.s.Now())
+	s.After(gap, func() {
+		r.spawn(s.Now())
 		r.schedule()
 	})
 }
@@ -243,7 +243,7 @@ func (r *workloadRunner) spawn(now sim.Time) {
 		r.wr.Rejected++
 		return
 	}
-	size := r.ws.Sizes.Draw(r.s.Rand())
+	size := r.ws.Sizes.Draw(r.g.S.Rand())
 	if size < 1 {
 		size = 1
 	}

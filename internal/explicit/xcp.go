@@ -91,7 +91,7 @@ func (x *XCPRouter) Enqueue(now sim.Time, p *packet.Packet) bool {
 		x.intervalStart = now
 	}
 	x.arrivedBytes += int64(p.Size)
-	x.arrMeter.Add(now, p.Size)
+	x.arrMeter.Add(now, int(p.Size))
 	if p.XCP.Valid {
 		if p.XCP.RTT > 0 {
 			x.rttSum += p.XCP.RTT

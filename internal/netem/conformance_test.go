@@ -114,7 +114,7 @@ func TestLinkConformance(t *testing.T) {
 						// Built by hand, not from the free list, so a
 						// released packet stays zeroed.
 						p := &packet.Packet{
-							Flow: 1 + rng.Intn(3), Seq: offered, Size: 40 + rng.Intn(packet.MTU-39),
+							Flow: 1 + rng.Intn(3), Seq: offered, Size: int32(40 + rng.Intn(packet.MTU-39)),
 							ECN: packet.Accel, ABCFlow: true,
 						}
 						s.At(at, func() {

@@ -41,6 +41,10 @@ type Wire struct {
 	// event heap one entry. After Delay shrinks, a packet that would
 	// overtake falls back to an ordinary event (see sim.Chain).
 	inflight sim.Chain
+	// The padding makes a Wire one 64-byte cache line. Every packet it
+	// carries writes inflight, from the wire's shard only, so no other
+	// shard's state may share the line (TestWireOwnsItsLine).
+	_ [24]byte
 }
 
 // NewWire returns a wire that delivers packets to dst after delay.
@@ -159,7 +163,7 @@ func (l *TraceLink) opportunity() {
 		if p == nil {
 			break
 		}
-		if p.Size > budget && budget < packet.MTU {
+		if int(p.Size) > budget && budget < packet.MTU {
 			// Does not fit in the remainder of this opportunity; in
 			// Mahimahi the packet would wait. Requeueing into an
 			// arbitrary qdisc is not possible, so deliver it on this
@@ -167,7 +171,7 @@ func (l *TraceLink) opportunity() {
 			// affects trailing ACKs and keeps disciplines simple.
 			budget = 0
 		} else {
-			budget -= p.Size
+			budget -= int(p.Size)
 		}
 		l.Depart(now, p)
 		l.Deliver(p)

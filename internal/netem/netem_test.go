@@ -3,6 +3,7 @@ package netem
 import (
 	"math"
 	"testing"
+	"unsafe"
 
 	"abc/internal/packet"
 	"abc/internal/qdisc"
@@ -64,6 +65,14 @@ func TestWireZeroValueLiteral(t *testing.T) {
 	}
 	s.Run()
 	checkArrivals(t, got, []arrival{{0, 5 * sim.Millisecond}, {1, 6 * sim.Millisecond}, {2, 7 * sim.Millisecond}})
+}
+
+// TestWireOwnsItsLine: a wire is one 64-byte cache line, so a wire one
+// shard writes on every packet shares no line with another shard's.
+func TestWireOwnsItsLine(t *testing.T) {
+	if size := unsafe.Sizeof(Wire{}); size != 64 {
+		t.Errorf("sizeof(Wire) = %d, want one 64-byte line", size)
+	}
 }
 
 // TestWireDelayShrinkOvertakes: a wire is a delay, not a queue. After the

@@ -11,6 +11,7 @@ package packet
 import (
 	"fmt"
 	"sync"
+	"unsafe"
 
 	"abc/internal/sim"
 )
@@ -69,22 +70,26 @@ func (e ECN) ECNCapable() bool { return e == Accel || e == Brake }
 
 // Packet is a simulated packet. A single struct covers both data packets
 // and acknowledgements; IsAck distinguishes them.
+//
+// The layout is part of the design: the fields are ordered so the struct
+// is exactly two cache lines (128 bytes, pinned by TestPacketLayout), and
+// the ones every hop reads or writes — Flow, Size, IsAck, ECN, the shard
+// and tally its end is booked on, and the timestamps the queues touch —
+// are in the first. At 128 bytes Go's allocator places every packet at a
+// line boundary, so a packet handed from one shard's core to another
+// shares no line with a packet the first core still works on.
 type Packet struct {
 	// Flow identifies the flow this packet belongs to.
 	Flow int
-	// Seq is the data sequence number (in packets, not bytes). For an
-	// ACK, Seq is the sequence of the data packet being acknowledged.
-	Seq int64
-	// CumAck is, on an ACK, the highest sequence such that every packet
-	// below it has been received (cumulative acknowledgement).
-	CumAck int64
 	// Size is the wire size in bytes.
-	Size int
+	Size int32
+
+	// shard is the shard the packet is on: where its tally books its end
+	// (see Tally).
+	shard int16
+
 	// IsAck marks pure acknowledgements.
 	IsAck bool
-	// Retx marks retransmissions (they do not update RTT estimates).
-	Retx bool
-
 	// ECN is the IP ECN codepoint, carrying accel/brake for ABC flows.
 	// On an ACK of an ABC flow it carries the *echoed* mark (NewAck copies
 	// the data packet's accel/brake here), so reverse-path ABC routers and
@@ -92,6 +97,8 @@ type Packet struct {
 	// routers demote data marks — the sender then consumes the minimum of
 	// marks over the full round trip, not just the forward chain.
 	ECN ECN
+	// Retx marks retransmissions (they do not update RTT estimates).
+	Retx bool
 	// EchoAccel is set on ACKs when the receiver echoes an accelerate
 	// (it echoes brake when false and EchoValid is set). This models the
 	// TCP NS-bit echo described in §5.1.2. It records what the receiver
@@ -103,43 +110,45 @@ type Packet struct {
 	// EchoCE is the standard ECN-Echo (ECE) flag: set on ACKs when the
 	// corresponding data packet arrived marked CE.
 	EchoCE bool
-
-	// XCP models the multi-bit congestion header used by XCP-family
-	// protocols: the sender writes its cwnd and RTT estimates, routers
-	// update Feedback, and the receiver echoes it back.
-	XCP XCPHeader
-	// RCPRate is the bottleneck-stamped rate (bits/sec) for RCP flows;
-	// routers take the minimum along the path. Zero means unset.
-	RCPRate float64
 	// VCPLoad is VCP's 2-bit load factor code (0 unset, 1 low, 2 high,
 	// 3 overload). Routers only ever increase it along the path.
 	VCPLoad uint8
-
 	// ABCFlow tags packets of ABC flows so dual-queue routers (§5.2) can
 	// classify them, modelling the IPv6 flow-label convention.
 	ABCFlow bool
+	// AppLimited marks packets from application-limited flows (used only
+	// for reporting).
+	AppLimited bool
 
 	// SentAt is when the (data) packet left the sender.
 	SentAt sim.Time
-	// EnqueuedAt is set by the qdisc on enqueue at the current hop.
-	EnqueuedAt sim.Time
 	// QueueDelay accumulates time spent in queues along the whole path.
 	QueueDelay sim.Time
+	// EnqueuedAt is set by the qdisc on enqueue at the current hop.
+	EnqueuedAt sim.Time
+	// tally, when set, counts this packet on its flow's books (see
+	// Tally); NewAck passes it on and the packet's end books it there.
+	tally *ledger
+
+	// Seq is the data sequence number (in packets, not bytes). For an
+	// ACK, Seq is the sequence of the data packet being acknowledged.
+	Seq int64
+	// CumAck is, on an ACK, the highest sequence such that every packet
+	// below it has been received (cumulative acknowledgement).
+	CumAck int64
 	// AckSentAt is copied from SentAt into the ACK so the sender can
 	// compute RTT samples without per-packet maps.
 	AckSentAt sim.Time
 	// AckQueueDelay echoes the data packet's accumulated queue delay.
 	AckQueueDelay sim.Time
-	// AppLimited marks packets from application-limited flows (used only
-	// for reporting).
-	AppLimited bool
 
-	// shard is the shard the packet is on: where its tally books its end
-	// (see Tally). It sits in AppLimited's padding.
-	shard int32
-	// tally, when set, counts this packet on its flow's books (see
-	// Tally); NewAck passes it on and the packet's end books it there.
-	tally *Tally
+	// RCPRate is the bottleneck-stamped rate (bits/sec) for RCP flows;
+	// routers take the minimum along the path. Zero means unset.
+	RCPRate float64
+	// XCP models the multi-bit congestion header used by XCP-family
+	// protocols: the sender writes its cwnd and RTT estimates, routers
+	// update Feedback, and the receiver echoes it back.
+	XCP XCPHeader
 }
 
 // Cause is how a packet left the simulation: consumed at its terminal
@@ -219,43 +228,97 @@ func (b Books) Live() int64 {
 // are booked in the row of the shard it is on, which a cross-shard hop
 // moves (MoveTo). Each shard writes only its own row, so a flow whose
 // packets cross shards needs neither locks nor atomics; the rows are
-// summed (Books, Live) where no shard runs. Shard 0's row is inline, so
-// a one-shard tally allocates nothing, and the zero Tally is a one-shard
-// tally whose sender is on shard 0 (see Spread).
+// summed (Books, Live) where no shard runs. A one-shard tally keeps its
+// one row inline and allocates nothing, and the zero Tally is a one-shard
+// tally whose sender is on shard 0; a tally spread over more shards keeps
+// its books apart, on cache lines of their own (see Spread).
 type Tally struct {
-	home    int
+	// own is the ledger of a one-shard tally; spread, when set, that of a
+	// spread one. A tallied packet points at whichever is in use.
+	own    ledger
+	spread *ledger
+}
+
+// ledger is what a tallied packet points at: the flow's rows and the
+// fields its end reads.
+type ledger struct {
+	home int
+	// first is the row of a one-shard tally; rows, when set, are the rows
+	// of a spread one, indexed by shard.
 	first   Books
-	more    []Books
+	rows    []row
 	onDrain func()
 }
 
+// row is one shard's Books padded to whole cache lines, so that the row
+// one shard writes shares no line with the row of another.
+type row struct {
+	Books
+	_ [2*cacheLine - unsafe.Sizeof(Books{})]byte
+}
+
+// spreadLedger is a spread tally's ledger padded to whole cache lines.
+// Every shard reads its fields on every packet end and none writes them
+// during a run, so they must share no line with anything written.
+type spreadLedger struct {
+	ledger
+	_ [3*cacheLine - unsafe.Sizeof(ledger{})]byte
+}
+
+// cacheLine is the line size the padding above assumes. A heap object
+// whose size is a multiple of it starts on a line boundary.
+const cacheLine = 64
+
 // Spread readies the tally, before its first packet, for a run over
 // shards (≥ 1) shards in which the flow's sender attaches on shard home.
-func (t *Tally) Spread(shards, home int) { t.home, t.more = home, make([]Books, shards-1) }
+// Over more than one shard the books move out of the Tally into their
+// own allocation, so that no shard books a packet on a line of whatever
+// embeds the Tally (a sender's endpoint, which its shard writes on every
+// ACK) and no row shares a line with another shard's row.
+func (t *Tally) Spread(shards, home int) {
+	if shards == 1 {
+		t.own.home, t.spread = home, nil
+		return
+	}
+	s := new(spreadLedger)
+	s.home, s.rows = home, make([]row, shards)
+	t.spread = &s.ledger
+}
+
+// inUse returns the ledger the tally's packets point at.
+func (t *Tally) inUse() *ledger {
+	if t.spread != nil {
+		return t.spread
+	}
+	return &t.own
+}
 
 // row returns shard's row.
-func (t *Tally) row(shard int32) *Books {
-	if shard == 0 {
-		return &t.first
+func (l *ledger) row(shard int16) *Books {
+	if l.rows == nil {
+		return &l.first
 	}
-	return &t.more[shard-1]
+	return &l.rows[shard].Books
 }
 
 // Attach counts p, which no tally counts yet, as one of the flow's
 // packets, attached on the sender's shard.
-func (t *Tally) Attach(p *Packet) { t.attach(p, int32(t.home)) }
+func (t *Tally) Attach(p *Packet) {
+	l := t.inUse()
+	l.attach(p, int16(l.home))
+}
 
 // Adopt counts p as attached on shard unless a tally counts it already:
 // how packets injected from outside any flow stay on the books.
 func (t *Tally) Adopt(p *Packet, shard int) {
 	if p.tally == nil {
-		t.attach(p, int32(shard))
+		t.inUse().attach(p, int16(shard))
 	}
 }
 
-func (t *Tally) attach(p *Packet, shard int32) {
-	p.tally, p.shard = t, shard
-	if r := t.row(shard); p.IsAck {
+func (l *ledger) attach(p *Packet, shard int16) {
+	p.tally, p.shard = l, shard
+	if r := l.row(shard); p.IsAck {
 		r.Acks++
 	} else {
 		r.Data++
@@ -265,10 +328,12 @@ func (t *Tally) attach(p *Packet, shard int32) {
 // Books returns the tally's rows summed. Call it only where no shard
 // writes one: from the shard of a one-shard flow, at a coordinator
 // barrier, or after the run.
-func (t *Tally) Books() Books {
-	b := t.first
-	for _, r := range t.more {
-		b.Add(r)
+func (t *Tally) Books() Books { return t.inUse().sum() }
+
+func (l *ledger) sum() Books {
+	b := l.first
+	for i := range l.rows {
+		b.Add(l.rows[i].Books)
 	}
 	return b
 }
@@ -286,16 +351,16 @@ func (t *Tally) Finish(onDrain func()) {
 		onDrain()
 		return
 	}
-	t.onDrain = onDrain
+	t.inUse().onDrain = onDrain
 }
 
 // release books one packet's end on shard and drains a finished flow at
 // zero.
-func (t *Tally) release(shard int32, c Cause) {
-	t.row(shard).Released[c]++
-	if t.onDrain != nil && t.Live() == 0 {
-		drain := t.onDrain
-		t.onDrain = nil
+func (l *ledger) release(shard int16, c Cause) {
+	l.row(shard).Released[c]++
+	if l.onDrain != nil && l.sum().Live() == 0 {
+		drain := l.onDrain
+		l.onDrain = nil
 		drain()
 	}
 }
@@ -358,13 +423,13 @@ func (p *Packet) Drop(c Cause) {
 
 // MoveTo records that p now belongs to shard: a cross-shard hop calls it
 // before handing p over, so p's end is booked in that shard's row.
-func (p *Packet) MoveTo(shard int) { p.shard = int32(shard) }
+func (p *Packet) MoveTo(shard int) { p.shard = int16(shard) }
 
 // NewData returns a data packet of the given flow, sequence and size,
 // drawn from the free list.
 func NewData(flow int, seq int64, size int, now sim.Time) *Packet {
 	p := Get()
-	p.Flow, p.Seq, p.Size, p.SentAt = flow, seq, size, now
+	p.Flow, p.Seq, p.Size, p.SentAt = flow, seq, int32(size), now
 	return p
 }
 

@@ -1,8 +1,10 @@
 package packet
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"abc/internal/sim"
 )
@@ -143,7 +145,7 @@ func TestSinkCounts(t *testing.T) {
 
 func TestNodeFunc(t *testing.T) {
 	n := 0
-	var f NodeFunc = func(p *Packet) { n += p.Size }
+	var f NodeFunc = func(p *Packet) { n += int(p.Size) }
 	f.Recv(NewData(1, 0, 50, 0))
 	if n != 50 {
 		t.Errorf("NodeFunc not invoked: %d", n)
@@ -245,9 +247,9 @@ func TestTallyRowsPerShard(t *testing.T) {
 	if got := tl.Books(); got.Data != 1 || got.Acks != 1 || got.Released[Delivered] != 1 || got.Released[Late] != 1 || got.Live() != 0 {
 		t.Fatalf("books = %+v, want one data packet delivered and one ACK ended late", got)
 	}
-	if tl.first.Live() != -1 || tl.more[0].Live() != 1 || tl.more[1].Live() != 0 {
+	if r := tl.spread.rows; r[0].Live() != -1 || r[1].Live() != 1 || r[2].Live() != 0 {
 		t.Fatalf("rows %+v %+v %+v: want the ACK's end on shard 0, the data attach on shard 1, the ACK's attach and the data end on shard 2",
-			tl.first, tl.more[0], tl.more[1])
+			r[0].Books, r[1].Books, r[2].Books)
 	}
 	if b := strays.Books(); b != (Books{}) {
 		t.Fatalf("Adopt booked a packet its flow already tallies: %+v", b)
@@ -273,4 +275,89 @@ func TestNewAckLeavesDataPacketIntact(t *testing.T) {
 	}
 	p.Release()
 	a.Release()
+}
+
+// TestPacketLayout: a packet is exactly two cache lines and a fresh one
+// starts on a line boundary, so a packet handed from one shard's core to
+// another shares no line with a packet either core is still working on.
+func TestPacketLayout(t *testing.T) {
+	if size := unsafe.Sizeof(Packet{}); size != 2*cacheLine {
+		t.Fatalf("sizeof(Packet) = %d, want %d", size, 2*cacheLine)
+	}
+	hot := []struct {
+		name   string
+		offset uintptr
+	}{
+		{"Flow", unsafe.Offsetof(Packet{}.Flow)}, {"Size", unsafe.Offsetof(Packet{}.Size)},
+		{"IsAck", unsafe.Offsetof(Packet{}.IsAck)}, {"ECN", unsafe.Offsetof(Packet{}.ECN)},
+		{"shard", unsafe.Offsetof(Packet{}.shard)}, {"SentAt", unsafe.Offsetof(Packet{}.SentAt)},
+		{"QueueDelay", unsafe.Offsetof(Packet{}.QueueDelay)}, {"tally", unsafe.Offsetof(Packet{}.tally)},
+	}
+	for _, f := range hot {
+		if f.offset >= cacheLine {
+			t.Errorf("Packet.%s at offset %d, want it in the first %d-byte line", f.name, f.offset, cacheLine)
+		}
+	}
+	// Fresh allocations, not recycled ones: the pool may hand back any
+	// packet, but every packet it holds was once allocated by its New.
+	for i := 0; i < 64; i++ {
+		if at := uintptr(unsafe.Pointer(pool.New().(*Packet))); at%cacheLine != 0 {
+			t.Fatalf("packet allocated at %#x, not on a %d-byte line boundary", at, cacheLine)
+		}
+	}
+	p := Get()
+	defer p.Release()
+	if at := uintptr(unsafe.Pointer(p)); at%cacheLine != 0 {
+		t.Fatalf("Get returned a packet at %#x, not on a %d-byte line boundary", at, cacheLine)
+	}
+}
+
+// TestSpreadTallyOwnsItsLines: a tally spread over two shards books each
+// shard's packets on lines that hold nothing else of the flow's — not the
+// other shard's row, not the Tally itself (embedded in the sender's
+// endpoint) — while a one-shard tally books inline.
+func TestSpreadTallyOwnsItsLines(t *testing.T) {
+	type span struct {
+		name        string
+		first, last uintptr
+	}
+	lines := func(name string, p unsafe.Pointer, size uintptr) span {
+		at := uintptr(p)
+		return span{name, at / cacheLine, (at + size - 1) / cacheLine}
+	}
+	var tl Tally
+	tl.Spread(1, 0)
+	p := NewData(1, 0, MTU, 0)
+	tl.Attach(p)
+	if p.tally != &tl.own {
+		t.Error("a one-shard tally's packet does not book inline")
+	}
+	p.Release()
+
+	tl = Tally{}
+	tl.Spread(2, 1)
+	l := tl.spread
+	spans := []span{
+		lines("the Tally", unsafe.Pointer(&tl), unsafe.Sizeof(tl)),
+		lines("the ledger", unsafe.Pointer(l), unsafe.Sizeof(*l)),
+	}
+	for s := range l.rows {
+		spans = append(spans, lines(fmt.Sprintf("row %d", s), unsafe.Pointer(&l.rows[s].Books), unsafe.Sizeof(Books{})))
+	}
+	for i := range spans {
+		for j := i + 1; j < len(spans); j++ {
+			if a, b := spans[i], spans[j]; a.first <= b.last && b.first <= a.last {
+				t.Errorf("%s and %s share a %d-byte line", a.name, b.name, cacheLine)
+			}
+		}
+	}
+	p = NewData(1, 0, MTU, 0)
+	tl.Attach(p)
+	if p.tally != l {
+		t.Error("a spread tally's packet does not book on its out-of-line ledger")
+	}
+	p.Release()
+	if b := tl.Books(); b.Data != 1 || b.Released[Delivered] != 1 || l.rows[1].Data != 1 {
+		t.Errorf("books %+v, want one data packet attached on shard 1 and delivered", b)
+	}
 }

@@ -123,12 +123,12 @@ func TestDisciplineConformance(t *testing.T) {
 					// Built by hand, not from the free list: a released
 					// packet must stay zeroed for the model to see it.
 					p := &packet.Packet{
-						Flow: 1 + rng.Intn(3), Seq: nOffered, Size: 40 + rng.Intn(packet.MTU-39),
+						Flow: 1 + rng.Intn(3), Seq: nOffered, Size: int32(40 + rng.Intn(packet.MTU-39)),
 						ECN: packet.Accel, ABCFlow: rng.Intn(2) == 0, SentAt: now,
 					}
 					before := *p
 					if q.Enqueue(now, p) {
-						queued = append(queued, offered{p, now, p.Seq, p.Size, p.ABCFlow})
+						queued = append(queued, offered{p, now, p.Seq, int(p.Size), p.ABCFlow})
 					} else {
 						refused++
 						if *p != before {

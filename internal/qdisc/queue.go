@@ -59,7 +59,7 @@ func (q *Queue) Admit(now sim.Time, p *packet.Packet, extra int) bool {
 	}
 	p.EnqueuedAt = now
 	q.pkts = append(q.pkts, p)
-	q.bytes += p.Size
+	q.bytes += int(p.Size)
 	q.Stats.EnqueuedPackets++
 	return true
 }
@@ -83,7 +83,7 @@ func (q *Queue) take() *packet.Packet {
 	p := q.pkts[q.head]
 	q.pkts[q.head] = nil
 	q.head++
-	q.bytes -= p.Size
+	q.bytes -= int(p.Size)
 	// Compact once the dead prefix dominates, keeping amortized O(1).
 	if q.head > 64 && q.head*2 >= len(q.pkts) {
 		n := copy(q.pkts, q.pkts[q.head:])

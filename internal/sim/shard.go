@@ -74,13 +74,18 @@
 //
 // On the 2-core bench host, bench workload mesh_shard2 (16-bottleneck
 // mesh at 2 shards, 8 ms windows, 1817 of them in 16 simulated seconds)
-// runs 1.4–1.45× as fast as its sequential twin in a quiet stretch and
-// 1.05–1.25× in a busy one; the channel-per-shard hand-off this replaced
-// ran 0.9–0.98×. DESIGN.md "Sharded execution" has every number. The
-// ceiling is set by per-window event imbalance (Σmax/Σmean ≈ 1.12 at 2
-// shards, so ≤ 1.78×) and by the cut traffic: a packet that crosses the
-// cut changes cores, and a shard's events cost more while both cores run
-// than when the same windows run back to back on one.
+// runs 1.3× as fast as its sequential twin. DESIGN.md "Sharded
+// execution" has every number. The figure to watch is what a shard's
+// events cost while both workers run over what they cost on one worker.
+// BenchmarkShardBusy in internal/exp prints both. The ratio was 1.6–1.9×
+// while shards wrote to shared cache lines: two Simulators 144 bytes
+// apart, packets straddling lines, a flow's tally rows inside its
+// sender. It is 1.25× on the mesh now that everything a shard writes
+// per event owns its lines (TestShardSimulatorsOwnTheirLines and the
+// layout tests of packet and netem). What remains is the cut traffic
+// itself: a crossing packet's two lines and its mail item change cores.
+// The ceiling is per-window event imbalance (Σmax/Σmean ≈ 1.12 at 2
+// shards, so ≤ 1.78×).
 package sim
 
 import (
@@ -100,7 +105,10 @@ import (
 const timeInf = Time(math.MaxInt64)
 
 // cacheLine is the unit that state written by different workers is
-// padded to, so that no two of them share a line.
+// padded to, so that no two of them share a line. A heap object whose
+// size is a multiple of it starts on a line boundary too: its size class
+// is then a multiple of 64 as well, and a span of that class is cut from
+// page-aligned memory.
 const cacheLine = 64
 
 // A gate waiter polls spinYields batches of spinLoads loads, yielding

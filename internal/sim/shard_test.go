@@ -501,13 +501,35 @@ func TestCoordinatorSelfAccounting(t *testing.T) {
 // rests on: what different workers write sits on different cache lines.
 func TestCoordinatorPadding(t *testing.T) {
 	for name, size := range map[string]uintptr{
-		"mailbox": unsafe.Sizeof(mailbox{}),
-		"gate":    unsafe.Sizeof(gate{}),
-		"worker":  unsafe.Sizeof(worker{}),
-		"Shard":   unsafe.Sizeof(Shard{}),
+		"mailbox":   unsafe.Sizeof(mailbox{}),
+		"gate":      unsafe.Sizeof(gate{}),
+		"worker":    unsafe.Sizeof(worker{}),
+		"Shard":     unsafe.Sizeof(Shard{}),
+		"Simulator": unsafe.Sizeof(Simulator{}),
 	} {
 		if size%cacheLine != 0 {
 			t.Errorf("sizeof(%s) = %d, not a multiple of the %d-byte cache line", name, size, cacheLine)
+		}
+	}
+}
+
+// TestShardSimulatorsOwnTheirLines: the simulators of a coordinator's
+// shards, which their workers write on every event, share no cache line
+// with each other.
+func TestShardSimulatorsOwnTheirLines(t *testing.T) {
+	c := NewCoordinator(1, 4)
+	lines := func(s *Simulator) (first, last uintptr) {
+		at := uintptr(unsafe.Pointer(s))
+		return at / cacheLine, (at + unsafe.Sizeof(*s) - 1) / cacheLine
+	}
+	for i := 0; i < c.Shards(); i++ {
+		for j := i + 1; j < c.Shards(); j++ {
+			fi, li := lines(c.Shard(i).Simulator)
+			fj, lj := lines(c.Shard(j).Simulator)
+			if fi <= lj && fj <= li {
+				t.Errorf("shards %d and %d: simulators at %p and %p share a %d-byte line",
+					i, j, c.Shard(i).Simulator, c.Shard(j).Simulator, cacheLine)
+			}
 		}
 	}
 }

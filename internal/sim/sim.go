@@ -187,6 +187,11 @@ type Simulator struct {
 	// limit aborts Run after this many events (0 = unlimited).
 	limit  uint64
 	halted bool
+	// The run loop writes now, seq, executed and the slice headers on
+	// every event. Padding the 136 bytes above to whole cache lines puts
+	// every Simulator on lines of its own, so the shards of a Coordinator
+	// never write to one line from two cores.
+	_ [3*cacheLine - 136]byte
 }
 
 // New returns a simulator with its clock at zero and the given RNG seed.

@@ -9,6 +9,17 @@ import (
 	"abc/internal/sim"
 )
 
+// entries counts the class entries in n's forwarding table.
+func entries(n *Node) int {
+	k := 0
+	for _, h := range n.table {
+		if h.edge != noRoute {
+			k++
+		}
+	}
+	return k
+}
+
 // TestFIBClassSharing pins the aggregation contract: flows routed over
 // the identical edge sequence share one class — and hence one table
 // entry per junction — while still delivering to their own receivers
@@ -34,7 +45,7 @@ func TestFIBClassSharing(t *testing.T) {
 		t.Fatalf("flows 1 and 3 use different routes but share class %d", c1)
 	}
 	// Junction b forwards for both shared-route flows off one entry.
-	if n := len(g.Node(1).table); n != 1 {
+	if n := entries(g.Node(1)); n != 1 {
 		t.Fatalf("node b has %d table entries, want 1 (shared class)", n)
 	}
 	send(g, entry, 1, 10)
@@ -62,7 +73,7 @@ func TestFIBClassRecycling(t *testing.T) {
 	if err := g.Router().Reroute(1, false, []int{e3, e4}); err != nil {
 		t.Fatal(err)
 	}
-	if len(g.Node(1).table) != 0 {
+	if entries(g.Node(1)) != 0 {
 		t.Fatal("old class entries not removed from node b after the last flow left")
 	}
 	// The freed id is immediately recycled by the new route's class:
@@ -122,7 +133,7 @@ func TestUnrouteFlowInvertsRouteFlow(t *testing.T) {
 	if g.classOf[0][1] != -1 || g.tails[0][1] != nil {
 		t.Errorf("flow 1 slots = class %d, tail %v; want -1, nil", g.classOf[0][1], g.tails[0][1])
 	}
-	if n := len(g.Node(1).table); n != 1 || g.classes[shared].refs != 1 {
+	if n := entries(g.Node(1)); n != 1 || g.classes[shared].refs != 1 {
 		t.Fatalf("node b has %d entries, shared class refs %d; want 1, 1", n, g.classes[shared].refs)
 	}
 	send(g, entry, 2, 10)
@@ -135,7 +146,7 @@ func TestUnrouteFlowInvertsRouteFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id := 0; id < 4; id++ {
-		if n := len(g.Node(id).table); n != 0 {
+		if n := entries(g.Node(id)); n != 0 {
 			t.Errorf("node %d keeps %d table entries with no flow routed", id, n)
 		}
 	}

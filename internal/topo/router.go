@@ -164,7 +164,7 @@ func installOverrides(g *Graph, key hopKey, rt *routeState, old []int) {
 		if onNew[n] {
 			continue
 		}
-		h := hop{edge: -1} // end of the old route: the flow's own tail
+		h := hop{edge: deliver} // end of the old route: the flow's own tail
 		if i < len(old)-1 {
 			h = hop{edge: int32(old[i+1])}
 		}

@@ -69,10 +69,16 @@ type hopKey struct {
 }
 
 // hop is one forwarding-table entry: edge >= 0 forwards onto that edge;
-// edge < 0 ends the route and delivers through the arriving flow's own
+// deliver ends the route and delivers through the arriving flow's own
 // access tail — the sentinel that lets flows with different receivers
-// and RTTs share one aggregated class entry.
+// and RTTs share one aggregated class entry; noRoute fills a table slot
+// whose class has no entry at the node.
 type hop struct{ edge int32 }
+
+const (
+	deliver int32 = -1
+	noRoute int32 = -2
+)
 
 // Node is a junction: packets arriving here are forwarded by a FIB class
 // lookup — flows whose route (direction and exact edge sequence) is
@@ -84,9 +90,9 @@ type Node struct {
 	g    *Graph
 	// shard is the node's home shard; 0 on one-shard graphs.
 	shard int
-	// table is the forwarding table, keyed by FIB class id; Router
-	// mutates it mid-run.
-	table map[int32]hop
+	// table is the forwarding table, indexed by FIB class id (ids are
+	// dense: the registry recycles them); Router mutates it mid-run.
+	table []hop
 	// override holds per-flow exceptions consulted before the class
 	// table; nil in steady state. Make-before-break reroutes install the
 	// old route's hops here for the drain window, so in-flight packets
@@ -95,8 +101,8 @@ type Node struct {
 }
 
 // Recv implements packet.Node: one forwarding decision. The fast path is
-// a single map lookup — the per-flow class resolution is a slice index —
-// and allocation-free (BenchmarkFIBLookup pins 0 allocs/op).
+// two slice indexes — the flow's class, then the class's entry — and
+// allocation-free (BenchmarkFIBLookup pins 0 allocs/op).
 func (n *Node) Recv(p *packet.Packet) {
 	g := n.g
 	dir := 0
@@ -109,12 +115,13 @@ func (n *Node) Recv(p *packet.Packet) {
 			return
 		}
 	}
-	cls := int32(-1)
+	h := hop{edge: noRoute}
 	if byFlow := g.classOf[dir]; p.Flow >= 0 && p.Flow < len(byFlow) {
-		cls = byFlow[p.Flow]
+		if cls := byFlow[p.Flow]; cls >= 0 && int(cls) < len(n.table) {
+			h = n.table[cls]
+		}
 	}
-	h, ok := n.table[cls]
-	if !ok {
+	if h.edge == noRoute {
 		// No route for this (flow, direction) here: the node is the last
 		// holder. Book the drop so both wiring bugs and reroute-stranded
 		// packets are visible.
@@ -461,7 +468,7 @@ func (g *Graph) AddNode(name string) int {
 			panic(fmt.Sprintf("topo: node %d assigned to shard %d of %d", id, shard, len(g.sims)))
 		}
 	}
-	n := &Node{ID: id, Name: name, g: g, shard: shard, table: make(map[int32]hop)}
+	n := &Node{ID: id, Name: name, g: g, shard: shard}
 	g.nodes = append(g.nodes, n)
 	return n.ID
 }
@@ -682,22 +689,30 @@ func (g *Graph) detachClass(id int32) {
 // the last node carries the end-of-route sentinel (delivery through the
 // arriving flow's own tail).
 func (g *Graph) installClass(id int32, edges []int) {
-	g.edges[edges[0]].From.table[id] = hop{edge: int32(edges[0])}
+	g.edges[edges[0]].From.setHop(id, int32(edges[0]))
 	for i, eid := range edges {
-		next := hop{edge: -1}
+		next := deliver
 		if i < len(edges)-1 {
-			next = hop{edge: int32(edges[i+1])}
+			next = int32(edges[i+1])
 		}
-		g.edges[eid].To.table[id] = next
+		g.edges[eid].To.setHop(id, next)
 	}
 }
 
 // uninstallClass removes the class's table entries.
 func (g *Graph) uninstallClass(id int32, edges []int) {
-	delete(g.edges[edges[0]].From.table, id)
+	g.edges[edges[0]].From.setHop(id, noRoute)
 	for _, eid := range edges {
-		delete(g.edges[eid].To.table, id)
+		g.edges[eid].To.setHop(id, noRoute)
 	}
+}
+
+// setHop writes class id's entry at n, growing the table as ids appear.
+func (n *Node) setHop(id, edge int32) {
+	for int(id) >= len(n.table) {
+		n.table = append(n.table, hop{edge: noRoute})
+	}
+	n.table[id] = hop{edge: edge}
 }
 
 // setFlowClass points one direction of a flow at a class (-1 detaches),
