@@ -59,14 +59,20 @@ type RouterConfig struct {
 	LieFraction float64
 }
 
+// The defaults NewRouter also gives a zero Window or TokenLimit.
+const (
+	defaultWindow     sim.Time = 50 * sim.Millisecond
+	defaultTokenLimit float64  = 10
+)
+
 // DefaultRouterConfig returns the paper's emulation parameters.
 func DefaultRouterConfig() RouterConfig {
 	return RouterConfig{
 		Eta:            0.98,
 		Delta:          133 * sim.Millisecond,
 		DelayThreshold: 20 * sim.Millisecond,
-		Window:         50 * sim.Millisecond,
-		TokenLimit:     10,
+		Window:         defaultWindow,
+		TokenLimit:     defaultTokenLimit,
 		Limit:          250,
 	}
 }
@@ -130,10 +136,10 @@ func NewRouter(cfg RouterConfig) *Router {
 		panic("abc: Delta must be positive")
 	}
 	if cfg.Window <= 0 {
-		cfg.Window = 50 * sim.Millisecond
+		cfg.Window = defaultWindow
 	}
 	if cfg.TokenLimit <= 0 {
-		cfg.TokenLimit = 10
+		cfg.TokenLimit = defaultTokenLimit
 	}
 	return &Router{
 		Cfg:      cfg,

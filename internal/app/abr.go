@@ -17,19 +17,12 @@ type ABRConfig struct {
 	// LadderKbps is the ascending bitrate ladder (default a 240p–1080p
 	// style ladder: 300, 750, 1200, 2850, 4300 kbit/s).
 	LadderKbps []float64
-	// ChunkS is the chunk duration in seconds of video (default 2).
+	// ChunkS is the chunk duration in seconds of video (default 2). One
+	// buffered chunk (re)starts playback.
 	ChunkS float64
 	// MaxBufS caps the playback buffer; the client pauses requests when
 	// the next chunk would overflow it (default 16).
 	MaxBufS float64
-	// StartupS is the buffered video needed to (re)start playback
-	// (default one chunk).
-	StartupS float64
-	// ReservoirS and CushionS are the BBA policy's corner points: at or
-	// below the reservoir the client requests the lowest rung, at or
-	// above the cushion the highest, and in between it maps the buffer
-	// linearly across the ladder (defaults 4 and 12).
-	ReservoirS, CushionS float64
 	// Policy selects the adaptation policy: "buffer" (BBA, the default)
 	// or "rate" (throughput prediction). The rate policy predicts the
 	// next chunk's throughput as the harmonic mean of the last
@@ -53,6 +46,15 @@ const (
 	PolicyRate   = "rate"
 )
 
+// abrReservoirS and abrCushionS are the BBA policy's corner points in
+// seconds of buffered video: at or below the reservoir the client
+// requests the lowest rung, at or above the cushion the highest, and in
+// between it maps the buffer linearly across the ladder.
+const (
+	abrReservoirS float64 = 4
+	abrCushionS   float64 = 12
+)
+
 // withDefaults fills zero fields.
 func (c ABRConfig) withDefaults() ABRConfig {
 	if len(c.LadderKbps) == 0 {
@@ -63,15 +65,6 @@ func (c ABRConfig) withDefaults() ABRConfig {
 	}
 	if c.MaxBufS <= 0 {
 		c.MaxBufS = 16
-	}
-	if c.StartupS <= 0 {
-		c.StartupS = c.ChunkS
-	}
-	if c.ReservoirS <= 0 {
-		c.ReservoirS = 4
-	}
-	if c.CushionS <= c.ReservoirS {
-		c.CushionS = c.ReservoirS + 8
 	}
 	if c.Policy == "" {
 		c.Policy = PolicyBuffer
@@ -147,12 +140,12 @@ func (a *ABR) policy() int {
 func (a *ABR) bufferPolicy() int {
 	top := len(a.cfg.LadderKbps) - 1
 	switch {
-	case a.bufS <= a.cfg.ReservoirS:
+	case a.bufS <= abrReservoirS:
 		return 0
-	case a.bufS >= a.cfg.CushionS:
+	case a.bufS >= abrCushionS:
 		return top
 	}
-	frac := (a.bufS - a.cfg.ReservoirS) / (a.cfg.CushionS - a.cfg.ReservoirS)
+	frac := (a.bufS - abrReservoirS) / (abrCushionS - abrReservoirS)
 	idx := int(frac * float64(top+1))
 	if idx > top {
 		idx = top
@@ -249,7 +242,7 @@ func (a *ABR) OnTransferComplete(now sim.Time) {
 	a.chunks++
 	a.sumKbps += a.cfg.LadderKbps[a.curIdx]
 	a.bufS += a.cfg.ChunkS
-	if !a.playing && a.bufS >= a.cfg.StartupS {
+	if !a.playing && a.bufS >= a.cfg.ChunkS {
 		a.playing = true
 		if !a.startupDone {
 			a.startupDone = true

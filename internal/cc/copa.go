@@ -7,12 +7,12 @@ package cc
 
 import "abc/internal/sim"
 
+// copaDelta is δ, trading throughput for delay (0.5, the Copa paper's
+// default mode).
+const copaDelta float64 = 0.5
+
 // Copa implements the simplified Copa controller.
 type Copa struct {
-	// Delta is the δ parameter trading throughput for delay (default
-	// 0.5, the Copa paper's default mode).
-	Delta float64
-
 	cwnd      float64
 	velocity  float64
 	dirUp     bool
@@ -23,7 +23,7 @@ type Copa struct {
 
 // NewCopa returns a Copa sender in default mode.
 func NewCopa() *Copa {
-	return &Copa{Delta: 0.5, cwnd: 4, velocity: 1, slowStart: true}
+	return &Copa{cwnd: 4, velocity: 1, slowStart: true}
 }
 
 // Name implements Algorithm.
@@ -44,7 +44,7 @@ func (c *Copa) OnAck(now sim.Time, e *Endpoint, info AckInfo) {
 	if dq <= 0 {
 		targetRate = curRate * 2 // no queue observed: push up
 	} else {
-		targetRate = 1 / (c.Delta * dq)
+		targetRate = 1 / (copaDelta * dq)
 	}
 
 	if c.slowStart {
@@ -79,7 +79,7 @@ func (c *Copa) OnAck(now sim.Time, e *Endpoint, info AckInfo) {
 		}
 		c.lastDir = now
 	}
-	step := c.velocity / (c.Delta * c.cwnd)
+	step := c.velocity / (copaDelta * c.cwnd)
 	if up {
 		c.cwnd += step
 	} else {

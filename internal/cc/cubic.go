@@ -8,14 +8,16 @@ import (
 	"abc/internal/sim"
 )
 
+// RFC 8312's constants: the scaling constant C and the multiplicative
+// decrease factor β.
+const (
+	cubicC    float64 = 0.4
+	cubicBeta float64 = 0.7
+)
+
 // Cubic implements the CUBIC window growth function with fast convergence
 // and the TCP-friendly (Reno-emulation) region.
 type Cubic struct {
-	// C is the scaling constant (RFC default 0.4).
-	C float64
-	// Beta is the multiplicative decrease factor (RFC default 0.7).
-	Beta float64
-
 	cwnd       float64
 	ssthresh   float64
 	wMax       float64
@@ -27,7 +29,7 @@ type Cubic struct {
 
 // NewCubic returns a CUBIC sender with RFC 8312 constants.
 func NewCubic() *Cubic {
-	return &Cubic{C: 0.4, Beta: 0.7, cwnd: 4, ssthresh: 1e9}
+	return &Cubic{cwnd: 4, ssthresh: 1e9}
 }
 
 // Name implements Algorithm.
@@ -50,7 +52,7 @@ func (c *Cubic) update(now sim.Time, rtt sim.Time) {
 	if c.epochStart == 0 {
 		c.epochStart = now
 		if c.cwnd < c.wMax {
-			c.k = math.Cbrt((c.wMax - c.cwnd) / c.C)
+			c.k = math.Cbrt((c.wMax - c.cwnd) / cubicC)
 		} else {
 			c.k = 0
 			c.wMax = c.cwnd
@@ -59,12 +61,12 @@ func (c *Cubic) update(now sim.Time, rtt sim.Time) {
 		c.ackCount = 0
 	}
 	t := (now - c.epochStart).Seconds() + rtt.Seconds()
-	target := c.C*math.Pow(t-c.k, 3) + c.wMax
+	target := cubicC*math.Pow(t-c.k, 3) + c.wMax
 
 	// TCP-friendly region: emulate Reno's growth so CUBIC never does
 	// worse than standard TCP at small BDPs.
 	c.ackCount++
-	c.wEst += 3 * (1 - c.Beta) / (1 + c.Beta) / c.cwnd
+	c.wEst += 3 * (1 - cubicBeta) / (1 + cubicBeta) / c.cwnd
 	if target < c.wEst {
 		target = c.wEst
 	}
@@ -83,11 +85,11 @@ func (c *Cubic) OnCongestion(now sim.Time, e *Endpoint) {
 	// Fast convergence: release bandwidth faster when the window is
 	// still below the previous maximum.
 	if c.cwnd < c.wMax {
-		c.wMax = c.cwnd * (1 + c.Beta) / 2
+		c.wMax = c.cwnd * (1 + cubicBeta) / 2
 	} else {
 		c.wMax = c.cwnd
 	}
-	c.cwnd *= c.Beta
+	c.cwnd *= cubicBeta
 	if c.cwnd < 2 {
 		c.cwnd = 2
 	}
@@ -98,7 +100,7 @@ func (c *Cubic) OnCongestion(now sim.Time, e *Endpoint) {
 func (c *Cubic) OnRTO(now sim.Time, e *Endpoint) {
 	c.epochStart = 0
 	c.wMax = c.cwnd
-	c.ssthresh = c.cwnd * c.Beta
+	c.ssthresh = c.cwnd * cubicBeta
 	if c.ssthresh < 2 {
 		c.ssthresh = 2
 	}

@@ -23,17 +23,19 @@ func (Backlogged) Done() bool { return false }
 type RateLimited struct {
 	// Bps is the application data rate in bits/sec.
 	Bps float64
-	// Burst caps accumulated credit in bytes (default 2 packets).
-	Burst float64
 
 	credit float64
 	lastAt sim.Time
 	inited bool
 }
 
+// rateLimitedBurst caps a RateLimited source's accumulated credit in
+// bytes (two packets).
+const rateLimitedBurst float64 = 3000
+
 // NewRateLimited returns a source producing bps of application data.
 func NewRateLimited(bps float64) *RateLimited {
-	return &RateLimited{Bps: bps, Burst: 3000}
+	return &RateLimited{Bps: bps}
 }
 
 func (r *RateLimited) refill(now sim.Time) {
@@ -43,8 +45,8 @@ func (r *RateLimited) refill(now sim.Time) {
 		return
 	}
 	r.credit += r.Bps / 8 * (now - r.lastAt).Seconds()
-	if r.credit > r.Burst {
-		r.credit = r.Burst
+	if r.credit > rateLimitedBurst {
+		r.credit = rateLimitedBurst
 	}
 	r.lastAt = now
 }

@@ -12,14 +12,16 @@ import (
 	"abc/internal/sim"
 )
 
+const (
+	// sproutTargetDelay is the queuing-delay budget (Sprout uses 100 ms).
+	sproutTargetDelay sim.Time = 100 * sim.Millisecond
+	// sproutConservatism is how many standard deviations below the mean
+	// the forecast sits (Sprout's 5th-percentile forecast ≈ 1.64σ).
+	sproutConservatism float64 = 1.64
+)
+
 // Sprout implements the simplified forecast controller.
 type Sprout struct {
-	// TargetDelay is the queuing-delay budget (Sprout uses 100 ms).
-	TargetDelay sim.Time
-	// Conservatism is how many standard deviations below the mean the
-	// forecast sits (Sprout's 5th-percentile forecast ≈ 1.64σ).
-	Conservatism float64
-
 	// Delivery-rate statistics over a short horizon.
 	ewmaRate float64 // bytes/sec
 	ewmaVar  float64
@@ -32,11 +34,7 @@ type Sprout struct {
 
 // NewSprout returns a simplified Sprout sender.
 func NewSprout() *Sprout {
-	return &Sprout{
-		TargetDelay:  100 * sim.Millisecond,
-		Conservatism: 1.64,
-		cwnd:         4,
-	}
+	return &Sprout{cwnd: 4}
 }
 
 // Name implements Algorithm.
@@ -73,17 +71,17 @@ func (s *Sprout) OnAck(now sim.Time, e *Endpoint, info AckInfo) {
 	// so probe upward instead of trusting the forecast (real Sprout's
 	// Bayesian model serves the same purpose by keeping probability
 	// mass above the observed rate when the queue is empty).
-	if s.srtt > 0 && s.minRTT > 0 && s.srtt < s.minRTT+s.TargetDelay/2 {
+	if s.srtt > 0 && s.minRTT > 0 && s.srtt < s.minRTT+sproutTargetDelay/2 {
 		s.cwnd += 2
 		return
 	}
 	// Forecast: the conservative rate sustained for the delay budget;
 	// floored at half the mean so one variance spike cannot zero it.
-	forecast := s.ewmaRate - s.Conservatism*math.Sqrt(s.ewmaVar)
+	forecast := s.ewmaRate - sproutConservatism*math.Sqrt(s.ewmaVar)
 	if floor := 0.5 * s.ewmaRate; forecast < floor {
 		forecast = floor
 	}
-	s.cwnd = forecast * s.TargetDelay.Seconds() / packet.MTU
+	s.cwnd = forecast * sproutTargetDelay.Seconds() / packet.MTU
 	if s.cwnd < 2 {
 		s.cwnd = 2
 	}

@@ -4,15 +4,18 @@ package cc
 
 import "abc/internal/sim"
 
-// Vegas keeps between Alpha and Beta packets queued at the bottleneck,
-// estimated from the gap between expected and actual throughput.
-type Vegas struct {
-	// Alpha and Beta are the queue-occupancy bounds in packets
+const (
+	// vegasAlpha and vegasBeta are the queue-occupancy bounds in packets
 	// (conventional values 2 and 4).
-	Alpha, Beta float64
-	// Gamma bounds slow-start's queue build-up.
-	Gamma float64
+	vegasAlpha, vegasBeta float64 = 2, 4
+	// vegasGamma bounds slow-start's queue build-up.
+	vegasGamma float64 = 1
+)
 
+// Vegas keeps between vegasAlpha and vegasBeta packets queued at the
+// bottleneck, estimated from the gap between expected and actual
+// throughput.
+type Vegas struct {
 	cwnd      float64
 	ssthresh  float64
 	slowStart bool
@@ -21,7 +24,7 @@ type Vegas struct {
 
 // NewVegas returns a Vegas sender with conventional parameters.
 func NewVegas() *Vegas {
-	return &Vegas{Alpha: 2, Beta: 4, Gamma: 1, cwnd: 4, ssthresh: 1e9, slowStart: true}
+	return &Vegas{cwnd: 4, ssthresh: 1e9, slowStart: true}
 }
 
 // Name implements Algorithm.
@@ -41,7 +44,7 @@ func (v *Vegas) OnAck(now sim.Time, e *Endpoint, info AckInfo) {
 	diff := v.cwnd * float64(rtt-base) / float64(rtt)
 
 	if v.slowStart {
-		if diff > v.Gamma {
+		if diff > vegasGamma {
 			v.slowStart = false
 			v.cwnd -= diff / 2
 			if v.cwnd < 2 {
@@ -60,9 +63,9 @@ func (v *Vegas) OnAck(now sim.Time, e *Endpoint, info AckInfo) {
 	}
 	v.lastAdj = now
 	switch {
-	case diff < v.Alpha:
+	case diff < vegasAlpha:
 		v.cwnd++
-	case diff > v.Beta:
+	case diff > vegasBeta:
 		v.cwnd--
 	}
 	if v.cwnd < 2 {

@@ -6,14 +6,16 @@ package cc
 
 import "abc/internal/sim"
 
+const (
+	// verusR is the target ratio of RTT to minimum RTT (Verus' delay
+	// set-point multiplier; the Verus paper sweeps 2-6).
+	verusR float64 = 4
+	// verusEpoch is the update epoch.
+	verusEpoch sim.Time = 5 * sim.Millisecond
+)
+
 // Verus implements the simplified delay-profile controller.
 type Verus struct {
-	// R is the target ratio of RTT to minimum RTT (Verus' delay
-	// set-point multiplier; the Verus paper sweeps 2-6).
-	R float64
-	// EpochMS is the update epoch.
-	Epoch sim.Time
-
 	cwnd      float64
 	lastEpoch sim.Time
 	maxRTT    sim.Time
@@ -24,7 +26,7 @@ type Verus struct {
 
 // NewVerus returns a simplified Verus sender.
 func NewVerus() *Verus {
-	return &Verus{R: 4, Epoch: 5 * sim.Millisecond, cwnd: 4}
+	return &Verus{cwnd: 4}
 }
 
 // Name implements Algorithm.
@@ -43,7 +45,7 @@ func (v *Verus) OnAck(now sim.Time, e *Endpoint, info AckInfo) {
 		v.lastEpoch = now
 		return
 	}
-	if now-v.lastEpoch < v.Epoch || !v.haveRTT {
+	if now-v.lastEpoch < verusEpoch || !v.haveRTT {
 		return
 	}
 	v.lastEpoch = now
@@ -51,7 +53,7 @@ func (v *Verus) OnAck(now sim.Time, e *Endpoint, info AckInfo) {
 	if base <= 0 {
 		return
 	}
-	target := sim.Time(float64(base) * v.R)
+	target := sim.Time(float64(base) * verusR)
 	if v.lossSeen {
 		v.cwnd /= 2
 		v.lossSeen = false

@@ -23,16 +23,19 @@ type vivacePhase struct {
 	haveFirst bool
 }
 
+const (
+	// vivaceExponent, vivaceLatCoeff and vivaceLossCoeff shape the
+	// utility U = rate^exponent − latCoeff·rate·(dRTT/dt) −
+	// lossCoeff·rate·loss.
+	vivaceExponent  float64 = 0.9
+	vivaceLatCoeff  float64 = 900
+	vivaceLossCoeff float64 = 11.35
+	// vivaceEpsilon is the probe amplitude.
+	vivaceEpsilon float64 = 0.05
+)
+
 // Vivace implements simplified PCC Vivace-latency.
 type Vivace struct {
-	// Exponent, LatCoeff and LossCoeff shape the utility
-	// U = rate^Exponent − LatCoeff·rate·(dRTT/dt) − LossCoeff·rate·loss.
-	Exponent  float64
-	LatCoeff  float64
-	LossCoeff float64
-	// Epsilon is the probe amplitude.
-	Epsilon float64
-
 	rate     float64 // current base rate, bits/sec
 	probeHi  bool    // which direction this MI probes
 	cur      vivacePhase
@@ -44,14 +47,7 @@ type Vivace struct {
 
 // NewVivace returns a Vivace-latency sender.
 func NewVivace() *Vivace {
-	return &Vivace{
-		Exponent:  0.9,
-		LatCoeff:  900,
-		LossCoeff: 11.35,
-		Epsilon:   0.05,
-		rate:      2e6,
-		step:      1,
-	}
+	return &Vivace{rate: 2e6, step: 1}
 }
 
 // Name implements Algorithm.
@@ -84,7 +80,7 @@ func (v *Vivace) utility(ph *vivacePhase, dur sim.Time) float64 {
 	if rttGrad < 0 {
 		rttGrad = 0
 	}
-	return math.Pow(mbps, v.Exponent) - v.LatCoeff*mbps*rttGrad/1000 - v.LossCoeff*mbps*lossRate
+	return math.Pow(mbps, vivaceExponent) - vivaceLatCoeff*mbps*rttGrad/1000 - vivaceLossCoeff*mbps*lossRate
 }
 
 // OnAck implements Algorithm.
@@ -114,9 +110,9 @@ func (v *Vivace) OnAck(now sim.Time, e *Endpoint, info AckInfo) {
 func (v *Vivace) startPhase(now sim.Time) {
 	v.cur = vivacePhase{start: now}
 	if v.probeHi {
-		v.cur.rate = v.rate * (1 + v.Epsilon)
+		v.cur.rate = v.rate * (1 + vivaceEpsilon)
 	} else {
-		v.cur.rate = v.rate * (1 - v.Epsilon)
+		v.cur.rate = v.rate * (1 - vivaceEpsilon)
 	}
 }
 

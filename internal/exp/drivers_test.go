@@ -3,8 +3,6 @@ package exp
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
-	"os"
 	"testing"
 
 	"abc/internal/sim"
@@ -37,8 +35,7 @@ var noGoldenRow = map[string]string{
 // whole catalogue: unique names, a Run that returns something
 // serializable at a short duration, a Print that writes something and
 // writes it the same way twice, and a golden corpus that names only
-// table drivers and misses none without saying why, and a DESIGN.md
-// index that matches the table.
+// table drivers and misses none without saying why.
 func TestDriverTable(t *testing.T) {
 	seen := map[string]bool{}
 	for _, d := range Drivers {
@@ -93,18 +90,6 @@ func TestDriverTable(t *testing.T) {
 	for name := range noGoldenRow {
 		if !seen[name] {
 			t.Errorf("noGoldenRow names %q, which is not a driver", name)
-		}
-	}
-
-	// DESIGN.md §3 prints the table; it is documentation, not a second
-	// list, so it must say what the table says.
-	design, err := os.ReadFile("../../DESIGN.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range Drivers {
-		if row := fmt.Sprintf("| `%s` | %s | %s |", d.Name, d.Paper, d.Desc); !bytes.Contains(design, []byte(row)) {
-			t.Errorf("DESIGN.md §3 is missing the index row\n%s", row)
 		}
 	}
 }

@@ -158,6 +158,9 @@ func TestScenarioBackgroundClause(t *testing.T) {
 		{"aimd without flows", chain(`[{"edge":"fwd0","kind":"aimd"}]`), "positive flow count"},
 		{"negative start", chain(`[{"edge":"fwd0","kind":"const","rate_mbps":1,"start_s":-1}]`), "non-negative"},
 		{"stop before start", chain(`[{"edge":"fwd0","kind":"const","rate_mbps":1,"start_s":3,"stop_s":1}]`), "not after start"},
+		{"negative step_ms", chain(`[{"edge":"fwd0","kind":"const","rate_mbps":1,"step_ms":-5}]`), "background 0: negative Step"},
+		{"negative rtt_ms", chain(`[{"edge":"fwd0","kind":"aimd","flows":10,"rtt_ms":-80}]`), "background 0: negative RTT"},
+		{"negative flows", chain(`[{"edge":"fwd0","kind":"const","flows":-3,"rate_mbps":1}]`), "background 0: negative Flows"},
 	}
 	for _, tc := range bad {
 		sc, err := ParseScenario([]byte(tc.in))
@@ -441,6 +444,7 @@ func TestScenarioWorkloadClauses(t *testing.T) {
 		{"unknown dir", `{"scheme": "Cubic", "per_s": 1, "dir": "sideways", "size": {"kind": "fixed", "kb": 1}}`},
 		{"mesh path on chain", `{"scheme": "Cubic", "per_s": 1, "path": ["x"], "size": {"kind": "fixed", "kb": 1}}`},
 		{"negative start_s", `{"scheme": "Cubic", "per_s": 1, "start_s": -1, "size": {"kind": "fixed", "kb": 1}}`},
+		{"negative ref_mbps", `{"scheme": "Cubic", "per_s": 1, "ref_mbps": -9, "size": {"kind": "fixed", "kb": 1}}`},
 		{"poisson flood", `{"scheme": "Cubic", "per_s": 1e12, "size": {"kind": "fixed", "kb": 1}}`},
 		{"deterministic flood", `{"scheme": "Cubic", "arrival": "deterministic", "per_s": 1e12, "size": {"kind": "fixed", "kb": 1}}`},
 	}

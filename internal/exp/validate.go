@@ -110,6 +110,9 @@ func (spec *Spec) validate() error {
 		if ws.MaxActive < 0 {
 			fail("workload", i, "negative MaxActive %d", ws.MaxActive)
 		}
+		if ws.RefMbps < 0 {
+			fail("workload", i, "negative RefMbps %v", ws.RefMbps)
+		}
 		switch a := ws.Arrival.(type) {
 		case app.Poisson:
 			if !(a.PerSec > 0 && a.PerSec <= maxArrivalsPerSec) {
@@ -119,6 +122,14 @@ func (spec *Spec) validate() error {
 			if a.Gap < sim.Second/maxArrivalsPerSec {
 				fail("workload", i, "Deterministic.Gap %v below the 1 µs minimum", a.Gap)
 			}
+		}
+	}
+	// The rest of a background's ranges are the fluid package's to check.
+	for i := range spec.Background {
+		bs := &spec.Background[i]
+		nonNeg("background", i, dur{"Step", bs.Step}, dur{"RTT", bs.RTT})
+		if bs.Flows < 0 {
+			fail("background", i, "negative Flows %d", bs.Flows)
 		}
 	}
 	if err == nil {

@@ -75,7 +75,7 @@ func Fig4InterACK(seed int64) (*Fig4Result, error) {
 	if d := n*sxx - sx*sx; d != 0 {
 		out.FittedSlopeMs = (n*sxy - sx*sy) / d
 	}
-	out.TheorySlopeMs = float64(cfg.FrameSize*8) / wifi.BitrateForMCS(1) * 1000
+	out.TheorySlopeMs = float64(packet.MTU*8) / wifi.BitrateForMCS(1) * 1000
 	return out, nil
 }
 
@@ -122,7 +122,7 @@ func Fig5RatePrediction(seed int64) ([]Fig5Point, error) {
 		trueCap := wifi.TrueCapacityBps(cfg, 0) / 1e6
 		for _, load := range loads {
 			s := sim.New(seed)
-			est := wifi.NewEstimator(cfg.MaxBatch, cfg.FrameSize, 40*sim.Millisecond)
+			est := wifi.NewEstimator(cfg.MaxBatch, packet.MTU, 40*sim.Millisecond)
 			sink := &packet.Sink{}
 			link := wifi.NewLink(s, cfg, qdisc.NewDropTail(1000), sink, est)
 			injectCBR(s, link, load*1e6, 12*sim.Second)

@@ -77,14 +77,11 @@ func linkFactory(s *sim.Simulator, ls *LinkSpec, qd qdisc.Qdisc) (topo.LinkFacto
 			cfg := ws.Config
 			var est *wifi.Estimator
 			if ws.Estimate {
-				mb, fs := cfg.MaxBatch, cfg.FrameSize
+				mb := cfg.MaxBatch
 				if mb <= 0 {
 					mb = wifi.DefaultLinkConfig().MaxBatch
 				}
-				if fs <= 0 {
-					fs = packet.MTU
-				}
-				est = wifi.NewEstimator(mb, fs, estWindow)
+				est = wifi.NewEstimator(mb, packet.MTU, estWindow)
 			}
 			return wifi.NewLink(s, cfg, qd, dst, est), nil
 		}, nil

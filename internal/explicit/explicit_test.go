@@ -106,7 +106,7 @@ func TestXCPSenderStampsHeader(t *testing.T) {
 }
 
 func TestRCPRouterConvergesToCapacity(t *testing.T) {
-	r := NewRCPRouter(DefaultRCPConfig())
+	r := NewRCPRouter(qdisc.DefaultBuffer)
 	mu := 10e6
 	r.SetCapacityProvider(func(sim.Time) float64 { return mu })
 	now := sim.Time(0)
@@ -131,7 +131,7 @@ func TestRCPRouterConvergesToCapacity(t *testing.T) {
 }
 
 func TestRCPRouterStampsMinimum(t *testing.T) {
-	r := NewRCPRouter(DefaultRCPConfig())
+	r := NewRCPRouter(qdisc.DefaultBuffer)
 	r.SetCapacityProvider(func(sim.Time) float64 { return 10e6 })
 	p := packet.NewData(1, 0, packet.MTU, 0)
 	p.RCPRate = 1000 // upstream stamped a tiny rate
@@ -171,8 +171,7 @@ func TestRCPSenderIgnoresStaleAckRate(t *testing.T) {
 }
 
 func TestVCPRouterLoadCodes(t *testing.T) {
-	cfg := DefaultVCPConfig()
-	v := NewVCPRouter(cfg)
+	v := NewVCPRouter(qdisc.DefaultBuffer)
 	mu := 10e6
 	v.SetCapacityProvider(func(sim.Time) float64 { return mu })
 	now := sim.Time(0)
@@ -202,7 +201,7 @@ func TestVCPRouterLoadCodes(t *testing.T) {
 }
 
 func TestVCPRouterCodeOnlyIncreases(t *testing.T) {
-	v := NewVCPRouter(DefaultVCPConfig())
+	v := NewVCPRouter(qdisc.DefaultBuffer)
 	v.SetCapacityProvider(func(sim.Time) float64 { return 100e6 })
 	p := packet.NewData(1, 0, packet.MTU, 0)
 	p.VCPLoad = vcpOverload // upstream says overload
@@ -268,7 +267,7 @@ func TestReversePathRouterTightensEchoedFeedback(t *testing.T) {
 		// Saturate a 2 Mbit/s reverse-path router (2x overload) so its
 		// computed rate falls well below the 8 Mbit/s the forward path
 		// stamped, then route the echoing ACK through it.
-		rev := NewRCPRouter(DefaultRCPConfig())
+		rev := NewRCPRouter(qdisc.DefaultBuffer)
 		rev.SetCapacityProvider(func(sim.Time) float64 { return 2e6 })
 		now := sim.Time(0)
 		gap := sim.FromSeconds(float64(packet.MTU*8) / 4e6)
@@ -324,7 +323,7 @@ func TestReversePathRouterTightensEchoedFeedback(t *testing.T) {
 		}
 	})
 	t.Run("VCP max load", func(t *testing.T) {
-		rev := NewVCPRouter(DefaultVCPConfig())
+		rev := NewVCPRouter(qdisc.DefaultBuffer)
 		rev.SetCapacityProvider(func(sim.Time) float64 { return 10e6 })
 		now := sim.Time(0)
 		gap := sim.FromSeconds(float64(packet.MTU*8) / 30e6)

@@ -12,17 +12,12 @@ import (
 	"abc/internal/sim"
 )
 
-// RCPConfig parameterizes an RCP router.
-type RCPConfig struct {
-	// Alpha and Beta are the rate-update gains; the paper uses the
-	// author-specified 0.5 and 0.25.
-	Alpha, Beta float64
-	// Limit bounds the queue in packets.
-	Limit int
-}
-
-// DefaultRCPConfig returns the paper's RCP parameters.
-func DefaultRCPConfig() RCPConfig { return RCPConfig{Alpha: 0.5, Beta: 0.25, Limit: 250} }
+// rcpAlpha and rcpBeta are the rate-update gains; the paper uses the
+// author-specified 0.5 and 0.25.
+const (
+	rcpAlpha float64 = 0.5
+	rcpBeta  float64 = 0.25
+)
 
 // RCPRouter updates R once per control interval:
 //
@@ -30,7 +25,6 @@ func DefaultRCPConfig() RCPConfig { return RCPConfig{Alpha: 0.5, Beta: 0.25, Lim
 //
 // and stamps min(R, header) into departing packets.
 type RCPRouter struct {
-	Cfg RCPConfig
 	qdisc.Queue
 	qdisc.Capacity
 
@@ -40,9 +34,10 @@ type RCPRouter struct {
 	arrivedBytes  int64
 }
 
-// NewRCPRouter returns an RCP router qdisc.
-func NewRCPRouter(cfg RCPConfig) *RCPRouter {
-	return &RCPRouter{Cfg: cfg, Queue: qdisc.Queue{Limit: cfg.Limit}, meanRTT: 100 * sim.Millisecond}
+// NewRCPRouter returns an RCP router qdisc whose queue holds at most
+// limit packets.
+func NewRCPRouter(limit int) *RCPRouter {
+	return &RCPRouter{Queue: qdisc.Queue{Limit: limit}, meanRTT: 100 * sim.Millisecond}
 }
 
 // Enqueue implements qdisc.Qdisc.
@@ -75,7 +70,7 @@ func (r *RCPRouter) maybeUpdate(now sim.Time) {
 	y := float64(r.arrivedBytes) / T.Seconds()
 	q := float64(r.Bytes())
 	adj := (T.Seconds() / d.Seconds()) *
-		(r.Cfg.Alpha*(c-y) - r.Cfg.Beta*q/d.Seconds()) / c
+		(rcpAlpha*(c-y) - rcpBeta*q/d.Seconds()) / c
 	r.rate *= 1 + adj
 	if r.rate < float64(packet.MTU) {
 		r.rate = float64(packet.MTU) // at least one packet per second

@@ -15,24 +15,15 @@ func init() {
 	cc.Register(cc.Scheme{Name: "VCP", New: func() cc.Algorithm { return NewVCPSender() }, Qdisc: "vcp"})
 
 	qdisc.Register("xcp", func(s qdisc.BuildSpec) (qdisc.Qdisc, error) {
-		cfg := DefaultXCPConfig()
-		cfg.Limit = s.Buffer
-		return NewXCPRouter(cfg), nil
+		return NewXCPRouter(XCPConfig{Limit: s.Buffer}), nil
 	})
 	qdisc.Register("xcpw", func(s qdisc.BuildSpec) (qdisc.Qdisc, error) {
-		cfg := DefaultXCPConfig()
-		cfg.Limit = s.Buffer
-		cfg.PerPacket = true
-		return NewXCPRouter(cfg), nil
+		return NewXCPRouter(XCPConfig{Limit: s.Buffer, PerPacket: true}), nil
 	})
 	qdisc.Register("rcp", func(s qdisc.BuildSpec) (qdisc.Qdisc, error) {
-		cfg := DefaultRCPConfig()
-		cfg.Limit = s.Buffer
-		return NewRCPRouter(cfg), nil
+		return NewRCPRouter(s.Buffer), nil
 	})
 	qdisc.Register("vcp", func(s qdisc.BuildSpec) (qdisc.Qdisc, error) {
-		cfg := DefaultVCPConfig()
-		cfg.Limit = s.Buffer
-		return NewVCPRouter(cfg), nil
+		return NewVCPRouter(s.Buffer), nil
 	})
 }

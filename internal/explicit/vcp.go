@@ -20,27 +20,24 @@ const (
 	vcpOverload = 3 // ρ ≥ 100%: multiplicative decrease
 )
 
-// VCPConfig parameterizes a VCP router.
-type VCPConfig struct {
-	// Period is tρ, the load-factor measurement interval (200 ms).
-	Period sim.Time
-	// KappaQ weights persistent queue into the load factor (0.5).
-	KappaQ float64
-	// Gamma is the target utilization (0.98).
-	Gamma float64
-	// Limit bounds the queue in packets.
-	Limit int
-}
-
-// DefaultVCPConfig returns the VCP paper's parameters.
-func DefaultVCPConfig() VCPConfig {
-	return VCPConfig{Period: 200 * sim.Millisecond, KappaQ: 0.5, Gamma: 0.98, Limit: 250}
-}
+// The VCP paper's parameters.
+const (
+	// vcpPeriod is tρ, the load-factor measurement interval.
+	vcpPeriod sim.Time = 200 * sim.Millisecond
+	// vcpKappaQ weights persistent queue into the load factor.
+	vcpKappaQ float64 = 0.5
+	// vcpGamma is the target utilization.
+	vcpGamma float64 = 0.98
+	// vcpAlpha, vcpBeta and vcpXi are the sender's AI, MD and MI
+	// parameters.
+	vcpAlpha float64 = 1.0
+	vcpBeta  float64 = 0.875
+	vcpXi    float64 = 0.0625
+)
 
 // VCPRouter measures its load factor each period and stamps the code into
 // departing packets (codes only ever increase along the path).
 type VCPRouter struct {
-	Cfg VCPConfig
 	qdisc.Queue
 	qdisc.Capacity
 
@@ -49,9 +46,10 @@ type VCPRouter struct {
 	code         uint8
 }
 
-// NewVCPRouter returns a VCP router qdisc.
-func NewVCPRouter(cfg VCPConfig) *VCPRouter {
-	return &VCPRouter{Cfg: cfg, Queue: qdisc.Queue{Limit: cfg.Limit}, code: vcpLow}
+// NewVCPRouter returns a VCP router qdisc whose queue holds at most limit
+// packets.
+func NewVCPRouter(limit int) *VCPRouter {
+	return &VCPRouter{Queue: qdisc.Queue{Limit: limit}, code: vcpLow}
 }
 
 // Enqueue implements qdisc.Qdisc.
@@ -70,15 +68,15 @@ func (v *VCPRouter) Enqueue(now sim.Time, p *packet.Packet) bool {
 // maybeUpdate recomputes the load factor once per period.
 func (v *VCPRouter) maybeUpdate(now sim.Time) {
 	T := now - v.periodStart
-	if T < v.Cfg.Period {
+	if T < vcpPeriod {
 		return
 	}
 	c := v.Mu(now) / 8 // bytes/sec
 	if c <= 0 {
 		v.code = vcpOverload
 	} else {
-		rho := (float64(v.arrivedBytes) + v.Cfg.KappaQ*float64(v.Bytes())) /
-			(v.Cfg.Gamma * c * T.Seconds())
+		rho := (float64(v.arrivedBytes) + vcpKappaQ*float64(v.Bytes())) /
+			(vcpGamma * c * T.Seconds())
 		switch {
 		case rho < 0.8:
 			v.code = vcpLow
@@ -107,9 +105,6 @@ func (v *VCPRouter) Dequeue(now sim.Time) *packet.Packet {
 // VCPSender applies MI/AI/MD per the received code with the VCP paper's
 // parameters α=1.0, β=0.875, ξ=0.0625.
 type VCPSender struct {
-	// Alpha, Beta, Xi are the AI, MD and MI parameters.
-	Alpha, Beta, Xi float64
-
 	cwnd    float64
 	lastMD  sim.Time
 	curCode uint8
@@ -117,7 +112,7 @@ type VCPSender struct {
 
 // NewVCPSender returns a VCP sender with the paper's parameters.
 func NewVCPSender() *VCPSender {
-	return &VCPSender{Alpha: 1.0, Beta: 0.875, Xi: 0.0625, cwnd: 4, curCode: vcpLow}
+	return &VCPSender{cwnd: 4, curCode: vcpLow}
 }
 
 // Name implements cc.Algorithm.
@@ -142,12 +137,12 @@ func (s *VCPSender) OnAck(now sim.Time, e *cc.Endpoint, info cc.AckInfo) {
 	switch code {
 	case vcpLow:
 		// MI scaled per ACK: (1+ξ)^(1/w) per ACK ≈ (1+ξ) per RTT.
-		s.cwnd *= 1 + s.Xi/s.cwnd
+		s.cwnd *= 1 + vcpXi/s.cwnd
 	case vcpHigh:
-		s.cwnd += s.Alpha / s.cwnd
+		s.cwnd += vcpAlpha / s.cwnd
 	case vcpOverload:
-		if now-s.lastMD >= 200*sim.Millisecond {
-			s.cwnd *= s.Beta
+		if now-s.lastMD >= vcpPeriod {
+			s.cwnd *= vcpBeta
 			s.lastMD = now
 		}
 	}
@@ -158,7 +153,7 @@ func (s *VCPSender) OnAck(now sim.Time, e *cc.Endpoint, info cc.AckInfo) {
 
 // OnCongestion implements cc.Algorithm.
 func (s *VCPSender) OnCongestion(now sim.Time, e *cc.Endpoint) {
-	s.cwnd *= s.Beta
+	s.cwnd *= vcpBeta
 	if s.cwnd < 2 {
 		s.cwnd = 2
 	}

@@ -23,24 +23,27 @@ import (
 	"abc/internal/sim"
 )
 
+const (
+	// xcpAlpha and xcpBeta are the efficiency-controller gains. The paper
+	// uses 0.55 and 0.4, "the highest permissible stable values".
+	xcpAlpha float64 = 0.55
+	xcpBeta  float64 = 0.4
+	// xcpWindow is the sliding measurement window for XCPw.
+	xcpWindow sim.Time = 50 * sim.Millisecond
+)
+
 // XCPConfig parameterizes an XCP router.
 type XCPConfig struct {
-	// Alpha and Beta are the efficiency-controller gains. The paper uses
-	// 0.55 and 0.4, "the highest permissible stable values".
-	Alpha, Beta float64
 	// Limit bounds the queue in packets.
 	Limit int
 	// PerPacket enables XCPw: recompute aggregate feedback continuously
 	// over a sliding window instead of once per control interval.
 	PerPacket bool
-	// Window is the sliding measurement window for XCPw.
-	Window sim.Time
 }
 
-// DefaultXCPConfig returns the paper's XCP parameters.
-func DefaultXCPConfig() XCPConfig {
-	return XCPConfig{Alpha: 0.55, Beta: 0.4, Limit: 250, Window: 50 * sim.Millisecond}
-}
+// DefaultXCPConfig returns the paper's XCP router: per-interval feedback
+// over the default buffer.
+func DefaultXCPConfig() XCPConfig { return XCPConfig{Limit: qdisc.DefaultBuffer} }
 
 // XCPRouter computes aggregate feedback φ = α·d·(C−y) − β·Q once per
 // control interval (mean RTT) and apportions it per packet in proportion
@@ -70,15 +73,12 @@ type XCPRouter struct {
 
 // NewXCPRouter returns an XCP (or XCPw) router qdisc.
 func NewXCPRouter(cfg XCPConfig) *XCPRouter {
-	if cfg.Window <= 0 {
-		cfg.Window = 50 * sim.Millisecond
-	}
 	return &XCPRouter{
 		Cfg:           cfg,
 		Queue:         qdisc.Queue{Limit: cfg.Limit},
 		meanRTT:       100 * sim.Millisecond,
 		minQueueBytes: math.MaxInt,
-		arrMeter:      qdisc.RateMeter{Window: cfg.Window},
+		arrMeter:      qdisc.RateMeter{Window: xcpWindow},
 	}
 }
 
@@ -119,7 +119,7 @@ func (x *XCPRouter) maybeCloseInterval(now sim.Time) {
 	if x.minQueueBytes == math.MaxInt {
 		q = float64(x.Bytes())
 	}
-	phi := x.Cfg.Alpha*d.Seconds()*(c-y) - x.Cfg.Beta*q // bytes
+	phi := xcpAlpha*d.Seconds()*(c-y) - xcpBeta*q // bytes
 	if x.arrivedBytes > 0 {
 		x.perByte = phi / float64(x.arrivedBytes)
 	} else if c > 0 {
@@ -145,7 +145,7 @@ func (x *XCPRouter) feedbackFor(now sim.Time, p *packet.Packet) float64 {
 		d := x.meanRTT
 		y := x.arrMeter.BytesPerSec(now)
 		c := x.Mu(now) / 8
-		phi := x.Cfg.Alpha*d.Seconds()*(c-y) - x.Cfg.Beta*float64(x.Bytes())
+		phi := xcpAlpha*d.Seconds()*(c-y) - xcpBeta*float64(x.Bytes())
 		winBytes := y * d.Seconds()
 		if winBytes <= float64(p.Size) {
 			winBytes = float64(p.Size)

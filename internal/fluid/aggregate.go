@@ -59,20 +59,23 @@ type AggregateConfig struct {
 	// RTT is τ, the ensemble round-trip delay for KindAIMD
 	// (default 100 ms).
 	RTT sim.Time
-	// Eta, Delta, Dt override the Eq.-13 constants for KindAIMD;
-	// defaults are the paper's emulation parameters (0.98, 133 ms,
-	// 20 ms).
-	Eta   float64
-	Delta sim.Time
-	Dt    sim.Time
 	// MaxQueueBytes caps the fluid backlog, mirroring the bounded
 	// buffer real background packets would share (default 250 MTU).
 	MaxQueueBytes float64
-	// MaxShare caps the service share the aggregate may take from the
-	// link in one step, guaranteeing residual foreground service
-	// (default 0.95).
-	MaxShare float64
 }
+
+// The Eq.-13 constants of KindAIMD, the paper's emulation parameters: the
+// target utilization η, the queue-draining time constant δ and the delay
+// threshold dt.
+const (
+	aggEta   float64  = 0.98
+	aggDelta sim.Time = 133 * sim.Millisecond
+	aggDt    sim.Time = 20 * sim.Millisecond
+)
+
+// maxShare caps the service share an aggregate may take from the link in
+// one step, guaranteeing residual foreground service.
+const maxShare float64 = 0.95
 
 // withDefaults returns cfg with zero fields replaced by defaults.
 func (cfg AggregateConfig) withDefaults() AggregateConfig {
@@ -82,20 +85,8 @@ func (cfg AggregateConfig) withDefaults() AggregateConfig {
 	if cfg.RTT <= 0 {
 		cfg.RTT = 100 * sim.Millisecond
 	}
-	if cfg.Eta <= 0 {
-		cfg.Eta = 0.98
-	}
-	if cfg.Delta <= 0 {
-		cfg.Delta = 133 * sim.Millisecond
-	}
-	if cfg.Dt <= 0 {
-		cfg.Dt = 20 * sim.Millisecond
-	}
 	if cfg.MaxQueueBytes <= 0 {
 		cfg.MaxQueueBytes = 250 * packet.MTU
-	}
-	if cfg.MaxShare <= 0 || cfg.MaxShare >= 1 {
-		cfg.MaxShare = 0.95
 	}
 	return cfg
 }
@@ -216,12 +207,12 @@ func (a *Aggregate) ArrivalBps(now sim.Time, muBps, queueDelayS float64) float64
 			return 0
 		}
 		muPkts := muBps / 8 / packet.MTU
-		drift := (a.cfg.Eta - 1) + float64(a.cfg.Flows)/(muPkts*a.cfg.RTT.Seconds())
-		excess := xd - a.cfg.Dt.Seconds()
+		drift := (aggEta - 1) + float64(a.cfg.Flows)/(muPkts*a.cfg.RTT.Seconds())
+		excess := xd - aggDt.Seconds()
 		if excess < 0 {
 			excess = 0
 		}
-		dx := drift - excess/a.cfg.Delta.Seconds()
+		dx := drift - excess/aggDelta.Seconds()
 		lambda := muBps * (1 + dx)
 		if lambda < 0 {
 			lambda = 0
@@ -313,7 +304,7 @@ func (c *Coupler) step(now sim.Time) {
 	if mu > 0 {
 		obs = (c.queue + qp) * 8 / mu
 	} else if c.queue+qp > 0 {
-		obs = c.cfg.Delta.Seconds()
+		obs = aggDelta.Seconds()
 	}
 	arr := c.agg.ArrivalBps(now, mu, obs) * h / 8
 	c.arrived += arr
@@ -330,7 +321,7 @@ func (c *Coupler) step(now sim.Time) {
 		} else {
 			served = capBytes * demand / (demand + qp)
 		}
-		if lim := c.cfg.MaxShare * capBytes; served > lim {
+		if lim := maxShare * capBytes; served > lim {
 			served = lim
 		}
 		share = served / capBytes

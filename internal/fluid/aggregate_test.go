@@ -139,9 +139,9 @@ func TestAIMDFixedPoint(t *testing.T) {
 	c := runCoupler(t, cfg, muBps, 0, 60*sim.Second)
 	eff := c.cfg // defaults applied
 	p := Params{
-		Eta:    eff.Eta,
-		Delta:  eff.Delta.Seconds(),
-		Dt:     eff.Dt.Seconds(),
+		Eta:    aggEta,
+		Delta:  aggDelta.Seconds(),
+		Dt:     aggDt.Seconds(),
 		Tau:    eff.RTT.Seconds(),
 		N:      flows,
 		MuPkts: muBps / 8 / packet.MTU,

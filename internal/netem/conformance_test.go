@@ -53,7 +53,7 @@ var linkModels = []struct {
 		build: func(s *sim.Simulator, q qdisc.Qdisc, dst packet.Node) link {
 			cfg := wifi.DefaultLinkConfig()
 			cfg.MCS = func(sim.Time) int { return 1 }
-			return wifi.NewLink(s, cfg, q, dst, wifi.NewEstimator(cfg.MaxBatch, cfg.FrameSize, 0))
+			return wifi.NewLink(s, cfg, q, dst, wifi.NewEstimator(cfg.MaxBatch, packet.MTU, 0))
 		},
 		// At the block ACK, which is also when it delivers.
 		booked: func(seen sim.Time, _ *packet.Packet) sim.Time { return seen },

@@ -10,16 +10,21 @@ import (
 	"abc/internal/sim"
 )
 
+// RFC 8289's values.
+const (
+	// codelTarget is the acceptable standing queue delay.
+	codelTarget sim.Time = 5 * sim.Millisecond
+	// codelInterval is the sliding-minimum window.
+	codelInterval sim.Time = 100 * sim.Millisecond
+)
+
 // CoDel implements the Controlled Delay AQM. Packets whose queue sojourn
-// exceeds Target for at least Interval trigger the dropping state, in which
-// packets are dropped (or CE-marked if ECN-capable) at intervals shrinking
-// with the square root of the drop count, per the RFC 8289 control law.
-// It is an obs.Sink: each dequeue-side drop emits an EvAQMDrop.
+// exceeds codelTarget for at least codelInterval trigger the dropping
+// state, in which packets are dropped (or CE-marked if ECN-capable) at
+// intervals shrinking with the square root of the drop count, per the RFC
+// 8289 control law. It is an obs.Sink: each dequeue-side drop emits an
+// EvAQMDrop.
 type CoDel struct {
-	// Target is the acceptable standing queue delay (RFC default 5 ms).
-	Target sim.Time
-	// Interval is the sliding-minimum window (RFC default 100 ms).
-	Interval sim.Time
 	// UseECN marks ECN-capable packets instead of dropping them.
 	UseECN bool
 
@@ -52,12 +57,7 @@ func (c *CoDel) aqmDrop(now sim.Time, p *packet.Packet) {
 // NewCoDel returns a CoDel queue with RFC 8289 defaults and the given
 // packet limit.
 func NewCoDel(limit int, useECN bool) *CoDel {
-	return &CoDel{
-		Target:   5 * sim.Millisecond,
-		Interval: 100 * sim.Millisecond,
-		UseECN:   useECN,
-		Queue:    Queue{Limit: limit},
-	}
+	return &CoDel{UseECN: useECN, Queue: Queue{Limit: limit}}
 }
 
 // Enqueue implements Qdisc.
@@ -65,7 +65,7 @@ func (c *CoDel) Enqueue(now sim.Time, p *packet.Packet) bool { return c.Admit(no
 
 // controlLaw returns the next drop time after t for the current count.
 func (c *CoDel) controlLaw(t sim.Time) sim.Time {
-	return t + sim.Time(float64(c.Interval)/math.Sqrt(float64(c.dropCount)))
+	return t + sim.Time(float64(codelInterval)/math.Sqrt(float64(c.dropCount)))
 }
 
 // doDequeue pops one packet and updates the "ok to drop" condition, per
@@ -77,13 +77,13 @@ func (c *CoDel) doDequeue(now sim.Time) (*packet.Packet, bool) {
 		return nil, false
 	}
 	sojourn := now - p.EnqueuedAt
-	if sojourn < c.Target || c.Bytes() <= packet.MTU {
+	if sojourn < codelTarget || c.Bytes() <= packet.MTU {
 		c.firstAboveAt = 0
 		return p, false
 	}
 	okToDrop := false
 	if c.firstAboveAt == 0 {
-		c.firstAboveAt = now + c.Interval
+		c.firstAboveAt = now + codelInterval
 	} else if now >= c.firstAboveAt {
 		okToDrop = true
 	}
@@ -137,7 +137,7 @@ func (c *CoDel) Dequeue(now sim.Time) *packet.Packet {
 		// dropping episode was recent (RFC 8289 §5.4).
 		delta := c.dropCount - c.lastDropCount
 		c.dropCount = 1
-		if delta > 1 && now-c.dropNextAt < 16*c.Interval {
+		if delta > 1 && now-c.dropNextAt < 16*codelInterval {
 			c.dropCount = delta
 		}
 		c.dropNextAt = c.controlLaw(now)

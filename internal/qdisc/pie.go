@@ -8,16 +8,23 @@ import (
 	"abc/internal/sim"
 )
 
+// RFC 8033's values.
+const (
+	// pieTarget is the queue-delay reference.
+	pieTarget sim.Time = 15 * sim.Millisecond
+	// pieTUpdate is the probability-update period.
+	pieTUpdate sim.Time = 15 * sim.Millisecond
+	// pieAlpha and pieBeta are the PI controller gains.
+	pieAlpha float64 = 0.125
+	pieBeta  float64 = 1.25
+	// pieMaxBurst is the burst allowance granted while the queue is idle.
+	pieMaxBurst sim.Time = 150 * sim.Millisecond
+)
+
 // PIE implements the Proportional Integral controller Enhanced AQM. The
 // drop probability is updated on a fixed period from the estimated queuing
 // delay (queue bytes / measured departure rate) and applied on enqueue.
 type PIE struct {
-	// Target is the queue-delay reference (RFC default 15 ms).
-	Target sim.Time
-	// TUpdate is the probability-update period (RFC default 15 ms).
-	TUpdate sim.Time
-	// Alpha and Beta are the PI controller gains (RFC defaults).
-	Alpha, Beta float64
 	// UseECN marks ECN-capable packets instead of dropping while the drop
 	// probability is below 10% (RFC 8033 §5.1).
 	UseECN bool
@@ -42,16 +49,7 @@ func NewPIE(limit int, useECN bool, rng *rand.Rand) *PIE {
 	if rng == nil {
 		rng = rand.New(rand.NewSource(1))
 	}
-	return &PIE{
-		Target:     15 * sim.Millisecond,
-		TUpdate:    15 * sim.Millisecond,
-		Alpha:      0.125,
-		Beta:       1.25,
-		UseECN:     useECN,
-		Queue:      Queue{Limit: limit},
-		rng:        rng,
-		burstAllow: 150 * sim.Millisecond,
-	}
+	return &PIE{UseECN: useECN, Queue: Queue{Limit: limit}, rng: rng, burstAllow: pieMaxBurst}
 }
 
 // qdelay estimates the current queuing delay from the departure rate.
@@ -63,14 +61,14 @@ func (pi *PIE) qdelay() sim.Time {
 }
 
 // update recomputes the drop probability; called lazily from Enqueue and
-// Dequeue whenever TUpdate has elapsed, which keeps the discipline free of
-// timers while remaining faithful to the RFC control law.
+// Dequeue whenever pieTUpdate has elapsed, which keeps the discipline free
+// of timers while remaining faithful to the RFC control law.
 func (pi *PIE) update(now sim.Time) {
-	for now-pi.lastUpdate >= pi.TUpdate {
-		pi.lastUpdate += pi.TUpdate
+	for now-pi.lastUpdate >= pieTUpdate {
+		pi.lastUpdate += pieTUpdate
 		qd := pi.qdelay()
-		p := pi.Alpha*float64(qd-pi.Target)/float64(sim.Second) +
-			pi.Beta*float64(qd-pi.qdelayOld)/float64(sim.Second)
+		p := pieAlpha*float64(qd-pieTarget)/float64(sim.Second) +
+			pieBeta*float64(qd-pi.qdelayOld)/float64(sim.Second)
 		// RFC 8033 auto-tuning: scale the adjustment with the current
 		// probability so small probabilities move gently.
 		switch {
@@ -100,9 +98,9 @@ func (pi *PIE) update(now sim.Time) {
 		}
 		pi.qdelayOld = qd
 		if pi.dropProb == 0 && qd == 0 {
-			pi.burstAllow = 150 * sim.Millisecond
+			pi.burstAllow = pieMaxBurst
 		} else if pi.burstAllow > 0 {
-			pi.burstAllow -= pi.TUpdate
+			pi.burstAllow -= pieTUpdate
 		}
 	}
 }
@@ -116,7 +114,7 @@ func (pi *PIE) Enqueue(now sim.Time, p *packet.Packet) bool {
 	if pi.full(0) {
 		return pi.Refuse()
 	}
-	if pi.burstAllow <= 0 && pi.dropProb > 0 && pi.qdelay() > pi.Target/2 {
+	if pi.burstAllow <= 0 && pi.dropProb > 0 && pi.qdelay() > pieTarget/2 {
 		if pi.rng.Float64() < pi.dropProb {
 			if !pi.UseECN || pi.dropProb >= 0.1 || !p.ECN.ECNCapable() {
 				return pi.Refuse()

@@ -9,16 +9,22 @@ import (
 	"abc/internal/sim"
 )
 
+// RED's conventional parameters.
+const (
+	// redMinThFrac and redMaxThFrac place the average-queue thresholds
+	// minTh and maxTh at these fractions of the buffer limit.
+	redMinThFrac float64 = 0.2
+	redMaxThFrac float64 = 0.6
+	// redMaxP is the drop probability at maxTh.
+	redMaxP float64 = 0.1
+	// redWq is the EWMA weight for the average queue length.
+	redWq float64 = 0.002
+)
+
 // RED implements Random Early Detection with the classic gentle variant:
-// the drop probability ramps from 0 at MinTh to MaxP at MaxTh, then to 1
-// at 2*MaxTh, computed over an EWMA of the queue length.
+// the drop probability ramps from 0 at minTh to redMaxP at maxTh, then to
+// 1 at 2*maxTh, computed over an EWMA of the queue length.
 type RED struct {
-	// MinTh and MaxTh are the average-queue thresholds in packets.
-	MinTh, MaxTh float64
-	// MaxP is the drop probability at MaxTh.
-	MaxP float64
-	// Wq is the EWMA weight for the average queue length.
-	Wq float64
 	// UseECN marks instead of dropping where possible.
 	UseECN bool
 
@@ -38,15 +44,7 @@ func NewRED(limit int, useECN bool, rng *rand.Rand) *RED {
 	if rng == nil {
 		rng = rand.New(rand.NewSource(1))
 	}
-	return &RED{
-		MinTh:  float64(limit) * 0.2,
-		MaxTh:  float64(limit) * 0.6,
-		MaxP:   0.1,
-		Wq:     0.002,
-		UseECN: useECN,
-		Queue:  Queue{Limit: limit},
-		rng:    rng,
-	}
+	return &RED{UseECN: useECN, Queue: Queue{Limit: limit}, rng: rng}
 }
 
 // Enqueue implements Qdisc.
@@ -60,19 +58,20 @@ func (r *RED) Enqueue(now sim.Time, p *packet.Packet) bool {
 		// Treat idle time as ~1500 pkt/s of virtual departures.
 		m := idle * 1500
 		for i := 0; i < int(m) && r.avg > 0; i++ {
-			r.avg *= 1 - r.Wq
+			r.avg *= 1 - redWq
 		}
 		r.wasIdle = false
 	}
-	r.avg = (1-r.Wq)*r.avg + r.Wq*float64(r.Len())
+	r.avg = (1-redWq)*r.avg + redWq*float64(r.Len())
 
+	minTh, maxTh := float64(r.Limit)*redMinThFrac, float64(r.Limit)*redMaxThFrac
 	drop := false
 	switch {
-	case r.avg < r.MinTh:
+	case r.avg < minTh:
 		r.count = 0
-	case r.avg < r.MaxTh:
+	case r.avg < maxTh:
 		r.count++
-		pb := r.MaxP * (r.avg - r.MinTh) / (r.MaxTh - r.MinTh)
+		pb := redMaxP * (r.avg - minTh) / (maxTh - minTh)
 		pa := pb / (1 - float64(r.count)*pb)
 		if pa < 0 || pa > 1 {
 			pa = 1
@@ -81,9 +80,9 @@ func (r *RED) Enqueue(now sim.Time, p *packet.Packet) bool {
 			drop = true
 			r.count = 0
 		}
-	case r.avg < 2*r.MaxTh: // gentle region
+	case r.avg < 2*maxTh: // gentle region
 		r.count++
-		pb := r.MaxP + (1-r.MaxP)*(r.avg-r.MaxTh)/r.MaxTh
+		pb := redMaxP + (1-redMaxP)*(r.avg-maxTh)/maxTh
 		if r.rng.Float64() < pb {
 			drop = true
 			r.count = 0

@@ -31,23 +31,32 @@ const (
 	ZombieList
 )
 
+// The paper's coexistence parameters.
+const (
+	// topK is the number of large flows tracked per queue.
+	topK int = 10
+	// demandHeadroom is X: top-K flow demand is (1+X) times measured
+	// throughput (paper: X = 10%).
+	demandHeadroom float64 = 0.10
+	// defaultInterval is the weight recomputation period: with X = 10%
+	// headroom the weights converge to the fair split in a couple of
+	// seconds.
+	defaultInterval sim.Time = 200 * sim.Millisecond
+	// minWeight clamps weights away from starvation.
+	minWeight float64 = 0.05
+)
+
 // Config parameterizes the dual-queue router.
 type Config struct {
 	// Policy selects the weight assignment strategy.
 	Policy WeightPolicy
-	// K is the number of large flows tracked per queue.
-	K int
-	// DemandHeadroom is X: top-K flow demand is (1+X) times measured
-	// throughput (paper: X = 10%).
-	DemandHeadroom float64
-	// Interval is the weight recomputation period.
+	// Interval is the weight recomputation period (<= 0 means
+	// defaultInterval, 200 ms).
 	Interval sim.Time
 	// ABCLimit / OtherLimit bound each queue in packets.
 	ABCLimit, OtherLimit int
 	// Router configures the inner ABC router for the ABC queue.
 	Router abc.RouterConfig
-	// MinWeight clamps weights away from starvation.
-	MinWeight float64
 }
 
 // DefaultConfig returns the paper's coexistence parameters.
@@ -55,16 +64,11 @@ func DefaultConfig() Config {
 	rc := abc.DefaultRouterConfig()
 	rc.Limit = 0 // the dual queue enforces its own limits
 	return Config{
-		Policy:         MaxMin,
-		K:              10,
-		DemandHeadroom: 0.10,
-		// 200 ms intervals: with X=10% headroom the weights converge to
-		// the fair split in a couple of seconds.
-		Interval:   200 * sim.Millisecond,
-		ABCLimit:   250,
-		OtherLimit: 250,
+		Policy:     MaxMin,
+		Interval:   defaultInterval,
+		ABCLimit:   qdisc.DefaultBuffer,
+		OtherLimit: qdisc.DefaultBuffer,
 		Router:     rc,
-		MinWeight:  0.05,
 	}
 }
 
@@ -105,24 +109,17 @@ type DualQueue struct {
 
 // NewDualQueue returns the coexistence router.
 func NewDualQueue(cfg Config) *DualQueue {
-	if cfg.K <= 0 {
-		cfg.K = 10
-	}
 	if cfg.Interval <= 0 {
-		cfg.Interval = 500 * sim.Millisecond
+		cfg.Interval = defaultInterval
 	}
-	if cfg.MinWeight <= 0 {
-		cfg.MinWeight = 0.05
-	}
-	dq := &DualQueue{
+	return &DualQueue{
 		Cfg:         cfg,
 		ABC:         abc.NewRouter(cfg.Router),
 		Other:       qdisc.NewDropTail(cfg.OtherLimit),
 		wABC:        0.5,
-		abcSketch:   topk.New(cfg.K),
-		otherSketch: topk.New(cfg.K),
+		abcSketch:   topk.New(topK),
+		otherSketch: topk.New(topK),
 	}
-	return dq
 }
 
 // SetCapacityProvider implements qdisc.CapacityAware. The inner ABC
@@ -240,11 +237,11 @@ func (d *DualQueue) maybeReweigh(now sim.Time) {
 		d.reweighMaxMin(dur, c)
 	}
 	// Clamp and reset measurement state.
-	if d.wABC < d.Cfg.MinWeight {
-		d.wABC = d.Cfg.MinWeight
+	if d.wABC < minWeight {
+		d.wABC = minWeight
 	}
-	if d.wABC > 1-d.Cfg.MinWeight {
-		d.wABC = 1 - d.Cfg.MinWeight
+	if d.wABC > 1-minWeight {
+		d.wABC = 1 - minWeight
 	}
 	d.intervalStart = now
 	d.abcSketch.Reset()
@@ -301,10 +298,10 @@ func (d *DualQueue) reweighMaxMin(dur float64, capacityBps float64) {
 	var demands []demand
 	build := func(sk *topk.SpaceSaving, total int64, isABC bool) {
 		var topBytes int64
-		for _, c := range sk.Top(d.Cfg.K) {
+		for _, c := range sk.Top(topK) {
 			topBytes += c.Count
 			demands = append(demands, demand{
-				rate: float64(c.Count) / dur * (1 + d.Cfg.DemandHeadroom),
+				rate: float64(c.Count) / dur * (1 + demandHeadroom),
 				abc:  isABC,
 			})
 		}

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -238,7 +239,29 @@ func TestWeightClamped(t *testing.T) {
 		dq.Enqueue(now, mkPkt(2, false, i))
 		dq.Dequeue(now)
 	}
-	if w := dq.WeightABC(); w < cfg.MinWeight-1e-9 || w > 1-cfg.MinWeight+1e-9 {
+	if w := dq.WeightABC(); w < minWeight-1e-9 || w > 1-minWeight+1e-9 {
 		t.Errorf("weight %.3f outside clamp", w)
+	}
+}
+
+// TestZeroIntervalTakesDefault: a Config with Interval 0 recomputes its
+// weights on DefaultConfig's 200 ms grid, the one default both share.
+func TestZeroIntervalTakesDefault(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Interval = 0
+	dq := NewDualQueue(cfg)
+	dq.SetCapacityProvider(func(sim.Time) float64 { return 24e6 })
+	var got []sim.Time
+	for now := sim.Millisecond; now <= 1000*sim.Millisecond; now += sim.Millisecond {
+		before := dq.intervalStart
+		dq.Enqueue(now, mkPkt(1, true, int64(now)))
+		dq.Dequeue(now)
+		if before != 0 && dq.intervalStart != before {
+			got = append(got, dq.intervalStart)
+		}
+	}
+	want := []sim.Time{201 * sim.Millisecond, 401 * sim.Millisecond, 601 * sim.Millisecond, 801 * sim.Millisecond}
+	if !slices.Equal(got, want) {
+		t.Fatalf("weights recomputed at %v, want %v", got, want)
 	}
 }

@@ -34,15 +34,23 @@ func BitrateForMCS(idx int) float64 {
 	return MCSRates[idx]
 }
 
+const (
+	// frameSize is S in bytes: all frames are MTU-sized (footnote 4).
+	frameSize int = packet.MTU
+	// overheadBase is the deterministic part of h(t): DIFS, preamble,
+	// block-ACK turnaround.
+	overheadBase sim.Time = 1200 * sim.Microsecond
+	// defaultMaxBatch is the paper's testbed A-MPDU limit M.
+	defaultMaxBatch int = 20
+)
+
+// defaultMCS is the paper's testbed MCS index, held for the whole run.
+func defaultMCS(sim.Time) int { return 5 }
+
 // LinkConfig parameterizes the modelled AP.
 type LinkConfig struct {
 	// MaxBatch is M, the negotiated A-MPDU limit in frames.
 	MaxBatch int
-	// FrameSize is S in bytes (all frames are MTU-sized, footnote 4).
-	FrameSize int
-	// OverheadBase is the deterministic part of h(t): DIFS, preamble,
-	// block-ACK turnaround.
-	OverheadBase sim.Time
 	// OverheadJitter is the half-width of the uniform contention jitter
 	// added to h(t); Fig. 4's vertical spread comes from this.
 	OverheadJitter sim.Time
@@ -54,11 +62,9 @@ type LinkConfig struct {
 // DefaultLinkConfig models the paper's testbed defaults.
 func DefaultLinkConfig() LinkConfig {
 	return LinkConfig{
-		MaxBatch:       20,
-		FrameSize:      packet.MTU,
-		OverheadBase:   1200 * sim.Microsecond,
+		MaxBatch:       defaultMaxBatch,
 		OverheadJitter: 900 * sim.Microsecond,
-		MCS:            func(sim.Time) int { return 5 },
+		MCS:            defaultMCS,
 	}
 }
 
@@ -93,13 +99,10 @@ type Link struct {
 // capacity provider for capacity-aware qdiscs (the ABC deployment).
 func NewLink(s *sim.Simulator, cfg LinkConfig, q qdisc.Qdisc, dst packet.Node, est *Estimator) *Link {
 	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 20
-	}
-	if cfg.FrameSize <= 0 {
-		cfg.FrameSize = packet.MTU
+		cfg.MaxBatch = defaultMaxBatch
 	}
 	if cfg.MCS == nil {
-		cfg.MCS = func(sim.Time) int { return 5 }
+		cfg.MCS = defaultMCS
 	}
 	l := &Link{Port: netem.Port{S: s, Q: q, Dst: dst}, Cfg: cfg, Est: est, rng: s.Rand()}
 	l.finishFn = l.finishBatch
@@ -126,9 +129,9 @@ func (l *Link) InService() []*packet.Packet { return l.batch }
 func (l *Link) overhead() sim.Time {
 	j := l.Cfg.OverheadJitter
 	if j <= 0 {
-		return l.Cfg.OverheadBase
+		return overheadBase
 	}
-	return l.Cfg.OverheadBase + sim.Time(l.rng.Int63n(int64(2*j))) - j
+	return overheadBase + sim.Time(l.rng.Int63n(int64(2*j))) - j
 }
 
 // startBatch assembles up to M frames and transmits them as one A-MPDU.
@@ -149,7 +152,7 @@ func (l *Link) startBatch() {
 	l.busy = true
 	b := len(l.batch)
 	l.batchBitrate = BitrateForMCS(l.Cfg.MCS(now))
-	txTime := sim.FromSeconds(float64(b*l.Cfg.FrameSize*8) / l.batchBitrate)
+	txTime := sim.FromSeconds(float64(b*frameSize*8) / l.batchBitrate)
 	l.batchTIA = txTime + l.overhead()
 	l.S.After(l.batchTIA, l.finishFn)
 }
@@ -277,7 +280,7 @@ func (e *Estimator) RateBps(now sim.Time) float64 {
 // overhead. Fig. 5 compares estimates against this.
 func TrueCapacityBps(cfg LinkConfig, now sim.Time) float64 {
 	bitrate := BitrateForMCS(cfg.MCS(now))
-	tx := float64(cfg.MaxBatch*cfg.FrameSize*8) / bitrate
-	tia := tx + cfg.OverheadBase.Seconds()
-	return float64(cfg.MaxBatch*cfg.FrameSize*8) / tia
+	tx := float64(cfg.MaxBatch*frameSize*8) / bitrate
+	tia := tx + overheadBase.Seconds()
+	return float64(cfg.MaxBatch*frameSize*8) / tia
 }

@@ -80,7 +80,7 @@ func TestLinkTIAMatchesModel(t *testing.T) {
 	fill(s, l, 25) // 20 + 5
 	s.Run()
 	for i := range tias {
-		want := sim.FromSeconds(float64(sizes[i]*packet.MTU*8)/26e6) + cfg.OverheadBase
+		want := sim.FromSeconds(float64(sizes[i]*packet.MTU*8)/26e6) + overheadBase
 		if d := tias[i] - want; d < -sim.Microsecond || d > sim.Microsecond {
 			t.Errorf("batch %d (b=%d): TIA %v, want %v", i, sizes[i], tias[i], want)
 		}
@@ -196,7 +196,7 @@ func TestLinkEstimatorClosedLoop(t *testing.T) {
 	s := sim.New(1)
 	cfg := DefaultLinkConfig()
 	cfg.MCS = func(sim.Time) int { return 5 }
-	est := NewEstimator(cfg.MaxBatch, cfg.FrameSize, 40*sim.Millisecond)
+	est := NewEstimator(cfg.MaxBatch, frameSize, 40*sim.Millisecond)
 	l := NewLink(s, cfg, qdisc.NewDropTail(0), &packet.Sink{}, est)
 	// Keep it backlogged.
 	seq := int64(0)
