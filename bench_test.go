@@ -71,6 +71,54 @@ func BenchmarkWireFIFO(b *testing.B) {
 	}
 }
 
+// BenchmarkSimHold measures one event of a chained hold model at the heap
+// depths the workloads run at: keys=8 (hybrid_bg), keys=96 (mesh_seq) and
+// keys=1024 (bench's sim.event_ns rung). Every key heads a chain with two
+// events in flight, and each fired event chains its successor one fixed
+// per-chain delay later, so every pop takes the wire's path: the fired
+// head's successor replaces the root and sifts down (see DESIGN.md §2).
+// One op is one event; steady state must report 0 allocs/op.
+func BenchmarkSimHold(b *testing.B) {
+	type chain struct {
+		c     sim.Chain
+		delay sim.Time
+	}
+	for _, keys := range []int{8, 96, 1024} {
+		b.Run(fmt.Sprintf("keys=%d", keys), func(b *testing.B) {
+			s := sim.New(1)
+			chains := make([]chain, keys)
+			left := 0
+			var fire sim.ArgsFunc
+			fire = func(a, _ any) {
+				c := a.(*chain)
+				s.ChainAfterArgs(&c.c, c.delay, fire, c, nil)
+				if left--; left == 0 {
+					s.Halt()
+				}
+			}
+			for round := 0; round < 2; round++ {
+				for i := range chains {
+					chains[i].delay = sim.Time(1000+7*i) * sim.Microsecond
+					s.ChainAfterArgs(&chains[i].c, chains[i].delay, fire, &chains[i], nil)
+				}
+				s.RunUntil(s.Now() + 250*sim.Microsecond)
+			}
+			// Warm the heap, the slab and the free list.
+			left = 16 * keys
+			s.Run()
+			b.ReportAllocs()
+			b.ResetTimer()
+			start := s.Executed()
+			left = b.N
+			s.Run()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/event")
+			if got := s.Executed() - start; got != uint64(b.N) || s.Pending() != 2*keys {
+				b.Fatalf("%d events and %d pending, want %d and %d", got, s.Pending(), b.N, 2*keys)
+			}
+		})
+	}
+}
+
 // ackClockWindow is a constant-window cc.Algorithm that halts the
 // simulator once it has seen stopAt ACKs.
 type ackClockWindow struct {

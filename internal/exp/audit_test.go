@@ -1,8 +1,11 @@
 package exp
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"abc/internal/netem"
 	"abc/internal/packet"
@@ -83,6 +86,76 @@ func TestAuditCatchesMutations(t *testing.T) {
 			t.Errorf("%s: Run returned %v, want an error naming %q", tc.name, err, tc.want)
 		}
 	}
+}
+
+// benchMeshSpec is the spec of the bench module's mesh_seq workload
+// (bench/workloads.go, mesh): a ring of 16 junction pairs, each joined by
+// a rate bottleneck and a zero-delay express wire, an 8 to 10 ms wire to
+// the next pair, and one flow per pair a quarter of the way round.
+func benchMeshSpec(seed int64) Spec {
+	const n, dur = 16, 16 * sim.Second
+	rng := rand.New(rand.NewSource(seed))
+	rates := make([]float64, n)
+	var sum float64
+	for k := range rates {
+		rates[k] = 0.7 + 0.6*rng.Float64()
+		sum += rates[k]
+	}
+	for k := range rates {
+		rates[k] *= 12.137e6 * n / sum
+	}
+	spec := Spec{Seed: seed, Duration: dur, Warmup: dur / 4, RTT: 30 * sim.Millisecond, Shards: 1}
+	node := func(i int) string { return fmt.Sprintf("j%d", i%(2*n)) }
+	for j := 0; j < 2*n; j++ {
+		spec.Nodes = append(spec.Nodes, node(j))
+	}
+	for k := 0; k < n; k++ {
+		botDelay := sim.Time(4100+rng.Intn(900))*sim.Microsecond + sim.Time(rng.Intn(1000))
+		hopDelay := sim.Time(8100+rng.Intn(1900))*sim.Microsecond + sim.Time(rng.Intn(1000))
+		spec.Edges = append(spec.Edges,
+			EdgeSpec{Name: fmt.Sprintf("bot%d", k), From: node(2 * k), To: node(2*k + 1),
+				Link: LinkSpec{Rate: netem.ConstRate(rates[k]), Qdisc: QdiscSpec{Kind: "auto"}, Delay: botDelay}},
+			EdgeSpec{Name: fmt.Sprintf("exp%d", k), From: node(2 * k), To: node(2*k + 1),
+				Link: LinkSpec{Kind: "wire"}},
+			EdgeSpec{Name: fmt.Sprintf("hop%d", k), From: node(2*k + 1), To: node(2*k + 2),
+				Link: LinkSpec{Kind: "wire", Delay: hopDelay}},
+		)
+	}
+	for k := 0; k < n; k++ {
+		scheme := "ABC"
+		if k%2 == 1 {
+			scheme = "Cubic"
+		}
+		path := []string{fmt.Sprintf("bot%d", k), fmt.Sprintf("hop%d", k)}
+		for h := 1; h <= 3; h++ {
+			path = append(path, fmt.Sprintf("exp%d", (k+h)%n), fmt.Sprintf("hop%d", (k+h)%n))
+		}
+		spec.Flows = append(spec.Flows, FlowSpec{Scheme: scheme, Path: path})
+	}
+	return spec
+}
+
+// BenchmarkAudit times the packet-books audit that ends every Run, on the
+// finished 16 s bench mesh (benchMeshSpec), and reports it as a share of
+// that run's wall time: audit-share is what the audit adds to mesh_seq.
+func BenchmarkAudit(b *testing.B) {
+	c, err := compile(benchMeshSpec(1), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	start := time.Now()
+	c.runAndMeasure()
+	if err := finishWorkloads(c.workloads); err != nil {
+		b.Fatal(err)
+	}
+	run := time.Since(start)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := c.audit(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed())/float64(b.N)/float64(run), "audit-share")
 }
 
 // TestShardedRingAudit: every data path of the four-bottleneck ring

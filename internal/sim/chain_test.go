@@ -211,15 +211,18 @@ func (r *refQueue) runUntil(end Time) {
 }
 
 // checkHeap verifies the simulator's internal invariants: heap order,
-// the slots' back-indices, and the pending count.
+// every key's recorded position, and the pending count.
 func checkHeap(t *testing.T, s *Simulator) {
 	t.Helper()
+	if len(s.pos) != len(s.slots) {
+		t.Fatalf("%d positions for %d slots", len(s.pos), len(s.slots))
+	}
 	for i, k := range s.heap {
 		if i > 0 && k.before(s.heap[(i-1)/4]) {
 			t.Fatalf("heap[%d] orders before its parent", i)
 		}
-		if int(s.slots[k.slot].idx) != i {
-			t.Fatalf("slot %d records heap index %d, is at %d", k.slot, s.slots[k.slot].idx, i)
+		if int(s.pos[k.slot]) != i {
+			t.Fatalf("slot %d records heap position %d, is at %d", k.slot, s.pos[k.slot], i)
 		}
 	}
 	waiting := 0

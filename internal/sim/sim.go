@@ -9,9 +9,14 @@
 //
 // The event queue is a hand-rolled 4-ary min-heap of 24-byte keys
 // {at, seq, slot}. An event's payload (callback and arguments) does not
-// move with its key: it lives in a slab of slots, beside the slot's heap
-// index and generation, so sifts touch keys only. Scheduling state (the
-// heap slice, the slab and its free list) is recycled across events, so
+// move with its key: it lives in a slab of slots, and the key's heap
+// position in a dense array indexed by slot, so a sift moves keys and
+// writes 4-byte positions only. siftDown picks the smallest of four
+// children in a two-round tournament (two independent pair compares,
+// then one between the winners). 16-byte keys, lazy cancellation, an
+// 8-ary heap and a bottom-up sift were measured and rejected (DESIGN.md
+// §2 says why). Scheduling state (the heap slice, the slab, the
+// positions and the free list) is recycled across events, so
 // At/After/Stop and the run loop are allocation-free in steady state; the
 // only per-event allocation is whatever closure the caller passes in.
 // Callers on hot paths can avoid even that with AtArgs/AfterArgs, which
@@ -102,6 +107,9 @@ func (k key) less(o key) uint64 {
 // before reports whether k orders strictly ahead of o.
 func (k key) before(o key) bool { return k.less(o) != 0 }
 
+// pick returns x if m is 0 and y if m is 1, without a branch.
+func pick[T ~int64 | ~uint64](x, y T, m uint64) T { return x ^ (x^y)&T(-m) }
+
 // noSlot terminates a chain's next links.
 const noSlot int32 = -1
 
@@ -121,9 +129,7 @@ type slot struct {
 	// next is the slot of the chain successor waiting behind this event,
 	// or noSlot.
 	next int32
-	// idx is the key's heap index while the key is in the heap.
-	idx int32
-	gen uint32
+	gen  uint32
 }
 
 // Timer is a handle to a scheduled event that can be canceled. The zero
@@ -145,7 +151,7 @@ func (t Timer) Stop() bool {
 	if sl.gen != t.gen {
 		return false // already fired, stopped, or slot recycled
 	}
-	t.s.heapRemove(int(sl.idx))
+	t.s.heapRemove(int(t.s.pos[t.slot]))
 	t.s.freeSlot(t.slot)
 	return true
 }
@@ -173,10 +179,12 @@ type Simulator struct {
 	// heap orders the keys of every pending event except those waiting
 	// behind a chain head.
 	heap []key
-	// slots is the payload slab, indexed by key.slot and Timer.slot; free
-	// lists recyclable slot indices. Both are reused for the life of the
-	// simulator.
+	// slots is the payload slab, indexed by key.slot and Timer.slot; pos
+	// is, for each slot whose key is in the heap, the key's heap index;
+	// free lists recyclable slot indices. All three are reused for the
+	// life of the simulator, and slots and pos always have equal length.
 	slots []slot
+	pos   []int32
 	free  []int32
 	// chained counts pending events that wait behind a chain head.
 	chained int
@@ -188,10 +196,10 @@ type Simulator struct {
 	limit  uint64
 	halted bool
 	// The run loop writes now, seq, executed and the slice headers on
-	// every event. Padding the 136 bytes above to whole cache lines puts
+	// every event. Padding the 160 bytes above to whole cache lines puts
 	// every Simulator on lines of its own, so the shards of a Coordinator
 	// never write to one line from two cores.
-	_ [3*cacheLine - 136]byte
+	_ [3*cacheLine - 160]byte
 }
 
 // New returns a simulator with its clock at zero and the given RNG seed.
@@ -200,6 +208,11 @@ type Simulator struct {
 func New(seed int64) *Simulator {
 	return &Simulator{rng: rand.New(rand.NewSource(seed)), seed: seed}
 }
+
+// initialSlots is the slab's first capacity. The slab holds every
+// pending event, and the runs of the bench workloads reach 64 to 2048
+// slots, so starting at 64 skips the six smallest doublings.
+const initialSlots = 64
 
 // Seed returns the seed the simulator was created with, so components
 // can derive independent sub-streams (e.g. per-edge impairment RNGs)
@@ -218,10 +231,11 @@ func (s *Simulator) Executed() uint64 { return s.executed }
 // SetEventLimit aborts Run after n events; 0 disables the limit.
 func (s *Simulator) SetEventLimit(n uint64) { s.limit = n }
 
-// place writes k into heap position i and updates its slot's index.
+// place writes k into heap position i and records i as its slot's
+// position.
 func (s *Simulator) place(i int, k key) {
 	s.heap[i] = k
-	s.slots[k.slot].idx = int32(i)
+	s.pos[k.slot] = int32(i)
 }
 
 // siftUp restores the heap invariant upward from position i.
@@ -239,24 +253,34 @@ func (s *Simulator) siftUp(i int) {
 	s.place(i, k)
 }
 
-// siftDown restores the heap invariant downward from position i.
+// siftDown restores the heap invariant downward from position i. A node
+// with four children finds the smallest in a two-round tournament: (c0,
+// c1) and (c2, c3) are compared independently, then their winners, whose
+// (at, seq) are selected in registers rather than reloaded, so a level
+// waits on two compares instead of three. A partial last group is
+// scanned in order.
 func (s *Simulator) siftDown(i int) {
-	n := len(s.heap)
-	k := s.heap[i]
+	h := s.heap
+	n := len(h)
+	k := h[i]
 	for {
 		first := 4*i + 1
-		if first >= n {
+		var best int
+		if first+4 <= n {
+			c := h[first : first+4 : first+4]
+			m0, m1 := c[1].less(c[0]), c[3].less(c[2])
+			w0 := key{at: pick(c[0].at, c[1].at, m0), seq: pick(c[0].seq, c[1].seq, m0)}
+			w1 := key{at: pick(c[2].at, c[3].at, m1), seq: pick(c[2].seq, c[3].seq, m1)}
+			best = first + int(pick(m0, 2+m1, w1.less(w0)))
+		} else if first < n {
+			best = first
+			for c := first + 1; c < n; c++ {
+				best += (c - best) * int(h[c].less(h[best])) // best = c if smaller
+			}
+		} else {
 			break
 		}
-		best := first
-		end := first + 4
-		if end > n {
-			end = n
-		}
-		for c := first + 1; c < end; c++ {
-			best += (c - best) * int(s.heap[c].less(s.heap[best])) // best = c if smaller
-		}
-		b := s.heap[best]
+		b := h[best]
 		if k.before(b) {
 			break
 		}
@@ -282,7 +306,7 @@ func (s *Simulator) heapRemove(i int) {
 	}
 	s.place(i, last)
 	s.siftDown(i)
-	if int(s.slots[last.slot].idx) == i {
+	if int(s.pos[last.slot]) == i {
 		s.siftUp(i)
 	}
 }
@@ -297,14 +321,27 @@ func (s *Simulator) newEvent(t Time, fn func(), fn2 ArgsFunc, a, b any) int32 {
 		i = s.free[n-1]
 		s.free = s.free[:n-1]
 	} else {
+		if len(s.slots) == cap(s.slots) {
+			s.growSlab()
+		}
 		// Generations start at 1 so the zero Timer and the zero Chain
 		// never match a live slot.
 		s.slots = append(s.slots, slot{gen: 1, next: noSlot})
+		s.pos = append(s.pos, 0)
 		i = int32(len(s.slots) - 1)
 	}
 	sl := &s.slots[i]
 	sl.fn, sl.fn2, sl.a, sl.b = fn, fn2, a, b
 	return i
+}
+
+// growSlab doubles the capacity of slots and pos together, starting at
+// initialSlots: one allocation each per doubling, and a slab's capacity
+// depends only on the most events it has held.
+func (s *Simulator) growSlab() {
+	n := max(2*cap(s.slots), initialSlots)
+	s.slots = append(make([]slot, 0, n), s.slots...)
+	s.pos = append(make([]int32, 0, n), s.pos...)
 }
 
 // freeSlot recycles slot i: it drops the closure/arg references and

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -243,6 +245,70 @@ func TestHeapOrderingProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// perm4 returns the p-th (0 ≤ p < 24) ordering of 0, 1, 2, 3.
+func perm4(p int) [4]int {
+	rest := []int{0, 1, 2, 3}
+	var out [4]int
+	for i, f := range [4]int{6, 2, 1, 1} {
+		j := p / f
+		p %= f
+		out[i] = rest[j]
+		rest = append(rest[:j], rest[j+1:]...)
+	}
+	return out
+}
+
+// TestSiftDownTieOrder pins siftDown's choice of the smallest child. A
+// root with four children that share one instant is replaced by its
+// chain successor, with the children dealt to heap positions 1–4 in each
+// of the 24 seq orders; then heaps of 2–9 keys on three instants, which
+// cover every size of partial last group, are drained. Every pop must
+// come in (at, seq) order with the heap and every key's position intact.
+func TestSiftDownTieOrder(t *testing.T) {
+	for p := 0; p < 24; p++ {
+		s := New(1)
+		var got []int
+		rec := func(a, _ any) { got = append(got, *a.(*int)); checkHeap(t, s) }
+		ids := []int{0, 1, 2, 3, 4, 5}
+		var c Chain
+		s.ChainAfterArgs(&c, 0, rec, &ids[0], nil)
+		for j := 1; j <= 4; j++ {
+			s.AfterArgs(Millisecond, rec, &ids[j], nil)
+		}
+		s.ChainAfterArgs(&c, Millisecond, rec, &ids[5], nil) // waits behind the root
+		children := [4]key(s.heap[1:5])
+		order := perm4(p)
+		for j, o := range order {
+			s.place(1+j, children[o])
+		}
+		checkHeap(t, s)
+		s.Run()
+		if !slices.Equal(got, ids) {
+			t.Fatalf("children in seq order %v popped as %v, want %v", order, got, ids)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for n := 2; n <= 9; n++ {
+		for trial := 0; trial < 200; trial++ {
+			s := New(1)
+			var got []int
+			rec := func(a, _ any) { got = append(got, *a.(*int)); checkHeap(t, s) }
+			ids := make([]int, n)
+			at := make([]Time, n)
+			for j := range ids {
+				ids[j], at[j] = j, Time(rng.Intn(3))*Millisecond
+				s.AtArgs(at[j], rec, &ids[j], nil) // seq j
+			}
+			want := slices.Clone(ids)
+			slices.SortStableFunc(want, func(x, y int) int { return cmp.Compare(at[x], at[y]) })
+			s.Run()
+			if !slices.Equal(got, want) {
+				t.Fatalf("%d keys at %v popped as %v, want %v", n, at, got, want)
+			}
+		}
 	}
 }
 
