@@ -102,11 +102,7 @@ func runScenarioFile(path string) error {
 	if err != nil {
 		return err
 	}
-	spec, err := sc.Compile()
-	if err != nil {
-		return err
-	}
-	res, pooled, err := exp.Run(spec)
+	res, pooled, err := exp.Run(sc.Spec)
 	if err != nil {
 		return err
 	}

@@ -353,7 +353,7 @@ func TestMIMDDoesNotConverge(t *testing.T) {
 	s1 := NewSender()
 	s2 := NewSender()
 	s1.DisableDualWindow, s2.DisableDualWindow = true, true
-	s1.DisableAI, s2.DisableAI = true, true
+	s1.disableAI, s2.disableAI = true, true
 	s1.wabc, s2.wabc = 40, 10
 	var acc1, acc2 float64
 	for round := 0; round < 2000; round++ {

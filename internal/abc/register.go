@@ -13,9 +13,10 @@ import (
 
 // RouterConfigFor is the one rule by which every ABC-family kind — "abc",
 // "abc-proxied", and sched's "dual-maxmin" and "dual-zombie" — configures
-// its router: the BuildSpec's Config, which must be a *RouterConfig,
-// taken whole, else DefaultRouterConfig. A Limit of 0 (and the default's,
-// when there is no Config) takes limit, the kind's own queue-limit rule.
+// its router: the BuildSpec's Config, which must be a *RouterConfig, with
+// each zero field taking DefaultRouterConfig's value. A Limit of 0 (and
+// the default's, when there is no Config) takes limit, the kind's own
+// queue-limit rule.
 // A field the router cannot honour is an error: a LieFraction outside
 // [0, 1], or any lie when rng, the stream the router would draw it from,
 // is nil.
@@ -27,7 +28,7 @@ func RouterConfigFor(s qdisc.BuildSpec, limit int, rng *rand.Rand) (RouterConfig
 		if !ok {
 			return RouterConfig{}, fmt.Errorf("abc: qdisc %s given a %T, not an *abc.RouterConfig", s.Kind, s.Config)
 		}
-		cfg = *c
+		cfg = c.withDefaults()
 	}
 	if cfg.Limit == 0 {
 		cfg.Limit = limit
@@ -43,6 +44,11 @@ func RouterConfigFor(s qdisc.BuildSpec, limit int, rng *rand.Rand) (RouterConfig
 
 func init() {
 	cc.Register(cc.Scheme{Name: "ABC", New: func() cc.Algorithm { return NewSender() }, Qdisc: "abc"})
+	cc.Register(cc.Scheme{Name: "ABC-MIMD", New: func() cc.Algorithm {
+		s := NewSender()
+		s.disableAI = true
+		return s
+	}, Qdisc: "abc"})
 	cc.Register(cc.Scheme{Name: "ABC-proxied", New: func() cc.Algorithm { return NewProxiedSender() }, Qdisc: "abc-proxied"})
 
 	qdisc.RegisterConfigured("abc", func(s qdisc.BuildSpec) (qdisc.Qdisc, error) {

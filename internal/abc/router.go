@@ -30,7 +30,8 @@ const (
 	EnqueueRate
 )
 
-// RouterConfig parameterizes an ABC router.
+// RouterConfig parameterizes an ABC router. The tagged fields are the
+// ones a scenario file's qdisc clause sets.
 type RouterConfig struct {
 	// Eta is the target utilization η < 1 (paper: 0.98 in emulation).
 	Eta float64
@@ -40,7 +41,7 @@ type RouterConfig struct {
 	// DelayThreshold is dt, below which queuing delay is ignored; it
 	// must exceed the link's inter-scheduling time (batching) so that
 	// batch-induced delay does not read as congestion.
-	DelayThreshold sim.Time
+	DelayThreshold sim.Time `spec:"dt_ms"`
 	// Window is T, the sliding window for dequeue/enqueue rate
 	// measurement (paper: 40 ms on Wi-Fi; we default 50 ms).
 	Window sim.Time
@@ -56,7 +57,7 @@ type RouterConfig struct {
 	// violates ABC's only-demote invariant, so downstream honest routers
 	// can still demote the forged mark — the lie is strongest when the
 	// liar is the last ABC hop. Zero (the default) is an honest router.
-	LieFraction float64
+	LieFraction float64 `spec:"lie"`
 }
 
 // The defaults NewRouter also gives a zero Window or TokenLimit.
@@ -75,6 +76,23 @@ func DefaultRouterConfig() RouterConfig {
 		TokenLimit:     defaultTokenLimit,
 		Limit:          250,
 	}
+}
+
+// withDefaults gives a zero Eta, Delta or DelayThreshold
+// DefaultRouterConfig's value, as NewRouter does a zero Window and
+// TokenLimit; the zeros of Limit, Feedback and LieFraction are meant.
+func (c RouterConfig) withDefaults() RouterConfig {
+	d := DefaultRouterConfig()
+	if c.Eta == 0 {
+		c.Eta = d.Eta
+	}
+	if c.Delta == 0 {
+		c.Delta = d.Delta
+	}
+	if c.DelayThreshold == 0 {
+		c.DelayThreshold = d.DelayThreshold
+	}
+	return c
 }
 
 // Router is the ABC qdisc: the shared droptail store (its Limit is

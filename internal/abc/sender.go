@@ -24,9 +24,9 @@ import (
 // drops and ECN CE marks, transmits at min(wabc, wcubic), and caps both
 // windows at twice the in-flight data so the idle window cannot balloon.
 type Sender struct {
-	// DisableAI removes the additive-increase term, reproducing the
-	// unfair MIMD variant of Fig. 3a.
-	DisableAI bool
+	// disableAI removes the additive-increase term: the unfair MIMD
+	// variant of Fig. 3a, registered as scheme "ABC-MIMD".
+	disableAI bool
 	// DisableDualWindow removes the Cubic coexistence window (pure-ABC
 	// paths; used in unit tests and ablations).
 	DisableDualWindow bool
@@ -69,7 +69,7 @@ func (s *Sender) OnAck(now sim.Time, e *cc.Endpoint, info cc.AckInfo) {
 	ack := info.Ack
 	if ack.EchoValid && info.AckedBytes > 0 {
 		ai := 1 / s.wabc
-		if s.DisableAI {
+		if s.disableAI {
 			ai = 0
 		}
 		// The effective signal is the minimum of the receiver's echo and

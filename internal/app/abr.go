@@ -16,13 +16,13 @@ import (
 type ABRConfig struct {
 	// LadderKbps is the ascending bitrate ladder (default a 240p–1080p
 	// style ladder: 300, 750, 1200, 2850, 4300 kbit/s).
-	LadderKbps []float64
+	LadderKbps []float64 `spec:"ladder_kbps"`
 	// ChunkS is the chunk duration in seconds of video (default 2). One
 	// buffered chunk (re)starts playback.
-	ChunkS float64
+	ChunkS float64 `spec:"chunk_s"`
 	// MaxBufS caps the playback buffer; the client pauses requests when
 	// the next chunk would overflow it (default 16).
-	MaxBufS float64
+	MaxBufS float64 `spec:"max_buf_s"`
 	// Policy selects the adaptation policy: "buffer" (BBA, the default)
 	// or "rate" (throughput prediction). The rate policy predicts the
 	// next chunk's throughput as the harmonic mean of the last
@@ -31,13 +31,13 @@ type ABRConfig struct {
 	// immediately and the client downshifts before the buffer drains —
 	// and requests the highest rung at or below SafetyFactor times the
 	// prediction.
-	Policy string
+	Policy string `spec:"policy"`
 	// HistoryChunks is the rate policy's prediction window in chunks
 	// (default 5).
-	HistoryChunks int
+	HistoryChunks int `spec:"history_chunks"`
 	// SafetyFactor scales the rate prediction before the ladder lookup
 	// (default 0.9).
-	SafetyFactor float64
+	SafetyFactor float64 `spec:"safety"`
 }
 
 // Policy names.

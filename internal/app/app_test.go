@@ -141,7 +141,7 @@ func TestRPCThinkLoopRecordsFCT(t *testing.T) {
 	s := sim.New(2)
 	ft := &fakeTransport{s: s, bps: 8e6}
 	rec := &metrics.DelayRecorder{}
-	r := NewRPC(s, ft, RPCConfig{ThinkMeanS: 0.05, RespBytes: 100_000, FCT: rec, MeasureFrom: sim.Second}, s.Rand())
+	r := NewRPC(s, ft, RPCConfig{ThinkMean: 50 * sim.Millisecond, RespBytes: 100_000, FCT: rec, MeasureFrom: sim.Second}, s.Rand())
 	ft.app = r
 	s.At(0, func() { r.Start(s.Now()) })
 	s.RunUntil(30 * sim.Second)

@@ -1,5 +1,6 @@
 // Open-loop workload primitives: arrival processes and flow-size
-// distributions. Both draw exclusively from the RNG they are handed (the
+// distributions, as values (their struct tags are the scenario-file
+// keys). Both draw exclusively from the RNG they are handed (the
 // simulation's), so a seeded run replays the exact same workload.
 package app
 
@@ -10,15 +11,27 @@ import (
 	"abc/internal/sim"
 )
 
-// Arrival generates inter-arrival gaps for an open-loop flow workload.
+// Arrival is an open-loop arrival process as a value. Open starts one run
+// of it: whatever cursor the process keeps lives in the returned Gaps, so
+// one Arrival drives any number of runs alike.
 type Arrival interface {
+	Open() (Gaps, error)
+}
+
+// Gaps draws one run's inter-arrival gaps.
+type Gaps interface {
 	// Next draws the gap until the next arrival.
 	Next(rng *rand.Rand) sim.Time
 }
 
 // Poisson is a Poisson arrival process: exponential inter-arrival times
 // at PerSec flows per second.
-type Poisson struct{ PerSec float64 }
+type Poisson struct {
+	PerSec float64 `spec:"per_s"`
+}
+
+// Open implements Arrival: the process keeps no state.
+func (p Poisson) Open() (Gaps, error) { return p, nil }
 
 // Next implements Arrival.
 func (p Poisson) Next(rng *rand.Rand) sim.Time {
@@ -30,7 +43,12 @@ func (p Poisson) Next(rng *rand.Rand) sim.Time {
 
 // Deterministic spaces arrivals exactly Gap apart (constant-rate
 // benchmarking workloads).
-type Deterministic struct{ Gap sim.Time }
+type Deterministic struct {
+	Gap sim.Time `spec:"gap_ms"`
+}
+
+// Open implements Arrival: the process keeps no state.
+func (d Deterministic) Open() (Gaps, error) { return d, nil }
 
 // Next implements Arrival.
 func (d Deterministic) Next(*rand.Rand) sim.Time {
@@ -46,7 +64,9 @@ type SizeDist interface {
 }
 
 // FixedSize gives every flow the same size (RPC-style workloads).
-type FixedSize struct{ Bytes int }
+type FixedSize struct {
+	Bytes int `spec:"kb"`
+}
 
 // Draw implements SizeDist.
 func (f FixedSize) Draw(*rand.Rand) int { return f.Bytes }
@@ -54,9 +74,11 @@ func (f FixedSize) Draw(*rand.Rand) int { return f.Bytes }
 // BoundedPareto is the classic heavy-tailed web-flow size model: a
 // Pareto(Alpha) tail truncated to [Min, Max] bytes by inverse-CDF
 // sampling, so most flows are mice and a few are elephants.
+// A zero Alpha takes the web-workload default, 1.2.
 type BoundedPareto struct {
-	Min, Max int
-	Alpha    float64
+	Min   int     `spec:"min_kb"`
+	Max   int     `spec:"max_kb"`
+	Alpha float64 `spec:"alpha"`
 }
 
 // Draw implements SizeDist.
@@ -89,8 +111,8 @@ func (b BoundedPareto) Draw(rng *rand.Rand) int {
 // picked with probability proportional to Weights[i] (equal weights when
 // Weights is empty). It encodes measured workload CDFs as data.
 type Choice struct {
-	Sizes   []int
-	Weights []float64
+	Sizes   []int     `spec:"sizes_kb"`
+	Weights []float64 `spec:"weights"`
 }
 
 // Draw implements SizeDist.

@@ -1,9 +1,10 @@
 // Trace-driven workload replay: a recorded (time, bytes) log — one
 // transfer request per line — replayed verbatim as an arrival process.
 // Unlike the synthetic processes, a replay fixes both halves of the
-// workload: Next yields the recorded inter-arrival gaps and Draw the
-// recorded transfer sizes, so a production trace (or a log synthesized
-// by a test) reproduces its exact offered load, burstiness included.
+// workload: its cursor's Next yields the recorded inter-arrival gaps and
+// Draw the recorded transfer sizes, so a production trace (or a log
+// synthesized by a test) reproduces its exact offered load, burstiness
+// included.
 package app
 
 import (
@@ -19,12 +20,22 @@ import (
 	"abc/internal/sim"
 )
 
-// Replay is a recorded arrival log. It implements both Arrival and
-// SizeDist, consuming entries in order: the workload runner draws the
-// gap to the next arrival (Next), then that arrival's size (Draw). An
-// exhausted replay reports an unreachable next arrival, ending the
-// process. Times are offsets from the workload's start.
+// Replay is a recorded arrival log as a value: the CSV file it is read
+// from. Each Open reads the file afresh into a new cursor.
 type Replay struct {
+	File string `spec:"file"`
+}
+
+// Open implements Arrival: the returned *ReplayLog is also the run's
+// SizeDist.
+func (r Replay) Open() (Gaps, error) { return LoadReplay(r.File) }
+
+// ReplayLog is a loaded log and one run's cursor over it. It implements
+// both Gaps and SizeDist, consuming entries in order: the workload runner
+// draws the gap to the next arrival (Next), then that arrival's size
+// (Draw). An exhausted log reports an unreachable next arrival, ending
+// the process. Times are offsets from the workload's start.
+type ReplayLog struct {
 	times []sim.Time
 	bytes []int
 
@@ -35,7 +46,7 @@ type Replay struct {
 
 // NewReplay builds a replay from parallel time/size slices. Times must
 // be non-decreasing and sizes positive.
-func NewReplay(times []sim.Time, sizes []int) (*Replay, error) {
+func NewReplay(times []sim.Time, sizes []int) (*ReplayLog, error) {
 	if len(times) != len(sizes) {
 		return nil, fmt.Errorf("replay: %d times vs %d sizes", len(times), len(sizes))
 	}
@@ -50,21 +61,18 @@ func NewReplay(times []sim.Time, sizes []int) (*Replay, error) {
 			return nil, fmt.Errorf("replay: entry %d: size %d < 1 byte", i, sizes[i])
 		}
 	}
-	return &Replay{times: times, bytes: sizes}, nil
+	return &ReplayLog{times: times, bytes: sizes}, nil
 }
 
 // Len reports the number of recorded arrivals.
-func (r *Replay) Len() int { return len(r.times) }
+func (r *ReplayLog) Len() int { return len(r.times) }
 
 // Entry returns the i-th recorded (time, bytes) pair.
-func (r *Replay) Entry(i int) (sim.Time, int) { return r.times[i], r.bytes[i] }
+func (r *ReplayLog) Entry(i int) (sim.Time, int) { return r.times[i], r.bytes[i] }
 
-// Reset rewinds the replay so the same instance can drive another run.
-func (r *Replay) Reset() { r.next, r.cur, r.prev = 0, 0, 0 }
-
-// Next implements Arrival: the gap from the previous arrival to the
+// Next implements Gaps: the gap from the previous arrival to the
 // next recorded one, or an unreachable gap once the log is exhausted.
-func (r *Replay) Next(*rand.Rand) sim.Time {
+func (r *ReplayLog) Next(*rand.Rand) sim.Time {
 	if r.next >= len(r.times) {
 		return sim.Time(math.MaxInt64)
 	}
@@ -77,7 +85,7 @@ func (r *Replay) Next(*rand.Rand) sim.Time {
 
 // Draw implements SizeDist: the size recorded for the arrival Next just
 // emitted.
-func (r *Replay) Draw(*rand.Rand) int {
+func (r *ReplayLog) Draw(*rand.Rand) int {
 	if len(r.bytes) == 0 {
 		return 0
 	}
@@ -87,7 +95,7 @@ func (r *Replay) Draw(*rand.Rand) int {
 // ParseReplay reads a (time_s, bytes) CSV log: one "seconds,bytes" pair
 // per line, '#' comments and blank lines ignored. Times are offsets
 // from the workload's start, non-decreasing; sizes are whole bytes.
-func ParseReplay(r io.Reader) (*Replay, error) {
+func ParseReplay(r io.Reader) (*ReplayLog, error) {
 	var times []sim.Time
 	var sizes []int
 	sc := bufio.NewScanner(r)
@@ -127,9 +135,9 @@ func ParseReplay(r io.Reader) (*Replay, error) {
 }
 
 // LoadReplay reads a replay log from a file. Only regular files are
-// accepted: scenario compilation calls this on user- (and fuzzer-)
+// accepted: building a workload calls this on user- (and fuzzer-)
 // supplied paths, and a device file like /dev/stdin would block forever.
-func LoadReplay(path string) (*Replay, error) {
+func LoadReplay(path string) (*ReplayLog, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("replay: %v", err)
@@ -150,7 +158,7 @@ func LoadReplay(path string) (*Replay, error) {
 // WriteReplay writes the log in the format ParseReplay reads, so
 // synthesized workloads round-trip exactly (times have nanosecond
 // precision, well past any log's).
-func (r *Replay) WriteReplay(w io.Writer) error {
+func (r *ReplayLog) WriteReplay(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintln(bw, "# time_s,bytes")
 	for i := range r.times {

@@ -51,11 +51,6 @@ func TestReplayRoundTripExact(t *testing.T) {
 	if gap := rp.Next(nil); gap != sim.Time(math.MaxInt64) {
 		t.Fatalf("exhausted replay yielded gap %v, want unreachable", gap)
 	}
-	// Reset rewinds for a second run over the same Spec.
-	rp.Reset()
-	if gap := rp.Next(nil); gap != times[0] {
-		t.Fatalf("after Reset first gap = %v, want %v", gap, times[0])
-	}
 }
 
 func TestReplaySkippedDrawStaysAligned(t *testing.T) {

@@ -11,15 +11,16 @@ import (
 	"abc/internal/sim"
 )
 
-// RPCConfig parameterizes an RPC client. Zero fields take defaults.
+// RPCConfig parameterizes an RPC client. Zero fields take defaults. The
+// tagged fields are the scenario file's; the others are wiring.
 type RPCConfig struct {
-	// ThinkMeanS is the mean exponential think time between a response
-	// completing and the next request (default 0.2 s).
-	ThinkMeanS float64
+	// ThinkMean is the mean exponential think time between a response
+	// completing and the next request (default 200 ms).
+	ThinkMean sim.Time `spec:"think_ms"`
 	// RespBytes is the response size per call (default 100 KB). The
 	// request itself is abstracted into the think time: the simulated
 	// flow carries response bytes only.
-	RespBytes int
+	RespBytes int `spec:"resp_kb"`
 	// FCT, when non-nil, receives every call's completion time; sharing
 	// one recorder across clients pools a scenario's whole RPC
 	// population. Nil gives the client a private recorder.
@@ -32,8 +33,8 @@ type RPCConfig struct {
 
 // withDefaults fills zero fields.
 func (c RPCConfig) withDefaults() RPCConfig {
-	if c.ThinkMeanS <= 0 {
-		c.ThinkMeanS = 0.2
+	if c.ThinkMean <= 0 {
+		c.ThinkMean = 200 * sim.Millisecond
 	}
 	if c.RespBytes <= 0 {
 		c.RespBytes = 100 * 1024
@@ -90,7 +91,7 @@ func (r *RPC) OnTransferComplete(now sim.Time) {
 	if r.issuedAt >= r.cfg.MeasureFrom {
 		r.cfg.FCT.Add(now - r.issuedAt)
 	}
-	think := sim.FromSeconds(r.rng.ExpFloat64() * r.cfg.ThinkMeanS)
+	think := sim.FromSeconds(r.rng.ExpFloat64() * r.cfg.ThinkMean.Seconds())
 	r.s.After(think, func() {
 		if r.finished {
 			return

@@ -18,28 +18,30 @@ type BackgroundSpec struct {
 	// Edge names the hosting edge: a mesh EdgeSpec.Name, or a chain
 	// link "fwd<i>" / "rev<i>". Trace and rate links only — wires and
 	// Wi-Fi links reject backgrounds at wiring time.
-	Edge string
+	Edge string `spec:"edge"`
 	// Kind is the rate process: "const", "aimd" or "onoff" (fluid
 	// package aggregate kinds).
-	Kind string
+	Kind string `spec:"kind"`
 	// Flows is N, the number of virtual background flows. Required for
 	// "aimd" (it drives the Eq.-13 drift term); descriptive otherwise.
-	Flows int
+	Flows int `spec:"flows"`
 	// RateMbps is the aggregate offered rate for "const"/"onoff";
 	// "aimd" derives its rate from Eq. 13 and rejects it.
-	RateMbps float64
+	RateMbps float64 `spec:"rate_mbps"`
 	// Ramp linearly scales the offered rate from zero over this window
 	// after Start.
-	Ramp sim.Time
+	Ramp sim.Time `spec:"ramp_s"`
 	// On/Off define the "onoff" diurnal square schedule.
-	On, Off sim.Time
+	On  sim.Time `spec:"on_s"`
+	Off sim.Time `spec:"off_s"`
 	// Start/Stop bound the aggregate's activity (Stop 0 = whole run).
-	Start, Stop sim.Time
+	Start sim.Time `spec:"start_s"`
+	Stop  sim.Time `spec:"stop_s"`
 	// Step overrides the fixed coupling step (default 10 ms).
-	Step sim.Time
+	Step sim.Time `spec:"step_ms"`
 	// RTT is the "aimd" ensemble round-trip delay; defaults to the
 	// spec's RTT.
-	RTT sim.Time
+	RTT sim.Time `spec:"rtt_ms"`
 }
 
 // config lowers the spec to the fluid package's configuration.

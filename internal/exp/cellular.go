@@ -10,7 +10,6 @@ import (
 	"sort"
 
 	"abc/internal/abc"
-	"abc/internal/cc"
 	"abc/internal/metrics"
 	"abc/internal/sim"
 	"abc/internal/trace"
@@ -464,7 +463,7 @@ func Fig13AppLimited(n int, aggAppMbps float64, dur sim.Time, seed int64) (*Fig1
 	flows = append(flows, FlowSpec{Scheme: "ABC"}) // backlogged
 	per := aggAppMbps * 1e6 / float64(n)
 	for i := 0; i < n; i++ {
-		flows = append(flows, FlowSpec{Scheme: "ABC", Source: cc.NewRateLimited(per)})
+		flows = append(flows, FlowSpec{Scheme: "ABC", Source: &SourceSpec{Kind: "rate", Rate: per}})
 	}
 	res, _, err := Run(Spec{
 		Seed: seed, Duration: dur, RTT: 100 * sim.Millisecond,

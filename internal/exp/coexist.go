@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 
-	"abc/internal/abc"
 	"abc/internal/metrics"
 	"abc/internal/netem"
 	"abc/internal/sim"
@@ -42,8 +41,6 @@ func Fig6NonABCBottleneck(seed int64) (*Fig6Result, error) {
 	wireless := trace.Steps("fig6-wireless", fig6WirelessRates, stepDur)
 	dur := sim.Time(len(fig6WirelessRates)) * stepDur * 2 // two cycles
 
-	out := &Fig6Result{}
-	var wabcTS, wcubTS, rateTS *metrics.Timeseries
 	spec := Spec{
 		Seed:     seed,
 		Duration: dur,
@@ -56,24 +53,21 @@ func Fig6NonABCBottleneck(seed int64) (*Fig6Result, error) {
 		Flows:  []FlowSpec{{Scheme: "ABC"}},
 		Sample: 200 * sim.Millisecond,
 	}
-	spec.Probe = func(now sim.Time, r *Result) {
-		s := r.Flows[0].Algorithm.(*abc.Sender)
-		if wabcTS == nil {
-			wabcTS = &metrics.Timeseries{}
-			wcubTS = &metrics.Timeseries{}
-			rateTS = &metrics.Timeseries{}
-		}
-		wabcTS.Add(now, s.WABC())
-		wcubTS.Add(now, s.WCubic())
-		rateTS.Add(now, wireless.CapacityBps(now, 100*sim.Millisecond)/1e6)
-	}
 	res, _, err := Run(spec)
 	if err != nil {
 		return nil, err
 	}
-	out.Tput = res.Flows[0].Tput
-	out.WABC, out.WCubic, out.WirelessRate = wabcTS, wcubTS, rateTS
-	out.QDelayP95 = res.Flows[0].QDelay.P95()
+	fr := &res.Flows[0]
+	// The windows are reported as Fig. 6 always reported them: series
+	// without a Period.
+	out := &Fig6Result{Tput: fr.Tput, QDelayP95: fr.QDelay.P95(),
+		WABC:   &metrics.Timeseries{Times: fr.WABC.Times, Values: fr.WABC.Values},
+		WCubic: &metrics.Timeseries{Times: fr.WCubic.Times, Values: fr.WCubic.Values}}
+	// The wireless rate is a function of time alone: read it at the
+	// instants the windows were sampled.
+	out.WirelessRate = atSamples(spec.Sample, len(fr.Tput.Times), func(now sim.Time) float64 {
+		return wireless.CapacityBps(now, 100*sim.Millisecond) / 1e6
+	})
 
 	// Tracking error against the ideal min(wireless step rate, 12 Mbit/s),
 	// sampled away from step boundaries.
@@ -196,9 +190,7 @@ func Fig11CrossTraffic(seed int64) (*Fig11Result, error) {
 	wireless := trace.Steps("fig11-wireless", rates, stepDur)
 	dur := 80 * sim.Second
 	// Cross traffic: off for the first 30 s, on 30–55 s, off afterwards.
-	cross := &onOffWindows{on: [][2]float64{{30, 55}}}
-
-	var idealTS metrics.Timeseries
+	cross := &SourceSpec{Kind: "onoff", Start: 30 * sim.Second, On: 25 * sim.Second, Off: dur}
 	spec := Spec{
 		Seed:     seed,
 		Duration: dur,
@@ -214,25 +206,24 @@ func Fig11CrossTraffic(seed int64) (*Fig11Result, error) {
 		},
 		Sample: 500 * sim.Millisecond,
 	}
-	spec.Probe = func(now sim.Time, r *Result) {
-		t := now.Seconds()
-		step := int(t/stepDur.Seconds()) % len(rates)
-		wirelessMbps := rates[step] / 1e6
-		wired := 12.0
-		if cross.Available(now) {
-			wired = 6.0 // fair share against one cross flow
-		}
-		ideal := wirelessMbps
-		if wired < ideal {
-			ideal = wired
-		}
-		idealTS.Add(now, ideal)
-	}
 	res, _, err := Run(spec)
 	if err != nil {
 		return nil, err
 	}
-	out := &Fig11Result{Tput: res.Flows[0].Tput, Ideal: &idealTS}
+	// The ideal is a function of time alone: read it at the sample
+	// instants.
+	crossOn := cross.source()
+	idealTS := atSamples(spec.Sample, len(res.Flows[0].Tput.Times), func(now sim.Time) float64 {
+		t := now.Seconds()
+		step := int(t/stepDur.Seconds()) % len(rates)
+		wirelessMbps := rates[step] / 1e6
+		wired := 12.0
+		if crossOn.Available(now) {
+			wired = 6.0 // fair share against one cross flow
+		}
+		return min(wirelessMbps, wired)
+	})
+	out := &Fig11Result{Tput: res.Flows[0].Tput, Ideal: idealTS}
 	var errSum float64
 	var n int
 	for i, t := range idealTS.Times {
@@ -274,26 +265,16 @@ func nearAny(t float64, points []float64, w float64) bool {
 	return false
 }
 
-// onOffWindows is a source active during the listed [start, end) second
-// windows.
-type onOffWindows struct{ on [][2]float64 }
-
-// Available implements cc.Source.
-func (o *onOffWindows) Available(now sim.Time) bool {
-	t := now.Seconds()
-	for _, w := range o.on {
-		if t >= w[0] && t < w[1] {
-			return true
-		}
+// atSamples evaluates f at the first n instants of a run sampled every
+// period (period, 2·period, …), as a series.
+func atSamples(period sim.Time, n int, f func(now sim.Time) float64) *metrics.Timeseries {
+	ts := &metrics.Timeseries{}
+	for i := 1; i <= n; i++ {
+		now := sim.Time(i) * period
+		ts.Add(now, f(now))
 	}
-	return false
+	return ts
 }
-
-// OnSend implements cc.Source.
-func (o *onOffWindows) OnSend(sim.Time, int) {}
-
-// Done implements cc.Source.
-func (o *onOffWindows) Done() bool { return false }
 
 func printFig6(w io.Writer, r *Fig6Result) {
 	fmt.Fprintf(w, "tracking error vs ideal: %.1f%%, p95 queuing delay %.0f ms\n",

@@ -15,6 +15,7 @@ import (
 	"abc/internal/metrics"
 	"abc/internal/qdisc"
 	"abc/internal/sim"
+	"abc/internal/wifi"
 )
 
 // Params are the knobs a driver can take: exactly abcsim's flags. A
@@ -99,7 +100,7 @@ var Drivers = []Driver{
 	drv("fig9", "Fig. 9", "utilization and p95 delay across 8 traces", cellularBars, printBars),
 	drv("fig10", "Fig. 10", "Wi-Fi comparison (alternating MCS)",
 		func(p Params) ([]metrics.Summary, error) {
-			return Fig10WiFi(max(p.Users, 1), AlternatingMCS(p.Seed), p.Dur, p.Seed)
+			return Fig10WiFi(max(p.Users, 1), wifi.AlternatingMCS(), p.Dur, p.Seed)
 		}, printSummaries),
 	drv("fig11", "Fig. 11", "tracking with on-off cross traffic",
 		func(p Params) (*Fig11Result, error) { return Fig11CrossTraffic(p.Seed) }, printFig11),
@@ -107,7 +108,9 @@ var Drivers = []Driver{
 	drv("fig13", "Fig. 13", "application-limited ABC flows",
 		func(p Params) (*Fig13Result, error) { return Fig13AppLimited(50, 1.0, p.Dur, p.Seed) }, printFig13),
 	drv("fig14", "Fig. 14 (App. B)", "Wi-Fi comparison (Brownian MCS walk)",
-		func(p Params) ([]metrics.Summary, error) { return Fig10WiFi(1, BrownianMCS(p.Seed), p.Dur, p.Seed) }, printSummaries),
+		func(p Params) ([]metrics.Summary, error) {
+			return Fig10WiFi(1, wifi.BrownianMCS(p.Seed), p.Dur, p.Seed)
+		}, printSummaries),
 	drv("fig15", "Fig. 15 (App. C)", "mean per-packet delay across traces", cellularBars, printMeanDelay),
 	drv("fig16", "Fig. 16 (App. D)", "ABC vs explicit schemes (XCP/XCPw/RCP/VCP)",
 		func(p Params) (*BarsResult, error) { return Fig9Bars(ExplicitSchemes, nil, p.Dur, p.Seed) }, printBars),

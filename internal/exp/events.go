@@ -45,24 +45,24 @@ const (
 // EventSpec is one timed mutation of the running topology.
 type EventSpec struct {
 	// At is when the event fires on the simulation clock.
-	At sim.Time
+	At sim.Time `spec:"at_s"`
 	// Kind is one of the Event* constants.
-	Kind string
+	Kind string `spec:"kind"`
 	// Flow indexes Spec.Flows for reroute events.
-	Flow int
+	Flow int `spec:"flow"`
 	// Ack selects the flow's ACK route instead of its data route.
-	Ack bool
+	Ack bool `spec:"ack"`
 	// Path is the reroute's new route: edge names, in order, starting at
 	// the flow's existing origin junction.
-	Path []string
+	Path []string `spec:"path"`
 	// Edge names the target edge for set_rate/set_delay/link_down/link_up.
-	Edge string
+	Edge string `spec:"edge"`
 	// RateMbps is the new capacity for set_rate.
-	RateMbps float64
+	RateMbps float64 `spec:"rate_mbps"`
 	// Delay is the new propagation delay for set_delay.
-	Delay sim.Time
+	Delay sim.Time `spec:"delay_ms"`
 	// Attack is the adversarial stage installed by attack events.
-	Attack *topo.Attack
+	Attack *topo.Attack `spec:"attack"`
 }
 
 // EventResult annotates one executed event in Result.Events.
@@ -179,7 +179,7 @@ func compileEvent(g *topo.Graph, rtr *topo.Router, spec *Spec, edgeID map[string
 		if !ok {
 			return nil, "", fmt.Errorf("%s: edge %q is not a rate link (kind \"rate\")", where, ev.Edge)
 		}
-		rate := netem.ConstRate(ev.RateMbps * 1e6)
+		rate := ev.RateMbps * 1e6
 		target := fmt.Sprintf("edge %s rate %g Mbit/s", ev.Edge, ev.RateMbps)
 		return func() { rl.SetRate(rate) }, target, nil
 	case EventSetDelay:

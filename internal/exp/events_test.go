@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"abc/internal/abc"
-	"abc/internal/cc"
 	"abc/internal/metrics"
 	"abc/internal/netem"
 	"abc/internal/packet"
@@ -171,7 +170,7 @@ func TestAckRerouteStaleEchoesDoNotBrake(t *testing.T) {
 		Flows: []FlowSpec{
 			{Scheme: "ABC", Path: []string{"down"}, AckPath: []string{"upbad"}},
 			// Cross traffic keeps the bad uplink's ABC router braking.
-			{Scheme: "ABC", Path: []string{"upbad"}, Source: cc.NewRateLimited(0.36e6)},
+			{Scheme: "ABC", Path: []string{"upbad"}, Source: &SourceSpec{Kind: "rate", Rate: 0.36e6}},
 		},
 		Events: []EventSpec{
 			{At: rerouteAt, Kind: EventReroute, Flow: 0, Ack: true, Path: []string{"upgood"}},
@@ -179,15 +178,11 @@ func TestAckRerouteStaleEchoesDoNotBrake(t *testing.T) {
 	}
 	var brakesAfterSettle int64 = -1
 	settleAt := rerouteAt + 3*sim.Second
-	spec.Probe = func(now sim.Time, r *Result) {
+	res := runProbed(t, spec, spec.Sample, func(now sim.Time, r *Result) {
 		if now >= settleAt && brakesAfterSettle < 0 {
 			brakesAfterSettle = r.Flows[0].Algorithm.(*abc.Sender).ReverseBrakes
 		}
-	}
-	res, _, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 	snd := res.Flows[0].Algorithm.(*abc.Sender)
 	if snd.ReverseBrakes == 0 {
 		t.Fatal("pre-reroute phase produced no demoted echoes; the scenario is not exercising the regression")

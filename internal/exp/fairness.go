@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 
-	"abc/internal/abc"
-	"abc/internal/cc"
 	"abc/internal/metrics"
 	"abc/internal/netem"
 	"abc/internal/sim"
@@ -55,19 +53,20 @@ func Fig3Fairness(withAI bool, seed int64) (*Fig3Result, error) {
 }
 
 // fig3Spec is Fig. 3's scenario; without additive increase every sender
-// runs pure MIMD (abc.Sender.DisableAI).
+// runs pure MIMD (scheme "ABC-MIMD").
 func fig3Spec(withAI bool, seed int64) Spec {
 	const n = 5
 	dur := 250 * sim.Second
+	scheme := "ABC"
+	if !withAI {
+		scheme = "ABC-MIMD"
+	}
 	flows := make([]FlowSpec, n)
 	for i := range flows {
 		flows[i] = FlowSpec{
-			Scheme: "ABC",
+			Scheme: scheme,
 			Start:  sim.Time(i) * 25 * sim.Second,
 			Stop:   dur - sim.Time(i)*25*sim.Second,
-		}
-		if !withAI {
-			flows[i].Mutate = func(alg cc.Algorithm) { alg.(*abc.Sender).DisableAI = true }
 		}
 	}
 	return Spec{

@@ -206,7 +206,7 @@ func (c *compiled) sampled(read func(now sim.Time) float64) *metrics.Timeseries 
 // watches the scenario's leading bottleneck (an all-wire mesh has none).
 //
 // Everything that watches the run — the time series in registration
-// order, then Spec.Probe, then the -metrics sampler — is a reader called
+// order, then the -metrics sampler — is a reader called
 // at coordinator barriers (sim.Coordinator.Every): at a sample instant
 // all shards have executed what lies strictly before it, that instant's
 // timeline events have applied, and none of its simulator events has
@@ -232,9 +232,6 @@ func (c *compiled) runAndMeasure() *metrics.DelayRecorder {
 		coord.Every(spec.Sample, func(now sim.Time) {
 			for _, s := range c.series {
 				s.ts.Add(now, s.read(now))
-			}
-			if spec.Probe != nil {
-				spec.Probe(now, res)
 			}
 		})
 	}

@@ -10,7 +10,6 @@ import (
 
 	"abc/internal/abc"
 	"abc/internal/app"
-	"abc/internal/cc"
 	"abc/internal/netem"
 	"abc/internal/obs"
 	"abc/internal/sim"
@@ -170,11 +169,7 @@ func TestCheckAgreesWithRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		spec, err := sc.Compile()
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		agree(path, spec, false)
+		agree(path, sc.Spec, false)
 	}
 
 	rate := func() LinkSpec { return LinkSpec{Rate: netem.ConstRate(8e6)} }
@@ -197,7 +192,6 @@ func TestCheckAgreesWithRun(t *testing.T) {
 	}{
 		{"negative start", chain, func(s *Spec) { s.Flows[0].Start = -1 }},
 		{"loss of 7", chain, func(s *Spec) { s.Links[0].Impair.LossRate = 7 }},
-		{"probe without sample", chain, func(s *Spec) { s.Probe = func(sim.Time, *Result) {} }},
 		{"unknown routing policy", chain, func(s *Spec) { s.Routing = &RoutingSpec{Policy: "rip"} }},
 		{"workloads at two shards", chain, func(s *Spec) {
 			s.Shards, s.Workloads = 2, []WorkloadSpec{{Scheme: "ABC", Arrival: app.Poisson{PerSec: 1}, Sizes: app.FixedSize{Bytes: 1}}}
@@ -226,7 +220,9 @@ func TestCheckAgreesWithRun(t *testing.T) {
 		{"attack rate above one", chain, func(s *Spec) { s.Links[0].Attack = &topo.Attack{Target: topo.Target{Flows: []int{0}}, DropRate: 2} }},
 		{"unknown scheme", chain, func(s *Spec) { s.Flows[0].Scheme = "nope" }},
 		{"unknown misbehave", chain, func(s *Spec) { s.Flows[0].Misbehave = "rude" }},
-		{"app and source", chain, func(s *Spec) { s.Flows[0].Source, s.Flows[0].App = cc.NewFixed(1), &AppSpec{Kind: "rpc"} }},
+		{"app and source", chain, func(s *Spec) {
+			s.Flows[0].Source, s.Flows[0].App = &SourceSpec{Kind: "fixed", Bytes: 1}, &AppSpec{Kind: "rpc"}
+		}},
 		{"unknown app kind", chain, func(s *Spec) { s.Flows[0].App = &AppSpec{Kind: "quic"} }},
 		{"workload without sizes", chain, func(s *Spec) { s.Workloads = []WorkloadSpec{{Scheme: "ABC", Arrival: app.Poisson{PerSec: 1}}} }},
 		{"event on an unknown edge", chain, func(s *Spec) { s.Events = []EventSpec{{Kind: EventLinkDown, Edge: "zz"}} }},
@@ -289,4 +285,21 @@ func onlyIn(t *testing.T, home string, re *regexp.Regexp, pkgs ...string) {
 			t.Errorf("%s has %q — only %s may", file, m, home)
 		}
 	}
+}
+
+// runProbed runs spec with probe reading the partial result every period,
+// at a coordinator barrier like the run's own series: a test's window on
+// state the Result does not keep.
+func runProbed(t *testing.T, spec Spec, period sim.Time, probe func(now sim.Time, r *Result)) *Result {
+	t.Helper()
+	c, err := compile(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.g.Coordinator().Every(period, func(now sim.Time) { probe(now, c.res) })
+	res, _, err := c.run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }

@@ -11,7 +11,6 @@ import (
 	"math"
 	"testing"
 
-	"abc/internal/cc"
 	"abc/internal/netem"
 	"abc/internal/sim"
 )
@@ -42,7 +41,7 @@ func fidelityRun(t *testing.T, scheme string, n int, totalMbps float64, fluid bo
 		for i := 0; i < n; i++ {
 			spec.Flows = append(spec.Flows, FlowSpec{
 				Scheme: scheme,
-				Source: cc.NewRateLimited(per),
+				Source: &SourceSpec{Kind: "rate", Rate: per},
 			})
 		}
 	}

@@ -6,6 +6,7 @@ import (
 
 	"abc/internal/sim"
 	"abc/internal/trace"
+	"abc/internal/wifi"
 )
 
 // TestFig3AIConvergesMIMDDoesNot checks the Fig. 3 headline end to end:
@@ -129,7 +130,7 @@ func TestFig10ABCParetoOnWiFi(t *testing.T) {
 		{Label: "Cubic", Scheme: "Cubic"},
 		{Label: "Vegas", Scheme: "Vegas"},
 	} {
-		s, err := RunWiFi(ws, 1, AlternatingMCS(1), 20*sim.Second, 1)
+		s, err := RunWiFi(ws, 1, wifi.AlternatingMCS(), 20*sim.Second, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

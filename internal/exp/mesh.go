@@ -224,7 +224,7 @@ func (c *compiled) build() error {
 		ls := e.link
 		var mk topo.LinkFactory
 		if ls.wire() {
-			if ls.Trace != nil || ls.Rate != nil || ls.Wifi != nil {
+			if ls.Trace != nil || ls.Rate != 0 || ls.Wifi != nil || ls.Lookahead != 0 {
 				return fmt.Errorf("exp: edge %q: wire edges carry no bottleneck model", e.name)
 			}
 			if ls.Qdisc != (QdiscSpec{}) {

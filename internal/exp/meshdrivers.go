@@ -15,7 +15,6 @@ import (
 	"strings"
 
 	"abc/internal/abc"
-	"abc/internal/cc"
 	"abc/internal/metrics"
 	"abc/internal/netem"
 	"abc/internal/sim"
@@ -148,7 +147,7 @@ func MarkedUplink(schemes []string, uplinkMbps float64, dur sim.Time, seed int64
 			Flows: []FlowSpec{
 				{Scheme: sch, Path: []string{"down"}, AckPath: []string{"up"}},
 				{Scheme: "ABC", Path: []string{"up"},
-					Source: cc.NewRateLimited(0.6 * uplinkMbps * 1e6)},
+					Source: &SourceSpec{Kind: "rate", Rate: 0.6 * uplinkMbps * 1e6}},
 			},
 		})
 		if err != nil {

@@ -315,7 +315,6 @@ func tracedKinds(t *testing.T, mask obs.Cat, fn func()) map[obs.Kind]int64 {
 func TestWiFiEdgeTraced(t *testing.T) {
 	rc := abc.DefaultRouterConfig()
 	rc.Limit = 1000
-	cfg := wifi.DefaultLinkConfig()
 	var res *Result
 	kinds := tracedKinds(t, obs.CatPacket|obs.CatMark, func() {
 		var err error
@@ -324,7 +323,7 @@ func TestWiFiEdgeTraced(t *testing.T) {
 			Duration: 5 * sim.Second,
 			RTT:      60 * sim.Millisecond,
 			Links: []LinkSpec{{
-				Wifi:  &WiFiLinkSpec{Config: cfg, Estimate: true},
+				Wifi:  &WiFiLinkSpec{Estimate: true},
 				Qdisc: QdiscSpec{Kind: "abc", ABCConfig: &rc},
 			}},
 			Flows: []FlowSpec{{Scheme: "ABC"}},
@@ -341,7 +340,7 @@ func TestWiFiEdgeTraced(t *testing.T) {
 	if kinds[obs.EvEnqueue] != st.EnqueuedPackets || kinds[obs.EvQdiscDrop] != st.DroppedPackets {
 		t.Errorf("%d enqueue and %d drop events, counters %+v", kinds[obs.EvEnqueue], kinds[obs.EvQdiscDrop], st)
 	}
-	if inAir := st.DequeuedPackets - kinds[obs.EvDequeue]; inAir < 0 || inAir > int64(cfg.MaxBatch) {
+	if inAir := st.DequeuedPackets - kinds[obs.EvDequeue]; inAir < 0 || inAir > int64(wifi.DefaultLinkConfig().MaxBatch) {
 		t.Errorf("%d dequeue events for %d dequeued packets: the difference is not one batch in the air", kinds[obs.EvDequeue], st.DequeuedPackets)
 	}
 	if kinds[obs.EvAccel] != r.AccelMarked || kinds[obs.EvBrake] != r.BrakeMarked {

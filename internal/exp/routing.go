@@ -23,24 +23,24 @@ type RoutingSpec struct {
 	// link-state change) or "kfailover" (K edge-disjoint backup paths
 	// precomputed per managed route; failover to the first fully-up
 	// candidate).
-	Policy string
+	Policy string `spec:"policy"`
 	// K is the number of precomputed backups for "kfailover" (default
 	// 2). Setting K with Policy "shortest" is a Spec error — it would
 	// otherwise be silently ignored.
-	K int
+	K int `spec:"k"`
 	// RecomputeLatency models control-plane convergence: the delay
 	// between a link-state change and routes actually moving, and the
 	// coalescing window for changes that arrive together. Defaults to
 	// 10ms; must not be negative.
-	RecomputeLatency sim.Time
+	RecomputeLatency sim.Time `spec:"recompute_ms"`
 	// Drain, when positive, makes every policy-applied route change
 	// make-before-break: junctions on the abandoned path keep forwarding
 	// the flow's in-flight packets to the receiver for this window.
-	Drain sim.Time
+	Drain sim.Time `spec:"drain_ms"`
 	// Flows restricts management to these flow indices (default: every
 	// flow). Each listed flow has its data route and, when table-backed,
 	// its ACK route placed under policy control.
-	Flows []int
+	Flows []int `spec:"flows"`
 }
 
 // RouteChangeResult annotates one emergent route change, in execution

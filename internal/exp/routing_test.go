@@ -18,19 +18,6 @@ func wantRunError(t *testing.T, spec Spec, frag string) {
 	}
 }
 
-// TestProbeWithoutSampleRejected: a Probe with Sample unset used to be
-// silently ignored (the probe never fired); it is now a Spec error.
-func TestProbeWithoutSampleRejected(t *testing.T) {
-	spec := conservationSpec(1, 200*sim.Millisecond, sim.Second)
-	spec.Probe = func(now sim.Time, r *Result) {}
-	wantRunError(t, spec, "Probe set without Sample")
-
-	spec.Sample = 100 * sim.Millisecond
-	if _, _, err := Run(spec); err != nil {
-		t.Fatalf("Probe with Sample rejected: %v", err)
-	}
-}
-
 // TestNegativeSampleRejected: a negative Sample would arm timers in the
 // past; it must be a loud Spec error, not a silent no-op.
 func TestNegativeSampleRejected(t *testing.T) {
@@ -39,15 +26,15 @@ func TestNegativeSampleRejected(t *testing.T) {
 	wantRunError(t, spec, "negative Sample")
 }
 
-// TestScenarioNegativeSampleMs: the JSON front door enforces the same
-// contract at compile time.
+// TestScenarioNegativeSampleMs: a file gets the same contract, before the
+// clock starts.
 func TestScenarioNegativeSampleMs(t *testing.T) {
 	sc, err := ParseScenario([]byte(`{"links":[{"rate_mbps":8}],"flows":[{"scheme":"ABC"}],"sample_ms":-5}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sc.Compile(); err == nil || !strings.Contains(err.Error(), "negative Sample") {
-		t.Fatalf("Compile error = %v, want negative sample_ms rejection", err)
+	if err := Check(sc.Spec); err == nil || !strings.Contains(err.Error(), "negative Sample") {
+		t.Fatalf("Check error = %v, want negative sample_ms rejection", err)
 	}
 }
 
@@ -119,11 +106,10 @@ func TestScenarioRoutingClause(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err := sc.Compile()
-	if err != nil {
+	if err := Check(sc.Spec); err != nil {
 		t.Fatal(err)
 	}
-	rs := spec.Routing
+	rs := sc.Spec.Routing
 	if rs == nil || rs.Policy != "kfailover" || rs.K != 1 ||
 		rs.RecomputeLatency != 20*sim.Millisecond || rs.Drain != 50*sim.Millisecond ||
 		len(rs.Flows) != 1 || rs.Flows[0] != 0 {
@@ -141,8 +127,8 @@ func TestScenarioRoutingClause(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sc.Compile(); err == nil || !strings.Contains(err.Error(), bad.frag) {
-			t.Fatalf("clause %s: Compile error = %v, want message containing %q", bad.clause, err, bad.frag)
+		if err := Check(sc.Spec); err == nil || !strings.Contains(err.Error(), bad.frag) {
+			t.Fatalf("clause %s: Check error = %v, want message containing %q", bad.clause, err, bad.frag)
 		}
 	}
 }

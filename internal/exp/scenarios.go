@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 
-	"abc/internal/cc"
 	"abc/internal/metrics"
 	"abc/internal/netem"
 	"abc/internal/packet"
@@ -60,7 +59,7 @@ func UplinkCongestedACK(schemes []string, uplinkMbps float64, dur sim.Time, seed
 			}},
 			Flows: []FlowSpec{
 				{Scheme: sch},
-				{Scheme: "Cubic", Dir: Reverse, Source: cc.NewRateLimited(0.6 * uplinkMbps * 1e6)},
+				{Scheme: "Cubic", Dir: Reverse, Source: &SourceSpec{Kind: "rate", Rate: 0.6 * uplinkMbps * 1e6}},
 			},
 		})
 		if err != nil {

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"abc/internal/app"
 	"abc/internal/metrics"
 	"abc/internal/obs"
 	"abc/internal/packet"
@@ -293,19 +294,14 @@ func TestShardedSampleProbe(t *testing.T) {
 		var v view
 		spec := shardedMeshSpec(shards, dur, 1)
 		spec.Sample = period
-		spec.Probe = func(now sim.Time, r *Result) {
+		v.res = runProbed(t, spec, period, func(now sim.Time, r *Result) {
 			v.probed = append(v.probed, now)
 			w := make([]float64, len(r.Flows))
 			for i := range r.Flows {
 				w[i] = r.Flows[i].Algorithm.CwndPkts()
 			}
 			v.cwnd = append(v.cwnd, w)
-		}
-		res, _, err := Run(spec)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		v.res = res
+		})
 		return v
 	}
 	want := run(1)
@@ -387,7 +383,8 @@ func TestShardedSpecValidation(t *testing.T) {
 	}
 
 	spec := base()
-	spec.Workloads = []WorkloadSpec{{Scheme: "Cubic", Path: []string{"bot0", "hop0"}}}
+	spec.Workloads = []WorkloadSpec{{Scheme: "Cubic", Path: []string{"bot0", "hop0"},
+		Arrival: app.Poisson{PerSec: 1}, Sizes: app.FixedSize{Bytes: 1000}}}
 	if _, _, err := Run(spec); err == nil || !strings.Contains(err.Error(), "Workloads") {
 		t.Errorf("Workloads on a sharded spec not rejected: %v", err)
 	}
@@ -434,8 +431,8 @@ func TestShardedSpecValidation(t *testing.T) {
 }
 
 // TestScenarioShardsClause pins the declarative spelling: "shards" and
-// "shard_map" compile into Spec.Shards/ShardMap, and malformed clauses
-// fail at Compile with a static error.
+// "shard_map" decode into Spec.Shards/ShardMap, and malformed clauses
+// fail Check with a static error.
 func TestScenarioShardsClause(t *testing.T) {
 	sc, err := ParseScenario([]byte(`{
 		"duration_s": 10,
@@ -450,19 +447,17 @@ func TestScenarioShardsClause(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err := sc.Compile()
-	if err != nil {
+	if err := Check(sc.Spec); err != nil {
 		t.Fatal(err)
 	}
-	if spec.Shards != 2 || spec.ShardMap["b"] != 1 {
-		t.Errorf("shards clause not carried into the Spec: %+v", spec.ShardMap)
+	if sc.Spec.Shards != 2 || sc.Spec.ShardMap["b"] != 1 {
+		t.Errorf("shards clause not carried into the Spec: %+v", sc.Spec.ShardMap)
 	}
 
 	bad := []struct {
 		name, in, want string
 	}{
 		{"negative shards", `{"shards": -1, "flows": []}`, "negative Shards"},
-		{"map without shards", `{"shard_map": {"a": 0}, "flows": []}`, "shards > 1"},
 		{"pin out of range", `{"shards": 2, "shard_map": {"a": 2}, "flows": []}`, "out of range"},
 	}
 	for _, tc := range bad {
@@ -470,8 +465,8 @@ func TestScenarioShardsClause(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: parse: %v", tc.name, err)
 		}
-		if _, err := sc.Compile(); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: Compile() err = %v, want substring %q", tc.name, err, tc.want)
+		if err := Check(sc.Spec); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Check err = %v, want substring %q", tc.name, err, tc.want)
 		}
 	}
 }

@@ -7,18 +7,22 @@
 // first-class. Schemes and queueing disciplines are resolved through the
 // cc and qdisc registries; this package constructs nothing by name.
 //
-// A Spec has two notations — a chain (Links/ReverseLinks) and a mesh
-// (Nodes/Edges) — and one compiler. Run is the pipeline, one file per
-// stage: spec.go declares the types; validate.go range-checks a Spec
-// before anything is built; lower.go (chain) and mesh.go (mesh) are the
-// front ends, which only validate their notation and translate it into a
-// plan of named junctions, named edges and resolved per-flow edge
-// routes; mesh.go's back end builds the graph from the plan, over the
-// coordinator shard.go creates (one shard, or Shards of them with the
-// plan partitioned); wire.go attaches links, endpoints and receivers;
-// harness.go runs the coordinator and measures. There is one run path —
-// a one-shard run is a coordinator run like any other — and one judge: a
-// Spec is valid iff it builds, so Check is Run stopped before the clock.
+// A Spec is plain data: every field is a value — no callback, no run
+// state — so one Spec runs any number of times alike, and its struct tags
+// are the scenario file's keys (scenario.go decodes a file straight into
+// a Spec and encodes one back). It has two notations — a chain
+// (Links/ReverseLinks) and a mesh (Nodes/Edges) — and one compiler. Run
+// is the pipeline, one file per stage: spec.go declares the types;
+// validate.go range-checks a Spec before anything is built; lower.go
+// (chain) and mesh.go (mesh) are the front ends, which only validate
+// their notation and translate it into a plan of named junctions, named
+// edges and resolved per-flow edge routes; mesh.go's back end builds the
+// graph from the plan, over the coordinator shard.go creates (one shard,
+// or Shards of them with the plan partitioned); wire.go attaches links,
+// endpoints and receivers; harness.go runs the coordinator and measures.
+// There is one run path — a one-shard run is a coordinator run like any
+// other — and one judge: a Spec is valid iff it builds, so Check is Run
+// stopped before the clock.
 //
 // The runners themselves are catalogued once, in drivers.go: Drivers is
 // the table the CLIs, the report, the golden corpus and the driver test
@@ -27,12 +31,13 @@
 package exp
 
 import (
+	"fmt"
+
 	"abc/internal/abc"
 	"abc/internal/app"
 	"abc/internal/cc"
 	_ "abc/internal/explicit" // registers the XCP/XCPw/RCP/VCP schemes and routers
 	"abc/internal/metrics"
-	"abc/internal/netem"
 	"abc/internal/packet"
 	"abc/internal/qdisc"
 	"abc/internal/sim"
@@ -57,60 +62,64 @@ type QdiscSpec struct {
 	// "auto" (the default) to derive it from the first flow, then
 	// workload, whose data route crosses the edge, else the first whose
 	// ACK route does — on a chain link as on a mesh edge.
-	Kind string
+	Kind string `spec:"kind"`
 	// Buffer is the queue limit in packets (default 250, the paper's
 	// emulation buffer), of each child for the dual-* kinds. The "abc"
 	// kind is the one exception: it reads no Buffer and holds up to its
 	// ABCConfig's Limit, 250 by default.
-	Buffer int
-	// ABCConfig, when non-nil, is the whole router configuration of an
+	Buffer int `spec:"buffer"`
+	// ABCConfig, when non-nil, is the router configuration of an
 	// ABC-family kind ("abc", "abc-proxied", "dual-*": dt, η, δ, T, the
-	// token limit, the feedback mode, a lie); nil runs the paper's
-	// defaults. A Limit of 0 leaves the queue limit to the kind. Any
-	// other kind rejects one, and a lie is rejected by every kind but
-	// "abc", whose router alone draws from a random stream.
-	ABCConfig *abc.RouterConfig
+	// token limit, the feedback mode, a lie), each zero field taking the
+	// paper's default; nil runs the defaults. A Limit of 0 leaves the
+	// queue limit to the kind. Any other kind rejects one, and a lie is
+	// rejected by every kind but "abc", whose router alone draws from a
+	// random stream.
+	ABCConfig *abc.RouterConfig `spec:",inline"`
 }
 
-// WiFiLinkSpec configures a Kind "wifi" link: the modelled 802.11n AP.
+// WiFiLinkSpec configures a Kind "wifi" link: the modelled 802.11n AP at
+// the testbed's defaults (wifi.DefaultLinkConfig) with this MCS. A "wifi"
+// link without one runs the testbed's fixed MCS and no estimator.
 type WiFiLinkSpec struct {
-	// Config parameterizes the AP (zero fields take wifi defaults).
-	Config wifi.LinkConfig
+	MCS wifi.MCS `spec:",inline"`
 	// Estimate attaches the §4.1 link-rate estimator as the capacity
 	// provider for capacity-aware qdiscs (the ABC deployment).
-	Estimate bool
+	Estimate bool `spec:"estimate"`
 }
 
 // LinkSpec describes one bottleneck hop of a chain or mesh edge.
 type LinkSpec struct {
 	// Kind selects the link model: "trace", "rate", "wifi", or "" to
-	// infer from whichever of Trace/Rate/Wifi is set. Mesh edges
+	// infer from whichever one of Trace/Rate/Wifi is set. Mesh edges
 	// (Spec.Edges) additionally accept "wire": a pure propagation hop —
 	// Delay and Impair only, no bottleneck and no qdisc.
-	Kind string
-	// Trace drives a delivery-opportunity (Mahimahi-style) link.
-	Trace *trace.Trace
-	// Rate drives a store-and-forward link with a time-varying bit rate.
-	Rate netem.RateFunc
+	Kind string `spec:"kind"`
+	// Trace drives a delivery-opportunity (Mahimahi-style) link. A file
+	// spells it by its generator (trace.Generator).
+	Trace *trace.Trace `spec:",inline"`
+	// Rate drives a store-and-forward link at this many bits/sec (> 0);
+	// set_rate events change it in steps.
+	Rate float64 `spec:"rate_mbps"`
 	// Wifi drives an A-MPDU-batching 802.11n link.
-	Wifi  *WiFiLinkSpec
-	Qdisc QdiscSpec
+	Wifi  *WiFiLinkSpec `spec:",inline"`
+	Qdisc QdiscSpec     `spec:"qdisc"`
 	// Lookahead enables the PK-ABC future-capacity oracle on trace
 	// links (§6.6).
-	Lookahead sim.Time
+	Lookahead sim.Time `spec:"lookahead_ms"`
 	// Delay is this hop's propagation delay, applied after transmission.
 	// The default 0 keeps hops back-to-back, with the path's residual
 	// propagation in the per-flow access tails (RTT/2 each way), which
 	// preserves the paper's RTT accounting.
-	Delay sim.Time
+	Delay sim.Time `spec:"delay_ms"`
 	// Impair adds an impairment stage (jitter, random/burst loss,
 	// reordering) in front of the link.
-	Impair topo.Impairments
+	Impair topo.Impairments `spec:",inline"`
 	// Attack installs an adversarial stage on the edge at build time:
 	// targeted drops, extra delay or mark-stripping against the flows its
 	// Target selects. Retunable mid-run via "attack"/"clear_attack"
 	// events.
-	Attack *topo.Attack
+	Attack *topo.Attack `spec:"attack"`
 }
 
 // wire reports whether the spec is a pure propagation hop (mesh only).
@@ -129,46 +138,95 @@ const (
 	Reverse
 )
 
+// directions spells Direction values as a scenario file does.
+var directions = map[string]Direction{"forward": Forward, "reverse": Reverse}
+
+// MarshalText spells the direction as a scenario file does.
+func (d Direction) MarshalText() ([]byte, error) {
+	if d == Reverse {
+		return []byte("reverse"), nil
+	}
+	return []byte("forward"), nil
+}
+
+// UnmarshalText reads "forward" (or "") and "reverse".
+func (d *Direction) UnmarshalText(b []byte) error {
+	v, ok := directions[string(b)]
+	if !ok && len(b) > 0 {
+		return fmt.Errorf("unknown dir %q (want forward or reverse)", b)
+	}
+	*d = v
+	return nil
+}
+
 // FlowSpec describes one flow.
 type FlowSpec struct {
-	Scheme string
+	Scheme string `spec:"scheme"`
 	// Start/Stop bound the flow's lifetime; Stop 0 means run to the end,
 	// and a Stop at or before Start is an error (it would never send).
-	Start, Stop sim.Time
+	Start sim.Time `spec:"start_s"`
+	Stop  sim.Time `spec:"stop_s"`
 	// Source is the data source; nil means backlogged.
-	Source cc.Source
+	Source *SourceSpec `spec:"source"`
 	// Dir selects the chain carrying this flow's data (default Forward).
-	Dir Direction
+	Dir Direction `spec:"dir"`
 	// EnterAt is the index of the first link of the flow's chain it
 	// traverses (cross-traffic flows can skip upstream links).
 	// Out-of-range values are an error.
-	EnterAt int
+	EnterAt int `spec:"enter_at"`
 	// ExitAt is the 1-based index of the last link traversed, letting
 	// cross traffic leave the path early; 0 means the end of the chain.
-	ExitAt int
+	ExitAt int `spec:"exit_at"`
 	// RTT overrides Spec.RTT for this flow (heterogeneous-RTT
 	// scenarios): RTT/2 of access latency on each of the flow's data and
 	// ACK tails.
-	RTT sim.Time
+	RTT sim.Time `spec:"rtt_ms"`
 	// Path routes the flow's data over named mesh edges (Spec.Edges), in
 	// order. Mesh specs require it; chain specs must leave it empty (they
 	// route via Dir/EnterAt/ExitAt instead).
-	Path []string
+	Path []string `spec:"path"`
 	// AckPath routes the flow's ACKs over named mesh edges. Empty means
 	// an uncongested direct wire back to the sender (what a chain without
 	// ReverseLinks lowers to).
-	AckPath []string
+	AckPath []string `spec:"ack_path"`
 	// Misbehave wraps the constructed algorithm in a misbehaving-sender
 	// shim. The only recognized value is "greedy": a sender that ignores
 	// brakes, CE and negative explicit feedback (cc.Greedy). Empty means
 	// an honest sender.
-	Misbehave string
-	// Mutate, if set, adjusts the constructed algorithm before the run
-	// (ablation switches such as abc.Sender.DisableAI).
-	Mutate func(alg cc.Algorithm)
+	Misbehave string `spec:"misbehave"`
 	// App attaches a closed-loop application (ABR video, RPC) that
 	// drives this flow's source; mutually exclusive with Source.
-	App *AppSpec
+	App *AppSpec `spec:"app"`
+}
+
+// SourceSpec is a flow's data source as a value; each run builds a fresh
+// cc.Source from it. Kinds: "backlogged" (what a nil SourceSpec means; it
+// takes no other field), "rate" (application-limited at Rate bits/sec),
+// "onoff" (sending for On, then silent for Off, from Start) and "fixed"
+// (a finite transfer of Bytes).
+type SourceSpec struct {
+	Kind  string   `spec:"kind"`
+	Rate  float64  `spec:"mbps"`
+	Bytes int      `spec:"bytes"`
+	On    sim.Time `spec:"on_s"`
+	Off   sim.Time `spec:"off_s"`
+	Start sim.Time `spec:"start_s"`
+}
+
+// source builds one run's cc.Source (nil = backlogged).
+func (s *SourceSpec) source() cc.Source {
+	if s == nil {
+		return nil
+	}
+	switch s.Kind {
+	case "rate":
+		return cc.NewRateLimited(s.Rate)
+	case "onoff":
+		return &cc.OnOff{Start: s.Start, OnFor: s.On, OffFor: s.Off}
+	case "fixed":
+		return cc.NewFixed(s.Bytes)
+	}
+	return nil
 }
 
 // EdgeSpec is one directed edge of a mesh topology (Spec.Edges): a named
@@ -178,12 +236,13 @@ type FlowSpec struct {
 // link i of ReverseLinks for the same over "rev".
 type EdgeSpec struct {
 	// Name identifies the edge in FlowSpec.Path / AckPath.
-	Name string
+	Name string `spec:"name"`
 	// From and To name the edge's endpoints (Spec.Nodes).
-	From, To string
+	From string `spec:"from"`
+	To   string `spec:"to"`
 	// Link configures the hop: bottleneck model, qdisc, delay,
 	// impairments.
-	Link LinkSpec
+	Link LinkSpec `spec:",inline"`
 }
 
 // Spec is a complete scenario in one of two mutually exclusive
@@ -194,43 +253,43 @@ type EdgeSpec struct {
 // through one pipeline, so every clause that addresses an edge or a
 // junction by name works the same way on either.
 type Spec struct {
-	Seed     int64
-	Duration sim.Time
+	Seed     int64    `spec:"seed"`
+	Duration sim.Time `spec:"duration_s"`
 	// Warmup excludes the initial transient from all metrics.
-	Warmup sim.Time
+	Warmup sim.Time `spec:"warmup_s"`
 	// RTT is the round-trip propagation delay (paper default 100 ms).
-	RTT   sim.Time
-	Links []LinkSpec
+	RTT   sim.Time   `spec:"rtt_ms"`
+	Links []LinkSpec `spec:"links"`
 	// ReverseLinks is the ACK-path chain: forward flows' ACKs traverse
 	// it in order, and Reverse-direction flows send their data over it.
 	// Empty means an uncongested wire, the paper's emulation default.
-	ReverseLinks []LinkSpec
+	ReverseLinks []LinkSpec `spec:"reverse_links"`
 	// Nodes and Edges declare a mesh topology: named junctions and
 	// directed edges between them. Any directed multigraph is allowed —
 	// parallel edges, asymmetric reverse paths, disjoint subpaths through
 	// shared junctions. Flows route over it via FlowSpec.Path / AckPath.
-	Nodes []string
-	Edges []EdgeSpec
-	Flows []FlowSpec
+	Nodes []string   `spec:"nodes"`
+	Edges []EdgeSpec `spec:"edges"`
+	Flows []FlowSpec `spec:"flows"`
 	// Workloads spawn finite flows mid-run from open-loop arrival
 	// processes, reported per-workload in Result.Workloads.
-	Workloads []WorkloadSpec
+	Workloads []WorkloadSpec `spec:"workloads"`
 	// Events is the timed mutation timeline: reroutes, rate and delay
 	// changes, link outages, executed on the simulation clock. Edges are
 	// addressed by name — mesh edges by their EdgeSpec.Name, chain links
 	// as "fwd<i>" / "rev<i>" (link i of Links / ReverseLinks).
-	Events []EventSpec
+	Events []EventSpec `spec:"events"`
 	// Shards splits the simulation into this many parallel event queues
 	// advanced under conservative lookahead synchronization (0 or 1 =
 	// one queue under the same coordinator; negative values are a Spec
 	// error). Junctions are partitioned automatically (topo.Partition)
 	// unless pinned via ShardMap; shard-cut edges must have positive
 	// Delay. Specs with Shards > 1 cannot use Workloads or Routing.
-	Shards int
+	Shards int `spec:"shards"`
 	// ShardMap pins named junctions (mesh node names, or chain junctions
 	// "fwd<i>" / "rev<i>") to shard indices; unnamed junctions are placed
 	// by the automatic partitioner around the pins.
-	ShardMap map[string]int
+	ShardMap map[string]int `spec:"shard_map"`
 	// Sample enables time-series collection at this period (0 = off):
 	// at Sample, 2*Sample, … up to Duration the harness reads every
 	// series at a coordinator barrier — after the events strictly before
@@ -238,20 +297,13 @@ type Spec struct {
 	// events. A read, not an event: the run executes the same events
 	// with or without it, at any shard count. Negative values are a
 	// Spec error, not "off".
-	Sample sim.Time
-	// Probe, when set, is called at every sample instant, after the
-	// series, with the partially built result, letting experiments
-	// record custom series (e.g. Fig. 6's wabc/wcubic windows). It may
-	// read any flow or edge whatever shard owns it; it must not
-	// schedule. Setting Probe without Sample is a Spec error — the
-	// probe would never fire.
-	Probe func(now sim.Time, r *Result)
+	Sample sim.Time `spec:"sample_ms"`
 	// Routing enables the route-computation layer: a policy watches link
 	// state (link_down / link_up / set_delay) and recomputes managed
 	// flows' routes through the same Router machinery scripted reroute
 	// events use, making handover and flap recovery emergent behavior.
 	// One-shard only (rejected at Shards > 1).
-	Routing *RoutingSpec
+	Routing *RoutingSpec `spec:"routing"`
 	// Background attaches fluid background aggregates to named edges
 	// (mesh edge names, or chain links "fwd<i>" / "rev<i>"): each is a
 	// deterministic fixed-step rate process standing in for many
@@ -259,21 +311,24 @@ type Spec struct {
 	// occupancy at constant cost regardless of the flow count. Couplers
 	// step on each edge's home simulator, so backgrounds compose with
 	// Shards.
-	Background []BackgroundSpec
+	Background []BackgroundSpec `spec:"background"`
 }
 
 // FlowResult reports one flow's measurements over [Warmup, Duration].
 type FlowResult struct {
-	Scheme    string
-	Bytes     int64
-	TputMbps  float64
-	Delay     metrics.DelayRecorder // one-way per-packet delay, ms
-	QDelay    metrics.DelayRecorder // accumulated queuing delay, ms
-	Lost      int64
-	Retx      int64
-	Tput      *metrics.Timeseries // when sampling
-	Endpoint  *cc.Endpoint
-	Algorithm cc.Algorithm
+	Scheme   string
+	Bytes    int64
+	TputMbps float64
+	Delay    metrics.DelayRecorder // one-way per-packet delay, ms
+	QDelay   metrics.DelayRecorder // accumulated queuing delay, ms
+	Lost     int64
+	Retx     int64
+	Tput     *metrics.Timeseries // when sampling
+	// WABC and WCubic sample the sender's two windows (packets) when
+	// sampling a scheme that keeps both (abc.Sender).
+	WABC, WCubic *metrics.Timeseries
+	Endpoint     *cc.Endpoint
+	Algorithm    cc.Algorithm
 	// App is the closed-loop application bound to the flow, when any
 	// (AppSpec kind "abr" → *app.ABR, "rpc" → *app.RPC).
 	App app.App
@@ -333,8 +388,7 @@ type Result struct {
 	// scripted Events annotations, and what golden digests lock for the
 	// autoroute/flapstorm drivers.
 	RouteChanges []RouteChangeResult
-	// Graph is the compiled topology, available to Probe callbacks and
-	// post-run inspection (edge stats, custom traffic injection).
+	// Graph is the compiled topology, available to post-run inspection (edge stats, custom traffic injection).
 	Graph *topo.Graph
 	// Backgrounds reports each fluid aggregate in Spec.Background order:
 	// bytes offered/served/dropped and the mean service share it took

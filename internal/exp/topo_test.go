@@ -251,10 +251,7 @@ func TestScenarioFilesCompileAndRun(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
-		spec, err := sc.Compile()
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
+		spec := sc.Spec
 		spec.Duration = 3 * sim.Second
 		spec.Warmup = sim.Second
 		for i := range spec.Flows {
@@ -299,14 +296,10 @@ func TestDemuxDropSurfaced(t *testing.T) {
 	// junction, find no route, and must be counted.
 	spec.Sample = 500 * sim.Millisecond
 	injected := 0
-	spec.Probe = func(now sim.Time, r *Result) {
+	res = runProbed(t, spec, spec.Sample, func(now sim.Time, r *Result) {
 		r.Graph.Entry(0).Recv(packet.NewData(99, int64(injected), packet.MTU, now))
 		injected++
-	}
-	res, _, err = Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 	if injected == 0 {
 		t.Fatal("probe never fired")
 	}

@@ -1,17 +1,20 @@
 // The first stage of compile: what can be said about a Spec before
 // anything is translated or built. Only graph-independent rules live here
-// — the sign and range of every duration, probability and count, and
-// which clauses may be combined — so that a value which would otherwise
-// be ignored (a negative buffer), mean something else (a loss rate of 7
-// drops every packet), never fire (a flow that stops before it starts)
-// or crash the clock (a negative start) is a loud error for Go and JSON
-// callers alike. Zero keeps meaning "take the default" wherever a field
-// has one. Whatever needs names, routes or built links is checked by the
-// stage that resolves or builds them.
+// — the sign and range of every duration, probability, rate and count,
+// which clauses may be combined, and which fields a kind reads — so that
+// a value which would otherwise be ignored (a negative buffer, a rate on
+// a backlogged source), mean something else (a loss rate of 7 drops
+// every packet), never fire (a flow that stops before it starts) or
+// crash the clock (a negative start) is a loud error for Go and JSON
+// callers alike: a scenario file decodes straight into a Spec, so these
+// are its rules too. Zero keeps meaning "take the default" wherever a
+// field has one. Whatever needs names, routes or built links is checked
+// by the stage that resolves or builds them.
 package exp
 
 import (
 	"fmt"
+	"slices"
 
 	"abc/internal/app"
 	"abc/internal/sim"
@@ -80,14 +83,31 @@ func (spec *Spec) validate() error {
 		prob(kind, i, "Impair.BurstPBad", im.BurstPBad)
 		prob(kind, i, "Impair.BurstPGood", im.BurstPGood)
 		prob(kind, i, "Impair.ReorderProb", im.ReorderProb)
+		// One model per link, and a rate link that can send: at rate 0 it
+		// would poll every millisecond forever.
+		models := 0
+		for _, set := range []bool{ls.Trace != nil, ls.Rate != 0, ls.Wifi != nil} {
+			if set {
+				models++
+			}
+		}
+		bare := LinkSpec{Trace: ls.Trace, Rate: ls.Rate, Wifi: ls.Wifi}
+		if ls.Kind != "wire" && (models > 1 || models == 1 && ls.Kind != "" && ls.Kind != bare.model()) {
+			fail(kind, i, "a link carries the one model its Kind names (set one of Trace, Rate and Wifi)")
+		}
+		if ls.model() == "rate" && !(ls.Rate > 0) {
+			fail(kind, i, "Rate %v is not a positive bit rate", ls.Rate)
+		}
+		if ls.Wifi != nil {
+			if e := ls.Wifi.MCS.Validate(); e != nil {
+				fail(kind, i, "%v", e)
+			}
+		}
 	}
 
-	// A negative sampling period, a probe that never fires and a negative
-	// shard count are wiring bugs, not requests for "off".
+	// A negative sampling period and a negative shard count are wiring
+	// bugs, not requests for "off".
 	nonNeg("", 0, dur{"Duration", spec.Duration}, dur{"Warmup", spec.Warmup}, dur{"RTT", spec.RTT}, dur{"Sample", spec.Sample})
-	if spec.Probe != nil && spec.Sample == 0 {
-		fail("", 0, "Probe set without Sample; the probe would never fire (set Sample to the probe period)")
-	}
 	if spec.Shards < 0 {
 		fail("", 0, "negative Shards %d", spec.Shards)
 	}
@@ -103,6 +123,15 @@ func (spec *Spec) validate() error {
 	for i := range spec.Flows {
 		fs := &spec.Flows[i]
 		lifetime("flow", i, fs.Start, fs.Stop, fs.RTT)
+		if e := fs.Source.validate(); e != nil {
+			fail("flow", i, "%v", e)
+		}
+		if fs.App != nil && fs.Source != nil {
+			fail("flow", i, "App and Source are mutually exclusive (the app owns the source)")
+		}
+		if e := fs.App.validate(); e != nil {
+			fail("flow", i, "%v", e)
+		}
 	}
 	for i := range spec.Workloads {
 		ws := &spec.Workloads[i]
@@ -114,6 +143,8 @@ func (spec *Spec) validate() error {
 			fail("workload", i, "negative RefMbps %v", ws.RefMbps)
 		}
 		switch a := ws.Arrival.(type) {
+		case nil:
+			fail("workload", i, "missing Arrival process")
 		case app.Poisson:
 			if !(a.PerSec > 0 && a.PerSec <= maxArrivalsPerSec) {
 				fail("workload", i, "Poisson.PerSec %v outside (0, %g]", a.PerSec, float64(maxArrivalsPerSec))
@@ -122,6 +153,20 @@ func (spec *Spec) validate() error {
 			if a.Gap < sim.Second/maxArrivalsPerSec {
 				fail("workload", i, "Deterministic.Gap %v below the 1 µs minimum", a.Gap)
 			}
+		case app.Replay:
+			// The log carries both the arrival instants and the sizes.
+			if a.File == "" {
+				fail("workload", i, "replay arrival needs a File")
+			}
+			if ws.Sizes != nil {
+				fail("workload", i, "Sizes conflicts with a replay arrival (the log fixes the sizes)")
+			}
+		}
+		if _, replay := ws.Arrival.(app.Replay); !replay && ws.Sizes == nil {
+			fail("workload", i, "missing Sizes distribution")
+		}
+		if e := validateSizes(ws.Sizes); e != nil {
+			fail("workload", i, "%v", e)
 		}
 	}
 	// The rest of a background's ranges are the fluid package's to check.
@@ -141,6 +186,107 @@ func (spec *Spec) validate() error {
 		err = checkShardable(spec)
 	}
 	return err
+}
+
+// validate rejects an unknown kind and parameters the kind does not read
+// or cannot run with.
+func (s *SourceSpec) validate() error {
+	if s == nil {
+		return nil
+	}
+	switch s.Kind {
+	case "backlogged":
+		if *s != (SourceSpec{Kind: "backlogged"}) {
+			return fmt.Errorf("a backlogged source takes no parameters")
+		}
+	case "rate":
+		if !(s.Rate > 0) {
+			return fmt.Errorf("a rate source needs Rate > 0")
+		}
+	case "onoff":
+		if s.On <= 0 || s.Off < 0 || s.Start < 0 {
+			return fmt.Errorf("an onoff source needs On > 0, Off >= 0 and Start >= 0")
+		}
+	case "fixed":
+		if s.Bytes <= 0 {
+			return fmt.Errorf("a fixed source needs Bytes > 0")
+		}
+	default:
+		return fmt.Errorf("unknown source kind %q (want backlogged, rate, onoff or fixed)", s.Kind)
+	}
+	return nil
+}
+
+// validate rejects an unknown kind, the other kind's fields, negative
+// parameters (zero takes the default) and a ladder that is not strictly
+// ascending and positive.
+func (as *AppSpec) validate() error {
+	if as == nil {
+		return nil
+	}
+	abr, rpc := as.ABR, as.RPC
+	if abr.ChunkS < 0 || abr.MaxBufS < 0 || abr.HistoryChunks < 0 || abr.SafetyFactor < 0 || rpc.ThinkMean < 0 || rpc.RespBytes < 0 {
+		return fmt.Errorf("app: negative parameters (leave a field zero for its default)")
+	}
+	switch as.Kind {
+	case "abr":
+		if rpc != (app.RPCConfig{}) {
+			return fmt.Errorf("app: ThinkMean/RespBytes are rpc fields")
+		}
+		switch abr.Policy {
+		case "", app.PolicyBuffer:
+			if abr.HistoryChunks != 0 || abr.SafetyFactor != 0 {
+				return fmt.Errorf("app: HistoryChunks/SafetyFactor are rate-policy fields")
+			}
+		case app.PolicyRate:
+		default:
+			return fmt.Errorf("app: unknown abr policy %q (want buffer or rate)", abr.Policy)
+		}
+		for i, kbps := range abr.LadderKbps {
+			if !(kbps > 0) || i > 0 && kbps <= abr.LadderKbps[i-1] {
+				return fmt.Errorf("app: LadderKbps must be positive and strictly ascending")
+			}
+		}
+	case "rpc":
+		if abr.LadderKbps != nil || abr.ChunkS != 0 || abr.MaxBufS != 0 || abr.Policy != "" || abr.HistoryChunks != 0 || abr.SafetyFactor != 0 {
+			return fmt.Errorf("app: the ABR fields are abr fields")
+		}
+	default:
+		return fmt.Errorf("app: unknown app kind %q (want abr or rpc)", as.Kind)
+	}
+	return nil
+}
+
+// validateSizes rejects a size distribution that draws no positive size.
+// A zero Pareto Alpha takes the 1.2 default; a negative one is a typo.
+func validateSizes(sd app.SizeDist) error {
+	switch d := sd.(type) {
+	case app.FixedSize:
+		if d.Bytes <= 0 {
+			return fmt.Errorf("FixedSize needs Bytes > 0")
+		}
+	case app.BoundedPareto:
+		if d.Min <= 0 || d.Max < d.Min || d.Alpha < 0 {
+			return fmt.Errorf("BoundedPareto needs 0 < Min <= Max and Alpha >= 0")
+		}
+	case app.Choice:
+		var total float64
+		for _, w := range d.Weights {
+			if !(w >= 0) {
+				return fmt.Errorf("Choice weights must be >= 0")
+			}
+			total += w
+		}
+		switch {
+		case len(d.Sizes) == 0 || slices.Min(d.Sizes) <= 0:
+			return fmt.Errorf("Choice needs Sizes, all > 0")
+		case len(d.Weights) > 0 && len(d.Weights) != len(d.Sizes):
+			return fmt.Errorf("Choice weights must match sizes (%d != %d)", len(d.Weights), len(d.Sizes))
+		case len(d.Weights) > 0 && total == 0:
+			return fmt.Errorf("Choice weights sum to zero (leave them out for a uniform pick)")
+		}
+	}
+	return nil
 }
 
 // validateRouting rejects malformed Routing clauses before any wiring

@@ -9,6 +9,7 @@ import (
 	"abc/internal/app"
 	"abc/internal/netem"
 	"abc/internal/sim"
+	"abc/internal/wifi"
 )
 
 // within returns f's error, failing the test if f has not returned after
@@ -98,6 +99,41 @@ func TestSpecValidateRanges(t *testing.T) {
 		{"Poisson.PerSec 1e+12", func(s *Spec) { s.Duration, s.Workloads[0].Arrival = sim.Second, app.Poisson{PerSec: 1e12} }},
 		{"Poisson.PerSec 0", func(s *Spec) { s.Workloads[0].Arrival = app.Poisson{} }},
 		{"Deterministic.Gap", func(s *Spec) { s.Duration, s.Workloads[0].Arrival = sim.Second, app.Deterministic{Gap: 1} }},
+		// The rules below were the scenario compiler's alone: a Go caller
+		// ran each of these as something else, or not at all.
+		{"Rate 0 is not a positive bit rate", func(s *Spec) { s.Links[0] = LinkSpec{Kind: "rate"} }},
+		{"Rate -8e+06 is not a positive bit rate", func(s *Spec) { s.Links[0].Rate = -8e6 }},
+		{"reverse link 0: a link carries the one model", func(s *Spec) { s.ReverseLinks[0].Wifi = &WiFiLinkSpec{} }},
+		{"link 0: a link carries the one model", func(s *Spec) { s.Links[0].Kind = "trace" }},
+		{"unknown MCS walk", func(s *Spec) { s.Links[0] = LinkSpec{Wifi: &WiFiLinkSpec{MCS: wifi.MCS{Walk: "drunk"}}} }},
+		{"flow 0: unknown source kind", func(s *Spec) { s.Flows[0].Source = &SourceSpec{Kind: "warp"} }},
+		{"a backlogged source takes no parameters", func(s *Spec) { s.Flows[0].Source = &SourceSpec{Kind: "backlogged", Rate: 1e6} }},
+		{"a rate source needs Rate > 0", func(s *Spec) { s.Flows[0].Source = &SourceSpec{Kind: "rate"} }},
+		{"an onoff source needs On > 0", func(s *Spec) { s.Flows[0].Source = &SourceSpec{Kind: "onoff", Off: sim.Second} }},
+		{"a fixed source needs Bytes > 0", func(s *Spec) { s.Flows[0].Source = &SourceSpec{Kind: "fixed"} }},
+		{"App and Source are mutually exclusive", func(s *Spec) {
+			s.Flows[0].Source, s.Flows[0].App = &SourceSpec{Kind: "fixed", Bytes: 1}, &AppSpec{Kind: "rpc"}
+		}},
+		{"app: unknown app kind", func(s *Spec) { s.Flows[0].App = &AppSpec{Kind: "quic"} }},
+		{"app: negative parameters", func(s *Spec) { s.Flows[0].App = &AppSpec{Kind: "rpc", RPC: app.RPCConfig{ThinkMean: -1}} }},
+		{"app: ThinkMean/RespBytes are rpc fields", func(s *Spec) { s.Flows[0].App = &AppSpec{Kind: "abr", RPC: app.RPCConfig{RespBytes: 1}} }},
+		{"app: the ABR fields are abr fields", func(s *Spec) { s.Flows[0].App = &AppSpec{Kind: "rpc", ABR: app.ABRConfig{ChunkS: 2}} }},
+		{"app: HistoryChunks/SafetyFactor are rate-policy fields", func(s *Spec) { s.Flows[0].App = &AppSpec{Kind: "abr", ABR: app.ABRConfig{HistoryChunks: 4}} }},
+		{"app: unknown abr policy", func(s *Spec) { s.Flows[0].App = &AppSpec{Kind: "abr", ABR: app.ABRConfig{Policy: "oracle"}} }},
+		{"app: LadderKbps must be positive and strictly ascending", func(s *Spec) {
+			s.Flows[0].App = &AppSpec{Kind: "abr", ABR: app.ABRConfig{LadderKbps: []float64{300, 300}}}
+		}},
+		{"workload 0: missing Arrival process", func(s *Spec) { s.Workloads[0].Arrival = nil }},
+		{"workload 0: missing Sizes distribution", func(s *Spec) { s.Workloads[0].Sizes = nil }},
+		{"replay arrival needs a File", func(s *Spec) { s.Workloads[0].Arrival, s.Workloads[0].Sizes = app.Replay{}, nil }},
+		{"Sizes conflicts with a replay arrival", func(s *Spec) { s.Workloads[0].Arrival = app.Replay{File: "x.csv"} }},
+		{"FixedSize needs Bytes > 0", func(s *Spec) { s.Workloads[0].Sizes = app.FixedSize{} }},
+		{"BoundedPareto needs 0 < Min <= Max", func(s *Spec) { s.Workloads[0].Sizes = app.BoundedPareto{Min: 10, Max: 5} }},
+		{"BoundedPareto needs 0 < Min <= Max and Alpha >= 0", func(s *Spec) { s.Workloads[0].Sizes = app.BoundedPareto{Min: 1, Max: 5, Alpha: -1} }},
+		{"Choice needs Sizes", func(s *Spec) { s.Workloads[0].Sizes = app.Choice{Sizes: []int{0}} }},
+		{"Choice weights must match sizes", func(s *Spec) { s.Workloads[0].Sizes = app.Choice{Sizes: []int{1, 2}, Weights: []float64{1}} }},
+		{"Choice weights must be >= 0", func(s *Spec) { s.Workloads[0].Sizes = app.Choice{Sizes: []int{1, 2}, Weights: []float64{3, -1}} }},
+		{"Choice weights sum to zero", func(s *Spec) { s.Workloads[0].Sizes = app.Choice{Sizes: []int{1, 2}, Weights: []float64{0, 0}} }},
 	}
 	for _, row := range rows {
 		spec := base()

@@ -40,7 +40,7 @@ type Fig4Result struct {
 // inter-ACK time for each batch.
 func Fig4InterACK(seed int64) (*Fig4Result, error) {
 	cfg := wifi.DefaultLinkConfig()
-	cfg.MCS = func(sim.Time) int { return 1 } // 13 Mbit/s PHY: visible slope
+	cfg.MCS = wifi.FixedMCS(1) // 13 Mbit/s PHY: visible slope
 	out := &Fig4Result{MeanTIA: make(map[int]float64)}
 	counts := make(map[int]int)
 
@@ -117,8 +117,7 @@ func Fig5RatePrediction(seed int64) ([]Fig5Point, error) {
 	for i, mcs := range []int{2, 4, 6} { // Link1..Link3's fixed MCS
 		name := fmt.Sprintf("Link%d", i+1)
 		cfg := wifi.DefaultLinkConfig()
-		m := mcs
-		cfg.MCS = func(sim.Time) int { return m }
+		cfg.MCS = wifi.FixedMCS(mcs)
 		trueCap := wifi.TrueCapacityBps(cfg, 0) / 1e6
 		for _, load := range loads {
 			s := sim.New(seed)
@@ -172,66 +171,17 @@ var Fig10SchemeSet = []WiFiScheme{
 	{Label: "Cubic", Scheme: "Cubic"},
 }
 
-// MCSWalk produces the MCS trajectory for the Wi-Fi experiments.
-type MCSWalk func(seed int64) func(now sim.Time) int
-
-// AlternatingMCS alternates between MCS 1 and 7 every two seconds
-// (Fig. 10's emulated user movement).
-func AlternatingMCS(seed int64) func(now sim.Time) int {
-	return func(now sim.Time) int {
-		if int(now/(2*sim.Second))%2 == 0 {
-			return 1
-		}
-		return 7
-	}
-}
-
-// BrownianMCS performs the Appendix B random walk on [3, 7], stepping
-// every two seconds (Fig. 14).
-func BrownianMCS(seed int64) func(now sim.Time) int {
-	// Precompute a deterministic walk long enough for any run.
-	walk := make([]int, 512)
-	state := uint64(seed)*2862933555777941757 + 3037000493
-	cur := 5
-	for i := range walk {
-		state = state*6364136223846793005 + 1442695040888963407
-		switch state >> 62 {
-		case 0, 1:
-			cur++
-		case 2, 3:
-			cur--
-		}
-		if cur < 3 {
-			cur = 3
-		}
-		if cur > 7 {
-			cur = 7
-		}
-		walk[i] = cur
-	}
-	return func(now sim.Time) int {
-		i := int(now / (2 * sim.Second))
-		if i >= len(walk) {
-			i = len(walk) - 1
-		}
-		return walk[i]
-	}
-}
-
 // RunWiFi runs nUsers backlogged flows of one scheme over the modelled
 // 802.11n link for the duration and reports total throughput and the
 // mean per-user p95 one-way delay, matching Fig. 10's metrics. The link
 // is an ordinary LinkSpec of Kind "wifi", so the run goes through the
 // same topology harness as every cellular figure.
-func RunWiFi(ws WiFiScheme, nUsers int, mcs func(now sim.Time) int, dur sim.Time, seed int64) (metrics.Summary, error) {
-	cfg := wifi.DefaultLinkConfig()
-	cfg.MCS = mcs
-
+func RunWiFi(ws WiFiScheme, nUsers int, mcs wifi.MCS, dur sim.Time, seed int64) (metrics.Summary, error) {
 	// The Wi-Fi links reach ~50 Mbit/s; at dt = 100 ms the standing
 	// queue alone is ~400 packets, so the AP buffer must be deeper than
 	// the cellular 250 (commodity APs buffer ~1000 frames).
 	const buf = 1000
-	wl := &WiFiLinkSpec{Config: cfg}
+	wl := &WiFiLinkSpec{MCS: mcs}
 	q := QdiscSpec{Kind: "auto", Buffer: buf}
 	if ws.Scheme == "ABC" {
 		rc := abc.DefaultRouterConfig()
@@ -275,7 +225,7 @@ func RunWiFi(ws WiFiScheme, nUsers int, mcs func(now sim.Time) int, dur sim.Time
 
 // Fig10WiFi reproduces Fig. 10 (or Fig. 14 with the Brownian walk): all
 // schemes on the varying Wi-Fi link.
-func Fig10WiFi(nUsers int, mcs func(now sim.Time) int, dur sim.Time, seed int64) ([]metrics.Summary, error) {
+func Fig10WiFi(nUsers int, mcs wifi.MCS, dur sim.Time, seed int64) ([]metrics.Summary, error) {
 	out := make([]metrics.Summary, len(Fig10SchemeSet))
 	err := forEachCell(len(Fig10SchemeSet), func(i int) string {
 		return fmt.Sprintf("fig10 wifi users=%d scheme=%s seed=%d", nUsers, Fig10SchemeSet[i], seed)

@@ -35,20 +35,26 @@ func (q QdiscSpec) build(scheme string, s *sim.Simulator) (qdisc.Qdisc, error) {
 // estimator.
 const estWindow = 40 * sim.Millisecond
 
-// linkFactory returns the topo.LinkFactory for one link spec, inferring
-// the link model from whichever of Trace/Rate/Wifi is set when Kind is
-// empty.
-func linkFactory(s *sim.Simulator, ls *LinkSpec, qd qdisc.Qdisc) (topo.LinkFactory, error) {
-	kind := ls.Kind
+// model returns the link model a spec names: its Kind, else the one
+// implied by whichever of Trace/Rate/Wifi is set ("" when none is).
+func (ls *LinkSpec) model() string {
 	switch {
-	case kind != "":
+	case ls.Kind != "":
+		return ls.Kind
 	case ls.Trace != nil:
-		kind = "trace"
-	case ls.Rate != nil:
-		kind = "rate"
+		return "trace"
+	case ls.Rate != 0:
+		return "rate"
 	case ls.Wifi != nil:
-		kind = "wifi"
-	default:
+		return "wifi"
+	}
+	return ""
+}
+
+// linkFactory returns the topo.LinkFactory for one link spec.
+func linkFactory(s *sim.Simulator, ls *LinkSpec, qd qdisc.Qdisc) (topo.LinkFactory, error) {
+	kind := ls.model()
+	if kind == "" {
 		return nil, fmt.Errorf("exp: link has neither trace, rate nor wifi")
 	}
 	switch kind {
@@ -62,26 +68,15 @@ func linkFactory(s *sim.Simulator, ls *LinkSpec, qd qdisc.Qdisc) (topo.LinkFacto
 			return l, nil
 		}, nil
 	case "rate":
-		if ls.Rate == nil {
-			return nil, fmt.Errorf("exp: link kind %q without a rate function", kind)
-		}
 		return func(dst packet.Node) (topo.Link, error) {
 			return netem.NewRateLink(s, ls.Rate, qd, dst), nil
 		}, nil
 	case "wifi":
-		ws := ls.Wifi
-		if ws == nil {
-			return nil, fmt.Errorf("exp: link kind %q without a wifi spec", kind)
-		}
+		cfg := ls.wifiConfig()
 		return func(dst packet.Node) (topo.Link, error) {
-			cfg := ws.Config
 			var est *wifi.Estimator
-			if ws.Estimate {
-				mb := cfg.MaxBatch
-				if mb <= 0 {
-					mb = wifi.DefaultLinkConfig().MaxBatch
-				}
-				est = wifi.NewEstimator(mb, packet.MTU, estWindow)
+			if ls.Wifi != nil && ls.Wifi.Estimate {
+				est = wifi.NewEstimator(cfg.MaxBatch, packet.MTU, estWindow)
 			}
 			return wifi.NewLink(s, cfg, qd, dst, est), nil
 		}, nil
@@ -89,17 +84,28 @@ func linkFactory(s *sim.Simulator, ls *LinkSpec, qd qdisc.Qdisc) (topo.LinkFacto
 	return nil, fmt.Errorf("exp: unknown link kind %q", kind)
 }
 
+// wifiConfig is the AP a "wifi" link models: the testbed's, at the
+// spec's MCS.
+func (ls *LinkSpec) wifiConfig() wifi.LinkConfig {
+	cfg := wifi.DefaultLinkConfig()
+	if ls.Wifi != nil {
+		cfg.MCS = ls.Wifi.MCS
+	}
+	return cfg
+}
+
 // capacityFn returns a capacity sampler (bits/sec) for a link spec, used
 // by the queue-delay time series.
 func capacityFn(ls *LinkSpec) func(now sim.Time) float64 {
-	switch {
-	case ls.Trace != nil:
+	switch ls.model() {
+	case "trace":
 		tr := ls.Trace
 		return func(now sim.Time) float64 { return tr.CapacityBps(now, 100*sim.Millisecond) }
-	case ls.Rate != nil:
-		return ls.Rate
-	case ls.Wifi != nil:
-		cfg := ls.Wifi.Config
+	case "rate":
+		rate := ls.Rate
+		return func(sim.Time) float64 { return rate }
+	case "wifi":
+		cfg := ls.wifiConfig()
 		return func(now sim.Time) float64 { return wifi.TrueCapacityBps(cfg, now) }
 	}
 	return func(sim.Time) float64 { return 0 }
@@ -149,6 +155,13 @@ func attachFlow(g *topo.Graph, id int, alg cc.Algorithm, route flowRoute, rtt si
 	return ep, recv, nil
 }
 
+// dualWindow is a scheme whose two windows the harness samples beside
+// its throughput (abc.Sender: the accel-brake and coexistence windows).
+type dualWindow interface {
+	WABC() float64
+	WCubic() float64
+}
+
 // wireFlows constructs every declared flow's algorithm, attaches the flow
 // (attachFlow) and hangs the per-flow metrics hooks on its receiver. By
 // the time it runs, a flow is just a pair of edge sequences. A receiver
@@ -162,9 +175,6 @@ func (c *compiled) wireFlows() error {
 		alg, err := cc.New(fs.Scheme)
 		if err != nil {
 			return err
-		}
-		if fs.Mutate != nil {
-			fs.Mutate(alg)
 		}
 		switch fs.Misbehave {
 		case "":
@@ -187,15 +197,9 @@ func (c *compiled) wireFlows() error {
 		}
 		c.flows = append(c.flows, flowEnds{ep, recv})
 		epSim := ep.S
-		ep.Src = fs.Source
+		ep.Src = fs.Source.source()
 		if fs.App != nil {
-			if fs.Source != nil {
-				return fmt.Errorf("exp: flow %d: App and Source are mutually exclusive (the app owns the source)", i)
-			}
-			a, err := buildApp(epSim, ep, fs.App, spec.Warmup)
-			if err != nil {
-				return fmt.Errorf("exp: flow %d: %v", i, err)
-			}
+			a := buildApp(epSim, ep, fs.App, spec.Warmup)
 			fr.App = a
 			epSim.At(fs.Start, func() { a.Start(epSim.Now()) })
 		}
@@ -224,6 +228,10 @@ func (c *compiled) wireFlows() error {
 			fr.Tput = c.sampled(func(now sim.Time) float64 {
 				return counter.SampleBps(now) / 1e6
 			})
+			if w, ok := alg.(dualWindow); ok {
+				fr.WABC = c.sampled(func(sim.Time) float64 { return w.WABC() })
+				fr.WCubic = c.sampled(func(sim.Time) float64 { return w.WCubic() })
+			}
 		}
 	}
 	return nil

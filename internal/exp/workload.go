@@ -24,22 +24,28 @@ import (
 // FlowSpec (Dir/EnterAt/ExitAt in chain notation, Path/AckPath in mesh
 // notation) and resolves through the same front ends.
 type WorkloadSpec struct {
-	Scheme string
+	Scheme string `spec:"scheme"`
 	// Class labels the workload in results (default "w<index>").
-	Class string
-	// Arrival draws inter-arrival gaps (required).
-	Arrival app.Arrival
-	// Sizes draws per-flow transfer sizes in bytes (required).
-	Sizes app.SizeDist
+	Class string `spec:"class"`
+	// Arrival is the arrival process (required); each run opens its own
+	// cursor over it.
+	Arrival app.Arrival `spec:"arrival"`
+	// Sizes draws per-flow transfer sizes in bytes: required, except
+	// beside a replay arrival, whose log fixes the sizes (and then
+	// forbidden).
+	Sizes app.SizeDist `spec:"size"`
 	// Start/Stop bound the arrival process; Stop 0 means Duration.
-	Start, Stop sim.Time
+	Start sim.Time `spec:"start_s"`
+	Stop  sim.Time `spec:"stop_s"`
 	// Chain routing, exactly as on FlowSpec.
-	Dir             Direction
-	EnterAt, ExitAt int
+	Dir     Direction `spec:"dir"`
+	EnterAt int       `spec:"enter_at"`
+	ExitAt  int       `spec:"exit_at"`
 	// Mesh routing, exactly as on FlowSpec.
-	Path, AckPath []string
+	Path    []string `spec:"path"`
+	AckPath []string `spec:"ack_path"`
 	// RTT overrides Spec.RTT for spawned flows.
-	RTT sim.Time
+	RTT sim.Time `spec:"rtt_ms"`
 	// MaxActive caps concurrently active spawned flows; arrivals beyond
 	// the cap are rejected and counted (default 1024). The cap bounds
 	// the *live* simulation load under overload (endpoints sending,
@@ -48,10 +54,10 @@ type WorkloadSpec struct {
 	// its last packet and leaves only a class and a tail slot per
 	// direction on the graph (≈ 40 B), so footprint follows the active
 	// flows, not Spawned.
-	MaxActive int
+	MaxActive int `spec:"max_active"`
 	// RefMbps, when > 0, additionally reports each FCT as a slowdown
 	// against an ideal same-size transfer at this rate plus one RTT.
-	RefMbps float64
+	RefMbps float64 `spec:"ref_mbps"`
 }
 
 // WorkloadResult reports one workload's completion metrics. Only flows
@@ -83,10 +89,10 @@ func (w *WorkloadResult) Stats() metrics.FCTStats {
 // exclusive with FlowSpec.Source.
 type AppSpec struct {
 	// Kind selects the application: "abr" (video client) or "rpc"
-	// (request-response client).
-	Kind string
-	ABR  app.ABRConfig
-	RPC  app.RPCConfig
+	// (request-response client); the other kind's fields stay zero.
+	Kind string        `spec:"kind"`
+	ABR  app.ABRConfig `spec:",inline"`
+	RPC  app.RPCConfig `spec:",inline"`
 }
 
 // appTransport adapts one endpoint + fixed source pair to app.Transport.
@@ -104,40 +110,36 @@ func (t *appTransport) Queue(n int) {
 	t.ep.BeginTransfer()
 }
 
-// buildApp wires an application onto a flow's endpoint. The returned app
-// still needs Start scheduled at the flow's start time.
-func buildApp(s *sim.Simulator, ep *cc.Endpoint, as *AppSpec, warmup sim.Time) (app.App, error) {
+// buildApp wires a validated application onto a flow's endpoint. The
+// returned app still needs Start scheduled at the flow's start time.
+func buildApp(s *sim.Simulator, ep *cc.Endpoint, as *AppSpec, warmup sim.Time) app.App {
 	src := &cc.Fixed{}
 	ep.Src = src
 	tr := &appTransport{ep: ep, src: src}
 	var a app.App
-	switch as.Kind {
-	case "abr":
-		switch as.ABR.Policy {
-		case "", app.PolicyBuffer, app.PolicyRate:
-		default:
-			return nil, fmt.Errorf("exp: unknown abr policy %q (want buffer or rate)", as.ABR.Policy)
-		}
-		a = app.NewABR(s, tr, as.ABR)
-	case "rpc":
+	if as.Kind == "rpc" {
 		cfg := as.RPC
 		if cfg.MeasureFrom == 0 {
 			cfg.MeasureFrom = warmup
 		}
 		a = app.NewRPC(s, tr, cfg, s.Rand())
-	default:
-		return nil, fmt.Errorf("exp: unknown app kind %q (want abr or rpc)", as.Kind)
+	} else {
+		a = app.NewABR(s, tr, as.ABR)
 	}
 	ep.OnComplete = a.OnTransferComplete
-	return a, nil
+	return a
 }
 
 // workloadRunner drives one arrival process over the compiled graph.
 type workloadRunner struct {
-	g      *topo.Graph
-	spec   *Spec
-	ws     *WorkloadSpec
-	wr     *WorkloadResult
+	g    *topo.Graph
+	spec *Spec
+	ws   *WorkloadSpec
+	wr   *WorkloadResult
+	// gaps and sizes are this run's draws of the workload's arrival
+	// process and size distribution: a replay's cursor lives here.
+	gaps   app.Gaps
+	sizes  app.SizeDist
 	adv    *advCollector
 	route  flowRoute
 	nextID *int
@@ -164,16 +166,13 @@ func (c *compiled) startWorkloads() error {
 	nextID := len(spec.Flows)
 	for i := range spec.Workloads {
 		ws := &spec.Workloads[i]
-		if ws.Arrival == nil {
-			return fmt.Errorf("exp: workload %d: missing Arrival process", i)
+		gaps, err := ws.Arrival.Open()
+		if err != nil {
+			return fmt.Errorf("exp: workload %d: %v", i, err)
 		}
-		// Stateful arrival processes (replays) rewind so the same Spec can
-		// drive several runs.
-		if rst, ok := ws.Arrival.(interface{ Reset() }); ok {
-			rst.Reset()
-		}
-		if ws.Sizes == nil {
-			return fmt.Errorf("exp: workload %d: missing Sizes distribution", i)
+		sizes := ws.Sizes
+		if sizes == nil { // only a replay (validate), whose log fixes the sizes
+			sizes = gaps.(app.SizeDist)
 		}
 		if _, err := cc.New(ws.Scheme); err != nil {
 			return fmt.Errorf("exp: workload %d: %v", i, err)
@@ -188,7 +187,7 @@ func (c *compiled) startWorkloads() error {
 			stop = spec.Duration
 		}
 		r := &workloadRunner{
-			g: g, spec: spec, ws: ws, wr: wr,
+			g: g, spec: spec, ws: ws, wr: wr, gaps: gaps, sizes: sizes,
 			adv: c.adv, route: routes[i], nextID: &nextID, stopAt: stop,
 			live: map[int]flowEnds{},
 		}
@@ -219,7 +218,7 @@ func (r *workloadRunner) schedule() {
 		return
 	}
 	s := r.g.S
-	gap := r.ws.Arrival.Next(s.Rand())
+	gap := r.gaps.Next(s.Rand())
 	now := s.Now()
 	if gap <= 0 {
 		gap = 1 // degenerate processes still make progress
@@ -243,7 +242,7 @@ func (r *workloadRunner) spawn(now sim.Time) {
 		r.wr.Rejected++
 		return
 	}
-	size := r.ws.Sizes.Draw(r.g.S.Rand())
+	size := r.sizes.Draw(r.g.S.Rand())
 	if size < 1 {
 		size = 1
 	}

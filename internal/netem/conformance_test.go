@@ -52,7 +52,7 @@ var linkModels = []struct {
 		name: "wifi", sink: true, background: false,
 		build: func(s *sim.Simulator, q qdisc.Qdisc, dst packet.Node) link {
 			cfg := wifi.DefaultLinkConfig()
-			cfg.MCS = func(sim.Time) int { return 1 }
+			cfg.MCS = wifi.FixedMCS(1)
 			return wifi.NewLink(s, cfg, q, dst, wifi.NewEstimator(cfg.MaxBatch, packet.MTU, 0))
 		},
 		// At the block ACK, which is also when it delivers.

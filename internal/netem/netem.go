@@ -1,6 +1,6 @@
 // Package netem provides the network elements that experiments are wired
 // from: propagation-delay wires, bottleneck links driven by Mahimahi-style
-// traces or by rate functions, and per-flow receivers that echo ABC
+// traces or by bit rates, and per-flow receivers that echo ABC
 // feedback. (Per-flow routing lives in internal/topo's forwarding
 // tables.)
 //
@@ -183,21 +183,19 @@ func (l *TraceLink) opportunity() {
 	}
 }
 
-// RateFunc gives a link's instantaneous capacity in bits/sec.
-type RateFunc func(now sim.Time) float64
-
-// RateLink is a store-and-forward link with a (piecewise) time-varying
-// bit rate, used for wired segments and stepped wireless links.
+// RateLink is a store-and-forward link with a constant bit rate, changed
+// in steps by SetRate; used for wired segments.
 type RateLink struct {
 	hostPort
-	Rate RateFunc
+	// Rate is the link's capacity in bits/sec.
+	Rate float64
 
 	busy bool
 }
 
-// NewRateLink wires a rate-driven link. Capacity-aware qdiscs receive the
-// exact rate function.
-func NewRateLink(s *sim.Simulator, rate RateFunc, q qdisc.Qdisc, dst packet.Node) *RateLink {
+// NewRateLink wires a link of rate bits/sec. Capacity-aware qdiscs
+// receive its CapacityBps.
+func NewRateLink(s *sim.Simulator, rate float64, q qdisc.Qdisc, dst packet.Node) *RateLink {
 	l := &RateLink{Rate: rate}
 	l.Port = Port{S: s, Q: q, Dst: dst}
 	if ca, ok := q.(qdisc.CapacityAware); ok {
@@ -206,24 +204,23 @@ func NewRateLink(s *sim.Simulator, rate RateFunc, q qdisc.Qdisc, dst packet.Node
 	return l
 }
 
-// CapacityBps reports the link rate at time now. It reads the Rate field
-// at call time, so a mid-run SetRate is immediately visible to the
-// discipline and to a coupled fluid background.
-func (l *RateLink) CapacityBps(now sim.Time) float64 { return l.Rate(now) }
+// CapacityBps reports the link rate. It reads the Rate field at call
+// time, so a mid-run SetRate is immediately visible to the discipline and
+// to a coupled fluid background.
+func (l *RateLink) CapacityBps(sim.Time) float64 { return l.Rate }
 
-// SetRate replaces the link's rate function mid-run. The transmission in
-// progress finishes at the rate it started with; subsequent packets (and
+// SetRate changes the link's rate mid-run. The transmission in progress
+// finishes at the rate it started with; subsequent packets (and
 // capacity-aware qdiscs) see the new rate.
-func (l *RateLink) SetRate(rate RateFunc) {
-	l.Rate = rate
+func (l *RateLink) SetRate(bps float64) {
+	l.Rate = bps
 	if l.rec.Enabled(obs.CatLink) {
-		now := l.S.Now()
-		l.rec.Emit(int64(now), obs.EvSetRate, l.obsSrc, -1, int64(rate(now)), 0)
+		l.rec.Emit(int64(l.S.Now()), obs.EvSetRate, l.obsSrc, -1, int64(bps), 0)
 	}
 }
 
-// ConstRate returns a RateFunc for a fixed bits/sec capacity.
-func ConstRate(bps float64) RateFunc { return func(sim.Time) float64 { return bps } }
+// ConstRate is the rate of a constant-rate link: bps bits/sec.
+func ConstRate(bps float64) float64 { return bps }
 
 // Recv implements packet.Node.
 func (l *RateLink) Recv(p *packet.Packet) {
@@ -247,7 +244,7 @@ func (l *RateLink) startNext() {
 	}
 	l.busy = true
 	l.Depart(now, p)
-	rate := l.Rate(now)
+	rate := l.Rate
 	if l.bg != nil {
 		// Residual service: the fluid aggregate holds its share of the
 		// link for this coupling step.

@@ -47,25 +47,40 @@ func (d TargetDir) String() string {
 	return "both"
 }
 
+// MarshalText spells the direction as a scenario file does.
+func (d TargetDir) MarshalText() ([]byte, error) { return []byte(d.String()), nil }
+
+// UnmarshalText reads "both" (or ""), "data" or "ack".
+func (d *TargetDir) UnmarshalText(b []byte) error {
+	for _, v := range []TargetDir{TargetBoth, TargetData, TargetAck} {
+		if string(b) == v.String() || len(b) == 0 {
+			*d = v
+			return nil
+		}
+	}
+	return fmt.Errorf("unknown dir %q (want both, data or ack)", b)
+}
+
 // Target selects the victim packets of an attack. A packet matches when
 // its flow is selected (explicitly listed in Flows, or drawn into the
 // seeded Fraction), its direction matches Dir, and the current time lies
 // in [From, To) — To zero meaning forever. Flows and Fraction compose as
 // a union; at least one must select something for the Target to be
-// valid.
+// valid. The struct tags are the scenario file's attack-clause keys.
 type Target struct {
 	// Flows lists victim flow ids explicitly.
-	Flows []int
+	Flows []int `spec:"flows"`
 	// Fraction additionally selects each flow id independently with this
 	// probability, decided once per flow by a hash of (seed, flow id):
 	// membership is stable across the run and across packet orderings,
 	// and covers dynamically spawned workload flows too.
-	Fraction float64
+	Fraction float64 `spec:"fraction"`
 	// Dir restricts the attack to data packets or ACKs.
-	Dir TargetDir
+	Dir TargetDir `spec:"dir"`
 	// From / To bound the attack's active window on the simulation
 	// clock; To zero means no end.
-	From, To sim.Time
+	From sim.Time `spec:"from_s"`
+	To   sim.Time `spec:"to_s"`
 }
 
 // Validate rejects malformed selectors with a descriptive error.
@@ -137,19 +152,19 @@ func flowDraw(seed int64, flow int) float64 {
 // be configured.
 type Attack struct {
 	// Target selects the victim packets.
-	Target Target
+	Target Target `spec:",inline"`
 	// DropRate discards each matching packet with this probability
 	// (drawn from the edge's private attack RNG).
-	DropRate float64
+	DropRate float64 `spec:"drop_rate"`
 	// StripMarks demotes an ABC accelerate to a brake on matching
 	// packets — data marks and ACK-borne echoes alike, the same channel
 	// an honest router may demote through, wielded indiscriminately.
-	StripMarks bool
+	StripMarks bool `spec:"strip_marks"`
 	// ExtraDelay defers each matching packet by this much before it
 	// enters the edge's chain. Unlike jitter, delivery order is NOT
 	// preserved: unmatched packets overtake deferred victims, which is
 	// precisely the reordering a delay attack induces.
-	ExtraDelay sim.Time
+	ExtraDelay sim.Time `spec:"extra_delay_ms"`
 }
 
 // Validate rejects malformed attacks with a descriptive error.

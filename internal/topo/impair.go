@@ -14,24 +14,25 @@ import (
 )
 
 // Impairments configures an edge's impairment stage. The zero value means
-// an unimpaired edge and adds no elements at all.
+// an unimpaired edge and adds no elements at all. The struct tags are
+// its scenario-file keys.
 type Impairments struct {
 	// LossRate drops each packet independently with this probability.
-	LossRate float64
+	LossRate float64 `spec:"loss"`
 	// Burst loss follows a two-state Gilbert-Elliott model: in the bad
 	// state packets drop with BurstLossRate; the chain moves good→bad
 	// with probability BurstPBad per packet and bad→good with BurstPGood.
-	BurstLossRate float64
-	BurstPBad     float64
-	BurstPGood    float64
+	BurstLossRate float64 `spec:"burst_loss"`
+	BurstPBad     float64 `spec:"burst_p_bad"`
+	BurstPGood    float64 `spec:"burst_p_good"`
 	// Jitter adds a uniform random extra delay in [0, Jitter] per packet.
 	// Delivery order is preserved (FIFO jitter): a packet never overtakes
 	// one that entered before it.
-	Jitter sim.Time
+	Jitter sim.Time `spec:"jitter_ms"`
 	// ReorderProb defers a packet by ReorderDelay with this probability,
 	// letting later packets overtake it (true reordering).
-	ReorderProb  float64
-	ReorderDelay sim.Time
+	ReorderProb  float64  `spec:"reorder_prob"`
+	ReorderDelay sim.Time `spec:"reorder_delay_ms"`
 }
 
 // zero reports whether the stage would be a no-op.

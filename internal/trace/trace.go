@@ -22,6 +22,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -38,6 +39,9 @@ type Trace struct {
 	ops []sim.Time
 	// period is the loop length; always >= the last opportunity and > 0.
 	period sim.Time
+	// gen is how the trace was made, when one of the named or synthetic
+	// constructors made it.
+	gen *Generator
 }
 
 // New builds a trace from opportunity times (need not be sorted) and a loop
@@ -270,12 +274,14 @@ func FromRateFunc(name string, total sim.Time, rate func(sim.Time) float64) *Tra
 // SquareWave alternates between lowBps and highBps every halfPeriod,
 // starting high. Used for the Fig. 17 12↔24 Mbit/s experiment.
 func SquareWave(name string, lowBps, highBps float64, halfPeriod sim.Time) *Trace {
-	return FromRateFunc(name, 2*halfPeriod, func(t sim.Time) float64 {
+	tr := FromRateFunc(name, 2*halfPeriod, func(t sim.Time) float64 {
 		if t < halfPeriod {
 			return highBps
 		}
 		return lowBps
 	})
+	tr.gen = &Generator{SquareLow: lowBps, SquareHigh: highBps, SquareHalf: halfPeriod}
+	return tr
 }
 
 // Steps holds each rate for stepDur in sequence, then loops. Used for the
@@ -285,9 +291,73 @@ func Steps(name string, ratesBps []float64, stepDur sim.Time) *Trace {
 		panic("trace: Steps requires at least one rate")
 	}
 	total := sim.Time(len(ratesBps)) * stepDur
-	return FromRateFunc(name, total, func(t sim.Time) float64 {
+	tr := FromRateFunc(name, total, func(t sim.Time) float64 {
 		return ratesBps[int(t/stepDur)%len(ratesBps)]
 	})
+	tr.gen = &Generator{Steps: slices.Clone(ratesBps), Step: stepDur}
+	return tr
+}
+
+// Generator is how a trace is made, as data: a NamedCellular trace by
+// name, or the shape of a Steps or SquareWave trace. The struct tags are
+// its scenario-file keys.
+type Generator struct {
+	Cellular string `spec:"trace"`
+	// Steps (bits/sec) are held for Step each.
+	Steps []float64 `spec:"steps_mbps"`
+	Step  sim.Time  `spec:"step_ms"`
+	// SquareHigh and SquareLow (bits/sec) alternate every SquareHalf.
+	SquareLow  float64  `spec:"square_low_mbps"`
+	SquareHigh float64  `spec:"square_high_mbps"`
+	SquareHalf sim.Time `spec:"square_half_ms"`
+}
+
+// Generator returns how the trace was made; ok is false for a trace that
+// no named or synthetic constructor made (parsed, rotated, Constant).
+func (t *Trace) Generator() (g Generator, ok bool) {
+	if t.gen == nil {
+		return Generator{}, false
+	}
+	return *t.gen, true
+}
+
+// Trace makes the trace g describes. Exactly one shape must be set, and a
+// synthetic one is bounded: it materialises one entry per delivery
+// opportunity on a 1 ms grid, so a period that is 0 ns on the clock or a
+// stray exponent is an error rather than a gigabyte.
+func (g Generator) Trace() (*Trace, error) {
+	steps, square := len(g.Steps) > 0, g.SquareLow != 0 || g.SquareHigh != 0 || g.SquareHalf != 0
+	switch {
+	case (g.Cellular != "" && steps) || (g.Cellular != "" && square) || (steps && square):
+		return nil, fmt.Errorf("trace: a trace has one generator: a name, steps or a square wave")
+	case g.Cellular != "":
+		return NamedCellular(g.Cellular)
+	case steps:
+		if err := synthetic("step_ms", g.Step, g.Steps...); err != nil {
+			return nil, err
+		}
+		return Steps("steps", g.Steps, g.Step), nil
+	case square:
+		if g.SquareHigh <= 0 {
+			return nil, fmt.Errorf("trace: a square wave needs square_high_mbps > 0")
+		}
+		if err := synthetic("square_half_ms", g.SquareHalf, g.SquareLow, g.SquareHigh); err != nil {
+			return nil, err
+		}
+		return SquareWave("square", g.SquareLow, g.SquareHigh, g.SquareHalf), nil
+	}
+	return nil, fmt.Errorf("trace: a generator needs a name, steps_mbps or a square wave")
+}
+
+// synthetic bounds a synthetic trace of period per rate: the period is
+// tested as the clock sees it, and one loop's length and size are capped.
+func synthetic(key string, period sim.Time, bps ...float64) error {
+	const max = 1 << 22 // ms and packets a loop: 70 minutes at 14 Mbit/s
+	n := sim.Time(len(bps))
+	if period <= 0 || period > max*sim.Millisecond/n || slices.Max(bps)*(n*period).Seconds() > max*packet.MTU*8 {
+		return fmt.Errorf("trace: %s must be at least 1 ns, and one loop of the trace at most %d ms and %d packets", key, max, max)
+	}
+	return nil
 }
 
 // --- Synthetic cellular traces ---
@@ -402,7 +472,9 @@ func NamedCellular(name string) (*Trace, error) {
 		return nil, fmt.Errorf("trace: unknown cellular trace %q", name)
 	}
 	p.Duration = 60 * sim.Second
-	return Cellular(name, p), nil
+	tr := Cellular(name, p)
+	tr.gen = &Generator{Cellular: name}
+	return tr, nil
 }
 
 // MustNamedCellular is NamedCellular panicking on error.

@@ -8,6 +8,7 @@
 package wifi
 
 import (
+	"fmt"
 	"math/rand"
 
 	"abc/internal/netem"
@@ -45,7 +46,77 @@ const (
 )
 
 // defaultMCS is the paper's testbed MCS index, held for the whole run.
-func defaultMCS(sim.Time) int { return 5 }
+const defaultMCS = 5
+
+// MCS is a link's MCS index over time, as a value: a fixed index, or a
+// walk that steps every two seconds (experiments vary it to model user
+// movement). The zero value holds the testbed's MCS 5.
+type MCS struct {
+	// Index fixes the MCS; nil takes the testbed's.
+	Index *int `spec:"mcs"`
+	// Walk, when set, moves the index instead: "alternating" between 1
+	// and 7 (Fig. 10), or "brownian", the Appendix B random walk on
+	// [3, 7] drawn from Seed (Fig. 14).
+	Walk string `spec:"mcs_walk"`
+	Seed int64  `spec:"mcs_seed"`
+}
+
+// FixedMCS holds index i for the whole run.
+func FixedMCS(i int) MCS { return MCS{Index: &i} }
+
+// AlternatingMCS alternates between MCS 1 and 7 every two seconds
+// (Fig. 10's emulated user movement).
+func AlternatingMCS() MCS { return MCS{Walk: "alternating"} }
+
+// BrownianMCS is the Appendix B random walk on [3, 7] drawn from seed
+// (Fig. 14).
+func BrownianMCS(seed int64) MCS { return MCS{Walk: "brownian", Seed: seed} }
+
+// Validate rejects an unknown walk and fields the MCS would ignore.
+func (m MCS) Validate() error {
+	switch {
+	case m.Walk != "" && m.Walk != "alternating" && m.Walk != "brownian":
+		return fmt.Errorf("wifi: unknown MCS walk %q (want alternating or brownian)", m.Walk)
+	case m.Walk != "" && m.Index != nil, m.Walk != "brownian" && m.Seed != 0:
+		return fmt.Errorf("wifi: a walk replaces the fixed MCS index, and only the brownian walk takes a seed")
+	}
+	return nil
+}
+
+// at returns the index as a function of time; the brownian walk is drawn
+// once, here, long enough for any run.
+func (m MCS) at() func(now sim.Time) int {
+	switch m.Walk {
+	case "alternating":
+		return func(now sim.Time) int {
+			if int(now/(2*sim.Second))%2 == 0 {
+				return 1
+			}
+			return 7
+		}
+	case "brownian":
+		walk := make([]int, 512)
+		state := uint64(m.Seed)*2862933555777941757 + 3037000493
+		cur := 5
+		for i := range walk {
+			state = state*6364136223846793005 + 1442695040888963407
+			switch state >> 62 {
+			case 0, 1:
+				cur++
+			case 2, 3:
+				cur--
+			}
+			cur = min(max(cur, 3), 7)
+			walk[i] = cur
+		}
+		return func(now sim.Time) int { return walk[min(int(now/(2*sim.Second)), len(walk)-1)] }
+	}
+	idx := defaultMCS
+	if m.Index != nil {
+		idx = *m.Index
+	}
+	return func(sim.Time) int { return idx }
+}
 
 // LinkConfig parameterizes the modelled AP.
 type LinkConfig struct {
@@ -54,9 +125,8 @@ type LinkConfig struct {
 	// OverheadJitter is the half-width of the uniform contention jitter
 	// added to h(t); Fig. 4's vertical spread comes from this.
 	OverheadJitter sim.Time
-	// MCS returns the MCS index at a given time (experiments vary it to
-	// model user movement).
-	MCS func(now sim.Time) int
+	// MCS is the MCS index over time.
+	MCS MCS
 }
 
 // DefaultLinkConfig models the paper's testbed defaults.
@@ -64,7 +134,6 @@ func DefaultLinkConfig() LinkConfig {
 	return LinkConfig{
 		MaxBatch:       defaultMaxBatch,
 		OverheadJitter: 900 * sim.Microsecond,
-		MCS:            defaultMCS,
 	}
 }
 
@@ -85,6 +154,7 @@ type Link struct {
 	OnBatch BatchObserver
 
 	rng  *rand.Rand
+	mcs  func(now sim.Time) int
 	busy bool
 	// batch is the in-flight A-MPDU, reused across batches; finishFn is
 	// the bound completion callback. Together they keep the per-batch
@@ -101,10 +171,7 @@ func NewLink(s *sim.Simulator, cfg LinkConfig, q qdisc.Qdisc, dst packet.Node, e
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = defaultMaxBatch
 	}
-	if cfg.MCS == nil {
-		cfg.MCS = defaultMCS
-	}
-	l := &Link{Port: netem.Port{S: s, Q: q, Dst: dst}, Cfg: cfg, Est: est, rng: s.Rand()}
+	l := &Link{Port: netem.Port{S: s, Q: q, Dst: dst}, Cfg: cfg, Est: est, rng: s.Rand(), mcs: cfg.MCS.at()}
 	l.finishFn = l.finishBatch
 	if est != nil {
 		if ca, ok := q.(qdisc.CapacityAware); ok {
@@ -151,7 +218,7 @@ func (l *Link) startBatch() {
 	}
 	l.busy = true
 	b := len(l.batch)
-	l.batchBitrate = BitrateForMCS(l.Cfg.MCS(now))
+	l.batchBitrate = BitrateForMCS(l.mcs(now))
 	txTime := sim.FromSeconds(float64(b*frameSize*8) / l.batchBitrate)
 	l.batchTIA = txTime + l.overhead()
 	l.S.After(l.batchTIA, l.finishFn)
@@ -279,7 +346,7 @@ func (e *Estimator) RateBps(now sim.Time) float64 {
 // with the given config at time now: M frames per TIA(M) with the mean
 // overhead. Fig. 5 compares estimates against this.
 func TrueCapacityBps(cfg LinkConfig, now sim.Time) float64 {
-	bitrate := BitrateForMCS(cfg.MCS(now))
+	bitrate := BitrateForMCS(cfg.MCS.at()(now))
 	tx := float64(cfg.MaxBatch*frameSize*8) / bitrate
 	tia := tx + overheadBase.Seconds()
 	return float64(cfg.MaxBatch*frameSize*8) / tia

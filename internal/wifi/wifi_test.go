@@ -68,8 +68,8 @@ func TestLinkBatchesUpToM(t *testing.T) {
 func TestLinkTIAMatchesModel(t *testing.T) {
 	s := sim.New(1)
 	cfg := DefaultLinkConfig()
-	cfg.OverheadJitter = 0                    // deterministic
-	cfg.MCS = func(sim.Time) int { return 3 } // 26 Mbit/s
+	cfg.OverheadJitter = 0 // deterministic
+	cfg.MCS = FixedMCS(3)  // 26 Mbit/s
 	var tias []sim.Time
 	var sizes []int
 	l := NewLink(s, cfg, qdisc.NewDropTail(0), &packet.Sink{}, nil)
@@ -181,7 +181,7 @@ func TestEstimatorIgnoresInvalid(t *testing.T) {
 
 func TestTrueCapacityBps(t *testing.T) {
 	cfg := DefaultLinkConfig()
-	cfg.MCS = func(sim.Time) int { return 7 }
+	cfg.MCS = FixedMCS(7)
 	got := TrueCapacityBps(cfg, 0)
 	// Must be below the PHY rate (batch overhead costs ~25% at MCS 7)
 	// but above 70% of it.
@@ -195,7 +195,7 @@ func TestTrueCapacityBps(t *testing.T) {
 func TestLinkEstimatorClosedLoop(t *testing.T) {
 	s := sim.New(1)
 	cfg := DefaultLinkConfig()
-	cfg.MCS = func(sim.Time) int { return 5 }
+	cfg.MCS = FixedMCS(5)
 	est := NewEstimator(cfg.MaxBatch, frameSize, 40*sim.Millisecond)
 	l := NewLink(s, cfg, qdisc.NewDropTail(0), &packet.Sink{}, est)
 	// Keep it backlogged.
@@ -218,7 +218,7 @@ func TestLinkEstimatorClosedLoop(t *testing.T) {
 func TestLinkQueueDelayAccounted(t *testing.T) {
 	s := sim.New(1)
 	cfg := DefaultLinkConfig()
-	cfg.MCS = func(sim.Time) int { return 0 } // slow link: visible delay
+	cfg.MCS = FixedMCS(0) // slow link: visible delay
 	var delays []sim.Time
 	l := NewLink(s, cfg, qdisc.NewDropTail(0), packet.NodeFunc(func(p *packet.Packet) {
 		delays = append(delays, p.QueueDelay)

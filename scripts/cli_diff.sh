@@ -6,7 +6,11 @@
 # temporary directory, so neither the working tree nor .git is touched)
 # and from the working tree, runs every -exp id of the working tree's
 # `-exp list` at -dur 6 and -dur 13, every examples/scenarios/*.json and
-# `abcreport -fast` on both, and diffs the two outputs. The report runs
+# `abcreport -fast` on both, and diffs the two outputs. Each side runs its
+# own examples/scenarios/*.json, labelled by file name: a file whose
+# spelling changed but whose scenario did not reads as "same scenario,
+# same bytes", and an edited, added or removed example as a difference.
+# The report runs
 # parameter combinations the -exp runs never do (fig10 with two users,
 # fig12 at two runs, fig18 on a scheme subset). Only the hybrid
 # experiment's last column is masked, under -exp hybrid and in the
@@ -42,9 +46,9 @@ mask() {
     fi
 }
 
-# run_all SIDE OUTFILE: runs SIDE's (ref or tree) binaries. Scenario
-# paths are relative to the working tree, so both read the same files. A
-# run that fails prints its error into the output like any other line.
+# run_all SIDE ROOT OUTFILE: runs SIDE's (ref or tree) binaries on the
+# scenario files under ROOT, SIDE's own checkout. A run that fails prints
+# its error into the output like any other line.
 run_all() {
     for e in $("$tmp/abcsim.tree" -exp list | awk '{print $1}'); do
         for dur in 6 13; do
@@ -52,16 +56,16 @@ run_all() {
             "$tmp/abcsim.$1" -exp "$e" -dur "$dur" 2>&1 | mask "$e"
         done
     done
-    for f in examples/scenarios/*.json; do
-        echo "=== -scenario $f"
+    for f in "$2"/examples/scenarios/*.json; do
+        echo "=== -scenario examples/scenarios/${f##*/}"
         "$tmp/abcsim.$1" -scenario "$f" 2>&1 | cat
     done
     echo "=== abcreport -fast"
     "$tmp/abcreport.$1" -fast 2>&1 | sed -E "/^### hybrid /,/^##/ $wall"
-} >"$2"
+} >"$3"
 
-run_all ref "$tmp/ref.txt"
-run_all tree "$tmp/tree.txt"
+run_all ref "$tmp/src" "$tmp/ref.txt"
+run_all tree . "$tmp/tree.txt"
 
 if diff -u "$tmp/ref.txt" "$tmp/tree.txt"; then
     echo "cli_diff: $(grep -c '^===' "$tmp/tree.txt") runs identical to $ref"
