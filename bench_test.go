@@ -8,6 +8,9 @@ package abc_test
 
 import (
 	"fmt"
+	"os"
+	"slices"
+	"strings"
 	"testing"
 
 	"abc/internal/app"
@@ -187,8 +190,9 @@ func BenchmarkDelayRecorderAdd(b *testing.B) {
 	}
 }
 
-// BenchmarkPacketChurn measures one data/ACK exchange through the packet
-// free-list (see DESIGN.md §2): steady state must report 0 allocs/op.
+// BenchmarkPacketChurn measures one data/ACK exchange through the
+// process-wide packet pool that untallied packets use (see DESIGN.md §2):
+// steady state must report 0 allocs/op.
 func BenchmarkPacketChurn(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -197,6 +201,37 @@ func BenchmarkPacketChurn(b *testing.B) {
 		a := packet.NewAck(p, int64(i)+1, 1)
 		p.Release()
 		a.Release()
+	}
+}
+
+// BenchmarkArenaChurn measures one data/ACK exchange of a flow whose
+// tally draws from a run's packet arenas, over two shards as in a
+// sharded run: the data packet is born on shard 0 and ends on shard 1,
+// whose arena the ACK is drawn from, and the ACK ends on shard 0. Once
+// both arenas hold a slab and a free list, every packet is one ended on
+// the same shard the exchange before, so steady state must report 0
+// allocs/op.
+func BenchmarkArenaChurn(b *testing.B) {
+	arenas := make([]packet.Arena, 2)
+	var tl packet.Tally
+	tl.Spread(2, 0, arenas)
+	exchange := func(seq int64) {
+		p := tl.NewData(1, seq, packet.MTU, 0)
+		p.ECN = packet.Accel
+		p.MoveTo(1)
+		a := packet.NewAck(p, seq+1, 1)
+		p.Release()
+		a.MoveTo(0)
+		a.Release()
+	}
+	exchange(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		exchange(int64(i))
+	}
+	if live := tl.Live(); live != 0 {
+		b.Fatalf("%d packets live after every exchange ended", live)
 	}
 }
 
@@ -250,6 +285,28 @@ func BenchmarkQdiscChurn(b *testing.B) {
 				b.Fatalf("queue holds %d packets, want the standing %d", q.Len(), standing)
 			}
 		})
+	}
+}
+
+// TestQdiscChurnRowsAreTheKinds: bench_thresholds.txt guards exactly one
+// BenchmarkQdiscChurn row per registered discipline kind, so adding or
+// deleting a kind without its row fails here, not only in the CI step
+// that runs scripts/check_allocs.sh.
+func TestQdiscChurnRowsAreTheKinds(t *testing.T) {
+	data, err := os.ReadFile("bench_thresholds.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const prefix = "BenchmarkQdiscChurn/kind="
+	var rows []string
+	for _, line := range strings.Split(string(data), "\n") {
+		if name, ok := strings.CutPrefix(line, prefix); ok {
+			rows = append(rows, strings.Fields(name)[0])
+		}
+	}
+	slices.Sort(rows)
+	if kinds := qdisc.Kinds(); !slices.Equal(rows, kinds) {
+		t.Errorf("bench_thresholds.txt has %s rows for kinds %v, want qdisc.Kinds() %v", prefix, rows, kinds)
 	}
 }
 

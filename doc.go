@@ -42,9 +42,10 @@
 // The simulation fast path is engineered to be allocation-free in steady
 // state: the event core keeps event payloads in a recycled slot slab
 // under a 4-ary heap of keys, and queues each wire's in-flight packets
-// as a FIFO chain behind one heap entry (internal/sim), packets cycle through a
-// free-list with single-owner release semantics (internal/packet — see
-// packet.Get for the ownership rules), a trace link keeps its place in
+// as a FIFO chain behind one heap entry (internal/sim), a run's packets
+// cycle through per-shard arenas, slabs with a free list, with
+// single-owner release semantics (internal/packet — see packet.Get for
+// the ownership rules), a trace link keeps its place in
 // its delivery trace between queries (trace.Cursor) and a sender keeps
 // its outstanding packets in a ring indexed by sequence number
 // (cc.Endpoint), so the per-packet path neither searches nor hashes,

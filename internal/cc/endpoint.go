@@ -148,8 +148,9 @@ type Endpoint struct {
 	// Tally is the flow's packet books: every data packet the endpoint
 	// sends and, through the receiver's NewAck, every ACK of one, and how
 	// each ended. Workload-spawned flows also tear their routes down with
-	// their last packet through it (packet.Tally). Spread it before Start
-	// on a sharded run.
+	// their last packet through it (packet.Tally). The endpoint draws its
+	// data packets through it, so Spread it before Start to run over
+	// shards or to give the flow its run's packet arenas.
 	Tally packet.Tally
 
 	started bool
@@ -590,8 +591,7 @@ func (e *Endpoint) sendOne() {
 			e.Src.OnSend(now, pktSize)
 		}
 	}
-	p := packet.NewData(e.Flow, seq, pktSize, now)
-	e.Tally.Attach(p)
+	p := e.Tally.NewData(e.Flow, seq, pktSize, now)
 	p.Retx = retx
 	if e.Src != nil {
 		p.AppLimited = true

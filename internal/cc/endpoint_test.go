@@ -261,8 +261,7 @@ func TestEndpointStopHaltsTraffic(t *testing.T) {
 	if late := ep.Tally.Books().Released[packet.Late]; late != int64(inflight) || inflight == 0 {
 		t.Errorf("late ACKs = %d, want the %d packets in flight at Stop", late, inflight)
 	}
-	stray := packet.NewData(0, 0, packet.MTU, s.Now())
-	ep.Tally.Attach(stray)
+	stray := ep.Tally.NewData(0, 0, packet.MTU, s.Now())
 	ep.Recv(stray)
 	if b := ep.Tally.Books(); b.Released[packet.Misrouted] != 1 || b.Released[packet.Late] != int64(inflight) {
 		t.Errorf("misrouted = %d, late = %d after a stray data packet", b.Released[packet.Misrouted], b.Released[packet.Late])

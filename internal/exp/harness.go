@@ -129,8 +129,11 @@ var wiring = []func(*compiled) error{
 	(*compiled).scheduleEvents, (*compiled).startBackgrounds, (*compiled).startRouting,
 }
 
-// run starts the clock on a compiled spec and measures.
+// run starts the clock on a compiled spec and measures. The result
+// keeps the graph, so when run returns it empties the graph's packet
+// arenas: what the run's flows drew stays alive only while in flight.
 func (c *compiled) run() (*Result, *metrics.DelayRecorder, error) {
+	defer clear(c.g.Arenas())
 	pooled := c.runAndMeasure()
 	if err := finishWorkloads(c.workloads); err != nil {
 		return nil, nil, err

@@ -443,3 +443,44 @@ func TestScenarioShardsClause(t *testing.T) {
 		}
 	}
 }
+
+// TestShardedRunEmptiesArenas: every flow of a run draws its packets
+// from the graph's per-shard arenas, and when Run returns the arenas are
+// empty, so a Result, which keeps its graph, holds no more packets than
+// its run left in flight.
+func TestShardedRunEmptiesArenas(t *testing.T) {
+	spec := shardedMeshSpec(2, 2*sim.Second, 1)
+	c, err := compile(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arenas := c.g.Arenas()
+	homes := map[int]bool{}
+	for _, f := range c.flows {
+		clear(arenas)
+		f.ep.Tally.NewData(f.ep.Flow, 0, packet.MTU, 0)
+		for i := range arenas {
+			home := c.g.Coordinator().Shard(i).Simulator == f.ep.S
+			if drawn := !reflect.ValueOf(arenas[i]).IsZero(); drawn != home {
+				t.Errorf("flow %d drew from shard %d's arena: %v, want %v (true only for its sender's shard)", f.ep.Flow, i, drawn, home)
+			}
+			homes[i] = homes[i] || home
+		}
+	}
+	if len(homes) != 2 || !homes[0] || !homes[1] {
+		t.Fatalf("senders on shards %v, want flows on both", homes)
+	}
+	res, _, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arenas = res.Graph.Arenas()
+	if len(arenas) != 2 {
+		t.Fatalf("%d arenas for 2 shards", len(arenas))
+	}
+	for i := range arenas {
+		if !reflect.ValueOf(arenas[i]).IsZero() {
+			t.Errorf("shard %d's arena holds packets after Run returned", i)
+		}
+	}
+}

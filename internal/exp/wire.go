@@ -124,7 +124,8 @@ func (r flowRoute) dir(ack bool) []int {
 }
 
 // attachFlow puts one flow on the graph: the endpoint on the shard of
-// the data route's origin junction with the flow's tally, the receiver
+// the data route's origin junction with the flow's tally, which draws
+// its packets from the graph's arenas, the receiver
 // on that of its terminal junction (both inject packets synchronously
 // into those junctions), and the two routes between them, each ending in
 // an rtt/2 access tail. It schedules nothing; the caller sets the source
@@ -135,7 +136,7 @@ func attachFlow(g *topo.Graph, id int, alg cc.Algorithm, route flowRoute, rtt si
 	epShard, recvShard := g.ShardOf(origin), g.ShardOf(last)
 
 	ep := cc.NewEndpoint(g.SimFor(origin), id, nil, alg)
-	ep.Tally.Spread(g.Coordinator().Shards(), epShard)
+	ep.Tally.Spread(g.Coordinator().Shards(), epShard, g.Arenas())
 	if r := g.Recorder(); r != nil {
 		ep.SetObs(r, int32(id))
 	}

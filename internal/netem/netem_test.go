@@ -256,12 +256,10 @@ func TestReceiverIgnoresWrongFlowAndAcks(t *testing.T) {
 	count := 0
 	r := NewReceiver(s, 1, packet.NodeFunc(func(*packet.Packet) { count++ }))
 	var books packet.Tally
-	p := packet.NewData(2, 0, packet.MTU, 0) // wrong flow
-	books.Attach(p)
+	p := books.NewData(2, 0, packet.MTU, 0) // wrong flow
 	r.Recv(p)
-	a := packet.NewData(1, 0, packet.MTU, 0)
+	a := books.NewData(1, 0, packet.MTU, 0)
 	a.IsAck = true
-	books.Attach(a)
 	r.Recv(a) // an ACK
 	if count != 0 || r.Delivered != 0 {
 		t.Errorf("receiver accepted foreign traffic: count=%d", count)

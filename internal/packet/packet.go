@@ -217,12 +217,12 @@ func (b Books) Live() int64 {
 	return n
 }
 
-// Tally is one flow's packet books — every data packet its sender
-// attaches and every ACK NewAck builds from one, and how each ended — and
-// runs a callback once the flow is finished and none of its packets is
-// live: the instant none is left anywhere (queued, on a wire, inside an
-// impairment, in link service), so whatever only that flow used can be
-// torn down without any later event reaching it.
+// Tally is one flow's packet books — every data packet its sender draws
+// through it (NewData) and every ACK NewAck builds from one, and how
+// each ended — and runs a callback once the flow is finished and none of
+// its packets is live: the instant none is left anywhere (queued, on a
+// wire, inside an impairment, in link service), so whatever only that
+// flow used can be torn down without any later event reaching it.
 //
 // The books are kept in one row per shard, and a packet's attach and end
 // are booked in the row of the shard it is on, which a cross-shard hop
@@ -245,8 +245,13 @@ type ledger struct {
 	home int
 	// first is the row of a one-shard tally; rows, when set, are the rows
 	// of a spread one, indexed by shard.
-	first   Books
-	rows    []row
+	first Books
+	rows  []row
+	// arenas, when set, are the run's packet arenas, indexed by shard:
+	// the flow's packets are drawn from the one of the shard they are
+	// born on and end into the one of the shard they end on. Without
+	// them the flow's packets come from and go back to the pool.
+	arenas  []Arena
 	onDrain func()
 }
 
@@ -270,18 +275,19 @@ type spreadLedger struct {
 const cacheLine = 64
 
 // Spread readies the tally, before its first packet, for a run over
-// shards (≥ 1) shards in which the flow's sender attaches on shard home.
-// Over more than one shard the books move out of the Tally into their
-// own allocation, so that no shard books a packet on a line of whatever
-// embeds the Tally (a sender's endpoint, which its shard writes on every
-// ACK) and no row shares a line with another shard's row.
-func (t *Tally) Spread(shards, home int) {
+// shards (≥ 1) shards in which the flow's sender attaches on shard home,
+// and whose packets live in arenas (one per shard, or nil for the
+// pool). Over more than one shard the books move out of the Tally into
+// their own allocation, so that no shard books a packet on a line of
+// whatever embeds the Tally (a sender's endpoint, which its shard writes
+// on every ACK) and no row shares a line with another shard's row.
+func (t *Tally) Spread(shards, home int, arenas []Arena) {
 	if shards == 1 {
-		t.own.home, t.spread = home, nil
+		t.own.home, t.own.arenas, t.spread = home, arenas, nil
 		return
 	}
 	s := new(spreadLedger)
-	s.home, s.rows = home, make([]row, shards)
+	s.home, s.rows, s.arenas = home, make([]row, shards), arenas
 	t.spread = &s.ledger
 }
 
@@ -301,11 +307,15 @@ func (l *ledger) row(shard int16) *Books {
 	return &l.rows[shard].Books
 }
 
-// Attach counts p, which no tally counts yet, as one of the flow's
-// packets, attached on the sender's shard.
-func (t *Tally) Attach(p *Packet) {
+// NewData returns a data packet of the flow, drawn on the sender's shard
+// — from its arena, if the tally has arenas — and attached there.
+func (t *Tally) NewData(flow int, seq int64, size int, now sim.Time) *Packet {
 	l := t.inUse()
-	l.attach(p, int16(l.home))
+	home := int16(l.home)
+	p := l.get(home)
+	p.data(flow, seq, size, now)
+	l.attach(p, home)
+	return p
 }
 
 // Adopt counts p as attached on shard unless a tally counts it already:
@@ -354,6 +364,25 @@ func (t *Tally) Finish(onDrain func()) {
 	t.inUse().onDrain = onDrain
 }
 
+// get draws a zeroed packet on shard: from the shard's arena, or from
+// the pool for a ledger without arenas or no ledger at all.
+func (l *ledger) get(shard int16) *Packet {
+	if l == nil || l.arenas == nil {
+		return Get()
+	}
+	return l.arenas[shard].get()
+}
+
+// put returns zeroed p, which ended on shard, to where get would draw
+// it from.
+func (l *ledger) put(p *Packet, shard int16) {
+	if l == nil || l.arenas == nil {
+		pool.Put(p)
+		return
+	}
+	l.arenas[shard].put(p)
+}
+
 // release books one packet's end on shard and drains a finished flow at
 // zero.
 func (l *ledger) release(shard int16, c Cause) {
@@ -378,13 +407,82 @@ type XCPHeader struct {
 	Valid bool
 }
 
-// pool recycles Packet structs across the whole process. Simulated flows
-// churn through one data packet and one ACK per exchange; without
-// recycling that is the dominant allocation in every experiment. The pool
-// is safe for concurrent use, so parallel experiment cells share it.
+// pool recycles the packets no arena holds: those of a flow whose tally
+// has no arenas, those a graph's stray tally adopts and untallied ones.
+// It is safe for concurrent use, so parallel experiment cells, each
+// with arenas of its own, may all draw from it.
 var pool = sync.Pool{New: func() any { return new(Packet) }}
 
-// Get returns a zeroed packet from the free list.
+// Arena is one shard's store of packets for a run: a LIFO free list of
+// ended packets and the rest of a slab that fresh ones are carved from.
+// A flow's packets are drawn from the arena of the shard they are born
+// on and go back to that of the shard they end on (see Tally.Spread), so
+// only its own shard ever touches an arena and it needs no lock. The
+// zero Arena is empty and ready. An Arena is two cache lines, so in a
+// slice of them, one per shard, what one shard writes shares no line
+// with another's.
+type Arena struct {
+	free []*Packet
+	// slab is what is left of the current slab.
+	slab []Packet
+	_    [2*cacheLine - 2*unsafe.Sizeof([]Packet(nil))]byte
+}
+
+// slab is the block an arena carves fresh packets from: one 8 KiB
+// allocation in which every packet starts on a line boundary. The
+// allocator puts a header of mallocHeader bytes in front of an object
+// that holds pointers and is larger than 512 bytes, and places an 8 KiB
+// object at a page boundary; the pad fills the first line after the
+// header. (A bare [64]Packet, with its header, would take the
+// allocator's next size class, 9472 bytes, and every packet in it would
+// straddle three lines.)
+type slab struct {
+	_       [cacheLine - mallocHeader]byte
+	packets [slabPackets]Packet
+}
+
+const (
+	// mallocHeader is the size of the allocator's header (see slab).
+	mallocHeader = 8
+	// slabPackets is the packets one slab holds: 63 of two lines each
+	// (TestPacketLayout), the pad and the header taking the 64th's place.
+	slabPackets = (8192 - cacheLine) / (2 * cacheLine)
+	// maxFree caps an arena's free list at four slabs' worth. Packets
+	// born on one shard can keep ending on another, which would grow
+	// that shard's list without limit; the packets past the cap are left
+	// to the collector. The list, with its header, is one 2 KiB object.
+	maxFree = 4 * slabPackets
+)
+
+// get returns a zeroed packet: the last one put back, or the next of the
+// slab, carving a new slab when that is used up.
+func (a *Arena) get() *Packet {
+	if n := len(a.free); n > 0 {
+		p := a.free[n-1]
+		a.free = a.free[:n-1]
+		return p
+	}
+	if len(a.slab) == 0 {
+		a.slab = new(slab).packets[:]
+	}
+	p := &a.slab[0]
+	a.slab = a.slab[1:]
+	return p
+}
+
+// put keeps zeroed p for the next get, unless the free list is full.
+// The list is allocated whole at the first put, so it never moves and
+// its lines are the arena's alone.
+func (a *Arena) put(p *Packet) {
+	if a.free == nil {
+		a.free = make([]*Packet, 0, maxFree)
+	}
+	if len(a.free) < maxFree {
+		a.free = append(a.free, p)
+	}
+}
+
+// Get returns a zeroed packet from the pool.
 //
 // Ownership rules: a packet has exactly one owner at a time — whoever
 // holds the pointer last is responsible for either forwarding it (links,
@@ -394,7 +492,9 @@ var pool = sync.Pool{New: func() any { return new(Packet) }}
 // it. Qdisc.Enqueue returning false leaves ownership with the caller and
 // the packet untouched; a packet a discipline drops after accepting it
 // (CoDel, from Dequeue) is dropped in exactly one place, qdisc.Queue's
-// drop, which also counts it.
+// drop, which also counts it. A packet of a flow whose tally has arenas
+// is drawn by the tally (Tally.NewData, NewAck) rather than from Get,
+// under the same rules.
 func Get() *Packet { return pool.Get().(*Packet) }
 
 // Release ends p at its terminal consumer: it is Drop with the
@@ -408,16 +508,17 @@ func (p *Packet) Release() {
 	p.Drop(c)
 }
 
-// Drop ends p for cause c: it zeroes p, returns it to the free list and
-// books the end on p's tally, if any, in the row of the shard p is on.
-// The caller must not touch p afterwards. The end is booked last, so a
-// drain callback it triggers runs with p already back on the free list.
+// Drop ends p for cause c: it zeroes p, puts it back — on the arena of
+// the shard p is on if p's tally has arenas, in the pool otherwise — and
+// books the end on p's tally, if any, in that shard's row. The caller
+// must not touch p afterwards. The end is booked last, so a drain
+// callback it triggers runs with p already put back.
 func (p *Packet) Drop(c Cause) {
-	t, shard := p.tally, p.shard
+	l, shard := p.tally, p.shard
 	*p = Packet{}
-	pool.Put(p)
-	if t != nil {
-		t.release(shard, c)
+	l.put(p, shard)
+	if l != nil {
+		l.release(shard, c)
 	}
 }
 
@@ -425,21 +526,27 @@ func (p *Packet) Drop(c Cause) {
 // before handing p over, so p's end is booked in that shard's row.
 func (p *Packet) MoveTo(shard int) { p.shard = int16(shard) }
 
-// NewData returns a data packet of the given flow, sequence and size,
-// drawn from the free list.
+// NewData returns an untallied data packet of the given flow, sequence
+// and size, drawn from the pool.
 func NewData(flow int, seq int64, size int, now sim.Time) *Packet {
 	p := Get()
-	p.Flow, p.Seq, p.Size, p.SentAt = flow, seq, int32(size), now
+	p.data(flow, seq, size, now)
 	return p
+}
+
+// data stamps zeroed p as a data packet.
+func (p *Packet) data(flow int, seq int64, size int, now sim.Time) {
+	p.Flow, p.Seq, p.Size, p.SentAt = flow, seq, int32(size), now
 }
 
 // NewAck builds the acknowledgement for data packet p, carrying the
 // receiver's cumulative ack and echoing ABC/ECN signals. The ACK is drawn
-// from the free list and attached to p's Tally, if any, on the shard p
-// is on; p itself is left untouched (the caller still owns and
-// eventually releases it).
+// on the shard p is on — from its arena, if p's tally has arenas, from
+// the pool otherwise — and attached to p's Tally, if any, there; p
+// itself is left untouched (the caller still owns and eventually
+// releases it).
 func NewAck(p *Packet, cumAck int64, now sim.Time) *Packet {
-	a := Get()
+	a := p.tally.get(p.shard)
 	a.IsAck = true
 	if p.tally != nil {
 		p.tally.attach(a, p.shard)

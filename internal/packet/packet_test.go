@@ -2,6 +2,8 @@ package packet
 
 import (
 	"fmt"
+	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -167,8 +169,8 @@ func TestPoolRecyclesZeroed(t *testing.T) {
 	p.QueueDelay = 5
 	p.Release()
 	q := Get()
-	// q may or may not be the same object (sync.Pool), but it must be
-	// zeroed either way.
+	// q may or may not be the same object (the pool makes no promise),
+	// but it must be zeroed either way.
 	if *q != (Packet{}) {
 		t.Errorf("Get returned a dirty packet: %+v", q)
 	}
@@ -182,9 +184,7 @@ func TestPoolRecyclesZeroed(t *testing.T) {
 func TestTallyDrainsOnce(t *testing.T) {
 	var tl Tally
 	drains := 0
-	d1, d2 := NewData(1, 0, MTU, 0), NewData(1, 1, MTU, 0)
-	tl.Attach(d1)
-	tl.Attach(d2)
+	d1, d2 := tl.NewData(1, 0, MTU, 0), tl.NewData(1, 1, MTU, 0)
 	a1 := NewAck(d1, 1, 0)
 	if tl.Live() != 3 {
 		t.Fatalf("live = %d after two data packets and one ACK, want 3", tl.Live())
@@ -207,9 +207,7 @@ func TestTallyDrainsOnce(t *testing.T) {
 		t.Fatalf("drains = %d, live = %d after the last release; want 1, 0", drains, tl.Live())
 	}
 	// Nothing brings it back, not even one more counted packet.
-	late := NewData(1, 2, MTU, 0)
-	tl.Attach(late)
-	late.Release()
+	tl.NewData(1, 2, MTU, 0).Release()
 	if drains != 1 {
 		t.Fatalf("drained %d times, want exactly once", drains)
 	}
@@ -234,10 +232,9 @@ func TestTallyDrainsOnce(t *testing.T) {
 // its own books, and every end names its cause.
 func TestTallyRowsPerShard(t *testing.T) {
 	var tl, strays Tally
-	tl.Spread(3, 1)
-	strays.Spread(3, 0)
-	d := NewData(1, 0, MTU, 0)
-	tl.Attach(d)
+	tl.Spread(3, 1, nil)
+	strays.Spread(3, 0, nil)
+	d := tl.NewData(1, 0, MTU, 0)
 	strays.Adopt(d, 2)
 	d.MoveTo(2)
 	a := NewAck(d, 1, 0)
@@ -326,16 +323,15 @@ func TestSpreadTallyOwnsItsLines(t *testing.T) {
 		return span{name, at / cacheLine, (at + size - 1) / cacheLine}
 	}
 	var tl Tally
-	tl.Spread(1, 0)
-	p := NewData(1, 0, MTU, 0)
-	tl.Attach(p)
+	tl.Spread(1, 0, nil)
+	p := tl.NewData(1, 0, MTU, 0)
 	if p.tally != &tl.own {
 		t.Error("a one-shard tally's packet does not book inline")
 	}
 	p.Release()
 
 	tl = Tally{}
-	tl.Spread(2, 1)
+	tl.Spread(2, 1, nil)
 	l := tl.spread
 	spans := []span{
 		lines("the Tally", unsafe.Pointer(&tl), unsafe.Sizeof(tl)),
@@ -351,13 +347,181 @@ func TestSpreadTallyOwnsItsLines(t *testing.T) {
 			}
 		}
 	}
-	p = NewData(1, 0, MTU, 0)
-	tl.Attach(p)
+	p = tl.NewData(1, 0, MTU, 0)
 	if p.tally != l {
 		t.Error("a spread tally's packet does not book on its out-of-line ledger")
 	}
 	p.Release()
 	if b := tl.Books(); b.Data != 1 || b.Released[Delivered] != 1 || l.rows[1].Data != 1 {
 		t.Errorf("books %+v, want one data packet attached on shard 1 and delivered", b)
+	}
+}
+
+// TestArenasOwnTheirLines: in a slice of arenas, one per shard as a
+// sharded graph makes them, what each shard writes on every packet it
+// draws or ends — its arena's free list and slab headers — shares no
+// cache line with another shard's, at any shard count.
+func TestArenasOwnTheirLines(t *testing.T) {
+	if size := unsafe.Sizeof(Arena{}); size != 2*cacheLine {
+		t.Fatalf("sizeof(Arena) = %d, want %d", size, 2*cacheLine)
+	}
+	written := unsafe.Offsetof(Arena{}.slab) + unsafe.Sizeof(Arena{}.slab)
+	for shards := 2; shards <= 16; shards++ {
+		arenas := make([]Arena, shards)
+		lines := func(i int) (first, last uintptr) {
+			at := uintptr(unsafe.Pointer(&arenas[i]))
+			return at / cacheLine, (at + written - 1) / cacheLine
+		}
+		for i := range arenas {
+			for j := i + 1; j < shards; j++ {
+				fi, li := lines(i)
+				fj, lj := lines(j)
+				if fi <= lj && fj <= li {
+					t.Errorf("%d shards: arenas %d and %d at %p and %p share a %d-byte line",
+						shards, i, j, &arenas[i], &arenas[j], cacheLine)
+				}
+			}
+		}
+	}
+}
+
+// TestArenaCarvesSlabs: drawing n packets from an empty arena allocates
+// ⌈n/63⌉ slabs of 8 KiB and nothing else, and every packet it hands out
+// starts on a line boundary.
+func TestArenaCarvesSlabs(t *testing.T) {
+	a := new(Arena)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	a.get()
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got != 8192 {
+		t.Errorf("a slab took %d bytes of heap, want 8192", got)
+	}
+	a.put(a.get())
+	runtime.ReadMemStats(&before)
+	if got := before.TotalAlloc - after.TotalAlloc; got != 2048 {
+		t.Errorf("a free list took %d bytes of heap, want 2048", got)
+	}
+	for _, n := range []int{1, 62, 63, 64, 200} {
+		misaligned := 0
+		allocs := testing.AllocsPerRun(10, func() {
+			*a = Arena{}
+			for i := 0; i < n; i++ {
+				if uintptr(unsafe.Pointer(a.get()))%cacheLine != 0 {
+					misaligned++
+				}
+			}
+		})
+		if want := (n + slabPackets - 1) / slabPackets; allocs != float64(want) {
+			t.Errorf("%d packets: %v allocations, want %d slabs", n, allocs, want)
+		}
+		if misaligned != 0 {
+			t.Errorf("%d packets: %d not on a %d-byte line boundary", n, misaligned, cacheLine)
+		}
+	}
+}
+
+// TestArenaRecyclesZeroed: a packet of an arena-backed tally goes back
+// to the arena zeroed and is the next one drawn there, and the free list
+// is allocated whole at the first return.
+func TestArenaRecyclesZeroed(t *testing.T) {
+	arenas := make([]Arena, 1)
+	var tl Tally
+	tl.Spread(1, 0, arenas)
+	p := tl.NewData(3, 42, MTU, 7)
+	p.ECN, p.QueueDelay = Accel, 5
+	a := NewAck(p, 43, 9)
+	p.Release()
+	if free := arenas[0].free; len(free) != 1 || free[0] != p || cap(free) != maxFree {
+		t.Fatalf("free list %v (cap %d) after one release, want [%p] (cap %d)", free, cap(free), p, maxFree)
+	}
+	q := NewAck(a, 44, 10)
+	if q != p || !q.IsAck || q.Seq != 42 || q.ECN != Accel || q.QueueDelay != 0 {
+		t.Errorf("NewAck drew %p %+v, want the released %p rebuilt from zero", q, q, p)
+	}
+	a.Release()
+	q.Release()
+	if got := arenas[0].get(); got != q || *got != (Packet{}) {
+		t.Errorf("arena handed back %p %+v, want the last released %p, zeroed", got, got, q)
+	}
+}
+
+// TestArenaOfTheEndingShard: a packet born on one shard and ended on
+// another goes to the arena of the shard it ended on, and the ACK that
+// shard builds next is drawn from there.
+func TestArenaOfTheEndingShard(t *testing.T) {
+	arenas := make([]Arena, 2)
+	var tl Tally
+	tl.Spread(2, 0, arenas)
+	d := tl.NewData(1, 0, MTU, 0)
+	if len(arenas[0].slab) != slabPackets-1 || arenas[1].slab != nil {
+		t.Fatalf("data packet not carved on the sender's shard: %d and %d packets left in the shards' slabs",
+			len(arenas[0].slab), len(arenas[1].slab))
+	}
+	d.MoveTo(1)
+	d.Release()
+	if len(arenas[0].free) != 0 || len(arenas[1].free) != 1 || arenas[1].free[0] != d {
+		t.Fatalf("free lists %v and %v, want the packet on shard 1's alone", arenas[0].free, arenas[1].free)
+	}
+	d2 := tl.NewData(1, 1, MTU, 0)
+	d2.MoveTo(1)
+	if a := NewAck(d2, 2, 0); a != d {
+		t.Errorf("shard 1 built its ACK in %p, want the packet that ended there, %p", a, d)
+	}
+}
+
+// TestArenaFreeListIsCapped: once a shard's free list holds maxFree
+// packets, the packets that end there are booked but not kept: they are
+// the collector's.
+func TestArenaFreeListIsCapped(t *testing.T) {
+	arenas := make([]Arena, 2)
+	var tl Tally
+	tl.Spread(2, 0, arenas)
+	ps := make([]*Packet, maxFree+1)
+	for i := range ps {
+		ps[i] = tl.NewData(1, int64(i), MTU, 0)
+		ps[i].MoveTo(1)
+	}
+	for _, p := range ps {
+		p.Release()
+	}
+	free := arenas[1].free
+	if len(free) != maxFree || cap(free) != maxFree || free[maxFree-1] != ps[maxFree-1] {
+		t.Fatalf("free list of %d (cap %d), want the first %d packets ended", len(free), cap(free), maxFree)
+	}
+	for _, p := range free {
+		if p == ps[maxFree] {
+			t.Fatal("the packet past the cap is on the free list")
+		}
+	}
+	if b := tl.Books(); b.Data != maxFree+1 || b.Live() != 0 {
+		t.Errorf("books %+v, want all %d packets attached and ended", b, maxFree+1)
+	}
+}
+
+// TestArenaOnlyForArenaTallies: a packet a tally without arenas adopts
+// (a graph's strays), the ACK built from it and an untallied packet all
+// go back to the pool, even on shards whose arenas are in use.
+func TestArenaOnlyForArenaTallies(t *testing.T) {
+	arenas := make([]Arena, 2)
+	var tl, strays Tally
+	tl.Spread(2, 0, arenas)
+	strays.Spread(2, 0, nil)
+	own := tl.NewData(1, 0, MTU, 0)
+	stray := NewData(2, 0, MTU, 0)
+	strays.Adopt(stray, 1)
+	ack := NewAck(stray, 1, 0)
+	stray.Release()
+	ack.Release()
+	NewData(3, 0, MTU, 0).Release()
+	if len(arenas[0].free) != 0 || !reflect.ValueOf(arenas[1]).IsZero() {
+		t.Errorf("free lists %v and %v, want stray and untallied packets in neither", arenas[0].free, arenas[1].free)
+	}
+	if b := strays.Books(); b.Data != 1 || b.Acks != 1 || b.Live() != 0 {
+		t.Errorf("stray books %+v, want one data packet and its ACK, both ended", b)
+	}
+	own.Release()
+	if len(arenas[0].free) != 1 {
+		t.Errorf("the flow's own packet did not go back to its arena")
 	}
 }

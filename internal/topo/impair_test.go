@@ -41,9 +41,7 @@ func TestGilbertElliottStationaryLoss(t *testing.T) {
 			}.build(testEdge(s, "ge"), sink)
 			var books packet.Tally
 			for i := 0; i < n; i++ {
-				p := packet.NewData(1, int64(i), packet.MTU, 0)
-				books.Attach(p)
-				head.Recv(p)
+				head.Recv(books.NewData(1, int64(i), packet.MTU, 0))
 			}
 			drops := books.Books().Released[packet.Impair]
 			if int64(sink.Count)+drops != n {

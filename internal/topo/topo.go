@@ -340,8 +340,12 @@ type Graph struct {
 	// path costs one pointer test on the per-packet paths.
 	rec *obs.Recorder
 	// stray books the packets injected through Entry without a flow's
-	// tally (see Strays).
+	// tally (see Strays). It has no arenas: its packets come from the
+	// pool, and ending them into an arena would leave the pool to
+	// allocate every later packet.NewData.
 	stray packet.Tally
+	// arenas are the run's packet arenas, one per shard (see Arenas).
+	arenas []packet.Arena
 }
 
 // SetRecorder attaches a flight recorder to the graph: junctions, edges
@@ -399,9 +403,15 @@ func NewSharded(c *sim.Coordinator, assign []int) *Graph {
 		g.sims = append(g.sims, c.Shard(i).Simulator)
 	}
 	g.coord, g.assign = c, assign
-	g.stray.Spread(c.Shards(), 0)
+	g.stray.Spread(c.Shards(), 0, nil)
+	g.arenas = make([]packet.Arena, c.Shards())
 	return g
 }
+
+// Arenas returns the graph's packet arenas, one per shard, for the
+// tallies of the flows it carries (packet.Tally.Spread): nil on a graph
+// on a bare simulator. Each is written only by its own shard.
+func (g *Graph) Arenas() []packet.Arena { return g.arenas }
 
 // Sharded reports whether the graph spans more than one shard simulator.
 func (g *Graph) Sharded() bool { return len(g.sims) > 1 }

@@ -118,8 +118,7 @@ func TestEntryBooksStrays(t *testing.T) {
 	a, b := g.AddNode("a"), g.AddNode("b")
 	e1 := rateEdge(t, g, s, a, b, 0, Impairments{})
 	var own packet.Tally
-	mine := packet.NewData(1, 0, packet.MTU, 0)
-	own.Attach(mine)
+	mine := own.NewData(1, 0, packet.MTU, 0)
 	g.Entry(e1).Recv(mine)
 	g.Entry(e1).Recv(packet.NewData(2, 0, packet.MTU, 0))
 	s.RunUntil(sim.Second)
@@ -224,5 +223,20 @@ func TestImpairmentsDeterministic(t *testing.T) {
 	}
 	if x1 == 0 {
 		t.Fatal("expected some impairment drops")
+	}
+}
+
+// TestShardArenas: a sharded graph has one packet arena per shard
+// (packet.TestArenasOwnTheirLines pins their layout), and a graph on a
+// bare simulator has none, so its flows' packets use the pool.
+func TestShardArenas(t *testing.T) {
+	if a := New(sim.New(1)).Arenas(); a != nil {
+		t.Errorf("a one-simulator graph has %d arenas, want none", len(a))
+	}
+	for _, shards := range []int{1, 3} {
+		g := NewSharded(sim.NewCoordinator(1, shards), nil)
+		if a := g.Arenas(); len(a) != shards {
+			t.Errorf("%d arenas for %d shards", len(a), shards)
+		}
 	}
 }
