@@ -29,8 +29,11 @@ type RateLimited struct {
 	inited bool
 }
 
-// rateLimitedBurst caps a RateLimited source's accumulated credit in
-// bytes (two packets).
+// rateLimitedBurst is the least cap on a RateLimited source's
+// accumulated credit in bytes (two packets). A source-limited flow is
+// polled only on ACKs and on the housekeeping grid, so the cap is raised
+// to one housekeeping tick of data wherever that is larger: a smaller
+// cap would throw away credit between polls and deliver less than Bps.
 const rateLimitedBurst float64 = 3000
 
 // NewRateLimited returns a source producing bps of application data.
@@ -45,8 +48,9 @@ func (r *RateLimited) refill(now sim.Time) {
 		return
 	}
 	r.credit += r.Bps / 8 * (now - r.lastAt).Seconds()
-	if r.credit > rateLimitedBurst {
-		r.credit = rateLimitedBurst
+	burst := max(rateLimitedBurst, r.Bps/8*housekeepingTick.Seconds())
+	if r.credit > burst {
+		r.credit = burst
 	}
 	r.lastAt = now
 }

@@ -19,14 +19,14 @@ type BackgroundSpec struct {
 	// link "fwd<i>" / "rev<i>". Trace and rate links only — wires and
 	// Wi-Fi links reject backgrounds at wiring time.
 	Edge string `spec:"edge"`
-	// Kind is the rate process: "const", "aimd" or "onoff" (fluid
-	// package aggregate kinds).
+	// Kind is the rate process: "const" or "onoff" (fluid package
+	// aggregate kinds).
 	Kind string `spec:"kind"`
-	// Flows is N, the number of virtual background flows. Required for
-	// "aimd" (it drives the Eq.-13 drift term); descriptive otherwise.
+	// Flows is N, the number of virtual background flows. It is
+	// descriptive: echoed in BackgroundResult, never read by the rate
+	// process.
 	Flows int `spec:"flows"`
-	// RateMbps is the aggregate offered rate for "const"/"onoff";
-	// "aimd" derives its rate from Eq. 13 and rejects it.
+	// RateMbps is the aggregate offered rate.
 	RateMbps float64 `spec:"rate_mbps"`
 	// Ramp linearly scales the offered rate from zero over this window
 	// after Start.
@@ -39,17 +39,10 @@ type BackgroundSpec struct {
 	Stop  sim.Time `spec:"stop_s"`
 	// Step overrides the fixed coupling step (default 10 ms).
 	Step sim.Time `spec:"step_ms"`
-	// RTT is the "aimd" ensemble round-trip delay; defaults to the
-	// spec's RTT.
-	RTT sim.Time `spec:"rtt_ms"`
 }
 
 // config lowers the spec to the fluid package's configuration.
-func (bs *BackgroundSpec) config(spec *Spec) fluid.AggregateConfig {
-	rtt := bs.RTT
-	if rtt <= 0 {
-		rtt = spec.RTT
-	}
+func (bs *BackgroundSpec) config() fluid.AggregateConfig {
 	return fluid.AggregateConfig{
 		Kind:    bs.Kind,
 		Flows:   bs.Flows,
@@ -60,7 +53,6 @@ func (bs *BackgroundSpec) config(spec *Spec) fluid.AggregateConfig {
 		Start:   bs.Start,
 		Stop:    bs.Stop,
 		Step:    bs.Step,
-		RTT:     rtt,
 	}
 }
 
@@ -120,7 +112,7 @@ func (c *compiled) startBackgrounds() error {
 		if !ok {
 			return fmt.Errorf("exp: background[%d]: edge %q: link model %T cannot host a fluid background (trace and rate links only)", i, bs.Edge, e.Link)
 		}
-		cp, err := fluid.NewCoupler(bs.config(spec), host.CapacityBps, c.edgeQ[id].Bytes)
+		cp, err := fluid.NewCoupler(bs.config(), host.CapacityBps, c.edgeQ[id].Bytes)
 		if err != nil {
 			return fmt.Errorf("exp: background[%d] (edge %q): %w", i, bs.Edge, err)
 		}

@@ -120,7 +120,7 @@ func sources(t *testing.T) map[string][]byte {
 // routing clause is judged from one place.
 func TestOneJudge(t *testing.T) {
 	srcs := sources(t)
-	for _, call := range []string{"cc.New(", "validateRouting(", "fluid.NewAggregate(", ".Validate()"} {
+	for _, call := range []string{"cc.New(", "validateRouting(", "fluid.NewCoupler(", ".Validate()"} {
 		if bytes.Contains(srcs["scenario.go"], []byte(call)) {
 			t.Errorf("scenario.go calls %s — the pipeline stage that builds it is the judge", call)
 		}

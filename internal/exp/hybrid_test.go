@@ -92,6 +92,32 @@ func TestHybridFidelity(t *testing.T) {
 	}
 }
 
+// TestRateSourceDelivers: a lone rate-limited source on an idle link
+// delivers what it asks for. The fidelity comparison above stands N
+// such flows in for a fluid aggregate, so a source that under-delivers
+// would make the packet side of every comparison a lighter load.
+func TestRateSourceDelivers(t *testing.T) {
+	for _, scheme := range []string{"Cubic", "ABC"} {
+		for _, mbps := range []float64{6, 12, 24} {
+			res, _, err := Run(Spec{
+				Seed:     1,
+				Duration: 10 * sim.Second,
+				Links: []LinkSpec{{
+					Rate:  netem.ConstRate(48e6),
+					Qdisc: QdiscSpec{Kind: "auto", Buffer: 250},
+				}},
+				Flows: []FlowSpec{{Scheme: scheme, Source: &SourceSpec{Kind: "rate", Rate: mbps * 1e6}}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := res.Flows[0].TputMbps; math.Abs(got-mbps) > 0.01*mbps {
+				t.Errorf("%s asked for %g Mbit/s, delivered %.2f", scheme, mbps, got)
+			}
+		}
+	}
+}
+
 // TestHybridWiring locks down the loud-failure contract of the
 // background clause at the harness level: unknown edges, duplicate
 // edges and link models without a background-aware service loop are
@@ -134,7 +160,7 @@ func TestHybridWiring(t *testing.T) {
 	})
 	t.Run("works-on-trace-link", func(t *testing.T) {
 		spec := base()
-		spec.Background = []BackgroundSpec{{Edge: "fwd0", Kind: "aimd", Flows: 100}}
+		spec.Background = []BackgroundSpec{{Edge: "fwd0", Kind: "const", Flows: 100, RateMbps: 4}}
 		res, _, err := Run(spec)
 		if err != nil {
 			t.Fatal(err)

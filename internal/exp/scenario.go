@@ -122,7 +122,7 @@
 // ack, path, edge, rate_mbps, attack), "routing" (RoutingSpec: policy, k,
 // recompute_ms, drain_ms), "background"
 // (BackgroundSpec: edge, kind, flows, rate_mbps, ramp_s, on_s, off_s,
-// start_s, stop_s, step_ms, rtt_ms), "shards" and "shard_map":
+// start_s, stop_s, step_ms), "shards" and "shard_map":
 //
 //	"events": [
 //	  {"at_s": 10, "kind": "reroute", "flow": 0, "path": ["cell2", "air2"]},

@@ -223,16 +223,13 @@ func TestScenarioBackgroundClause(t *testing.T) {
 		{"unknown kind", chain(`[{"edge":"fwd0","kind":"poisson","rate_mbps":1}]`), "unknown aggregate kind"},
 		{"negative rate", chain(`[{"edge":"fwd0","kind":"const","rate_mbps":-4}]`), "positive rate"},
 		{"zero rate", chain(`[{"edge":"fwd0","kind":"onoff","on_s":1,"off_s":1}]`), "positive rate"},
-		{"unknown edge", chain(`[{"edge":"uplink9","kind":"aimd","flows":100}]`), `unknown edge "uplink9"`},
+		{"unknown edge", chain(`[{"edge":"uplink9","kind":"onoff","flows":100,"rate_mbps":1,"on_s":1,"off_s":1}]`), `unknown edge "uplink9"`},
 		{"reverse edge without reverse links", chain(`[{"edge":"rev0","kind":"const","rate_mbps":1}]`), `unknown edge "rev0"`},
 		{"missing edge", chain(`[{"kind":"const","rate_mbps":1}]`), "missing edge"},
 		{"duplicate edge", chain(`[{"edge":"fwd0","kind":"const","rate_mbps":1},{"edge":"fwd0","kind":"const","rate_mbps":2}]`), "already carries"},
-		{"aimd with rate", chain(`[{"edge":"fwd0","kind":"aimd","flows":10,"rate_mbps":5}]`), "rate must be unset"},
-		{"aimd without flows", chain(`[{"edge":"fwd0","kind":"aimd"}]`), "positive flow count"},
 		{"negative start", chain(`[{"edge":"fwd0","kind":"const","rate_mbps":1,"start_s":-1}]`), "non-negative"},
 		{"stop before start", chain(`[{"edge":"fwd0","kind":"const","rate_mbps":1,"start_s":3,"stop_s":1}]`), "not after start"},
 		{"negative step_ms", chain(`[{"edge":"fwd0","kind":"const","rate_mbps":1,"step_ms":-5}]`), "background 0: negative Step"},
-		{"negative rtt_ms", chain(`[{"edge":"fwd0","kind":"aimd","flows":10,"rtt_ms":-80}]`), "background 0: negative RTT"},
 		{"negative flows", chain(`[{"edge":"fwd0","kind":"const","flows":-3,"rate_mbps":1}]`), "background 0: negative Flows"},
 	}
 	for _, tc := range bad {
@@ -242,7 +239,7 @@ func TestScenarioBackgroundClause(t *testing.T) {
 	}
 
 	spec, err := checkScenario(chain(
-		`[{"edge":"fwd0","kind":"onoff","flows":1000000,"rate_mbps":48,"on_s":6,"off_s":4,"ramp_s":2,"rtt_ms":80}]`))
+		`[{"edge":"fwd0","kind":"onoff","flows":1000000,"rate_mbps":48,"on_s":6,"off_s":4,"ramp_s":2,"step_ms":20}]`))
 	if err != nil {
 		t.Fatalf("valid background clause rejected: %v", err)
 	}
@@ -252,7 +249,7 @@ func TestScenarioBackgroundClause(t *testing.T) {
 	bs := spec.Background[0]
 	if bs.Edge != "fwd0" || bs.Kind != "onoff" || bs.Flows != 1_000_000 ||
 		bs.RateMbps != 48 || bs.On != 6*sim.Second || bs.Off != 4*sim.Second ||
-		bs.Ramp != 2*sim.Second || bs.RTT != 80*sim.Millisecond {
+		bs.Ramp != 2*sim.Second || bs.Step != 20*sim.Millisecond {
 		t.Fatalf("background clause decoded incorrectly: %+v", bs)
 	}
 	// And the scenario actually runs with the aggregate live.
@@ -310,7 +307,7 @@ func FuzzScenarioJSON(f *testing.F) {
 	f.Add([]byte(`{"links":[{"rate_mbps":60}],"flows":[{"scheme":"ABC"}],"background":[{"edge":"fwd0","kind":"const","flows":1000000,"rate_mbps":48,"ramp_s":2}]}`))
 	f.Add([]byte(`{"links":[{"rate_mbps":60}],"flows":[{"scheme":"ABC"}],"background":[{"edge":"fwd0","kind":"poisson","rate_mbps":1}]}`))
 	f.Add([]byte(`{"links":[{"rate_mbps":60}],"flows":[{"scheme":"ABC"}],"background":[{"edge":"fwd0","kind":"const","rate_mbps":-4}]}`))
-	f.Add([]byte(`{"links":[{"rate_mbps":60}],"flows":[{"scheme":"ABC"}],"background":[{"edge":"uplink9","kind":"aimd","flows":100}]}`))
+	f.Add([]byte(`{"links":[{"rate_mbps":60}],"flows":[{"scheme":"ABC"}],"background":[{"edge":"uplink9","kind":"onoff","flows":100,"rate_mbps":1,"on_s":1,"off_s":1}]}`))
 	// What used to panic, hang or run as something else (all must-reject),
 	// and a k-failover mesh that does have its backup (must run).
 	f.Add([]byte(`{"links":[{"rate_mbps":8}],"flows":[{"scheme":"ABC","start_s":-1}]}`))
@@ -630,6 +627,10 @@ func TestRemovedSpellingsRejected(t *testing.T) {
 		{`{` + link + `, "delay_ms": 2}], "flows": [{"scheme": "Cubic"}],
 			"events": [{"at_s": 1, "kind": "set_delay", "edge": "fwd0"}]}`, `"set_delay"`},
 		{`{` + link + `}], "flows": [{"scheme": "Cubic"}], "routing": {"flows": [0]}}`, `routing: unknown field "flows"`},
+		{`{` + link + `}], "flows": [{"scheme": "Cubic"}], "background": [{"edge": "fwd0", "kind": "aimd", "flows": 10}]}`,
+			`unknown aggregate kind "aimd" (valid: [const onoff])`},
+		{`{` + link + `}], "flows": [{"scheme": "Cubic"}],
+			"background": [{"edge": "fwd0", "kind": "const", "rate_mbps": 1, "rtt_ms": 80}]}`, `unknown field "rtt_ms"`},
 	}
 	for _, tc := range cases {
 		if _, err := checkScenario(tc.in); err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -169,7 +169,7 @@ func (spec *Spec) validate() error {
 	// The rest of a background's ranges are the fluid package's to check.
 	for i := range spec.Background {
 		bs := &spec.Background[i]
-		nonNeg("background", i, dur{"Step", bs.Step}, dur{"RTT", bs.RTT})
+		nonNeg("background", i, dur{"Step", bs.Step})
 		if bs.Flows < 0 {
 			fail("background", i, "negative Flows %d", bs.Flows)
 		}

@@ -82,13 +82,10 @@ func TestSpecValidateRanges(t *testing.T) {
 		{"workload 0: negative MaxActive", func(s *Spec) { s.Workloads[0].MaxActive = -1 }},
 		// Slowdown reporting was silently off.
 		{"workload 0: negative RefMbps", func(s *Spec) { s.Workloads[0].RefMbps = -9 }},
-		// These ran as a 10 ms step, as the spec's RTT, and as a flow
-		// count echoed back in BackgroundResult.
+		// These ran as a 10 ms step and as a flow count echoed back in
+		// BackgroundResult.
 		{"background 0: negative Step", func(s *Spec) {
 			s.Background = []BackgroundSpec{{Edge: "fwd0", Kind: "const", RateMbps: 1, Step: -sim.Millisecond}}
-		}},
-		{"background 0: negative RTT", func(s *Spec) {
-			s.Background = []BackgroundSpec{{Edge: "fwd0", Kind: "aimd", Flows: 10, RTT: -sim.Millisecond}}
 		}},
 		{"background 0: negative Flows", func(s *Spec) {
 			s.Background = []BackgroundSpec{{Edge: "fwd0", Kind: "const", RateMbps: 1, Flows: -5}}

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"abc/internal/packet"
 	"abc/internal/sim"
 )
 
@@ -17,21 +16,18 @@ func TestAggregateValidation(t *testing.T) {
 	}{
 		{"const-ok", AggregateConfig{Kind: KindConst, RateBps: 1e6}, ""},
 		{"onoff-ok", AggregateConfig{Kind: KindOnOff, RateBps: 1e6, OnFor: sim.Second, OffFor: sim.Second}, ""},
-		{"aimd-ok", AggregateConfig{Kind: KindAIMD, Flows: 10}, ""},
 		{"unknown-kind", AggregateConfig{Kind: "poisson", RateBps: 1e6}, "unknown aggregate kind"},
 		{"empty-kind", AggregateConfig{RateBps: 1e6}, "unknown aggregate kind"},
 		{"const-zero-rate", AggregateConfig{Kind: KindConst}, "positive rate"},
 		{"const-negative-rate", AggregateConfig{Kind: KindConst, RateBps: -3}, "positive rate"},
 		{"const-with-schedule", AggregateConfig{Kind: KindConst, RateBps: 1e6, OnFor: sim.Second}, "on/off schedule"},
 		{"onoff-missing-off", AggregateConfig{Kind: KindOnOff, RateBps: 1e6, OnFor: sim.Second}, "positive on/off"},
-		{"aimd-no-flows", AggregateConfig{Kind: KindAIMD}, "positive flow count"},
-		{"aimd-with-rate", AggregateConfig{Kind: KindAIMD, Flows: 10, RateBps: 1e6}, "rate must be unset"},
 		{"negative-start", AggregateConfig{Kind: KindConst, RateBps: 1e6, Start: -sim.Second}, "non-negative"},
 		{"stop-before-start", AggregateConfig{Kind: KindConst, RateBps: 1e6, Start: 2 * sim.Second, Stop: sim.Second}, "not after start"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := NewAggregate(c.cfg)
+			_, err := NewCoupler(c.cfg, func(sim.Time) float64 { return 1e6 }, func() int { return 0 })
 			if c.want == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
@@ -67,7 +63,8 @@ func runCoupler(t *testing.T, cfg AggregateConfig, muBps float64, packetBacklog 
 // TestCouplerDeterminism: the aggregate is a pure function of its
 // inputs — two identical runs produce bit-identical stats.
 func TestCouplerDeterminism(t *testing.T) {
-	cfg := AggregateConfig{Kind: KindAIMD, Flows: 50}
+	cfg := AggregateConfig{Kind: KindOnOff, Flows: 50, RateBps: 30e6,
+		OnFor: 3 * sim.Second, OffFor: sim.Second, Ramp: 2 * sim.Second}
 	a := runCoupler(t, cfg, 20e6, 3000, 20*sim.Second).Stats()
 	b := runCoupler(t, cfg, 20e6, 3000, 20*sim.Second).Stats()
 	if a != b {
@@ -124,53 +121,5 @@ func TestOnOffDutyCycle(t *testing.T) {
 	}
 	if st.DroppedBytes != 0 {
 		t.Fatalf("uncongested onoff run dropped %.0f bytes", st.DroppedBytes)
-	}
-}
-
-// TestAIMDFixedPoint: with no packet traffic, the closed-loop AIMD
-// aggregate's observed queue delay converges to the Eq.-13 fixed point
-// x* = A*delta + dt that the continuous model predicts.
-func TestAIMDFixedPoint(t *testing.T) {
-	const (
-		muBps = 20e6
-		flows = 50
-	)
-	cfg := AggregateConfig{Kind: KindAIMD, Flows: flows, MaxQueueBytes: 1e9}
-	c := runCoupler(t, cfg, muBps, 0, 60*sim.Second)
-	eff := c.cfg // defaults applied
-	p := Params{
-		Eta:    aggEta,
-		Delta:  aggDelta.Seconds(),
-		Dt:     aggDt.Seconds(),
-		Tau:    eff.RTT.Seconds(),
-		N:      flows,
-		MuPkts: muBps / 8 / packet.MTU,
-		L:      eff.RTT.Seconds(),
-	}
-	if p.A() <= 0 {
-		t.Fatalf("test parameters landed in the A<=0 regime (A=%.3f); pick more flows", p.A())
-	}
-	want := p.FixedPoint()
-	got := c.QueueBytes(0) * 8 / muBps
-	if diff := math.Abs(got-want) / want; diff > 0.15 {
-		t.Fatalf("aimd equilibrium delay %.1f ms, fluid fixed point %.1f ms (diff %.0f%%)",
-			got*1e3, want*1e3, diff*100)
-	}
-}
-
-// TestAIMDConstantCost: the aggregate's per-step work is independent of
-// the flow count — a million-flow ensemble steps the same state as a
-// ten-flow one (same ring length, same float ops), so Steps and the
-// state footprint match exactly.
-func TestAIMDConstantCost(t *testing.T) {
-	small := runCoupler(t, AggregateConfig{Kind: KindAIMD, Flows: 10}, 20e6, 0, 10*sim.Second)
-	big := runCoupler(t, AggregateConfig{Kind: KindAIMD, Flows: 1_000_000}, 20e6, 0, 10*sim.Second)
-	if small.Stats().Steps != big.Stats().Steps {
-		t.Fatalf("step counts differ with flow count: %d vs %d",
-			small.Stats().Steps, big.Stats().Steps)
-	}
-	if len(small.agg.hist) != len(big.agg.hist) {
-		t.Fatalf("history ring scales with flow count: %d vs %d",
-			len(small.agg.hist), len(big.agg.hist))
 	}
 }

@@ -8,6 +8,8 @@
 // (Eq. 13, with µ in packets/sec), which is globally asymptotically stable
 // when A > 0 iff δ > (2/3)·τ (via Yorke's condition). The integrator here
 // lets tests and benches sweep (δ, τ) and observe the stability boundary.
+// The hybrid backgrounds of aggregate.go are open-loop rate processes and
+// do not integrate it.
 package fluid
 
 import (

@@ -2,6 +2,7 @@ package packet
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -389,17 +390,27 @@ func TestArenasOwnTheirLines(t *testing.T) {
 // ⌈n/63⌉ slabs of 8 KiB and nothing else, and every packet it hands out
 // starts on a line boundary.
 func TestArenaCarvesSlabs(t *testing.T) {
-	a := new(Arena)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	a.get()
-	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got != 8192 {
+	// heapBytes is the fewest heap bytes f allocates after setup over a
+	// few tries: TotalAlloc is process-wide, and on a busy host the
+	// runtime or the test framework allocates on other goroutines
+	// mid-measurement. An allocation of f's own shows in every try.
+	heapBytes := func(setup, f func()) uint64 {
+		least := uint64(math.MaxUint64)
+		for i := 0; i < 5; i++ {
+			var before, after runtime.MemStats
+			setup()
+			runtime.ReadMemStats(&before)
+			f()
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	var a *Arena
+	if got := heapBytes(func() { a = new(Arena) }, func() { a.get() }); got != 8192 {
 		t.Errorf("a slab took %d bytes of heap, want 8192", got)
 	}
-	a.put(a.get())
-	runtime.ReadMemStats(&before)
-	if got := before.TotalAlloc - after.TotalAlloc; got != 2048 {
+	if got := heapBytes(func() { a = new(Arena); a.get() }, func() { a.put(a.get()) }); got != 2048 {
 		t.Errorf("a free list took %d bytes of heap, want 2048", got)
 	}
 	for _, n := range []int{1, 62, 63, 64, 200} {

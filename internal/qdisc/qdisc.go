@@ -54,7 +54,8 @@ type CapacityAware interface {
 // service loop (implemented by fluid.Coupler). The aggregate is a
 // deterministic fixed-step rate process standing in for many virtual
 // flows: it drains a share of the link's capacity and contributes queue
-// occupancy, without any per-packet events. Consumers read it at packet
+// occupancy, without any per-packet events. Links read Share, the ABC
+// router QueueBytes and ServedBps, and Slots QueueBytes, all at packet
 // granularity; the values advance only at the aggregate's own step
 // instants, which is the coupling contract's time resolution.
 type Background interface {
@@ -68,8 +69,6 @@ type Background interface {
 	// ServedBps is the aggregate's service rate over the last step in
 	// bits/sec (part of the total dequeue rate a router measures).
 	ServedBps(now sim.Time) float64
-	// ServedBytes is the cumulative fluid bytes served so far.
-	ServedBytes(now sim.Time) float64
 }
 
 // BackgroundAware is implemented by links and disciplines whose service
