@@ -561,13 +561,13 @@ func BenchmarkHybridBackground(b *testing.B) {
 // BenchmarkWorkloadChurn measures the dynamic-flow machinery: one run of
 // an open-loop workload churning ~160 short flows through a rate link
 // (spawn → route → transfer → complete → tear down, the flow unrouted
-// with its last packet). The committed allocs/op ceiling in
-// bench_thresholds.txt keeps flow spawning off the alloc fast path — a
-// regression here means per-flow wiring started allocating per packet
-// instead of per flow. Teardown moved it from 2249 to 2236 allocs/op
-// (-benchtime 30x): each flow's packet tally and drain callback cost
-// two, and joining an existing FIB class no longer builds its key on
-// the heap.
+// with its last packet and its endpoint, receiver, source, callbacks and
+// tail wires recycled for a later arrival). The committed allocs/op
+// ceiling in bench_thresholds.txt keeps flow spawning off the alloc fast
+// path: past the run's fixed cost a flow allocates only its Cubic, so a
+// regression here means per-flow wiring or per-packet allocation crept
+// back in. Recycling moved it from ≈ 2066 to ≈ 375 allocs/op
+// (-benchtime 3x).
 func BenchmarkWorkloadChurn(b *testing.B) {
 	spec := exp.Spec{
 		Seed:     1,

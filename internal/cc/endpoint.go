@@ -206,9 +206,9 @@ type Endpoint struct {
 	wakeFor   sim.Time
 	wakeArmed bool
 	polled    bool
-	// paceFn is the bound pacing callback, created once so re-arming the
-	// pacer does not allocate a method-value closure per packet.
-	paceFn func()
+	// pace is a paced sender's pending pacing event: one is pending from
+	// Start until Stop, which cancels it.
+	pace sim.Timer
 
 	// rec/obsSrc feed per-ACK congestion-control state (EvCwnd) to the
 	// flight recorder (obs.Sink); nil rec = off.
@@ -223,17 +223,34 @@ func (e *Endpoint) SetObs(rec *obs.Recorder, src int32) { e.rec, e.obsSrc = rec,
 
 // NewEndpoint wires a sender for the flow. Call Start to begin.
 func NewEndpoint(s *sim.Simulator, flow int, out packet.Node, alg Algorithm) *Endpoint {
-	e := &Endpoint{
-		S:      s,
-		Flow:   flow,
-		Out:    out,
-		Alg:    alg,
-		MinRTO: 250 * sim.Millisecond,
-		ring:   make([]sent, initialRing),
-		minRTT: math.MaxInt64,
-	}
-	e.paceFn = e.paceNext
+	e := new(Endpoint)
+	e.Init(s, flow, out, alg)
 	return e
+}
+
+// Init readies e as NewEndpoint would return it, keeping the storage of
+// its scoreboard ring (cleared) and retransmission queue: how a sender
+// whose flow has ended carries the next one. Every other field, Src,
+// OnComplete and the Tally included, starts from zero, so e must be
+// stopped with none of its packets live (Tally.Live) and no event of its
+// own pending, which Stop sees to.
+func (e *Endpoint) Init(s *sim.Simulator, flow int, out packet.Node, alg Algorithm) {
+	ring := e.ring
+	if ring == nil {
+		ring = make([]sent, initialRing)
+	} else {
+		clear(ring)
+	}
+	*e = Endpoint{
+		S:         s,
+		Flow:      flow,
+		Out:       out,
+		Alg:       alg,
+		MinRTO:    250 * sim.Millisecond,
+		ring:      ring,
+		lostQueue: e.lostQueue[:0],
+		minRTT:    math.MaxInt64,
+	}
 }
 
 // Start begins transmission at the current simulation time. Src and
@@ -295,12 +312,17 @@ func (e *Endpoint) Start() {
 }
 
 // Stop halts the sender (flow departure in staggered-arrival experiments)
-// and takes its pending wake out of the event queue.
+// and takes its pending wake and pacing event out of the event queue: a
+// stopped endpoint has no event pending.
 func (e *Endpoint) Stop() {
 	e.stopped = true
 	e.wake.Stop()
 	e.wakeArmed = false
+	e.pace.Stop()
 }
+
+// Stopped reports whether Stop has been called.
+func (e *Endpoint) Stopped() bool { return e.stopped }
 
 // housekeep is the wake: what the periodic tick did at a grid instant,
 // then the decision when to look again.
@@ -316,6 +338,10 @@ func (e *Endpoint) housekeep() {
 // endpointWake is housekeep as a static event callback: arming the wake
 // allocates nothing.
 func endpointWake(a, _ any) { a.(*Endpoint).housekeep() }
+
+// endpointPace is paceNext as a static event callback, for the same
+// reason.
+func endpointPace(a, _ any) { a.(*Endpoint).paceNext() }
 
 // armWake makes sure a wake is pending for the earliest grid instant, not
 // before from, at which housekeeping could do something. Every entry
@@ -620,7 +646,7 @@ func (e *Endpoint) paceNext() {
 	}
 	if rate <= 0 {
 		// No rate yet: poll shortly.
-		e.S.After(5*sim.Millisecond, e.paceFn)
+		e.armPace(5 * sim.Millisecond)
 		return
 	}
 	gap := sim.FromSeconds(float64(pktSize*8) / rate)
@@ -629,17 +655,26 @@ func (e *Endpoint) paceNext() {
 	}
 	if e.canSend() {
 		e.sendOne()
-		e.S.After(gap, e.paceFn)
+		e.armPace(gap)
 	} else {
 		// Window-limited or source-limited: retry soon.
 		retry := gap
 		if retry < sim.Millisecond {
 			retry = sim.Millisecond
 		}
-		e.S.After(retry, e.paceFn)
+		e.armPace(retry)
 	}
 	e.maybeComplete()
 	e.armWake(now)
+}
+
+// armPace schedules the next paceNext d from now, unless the packet just
+// sent stopped the endpoint on the spot (a zero-delay path completing
+// the flow): nothing is pending for a stopped endpoint.
+func (e *Endpoint) armPace(d sim.Time) {
+	if !e.stopped {
+		e.pace = e.S.AfterArgs(d, endpointPace, e, nil)
+	}
 }
 
 // maybeComplete fires OnComplete once for finite sources.

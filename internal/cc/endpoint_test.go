@@ -395,3 +395,56 @@ func TestEndpointBeginTransferReArmsCompletion(t *testing.T) {
 		t.Errorf("sent %d packets, want 10 across both transfers", ep.SentPackets)
 	}
 }
+
+// Init readies a used endpoint exactly as NewEndpoint builds a new one: a
+// transfer with losses run on an endpoint that has carried one already
+// (its ring grown, its retransmission queue used) sends the same packets
+// at the same instants and completes at the same time.
+func TestEndpointInitMatchesNew(t *testing.T) {
+	type tx struct {
+		at   sim.Time
+		seq  int64
+		retx bool
+	}
+	run := func(ep *Endpoint) (*Endpoint, []tx, sim.Time) {
+		s := sim.New(1)
+		pipe := newLossyPipe(s, 20*sim.Millisecond)
+		for _, seq := range []int64{5, 40, 41, 42} {
+			pipe.dropSet[seq] = true
+		}
+		var log []tx
+		out := packet.NodeFunc(func(p *packet.Packet) {
+			log = append(log, tx{s.Now(), p.Seq, p.Retx})
+			pipe.Recv(p)
+		})
+		if ep == nil {
+			ep = NewEndpoint(s, 3, out, &fixedWindow{w: 64})
+		} else {
+			ep.Init(s, 3, out, &fixedWindow{w: 64})
+		}
+		pipe.ep = ep
+		ep.Src = NewFixed(300 * packet.MTU)
+		done := sim.Time(-1)
+		ep.OnComplete = func(now sim.Time) {
+			done = now
+			ep.Stop()
+		}
+		ep.Start()
+		s.RunUntil(10 * sim.Second)
+		return ep, log, done
+	}
+	ep, fresh, freshDone := run(nil)
+	if len(ep.ring) == initialRing || cap(ep.lostQueue) == 0 || ep.RetxPackets != 4 || freshDone < 0 {
+		t.Fatalf("ring %d slots, lost queue capacity %d, %d retransmissions, done at %v: the first transfer must grow the ring, retransmit 4 and complete",
+			len(ep.ring), cap(ep.lostQueue), ep.RetxPackets, freshDone)
+	}
+	_, reused, reusedDone := run(ep)
+	if reusedDone != freshDone || len(reused) != len(fresh) {
+		t.Fatalf("reused endpoint: %d transmissions, done at %v; a new one: %d, done at %v", len(reused), reusedDone, len(fresh), freshDone)
+	}
+	for i := range fresh {
+		if reused[i] != fresh[i] {
+			t.Fatalf("transmission %d: reused endpoint %+v, new one %+v", i, reused[i], fresh[i])
+		}
+	}
+}

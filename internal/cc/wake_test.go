@@ -121,3 +121,58 @@ func TestPolledFlowsKeepStartOrder(t *testing.T) {
 		t.Errorf("only %d instants at which both flows sent: the scenario no longer tests the order", ties)
 	}
 }
+
+// A stopped endpoint has no event of its own pending, paced or not,
+// whether it stops mid-transfer or from OnComplete: Stop cancels the
+// pacer as well as the wake. A sender recycled for a later flow would
+// otherwise have a stale pacing event fire into that flow.
+func TestStoppedEndpointLeavesNoEvent(t *testing.T) {
+	for _, name := range []string{"BBR", "PCC", "Cubic"} {
+		for _, onComplete := range []bool{false, true} {
+			s := sim.New(1)
+			pipe := newLossyPipe(s, 20*sim.Millisecond)
+			pipe.bps = 10e6
+			alg, err := New(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ep := NewEndpoint(s, 0, pipe, alg)
+			pipe.ep = ep
+			own := func() int {
+				n := 0
+				s.EachPending(func(a, _ any) {
+					if a == ep {
+						n++
+					}
+				})
+				return n
+			}
+			if onComplete {
+				ep.Src = NewFixed(200 << 10)
+				ep.OnComplete = func(sim.Time) {
+					if own() == 0 {
+						t.Errorf("%s: no event of the endpoint's pending at completion; the check sees nothing", name)
+					}
+					ep.Stop()
+				}
+			}
+			ep.Start()
+			s.RunUntil(300 * sim.Millisecond)
+			for onComplete && !ep.Stopped() && s.Now() < 5*sim.Second {
+				s.RunUntil(s.Now() + sim.Millisecond)
+			}
+			if !onComplete {
+				if own() == 0 {
+					t.Errorf("%s: no event of the endpoint's pending mid-transfer; the check sees nothing", name)
+				}
+				ep.Stop()
+			}
+			if !ep.Stopped() {
+				t.Fatalf("%s (stop on completion %v): not stopped by %v", name, onComplete, s.Now())
+			}
+			if n := own(); n != 0 {
+				t.Errorf("%s (stop on completion %v): %d events of a stopped endpoint pending, want 0", name, onComplete, n)
+			}
+		}
+	}
+}

@@ -82,7 +82,9 @@ func (c *compiled) ledger() packet.Books {
 //     argument of an event a link scheduled on itself), or in flight in
 //     any other pending event or cross-shard message;
 //   - per edge: the bytes its discipline dequeued and its link has not
-//     delivered are the bytes in the link's service.
+//     delivered are the bytes in the link's service;
+//   - per endpoint: a stopped one has no event pending, which is what
+//     lets a spawned flow's endpoint carry the next flow.
 func (c *compiled) audit() error {
 	if err := c.balance(); err != nil {
 		return fmt.Errorf("exp: packet books do not balance: %v", err)
@@ -128,7 +130,11 @@ func (c *compiled) balance() error {
 
 	inService := map[topo.Link]int64{} // bytes, by link
 	var serving, inFlight int64
+	stale := -1 // the flow of the first stopped endpoint with an event pending
 	c.g.Coordinator().EachPending(func(a, b any) {
+		if ep, ok := a.(*cc.Endpoint); ok && ep.Stopped() && stale < 0 {
+			stale = ep.Flow
+		}
 		p, ok := b.(*packet.Packet)
 		if !ok {
 			return
@@ -140,6 +146,9 @@ func (c *compiled) balance() error {
 		}
 		inFlight++
 	})
+	if stale >= 0 {
+		return fmt.Errorf("flow %d: its endpoint is stopped but has an event pending", stale)
+	}
 	for id, q := range c.edgeQ {
 		if q == nil {
 			continue

@@ -24,12 +24,14 @@ func (r *refusing) Enqueue(now sim.Time, p *packet.Packet) bool {
 	return r.Qdisc.Enqueue(now, p) || r.onRefuse(p)
 }
 
-// TestAuditCatchesMutations seeds three bookkeeping bugs into a compiled
+// TestAuditCatchesMutations seeds four bookkeeping bugs into a compiled
 // run, each through the graph it built, and requires Run to fail with the
 // identity each one breaks: a swallowed packet leaves the books holding a
 // packet the network does not; a refused packet dropped a second time,
 // and a refusal booked as an impairment loss, leave the refusals on the
-// books disagreeing with the discipline's.
+// books disagreeing with the discipline's; an event left pending for a
+// stopped endpoint is one a recycled endpoint would run for its next
+// flow.
 func TestAuditCatchesMutations(t *testing.T) {
 	spec := Spec{
 		Seed:     1,
@@ -71,6 +73,13 @@ func TestAuditCatchesMutations(t *testing.T) {
 				return true
 			}}
 		}, "ended refused or dropped inside a discipline, the disciplines dropped"},
+		{"stale event", func(c *compiled) {
+			ep := c.flows[0].ep
+			ep.S.At(sim.Second, func() {
+				ep.Stop()
+				ep.S.AfterArgs(5*sim.Second, func(any, any) {}, ep, nil)
+			})
+		}, "flow 0: its endpoint is stopped but has an event pending"},
 	}
 	for _, tc := range cases {
 		c, err := compile(spec, nil)

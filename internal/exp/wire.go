@@ -123,19 +123,22 @@ func (r flowRoute) dir(ack bool) []int {
 	return r.data
 }
 
-// attachFlow puts one flow on the graph: the endpoint on the shard of
-// the data route's origin junction with the flow's tally, which draws
-// its packets from the graph's arenas, the receiver
-// on that of its terminal junction (both inject packets synchronously
-// into those junctions), and the two routes between them, each ending in
-// an rtt/2 access tail. It schedules nothing; the caller sets the source
-// and the receiver's OnData hook and starts the endpoint.
-func attachFlow(g *topo.Graph, id int, alg cc.Algorithm, route flowRoute, rtt sim.Time) (*cc.Endpoint, *netem.Receiver, error) {
+// attachFlow puts one flow on the graph in f's storage: the endpoint
+// (Init) on the shard of the data route's origin junction with the
+// flow's tally, which draws its packets from the graph's arenas, the
+// receiver (Reset, which keeps its OnData hook) on that of its terminal
+// junction (both inject packets synchronously into those junctions), and
+// the two routes between them, each ending in an rtt/2 access tail. It
+// schedules nothing; the caller sets the source and the receiver's
+// OnData hook and starts the endpoint. The storage is fresh for a
+// declared flow and a drained flow's for a spawned one (spawned).
+func attachFlow(g *topo.Graph, id int, alg cc.Algorithm, route flowRoute, rtt sim.Time, f flowEnds) error {
 	origin := g.Edge(route.data[0]).From.ID
 	last := g.Edge(route.data[len(route.data)-1]).To.ID
 	epShard, recvShard := g.ShardOf(origin), g.ShardOf(last)
 
-	ep := cc.NewEndpoint(g.SimFor(origin), id, nil, alg)
+	ep, recv := f.ep, f.recv
+	ep.Init(g.SimFor(origin), id, nil, alg)
 	ep.Tally.Spread(g.Coordinator().Shards(), epShard, g.Arenas())
 	if r := g.Recorder(); r != nil {
 		ep.SetObs(r, int32(id))
@@ -145,15 +148,15 @@ func attachFlow(g *topo.Graph, id int, alg cc.Algorithm, route flowRoute, rtt si
 	// the receiver's and endpoint's respectively.
 	ackEntry, err := g.RouteFlowAt(id, true, route.ack, rtt/2, ep, epShard, recvShard)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	recv := netem.NewReceiver(g.SimFor(last), id, ackEntry)
+	recv.Reset(g.SimFor(last), id, ackEntry)
 	dataEntry, err := g.RouteFlowAt(id, false, route.data, rtt/2, recv, recvShard, epShard)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
 	ep.Out = dataEntry
-	return ep, recv, nil
+	return nil
 }
 
 // dualWindow is a scheme whose two windows the harness samples beside
@@ -192,11 +195,12 @@ func (c *compiled) wireFlows() error {
 		if flowRTT <= 0 {
 			flowRTT = spec.RTT
 		}
-		ep, recv, err := attachFlow(g, i, alg, routes[i], flowRTT)
-		if err != nil {
+		f := flowEnds{new(cc.Endpoint), new(netem.Receiver)}
+		if err := attachFlow(g, i, alg, routes[i], flowRTT, f); err != nil {
 			return err
 		}
-		c.flows = append(c.flows, flowEnds{ep, recv})
+		c.flows = append(c.flows, f)
+		ep, recv := f.ep, f.recv
 		epSim := ep.S
 		ep.Src = fs.Source.source()
 		if fs.App != nil {

@@ -13,6 +13,7 @@ import (
 	"abc/internal/app"
 	"abc/internal/cc"
 	"abc/internal/metrics"
+	"abc/internal/netem"
 	"abc/internal/packet"
 	"abc/internal/sim"
 	"abc/internal/topo"
@@ -52,8 +53,9 @@ type WorkloadSpec struct {
 	// retransmission timers, queue occupancy) where an open-loop process
 	// outpaces the link indefinitely. A completed flow is unrouted with
 	// its last packet and leaves only a class and a tail slot per
-	// direction on the graph (≈ 40 B), so footprint follows the active
-	// flows, not Spawned.
+	// direction on the graph (≈ 40 B); its endpoint, receiver, source,
+	// callbacks and tail wires are reused by later arrivals (spawned), so
+	// footprint follows the most flows active at once, not Spawned.
 	MaxActive int `spec:"max_active"`
 	// RefMbps, when > 0, additionally reports each FCT as a slowdown
 	// against an ideal same-size transfer at this rate plus one RTT.
@@ -147,10 +149,13 @@ type workloadRunner struct {
 	active int
 	err    error
 	// live holds the spawned flows whose packets have not all ended, by
-	// id. A drained flow leaves it, its account folded into drained, so
-	// what the runner keeps of finished flows is one account.
+	// id. A drained flow leaves it, its account folded into drained, and
+	// its storage goes on free for the next arrival, so what the runner
+	// keeps of finished flows is one account and the bundles of the most
+	// flows it had live at once.
 	live    map[int]flowEnds
 	drained account
+	free    []*spawned
 }
 
 // startWorkloads validates every workload and schedules its arrival
@@ -226,10 +231,51 @@ func (r *workloadRunner) schedule() {
 	if gap >= r.stopAt-now {
 		return
 	}
-	s.After(gap, func() {
-		r.spawn(s.Now())
-		r.schedule()
-	})
+	s.AfterArgs(gap, workloadArrival, r, nil)
+}
+
+// workloadArrival is one arrival as a static event callback: the flow
+// spawns, and the next gap is drawn.
+func workloadArrival(a, _ any) {
+	r := a.(*workloadRunner)
+	r.spawn(r.g.S.Now())
+	r.schedule()
+}
+
+// spawned is the storage of one spawned flow, which outlives the flow:
+// once the flow has drained, the bundle waits on its runner's free list
+// for the next arrival, which re-initialises it in place. The endpoint,
+// receiver and source are held by value, and the three callbacks are
+// method values bound once, when the bundle is made: the receiver's
+// OnData survives Reset, and each flow's OnComplete and Finish take
+// complete and drain.
+type spawned struct {
+	r        *workloadRunner
+	ep       cc.Endpoint
+	recv     netem.Receiver
+	src      cc.Fixed
+	complete func(sim.Time)
+	drain    func()
+	// The flow it carries: its id, arrival time, size and RTT.
+	id      int
+	arrived sim.Time
+	size    int
+	rtt     sim.Time
+}
+
+// bundle returns storage for the next spawned flow: a drained flow's
+// from the free list, else a new bundle.
+func (r *workloadRunner) bundle() *spawned {
+	if n := len(r.free); n > 0 {
+		b := r.free[n-1]
+		r.free = r.free[:n-1]
+		return b
+	}
+	b := &spawned{r: r}
+	b.recv.OnData = b.onData
+	b.complete = b.onComplete
+	b.drain = b.onDrain
+	return b
 }
 
 // spawn wires one finite flow onto the graph and starts it.
@@ -257,59 +303,80 @@ func (r *workloadRunner) spawn(now sim.Time) {
 	if rtt <= 0 {
 		rtt = r.spec.RTT
 	}
-	ep, recv, err := attachFlow(r.g, id, alg, r.route, rtt)
-	if err != nil {
+	b := r.bundle()
+	f := flowEnds{&b.ep, &b.recv}
+	if err := attachFlow(r.g, id, alg, r.route, rtt, f); err != nil {
 		r.fail(err)
 		return
 	}
-	warm, wr := r.spec.Warmup, r.wr
-	recv.OnData = func(t sim.Time, p *packet.Packet) {
-		if t < warm {
-			return
-		}
-		wr.Bytes += int64(p.Size)
-		wr.delay.Add(t - p.SentAt)
-		wr.QDelay.Add(p.QueueDelay)
-	}
-	ep.Src = cc.NewFixed(size)
-	f := flowEnds{ep, recv}
+	b.id, b.arrived, b.size, b.rtt = id, now, size, rtt
+	b.src = cc.Fixed{Remaining: size}
+	b.ep.Src = &b.src
+	b.ep.OnComplete = b.complete
 	r.live[id] = f
 	r.active++
 	r.wr.Spawned++
-	measured := now >= warm
-	ep.OnComplete = func(done sim.Time) {
-		ep.Stop()
-		// The flow's own ACKs or spurious retransmissions may still be in
-		// flight: its routes, and with them everything of the flow the
-		// graph references, go with its last packet, and its books are
-		// folded into the workload's.
-		ep.Tally.Finish(func() {
-			if err := r.g.UnrouteFlow(id); err != nil {
-				r.fail(err)
-			}
-			r.drained.add(f.account())
-			delete(r.live, id)
-		})
-		r.active--
-		r.wr.Completed++
-		if !measured {
-			return
-		}
-		fct := done - now
-		wr.FCT.Add(fct)
-		slow := 0.0
-		if r.ws.RefMbps > 0 {
-			ideal := rtt + sim.FromSeconds(float64(size)*8/(r.ws.RefMbps*1e6))
-			if ideal > 0 {
-				slow = fct.Seconds() / ideal.Seconds()
-				wr.Slowdown.AddSample(slow)
-			}
-		}
-		if r.adv != nil {
-			r.adv.addFCT(id, fct, slow, int64(size))
+	b.ep.Start()
+}
+
+// onData is the receiver's OnData hook: post-warmup deliveries feed the
+// workload's recorders.
+func (b *spawned) onData(t sim.Time, p *packet.Packet) {
+	if t < b.r.spec.Warmup {
+		return
+	}
+	wr := b.r.wr
+	wr.Bytes += int64(p.Size)
+	wr.delay.Add(t - p.SentAt)
+	wr.QDelay.Add(p.QueueDelay)
+}
+
+// onComplete is the endpoint's OnComplete: the flow stops, its
+// completion is counted and, if it arrived after warmup, its FCT
+// recorded.
+func (b *spawned) onComplete(done sim.Time) {
+	r, wr := b.r, b.r.wr
+	b.ep.Stop()
+	// The flow's own ACKs or spurious retransmissions may still be in
+	// flight: its routes, and with them everything of the flow the graph
+	// references, go with its last packet (onDrain).
+	b.ep.Tally.Finish(b.drain)
+	r.active--
+	wr.Completed++
+	if b.arrived < r.spec.Warmup {
+		return
+	}
+	fct := done - b.arrived
+	wr.FCT.Add(fct)
+	slow := 0.0
+	if r.ws.RefMbps > 0 {
+		ideal := b.rtt + sim.FromSeconds(float64(b.size)*8/(r.ws.RefMbps*1e6))
+		if ideal > 0 {
+			slow = fct.Seconds() / ideal.Seconds()
+			wr.Slowdown.AddSample(slow)
 		}
 	}
-	ep.Start()
+	if r.adv != nil {
+		r.adv.addFCT(b.id, fct, slow, int64(b.size))
+	}
+}
+
+// onDrain runs with the end of the flow's last packet: the flow is
+// unrouted, its books are folded into the workload's, and the bundle
+// goes on the free list. It is reusable now: its endpoint is stopped,
+// none of its packets is live, and no event of its own is pending (Stop
+// cancelled them, and the receiver schedules none).
+func (b *spawned) onDrain() {
+	r := b.r
+	f := flowEnds{&b.ep, &b.recv}
+	r.drained.add(f.account())
+	delete(r.live, b.id)
+	if err := r.g.UnrouteFlow(b.id); err != nil {
+		// Still routed to the bundle's endpoint and receiver: not reused.
+		r.fail(err)
+		return
+	}
+	r.free = append(r.free, b)
 }
 
 // fail records the first wiring error and stops the arrival process.

@@ -239,6 +239,28 @@ func TestReceiverCumulativeAck(t *testing.T) {
 	}
 }
 
+// Reset readies a receiver for another flow as NewReceiver would and
+// keeps its OnData hook: the old flow's out-of-order arrivals are
+// forgotten, so the new flow acknowledges from sequence 0 on its own.
+func TestReceiverResetKeepsOnData(t *testing.T) {
+	s := sim.New(1)
+	var cum []int64
+	out := packet.NodeFunc(func(p *packet.Packet) { cum = append(cum, p.CumAck) })
+	seen := 0
+	r := NewReceiver(s, 1, out)
+	r.OnData = func(sim.Time, *packet.Packet) { seen++ }
+	r.Recv(packet.NewData(1, 1, packet.MTU, 0)) // 1 waits for 0
+	r.Reset(s, 2, out)
+	r.Recv(packet.NewData(1, 0, packet.MTU, 0)) // the old flow's: misrouted
+	r.Recv(packet.NewData(2, 0, packet.MTU, 0))
+	if r.Flow != 2 || r.Delivered != 1 || seen != 2 {
+		t.Errorf("after Reset: flow %d, delivered %d, OnData saw %d; want 2, 1, 2", r.Flow, r.Delivered, seen)
+	}
+	if want := []int64{0, 1}; len(cum) != 2 || cum[0] != want[0] || cum[1] != want[1] {
+		t.Errorf("cumulative ACKs %v, want %v", cum, want)
+	}
+}
+
 func TestReceiverEchoesMarks(t *testing.T) {
 	s := sim.New(1)
 	var last *packet.Packet

@@ -34,6 +34,14 @@ func NewReceiver(s *sim.Simulator, flow int, out packet.Node) *Receiver {
 	return &Receiver{S: s, Flow: flow, Out: out}
 }
 
+// Reset readies r for flow as NewReceiver would, keeping OnData and the
+// storage of its reorder set: how a receiver whose flow has ended
+// carries the next one.
+func (r *Receiver) Reset(s *sim.Simulator, flow int, out packet.Node) {
+	clear(r.pending)
+	*r = Receiver{S: s, Flow: flow, Out: out, OnData: r.OnData, pending: r.pending}
+}
+
 // Recv implements packet.Node for data packets.
 func (r *Receiver) Recv(p *packet.Packet) {
 	if p.IsAck || p.Flow != r.Flow {

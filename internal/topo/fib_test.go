@@ -184,6 +184,46 @@ func TestUnrouteFlowInvertsRouteFlow(t *testing.T) {
 	}
 }
 
+// TestUnrouteFlowRecyclesTailWires: the access-latency wires of an
+// unrouted flow, a routed direction's and a direct one's alike, go to the
+// spare list, and the next route built takes one with its own delay and
+// terminal.
+func TestUnrouteFlowRecyclesTailWires(t *testing.T) {
+	s := sim.New(1)
+	g, e1, e2, e3, e4 := twoPathGraph(t, s)
+	if _, err := g.RouteFlow(1, false, []int{e1, e2}, 5*sim.Millisecond, &packet.Sink{}); err != nil {
+		t.Fatal(err)
+	}
+	direct, err := g.RouteFlow(1, true, nil, 5*sim.Millisecond, &packet.Sink{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	routed := g.tails[0][1]
+	if err := g.UnrouteFlow(1); err != nil {
+		t.Fatal(err)
+	}
+	if len(g.spareWires) != 2 || g.spareWires[0] != routed || g.spareWires[1] != direct {
+		t.Fatalf("spare wires %v, want the routed tail %p and the direct one %p", g.spareWires, routed, direct)
+	}
+	sink := &packet.Sink{}
+	entry, err := g.RouteFlow(2, false, []int{e3, e4}, 7*sim.Millisecond, sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, ok := g.tails[0][2].(*netem.Wire)
+	if !ok || w != direct || len(g.spareWires) != 1 {
+		t.Fatalf("new tail %v with %d spare left, want the last wire unrouted (%p)", g.tails[0][2], len(g.spareWires), direct)
+	}
+	if w.Delay != 7*sim.Millisecond || w.Dst != sink {
+		t.Errorf("recycled wire: delay %v to %v, want 7ms to the new sink", w.Delay, w.Dst)
+	}
+	send(g, entry, 2, 10)
+	s.RunUntil(sim.Second)
+	if sink.Count != 10 {
+		t.Errorf("delivered %d/10 through the recycled tail", sink.Count)
+	}
+}
+
 // TestUnrouteWaitsForLateAcks: with ACKs reordered (30 % of them deferred
 // by 8 ms on their way onto the ACK path, drawn from the ACK edge's
 // impairment stream) a finite flow completes while ACKs of its spurious

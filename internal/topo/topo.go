@@ -332,6 +332,9 @@ type Graph struct {
 	// tails holds each flow's delivery element per direction — what a
 	// class's end-of-route sentinel dereferences to.
 	tails [2][]packet.Node
+	// spareWires are the access-latency wires of unrouted flows, which
+	// buildTail hands to the next routes it builds (see UnrouteFlow).
+	spareWires []*netem.Wire
 	// watchers are the link-state subscribers (route-computation
 	// policies): every SetDown that flips the state notifies them.
 	watchers []func(*Edge)
@@ -789,7 +792,7 @@ func (g *Graph) routeFlow(flow int, ack bool, edges []int, tailDelay sim.Time, t
 func (g *Graph) buildTail(rt *routeState, fromShard int) (packet.Node, error) {
 	if fromShard == rt.termShard {
 		if rt.tailDelay > 0 {
-			return netem.NewWire(g.sims[fromShard], rt.tailDelay, rt.terminal), nil
+			return g.wire(g.sims[fromShard], rt.tailDelay, rt.terminal), nil
 		}
 		return rt.terminal, nil
 	}
@@ -800,15 +803,32 @@ func (g *Graph) buildTail(rt *routeState, fromShard int) (packet.Node, error) {
 	return &crossHop{src: g.coord.Shard(fromShard), dst: rt.termShard, delay: rt.tailDelay, to: rt.terminal}, nil
 }
 
+// wire returns an access-latency wire on s: a spare one if UnrouteFlow
+// left any, else a new one.
+func (g *Graph) wire(s *sim.Simulator, delay sim.Time, dst packet.Node) *netem.Wire {
+	n := len(g.spareWires)
+	if n == 0 {
+		return netem.NewWire(s, delay, dst)
+	}
+	w := g.spareWires[n-1]
+	g.spareWires = g.spareWires[:n-1]
+	*w = netem.Wire{S: s, Delay: delay, Dst: dst}
+	return w
+}
+
 // UnrouteFlow is routeFlow's inverse for both directions of a flow:
 // each leaves its FIB class (the last flow off a class uninstalls the
 // class's table entries, as a reroute does), drops any draining
 // overrides and its registry entry, and has its class slot reset to -1
 // and its tail slot to nil. What the graph keeps of the flow afterwards
-// is those two emptied slots per direction; its tails, terminals and
-// whatever they reference become garbage. A packet of the flow that
-// still arrives at a junction is an unrouted drop, so a caller unroutes
-// a flow only once its last packet is released (packet.Tally).
+// is those two emptied slots per direction; its tail wires go to a spare
+// list that the next routes built reuse, and its terminals are the
+// caller's to reuse or drop. A packet of the flow that still arrives at
+// a junction is an unrouted drop, but one still on a tail wire, or
+// injected into what a direct route (no edges) returned, would reach the
+// terminal of whichever flow reuses the wire. So a caller unroutes a
+// flow only once its last packet is released (packet.Tally), and
+// injects nothing of it afterwards.
 //
 // Sharded graphs are refused: a flow's junctions may live on several
 // shards, and one shard's event must not rewrite another's tables.
@@ -829,6 +849,9 @@ func (g *Graph) UnrouteFlow(flow int) error {
 			g.detachClass(rt.class)
 			g.setFlowClass(flow, ack, -1)
 			g.setFlowTail(flow, ack, nil)
+		}
+		if w, ok := rt.tail.(*netem.Wire); ok {
+			g.spareWires = append(g.spareWires, w)
 		}
 		delete(g.routes, key)
 	}
