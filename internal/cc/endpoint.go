@@ -459,7 +459,7 @@ func (e *Endpoint) rto() sim.Time {
 // than rto() therefore declares its next flight lost at the first grid
 // instant after sending it and sends it twice. The app-rpc and app-video
 // goldens embody this; fixing it is a deliberate golden update (ROADMAP
-// item 3).
+// item 1).
 func (e *Endpoint) checkRTO() {
 	if e.inflight == 0 {
 		return

@@ -376,7 +376,7 @@ func TestTimelineScenariosBite(t *testing.T) {
 // checkRTO measures from lastAckAt, which sending does not refresh, so a
 // flow that was idle for longer than its RTO declares the next flight
 // lost at the first housekeeping instant after sending it. The app-rpc
-// and app-video goldens embody this; ROADMAP item 3 has the fix.
+// and app-video goldens embody this; ROADMAP item 1 has the fix.
 func TestSpuriousRTOAfterIdle(t *testing.T) {
 	log := runTimeline(timelineScenario(t, "idle"), 250*sim.Millisecond).buf.String()
 	if n := strings.Count(log, " rto\n"); n != 1 {

@@ -58,9 +58,9 @@ var ablationSweeps = []struct {
 		func(c *abc.RouterConfig, v float64) { c.Window = sim.FromSeconds(v / 1000) }},
 }
 
-// Ablations runs every sweep: one backlogged ABC flow on Verizon1 per
+// ablations runs every sweep: one backlogged ABC flow on Verizon1 per
 // parameter value, everything else at the router's defaults.
-func Ablations(dur sim.Time, seed int64) ([]AblationSweep, error) {
+func ablations(p Params) ([]AblationSweep, error) {
 	tr := trace.MustNamedCellular("Verizon1")
 	out := make([]AblationSweep, len(ablationSweeps))
 	for i, sw := range ablationSweeps {
@@ -69,8 +69,8 @@ func Ablations(dur sim.Time, seed int64) ([]AblationSweep, error) {
 			cfg := abc.DefaultRouterConfig()
 			sw.set(&cfg, v)
 			res, _, err := Run(Spec{
-				Seed:     seed,
-				Duration: dur,
+				Seed:     p.Seed,
+				Duration: p.Dur,
 				RTT:      100 * sim.Millisecond,
 				Links:    []LinkSpec{{Trace: tr, Qdisc: QdiscSpec{Kind: "abc", ABCConfig: &cfg}}},
 				Flows:    []FlowSpec{{Scheme: "ABC"}},
@@ -97,15 +97,15 @@ func printAblations(w io.Writer, sweeps []AblationSweep) {
 	}
 }
 
-// ProxiedComparison runs standard and proxied-encoding ABC on the same
-// path: the §5.1.2 claim is that the proxied deployment behaves like the
-// NS-bit deployment without receiver changes.
-func ProxiedComparison(dur sim.Time, seed int64) (std, proxied metrics.Summary, err error) {
+// proxied runs standard then proxied-encoding ABC on the same path: the
+// §5.1.2 claim is that the proxied deployment behaves like the NS-bit
+// deployment without receiver changes.
+func proxied(p Params) ([]metrics.Summary, error) {
 	tr := trace.MustNamedCellular("Verizon1")
-	std, err = RunSingle("ABC", tr, 100*sim.Millisecond, dur, seed)
+	std, err := runSingle("ABC", tr, 100*sim.Millisecond, p.Dur, p.Seed)
 	if err != nil {
-		return
+		return nil, err
 	}
-	proxied, err = RunSingle("ABC-proxied", tr, 100*sim.Millisecond, dur, seed)
-	return
+	prox, err := runSingle("ABC-proxied", tr, 100*sim.Millisecond, p.Dur, p.Seed)
+	return []metrics.Summary{std, prox}, err
 }

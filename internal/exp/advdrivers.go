@@ -1,8 +1,8 @@
 // Adversary drivers: experiments pitting each scheme against the
-// impairment layer's attackers. Targeted runs the same chain twice —
+// impairment layer's attackers. targeted runs the same chain twice —
 // honest, then with a targeted attack (drop + extra delay + mark
 // stripping) pinned on one victim flow — and reports how the victim
-// degrades while the bystanders hold; Greedy replaces one flow's sender
+// degrades while the bystanders hold; greedy replaces one flow's sender
 // with the brake-ignoring greedy wrapper and quantifies the bandwidth it
 // steals from the honest majority under ABC and each explicit baseline.
 // Both have declarative twins in examples/scenarios/ (targeted.json,
@@ -15,7 +15,6 @@ import (
 
 	"abc/internal/cc"
 	"abc/internal/metrics"
-	"abc/internal/netem"
 	"abc/internal/packet"
 	"abc/internal/sim"
 	"abc/internal/topo"
@@ -70,7 +69,7 @@ func targetedSpec(scheme string, dur sim.Time, seed int64) Spec {
 		Duration: dur,
 		RTT:      80 * sim.Millisecond,
 		Links: []LinkSpec{{
-			Rate:  netem.ConstRate(16e6),
+			Rate:  16e6,
 			Qdisc: QdiscSpec{Kind: "auto"},
 		}},
 		Flows: []FlowSpec{
@@ -106,21 +105,21 @@ func jain(res *Result) float64 {
 	return metrics.JainIndex(xs)
 }
 
-// Targeted runs each scheme's four-flow chain twice — honest, then with
+// targeted runs each scheme's four-flow chain twice — honest, then with
 // a targeted attack (1% drop, 30 ms extra delay, mark stripping) pinned
 // on flow 0 at the bottleneck — and reports the victim/bystander split:
 // a well-isolated scheme degrades only the victim, and the bystanders'
 // throughput and delay stay at their honest baseline.
-func Targeted(schemes []string, dur sim.Time, seed int64) (map[string]TargetedResult, error) {
-	if dur <= 0 {
-		dur = 30 * sim.Second
+func targeted(p Params) (map[string]TargetedResult, error) {
+	if p.Dur <= 0 {
+		p.Dur = 30 * sim.Second
 	}
-	return sweepMap("targeted", schemes, []string{"ABC", "Cubic", "XCP", "RCP"}, seed, func(sch string) (r TargetedResult, err error) {
-		honest, _, err := Run(targetedSpec(sch, dur, seed))
+	return sweepMap("targeted", p, []string{"ABC", "Cubic", "XCP", "RCP"}, func(sch string) (r TargetedResult, err error) {
+		honest, _, err := Run(targetedSpec(sch, p.Dur, p.Seed))
 		if err != nil {
 			return r, err
 		}
-		spec := targetedSpec(sch, dur, seed)
+		spec := targetedSpec(sch, p.Dur, p.Seed)
 		spec.Links[0].Attack = targetedAttack()
 		attacked, _, err := Run(spec)
 		if err != nil {
@@ -165,7 +164,7 @@ type GreedyResult struct {
 	Report *AdversaryReport
 }
 
-// Greedy runs each scheme's four-flow chain twice — all honest, then
+// greedy runs each scheme's four-flow chain twice — all honest, then
 // with flow 0's sender wrapped in the greedy shim (ignores brakes and
 // CE, clamps negative explicit feedback, floors its window at half its
 // peak) — and quantifies the stolen bandwidth. Explicit schemes differ
@@ -173,16 +172,16 @@ type GreedyResult struct {
 // keeps whatever it grabs until drops discipline it, while XCP/RCP
 // senders that ignore feedback still face the router's per-packet
 // allocations to everyone else.
-func Greedy(schemes []string, dur sim.Time, seed int64) (map[string]GreedyResult, error) {
-	if dur <= 0 {
-		dur = 30 * sim.Second
+func greedy(p Params) (map[string]GreedyResult, error) {
+	if p.Dur <= 0 {
+		p.Dur = 30 * sim.Second
 	}
-	return sweepMap("greedy", schemes, ExplicitSchemes, seed, func(sch string) (r GreedyResult, err error) {
-		honest, _, err := Run(targetedSpec(sch, dur, seed))
+	return sweepMap("greedy", p, explicitSchemes, func(sch string) (r GreedyResult, err error) {
+		honest, _, err := Run(targetedSpec(sch, p.Dur, p.Seed))
 		if err != nil {
 			return r, err
 		}
-		spec := targetedSpec(sch, dur, seed)
+		spec := targetedSpec(sch, p.Dur, p.Seed)
 		spec.Flows[0].Misbehave = "greedy"
 		greedy, _, err := Run(spec)
 		if err != nil {

@@ -15,7 +15,7 @@ import (
 // 30 ms) while the bystanders' delay stays within 10% of their honest
 // baseline — the attack is surgical, not collateral.
 func TestTargetedVictimDegradesBystandersHold(t *testing.T) {
-	res, err := Targeted([]string{"ABC"}, 12*sim.Second, 1)
+	res, err := targeted(Params{Schemes: []string{"ABC"}, Dur: 12 * sim.Second, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,11 +61,11 @@ func TestTargetedVictimDegradesBystandersHold(t *testing.T) {
 // under ABC and each explicit baseline, with the scheme-appropriate
 // feedback counter firing.
 func TestGreedyStealsFromEveryScheme(t *testing.T) {
-	res, err := Greedy(nil, 12*sim.Second, 1)
+	res, err := greedy(Params{Dur: 12 * sim.Second, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, scheme := range ExplicitSchemes {
+	for _, scheme := range explicitSchemes {
 		r, ok := res[scheme]
 		if !ok {
 			t.Errorf("%s: no result", scheme)

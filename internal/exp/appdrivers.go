@@ -14,13 +14,12 @@ import (
 
 	"abc/internal/app"
 	"abc/internal/metrics"
-	"abc/internal/sim"
 	"abc/internal/trace"
 )
 
-// AppSchemes is the default comparison set for the application-workload
+// appSchemes is the default comparison set for the application-workload
 // drivers.
-var AppSchemes = []string{"ABC", "Cubic", "BBR", "XCP"}
+var appSchemes = []string{"ABC", "Cubic", "BBR", "XCP"}
 
 // appTrace names the cellular trace the drivers run over.
 const appTrace = "Verizon1"
@@ -41,15 +40,15 @@ type ShortFlowsResult struct {
 	Utilization  float64
 }
 
-// ShortFlows runs, per scheme, one bulk flow plus an open-loop Poisson
+// shortFlows runs, per scheme, one bulk flow plus an open-loop Poisson
 // workload of heavy-tailed web-like short flows (10 KB–1 MB bounded
 // Pareto) over the Verizon1 trace.
-func ShortFlows(schemes []string, dur sim.Time, seed int64) ([]ShortFlowsResult, error) {
+func shortFlows(p Params) ([]ShortFlowsResult, error) {
 	tr := trace.MustNamedCellular(appTrace)
-	return sweep("shortflows trace="+appTrace, schemes, AppSchemes, seed, func(scheme string) (ShortFlowsResult, error) {
+	return sweep("shortflows trace="+appTrace, p, appSchemes, func(scheme string) (ShortFlowsResult, error) {
 		res, _, err := Run(Spec{
-			Seed:     seed,
-			Duration: dur,
+			Seed:     p.Seed,
+			Duration: p.Dur,
 			Links:    []LinkSpec{{Trace: tr, Qdisc: QdiscSpec{Kind: "auto", Buffer: 250}}},
 			Flows:    []FlowSpec{{Scheme: scheme}},
 			Workloads: []WorkloadSpec{{
@@ -87,15 +86,15 @@ type VideoResult struct {
 	TputMbps  float64
 }
 
-// VideoExp runs, per scheme, one ABR video session over the Verizon1
+// videoExp runs, per scheme, one ABR video session over the Verizon1
 // trace: the buffer-based client climbs the bitrate ladder as far as the
 // scheme's delivery rate and self-inflicted queueing allow.
-func VideoExp(schemes []string, dur sim.Time, seed int64) ([]VideoResult, error) {
+func videoExp(p Params) ([]VideoResult, error) {
 	tr := trace.MustNamedCellular(appTrace)
-	return sweep("video trace="+appTrace, schemes, AppSchemes, seed, func(scheme string) (VideoResult, error) {
+	return sweep("video trace="+appTrace, p, appSchemes, func(scheme string) (VideoResult, error) {
 		res, _, err := Run(Spec{
-			Seed:     seed,
-			Duration: dur,
+			Seed:     p.Seed,
+			Duration: p.Dur,
 			Links:    []LinkSpec{{Trace: tr, Qdisc: QdiscSpec{Kind: "auto", Buffer: 250}}},
 			Flows: []FlowSpec{{
 				Scheme: scheme,
@@ -131,12 +130,12 @@ type RPCResult struct {
 // rpcClients is the number of concurrent RPC clients per scheme.
 const rpcClients = 3
 
-// RPCExp runs, per scheme, rpcClients request-response clients (100 KB
+// rpcExp runs, per scheme, rpcClients request-response clients (100 KB
 // responses, 200 ms mean think time) competing with one bulk flow over
 // the Verizon1 trace; per-call completion times pool across clients.
-func RPCExp(schemes []string, dur sim.Time, seed int64) ([]RPCResult, error) {
+func rpcExp(p Params) ([]RPCResult, error) {
 	tr := trace.MustNamedCellular(appTrace)
-	return sweep("rpc trace="+appTrace, schemes, AppSchemes, seed, func(scheme string) (RPCResult, error) {
+	return sweep("rpc trace="+appTrace, p, appSchemes, func(scheme string) (RPCResult, error) {
 		pool := &metrics.DelayRecorder{}
 		flows := []FlowSpec{{Scheme: scheme}}
 		for c := 0; c < rpcClients; c++ {
@@ -146,8 +145,8 @@ func RPCExp(schemes []string, dur sim.Time, seed int64) ([]RPCResult, error) {
 			})
 		}
 		res, _, err := Run(Spec{
-			Seed:     seed,
-			Duration: dur,
+			Seed:     p.Seed,
+			Duration: p.Dur,
 			Links:    []LinkSpec{{Trace: tr, Qdisc: QdiscSpec{Kind: "auto", Buffer: 250}}},
 			Flows:    flows,
 		})

@@ -16,7 +16,7 @@ import (
 // check: in the shipped cellular short-flow scenario ABC must deliver
 // the interactive traffic with a lower p95 queueing delay than Cubic.
 func TestShortFlowsABCBeatsCubicQueueing(t *testing.T) {
-	rows, err := ShortFlows([]string{"ABC", "Cubic"}, 16*sim.Second, 1)
+	rows, err := shortFlows(Params{Schemes: []string{"ABC", "Cubic"}, Dur: 16 * sim.Second, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestShortFlowsABCBeatsCubicQueueing(t *testing.T) {
 // download, the mean bitrate stays inside the ladder, and accounting
 // (played + stalled vs wall clock) closes.
 func TestVideoExpQoE(t *testing.T) {
-	rows, err := VideoExp([]string{"ABC", "Cubic"}, 16*sim.Second, 1)
+	rows, err := videoExp(Params{Schemes: []string{"ABC", "Cubic"}, Dur: 16 * sim.Second, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestVideoExpQoE(t *testing.T) {
 
 // TestRPCExpCalls checks the RPC clients cycle and pool their FCTs.
 func TestRPCExpCalls(t *testing.T) {
-	rows, err := RPCExp([]string{"ABC"}, 16*sim.Second, 1)
+	rows, err := rpcExp(Params{Schemes: []string{"ABC"}, Dur: 16 * sim.Second, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,19 +318,12 @@ func TestWorkloadAckPathDerivesAutoQdisc(t *testing.T) {
 // sequential and worker-pool execution.
 func TestAppDriversDeterministic(t *testing.T) {
 	defer func(p int) { Parallelism = p }(Parallelism)
-	type runFn func() (any, error)
-	cases := []struct {
-		name string
-		run  runFn
-	}{
-		{"shortflows", func() (any, error) { return ShortFlows([]string{"ABC", "Cubic"}, 10*sim.Second, 1) }},
-		{"video", func() (any, error) { return VideoExp([]string{"ABC", "Cubic"}, 10*sim.Second, 1) }},
-		{"rpc", func() (any, error) { return RPCExp([]string{"ABC", "Cubic"}, 10*sim.Second, 1) }},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
+	p := Params{Schemes: []string{"ABC", "Cubic"}, Dur: 10 * sim.Second, Seed: 1}
+	for _, name := range []string{"shortflows", "video", "rpc"} {
+		d, _ := Lookup(name)
+		t.Run(name, func(t *testing.T) {
 			Parallelism = 1
-			v1, err := c.run()
+			v1, err := d.Run(p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -339,7 +332,7 @@ func TestAppDriversDeterministic(t *testing.T) {
 				t.Fatal(err)
 			}
 			Parallelism = 4
-			v2, err := c.run()
+			v2, err := d.Run(p)
 			if err != nil {
 				t.Fatal(err)
 			}

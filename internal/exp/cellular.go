@@ -15,9 +15,9 @@ import (
 	"abc/internal/trace"
 )
 
-// RunSingle runs one backlogged flow of the scheme over the trace and
+// runSingle runs one backlogged flow of the scheme over the trace and
 // returns the paper's summary metrics.
-func RunSingle(scheme string, tr *trace.Trace, rtt, dur sim.Time, seed int64) (metrics.Summary, error) {
+func runSingle(scheme string, tr *trace.Trace, rtt, dur sim.Time, seed int64) (metrics.Summary, error) {
 	res, pooled, err := Run(Spec{
 		Seed:     seed,
 		Duration: dur,
@@ -39,22 +39,23 @@ type TimeseriesRun struct {
 	Summary metrics.Summary
 }
 
-// LTETrace returns the emulated LTE link used by Fig. 1: a volatile
+// lteTrace returns the emulated LTE link used by Fig. 1: a volatile
 // cellular trace whose capacity both collapses and surges within seconds.
-func LTETrace() *trace.Trace {
+func lteTrace() *trace.Trace {
 	return trace.Cellular("LTE", trace.CellParams{
 		Seed: 7, Duration: 30 * sim.Second, MeanMbps: 8,
 		Sigma: 0.3, MinMbps: 0.6, MaxMbps: 16, OutageProb: 0.02,
 	})
 }
 
-// Fig1Timeseries reproduces Fig. 1: Cubic, Verus, Cubic+CoDel and ABC on
+// fig1Timeseries reproduces Fig. 1: Cubic, Verus, Cubic+CoDel and ABC on
 // an emulated LTE link (RTT 100 ms, 250-packet buffer), reporting
 // throughput and queuing-delay trajectories.
-func Fig1Timeseries(seed int64) ([]TimeseriesRun, error) {
-	tr := LTETrace()
-	return sweep("fig1 trace=LTE", []string{"Cubic", "Verus", "Cubic+Codel", "ABC"}, nil, seed, func(sch string) (TimeseriesRun, error) {
-		res, pooled, err := Run(fig1Spec(tr, sch, seed))
+func fig1Timeseries(p Params) ([]TimeseriesRun, error) {
+	tr := lteTrace()
+	// The figure's four schemes, whatever -schemes asks for.
+	return sweep("fig1 trace=LTE", Params{Seed: p.Seed}, []string{"Cubic", "Verus", "Cubic+Codel", "ABC"}, func(sch string) (TimeseriesRun, error) {
+		res, pooled, err := Run(fig1Spec(tr, sch, p.Seed))
 		if err != nil {
 			return TimeseriesRun{}, err
 		}
@@ -101,10 +102,10 @@ type Fig2Result struct {
 	QDelayP95Enqueue float64
 }
 
-// Fig2FeedbackMode reproduces Fig. 2: computing f(t) from the enqueue
+// fig2FeedbackMode reproduces Fig. 2: computing f(t) from the enqueue
 // rate roughly doubles 95th-percentile queuing delay versus ABC's
 // dequeue-rate rule.
-func Fig2FeedbackMode(seed int64) (*Fig2Result, error) {
+func fig2FeedbackMode(p Params) (*Fig2Result, error) {
 	tr := trace.Cellular("fig2", trace.CellParams{
 		Seed: 42, Duration: 60 * sim.Second, MeanMbps: 10, Sigma: 0.25,
 	})
@@ -112,7 +113,7 @@ func Fig2FeedbackMode(seed int64) (*Fig2Result, error) {
 		cfg := abc.DefaultRouterConfig()
 		cfg.Feedback = mode
 		res, pooled, err := Run(Spec{
-			Seed:     seed,
+			Seed:     p.Seed,
 			Duration: 60 * sim.Second,
 			RTT:      100 * sim.Millisecond,
 			Links: []LinkSpec{{
@@ -157,9 +158,9 @@ const (
 	UplinkDownlink
 )
 
-// Fig8Scatter reproduces Fig. 8: every scheme's (p95 delay, utilization)
+// fig8Scatter reproduces Fig. 8: every scheme's (p95 delay, utilization)
 // on Verizon-like traces, optionally across two cellular hops.
-func Fig8Scatter(kind ScatterKind, schemes []string, dur sim.Time, seed int64) ([]metrics.Summary, error) {
+func fig8Scatter(kind ScatterKind, p Params) ([]metrics.Summary, error) {
 	down := trace.MustNamedCellular("Verizon1")
 	up := trace.MustNamedCellular("Verizon2")
 	var links []LinkSpec
@@ -171,9 +172,9 @@ func Fig8Scatter(kind ScatterKind, schemes []string, dur sim.Time, seed int64) (
 	case UplinkDownlink:
 		links = []LinkSpec{{Trace: up}, {Trace: down}}
 	}
-	return sweep(fmt.Sprintf("fig8 kind=%d", kind), schemes, Schemes, seed, func(sch string) (metrics.Summary, error) {
+	return sweep(fmt.Sprintf("fig8 kind=%d", kind), p, Schemes, func(sch string) (metrics.Summary, error) {
 		res, pooled, err := Run(Spec{
-			Seed: seed, Duration: dur, RTT: 100 * sim.Millisecond,
+			Seed: p.Seed, Duration: p.Dur, RTT: 100 * sim.Millisecond,
 			Links: slices.Clone(links), Flows: []FlowSpec{{Scheme: sch}},
 		})
 		if err != nil {
@@ -195,7 +196,7 @@ func fig8Panels(p Params) ([]Fig8Panel, error) {
 	paths := []string{Downlink: "downlink", Uplink: "uplink", UplinkDownlink: "uplink+downlink"}
 	out := make([]Fig8Panel, len(paths))
 	for kind, path := range paths {
-		rows, err := Fig8Scatter(ScatterKind(kind), p.Schemes, p.Dur, p.Seed)
+		rows, err := fig8Scatter(ScatterKind(kind), p)
 		if err != nil {
 			return nil, err
 		}
@@ -239,11 +240,12 @@ func (b *BarsResult) Average(scheme string) (util, meanMs, p95Ms float64) {
 	return util / n, meanMs / n, p95Ms / n
 }
 
-// Fig9Bars reproduces Fig. 9 (and feeds Fig. 15, Fig. 16 and Table 1):
-// every scheme on the eight-trace cellular corpus. The (trace, scheme)
-// cells are independent simulations and fan out across the worker pool;
-// results are byte-identical to a sequential sweep.
-func Fig9Bars(schemes, traces []string, dur sim.Time, seed int64) (*BarsResult, error) {
+// fig9Bars reproduces Fig. 9 (and feeds Fig. 15, Fig. 16 and Table 1):
+// every scheme on the cellular corpus (traces, else all eight). The
+// (trace, scheme) cells are independent simulations and fan out across
+// the worker pool; results are byte-identical to a sequential sweep.
+func fig9Bars(p Params, traces []string) (*BarsResult, error) {
+	schemes := p.Schemes
 	if len(schemes) == 0 {
 		schemes = Schemes
 	}
@@ -267,10 +269,10 @@ func Fig9Bars(schemes, traces []string, dur sim.Time, seed int64) (*BarsResult, 
 	sums := make([]metrics.Summary, len(traces)*len(schemes))
 	err := forEachCell(len(sums), func(i int) string {
 		ti, si := i/len(schemes), i%len(schemes)
-		return fmt.Sprintf("bars trace=%s scheme=%s seed=%d", traces[ti], schemes[si], seed)
+		return fmt.Sprintf("bars trace=%s scheme=%s seed=%d", traces[ti], schemes[si], p.Seed)
 	}, func(i int) error {
 		ti, si := i/len(schemes), i%len(schemes)
-		s, err := RunSingle(schemes[si], trs[ti], 100*sim.Millisecond, dur, seed)
+		s, err := runSingle(schemes[si], trs[ti], 100*sim.Millisecond, p.Dur, p.Seed)
 		sums[i] = s
 		return err
 	})
@@ -284,6 +286,24 @@ func Fig9Bars(schemes, traces []string, dur sim.Time, seed int64) (*BarsResult, 
 		}
 	}
 	return res, nil
+}
+
+// cellularBars runs the eight-trace cellular corpus (Fig. 9 and 15).
+func cellularBars(p Params) (*BarsResult, error) { return fig9Bars(p, nil) }
+
+// fig16 runs the corpus with the Appendix D explicit schemes.
+func fig16(p Params) (*BarsResult, error) {
+	p.Schemes = explicitSchemes
+	return cellularBars(p)
+}
+
+// table1 runs the corpus and normalizes it to ABC.
+func table1(p Params) ([]Table1Row, error) {
+	b, err := cellularBars(p)
+	if err != nil {
+		return nil, err
+	}
+	return SummaryTable(b), nil
 }
 
 // Table1Row is one line of the paper's §1 summary table.
@@ -337,9 +357,10 @@ func printTable1(w io.Writer, rows []Table1Row) {
 	}
 }
 
-// Fig18RTTSweep reproduces Fig. 18: each scheme across propagation RTTs
+// fig18RTTSweep reproduces Fig. 18: each scheme across propagation RTTs
 // of 20/50/100/200 ms on a Verizon-like trace. Keyed [rttMs][scheme].
-func Fig18RTTSweep(schemes []string, dur sim.Time, seed int64) (map[int]map[string]metrics.Summary, error) {
+func fig18RTTSweep(p Params) (map[int]map[string]metrics.Summary, error) {
+	schemes := p.Schemes
 	if len(schemes) == 0 {
 		schemes = Schemes
 	}
@@ -348,7 +369,7 @@ func Fig18RTTSweep(schemes []string, dur sim.Time, seed int64) (map[int]map[stri
 	sums := make([]metrics.Summary, len(rtts)*len(schemes))
 	err := forEachCell(len(sums), func(i int) string {
 		ri, si := i/len(schemes), i%len(schemes)
-		return fmt.Sprintf("fig18 rtt=%dms scheme=%s seed=%d", rtts[ri], schemes[si], seed)
+		return fmt.Sprintf("fig18 rtt=%dms scheme=%s seed=%d", rtts[ri], schemes[si], p.Seed)
 	}, func(i int) error {
 		ri, si := i/len(schemes), i%len(schemes)
 		rtt := sim.Time(rtts[ri]) * sim.Millisecond
@@ -364,7 +385,7 @@ func Fig18RTTSweep(schemes []string, dur sim.Time, seed int64) (map[int]map[stri
 			link.Qdisc = QdiscSpec{Kind: "abc", ABCConfig: &cfg}
 		}
 		res, pooled, err := Run(Spec{
-			Seed: seed, Duration: dur, RTT: rtt,
+			Seed: p.Seed, Duration: p.Dur, RTT: rtt,
 			Links: []LinkSpec{link},
 			Flows: []FlowSpec{{Scheme: sch}},
 		})
@@ -411,14 +432,14 @@ type PKABCResult struct {
 	QDelayP95ABC, QDelayP95PK float64
 }
 
-// PKABC reproduces §6.6's perfect-future-knowledge experiment: PK-ABC
+// pkABC reproduces §6.6's perfect-future-knowledge experiment: PK-ABC
 // uses the link rate one RTT in the future and sharply cuts p95 delay at
 // equal utilization.
-func PKABC(dur sim.Time, seed int64) (*PKABCResult, error) {
+func pkABC(p Params) (*PKABCResult, error) {
 	tr := trace.MustNamedCellular("Verizon2")
 	run := func(lookahead sim.Time) (metrics.Summary, float64, error) {
 		res, pooled, err := Run(Spec{
-			Seed: seed, Duration: dur, RTT: 100 * sim.Millisecond,
+			Seed: p.Seed, Duration: p.Dur, RTT: 100 * sim.Millisecond,
 			Links: []LinkSpec{{Trace: tr, Lookahead: lookahead}},
 			Flows: []FlowSpec{{Scheme: "ABC"}},
 		})
@@ -453,11 +474,11 @@ type Fig13Result struct {
 	AppLimitedTputMbps float64
 }
 
-// Fig13AppLimited reproduces Fig. 13: one backlogged ABC flow shares an
+// fig13AppLimited reproduces Fig. 13: one backlogged ABC flow shares an
 // ABC cellular bottleneck with n application-limited ABC flows sending
 // aggAppMbps in aggregate; everyone keeps low delay and the link stays
 // utilized.
-func Fig13AppLimited(n int, aggAppMbps float64, dur sim.Time, seed int64) (*Fig13Result, error) {
+func fig13AppLimited(n int, aggAppMbps float64, dur sim.Time, seed int64) (*Fig13Result, error) {
 	tr := trace.MustNamedCellular("Verizon3")
 	flows := make([]FlowSpec, 0, n+1)
 	flows = append(flows, FlowSpec{Scheme: "ABC"}) // backlogged
@@ -485,6 +506,9 @@ func Fig13AppLimited(n int, aggAppMbps float64, dur sim.Time, seed int64) (*Fig1
 	out.QDelayP95 = res.Flows[0].QDelay.P95()
 	return out, nil
 }
+
+// fig13 is Fig. 13's row: 50 app-limited flows offering 1 Mbit/s.
+func fig13(p Params) (*Fig13Result, error) { return fig13AppLimited(50, 1.0, p.Dur, p.Seed) }
 
 func printFig13(w io.Writer, r *Fig13Result) {
 	fmt.Fprintf(w, "util=%.1f%%  backlogged=%.2f Mbps  app-limited agg=%.2f Mbps  p95 queuing=%.0f ms\n",

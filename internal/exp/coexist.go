@@ -8,7 +8,6 @@ import (
 	"io"
 
 	"abc/internal/metrics"
-	"abc/internal/netem"
 	"abc/internal/sim"
 	"abc/internal/trace"
 )
@@ -32,23 +31,23 @@ type Fig6Result struct {
 // wired link several times, as in Fig. 6.
 var fig6WirelessRates = []float64{10e6, 18e6, 6e6, 16e6, 8e6, 20e6, 4e6, 14e6}
 
-// Fig6NonABCBottleneck reproduces Fig. 6: an ABC flow traverses an
+// fig6NonABCBottleneck reproduces Fig. 6: an ABC flow traverses an
 // ABC-capable wireless link (stepped rate, 5 s steps) followed by a
 // 12 Mbit/s wired droptail link. Whichever of wabc/wcubic is smaller
 // governs the flow, and ABC tracks the bottleneck switches.
-func Fig6NonABCBottleneck(seed int64) (*Fig6Result, error) {
+func fig6NonABCBottleneck(p Params) (*Fig6Result, error) {
 	stepDur := 5 * sim.Second
 	wireless := trace.Steps("fig6-wireless", fig6WirelessRates, stepDur)
 	dur := sim.Time(len(fig6WirelessRates)) * stepDur * 2 // two cycles
 
 	spec := Spec{
-		Seed:     seed,
+		Seed:     p.Seed,
 		Duration: dur,
 		Warmup:   2 * sim.Second,
 		RTT:      100 * sim.Millisecond,
 		Links: []LinkSpec{
 			{Trace: wireless, Qdisc: QdiscSpec{Kind: "abc", Buffer: 500}},
-			{Rate: netem.ConstRate(12e6), Qdisc: QdiscSpec{Kind: "droptail", Buffer: 100}},
+			{Rate: 12e6, Qdisc: QdiscSpec{Kind: "droptail", Buffer: 100}},
 		},
 		Flows:  []FlowSpec{{Scheme: "ABC"}},
 		Sample: 200 * sim.Millisecond,
@@ -121,7 +120,7 @@ func fig7Spec(seed int64) Spec {
 		Warmup:   2 * sim.Second,
 		RTT:      100 * sim.Millisecond,
 		Links: []LinkSpec{{
-			Rate:  netem.ConstRate(24e6),
+			Rate:  24e6,
 			Qdisc: QdiscSpec{Kind: "dual-maxmin", Buffer: 250},
 		}},
 		Flows: []FlowSpec{
@@ -134,11 +133,11 @@ func fig7Spec(seed int64) Spec {
 	}
 }
 
-// Fig7Coexistence reproduces Fig. 7: two ABC then two Cubic flows arrive
+// fig7Coexistence reproduces Fig. 7: two ABC then two Cubic flows arrive
 // one after another on a 24 Mbit/s dual-queue ABC bottleneck and share it
 // fairly, with ABC keeping low queuing delay.
-func Fig7Coexistence(seed int64) (*Fig7Result, error) {
-	res, _, err := Run(fig7Spec(seed))
+func fig7Coexistence(p Params) (*Fig7Result, error) {
+	res, _, err := Run(fig7Spec(p.Seed))
 	if err != nil {
 		return nil, err
 	}
@@ -180,11 +179,11 @@ type Fig11Result struct {
 	QDelayP95NoCross float64
 }
 
-// Fig11CrossTraffic reproduces Fig. 11: an ABC flow crosses an ABC
+// fig11CrossTraffic reproduces Fig. 11: an ABC flow crosses an ABC
 // wireless link then a 12 Mbit/s wired droptail link shared with on-off
 // Cubic cross traffic; the flow should track min(wireless rate, fair
 // share of the wired link) as the bottleneck moves.
-func Fig11CrossTraffic(seed int64) (*Fig11Result, error) {
+func fig11CrossTraffic(p Params) (*Fig11Result, error) {
 	stepDur := 5 * sim.Second
 	rates := []float64{10e6, 4e6, 8e6, 5e6, 9e6, 3e6, 7e6, 10e6}
 	wireless := trace.Steps("fig11-wireless", rates, stepDur)
@@ -192,13 +191,13 @@ func Fig11CrossTraffic(seed int64) (*Fig11Result, error) {
 	// Cross traffic: off for the first 30 s, on 30–55 s, off afterwards.
 	cross := &SourceSpec{Kind: "onoff", Start: 30 * sim.Second, On: 25 * sim.Second, Off: dur}
 	spec := Spec{
-		Seed:     seed,
+		Seed:     p.Seed,
 		Duration: dur,
 		Warmup:   2 * sim.Second,
 		RTT:      100 * sim.Millisecond,
 		Links: []LinkSpec{
 			{Trace: wireless, Qdisc: QdiscSpec{Kind: "abc", Buffer: 500}},
-			{Rate: netem.ConstRate(12e6), Qdisc: QdiscSpec{Kind: "droptail", Buffer: 100}},
+			{Rate: 12e6, Qdisc: QdiscSpec{Kind: "droptail", Buffer: 100}},
 		},
 		Flows: []FlowSpec{
 			{Scheme: "ABC"},

@@ -1,9 +1,11 @@
 // The experiment catalogue: one table, Drivers, that every consumer
 // iterates — `abcsim -exp`, abcreport's sections, the golden corpus and
 // the driver-table test. A new experiment is one entry here: a name, the
-// paper artefact it reproduces, a Run that turns the CLI's parameters
-// into a JSON-serializable result, and a Print that renders that result
-// in a fixed order.
+// paper artefact it reproduces, a run function that turns the CLI's
+// parameters into a JSON-serializable result, and a print function that
+// renders that result in a fixed order. A row names its experiment's
+// func(Params) (R, error) directly, and that function is the only way
+// into the experiment: the package exports no per-figure runner.
 package exp
 
 import (
@@ -12,10 +14,8 @@ import (
 	"strings"
 
 	"abc/internal/cc"
-	"abc/internal/metrics"
 	"abc/internal/qdisc"
 	"abc/internal/sim"
-	"abc/internal/wifi"
 )
 
 // Params are the knobs a driver can take: exactly abcsim's flags. A
@@ -62,113 +62,74 @@ func Lookup(name string) (Driver, bool) {
 	return Driver{}, false
 }
 
-// cellularBars runs the eight-trace cellular corpus (Fig. 9 and 15).
-func cellularBars(p Params) (*BarsResult, error) {
-	return Fig9Bars(p.Schemes, nil, p.Dur, p.Seed)
-}
-
 // registered lists what `-schemes` and scenario files can name.
 type registered struct{ Schemes, Qdiscs []string }
+
+// listRegistered is the schemes row: what the registries hold.
+func listRegistered(Params) (registered, error) {
+	return registered{cc.SchemeNames(), qdisc.Kinds()}, nil
+}
+
+func printRegistered(w io.Writer, r registered) {
+	fmt.Fprintln(w, "schemes:", strings.Join(r.Schemes, " "))
+	fmt.Fprintln(w, "qdiscs: ", strings.Join(r.Qdiscs, " "))
+}
 
 // Drivers is the catalogue, in the order `abcsim -exp list` prints it:
 // the paper's table and figures, its in-text experiments, then the
 // scenarios that extend past its evaluation.
 var Drivers = []Driver{
-	drv("table1", "Table 1 (§1)", "summary: normalized throughput/delay vs ABC",
-		func(p Params) ([]Table1Row, error) {
-			b, err := cellularBars(p)
-			if err != nil {
-				return nil, err
-			}
-			return SummaryTable(b), nil
-		}, printTable1),
-	drv("fig1", "Fig. 1", "time series: Cubic, Verus, Cubic+Codel, ABC on LTE",
-		func(p Params) ([]TimeseriesRun, error) { return Fig1Timeseries(p.Seed) }, printFig1),
-	drv("fig2", "Fig. 2", "dequeue- vs enqueue-rate feedback",
-		func(p Params) (*Fig2Result, error) { return Fig2FeedbackMode(p.Seed) }, printFig2),
+	drv("table1", "Table 1 (§1)", "summary: normalized throughput/delay vs ABC", table1, printTable1),
+	drv("fig1", "Fig. 1", "time series: Cubic, Verus, Cubic+Codel, ABC on LTE", fig1Timeseries, printFig1),
+	drv("fig2", "Fig. 2", "dequeue- vs enqueue-rate feedback", fig2FeedbackMode, printFig2),
 	drv("fig3", "Fig. 3", "fairness among ABC flows with/without AI", fig3Both, printFig3),
-	drv("fig4", "Fig. 4", "Wi-Fi inter-ACK time vs A-MPDU size",
-		func(p Params) (*Fig4Result, error) { return Fig4InterACK(p.Seed) }, printFig4),
-	drv("fig5", "Fig. 5", "Wi-Fi link-rate prediction accuracy",
-		func(p Params) ([]Fig5Point, error) { return Fig5RatePrediction(p.Seed) }, printFig5),
-	drv("fig6", "Fig. 6", "coexistence with a non-ABC wired bottleneck",
-		func(p Params) (*Fig6Result, error) { return Fig6NonABCBottleneck(p.Seed) }, printFig6),
-	drv("fig7", "Fig. 7", "ABC + Cubic on a dual-queue bottleneck",
-		func(p Params) (*Fig7Result, error) { return Fig7Coexistence(p.Seed) }, printFig7),
+	drv("fig4", "Fig. 4", "Wi-Fi inter-ACK time vs A-MPDU size", fig4InterACK, printFig4),
+	drv("fig5", "Fig. 5", "Wi-Fi link-rate prediction accuracy", fig5RatePrediction, printFig5),
+	drv("fig6", "Fig. 6", "coexistence with a non-ABC wired bottleneck", fig6NonABCBottleneck, printFig6),
+	drv("fig7", "Fig. 7", "ABC + Cubic on a dual-queue bottleneck", fig7Coexistence, printFig7),
 	drv("fig8", "Fig. 8a-c", "throughput/delay scatter (down, up, two-hop)", fig8Panels, printFig8),
 	drv("fig9", "Fig. 9", "utilization and p95 delay across 8 traces", cellularBars, printBars),
-	drv("fig10", "Fig. 10", "Wi-Fi comparison (alternating MCS)",
-		func(p Params) ([]metrics.Summary, error) {
-			return Fig10WiFi(max(p.Users, 1), wifi.AlternatingMCS(), p.Dur, p.Seed)
-		}, printSummaries),
-	drv("fig11", "Fig. 11", "tracking with on-off cross traffic",
-		func(p Params) (*Fig11Result, error) { return Fig11CrossTraffic(p.Seed) }, printFig11),
+	drv("fig10", "Fig. 10", "Wi-Fi comparison (alternating MCS)", fig10, printSummaries),
+	drv("fig11", "Fig. 11", "tracking with on-off cross traffic", fig11CrossTraffic, printFig11),
 	drv("fig12", "Fig. 12", "max-min vs zombie-list weight policy", fig12Both, printFig12),
-	drv("fig13", "Fig. 13", "application-limited ABC flows",
-		func(p Params) (*Fig13Result, error) { return Fig13AppLimited(50, 1.0, p.Dur, p.Seed) }, printFig13),
-	drv("fig14", "Fig. 14 (App. B)", "Wi-Fi comparison (Brownian MCS walk)",
-		func(p Params) ([]metrics.Summary, error) {
-			return Fig10WiFi(1, wifi.BrownianMCS(p.Seed), p.Dur, p.Seed)
-		}, printSummaries),
+	drv("fig13", "Fig. 13", "application-limited ABC flows", fig13, printFig13),
+	drv("fig14", "Fig. 14 (App. B)", "Wi-Fi comparison (Brownian MCS walk)", fig14, printSummaries),
 	drv("fig15", "Fig. 15 (App. C)", "mean per-packet delay across traces", cellularBars, printMeanDelay),
-	drv("fig16", "Fig. 16 (App. D)", "ABC vs explicit schemes (XCP/XCPw/RCP/VCP)",
-		func(p Params) (*BarsResult, error) { return Fig9Bars(ExplicitSchemes, nil, p.Dur, p.Seed) }, printBars),
+	drv("fig16", "Fig. 16 (App. D)", "ABC vs explicit schemes (XCP/XCPw/RCP/VCP)", fig16, printBars),
 	drv("fig17", "Fig. 17 (App. D)", "square-wave adaptation: ABC vs RCP vs XCPw",
-		func(p Params) ([]Fig17Run, error) { return Fig17SquareWave(p.Schemes, p.Seed) }, printFig17),
-	drv("fig18", "Fig. 18 (App. E)", "RTT sensitivity sweep",
-		func(p Params) (map[int]map[string]metrics.Summary, error) {
-			return Fig18RTTSweep(p.Schemes, p.Dur, p.Seed)
-		}, printFig18),
+		fig17SquareWave, printFig17),
+	drv("fig18", "Fig. 18 (App. E)", "RTT sensitivity sweep", fig18RTTSweep, printFig18),
 	drv("jain", "§6.5", "Jain fairness index, 2-32 flows", jainSweep, printJain),
 	drv("ablations", "§3", "ABC parameter sweeps (dt, delta, eta, token limit, window)",
-		func(p Params) ([]AblationSweep, error) { return Ablations(p.Dur, p.Seed) }, printAblations),
-	drv("proxied", "§5.1.2", "proxied-network ECN encoding vs NS-bit encoding",
-		func(p Params) ([]metrics.Summary, error) {
-			std, prox, err := ProxiedComparison(p.Dur, p.Seed)
-			return []metrics.Summary{std, prox}, err
-		}, printSummaries),
-	drv("pkabc", "§6.6", "perfect-knowledge ABC",
-		func(p Params) (*PKABCResult, error) { return PKABC(p.Dur, p.Seed) }, printPKABC),
-	drv("stability", "Thm. 3.1", "stability boundary sweep",
-		func(Params) (*StabilityResult, error) { return StabilityRegion(), nil }, printStability),
+		ablations, printAblations),
+	drv("proxied", "§5.1.2", "proxied-network ECN encoding vs NS-bit encoding", proxied, printSummaries),
+	drv("pkabc", "§6.6", "perfect-knowledge ABC", pkABC, printPKABC),
+	drv("stability", "Thm. 3.1", "stability boundary sweep", stabilityRegion, printStability),
 	drv("uplink", "ext.", "asymmetric cellular: congested uplink carrying the ACKs",
-		func(p Params) (map[string]UplinkResult, error) {
-			return UplinkCongestedACK(p.Schemes, p.Dur, p.Seed)
-		}, printUplink),
+		uplinkCongestedACK, printUplink),
 	drv("mesh", "ext.", "shared-junction mesh: disjoint multi-hop paths through one hub",
-		func(p Params) (map[string]MeshResult, error) { return MeshSharedJunction(p.Schemes, p.Dur, p.Seed) }, printMesh),
+		meshSharedJunction, printMesh),
 	drv("markeduplink", "ext.", "downlink ACKs re-marked by an ABC router on the uplink edge",
-		func(p Params) (map[string]MarkedUplinkResult, error) {
-			return MarkedUplink(p.Schemes, p.Dur, p.Seed)
-		}, printMarkedUplink),
+		markedUplink, printMarkedUplink),
 	drv("heterortt", "ext.", "heterogeneous-RTT fairness sweep", heteroRTTSweep, printHeteroRTT),
 	drv("lossy", "ext.", "lossy-link robustness sweep (random + bursty loss)", lossyBoth, printLossy),
 	drv("handover", "ext.", "mid-run base-station handover via forwarding-table reroute",
-		func(p Params) (map[string]HandoverResult, error) { return Handover(p.Schemes, p.Dur, p.Seed) }, printHandover),
-	drv("flap", "ext.", "flapping link: timed outages on the bottleneck edge",
-		func(p Params) (map[string]FlapResult, error) { return LinkFlap(p.Schemes, p.Dur, p.Seed) }, printFlap),
+		handover, printHandover),
+	drv("flap", "ext.", "flapping link: timed outages on the bottleneck edge", linkFlap, printFlap),
 	drv("autoroute", "ext.", "policy-driven failover/failback across a base-station outage",
-		func(p Params) (map[string]AutoRouteResult, error) { return AutoRoute(p.Schemes, p.Dur, p.Seed) }, printAutoRoute),
+		autoRoute, printAutoRoute),
 	drv("flapstorm", "ext.", "shortest-path routing under a flap storm with a sub-convergence blip",
-		func(p Params) (map[string]FlapStormResult, error) { return FlapStorm(p.Schemes, p.Dur, p.Seed) }, printFlapStorm),
+		flapStorm, printFlapStorm),
 	drv("targeted", "ext.", "targeted attack on one flow: victim vs bystander degradation",
-		func(p Params) (map[string]TargetedResult, error) { return Targeted(p.Schemes, p.Dur, p.Seed) }, printTargeted),
-	drv("greedy", "ext.", "greedy sender ignoring brakes: stolen bandwidth per scheme",
-		func(p Params) (map[string]GreedyResult, error) { return Greedy(p.Schemes, p.Dur, p.Seed) }, printGreedy),
+		targeted, printTargeted),
+	drv("greedy", "ext.", "greedy sender ignoring brakes: stolen bandwidth per scheme", greedy, printGreedy),
 	drv("shortflows", "ext.", "open-loop web-like short flows: FCT and slowdown per scheme",
-		func(p Params) ([]ShortFlowsResult, error) { return ShortFlows(p.Schemes, p.Dur, p.Seed) }, printShortFlows),
-	drv("video", "ext.", "ABR video client: bitrate/rebuffer/switch QoE per scheme",
-		func(p Params) ([]VideoResult, error) { return VideoExp(p.Schemes, p.Dur, p.Seed) }, printVideo),
-	drv("rpc", "ext.", "request-response RPC clients vs a bulk flow: per-call FCT",
-		func(p Params) ([]RPCResult, error) { return RPCExp(p.Schemes, p.Dur, p.Seed) }, printRPC),
+		shortFlows, printShortFlows),
+	drv("video", "ext.", "ABR video client: bitrate/rebuffer/switch QoE per scheme", videoExp, printVideo),
+	drv("rpc", "ext.", "request-response RPC clients vs a bulk flow: per-call FCT", rpcExp, printRPC),
 	drv("sharded", "ext.", "sharded-execution ring at 1/2/4 shards: per-flow results must match",
 		shardedRuns, printSharded),
 	drv("hybrid", "ext.", "fluid background scaling 0 -> 1M users vs packet-level ABR/RPC foreground",
-		func(p Params) (*HybridRun, error) { return Hybrid("", nil, p.Dur, p.Seed) }, printHybrid),
-	drv("schemes", "-", "registered schemes and qdisc kinds",
-		func(Params) (registered, error) { return registered{cc.SchemeNames(), qdisc.Kinds()}, nil },
-		func(w io.Writer, r registered) {
-			fmt.Fprintln(w, "schemes:", strings.Join(r.Schemes, " "))
-			fmt.Fprintln(w, "qdiscs: ", strings.Join(r.Qdiscs, " "))
-		}),
+		hybrid, printHybrid),
+	drv("schemes", "-", "registered schemes and qdisc kinds", listRegistered, printRegistered),
 }

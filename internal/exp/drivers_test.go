@@ -22,9 +22,9 @@ var noGoldenRow = map[string]string{
 	"fig5":      "fixed-length Wi-Fi sweep; asserted by TestFig5PredictionAccuracy",
 	"fig7":      "fixed 200 s run; asserted by TestFig7FairSharingLowABCDelay",
 	"fig13":     "asserted by TestFig13AppLimited",
-	"fig14":     "fig10-wifi digests the same RunWiFi path; only the MCS walk differs",
+	"fig14":     "fig10-wifi digests the same runWiFi path; only the MCS walk differs",
 	"fig15":     "prints another column of the bars fig9-bars digests",
-	"fig16":     "fig9-bars digests the same Fig9Bars path; only the scheme set differs",
+	"fig16":     "fig9-bars digests the same fig9Bars path; only the scheme set differs",
 	"fig18":     "asserted by TestFig18ABCHoldsAcrossRTTs",
 	"jain":      "62 flows over five fixed 60 s runs; asserted by TestJainFairness",
 	"ablations": "asserted by TestAblationsProduceMonotoneTradeoffs",
@@ -104,7 +104,7 @@ func TestDriverTable(t *testing.T) {
 // a dual-queue composite.
 func TestRegistryIsTheEvaluation(t *testing.T) {
 	run := map[string]bool{"ABC-MIMD": true, "ABC-proxied": true}
-	for _, set := range [][]string{Schemes, ExplicitSchemes, AppSchemes} {
+	for _, set := range [][]string{Schemes, explicitSchemes, appSchemes} {
 		for _, s := range set {
 			run[s] = true
 		}

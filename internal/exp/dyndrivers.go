@@ -1,10 +1,10 @@
 // Dynamic-topology drivers: experiments whose topology changes mid-run
 // through the Spec event timeline, exercising the forwarding-table
-// routing layer end to end. Handover migrates a flow between two base
+// routing layer end to end. handover migrates a flow between two base
 // stations (both the data and the ACK route move atomically, in-flight
-// packets on the abandoned path are counted losses); LinkFlap runs a
-// chain whose single cellular link suffers timed outages. AutoRoute and
-// FlapStorm are their route-computation counterparts: the events script
+// packets on the abandoned path are counted losses); linkFlap runs a
+// chain whose single cellular link suffers timed outages. autoRoute and
+// flapStorm are their route-computation counterparts: the events script
 // only link state, and the Routing policy (kfailover / shortest) moves
 // the routes itself — handover and flap recovery as emergent behavior.
 // All four have declarative twins in examples/scenarios/
@@ -16,7 +16,6 @@ import (
 	"io"
 
 	"abc/internal/metrics"
-	"abc/internal/netem"
 	"abc/internal/packet"
 	"abc/internal/sim"
 	"abc/internal/trace"
@@ -80,19 +79,19 @@ func handoverSpec(scheme string, handoverAt, dur sim.Time, seed int64) Spec {
 	}
 }
 
-// Handover runs each scheme's backlogged flow through a mid-run
+// handover runs each scheme's backlogged flow through a mid-run
 // base-station handover: at half the duration the flow's data and ACK
 // routes move from the Verizon1 cell to the TMobile2 cell in one atomic
 // table swap. Packets in flight on the abandoned path are genuine
 // handover losses (counted, never duplicated), and the driver reports
 // how quickly each scheme's throughput re-converges on the new cell.
-func Handover(schemes []string, dur sim.Time, seed int64) (map[string]HandoverResult, error) {
-	if dur <= 0 {
-		dur = 30 * sim.Second
+func handover(p Params) (map[string]HandoverResult, error) {
+	if p.Dur <= 0 {
+		p.Dur = 30 * sim.Second
 	}
-	handoverAt := dur / 2
-	return sweepMap("handover", schemes, []string{"ABC", "Cubic"}, seed, func(sch string) (HandoverResult, error) {
-		res, _, err := Run(handoverSpec(sch, handoverAt, dur, seed))
+	handoverAt := p.Dur / 2
+	return sweepMap("handover", p, []string{"ABC", "Cubic"}, func(sch string) (HandoverResult, error) {
+		res, _, err := Run(handoverSpec(sch, handoverAt, p.Dur, p.Seed))
 		if err != nil {
 			return HandoverResult{}, err
 		}
@@ -166,32 +165,32 @@ type FlapResult struct {
 	Events []EventResult
 }
 
-// LinkFlap runs each scheme's backlogged flow over a chain whose single
+// linkFlap runs each scheme's backlogged flow over a chain whose single
 // rate link goes down for two 500 ms outage windows (at one third and
 // two thirds of the run), addressed through the chain's canonical edge
 // name "fwd0". It measures how each scheme rides out the outages: drops
 // at the dead link, timeout-driven retransmissions, and the delay cost
 // of the queue that rebuilds on recovery.
-func LinkFlap(schemes []string, dur sim.Time, seed int64) (map[string]FlapResult, error) {
-	if dur <= 0 {
-		dur = 30 * sim.Second
+func linkFlap(p Params) (map[string]FlapResult, error) {
+	if p.Dur <= 0 {
+		p.Dur = 30 * sim.Second
 	}
 	const outage = 500 * sim.Millisecond
-	return sweepMap("linkflap", schemes, []string{"ABC", "Cubic"}, seed, func(sch string) (FlapResult, error) {
+	return sweepMap("linkflap", p, []string{"ABC", "Cubic"}, func(sch string) (FlapResult, error) {
 		res, _, err := Run(Spec{
-			Seed:     seed,
-			Duration: dur,
+			Seed:     p.Seed,
+			Duration: p.Dur,
 			RTT:      80 * sim.Millisecond,
 			Links: []LinkSpec{{
-				Rate:  netem.ConstRate(12e6),
+				Rate:  12e6,
 				Qdisc: QdiscSpec{Kind: "auto"},
 			}},
 			Flows: []FlowSpec{{Scheme: sch}},
 			Events: []EventSpec{
-				{At: dur / 3, Kind: EventLinkDown, Edge: "fwd0"},
-				{At: dur/3 + outage, Kind: EventLinkUp, Edge: "fwd0"},
-				{At: 2 * dur / 3, Kind: EventLinkDown, Edge: "fwd0"},
-				{At: 2*dur/3 + outage, Kind: EventLinkUp, Edge: "fwd0"},
+				{At: p.Dur / 3, Kind: EventLinkDown, Edge: "fwd0"},
+				{At: p.Dur/3 + outage, Kind: EventLinkUp, Edge: "fwd0"},
+				{At: 2 * p.Dur / 3, Kind: EventLinkDown, Edge: "fwd0"},
+				{At: 2*p.Dur/3 + outage, Kind: EventLinkUp, Edge: "fwd0"},
 			},
 		})
 		if err != nil {
@@ -252,7 +251,7 @@ func autoRouteSpec(scheme string, outageAt, recoverAt, dur sim.Time, seed int64)
 	return spec
 }
 
-// AutoRoute runs each scheme through an *emergent* base-station
+// autoRoute runs each scheme through an *emergent* base-station
 // handover: at half the duration the serving cell's downlink and uplink
 // go dark, and the route-computation layer — not an event timeline —
 // fails the flow's data and ACK routes over to the precomputed backup
@@ -260,13 +259,13 @@ func autoRouteSpec(scheme string, outageAt, recoverAt, dur sim.Time, seed int64)
 // links recover and the policy moves the routes back. The reported
 // RouteChanges are part of the golden digest: the emergent timeline is
 // locked exactly like a scripted one.
-func AutoRoute(schemes []string, dur sim.Time, seed int64) (map[string]AutoRouteResult, error) {
-	if dur <= 0 {
-		dur = 30 * sim.Second
+func autoRoute(p Params) (map[string]AutoRouteResult, error) {
+	if p.Dur <= 0 {
+		p.Dur = 30 * sim.Second
 	}
-	outageAt, recoverAt := dur/2, dur-dur/4
-	return sweepMap("autoroute", schemes, []string{"ABC", "Cubic"}, seed, func(sch string) (AutoRouteResult, error) {
-		res, _, err := Run(autoRouteSpec(sch, outageAt, recoverAt, dur, seed))
+	outageAt, recoverAt := p.Dur/2, p.Dur-p.Dur/4
+	return sweepMap("autoroute", p, []string{"ABC", "Cubic"}, func(sch string) (AutoRouteResult, error) {
+		res, _, err := Run(autoRouteSpec(sch, outageAt, recoverAt, p.Dur, p.Seed))
 		if err != nil {
 			return AutoRouteResult{}, err
 		}
@@ -300,43 +299,43 @@ type FlapStormResult struct {
 	RouteChanges []RouteChangeResult
 }
 
-// FlapStorm runs each scheme over a two-path mesh whose primary link
+// flapStorm runs each scheme over a two-path mesh whose primary link
 // suffers a storm of outages — two long enough that the shortest-path
 // policy fails over to the slower backup path and back, and one shorter
 // than the 30 ms convergence window, which the coalescing recompute
 // absorbs entirely (the route must not move for it). Scripted events
 // supply only the link state; every route change is emergent.
-func FlapStorm(schemes []string, dur sim.Time, seed int64) (map[string]FlapStormResult, error) {
-	if dur <= 0 {
-		dur = 30 * sim.Second
+func flapStorm(p Params) (map[string]FlapStormResult, error) {
+	if p.Dur <= 0 {
+		p.Dur = 30 * sim.Second
 	}
 	const outage = 300 * sim.Millisecond
 	const blip = 20 * sim.Millisecond // under the 30 ms convergence window
-	return sweepMap("flapstorm", schemes, []string{"ABC", "Cubic"}, seed, func(sch string) (FlapStormResult, error) {
+	return sweepMap("flapstorm", p, []string{"ABC", "Cubic"}, func(sch string) (FlapStormResult, error) {
 		res, _, err := Run(Spec{
-			Seed:     seed,
-			Duration: dur,
+			Seed:     p.Seed,
+			Duration: p.Dur,
 			RTT:      80 * sim.Millisecond,
 			Sample:   100 * sim.Millisecond,
 			Nodes:    []string{"src", "m1", "m2", "dst"},
 			Edges: []EdgeSpec{
 				{Name: "pA", From: "src", To: "m1",
-					Link: LinkSpec{Rate: netem.ConstRate(12e6), Delay: 2 * sim.Millisecond, Qdisc: QdiscSpec{Kind: "auto"}}},
+					Link: LinkSpec{Rate: 12e6, Delay: 2 * sim.Millisecond, Qdisc: QdiscSpec{Kind: "auto"}}},
 				{Name: "pB", From: "m1", To: "dst",
 					Link: LinkSpec{Kind: "wire", Delay: 2 * sim.Millisecond}},
 				{Name: "qA", From: "src", To: "m2",
-					Link: LinkSpec{Rate: netem.ConstRate(10e6), Delay: 8 * sim.Millisecond, Qdisc: QdiscSpec{Kind: "auto"}}},
+					Link: LinkSpec{Rate: 10e6, Delay: 8 * sim.Millisecond, Qdisc: QdiscSpec{Kind: "auto"}}},
 				{Name: "qB", From: "m2", To: "dst",
 					Link: LinkSpec{Kind: "wire", Delay: 8 * sim.Millisecond}},
 			},
 			Flows: []FlowSpec{{Scheme: sch, Path: []string{"pA", "pB"}}},
 			Events: []EventSpec{
-				{At: dur / 4, Kind: EventLinkDown, Edge: "pA"},
-				{At: dur/4 + outage, Kind: EventLinkUp, Edge: "pA"},
-				{At: dur / 2, Kind: EventLinkDown, Edge: "pA"},
-				{At: dur/2 + blip, Kind: EventLinkUp, Edge: "pA"},
-				{At: dur - dur/4, Kind: EventLinkDown, Edge: "pA"},
-				{At: dur - dur/4 + outage, Kind: EventLinkUp, Edge: "pA"},
+				{At: p.Dur / 4, Kind: EventLinkDown, Edge: "pA"},
+				{At: p.Dur/4 + outage, Kind: EventLinkUp, Edge: "pA"},
+				{At: p.Dur / 2, Kind: EventLinkDown, Edge: "pA"},
+				{At: p.Dur/2 + blip, Kind: EventLinkUp, Edge: "pA"},
+				{At: p.Dur - p.Dur/4, Kind: EventLinkDown, Edge: "pA"},
+				{At: p.Dur - p.Dur/4 + outage, Kind: EventLinkUp, Edge: "pA"},
 			},
 			Routing: &RoutingSpec{
 				Policy:           "shortest",

@@ -7,7 +7,6 @@ import (
 	"io"
 
 	"abc/internal/metrics"
-	"abc/internal/netem"
 	"abc/internal/sim"
 )
 
@@ -21,12 +20,12 @@ type Fig3Result struct {
 	JainAllActive float64
 }
 
-// Fig3Fairness reproduces Fig. 3: five ABC flows with the same RTT start
+// fig3Fairness reproduces Fig. 3: five ABC flows with the same RTT start
 // and depart one by one on a 24 Mbit/s link. With the additive-increase
 // term the flows converge to equal shares; without it (pure MIMD) they
 // hold whatever split they happened to start with. The fairness index is
 // taken over the all-active window, the 1 s samples in [105, 123] s.
-func Fig3Fairness(withAI bool, seed int64) (*Fig3Result, error) {
+func fig3Fairness(withAI bool, seed int64) (*Fig3Result, error) {
 	res, _, err := Run(fig3Spec(withAI, seed))
 	if err != nil {
 		return nil, err
@@ -75,7 +74,7 @@ func fig3Spec(withAI bool, seed int64) Spec {
 		Warmup:   2 * sim.Second,
 		RTT:      100 * sim.Millisecond,
 		Links: []LinkSpec{{
-			Rate:  netem.ConstRate(24e6),
+			Rate:  24e6,
 			Qdisc: QdiscSpec{Kind: "abc", Buffer: 500},
 		}},
 		Flows:  flows,
@@ -87,7 +86,7 @@ func fig3Spec(withAI bool, seed int64) Spec {
 func fig3Both(p Params) ([]*Fig3Result, error) {
 	var out []*Fig3Result
 	for _, ai := range []bool{false, true} {
-		r, err := Fig3Fairness(ai, p.Seed)
+		r, err := fig3Fairness(ai, p.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -102,10 +101,10 @@ func printFig3(w io.Writer, runs []*Fig3Result) {
 	}
 }
 
-// JainFairness runs n concurrent ABC flows on a 24 Mbit/s wired
+// jainFairness runs n concurrent ABC flows on a 24 Mbit/s wired
 // bottleneck for 60 s and returns Jain's index of their throughputs
 // (§6.5 reports within 5% of 1 for 2–32 flows).
-func JainFairness(n int, seed int64) (float64, error) {
+func jainFairness(n int, seed int64) (float64, error) {
 	flows := make([]FlowSpec, n)
 	for i := range flows {
 		flows[i] = FlowSpec{Scheme: "ABC"}
@@ -116,7 +115,7 @@ func JainFairness(n int, seed int64) (float64, error) {
 		Warmup:   10 * sim.Second,
 		RTT:      100 * sim.Millisecond,
 		Links: []LinkSpec{{
-			Rate:  netem.ConstRate(24e6),
+			Rate:  24e6,
 			Qdisc: QdiscSpec{Kind: "abc", Buffer: 500},
 		}},
 		Flows: flows,
@@ -137,11 +136,11 @@ type JainPoint struct {
 	Jain  float64
 }
 
-// jainSweep runs JainFairness at 2 to 32 flows.
+// jainSweep runs jainFairness at 2 to 32 flows.
 func jainSweep(p Params) ([]JainPoint, error) {
 	var out []JainPoint
 	for _, n := range []int{2, 4, 8, 16, 32} {
-		idx, err := JainFairness(n, p.Seed)
+		idx, err := jainFairness(n, p.Seed)
 		if err != nil {
 			return nil, err
 		}

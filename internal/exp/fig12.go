@@ -11,7 +11,6 @@ import (
 	"math"
 
 	"abc/internal/app"
-	"abc/internal/netem"
 	"abc/internal/sim"
 )
 
@@ -34,8 +33,8 @@ type Fig12Config struct {
 	Seed     int64
 }
 
-// DefaultFig12Config mirrors the paper's setup.
-func DefaultFig12Config() Fig12Config {
+// defaultFig12Config mirrors the paper's setup.
+func defaultFig12Config() Fig12Config {
 	return Fig12Config{
 		Runs:     10,
 		Duration: 40 * sim.Second,
@@ -44,10 +43,10 @@ func DefaultFig12Config() Fig12Config {
 	}
 }
 
-// Fig12WeightPolicy runs the experiment for one policy ("maxmin" or
+// fig12WeightPolicy runs the experiment for one policy ("maxmin" or
 // "zombie") and returns one point per offered load.
-func Fig12WeightPolicy(policy string, cfg Fig12Config) ([]Fig12Point, error) {
-	def := DefaultFig12Config()
+func fig12WeightPolicy(policy string, cfg Fig12Config) ([]Fig12Point, error) {
+	def := defaultFig12Config()
 	if cfg.Runs <= 0 {
 		cfg.Runs = def.Runs
 	}
@@ -92,11 +91,11 @@ func Fig12WeightPolicy(policy string, cfg Fig12Config) ([]Fig12Point, error) {
 
 // fig12Both runs the experiment under max-min, then under zombie-list.
 func fig12Both(p Params) ([]Fig12Point, error) {
-	cfg := DefaultFig12Config()
+	cfg := defaultFig12Config()
 	cfg.Runs, cfg.Duration, cfg.Seed = p.Runs, p.Dur, p.Seed
 	var out []Fig12Point
 	for _, pol := range []string{"maxmin", "zombie"} {
-		pts, err := Fig12WeightPolicy(pol, cfg)
+		pts, err := fig12WeightPolicy(pol, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -142,7 +141,7 @@ func fig12Spec(policy string, load float64, dur sim.Time, seed int64) Spec {
 		Duration: dur,
 		Warmup:   4 * sim.Second,
 		RTT:      100 * sim.Millisecond,
-		Links:    []LinkSpec{{Rate: netem.ConstRate(linkBps), Qdisc: QdiscSpec{Kind: "dual-" + policy}}},
+		Links:    []LinkSpec{{Rate: linkBps, Qdisc: QdiscSpec{Kind: "dual-" + policy}}},
 		Flows: []FlowSpec{
 			{Scheme: "ABC"}, {Scheme: "ABC"}, {Scheme: "ABC"},
 			{Scheme: "Cubic"}, {Scheme: "Cubic"}, {Scheme: "Cubic"},

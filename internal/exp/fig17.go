@@ -23,13 +23,13 @@ type Fig17Run struct {
 	QDelayP95 float64
 }
 
-// Fig17SquareWave runs the given schemes (default ABC, RCP, XCPw) on the
+// fig17SquareWave runs the given schemes (default ABC, RCP, XCPw) on the
 // 12↔24 Mbit/s square wave for 10 s.
-func Fig17SquareWave(schemes []string, seed int64) ([]Fig17Run, error) {
+func fig17SquareWave(p Params) ([]Fig17Run, error) {
 	tr := trace.SquareWave("fig17", 12e6, 24e6, 500*sim.Millisecond)
-	return sweep("fig17 trace=squarewave", schemes, []string{"ABC", "RCP", "XCPw"}, seed, func(sch string) (Fig17Run, error) {
+	return sweep("fig17 trace=squarewave", p, []string{"ABC", "RCP", "XCPw"}, func(sch string) (Fig17Run, error) {
 		res, pooled, err := Run(Spec{
-			Seed:     seed,
+			Seed:     p.Seed,
 			Duration: 10 * sim.Second,
 			Warmup:   2 * sim.Second,
 			RTT:      100 * sim.Millisecond,

@@ -7,7 +7,7 @@ import (
 )
 
 func TestFig2DequeueBeatsEnqueue(t *testing.T) {
-	r, err := Fig2FeedbackMode(1)
+	r, err := fig2FeedbackMode(Params{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +21,7 @@ func TestFig2DequeueBeatsEnqueue(t *testing.T) {
 
 func TestJainFairness(t *testing.T) {
 	for _, n := range []int{2, 4, 8} {
-		idx, err := JainFairness(n, 1)
+		idx, err := jainFairness(n, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -33,7 +33,7 @@ func TestJainFairness(t *testing.T) {
 }
 
 func TestFig17SquareWave(t *testing.T) {
-	runs, err := Fig17SquareWave(nil, 1)
+	runs, err := fig17SquareWave(Params{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,10 @@ func TestFig17SquareWave(t *testing.T) {
 }
 
 func TestStabilityRegion(t *testing.T) {
-	res := StabilityRegion()
+	res, err := stabilityRegion(Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Boundary < 0 {
 		t.Fatal("no stable ratio found")
 	}
@@ -74,11 +77,11 @@ func TestStabilityRegion(t *testing.T) {
 }
 
 func TestFig5PredictionAccuracy(t *testing.T) {
-	pts, err := Fig5RatePrediction(1)
+	pts, err := fig5RatePrediction(Params{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	worst := Fig5MaxErrorBacklogged(pts)
+	worst := fig5MaxErrorBacklogged(pts)
 	t.Logf("worst backlogged prediction error: %.1f%%", worst*100)
 	if worst > 0.07 {
 		t.Errorf("backlogged link-rate prediction error %.1f%% exceeds the paper's ~5%%", worst*100)
@@ -86,7 +89,7 @@ func TestFig5PredictionAccuracy(t *testing.T) {
 }
 
 func TestFig4SlopeMatchesTheory(t *testing.T) {
-	r, err := Fig4InterACK(1)
+	r, err := fig4InterACK(Params{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +105,7 @@ func TestFig4SlopeMatchesTheory(t *testing.T) {
 }
 
 func TestFig13AppLimited(t *testing.T) {
-	r, err := Fig13AppLimited(20, 1.0, 20*sim.Second, 1)
+	r, err := fig13AppLimited(20, 1.0, 20*sim.Second, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,9 +83,9 @@ func goldenCases() []goldenCase {
 	at := func(schemes ...string) Params { return Params{Seed: 1, Dur: short, Schemes: schemes} }
 	fig12 := func(policy string) func() (any, error) {
 		return func() (any, error) {
-			cfg := DefaultFig12Config()
+			cfg := defaultFig12Config()
 			cfg.Runs, cfg.Duration, cfg.Seed = 1, short, 1
-			return Fig12WeightPolicy(policy, cfg)
+			return fig12WeightPolicy(policy, cfg)
 		}
 	}
 	// The three sharded-mesh entries digest the same result with the
@@ -108,7 +108,7 @@ func goldenCases() []goldenCase {
 		{name: "fig6-nonabc-bottleneck", driver: "fig6", params: at()},
 		// One of the fig8 driver's three panels.
 		{name: "fig8-scatter-downlink", driver: "fig8", sub: func() (any, error) {
-			return Fig8Scatter(Downlink, []string{"ABC", "Cubic"}, short, 1)
+			return fig8Scatter(Downlink, Params{Schemes: []string{"ABC", "Cubic"}, Dur: short, Seed: 1})
 		}},
 		{name: "fig9-bars", driver: "fig9", params: at("ABC", "Cubic")},
 		{name: "fig10-wifi", driver: "fig10", params: at()},
@@ -121,14 +121,14 @@ func goldenCases() []goldenCase {
 		// One scheme of the heterortt driver's rows, without the scheme
 		// column the driver adds.
 		{name: "hetero-rtt", driver: "heterortt", sub: func() (any, error) {
-			return HeteroRTTFairness("ABC", short, 1)
+			return heteroRTTFairness("ABC", short, 1)
 		}},
 		// One loss model each of the lossy driver's two.
 		{name: "lossy-random", driver: "lossy", sub: func() (any, error) {
-			return LossyLink([]string{"ABC"}, nil, false, short, 1)
+			return lossyLink([]string{"ABC"}, nil, false, short, 1)
 		}},
 		{name: "lossy-bursty", driver: "lossy", sub: func() (any, error) {
-			return LossyLink([]string{"ABC"}, nil, true, short, 1)
+			return lossyLink([]string{"ABC"}, nil, true, short, 1)
 		}},
 		{name: "mesh-shared-junction", driver: "mesh", params: at("ABC", "Cubic")},
 		{name: "marked-uplink", driver: "markeduplink", params: at("ABC", "Cubic")},

@@ -2,9 +2,13 @@ package exp
 
 import (
 	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -131,6 +135,61 @@ func TestOneJudge(t *testing.T) {
 	}
 	if calls != 1 {
 		t.Errorf("validateRouting has %d call sites, want the one in Spec.validate", calls)
+	}
+}
+
+// TestOneFrontDoor guards the rule that a Drivers row is the
+// experiment: each row names its func(Params) directly rather than
+// wrapping a runner in a function literal, and the package exports the
+// Spec run path, the driver table and what the CLIs and the benchmark
+// module call — no per-figure runner beside the rows.
+func TestOneFrontDoor(t *testing.T) {
+	wantFuncs := []string{"Check", "EnableMetrics", "EnableTracing", "LoadScenario", "Lookup",
+		"PrintResult", "Run", "ShardedMesh", "SummaryTable"}
+	wantVars := []string{"Drivers", "Parallelism", "Schemes"}
+	var funcs, vars []string
+	fset := token.NewFileSet()
+	for name, src := range sources(t) {
+		f, err := parser.ParseFile(fset, name, src, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil && d.Name.IsExported() {
+					funcs = append(funcs, d.Name.Name)
+				}
+			case *ast.GenDecl:
+				if d.Tok != token.VAR {
+					continue
+				}
+				for _, spec := range d.Specs {
+					vs := spec.(*ast.ValueSpec)
+					for i, id := range vs.Names {
+						if id.IsExported() {
+							vars = append(vars, id.Name)
+						}
+						if id.Name == "Drivers" && i < len(vs.Values) {
+							ast.Inspect(vs.Values[i], func(n ast.Node) bool {
+								if lit, ok := n.(*ast.FuncLit); ok {
+									t.Errorf("Drivers holds a function literal at %s; name the row's function", fset.Position(lit.Pos()))
+								}
+								return true
+							})
+						}
+					}
+				}
+			}
+		}
+	}
+	slices.Sort(funcs)
+	slices.Sort(vars)
+	if !slices.Equal(funcs, wantFuncs) {
+		t.Errorf("exported functions = %v, want %v", funcs, wantFuncs)
+	}
+	if !slices.Equal(vars, wantVars) {
+		t.Errorf("exported vars = %v, want %v", vars, wantVars)
 	}
 }
 

@@ -16,12 +16,11 @@ import (
 
 	"abc/internal/app"
 	"abc/internal/metrics"
-	"abc/internal/netem"
 	"abc/internal/sim"
 )
 
-// HybridScales is the default ladder of background user counts.
-var HybridScales = []int{0, 1_000, 1_000_000}
+// hybridScales is the ladder of background user counts.
+var hybridScales = []int{0, 1_000, 1_000_000}
 
 // hybridBpsPerUser is the offered background rate per virtual user:
 // ~48 bits/sec each, so a million users offer 48 Mbps against the
@@ -70,25 +69,19 @@ type HybridRun struct {
 // MarshalJSON serializes the cells alone.
 func (h *HybridRun) MarshalJSON() ([]byte, error) { return json.Marshal(h.Cells) }
 
-// Hybrid runs the hybrid fluid/packet experiment: per background scale
-// in scales (nil = HybridScales), a 60 Mbps rate bottleneck with an ABC
-// qdisc carries one ABR video flow and hybridRPCClients RPC clients
-// packet-by-packet, plus one "const" fluid aggregate of scale virtual
-// users at hybridBpsPerUser each (skipped when scale is 0). scheme ""
-// picks ABC.
-func Hybrid(scheme string, scales []int, dur sim.Time, seed int64) (*HybridRun, error) {
-	if scheme == "" {
-		scheme = "ABC"
-	}
-	if len(scales) == 0 {
-		scales = HybridScales
-	}
-	run := &HybridRun{Cells: make([]HybridCell, len(scales)), Wall: make([]time.Duration, len(scales))}
-	err := forEachCell(len(scales), func(i int) string {
-		return fmt.Sprintf("hybrid scheme=%s users=%d seed=%d", scheme, scales[i], seed)
+// hybrid runs the hybrid fluid/packet experiment: per background scale
+// in hybridScales, a 60 Mbps rate bottleneck with an ABC qdisc carries
+// one ABR video flow and hybridRPCClients RPC clients packet-by-packet,
+// all ABC, plus one "const" fluid aggregate of scale virtual users at
+// hybridBpsPerUser each (skipped when scale is 0).
+func hybrid(p Params) (*HybridRun, error) {
+	const scheme = "ABC"
+	run := &HybridRun{Cells: make([]HybridCell, len(hybridScales)), Wall: make([]time.Duration, len(hybridScales))}
+	err := forEachCell(len(hybridScales), func(i int) string {
+		return fmt.Sprintf("hybrid scheme=%s users=%d seed=%d", scheme, hybridScales[i], p.Seed)
 	}, func(i int) error {
 		t0 := time.Now()
-		users := scales[i]
+		users := hybridScales[i]
 		pool := &metrics.DelayRecorder{}
 		flows := []FlowSpec{{
 			Scheme: scheme,
@@ -101,10 +94,10 @@ func Hybrid(scheme string, scales []int, dur sim.Time, seed int64) (*HybridRun, 
 			})
 		}
 		spec := Spec{
-			Seed:     seed,
-			Duration: dur,
+			Seed:     p.Seed,
+			Duration: p.Dur,
 			Links: []LinkSpec{{
-				Rate:  netem.ConstRate(hybridRateMbps * 1e6),
+				Rate:  hybridRateMbps * 1e6,
 				Qdisc: QdiscSpec{Kind: "auto", Buffer: 250},
 			}},
 			Flows: flows,

@@ -15,11 +15,11 @@ func TestFig3AIConvergesMIMDDoesNot(t *testing.T) {
 	if testing.Short() {
 		t.Skip("250 s scenario")
 	}
-	with, err := Fig3Fairness(true, 1)
+	with, err := fig3Fairness(true, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := Fig3Fairness(false, 1)
+	without, err := fig3Fairness(false, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestFig3AIConvergesMIMDDoesNot(t *testing.T) {
 // TestFig6DualWindowTracksBottleneckSwitches checks the Fig. 6 behaviour:
 // low tracking error across wired/wireless bottleneck switches.
 func TestFig6DualWindowTracksBottleneckSwitches(t *testing.T) {
-	r, err := Fig6NonABCBottleneck(1)
+	r, err := fig6NonABCBottleneck(Params{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestFig7FairSharingLowABCDelay(t *testing.T) {
 	if testing.Short() {
 		t.Skip("200 s scenario")
 	}
-	r, err := Fig7Coexistence(1)
+	r, err := fig7Coexistence(Params{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestFig7FairSharingLowABCDelay(t *testing.T) {
 // TestFig8TwoHopABCStillWins checks the multi-ABC-bottleneck path: ABC
 // keeps a better delay profile than Cubic on the two-hop scenario.
 func TestFig8TwoHopABCStillWins(t *testing.T) {
-	sums, err := Fig8Scatter(UplinkDownlink, []string{"ABC", "Cubic"}, 20*sim.Second, 1)
+	sums, err := fig8Scatter(UplinkDownlink, Params{Schemes: []string{"ABC", "Cubic"}, Dur: 20 * sim.Second, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,8 +101,8 @@ func TestFig8TwoHopABCStillWins(t *testing.T) {
 // paper reports on the cellular corpus: Cubic ≥ tput but ≫ delay; ABC
 // beats Cubic+Codel on throughput at comparable delay.
 func TestFig9OrderingMatchesPaper(t *testing.T) {
-	bars, err := Fig9Bars([]string{"ABC", "Cubic", "Cubic+Codel"},
-		[]string{"Verizon1", "TMobile1"}, 20*sim.Second, 1)
+	bars, err := fig9Bars(Params{Schemes: []string{"ABC", "Cubic", "Cubic+Codel"}, Dur: 20 * sim.Second, Seed: 1},
+		[]string{"Verizon1", "TMobile1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestFig10ABCParetoOnWiFi(t *testing.T) {
 		{Label: "Cubic", Scheme: "Cubic"},
 		{Label: "Vegas", Scheme: "Vegas"},
 	} {
-		s, err := RunWiFi(ws, 1, wifi.AlternatingMCS(), 20*sim.Second, 1)
+		s, err := runWiFi(ws, 1, wifi.AlternatingMCS(), 20*sim.Second, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,11 +153,11 @@ func TestFig10ABCParetoOnWiFi(t *testing.T) {
 // offered load.
 func TestFig12MaxMinFairZombieUnfair(t *testing.T) {
 	cfg := Fig12Config{Runs: 2, Duration: 25 * sim.Second, Loads: []float64{0.25}, Seed: 1}
-	mm, err := Fig12WeightPolicy("maxmin", cfg)
+	mm, err := fig12WeightPolicy("maxmin", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	zb, err := Fig12WeightPolicy("zombie", cfg)
+	zb, err := fig12WeightPolicy("zombie", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestFig12MaxMinFairZombieUnfair(t *testing.T) {
 // TestFig18ABCHoldsAcrossRTTs: ABC outperforms Cubic's delay at every
 // propagation RTT.
 func TestFig18ABCHoldsAcrossRTTs(t *testing.T) {
-	out, err := Fig18RTTSweep([]string{"ABC", "Cubic"}, 20*sim.Second, 1)
+	out, err := fig18RTTSweep(Params{Schemes: []string{"ABC", "Cubic"}, Dur: 20 * sim.Second, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestFig18ABCHoldsAcrossRTTs(t *testing.T) {
 // TestPKABCHalvesDelay checks §6.6: future knowledge cuts p95 queuing
 // delay substantially without wrecking utilization.
 func TestPKABCHalvesDelay(t *testing.T) {
-	r, err := PKABC(30*sim.Second, 1)
+	r, err := pkABC(Params{Dur: 30 * sim.Second, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,10 +214,11 @@ func TestPKABCHalvesDelay(t *testing.T) {
 // TestProxiedEncodingEquivalent checks §5.1.2: the proxied deployment
 // (brake = CE, unmodified receiver) performs like the NS-bit deployment.
 func TestProxiedEncodingEquivalent(t *testing.T) {
-	std, prox, err := ProxiedComparison(20*sim.Second, 1)
+	rows, err := proxied(Params{Dur: 20 * sim.Second, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	std, prox := rows[0], rows[1]
 	t.Logf("standard: %v", std)
 	t.Logf("proxied:  %v", prox)
 	if math.Abs(std.Utilization-prox.Utilization) > 0.1 {
@@ -232,7 +233,7 @@ func TestProxiedEncodingEquivalent(t *testing.T) {
 // sweeps: larger dt must not reduce delay, and η=1 must not lower
 // utilization versus η=0.9.
 func TestAblationsProduceMonotoneTradeoffs(t *testing.T) {
-	sweeps, err := Ablations(20*sim.Second, 1)
+	sweeps, err := ablations(Params{Dur: 20 * sim.Second, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 // flow should land near 8 Mbit/s; the disjoint paths must not interfere
 // at the junction (routing is per flow, junctions have no queues).
 func TestMeshSharedJunctionFairness(t *testing.T) {
-	out, err := MeshSharedJunction([]string{"ABC"}, 10*sim.Second, 1)
+	out, err := meshSharedJunction(Params{Schemes: []string{"ABC"}, Dur: 10 * sim.Second, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestMeshRejectsMalformedRoutes(t *testing.T) {
 // as reverse brakes — feedback reflects the full round trip, not an
 // assumed lossless reverse channel.
 func TestMarkedUplinkDemotesEchoes(t *testing.T) {
-	out, err := MarkedUplink([]string{"ABC"}, 12*sim.Second, 1)
+	out, err := markedUplink(Params{Schemes: []string{"ABC"}, Dur: 12 * sim.Second, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,11 +113,11 @@ func TestMarkedUplinkDemotesEchoes(t *testing.T) {
 // requires identical results: mesh runs must be a pure function of the
 // spec, like chain runs.
 func TestMarkedUplinkDeterministic(t *testing.T) {
-	a, err := MarkedUplink([]string{"ABC"}, 6*sim.Second, 3)
+	a, err := markedUplink(Params{Schemes: []string{"ABC"}, Dur: 6 * sim.Second, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := MarkedUplink([]string{"ABC"}, 6*sim.Second, 3)
+	b, err := markedUplink(Params{Schemes: []string{"ABC"}, Dur: 6 * sim.Second, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 // Mesh scenario drivers: experiments whose topology is a general graph
 // rather than a chain, exercising the Nodes/Edges Spec form end to end.
-// MeshSharedJunction routes flows over partly-disjoint multi-hop paths
-// through one junction; MarkedUplink puts an ABC router on the uplink
+// meshSharedJunction routes flows over partly-disjoint multi-hop paths
+// through one junction; markedUplink puts an ABC router on the uplink
 // edge that carries a downlink flow's ACKs, so the receiver's echoed
 // accelerates are demoted in flight and the sender paces to the minimum
 // of marks over the full round trip (§3.1.2's multi-bottleneck rule
@@ -16,7 +16,6 @@ import (
 
 	"abc/internal/abc"
 	"abc/internal/metrics"
-	"abc/internal/netem"
 	"abc/internal/sim"
 	"abc/internal/trace"
 )
@@ -54,9 +53,9 @@ func meshJunctionSpec(scheme string, dur sim.Time, seed int64) Spec {
 		Nodes:    []string{"srcA", "srcB", "hub", "dstA", "dstB"},
 		Edges: []EdgeSpec{
 			{Name: "inA", From: "srcA", To: "hub",
-				Link: LinkSpec{Rate: netem.ConstRate(16e6), Qdisc: QdiscSpec{Kind: "auto"}}},
+				Link: LinkSpec{Rate: 16e6, Qdisc: QdiscSpec{Kind: "auto"}}},
 			{Name: "inB", From: "srcB", To: "hub",
-				Link: LinkSpec{Rate: netem.ConstRate(8e6), Qdisc: QdiscSpec{Kind: "auto"}}},
+				Link: LinkSpec{Rate: 8e6, Qdisc: QdiscSpec{Kind: "auto"}}},
 			{Name: "outA", From: "hub", To: "dstA",
 				Link: LinkSpec{Kind: "wire", Delay: 5 * sim.Millisecond}},
 			{Name: "outB", From: "hub", To: "dstB",
@@ -70,16 +69,16 @@ func meshJunctionSpec(scheme string, dur sim.Time, seed int64) Spec {
 	}
 }
 
-// MeshSharedJunction runs the shared-junction mesh for each scheme. The
+// meshSharedJunction runs the shared-junction mesh for each scheme. The
 // two inA flows split 16 Mbit/s while the inB flow keeps its 8 Mbit/s
 // bottleneck to itself, so a fair scheme lands all three near 8 Mbit/s —
 // cross-path interference at the junction would show up as deviation.
-func MeshSharedJunction(schemes []string, dur sim.Time, seed int64) (map[string]MeshResult, error) {
-	if dur <= 0 {
-		dur = 30 * sim.Second
+func meshSharedJunction(p Params) (map[string]MeshResult, error) {
+	if p.Dur <= 0 {
+		p.Dur = 30 * sim.Second
 	}
-	return sweepMap("mesh-junction", schemes, []string{"ABC", "Cubic"}, seed, func(sch string) (MeshResult, error) {
-		spec := meshJunctionSpec(sch, dur, seed)
+	return sweepMap("mesh-junction", p, []string{"ABC", "Cubic"}, func(sch string) (MeshResult, error) {
+		spec := meshJunctionSpec(sch, p.Dur, p.Seed)
 		res, _, err := Run(spec)
 		if err != nil {
 			return MeshResult{}, err
@@ -116,7 +115,7 @@ type MarkedUplinkResult struct {
 	EchoKept    int64
 }
 
-// MarkedUplink runs each scheme's backlogged downlink over a cellular
+// markedUplink runs each scheme's backlogged downlink over a cellular
 // trace while its ACKs return over a slow uplink edge hosting an ABC
 // router, shared with a rate-limited ABC cross flow. Unlike the
 // congested-uplink chain scenario (droptail reverse path: feedback is
@@ -124,22 +123,22 @@ type MarkedUplinkResult struct {
 // ABC downlink learns about reverse-path congestion explicitly — the
 // sender's effective signal is the minimum of marks over the whole round
 // trip.
-func MarkedUplink(schemes []string, dur sim.Time, seed int64) (map[string]MarkedUplinkResult, error) {
-	if dur <= 0 {
-		dur = 30 * sim.Second
+func markedUplink(p Params) (map[string]MarkedUplinkResult, error) {
+	if p.Dur <= 0 {
+		p.Dur = 30 * sim.Second
 	}
 	down := trace.MustNamedCellular("Verizon1")
-	return sweepMap("marked-uplink", schemes, []string{"ABC", "Cubic"}, seed, func(sch string) (MarkedUplinkResult, error) {
+	return sweepMap("marked-uplink", p, []string{"ABC", "Cubic"}, func(sch string) (MarkedUplinkResult, error) {
 		res, _, err := Run(Spec{
-			Seed:     seed,
-			Duration: dur,
+			Seed:     p.Seed,
+			Duration: p.Dur,
 			RTT:      100 * sim.Millisecond,
 			Nodes:    []string{"bs", "ue"},
 			Edges: []EdgeSpec{
 				{Name: "down", From: "bs", To: "ue",
 					Link: LinkSpec{Trace: down, Qdisc: QdiscSpec{Kind: "auto"}}},
 				{Name: "up", From: "ue", To: "bs",
-					Link: LinkSpec{Rate: netem.ConstRate(uplinkMbps * 1e6), Qdisc: QdiscSpec{Kind: "abc"}}},
+					Link: LinkSpec{Rate: uplinkMbps * 1e6, Qdisc: QdiscSpec{Kind: "abc"}}},
 			},
 			Flows: []FlowSpec{
 				{Scheme: sch, Path: []string{"down"}, AckPath: []string{"up"}},

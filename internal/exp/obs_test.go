@@ -246,7 +246,7 @@ func TestFig12OnSharedPipeline(t *testing.T) {
 	defer EnableMetrics(nil, 0)
 
 	cfg := Fig12Config{Runs: 1, Duration: 5 * sim.Second, Loads: []float64{0.5}, Seed: 1}
-	if _, err := Fig12WeightPolicy("maxmin", cfg); err != nil {
+	if _, err := fig12WeightPolicy("maxmin", cfg); err != nil {
 		t.Fatal(err)
 	}
 	have := map[string]float64{}
@@ -378,7 +378,7 @@ func TestImpairDropsTraced(t *testing.T) {
 		var pts []LossyPoint
 		kinds := tracedKinds(t, obs.CatPacket, func() {
 			var err error
-			if pts, err = LossyLink([]string{"ABC"}, []float64{0.01}, bursty, 8*sim.Second, 1); err != nil {
+			if pts, err = lossyLink([]string{"ABC"}, []float64{0.01}, bursty, 8*sim.Second, 1); err != nil {
 				t.Fatal(err)
 			}
 		})

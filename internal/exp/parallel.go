@@ -42,22 +42,18 @@ func workers(n int) int {
 	return w
 }
 
-// forEach runs fn(i) for every i in [0, n) across the worker pool and
-// returns the lowest-index error (so error reporting is deterministic
-// too). fn must write its result into a caller-provided slot indexed by
-// i and must not touch other slots. Drivers that can name their cells
-// should use forEachCell so failures carry the cell's identity.
-func forEach(n int, fn func(i int) error) error { return forEachCell(n, nil, fn) }
-
-// forEachCell is forEach with a cell-naming hook: label(i) renders cell
-// i's sweep coordinates ("trace=Verizon scheme=abc seed=42") into every
-// error and panic report, so a failure inside a 300-cell fan-out is
-// attributable without re-running the sweep sequentially. A panicking
-// cell no longer kills the process: the panic is converted into that
-// cell's error (with its stack) and the remaining cells complete. When
-// live metrics are enabled, the obs cell counters
-// (obs.MetricCellsTotal/Done/Failed) track sweep progress for the
-// /metrics endpoint and the progress line.
+// forEachCell runs fn(i) for every i in [0, n) across the worker pool
+// and returns the lowest-index error (so error reporting is
+// deterministic too). fn must write its result into a caller-provided
+// slot indexed by i and must not touch other slots. label(i), when not
+// nil, renders cell i's sweep coordinates ("trace=Verizon scheme=abc
+// seed=42") into every error and panic report, so a failure inside a
+// 300-cell fan-out is attributable without re-running the sweep
+// sequentially. A panicking cell does not kill the process: the panic
+// is converted into that cell's error (with its stack) and the
+// remaining cells complete. When live metrics are enabled, the obs cell
+// counters (obs.MetricCellsTotal/Done/Failed) track sweep progress for
+// the /metrics endpoint and the progress line.
 func forEachCell(n int, label func(i int) string, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
@@ -117,16 +113,18 @@ func forEachCell(n int, label func(i int) string, fn func(i int) error) error {
 }
 
 // sweep is the per-scheme sweep every comparison driver shares: it
-// resolves the scheme set (schemes, else def), runs cell once per scheme
-// across the worker pool — each cell labelled "<label> scheme=… seed=…"
-// for error reports — and returns the rows in scheme order.
-func sweep[R any](label string, schemes, def []string, seed int64, cell func(scheme string) (R, error)) ([]R, error) {
+// resolves the scheme set (p.Schemes, else def), runs cell once per
+// scheme across the worker pool — each cell labelled "<label> scheme=…
+// seed=…" with p.Seed for error reports — and returns the rows in
+// scheme order.
+func sweep[R any](label string, p Params, def []string, cell func(scheme string) (R, error)) ([]R, error) {
+	schemes := p.Schemes
 	if len(schemes) == 0 {
 		schemes = def
 	}
 	rows := make([]R, len(schemes))
 	err := forEachCell(len(schemes), func(i int) string {
-		return fmt.Sprintf("%s scheme=%s seed=%d", label, schemes[i], seed)
+		return fmt.Sprintf("%s scheme=%s seed=%d", label, schemes[i], p.Seed)
 	}, func(i int) (err error) {
 		rows[i], err = cell(schemes[i])
 		return err
@@ -138,16 +136,16 @@ func sweep[R any](label string, schemes, def []string, seed int64, cell func(sch
 }
 
 // sweepMap is sweep with the rows keyed by scheme name.
-func sweepMap[R any](label string, schemes, def []string, seed int64, cell func(scheme string) (R, error)) (map[string]R, error) {
-	if len(schemes) == 0 {
-		schemes = def
+func sweepMap[R any](label string, p Params, def []string, cell func(scheme string) (R, error)) (map[string]R, error) {
+	if len(p.Schemes) == 0 {
+		p.Schemes = def
 	}
-	rows, err := sweep(label, schemes, nil, seed, cell)
+	rows, err := sweep(label, p, nil, cell)
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string]R, len(schemes))
-	for i, sch := range schemes {
+	out := make(map[string]R, len(p.Schemes))
+	for i, sch := range p.Schemes {
 		out[sch] = rows[i]
 	}
 	return out, nil

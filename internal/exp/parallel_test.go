@@ -32,30 +32,30 @@ func TestParallelDeterminismFig9(t *testing.T) {
 	const dur = 4 * sim.Second
 
 	Parallelism = 1
-	seq, err := Fig9Bars(schemes, traces, dur, 1)
+	seq, err := fig9Bars(Params{Schemes: schemes, Dur: dur, Seed: 1}, traces)
 	if err != nil {
 		t.Fatal(err)
 	}
 	Parallelism = 8
-	par, err := Fig9Bars(schemes, traces, dur, 1)
+	par, err := fig9Bars(Params{Schemes: schemes, Dur: dur, Seed: 1}, traces)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(seq, par) {
-		t.Fatalf("parallel Fig9Bars diverged from sequential:\nseq: %+v\npar: %+v", seq, par)
+		t.Fatalf("parallel fig9Bars diverged from sequential:\nseq: %+v\npar: %+v", seq, par)
 	}
 	// Byte-identical over a canonical (trace, scheme)-ordered flattening
 	// (gob of the map itself would vary with Go's map iteration order).
 	if !bytes.Equal(gobBytes(t, flatten(seq)), gobBytes(t, flatten(par))) {
-		t.Fatal("parallel Fig9Bars not byte-identical to sequential")
+		t.Fatal("parallel fig9Bars not byte-identical to sequential")
 	}
 	// And re-running in parallel is self-consistent.
-	par2, err := Fig9Bars(schemes, traces, dur, 1)
+	par2, err := fig9Bars(Params{Schemes: schemes, Dur: dur, Seed: 1}, traces)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(gobBytes(t, flatten(par)), gobBytes(t, flatten(par2))) {
-		t.Fatal("two parallel Fig9Bars runs diverged")
+		t.Fatal("two parallel fig9Bars runs diverged")
 	}
 }
 
@@ -78,12 +78,12 @@ func TestParallelDeterminismFig12(t *testing.T) {
 
 	cfg := Fig12Config{Runs: 3, Duration: 6 * sim.Second, Loads: []float64{0.125, 0.25}, Seed: 1}
 	Parallelism = 1
-	seq, err := Fig12WeightPolicy("maxmin", cfg)
+	seq, err := fig12WeightPolicy("maxmin", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	Parallelism = 6
-	par, err := Fig12WeightPolicy("maxmin", cfg)
+	par, err := fig12WeightPolicy("maxmin", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestForEachErrorIsDeterministic(t *testing.T) {
 	Parallelism = 4
 	errA := &testErr{"a"}
 	errB := &testErr{"b"}
-	err := forEach(10, func(i int) error {
+	err := forEachCell(10, nil, func(i int) error {
 		switch i {
 		case 3:
 			return errB

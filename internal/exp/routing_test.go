@@ -29,7 +29,7 @@ func TestNegativeSampleRejected(t *testing.T) {
 // TestScenarioNegativeSampleMs: a file gets the same contract, before the
 // clock starts.
 func TestScenarioNegativeSampleMs(t *testing.T) {
-	sc, err := ParseScenario([]byte(`{"links":[{"rate_mbps":8}],"flows":[{"scheme":"ABC"}],"sample_ms":-5}`))
+	sc, err := parseScenario([]byte(`{"links":[{"rate_mbps":8}],"flows":[{"scheme":"ABC"}],"sample_ms":-5}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestScenarioRoutingClause(t *testing.T) {
 		         {"name":"e3","from":"a","to":"c","kind":"rate","rate_mbps":8}],
 		"flows":[{"scheme":"ABC","path":["e1","e2"]}],`
 
-	sc, err := ParseScenario([]byte(mesh + `"routing":{"policy":"kfailover","k":1,"recompute_ms":20,"drain_ms":50}}`))
+	sc, err := parseScenario([]byte(mesh + `"routing":{"policy":"kfailover","k":1,"recompute_ms":20,"drain_ms":50}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestScenarioRoutingClause(t *testing.T) {
 		{`"routing":{"recompute_ms":-1}`, "negative RecomputeLatency"},
 		{`"routing":{"drain_ms":-1}`, "negative Drain"},
 	} {
-		sc, err := ParseScenario([]byte(mesh + bad.clause + `}`))
+		sc, err := parseScenario([]byte(mesh + bad.clause + `}`))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +127,7 @@ func TestScenarioRoutingClause(t *testing.T) {
 // the mid-run outage fails the managed flow over (data and ACK), the
 // recovery fails it back, and the failover is make-before-break.
 func TestAutoRouteDriver(t *testing.T) {
-	rows, err := AutoRoute([]string{"ABC"}, 8*sim.Second, 1)
+	rows, err := autoRoute(Params{Schemes: []string{"ABC"}, Dur: 8 * sim.Second, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestAutoRouteDriver(t *testing.T) {
 // (shorter than its 30ms convergence window) but reacts to the two long
 // outages — four route changes, not six.
 func TestFlapStormDriver(t *testing.T) {
-	rows, err := FlapStorm([]string{"ABC"}, 8*sim.Second, 1)
+	rows, err := flapStorm(Params{Schemes: []string{"ABC"}, Dur: 8 * sim.Second, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

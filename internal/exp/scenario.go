@@ -18,10 +18,10 @@
 // default) and an app's ABR and RPC configurations. An interface-valued
 // field — a workload's arrival and size — is an object whose "kind"
 // names the value's type. Unknown keys are an error, and a Spec encodes
-// back to the same keys: ParseScenario of a Scenario's JSON deep-equals
+// back to the same keys: parseScenario of a Scenario's JSON deep-equals
 // it.
 //
-// ParseScenario only decodes; whether the Spec is valid is Check's (and
+// parseScenario only decodes; whether the Spec is valid is Check's (and
 // Run's) judgement, the one Go callers get too: validate.go range-checks
 // it, the run pipeline builds it, and it is valid iff it builds. Schemes
 // and qdisc kinds resolve through the registries, so a file can name
@@ -170,7 +170,7 @@ func LoadScenario(path string) (*Scenario, error) {
 	if err != nil {
 		return nil, err
 	}
-	sc, err := ParseScenario(data)
+	sc, err := parseScenario(data)
 	if err != nil {
 		return nil, err
 	}
@@ -183,9 +183,9 @@ func LoadScenario(path string) (*Scenario, error) {
 	return sc, nil
 }
 
-// ParseScenario decodes a scenario. It judges only the file's shape —
+// parseScenario decodes a scenario. It judges only the file's shape —
 // keys, types, kinds, units that fit — and leaves the Spec to Check.
-func ParseScenario(data []byte) (*Scenario, error) {
+func parseScenario(data []byte) (*Scenario, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.UseNumber()
 	var raw any
@@ -199,7 +199,7 @@ func ParseScenario(data []byte) (*Scenario, error) {
 	return &sc, nil
 }
 
-// MarshalJSON encodes the scenario in the format ParseScenario reads. It
+// MarshalJSON encodes the scenario in the format parseScenario reads. It
 // fails on what the format cannot say: a trace that no generator made, or
 // a field the file has no key for set to anything but zero.
 func (sc *Scenario) MarshalJSON() ([]byte, error) {

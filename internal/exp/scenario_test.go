@@ -21,7 +21,7 @@ import (
 // checkScenario parses in and checks its Spec: a file is valid iff both
 // accept it.
 func checkScenario(in string) (Spec, error) {
-	sc, err := ParseScenario([]byte(in))
+	sc, err := parseScenario([]byte(in))
 	if err != nil {
 		return Spec{}, err
 	}
@@ -41,15 +41,15 @@ func TestScenarioRejectsUnknownKeys(t *testing.T) {
 		`{"links":[{"qdisc":{"kind":"abc","dt":5}}]}`,
 	}
 	for _, c := range cases {
-		if _, err := ParseScenario([]byte(c)); err == nil ||
+		if _, err := parseScenario([]byte(c)); err == nil ||
 			!strings.Contains(err.Error(), "unknown field") {
-			t.Errorf("ParseScenario(%s) = %v, want unknown-field error", c, err)
+			t.Errorf("parseScenario(%s) = %v, want unknown-field error", c, err)
 		}
 	}
 }
 
 // TestScenarioFilesRoundTrip: every example file decodes into a Spec that
-// encodes back to itself — ParseScenario of its JSON deep-equals it — and
+// encodes back to itself — parseScenario of its JSON deep-equals it — and
 // checks.
 func TestScenarioFilesRoundTrip(t *testing.T) {
 	paths, err := filepath.Glob("../../examples/scenarios/*.json")
@@ -65,7 +65,7 @@ func TestScenarioFilesRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: marshal: %v", path, err)
 		}
-		sc2, err := ParseScenario(out)
+		sc2, err := parseScenario(out)
 		if err != nil {
 			t.Fatalf("%s: re-parse of own marshal: %v", path, err)
 		}
@@ -81,7 +81,7 @@ func TestScenarioFilesRoundTrip(t *testing.T) {
 // TestScenarioUnits: each suffix lands on the Go unit, on the nanosecond
 // the scenario compiler always chose, and encodes back to the same number.
 func TestScenarioUnits(t *testing.T) {
-	sc, err := ParseScenario([]byte(`{"rtt_ms": 6.1, "duration_s": 22.5,
+	sc, err := parseScenario([]byte(`{"rtt_ms": 6.1, "duration_s": 22.5,
 		"links": [{"rate_mbps": 21.7, "qdisc": {"kind": "abc", "dt_ms": 1.7}}],
 		"workloads": [{"scheme": "ABC", "arrival": {"kind": "deterministic", "gap_ms": 250},
 			"size": {"kind": "pareto", "min_kb": 10, "max_kb": 1024}}],
@@ -318,7 +318,7 @@ func FuzzScenarioJSON(f *testing.F) {
 	f.Add([]byte(`[]`))
 	f.Add([]byte(`{`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sc, err := ParseScenario(data)
+		sc, err := parseScenario(data)
 		if err != nil {
 			return
 		}
@@ -326,7 +326,7 @@ func FuzzScenarioJSON(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted scenario does not encode: %v", err)
 		}
-		sc2, err := ParseScenario(out)
+		sc2, err := parseScenario(out)
 		if err != nil {
 			t.Fatalf("encoding of an accepted scenario does not decode: %v\n%s", err, out)
 		}

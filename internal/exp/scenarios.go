@@ -13,7 +13,6 @@ import (
 	"io"
 
 	"abc/internal/metrics"
-	"abc/internal/netem"
 	"abc/internal/packet"
 	"abc/internal/sim"
 	"abc/internal/topo"
@@ -38,7 +37,7 @@ type UplinkResult struct {
 // marked-uplink drivers.
 const uplinkMbps = 2
 
-// UplinkCongestedACK runs each scheme's backlogged downlink flow over a
+// uplinkCongestedACK runs each scheme's backlogged downlink flow over a
 // Verizon-like cellular trace while a Cubic uplink flow (application-
 // limited to 60% of the uplink) congests the slow reverse link that also
 // carries the downlink's ACKs — the asymmetric-cellular setup where ACK
@@ -46,16 +45,16 @@ const uplinkMbps = 2
 // feedback channel. A fully backlogged uplink starves every scheme's
 // ACK clock outright; the rate-limited cross flow keeps the reverse path
 // congested but alive, which is where the schemes differ.
-func UplinkCongestedACK(schemes []string, dur sim.Time, seed int64) (map[string]UplinkResult, error) {
+func uplinkCongestedACK(p Params) (map[string]UplinkResult, error) {
 	down := trace.MustNamedCellular("Verizon1")
-	return sweepMap("uplink trace=Verizon1", schemes, []string{"ABC", "Cubic", "Cubic+Codel", "BBR"}, seed, func(sch string) (UplinkResult, error) {
+	return sweepMap("uplink trace=Verizon1", p, []string{"ABC", "Cubic", "Cubic+Codel", "BBR"}, func(sch string) (UplinkResult, error) {
 		res, _, err := Run(Spec{
-			Seed:     seed,
-			Duration: dur,
+			Seed:     p.Seed,
+			Duration: p.Dur,
 			RTT:      100 * sim.Millisecond,
 			Links:    []LinkSpec{{Trace: down}},
 			ReverseLinks: []LinkSpec{{
-				Rate:  netem.ConstRate(uplinkMbps * 1e6),
+				Rate:  uplinkMbps * 1e6,
 				Qdisc: QdiscSpec{Kind: "droptail", Buffer: 50},
 			}},
 			Flows: []FlowSpec{
@@ -101,13 +100,13 @@ type HeteroRTTResult struct {
 	MaxQDelayP95 float64
 }
 
-// HeteroRTTFairness runs one backlogged flow per RTT (20, 50, 100 and
+// heteroRTTFairness runs one backlogged flow per RTT (20, 50, 100 and
 // 200 ms) on a shared 24 Mbit/s bottleneck with the scheme's own
 // discipline, measuring how much the scheme's capacity split favours
 // short-RTT flows (window dynamics paced per-RTT always favour them; the
 // Jain index quantifies by how much). The first quarter of the run, at
 // most 10 s, is warmup.
-func HeteroRTTFairness(scheme string, dur sim.Time, seed int64) (*HeteroRTTResult, error) {
+func heteroRTTFairness(scheme string, dur sim.Time, seed int64) (*HeteroRTTResult, error) {
 	if scheme == "" {
 		scheme = "ABC"
 	}
@@ -122,7 +121,7 @@ func HeteroRTTFairness(scheme string, dur sim.Time, seed int64) (*HeteroRTTResul
 		Warmup:   min(10*sim.Second, dur/4),
 		RTT:      100 * sim.Millisecond,
 		Links: []LinkSpec{{
-			Rate:  netem.ConstRate(24e6),
+			Rate:  24e6,
 			Qdisc: QdiscSpec{Kind: "auto", Buffer: 500},
 		}},
 		Flows: flows,
@@ -147,11 +146,11 @@ type HeteroRTTRun struct {
 	*HeteroRTTResult
 }
 
-// heteroRTTSweep runs HeteroRTTFairness per scheme (default ABC, Cubic)
+// heteroRTTSweep runs heteroRTTFairness per scheme (default ABC, Cubic)
 // at the default RTT ladder.
 func heteroRTTSweep(p Params) ([]HeteroRTTRun, error) {
-	return sweep("heterortt", p.Schemes, []string{"ABC", "Cubic"}, p.Seed, func(sch string) (HeteroRTTRun, error) {
-		r, err := HeteroRTTFairness(sch, p.Dur, p.Seed)
+	return sweep("heterortt", p, []string{"ABC", "Cubic"}, func(sch string) (HeteroRTTRun, error) {
+		r, err := heteroRTTFairness(sch, p.Dur, p.Seed)
 		return HeteroRTTRun{Scheme: sch, HeteroRTTResult: r}, err
 	})
 }
@@ -176,11 +175,11 @@ type LossyPoint struct {
 	ImpairDrops int64
 }
 
-// LossyLink sweeps random (or bursty, Gilbert-Elliott) loss in front of a
+// lossyLink sweeps random (or bursty, Gilbert-Elliott) loss in front of a
 // 24 Mbit/s bottleneck for each scheme: loss-as-congestion schemes
 // collapse as loss grows while ABC's explicit feedback keeps the link
 // busy. Results are ordered scheme-major, loss-minor.
-func LossyLink(schemes []string, lossRates []float64, bursty bool, dur sim.Time, seed int64) ([]LossyPoint, error) {
+func lossyLink(schemes []string, lossRates []float64, bursty bool, dur sim.Time, seed int64) ([]LossyPoint, error) {
 	if len(schemes) == 0 {
 		schemes = []string{"ABC", "Cubic", "BBR"}
 	}
@@ -203,7 +202,7 @@ func LossyLink(schemes []string, lossRates []float64, bursty bool, dur sim.Time,
 			Duration: dur,
 			RTT:      100 * sim.Millisecond,
 			Links: []LinkSpec{{
-				Rate:   netem.ConstRate(24e6),
+				Rate:   24e6,
 				Qdisc:  QdiscSpec{Kind: "auto", Buffer: 250},
 				Impair: imp,
 			}},
@@ -232,7 +231,7 @@ func LossyLink(schemes []string, lossRates []float64, bursty bool, dur sim.Time,
 func lossyBoth(p Params) ([]LossyPoint, error) {
 	var out []LossyPoint
 	for _, bursty := range []bool{false, true} {
-		pts, err := LossyLink(p.Schemes, nil, bursty, p.Dur, p.Seed)
+		pts, err := lossyLink(p.Schemes, nil, bursty, p.Dur, p.Seed)
 		if err != nil {
 			return nil, err
 		}

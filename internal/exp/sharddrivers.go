@@ -17,7 +17,6 @@ import (
 	"io"
 	"strings"
 
-	"abc/internal/netem"
 	"abc/internal/sim"
 )
 
@@ -63,7 +62,7 @@ func shardedMeshSpec(shards int, dur sim.Time, seed int64) Spec {
 		spec.Edges = append(spec.Edges,
 			EdgeSpec{Name: fmt.Sprintf("bot%d", k),
 				From: fmt.Sprintf("j%d", 2*k), To: fmt.Sprintf("j%d", 2*k+1),
-				Link: LinkSpec{Rate: netem.ConstRate(rates[k]), Qdisc: QdiscSpec{Kind: "auto"},
+				Link: LinkSpec{Rate: rates[k], Qdisc: QdiscSpec{Kind: "auto"},
 					Delay: 1700 * sim.Microsecond}},
 			EdgeSpec{Name: fmt.Sprintf("hop%d", k),
 				From: fmt.Sprintf("j%d", 2*k+1), To: fmt.Sprintf("j%d", (2*k+2)%8),

@@ -339,7 +339,7 @@ func TestSampleIsPassive(t *testing.T) {
 	specs := map[string]func() Spec{
 		"handover": func() Spec { return handoverSpec("ABC", 3*sim.Second, 6*sim.Second, 1) },
 		"fig1": func() Spec {
-			spec := fig1Spec(LTETrace(), "ABC", 1)
+			spec := fig1Spec(lteTrace(), "ABC", 1)
 			spec.Duration = 6 * sim.Second
 			return spec
 		},
@@ -407,7 +407,7 @@ func TestShardedSpecValidation(t *testing.T) {
 // "shard_map" decode into Spec.Shards/ShardMap, and malformed clauses
 // fail Check with a static error.
 func TestScenarioShardsClause(t *testing.T) {
-	sc, err := ParseScenario([]byte(`{
+	sc, err := parseScenario([]byte(`{
 		"duration_s": 10,
 		"shards": 2,
 		"shard_map": {"a": 0, "b": 1},
@@ -434,7 +434,7 @@ func TestScenarioShardsClause(t *testing.T) {
 		{"pin out of range", `{"shards": 2, "shard_map": {"a": 2}, "flows": []}`, "out of range"},
 	}
 	for _, tc := range bad {
-		sc, err := ParseScenario([]byte(tc.in))
+		sc, err := parseScenario([]byte(tc.in))
 		if err != nil {
 			t.Fatalf("%s: parse: %v", tc.name, err)
 		}

@@ -24,10 +24,13 @@
 // other — and one judge: a Spec is valid iff it builds, so Check is Run
 // stopped before the clock.
 //
-// The runners themselves are catalogued once, in drivers.go: Drivers is
-// the table the CLIs, the report, the golden corpus and the driver test
-// all iterate, and each runner's print function sits next to its result
-// type (shared print helpers in print.go).
+// The experiments are catalogued once, in drivers.go: Drivers is the
+// table the CLIs, the report, the golden corpus and the driver test all
+// iterate. A row is the experiment: it names an unexported
+// func(Params) (R, error), so the table is the only way into a figure,
+// and each row's print function sits next to its result type (shared
+// print helpers in print.go). Beside Run and Check, the package exports
+// only what the CLIs and the benchmark module call.
 package exp
 
 import (
@@ -53,8 +56,8 @@ var Schemes = []string{
 	"Copa", "Sprout", "Vegas", "Verus", "BBR", "PCC", "Cubic",
 }
 
-// ExplicitSchemes is the Appendix D comparison set.
-var ExplicitSchemes = []string{"ABC", "XCP", "XCPw", "VCP", "RCP"}
+// explicitSchemes is the Appendix D comparison set.
+var explicitSchemes = []string{"ABC", "XCP", "XCPw", "VCP", "RCP"}
 
 // QdiscSpec selects the bottleneck discipline for a link.
 type QdiscSpec struct {

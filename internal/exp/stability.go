@@ -18,8 +18,8 @@ type StabilityResult struct {
 	Boundary float64
 }
 
-// StabilityRegion sweeps δ/τ over [0.1, 2.0].
-func StabilityRegion() *StabilityResult {
+// stabilityRegion sweeps δ/τ over [0.1, 2.0].
+func stabilityRegion(Params) (*StabilityResult, error) {
 	base := fluid.DefaultParams()
 	var ratios []float64
 	for r := 0.1; r <= 2.0; r += 0.05 {
@@ -33,7 +33,7 @@ func StabilityRegion() *StabilityResult {
 			break
 		}
 	}
-	return res
+	return res, nil
 }
 
 func printStability(w io.Writer, r *StabilityResult) {

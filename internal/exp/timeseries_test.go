@@ -13,7 +13,7 @@ import (
 // queue exceeds ABC's by a wide margin, and ABC's throughput follows the
 // link.
 func TestFig1SeriesShape(t *testing.T) {
-	runs, err := Fig1Timeseries(1)
+	runs, err := fig1Timeseries(Params{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestFeedbackCountsConsistent(t *testing.T) {
 // TestLTETraceProperties pins the Fig. 1 trace's character: it must both
 // collapse and surge within the 30 s window.
 func TestLTETraceProperties(t *testing.T) {
-	tr := LTETrace()
+	tr := lteTrace()
 	lo, hi := 1e18, 0.0
 	for at := sim.Second; at < 30*sim.Second; at += 500 * sim.Millisecond {
 		r := tr.CapacityBps(at, 500*sim.Millisecond)

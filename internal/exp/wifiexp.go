@@ -35,17 +35,17 @@ type Fig4Result struct {
 	TheorySlopeMs float64
 }
 
-// Fig4InterACK reproduces Fig. 4: drive a fixed-MCS 802.11n link at
+// fig4InterACK reproduces Fig. 4: drive a fixed-MCS 802.11n link at
 // several offered loads so batches of every size occur, and record the
 // inter-ACK time for each batch.
-func Fig4InterACK(seed int64) (*Fig4Result, error) {
+func fig4InterACK(p Params) (*Fig4Result, error) {
 	cfg := wifi.DefaultLinkConfig()
 	cfg.MCS = wifi.FixedMCS(1) // 13 Mbit/s PHY: visible slope
 	out := &Fig4Result{MeanTIA: make(map[int]float64)}
 	counts := make(map[int]int)
 
 	for _, loadMbps := range []float64{1, 2, 4, 6, 8, 10, 11, 12} {
-		s := sim.New(seed)
+		s := sim.New(p.Seed)
 		sink := &packet.Sink{}
 		link := wifi.NewLink(s, cfg, qdisc.NewDropTail(1000), sink, nil)
 		link.OnBatch = func(now sim.Time, b int, tia sim.Time, bitrate float64) {
@@ -107,11 +107,11 @@ type Fig5Point struct {
 	CapRegion bool
 }
 
-// Fig5RatePrediction reproduces Fig. 5: the estimator's predictions for a
+// fig5RatePrediction reproduces Fig. 5: the estimator's predictions for a
 // non-backlogged user across offered loads on three different Wi-Fi
 // links. Near and above saturation the prediction lands within 5% of the
 // true link capacity.
-func Fig5RatePrediction(seed int64) ([]Fig5Point, error) {
+func fig5RatePrediction(p Params) ([]Fig5Point, error) {
 	loads := []float64{1, 2, 4, 6, 8, 10, 14, 18, 22, 26, 30, 36, 42, 48}
 	var out []Fig5Point
 	for i, mcs := range []int{2, 4, 6} { // Link1..Link3's fixed MCS
@@ -120,7 +120,7 @@ func Fig5RatePrediction(seed int64) ([]Fig5Point, error) {
 		cfg.MCS = wifi.FixedMCS(mcs)
 		trueCap := wifi.TrueCapacityBps(cfg, 0) / 1e6
 		for _, load := range loads {
-			s := sim.New(seed)
+			s := sim.New(p.Seed)
 			est := wifi.NewEstimator(cfg.MaxBatch, packet.MTU, 40*sim.Millisecond)
 			sink := &packet.Sink{}
 			link := wifi.NewLink(s, cfg, qdisc.NewDropTail(1000), sink, est)
@@ -158,8 +158,8 @@ type WiFiScheme struct {
 	ABCdt  sim.Time
 }
 
-// Fig10SchemeSet is the paper's Wi-Fi comparison set.
-var Fig10SchemeSet = []WiFiScheme{
+// fig10SchemeSet is the paper's Wi-Fi comparison set.
+var fig10SchemeSet = []WiFiScheme{
 	{Label: "ABC_20", Scheme: "ABC", ABCdt: 20 * sim.Millisecond},
 	{Label: "ABC_60", Scheme: "ABC", ABCdt: 60 * sim.Millisecond},
 	{Label: "ABC_100", Scheme: "ABC", ABCdt: 100 * sim.Millisecond},
@@ -171,12 +171,12 @@ var Fig10SchemeSet = []WiFiScheme{
 	{Label: "Cubic", Scheme: "Cubic"},
 }
 
-// RunWiFi runs nUsers backlogged flows of one scheme over the modelled
+// runWiFi runs nUsers backlogged flows of one scheme over the modelled
 // 802.11n link for the duration and reports total throughput and the
 // mean per-user p95 one-way delay, matching Fig. 10's metrics. The link
 // is an ordinary LinkSpec of Kind "wifi", so the run goes through the
 // same topology harness as every cellular figure.
-func RunWiFi(ws WiFiScheme, nUsers int, mcs wifi.MCS, dur sim.Time, seed int64) (metrics.Summary, error) {
+func runWiFi(ws WiFiScheme, nUsers int, mcs wifi.MCS, dur sim.Time, seed int64) (metrics.Summary, error) {
 	// The Wi-Fi links reach ~50 Mbit/s; at dt = 100 ms the standing
 	// queue alone is ~400 packets, so the AP buffer must be deeper than
 	// the cellular 250 (commodity APs buffer ~1000 frames).
@@ -223,14 +223,14 @@ func RunWiFi(ws WiFiScheme, nUsers int, mcs wifi.MCS, dur sim.Time, seed int64) 
 	return sum, nil
 }
 
-// Fig10WiFi reproduces Fig. 10 (or Fig. 14 with the Brownian walk): all
+// fig10WiFi reproduces Fig. 10 (or Fig. 14 with the Brownian walk): all
 // schemes on the varying Wi-Fi link.
-func Fig10WiFi(nUsers int, mcs wifi.MCS, dur sim.Time, seed int64) ([]metrics.Summary, error) {
-	out := make([]metrics.Summary, len(Fig10SchemeSet))
-	err := forEachCell(len(Fig10SchemeSet), func(i int) string {
-		return fmt.Sprintf("fig10 wifi users=%d scheme=%s seed=%d", nUsers, Fig10SchemeSet[i], seed)
+func fig10WiFi(nUsers int, mcs wifi.MCS, p Params) ([]metrics.Summary, error) {
+	out := make([]metrics.Summary, len(fig10SchemeSet))
+	err := forEachCell(len(fig10SchemeSet), func(i int) string {
+		return fmt.Sprintf("fig10 wifi users=%d scheme=%s seed=%d", nUsers, fig10SchemeSet[i], p.Seed)
 	}, func(i int) error {
-		s, err := RunWiFi(Fig10SchemeSet[i], nUsers, mcs, dur, seed)
+		s, err := runWiFi(fig10SchemeSet[i], nUsers, mcs, p.Dur, p.Seed)
 		out[i] = s
 		return err
 	})
@@ -240,9 +240,19 @@ func Fig10WiFi(nUsers int, mcs wifi.MCS, dur sim.Time, seed int64) ([]metrics.Su
 	return out, nil
 }
 
-// Fig5MaxErrorBacklogged returns the worst relative prediction error
+// fig10 runs -users users (at least one) under the alternating MCS.
+func fig10(p Params) ([]metrics.Summary, error) {
+	return fig10WiFi(max(p.Users, 1), wifi.AlternatingMCS(), p)
+}
+
+// fig14 runs one user under the seeded Brownian MCS walk.
+func fig14(p Params) ([]metrics.Summary, error) {
+	return fig10WiFi(1, wifi.BrownianMCS(p.Seed), p)
+}
+
+// fig5MaxErrorBacklogged returns the worst relative prediction error
 // among backlogged points (offered ≥ capacity), the paper's 5% claim.
-func Fig5MaxErrorBacklogged(points []Fig5Point) float64 {
+func fig5MaxErrorBacklogged(points []Fig5Point) float64 {
 	worst := 0.0
 	for _, p := range points {
 		if p.OfferedMbps < p.TrueMbps {
@@ -262,7 +272,7 @@ func printFig5(w io.Writer, points []Fig5Point) {
 			p.Link, p.OfferedMbps, p.PredictedMbps, p.TrueMbps, p.CapRegion)
 	}
 	fmt.Fprintf(w, "worst backlogged error: %.1f%% (paper: within 5%%)\n",
-		Fig5MaxErrorBacklogged(points)*100)
+		fig5MaxErrorBacklogged(points)*100)
 }
 
 func printFig4(w io.Writer, r *Fig4Result) {

@@ -220,7 +220,10 @@ func (l *RateLink) SetRate(bps float64) {
 	}
 }
 
-// ConstRate is the rate of a constant-rate link: bps bits/sec.
+// ConstRate is the rate of a constant-rate link: bps bits/sec. It
+// returns its argument unchanged, and the simulator's own code passes
+// rates directly; it stays only because the benchmark module (bench/)
+// still calls it.
 func ConstRate(bps float64) float64 { return bps }
 
 // Recv implements packet.Node.
