@@ -31,14 +31,15 @@ func main() {
 		os.Exit(1)
 	}
 	if *metricsAddr != "" {
-		addr, err := obs.Serve(*metricsAddr, obs.Default())
+		reg := obs.NewRegistry()
+		addr, err := obs.Serve(*metricsAddr, reg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "abcreport:", err)
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "[obs] abcreport: serving metrics on http://%s/metrics\n", addr)
-		exp.EnableMetrics(obs.Default(), sim.Second)
-		defer obs.StartProgress(os.Stderr, obs.Default(), 5*time.Second)()
+		exp.EnableMetrics(reg, sim.Second)
+		defer obs.StartProgress(os.Stderr, reg, 5*time.Second)()
 	}
 	err = run()
 	if perr := stop(); err == nil {

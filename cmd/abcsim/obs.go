@@ -20,10 +20,9 @@ import (
 
 var (
 	metricsAddr = flag.String("metrics", "", "serve live run metrics on this address (e.g. 127.0.0.1:9090 or :0) and print progress to stderr")
-	traceOut    = flag.String("trace-out", "", "record a flight-recorder trace and dump it to this file after the run (JSONL; see -trace-csv)")
+	traceOut    = flag.String("trace-out", "", "record a flight-recorder trace and dump it to this file after the run (one JSON object per event and line)")
 	traceMask   = flag.String("trace-mask", "all", "trace categories: comma list of packet,mark,route,link,attack,cc,shard,hop, or 'all'")
 	traceCap    = flag.Int("trace-cap", 1<<20, "flight-recorder ring capacity in events (oldest events overwritten)")
-	traceCSV    = flag.Bool("trace-csv", false, "dump the trace as columnar CSV instead of JSONL")
 )
 
 // setupObs arms the observability flags and returns a teardown that
@@ -32,13 +31,14 @@ var (
 func setupObs(prog string) (teardown func() error, err error) {
 	teardown = func() error { return nil }
 	if *metricsAddr != "" {
-		addr, err := obs.Serve(*metricsAddr, obs.Default())
+		reg := obs.NewRegistry()
+		addr, err := obs.Serve(*metricsAddr, reg)
 		if err != nil {
 			return nil, err
 		}
 		fmt.Fprintf(os.Stderr, "[obs] %s: serving metrics on http://%s/metrics\n", prog, addr)
-		exp.EnableMetrics(obs.Default(), sim.Second)
-		stop := obs.StartProgress(os.Stderr, obs.Default(), 2*time.Second)
+		exp.EnableMetrics(reg, sim.Second)
+		stop := obs.StartProgress(os.Stderr, reg, 2*time.Second)
 		teardown = func() error { stop(); return nil }
 	}
 	if *traceOut != "" {
@@ -53,11 +53,7 @@ func setupObs(prog string) (teardown func() error, err error) {
 			perr := prev()
 			f, err := os.Create(*traceOut)
 			if err == nil {
-				if *traceCSV {
-					err = rec.WriteColumns(f)
-				} else {
-					err = rec.WriteJSONL(f)
-				}
+				err = rec.WriteJSONL(f)
 				if cerr := f.Close(); err == nil {
 					err = cerr
 				}

@@ -300,13 +300,6 @@ func TestGatedSource(t *testing.T) {
 	}
 }
 
-func TestBackloggedSource(t *testing.T) {
-	var b Backlogged
-	if !b.Available(0) || b.Done() {
-		t.Error("backlogged must always be available")
-	}
-}
-
 func TestEndpointStopBeforeFirstPacket(t *testing.T) {
 	// Flow lifetime edge: Stop fires before Start (a Spec with Stop <
 	// Start). The endpoint must never transmit and must not panic.

@@ -1,21 +1,9 @@
-// Data sources: backlogged, rate-limited (application-limited flows,
-// §6.6), on-off (Fig. 11 cross traffic) and fixed-size (Fig. 12 short
-// flows).
+// Data sources: rate-limited (application-limited flows, §6.6), on-off
+// (Fig. 11 cross traffic) and fixed-size (Fig. 12 short flows). A nil
+// Source is the backlogged one.
 package cc
 
 import "abc/internal/sim"
-
-// Backlogged always has data; equivalent to a nil Source.
-type Backlogged struct{}
-
-// Available implements Source.
-func (Backlogged) Available(sim.Time) bool { return true }
-
-// OnSend implements Source.
-func (Backlogged) OnSend(sim.Time, int) {}
-
-// Done implements Source.
-func (Backlogged) Done() bool { return false }
 
 // RateLimited releases data at a fixed application rate via a token
 // bucket, modelling the paper's application-limited flows that "send

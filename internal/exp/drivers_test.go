@@ -30,7 +30,6 @@ var noGoldenRow = map[string]string{
 	"ablations": "asserted by TestAblationsProduceMonotoneTradeoffs",
 	"proxied":   "asserted by TestProxiedEncodingEquivalent",
 	"pkabc":     "asserted by TestPKABCHalvesDelay",
-	"stability": "fluid model, no simulator; asserted by TestStabilityRegion",
 	"schemes":   "lists the registries, runs nothing",
 }
 

@@ -142,6 +142,7 @@ func goldenCases() []goldenCase {
 		{name: "app-video", driver: "video", params: at("ABC", "Cubic")},
 		{name: "app-rpc", driver: "rpc", params: at("ABC", "Cubic")},
 		{name: "hybrid", driver: "hybrid", params: at()},
+		{name: "stability", driver: "stability"},
 		{name: "sharded-mesh-s1", driver: "sharded", sub: shardedMesh(1)},
 		{name: "sharded-mesh-s2", driver: "sharded", sub: shardedMesh(2)},
 		{name: "sharded-mesh-s4", driver: "sharded", sub: shardedMesh(4)},

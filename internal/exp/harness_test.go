@@ -193,6 +193,42 @@ func TestOneFrontDoor(t *testing.T) {
 	}
 }
 
+// TestNoWallClock guards the rule that a result is a function of its
+// Params: no experiment reads the host's clock, so nothing it returns or
+// prints varies from run to run. Measuring wall-clock cost is the bench
+// module's job.
+func TestNoWallClock(t *testing.T) {
+	fset := token.NewFileSet()
+	for name, src := range sources(t) {
+		f, err := parser.ParseFile(fset, name, src, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkg := ""
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"time"` {
+				pkg = "time"
+				if imp.Name != nil {
+					pkg = imp.Name.Name
+				}
+			}
+		}
+		if pkg == "" {
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if id, ok := sel.X.(*ast.Ident); ok && id.Name == pkg && (sel.Sel.Name == "Now" || sel.Sel.Name == "Since") {
+				t.Errorf("%s reads the wall clock (time.%s)", fset.Position(sel.Pos()), sel.Sel.Name)
+			}
+			return true
+		})
+	}
+}
+
 // TestCheckAgreesWithRun: Check is Run without the clock, so on every
 // example scenario and on malformed specs of every stage — validate,
 // either front end, the builder, each wiring stage — the two return the

@@ -4,15 +4,13 @@
 // fluid background aggregate on the same bottleneck from zero users to
 // a million, in constant simulation cost per scale (the aggregate is a
 // fixed-step rate process, not per-user packet events). The rows show
-// foreground QoE/FCT degrading as the background claims link share,
-// while wall time stays near-flat — the hybrid mode's whole point.
+// foreground QoE/FCT degrading as the background claims link share; the
+// bench workload hybrid_bg measures what a million fluid users cost.
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"time"
 
 	"abc/internal/app"
 	"abc/internal/metrics"
@@ -57,30 +55,17 @@ type HybridCell struct {
 	QDelayP95 float64
 }
 
-// HybridRun is the hybrid driver's value. Cells is the result, and all
-// that serializes; Wall is each cell's wall-clock cost — the hybrid
-// mode's claim is that a million fluid users cost about what none do —
-// which is host noise, printed but never digested.
-type HybridRun struct {
-	Cells []HybridCell
-	Wall  []time.Duration
-}
-
-// MarshalJSON serializes the cells alone.
-func (h *HybridRun) MarshalJSON() ([]byte, error) { return json.Marshal(h.Cells) }
-
 // hybrid runs the hybrid fluid/packet experiment: per background scale
 // in hybridScales, a 60 Mbps rate bottleneck with an ABC qdisc carries
 // one ABR video flow and hybridRPCClients RPC clients packet-by-packet,
 // all ABC, plus one "const" fluid aggregate of scale virtual users at
 // hybridBpsPerUser each (skipped when scale is 0).
-func hybrid(p Params) (*HybridRun, error) {
+func hybrid(p Params) ([]HybridCell, error) {
 	const scheme = "ABC"
-	run := &HybridRun{Cells: make([]HybridCell, len(hybridScales)), Wall: make([]time.Duration, len(hybridScales))}
+	cells := make([]HybridCell, len(hybridScales))
 	err := forEachCell(len(hybridScales), func(i int) string {
 		return fmt.Sprintf("hybrid scheme=%s users=%d seed=%d", scheme, hybridScales[i], p.Seed)
 	}, func(i int) error {
-		t0 := time.Now()
 		users := hybridScales[i]
 		pool := &metrics.DelayRecorder{}
 		flows := []FlowSpec{{
@@ -135,21 +120,21 @@ func hybrid(p Params) (*HybridRun, error) {
 			cell.BgServedMB = res.Backgrounds[0].ServedMB
 			cell.BgMeanShare = res.Backgrounds[0].MeanShare
 		}
-		run.Cells[i], run.Wall[i] = cell, time.Since(t0)
+		cells[i] = cell
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return run, nil
+	return cells, nil
 }
 
-func printHybrid(w io.Writer, run *HybridRun) {
-	fmt.Fprintf(w, "%10s %10s %8s %10s %10s %10s %9s %10s\n",
-		"Users", "BgMbps", "BgShare", "VideoKbps", "RPC mean", "RPC p95", "q p95(ms)", "wall")
-	for i, c := range run.Cells {
-		fmt.Fprintf(w, "%10d %10.3f %7.1f%% %10.0f %7.0f ms %7.0f ms %9.0f %10v\n",
+func printHybrid(w io.Writer, cells []HybridCell) {
+	fmt.Fprintf(w, "%10s %10s %8s %10s %10s %10s %9s\n",
+		"Users", "BgMbps", "BgShare", "VideoKbps", "RPC mean", "RPC p95", "q p95(ms)")
+	for _, c := range cells {
+		fmt.Fprintf(w, "%10d %10.3f %7.1f%% %10.0f %7.0f ms %7.0f ms %9.0f\n",
 			c.Users, c.BgOfferedMbps, c.BgMeanShare*100, c.VideoQoE.MeanKbps,
-			c.RPCFCT.MeanMs, c.RPCFCT.P95Ms, c.QDelayP95, run.Wall[i].Round(time.Millisecond))
+			c.RPCFCT.MeanMs, c.RPCFCT.P95Ms, c.QDelayP95)
 	}
 }

@@ -71,9 +71,9 @@
 // burst_p_bad/burst_p_good, an attack and a qdisc naming any registered
 // kind. Flows (FlowSpec) take scheme,
 // start_s/stop_s, dir ("forward"/"reverse"), enter_at/exit_at, rtt_ms,
-// misbehave ("greedy"), a source ({"kind": "backlogged"|"rate"|"onoff"|
-// "fixed"} with mbps, on_s/off_s/start_s or bytes) or an app binding a
-// closed-loop application:
+// misbehave ("greedy"), a source ({"kind": "rate"|"onoff"|"fixed"} with
+// mbps, on_s/off_s/start_s or bytes; a flow without one is backlogged)
+// or an app binding a closed-loop application:
 //
 //	{"scheme": "ABC", "app": {"kind": "abr", "ladder_kbps": [300, 1200]}}
 //	{"scheme": "ABC", "app": {"kind": "rpc", "resp_kb": 100, "think_ms": 200}}

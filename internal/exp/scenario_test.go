@@ -368,14 +368,7 @@ func TestScenarioSourceClauses(t *testing.T) {
 	check := func(flow string) (Spec, error) {
 		return checkScenario(`{"duration_s": 5, "links": [{"kind": "rate", "rate_mbps": 10}], "flows": [` + flow + `]}`)
 	}
-	spec, err := check(`{"scheme": "Cubic", "source": {"kind": "backlogged"}}`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec.Flows[0].Source.source() != nil {
-		t.Error("a backlogged source should build nil (the backlogged default)")
-	}
-	spec, err = check(`{"scheme": "Cubic", "source": {"kind": "rate", "mbps": 2}}`)
+	spec, err := check(`{"scheme": "Cubic", "source": {"kind": "rate", "mbps": 2}}`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +400,6 @@ func TestScenarioSourceClauses(t *testing.T) {
 		{"negative rate", `{"scheme": "Cubic", "source": {"kind": "rate", "mbps": -3}}`},
 		{"onoff without on_s", `{"scheme": "Cubic", "source": {"kind": "onoff", "off_s": 1}}`},
 		{"fixed without bytes", `{"scheme": "Cubic", "source": {"kind": "fixed"}}`},
-		{"backlogged with params", `{"scheme": "Cubic", "source": {"kind": "backlogged", "mbps": 1}}`},
 		{"the retired rate_mbps shorthand", `{"scheme": "Cubic", "rate_mbps": 1}`},
 		{"app plus source", `{"scheme": "Cubic", "source": {"kind": "fixed", "bytes": 1}, "app": {"kind": "rpc"}}`},
 		{"unknown app kind", `{"scheme": "Cubic", "app": {"kind": "quic"}}`},

@@ -203,10 +203,10 @@ type FlowSpec struct {
 }
 
 // SourceSpec is a flow's data source as a value; each run builds a fresh
-// cc.Source from it. Kinds: "backlogged" (what a nil SourceSpec means; it
-// takes no other field), "rate" (application-limited at Rate bits/sec),
-// "onoff" (sending for On, then silent for Off, from Start) and "fixed"
-// (a finite transfer of Bytes).
+// cc.Source from it. Kinds: "rate" (application-limited at Rate
+// bits/sec), "onoff" (sending for On, then silent for Off, from Start)
+// and "fixed" (a finite transfer of Bytes). A nil SourceSpec is a
+// backlogged flow.
 type SourceSpec struct {
 	Kind  string   `spec:"kind"`
 	Rate  float64  `spec:"mbps"`

@@ -192,10 +192,6 @@ func (s *SourceSpec) validate() error {
 		return nil
 	}
 	switch s.Kind {
-	case "backlogged":
-		if *s != (SourceSpec{Kind: "backlogged"}) {
-			return fmt.Errorf("a backlogged source takes no parameters")
-		}
 	case "rate":
 		if !(s.Rate > 0) {
 			return fmt.Errorf("a rate source needs Rate > 0")
@@ -209,7 +205,7 @@ func (s *SourceSpec) validate() error {
 			return fmt.Errorf("a fixed source needs Bytes > 0")
 		}
 	default:
-		return fmt.Errorf("unknown source kind %q (want backlogged, rate, onoff or fixed)", s.Kind)
+		return fmt.Errorf("unknown source kind %q (want rate, onoff or fixed)", s.Kind)
 	}
 	return nil
 }

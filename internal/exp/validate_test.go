@@ -102,7 +102,6 @@ func TestSpecValidateRanges(t *testing.T) {
 		{"link 0: a link carries the one model", func(s *Spec) { s.Links[0].Kind = "trace" }},
 		{"unknown MCS walk", func(s *Spec) { s.Links[0] = LinkSpec{Wifi: &WiFiLinkSpec{MCS: wifi.MCS{Walk: "drunk"}}} }},
 		{"flow 0: unknown source kind", func(s *Spec) { s.Flows[0].Source = &SourceSpec{Kind: "warp"} }},
-		{"a backlogged source takes no parameters", func(s *Spec) { s.Flows[0].Source = &SourceSpec{Kind: "backlogged", Rate: 1e6} }},
 		{"a rate source needs Rate > 0", func(s *Spec) { s.Flows[0].Source = &SourceSpec{Kind: "rate"} }},
 		{"an onoff source needs On > 0", func(s *Spec) { s.Flows[0].Source = &SourceSpec{Kind: "onoff", Off: sim.Second} }},
 		{"a fixed source needs Bytes > 0", func(s *Spec) { s.Flows[0].Source = &SourceSpec{Kind: "fixed"} }},

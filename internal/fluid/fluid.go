@@ -135,14 +135,8 @@ func Simulate(p Params, horizon sim.Time, step sim.Time) Result {
 			res.X = append(res.X, x)
 		}
 	}
-	assess(p, &res)
-	return res
-}
-
-// assess fills in the convergence fields from the sampled trajectory:
-// oscillation amplitude over the last quarter, final distance to the
-// fixed point, and the combined convergence verdict.
-func assess(p Params, res *Result) {
+	// Oscillation amplitude over the last quarter, final distance to the
+	// fixed point, and the combined convergence verdict.
 	target := p.FixedPoint()
 	q := len(res.X) * 3 / 4
 	lo, hi := math.Inf(1), math.Inf(-1)
@@ -160,78 +154,6 @@ func assess(p Params, res *Result) {
 	// residual oscillation relative to the initial displacement.
 	scale := math.Abs(p.X0-target) + 1e-6
 	res.Converged = res.FinalError < 0.05*scale+1e-4 && res.PeakToPeak < 0.1*scale+2e-4
-}
-
-// SimulateGrid integrates Eq. 13 for every grid point in one pass over
-// the time axis. The per-point state lives in structure-of-arrays form —
-// one packed delay-history backing slice, contiguous x/A vectors — so a
-// (δ, τ) sweep walks a handful of flat slices instead of re-entering the
-// scalar integrator per point. Each point performs exactly the floating-
-// point operations Simulate performs in the same order, so the results
-// are bit-identical to the scalar path (the property tests pin this).
-func SimulateGrid(ps []Params, horizon sim.Time, step sim.Time) []Result {
-	if step <= 0 {
-		step = sim.Millisecond
-	}
-	h := step.Seconds()
-	steps := int(horizon.Seconds()/h) + 1
-	n := len(ps)
-	res := make([]Result, n)
-	if n == 0 {
-		return res
-	}
-	// Pack every point's delay-history ring into one backing slice;
-	// offs[g] is where point g's ring starts.
-	offs := make([]int, n+1)
-	delaySteps := make([]int, n)
-	for g := range ps {
-		d := int(ps[g].Tau / h)
-		if d < 1 {
-			d = 1
-		}
-		delaySteps[g] = d
-		offs[g+1] = offs[g] + d
-	}
-	hist := make([]float64, offs[n])
-	x := make([]float64, n)
-	a := make([]float64, n)
-	for g := range ps {
-		for i := offs[g]; i < offs[g+1]; i++ {
-			hist[i] = ps[g].X0
-		}
-		x[g] = ps[g].X0
-		a[g] = ps[g].A()
-	}
-	sampleEvery := steps / 2000
-	if sampleEvery < 1 {
-		sampleEvery = 1
-	}
-	for i := 0; i < steps; i++ {
-		sample := i%sampleEvery == 0
-		ts := float64(i) * h
-		for g := range ps {
-			slot := offs[g] + i%delaySteps[g]
-			xd := hist[slot] // x(t−τ)
-			excess := xd - ps[g].Dt
-			if excess < 0 {
-				excess = 0
-			}
-			dx := a[g] - excess/ps[g].Delta
-			hist[slot] = x[g]
-			xg := x[g] + dx*h
-			if xg < 0 {
-				xg = 0
-			}
-			x[g] = xg
-			if sample {
-				res[g].Times = append(res[g].Times, ts)
-				res[g].X = append(res[g].X, xg)
-			}
-		}
-	}
-	for g := range ps {
-		assess(ps[g], &res[g])
-	}
 	return res
 }
 
@@ -243,56 +165,14 @@ type BoundaryPoint struct {
 }
 
 // SweepDelta integrates the model across a range of δ/τ ratios, exposing
-// the stability boundary Theorem 3.1 places at 2/3. The whole sweep runs
-// as one batched grid.
+// the stability boundary Theorem 3.1 places at 2/3.
 func SweepDelta(base Params, ratios []float64, horizon sim.Time) []BoundaryPoint {
-	grid := make([]Params, len(ratios))
-	for i, r := range ratios {
-		grid[i] = base
-		grid[i].Delta = r * base.Tau
-	}
-	rs := SimulateGrid(grid, horizon, sim.Millisecond)
 	out := make([]BoundaryPoint, 0, len(ratios))
-	for i, r := range ratios {
-		out = append(out, BoundaryPoint{DeltaOverTau: r, Converged: rs[i].Converged, PeakToPeak: rs[i].PeakToPeak})
+	for _, r := range ratios {
+		p := base
+		p.Delta = r * base.Tau
+		res := Simulate(p, horizon, sim.Millisecond)
+		out = append(out, BoundaryPoint{DeltaOverTau: r, Converged: res.Converged, PeakToPeak: res.PeakToPeak})
 	}
 	return out
-}
-
-// Boundary locates the empirical stability boundary as a δ/τ ratio: a
-// coarse sweep over [0.3, 1.2] finds the first convergent ratio, and one
-// refinement pass probes the interval below it. Both passes evaluate as
-// a single batched grid each. ok is false when nothing converges (the
-// horizon was too short or the parameters sit far outside the theorem's
-// regime).
-func Boundary(base Params, horizon sim.Time) (ratio float64, ok bool) {
-	coarse := make([]float64, 0, 10)
-	for r := 0.3; r <= 1.21; r += 0.1 {
-		coarse = append(coarse, r)
-	}
-	pts := SweepDelta(base, coarse, horizon)
-	first := -1
-	for i, p := range pts {
-		if p.Converged {
-			first = i
-			break
-		}
-	}
-	if first < 0 {
-		return 0, false
-	}
-	if first == 0 {
-		return pts[0].DeltaOverTau, true
-	}
-	lo, hi := pts[first-1].DeltaOverTau, pts[first].DeltaOverTau
-	fine := make([]float64, 0, 9)
-	for k := 1; k < 10; k++ {
-		fine = append(fine, lo+(hi-lo)*float64(k)/10)
-	}
-	for _, p := range SweepDelta(base, fine, horizon) {
-		if p.Converged {
-			return p.DeltaOverTau, true
-		}
-	}
-	return hi, true
 }

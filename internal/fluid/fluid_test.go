@@ -2,7 +2,6 @@ package fluid
 
 import (
 	"math"
-	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -143,93 +142,13 @@ func TestInitialConditionIndependence(t *testing.T) {
 	}
 }
 
-// TestGridMatchesScalar is the batched path's contract: SimulateGrid
-// must reproduce Simulate bit for bit — same samples, same time axis,
-// same convergence verdict — for arbitrary parameter grids. The batched
-// integrator is a pure layout change, so any divergence at all (even one
-// ULP) is a reordered floating-point operation.
-func TestGridMatchesScalar(t *testing.T) {
-	const horizon = 20 * sim.Second
-	f := func(dRaw, tRaw, xRaw, nRaw uint8) bool {
-		base := DefaultParams()
-		grid := make([]Params, 3)
-		for g := range grid {
-			p := base
-			// Spread the raw bytes into distinct, well-posed regimes per
-			// point so one quick.Check draw exercises a heterogeneous grid
-			// (different τ means different ring sizes in the packed slice).
-			p.Tau = 0.02 + float64((tRaw+uint8(g)*37))/255*0.2
-			p.Delta = (0.2 + float64(dRaw)/255*1.3) * p.Tau
-			p.X0 = float64(xRaw) / 255 * 0.5
-			p.N = 1 + float64(nRaw)/255*20
-			grid[g] = p
-		}
-		batched := SimulateGrid(grid, horizon, sim.Millisecond)
-		for g, p := range grid {
-			scalar := Simulate(p, horizon, sim.Millisecond)
-			if !reflect.DeepEqual(scalar, batched[g]) {
-				t.Logf("grid point %d diverged: scalar %+v vs batched %+v", g, scalar.FinalError, batched[g].FinalError)
-				return false
-			}
-		}
-		return true
+// BenchmarkSweepDelta measures a 24-point δ/τ sweep.
+func BenchmarkSweepDelta(b *testing.B) {
+	ratios := make([]float64, 24)
+	for i := range ratios {
+		ratios[i] = 0.3 + float64(i)*0.05
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSimulateGridEmpty(t *testing.T) {
-	if rs := SimulateGrid(nil, 10*sim.Second, sim.Millisecond); len(rs) != 0 {
-		t.Fatalf("empty grid returned %d results", len(rs))
-	}
-}
-
-// TestBoundaryProbe: the two-pass batched probe must land near the
-// theorem's 2/3 and agree with the coarse sweep's verdict.
-func TestBoundaryProbe(t *testing.T) {
-	r, ok := Boundary(DefaultParams(), 120*sim.Second)
-	if !ok {
-		t.Fatal("no convergent ratio found")
-	}
-	if r < 0.45 || r > 0.8 {
-		t.Errorf("empirical boundary %.3f too far from 2/3", r)
-	}
-	// A hopeless horizon (shorter than the trajectory needs to move at
-	// all) must report !ok, not a fabricated boundary.
-	p := DefaultParams()
-	p.X0 = 0.5
-	if _, ok := Boundary(p, 50*sim.Millisecond); ok {
-		t.Error("50ms horizon cannot certify convergence")
-	}
-}
-
-// BenchmarkSweepScalar / BenchmarkSweepGrid measure the sweep both ways:
-// point-at-a-time through the scalar integrator vs one batched pass.
-func sweepRatios() []float64 {
-	rs := make([]float64, 24)
-	for i := range rs {
-		rs[i] = 0.3 + float64(i)*0.05
-	}
-	return rs
-}
-
-func BenchmarkSweepScalar(b *testing.B) {
 	base := DefaultParams()
-	ratios := sweepRatios()
-	b.ReportAllocs()
-	for b.Loop() {
-		for _, r := range ratios {
-			p := base
-			p.Delta = r * p.Tau
-			Simulate(p, 30*sim.Second, sim.Millisecond)
-		}
-	}
-}
-
-func BenchmarkSweepGrid(b *testing.B) {
-	base := DefaultParams()
-	ratios := sweepRatios()
 	b.ReportAllocs()
 	for b.Loop() {
 		SweepDelta(base, ratios, 30*sim.Second)

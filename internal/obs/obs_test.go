@@ -107,15 +107,6 @@ func TestDumps(t *testing.T) {
 	if jb.String() != wantJSON {
 		t.Fatalf("JSONL:\n%s\nwant:\n%s", jb.String(), wantJSON)
 	}
-
-	var cb strings.Builder
-	if err := r.WriteColumns(&cb); err != nil {
-		t.Fatal(err)
-	}
-	wantCSV := "t,kind,src,flow,a,b\n100,hop,7,3,42,0\n200,qdisc_drop,1,3,0,0\n"
-	if cb.String() != wantCSV {
-		t.Fatalf("columns:\n%s\nwant:\n%s", cb.String(), wantCSV)
-	}
 }
 
 // TestRecorderConcurrent exercises Emit/Snapshot/SetMask under -race.

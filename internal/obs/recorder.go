@@ -302,23 +302,6 @@ func (r *Recorder) WriteJSONL(w io.Writer) error {
 	return bw.Flush()
 }
 
-// WriteColumns writes the retained events as a CSV-style columnar dump
-// (header row then one row per event, oldest first).
-func (r *Recorder) WriteColumns(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw, "t,kind,src,flow,a,b"); err != nil {
-		return err
-	}
-	for _, e := range r.Snapshot() {
-		_, err := fmt.Fprintf(bw, "%d,%s,%d,%d,%d,%d\n",
-			e.T, e.Kind.String(), e.Src, e.Flow, e.A, e.B)
-		if err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
 // Sink is implemented by components that can carry a recorder plus a
 // stable source id for the events they emit (edge index, router id).
 // Wiring code uses it to thread one recorder through heterogeneous

@@ -71,11 +71,6 @@ func NewRegistry() *Registry {
 	}
 }
 
-var defaultRegistry = NewRegistry()
-
-// Default returns the process-wide registry used by the binaries.
-func Default() *Registry { return defaultRegistry }
-
 // Counter returns the counter registered under name, creating it if
 // needed. Registering the same name as both counter and gauge panics.
 func (r *Registry) Counter(name string) *Counter {

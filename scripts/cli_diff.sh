@@ -12,12 +12,11 @@
 # same bytes", and an edited, added or removed example as a difference.
 # The report runs
 # parameter combinations the -exp runs never do (fig10 with two users,
-# fig12 at two runs, fig18 on a scheme subset). Only the hybrid
-# experiment's last column is masked, under -exp hybrid and in the
-# report — it is wall clock, different on every run by design. Prints
-# each difference and exits 1 if there is any. The golden digests alone
-# do not cover this: fig13 and hybrid.json have moved under a change with
-# 29/29 of them green.
+# fig12 at two runs, fig18 on a scheme subset). Nothing is masked: no
+# experiment reads the wall clock (TestNoWallClock), so every byte must
+# match. Prints each difference and exits 1 if there is any. The golden
+# digests alone do not cover this: fig13 and hybrid.json have moved under
+# a change with 29/29 of them green.
 set -eu
 
 [ $# -eq 1 ] || { echo "usage: $0 <git-ref>" >&2; exit 2; }
@@ -34,18 +33,6 @@ for cmd in abcsim abcreport; do
     go build -o "$tmp/$cmd.tree" "./cmd/$cmd"
 done
 
-# wall: the sed expression masking a line's trailing wall-clock column.
-wall='s/[[:space:]]+[0-9.]+(ns|µs|ms|s)$/ WALL/'
-
-# mask EXP: a filter hiding what may differ between two runs of EXP.
-mask() {
-    if [ "$1" = hybrid ]; then
-        sed -E "$wall"
-    else
-        cat
-    fi
-}
-
 # run_all SIDE ROOT OUTFILE: runs SIDE's (ref or tree) binaries on the
 # scenario files under ROOT, SIDE's own checkout. A run that fails prints
 # its error into the output like any other line.
@@ -53,7 +40,7 @@ run_all() {
     for e in $("$tmp/abcsim.tree" -exp list | awk '{print $1}'); do
         for dur in 6 13; do
             echo "=== -exp $e -dur $dur"
-            "$tmp/abcsim.$1" -exp "$e" -dur "$dur" 2>&1 | mask "$e"
+            "$tmp/abcsim.$1" -exp "$e" -dur "$dur" 2>&1 | cat
         done
     done
     for f in "$2"/examples/scenarios/*.json; do
@@ -61,7 +48,7 @@ run_all() {
         "$tmp/abcsim.$1" -scenario "$f" 2>&1 | cat
     done
     echo "=== abcreport -fast"
-    "$tmp/abcreport.$1" -fast 2>&1 | sed -E "/^### hybrid /,/^##/ $wall"
+    "$tmp/abcreport.$1" -fast 2>&1 | cat
 } >"$3"
 
 run_all ref "$tmp/src" "$tmp/ref.txt"
