@@ -205,23 +205,19 @@ func BenchmarkPacketChurn(b *testing.B) {
 }
 
 // BenchmarkArenaChurn measures one data/ACK exchange of a flow whose
-// tally draws from a run's packet arenas, over two shards as in a
-// sharded run: the data packet is born on shard 0 and ends on shard 1,
-// whose arena the ACK is drawn from, and the ACK ends on shard 0. Once
-// both arenas hold a slab and a free list, every packet is one ended on
-// the same shard the exchange before, so steady state must report 0
-// allocs/op.
+// tally draws from a run's packet arena: the data packet is drawn from
+// the arena, the ACK built from it too, and both end back into it. Once
+// the arena holds a slab and a free list, every packet is one ended the
+// exchange before, so steady state must report 0 allocs/op.
 func BenchmarkArenaChurn(b *testing.B) {
-	arenas := make([]packet.Arena, 2)
+	var arena packet.Arena
 	var tl packet.Tally
-	tl.Spread(2, 0, arenas)
+	tl.UseArena(&arena)
 	exchange := func(seq int64) {
 		p := tl.NewData(1, seq, packet.MTU, 0)
 		p.ECN = packet.Accel
-		p.MoveTo(1)
 		a := packet.NewAck(p, seq+1, 1)
 		p.Release()
-		a.MoveTo(0)
 		a.Release()
 	}
 	exchange(0)
@@ -486,34 +482,6 @@ func BenchmarkFIBLookup(b *testing.B) {
 	}
 	if sinks[7].Count != b.N {
 		b.Fatalf("delivered %d, want %d", sinks[7].Count, b.N)
-	}
-}
-
-// BenchmarkShardedRun measures the conservative-lookahead coordinator
-// end to end: the four-bottleneck ring at 1 shard (the plain sequential
-// simulator), at 2 (one worker per core on a 2-core host) and at 4
-// (per-shard event queues, each owned by one of min(4, GOMAXPROCS,
-// NumCPU) workers, with cross-shard mailbox handoff). The ring is too
-// small for sharding to pay — bench workload mesh_shard2 is the one that
-// measures the speedup — but on any host the results are byte-identical
-// (TestShardedMeshDigestInvariant). The allocs/op ceilings in
-// bench_thresholds.txt keep the cross-shard handoff from allocating per
-// packet: the sub-benchmarks simulate the same traffic, so their
-// allocation gaps are pure sharding overhead.
-func BenchmarkShardedRun(b *testing.B) {
-	for _, shards := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				r, err := exp.ShardedMesh(shards, 5*sim.Second, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if r.Drops != 0 {
-					b.Fatalf("%d unrouted drops", r.Drops)
-				}
-			}
-		})
 	}
 }
 

@@ -2,9 +2,7 @@
 // periodic stderr progress line, and a flight-recorder trace dumped to a
 // file after the run. Both default off and neither perturbs results:
 // tracing and metric sampling are passive by construction (golden
-// digests are identical with both enabled). Every run is a coordinator
-// run, so the abc_shard_* series and the "shard" trace category are
-// published for one-shard runs too.
+// digests are identical with both enabled).
 package main
 
 import (
@@ -21,7 +19,7 @@ import (
 var (
 	metricsAddr = flag.String("metrics", "", "serve live run metrics on this address (e.g. 127.0.0.1:9090 or :0) and print progress to stderr")
 	traceOut    = flag.String("trace-out", "", "record a flight-recorder trace and dump it to this file after the run (one JSON object per event and line)")
-	traceMask   = flag.String("trace-mask", "all", "trace categories: comma list of packet,mark,route,link,attack,cc,shard,hop, or 'all'")
+	traceMask   = flag.String("trace-mask", "all", "trace categories: comma list of packet,mark,route,link,attack,cc,hop, or 'all'")
 	traceCap    = flag.Int("trace-cap", 1<<20, "flight-recorder ring capacity in events (oldest events overwritten)")
 )
 

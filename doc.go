@@ -43,7 +43,7 @@
 // state: the event core keeps event payloads in a recycled slot slab
 // under a 4-ary heap of keys, and queues each wire's in-flight packets
 // as a FIFO chain behind one heap entry (internal/sim), a run's packets
-// cycle through per-shard arenas, slabs with a free list, with
+// cycle through the run's arena, slabs with a free list, with
 // single-owner release semantics (internal/packet — see packet.Get for
 // the ownership rules), a trace link keeps its place in
 // its delivery trace between queries (trace.Cursor) and a sender keeps

@@ -52,9 +52,7 @@ func init() {
 	cc.Register(cc.Scheme{Name: "ABC-proxied", New: func() cc.Algorithm { return NewProxiedSender() }, Qdisc: "abc-proxied"})
 
 	qdisc.RegisterConfigured("abc", func(s qdisc.BuildSpec) (qdisc.Qdisc, error) {
-		// The one kind deaf to Buffer: its queue limit is the
-		// configuration's, the default's 250 when that names none.
-		cfg, err := RouterConfigFor(s, DefaultRouterConfig().Limit, s.Rand)
+		cfg, err := RouterConfigFor(s, s.Buffer, s.Rand)
 		if err != nil {
 			return nil, err
 		}

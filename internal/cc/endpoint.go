@@ -149,8 +149,8 @@ type Endpoint struct {
 	// sends and, through the receiver's NewAck, every ACK of one, and how
 	// each ended. Workload-spawned flows also tear their routes down with
 	// their last packet through it (packet.Tally). The endpoint draws its
-	// data packets through it, so Spread it before Start to run over
-	// shards or to give the flow its run's packet arenas.
+	// data packets through it, so give it the run's packet arena
+	// (UseArena) before Start.
 	Tally packet.Tally
 
 	started bool

@@ -57,7 +57,7 @@ func (a *account) check(who string) error {
 
 // ledger sums the run's books: every declared flow's tally, every
 // workload's drained flows and live ones, and the graph's strays. It
-// reads every shard's rows, so it runs at a barrier or after the run.
+// runs at a barrier or after the run.
 func (c *compiled) ledger() packet.Books {
 	var b packet.Books
 	for _, f := range c.flows {
@@ -80,7 +80,7 @@ func (c *compiled) ledger() packet.Books {
 //     live on the books are the packets the network holds — queued in a
 //     discipline, in a link's service (an A-MPDU in the air, or the
 //     argument of an event a link scheduled on itself), or in flight in
-//     any other pending event or cross-shard message;
+//     any other pending event;
 //   - per edge: the bytes its discipline dequeued and its link has not
 //     delivered are the bytes in the link's service;
 //   - per endpoint: a stopped one has no event pending, which is what

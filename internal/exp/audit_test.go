@@ -113,7 +113,7 @@ func benchMeshSpec(seed int64) Spec {
 	for k := range rates {
 		rates[k] *= 12.137e6 * n / sum
 	}
-	spec := Spec{Seed: seed, Duration: dur, Warmup: dur / 4, RTT: 30 * sim.Millisecond, Shards: 1}
+	spec := Spec{Seed: seed, Duration: dur, Warmup: dur / 4, RTT: 30 * sim.Millisecond}
 	node := func(i int) string { return fmt.Sprintf("j%d", i%(2*n)) }
 	for j := 0; j < 2*n; j++ {
 		spec.Nodes = append(spec.Nodes, node(j))
@@ -165,27 +165,4 @@ func BenchmarkAudit(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed())/float64(b.N)/float64(run), "audit-share")
-}
-
-// TestShardedRingAudit: every data path of the four-bottleneck ring
-// crosses a shard cut at 2 and 4 shards, so packets end on shards other
-// than the one that attached them, in other rows of their flow's tally.
-// The books balance at 1, 2 and 4 shards, and the ledger is the same at
-// every shard count.
-func TestShardedRingAudit(t *testing.T) {
-	var want packet.Books
-	for _, shards := range []int{1, 2, 4} {
-		res, _, err := Run(shardedMeshSpec(shards, 3*sim.Second, 1))
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if shards == 1 {
-			want = res.Ledger
-			if want.Released[packet.Delivered] == 0 || want.Released[packet.Acked] == 0 {
-				t.Fatalf("ledger %+v: the ring delivered nothing", want)
-			}
-		} else if res.Ledger != want {
-			t.Errorf("shards=%d: ledger %+v, one shard %+v", shards, res.Ledger, want)
-		}
-	}
 }

@@ -119,7 +119,7 @@ func (c *compiled) startBackgrounds() error {
 		if err := e.SetBackground(cp); err != nil {
 			return fmt.Errorf("exp: background[%d]: %w", i, err)
 		}
-		cp.Start(e.Home(), spec.Duration)
+		cp.Start(c.g.S, spec.Duration)
 		c.bg = append(c.bg, &bgRunner{spec: bs, coupler: cp})
 	}
 	return nil

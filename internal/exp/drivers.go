@@ -127,8 +127,6 @@ var Drivers = []Driver{
 		shortFlows, printShortFlows),
 	drv("video", "ext.", "ABR video client: bitrate/rebuffer/switch QoE per scheme", videoExp, printVideo),
 	drv("rpc", "ext.", "request-response RPC clients vs a bulk flow: per-call FCT", rpcExp, printRPC),
-	drv("sharded", "ext.", "sharded-execution ring at 1/2/4 shards: per-flow results must match",
-		shardedRuns, printSharded),
 	drv("hybrid", "ext.", "fluid background scaling 0 -> 1M users vs packet-level ABR/RPC foreground",
 		hybrid, printHybrid),
 	drv("schemes", "-", "registered schemes and qdisc kinds", listRegistered, printRegistered),

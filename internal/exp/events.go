@@ -69,12 +69,10 @@ type EventResult struct {
 }
 
 // scheduleEvents validates the Spec's event timeline against the
-// compiled graph and registers each event on the coordinator timeline.
-// Every shard
-// quiesces to the event time before the mutation applies, so a topology
-// change is never observed partially by a shard that ran ahead, and at
-// one instant timeline events run in Spec order before any simulator
-// event.
+// compiled graph and registers each event on the coordinator timeline:
+// the simulator quiesces to the event time before the mutation applies,
+// and at one instant timeline events run in Spec order before any
+// simulator event.
 func (c *compiled) scheduleEvents() error {
 	g, spec, res, edgeID := c.g, c.spec, c.res, c.p.edgeID
 	if len(spec.Events) == 0 {

@@ -88,20 +88,6 @@ func goldenCases() []goldenCase {
 			return fig12WeightPolicy(policy, cfg)
 		}
 	}
-	// The three sharded-mesh entries digest the same result with the
-	// shard count masked, so the corpus itself asserts the sharded
-	// runtime's digest invariance: all three lines must stay equal.
-	shardedMesh := func(shards int) func() (any, error) {
-		return func() (any, error) {
-			r, err := ShardedMesh(shards, short, 1)
-			if err != nil {
-				return nil, err
-			}
-			c := *r
-			c.Shards = 0
-			return &c, nil
-		}
-	}
 	return []goldenCase{
 		{name: "fig1-timeseries", driver: "fig1", params: at()},
 		{name: "fig2-feedback-mode", driver: "fig2", params: at()},
@@ -143,9 +129,6 @@ func goldenCases() []goldenCase {
 		{name: "app-rpc", driver: "rpc", params: at("ABC", "Cubic")},
 		{name: "hybrid", driver: "hybrid", params: at()},
 		{name: "stability", driver: "stability"},
-		{name: "sharded-mesh-s1", driver: "sharded", sub: shardedMesh(1)},
-		{name: "sharded-mesh-s2", driver: "sharded", sub: shardedMesh(2)},
-		{name: "sharded-mesh-s4", driver: "sharded", sub: shardedMesh(4)},
 	}
 }
 

@@ -5,8 +5,8 @@
 // list of rules to keep in step with what the stages accept. Each stage
 // has a file of its own (see the package comment); this one holds the
 // driver and the run + measure stage — one sim.Coordinator.Run for every
-// spec, with everything that watches it hung on the coordinator's
-// barrier hook.
+// spec, on one simulator, with everything that watches it hung on the
+// coordinator's barrier hook.
 package exp
 
 import (
@@ -103,12 +103,9 @@ func compile(in Spec, rec *obs.Recorder) (*compiled, error) {
 		return nil, fmt.Errorf("exp: no flows in spec")
 	}
 
-	// Build: the graph over its coordinator (one shard unless Shards asks
-	// for more), its edges and their disciplines.
+	// Build: the graph on its simulator, its edges and their disciplines.
 	c.adv = newAdvCollector(spec, c.p)
-	if c.g, err = newGraph(spec, c.p); err != nil {
-		return nil, err
-	}
+	c.g = topo.New(sim.New(spec.Seed))
 	c.res.Graph = c.g
 	// The flight recorder goes on before any edge exists: AddEdge wires
 	// links as they appear.
@@ -131,9 +128,9 @@ var wiring = []func(*compiled) error{
 
 // run starts the clock on a compiled spec and measures. The result
 // keeps the graph, so when run returns it empties the graph's packet
-// arenas: what the run's flows drew stays alive only while in flight.
+// arena: what the run's flows drew stays alive only while in flight.
 func (c *compiled) run() (*Result, *metrics.DelayRecorder, error) {
-	defer clear(c.g.Arenas())
+	defer func() { *c.g.Arena() = packet.Arena{} }()
 	pooled := c.runAndMeasure()
 	if err := finishWorkloads(c.workloads); err != nil {
 		return nil, nil, err
@@ -211,9 +208,9 @@ func (c *compiled) sampled(read func(now sim.Time) float64) *metrics.Timeseries 
 // Everything that watches the run — the time series in registration
 // order, then the -metrics sampler — is a reader called
 // at coordinator barriers (sim.Coordinator.Every): at a sample instant
-// all shards have executed what lies strictly before it, that instant's
-// timeline events have applied, and none of its simulator events has
-// run. No observer is a simulator event, so a run executes the same
+// the simulator has executed what lies strictly before it, that
+// instant's timeline events have applied, and none of its simulator
+// events has run. No observer is a simulator event, so a run executes the same
 // events whether or not anything watches it.
 func (c *compiled) runAndMeasure() *metrics.DelayRecorder {
 	g, spec, res := c.g, c.spec, c.res
@@ -288,9 +285,8 @@ func (c *compiled) runAndMeasure() *metrics.DelayRecorder {
 // after the run: every declared flow's recorder in flow order, into the
 // pooled recorder and into its adversary class, then each workload's
 // into the pooled recorder. While the run executes a receiver writes
-// only its own flow's (or workload's) recorder, so shards share nothing,
-// and the pooled recorder — Mean included — is a function of the
-// per-flow recorders alone, the same at every shard count.
+// only its own flow's (or workload's) recorder, so the pooled recorder
+// — Mean included — is a function of the per-flow recorders alone.
 func (c *compiled) poolDelays() *metrics.DelayRecorder {
 	res, pooled := c.res, &metrics.DelayRecorder{}
 	for i := range res.Flows {

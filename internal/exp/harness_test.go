@@ -2,11 +2,13 @@ package exp
 
 import (
 	"bytes"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"slices"
 	"strings"
@@ -16,6 +18,7 @@ import (
 	"abc/internal/app"
 	"abc/internal/netem"
 	"abc/internal/obs"
+	"abc/internal/packet"
 	"abc/internal/sim"
 	"abc/internal/topo"
 	"abc/internal/trace"
@@ -72,26 +75,26 @@ func TestHarnessCubicBuffers(t *testing.T) {
 
 // TestOneWayOntoTheGraph guards the pipeline's shape: outside wire.go no
 // file of this package constructs an endpoint or a receiver (attachFlow
-// is the one place a flow goes on a graph), no file builds a graph of its
-// own (shard.go's topo.NewSharded builds every one), and outside
-// wifiexp.go none builds a simulator or runs one bare. wifiexp.go is
-// where the link-level Fig. 4/5 micro-experiments live: they drive a bare
-// Wi-Fi AP with no flow on it, so there is nothing for a graph to carry.
-// A flow wired elsewhere is one the sampler, the tracer and the pooled
-// metrics do not see.
+// is the one place a flow goes on a graph), no file but harness.go
+// builds a graph (compile builds every one, on a simulator of its own),
+// and outside that build and wifiexp.go none builds a simulator or runs
+// one bare. wifiexp.go is where the link-level Fig. 4/5
+// micro-experiments live: they drive a bare Wi-Fi AP with no flow on it,
+// so there is nothing for a graph to carry. A flow wired elsewhere is one
+// the sampler, the tracer and the pooled metrics do not see.
 func TestOneWayOntoTheGraph(t *testing.T) {
-	// call -> the one file allowed to make it ("" = none).
-	only := map[string]string{
-		"sim.New(":           "wifiexp.go",
-		"topo.New(":          "",
-		".RunUntil(":         "wifiexp.go",
-		"cc.NewEndpoint(":    "wire.go",
-		"netem.NewReceiver(": "wire.go",
+	// call -> the files allowed to make it.
+	only := map[string][]string{
+		"sim.New(":           {"harness.go", "wifiexp.go"},
+		"topo.New(":          {"harness.go"},
+		".RunUntil(":         {"wifiexp.go"},
+		"cc.NewEndpoint(":    {"wire.go"},
+		"netem.NewReceiver(": {"wire.go"},
 	}
 	for file, src := range sources(t) {
-		for call, home := range only {
-			if file != home && bytes.Contains(src, []byte(call)) {
-				t.Errorf("%s calls %s — only %q may", file, call, home)
+		for call, homes := range only {
+			if !slices.Contains(homes, file) && bytes.Contains(src, []byte(call)) {
+				t.Errorf("%s calls %s — only %q may", file, call, homes)
 			}
 		}
 	}
@@ -145,7 +148,7 @@ func TestOneJudge(t *testing.T) {
 // module call — no per-figure runner beside the rows.
 func TestOneFrontDoor(t *testing.T) {
 	wantFuncs := []string{"Check", "EnableMetrics", "EnableTracing", "LoadScenario", "Lookup",
-		"PrintResult", "Run", "ShardedMesh", "SummaryTable"}
+		"PrintResult", "Run", "SummaryTable"}
 	wantVars := []string{"Drivers", "Parallelism", "Schemes"}
 	var funcs, vars []string
 	fset := token.NewFileSet()
@@ -256,8 +259,8 @@ func TestCheckAgreesWithRun(t *testing.T) {
 	}
 
 	paths, err := filepath.Glob("../../examples/scenarios/*.json")
-	if err != nil || len(paths) < 18 {
-		t.Fatalf("found %d example scenarios, want at least 18: %v", len(paths), err)
+	if err != nil || len(paths) < 17 {
+		t.Fatalf("found %d example scenarios, want at least 17: %v", len(paths), err)
 	}
 	for _, path := range paths {
 		sc, err := LoadScenario(path)
@@ -288,10 +291,6 @@ func TestCheckAgreesWithRun(t *testing.T) {
 		{"negative start", chain, func(s *Spec) { s.Flows[0].Start = -1 }},
 		{"loss of 7", chain, func(s *Spec) { s.Links[0].Impair.LossRate = 7 }},
 		{"unknown routing policy", chain, func(s *Spec) { s.Routing = &RoutingSpec{Policy: "rip"} }},
-		{"workloads at two shards", chain, func(s *Spec) {
-			s.Shards, s.Workloads = 2, []WorkloadSpec{{Scheme: "ABC", Arrival: app.Poisson{PerSec: 1}, Sizes: app.FixedSize{Bytes: 1}}}
-		}},
-		{"shard pin out of range", mesh, func(s *Spec) { s.Shards, s.ShardMap = 2, map[string]int{"a": 2} }},
 		{"no links", chain, func(s *Spec) { s.Links = nil }},
 		{"no flows", chain, func(s *Spec) { s.Flows = nil }},
 		{"wire on a chain", chain, func(s *Spec) { s.Links[0] = LinkSpec{Kind: "wire"} }},
@@ -302,7 +301,6 @@ func TestCheckAgreesWithRun(t *testing.T) {
 		{"edge to unknown node", mesh, func(s *Spec) { s.Edges[0].To = "z" }},
 		{"unknown path edge", mesh, func(s *Spec) { s.Flows[0].Path = []string{"zz"} }},
 		{"ack path from the wrong node", mesh, func(s *Spec) { s.Flows[0].AckPath = []string{"w"} }},
-		{"unknown shard-map node", mesh, func(s *Spec) { s.Shards, s.ShardMap = 2, map[string]int{"z": 0} }},
 		{"unknown qdisc kind", chain, func(s *Spec) { s.Links[0].Qdisc.Kind = "fq_pie" }},
 		{"lie on droptail", chain, func(s *Spec) {
 			s.Links[0].Qdisc = QdiscSpec{Kind: "droptail", ABCConfig: &abc.RouterConfig{LieFraction: 0.3}}
@@ -397,4 +395,106 @@ func runProbed(t *testing.T, spec Spec, period sim.Time, probe func(now sim.Time
 		t.Fatal(err)
 	}
 	return res
+}
+
+// benchStyleMesh is the shape of bench/'s mesh workloads at n
+// bottlenecks: pair k is joined by a rate bottleneck bot<k> and a
+// zero-delay express wire exp<k>, hop<k> is the wire from pair k to pair
+// k+1, and flow k crosses its own bottleneck and then wire hops a
+// quarter of the way round the ring.
+func benchStyleMesh(n int, dur sim.Time, shards int) Spec {
+	spec := Spec{Seed: 1, Duration: dur, Warmup: dur / 4, RTT: 30 * sim.Millisecond, Shards: shards}
+	node := func(i int) string { return fmt.Sprintf("j%d", i%(2*n)) }
+	for j := 0; j < 2*n; j++ {
+		spec.Nodes = append(spec.Nodes, node(j))
+	}
+	for k := 0; k < n; k++ {
+		spec.Edges = append(spec.Edges,
+			EdgeSpec{Name: fmt.Sprintf("bot%d", k), From: node(2 * k), To: node(2*k + 1),
+				Link: LinkSpec{Rate: float64(9+k) * 1.137e6, Qdisc: QdiscSpec{Kind: "auto"}, Delay: sim.Time(4100+37*k) * sim.Microsecond}},
+			EdgeSpec{Name: fmt.Sprintf("exp%d", k), From: node(2 * k), To: node(2*k + 1), Link: LinkSpec{Kind: "wire"}},
+			EdgeSpec{Name: fmt.Sprintf("hop%d", k), From: node(2*k + 1), To: node(2*k + 2),
+				Link: LinkSpec{Kind: "wire", Delay: sim.Time(8100+53*k) * sim.Microsecond}},
+		)
+	}
+	for k := 0; k < n; k++ {
+		scheme := "ABC"
+		if k%2 == 1 {
+			scheme = "Cubic"
+		}
+		path := []string{fmt.Sprintf("bot%d", k), fmt.Sprintf("hop%d", k)}
+		for h := 1; h <= n/4; h++ {
+			path = append(path, fmt.Sprintf("exp%d", (k+h)%n), fmt.Sprintf("hop%d", (k+h)%n))
+		}
+		spec.Flows = append(spec.Flows, FlowSpec{Scheme: scheme, Path: path})
+	}
+	return spec
+}
+
+// TestShardsHasNoEffect pins the Spec.Shards shim: bench/'s mesh_shard2
+// runs mesh_seq's spec at Shards 2 and checks the two agree, so a
+// bench-style mesh must execute the same events to the same result at
+// Shards 0 and 2.
+func TestShardsHasNoEffect(t *testing.T) {
+	type run struct {
+		digest string
+		events uint64
+	}
+	do := func(shards int) run {
+		res, _, err := Run(benchStyleMesh(8, 2*sim.Second, shards))
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		type flow struct {
+			Bytes, Lost, Retx            int64
+			Tput, Mean, P95, QMean, QP95 float64
+		}
+		flows := make([]flow, len(res.Flows))
+		for i := range res.Flows {
+			f := &res.Flows[i]
+			flows[i] = flow{f.Bytes, f.Lost, f.Retx, f.TputMbps, f.Delay.Mean(), f.Delay.P95(), f.QDelay.Mean(), f.QDelay.P95()}
+		}
+		d, _, err := goldenDigest(struct {
+			Flows  []flow
+			Ledger packet.Books
+		}{flows, res.Ledger})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return run{d, res.Graph.Coordinator().Shard(0).Executed()}
+	}
+	want := do(0)
+	if want.events == 0 {
+		t.Fatal("the mesh executed no events")
+	}
+	if got := do(2); got != want {
+		t.Errorf("Shards 2: digest %s after %d events, want Shards 0's %s after %d", got.digest, got.events, want.digest, want.events)
+	}
+}
+
+// TestRunEmptiesArena: every flow of a run draws its packets from the
+// graph's arena, and when Run returns the arena is empty, so a Result,
+// which keeps its graph, holds no more packets than its run left in
+// flight.
+func TestRunEmptiesArena(t *testing.T) {
+	spec := benchStyleMesh(4, 2*sim.Second, 0)
+	c, err := compile(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arena := c.g.Arena()
+	for _, f := range c.flows {
+		*arena = packet.Arena{}
+		f.ep.Tally.NewData(f.ep.Flow, 0, packet.MTU, 0)
+		if reflect.ValueOf(*arena).IsZero() {
+			t.Errorf("flow %d did not draw its packet from the graph's arena", f.ep.Flow)
+		}
+	}
+	res, _, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.ValueOf(*res.Graph.Arena()).IsZero() {
+		t.Error("the graph's arena holds packets after Run returned")
+	}
 }

@@ -170,41 +170,3 @@ func TestHybridWiring(t *testing.T) {
 		}
 	})
 }
-
-// TestHybridShardsDeterminism: couplers step on their edge's home
-// simulator, so a background-carrying mesh must produce identical
-// foreground results under sequential and sharded execution.
-func TestHybridShardsDeterminism(t *testing.T) {
-	run := func(shards int) *Result {
-		spec := Spec{
-			Seed:     1,
-			Duration: 4 * sim.Second,
-			Shards:   shards,
-			Nodes:    []string{"src", "gw", "dst"},
-			Edges: []EdgeSpec{
-				{Name: "up", From: "src", To: "gw",
-					Link: LinkSpec{Rate: netem.ConstRate(30e6), Qdisc: QdiscSpec{Kind: "auto", Buffer: 250}}},
-				{Name: "down", From: "gw", To: "dst",
-					Link: LinkSpec{Rate: netem.ConstRate(20e6), Qdisc: QdiscSpec{Kind: "auto", Buffer: 250}}},
-			},
-			Flows: []FlowSpec{{Scheme: "ABC", Path: []string{"up", "down"}}},
-			Background: []BackgroundSpec{
-				{Edge: "down", Kind: "const", Flows: 1000, RateMbps: 8},
-			},
-		}
-		res, _, err := Run(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	seq := run(1)
-	shd := run(2)
-	if seq.Flows[0].TputMbps != shd.Flows[0].TputMbps {
-		t.Errorf("foreground throughput differs across shard counts: %.4f vs %.4f",
-			seq.Flows[0].TputMbps, shd.Flows[0].TputMbps)
-	}
-	if a, b := seq.Backgrounds[0].ServedMB, shd.Backgrounds[0].ServedMB; a != b {
-		t.Errorf("background served bytes differ across shard counts: %.6f vs %.6f", a, b)
-	}
-}

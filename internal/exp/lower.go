@@ -17,8 +17,8 @@ import (
 // chainNames spells the first n canonical names of a chain, "fwd0",
 // "fwd1", … or "rev0", "rev1", …. A chain of n links has n+1 junctions;
 // link i runs from junction i to junction i+1 and shares junction i's
-// name. Every chain name an event, a background, a ShardMap or a metric
-// label can address comes from here.
+// name. Every chain name an event, a background or a metric label can
+// address comes from here.
 func chainNames(dir Direction, n int) []string {
 	prefix := "fwd"
 	if dir == Reverse {

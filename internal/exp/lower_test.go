@@ -188,53 +188,6 @@ func TestAutoQdiscChainMeshAlike(t *testing.T) {
 	}
 }
 
-// TestShardedChainTiesAckOrigin: on a sharded chain every flow's receiver
-// (at its data route's last junction) injects ACKs synchronously into
-// its ACK route's first junction, so the partitioner must keep the two
-// on one shard — for every flow, not per notation.
-func TestShardedChainTiesAckOrigin(t *testing.T) {
-	hop := func(mbps float64) LinkSpec {
-		return LinkSpec{Rate: netem.ConstRate(mbps * 1e6), Delay: 5 * sim.Millisecond}
-	}
-	res, _, err := Run(Spec{
-		Seed: 1, Duration: 3 * sim.Second, Warmup: sim.Second, Shards: 2,
-		Links:        []LinkSpec{hop(12), hop(10)},
-		ReverseLinks: []LinkSpec{hop(4), hop(5)},
-		Flows: []FlowSpec{
-			{Scheme: "ABC"},
-			{Scheme: "Cubic", ExitAt: 1},
-			{Scheme: "Cubic", Dir: Reverse},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := res.Graph
-	for f := range res.Flows {
-		data, _ := g.RouteOf(f, false)
-		ack, _ := g.RouteOf(f, true)
-		if len(data) == 0 || len(ack) == 0 {
-			t.Fatalf("flow %d: routes %v / %v, want both table-backed", f, data, ack)
-		}
-		recv, origin := g.Edge(data[len(data)-1]).To, g.Edge(ack[0]).From
-		if g.ShardOf(recv.ID) != g.ShardOf(origin.ID) {
-			t.Errorf("flow %d: receiver junction %s on shard %d, ACK origin %s on shard %d",
-				f, recv.Name, g.ShardOf(recv.ID), origin.Name, g.ShardOf(origin.ID))
-		}
-		if res.Flows[f].Bytes == 0 {
-			t.Errorf("flow %d delivered nothing", f)
-		}
-	}
-	used := map[int]bool{}
-	for id := 0; id < g.Edges(); id++ {
-		used[g.ShardOf(g.Edge(id).From.ID)] = true
-		used[g.ShardOf(g.Edge(id).To.ID)] = true
-	}
-	if len(used) != 2 {
-		t.Errorf("junctions landed on %d shard(s); the tie check is vacuous unless the chain is actually split", len(used))
-	}
-}
-
 // TestChainNames pins the one spelling of chain names. A chain of 2+1
 // links compiles to edges fwd0, fwd1, rev0 between junctions fwd0..fwd2
 // and rev0..rev1, and every clause that addresses an edge or a junction
@@ -275,10 +228,6 @@ func TestChainNames(t *testing.T) {
 		}},
 		{"BackgroundSpec.Edge", edges, "fwd2", "unknown edge", func(spec *Spec, name string) {
 			spec.Background = []BackgroundSpec{{Edge: name, Kind: "const", RateMbps: 1}}
-		}},
-		// ShardMap pins junctions, of which a chain has one more than links.
-		{"ShardMap", []string{"fwd0", "fwd1", "fwd2", "rev0", "rev1"}, "fwd3", "unknown node", func(spec *Spec, name string) {
-			spec.Shards, spec.ShardMap = 2, map[string]int{name: 1}
 		}},
 	}
 	for _, c := range clauses {

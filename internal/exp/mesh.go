@@ -231,12 +231,11 @@ func (c *compiled) build() error {
 				return fmt.Errorf("exp: edge %q: wire edges have no qdisc", e.name)
 			}
 		} else {
-			fromSim := g.SimFor(e.from)
-			qd, err := ls.Qdisc.build(p.autoScheme(spec, i), fromSim)
+			qd, err := ls.Qdisc.build(p.autoScheme(spec, i), g.S)
 			if err != nil {
 				return fmt.Errorf("exp: edge %q: %v", e.name, err)
 			}
-			mk, err = linkFactory(fromSim, ls, qd)
+			mk, err = linkFactory(g.S, ls, qd)
 			if err != nil {
 				return fmt.Errorf("exp: edge %q: %v", e.name, err)
 			}

@@ -29,7 +29,7 @@ var (
 
 // EnableTracing attaches a flight recorder to every scenario the
 // harness runs from now on: the topology graph, its links and qdiscs,
-// every flow endpoint and the coordinator emit trace events into it,
+// and every flow endpoint emit trace events into it,
 // filtered by the recorder's category mask. Pass nil to turn tracing
 // back off. Safe to call concurrently with running sweeps; cells read
 // the switch once at cell start.
@@ -38,8 +38,8 @@ func EnableTracing(r *obs.Recorder) { traceRec.Store(r) }
 // EnableMetrics publishes live run metrics into reg, sampled every
 // period of virtual time: per-edge queue depth/bytes (plus ABC tokens
 // and mark counts on ABC bottlenecks), per-flow cwnd/pacing-rate (plus
-// ReverseBrakes for ABC senders), the ledger's drops by cause, shard
-// synchronization counters, and the well-known obs.MetricSimSeconds /
+// ReverseBrakes for ABC senders), the ledger's drops by cause, and the
+// well-known obs.MetricSimSeconds /
 // obs.MetricSimEvents read by the progress line. Like tracing, sampling
 // is passive: the coordinator calls the sampler at a barrier once per
 // period (and the harness once more at the end of a run whose last tick
@@ -86,12 +86,6 @@ func newRunSampler(c *compiled) *runSampler {
 	reg.Help("abc_flow_rate_bps", "Pacing rate in bits/sec (0 = ACK-clocked).")
 	reg.Help("abc_flow_reverse_brakes", "Brakes the ABC sender consumed off the reverse path.")
 	reg.Help("abc_drops_total", "Packets dropped, by cause.")
-	reg.Help("abc_shard_rounds_total", "Windows executed by the run's coordinator (at one shard a window ends at each timeline event or sample instant).")
-	reg.Help("abc_shard_events_total", "Events executed per shard.")
-	reg.Help("abc_shard_horizon_lag_seconds", "How far each shard's horizon trails the furthest shard.")
-	reg.Help("abc_shard_busy_seconds", "Wall time the shard's worker spent merging its mail and executing its windows.")
-	reg.Help("abc_shard_wait_seconds", "Wall time the shard's worker spent at the barrier and in the coordinator's serial section.")
-	reg.Help("abc_shard_mail_total", "Cross-shard messages merged into destination heaps (0 at one shard).")
 	return rs
 }
 
@@ -100,18 +94,7 @@ func (rs *runSampler) sample(now sim.Time) {
 	reg, g := rs.reg, rs.c.g
 	reg.Gauge(obs.MetricSimSeconds).Set(now.Seconds())
 
-	var events uint64
-	c := g.Coordinator()
-	for i := 0; i < c.Shards(); i++ {
-		ex := c.Shard(i).Executed()
-		events += ex
-		reg.Counter(fmt.Sprintf(`abc_shard_events_total{shard="%d"}`, i)).Store(int64(ex))
-		reg.Gauge(fmt.Sprintf(`abc_shard_horizon_lag_seconds{shard="%d"}`, i)).Set(c.HorizonLag(i).Seconds())
-		reg.Gauge(fmt.Sprintf(`abc_shard_busy_seconds{shard="%d"}`, i)).Set(c.Busy(i).Seconds())
-		reg.Gauge(fmt.Sprintf(`abc_shard_wait_seconds{shard="%d"}`, i)).Set(c.Wait(i).Seconds())
-	}
-	reg.Counter("abc_shard_rounds_total").Store(int64(c.Rounds()))
-	reg.Counter("abc_shard_mail_total").Store(int64(c.Mail()))
+	events := g.S.Executed()
 	reg.Counter(obs.MetricSimEvents).Add(int64(events - rs.prevEvents))
 	rs.prevEvents = events
 

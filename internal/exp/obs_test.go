@@ -153,8 +153,7 @@ func TestForEachCellErrorLabel(t *testing.T) {
 // TestMetricsSampling runs a small scenario with live metrics enabled
 // and checks the registry ends up with the advertised families: per-edge
 // queue gauges and discipline drops on every discipline, token and mark
-// series on an ABC one, per-flow cwnd, the coordinator's counters (one
-// shard is a coordinator run like any other), and the sim-progress pair
+// series on an ABC one, per-flow cwnd, and the sim-progress pair
 // read by the progress line — which must end on the run's duration
 // whether the last tick fell on it (200 ms) or short of it (300 ms).
 func TestMetricsSampling(t *testing.T) {
@@ -163,8 +162,6 @@ func TestMetricsSampling(t *testing.T) {
 		`abc_queue_bytes{edge="fwd0"}`,
 		`abc_qdisc_drops_total{edge="fwd0"}`,
 		`abc_flow_cwnd_pkts{flow="0"}`,
-		`abc_shard_events_total{shard="0"}`,
-		"abc_shard_rounds_total",
 		obs.MetricSimSeconds,
 		obs.MetricSimEvents,
 	}
@@ -232,9 +229,8 @@ func TestMetricsSampling(t *testing.T) {
 
 // TestFig12OnSharedPipeline: a Fig. 12 cell is a Spec on the one run
 // path, so whatever observes every other run observes it — the metrics
-// sampler sees its bottleneck (chain link "fwd0"), its events and its
-// coordinator, the flight recorder carries the coordinator's horizon
-// events next to the packet events, and the short flows are a workload
+// sampler sees its bottleneck (chain link "fwd0") and its events, the
+// flight recorder carries its packet events, and the short flows are a workload
 // with its accounting: none refused at the heaviest load, every spawned
 // one either completed or still in flight.
 func TestFig12OnSharedPipeline(t *testing.T) {
@@ -256,19 +252,17 @@ func TestFig12OnSharedPipeline(t *testing.T) {
 	if _, ok := have[`abc_queue_pkts{edge="fwd0"}`]; !ok {
 		t.Error(`registry has no abc_queue_pkts{edge="fwd0"} after a metered fig12 cell`)
 	}
-	for _, name := range []string{obs.MetricSimEvents, "abc_shard_rounds_total"} {
-		if have[name] <= 0 {
-			t.Errorf("%s = %g after a metered fig12 cell, want > 0", name, have[name])
-		}
+	if have[obs.MetricSimEvents] <= 0 {
+		t.Errorf("%s = %g after a metered fig12 cell, want > 0", obs.MetricSimEvents, have[obs.MetricSimEvents])
 	}
-	horizons := 0
+	enqueued := 0
 	for _, e := range rec.Snapshot() {
-		if e.Kind == obs.EvHorizon {
-			horizons++
+		if e.Kind == obs.EvEnqueue {
+			enqueued++
 		}
 	}
-	if horizons == 0 {
-		t.Error("trace of a fig12 cell carries no coordinator horizon events")
+	if enqueued == 0 {
+		t.Error("trace of a fig12 cell carries no packet events")
 	}
 
 	res, _, err := Run(fig12Spec("maxmin", 0.5, cfg.Duration, cfg.Seed))

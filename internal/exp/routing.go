@@ -1,11 +1,9 @@
 // Spec plumbing for the route-computation layer (internal/topo's
 // AutoRouter): policy construction and the Result annotations for
 // emergent route changes (validateRouting is in validate.go). The layer is
-// opt-in per Spec and one-shard only (its recompute timer is a simulator
-// event that rewrites every junction's table; checkShardable has the
-// measured reason it is not a barrier callback); scripted `events`
-// timelines are untouched by it unless a Routing clause is present, so
-// existing specs run byte-identically.
+// opt-in per Spec; scripted `events` timelines are untouched by it
+// unless a Routing clause is present, so existing specs run
+// byte-identically.
 package exp
 
 import (

@@ -75,15 +75,6 @@ func TestRoutingSpecValidation(t *testing.T) {
 	}
 }
 
-// TestRoutingRejectedWhenSharded: route computation is sequential-only;
-// a sharded spec with a Routing clause must fail loudly.
-func TestRoutingRejectedWhenSharded(t *testing.T) {
-	spec := conservationSpec(1, 200*sim.Millisecond, sim.Second)
-	spec.Shards = 2
-	spec.Routing = &RoutingSpec{}
-	wantRunError(t, spec, "Routing")
-}
-
 // TestScenarioRoutingClause: the JSON routing clause compiles into a
 // RoutingSpec, applying defaults and rejecting malformed knobs at
 // compile time rather than mid-run.

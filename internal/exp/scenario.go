@@ -116,13 +116,13 @@
 //	]
 //
 // Chain links are the edges "fwd<i>"/"rev<i>" between junctions of the
-// same names, which is how events, backgrounds and shard_map address
-// them. The rest of the top level: "events" (EventSpec: at_s, kind —
+// same names, which is how events and backgrounds address them. The
+// rest of the top level: "events" (EventSpec: at_s, kind —
 // reroute, set_rate, link_down, link_up, attack, clear_attack — flow,
 // ack, path, edge, rate_mbps, attack), "routing" (RoutingSpec: policy, k,
 // recompute_ms, drain_ms), "background"
 // (BackgroundSpec: edge, kind, flows, rate_mbps, ramp_s, on_s, off_s,
-// start_s, stop_s, step_ms), "shards" and "shard_map":
+// start_s, stop_s, step_ms):
 //
 //	"events": [
 //	  {"at_s": 10, "kind": "reroute", "flow": 0, "path": ["cell2", "air2"]},
@@ -134,9 +134,7 @@
 //	"background": [
 //	  {"edge": "fwd0", "kind": "onoff", "flows": 1000000,
 //	   "rate_mbps": 48, "on_s": 6, "off_s": 4, "ramp_s": 2}
-//	],
-//	"shards": 2,
-//	"shard_map": {"gw": 0, "sink": 1}
+//	]
 package exp
 
 import (

@@ -53,8 +53,8 @@ func TestScenarioRejectsUnknownKeys(t *testing.T) {
 // checks.
 func TestScenarioFilesRoundTrip(t *testing.T) {
 	paths, err := filepath.Glob("../../examples/scenarios/*.json")
-	if err != nil || len(paths) < 18 {
-		t.Fatalf("found %d example scenarios, want 18: %v", len(paths), err)
+	if err != nil || len(paths) < 17 {
+		t.Fatalf("found %d example scenarios, want 17: %v", len(paths), err)
 	}
 	for _, path := range paths {
 		sc, err := LoadScenario(path)
@@ -268,8 +268,7 @@ func TestScenarioBackgroundClause(t *testing.T) {
 // and every Spec Check accepts must — when small enough to run in a fuzz
 // iteration — execute 100 ms of simulated time without a panic, a
 // mid-run wiring error, an event-budget overrun or packet books that do
-// not balance (Run's audit): at one shard whatever the input asks for,
-// and again at two whenever Check accepts it there. The seed corpus
+// not balance (Run's audit). The seed corpus
 // (testdata/fuzz) includes every example scenario plus malformed
 // fragments.
 func FuzzScenarioJSON(f *testing.F) {
@@ -338,25 +337,17 @@ func FuzzScenarioJSON(f *testing.F) {
 			return
 		}
 		if len(data) > 4<<10 || len(spec.Flows) > 8 || len(spec.Workloads) > 4 ||
-			len(spec.Links)+len(spec.ReverseLinks)+len(spec.Edges) > 16 || spec.Shards > 4 {
+			len(spec.Links)+len(spec.ReverseLinks)+len(spec.Edges) > 16 {
 			return
 		}
 		spec.Duration = 100 * sim.Millisecond
-		for _, shards := range []int{1, 2} {
-			spec.Shards = shards
-			if shards > 1 && Check(spec) != nil {
-				continue
-			}
-			c, err := compile(spec, nil)
-			if err != nil {
-				t.Fatalf("a scenario Check accepted does not build at 100 ms and %d shard(s): %v", shards, err)
-			}
-			for i, coord := 0, c.g.Coordinator(); i < coord.Shards(); i++ {
-				coord.Shard(i).SetEventLimit(3e6)
-			}
-			if _, _, err := c.run(); err != nil {
-				t.Fatalf("a scenario Check accepted failed mid-run at %d shard(s): %v", shards, err)
-			}
+		c, err := compile(spec, nil)
+		if err != nil {
+			t.Fatalf("a scenario Check accepted does not build at 100 ms: %v", err)
+		}
+		c.g.S.SetEventLimit(3e6)
+		if _, _, err := c.run(); err != nil {
+			t.Fatalf("a scenario Check accepted failed mid-run: %v", err)
 		}
 	})
 }
@@ -623,6 +614,8 @@ func TestRemovedSpellingsRejected(t *testing.T) {
 			`unknown aggregate kind "aimd" (valid: [const onoff])`},
 		{`{` + link + `}], "flows": [{"scheme": "Cubic"}],
 			"background": [{"edge": "fwd0", "kind": "const", "rate_mbps": 1, "rtt_ms": 80}]}`, `unknown field "rtt_ms"`},
+		{`{` + link + `}], "flows": [{"scheme": "Cubic"}], "shards": 2}`, `unknown field "shards"`},
+		{`{` + link + `}], "flows": [{"scheme": "Cubic"}], "shard_map": {"fwd0": 0}}`, `unknown field "shard_map"`},
 	}
 	for _, tc := range cases {
 		if _, err := checkScenario(tc.in); err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -687,8 +680,8 @@ func TestSpecIsData(t *testing.T) {
 // at a third of its duration.
 func TestSpecRunsTwiceAlike(t *testing.T) {
 	paths, err := filepath.Glob("../../examples/scenarios/*.json")
-	if err != nil || len(paths) < 18 {
-		t.Fatalf("found %d example scenarios, want 18: %v", len(paths), err)
+	if err != nil || len(paths) < 17 {
+		t.Fatalf("found %d example scenarios, want 17: %v", len(paths), err)
 	}
 	digest := func(spec Spec) string {
 		res, pooled, err := Run(spec)

@@ -17,12 +17,10 @@
 // (chain) and mesh.go (mesh) are the front ends, which only validate
 // their notation and translate it into a plan of named junctions, named
 // edges and resolved per-flow edge routes; mesh.go's back end builds the
-// graph from the plan, over the coordinator shard.go creates (one shard,
-// or Shards of them with the plan partitioned); wire.go attaches links,
-// endpoints and receivers; harness.go runs the coordinator and measures.
-// There is one run path — a one-shard run is a coordinator run like any
-// other — and one judge: a Spec is valid iff it builds, so Check is Run
-// stopped before the clock.
+// graph from the plan on one simulator; wire.go attaches links,
+// endpoints and receivers; harness.go runs the graph's coordinator and
+// measures. There is one run path and one judge: a Spec is valid iff it
+// builds, so Check is Run stopped before the clock.
 //
 // The experiments are catalogued once, in drivers.go: Drivers is the
 // table the CLIs, the report, the golden corpus and the driver test all
@@ -67,9 +65,9 @@ type QdiscSpec struct {
 	// ACK route does — on a chain link as on a mesh edge.
 	Kind string `spec:"kind"`
 	// Buffer is the queue limit in packets (default 250, the paper's
-	// emulation buffer), of each child for the dual-* kinds. The "abc"
-	// kind is the one exception: it reads no Buffer and holds up to its
-	// ABCConfig's Limit, 250 by default.
+	// emulation buffer), of each child for the dual-* kinds. An
+	// ABC-family kind holds its ABCConfig's Limit instead when that is
+	// set.
 	Buffer int `spec:"buffer"`
 	// ABCConfig, when non-nil, is the router configuration of an
 	// ABC-family kind ("abc", "abc-proxied", "dual-*": dt, η, δ, T, the
@@ -282,38 +280,26 @@ type Spec struct {
 	// addressed by name — mesh edges by their EdgeSpec.Name, chain links
 	// as "fwd<i>" / "rev<i>" (link i of Links / ReverseLinks).
 	Events []EventSpec `spec:"events"`
-	// Shards splits the simulation into this many parallel event queues
-	// advanced under conservative lookahead synchronization (0 or 1 =
-	// one queue under the same coordinator; negative values are a Spec
-	// error). Junctions are partitioned automatically (topo.Partition)
-	// unless pinned via ShardMap; shard-cut edges must have positive
-	// Delay. Specs with Shards > 1 cannot use Workloads or Routing.
-	Shards int `spec:"shards"`
-	// ShardMap pins named junctions (mesh node names, or chain junctions
-	// "fwd<i>" / "rev<i>") to shard indices; unnamed junctions are placed
-	// by the automatic partitioner around the pins.
-	ShardMap map[string]int `spec:"shard_map"`
+	// Shards has no effect: every run is one simulator. It has no key in
+	// the scenario file. Kept for bench/; deleted with mesh_shard2.
+	Shards int
 	// Sample enables time-series collection at this period (0 = off):
 	// at Sample, 2*Sample, … up to Duration the harness reads every
 	// series at a coordinator barrier — after the events strictly before
 	// that instant and the Events entries at it, before its simulator
 	// events. A read, not an event: the run executes the same events
-	// with or without it, at any shard count. Negative values are a
-	// Spec error, not "off".
+	// with or without it. Negative values are a Spec error, not "off".
 	Sample sim.Time `spec:"sample_ms"`
 	// Routing enables the route-computation layer: a policy watches link
 	// state (link_down / link_up) and recomputes every flow's routes
 	// through the same Router machinery scripted reroute events use,
 	// making handover and flap recovery emergent behavior.
-	// One-shard only (rejected at Shards > 1).
 	Routing *RoutingSpec `spec:"routing"`
 	// Background attaches fluid background aggregates to named edges
 	// (mesh edge names, or chain links "fwd<i>" / "rev<i>"): each is a
 	// deterministic fixed-step rate process standing in for many
 	// virtual flows, draining link capacity and contributing queue
-	// occupancy at constant cost regardless of the flow count. Couplers
-	// step on each edge's home simulator, so backgrounds compose with
-	// Shards.
+	// occupancy at constant cost regardless of the flow count.
 	Background []BackgroundSpec `spec:"background"`
 }
 

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"reflect"
 	"testing"
 
 	"abc/internal/abc"
@@ -116,5 +117,47 @@ func TestLTETraceProperties(t *testing.T) {
 	}
 	if hi < 4*(lo+1e5) {
 		t.Errorf("LTE trace range %.1f-%.1f Mbit/s lacks the 4x swings", lo/1e6, hi/1e6)
+	}
+}
+
+// TestSampleIsPassive: a time series costs the run nothing it can
+// observe — the same events execute and every flow measures the same,
+// whatever the sampling period and whether or not it divides anything.
+func TestSampleIsPassive(t *testing.T) {
+	specs := map[string]func() Spec{
+		"handover": func() Spec { return handoverSpec("ABC", 3*sim.Second, 6*sim.Second, 1) },
+		"fig1": func() Spec {
+			spec := fig1Spec(lteTrace(), "ABC", 1)
+			spec.Duration = 6 * sim.Second
+			return spec
+		},
+	}
+	for name, mk := range specs {
+		var want *Result
+		for _, period := range []sim.Time{0, 100 * sim.Millisecond, 7 * sim.Millisecond} {
+			spec := mk()
+			spec.Sample = period
+			got, _, err := Run(spec)
+			if err != nil {
+				t.Fatalf("%s sample=%v: %v", name, period, err)
+			}
+			if want == nil {
+				want = got
+				continue
+			}
+			if g, w := got.Graph.S.Executed(), want.Graph.S.Executed(); g != w {
+				t.Errorf("%s sample=%v: %d events executed, %d unsampled", name, period, g, w)
+			}
+			for i := range want.Flows {
+				g, w := &got.Flows[i], &want.Flows[i]
+				if g.Bytes != w.Bytes || g.Lost != w.Lost || g.Retx != w.Retx ||
+					!reflect.DeepEqual(&g.Delay, &w.Delay) || !reflect.DeepEqual(&g.QDelay, &w.QDelay) {
+					t.Errorf("%s sample=%v flow %d: measurements differ from the unsampled run", name, period, i)
+				}
+			}
+			if n := len(got.Flows[0].Tput.Times); n != int(spec.Duration/period) {
+				t.Errorf("%s sample=%v: %d samples, want %d", name, period, n, spec.Duration/period)
+			}
+		}
 	}
 }

@@ -19,10 +19,6 @@ import (
 	"abc/internal/sim"
 )
 
-// maxShards bounds Spec.Shards to something a machine could plausibly
-// run; beyond this a typo is far more likely than a 128-core box.
-const maxShards = 64
-
 // maxArrivalsPerSec bounds an open-loop arrival process. Past one flow a
 // microsecond the gaps approach the clock's 1 ns resolution and the run
 // does nothing but spawn (1e12 a second took over 20 s of wall time for
@@ -102,12 +98,8 @@ func (spec *Spec) validate() error {
 		}
 	}
 
-	// A negative sampling period and a negative shard count are wiring
-	// bugs, not requests for "off".
+	// A negative sampling period is a wiring bug, not a request for "off".
 	nonNeg("", 0, dur{"Duration", spec.Duration}, dur{"Warmup", spec.Warmup}, dur{"RTT", spec.RTT}, dur{"Sample", spec.Sample})
-	if spec.Shards < 0 {
-		fail("", 0, "negative Shards %d", spec.Shards)
-	}
 	for i := range spec.Links {
 		link("link", i, &spec.Links[i])
 	}
@@ -176,11 +168,6 @@ func (spec *Spec) validate() error {
 	}
 	if err == nil {
 		err = validateRouting(spec)
-	}
-	// A ShardMap on a one-shard spec is inert, so a sweep over shard
-	// counts can carry one.
-	if err == nil && spec.Shards > 1 {
-		err = checkShardable(spec)
 	}
 	return err
 }
@@ -284,42 +271,6 @@ func validateRouting(spec *Spec) error {
 	}
 	if len(spec.Flows) == 0 {
 		return fmt.Errorf("exp: routing: spec has no flows to manage (workload-spawned flows are not manageable)")
-	}
-	return nil
-}
-
-// checkShardable rejects what a spec may not combine with Shards > 1,
-// and ShardMap pins to shards it does not have.
-//
-// Both remaining gates are simulator events on shard 0 that act on the
-// whole graph — a workload arrival installs routes and builds endpoints
-// wherever its path leads, the route-computation timer rewrites every
-// junction's table — and both were measured as coordinator-barrier
-// callbacks instead and kept as events: arrivals at barriers cost bench
-// workload flow_churn about 8 % of its speed and changed its event
-// count (21 k fewer events, a different result digest), and the
-// recompute timer at a barrier flipped a same-instant tie that moves the
-// autoroute and flapstorm goldens (mean delay 59.7330 -> 59.7339 ms).
-// The Workloads gate also covers teardown: a spawned flow is unrouted
-// from the end of its last packet by topo.Graph.UnrouteFlow, which
-// edits tables on whatever shards the flow's junctions live on, so a
-// cross-shard spawn must first make the unroute a barrier-time table
-// edit. (The flow's packet.Tally is already shard-safe: one row per
-// shard.)
-func checkShardable(spec *Spec) error {
-	if spec.Shards > maxShards {
-		return fmt.Errorf("exp: Shards %d exceeds the maximum %d", spec.Shards, maxShards)
-	}
-	if len(spec.Workloads) > 0 {
-		return fmt.Errorf("exp: Shards > 1 does not support Workloads (mid-run flow spawning is inherently cross-shard); run with Shards 1")
-	}
-	if spec.Routing != nil {
-		return fmt.Errorf("exp: Shards > 1 does not support Routing (route recomputation mutates tables across shards); run with Shards 1")
-	}
-	for name, sh := range spec.ShardMap {
-		if sh < 0 || sh >= spec.Shards {
-			return fmt.Errorf("exp: ShardMap[%q] = %d out of range [0, %d)", name, sh, spec.Shards)
-		}
 	}
 	return nil
 }

@@ -124,34 +124,25 @@ func (r flowRoute) dir(ack bool) []int {
 }
 
 // attachFlow puts one flow on the graph in f's storage: the endpoint
-// (Init) on the shard of the data route's origin junction with the
-// flow's tally, which draws its packets from the graph's arenas, the
-// receiver (Reset, which keeps its OnData hook) on that of its terminal
-// junction (both inject packets synchronously into those junctions), and
-// the two routes between them, each ending in an rtt/2 access tail. It
+// (Init) with the flow's tally, which draws its packets from the graph's
+// arena, the receiver (Reset, which keeps its OnData hook), and the two
+// routes between them, each ending in an rtt/2 access tail. It
 // schedules nothing; the caller sets the source and the receiver's
 // OnData hook and starts the endpoint. The storage is fresh for a
 // declared flow and a drained flow's for a spawned one (spawned).
 func attachFlow(g *topo.Graph, id int, alg cc.Algorithm, route flowRoute, rtt sim.Time, f flowEnds) error {
-	origin := g.Edge(route.data[0]).From.ID
-	last := g.Edge(route.data[len(route.data)-1]).To.ID
-	epShard, recvShard := g.ShardOf(origin), g.ShardOf(last)
-
 	ep, recv := f.ep, f.recv
-	ep.Init(g.SimFor(origin), id, nil, alg)
-	ep.Tally.Spread(g.Coordinator().Shards(), epShard, g.Arenas())
+	ep.Init(g.S, id, nil, alg)
+	ep.Tally.UseArena(g.Arena())
 	if r := g.Recorder(); r != nil {
 		ep.SetObs(r, int32(id))
 	}
-	// The receiver injects ACKs into the ACK route and the route
-	// terminates at the endpoint, so its injection/terminal shards are
-	// the receiver's and endpoint's respectively.
-	ackEntry, err := g.RouteFlowAt(id, true, route.ack, rtt/2, ep, epShard, recvShard)
+	ackEntry, err := g.RouteFlow(id, true, route.ack, rtt/2, ep)
 	if err != nil {
 		return err
 	}
-	recv.Reset(g.SimFor(last), id, ackEntry)
-	dataEntry, err := g.RouteFlowAt(id, false, route.data, rtt/2, recv, recvShard, epShard)
+	recv.Reset(g.S, id, ackEntry)
+	dataEntry, err := g.RouteFlow(id, false, route.data, rtt/2, recv)
 	if err != nil {
 		return err
 	}
@@ -169,8 +160,8 @@ type dualWindow interface {
 // wireFlows constructs every declared flow's algorithm, attaches the flow
 // (attachFlow) and hangs the per-flow metrics hooks on its receiver. By
 // the time it runs, a flow is just a pair of edge sequences. A receiver
-// writes only its own flow's recorders, whatever shard it runs on;
-// poolDelays builds the run-wide ones from them after the run.
+// writes only its own flow's recorders; poolDelays builds the run-wide
+// ones from them after the run.
 func (c *compiled) wireFlows() error {
 	g, spec, res, routes := c.g, c.spec, c.res, c.p.routes
 	res.Flows = make([]FlowResult, len(spec.Flows))

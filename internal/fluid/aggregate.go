@@ -101,9 +101,8 @@ type CouplerStats struct {
 // between the fluid backlog and the packet backlog in proportion to
 // demand (FIFO sharing at step resolution), and updates the occupancy,
 // share and served counters the packet layer reads. It implements
-// qdisc.Background and is single-threaded on the edge's home simulator,
-// so it composes with sharded execution like any other edge-local
-// state.
+// qdisc.Background and steps on the graph's simulator like any other
+// edge-local state.
 type Coupler struct {
 	cfg AggregateConfig
 

@@ -42,9 +42,9 @@ type Wire struct {
 	// packet; should one shrink it, a packet that would overtake falls
 	// back to an ordinary event (sim.Chain's contract).
 	inflight sim.Chain
-	// The padding makes a Wire one 64-byte cache line. Every packet it
-	// carries writes inflight, from the wire's shard only, so no other
-	// shard's state may share the line (TestWireOwnsItsLine).
+	// The padding makes a Wire one 64-byte cache line: every packet it
+	// carries writes inflight, and no other object shares the line
+	// (TestWireOwnsItsLine).
 	_ [24]byte
 }
 

@@ -67,8 +67,8 @@ func TestWireZeroValueLiteral(t *testing.T) {
 	checkArrivals(t, got, []arrival{{0, 5 * sim.Millisecond}, {1, 6 * sim.Millisecond}, {2, 7 * sim.Millisecond}})
 }
 
-// TestWireOwnsItsLine: a wire is one 64-byte cache line, so a wire one
-// shard writes on every packet shares no line with another shard's.
+// TestWireOwnsItsLine: a wire is one 64-byte cache line, so the chain
+// every packet on it writes shares no line with another object.
 func TestWireOwnsItsLine(t *testing.T) {
 	if size := unsafe.Sizeof(Wire{}); size != 64 {
 		t.Errorf("sizeof(Wire) = %d, want one 64-byte line", size)

@@ -42,9 +42,6 @@ const (
 	CatAttack
 	// CatCC covers congestion-control state updates (cwnd, pacing rate).
 	CatCC
-	// CatShard covers conservative-lookahead horizon advances in the
-	// sharded coordinator.
-	CatShard
 	// CatHop covers per-hop FIB forwarding. This is the hottest trace
 	// point in the simulator; enable it only when you really want a
 	// packet-level flight path.
@@ -99,9 +96,6 @@ const (
 	// Congestion control (CatCC).
 	EvCwnd // A=cwnd in 1/1024 pkts, B=pacing rate bits/sec (0 if none)
 
-	// Sharded execution (CatShard).
-	EvHorizon // shard safe-horizon advance. Src=shard, A=neighbour bound ns
-
 	// Forwarding (CatHop).
 	EvHop // packet forwarded one hop. Src=node id, A=edge id
 
@@ -140,7 +134,6 @@ var kindInfo = [kindCount]struct {
 	EvAttackDelay:  {"attack_delay", CatAttack},
 	EvAttackStrip:  {"attack_strip", CatAttack},
 	EvCwnd:         {"cwnd", CatCC},
-	EvHorizon:      {"horizon", CatShard},
 	EvHop:          {"hop", CatHop},
 	EvImpairDrop:   {"impair_drop", CatPacket},
 	EvAQMDrop:      {"aqm_drop", CatPacket},
@@ -165,7 +158,7 @@ func (k Kind) Category() Cat {
 // Event is one flight-recorder entry: 32 bytes, no pointers.
 // The meaning of Src, Flow, A and B depends on Kind; see the Kind
 // constants. Src is a subsystem-local identity (edge index, node id,
-// shard id, route class id), Flow is the flow id or -1.
+// route class id), Flow is the flow id or -1.
 type Event struct {
 	T    int64 // virtual sim-time, nanoseconds
 	A, B int64 // kind-specific payload
@@ -176,7 +169,7 @@ type Event struct {
 }
 
 // Recorder is a fixed-capacity ring of Events guarded by a mutex so
-// parallel sweep cells and shard workers can share one instance under
+// parallel sweep cells can share one instance under
 // -race. A nil *Recorder is valid and permanently disabled, which is
 // the zero-cost fast path: call sites guard emission with
 // rec.Enabled(cat), which is a nil check plus one atomic load.
@@ -338,14 +331,12 @@ func ParseMask(s string) (Cat, error) {
 			m |= CatAttack
 		case "cc":
 			m |= CatCC
-		case "shard":
-			m |= CatShard
 		case "hop":
 			m |= CatHop
 		case "all":
 			m = CatAll
 		default:
-			return 0, fmt.Errorf("obs: unknown trace category %q (want packet,mark,route,link,attack,cc,shard,hop,all)", name)
+			return 0, fmt.Errorf("obs: unknown trace category %q (want packet,mark,route,link,attack,cc,hop,all)", name)
 		}
 	}
 	return m, nil

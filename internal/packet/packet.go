@@ -6,12 +6,15 @@
 // the paper's §5.1.2 reinterpretation of the two IP ECN bits, and a small
 // number of extra fields model the multi-bit headers used by the explicit
 // baselines (XCP, RCP) that the paper compares against.
+//
+// A flow's packets are booked on its Tally from birth to end, each end
+// with its Cause, and an experiment run's flows draw their packets from
+// the run's one Arena, which carves them from line-aligned slabs.
 package packet
 
 import (
 	"fmt"
 	"sync"
-	"unsafe"
 
 	"abc/internal/sim"
 )
@@ -73,20 +76,15 @@ func (e ECN) ECNCapable() bool { return e == Accel || e == Brake }
 //
 // The layout is part of the design: the fields are ordered so the struct
 // is exactly two cache lines (128 bytes, pinned by TestPacketLayout), and
-// the ones every hop reads or writes — Flow, Size, IsAck, ECN, the shard
-// and tally its end is booked on, and the timestamps the queues touch —
-// are in the first. At 128 bytes Go's allocator places every packet at a
-// line boundary, so a packet handed from one shard's core to another
-// shares no line with a packet the first core still works on.
+// the ones every hop reads or writes — Flow, Size, IsAck, ECN, the tally
+// its end is booked on, and the timestamps the queues touch — are in the
+// first. At 128 bytes Go's allocator places every packet at a line
+// boundary, so those fields share one line.
 type Packet struct {
 	// Flow identifies the flow this packet belongs to.
 	Flow int
 	// Size is the wire size in bytes.
 	Size int32
-
-	// shard is the shard the packet is on: where its tally books its end
-	// (see Tally).
-	shard int16
 
 	// IsAck marks pure acknowledgements.
 	IsAck bool
@@ -128,7 +126,7 @@ type Packet struct {
 	EnqueuedAt sim.Time
 	// tally, when set, counts this packet on its flow's books (see
 	// Tally); NewAck passes it on and the packet's end books it there.
-	tally *ledger
+	tally *Tally
 
 	// Seq is the data sequence number (in packets, not bytes). For an
 	// ACK, Seq is the sequence of the data packet being acknowledged.
@@ -191,8 +189,8 @@ var causeNames = [NumCauses]string{"delivered", "acked", "refused", "aqm", "unro
 func (c Cause) String() string { return causeNames[c] }
 
 // Books is what a set of packets did: how many data packets and ACKs
-// were attached, and how many ended, by cause. It is one shard's row of
-// a Tally, or any number of rows and tallies summed.
+// were attached, and how many ended, by cause. It is one Tally's books,
+// or any number of them summed.
 type Books struct {
 	Data, Acks int64
 	Released   [NumCauses]int64
@@ -222,174 +220,90 @@ func (b Books) Live() int64 {
 // each ended — and runs a callback once the flow is finished and none of
 // its packets is live: the instant none is left anywhere (queued, on a
 // wire, inside an impairment, in link service), so whatever only that
-// flow used can be torn down without any later event reaching it.
-//
-// The books are kept in one row per shard, and a packet's attach and end
-// are booked in the row of the shard it is on, which a cross-shard hop
-// moves (MoveTo). Each shard writes only its own row, so a flow whose
-// packets cross shards needs neither locks nor atomics; the rows are
-// summed (Books, Live) where no shard runs. A one-shard tally keeps its
-// one row inline and allocates nothing, and the zero Tally is a one-shard
-// tally whose sender is on shard 0; a tally spread over more shards keeps
-// its books apart, on cache lines of their own (see Spread).
+// flow used can be torn down without any later event reaching it. A
+// tallied packet points at its tally. The zero Tally is empty and draws
+// its packets from the pool.
 type Tally struct {
-	// own is the ledger of a one-shard tally; spread, when set, that of a
-	// spread one. A tallied packet points at whichever is in use.
-	own    ledger
-	spread *ledger
-}
-
-// ledger is what a tallied packet points at: the flow's rows and the
-// fields its end reads.
-type ledger struct {
-	home int
-	// first is the row of a one-shard tally; rows, when set, are the rows
-	// of a spread one, indexed by shard.
-	first Books
-	rows  []row
-	// arenas, when set, are the run's packet arenas, indexed by shard:
-	// the flow's packets are drawn from the one of the shard they are
-	// born on and end into the one of the shard they end on. Without
-	// them the flow's packets come from and go back to the pool.
-	arenas  []Arena
+	books Books
+	// arena, when set, is the run's packet arena: the flow's packets are
+	// drawn from it and end into it. Without one they come from and go
+	// back to the pool.
+	arena   *Arena
 	onDrain func()
 }
 
-// row is one shard's Books padded to whole cache lines, so that the row
-// one shard writes shares no line with the row of another.
-type row struct {
-	Books
-	_ [2*cacheLine - unsafe.Sizeof(Books{})]byte
-}
+// UseArena readies the tally, before its first packet, for a run whose
+// packets live in a (nil for the pool).
+func (t *Tally) UseArena(a *Arena) { t.arena = a }
 
-// spreadLedger is a spread tally's ledger padded to whole cache lines.
-// Every shard reads its fields on every packet end and none writes them
-// during a run, so they must share no line with anything written.
-type spreadLedger struct {
-	ledger
-	_ [3*cacheLine - unsafe.Sizeof(ledger{})]byte
-}
-
-// cacheLine is the line size the padding above assumes. A heap object
-// whose size is a multiple of it starts on a line boundary.
-const cacheLine = 64
-
-// Spread readies the tally, before its first packet, for a run over
-// shards (≥ 1) shards in which the flow's sender attaches on shard home,
-// and whose packets live in arenas (one per shard, or nil for the
-// pool). Over more than one shard the books move out of the Tally into
-// their own allocation, so that no shard books a packet on a line of
-// whatever embeds the Tally (a sender's endpoint, which its shard writes
-// on every ACK) and no row shares a line with another shard's row.
-func (t *Tally) Spread(shards, home int, arenas []Arena) {
-	if shards == 1 {
-		t.own.home, t.own.arenas, t.spread = home, arenas, nil
-		return
-	}
-	s := new(spreadLedger)
-	s.home, s.rows, s.arenas = home, make([]row, shards), arenas
-	t.spread = &s.ledger
-}
-
-// inUse returns the ledger the tally's packets point at.
-func (t *Tally) inUse() *ledger {
-	if t.spread != nil {
-		return t.spread
-	}
-	return &t.own
-}
-
-// row returns shard's row.
-func (l *ledger) row(shard int16) *Books {
-	if l.rows == nil {
-		return &l.first
-	}
-	return &l.rows[shard].Books
-}
-
-// NewData returns a data packet of the flow, drawn on the sender's shard
-// — from its arena, if the tally has arenas — and attached there.
+// NewData returns a data packet of the flow, drawn from the tally's
+// arena if it has one, and attached.
 func (t *Tally) NewData(flow int, seq int64, size int, now sim.Time) *Packet {
-	l := t.inUse()
-	home := int16(l.home)
-	p := l.get(home)
+	p := t.get()
 	p.data(flow, seq, size, now)
-	l.attach(p, home)
+	t.attach(p)
 	return p
 }
 
-// Adopt counts p as attached on shard unless a tally counts it already:
-// how packets injected from outside any flow stay on the books.
-func (t *Tally) Adopt(p *Packet, shard int) {
+// Adopt counts p as attached unless a tally counts it already: how
+// packets injected from outside any flow stay on the books.
+func (t *Tally) Adopt(p *Packet) {
 	if p.tally == nil {
-		t.inUse().attach(p, int16(shard))
+		t.attach(p)
 	}
 }
 
-func (l *ledger) attach(p *Packet, shard int16) {
-	p.tally, p.shard = l, shard
-	if r := l.row(shard); p.IsAck {
-		r.Acks++
+func (t *Tally) attach(p *Packet) {
+	p.tally = t
+	if p.IsAck {
+		t.books.Acks++
 	} else {
-		r.Data++
+		t.books.Data++
 	}
 }
 
-// Books returns the tally's rows summed. Call it only where no shard
-// writes one: from the shard of a one-shard flow, at a coordinator
-// barrier, or after the run.
-func (t *Tally) Books() Books { return t.inUse().sum() }
-
-func (l *ledger) sum() Books {
-	b := l.first
-	for i := range l.rows {
-		b.Add(l.rows[i].Books)
-	}
-	return b
-}
+// Books returns the tally's books.
+func (t *Tally) Books() Books { return t.books }
 
 // Live reports how many of the flow's packets have not ended, under
 // Books' rule.
-func (t *Tally) Live() int { return int(t.Books().Live()) }
+func (t *Tally) Live() int { return int(t.books.Live()) }
 
 // Finish, called once, declares that the flow will attach no more
 // packets of its own. onDrain runs exactly once: now if no packet is
-// live, otherwise from the end of the last one. Only a one-shard flow
-// may be finished: the check at each end reads every row.
+// live, otherwise from the end of the last one.
 func (t *Tally) Finish(onDrain func()) {
 	if t.Live() == 0 {
 		onDrain()
 		return
 	}
-	t.inUse().onDrain = onDrain
+	t.onDrain = onDrain
 }
 
-// get draws a zeroed packet on shard: from the shard's arena, or from
-// the pool for a ledger without arenas or no ledger at all.
-func (l *ledger) get(shard int16) *Packet {
-	if l == nil || l.arenas == nil {
+// get draws a zeroed packet: from the tally's arena, or from the pool
+// for a tally without one or no tally at all.
+func (t *Tally) get() *Packet {
+	if t == nil || t.arena == nil {
 		return Get()
 	}
-	return l.arenas[shard].get()
+	return t.arena.get()
 }
 
-// put returns zeroed p, which ended on shard, to where get would draw
-// it from.
-func (l *ledger) put(p *Packet, shard int16) {
-	if l == nil || l.arenas == nil {
+// put returns zeroed p to where get would draw it from.
+func (t *Tally) put(p *Packet) {
+	if t == nil || t.arena == nil {
 		pool.Put(p)
 		return
 	}
-	l.arenas[shard].put(p)
+	t.arena.put(p)
 }
 
-// release books one packet's end on shard and drains a finished flow at
-// zero.
-func (l *ledger) release(shard int16, c Cause) {
-	l.row(shard).Released[c]++
-	if l.onDrain != nil && l.sum().Live() == 0 {
-		drain := l.onDrain
-		l.onDrain = nil
+// release books one packet's end and drains a finished flow at zero.
+func (t *Tally) release(c Cause) {
+	t.books.Released[c]++
+	if t.onDrain != nil && t.books.Live() == 0 {
+		drain := t.onDrain
+		t.onDrain = nil
 		drain()
 	}
 }
@@ -408,24 +322,20 @@ type XCPHeader struct {
 }
 
 // pool recycles the packets no arena holds: those of a flow whose tally
-// has no arenas, those a graph's stray tally adopts and untallied ones.
+// has no arena, those a graph's stray tally adopts and untallied ones.
 // It is safe for concurrent use, so parallel experiment cells, each
-// with arenas of its own, may all draw from it.
+// with an arena of its own, may all draw from it.
 var pool = sync.Pool{New: func() any { return new(Packet) }}
 
-// Arena is one shard's store of packets for a run: a LIFO free list of
-// ended packets and the rest of a slab that fresh ones are carved from.
-// A flow's packets are drawn from the arena of the shard they are born
-// on and go back to that of the shard they end on (see Tally.Spread), so
-// only its own shard ever touches an arena and it needs no lock. The
-// zero Arena is empty and ready. An Arena is two cache lines, so in a
-// slice of them, one per shard, what one shard writes shares no line
-// with another's.
+// Arena is a run's store of packets: a LIFO free list of ended packets
+// and the rest of a slab that fresh ones are carved from. The flows of a
+// run draw their packets from it and end them into it (see
+// Tally.UseArena); only the run's simulator touches it, so it needs no
+// lock. The zero Arena is empty and ready.
 type Arena struct {
 	free []*Packet
 	// slab is what is left of the current slab.
 	slab []Packet
-	_    [2*cacheLine - 2*unsafe.Sizeof([]Packet(nil))]byte
 }
 
 // slab is the block an arena carves fresh packets from: one 8 KiB
@@ -442,15 +352,16 @@ type slab struct {
 }
 
 const (
+	// cacheLine is the line size the slab layout assumes.
+	cacheLine = 64
 	// mallocHeader is the size of the allocator's header (see slab).
 	mallocHeader = 8
 	// slabPackets is the packets one slab holds: 63 of two lines each
 	// (TestPacketLayout), the pad and the header taking the 64th's place.
 	slabPackets = (8192 - cacheLine) / (2 * cacheLine)
-	// maxFree caps an arena's free list at four slabs' worth. Packets
-	// born on one shard can keep ending on another, which would grow
-	// that shard's list without limit; the packets past the cap are left
-	// to the collector. The list, with its header, is one 2 KiB object.
+	// maxFree caps an arena's free list at four slabs' worth: after a
+	// burst, the packets past the cap are left to the collector. The
+	// list, with its header, is one 2 KiB object.
 	maxFree = 4 * slabPackets
 )
 
@@ -508,23 +419,19 @@ func (p *Packet) Release() {
 	p.Drop(c)
 }
 
-// Drop ends p for cause c: it zeroes p, puts it back — on the arena of
-// the shard p is on if p's tally has arenas, in the pool otherwise — and
-// books the end on p's tally, if any, in that shard's row. The caller
-// must not touch p afterwards. The end is booked last, so a drain
-// callback it triggers runs with p already put back.
+// Drop ends p for cause c: it zeroes p, puts it back — on its tally's
+// arena if it has one, in the pool otherwise — and books the end on p's
+// tally, if any. The caller must not touch p afterwards. The end is
+// booked last, so a drain callback it triggers runs with p already put
+// back.
 func (p *Packet) Drop(c Cause) {
-	l, shard := p.tally, p.shard
+	t := p.tally
 	*p = Packet{}
-	l.put(p, shard)
-	if l != nil {
-		l.release(shard, c)
+	t.put(p)
+	if t != nil {
+		t.release(c)
 	}
 }
-
-// MoveTo records that p now belongs to shard: a cross-shard hop calls it
-// before handing p over, so p's end is booked in that shard's row.
-func (p *Packet) MoveTo(shard int) { p.shard = int16(shard) }
 
 // NewData returns an untallied data packet of the given flow, sequence
 // and size, drawn from the pool.
@@ -541,15 +448,14 @@ func (p *Packet) data(flow int, seq int64, size int, now sim.Time) {
 
 // NewAck builds the acknowledgement for data packet p, carrying the
 // receiver's cumulative ack and echoing ABC/ECN signals. The ACK is drawn
-// on the shard p is on — from its arena, if p's tally has arenas, from
-// the pool otherwise — and attached to p's Tally, if any, there; p
-// itself is left untouched (the caller still owns and eventually
-// releases it).
+// from the arena of p's tally if it has one, from the pool otherwise,
+// and attached to p's Tally, if any; p itself is left untouched (the
+// caller still owns and eventually releases it).
 func NewAck(p *Packet, cumAck int64, now sim.Time) *Packet {
-	a := p.tally.get(p.shard)
+	a := p.tally.get()
 	a.IsAck = true
 	if p.tally != nil {
-		p.tally.attach(a, p.shard)
+		p.tally.attach(a)
 	}
 	a.Flow = p.Flow
 	a.Seq = p.Seq

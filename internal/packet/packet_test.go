@@ -1,9 +1,7 @@
 package packet
 
 import (
-	"fmt"
 	"math"
-	"reflect"
 	"runtime"
 	"testing"
 	"testing/quick"
@@ -227,27 +225,18 @@ func TestTallyDrainsOnce(t *testing.T) {
 	p.Release()
 }
 
-// TestTallyRowsPerShard: a spread tally books an attach on the sender's
-// shard and each end on the shard the packet was moved to, so no row
-// balances alone while their sum does; Adopt leaves a tallied packet on
-// its own books, and every end names its cause.
-func TestTallyRowsPerShard(t *testing.T) {
+// TestTallyBooksByCause: Adopt leaves a tallied packet on its own
+// books, an ACK is attached to its data packet's tally, and every end
+// names its cause.
+func TestTallyBooksByCause(t *testing.T) {
 	var tl, strays Tally
-	tl.Spread(3, 1, nil)
-	strays.Spread(3, 0, nil)
 	d := tl.NewData(1, 0, MTU, 0)
-	strays.Adopt(d, 2)
-	d.MoveTo(2)
+	strays.Adopt(d)
 	a := NewAck(d, 1, 0)
 	d.Release()
-	a.MoveTo(0)
 	a.Drop(Late)
 	if got := tl.Books(); got.Data != 1 || got.Acks != 1 || got.Released[Delivered] != 1 || got.Released[Late] != 1 || got.Live() != 0 {
 		t.Fatalf("books = %+v, want one data packet delivered and one ACK ended late", got)
-	}
-	if r := tl.spread.rows; r[0].Live() != -1 || r[1].Live() != 1 || r[2].Live() != 0 {
-		t.Fatalf("rows %+v %+v %+v: want the ACK's end on shard 0, the data attach on shard 1, the ACK's attach and the data end on shard 2",
-			r[0].Books, r[1].Books, r[2].Books)
 	}
 	if b := strays.Books(); b != (Books{}) {
 		t.Fatalf("Adopt booked a packet its flow already tallies: %+v", b)
@@ -275,9 +264,9 @@ func TestNewAckLeavesDataPacketIntact(t *testing.T) {
 	a.Release()
 }
 
-// TestPacketLayout: a packet is exactly two cache lines and a fresh one
-// starts on a line boundary, so a packet handed from one shard's core to
-// another shares no line with a packet either core is still working on.
+// TestPacketLayout: a packet is exactly two cache lines, the fields
+// every hop touches are in the first, and a fresh one starts on a line
+// boundary.
 func TestPacketLayout(t *testing.T) {
 	if size := unsafe.Sizeof(Packet{}); size != 2*cacheLine {
 		t.Fatalf("sizeof(Packet) = %d, want %d", size, 2*cacheLine)
@@ -288,7 +277,7 @@ func TestPacketLayout(t *testing.T) {
 	}{
 		{"Flow", unsafe.Offsetof(Packet{}.Flow)}, {"Size", unsafe.Offsetof(Packet{}.Size)},
 		{"IsAck", unsafe.Offsetof(Packet{}.IsAck)}, {"ECN", unsafe.Offsetof(Packet{}.ECN)},
-		{"shard", unsafe.Offsetof(Packet{}.shard)}, {"SentAt", unsafe.Offsetof(Packet{}.SentAt)},
+		{"SentAt", unsafe.Offsetof(Packet{}.SentAt)},
 		{"QueueDelay", unsafe.Offsetof(Packet{}.QueueDelay)}, {"tally", unsafe.Offsetof(Packet{}.tally)},
 	}
 	for _, f := range hot {
@@ -307,82 +296,6 @@ func TestPacketLayout(t *testing.T) {
 	defer p.Release()
 	if at := uintptr(unsafe.Pointer(p)); at%cacheLine != 0 {
 		t.Fatalf("Get returned a packet at %#x, not on a %d-byte line boundary", at, cacheLine)
-	}
-}
-
-// TestSpreadTallyOwnsItsLines: a tally spread over two shards books each
-// shard's packets on lines that hold nothing else of the flow's — not the
-// other shard's row, not the Tally itself (embedded in the sender's
-// endpoint) — while a one-shard tally books inline.
-func TestSpreadTallyOwnsItsLines(t *testing.T) {
-	type span struct {
-		name        string
-		first, last uintptr
-	}
-	lines := func(name string, p unsafe.Pointer, size uintptr) span {
-		at := uintptr(p)
-		return span{name, at / cacheLine, (at + size - 1) / cacheLine}
-	}
-	var tl Tally
-	tl.Spread(1, 0, nil)
-	p := tl.NewData(1, 0, MTU, 0)
-	if p.tally != &tl.own {
-		t.Error("a one-shard tally's packet does not book inline")
-	}
-	p.Release()
-
-	tl = Tally{}
-	tl.Spread(2, 1, nil)
-	l := tl.spread
-	spans := []span{
-		lines("the Tally", unsafe.Pointer(&tl), unsafe.Sizeof(tl)),
-		lines("the ledger", unsafe.Pointer(l), unsafe.Sizeof(*l)),
-	}
-	for s := range l.rows {
-		spans = append(spans, lines(fmt.Sprintf("row %d", s), unsafe.Pointer(&l.rows[s].Books), unsafe.Sizeof(Books{})))
-	}
-	for i := range spans {
-		for j := i + 1; j < len(spans); j++ {
-			if a, b := spans[i], spans[j]; a.first <= b.last && b.first <= a.last {
-				t.Errorf("%s and %s share a %d-byte line", a.name, b.name, cacheLine)
-			}
-		}
-	}
-	p = tl.NewData(1, 0, MTU, 0)
-	if p.tally != l {
-		t.Error("a spread tally's packet does not book on its out-of-line ledger")
-	}
-	p.Release()
-	if b := tl.Books(); b.Data != 1 || b.Released[Delivered] != 1 || l.rows[1].Data != 1 {
-		t.Errorf("books %+v, want one data packet attached on shard 1 and delivered", b)
-	}
-}
-
-// TestArenasOwnTheirLines: in a slice of arenas, one per shard as a
-// sharded graph makes them, what each shard writes on every packet it
-// draws or ends — its arena's free list and slab headers — shares no
-// cache line with another shard's, at any shard count.
-func TestArenasOwnTheirLines(t *testing.T) {
-	if size := unsafe.Sizeof(Arena{}); size != 2*cacheLine {
-		t.Fatalf("sizeof(Arena) = %d, want %d", size, 2*cacheLine)
-	}
-	written := unsafe.Offsetof(Arena{}.slab) + unsafe.Sizeof(Arena{}.slab)
-	for shards := 2; shards <= 16; shards++ {
-		arenas := make([]Arena, shards)
-		lines := func(i int) (first, last uintptr) {
-			at := uintptr(unsafe.Pointer(&arenas[i]))
-			return at / cacheLine, (at + written - 1) / cacheLine
-		}
-		for i := range arenas {
-			for j := i + 1; j < shards; j++ {
-				fi, li := lines(i)
-				fj, lj := lines(j)
-				if fi <= lj && fj <= li {
-					t.Errorf("%d shards: arenas %d and %d at %p and %p share a %d-byte line",
-						shards, i, j, &arenas[i], &arenas[j], cacheLine)
-				}
-			}
-		}
 	}
 }
 
@@ -436,14 +349,14 @@ func TestArenaCarvesSlabs(t *testing.T) {
 // to the arena zeroed and is the next one drawn there, and the free list
 // is allocated whole at the first return.
 func TestArenaRecyclesZeroed(t *testing.T) {
-	arenas := make([]Arena, 1)
+	var arena Arena
 	var tl Tally
-	tl.Spread(1, 0, arenas)
+	tl.UseArena(&arena)
 	p := tl.NewData(3, 42, MTU, 7)
 	p.ECN, p.QueueDelay = Accel, 5
 	a := NewAck(p, 43, 9)
 	p.Release()
-	if free := arenas[0].free; len(free) != 1 || free[0] != p || cap(free) != maxFree {
+	if free := arena.free; len(free) != 1 || free[0] != p || cap(free) != maxFree {
 		t.Fatalf("free list %v (cap %d) after one release, want [%p] (cap %d)", free, cap(free), p, maxFree)
 	}
 	q := NewAck(a, 44, 10)
@@ -452,51 +365,26 @@ func TestArenaRecyclesZeroed(t *testing.T) {
 	}
 	a.Release()
 	q.Release()
-	if got := arenas[0].get(); got != q || *got != (Packet{}) {
+	if got := arena.get(); got != q || *got != (Packet{}) {
 		t.Errorf("arena handed back %p %+v, want the last released %p, zeroed", got, got, q)
 	}
 }
 
-// TestArenaOfTheEndingShard: a packet born on one shard and ended on
-// another goes to the arena of the shard it ended on, and the ACK that
-// shard builds next is drawn from there.
-func TestArenaOfTheEndingShard(t *testing.T) {
-	arenas := make([]Arena, 2)
-	var tl Tally
-	tl.Spread(2, 0, arenas)
-	d := tl.NewData(1, 0, MTU, 0)
-	if len(arenas[0].slab) != slabPackets-1 || arenas[1].slab != nil {
-		t.Fatalf("data packet not carved on the sender's shard: %d and %d packets left in the shards' slabs",
-			len(arenas[0].slab), len(arenas[1].slab))
-	}
-	d.MoveTo(1)
-	d.Release()
-	if len(arenas[0].free) != 0 || len(arenas[1].free) != 1 || arenas[1].free[0] != d {
-		t.Fatalf("free lists %v and %v, want the packet on shard 1's alone", arenas[0].free, arenas[1].free)
-	}
-	d2 := tl.NewData(1, 1, MTU, 0)
-	d2.MoveTo(1)
-	if a := NewAck(d2, 2, 0); a != d {
-		t.Errorf("shard 1 built its ACK in %p, want the packet that ended there, %p", a, d)
-	}
-}
-
-// TestArenaFreeListIsCapped: once a shard's free list holds maxFree
+// TestArenaFreeListIsCapped: once an arena's free list holds maxFree
 // packets, the packets that end there are booked but not kept: they are
 // the collector's.
 func TestArenaFreeListIsCapped(t *testing.T) {
-	arenas := make([]Arena, 2)
+	var arena Arena
 	var tl Tally
-	tl.Spread(2, 0, arenas)
+	tl.UseArena(&arena)
 	ps := make([]*Packet, maxFree+1)
 	for i := range ps {
 		ps[i] = tl.NewData(1, int64(i), MTU, 0)
-		ps[i].MoveTo(1)
 	}
 	for _, p := range ps {
 		p.Release()
 	}
-	free := arenas[1].free
+	free := arena.free
 	if len(free) != maxFree || cap(free) != maxFree || free[maxFree-1] != ps[maxFree-1] {
 		t.Fatalf("free list of %d (cap %d), want the first %d packets ended", len(free), cap(free), maxFree)
 	}
@@ -510,29 +398,28 @@ func TestArenaFreeListIsCapped(t *testing.T) {
 	}
 }
 
-// TestArenaOnlyForArenaTallies: a packet a tally without arenas adopts
-// (a graph's strays), the ACK built from it and an untallied packet all
-// go back to the pool, even on shards whose arenas are in use.
+// TestArenaOnlyForArenaTallies: a packet a tally without an arena
+// adopts (a graph's strays), the ACK built from it and an untallied
+// packet all go back to the pool, even while the run's arena is in use.
 func TestArenaOnlyForArenaTallies(t *testing.T) {
-	arenas := make([]Arena, 2)
+	var arena Arena
 	var tl, strays Tally
-	tl.Spread(2, 0, arenas)
-	strays.Spread(2, 0, nil)
+	tl.UseArena(&arena)
 	own := tl.NewData(1, 0, MTU, 0)
 	stray := NewData(2, 0, MTU, 0)
-	strays.Adopt(stray, 1)
+	strays.Adopt(stray)
 	ack := NewAck(stray, 1, 0)
 	stray.Release()
 	ack.Release()
 	NewData(3, 0, MTU, 0).Release()
-	if len(arenas[0].free) != 0 || !reflect.ValueOf(arenas[1]).IsZero() {
-		t.Errorf("free lists %v and %v, want stray and untallied packets in neither", arenas[0].free, arenas[1].free)
+	if len(arena.free) != 0 {
+		t.Errorf("free list %v, want stray and untallied packets off it", arena.free)
 	}
 	if b := strays.Books(); b.Data != 1 || b.Acks != 1 || b.Live() != 0 {
 		t.Errorf("stray books %+v, want one data packet and its ACK, both ended", b)
 	}
 	own.Release()
-	if len(arenas[0].free) != 1 {
+	if len(arena.free) != 1 {
 		t.Errorf("the flow's own packet did not go back to its arena")
 	}
 }

@@ -1,10 +1,9 @@
 // Package prof bundles the runtime's profiling and tracing facilities
 // into one start/stop pair for the command-line binaries: a CPU profile
-// with an exit-time heap snapshot, and a runtime execution trace. The
-// sharded simulator is the main customer — `go tool trace` on a capture
-// shows the shard-owning worker goroutines, the synchronization barriers
-// between time windows, and any shard starving its neighbors — but the
-// hooks profile any abcsim/abcreport invocation.
+// with an exit-time heap snapshot, and a runtime execution trace —
+// `go tool trace` on a capture shows the worker pool's parallel cells
+// and where each one waited. The hooks profile any abcsim/abcreport
+// invocation.
 package prof
 
 import (

@@ -37,8 +37,7 @@ func build(t testing.TB, kind string, buffer int) qdisc.Qdisc {
 // refused packet comes back untouched (the caller owns it) and a packet
 // dropped inside the discipline is released exactly once — zeroed, and
 // counted once. Every leaf, and each child of a dual queue, fills to the
-// 8-packet limit and never past it — except "abc", which reads no Buffer
-// and holds its router configuration's 250 (see exp.QdiscSpec.Buffer).
+// 8-packet limit and never past it.
 func TestDisciplineConformance(t *testing.T) {
 	type offered struct {
 		p    *packet.Packet
@@ -51,9 +50,6 @@ func TestDisciplineConformance(t *testing.T) {
 		t.Run(kind, func(t *testing.T) {
 			q := build(t, kind, 8)
 			limit := 8
-			if kind == "abc" {
-				limit = abc.DefaultRouterConfig().Limit
-			}
 			leaves := func() []int {
 				if dq, ok := q.(*sched.DualQueue); ok {
 					return []int{dq.ABC.Len(), dq.Other.Len()}

@@ -38,6 +38,11 @@
 // chain is sorted by it, so its head is its minimum and the heap root is
 // the global minimum. Pending() counts every scheduled, unfired event,
 // chained or not.
+//
+// Every experiment run is one Simulator driven by a Coordinator
+// (coordinator.go), which runs it in windows and calls the run's
+// timeline events and observers between them. There is no parallel
+// runtime: multi-run figures fill the cores with independent runs.
 package sim
 
 import (
@@ -195,11 +200,6 @@ type Simulator struct {
 	// limit aborts Run after this many events (0 = unlimited).
 	limit  uint64
 	halted bool
-	// The run loop writes now, seq, executed and the slice headers on
-	// every event. Padding the 160 bytes above to whole cache lines puts
-	// every Simulator on lines of its own, so the shards of a Coordinator
-	// never write to one line from two cores.
-	_ [3*cacheLine - 160]byte
 }
 
 // New returns a simulator with its clock at zero and the given RNG seed.
@@ -491,9 +491,9 @@ func (s *Simulator) RunUntil(end Time) uint64 {
 
 // RunBefore executes pending events with timestamps strictly before
 // limit, leaving the clock at the last executed event — the caller owns
-// final clock placement. This is the shard window primitive: windows are
-// half-open because an event exactly at the horizon may still be
-// preceded by a cross-shard arrival at the same instant.
+// final clock placement. This is the Coordinator's window: it is
+// half-open because the barrier callbacks at limit run before the
+// simulator events at limit.
 func (s *Simulator) RunBefore(limit Time) uint64 {
 	start := s.executed
 	s.halted = false

@@ -213,7 +213,7 @@ func (e *Edge) SetAttack(a *Attack) {
 		if a != nil {
 			k = obs.EvAttackOn
 		}
-		e.g.rec.Emit(int64(e.home.Now()), k, int32(e.ID), -1, 0, 0)
+		e.g.rec.Emit(int64(e.g.S.Now()), k, int32(e.ID), -1, 0, 0)
 	}
 	e.attack = a
 }
@@ -232,12 +232,12 @@ func advDeliver(a, b any) { a.(*Edge).head.Recv(b.(*packet.Packet)) }
 // or deferred and the stage owns what happens next).
 func (e *Edge) applyAttack(p *packet.Packet) bool {
 	a := e.attack
-	if !a.Target.matches(e.home.Now(), p, e.home.Seed()) {
+	if !a.Target.matches(e.g.S.Now(), p, e.g.S.Seed()) {
 		return true
 	}
 	if a.DropRate > 0 && e.advRng.Float64() < a.DropRate {
 		if e.g.rec.Enabled(obs.CatAttack) {
-			e.g.rec.Emit(int64(e.home.Now()), obs.EvAttackDrop, int32(e.ID), int32(p.Flow), 0, 0)
+			e.g.rec.Emit(int64(e.g.S.Now()), obs.EvAttackDrop, int32(e.ID), int32(p.Flow), 0, 0)
 		}
 		p.Drop(packet.Adversary)
 		return false
@@ -246,15 +246,15 @@ func (e *Edge) applyAttack(p *packet.Packet) bool {
 		p.ECN = packet.Brake
 		e.AdvStripped++
 		if e.g.rec.Enabled(obs.CatAttack) {
-			e.g.rec.Emit(int64(e.home.Now()), obs.EvAttackStrip, int32(e.ID), int32(p.Flow), 0, 0)
+			e.g.rec.Emit(int64(e.g.S.Now()), obs.EvAttackStrip, int32(e.ID), int32(p.Flow), 0, 0)
 		}
 	}
 	if a.ExtraDelay > 0 {
 		e.AdvDelayed++
 		if e.g.rec.Enabled(obs.CatAttack) {
-			e.g.rec.Emit(int64(e.home.Now()), obs.EvAttackDelay, int32(e.ID), int32(p.Flow), int64(a.ExtraDelay), 0)
+			e.g.rec.Emit(int64(e.g.S.Now()), obs.EvAttackDelay, int32(e.ID), int32(p.Flow), int64(a.ExtraDelay), 0)
 		}
-		e.home.AfterArgs(a.ExtraDelay, advDeliver, e, p)
+		e.g.S.AfterArgs(a.ExtraDelay, advDeliver, e, p)
 		return false
 	}
 	return true

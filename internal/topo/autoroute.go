@@ -227,13 +227,8 @@ type managedRoute struct {
 // NewAutoRouter builds the route-computation layer for a graph.
 // recomputeLatency models control-plane convergence and must be
 // positive: it is both the reaction delay after a link-state change and
-// the coalescing window for changes that arrive together. One-shard
-// graphs only — route recomputation mutates tables across the whole
-// topology from an event on shard 0.
+// the coalescing window for changes that arrive together.
 func NewAutoRouter(g *Graph, p Policy, recomputeLatency sim.Time) (*AutoRouter, error) {
-	if g.Sharded() {
-		return nil, fmt.Errorf("topo: autoroute: sharded graphs do not support route computation")
-	}
 	if recomputeLatency <= 0 {
 		return nil, fmt.Errorf("topo: autoroute: recompute latency must be positive (got %v)", recomputeLatency)
 	}

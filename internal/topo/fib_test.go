@@ -111,7 +111,7 @@ func TestFIBClassRecycling(t *testing.T) {
 // class keeps the class's entries and the other flow forwarding;
 // unrouting the second leaves no table entry and no registry entry,
 // recycles the class id, and turns a straggler into a counted unrouted
-// drop. Sharded graphs refuse.
+// drop.
 func TestUnrouteFlowInvertsRouteFlow(t *testing.T) {
 	s := sim.New(1)
 	g, e1, e2, e3, e4 := twoPathGraph(t, s)
@@ -167,20 +167,6 @@ func TestUnrouteFlowInvertsRouteFlow(t *testing.T) {
 	}
 	if err := g.UnrouteFlow(1); err == nil {
 		t.Error("unrouting a flow twice succeeded")
-	}
-
-	c := sim.NewCoordinator(1, 2)
-	sg := NewSharded(c, []int{0, 1})
-	a, b := sg.AddNode("a"), sg.AddNode("b")
-	e := rateEdge(t, sg, sg.SimFor(a), a, b, sim.Millisecond, Impairments{})
-	if _, err := sg.RouteFlowAt(1, false, []int{e}, sim.Millisecond, &packet.Sink{}, 1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := sg.UnrouteFlow(1); err == nil {
-		t.Error("UnrouteFlow on a sharded graph succeeded")
-	}
-	if _, ok := sg.RouteOf(1, false); !ok {
-		t.Error("a refused UnrouteFlow removed the route anyway")
 	}
 }
 

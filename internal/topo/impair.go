@@ -40,7 +40,7 @@ func (im Impairments) zero() bool {
 // traced under the edge id, dropped as packet.Impair.
 func (e *Edge) dropImpaired(p *packet.Packet) {
 	if e.g.rec.Enabled(obs.CatPacket) {
-		e.g.rec.Emit(int64(e.home.Now()), obs.EvImpairDrop, int32(e.ID), int32(p.Flow), 0, 0)
+		e.g.rec.Emit(int64(e.g.S.Now()), obs.EvImpairDrop, int32(e.ID), int32(p.Flow), 0, 0)
 	}
 	p.Drop(packet.Impair)
 }
@@ -52,7 +52,7 @@ func (e *Edge) dropImpaired(p *packet.Packet) {
 // one edge draws never depends on what other edges exist or forward (see
 // Graph.AddEdge).
 func (im Impairments) build(e *Edge, dst packet.Node) packet.Node {
-	s, rng := e.home, e.rand("impair")
+	s, rng := e.g.S, e.rand("impair")
 	head := dst
 	if im.Jitter > 0 {
 		head = &jitterPipe{s: s, rng: rng, dst: head, max: im.Jitter}

@@ -11,7 +11,7 @@ import (
 // testEdge is a bare edge of the given name on s, untraced: enough for
 // an impairment stage to draw its RNG and drop through.
 func testEdge(s *sim.Simulator, name string) *Edge {
-	return &Edge{Name: name, g: &Graph{S: s}, home: s}
+	return &Edge{Name: name, g: &Graph{S: s}}
 }
 
 // TestGilbertElliottStationaryLoss checks the burst-loss gate against the

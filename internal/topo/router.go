@@ -81,11 +81,8 @@ func (r *Router) Reroute(flow int, ack bool, edges []int) error {
 // through per-flow override entries. When the window closes the
 // overrides are removed and any stragglers are dropped as unrouted at
 // their next junction, so the conservation contract (delivered + drops
-// by cause = sent) holds throughout. One-shard graphs only.
+// by cause = sent) holds throughout.
 func (r *Router) RerouteDraining(flow int, ack bool, edges []int, drain sim.Time) error {
-	if r.g.Sharded() {
-		return fmt.Errorf("topo: reroute: flow %d: draining reroutes are not supported on sharded graphs", flow)
-	}
 	if drain <= 0 {
 		return fmt.Errorf("topo: reroute: flow %d: drain window must be positive", flow)
 	}
@@ -99,19 +96,6 @@ func (r *Router) reroute(flow int, ack bool, edges []int, drain sim.Time) error 
 	g := r.g
 	key := hopKey{flow: int32(flow), ack: ack}
 	rt := g.routes[key]
-	if g.Sharded() {
-		// The tail's form depends on the new last node's shard: rebuild
-		// it (a wire when terminal and last node are co-located, a
-		// cross-shard hop otherwise). Tail wires hold no state, so the
-		// rebuild does not disturb packets already in flight.
-		last := g.edges[edges[len(edges)-1]].To
-		tail, err := g.buildTail(&rt, last.shard)
-		if err != nil {
-			return fmt.Errorf("topo: reroute: flow %d %s route: %v", flow, dirName(ack), err)
-		}
-		rt.tail = tail
-		g.setFlowTail(flow, ack, tail)
-	}
 	// A newer reroute supersedes any overrides still draining from the
 	// previous one; stragglers on that abandoned path fall back to the
 	// ordinary counted-drop contract.

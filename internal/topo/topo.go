@@ -88,8 +88,6 @@ type Node struct {
 	ID   int
 	Name string
 	g    *Graph
-	// shard is the node's home shard; 0 on one-shard graphs.
-	shard int
 	// table is the forwarding table, indexed by FIB class id (ids are
 	// dense: the registry recycles them); Router mutates it mid-run.
 	table []hop
@@ -167,9 +165,6 @@ type Edge struct {
 	AdvStripped int64
 
 	g *Graph
-	// home is the simulator the edge's elements schedule on: the From
-	// node's shard.
-	home *sim.Simulator
 	// head is the first element of the edge's chain:
 	// impairments → link → delay wire → To.
 	head packet.Node
@@ -189,7 +184,7 @@ type Edge struct {
 func (e *Edge) Recv(p *packet.Packet) {
 	if e.down {
 		if e.g.rec.Enabled(obs.CatPacket) {
-			e.g.rec.Emit(int64(e.home.Now()), obs.EvDownDrop, int32(e.ID), int32(p.Flow), 0, 0)
+			e.g.rec.Emit(int64(e.g.S.Now()), obs.EvDownDrop, int32(e.ID), int32(p.Flow), 0, 0)
 		}
 		p.Drop(packet.LinkDown)
 		return
@@ -214,7 +209,7 @@ func (e *Edge) SetDown(down bool) {
 			if down {
 				k = obs.EvLinkDown
 			}
-			e.g.rec.Emit(int64(e.home.Now()), k, int32(e.ID), -1, 0, 0)
+			e.g.rec.Emit(int64(e.g.S.Now()), k, int32(e.ID), -1, 0, 0)
 		}
 		e.g.notifyLinkChange(e)
 	}
@@ -251,11 +246,6 @@ func (e *Edge) SetBackground(bg qdisc.Background) error {
 	return nil
 }
 
-// Home returns the simulator the edge's elements schedule on (the From
-// node's shard on sharded graphs): background couplers must step here
-// to stay shard-local.
-func (e *Edge) Home() *sim.Simulator { return e.home }
-
 // routeState records one installed (flow, direction) route so Router can
 // atomically swap it later.
 type routeState struct {
@@ -269,14 +259,8 @@ type routeState struct {
 	class int32
 	// tail is the delivery element the route's last node hands packets
 	// to: the per-flow access-latency wire when the route has one, else
-	// the terminal itself. A reroute moves it to the new last node. On
-	// sharded graphs the tail is rebuilt per install from terminal /
-	// tailDelay / termShard, because its form depends on which shard the
-	// route's last node lands on (wire vs cross-shard hop).
-	tail      packet.Node
-	terminal  packet.Node
-	tailDelay sim.Time
-	termShard int
+	// the terminal itself. A reroute moves it to the new last node.
+	tail packet.Node
 	// overNodes lists the junctions currently holding a make-before-
 	// break override for this route's key; overGen guards the scheduled
 	// cleanup against a newer reroute having replaced the overrides.
@@ -303,19 +287,13 @@ type fibClass struct {
 // Graph is the topology under construction and, once flows are routed,
 // the running network.
 type Graph struct {
-	// S is shard 0's simulator — the only one unless the graph is
-	// sharded (use SimFor for per-node placement).
+	// S is the simulator every element of the graph schedules on.
 	S *sim.Simulator
-	// sims holds one simulator per shard; a node's shard indexes it.
-	sims []*sim.Simulator
-	// coord advances the shards when the graph was built over one
-	// (NewSharded); the graph itself needs it only to cut an edge across
-	// two shards and to pass the flight recorder on.
+	// coord runs S in windows for a caller that hangs a timeline or
+	// observers on the run (see Coordinator).
 	coord *sim.Coordinator
-	// assign maps node id -> shard on sharded graphs (see Partition).
-	assign []int
-	nodes  []*Node
-	edges  []*Edge
+	nodes []*Node
+	edges []*Edge
 	// routes registers every installed route by (flow, direction) for
 	// mid-run mutation and conservation accounting, until UnrouteFlow.
 	routes map[hopKey]routeState
@@ -333,7 +311,7 @@ type Graph struct {
 	// class's end-of-route sentinel dereferences to.
 	tails [2][]packet.Node
 	// spareWires are the access-latency wires of unrouted flows, which
-	// buildTail hands to the next routes it builds (see UnrouteFlow).
+	// RouteFlow hands to the next routes it builds (see UnrouteFlow).
 	spareWires []*netem.Wire
 	// watchers are the link-state subscribers (route-computation
 	// policies): every SetDown that flips the state notifies them.
@@ -343,25 +321,22 @@ type Graph struct {
 	// path costs one pointer test on the per-packet paths.
 	rec *obs.Recorder
 	// stray books the packets injected through Entry without a flow's
-	// tally (see Strays). It has no arenas: its packets come from the
+	// tally (see Strays). It has no arena: its packets come from the
 	// pool, and ending them into an arena would leave the pool to
 	// allocate every later packet.NewData.
 	stray packet.Tally
-	// arenas are the run's packet arenas, one per shard (see Arenas).
-	arenas []packet.Arena
+	// arena is the run's packet arena (see Arena).
+	arena packet.Arena
 }
 
-// SetRecorder attaches a flight recorder to the graph: junctions, edges
-// and the shard coordinator emit trace events into it, and every link
+// SetRecorder attaches a flight recorder to the graph: junctions and
+// edges emit trace events into it, and every link
 // (and its qdisc) that implements obs.Sink is wired with its edge id as
 // the event source. Edges added after the call are wired by AddEdge.
 // Tracing is passive — it never schedules events, draws randomness or
 // mutates simulation state — so enabling it cannot change a run.
 func (g *Graph) SetRecorder(rec *obs.Recorder) {
 	g.rec = rec
-	if g.coord != nil {
-		g.coord.SetTrace(rec)
-	}
 	for _, e := range g.edges {
 		e.wireObs()
 	}
@@ -380,69 +355,31 @@ func (e *Edge) wireObs() {
 	}
 }
 
-// nowNS resolves the node's home-shard clock; only trace points pay for
-// it, inside an Enabled guard.
-func (n *Node) nowNS() int64 { return int64(n.g.sims[n.shard].Now()) }
+// nowNS reads the clock; only trace points pay for it, inside an
+// Enabled guard.
+func (n *Node) nowNS() int64 { return int64(n.g.S.Now()) }
 
-// New returns an empty one-shard graph on a bare simulator, which the
-// caller runs itself.
+// New returns an empty graph on s, which the caller runs, by hand or
+// through the graph's Coordinator.
 func New(s *sim.Simulator) *Graph {
-	return &Graph{S: s, sims: []*sim.Simulator{s},
+	return &Graph{S: s, coord: sim.NewCoordinator(s),
 		routes: make(map[hopKey]routeState), classByRoute: make(map[string]int32)}
 }
 
-// NewSharded returns an empty graph spread over the coordinator's
-// shards, which the caller runs through the coordinator: node i of the
-// graph lives on shard assign[i] (AddNode consumes the assignment in
-// creation order; see Partition for computing one). A one-shard
-// coordinator needs no assignment. Same-shard edges behave exactly as on
-// a one-shard graph; edges whose endpoints land on different shards hand
-// packets across via the coordinator's mailboxes, with the edge's
-// propagation delay as the channel lookahead — which is why a shard-cut
-// edge must have positive delay.
-func NewSharded(c *sim.Coordinator, assign []int) *Graph {
-	g := New(c.Shard(0).Simulator)
-	for i := 1; i < c.Shards(); i++ {
-		g.sims = append(g.sims, c.Shard(i).Simulator)
-	}
-	g.coord, g.assign = c, assign
-	g.stray.Spread(c.Shards(), 0, nil)
-	g.arenas = make([]packet.Arena, c.Shards())
-	return g
-}
+// Arena returns the graph's packet arena, for the tallies of the flows
+// it carries (packet.Tally.UseArena).
+func (g *Graph) Arena() *packet.Arena { return &g.arena }
 
-// Arenas returns the graph's packet arenas, one per shard, for the
-// tallies of the flows it carries (packet.Tally.Spread): nil on a graph
-// on a bare simulator. Each is written only by its own shard.
-func (g *Graph) Arenas() []packet.Arena { return g.arenas }
+// Sharded reports false: a graph runs on one simulator. Kept for bench/;
+// deleted with mesh_shard2.
+func (g *Graph) Sharded() bool { return false }
 
-// Sharded reports whether the graph spans more than one shard simulator.
-func (g *Graph) Sharded() bool { return len(g.sims) > 1 }
-
-// Coordinator returns the coordinator the graph was built over (nil for
-// a graph on a bare simulator).
+// Coordinator returns the coordinator that runs the graph's simulator.
 func (g *Graph) Coordinator() *sim.Coordinator { return g.coord }
-
-// ShardOf reports the shard a node lives on (0 on one-shard graphs).
-func (g *Graph) ShardOf(node int) int { return g.nodes[node].shard }
-
-// SimFor returns the simulator a node's components must schedule on.
-func (g *Graph) SimFor(node int) *sim.Simulator { return g.sims[g.nodes[node].shard] }
 
 // AddNode adds a junction and returns its id.
 func (g *Graph) AddNode(name string) int {
-	id := len(g.nodes)
-	shard := 0
-	if g.Sharded() {
-		if id >= len(g.assign) {
-			panic(fmt.Sprintf("topo: node %d exceeds the shard assignment (%d nodes partitioned)", id, len(g.assign)))
-		}
-		shard = g.assign[id]
-		if shard < 0 || shard >= len(g.sims) {
-			panic(fmt.Sprintf("topo: node %d assigned to shard %d of %d", id, shard, len(g.sims)))
-		}
-	}
-	n := &Node{ID: id, Name: name, g: g, shard: shard}
+	n := &Node{ID: len(g.nodes), Name: name, g: g}
 	g.nodes = append(g.nodes, n)
 	return n.ID
 }
@@ -466,20 +403,9 @@ func (g *Graph) AddEdge(name string, from, to int, delay sim.Time, imp Impairmen
 		return 0, fmt.Errorf("topo: AddEdge(%d → %d) references unknown node", from, to)
 	}
 	e := &Edge{ID: len(g.edges), Name: name, From: g.nodes[from], To: g.nodes[to], Delay: delay, g: g}
-	e.home = g.SimFor(from)
 	var tail packet.Node = e.To
-	if fs, ts := g.nodes[from].shard, g.nodes[to].shard; fs != ts {
-		// Shard-cut edge: the propagation stage becomes the cross-shard
-		// handoff, with the delay as the channel's lookahead. Zero-delay
-		// edges cannot be cut — a message with no latency could land in
-		// the destination shard's past.
-		if delay <= 0 {
-			return 0, fmt.Errorf("topo: edge %q crosses shards %d → %d with zero delay; shard-cut edges need positive propagation delay", name, fs, ts)
-		}
-		g.coord.SetLookahead(fs, ts, delay)
-		tail = &crossHop{src: g.coord.Shard(fs), dst: ts, delay: delay, to: e.To}
-	} else if delay > 0 {
-		tail = netem.NewWire(e.home, delay, tail)
+	if delay > 0 {
+		tail = netem.NewWire(g.S, delay, tail)
 	}
 	if mk != nil {
 		l, err := mk(tail)
@@ -498,28 +424,6 @@ func (g *Graph) AddEdge(name string, from, to int, delay sim.Time, imp Impairmen
 		e.wireObs()
 	}
 	return e.ID, nil
-}
-
-// crossHop is the propagation stage of a shard-cut hop: instead of a
-// local delay wire it posts the packet into the destination shard's
-// mailbox, timestamped with the hop's propagation delay. Same-shard hops
-// never see one — they keep the direct synchronous path.
-type crossHop struct {
-	src   *sim.Shard
-	dst   int
-	delay sim.Time
-	to    packet.Node
-}
-
-// crossDeliver is the static delivery callback run on the destination
-// shard (no per-packet closure).
-func crossDeliver(a, b any) { a.(packet.Node).Recv(b.(*packet.Packet)) }
-
-// Recv implements packet.Node on the source shard: p moves to the
-// destination shard before it is posted, so its end is booked there.
-func (h *crossHop) Recv(p *packet.Packet) {
-	p.MoveTo(h.dst)
-	h.src.Post(h.dst, h.src.Now()+h.delay, crossDeliver, h.to, p)
 }
 
 // rand returns a fresh RNG for one of the edge's random stages, seeded
@@ -547,7 +451,7 @@ func (g *Graph) Edges() int { return len(g.edges) }
 func (g *Graph) Entry(edge int) packet.Node {
 	e := g.edges[edge]
 	return packet.NodeFunc(func(p *packet.Packet) {
-		g.stray.Adopt(p, e.From.shard)
+		g.stray.Adopt(p)
 		e.Recv(p)
 	})
 }
@@ -727,55 +631,22 @@ func (g *Graph) setFlowTail(flow int, ack bool, tail packet.Node) {
 // (behind its tailDelay) directly; such direct routes bypass the tables
 // and cannot be rerouted.
 func (g *Graph) RouteFlow(flow int, ack bool, edges []int, tailDelay sim.Time, terminal packet.Node) (packet.Node, error) {
-	if g.Sharded() {
-		return nil, fmt.Errorf("topo: flow %d: sharded graphs route with RouteFlowAt (the terminal's shard must be pinned)", flow)
-	}
-	return g.routeFlow(flow, ack, edges, tailDelay, terminal, 0, 0)
-}
-
-// RouteFlowAt is RouteFlow with the shards pinned, which sharded graphs
-// need: termShard is the shard the terminal element lives (and
-// schedules) on; injShard names the shard of the element that injects
-// into the route and only matters for direct routes (no edges), where
-// the returned tail is entered from the injector's shard rather than
-// from a junction. When the route's last node and the terminal share a
-// shard the tail is the usual access-latency wire; otherwise the tail
-// becomes a cross-shard hop and tailDelay must be positive, for the same
-// reason a shard-cut edge needs positive delay. A one-shard graph has
-// only shard 0.
-func (g *Graph) RouteFlowAt(flow int, ack bool, edges []int, tailDelay sim.Time, terminal packet.Node, termShard, injShard int) (packet.Node, error) {
-	n := len(g.sims)
-	if termShard < 0 || termShard >= n || injShard < 0 || injShard >= n {
-		return nil, fmt.Errorf("topo: flow %d: shard out of range", flow)
-	}
-	return g.routeFlow(flow, ack, edges, tailDelay, terminal, termShard, injShard)
-}
-
-func (g *Graph) routeFlow(flow int, ack bool, edges []int, tailDelay sim.Time, terminal packet.Node, termShard, injShard int) (packet.Node, error) {
 	key := hopKey{flow: int32(flow), ack: ack}
 	if _, dup := g.routes[key]; dup {
 		return nil, fmt.Errorf("topo: flow %d %s route installed twice", flow, dirName(ack))
 	}
-	rt := routeState{terminal: terminal, tailDelay: tailDelay, termShard: termShard, class: -1}
-	if len(edges) == 0 {
-		tail, err := g.buildTail(&rt, injShard)
-		if err != nil {
-			return nil, fmt.Errorf("topo: flow %d %s route: %v", flow, dirName(ack), err)
-		}
-		rt.origin, rt.tail = -1, tail
-		g.routes[key] = rt
-		return tail, nil
-	}
 	if err := g.CheckPath(edges); err != nil {
 		return nil, fmt.Errorf("topo: flow %d route %v", flow, err)
 	}
-	last := g.edges[edges[len(edges)-1]].To
-	tail, err := g.buildTail(&rt, last.shard)
-	if err != nil {
-		return nil, fmt.Errorf("topo: flow %d %s route: %v", flow, dirName(ack), err)
+	rt := routeState{tail: terminal, origin: -1, class: -1}
+	if tailDelay > 0 {
+		rt.tail = g.wire(tailDelay, terminal)
 	}
-	rt.tail = tail
-	g.setFlowTail(flow, ack, tail)
+	if len(edges) == 0 {
+		g.routes[key] = rt
+		return rt.tail, nil
+	}
+	g.setFlowTail(flow, ack, rt.tail)
 	rt.class = g.attachClass(ack, edges)
 	g.setFlowClass(flow, ack, rt.class)
 	origin := g.edges[edges[0]].From
@@ -784,35 +655,16 @@ func (g *Graph) routeFlow(flow int, ack bool, edges []int, tailDelay sim.Time, t
 	return origin, nil
 }
 
-// buildTail constructs the delivery element installed at a route's last
-// node (or handed to a direct route's injector), given the shard that
-// element is entered from: the access-latency wire on that shard when
-// the terminal lives there too, otherwise a cross-shard hop with
-// tailDelay as its lookahead.
-func (g *Graph) buildTail(rt *routeState, fromShard int) (packet.Node, error) {
-	if fromShard == rt.termShard {
-		if rt.tailDelay > 0 {
-			return g.wire(g.sims[fromShard], rt.tailDelay, rt.terminal), nil
-		}
-		return rt.terminal, nil
-	}
-	if rt.tailDelay <= 0 {
-		return nil, fmt.Errorf("terminal on shard %d entered from shard %d needs positive access latency", rt.termShard, fromShard)
-	}
-	g.coord.SetLookahead(fromShard, rt.termShard, rt.tailDelay)
-	return &crossHop{src: g.coord.Shard(fromShard), dst: rt.termShard, delay: rt.tailDelay, to: rt.terminal}, nil
-}
-
-// wire returns an access-latency wire on s: a spare one if UnrouteFlow
-// left any, else a new one.
-func (g *Graph) wire(s *sim.Simulator, delay sim.Time, dst packet.Node) *netem.Wire {
+// wire returns an access-latency wire: a spare one if UnrouteFlow left
+// any, else a new one.
+func (g *Graph) wire(delay sim.Time, dst packet.Node) *netem.Wire {
 	n := len(g.spareWires)
 	if n == 0 {
-		return netem.NewWire(s, delay, dst)
+		return netem.NewWire(g.S, delay, dst)
 	}
 	w := g.spareWires[n-1]
 	g.spareWires = g.spareWires[:n-1]
-	*w = netem.Wire{S: s, Delay: delay, Dst: dst}
+	*w = netem.Wire{S: g.S, Delay: delay, Dst: dst}
 	return w
 }
 
@@ -829,13 +681,7 @@ func (g *Graph) wire(s *sim.Simulator, delay sim.Time, dst packet.Node) *netem.W
 // terminal of whichever flow reuses the wire. So a caller unroutes a
 // flow only once its last packet is released (packet.Tally), and
 // injects nothing of it afterwards.
-//
-// Sharded graphs are refused: a flow's junctions may live on several
-// shards, and one shard's event must not rewrite another's tables.
 func (g *Graph) UnrouteFlow(flow int) error {
-	if g.Sharded() {
-		return fmt.Errorf("topo: flow %d: sharded graphs cannot unroute (the flow's junctions span shards)", flow)
-	}
 	routed := false
 	for _, ack := range [2]bool{false, true} {
 		key := hopKey{flow: int32(flow), ack: ack}

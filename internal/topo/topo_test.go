@@ -38,7 +38,7 @@ func send(g *Graph, entry packet.Node, flow, n int) {
 // booked attaches p to the graph's stray tally — the books a test keeps
 // its injected packets on — and returns it.
 func booked(g *Graph, p *packet.Packet) *packet.Packet {
-	g.Strays().Adopt(p, 0)
+	g.Strays().Adopt(p)
 	return p
 }
 
@@ -223,20 +223,5 @@ func TestImpairmentsDeterministic(t *testing.T) {
 	}
 	if x1 == 0 {
 		t.Fatal("expected some impairment drops")
-	}
-}
-
-// TestShardArenas: a sharded graph has one packet arena per shard
-// (packet.TestArenasOwnTheirLines pins their layout), and a graph on a
-// bare simulator has none, so its flows' packets use the pool.
-func TestShardArenas(t *testing.T) {
-	if a := New(sim.New(1)).Arenas(); a != nil {
-		t.Errorf("a one-simulator graph has %d arenas, want none", len(a))
-	}
-	for _, shards := range []int{1, 3} {
-		g := NewSharded(sim.NewCoordinator(1, shards), nil)
-		if a := g.Arenas(); len(a) != shards {
-			t.Errorf("%d arenas for %d shards", len(a), shards)
-		}
 	}
 }

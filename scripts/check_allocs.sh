@@ -15,7 +15,7 @@ thresholds="${1:-bench_thresholds.txt}"
 out="$(mktemp)"
 trap 'rm -f "$out"' EXIT
 
-# Sub-benchmark rows (BenchmarkShardedRun/shards=1) select their parent.
+# Sub-benchmark rows (BenchmarkSimHold/keys=8) select their parent.
 pattern=$(awk '!/^#/ && NF { sub(/\/.*/, "", $1); if (!seen[$1]++) { printf "%s^%s$", sep, $1; sep = "|" } }' "$thresholds")
 go test -run '^$' -bench "$pattern" -benchmem -benchtime 3x . | tee "$out"
 
