@@ -20,7 +20,7 @@ var (
 	fast        = flag.Bool("fast", false, "shorter runs (CI-sized)")
 	pprofOut    = flag.String("pprof", "", "profile the sweep: CPU to <prefix>.cpu.pprof, heap to <prefix>.heap.pprof")
 	rtTrace     = flag.String("runtime-trace", "", "write a runtime execution trace (go tool trace) to this file")
-	metricsAddr = flag.String("metrics", "", "serve live sweep metrics on this address (e.g. 127.0.0.1:9090 or :0) and print progress to stderr")
+	metricsAddr = flag.String("metrics", "", "serve live sweep metrics, sampled once per simulated second, on this address (e.g. 127.0.0.1:9090 or :0) and print progress to stderr")
 )
 
 func main() {
@@ -30,6 +30,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "abcreport:", err)
 		os.Exit(1)
 	}
+	var opts exp.RunOptions
 	if *metricsAddr != "" {
 		reg := obs.NewRegistry()
 		addr, err := obs.Serve(*metricsAddr, reg)
@@ -38,10 +39,10 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "[obs] abcreport: serving metrics on http://%s/metrics\n", addr)
-		exp.EnableMetrics(reg, sim.Second)
+		opts.Metrics = reg
 		defer obs.StartProgress(os.Stderr, reg, 5*time.Second)()
 	}
-	err = run()
+	err = run(opts)
 	if perr := stop(); err == nil {
 		err = perr
 	}
@@ -109,7 +110,7 @@ func sections() []section {
 	}
 }
 
-func run() error {
+func run(opts exp.RunOptions) error {
 	fmt.Println("# ABC reproduction report")
 	for _, sec := range sections() {
 		fmt.Printf("\n## %s\n", sec.title)
@@ -123,7 +124,7 @@ func run() error {
 				heading += ", " + e.note
 			}
 			fmt.Println(heading)
-			e.params.Seed = *seed
+			e.params.Seed, e.params.RunOptions = *seed, opts
 			v, err := d.Run(e.params)
 			if err != nil {
 				return fmt.Errorf("%s: %w", d.Name, err)

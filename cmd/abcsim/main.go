@@ -41,12 +41,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "abcsim:", err)
 		os.Exit(1)
 	}
-	obsDone, err := setupObs("abcsim")
+	opts, obsDone, err := setupObs("abcsim")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "abcsim:", err)
 		os.Exit(1)
 	}
-	err = run()
+	err = run(opts)
 	if oerr := obsDone(); err == nil {
 		err = oerr
 	}
@@ -60,12 +60,13 @@ func main() {
 }
 
 // params maps the flags onto the driver table's parameters.
-func params() exp.Params {
+func params(opts exp.RunOptions) exp.Params {
 	p := exp.Params{
-		Seed:  *seed,
-		Dur:   sim.FromSeconds(*durSec),
-		Users: *users,
-		Runs:  *runs,
+		RunOptions: opts,
+		Seed:       *seed,
+		Dur:        sim.FromSeconds(*durSec),
+		Users:      *users,
+		Runs:       *runs,
 	}
 	if *schemes != "" {
 		p.Schemes = strings.Split(*schemes, ",")
@@ -73,9 +74,9 @@ func params() exp.Params {
 	return p
 }
 
-func run() error {
+func run(opts exp.RunOptions) error {
 	if *scenario != "" {
-		return runScenarioFile(*scenario)
+		return runScenarioFile(opts, *scenario)
 	}
 	if *expName == "list" {
 		for _, d := range exp.Drivers {
@@ -87,7 +88,7 @@ func run() error {
 	if !ok {
 		return fmt.Errorf("unknown experiment %q (try -exp list)", *expName)
 	}
-	v, err := d.Run(params())
+	v, err := d.Run(params(opts))
 	if err != nil {
 		return err
 	}
@@ -95,12 +96,12 @@ func run() error {
 	return nil
 }
 
-func runScenarioFile(path string) error {
+func runScenarioFile(opts exp.RunOptions, path string) error {
 	sc, err := exp.LoadScenario(path)
 	if err != nil {
 		return err
 	}
-	res, pooled, err := exp.Run(sc.Spec)
+	res, pooled, err := opts.Run(sc.Spec)
 	if err != nil {
 		return err
 	}

@@ -1,8 +1,9 @@
 // Observability flags: a Prometheus-style /metrics endpoint with a
 // periodic stderr progress line, and a flight-recorder trace dumped to a
-// file after the run. Both default off and neither perturbs results:
-// tracing and metric sampling are passive by construction (golden
-// digests are identical with both enabled).
+// file after the run. Both default off; setupObs turns them into the
+// exp.RunOptions every run of this process gets. Neither perturbs
+// results: tracing and metric sampling are passive by construction
+// (golden digests are identical with both enabled).
 package main
 
 import (
@@ -13,39 +14,39 @@ import (
 
 	"abc/internal/exp"
 	"abc/internal/obs"
-	"abc/internal/sim"
 )
 
 var (
-	metricsAddr = flag.String("metrics", "", "serve live run metrics on this address (e.g. 127.0.0.1:9090 or :0) and print progress to stderr")
+	metricsAddr = flag.String("metrics", "", "serve live run metrics, sampled once per simulated second, on this address (e.g. 127.0.0.1:9090 or :0) and print progress to stderr")
 	traceOut    = flag.String("trace-out", "", "record a flight-recorder trace and dump it to this file after the run (one JSON object per event and line)")
 	traceMask   = flag.String("trace-mask", "all", "trace categories: comma list of packet,mark,route,link,attack,cc,hop, or 'all'")
 	traceCap    = flag.Int("trace-cap", 1<<20, "flight-recorder ring capacity in events (oldest events overwritten)")
 )
 
-// setupObs arms the observability flags and returns a teardown that
-// stops the progress line and writes the trace dump. The returned error
-// from teardown is the dump's write error, if any.
-func setupObs(prog string) (teardown func() error, err error) {
+// setupObs arms the observability flags: it returns the options every
+// run gets and a teardown that stops the progress line and writes the
+// trace dump. The returned error from teardown is the dump's write
+// error, if any.
+func setupObs(prog string) (opts exp.RunOptions, teardown func() error, err error) {
 	teardown = func() error { return nil }
 	if *metricsAddr != "" {
 		reg := obs.NewRegistry()
 		addr, err := obs.Serve(*metricsAddr, reg)
 		if err != nil {
-			return nil, err
+			return opts, nil, err
 		}
 		fmt.Fprintf(os.Stderr, "[obs] %s: serving metrics on http://%s/metrics\n", prog, addr)
-		exp.EnableMetrics(reg, sim.Second)
+		opts.Metrics = reg
 		stop := obs.StartProgress(os.Stderr, reg, 2*time.Second)
 		teardown = func() error { stop(); return nil }
 	}
 	if *traceOut != "" {
 		mask, err := obs.ParseMask(*traceMask)
 		if err != nil {
-			return nil, err
+			return opts, nil, err
 		}
 		rec := obs.NewRecorder(*traceCap, mask)
-		exp.EnableTracing(rec)
+		opts.Trace = rec
 		prev := teardown
 		teardown = func() error {
 			perr := prev()
@@ -68,5 +69,5 @@ func setupObs(prog string) (teardown func() error, err error) {
 			return perr
 		}
 	}
-	return teardown, nil
+	return opts, teardown, nil
 }

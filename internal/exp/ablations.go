@@ -68,7 +68,7 @@ func ablations(p Params) ([]AblationSweep, error) {
 		for _, v := range sw.values {
 			cfg := abc.DefaultRouterConfig()
 			sw.set(&cfg, v)
-			res, _, err := Run(Spec{
+			res, _, err := p.Run(Spec{
 				Seed:     p.Seed,
 				Duration: p.Dur,
 				RTT:      100 * sim.Millisecond,
@@ -102,10 +102,10 @@ func printAblations(w io.Writer, sweeps []AblationSweep) {
 // deployment without receiver changes.
 func proxied(p Params) ([]metrics.Summary, error) {
 	tr := trace.MustNamedCellular("Verizon1")
-	std, err := runSingle("ABC", tr, 100*sim.Millisecond, p.Dur, p.Seed)
+	std, err := runSingle(p.RunOptions, "ABC", tr, 100*sim.Millisecond, p.Dur, p.Seed)
 	if err != nil {
 		return nil, err
 	}
-	prox, err := runSingle("ABC-proxied", tr, 100*sim.Millisecond, p.Dur, p.Seed)
+	prox, err := runSingle(p.RunOptions, "ABC-proxied", tr, 100*sim.Millisecond, p.Dur, p.Seed)
 	return []metrics.Summary{std, prox}, err
 }

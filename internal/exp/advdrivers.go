@@ -115,13 +115,13 @@ func targeted(p Params) (map[string]TargetedResult, error) {
 		p.Dur = 30 * sim.Second
 	}
 	return sweepMap("targeted", p, []string{"ABC", "Cubic", "XCP", "RCP"}, func(sch string) (r TargetedResult, err error) {
-		honest, _, err := Run(targetedSpec(sch, p.Dur, p.Seed))
+		honest, _, err := p.Run(targetedSpec(sch, p.Dur, p.Seed))
 		if err != nil {
 			return r, err
 		}
 		spec := targetedSpec(sch, p.Dur, p.Seed)
 		spec.Links[0].Attack = targetedAttack()
-		attacked, _, err := Run(spec)
+		attacked, _, err := p.Run(spec)
 		if err != nil {
 			return r, err
 		}
@@ -177,13 +177,13 @@ func greedy(p Params) (map[string]GreedyResult, error) {
 		p.Dur = 30 * sim.Second
 	}
 	return sweepMap("greedy", p, explicitSchemes, func(sch string) (r GreedyResult, err error) {
-		honest, _, err := Run(targetedSpec(sch, p.Dur, p.Seed))
+		honest, _, err := p.Run(targetedSpec(sch, p.Dur, p.Seed))
 		if err != nil {
 			return r, err
 		}
 		spec := targetedSpec(sch, p.Dur, p.Seed)
 		spec.Flows[0].Misbehave = "greedy"
-		greedy, _, err := Run(spec)
+		greedy, _, err := p.Run(spec)
 		if err != nil {
 			return r, err
 		}

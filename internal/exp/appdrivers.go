@@ -46,7 +46,7 @@ type ShortFlowsResult struct {
 func shortFlows(p Params) ([]ShortFlowsResult, error) {
 	tr := trace.MustNamedCellular(appTrace)
 	return sweep("shortflows trace="+appTrace, p, appSchemes, func(scheme string) (ShortFlowsResult, error) {
-		res, _, err := Run(Spec{
+		res, _, err := p.Run(Spec{
 			Seed:     p.Seed,
 			Duration: p.Dur,
 			Links:    []LinkSpec{{Trace: tr, Qdisc: QdiscSpec{Kind: "auto", Buffer: 250}}},
@@ -92,7 +92,7 @@ type VideoResult struct {
 func videoExp(p Params) ([]VideoResult, error) {
 	tr := trace.MustNamedCellular(appTrace)
 	return sweep("video trace="+appTrace, p, appSchemes, func(scheme string) (VideoResult, error) {
-		res, _, err := Run(Spec{
+		res, _, err := p.Run(Spec{
 			Seed:     p.Seed,
 			Duration: p.Dur,
 			Links:    []LinkSpec{{Trace: tr, Qdisc: QdiscSpec{Kind: "auto", Buffer: 250}}},
@@ -144,7 +144,7 @@ func rpcExp(p Params) ([]RPCResult, error) {
 				App:    &AppSpec{Kind: "rpc", RPC: app.RPCConfig{FCT: pool}},
 			})
 		}
-		res, _, err := Run(Spec{
+		res, _, err := p.Run(Spec{
 			Seed:     p.Seed,
 			Duration: p.Dur,
 			Links:    []LinkSpec{{Trace: tr, Qdisc: QdiscSpec{Kind: "auto", Buffer: 250}}},

@@ -314,15 +314,15 @@ func TestWorkloadAckPathDerivesAutoQdisc(t *testing.T) {
 }
 
 // TestAppDriversDeterministic: every app driver's output is a pure
-// function of (schemes, duration, seed), byte-identical between
-// sequential and worker-pool execution.
+// function of (schemes, duration, seed), byte-identical between a
+// one-worker pool (GOMAXPROCS=1) and a four-worker one.
 func TestAppDriversDeterministic(t *testing.T) {
-	defer func(p int) { Parallelism = p }(Parallelism)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	p := Params{Schemes: []string{"ABC", "Cubic"}, Dur: 10 * sim.Second, Seed: 1}
 	for _, name := range []string{"shortflows", "video", "rpc"} {
 		d, _ := Lookup(name)
 		t.Run(name, func(t *testing.T) {
-			Parallelism = 1
+			runtime.GOMAXPROCS(1)
 			v1, err := d.Run(p)
 			if err != nil {
 				t.Fatal(err)
@@ -331,7 +331,7 @@ func TestAppDriversDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			Parallelism = 4
+			runtime.GOMAXPROCS(4)
 			v2, err := d.Run(p)
 			if err != nil {
 				t.Fatal(err)
@@ -341,7 +341,7 @@ func TestAppDriversDeterministic(t *testing.T) {
 				t.Fatal(err)
 			}
 			if seq != par {
-				t.Errorf("sequential digest %s != parallel digest %s", seq, par)
+				t.Errorf("one-worker digest %s != four-worker digest %s", seq, par)
 			}
 		})
 	}

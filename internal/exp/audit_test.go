@@ -87,7 +87,7 @@ func TestAuditCatchesMutations(t *testing.T) {
 			t.Fatal(err)
 		}
 		tc.mutate(c)
-		_, _, err = c.run()
+		_, _, err = c.run(nil)
 		switch {
 		case tc.want == "" && err != nil:
 			t.Errorf("%s: %v", tc.name, err)
@@ -153,7 +153,7 @@ func BenchmarkAudit(b *testing.B) {
 		b.Fatal(err)
 	}
 	start := time.Now()
-	c.runAndMeasure()
+	c.runAndMeasure(nil)
 	if err := finishWorkloads(c.workloads); err != nil {
 		b.Fatal(err)
 	}

@@ -17,8 +17,8 @@ import (
 
 // runSingle runs one backlogged flow of the scheme over the trace and
 // returns the paper's summary metrics.
-func runSingle(scheme string, tr *trace.Trace, rtt, dur sim.Time, seed int64) (metrics.Summary, error) {
-	res, pooled, err := Run(Spec{
+func runSingle(o RunOptions, scheme string, tr *trace.Trace, rtt, dur sim.Time, seed int64) (metrics.Summary, error) {
+	res, pooled, err := o.Run(Spec{
 		Seed:     seed,
 		Duration: dur,
 		RTT:      rtt,
@@ -54,8 +54,8 @@ func lteTrace() *trace.Trace {
 func fig1Timeseries(p Params) ([]TimeseriesRun, error) {
 	tr := lteTrace()
 	// The figure's four schemes, whatever -schemes asks for.
-	return sweep("fig1 trace=LTE", Params{Seed: p.Seed}, []string{"Cubic", "Verus", "Cubic+Codel", "ABC"}, func(sch string) (TimeseriesRun, error) {
-		res, pooled, err := Run(fig1Spec(tr, sch, p.Seed))
+	return sweep("fig1 trace=LTE", Params{RunOptions: p.RunOptions, Seed: p.Seed}, []string{"Cubic", "Verus", "Cubic+Codel", "ABC"}, func(sch string) (TimeseriesRun, error) {
+		res, pooled, err := p.Run(fig1Spec(tr, sch, p.Seed))
 		if err != nil {
 			return TimeseriesRun{}, err
 		}
@@ -112,7 +112,7 @@ func fig2FeedbackMode(p Params) (*Fig2Result, error) {
 	run := func(mode abc.FeedbackMode) (metrics.Summary, float64, error) {
 		cfg := abc.DefaultRouterConfig()
 		cfg.Feedback = mode
-		res, pooled, err := Run(Spec{
+		res, pooled, err := p.Run(Spec{
 			Seed:     p.Seed,
 			Duration: 60 * sim.Second,
 			RTT:      100 * sim.Millisecond,
@@ -173,7 +173,7 @@ func fig8Scatter(kind ScatterKind, p Params) ([]metrics.Summary, error) {
 		links = []LinkSpec{{Trace: up}, {Trace: down}}
 	}
 	return sweep(fmt.Sprintf("fig8 kind=%d", kind), p, Schemes, func(sch string) (metrics.Summary, error) {
-		res, pooled, err := Run(Spec{
+		res, pooled, err := p.Run(Spec{
 			Seed: p.Seed, Duration: p.Dur, RTT: 100 * sim.Millisecond,
 			Links: slices.Clone(links), Flows: []FlowSpec{{Scheme: sch}},
 		})
@@ -267,12 +267,12 @@ func fig9Bars(p Params, traces []string) (*BarsResult, error) {
 		trs[i] = tr
 	}
 	sums := make([]metrics.Summary, len(traces)*len(schemes))
-	err := forEachCell(len(sums), func(i int) string {
+	err := forEachCell(p.RunOptions, len(sums), func(i int) string {
 		ti, si := i/len(schemes), i%len(schemes)
 		return fmt.Sprintf("bars trace=%s scheme=%s seed=%d", traces[ti], schemes[si], p.Seed)
 	}, func(i int) error {
 		ti, si := i/len(schemes), i%len(schemes)
-		s, err := runSingle(schemes[si], trs[ti], 100*sim.Millisecond, p.Dur, p.Seed)
+		s, err := runSingle(p.RunOptions, schemes[si], trs[ti], 100*sim.Millisecond, p.Dur, p.Seed)
 		sums[i] = s
 		return err
 	})
@@ -367,7 +367,7 @@ func fig18RTTSweep(p Params) (map[int]map[string]metrics.Summary, error) {
 	tr := trace.MustNamedCellular("Verizon1")
 	rtts := []int{20, 50, 100, 200}
 	sums := make([]metrics.Summary, len(rtts)*len(schemes))
-	err := forEachCell(len(sums), func(i int) string {
+	err := forEachCell(p.RunOptions, len(sums), func(i int) string {
 		ri, si := i/len(schemes), i%len(schemes)
 		return fmt.Sprintf("fig18 rtt=%dms scheme=%s seed=%d", rtts[ri], schemes[si], p.Seed)
 	}, func(i int) error {
@@ -384,7 +384,7 @@ func fig18RTTSweep(p Params) (map[int]map[string]metrics.Summary, error) {
 			}
 			link.Qdisc = QdiscSpec{Kind: "abc", ABCConfig: &cfg}
 		}
-		res, pooled, err := Run(Spec{
+		res, pooled, err := p.Run(Spec{
 			Seed: p.Seed, Duration: p.Dur, RTT: rtt,
 			Links: []LinkSpec{link},
 			Flows: []FlowSpec{{Scheme: sch}},
@@ -438,7 +438,7 @@ type PKABCResult struct {
 func pkABC(p Params) (*PKABCResult, error) {
 	tr := trace.MustNamedCellular("Verizon2")
 	run := func(lookahead sim.Time) (metrics.Summary, float64, error) {
-		res, pooled, err := Run(Spec{
+		res, pooled, err := p.Run(Spec{
 			Seed: p.Seed, Duration: p.Dur, RTT: 100 * sim.Millisecond,
 			Links: []LinkSpec{{Trace: tr, Lookahead: lookahead}},
 			Flows: []FlowSpec{{Scheme: "ABC"}},
@@ -478,7 +478,7 @@ type Fig13Result struct {
 // ABC cellular bottleneck with n application-limited ABC flows sending
 // aggAppMbps in aggregate; everyone keeps low delay and the link stays
 // utilized.
-func fig13AppLimited(n int, aggAppMbps float64, dur sim.Time, seed int64) (*Fig13Result, error) {
+func fig13AppLimited(o RunOptions, n int, aggAppMbps float64, dur sim.Time, seed int64) (*Fig13Result, error) {
 	tr := trace.MustNamedCellular("Verizon3")
 	flows := make([]FlowSpec, 0, n+1)
 	flows = append(flows, FlowSpec{Scheme: "ABC"}) // backlogged
@@ -486,7 +486,7 @@ func fig13AppLimited(n int, aggAppMbps float64, dur sim.Time, seed int64) (*Fig1
 	for i := 0; i < n; i++ {
 		flows = append(flows, FlowSpec{Scheme: "ABC", Source: &SourceSpec{Kind: "rate", Rate: per}})
 	}
-	res, _, err := Run(Spec{
+	res, _, err := o.Run(Spec{
 		Seed: seed, Duration: dur, RTT: 100 * sim.Millisecond,
 		Links: []LinkSpec{{Trace: tr}},
 		Flows: flows,
@@ -508,7 +508,9 @@ func fig13AppLimited(n int, aggAppMbps float64, dur sim.Time, seed int64) (*Fig1
 }
 
 // fig13 is Fig. 13's row: 50 app-limited flows offering 1 Mbit/s.
-func fig13(p Params) (*Fig13Result, error) { return fig13AppLimited(50, 1.0, p.Dur, p.Seed) }
+func fig13(p Params) (*Fig13Result, error) {
+	return fig13AppLimited(p.RunOptions, 50, 1.0, p.Dur, p.Seed)
+}
 
 func printFig13(w io.Writer, r *Fig13Result) {
 	fmt.Fprintf(w, "util=%.1f%%  backlogged=%.2f Mbps  app-limited agg=%.2f Mbps  p95 queuing=%.0f ms\n",

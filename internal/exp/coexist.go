@@ -52,7 +52,7 @@ func fig6NonABCBottleneck(p Params) (*Fig6Result, error) {
 		Flows:  []FlowSpec{{Scheme: "ABC"}},
 		Sample: 200 * sim.Millisecond,
 	}
-	res, _, err := Run(spec)
+	res, _, err := p.Run(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -137,7 +137,7 @@ func fig7Spec(seed int64) Spec {
 // one after another on a 24 Mbit/s dual-queue ABC bottleneck and share it
 // fairly, with ABC keeping low queuing delay.
 func fig7Coexistence(p Params) (*Fig7Result, error) {
-	res, _, err := Run(fig7Spec(p.Seed))
+	res, _, err := p.Run(fig7Spec(p.Seed))
 	if err != nil {
 		return nil, err
 	}
@@ -205,7 +205,7 @@ func fig11CrossTraffic(p Params) (*Fig11Result, error) {
 		},
 		Sample: 500 * sim.Millisecond,
 	}
-	res, _, err := Run(spec)
+	res, _, err := p.Run(spec)
 	if err != nil {
 		return nil, err
 	}

@@ -20,8 +20,11 @@ import (
 
 // Params are the knobs a driver can take: exactly abcsim's flags. A
 // driver reads the ones that apply to it and ignores the rest; the zero
-// value of each means the driver's own default.
+// value of each means the driver's own default. The embedded RunOptions
+// (-trace-out, -metrics) observe every run the driver makes: a driver
+// runs each Spec with p.Run.
 type Params struct {
+	RunOptions
 	Seed    int64    // -seed
 	Dur     sim.Time // -dur: run length, for drivers that are not fixed-length
 	Schemes []string // -schemes: the comparison set

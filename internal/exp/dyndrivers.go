@@ -91,7 +91,7 @@ func handover(p Params) (map[string]HandoverResult, error) {
 	}
 	handoverAt := p.Dur / 2
 	return sweepMap("handover", p, []string{"ABC", "Cubic"}, func(sch string) (HandoverResult, error) {
-		res, _, err := Run(handoverSpec(sch, handoverAt, p.Dur, p.Seed))
+		res, _, err := p.Run(handoverSpec(sch, handoverAt, p.Dur, p.Seed))
 		if err != nil {
 			return HandoverResult{}, err
 		}
@@ -177,7 +177,7 @@ func linkFlap(p Params) (map[string]FlapResult, error) {
 	}
 	const outage = 500 * sim.Millisecond
 	return sweepMap("linkflap", p, []string{"ABC", "Cubic"}, func(sch string) (FlapResult, error) {
-		res, _, err := Run(Spec{
+		res, _, err := p.Run(Spec{
 			Seed:     p.Seed,
 			Duration: p.Dur,
 			RTT:      80 * sim.Millisecond,
@@ -265,7 +265,7 @@ func autoRoute(p Params) (map[string]AutoRouteResult, error) {
 	}
 	outageAt, recoverAt := p.Dur/2, p.Dur-p.Dur/4
 	return sweepMap("autoroute", p, []string{"ABC", "Cubic"}, func(sch string) (AutoRouteResult, error) {
-		res, _, err := Run(autoRouteSpec(sch, outageAt, recoverAt, p.Dur, p.Seed))
+		res, _, err := p.Run(autoRouteSpec(sch, outageAt, recoverAt, p.Dur, p.Seed))
 		if err != nil {
 			return AutoRouteResult{}, err
 		}
@@ -312,7 +312,7 @@ func flapStorm(p Params) (map[string]FlapStormResult, error) {
 	const outage = 300 * sim.Millisecond
 	const blip = 20 * sim.Millisecond // under the 30 ms convergence window
 	return sweepMap("flapstorm", p, []string{"ABC", "Cubic"}, func(sch string) (FlapStormResult, error) {
-		res, _, err := Run(Spec{
+		res, _, err := p.Run(Spec{
 			Seed:     p.Seed,
 			Duration: p.Dur,
 			RTT:      80 * sim.Millisecond,

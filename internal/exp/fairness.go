@@ -25,8 +25,8 @@ type Fig3Result struct {
 // term the flows converge to equal shares; without it (pure MIMD) they
 // hold whatever split they happened to start with. The fairness index is
 // taken over the all-active window, the 1 s samples in [105, 123] s.
-func fig3Fairness(withAI bool, seed int64) (*Fig3Result, error) {
-	res, _, err := Run(fig3Spec(withAI, seed))
+func fig3Fairness(o RunOptions, withAI bool, seed int64) (*Fig3Result, error) {
+	res, _, err := o.Run(fig3Spec(withAI, seed))
 	if err != nil {
 		return nil, err
 	}
@@ -86,7 +86,7 @@ func fig3Spec(withAI bool, seed int64) Spec {
 func fig3Both(p Params) ([]*Fig3Result, error) {
 	var out []*Fig3Result
 	for _, ai := range []bool{false, true} {
-		r, err := fig3Fairness(ai, p.Seed)
+		r, err := fig3Fairness(p.RunOptions, ai, p.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -104,12 +104,12 @@ func printFig3(w io.Writer, runs []*Fig3Result) {
 // jainFairness runs n concurrent ABC flows on a 24 Mbit/s wired
 // bottleneck for 60 s and returns Jain's index of their throughputs
 // (§6.5 reports within 5% of 1 for 2–32 flows).
-func jainFairness(n int, seed int64) (float64, error) {
+func jainFairness(o RunOptions, n int, seed int64) (float64, error) {
 	flows := make([]FlowSpec, n)
 	for i := range flows {
 		flows[i] = FlowSpec{Scheme: "ABC"}
 	}
-	res, _, err := Run(Spec{
+	res, _, err := o.Run(Spec{
 		Seed:     seed,
 		Duration: 60 * sim.Second,
 		Warmup:   10 * sim.Second,
@@ -140,7 +140,7 @@ type JainPoint struct {
 func jainSweep(p Params) ([]JainPoint, error) {
 	var out []JainPoint
 	for _, n := range []int{2, 4, 8, 16, 32} {
-		idx, err := jainFairness(n, p.Seed)
+		idx, err := jainFairness(p.RunOptions, n, p.Seed)
 		if err != nil {
 			return nil, err
 		}

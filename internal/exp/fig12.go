@@ -45,7 +45,7 @@ func defaultFig12Config() Fig12Config {
 
 // fig12WeightPolicy runs the experiment for one policy ("maxmin" or
 // "zombie") and returns one point per offered load.
-func fig12WeightPolicy(policy string, cfg Fig12Config) ([]Fig12Point, error) {
+func fig12WeightPolicy(o RunOptions, policy string, cfg Fig12Config) ([]Fig12Point, error) {
 	def := defaultFig12Config()
 	if cfg.Runs <= 0 {
 		cfg.Runs = def.Runs
@@ -61,12 +61,12 @@ func fig12WeightPolicy(policy string, cfg Fig12Config) ([]Fig12Point, error) {
 	// concatenated rate vectors match a sequential sweep byte for byte.
 	type cellOut struct{ abc, cubic []float64 }
 	cells := make([]cellOut, len(cfg.Loads)*cfg.Runs)
-	err := forEachCell(len(cells), func(i int) string {
+	err := forEachCell(o, len(cells), func(i int) string {
 		li, run := i/cfg.Runs, i%cfg.Runs
 		return fmt.Sprintf("fig12 policy=%s load=%g run=%d seed=%d", policy, cfg.Loads[li], run, cfg.Seed+int64(run)*97)
 	}, func(i int) error {
 		li, run := i/cfg.Runs, i%cfg.Runs
-		a, c, err := fig12Run(policy, cfg.Loads[li], cfg.Duration, cfg.Seed+int64(run)*97)
+		a, c, err := fig12Run(o, policy, cfg.Loads[li], cfg.Duration, cfg.Seed+int64(run)*97)
 		cells[i] = cellOut{abc: a, cubic: c}
 		return err
 	})
@@ -95,7 +95,7 @@ func fig12Both(p Params) ([]Fig12Point, error) {
 	cfg.Runs, cfg.Duration, cfg.Seed = p.Runs, p.Dur, p.Seed
 	var out []Fig12Point
 	for _, pol := range []string{"maxmin", "zombie"} {
-		pts, err := fig12WeightPolicy(pol, cfg)
+		pts, err := fig12WeightPolicy(p.RunOptions, pol, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -159,8 +159,8 @@ func fig12Spec(policy string, load float64, dur sim.Time, seed int64) Spec {
 
 // fig12Run executes one cell and returns the long flows' throughputs in
 // Mbit/s (zero for a run no longer than the warm-up).
-func fig12Run(policy string, load float64, dur sim.Time, seed int64) (abcT, cubicT []float64, err error) {
-	res, _, err := Run(fig12Spec(policy, load, dur, seed))
+func fig12Run(o RunOptions, policy string, load float64, dur sim.Time, seed int64) (abcT, cubicT []float64, err error) {
+	res, _, err := o.Run(fig12Spec(policy, load, dur, seed))
 	if err != nil {
 		return nil, nil, err
 	}

@@ -28,7 +28,7 @@ type Fig17Run struct {
 func fig17SquareWave(p Params) ([]Fig17Run, error) {
 	tr := trace.SquareWave("fig17", 12e6, 24e6, 500*sim.Millisecond)
 	return sweep("fig17 trace=squarewave", p, []string{"ABC", "RCP", "XCPw"}, func(sch string) (Fig17Run, error) {
-		res, pooled, err := Run(Spec{
+		res, pooled, err := p.Run(Spec{
 			Seed:     p.Seed,
 			Duration: 10 * sim.Second,
 			Warmup:   2 * sim.Second,

@@ -21,7 +21,7 @@ func TestFig2DequeueBeatsEnqueue(t *testing.T) {
 
 func TestJainFairness(t *testing.T) {
 	for _, n := range []int{2, 4, 8} {
-		idx, err := jainFairness(n, 1)
+		idx, err := jainFairness(RunOptions{}, n, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +105,7 @@ func TestFig4SlopeMatchesTheory(t *testing.T) {
 }
 
 func TestFig13AppLimited(t *testing.T) {
-	r, err := fig13AppLimited(20, 1.0, 20*sim.Second, 1)
+	r, err := fig13AppLimited(RunOptions{}, 20, 1.0, 20*sim.Second, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"os"
 	"regexp"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -61,18 +62,21 @@ type goldenCase struct {
 	name   string
 	driver string
 	params Params
-	sub    func() (any, error)
+	sub    func(o RunOptions) (any, error)
 }
 
-func (c goldenCase) run() (any, error) {
+// run runs the case with every run it makes observed by o.
+func (c goldenCase) run(o RunOptions) (any, error) {
 	if c.sub != nil {
-		return c.sub()
+		return c.sub(o)
 	}
 	d, ok := Lookup(c.driver)
 	if !ok {
 		return nil, fmt.Errorf("golden case %q names no driver %q", c.name, c.driver)
 	}
-	return d.Run(c.params)
+	p := c.params
+	p.RunOptions = o
+	return d.Run(p)
 }
 
 // goldenCases enumerates every locked-down driver. Durations are short —
@@ -81,11 +85,11 @@ func (c goldenCase) run() (any, error) {
 func goldenCases() []goldenCase {
 	const short = 8 * sim.Second
 	at := func(schemes ...string) Params { return Params{Seed: 1, Dur: short, Schemes: schemes} }
-	fig12 := func(policy string) func() (any, error) {
-		return func() (any, error) {
+	fig12 := func(policy string) func(RunOptions) (any, error) {
+		return func(o RunOptions) (any, error) {
 			cfg := defaultFig12Config()
 			cfg.Runs, cfg.Duration, cfg.Seed = 1, short, 1
-			return fig12WeightPolicy(policy, cfg)
+			return fig12WeightPolicy(o, policy, cfg)
 		}
 	}
 	return []goldenCase{
@@ -93,8 +97,8 @@ func goldenCases() []goldenCase {
 		{name: "fig2-feedback-mode", driver: "fig2", params: at()},
 		{name: "fig6-nonabc-bottleneck", driver: "fig6", params: at()},
 		// One of the fig8 driver's three panels.
-		{name: "fig8-scatter-downlink", driver: "fig8", sub: func() (any, error) {
-			return fig8Scatter(Downlink, Params{Schemes: []string{"ABC", "Cubic"}, Dur: short, Seed: 1})
+		{name: "fig8-scatter-downlink", driver: "fig8", sub: func(o RunOptions) (any, error) {
+			return fig8Scatter(Downlink, Params{RunOptions: o, Schemes: []string{"ABC", "Cubic"}, Dur: short, Seed: 1})
 		}},
 		{name: "fig9-bars", driver: "fig9", params: at("ABC", "Cubic")},
 		{name: "fig10-wifi", driver: "fig10", params: at()},
@@ -106,15 +110,15 @@ func goldenCases() []goldenCase {
 		{name: "uplink-congested-ack", driver: "uplink", params: at("ABC", "Cubic")},
 		// One scheme of the heterortt driver's rows, without the scheme
 		// column the driver adds.
-		{name: "hetero-rtt", driver: "heterortt", sub: func() (any, error) {
-			return heteroRTTFairness("ABC", short, 1)
+		{name: "hetero-rtt", driver: "heterortt", sub: func(o RunOptions) (any, error) {
+			return heteroRTTFairness(o, "ABC", short, 1)
 		}},
 		// One loss model each of the lossy driver's two.
-		{name: "lossy-random", driver: "lossy", sub: func() (any, error) {
-			return lossyLink([]string{"ABC"}, nil, false, short, 1)
+		{name: "lossy-random", driver: "lossy", sub: func(o RunOptions) (any, error) {
+			return lossyLink(o, []string{"ABC"}, nil, false, short, 1)
 		}},
-		{name: "lossy-bursty", driver: "lossy", sub: func() (any, error) {
-			return lossyLink([]string{"ABC"}, nil, true, short, 1)
+		{name: "lossy-bursty", driver: "lossy", sub: func(o RunOptions) (any, error) {
+			return lossyLink(o, []string{"ABC"}, nil, true, short, 1)
 		}},
 		{name: "mesh-shared-junction", driver: "mesh", params: at("ABC", "Cubic")},
 		{name: "marked-uplink", driver: "markeduplink", params: at("ABC", "Cubic")},
@@ -207,7 +211,7 @@ func TestGoldenFigures(t *testing.T) {
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			v, err := c.run()
+			v, err := c.run(RunOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -258,10 +262,11 @@ func TestGoldenFigures(t *testing.T) {
 }
 
 // TestGoldenParallelModes asserts the digests are a pure function of the
-// spec, independent of harness scheduling: sequential (Parallelism=1) and
-// worker-pool (Parallelism=4) runs of multi-cell drivers must produce
-// byte-identical serializations. Combined with the CI -race run of this
-// package, this is the acceptance bar for every future harness change.
+// spec, independent of harness scheduling: a one-worker pool
+// (GOMAXPROCS=1) and a four-worker pool (GOMAXPROCS=4) running the cells
+// of multi-cell drivers must produce byte-identical serializations.
+// Combined with the CI -race run of this package, this is the acceptance
+// bar for every future harness change.
 func TestGoldenParallelModes(t *testing.T) {
 	pick := map[string]bool{
 		"fig9-bars": true, "mesh-shared-junction": true, "marked-uplink": true,
@@ -269,15 +274,15 @@ func TestGoldenParallelModes(t *testing.T) {
 		"handover": true, "flap": true, "targeted": true, "greedy": true,
 		"autoroute": true, "flapstorm": true, "hybrid": true,
 	}
-	defer func(p int) { Parallelism = p }(Parallelism)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, c := range goldenCases() {
 		if !pick[c.name] {
 			continue
 		}
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			Parallelism = 1
-			v1, err := c.run()
+			runtime.GOMAXPROCS(1)
+			v1, err := c.run(RunOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -285,8 +290,8 @@ func TestGoldenParallelModes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			Parallelism = 4
-			v2, err := c.run()
+			runtime.GOMAXPROCS(4)
+			v2, err := c.run(RunOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -295,7 +300,7 @@ func TestGoldenParallelModes(t *testing.T) {
 				t.Fatal(err)
 			}
 			if seq != par {
-				t.Errorf("sequential digest %s != parallel digest %s", seq, par)
+				t.Errorf("one-worker digest %s != four-worker digest %s", seq, par)
 			}
 		})
 	}

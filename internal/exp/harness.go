@@ -50,20 +50,41 @@ type compiled struct {
 	flows []flowEnds
 }
 
+// RunOptions says how one run is observed. Both observers are passive
+// (see obs.go), so the options change what a run emits, never its
+// result; the zero value is an unobserved run. Options travel with the
+// run — Params embeds them, and each driver hands them to every Spec it
+// runs — so two runs in one process can be observed differently.
+type RunOptions struct {
+	// Trace, when not nil, is the flight recorder the run's graph, links,
+	// disciplines and flow endpoints emit into.
+	Trace *obs.Recorder
+	// Metrics, when not nil, receives the run's live metrics, sampled
+	// once per simulated second, and a sweep's cell counters.
+	Metrics *obs.Registry
+}
+
 // Run executes the scenario and returns its result along with the pooled
 // per-packet delay recorder used for the paper's delay metrics.
-func Run(spec Spec) (*Result, *metrics.DelayRecorder, error) {
-	c, err := compile(spec, traceRec.Load())
+func (o RunOptions) Run(spec Spec) (*Result, *metrics.DelayRecorder, error) {
+	c, err := compile(spec, o.Trace)
 	if err != nil {
 		return nil, nil, err
 	}
-	return c.run()
+	return c.run(o.Metrics)
+}
+
+// Run is RunOptions{}.Run with the recorder EnableTracing set, if any,
+// attached. Kept for bench/; deleted when bench passes RunOptions
+// (ROADMAP 2(g)).
+func Run(spec Spec) (*Result, *metrics.DelayRecorder, error) {
+	return RunOptions{Trace: traceRec.Load()}.Run(spec)
 }
 
 // Check reports whether Run would accept the spec, without running it: a
 // Spec is valid iff it builds. It is Run stopped where the clock would
-// start — the same stages raise the same errors — with no flight recorder
-// attached, so a check emits and publishes nothing.
+// start — the same stages raise the same errors — with nothing attached
+// to observe it.
 func Check(spec Spec) error {
 	_, err := compile(spec, nil)
 	return err
@@ -129,9 +150,9 @@ var wiring = []func(*compiled) error{
 // run starts the clock on a compiled spec and measures. The result
 // keeps the graph, so when run returns it empties the graph's packet
 // arena: what the run's flows drew stays alive only while in flight.
-func (c *compiled) run() (*Result, *metrics.DelayRecorder, error) {
+func (c *compiled) run(reg *obs.Registry) (*Result, *metrics.DelayRecorder, error) {
 	defer func() { *c.g.Arena() = packet.Arena{} }()
-	pooled := c.runAndMeasure()
+	pooled := c.runAndMeasure(reg)
 	if err := finishWorkloads(c.workloads); err != nil {
 		return nil, nil, err
 	}
@@ -206,13 +227,13 @@ func (c *compiled) sampled(read func(now sim.Time) float64) *metrics.Timeseries 
 // watches the scenario's leading bottleneck (an all-wire mesh has none).
 //
 // Everything that watches the run — the time series in registration
-// order, then the -metrics sampler — is a reader called
-// at coordinator barriers (sim.Coordinator.Every): at a sample instant
+// order, then the sampler publishing into reg (nil = none) — is a reader
+// called at coordinator barriers (sim.Coordinator.Every): at a sample instant
 // the simulator has executed what lies strictly before it, that
 // instant's timeline events have applied, and none of its simulator
 // events has run. No observer is a simulator event, so a run executes the same
 // events whether or not anything watches it.
-func (c *compiled) runAndMeasure() *metrics.DelayRecorder {
+func (c *compiled) runAndMeasure(reg *obs.Registry) *metrics.DelayRecorder {
 	g, spec, res := c.g, c.spec, c.res
 	coord := g.Coordinator()
 	if spec.Sample > 0 {
@@ -235,9 +256,9 @@ func (c *compiled) runAndMeasure() *metrics.DelayRecorder {
 			}
 		})
 	}
-	rs := newRunSampler(c)
+	rs := newRunSampler(c, reg)
 	if rs != nil {
-		coord.Every(rs.period, rs.sample)
+		coord.Every(metricsPeriod, rs.sample)
 	}
 	coord.Run(spec.Duration)
 	if rs != nil {

@@ -6,6 +6,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -144,11 +145,11 @@ func TestOneJudge(t *testing.T) {
 // TestOneFrontDoor guards the rule that a Drivers row is the
 // experiment: each row names its func(Params) directly rather than
 // wrapping a runner in a function literal, and the package exports the
-// Spec run path, the driver table and what the CLIs and the benchmark
-// module call — no per-figure runner beside the rows.
+// Spec run path (RunOptions.Run), the driver table and what the CLIs and
+// the benchmark module call — no per-figure runner beside the rows.
 func TestOneFrontDoor(t *testing.T) {
-	wantFuncs := []string{"Check", "EnableMetrics", "EnableTracing", "LoadScenario", "Lookup",
-		"PrintResult", "Run", "SummaryTable"}
+	wantFuncs := []string{"Check", "EnableTracing", "LoadScenario", "Lookup",
+		"PrintResult", "Run", "RunOptions.Run", "SummaryTable"}
 	wantVars := []string{"Drivers", "Parallelism", "Schemes"}
 	var funcs, vars []string
 	fset := token.NewFileSet()
@@ -160,8 +161,12 @@ func TestOneFrontDoor(t *testing.T) {
 		for _, decl := range f.Decls {
 			switch d := decl.(type) {
 			case *ast.FuncDecl:
-				if d.Recv == nil && d.Name.IsExported() {
+				switch {
+				case !d.Name.IsExported():
+				case d.Recv == nil:
 					funcs = append(funcs, d.Name.Name)
+				case types.ExprString(d.Recv.List[0].Type) == "RunOptions":
+					funcs = append(funcs, "RunOptions."+d.Name.Name)
 				}
 			case *ast.GenDecl:
 				if d.Tok != token.VAR {
@@ -235,21 +240,15 @@ func TestNoWallClock(t *testing.T) {
 // TestCheckAgreesWithRun: Check is Run without the clock, so on every
 // example scenario and on malformed specs of every stage — validate,
 // either front end, the builder, each wiring stage — the two return the
-// same error text or both nil. A Check emits nothing into an enabled
-// flight recorder.
+// same error text or both nil, whether or not the run is observed.
 func TestCheckAgreesWithRun(t *testing.T) {
-	rec := obs.NewRecorder(1<<10, obs.CatAll)
-	EnableTracing(rec)
-	defer EnableTracing(nil)
+	t.Parallel()
+	observed := RunOptions{Trace: obs.NewRecorder(1<<10, obs.CatAll), Metrics: obs.NewRegistry()}
 	agree := func(name string, spec Spec, wantErr bool) {
 		t.Helper()
 		spec.Duration = sim.Millisecond
-		before := rec.Total()
 		check := Check(spec)
-		if n := rec.Total() - before; n != 0 {
-			t.Errorf("%s: Check recorded %d trace events", name, n)
-		}
-		_, _, run := Run(spec)
+		_, _, run := observed.Run(spec)
 		if (check == nil) != (run == nil) || (check != nil && check.Error() != run.Error()) {
 			t.Errorf("%s: Check = %v, Run = %v", name, check, run)
 		}
@@ -390,7 +389,7 @@ func runProbed(t *testing.T, spec Spec, period sim.Time, probe func(now sim.Time
 		t.Fatal(err)
 	}
 	c.g.Coordinator().Every(period, func(now sim.Time) { probe(now, c.res) })
-	res, _, err := c.run()
+	res, _, err := c.run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

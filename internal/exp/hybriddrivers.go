@@ -63,7 +63,7 @@ type HybridCell struct {
 func hybrid(p Params) ([]HybridCell, error) {
 	const scheme = "ABC"
 	cells := make([]HybridCell, len(hybridScales))
-	err := forEachCell(len(hybridScales), func(i int) string {
+	err := forEachCell(p.RunOptions, len(hybridScales), func(i int) string {
 		return fmt.Sprintf("hybrid scheme=%s users=%d seed=%d", scheme, hybridScales[i], p.Seed)
 	}, func(i int) error {
 		users := hybridScales[i]
@@ -97,7 +97,7 @@ func hybrid(p Params) ([]HybridCell, error) {
 				Ramp:     sim.Second,
 			}}
 		}
-		res, pooled, rerr := Run(spec)
+		res, pooled, rerr := p.Run(spec)
 		if rerr != nil {
 			return rerr
 		}

@@ -15,11 +15,11 @@ func TestFig3AIConvergesMIMDDoesNot(t *testing.T) {
 	if testing.Short() {
 		t.Skip("250 s scenario")
 	}
-	with, err := fig3Fairness(true, 1)
+	with, err := fig3Fairness(RunOptions{}, true, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := fig3Fairness(false, 1)
+	without, err := fig3Fairness(RunOptions{}, false, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestFig10ABCParetoOnWiFi(t *testing.T) {
 		{Label: "Cubic", Scheme: "Cubic"},
 		{Label: "Vegas", Scheme: "Vegas"},
 	} {
-		s, err := runWiFi(ws, 1, wifi.AlternatingMCS(), 20*sim.Second, 1)
+		s, err := runWiFi(RunOptions{}, ws, 1, wifi.AlternatingMCS(), 20*sim.Second, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,11 +153,11 @@ func TestFig10ABCParetoOnWiFi(t *testing.T) {
 // offered load.
 func TestFig12MaxMinFairZombieUnfair(t *testing.T) {
 	cfg := Fig12Config{Runs: 2, Duration: 25 * sim.Second, Loads: []float64{0.25}, Seed: 1}
-	mm, err := fig12WeightPolicy("maxmin", cfg)
+	mm, err := fig12WeightPolicy(RunOptions{}, "maxmin", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	zb, err := fig12WeightPolicy("zombie", cfg)
+	zb, err := fig12WeightPolicy(RunOptions{}, "zombie", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

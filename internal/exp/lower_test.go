@@ -194,6 +194,7 @@ func TestAutoQdiscChainMeshAlike(t *testing.T) {
 // by name accepts exactly those and rejects the next index with the
 // same error a misspelt mesh name gets.
 func TestChainNames(t *testing.T) {
+	t.Parallel()
 	base := func() Spec {
 		hop := LinkSpec{Rate: netem.ConstRate(10e6), Delay: 2 * sim.Millisecond}
 		return Spec{
@@ -247,9 +248,7 @@ func TestChainNames(t *testing.T) {
 
 	// The -metrics edge label.
 	reg := obs.NewRegistry()
-	EnableMetrics(reg, 200*sim.Millisecond)
-	defer EnableMetrics(nil, 0)
-	if _, _, err := Run(base()); err != nil {
+	if _, _, err := (RunOptions{Metrics: reg}).Run(base()); err != nil {
 		t.Fatal(err)
 	}
 	labels := map[string]bool{}

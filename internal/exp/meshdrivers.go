@@ -79,7 +79,7 @@ func meshSharedJunction(p Params) (map[string]MeshResult, error) {
 	}
 	return sweepMap("mesh-junction", p, []string{"ABC", "Cubic"}, func(sch string) (MeshResult, error) {
 		spec := meshJunctionSpec(sch, p.Dur, p.Seed)
-		res, _, err := Run(spec)
+		res, _, err := p.Run(spec)
 		if err != nil {
 			return MeshResult{}, err
 		}
@@ -129,7 +129,7 @@ func markedUplink(p Params) (map[string]MarkedUplinkResult, error) {
 	}
 	down := trace.MustNamedCellular("Verizon1")
 	return sweepMap("marked-uplink", p, []string{"ABC", "Cubic"}, func(sch string) (MarkedUplinkResult, error) {
-		res, _, err := Run(Spec{
+		res, _, err := p.Run(Spec{
 			Seed:     p.Seed,
 			Duration: p.Dur,
 			RTT:      100 * sim.Millisecond,

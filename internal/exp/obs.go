@@ -1,10 +1,11 @@
-// Observability wiring for the harness: process-wide switches that
-// attach a flight recorder and a metrics registry to every scenario the
-// harness runs. Both are off by default and both are passive: neither
-// schedules a simulator event, draws from an RNG or changes state the
-// simulation can observe, so golden digests are byte-identical with
-// either or both enabled (TestGoldenTracingInvariance). The metrics
-// sampler is one of the run's barrier readers (runAndMeasure).
+// Observability wiring for the harness: the metrics sampler a run with
+// RunOptions.Metrics set hangs on its barrier hook, once per simulated
+// second. The flight recorder (RunOptions.Trace) is attached by compile.
+// Both are passive: neither schedules a simulator event, draws from an
+// RNG or changes state the simulation can observe, so golden digests are
+// byte-identical with either or both on (TestGoldenTracingInvariance),
+// and an observed run may share the process with unobserved ones
+// (TestRunOptionsArePerRun).
 package exp
 
 import (
@@ -17,51 +18,31 @@ import (
 	"abc/internal/sim"
 )
 
-var (
-	// traceRec is the recorder every new scenario graph attaches
-	// (EnableTracing); nil = tracing off.
-	traceRec atomic.Pointer[obs.Recorder]
-	// metReg / metPeriodNs configure run-metrics sampling
-	// (EnableMetrics); nil registry = metrics off.
-	metReg      atomic.Pointer[obs.Registry]
-	metPeriodNs atomic.Int64
-)
+// metricsPeriod is how often, in virtual time, a metered run samples.
+const metricsPeriod = sim.Second
 
-// EnableTracing attaches a flight recorder to every scenario the
-// harness runs from now on: the topology graph, its links and qdiscs,
-// and every flow endpoint emit trace events into it,
-// filtered by the recorder's category mask. Pass nil to turn tracing
-// back off. Safe to call concurrently with running sweeps; cells read
-// the switch once at cell start.
+// traceRec is the recorder the package-level Run attaches
+// (EnableTracing); nil = tracing off.
+var traceRec atomic.Pointer[obs.Recorder]
+
+// EnableTracing sets the flight recorder the package-level Run attaches
+// to every run from now on; pass nil to turn it back off. Kept for
+// bench/; deleted when bench passes RunOptions (ROADMAP 2(g)).
 func EnableTracing(r *obs.Recorder) { traceRec.Store(r) }
 
-// EnableMetrics publishes live run metrics into reg, sampled every
-// period of virtual time: per-edge queue depth/bytes (plus ABC tokens
-// and mark counts on ABC bottlenecks), per-flow cwnd/pacing-rate (plus
-// ReverseBrakes for ABC senders), the ledger's drops by cause, and the
-// well-known obs.MetricSimSeconds /
-// obs.MetricSimEvents read by the progress line. Like tracing, sampling
-// is passive: the coordinator calls the sampler at a barrier once per
-// period (and the harness once more at the end of a run whose last tick
-// fell short of it); nothing is scheduled, so results are
-// digest-identical with metrics on.
-// Gauges show the most recent sample from whichever sweep cell sampled
-// last, while counters aggregate across cells. Pass a nil registry to
-// turn metrics off.
-func EnableMetrics(reg *obs.Registry, period sim.Time) {
-	if period <= 0 {
-		period = sim.Second
-	}
-	metPeriodNs.Store(int64(period))
-	metReg.Store(reg)
-}
-
 // runSampler captures everything one scenario publishes per sample into
-// the metrics registry, every period of virtual time.
+// the metrics registry: per-edge queue depth/bytes (plus ABC tokens and
+// mark counts on ABC bottlenecks), per-flow cwnd/pacing-rate (plus
+// ReverseBrakes for ABC senders), the ledger's drops by cause, and the
+// well-known obs.MetricSimSeconds / obs.MetricSimEvents read by the
+// progress line. The coordinator calls it at a barrier once per
+// metricsPeriod (and the harness once more at the end of a run whose
+// last tick fell short of it). Gauges show the most recent sample from
+// whichever cell sharing the registry sampled last, while counters
+// aggregate across cells.
 type runSampler struct {
-	reg    *obs.Registry
-	period sim.Time
-	c      *compiled
+	reg *obs.Registry
+	c   *compiled
 	// prevEvents and prevBooks track the executed-event count and the
 	// ledger already published, so obs.MetricSimEvents and
 	// abc_drops_total aggregate correctly across parallel cells.
@@ -69,14 +50,14 @@ type runSampler struct {
 	prevBooks  packet.Books
 }
 
-// newRunSampler builds the sampler for one scenario, or nil when
-// metrics are off. It must be called after the graph's edges are built.
-func newRunSampler(c *compiled) *runSampler {
-	reg := metReg.Load()
+// newRunSampler builds the sampler that publishes one scenario into
+// reg, or nil when reg is nil. It must be called after the graph's edges
+// are built.
+func newRunSampler(c *compiled, reg *obs.Registry) *runSampler {
 	if reg == nil {
 		return nil
 	}
-	rs := &runSampler{reg: reg, period: sim.Time(metPeriodNs.Load()), c: c}
+	rs := &runSampler{reg: reg, c: c}
 	reg.Help("abc_queue_pkts", "Instantaneous bottleneck queue depth in packets.")
 	reg.Help("abc_queue_bytes", "Instantaneous bottleneck queue depth in bytes.")
 	reg.Help("abc_tokens", "ABC router token-bucket level (Algorithm 1).")

@@ -3,8 +3,13 @@ package exp
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
+	"reflect"
+	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"abc/internal/abc"
@@ -20,14 +25,15 @@ import (
 // flight recorder attached at full category mask and metrics sampling
 // on, and requires every digest to stay byte-identical to the committed
 // corpus: both must be purely passive — no scheduled events, no RNG
-// draws, no state the simulation can observe. Each case gets a recorder
-// and a registry of its own, so it can also require every traced drop
+// draws, no state the simulation can observe. Each case gets RunOptions
+// of its own, so it can also require every traced drop
 // cause to have one event per packet the ledger booked under it (the
 // sampler publishes the ledger as abc_drops_total, summed over the
 // case's runs). The final assertions that events were captured, samples
 // published and every traced cause met keep the test from passing
 // vacuously if the wiring breaks.
 func TestGoldenTracingInvariance(t *testing.T) {
+	t.Parallel()
 	data, err := os.ReadFile(goldenPath)
 	if err != nil {
 		t.Fatalf("no golden corpus (%v)", err)
@@ -36,18 +42,13 @@ func TestGoldenTracingInvariance(t *testing.T) {
 	if err := json.Unmarshal(data, &want); err != nil {
 		t.Fatalf("corrupt %s: %v", goldenPath, err)
 	}
-	defer EnableTracing(nil)
-	defer EnableMetrics(nil, 0)
 	var events, simEvents int64
 	seen := map[obs.Kind]int64{}
 	for _, c := range goldenCases() {
 		c := c
-		rec := obs.NewRecorder(1<<16, obs.CatAll)
-		EnableTracing(rec)
-		reg := obs.NewRegistry()
-		EnableMetrics(reg, 250*sim.Millisecond)
+		rec, reg := obs.NewRecorder(1<<16, obs.CatAll), obs.NewRegistry()
 		t.Run(c.name, func(t *testing.T) {
-			v, err := c.run()
+			v, err := c.run(RunOptions{Trace: rec, Metrics: reg})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -83,6 +84,68 @@ func TestGoldenTracingInvariance(t *testing.T) {
 	}
 }
 
+// TestRunOptionsArePerRun: a run's observers are its own. One spec runs
+// on four goroutines at once, one of them with RunOptions{Trace,
+// Metrics} and three with none. Every run prints the same result, the
+// observed run's recorder holds exactly the events a traced run of the
+// spec records alone, and its registry exactly what a metered run of the
+// spec publishes alone: nothing leaks in from the unobserved runs.
+func TestRunOptionsArePerRun(t *testing.T) {
+	t.Parallel()
+	spec := fig7Spec(1)
+	spec.Duration = 4 * sim.Second
+	observed := func() RunOptions {
+		return RunOptions{Trace: obs.NewRecorder(1<<18, obs.CatAll), Metrics: obs.NewRegistry()}
+	}
+	printed := func(o RunOptions) (string, error) {
+		res, pooled, err := o.Run(spec)
+		if err != nil {
+			return "", err
+		}
+		var sb strings.Builder
+		PrintResult(&sb, res, pooled)
+		fmt.Fprintf(&sb, "events %d\n", res.Graph.S.Executed())
+		return sb.String(), nil
+	}
+
+	alone := observed()
+	want, err := printed(alone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alone.Trace.Total() == 0 || alone.Trace.Overwritten() != 0 {
+		t.Fatalf("a lone traced run recorded %d events, %d overwritten: want some, none lost", alone.Trace.Total(), alone.Trace.Overwritten())
+	}
+
+	runs := []RunOptions{observed(), {}, {}, {}}
+	got := make([]string, len(runs))
+	errs := make([]error, len(runs))
+	var wg sync.WaitGroup
+	wg.Add(len(runs))
+	for i := range runs {
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = printed(runs[i])
+		}(i)
+	}
+	wg.Wait()
+	for i := range runs {
+		if errs[i] != nil {
+			t.Fatalf("run %d: %v", i, errs[i])
+		}
+		if got[i] != want {
+			t.Errorf("run %d (observed: %t) printed\n%s\nwant, as a lone run printed,\n%s", i, i == 0, got[i], want)
+		}
+	}
+	shared := runs[0]
+	if n, m := shared.Trace.Total(), alone.Trace.Total(); n != m || !slices.Equal(shared.Trace.Snapshot(), alone.Trace.Snapshot()) {
+		t.Errorf("the observed run recorded %d events and a lone traced run %d, or the same number of different events", n, m)
+	}
+	if got, want := shared.Metrics.Snapshot(), alone.Metrics.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Errorf("the observed run's registry holds\n%v\nwant, as a lone metered run published,\n%v", got, want)
+	}
+}
+
 // dropEvents maps every traced drop event to the cause the dropped
 // packet is booked under.
 var dropEvents = map[obs.Kind]packet.Cause{
@@ -95,15 +158,15 @@ var dropEvents = map[obs.Kind]packet.Cause{
 }
 
 // TestForEachCellPanic asserts a panicking cell is converted into an
-// error naming the cell instead of killing the sweep. The worker pool
-// keeps draining after the panic (every cell runs); the sequential path
-// keeps its fail-fast contract and stops at the failing cell.
+// error naming the cell instead of killing the sweep, and that the pool
+// keeps draining after the panic (every cell runs), on one worker and on
+// four.
 func TestForEachCellPanic(t *testing.T) {
-	defer func(p int) { Parallelism = p }(Parallelism)
-	for _, par := range []int{1, 4} {
-		Parallelism = par
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
 		ran := make([]bool, 3)
-		err := forEachCell(3, func(i int) string {
+		err := forEachCell(RunOptions{}, 3, func(i int) string {
 			return []string{"a", "b", "c"}[i]
 		}, func(i int) error {
 			ran[i] = true
@@ -113,18 +176,16 @@ func TestForEachCellPanic(t *testing.T) {
 			return nil
 		})
 		if err == nil {
-			t.Fatalf("par=%d: panic swallowed", par)
+			t.Fatalf("GOMAXPROCS=%d: panic swallowed", procs)
 		}
 		for _, frag := range []string{"cell b", "panicked", "boom"} {
 			if !strings.Contains(err.Error(), frag) {
-				t.Errorf("par=%d: error %q missing %q", par, err, frag)
+				t.Errorf("GOMAXPROCS=%d: error %q missing %q", procs, err, frag)
 			}
 		}
-		if par > 1 {
-			for i, r := range ran {
-				if !r {
-					t.Errorf("par=%d: cell %d did not run after sibling panic", par, i)
-				}
+		for i, r := range ran {
+			if !r {
+				t.Errorf("GOMAXPROCS=%d: cell %d did not run after sibling panic", procs, i)
 			}
 		}
 	}
@@ -134,7 +195,7 @@ func TestForEachCellPanic(t *testing.T) {
 // the cell's identity and still unwrap to the original.
 func TestForEachCellErrorLabel(t *testing.T) {
 	sentinel := errors.New("cell exploded")
-	err := forEachCell(2, func(i int) string {
+	err := forEachCell(RunOptions{}, 2, func(i int) string {
 		return []string{"scheme=ABC seed=7", "scheme=Cubic seed=7"}[i]
 	}, func(i int) error {
 		if i == 1 {
@@ -150,13 +211,15 @@ func TestForEachCellErrorLabel(t *testing.T) {
 	}
 }
 
-// TestMetricsSampling runs a small scenario with live metrics enabled
-// and checks the registry ends up with the advertised families: per-edge
+// TestMetricsSampling runs a small scenario with live metrics on and
+// checks the registry ends up with the advertised families: per-edge
 // queue gauges and discipline drops on every discipline, token and mark
 // series on an ABC one, per-flow cwnd, and the sim-progress pair
 // read by the progress line — which must end on the run's duration
-// whether the last tick fell on it (200 ms) or short of it (300 ms).
+// whether the last one-second tick fell on it (2 s) or short of it
+// (2.5 s).
 func TestMetricsSampling(t *testing.T) {
+	t.Parallel()
 	common := []string{
 		`abc_queue_pkts{edge="fwd0"}`,
 		`abc_queue_bytes{edge="fwd0"}`,
@@ -185,19 +248,17 @@ func TestMetricsSampling(t *testing.T) {
 		}},
 		{scheme: "Cubic", qdisc: QdiscSpec{Kind: "codel", Buffer: 20}, drops: true},
 	}
-	for _, period := range []sim.Time{200 * sim.Millisecond, 300 * sim.Millisecond} {
+	for _, dur := range []sim.Time{2 * sim.Second, 2500 * sim.Millisecond} {
 		for _, tc := range cases {
 			reg := obs.NewRegistry()
-			EnableMetrics(reg, period)
-			_, _, err := Run(Spec{
+			_, _, err := (RunOptions{Metrics: reg}).Run(Spec{
 				Seed:     1,
-				Duration: 2 * sim.Second,
+				Duration: dur,
 				Warmup:   500 * sim.Millisecond,
 				RTT:      50 * sim.Millisecond,
 				Links:    []LinkSpec{{Rate: netem.ConstRate(10e6), Qdisc: tc.qdisc}},
 				Flows:    []FlowSpec{{Scheme: tc.scheme}},
 			})
-			EnableMetrics(nil, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -207,21 +268,21 @@ func TestMetricsSampling(t *testing.T) {
 			}
 			for _, name := range append(common, tc.extra...) {
 				if _, ok := have[name]; !ok {
-					t.Errorf("%s, period %v: registry missing %s after a metered run", tc.scheme, period, name)
+					t.Errorf("%s, dur %v: registry missing %s after a metered run", tc.scheme, dur, name)
 				}
 			}
 			qd := have[`abc_qdisc_drops_total{edge="fwd0"}`].Value
 			if tc.drops && qd <= 0 {
-				t.Errorf("%s, period %v: abc_qdisc_drops_total = %g, want the shallow buffer's drops", tc.scheme, period, qd)
+				t.Errorf("%s, dur %v: abc_qdisc_drops_total = %g, want the shallow buffer's drops", tc.scheme, dur, qd)
 			}
 			if booked := have[`abc_drops_total{cause="refused"}`].Value + have[`abc_drops_total{cause="aqm"}`].Value; booked != qd {
-				t.Errorf("%s, period %v: the ledger booked %g refused and AQM drops, the discipline dropped %g", tc.scheme, period, booked, qd)
+				t.Errorf("%s, dur %v: the ledger booked %g refused and AQM drops, the discipline dropped %g", tc.scheme, dur, booked, qd)
 			}
-			if s := have[obs.MetricSimSeconds]; s.Value != 2 {
-				t.Errorf("%s, period %v: final %s = %g, want 2 (the run duration)", tc.scheme, period, obs.MetricSimSeconds, s.Value)
+			if s := have[obs.MetricSimSeconds]; s.Value != dur.Seconds() {
+				t.Errorf("%s, dur %v: final %s = %g, want the run duration", tc.scheme, dur, obs.MetricSimSeconds, s.Value)
 			}
 			if s := have[obs.MetricSimEvents]; s.Value <= 0 {
-				t.Errorf("%s, period %v: %s = %g, want > 0", tc.scheme, period, obs.MetricSimEvents, s.Value)
+				t.Errorf("%s, dur %v: %s = %g, want > 0", tc.scheme, dur, obs.MetricSimEvents, s.Value)
 			}
 		}
 	}
@@ -234,15 +295,10 @@ func TestMetricsSampling(t *testing.T) {
 // with its accounting: none refused at the heaviest load, every spawned
 // one either completed or still in flight.
 func TestFig12OnSharedPipeline(t *testing.T) {
-	rec := obs.NewRecorder(1<<16, obs.CatAll)
-	EnableTracing(rec)
-	defer EnableTracing(nil)
-	reg := obs.NewRegistry()
-	EnableMetrics(reg, 100*sim.Millisecond)
-	defer EnableMetrics(nil, 0)
-
+	t.Parallel()
+	rec, reg := obs.NewRecorder(1<<16, obs.CatAll), obs.NewRegistry()
 	cfg := Fig12Config{Runs: 1, Duration: 5 * sim.Second, Loads: []float64{0.5}, Seed: 1}
-	if _, err := fig12WeightPolicy("maxmin", cfg); err != nil {
+	if _, err := fig12WeightPolicy(RunOptions{Trace: rec, Metrics: reg}, "maxmin", cfg); err != nil {
 		t.Fatal(err)
 	}
 	have := map[string]float64{}
@@ -282,14 +338,12 @@ func TestFig12OnSharedPipeline(t *testing.T) {
 	}
 }
 
-// tracedKinds runs fn with a flight recorder attached at mask and returns
-// how many events of each kind it recorded.
-func tracedKinds(t *testing.T, mask obs.Cat, fn func()) map[obs.Kind]int64 {
+// tracedKinds runs fn with options that attach a flight recorder at
+// mask and returns how many events of each kind it recorded.
+func tracedKinds(t *testing.T, mask obs.Cat, fn func(o RunOptions)) map[obs.Kind]int64 {
 	t.Helper()
 	rec := obs.NewRecorder(1<<18, mask)
-	EnableTracing(rec)
-	defer EnableTracing(nil)
-	fn()
+	fn(RunOptions{Trace: rec})
 	if rec.Overwritten() != 0 {
 		t.Fatal("recorder ring too small for the run")
 	}
@@ -307,12 +361,13 @@ func tracedKinds(t *testing.T, mask obs.Cat, fn func()) map[obs.Kind]int64 {
 // queue and not yet been booked), one accel or brake event per marking
 // decision of the router behind it.
 func TestWiFiEdgeTraced(t *testing.T) {
+	t.Parallel()
 	rc := abc.DefaultRouterConfig()
 	rc.Limit = 1000
 	var res *Result
-	kinds := tracedKinds(t, obs.CatPacket|obs.CatMark, func() {
+	kinds := tracedKinds(t, obs.CatPacket|obs.CatMark, func(o RunOptions) {
 		var err error
-		res, _, err = Run(Spec{
+		res, _, err = o.Run(Spec{
 			Seed:     1,
 			Duration: 5 * sim.Second,
 			RTT:      60 * sim.Millisecond,
@@ -346,12 +401,13 @@ func TestWiFiEdgeTraced(t *testing.T) {
 // marking router is the composite's ABC child, and the composite hands it
 // the recorder — every accel and brake it issues is an event.
 func TestDualQueueChildMarksTraced(t *testing.T) {
+	t.Parallel()
 	spec := fig7Spec(1)
 	spec.Duration = 30 * sim.Second
 	var res *Result
-	kinds := tracedKinds(t, obs.CatMark, func() {
+	kinds := tracedKinds(t, obs.CatMark, func(o RunOptions) {
 		var err error
-		if res, _, err = Run(spec); err != nil {
+		if res, _, err = o.Run(spec); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -368,11 +424,12 @@ func TestDualQueueChildMarksTraced(t *testing.T) {
 // TestImpairDropsTraced: a packet the impairment stage discards leaves an
 // event like every other drop cause, under random and under bursty loss.
 func TestImpairDropsTraced(t *testing.T) {
+	t.Parallel()
 	for _, bursty := range []bool{false, true} {
 		var pts []LossyPoint
-		kinds := tracedKinds(t, obs.CatPacket, func() {
+		kinds := tracedKinds(t, obs.CatPacket, func(o RunOptions) {
 			var err error
-			if pts, err = lossyLink([]string{"ABC"}, []float64{0.01}, bursty, 8*sim.Second, 1); err != nil {
+			if pts, err = lossyLink(o, []string{"ABC"}, []float64{0.01}, bursty, 8*sim.Second, 1); err != nil {
 				t.Fatal(err)
 			}
 		})

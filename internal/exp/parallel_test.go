@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"abc/internal/metrics"
@@ -21,22 +22,21 @@ func gobBytes(t *testing.T, v any) []byte {
 }
 
 // TestParallelDeterminismFig9 is the harness determinism contract: for a
-// fixed seed the parallel fan-out must produce results byte-identical to
-// the sequential path.
+// fixed seed an eight-worker pool must produce results byte-identical to
+// a one-worker pool (GOMAXPROCS=1).
 func TestParallelDeterminismFig9(t *testing.T) {
-	old := Parallelism
-	defer func() { Parallelism = old }()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 
 	schemes := []string{"ABC", "Cubic", "Cubic+Codel"}
 	traces := []string{"Verizon1", "TMobile1"}
 	const dur = 4 * sim.Second
 
-	Parallelism = 1
+	runtime.GOMAXPROCS(1)
 	seq, err := fig9Bars(Params{Schemes: schemes, Dur: dur, Seed: 1}, traces)
 	if err != nil {
 		t.Fatal(err)
 	}
-	Parallelism = 8
+	runtime.GOMAXPROCS(8)
 	par, err := fig9Bars(Params{Schemes: schemes, Dur: dur, Seed: 1}, traces)
 	if err != nil {
 		t.Fatal(err)
@@ -71,19 +71,18 @@ func flatten(b *BarsResult) []metrics.Summary {
 }
 
 // TestParallelDeterminismFig12 covers the (load, run) aggregation order:
-// concatenated per-run rate vectors must match the sequential sweep.
+// concatenated per-run rate vectors must match a one-worker sweep.
 func TestParallelDeterminismFig12(t *testing.T) {
-	old := Parallelism
-	defer func() { Parallelism = old }()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 
 	cfg := Fig12Config{Runs: 3, Duration: 6 * sim.Second, Loads: []float64{0.125, 0.25}, Seed: 1}
-	Parallelism = 1
-	seq, err := fig12WeightPolicy("maxmin", cfg)
+	runtime.GOMAXPROCS(1)
+	seq, err := fig12WeightPolicy(RunOptions{}, "maxmin", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	Parallelism = 6
-	par, err := fig12WeightPolicy("maxmin", cfg)
+	runtime.GOMAXPROCS(4)
+	par, err := fig12WeightPolicy(RunOptions{}, "maxmin", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,24 +92,25 @@ func TestParallelDeterminismFig12(t *testing.T) {
 }
 
 // TestForEachErrorIsDeterministic: the lowest-index error wins regardless
-// of completion order.
+// of completion order, on one worker and on four.
 func TestForEachErrorIsDeterministic(t *testing.T) {
-	old := Parallelism
-	defer func() { Parallelism = old }()
-	Parallelism = 4
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	errA := &testErr{"a"}
 	errB := &testErr{"b"}
-	err := forEachCell(10, nil, func(i int) error {
-		switch i {
-		case 3:
-			return errB
-		case 7:
-			return errA
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		err := forEachCell(RunOptions{}, 10, nil, func(i int) error {
+			switch i {
+			case 3:
+				return errB
+			case 7:
+				return errA
+			}
+			return nil
+		})
+		if err != errB {
+			t.Fatalf("GOMAXPROCS=%d: got %v, want the index-3 error", procs, err)
 		}
-		return nil
-	})
-	if err != errB {
-		t.Fatalf("got %v, want the index-3 error", err)
 	}
 }
 

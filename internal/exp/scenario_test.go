@@ -346,7 +346,7 @@ func FuzzScenarioJSON(f *testing.F) {
 			t.Fatalf("a scenario Check accepted does not build at 100 ms: %v", err)
 		}
 		c.g.S.SetEventLimit(3e6)
-		if _, _, err := c.run(); err != nil {
+		if _, _, err := c.run(nil); err != nil {
 			t.Fatalf("a scenario Check accepted failed mid-run: %v", err)
 		}
 	})

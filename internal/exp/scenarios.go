@@ -48,7 +48,7 @@ const uplinkMbps = 2
 func uplinkCongestedACK(p Params) (map[string]UplinkResult, error) {
 	down := trace.MustNamedCellular("Verizon1")
 	return sweepMap("uplink trace=Verizon1", p, []string{"ABC", "Cubic", "Cubic+Codel", "BBR"}, func(sch string) (UplinkResult, error) {
-		res, _, err := Run(Spec{
+		res, _, err := p.Run(Spec{
 			Seed:     p.Seed,
 			Duration: p.Dur,
 			RTT:      100 * sim.Millisecond,
@@ -106,7 +106,7 @@ type HeteroRTTResult struct {
 // short-RTT flows (window dynamics paced per-RTT always favour them; the
 // Jain index quantifies by how much). The first quarter of the run, at
 // most 10 s, is warmup.
-func heteroRTTFairness(scheme string, dur sim.Time, seed int64) (*HeteroRTTResult, error) {
+func heteroRTTFairness(o RunOptions, scheme string, dur sim.Time, seed int64) (*HeteroRTTResult, error) {
 	if scheme == "" {
 		scheme = "ABC"
 	}
@@ -115,7 +115,7 @@ func heteroRTTFairness(scheme string, dur sim.Time, seed int64) (*HeteroRTTResul
 	for i, ms := range rttsMs {
 		flows[i] = FlowSpec{Scheme: scheme, RTT: sim.Time(ms) * sim.Millisecond}
 	}
-	res, _, err := Run(Spec{
+	res, _, err := o.Run(Spec{
 		Seed:     seed,
 		Duration: dur,
 		Warmup:   min(10*sim.Second, dur/4),
@@ -150,7 +150,7 @@ type HeteroRTTRun struct {
 // at the default RTT ladder.
 func heteroRTTSweep(p Params) ([]HeteroRTTRun, error) {
 	return sweep("heterortt", p, []string{"ABC", "Cubic"}, func(sch string) (HeteroRTTRun, error) {
-		r, err := heteroRTTFairness(sch, p.Dur, p.Seed)
+		r, err := heteroRTTFairness(p.RunOptions, sch, p.Dur, p.Seed)
 		return HeteroRTTRun{Scheme: sch, HeteroRTTResult: r}, err
 	})
 }
@@ -179,7 +179,7 @@ type LossyPoint struct {
 // 24 Mbit/s bottleneck for each scheme: loss-as-congestion schemes
 // collapse as loss grows while ABC's explicit feedback keeps the link
 // busy. Results are ordered scheme-major, loss-minor.
-func lossyLink(schemes []string, lossRates []float64, bursty bool, dur sim.Time, seed int64) ([]LossyPoint, error) {
+func lossyLink(o RunOptions, schemes []string, lossRates []float64, bursty bool, dur sim.Time, seed int64) ([]LossyPoint, error) {
 	if len(schemes) == 0 {
 		schemes = []string{"ABC", "Cubic", "BBR"}
 	}
@@ -187,7 +187,7 @@ func lossyLink(schemes []string, lossRates []float64, bursty bool, dur sim.Time,
 		lossRates = []float64{0, 0.001, 0.01, 0.05}
 	}
 	out := make([]LossyPoint, len(schemes)*len(lossRates))
-	err := forEachCell(len(out), func(i int) string {
+	err := forEachCell(o, len(out), func(i int) string {
 		si, li := i/len(lossRates), i%len(lossRates)
 		return fmt.Sprintf("lossy scheme=%s loss=%g bursty=%t seed=%d", schemes[si], lossRates[li], bursty, seed)
 	}, func(i int) error {
@@ -197,7 +197,7 @@ func lossyLink(schemes []string, lossRates []float64, bursty bool, dur sim.Time,
 		if bursty {
 			imp = topo.Impairments{BurstLossRate: loss * 10, BurstPBad: 0.02, BurstPGood: 0.2}
 		}
-		res, pooled, err := Run(Spec{
+		res, pooled, err := o.Run(Spec{
 			Seed:     seed,
 			Duration: dur,
 			RTT:      100 * sim.Millisecond,
@@ -231,7 +231,7 @@ func lossyLink(schemes []string, lossRates []float64, bursty bool, dur sim.Time,
 func lossyBoth(p Params) ([]LossyPoint, error) {
 	var out []LossyPoint
 	for _, bursty := range []bool{false, true} {
-		pts, err := lossyLink(p.Schemes, nil, bursty, p.Dur, p.Seed)
+		pts, err := lossyLink(p.RunOptions, p.Schemes, nil, bursty, p.Dur, p.Seed)
 		if err != nil {
 			return nil, err
 		}

@@ -243,7 +243,7 @@ func TestReverseFlowActuallyCongests(t *testing.T) {
 // warmup still measures something. At 8 s every ABC flow gets throughput,
 // and the split favours short RTTs strictly.
 func TestHeteroRTTShortRunMeasures(t *testing.T) {
-	r, err := heteroRTTFairness("ABC", 8*sim.Second, 1)
+	r, err := heteroRTTFairness(RunOptions{}, "ABC", 8*sim.Second, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

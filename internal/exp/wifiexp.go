@@ -176,7 +176,7 @@ var fig10SchemeSet = []WiFiScheme{
 // mean per-user p95 one-way delay, matching Fig. 10's metrics. The link
 // is an ordinary LinkSpec of Kind "wifi", so the run goes through the
 // same topology harness as every cellular figure.
-func runWiFi(ws WiFiScheme, nUsers int, mcs wifi.MCS, dur sim.Time, seed int64) (metrics.Summary, error) {
+func runWiFi(o RunOptions, ws WiFiScheme, nUsers int, mcs wifi.MCS, dur sim.Time, seed int64) (metrics.Summary, error) {
 	// The Wi-Fi links reach ~50 Mbit/s; at dt = 100 ms the standing
 	// queue alone is ~400 packets, so the AP buffer must be deeper than
 	// the cellular 250 (commodity APs buffer ~1000 frames).
@@ -198,7 +198,7 @@ func runWiFi(ws WiFiScheme, nUsers int, mcs wifi.MCS, dur sim.Time, seed int64) 
 	for u := range flows {
 		flows[u] = FlowSpec{Scheme: ws.Scheme}
 	}
-	res, _, err := Run(Spec{
+	res, _, err := o.Run(Spec{
 		Seed:     seed,
 		Duration: dur,
 		Warmup:   3 * sim.Second,
@@ -227,10 +227,10 @@ func runWiFi(ws WiFiScheme, nUsers int, mcs wifi.MCS, dur sim.Time, seed int64) 
 // schemes on the varying Wi-Fi link.
 func fig10WiFi(nUsers int, mcs wifi.MCS, p Params) ([]metrics.Summary, error) {
 	out := make([]metrics.Summary, len(fig10SchemeSet))
-	err := forEachCell(len(fig10SchemeSet), func(i int) string {
+	err := forEachCell(p.RunOptions, len(fig10SchemeSet), func(i int) string {
 		return fmt.Sprintf("fig10 wifi users=%d scheme=%s seed=%d", nUsers, fig10SchemeSet[i], p.Seed)
 	}, func(i int) error {
-		s, err := runWiFi(fig10SchemeSet[i], nUsers, mcs, p.Dur, p.Seed)
+		s, err := runWiFi(p.RunOptions, fig10SchemeSet[i], nUsers, mcs, p.Dur, p.Seed)
 		out[i] = s
 		return err
 	})

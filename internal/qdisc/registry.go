@@ -22,8 +22,8 @@ type BuildSpec struct {
 	Kind string
 	// Buffer is the queue limit in packets (<= 0 means DefaultBuffer).
 	// Every kind bounds its queue by it — each child's, for the dual-*
-	// composites — except "abc", whose limit is its router
-	// configuration's (250 unless the configuration says otherwise).
+	// composites. An ABC-family kind's *abc.RouterConfig may set a Limit
+	// of its own, which then takes precedence.
 	Buffer int
 	// Config is a provider-specific configuration (*abc.RouterConfig for
 	// the ABC family). Build rejects one handed to a kind registered with
