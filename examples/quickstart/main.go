@@ -50,15 +50,19 @@ func main() {
 
 	fmt.Println("time   capacity   throughput   queue   wabc")
 	var last int64
-	s.Every(sim.Second, func() bool {
+	var report func()
+	report = func() {
 		now := s.Now()
 		tput := float64(delivered-last) * 8 / 1e6
 		last = delivered
 		fmt.Printf("%4.0fs %7.1f Mbps %7.2f Mbps %5d pkt %6.0f\n",
 			now.Seconds(), link.CapacityBps(now, sim.Second)/1e6,
 			tput, router.Len(), sender.WABC())
-		return now < 16*sim.Second
-	})
+		if now < 16*sim.Second {
+			s.After(sim.Second, report)
+		}
+	}
+	s.After(sim.Second, report)
 
 	ep.Start()
 	s.RunUntil(16 * sim.Second)

@@ -131,7 +131,7 @@ func (c *compiled) balance() error {
 	inService := map[topo.Link]int64{} // bytes, by link
 	var serving, inFlight int64
 	stale := -1 // the flow of the first stopped endpoint with an event pending
-	c.g.Coordinator().EachPending(func(a, b any) {
+	c.g.S.EachPending(func(a, b any) {
 		if ep, ok := a.(*cc.Endpoint); ok && ep.Stopped() && stale < 0 {
 			stale = ep.Flow
 		}

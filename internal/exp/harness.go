@@ -17,7 +17,6 @@ import (
 	"abc/internal/obs"
 	"abc/internal/packet"
 	"abc/internal/qdisc"
-	"abc/internal/sched"
 	"abc/internal/sim"
 	"abc/internal/topo"
 )
@@ -246,9 +245,6 @@ func (c *compiled) runAndMeasure(reg *obs.Registry) *metrics.DelayRecorder {
 				}
 				return float64(firstQ.Bytes()) * 8 / mu * 1000 // ms
 			})
-			if dq, ok := firstQ.(*sched.DualQueue); ok {
-				res.WeightTS = c.sampled(func(sim.Time) float64 { return dq.WeightABC() })
-			}
 		}
 		coord.Every(spec.Sample, func(now sim.Time) {
 			for _, s := range c.series {

@@ -41,6 +41,7 @@ import (
 	"abc/internal/metrics"
 	"abc/internal/packet"
 	"abc/internal/qdisc"
+	_ "abc/internal/sched" // registers the dual-maxmin and dual-zombie qdiscs
 	"abc/internal/sim"
 	"abc/internal/topo"
 	"abc/internal/trace"
@@ -333,8 +334,6 @@ type Result struct {
 	// QueueDelayTS samples the first link's standing queue delay when
 	// sampling is enabled.
 	QueueDelayTS *metrics.Timeseries
-	// WeightTS samples a dual queue's ABC weight when present.
-	WeightTS *metrics.Timeseries
 	// Qdiscs exposes the built bottleneck disciplines, first hop first.
 	Qdiscs []qdisc.Qdisc
 	// ReverseQdiscs exposes the reverse-chain disciplines, first reverse

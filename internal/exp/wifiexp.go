@@ -128,16 +128,20 @@ func fig5RatePrediction(p Params) ([]Fig5Point, error) {
 			// Sample the estimate every 100 ms after settling.
 			var sum float64
 			var n int
-			s.Every(100*sim.Millisecond, func() bool {
-				if s.Now() < 2*sim.Second {
-					return true
+			var sample func()
+			sample = func() {
+				now := s.Now()
+				if now >= 2*sim.Second {
+					if v := est.RateBps(now); v > 0 {
+						sum += v / 1e6
+						n++
+					}
 				}
-				if v := est.RateBps(s.Now()); v > 0 {
-					sum += v / 1e6
-					n++
+				if now < 12*sim.Second {
+					s.After(100*sim.Millisecond, sample)
 				}
-				return s.Now() < 12*sim.Second
-			})
+			}
+			s.After(100*sim.Millisecond, sample)
 			s.RunUntil(12 * sim.Second)
 			pt := Fig5Point{Link: name, OfferedMbps: load, TrueMbps: trueCap}
 			if n > 0 {

@@ -117,6 +117,7 @@ type Coupler struct {
 	dropped  float64
 	shareSum float64
 	steps    int
+	until    sim.Time // the last instant Start's timer steps at
 }
 
 // NewCoupler validates cfg (with defaults applied) and wires the
@@ -173,16 +174,18 @@ func (c *Coupler) arrivalBps(now sim.Time) float64 {
 // Start arms the coupler's fixed-step timer on the edge's home
 // simulator. Steps beyond until stop rescheduling.
 func (c *Coupler) Start(s *sim.Simulator, until sim.Time) {
-	s.At(c.cfg.Start, func() {
-		s.Every(c.cfg.Step, func() bool {
-			now := s.Now()
-			if now > until {
-				return false
-			}
-			c.step(now)
-			return true
-		})
-	})
+	c.until = until
+	s.At(c.cfg.Start, func() { s.AfterArgs(c.cfg.Step, couplerStep, c, s) })
+}
+
+// couplerStep is the fixed-step timer's static callback: it steps the
+// coupler (a) and re-arms itself on its simulator (b) until c.until.
+func couplerStep(a, b any) {
+	c, s := a.(*Coupler), b.(*sim.Simulator)
+	if now := s.Now(); now <= c.until {
+		c.step(now)
+		s.AfterArgs(c.cfg.Step, couplerStep, c, s)
+	}
 }
 
 // step advances the coupling by one fixed interval ending at now.

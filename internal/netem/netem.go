@@ -82,9 +82,6 @@ type TraceLink struct {
 	// clock that only moves forward: the delivery instants (opportunity,
 	// scheduleNext) and the capacity window that slides with now.
 	oppCur, capCur trace.Cursor
-	// oppFn is the bound opportunity callback, created once so arming the
-	// next delivery does not allocate a method-value closure per packet.
-	oppFn func()
 
 	// bgDebt carries the fractional opportunity bytes the fluid background
 	// has claimed but not yet been charged, so the long-run split is exact
@@ -99,7 +96,6 @@ type TraceLink struct {
 func NewTraceLink(s *sim.Simulator, tr *trace.Trace, q qdisc.Qdisc, dst packet.Node) *TraceLink {
 	l := &TraceLink{CapWindow: 80 * sim.Millisecond, oppCur: tr.Cursor(), capCur: tr.Cursor()}
 	l.Port = Port{S: s, Q: q, Dst: dst}
-	l.oppFn = l.opportunity
 	if ca, ok := q.(qdisc.CapacityAware); ok {
 		ca.SetCapacityProvider(l.CapacityBps)
 	}
@@ -133,8 +129,12 @@ func (l *TraceLink) Recv(p *packet.Packet) {
 
 // scheduleNext arms the next delivery opportunity strictly after now.
 func (l *TraceLink) scheduleNext(now sim.Time) {
-	l.S.At(l.oppCur.NextOpportunity(now), l.oppFn)
+	l.S.AtArgs(l.oppCur.NextOpportunity(now), traceLinkOpportunity, l, nil)
 }
+
+// traceLinkOpportunity is the static delivery-opportunity callback (no
+// per-packet closure).
+func traceLinkOpportunity(a, _ any) { a.(*TraceLink).opportunity() }
 
 // opportunity fires at a trace delivery instant and drains one MTU per
 // opportunity scheduled at this exact instant (traces at high rates carry

@@ -85,10 +85,6 @@ func (c *Coordinator) Every(period Time, fn func(now Time)) {
 	c.tickers = append(c.tickers, ticker{period: period, next: period, fn: fn})
 }
 
-// EachPending calls fn with the arguments of every pending event
-// (Simulator.EachPending). Call it between windows or after Run.
-func (c *Coordinator) EachPending(fn func(a, b any)) { c.s.EachPending(fn) }
-
 // Run advances the simulator until no event at or before end remains,
 // then leaves its clock at end (RunUntil semantics). If an event calls
 // Halt, Run returns at once and leaves the clock at that event. Reports

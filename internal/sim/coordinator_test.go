@@ -65,7 +65,9 @@ func TestCoordinatorHalt(t *testing.T) {
 	s := New(1)
 	c := NewCoordinator(s)
 	ticks := 0
-	s.Every(Millisecond, func() bool { ticks++; return true })
+	var tick func()
+	tick = func() { ticks++; s.After(Millisecond, tick) }
+	s.After(Millisecond, tick)
 	s.At(10*Millisecond+Microsecond, s.Halt)
 	c.Every(3*Millisecond, func(Time) {})
 	const end = 50 * Millisecond

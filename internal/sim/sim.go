@@ -17,12 +17,13 @@
 // 8-ary heap and a bottom-up sift were measured and rejected (DESIGN.md
 // §2 says why). Scheduling state (the heap slice, the slab, the
 // positions and the free list) is recycled across events, so
-// At/After/Stop and the run loop are allocation-free in steady state; the
-// only per-event allocation is whatever closure the caller passes in.
-// Callers on hot paths can avoid even that with AtArgs/AfterArgs, which
-// carry a static function plus two pointer-shaped arguments inline in
-// the slot. Timer.Stop removes the event from the heap eagerly, so
-// canceled events cost nothing.
+// At/After/Stop and the run loop are allocation-free in steady state.
+// Every event has one shape: a static ArgsFunc plus two pointer-shaped
+// arguments, held inline in a 64-byte slot. At and After schedule a
+// trampoline with the caller's closure as its first argument, so the
+// only allocation they can cost is building that closure; hot paths
+// use AtArgs/AfterArgs and build none. Timer.Stop removes the event
+// from the heap eagerly, so canceled events cost nothing.
 //
 // A source whose timestamps never decrease — the packets in flight on a
 // constant-delay wire — schedules through a Chain (ChainAfterArgs). The
@@ -119,12 +120,12 @@ func pick[T ~int64 | ~uint64](x, y T, m uint64) T { return x ^ (x^y)&T(-m) }
 const noSlot int32 = -1
 
 // slot is one slab entry: the payload of a scheduled event plus its
-// bookkeeping. Exactly one of fn and fn2 is set while the event is
-// pending. A slot is recycled through the free list when its event fires
-// or is stopped; gen then invalidates outstanding Timers and Chains.
+// bookkeeping, 64 bytes, one cache line. fn is set exactly while the
+// event is pending. A slot is recycled through the free list when its
+// event fires or is stopped; gen then invalidates outstanding Timers and
+// Chains.
 type slot struct {
-	fn   func()
-	fn2  ArgsFunc
+	fn   ArgsFunc
 	a, b any
 	// at and seq repeat the key of a chain-scheduled event, so that the
 	// event can enter the heap when its predecessor fires. Ordinary
@@ -312,7 +313,7 @@ func (s *Simulator) heapRemove(i int) {
 }
 
 // newEvent stores an event's payload in a recycled or new slot.
-func (s *Simulator) newEvent(t Time, fn func(), fn2 ArgsFunc, a, b any) int32 {
+func (s *Simulator) newEvent(t Time, fn ArgsFunc, a, b any) int32 {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
 	}
@@ -331,7 +332,7 @@ func (s *Simulator) newEvent(t Time, fn func(), fn2 ArgsFunc, a, b any) int32 {
 		i = int32(len(s.slots) - 1)
 	}
 	sl := &s.slots[i]
-	sl.fn, sl.fn2, sl.a, sl.b = fn, fn2, a, b
+	sl.fn, sl.a, sl.b = fn, a, b
 	return i
 }
 
@@ -344,41 +345,38 @@ func (s *Simulator) growSlab() {
 	s.pos = append(make([]int32, 0, n), s.pos...)
 }
 
-// freeSlot recycles slot i: it drops the closure/arg references and
+// freeSlot recycles slot i: it drops the callback and arg references and
 // invalidates outstanding Timers and Chains that name the slot.
 func (s *Simulator) freeSlot(i int32) {
 	sl := &s.slots[i]
-	sl.fn, sl.fn2, sl.a, sl.b = nil, nil, nil, nil
+	sl.fn, sl.a, sl.b = nil, nil, nil
 	sl.gen++
 	s.free = append(s.free, i)
 }
 
 // schedule inserts an ordinary event at absolute time t.
-func (s *Simulator) schedule(t Time, fn func(), fn2 ArgsFunc, a, b any) Timer {
-	sl := s.newEvent(t, fn, fn2, a, b)
+func (s *Simulator) schedule(t Time, fn ArgsFunc, a, b any) Timer {
+	sl := s.newEvent(t, fn, a, b)
 	s.heapPush(key{at: t, seq: s.seq, slot: sl})
 	s.seq++
 	return Timer{s: s, slot: sl, gen: s.slots[sl].gen}
 }
 
+// callClosure is the event callback behind At and After: a is the
+// caller's func(), which boxes into an any without allocating.
+func callClosure(a, _ any) { a.(func())() }
+
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // panics: it always indicates a logic error in a component.
-func (s *Simulator) At(t Time, fn func()) Timer {
-	return s.schedule(t, fn, nil, nil, nil)
-}
+func (s *Simulator) At(t Time, fn func()) Timer { return s.AtArgs(t, callClosure, fn, nil) }
 
 // After schedules fn to run d after the current time.
-func (s *Simulator) After(d Time, fn func()) Timer {
-	if d < 0 {
-		d = 0
-	}
-	return s.schedule(s.now+d, fn, nil, nil, nil)
-}
+func (s *Simulator) After(d Time, fn func()) Timer { return s.AfterArgs(d, callClosure, fn, nil) }
 
 // AtArgs schedules fn(a, b) at absolute time t without allocating a
 // closure: fn should be a static function and a, b pointer-shaped values.
 func (s *Simulator) AtArgs(t Time, fn ArgsFunc, a, b any) Timer {
-	return s.schedule(t, nil, fn, a, b)
+	return s.schedule(t, fn, a, b)
 }
 
 // AfterArgs schedules fn(a, b) to run d after the current time; see AtArgs.
@@ -386,7 +384,7 @@ func (s *Simulator) AfterArgs(d Time, fn ArgsFunc, a, b any) Timer {
 	if d < 0 {
 		d = 0
 	}
-	return s.schedule(s.now+d, nil, fn, a, b)
+	return s.schedule(s.now+d, fn, a, b)
 }
 
 // ChainAfterArgs schedules fn(a, b) to run d after the current time as
@@ -403,7 +401,7 @@ func (s *Simulator) ChainAfterArgs(c *Chain, d Time, fn ArgsFunc, a, b any) {
 		d = 0
 	}
 	t := s.now + d
-	i := s.newEvent(t, nil, fn, a, b)
+	i := s.newEvent(t, fn, a, b)
 	sl := &s.slots[i]
 	sl.at, sl.seq = t, s.seq
 	s.seq++
@@ -429,12 +427,12 @@ func (s *Simulator) Halt() { s.halted = true }
 // counted.
 func (s *Simulator) Pending() int { return len(s.heap) + s.chained }
 
-// EachPending calls fn with the two arguments of every pending
-// AtArgs/AfterArgs/ChainAfterArgs event, chained ones included, in slab
-// order: how an audit finds what the event queue holds.
+// EachPending calls fn with the two arguments of every pending event,
+// chained ones included, in slab order: how an audit finds what the
+// event queue holds. An At/After event's first argument is its func().
 func (s *Simulator) EachPending(fn func(a, b any)) {
 	for i := range s.slots {
-		if sl := &s.slots[i]; sl.fn2 != nil {
+		if sl := &s.slots[i]; sl.fn != nil {
 			fn(sl.a, sl.b)
 		}
 	}
@@ -446,7 +444,7 @@ func (s *Simulator) EachPending(fn func(a, b any)) {
 func (s *Simulator) step() {
 	k := s.heap[0]
 	sl := &s.slots[k.slot]
-	fn, fn2, a, b := sl.fn, sl.fn2, sl.a, sl.b
+	fn, a, b := sl.fn, sl.a, sl.b
 	if nx := sl.next; nx != noSlot {
 		sl.next = noSlot
 		succ := &s.slots[nx]
@@ -462,38 +460,28 @@ func (s *Simulator) step() {
 	if s.limit != 0 && s.executed > s.limit {
 		panic(fmt.Sprintf("sim: event limit %d exceeded at %v", s.limit, s.now))
 	}
-	if fn2 != nil {
-		fn2(a, b)
-	} else {
-		fn()
-	}
+	fn(a, b)
 }
 
 // RunUntil executes events in order until the queue is empty, the next
 // event is strictly after end, or Halt is called. Unless halted, the
 // clock is left at end; a halted run leaves it at the last executed
 // event, because events at or before end may remain. Reports the number
-// of events executed by this call.
+// of events executed by this call. An event at math.MaxInt64, the
+// largest Time, never runs: that instant means "never".
 func (s *Simulator) RunUntil(end Time) uint64 {
-	start := s.executed
-	s.halted = false
-	for len(s.heap) > 0 && s.heap[0].at <= end {
-		if s.halted {
-			return s.executed - start
-		}
-		s.step()
+	n := s.RunBefore(min(end, timeInf-1) + 1)
+	if !s.halted {
+		s.now = max(s.now, end)
 	}
-	if s.now < end {
-		s.now = end
-	}
-	return s.executed - start
+	return n
 }
 
 // RunBefore executes pending events with timestamps strictly before
 // limit, leaving the clock at the last executed event — the caller owns
-// final clock placement. This is the Coordinator's window: it is
-// half-open because the barrier callbacks at limit run before the
-// simulator events at limit.
+// final clock placement. This is the one event loop: Run and RunUntil
+// call it, and it is the Coordinator's window, half-open because the
+// barrier callbacks at limit run before the simulator events at limit.
 func (s *Simulator) RunBefore(limit Time) uint64 {
 	start := s.executed
 	s.halted = false
@@ -503,27 +491,7 @@ func (s *Simulator) RunBefore(limit Time) uint64 {
 	return s.executed - start
 }
 
-// Run executes all events until the queue drains.
-func (s *Simulator) Run() uint64 {
-	start := s.executed
-	s.halted = false
-	for len(s.heap) > 0 && !s.halted {
-		s.step()
-	}
-	return s.executed - start
-}
-
-// Every schedules fn to run every period until it returns false or the
-// simulation ends. The first call happens one period from now.
-func (s *Simulator) Every(period Time, fn func() bool) {
-	if period <= 0 {
-		panic("sim: Every requires a positive period")
-	}
-	var tick func()
-	tick = func() {
-		if fn() {
-			s.After(period, tick)
-		}
-	}
-	s.After(period, tick)
-}
+// Run executes all events until the queue drains or Halt is called,
+// leaving the clock at the last executed event. Like RunUntil, it never
+// runs an event at math.MaxInt64.
+func (s *Simulator) Run() uint64 { return s.RunBefore(timeInf) }

@@ -2,11 +2,13 @@ package sim
 
 import (
 	"cmp"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestTimeConversions(t *testing.T) {
@@ -109,6 +111,11 @@ func TestRunUntilStopsAndAdvancesClock(t *testing.T) {
 	if ran != 2 {
 		t.Errorf("second event not run")
 	}
+	// The largest end runs what is left without overflowing.
+	s.At(50*Millisecond, func() { ran++ })
+	if n := s.RunUntil(math.MaxInt64); n != 1 || ran != 3 || s.Now() != math.MaxInt64 {
+		t.Errorf("RunUntil(MaxInt64) ran %d events (%d in all), clock %v", n, ran, s.Now())
+	}
 }
 
 func TestTimerStop(t *testing.T) {
@@ -150,31 +157,6 @@ func TestHalt(t *testing.T) {
 	if ran != 2 {
 		t.Errorf("ran = %d after resume", ran)
 	}
-}
-
-func TestEvery(t *testing.T) {
-	s := New(1)
-	count := 0
-	s.Every(10*Millisecond, func() bool {
-		count++
-		return count < 5
-	})
-	s.Run()
-	if count != 5 {
-		t.Errorf("count = %d", count)
-	}
-	if s.Now() != 50*Millisecond {
-		t.Errorf("clock = %v", s.Now())
-	}
-}
-
-func TestEveryZeroPeriodPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for zero period")
-		}
-	}()
-	New(1).Every(0, func() bool { return false })
 }
 
 func TestEventLimit(t *testing.T) {
@@ -319,6 +301,17 @@ func TestPendingAndExecuted(t *testing.T) {
 	if s.Pending() != 2 {
 		t.Errorf("Pending = %d", s.Pending())
 	}
+	// EachPending visits every pending event, At ones included: an
+	// At event's first argument is its closure.
+	visited := 0
+	s.EachPending(func(a, b any) {
+		if _, ok := a.(func()); ok && b == nil {
+			visited++
+		}
+	})
+	if visited != 2 {
+		t.Errorf("EachPending visited %d of the 2 At events", visited)
+	}
 	s.Run()
 	if s.Executed() != 2 {
 		t.Errorf("Executed = %d", s.Executed())
@@ -440,5 +433,28 @@ func TestScheduleSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("steady-state schedule/cancel/run allocated %.1f times per run, want 0", allocs)
+	}
+
+	// At and After box a prebuilt closure into the slot: no allocation
+	// either.
+	noop := func() {}
+	allocs = testing.AllocsPerRun(100, func() {
+		for i := 0; i < 32; i++ {
+			s.At(s.Now()+Time(i)*Microsecond, noop)
+			s.After(Time(i)*Microsecond, noop)
+		}
+		s.After(Microsecond, noop).Stop()
+		s.Run()
+	})
+	if allocs > 0 {
+		t.Errorf("scheduling a prebuilt closure through At/After allocated %.1f times per run, want 0", allocs)
+	}
+}
+
+// TestSlotIsOneLine: an event's slab slot (callback, two arguments, chain
+// key and link, generation) fills exactly one 64-byte cache line.
+func TestSlotIsOneLine(t *testing.T) {
+	if size := unsafe.Sizeof(slot{}); size != 64 {
+		t.Errorf("sizeof(slot) = %d, want one 64-byte line", size)
 	}
 }

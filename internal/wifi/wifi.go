@@ -156,13 +156,11 @@ type Link struct {
 	rng  *rand.Rand
 	mcs  func(now sim.Time) int
 	busy bool
-	// batch is the in-flight A-MPDU, reused across batches; finishFn is
-	// the bound completion callback. Together they keep the per-batch
-	// path allocation-free.
+	// batch is the in-flight A-MPDU, reused across batches so the
+	// per-batch path is allocation-free.
 	batch        []*packet.Packet
 	batchTIA     sim.Time
 	batchBitrate float64
-	finishFn     func()
 }
 
 // NewLink wires an 802.11n link. If est is non-nil it becomes the
@@ -172,7 +170,6 @@ func NewLink(s *sim.Simulator, cfg LinkConfig, q qdisc.Qdisc, dst packet.Node, e
 		cfg.MaxBatch = defaultMaxBatch
 	}
 	l := &Link{Port: netem.Port{S: s, Q: q, Dst: dst}, Cfg: cfg, Est: est, rng: s.Rand(), mcs: cfg.MCS.at()}
-	l.finishFn = l.finishBatch
 	if est != nil {
 		if ca, ok := q.(qdisc.CapacityAware); ok {
 			ca.SetCapacityProvider(est.RateBps)
@@ -221,8 +218,12 @@ func (l *Link) startBatch() {
 	l.batchBitrate = BitrateForMCS(l.mcs(now))
 	txTime := sim.FromSeconds(float64(b*frameSize*8) / l.batchBitrate)
 	l.batchTIA = txTime + l.overhead()
-	l.S.After(l.batchTIA, l.finishFn)
+	l.S.AfterArgs(l.batchTIA, linkFinishBatch, l, nil)
 }
+
+// linkFinishBatch is the static block-ACK callback (no per-batch
+// closure).
+func linkFinishBatch(a, _ any) { a.(*Link).finishBatch() }
 
 // finishBatch fires at the block-ACK instant: it delivers the batch,
 // feeds the estimator, and starts the next A-MPDU. A frame's sojourn ends

@@ -200,13 +200,17 @@ func TestLinkEstimatorClosedLoop(t *testing.T) {
 	l := NewLink(s, cfg, qdisc.NewDropTail(0), &packet.Sink{}, est)
 	// Keep it backlogged.
 	seq := int64(0)
-	s.Every(10*sim.Millisecond, func() bool {
+	var feed func()
+	feed = func() {
 		for i := 0; i < 40; i++ {
 			l.Recv(packet.NewData(0, seq, packet.MTU, s.Now()))
 			seq++
 		}
-		return s.Now() < 3*sim.Second
-	})
+		if s.Now() < 3*sim.Second {
+			s.After(10*sim.Millisecond, feed)
+		}
+	}
+	s.After(10*sim.Millisecond, feed)
 	s.RunUntil(3 * sim.Second)
 	got := est.RateBps(3 * sim.Second)
 	want := TrueCapacityBps(cfg, 0)
