@@ -74,6 +74,41 @@ func BenchmarkWireFIFO(b *testing.B) {
 	}
 }
 
+// BenchmarkWireRun measures one packet crossing a fused wire run with 64
+// in flight: a static graph's route over two bare wires and the flow's
+// access tail, which costs one scheduled arrival instead of three wire
+// events (topo/run.go). The origin's table lookup and the run's chain
+// are all it does, so steady state must report 0 allocs/op.
+func BenchmarkWireRun(b *testing.B) {
+	s := sim.New(1)
+	g := topo.New(s)
+	a, m, c := g.AddNode("a"), g.AddNode("m"), g.AddNode("c")
+	w1, err1 := g.AddEdge("w1", a, m, 40*sim.Microsecond, topo.Impairments{}, nil)
+	w2, err2 := g.AddEdge("w2", m, c, 8*sim.Microsecond, topo.Impairments{}, nil)
+	if err1 != nil || err2 != nil {
+		b.Fatal(err1, err2)
+	}
+	g.SetStatic()
+	var entry packet.Node
+	// Each arrival sends the packet round again, 64 µs later.
+	entry, err := g.RouteFlow(1, false, []int{w1, w2}, 16*sim.Microsecond,
+		packet.NodeFunc(func(p *packet.Packet) { entry.Recv(p) }))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for j := 0; j < 64; j++ {
+		entry.Recv(packet.NewData(1, int64(j), packet.MTU, 0))
+		s.RunUntil(s.Now() + sim.Microsecond)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	start := s.Executed()
+	s.RunUntil(s.Now() + sim.Time(b.N)*sim.Microsecond)
+	if got := s.Executed() - start; got != uint64(b.N) || s.Pending() != 64 {
+		b.Fatalf("%d events and %d in flight, want %d and 64: one event per crossing", got, s.Pending(), b.N)
+	}
+}
+
 // BenchmarkSimHold measures one event of a chained hold model at the heap
 // depths the workloads run at: keys=8 (hybrid_bg), keys=96 (mesh_seq) and
 // keys=1024 (bench's sim.event_ns rung). Every key heads a chain with two

@@ -209,7 +209,9 @@ func (p *plan) resolve(rf routeFields, names []string, what string) ([]int, erro
 // build adds the plan's junctions and edges to the graph — each
 // bottleneck and its discipline scheduling on the simulator of the
 // junction feeding it — fills the Result's qdisc views, and checks every
-// route against the finished graph.
+// route against the finished graph. A graph that no timeline event and
+// no routing policy can change is declared static, so its routes cross
+// their bare stretches as wire runs (topo.Graph.SetStatic).
 func (c *compiled) build() error {
 	p, g, spec, res := c.p, c.g, c.spec, c.res
 	for _, name := range p.nodes {
@@ -270,6 +272,9 @@ func (c *compiled) build() error {
 		if err := checkRoute(g, r, "workload", i); err != nil {
 			return err
 		}
+	}
+	if len(spec.Events) == 0 && spec.Routing == nil {
+		g.SetStatic()
 	}
 	return nil
 }

@@ -1,0 +1,196 @@
+package exp
+
+import (
+	"fmt"
+	"path/filepath"
+	"slices"
+	"strings"
+	"testing"
+
+	"abc/internal/obs"
+	"abc/internal/sim"
+	"abc/internal/topo"
+)
+
+// relationNumbers is what a relation between two runs compares: every
+// number the run measured for its flows, workloads and backgrounds, the
+// utilization and the packet books — everything but the labels that
+// name edges (Result.Events, Result.RouteChanges), which a relation that
+// renames the topology is allowed to move.
+func relationNumbers(res *Result) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "util %v books %+v delayed %d stripped %d\n", res.Utilization, res.Ledger, res.AdvDelayed, res.AdvStripped)
+	for i := range res.Flows {
+		f := &res.Flows[i]
+		fmt.Fprintf(&b, "flow %d: %d B %v Mbit/s delay %v %v %d qdelay %v lost %d retx %d sent %d acked %d\n",
+			i, f.Bytes, f.TputMbps, f.Delay.Mean(), f.Delay.P95(), f.Delay.Count(), f.QDelay.Mean(),
+			f.Lost, f.Retx, f.Endpoint.SentPackets, f.Endpoint.AckedPackets)
+		if f.Tput != nil {
+			fmt.Fprintf(&b, "  tput %v\n", f.Tput.Values)
+		}
+	}
+	for i := range res.Workloads {
+		w := &res.Workloads[i]
+		fmt.Fprintf(&b, "workload %d: %d/%d %d B fct %v %v\n", i, w.Completed, w.Spawned, w.Bytes, w.FCT.Mean(), w.FCT.P95())
+	}
+	for i := range res.Backgrounds {
+		fmt.Fprintf(&b, "background %d: %+v\n", i, res.Backgrounds[i])
+	}
+	if res.QueueDelayTS != nil {
+		fmt.Fprintf(&b, "qdelay %v\n", res.QueueDelayTS.Values)
+	}
+	return b.String()
+}
+
+// splitWire returns spec with its first positive-delay wire edge that no
+// timeline event targets or abandons replaced by two wires through a new
+// junction, d/3 and the rest, renamed in every path that crossed it; ok
+// is false when the spec has no such wire. A wire that a reroute
+// abandons would not do: a reroute drops what is in flight at the first
+// junction off the new route, and the split adds one.
+func splitWire(spec Spec) (out Spec, ok bool) {
+	touched := func(name string) bool {
+		for _, ev := range spec.Events {
+			if ev.Edge == name {
+				return true
+			}
+			if ev.Kind == EventReroute {
+				old := spec.Flows[ev.Flow].Path
+				if ev.Ack {
+					old = spec.Flows[ev.Flow].AckPath
+				}
+				if slices.Contains(old, name) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	i := slices.IndexFunc(spec.Edges, func(e EdgeSpec) bool {
+		return e.Link.wire() && e.Link.Delay > 2 && e.Link.Impair == (topo.Impairments{}) && !touched(e.Name)
+	})
+	if i < 0 {
+		return spec, false
+	}
+	e := spec.Edges[i]
+	a, b, mid := e, e, e.Name+"-mid"
+	a.Name, a.To, a.Link.Delay = e.Name+"-a", mid, e.Link.Delay/3
+	b.Name, b.From, b.Link.Delay = e.Name+"-b", mid, e.Link.Delay-e.Link.Delay/3
+	out = spec
+	out.Nodes = append(slices.Clone(spec.Nodes), mid)
+	out.Edges = append(append(slices.Clone(spec.Edges[:i]), a, b), spec.Edges[i+1:]...)
+	split := func(path []string) []string {
+		var p []string
+		for _, name := range path {
+			if name == e.Name {
+				p = append(p, a.Name, b.Name)
+			} else {
+				p = append(p, name)
+			}
+		}
+		return p
+	}
+	out.Flows = slices.Clone(spec.Flows)
+	for f := range out.Flows {
+		out.Flows[f].Path, out.Flows[f].AckPath = split(out.Flows[f].Path), split(out.Flows[f].AckPath)
+	}
+	out.Events = slices.Clone(spec.Events)
+	for k := range out.Events {
+		out.Events[k].Path = split(out.Events[k].Path)
+	}
+	return out, true
+}
+
+// idlePair returns spec with a node pair and a 3 ms wire between them
+// that no flow uses, all three prepended, so every node and edge id
+// moves.
+func idlePair(spec Spec) Spec {
+	out := spec
+	out.Nodes = append([]string{"idle-a", "idle-b"}, spec.Nodes...)
+	out.Edges = append([]EdgeSpec{{Name: "idle", From: "idle-a", To: "idle-b",
+		Link: LinkSpec{Kind: "wire", Delay: 3 * sim.Millisecond}}}, spec.Edges...)
+	return out
+}
+
+// lossy returns spec with 2 % loss and up to 1 ms of jitter on its first
+// wire edge (its first edge when it has none): the relations then also
+// cover a stretch that an impairment ends, and an edge's random stream.
+func lossy(spec Spec) Spec {
+	out := spec
+	out.Edges = slices.Clone(spec.Edges)
+	i := max(slices.IndexFunc(out.Edges, func(e EdgeSpec) bool { return e.Link.wire() }), 0)
+	out.Edges[i].Link.Impair = topo.Impairments{LossRate: 0.02, Jitter: sim.Millisecond}
+	return out
+}
+
+// TestMeshRelations checks, on every mesh example and on its lossy
+// variant, relations between runs that must hold whatever the right
+// numbers are:
+//   - splitting a wire of delay d into d/3 and the rest through a new
+//     junction changes no number;
+//   - adding an idle node pair and wire changes no number and no event;
+//   - a traced run gives the same numbers and executes the same events
+//     as an untraced one: wire runs do not depend on tracing;
+//   - a static run (whose graph crosses its bare stretches as wire runs)
+//     gives the numbers of its hop-by-hop twin, the same spec with an
+//     inert timeline event, which keeps the graph from being static.
+func TestMeshRelations(t *testing.T) {
+	paths, err := filepath.Glob("../../examples/scenarios/*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := map[string]Spec{}
+	for _, path := range paths {
+		sc, err := LoadScenario(path)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if len(sc.Spec.Nodes) > 0 {
+			specs[sc.Name], specs[sc.Name+"+lossy"] = sc.Spec, lossy(sc.Spec)
+		}
+	}
+	if len(specs) < 10 {
+		t.Fatalf("found %d mesh examples and variants, want at least 10", len(specs))
+	}
+	for name, spec := range specs {
+		spec := spec
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			run := func(o RunOptions, spec Spec) (string, uint64) {
+				t.Helper()
+				res, _, err := o.Run(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return relationNumbers(res), res.Graph.S.Executed()
+			}
+			want, events := run(RunOptions{}, spec)
+			if split, ok := splitWire(spec); ok {
+				if got, _ := run(RunOptions{}, split); got != want {
+					t.Errorf("splitting a wire moved numbers:\n got %s\nwant %s", got, want)
+				}
+			}
+			if got, n := run(RunOptions{}, idlePair(spec)); got != want || n != events {
+				t.Errorf("an idle node pair moved numbers or events (%d, want %d):\n got %s\nwant %s", n, events, got, want)
+			}
+			rec := obs.NewRecorder(1<<12, obs.CatAll)
+			if got, n := run(RunOptions{Trace: rec}, spec); got != want || n != events {
+				t.Errorf("tracing moved numbers or events (%d, want %d):\n got %s\nwant %s", n, events, got, want)
+			}
+			if rec.Total() == 0 {
+				t.Error("the traced run recorded nothing")
+			}
+			if len(spec.Events) == 0 && spec.Routing == nil {
+				twin := spec
+				twin.Events = []EventSpec{{At: sim.Second, Kind: EventLinkUp, Edge: spec.Edges[0].Name}}
+				got, n := run(RunOptions{}, twin)
+				if got != want {
+					t.Errorf("wire runs moved numbers against hop-by-hop forwarding:\n got %s\nwant %s", got, want)
+				}
+				if n < events {
+					t.Errorf("the static run executed %d events, its hop-by-hop twin %d", events, n)
+				}
+			}
+		})
+	}
+}

@@ -29,8 +29,13 @@ import (
 	"abc/internal/trace"
 )
 
-// Wire models a fixed propagation delay with unbounded bandwidth. The
-// zero value with S, Delay and Dst set is ready to use.
+// Wire models a fixed propagation delay with unbounded bandwidth: one
+// event per packet it carries. The zero value with S, Delay and Dst set
+// is ready to use. On a static topology graph a packet skips the wires of
+// a bare stretch and crosses them, up to the flow's access tail, as one
+// arrival (internal/topo's wire runs); a wire a packet does cross — the
+// only wire of its stretch, or any wire of a graph that is not static —
+// behaves as here.
 type Wire struct {
 	S     *sim.Simulator
 	Delay sim.Time

@@ -97,7 +97,7 @@ const (
 	EvCwnd // A=cwnd in 1/1024 pkts, B=pacing rate bits/sec (0 if none)
 
 	// Forwarding (CatHop).
-	EvHop // packet forwarded one hop. Src=node id, A=edge id
+	EvHop // junction forwarded a packet (none inside a static graph's wire run). Src=node id, A=edge id
 
 	// Appended after the kinds above so their numbers stay put.
 	EvImpairDrop // edge's impairment stage (random or burst loss) discarded the packet (CatPacket). Src=edge id

@@ -205,6 +205,7 @@ func (a *Attack) String() string {
 // one continuous deterministic stream. The caller must not mutate a
 // after installing it.
 func (e *Edge) SetAttack(a *Attack) {
+	e.g.mustBeDynamic("Edge.SetAttack")
 	if a != nil && e.advRng == nil {
 		e.advRng = e.rand("attack")
 	}

@@ -71,6 +71,7 @@ func (r *Router) CheckReroute(flow int, ack bool, edges []int) error {
 // last node. See the package comment for what happens to packets in
 // flight.
 func (r *Router) Reroute(flow int, ack bool, edges []int) error {
+	r.g.mustBeDynamic("Router.Reroute")
 	return r.reroute(flow, ack, edges, 0)
 }
 
@@ -83,6 +84,7 @@ func (r *Router) Reroute(flow int, ack bool, edges []int) error {
 // their next junction, so the conservation contract (delivered + drops
 // by cause = sent) holds throughout.
 func (r *Router) RerouteDraining(flow int, ack bool, edges []int, drain sim.Time) error {
+	r.g.mustBeDynamic("Router.RerouteDraining")
 	if drain <= 0 {
 		return fmt.Errorf("topo: reroute: flow %d: drain window must be positive", flow)
 	}

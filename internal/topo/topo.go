@@ -12,16 +12,24 @@
 // keyed by (flow, direction) — direction distinguishing a flow's data
 // packets from its ACKs — whose entries name either the next edge of the
 // route or the terminal delivery element (the receiver for data, the
-// sender endpoint for ACKs). Because the decision is made hop by hop at
-// run time rather than wired into a fixed chain at build time, routes can
-// change mid-run: Router atomically swaps a flow's table entries while
-// packets are in flight (see router.go for the conservation contract).
+// sender endpoint for ACKs). Because the decision is made at run time
+// rather than wired into a fixed chain at build time, routes can change
+// mid-run: Router atomically swaps a flow's table entries while packets
+// are in flight (see router.go for the conservation contract).
+//
+// A graph whose forwarding never changes during the run is declared
+// static (SetStatic). Then only the junctions that a link, an impairment
+// or an attack separates make a decision: a packet crosses each maximal
+// run of bare edges — propagation delay only — and the flow's access
+// tail in one scheduled arrival, and the junctions inside that run are
+// skipped (run.go). Everything else — and every junction of a graph that
+// is not static — decides hop by hop as above.
 //
 // The graph adds no events of its own: table lookup and the edge gate are
 // synchronous, so a chain of edges behaves (and schedules) exactly like
-// the manually wired element chains it replaces — a static route through
-// the forwarding tables is byte-identical to the precompiled pipeline it
-// superseded. Misrouted packets — a flow arriving at a node with no table
+// the manually wired element chains it replaces, and a wire run schedules
+// one arrival where the wires it fuses would have scheduled one each.
+// Misrouted packets — a flow arriving at a node with no table
 // entry for it — are dropped as packet.Unrouted, not silently released;
 // that entry of the packet books (packet.Tally) is the first thing to
 // check when a new topology misbehaves (after a mid-run reroute a
@@ -72,13 +80,21 @@ type hopKey struct {
 // deliver ends the route and delivers through the arriving flow's own
 // access tail — the sentinel that lets flows with different receivers
 // and RTTs share one aggregated class entry; noRoute fills a table slot
-// whose class has no entry at the node.
-type hop struct{ edge int32 }
+// whose class has no entry at the node. On a static graph, run is the
+// class's wire run that starts at this junction, or at the delay wire
+// leading into it (nil when none does).
+type hop struct {
+	edge int32
+	run  *run
+}
 
 const (
 	deliver int32 = -1
 	noRoute int32 = -2
 )
+
+// tableStart is a forwarding table's first capacity, in classes.
+const tableStart = 8
 
 // Node is a junction: packets arriving here are forwarded by a FIB class
 // lookup — flows whose route (direction and exact edge sequence) is
@@ -103,22 +119,14 @@ type Node struct {
 // allocation-free (BenchmarkFIBLookup pins 0 allocs/op).
 func (n *Node) Recv(p *packet.Packet) {
 	g := n.g
-	dir := 0
-	if p.IsAck {
-		dir = 1
-	}
+	dir := dirOf(p)
 	if n.override != nil {
 		if h, ok := n.override[hopKey{flow: int32(p.Flow), ack: p.IsAck}]; ok {
 			n.forward(h, dir, p)
 			return
 		}
 	}
-	h := hop{edge: noRoute}
-	if byFlow := g.classOf[dir]; p.Flow >= 0 && p.Flow < len(byFlow) {
-		if cls := byFlow[p.Flow]; cls >= 0 && int(cls) < len(n.table) {
-			h = n.table[cls]
-		}
-	}
+	h := n.classHop(dir, p)
 	if h.edge == noRoute {
 		// No route for this (flow, direction) here: the node is the last
 		// holder. Book the drop so both wiring bugs and reroute-stranded
@@ -132,10 +140,33 @@ func (n *Node) Recv(p *packet.Packet) {
 	n.forward(h, dir, p)
 }
 
+// dirOf is p's route direction: 0 for data, 1 for ACKs.
+func dirOf(p *packet.Packet) int {
+	if p.IsAck {
+		return 1
+	}
+	return 0
+}
+
+// classHop returns n's table entry for the class of p's flow in
+// direction dir, or a noRoute entry when the flow has none here.
+func (n *Node) classHop(dir int, p *packet.Packet) hop {
+	if byFlow := n.g.classOf[dir]; p.Flow >= 0 && p.Flow < len(byFlow) {
+		if cls := byFlow[p.Flow]; cls >= 0 && int(cls) < len(n.table) {
+			return n.table[cls]
+		}
+	}
+	return hop{edge: noRoute}
+}
+
 // forward executes one resolved table entry (see hop for the shapes).
 func (n *Node) forward(h hop, dir int, p *packet.Packet) {
 	if n.g.rec.Enabled(obs.CatHop) {
 		n.g.rec.Emit(n.nowNS(), obs.EvHop, int32(n.ID), int32(p.Flow), int64(h.edge), 0)
+	}
+	if r := h.run; r != nil && !r.atWire {
+		r.enter(p)
+		return
 	}
 	if h.edge >= 0 {
 		n.g.edges[h.edge].Recv(p)
@@ -168,6 +199,11 @@ type Edge struct {
 	// head is the first element of the edge's chain:
 	// impairments → link → delay wire → To.
 	head packet.Node
+	// wire is the delay wire (nil when Delay is 0). impaired records an
+	// impairment stage; an edge with one or a link hands the wire its
+	// packets through the edge's exit, where a wire run can start.
+	wire     *netem.Wire
+	impaired bool
 	// attack is the installed adversary stage (nil = honest edge); advRng
 	// is its private RNG, created on first install and kept across
 	// retunes so an event timeline swapping attacks stays deterministic.
@@ -201,6 +237,7 @@ func (e *Edge) Recv(p *packet.Packet) {
 // outage severs the hop, it does not vaporize its buffer. State changes
 // notify the graph's link-state watchers (OnLinkChange).
 func (e *Edge) SetDown(down bool) {
+	e.g.mustBeDynamic("Edge.SetDown")
 	changed := e.down != down
 	e.down = down
 	if changed {
@@ -219,8 +256,13 @@ func (e *Edge) SetDown(down bool) {
 func (e *Edge) Down() bool { return e.down }
 
 // OnLinkChange subscribes fn to link-state changes: it is called from
-// SetDown on actual up/down transitions, with the affected edge. Route-computation policies hang off this hook.
-func (g *Graph) OnLinkChange(fn func(*Edge)) { g.watchers = append(g.watchers, fn) }
+// SetDown on actual up/down transitions, with the affected edge.
+// Route-computation policies hang off this hook, so a static graph
+// refuses a subscriber.
+func (g *Graph) OnLinkChange(fn func(*Edge)) {
+	g.mustBeDynamic("Graph.OnLinkChange")
+	g.watchers = append(g.watchers, fn)
+}
 
 func (g *Graph) notifyLinkChange(e *Edge) {
 	for _, w := range g.watchers {
@@ -327,6 +369,29 @@ type Graph struct {
 	stray packet.Tally
 	// arena is the run's packet arena (see Arena).
 	arena packet.Arena
+	// static is set by SetStatic: forwarding never changes again, and
+	// route classes cross their bare stretches as wire runs.
+	static bool
+}
+
+// SetStatic declares that the graph's forwarding never changes again
+// during the run: no reroute, no edge taken down or up, no attack
+// installed or cleared, no link-state subscriber. From then on every
+// route class installed crosses each maximal bare stretch of its route
+// in one scheduled arrival (run.go), and Router.Reroute,
+// Router.RerouteDraining, Edge.SetDown, Edge.SetAttack and
+// Graph.OnLinkChange panic: a packet on a wire run would silently skip
+// the junction decisions such a call changes. A caller declares a graph
+// static once its edges, attacks and initial link states are in place,
+// before it routes flows.
+func (g *Graph) SetStatic() { g.static = true }
+
+// mustBeDynamic panics if the graph is static: call is about to change
+// what a junction decides.
+func (g *Graph) mustBeDynamic(call string) {
+	if g.static {
+		panic(fmt.Sprintf("topo: %s on a static graph: SetStatic promised that forwarding never changes during the run, and packets on a wire run skip the junctions that would see the change", call))
+	}
 }
 
 // SetRecorder attaches a flight recorder to the graph: junctions and
@@ -402,10 +467,15 @@ func (g *Graph) AddEdge(name string, from, to int, delay sim.Time, imp Impairmen
 	if from < 0 || from >= len(g.nodes) || to < 0 || to >= len(g.nodes) {
 		return 0, fmt.Errorf("topo: AddEdge(%d → %d) references unknown node", from, to)
 	}
-	e := &Edge{ID: len(g.edges), Name: name, From: g.nodes[from], To: g.nodes[to], Delay: delay, g: g}
+	e := &Edge{ID: len(g.edges), Name: name, From: g.nodes[from], To: g.nodes[to], Delay: delay, g: g,
+		impaired: !imp.zero()}
 	var tail packet.Node = e.To
 	if delay > 0 {
-		tail = netem.NewWire(g.S, delay, tail)
+		e.wire = netem.NewWire(g.S, delay, tail)
+		tail = e.wire
+		if mk != nil || e.impaired { // see hasExit
+			tail = (*exit)(e)
+		}
 	}
 	if mk != nil {
 		l, err := mk(tail)
@@ -415,7 +485,7 @@ func (g *Graph) AddEdge(name string, from, to int, delay sim.Time, imp Impairmen
 		e.Link = l
 		tail = l
 	}
-	if !imp.zero() {
+	if e.impaired {
 		tail = imp.build(e, tail)
 	}
 	e.head = tail
@@ -563,7 +633,8 @@ func (g *Graph) detachClass(id int32) {
 // installClass writes the class's table entries: the origin forwards
 // onto the first edge, each intermediate node onto the next edge, and
 // the last node carries the end-of-route sentinel (delivery through the
-// arriving flow's own tail).
+// arriving flow's own tail). On a static graph the entries also carry
+// the class's wire runs.
 func (g *Graph) installClass(id int32, edges []int) {
 	g.edges[edges[0]].From.setHop(id, int32(edges[0]))
 	for i, eid := range edges {
@@ -572,6 +643,9 @@ func (g *Graph) installClass(id int32, edges []int) {
 			next = int32(edges[i+1])
 		}
 		g.edges[eid].To.setHop(id, next)
+	}
+	if g.static {
+		g.installRuns(id, edges)
 	}
 }
 
@@ -584,7 +658,12 @@ func (g *Graph) uninstallClass(id int32, edges []int) {
 }
 
 // setHop writes class id's entry at n, growing the table as ids appear.
+// A table starts with room for tableStart classes, so a junction on a
+// handful of routes allocates its table once.
 func (n *Node) setHop(id, edge int32) {
+	if n.table == nil {
+		n.table = make([]hop, 0, tableStart)
+	}
 	for int(id) >= len(n.table) {
 		n.table = append(n.table, hop{edge: noRoute})
 	}
