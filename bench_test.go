@@ -53,32 +53,43 @@ func BenchmarkSimCore(b *testing.B) {
 }
 
 // BenchmarkWireFIFO measures one packet crossing a netem.Wire with 64
-// packets in flight: a chained schedule plus a pop that promotes the
-// successor (see DESIGN.md §2). Chain storage is the simulator's slab,
-// so steady state must report 0 allocs/op.
+// packets in flight, on one wire (wires=1) or spread over 64 wires of one
+// delay (wires=64): a send on the simulator's delay line for the delay
+// plus a pop that promotes the line's next event (see DESIGN.md §2).
+// Every wire of one delay shares the line, whose events live in the
+// simulator's slab, so steady state must report 0 allocs/op either way.
 func BenchmarkWireFIFO(b *testing.B) {
-	s := sim.New(1)
-	var w *netem.Wire
-	// Each delivery sends the packet round again, 64 µs later.
-	w = netem.NewWire(s, 64*sim.Microsecond, packet.NodeFunc(func(p *packet.Packet) { w.Recv(p) }))
-	for j := 0; j < 64; j++ {
-		w.Recv(packet.NewData(1, int64(j), packet.MTU, 0))
-		s.RunUntil(s.Now() + sim.Microsecond)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	start := s.Executed()
-	s.RunUntil(s.Now() + sim.Time(b.N)*sim.Microsecond)
-	if got := s.Executed() - start; got != uint64(b.N) || s.Pending() != 64 {
-		b.Fatalf("%d deliveries and %d in flight, want %d and 64", got, s.Pending(), b.N)
+	for _, n := range []int{1, 64} {
+		b.Run(fmt.Sprintf("wires=%d", n), func(b *testing.B) {
+			s := sim.New(1)
+			wires := make([]*netem.Wire, n)
+			// Each delivery sends the packet round again, 64 µs later,
+			// on the next wire.
+			for i := range wires {
+				next := (i + 1) % n
+				wires[i] = netem.NewWire(s, 64*sim.Microsecond, packet.NodeFunc(func(p *packet.Packet) { wires[next].Recv(p) }))
+			}
+			for j := 0; j < 64; j++ {
+				wires[j%n].Recv(packet.NewData(1, int64(j), packet.MTU, 0))
+				s.RunUntil(s.Now() + sim.Microsecond)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			start := s.Executed()
+			s.RunUntil(s.Now() + sim.Time(b.N)*sim.Microsecond)
+			if got := s.Executed() - start; got != uint64(b.N) || s.Pending() != 64 {
+				b.Fatalf("%d deliveries and %d in flight, want %d and 64", got, s.Pending(), b.N)
+			}
+		})
 	}
 }
 
 // BenchmarkWireRun measures one packet crossing a fused wire run with 64
 // in flight: a static graph's route over two bare wires and the flow's
 // access tail, which costs one scheduled arrival instead of three wire
-// events (topo/run.go). The origin's table lookup and the run's chain
-// are all it does, so steady state must report 0 allocs/op.
+// events (topo/run.go). The origin's table lookup and the send on the
+// delay line of the run's summed delay are all it does, so steady state
+// must report 0 allocs/op.
 func BenchmarkWireRun(b *testing.B) {
 	s := sim.New(1)
 	g := topo.New(s)
@@ -109,51 +120,84 @@ func BenchmarkWireRun(b *testing.B) {
 	}
 }
 
-// BenchmarkSimHold measures one event of a chained hold model at the heap
-// depths the workloads run at: keys=8 (hybrid_bg), keys=96 (mesh_seq) and
-// keys=1024 (bench's sim.event_ns rung). Every key heads a chain with two
-// events in flight, and each fired event chains its successor one fixed
-// per-chain delay later, so every pop takes the wire's path: the fired
-// head's successor replaces the root and sifts down (see DESIGN.md §2).
-// One op is one event; steady state must report 0 allocs/op.
+// BenchmarkSimHold measures one event of a hold model on delay lines at
+// three heap depths: keys=8 (about hybrid_bg's 6 keys), keys=96 (above
+// flow_churn's 59 and mesh_seq's 49) and keys=1024 (bench's sim.event_ns
+// rung). Every key heads the line of its own delay with two events in
+// flight, and each fired event sends its successor on its line, so every
+// pop takes the wire's path: the fired head's successor replaces the root
+// and sifts down (see DESIGN.md §2). One op is one event; steady state
+// must report 0 allocs/op.
 func BenchmarkSimHold(b *testing.B) {
-	type chain struct {
-		c     sim.Chain
-		delay sim.Time
-	}
 	for _, keys := range []int{8, 96, 1024} {
 		b.Run(fmt.Sprintf("keys=%d", keys), func(b *testing.B) {
 			s := sim.New(1)
-			chains := make([]chain, keys)
+			lines := make([]sim.Line, keys)
+			for i := range lines {
+				lines[i] = s.Line(sim.Time(1000+7*i) * sim.Microsecond)
+			}
 			left := 0
 			var fire sim.ArgsFunc
 			fire = func(a, _ any) {
-				c := a.(*chain)
-				s.ChainAfterArgs(&c.c, c.delay, fire, c, nil)
+				a.(*sim.Line).AfterArgs(fire, a, nil)
 				if left--; left == 0 {
 					s.Halt()
 				}
 			}
 			for round := 0; round < 2; round++ {
-				for i := range chains {
-					chains[i].delay = sim.Time(1000+7*i) * sim.Microsecond
-					s.ChainAfterArgs(&chains[i].c, chains[i].delay, fire, &chains[i], nil)
+				for i := range lines {
+					lines[i].AfterArgs(fire, &lines[i], nil)
 				}
 				s.RunUntil(s.Now() + 250*sim.Microsecond)
 			}
-			// Warm the heap, the slab and the free list.
-			left = 16 * keys
-			s.Run()
-			b.ReportAllocs()
-			b.ResetTimer()
-			start := s.Executed()
-			left = b.N
-			s.Run()
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/event")
-			if got := s.Executed() - start; got != uint64(b.N) || s.Pending() != 2*keys {
-				b.Fatalf("%d events and %d pending, want %d and %d", got, s.Pending(), b.N, 2*keys)
-			}
+			holdRun(b, s, &left, 16*keys, 2*keys)
 		})
+	}
+}
+
+// BenchmarkSimRearm measures one event of a link-service model at two
+// heap depths: keys=8 and keys=64, each key an event that re-arms itself
+// one fixed per-key period later, as a link's service or an endpoint's
+// pacer does. The fired event leaves the root vacant and its re-armed
+// successor takes it with one siftDown (see DESIGN.md §2). One op is one
+// event; steady state must report 0 allocs/op.
+func BenchmarkSimRearm(b *testing.B) {
+	for _, keys := range []int{8, 64} {
+		b.Run(fmt.Sprintf("keys=%d", keys), func(b *testing.B) {
+			s := sim.New(1)
+			periods := make([]sim.Time, keys)
+			left := 0
+			var fire sim.ArgsFunc
+			fire = func(a, _ any) {
+				s.AfterArgs(*a.(*sim.Time), fire, a, nil)
+				if left--; left == 0 {
+					s.Halt()
+				}
+			}
+			for i := range periods {
+				periods[i] = sim.Time(1000+7*i) * sim.Microsecond
+				s.AfterArgs(periods[i], fire, &periods[i], nil)
+			}
+			holdRun(b, s, &left, 16*keys, keys)
+		})
+	}
+}
+
+// holdRun warms s over warm events, then times b.N more, each loop
+// halting itself through *left, and checks the count and the pending
+// events.
+func holdRun(b *testing.B, s *sim.Simulator, left *int, warm, pending int) {
+	// Warm the heap, the slab and the free list.
+	*left = warm
+	s.Run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	start := s.Executed()
+	*left = b.N
+	s.Run()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/event")
+	if got := s.Executed() - start; got != uint64(b.N) || s.Pending() != pending {
+		b.Fatalf("%d events and %d pending, want %d and %d", got, s.Pending(), b.N, pending)
 	}
 }
 

@@ -41,16 +41,13 @@ type Wire struct {
 	Delay sim.Time
 	Dst   packet.Node
 
-	// inflight is the FIFO of packets on the wire: with a constant Delay
-	// their delivery times never decrease, so the whole wire costs the
-	// event heap one entry. No caller changes Delay after the first
-	// packet; should one shrink it, a packet that would overtake falls
-	// back to an ordinary event (sim.Chain's contract).
-	inflight sim.Chain
-	// The padding makes a Wire one 64-byte cache line: every packet it
-	// carries writes inflight, and no other object shares the line
-	// (TestWireOwnsItsLine).
-	_ [24]byte
+	// line is the simulator's delay line for Delay, which holds the
+	// packets in flight: with a constant delay their delivery times
+	// never decrease, so every wire of one delay together costs the
+	// event heap one entry. A packet writes nothing to the wire; only
+	// the first packet, or the first after Delay changed, takes a new
+	// handle, and the packets already in flight keep their instants.
+	line sim.Line
 }
 
 // NewWire returns a wire that delivers packets to dst after delay.
@@ -65,7 +62,10 @@ func wireDeliver(a, b any) { a.(*Wire).Dst.Recv(b.(*packet.Packet)) }
 
 // Recv implements packet.Node.
 func (w *Wire) Recv(p *packet.Packet) {
-	w.S.ChainAfterArgs(&w.inflight, w.Delay, wireDeliver, w, p)
+	if !w.line.Is(w.S, w.Delay) {
+		w.line = w.S.Line(w.Delay)
+	}
+	w.line.AfterArgs(wireDeliver, w, p)
 }
 
 // DeliveryFunc observes packets delivered to a receiver.

@@ -67,11 +67,33 @@ func TestWireZeroValueLiteral(t *testing.T) {
 	checkArrivals(t, got, []arrival{{0, 5 * sim.Millisecond}, {1, 6 * sim.Millisecond}, {2, 7 * sim.Millisecond}})
 }
 
-// TestWireOwnsItsLine: a wire is one 64-byte cache line, so the chain
-// every packet on it writes shares no line with another object.
-func TestWireOwnsItsLine(t *testing.T) {
-	if size := unsafe.Sizeof(Wire{}); size != 64 {
-		t.Errorf("sizeof(Wire) = %d, want one 64-byte line", size)
+// TestWireLayout: a wire is its three fields and its delay-line handle,
+// 56 bytes with no padding, and a packet crossing a warm wire writes
+// nothing to it: the packets in flight live on the simulator's line for
+// the delay, which every wire of that delay shares.
+func TestWireLayout(t *testing.T) {
+	if size := unsafe.Sizeof(Wire{}); size != 56 {
+		t.Errorf("sizeof(Wire) = %d, want 56", size)
+	}
+	s := sim.New(1)
+	sink := &packet.Sink{}
+	w := NewWire(s, sim.Millisecond, sink)
+	other := &Wire{S: s, Delay: sim.Millisecond, Dst: sink}
+	other.Recv(packet.NewData(1, 0, packet.MTU, 0))
+	w.Recv(packet.NewData(1, 0, packet.MTU, 0))
+	before := *w
+	for i := int64(1); i < 4; i++ {
+		w.Recv(packet.NewData(1, i, packet.MTU, 0))
+		if *w != before || *other != before {
+			t.Fatalf("packet %d rewrote the wire: %+v, was %+v (another wire of the delay: %+v)", i, *w, before, *other)
+		}
+	}
+	if s.Pending() != 5 {
+		t.Fatalf("Pending() = %d with five packets on two wires", s.Pending())
+	}
+	s.Run()
+	if sink.Count != 5 || s.Now() != sim.Millisecond {
+		t.Errorf("%d packets delivered by %v, want 5 by 1ms", sink.Count, s.Now())
 	}
 }
 

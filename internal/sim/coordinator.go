@@ -104,7 +104,7 @@ func (c *Coordinator) Run(end Time) uint64 {
 		for i := range c.tickers {
 			g = min(g, c.tickers[i].next)
 		}
-		if g <= end && (len(s.heap) == 0 || s.heap[0].at >= g) {
+		if g <= end && s.next() >= g {
 			s.now = max(s.now, g)
 			for c.gNext < len(c.globals) && c.globals[c.gNext].at == g {
 				c.globals[c.gNext].fn()
@@ -120,7 +120,7 @@ func (c *Coordinator) Run(end Time) uint64 {
 		}
 		// Windows are half-open, so end+1 admits the events at end.
 		h := min(g, end+1)
-		if len(s.heap) == 0 || s.heap[0].at >= h {
+		if s.next() >= h {
 			break
 		}
 		c.rounds++

@@ -25,20 +25,28 @@
 // use AtArgs/AfterArgs and build none. Timer.Stop removes the event
 // from the heap eagerly, so canceled events cost nothing.
 //
-// A source whose timestamps never decrease — the packets in flight on a
-// constant-delay wire — schedules through a Chain (ChainAfterArgs). The
-// chain's events are linked in the slab in scheduling order and only the
-// oldest one's key sits in the heap; when it fires, its successor's key
-// replaces the root. The heap is then as deep as there are active
-// sources, not events in flight. The invariant is "timestamps
-// non-decreasing, else ordinary event": a chained schedule that would
-// run before the chain's newest pending event is pushed into the heap
-// like any other event. Determinism is untouched, because a chained
-// event takes the next sequence number when it is scheduled, exactly as
-// an ordinary one would, and (time, seq) remains the total order: each
-// chain is sorted by it, so its head is its minimum and the heap root is
-// the global minimum. Pending() counts every scheduled, unfired event,
-// chained or not.
+// The simulator owns one FIFO per distinct delay, a delay line (Line).
+// A source that schedules a fixed delay ahead — the packets in flight on
+// a constant-delay wire — asks for the line of its delay once and
+// schedules through it. Since the clock never goes back, every event on
+// a line runs at or after the one scheduled before it, so a line's events
+// are linked in the slab in scheduling order and only the oldest one's
+// key sits in the heap; when it fires, its successor's key replaces the
+// root. The heap is then as deep as there are busy delays plus ordinary
+// events, not as deep as there are packets in flight or wires carrying
+// them. Determinism is untouched: a line's event takes the next sequence
+// number when it is scheduled, exactly as an ordinary one would, and
+// (time, seq) remains the total order: each line is sorted by it, so its
+// head is its minimum and the heap root is the global minimum.
+//
+// When the fired event has no line successor, step leaves the root
+// vacant instead of sifting the last key into it: the first key pushed
+// during the callback takes the root with one siftDown. So a link or a
+// pacer that re-arms from its own event costs one sift, not a removal
+// and an insertion. Every other reader of the heap (the run loop, the
+// Coordinator's peek, Timer.Stop, Pending) settles a vacancy the
+// callback left first. Pending() counts every scheduled, unfired event,
+// on a line or not.
 //
 // Every experiment run is one Simulator driven by a Coordinator
 // (coordinator.go), which runs it in windows and calls the run's
@@ -116,23 +124,23 @@ func (k key) before(o key) bool { return k.less(o) != 0 }
 // pick returns x if m is 0 and y if m is 1, without a branch.
 func pick[T ~int64 | ~uint64](x, y T, m uint64) T { return x ^ (x^y)&T(-m) }
 
-// noSlot terminates a chain's next links.
+// noSlot terminates a line's next links.
 const noSlot int32 = -1
 
 // slot is one slab entry: the payload of a scheduled event plus its
 // bookkeeping, 64 bytes, one cache line. fn is set exactly while the
 // event is pending. A slot is recycled through the free list when its
 // event fires or is stopped; gen then invalidates outstanding Timers and
-// Chains.
+// line tails.
 type slot struct {
 	fn   ArgsFunc
 	a, b any
-	// at and seq repeat the key of a chain-scheduled event, so that the
-	// event can enter the heap when its predecessor fires. Ordinary
+	// at and seq repeat the key of an event scheduled on a line, so that
+	// the event can enter the heap when its predecessor fires. Ordinary
 	// events leave them unset: their key lives in the heap only.
 	at  Time
 	seq uint64
-	// next is the slot of the chain successor waiting behind this event,
+	// next is the slot of the line successor waiting behind this event,
 	// or noSlot.
 	next int32
 	gen  uint32
@@ -157,25 +165,60 @@ func (t Timer) Stop() bool {
 	if sl.gen != t.gen {
 		return false // already fired, stopped, or slot recycled
 	}
+	t.s.settle()
 	t.s.heapRemove(int(t.s.pos[t.slot]))
 	t.s.freeSlot(t.slot)
 	return true
 }
 
-// Chain is a FIFO of scheduled events from one source whose timestamps
-// never decrease, such as the packets in flight on a constant-delay wire.
-// Only the oldest event's key sits in the heap; the rest wait in the
-// slab, linked in scheduling order, and each enters the heap when its
-// predecessor fires. The zero Chain is empty and ready to use; it holds
-// no storage of its own, so it is meant to be embedded by value. A Chain
-// belongs to the one Simulator it is scheduled on.
-type Chain struct {
-	// tail is the slot of the most recently chained event and gen that
-	// slot's generation at the time: the tail is still pending exactly
-	// while the two generations match (generations start at 1, so the
-	// zero Chain never matches).
+// line is the FIFO of the events scheduled one fixed delay ahead: they
+// wait in the slab, linked in scheduling order, and only the oldest
+// one's key sits in the heap. tail is the slot of the newest event and
+// gen that slot's generation at the time: the tail is still pending
+// exactly while the two generations match (generations start at 1, so a
+// new line's zero gen never matches).
+type line struct {
+	d    Time
 	tail int32
 	gen  uint32
+}
+
+// Line is a handle on a simulator's delay line for one delay (see
+// Simulator.Line). The zero Line is no line: Is reports false for it,
+// and scheduling on it panics.
+type Line struct {
+	s *Simulator
+	d Time
+	i int32
+}
+
+// Is reports whether l is s's line for delay d. A holder whose delay can
+// change (a wire whose Delay a caller edits, a run whose packets add
+// their flow's tail) checks it before scheduling and asks s.Line(d) anew
+// when it reports false.
+func (l Line) Is(s *Simulator, d Time) bool { return l.s == s && l.d == d }
+
+// AfterArgs schedules fn(a, b) to run the line's delay after the current
+// time; see Simulator.AtArgs for fn, a and b. The event takes its
+// sequence number now, exactly as Simulator.AfterArgs would assign it,
+// and runs at the same point of the (time, insertion-order) order; there
+// is no Timer because an event on a line cannot be stopped. Only the
+// line's oldest pending event costs a heap entry.
+func (l Line) AfterArgs(fn ArgsFunc, a, b any) {
+	s := l.s
+	t := s.now + l.d
+	i := s.newEvent(t, fn, a, b)
+	sl := &s.slots[i]
+	sl.at, sl.seq = t, s.seq
+	s.seq++
+	q := &s.lines[l.i]
+	if tail := &s.slots[q.tail]; tail.gen == q.gen {
+		tail.next = i
+		s.waiting++
+	} else { // the line is empty: the event heads it anew
+		s.heapPush(key{at: t, seq: sl.seq, slot: i})
+	}
+	q.tail, q.gen = i, sl.gen
 }
 
 // Simulator owns the virtual clock and the event queue.
@@ -183,8 +226,11 @@ type Simulator struct {
 	now Time
 	seq uint64
 	// heap orders the keys of every pending event except those waiting
-	// behind a chain head.
-	heap []key
+	// behind a line's head. While vacant is set, heap[0] is the key of
+	// the event that just fired, not a pending one: the next push takes
+	// its place, and settle fills it if no push came.
+	heap   []key
+	vacant bool
 	// slots is the payload slab, indexed by key.slot and Timer.slot; pos
 	// is, for each slot whose key is in the heap, the key's heap index;
 	// free lists recyclable slot indices. All three are reused for the
@@ -192,8 +238,15 @@ type Simulator struct {
 	slots []slot
 	pos   []int32
 	free  []int32
-	// chained counts pending events that wait behind a chain head.
-	chained int
+	// waiting counts pending events that wait behind a line's head.
+	waiting int
+	// lines is the delay table, one entry per distinct delay asked for,
+	// indexed by Line.i. It starts in lineBuf, so the first eight delays
+	// cost no allocation beyond the Simulator itself, and grows eightfold:
+	// a run of up to 64 delays (a 16-bottleneck mesh has about 50) costs
+	// one more.
+	lines   []line
+	lineBuf [8]line
 	rng     *rand.Rand
 	seed    int64
 	// executed counts events run, useful for runaway detection in tests.
@@ -207,7 +260,28 @@ type Simulator struct {
 // All randomness used by simulated components must come from Rand() so that
 // runs are reproducible.
 func New(seed int64) *Simulator {
-	return &Simulator{rng: rand.New(rand.NewSource(seed)), seed: seed}
+	s := &Simulator{rng: rand.New(rand.NewSource(seed)), seed: seed}
+	s.lines = s.lineBuf[:0]
+	return s
+}
+
+// Line returns the handle of the simulator's delay line for d: every
+// event scheduled through it runs d after the instant it is scheduled
+// at. A negative d means 0. Two calls with one delay return the same
+// line, and a line lives as long as the simulator, so a source asks once
+// and keeps the handle (the lookup is a scan of the distinct delays).
+func (s *Simulator) Line(d Time) Line {
+	d = max(d, 0)
+	for i := range s.lines {
+		if s.lines[i].d == d {
+			return Line{s: s, d: d, i: int32(i)}
+		}
+	}
+	if len(s.lines) == cap(s.lines) {
+		s.lines = append(make([]line, 0, 8*cap(s.lines)), s.lines...)
+	}
+	s.lines = append(s.lines, line{d: d})
+	return Line{s: s, d: d, i: int32(len(s.lines) - 1)}
 }
 
 // initialSlots is the slab's first capacity. The slab holds every
@@ -291,10 +365,34 @@ func (s *Simulator) siftDown(i int) {
 	s.place(i, k)
 }
 
-// heapPush inserts k.
+// heapPush inserts k. A vacant root takes it with one siftDown.
 func (s *Simulator) heapPush(k key) {
+	if s.vacant {
+		s.vacant = false
+		s.heap[0] = k
+		s.siftDown(0)
+		return
+	}
 	s.heap = append(s.heap, k)
 	s.siftUp(len(s.heap) - 1)
+}
+
+// settle fills a root that step left vacant and no push took: the
+// fired event's key leaves the heap as a removal would have taken it.
+func (s *Simulator) settle() {
+	if s.vacant {
+		s.vacant = false
+		s.heapRemove(0)
+	}
+}
+
+// next returns the time of the earliest pending event, or timeInf when
+// none is pending.
+func (s *Simulator) next() Time {
+	if s.settle(); len(s.heap) == 0 {
+		return timeInf
+	}
+	return s.heap[0].at
 }
 
 // heapRemove deletes the key at heap index i, preserving the invariant.
@@ -325,8 +423,8 @@ func (s *Simulator) newEvent(t Time, fn ArgsFunc, a, b any) int32 {
 		if len(s.slots) == cap(s.slots) {
 			s.growSlab()
 		}
-		// Generations start at 1 so the zero Timer and the zero Chain
-		// never match a live slot.
+		// Generations start at 1 so the zero Timer and a new line never
+		// match a live slot.
 		s.slots = append(s.slots, slot{gen: 1, next: noSlot})
 		s.pos = append(s.pos, 0)
 		i = int32(len(s.slots) - 1)
@@ -346,7 +444,7 @@ func (s *Simulator) growSlab() {
 }
 
 // freeSlot recycles slot i: it drops the callback and arg references and
-// invalidates outstanding Timers and Chains that name the slot.
+// invalidates outstanding Timers and line tails that name the slot.
 func (s *Simulator) freeSlot(i int32) {
 	sl := &s.slots[i]
 	sl.fn, sl.a, sl.b = nil, nil, nil
@@ -387,48 +485,19 @@ func (s *Simulator) AfterArgs(d Time, fn ArgsFunc, a, b any) Timer {
 	return s.schedule(s.now+d, fn, a, b)
 }
 
-// ChainAfterArgs schedules fn(a, b) to run d after the current time as
-// the next event of chain c; see AtArgs for fn, a and b. The event takes
-// its sequence number now, exactly as AfterArgs would assign it, and
-// runs at the same point of the (time, insertion-order) order; there is
-// no Timer because a chained event cannot be stopped. While the
-// timestamps scheduled on c never decrease, only the oldest pending one
-// costs a heap entry. An event earlier than the chain's newest pending
-// one (the source's delay shrank) is scheduled as an ordinary event
-// instead, so the caller need not know which case it is in.
-func (s *Simulator) ChainAfterArgs(c *Chain, d Time, fn ArgsFunc, a, b any) {
-	if d < 0 {
-		d = 0
-	}
-	t := s.now + d
-	i := s.newEvent(t, fn, a, b)
-	sl := &s.slots[i]
-	sl.at, sl.seq = t, s.seq
-	s.seq++
-	k := key{at: t, seq: sl.seq, slot: i}
-	switch tail := &s.slots[c.tail]; {
-	case tail.gen != c.gen: // the tail has fired: the event heads c anew
-		s.heapPush(k)
-	case t < tail.at: // would overtake: ordinary event, c keeps its tail
-		s.heapPush(k)
-		return
-	default:
-		tail.next = i
-		s.chained++
-	}
-	c.tail, c.gen = i, sl.gen
-}
-
 // Halt stops the run loop after the current event completes.
 func (s *Simulator) Halt() { s.halted = true }
 
 // Pending reports the number of scheduled events that have not fired,
-// chained ones included. Canceled events are removed eagerly and never
+// those on lines included. Canceled events are removed eagerly and never
 // counted.
-func (s *Simulator) Pending() int { return len(s.heap) + s.chained }
+func (s *Simulator) Pending() int {
+	s.settle()
+	return len(s.heap) + s.waiting
+}
 
 // EachPending calls fn with the two arguments of every pending event,
-// chained ones included, in slab order: how an audit finds what the
+// those on lines included, in slab order: how an audit finds what the
 // event queue holds. An At/After event's first argument is its func().
 func (s *Simulator) EachPending(fn func(a, b any)) {
 	for i := range s.slots {
@@ -438,9 +507,10 @@ func (s *Simulator) EachPending(fn func(a, b any)) {
 	}
 }
 
-// step pops the earliest event and runs its callback. If a chain
+// step pops the earliest event and runs its callback. If a line
 // successor waits behind it, the successor's key takes over the root in
-// one siftDown instead of a remove and a push.
+// one siftDown instead of a remove and a push; otherwise the root is
+// left vacant for the callback's first push (see heapPush and settle).
 func (s *Simulator) step() {
 	k := s.heap[0]
 	sl := &s.slots[k.slot]
@@ -449,10 +519,10 @@ func (s *Simulator) step() {
 		sl.next = noSlot
 		succ := &s.slots[nx]
 		s.heap[0] = key{at: succ.at, seq: succ.seq, slot: nx}
-		s.chained--
+		s.waiting--
 		s.siftDown(0)
 	} else {
-		s.heapRemove(0)
+		s.vacant = true
 	}
 	s.freeSlot(k.slot)
 	s.now = k.at
@@ -485,7 +555,10 @@ func (s *Simulator) RunUntil(end Time) uint64 {
 func (s *Simulator) RunBefore(limit Time) uint64 {
 	start := s.executed
 	s.halted = false
-	for len(s.heap) > 0 && !s.halted && s.heap[0].at < limit {
+	for !s.halted {
+		if s.settle(); len(s.heap) == 0 || s.heap[0].at >= limit {
+			break
+		}
 		s.step()
 	}
 	return s.executed - start

@@ -244,8 +244,8 @@ func perm4(p int) [4]int {
 }
 
 // TestSiftDownTieOrder pins siftDown's choice of the smallest child. A
-// root with four children that share one instant is replaced by its
-// chain successor, with the children dealt to heap positions 1–4 in each
+// root with four children that share its instant is replaced by its
+// line successor, with the children dealt to heap positions 1–4 in each
 // of the 24 seq orders; then heaps of 2–9 keys on three instants, which
 // cover every size of partial last group, are drained. Every pop must
 // come in (at, seq) order with the heap and every key's position intact.
@@ -255,12 +255,12 @@ func TestSiftDownTieOrder(t *testing.T) {
 		var got []int
 		rec := func(a, _ any) { got = append(got, *a.(*int)); checkHeap(t, s) }
 		ids := []int{0, 1, 2, 3, 4, 5}
-		var c Chain
-		s.ChainAfterArgs(&c, 0, rec, &ids[0], nil)
+		l := s.Line(Millisecond)
+		l.AfterArgs(rec, &ids[0], nil)
 		for j := 1; j <= 4; j++ {
 			s.AfterArgs(Millisecond, rec, &ids[j], nil)
 		}
-		s.ChainAfterArgs(&c, Millisecond, rec, &ids[5], nil) // waits behind the root
+		l.AfterArgs(rec, &ids[5], nil) // waits behind the root
 		children := [4]key(s.heap[1:5])
 		order := perm4(p)
 		for j, o := range order {
@@ -451,7 +451,7 @@ func TestScheduleSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestSlotIsOneLine: an event's slab slot (callback, two arguments, chain
+// TestSlotIsOneLine: an event's slab slot (callback, two arguments, line
 // key and link, generation) fills exactly one 64-byte cache line.
 func TestSlotIsOneLine(t *testing.T) {
 	if size := unsafe.Sizeof(slot{}); size != 64 {

@@ -40,10 +40,11 @@ type run struct {
 	// its junction, rather than at the junction's forward; delay then
 	// includes that edge's wire.
 	atWire bool
-	// chain carries the stretch's packets: one flow's never overtake each
-	// other, and a flow whose tail is shorter than its predecessor's
-	// falls back to an ordinary event (sim.Chain's contract).
-	chain sim.Chain
+	// line is the simulator's delay line for the delay the last packet
+	// took: the stretch's own, plus the flow's tail on a stretch to the
+	// terminal. Flows of one class with different tails take different
+	// lines, so none overtakes another's packets on one.
+	line sim.Line
 }
 
 // enter puts p on the stretch.
@@ -54,7 +55,10 @@ func (r *run) enter(p *packet.Packet) {
 			d += w.Delay
 		}
 	}
-	r.g.S.ChainAfterArgs(&r.chain, d, runArrive, r, p)
+	if !r.line.Is(r.g.S, d) {
+		r.line = r.g.S.Line(d)
+	}
+	r.line.AfterArgs(runArrive, r, p)
 }
 
 // runArrive is the static arrival callback: p reaches the stretch's far

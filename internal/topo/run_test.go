@@ -167,7 +167,7 @@ func wireImpaired(t *testing.T, g *Graph, from, to int, d sim.Time, imp Impairme
 
 // TestWireRunPerClassAfterDivergence routes two classes over one link
 // edge that then split onto their own wires: each class gets its own
-// stretch from the shared edge's exit, with its own delay and chain.
+// stretch from the shared edge's exit, with its own delay and line.
 func TestWireRunPerClassAfterDivergence(t *testing.T) {
 	var shared int
 	c := wireRunCase{
@@ -207,9 +207,10 @@ func TestWireRunPerClassAfterDivergence(t *testing.T) {
 
 // TestWireRunTailsOvertake puts two flows with different access tails on
 // one class whose stretch runs to the terminal: the second flow's
-// packets, entering 300 µs after the first's, arrive 7.7 ms before them, so
-// every one of them overtakes on the class's chain and must fall back to
-// an ordinary event at its exact instant.
+// packets, entering 300 µs after the first's, arrive 7.7 ms before them.
+// Every one of them overtakes, so the run must send each flow's packets
+// on the delay line of its own summed delay, and every packet must
+// arrive at its exact instant.
 func TestWireRunTailsOvertake(t *testing.T) {
 	c := wireRunCase{
 		edges: func(t *testing.T, g *Graph) {
