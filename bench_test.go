@@ -9,6 +9,7 @@ package abc_test
 import (
 	"fmt"
 	"os"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -221,15 +222,19 @@ func (a *ackClockWindow) CwndPkts() float64                   { return a.w }
 
 // BenchmarkEndpointAckClock measures one turn of the ACK clock: a data
 // packet from cc.Endpoint over a wire to netem.Receiver and its ACK over
-// a second wire back, 256 packets in flight. In steady state the
-// endpoint's scoreboard ring, the receiver and both wires reuse what they
-// hold, so it must report 0 allocs/op (enforced via bench_thresholds.txt).
+// a second wire back, 256 packets in flight. The endpoint's tally draws
+// its packets from an arena, as every flow of an exp.Run does. In steady
+// state the endpoint's scoreboard ring, the arena, the receiver and both
+// wires reuse what they hold, so it must report 0 allocs/op (enforced
+// via bench_thresholds.txt).
 func BenchmarkEndpointAckClock(b *testing.B) {
 	s := sim.New(1)
 	alg := &ackClockWindow{s: s, w: 256}
 	back := netem.NewWire(s, 10*sim.Millisecond, nil)
 	rcv := netem.NewReceiver(s, 1, back)
 	ep := cc.NewEndpoint(s, 1, netem.NewWire(s, 10*sim.Millisecond, rcv), alg)
+	var arena packet.Arena
+	ep.Tally.UseArena(&arena)
 	back.Dst = ep
 	ep.Start()
 	s.RunUntil(sim.Second) // ring, event slab and packet free-list at size
@@ -266,20 +271,6 @@ func BenchmarkDelayRecorderAdd(b *testing.B) {
 	}
 	if d.Count() != 2000+1000*b.N || p95 < 190 || p95 > 210 {
 		b.Fatalf("%d samples, p95 %.1f ms; want %d and about 200", d.Count(), p95, 2000+1000*b.N)
-	}
-}
-
-// BenchmarkPacketChurn measures one data/ACK exchange through the
-// process-wide packet pool that untallied packets use (see DESIGN.md §2):
-// steady state must report 0 allocs/op.
-func BenchmarkPacketChurn(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		p := packet.NewData(1, int64(i), packet.MTU, 0)
-		p.ECN = packet.Accel
-		a := packet.NewAck(p, int64(i)+1, 1)
-		p.Release()
-		a.Release()
 	}
 }
 
@@ -360,6 +351,41 @@ func BenchmarkQdiscChurn(b *testing.B) {
 				b.Fatalf("queue holds %d packets, want the standing %d", q.Len(), standing)
 			}
 		})
+	}
+}
+
+// TestThresholdRowsAreTheBenchmarks: bench_thresholds.txt and this file
+// name the same benchmarks. Every top-level benchmark here has at least
+// one row, so a benchmark added without a ceiling fails here, and every
+// row names a benchmark here, so a row left behind by a deleted one fails
+// here too, not only in scripts/check_allocs.sh.
+func TestThresholdRowsAreTheBenchmarks(t *testing.T) {
+	src, err := os.ReadFile("bench_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile("bench_thresholds.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	benchmarks := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^func (Benchmark\w*)\(`).FindAllStringSubmatch(string(src), -1) {
+		benchmarks[m[1]] = false
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, _, _ := strings.Cut(strings.Fields(line)[0], "/")
+		if _, ok := benchmarks[name]; !ok {
+			t.Errorf("bench_thresholds.txt row %q names no benchmark in bench_test.go", line)
+		}
+		benchmarks[name] = true
+	}
+	for name, guarded := range benchmarks {
+		if !guarded {
+			t.Errorf("%s has no row in bench_thresholds.txt", name)
+		}
 	}
 }
 

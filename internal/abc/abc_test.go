@@ -43,8 +43,8 @@ func TestRouterConfigValidation(t *testing.T) {
 // TestTargetRateEquation1 checks tr(t) = ημ − (μ/δ)(x − dt)+ pointwise.
 func TestTargetRateEquation1(t *testing.T) {
 	cfg := DefaultRouterConfig()
-	cfg.Limit = 0
 	r := NewRouter(cfg)
+	r.Limit = 0
 	mu := 10e6
 	r.SetCapacityProvider(func(sim.Time) float64 { return mu })
 
@@ -67,8 +67,8 @@ func TestTargetRateEquation1(t *testing.T) {
 
 func TestTargetRateClampsAtZero(t *testing.T) {
 	cfg := DefaultRouterConfig()
-	cfg.Limit = 0
 	r := NewRouter(cfg)
+	r.Limit = 0
 	r.SetCapacityProvider(func(sim.Time) float64 { return 1e6 })
 	// Enormous queue: the drain term exceeds ημ.
 	for i := int64(0); i < 500; i++ {
@@ -126,8 +126,8 @@ func TestAccelFractionIdleLinkOpens(t *testing.T) {
 func TestMarkingFractionBound(t *testing.T) {
 	for _, target := range []float64{0.1, 0.25, 0.5, 0.75, 0.9} {
 		cfg := DefaultRouterConfig()
-		cfg.Limit = 0
 		r := NewRouter(cfg)
+		r.Limit = 0
 		mu := 10e6
 		// Rig the target rate: capacity chosen so tr/(2cr) == target.
 		// Simpler: drive cr == mu via equal-rate feed and scale eta.
@@ -259,8 +259,8 @@ func TestQueueDelaySaturatesDuringOutage(t *testing.T) {
 
 func TestRouterDropsAtLimit(t *testing.T) {
 	cfg := DefaultRouterConfig()
-	cfg.Limit = 5
 	r := NewRouter(cfg)
+	r.Limit = 5
 	r.SetCapacityProvider(func(sim.Time) float64 { return 1e6 })
 	for i := int64(0); i < 10; i++ {
 		r.Enqueue(0, accelPkt(i))

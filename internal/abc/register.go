@@ -14,24 +14,19 @@ import (
 // RouterConfigFor is the one rule by which every ABC-family kind — "abc",
 // "abc-proxied", and sched's "dual-maxmin" and "dual-zombie" — configures
 // its router: the BuildSpec's Config, which must be a *RouterConfig, with
-// each zero field taking DefaultRouterConfig's value. A Limit of 0 (and
-// the default's, when there is no Config) takes limit, the kind's own
-// queue-limit rule.
+// each zero field taking DefaultRouterConfig's value. The queue limit is
+// not part of it: each kind bounds its queue by the BuildSpec's Buffer.
 // A field the router cannot honour is an error: a LieFraction outside
 // [0, 1], or any lie when rng, the stream the router would draw it from,
 // is nil.
-func RouterConfigFor(s qdisc.BuildSpec, limit int, rng *rand.Rand) (RouterConfig, error) {
+func RouterConfigFor(s qdisc.BuildSpec, rng *rand.Rand) (RouterConfig, error) {
 	cfg := DefaultRouterConfig()
-	cfg.Limit = 0
 	if s.Config != nil {
 		c, ok := s.Config.(*RouterConfig)
 		if !ok {
 			return RouterConfig{}, fmt.Errorf("abc: qdisc %s given a %T, not an *abc.RouterConfig", s.Kind, s.Config)
 		}
 		cfg = c.withDefaults()
-	}
-	if cfg.Limit == 0 {
-		cfg.Limit = limit
 	}
 	switch lie := cfg.LieFraction; {
 	case !(lie >= 0 && lie <= 1):
@@ -52,19 +47,21 @@ func init() {
 	cc.Register(cc.Scheme{Name: "ABC-proxied", New: func() cc.Algorithm { return NewProxiedSender() }, Qdisc: "abc-proxied"})
 
 	qdisc.RegisterConfigured("abc", func(s qdisc.BuildSpec) (qdisc.Qdisc, error) {
-		cfg, err := RouterConfigFor(s, s.Buffer, s.Rand)
+		cfg, err := RouterConfigFor(s, s.Rand)
 		if err != nil {
 			return nil, err
 		}
 		r := NewRouter(cfg)
-		r.rng = s.Rand
+		r.Limit, r.rng = s.Buffer, s.Rand
 		return r, nil
 	})
 	qdisc.RegisterConfigured("abc-proxied", func(s qdisc.BuildSpec) (qdisc.Qdisc, error) {
-		cfg, err := RouterConfigFor(s, s.Buffer, nil)
+		cfg, err := RouterConfigFor(s, nil)
 		if err != nil {
 			return nil, err
 		}
-		return NewProxiedRouter(cfg), nil
+		m := NewProxiedRouter(cfg)
+		m.Limit = s.Buffer
+		return m, nil
 	})
 }

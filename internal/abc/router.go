@@ -47,8 +47,6 @@ type RouterConfig struct {
 	Window sim.Time
 	// TokenLimit caps the token bucket of Algorithm 1.
 	TokenLimit float64
-	// Limit bounds the queue in packets (0 = unbounded).
-	Limit int
 	// Feedback selects dequeue- vs enqueue-rate feedback.
 	Feedback FeedbackMode
 	// LieFraction makes the router misbehave: after the honest token
@@ -74,13 +72,12 @@ func DefaultRouterConfig() RouterConfig {
 		DelayThreshold: 20 * sim.Millisecond,
 		Window:         defaultWindow,
 		TokenLimit:     defaultTokenLimit,
-		Limit:          250,
 	}
 }
 
 // withDefaults gives a zero Eta, Delta or DelayThreshold
 // DefaultRouterConfig's value, as NewRouter does a zero Window and
-// TokenLimit; the zeros of Limit, Feedback and LieFraction are meant.
+// TokenLimit; the zeros of Feedback and LieFraction are meant.
 func (c RouterConfig) withDefaults() RouterConfig {
 	d := DefaultRouterConfig()
 	if c.Eta == 0 {
@@ -95,9 +92,10 @@ func (c RouterConfig) withDefaults() RouterConfig {
 	return c
 }
 
-// Router is the ABC qdisc: the shared droptail store (its Limit is
-// Cfg.Limit) whose dequeue path computes per-packet accelerate/brake
-// feedback. It implements qdisc.Qdisc and qdisc.CapacityAware.
+// Router is the ABC qdisc: the shared droptail store (its Limit is the
+// kind's buffer; NewRouter starts it at qdisc.DefaultBuffer) whose
+// dequeue path computes per-packet accelerate/brake feedback. It
+// implements qdisc.Qdisc and qdisc.CapacityAware.
 type Router struct {
 	Cfg RouterConfig
 	qdisc.Queue
@@ -161,7 +159,7 @@ func NewRouter(cfg RouterConfig) *Router {
 	}
 	return &Router{
 		Cfg:      cfg,
-		Queue:    qdisc.Queue{Limit: cfg.Limit},
+		Queue:    qdisc.Queue{Limit: qdisc.DefaultBuffer},
 		deqMeter: qdisc.RateMeter{Window: cfg.Window},
 		enqMeter: qdisc.RateMeter{Window: cfg.Window},
 	}

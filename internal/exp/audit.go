@@ -55,9 +55,9 @@ func (a *account) check(who string) error {
 	return nil
 }
 
-// ledger sums the run's books: every declared flow's tally, every
-// workload's drained flows and live ones, and the graph's strays. It
-// runs at a barrier or after the run.
+// ledger sums the run's books: every declared flow's tally and every
+// workload's drained flows and live ones. It runs at a barrier or after
+// the run.
 func (c *compiled) ledger() packet.Books {
 	var b packet.Books
 	for _, f := range c.flows {
@@ -69,7 +69,6 @@ func (c *compiled) ledger() packet.Books {
 			b.Add(f.ep.Tally.Books())
 		}
 	}
-	b.Add(c.g.Strays().Books())
 	return b
 }
 

@@ -363,7 +363,6 @@ func tracedKinds(t *testing.T, mask obs.Cat, fn func(o RunOptions)) map[obs.Kind
 func TestWiFiEdgeTraced(t *testing.T) {
 	t.Parallel()
 	rc := abc.DefaultRouterConfig()
-	rc.Limit = 1000
 	var res *Result
 	kinds := tracedKinds(t, obs.CatPacket|obs.CatMark, func(o RunOptions) {
 		var err error
@@ -373,7 +372,7 @@ func TestWiFiEdgeTraced(t *testing.T) {
 			RTT:      60 * sim.Millisecond,
 			Links: []LinkSpec{{
 				Wifi:  &WiFiLinkSpec{Estimate: true},
-				Qdisc: QdiscSpec{Kind: "abc", ABCConfig: &rc},
+				Qdisc: QdiscSpec{Kind: "abc", Buffer: 1000, ABCConfig: &rc},
 			}},
 			Flows: []FlowSpec{{Scheme: "ABC"}},
 		})

@@ -66,17 +66,15 @@ type QdiscSpec struct {
 	// ACK route does — on a chain link as on a mesh edge.
 	Kind string `spec:"kind"`
 	// Buffer is the queue limit in packets (default 250, the paper's
-	// emulation buffer), of each child for the dual-* kinds. An
-	// ABC-family kind holds its ABCConfig's Limit instead when that is
-	// set.
+	// emulation buffer) of every kind, the ABC family's included; of
+	// each child for the dual-* kinds.
 	Buffer int `spec:"buffer"`
 	// ABCConfig, when non-nil, is the router configuration of an
 	// ABC-family kind ("abc", "abc-proxied", "dual-*": dt, η, δ, T, the
 	// token limit, the feedback mode, a lie), each zero field taking the
-	// paper's default; nil runs the defaults. A Limit of 0 leaves the
-	// queue limit to the kind. Any other kind rejects one, and a lie is
-	// rejected by every kind but "abc", whose router alone draws from a
-	// random stream.
+	// paper's default; nil runs the defaults. Any other kind rejects one,
+	// and a lie is rejected by every kind but "abc", whose router alone
+	// draws from a random stream.
 	ABCConfig *abc.RouterConfig `spec:",inline"`
 }
 
@@ -342,12 +340,11 @@ type Result struct {
 	// EdgeQdiscs maps mesh edge names to their built disciplines (nil for
 	// chain scenarios; wire edges have no entry).
 	EdgeQdiscs map[string]qdisc.Qdisc
-	// Ledger is the run's packet books: every packet of every flow (and
-	// every stray injected through topo.Graph.Entry) attached, and every
-	// one that ended, by cause — one packet.Tally per flow, summed after
-	// the run. It balances: Run fails unless the audit (audit.go) finds
-	// it agreeing with what the endpoints, receivers, disciplines and
-	// links counted on their own. Read a drop count as
+	// Ledger is the run's packet books: every packet of every flow
+	// attached, and every one that ended, by cause — one packet.Tally per
+	// flow, summed after the run. It balances: Run fails unless the audit
+	// (audit.go) finds it agreeing with what the endpoints, receivers,
+	// disciplines and links counted on their own. Read a drop count as
 	// Ledger.Released[packet.Impair] and so on.
 	Ledger packet.Books
 	// Drops is Ledger.Released[packet.Unrouted]: packets that reached a
@@ -376,7 +373,8 @@ type Result struct {
 	// scripted Events annotations, and what golden digests lock for the
 	// autoroute/flapstorm drivers.
 	RouteChanges []RouteChangeResult
-	// Graph is the compiled topology, available to post-run inspection (edge stats, custom traffic injection).
+	// Graph is the compiled topology, available to post-run inspection
+	// (edge stats, routes, event counts).
 	Graph *topo.Graph
 	// Backgrounds reports each fluid aggregate in Spec.Background order:
 	// bytes offered/served/dropped and the mean service share it took

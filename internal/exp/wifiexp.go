@@ -189,12 +189,11 @@ func runWiFi(o RunOptions, ws WiFiScheme, nUsers int, mcs wifi.MCS, dur sim.Time
 	q := QdiscSpec{Kind: "auto", Buffer: buf}
 	if ws.Scheme == "ABC" {
 		rc := abc.DefaultRouterConfig()
-		rc.Limit = buf
 		rc.Window = 40 * sim.Millisecond
 		if ws.ABCdt > 0 {
 			rc.DelayThreshold = ws.ABCdt
 		}
-		q = QdiscSpec{Kind: "abc", ABCConfig: &rc}
+		q = QdiscSpec{Kind: "abc", Buffer: buf, ABCConfig: &rc}
 		wl.Estimate = true
 	}
 

@@ -78,9 +78,9 @@ func TestLinkConformance(t *testing.T) {
 	}{
 		{"droptail", func() qdisc.Qdisc { return qdisc.NewDropTail(8) }},
 		{"abc", func() qdisc.Qdisc {
-			rc := abc.DefaultRouterConfig()
-			rc.Limit = 8
-			return abc.NewRouter(rc)
+			r := abc.NewRouter(abc.DefaultRouterConfig())
+			r.Limit = 8
+			return r
 		}},
 	}
 	for _, m := range linkModels {

@@ -76,9 +76,6 @@ type DeliveryFunc func(now sim.Time, p *packet.Packet)
 // remainder of an opportunity is wasted (Mahimahi semantics).
 type TraceLink struct {
 	hostPort
-	// CapWindow is the sliding window used to report µ(t) to capacity-
-	// aware qdiscs (the paper's emulation gives routers the link rate).
-	CapWindow sim.Time
 	// Lookahead, when positive, reports the capacity Lookahead into the
 	// future instead of the trailing window: the PK-ABC oracle (§6.6).
 	Lookahead sim.Time
@@ -96,10 +93,15 @@ type TraceLink struct {
 	running bool
 }
 
+// capWindow is the sliding window over which a trace link reports µ(t)
+// to capacity-aware qdiscs (the paper's emulation gives routers the link
+// rate).
+const capWindow = 80 * sim.Millisecond
+
 // NewTraceLink wires a trace-driven link. Capacity-aware qdiscs receive a
 // provider reporting the trace's windowed rate.
 func NewTraceLink(s *sim.Simulator, tr *trace.Trace, q qdisc.Qdisc, dst packet.Node) *TraceLink {
-	l := &TraceLink{CapWindow: 80 * sim.Millisecond, oppCur: tr.Cursor(), capCur: tr.Cursor()}
+	l := &TraceLink{oppCur: tr.Cursor(), capCur: tr.Cursor()}
 	l.Port = Port{S: s, Q: q, Dst: dst}
 	if ca, ok := q.(qdisc.CapacityAware); ok {
 		ca.SetCapacityProvider(l.CapacityBps)
@@ -115,12 +117,12 @@ func (l *TraceLink) CapacityBps(now sim.Time) float64 {
 	if l.Lookahead > 0 {
 		return l.capCur.FutureCapacityBps(now, l.Lookahead)
 	}
-	if now < l.CapWindow {
+	if now < capWindow {
 		// Early in the run the trailing window is unpopulated; use the
 		// forward window so routers do not see a zero-capacity link.
-		return l.capCur.FutureCapacityBps(now, l.CapWindow)
+		return l.capCur.FutureCapacityBps(now, capWindow)
 	}
-	return l.capCur.CapacityBps(now, l.CapWindow)
+	return l.capCur.CapacityBps(now, capWindow)
 }
 
 // Recv implements packet.Node: arriving packets enter the qdisc.

@@ -360,7 +360,7 @@ func TestTraceLinkIdleAcrossPeriods(t *testing.T) {
 			for i := 0; i < n; i++ {
 				link.Recv(packet.NewData(1, int64(i), packet.MTU, at))
 			}
-			if c, w := link.CapacityBps(at), tr.CapacityBps(at, link.CapWindow); at >= link.CapWindow && c != w {
+			if c, w := link.CapacityBps(at), tr.CapacityBps(at, capWindow); at >= capWindow && c != w {
 				t.Errorf("CapacityBps(%v) = %v, trace says %v", at, c, w)
 			}
 		})

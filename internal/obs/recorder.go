@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 )
 
 // Cat is a bitmask of event categories used to enable/disable tracing
@@ -172,9 +171,9 @@ type Event struct {
 // parallel sweep cells can share one instance under
 // -race. A nil *Recorder is valid and permanently disabled, which is
 // the zero-cost fast path: call sites guard emission with
-// rec.Enabled(cat), which is a nil check plus one atomic load.
+// rec.Enabled(cat), which is a nil check plus one field read.
 type Recorder struct {
-	mask atomic.Uint32 // Cat bitmask of enabled categories
+	mask Cat // enabled categories, fixed at NewRecorder
 
 	mu    sync.Mutex
 	ring  []Event
@@ -189,25 +188,21 @@ func NewRecorder(capacity int, mask Cat) *Recorder {
 	if capacity <= 0 {
 		panic("obs: NewRecorder capacity must be > 0")
 	}
-	r := &Recorder{ring: make([]Event, capacity)}
-	r.mask.Store(uint32(mask))
-	return r
+	return &Recorder{mask: mask, ring: make([]Event, capacity)}
 }
 
 // Enabled reports whether events in category c would be recorded.
 // Safe on a nil receiver; this is the per-call-site fast path.
 func (r *Recorder) Enabled(c Cat) bool {
-	return r != nil && Cat(r.mask.Load())&c != 0
+	return r != nil && r.mask&c != 0
 }
-
-// SetMask replaces the enabled-category bitmask.
-func (r *Recorder) SetMask(mask Cat) { r.mask.Store(uint32(mask)) }
 
 // Emit records one event. It allocates nothing and is safe for
 // concurrent use. Callers are expected to have checked Enabled first;
-// Emit re-checks the mask so racing SetMask calls stay consistent.
+// Emit re-checks the mask, so an event of a disabled category is never
+// recorded.
 func (r *Recorder) Emit(t int64, k Kind, src, flow int32, a, b int64) {
-	if r == nil || Cat(r.mask.Load())&k.Category() == 0 {
+	if r == nil || r.mask&k.Category() == 0 {
 		return
 	}
 	r.mu.Lock()

@@ -14,7 +14,6 @@ package packet
 
 import (
 	"fmt"
-	"sync"
 
 	"abc/internal/sim"
 )
@@ -221,19 +220,19 @@ func (b Books) Live() int64 {
 // its packets is live: the instant none is left anywhere (queued, on a
 // wire, inside an impairment, in link service), so whatever only that
 // flow used can be torn down without any later event reaching it. A
-// tallied packet points at its tally. The zero Tally is empty and draws
-// its packets from the pool.
+// tallied packet points at its tally. The zero Tally is empty and
+// allocates its packets.
 type Tally struct {
 	books Books
 	// arena, when set, is the run's packet arena: the flow's packets are
-	// drawn from it and end into it. Without one they come from and go
-	// back to the pool.
+	// drawn from it and end into it. Without one they are allocated and
+	// left to the collector.
 	arena   *Arena
 	onDrain func()
 }
 
 // UseArena readies the tally, before its first packet, for a run whose
-// packets live in a (nil for the pool).
+// packets live in a (nil to allocate them).
 func (t *Tally) UseArena(a *Arena) { t.arena = a }
 
 // NewData returns a data packet of the flow, drawn from the tally's
@@ -243,14 +242,6 @@ func (t *Tally) NewData(flow int, seq int64, size int, now sim.Time) *Packet {
 	p.data(flow, seq, size, now)
 	t.attach(p)
 	return p
-}
-
-// Adopt counts p as attached unless a tally counts it already: how
-// packets injected from outside any flow stay on the books.
-func (t *Tally) Adopt(p *Packet) {
-	if p.tally == nil {
-		t.attach(p)
-	}
 }
 
 func (t *Tally) attach(p *Packet) {
@@ -280,22 +271,13 @@ func (t *Tally) Finish(onDrain func()) {
 	t.onDrain = onDrain
 }
 
-// get draws a zeroed packet: from the tally's arena, or from the pool
-// for a tally without one or no tally at all.
+// get draws a zeroed packet: from the tally's arena, or a fresh one for
+// a tally without one or no tally at all.
 func (t *Tally) get() *Packet {
 	if t == nil || t.arena == nil {
-		return Get()
+		return new(Packet)
 	}
 	return t.arena.get()
-}
-
-// put returns zeroed p to where get would draw it from.
-func (t *Tally) put(p *Packet) {
-	if t == nil || t.arena == nil {
-		pool.Put(p)
-		return
-	}
-	t.arena.put(p)
 }
 
 // release books one packet's end and drains a finished flow at zero.
@@ -320,12 +302,6 @@ type XCPHeader struct {
 	// Valid reports whether the header is in use.
 	Valid bool
 }
-
-// pool recycles the packets no arena holds: those of a flow whose tally
-// has no arena, those a graph's stray tally adopts and untallied ones.
-// It is safe for concurrent use, so parallel experiment cells, each
-// with an arena of its own, may all draw from it.
-var pool = sync.Pool{New: func() any { return new(Packet) }}
 
 // Arena is a run's store of packets: a LIFO free list of ended packets
 // and the rest of a slab that fresh ones are carved from. The flows of a
@@ -393,7 +369,7 @@ func (a *Arena) put(p *Packet) {
 	}
 }
 
-// Get returns a zeroed packet from the pool.
+// Get returns a fresh zeroed packet, held by no arena and on no tally.
 //
 // Ownership rules: a packet has exactly one owner at a time — whoever
 // holds the pointer last is responsible for either forwarding it (links,
@@ -403,10 +379,9 @@ func (a *Arena) put(p *Packet) {
 // it. Qdisc.Enqueue returning false leaves ownership with the caller and
 // the packet untouched; a packet a discipline drops after accepting it
 // (CoDel, from Dequeue) is dropped in exactly one place, qdisc.Queue's
-// drop, which also counts it. A packet of a flow whose tally has arenas
-// is drawn by the tally (Tally.NewData, NewAck) rather than from Get,
-// under the same rules.
-func Get() *Packet { return pool.Get().(*Packet) }
+// drop, which also counts it. A packet of a flow is drawn by its tally
+// (Tally.NewData, NewAck) rather than from Get, under the same rules.
+func Get() *Packet { return new(Packet) }
 
 // Release ends p at its terminal consumer: it is Drop with the
 // consumption cause, Delivered for a data packet and Acked for an ACK.
@@ -419,22 +394,26 @@ func (p *Packet) Release() {
 	p.Drop(c)
 }
 
-// Drop ends p for cause c: it zeroes p, puts it back — on its tally's
-// arena if it has one, in the pool otherwise — and books the end on p's
-// tally, if any. The caller must not touch p afterwards. The end is
-// booked last, so a drain callback it triggers runs with p already put
-// back.
+// Drop ends p for cause c: it zeroes p, puts it back on its tally's
+// arena if it has one, and books the end on p's tally, if any. The
+// caller must not touch p afterwards: a packet no arena holds is left
+// zeroed to the collector, so a use after its end reads an empty
+// packet rather than a stale one. The end is booked last, so a drain
+// callback it triggers runs with p already put back.
 func (p *Packet) Drop(c Cause) {
 	t := p.tally
 	*p = Packet{}
-	t.put(p)
-	if t != nil {
-		t.release(c)
+	if t == nil {
+		return
 	}
+	if t.arena != nil {
+		t.arena.put(p)
+	}
+	t.release(c)
 }
 
-// NewData returns an untallied data packet of the given flow, sequence
-// and size, drawn from the pool.
+// NewData returns a fresh untallied data packet of the given flow,
+// sequence and size.
 func NewData(flow int, seq int64, size int, now sim.Time) *Packet {
 	p := Get()
 	p.data(flow, seq, size, now)
@@ -448,8 +427,8 @@ func (p *Packet) data(flow int, seq int64, size int, now sim.Time) {
 
 // NewAck builds the acknowledgement for data packet p, carrying the
 // receiver's cumulative ack and echoing ABC/ECN signals. The ACK is drawn
-// from the arena of p's tally if it has one, from the pool otherwise,
-// and attached to p's Tally, if any; p itself is left untouched (the
+// from the arena of p's tally if it has one, allocated otherwise, and
+// attached to p's Tally, if any; p itself is left untouched (the
 // caller still owns and eventually releases it).
 func NewAck(p *Packet, cumAck int64, now sim.Time) *Packet {
 	a := p.tally.get()

@@ -162,18 +162,25 @@ func TestRetxAckSuppressesRTTSample(t *testing.T) {
 	}
 }
 
-func TestPoolRecyclesZeroed(t *testing.T) {
-	p := NewData(3, 42, MTU, 7)
-	p.ECN = Accel
-	p.QueueDelay = 5
-	p.Release()
-	q := Get()
-	// q may or may not be the same object (the pool makes no promise),
-	// but it must be zeroed either way.
-	if *q != (Packet{}) {
+// TestDropZeroes: a packet no arena holds is zeroed at its end, tallied
+// or not, so a use after the end reads an empty packet, and Get hands
+// out zeroed ones.
+func TestDropZeroes(t *testing.T) {
+	var tl Tally
+	for _, p := range []*Packet{NewData(3, 42, MTU, 7), tl.NewData(3, 43, MTU, 7)} {
+		p.ECN = Accel
+		p.QueueDelay = 5
+		p.Drop(Refused)
+		if *p != (Packet{}) {
+			t.Errorf("Drop left a dirty packet: %+v", p)
+		}
+	}
+	if b := tl.Books(); b.Data != 1 || b.Released[Refused] != 1 {
+		t.Errorf("books %+v, want the tallied packet ended refused", b)
+	}
+	if q := Get(); *q != (Packet{}) {
 		t.Errorf("Get returned a dirty packet: %+v", q)
 	}
-	q.Release()
 }
 
 // TestTallyDrainsOnce: a tallied data packet and the ACK built from it
@@ -225,21 +232,16 @@ func TestTallyDrainsOnce(t *testing.T) {
 	p.Release()
 }
 
-// TestTallyBooksByCause: Adopt leaves a tallied packet on its own
-// books, an ACK is attached to its data packet's tally, and every end
-// names its cause.
+// TestTallyBooksByCause: an ACK is attached to its data packet's tally,
+// and every end names its cause.
 func TestTallyBooksByCause(t *testing.T) {
-	var tl, strays Tally
+	var tl Tally
 	d := tl.NewData(1, 0, MTU, 0)
-	strays.Adopt(d)
 	a := NewAck(d, 1, 0)
 	d.Release()
 	a.Drop(Late)
 	if got := tl.Books(); got.Data != 1 || got.Acks != 1 || got.Released[Delivered] != 1 || got.Released[Late] != 1 || got.Live() != 0 {
 		t.Fatalf("books = %+v, want one data packet delivered and one ACK ended late", got)
-	}
-	if b := strays.Books(); b != (Books{}) {
-		t.Fatalf("Adopt booked a packet its flow already tallies: %+v", b)
 	}
 }
 
@@ -285,17 +287,15 @@ func TestPacketLayout(t *testing.T) {
 			t.Errorf("Packet.%s at offset %d, want it in the first %d-byte line", f.name, f.offset, cacheLine)
 		}
 	}
-	// Fresh allocations, not recycled ones: the pool may hand back any
-	// packet, but every packet it holds was once allocated by its New.
-	for i := 0; i < 64; i++ {
-		if at := uintptr(unsafe.Pointer(pool.New().(*Packet))); at%cacheLine != 0 {
-			t.Fatalf("packet allocated at %#x, not on a %d-byte line boundary", at, cacheLine)
+	// The packets are kept in a slice, as a run keeps its packets in
+	// queues, so they escape to the heap: a packet that never escapes is
+	// placed on the stack, which makes no such promise.
+	kept := make([]*Packet, 64)
+	for i := range kept {
+		kept[i] = Get()
+		if at := uintptr(unsafe.Pointer(kept[i])); at%cacheLine != 0 {
+			t.Fatalf("Get returned a packet at %#x, not on a %d-byte line boundary", at, cacheLine)
 		}
-	}
-	p := Get()
-	defer p.Release()
-	if at := uintptr(unsafe.Pointer(p)); at%cacheLine != 0 {
-		t.Fatalf("Get returned a packet at %#x, not on a %d-byte line boundary", at, cacheLine)
 	}
 }
 
@@ -398,25 +398,24 @@ func TestArenaFreeListIsCapped(t *testing.T) {
 	}
 }
 
-// TestArenaOnlyForArenaTallies: a packet a tally without an arena
-// adopts (a graph's strays), the ACK built from it and an untallied
-// packet all go back to the pool, even while the run's arena is in use.
+// TestArenaOnlyForArenaTallies: a packet of a tally without an arena,
+// the ACK built from it and an untallied packet all end off the arena,
+// even while the run's arena is in use.
 func TestArenaOnlyForArenaTallies(t *testing.T) {
 	var arena Arena
-	var tl, strays Tally
+	var tl, plain Tally
 	tl.UseArena(&arena)
 	own := tl.NewData(1, 0, MTU, 0)
-	stray := NewData(2, 0, MTU, 0)
-	strays.Adopt(stray)
-	ack := NewAck(stray, 1, 0)
-	stray.Release()
+	other := plain.NewData(2, 0, MTU, 0)
+	ack := NewAck(other, 1, 0)
+	other.Release()
 	ack.Release()
 	NewData(3, 0, MTU, 0).Release()
 	if len(arena.free) != 0 {
-		t.Errorf("free list %v, want stray and untallied packets off it", arena.free)
+		t.Errorf("free list %v, want other tallies' and untallied packets off it", arena.free)
 	}
-	if b := strays.Books(); b.Data != 1 || b.Acks != 1 || b.Live() != 0 {
-		t.Errorf("stray books %+v, want one data packet and its ACK, both ended", b)
+	if b := plain.Books(); b.Data != 1 || b.Acks != 1 || b.Live() != 0 {
+		t.Errorf("arenaless books %+v, want one data packet and its ACK, both ended", b)
 	}
 	own.Release()
 	if len(arena.free) != 1 {

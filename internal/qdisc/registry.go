@@ -22,8 +22,7 @@ type BuildSpec struct {
 	Kind string
 	// Buffer is the queue limit in packets (<= 0 means DefaultBuffer).
 	// Every kind bounds its queue by it — each child's, for the dual-*
-	// composites. An ABC-family kind's *abc.RouterConfig may set a Limit
-	// of its own, which then takes precedence.
+	// composites.
 	Buffer int
 	// Config is a provider-specific configuration (*abc.RouterConfig for
 	// the ABC family). Build rejects one handed to a kind registered with

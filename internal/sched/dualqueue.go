@@ -61,14 +61,12 @@ type Config struct {
 
 // DefaultConfig returns the paper's coexistence parameters.
 func DefaultConfig() Config {
-	rc := abc.DefaultRouterConfig()
-	rc.Limit = 0 // the dual queue enforces its own limits
 	return Config{
 		Policy:     MaxMin,
 		Interval:   defaultInterval,
 		ABCLimit:   qdisc.DefaultBuffer,
 		OtherLimit: qdisc.DefaultBuffer,
-		Router:     rc,
+		Router:     abc.DefaultRouterConfig(),
 	}
 }
 
@@ -112,9 +110,11 @@ func NewDualQueue(cfg Config) *DualQueue {
 	if cfg.Interval <= 0 {
 		cfg.Interval = defaultInterval
 	}
+	r := abc.NewRouter(cfg.Router)
+	r.Limit = 0 // the dual queue enforces its own limits
 	return &DualQueue{
 		Cfg:         cfg,
-		ABC:         abc.NewRouter(cfg.Router),
+		ABC:         r,
 		Other:       qdisc.NewDropTail(cfg.OtherLimit),
 		wABC:        0.5,
 		abcSketch:   topk.New(topK),

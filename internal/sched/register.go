@@ -8,12 +8,10 @@ import (
 )
 
 // buildDual constructs a dual queue whose inner ABC router is configured
-// by abc.RouterConfigFor. The buffer bounds each queue; the router's own
-// limit stays 0 (unbounded inside the dual queue's) unless the
-// configuration names one.
+// by abc.RouterConfigFor. The buffer bounds each queue.
 func buildDual(policy WeightPolicy) qdisc.Builder {
 	return func(s qdisc.BuildSpec) (qdisc.Qdisc, error) {
-		rc, err := abc.RouterConfigFor(s, 0, nil)
+		rc, err := abc.RouterConfigFor(s, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -61,12 +61,13 @@ func TestAttackValidate(t *testing.T) {
 // TestTargetedDropHitsOnlyVictim: a DropRate=1 attack on flow 1 kills all
 // of flow 1's packets while flow 2 sails through untouched.
 func TestTargetedDropHitsOnlyVictim(t *testing.T) {
+	var tl packet.Tally
 	s, g, e, got := attackEdge(t, 1, sim.Millisecond, 1, 2)
 	e.SetAttack(&Attack{Target: Target{Flows: []int{1}}, DropRate: 1})
 	entry := g.Node(e.From.ID)
 	for i := 0; i < 50; i++ {
-		entry.Recv(booked(g, packet.NewData(1, int64(i), packet.MTU, 0)))
-		entry.Recv(booked(g, packet.NewData(2, int64(i), packet.MTU, 0)))
+		entry.Recv(tl.NewData(1, int64(i), packet.MTU, 0))
+		entry.Recv(tl.NewData(2, int64(i), packet.MTU, 0))
 	}
 	s.Run()
 	if n := len(*got[1]); n != 0 {
@@ -75,7 +76,7 @@ func TestTargetedDropHitsOnlyVictim(t *testing.T) {
 	if n := len(*got[2]); n != 50 {
 		t.Errorf("bystander flow 2 delivered %d packets, want 50", n)
 	}
-	if d := ended(g, packet.Adversary); d != 50 {
+	if d := ended(&tl, packet.Adversary); d != 50 {
 		t.Errorf("adversary drops = %d, want 50", d)
 	}
 }
@@ -205,13 +206,14 @@ func TestExtraDelayReorders(t *testing.T) {
 // TestSetAttackRetune: replacing the attack mid-run switches victims, and
 // clearing it stops the attack entirely.
 func TestSetAttackRetune(t *testing.T) {
+	var tl packet.Tally
 	s, g, e, got := attackEdge(t, 1, 0, 1, 2)
 	e.SetAttack(&Attack{Target: Target{Flows: []int{1}}, DropRate: 1})
 	entry := g.Node(e.From.ID)
 	inject := func(n int) {
 		for i := 0; i < n; i++ {
-			entry.Recv(booked(g, packet.NewData(1, 0, packet.MTU, 0)))
-			entry.Recv(booked(g, packet.NewData(2, 0, packet.MTU, 0)))
+			entry.Recv(tl.NewData(1, 0, packet.MTU, 0))
+			entry.Recv(tl.NewData(2, 0, packet.MTU, 0))
 		}
 	}
 	inject(10) // phase 1: flow 1 victimized
@@ -229,7 +231,7 @@ func TestSetAttackRetune(t *testing.T) {
 	if n := len(*got[2]); n != 20 {
 		t.Errorf("flow 2 delivered %d, want 20 (victim only in phase 2)", n)
 	}
-	if d := ended(g, packet.Adversary); d != 20 {
+	if d := ended(&tl, packet.Adversary); d != 20 {
 		t.Errorf("adversary drops = %d, want 20", d)
 	}
 }

@@ -68,6 +68,7 @@ func TestLinkStateShortestPath(t *testing.T) {
 // reacts to link_down/link_up on its own, conservation holds, and the
 // route returns to the shorter path once the outage clears.
 func TestShortestPathEmergentReroute(t *testing.T) {
+	var tl packet.Tally
 	s := sim.New(1)
 	g, e1, e2, e3, e4 := delayDiamond(t, s)
 	sink := &packet.Sink{}
@@ -87,7 +88,7 @@ func TestShortestPathEmergentReroute(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 100
-	send(g, entry, 1, n) // one per ms from t=0
+	send(s, &tl, entry, 1, n) // one per ms from t=0
 	s.At(20500*sim.Microsecond, func() { g.Edge(e1).SetDown(true) })
 	s.At(60500*sim.Microsecond, func() { g.Edge(e1).SetDown(false) })
 	s.RunUntil(2 * sim.Second)
@@ -101,7 +102,7 @@ func TestShortestPathEmergentReroute(t *testing.T) {
 	if route, _ := g.RouteOf(1, false); route[0] != e1 || route[1] != e2 {
 		t.Fatalf("final route = %v, want the recovered shortest path", route)
 	}
-	down, unrouted := ended(g, packet.LinkDown), ended(g, packet.Unrouted)
+	down, unrouted := ended(&tl, packet.LinkDown), ended(&tl, packet.Unrouted)
 	if total := int64(sink.Count) + down + unrouted; total != n {
 		t.Fatalf("conservation violated: delivered %d + down %d + unrouted %d != %d",
 			sink.Count, down, unrouted, n)
@@ -215,6 +216,7 @@ func TestKFailoverNoBackupError(t *testing.T) {
 // so the old path stays up) delivers every in-flight packet — zero
 // stranded drops.
 func TestAutoRouterDrainingMakeBeforeBreak(t *testing.T) {
+	var tl packet.Tally
 	s := sim.New(1)
 	g, e1, e2, e3, e4 := delayDiamond(t, s)
 	sink := &packet.Sink{}
@@ -251,7 +253,7 @@ func TestAutoRouterDrainingMakeBeforeBreak(t *testing.T) {
 	if sink.Count != n {
 		t.Fatalf("delivered %d/%d; make-before-break must drain the old path", sink.Count, n)
 	}
-	if d := ended(g, packet.Unrouted); d != 0 {
+	if d := ended(&tl, packet.Unrouted); d != 0 {
 		t.Fatalf("unrouted drops = %d, want 0", d)
 	}
 }

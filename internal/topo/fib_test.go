@@ -25,6 +25,7 @@ func entries(n *Node) int {
 // entry per junction — while still delivering to their own receivers
 // through the per-flow tails.
 func TestFIBClassSharing(t *testing.T) {
+	var tl packet.Tally
 	s := sim.New(1)
 	g, e1, e2, e3, e4 := twoPathGraph(t, s)
 	sink1, sink2, sink3 := &packet.Sink{}, &packet.Sink{}, &packet.Sink{}
@@ -48,7 +49,7 @@ func TestFIBClassSharing(t *testing.T) {
 	if n := entries(g.Node(1)); n != 1 {
 		t.Fatalf("node b has %d table entries, want 1 (shared class)", n)
 	}
-	send(g, entry, 1, 10)
+	send(s, &tl, entry, 1, 10)
 	for i := 0; i < 10; i++ {
 		seq := int64(i)
 		s.At(sim.Time(i)*sim.Millisecond, func() {
@@ -113,6 +114,7 @@ func TestFIBClassRecycling(t *testing.T) {
 // recycles the class id, and turns a straggler into a counted unrouted
 // drop.
 func TestUnrouteFlowInvertsRouteFlow(t *testing.T) {
+	var tl packet.Tally
 	s := sim.New(1)
 	g, e1, e2, e3, e4 := twoPathGraph(t, s)
 	sink1, sink2 := &packet.Sink{}, &packet.Sink{}
@@ -136,10 +138,10 @@ func TestUnrouteFlowInvertsRouteFlow(t *testing.T) {
 	if n := entries(g.Node(1)); n != 1 || g.classes[shared].refs != 1 {
 		t.Fatalf("node b has %d entries, shared class refs %d; want 1, 1", n, g.classes[shared].refs)
 	}
-	send(g, entry, 2, 10)
+	send(s, &tl, entry, 2, 10)
 	s.RunUntil(sim.Second)
-	if sink2.Count != 10 || ended(g, packet.Unrouted) != 0 {
-		t.Fatalf("flow 2 delivered %d/10 with %d unrouted drops after its class-mate left", sink2.Count, ended(g, packet.Unrouted))
+	if sink2.Count != 10 || ended(&tl, packet.Unrouted) != 0 {
+		t.Fatalf("flow 2 delivered %d/10 with %d unrouted drops after its class-mate left", sink2.Count, ended(&tl, packet.Unrouted))
 	}
 
 	if err := g.UnrouteFlow(2); err != nil {
@@ -161,8 +163,8 @@ func TestUnrouteFlowInvertsRouteFlow(t *testing.T) {
 	}
 	// A straggler of an unrouted flow is dropped and counted at the first
 	// junction it reaches.
-	g.Node(0).Recv(booked(g, packet.NewData(1, 99, packet.MTU, s.Now())))
-	if d := ended(g, packet.Unrouted); d != 1 || sink1.Count != 0 {
+	g.Node(0).Recv(tl.NewData(1, 99, packet.MTU, s.Now()))
+	if d := ended(&tl, packet.Unrouted); d != 1 || sink1.Count != 0 {
 		t.Errorf("straggler: %d unrouted drops, %d delivered; want 1, 0", d, sink1.Count)
 	}
 	if err := g.UnrouteFlow(1); err == nil {
@@ -175,6 +177,7 @@ func TestUnrouteFlowInvertsRouteFlow(t *testing.T) {
 // spare list, and the next route built takes one with its own delay and
 // terminal.
 func TestUnrouteFlowRecyclesTailWires(t *testing.T) {
+	var tl packet.Tally
 	s := sim.New(1)
 	g, e1, e2, e3, e4 := twoPathGraph(t, s)
 	if _, err := g.RouteFlow(1, false, []int{e1, e2}, 5*sim.Millisecond, &packet.Sink{}); err != nil {
@@ -203,7 +206,7 @@ func TestUnrouteFlowRecyclesTailWires(t *testing.T) {
 	if w.Delay != 7*sim.Millisecond || w.Dst != sink {
 		t.Errorf("recycled wire: delay %v to %v, want 7ms to the new sink", w.Delay, w.Dst)
 	}
-	send(g, entry, 2, 10)
+	send(s, &tl, entry, 2, 10)
 	s.RunUntil(sim.Second)
 	if sink.Count != 10 {
 		t.Errorf("delivered %d/10 through the recycled tail", sink.Count)
@@ -289,6 +292,7 @@ func TestUnrouteWaitsForLateAcks(t *testing.T) {
 // reaches the receiver — zero stranded drops — and the overrides are
 // gone once the window closes.
 func TestRerouteDrainingDeliversInFlight(t *testing.T) {
+	var tl packet.Tally
 	s := sim.New(1)
 	g, e1, e2, e3, e4 := twoPathGraph(t, s)
 	sink := &packet.Sink{}
@@ -299,7 +303,7 @@ func TestRerouteDrainingDeliversInFlight(t *testing.T) {
 	const n = 50
 	s.At(0, func() {
 		for i := 0; i < n; i++ {
-			entry.Recv(booked(g, packet.NewData(1, int64(i), packet.MTU, s.Now())))
+			entry.Recv(tl.NewData(1, int64(i), packet.MTU, s.Now()))
 		}
 	})
 	s.At(10*sim.Millisecond, func() {
@@ -311,7 +315,7 @@ func TestRerouteDrainingDeliversInFlight(t *testing.T) {
 	if sink.Count != n {
 		t.Fatalf("delivered %d/%d across a draining reroute", sink.Count, n)
 	}
-	if d := ended(g, packet.Unrouted); d != 0 {
+	if d := ended(&tl, packet.Unrouted); d != 0 {
 		t.Fatalf("unrouted drops = %d, want 0 (the drain window covers the in-flight packets)", d)
 	}
 	if g.Node(1).override != nil {
@@ -323,6 +327,7 @@ func TestRerouteDrainingDeliversInFlight(t *testing.T) {
 // drain time strands the remainder, which must land in the drop
 // counters — conservation holds on both sides of the expiry.
 func TestRerouteDrainingExpiryCountsStragglers(t *testing.T) {
+	var tl packet.Tally
 	s := sim.New(1)
 	g, e1, e2, e3, e4 := twoPathGraph(t, s)
 	sink := &packet.Sink{}
@@ -333,7 +338,7 @@ func TestRerouteDrainingExpiryCountsStragglers(t *testing.T) {
 	const n = 50
 	s.At(0, func() {
 		for i := 0; i < n; i++ {
-			entry.Recv(booked(g, packet.NewData(1, int64(i), packet.MTU, s.Now())))
+			entry.Recv(tl.NewData(1, int64(i), packet.MTU, s.Now()))
 		}
 	})
 	// 50 MTU packets at 8 Mbit/s serialize over ~75 ms; a 20 ms window
@@ -344,7 +349,7 @@ func TestRerouteDrainingExpiryCountsStragglers(t *testing.T) {
 		}
 	})
 	s.RunUntil(3 * sim.Second)
-	drops := ended(g, packet.Unrouted)
+	drops := ended(&tl, packet.Unrouted)
 	if drops == 0 {
 		t.Fatal("expected stragglers past the drain window to be counted")
 	}
@@ -360,6 +365,7 @@ func TestRerouteDrainingExpiryCountsStragglers(t *testing.T) {
 // window closes replaces the overrides; the stale cleanup must not
 // clobber them, and conservation holds throughout.
 func TestRerouteDrainingSuperseded(t *testing.T) {
+	var tl packet.Tally
 	s := sim.New(1)
 	g, e1, e2, e3, e4 := twoPathGraph(t, s)
 	sink := &packet.Sink{}
@@ -370,7 +376,7 @@ func TestRerouteDrainingSuperseded(t *testing.T) {
 	const n = 50
 	s.At(0, func() {
 		for i := 0; i < n; i++ {
-			entry.Recv(booked(g, packet.NewData(1, int64(i), packet.MTU, s.Now())))
+			entry.Recv(tl.NewData(1, int64(i), packet.MTU, s.Now()))
 		}
 	})
 	r := g.Router()
@@ -385,7 +391,7 @@ func TestRerouteDrainingSuperseded(t *testing.T) {
 		}
 	})
 	s.RunUntil(3 * sim.Second)
-	if drops := ended(g, packet.Unrouted); int64(sink.Count)+drops != n {
+	if drops := ended(&tl, packet.Unrouted); int64(sink.Count)+drops != n {
 		t.Fatalf("conservation violated: %d delivered + %d drops != %d sent",
 			sink.Count, drops, n)
 	}

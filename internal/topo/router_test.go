@@ -22,6 +22,7 @@ func twoPathGraph(t *testing.T, s *sim.Simulator) (g *Graph, e1, e2, e3, e4 int)
 }
 
 func TestRerouteMovesTraffic(t *testing.T) {
+	var tl packet.Tally
 	s := sim.New(1)
 	g, e1, e2, e3, e4 := twoPathGraph(t, s)
 	sink := &packet.Sink{}
@@ -35,7 +36,7 @@ func TestRerouteMovesTraffic(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		seq := int64(i)
 		s.At(sim.Time(i)*10*sim.Millisecond, func() {
-			entry.Recv(booked(g, packet.NewData(1, seq, packet.MTU, s.Now())))
+			entry.Recv(tl.NewData(1, seq, packet.MTU, s.Now()))
 		})
 	}
 	s.At(505*sim.Millisecond, func() {
@@ -47,7 +48,7 @@ func TestRerouteMovesTraffic(t *testing.T) {
 	if sink.Count != 100 {
 		t.Fatalf("delivered %d/100 across the reroute", sink.Count)
 	}
-	if d := ended(g, packet.Unrouted); d != 0 {
+	if d := ended(&tl, packet.Unrouted); d != 0 {
 		t.Fatalf("unrouted drops = %d, want 0 (swap happened with nothing in flight)", d)
 	}
 	if got := g.Edge(e3).Link.DeliveredBytes(); got != 49*packet.MTU {
@@ -59,6 +60,7 @@ func TestRerouteMovesTraffic(t *testing.T) {
 }
 
 func TestRerouteStrandsInFlightAsCountedDrops(t *testing.T) {
+	var tl packet.Tally
 	s := sim.New(1)
 	g, e1, e2, e3, e4 := twoPathGraph(t, s)
 	rec := obs.NewRecorder(1<<12, obs.CatPacket)
@@ -74,7 +76,7 @@ func TestRerouteStrandsInFlightAsCountedDrops(t *testing.T) {
 	// duplicated onto the new path, not silently lost.
 	s.At(0, func() {
 		for i := 0; i < n; i++ {
-			entry.Recv(booked(g, packet.NewData(1, int64(i), packet.MTU, s.Now())))
+			entry.Recv(tl.NewData(1, int64(i), packet.MTU, s.Now()))
 		}
 	})
 	s.At(10*sim.Millisecond, func() {
@@ -83,7 +85,7 @@ func TestRerouteStrandsInFlightAsCountedDrops(t *testing.T) {
 		}
 	})
 	s.RunUntil(2 * sim.Second)
-	drops := ended(g, packet.Unrouted)
+	drops := ended(&tl, packet.Unrouted)
 	if drops == 0 {
 		t.Fatal("expected in-flight packets stranded on the old path to be counted")
 	}
@@ -144,6 +146,7 @@ func TestCheckPathRejectsLoopToOrigin(t *testing.T) {
 }
 
 func TestLinkDownGate(t *testing.T) {
+	var tl packet.Tally
 	s := sim.New(1)
 	g := New(s)
 	a, b := g.AddNode("a"), g.AddNode("b")
@@ -153,11 +156,11 @@ func TestLinkDownGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	send(g, entry, 1, 10) // one per ms from t=0
+	send(s, &tl, entry, 1, 10) // one per ms from t=0
 	s.At(4500*sim.Microsecond, func() { g.Edge(e1).SetDown(true) })
 	s.At(7500*sim.Microsecond, func() { g.Edge(e1).SetDown(false) })
 	s.RunUntil(sim.Second)
-	down := ended(g, packet.LinkDown)
+	down := ended(&tl, packet.LinkDown)
 	if down != 3 { // packets at t=5,6,7 ms hit the gate
 		t.Fatalf("down drops = %d, want 3", down)
 	}
@@ -170,6 +173,7 @@ func TestLinkDownGate(t *testing.T) {
 // the same flow's data and ACK routes may now traverse the same node,
 // which the handover topologies rely on.
 func TestDataAndAckRoutesShareJunction(t *testing.T) {
+	var tl packet.Tally
 	s := sim.New(1)
 	g := New(s)
 	a, b := g.AddNode("a"), g.AddNode("b")
@@ -186,16 +190,16 @@ func TestDataAndAckRoutesShareJunction(t *testing.T) {
 		t.Fatalf("ACK route sharing nodes with the data route rejected: %v", err)
 	}
 	s.At(0, func() {
-		dataEntry.Recv(booked(g, packet.NewData(1, 0, packet.MTU, s.Now())))
-		ack := packet.Get()
-		ack.Flow, ack.IsAck, ack.Size = 1, true, packet.AckSize
-		ackEntry.Recv(booked(g, ack))
+		data := tl.NewData(1, 0, packet.MTU, s.Now())
+		ack := packet.NewAck(data, 1, s.Now())
+		dataEntry.Recv(data)
+		ackEntry.Recv(ack)
 	})
 	s.RunUntil(sim.Second)
 	if dataSink.Count != 1 || ackSink.Count != 1 {
 		t.Fatalf("data %d, ack %d delivered; want 1 and 1", dataSink.Count, ackSink.Count)
 	}
-	if d := ended(g, packet.Unrouted); d != 0 {
+	if d := ended(&tl, packet.Unrouted); d != 0 {
 		t.Fatalf("unrouted drops = %d", d)
 	}
 }

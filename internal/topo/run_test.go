@@ -38,6 +38,7 @@ func (c wireRunCase) run(t *testing.T, static bool) (*Graph, []arrival, uint64) 
 		g.SetStatic()
 	}
 	var got []arrival
+	var tl packet.Tally
 	sink := packet.NodeFunc(func(p *packet.Packet) {
 		got = append(got, arrival{s.Now(), p.SentAt, p.Flow})
 		p.Release()
@@ -46,7 +47,7 @@ func (c wireRunCase) run(t *testing.T, static bool) (*Graph, []arrival, uint64) 
 		f, entry := f, entry
 		for i := 0; i < 10; i++ {
 			s.At(sim.Time(i)*sim.Millisecond+sim.Time(f)*300*sim.Microsecond, func() {
-				entry.Recv(booked(g, packet.NewData(f, 0, packet.MTU, s.Now())))
+				entry.Recv(tl.NewData(f, 0, packet.MTU, s.Now()))
 			})
 		}
 	}

@@ -362,11 +362,6 @@ type Graph struct {
 	// points guard on rec.Enabled, which is nil-safe, so the disabled
 	// path costs one pointer test on the per-packet paths.
 	rec *obs.Recorder
-	// stray books the packets injected through Entry without a flow's
-	// tally (see Strays). It has no arena: its packets come from the
-	// pool, and ending them into an arena would leave the pool to
-	// allocate every later packet.NewData.
-	stray packet.Tally
 	// arena is the run's packet arena (see Arena).
 	arena packet.Arena
 	// static is set by SetStatic: forwarding never changes again, and
@@ -513,22 +508,6 @@ func (g *Graph) Edge(id int) *Edge { return g.edges[id] }
 
 // Edges returns the number of edges in the graph.
 func (g *Graph) Edges() int { return len(g.edges) }
-
-// Entry returns the entry element of an edge — the hop a sender attached
-// at the edge's tail node transmits into (gate included). A packet that
-// enters there without a flow's tally is adopted by the graph's stray
-// tally, so traffic injected from outside any flow stays on the books.
-func (g *Graph) Entry(edge int) packet.Node {
-	e := g.edges[edge]
-	return packet.NodeFunc(func(p *packet.Packet) {
-		g.stray.Adopt(p)
-		e.Recv(p)
-	})
-}
-
-// Strays returns the tally that books the packets injected through Entry
-// without one of their own.
-func (g *Graph) Strays() *packet.Tally { return &g.stray }
 
 // CheckPath verifies that an edge sequence is a well-formed route over
 // the graph: every id names an existing edge, consecutive edges are

@@ -24,28 +24,22 @@ func rateEdge(t *testing.T, g *Graph, s *sim.Simulator, from, to int, delay sim.
 }
 
 // send pushes n MTU data packets of the flow into entry, one per
-// millisecond from t = 0, each booked on the graph's stray tally.
-func send(g *Graph, entry packet.Node, flow, n int) {
-	s := g.S
+// millisecond from t = 0, each drawn from tl: the tally a test keeps its
+// injected packets on.
+func send(s *sim.Simulator, tl *packet.Tally, entry packet.Node, flow, n int) {
 	for i := 0; i < n; i++ {
 		seq := int64(i)
 		s.At(sim.Time(i)*sim.Millisecond, func() {
-			entry.Recv(booked(g, packet.NewData(flow, seq, packet.MTU, s.Now())))
+			entry.Recv(tl.NewData(flow, seq, packet.MTU, s.Now()))
 		})
 	}
 }
 
-// booked attaches p to the graph's stray tally — the books a test keeps
-// its injected packets on — and returns it.
-func booked(g *Graph, p *packet.Packet) *packet.Packet {
-	g.Strays().Adopt(p)
-	return p
-}
-
-// ended reports how many of the packets a test booked ended for cause c.
-func ended(g *Graph, c packet.Cause) int64 { return g.Strays().Books().Released[c] }
+// ended reports how many of the packets on tl ended for cause c.
+func ended(tl *packet.Tally, c packet.Cause) int64 { return tl.Books().Released[c] }
 
 func TestRouteFlowDelivers(t *testing.T) {
+	var tl packet.Tally
 	s := sim.New(1)
 	g := New(s)
 	a, b, c := g.AddNode("a"), g.AddNode("b"), g.AddNode("c")
@@ -56,12 +50,12 @@ func TestRouteFlowDelivers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	send(g, entry, 7, 20)
+	send(s, &tl, entry, 7, 20)
 	s.RunUntil(sim.Second)
 	if sink.Count != 20 {
 		t.Fatalf("delivered %d/20 packets", sink.Count)
 	}
-	if d := ended(g, packet.Unrouted); d != 0 {
+	if d := ended(&tl, packet.Unrouted); d != 0 {
 		t.Fatalf("unrouted drops = %d, want 0", d)
 	}
 	if got := g.Edge(e1).Link.DeliveredBytes(); got != 20*packet.MTU {
@@ -94,6 +88,7 @@ func TestRouteFlowRejectsDoubleRoute(t *testing.T) {
 }
 
 func TestUnroutedPacketsCounted(t *testing.T) {
+	var tl packet.Tally
 	s := sim.New(1)
 	g := New(s)
 	a, b := g.AddNode("a"), g.AddNode("b")
@@ -102,33 +97,15 @@ func TestUnroutedPacketsCounted(t *testing.T) {
 	if _, err := g.RouteFlow(1, false, []int{e1}, 0, &packet.Sink{}); err != nil {
 		t.Fatal(err)
 	}
-	send(g, g.Entry(e1), 2, 5)
+	send(s, &tl, g.Edge(e1), 2, 5)
 	s.RunUntil(sim.Second)
-	if d := ended(g, packet.Unrouted); d != 5 {
+	if d := ended(&tl, packet.Unrouted); d != 5 {
 		t.Fatalf("unrouted drops = %d, want 5", d)
 	}
 }
 
-// TestEntryBooksStrays: a packet that enters an edge without a flow's
-// tally is adopted by the graph's stray tally; one that has a tally keeps
-// it.
-func TestEntryBooksStrays(t *testing.T) {
-	s := sim.New(1)
-	g := New(s)
-	a, b := g.AddNode("a"), g.AddNode("b")
-	e1 := rateEdge(t, g, s, a, b, 0, Impairments{})
-	var own packet.Tally
-	mine := own.NewData(1, 0, packet.MTU, 0)
-	g.Entry(e1).Recv(mine)
-	g.Entry(e1).Recv(packet.NewData(2, 0, packet.MTU, 0))
-	s.RunUntil(sim.Second)
-	if st, ob := g.Strays().Books(), own.Books(); st.Data != 1 || st.Released[packet.Unrouted] != 1 ||
-		ob.Data != 1 || ob.Released[packet.Unrouted] != 1 {
-		t.Fatalf("strays %+v, own %+v; want one packet on each, ended unrouted", st, ob)
-	}
-}
-
 func TestLossGateDropsAndCounts(t *testing.T) {
+	var tl packet.Tally
 	s := sim.New(1)
 	g := New(s)
 	a, b := g.AddNode("a"), g.AddNode("b")
@@ -141,9 +118,9 @@ func TestLossGateDropsAndCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 2000
-	send(g, entry, 1, n)
+	send(s, &tl, entry, 1, n)
 	s.RunUntil(10 * sim.Second)
-	drops := ended(g, packet.Impair)
+	drops := ended(&tl, packet.Impair)
 	if drops == 0 || drops == n {
 		t.Fatalf("loss gate dropped %d of %d, want 0 < drops < %d", drops, n, n)
 	}
@@ -166,6 +143,7 @@ func TestLossGateDropsAndCounts(t *testing.T) {
 }
 
 func TestJitterPreservesOrder(t *testing.T) {
+	var tl packet.Tally
 	s := sim.New(1)
 	g := New(s)
 	a, b := g.AddNode("a"), g.AddNode("b")
@@ -183,7 +161,7 @@ func TestJitterPreservesOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	send(g, entry, 1, 200)
+	send(s, &tl, entry, 1, 200)
 	s.RunUntil(10 * sim.Second)
 	if len(seqs) != 200 {
 		t.Fatalf("delivered %d/200", len(seqs))
@@ -197,6 +175,7 @@ func TestJitterPreservesOrder(t *testing.T) {
 
 func TestImpairmentsDeterministic(t *testing.T) {
 	run := func() (delivered int, drops int64) {
+		var tl packet.Tally
 		s := sim.New(42)
 		g := New(s)
 		a, b := g.AddNode("a"), g.AddNode("b")
@@ -212,9 +191,9 @@ func TestImpairmentsDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		send(g, entry, 1, 1000)
+		send(s, &tl, entry, 1, 1000)
 		s.RunUntil(10 * sim.Second)
-		return sink.Count, ended(g, packet.Impair)
+		return sink.Count, ended(&tl, packet.Impair)
 	}
 	d1, x1 := run()
 	d2, x2 := run()
