@@ -274,7 +274,6 @@ func TestRouterDropsAtLimit(t *testing.T) {
 
 func TestSenderWindowUpdateEquation3(t *testing.T) {
 	s := NewSender()
-	s.DisableDualWindow = true
 	w := s.WABC()
 	ackAccel := mkAck(true)
 	s.OnAck(0, nil, ackInfo(ackAccel))
@@ -292,7 +291,6 @@ func TestSenderWindowUpdateEquation3(t *testing.T) {
 
 func TestSenderWindowFloorsAtOne(t *testing.T) {
 	s := NewSender()
-	s.DisableDualWindow = true
 	for i := 0; i < 100; i++ {
 		s.OnAck(0, nil, ackInfo(mkAck(false)))
 	}
@@ -327,7 +325,6 @@ func TestMAIMDFairnessConvergence(t *testing.T) {
 		w2 := 2 + float64(w2Raw%50)
 		s1 := NewSender()
 		s2 := NewSender()
-		s1.DisableDualWindow, s2.DisableDualWindow = true, true
 		s1.wabc, s2.wabc = w1, w2
 		var acc1, acc2 float64
 		for round := 0; round < 6000; round++ {
@@ -352,7 +349,6 @@ func TestMAIMDFairnessConvergence(t *testing.T) {
 func TestMIMDDoesNotConverge(t *testing.T) {
 	s1 := NewSender()
 	s2 := NewSender()
-	s1.DisableDualWindow, s2.DisableDualWindow = true, true
 	s1.disableAI, s2.disableAI = true, true
 	s1.wabc, s2.wabc = 40, 10
 	var acc1, acc2 float64
@@ -389,15 +385,62 @@ func TestDualWindowMin(t *testing.T) {
 }
 
 func TestWindowsCappedAtTwiceInflight(t *testing.T) {
-	s := NewSender()
-	s.wabc = 1000
-	s.cubic.SetCwnd(1000)
-	info := ackInfo(mkAck(true))
-	info.Inflight = 20
-	s.OnAck(0, nil, info)
-	cap2 := 2.0 * 21
-	if s.WABC() > cap2 || s.WCubic() > cap2 {
-		t.Errorf("windows not capped: wabc=%.0f wcubic=%.0f cap=%.0f", s.WABC(), s.WCubic(), cap2)
+	// cap = 2·(inflight+1), never below 4.
+	for _, tc := range []struct {
+		inflight int
+		cap      float64
+	}{{20, 42}, {0, 4}} {
+		s := NewSender()
+		s.wabc = 1000
+		s.cubic.SetCwnd(1000)
+		info := ackInfo(mkAck(true))
+		info.Inflight = tc.inflight
+		s.OnAck(0, nil, info)
+		if s.WABC() != tc.cap || s.WCubic() != tc.cap {
+			t.Errorf("inflight %d: wabc=%v wcubic=%v, want both capped at %v", tc.inflight, s.WABC(), s.WCubic(), tc.cap)
+		}
+	}
+}
+
+// TestAckDrivesBothWindows: an accelerate grows w_abc by 1 + 1/w and the
+// slow-starting Cubic window by one packet, a brake shrinks only w_abc,
+// and the sender sends at whichever window is smaller.
+func TestAckDrivesBothWindows(t *testing.T) {
+	s := NewSender() // both windows start at 4
+	for i := 0; i < 3; i++ {
+		s.OnAck(0, nil, ackInfo(mkAck(true)))
+	}
+	if s.WCubic() != 7 || s.WABC() <= 7 || s.CwndPkts() != 7 {
+		t.Fatalf("after 3 accels: wabc=%v wcubic=%v cwnd=%v, want cwnd = wcubic = 7 < wabc", s.WABC(), s.WCubic(), s.CwndPkts())
+	}
+	for i := 0; i < 2; i++ {
+		s.OnAck(0, nil, ackInfo(mkAck(false)))
+	}
+	if s.WCubic() != 9 || s.WABC() >= 9 || s.CwndPkts() != s.WABC() {
+		t.Errorf("after 2 brakes: wabc=%v wcubic=%v cwnd=%v, want cwnd = wabc < wcubic = 9", s.WABC(), s.WCubic(), s.CwndPkts())
+	}
+}
+
+// TestCongestionMovesOnlyCubic: drops, CE marks and timeouts are non-ABC
+// signals; they cut the Cubic window, leave w_abc alone, and the sender
+// then sends at the Cubic window.
+func TestCongestionMovesOnlyCubic(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		signal func(*Sender)
+		wcubic float64
+	}{
+		{"congestion", func(s *Sender) { s.OnCongestion(0, nil) }, 14}, // β = 0.7
+		{"rto", func(s *Sender) { s.OnRTO(0, nil) }, 1},
+	} {
+		s := NewSender()
+		s.wabc = 20
+		s.cubic.SetCwnd(20)
+		tc.signal(s)
+		if s.WABC() != 20 || math.Abs(s.WCubic()-tc.wcubic) > 1e-9 || s.CwndPkts() != s.WCubic() {
+			t.Errorf("%s: wabc=%v wcubic=%v cwnd=%v, want wabc 20 and cwnd = wcubic = %v",
+				tc.name, s.WABC(), s.WCubic(), s.CwndPkts(), tc.wcubic)
+		}
 	}
 }
 

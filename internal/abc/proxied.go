@@ -58,9 +58,6 @@ func NewProxiedSender() *ProxiedSender {
 	return &ProxiedSender{inner: NewSender()}
 }
 
-// Name implements cc.Algorithm.
-func (p *ProxiedSender) Name() string { return "ABC-proxied" }
-
 // WABC exposes the accel-brake window.
 func (p *ProxiedSender) WABC() float64 { return p.inner.WABC() }
 

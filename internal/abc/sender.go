@@ -1,6 +1,7 @@
 // ABC sender: the window update of §3.1.1 with the additive-increase
 // fairness term of §3.1.3 (Eq. 3), and the dual-window coexistence
-// mechanism of §5.1.1 for paths containing non-ABC bottlenecks.
+// mechanism of §5.1.1, which every ABC sender runs so that it also
+// backs off at non-ABC bottlenecks.
 package abc
 
 import (
@@ -27,9 +28,6 @@ type Sender struct {
 	// disableAI removes the additive-increase term: the unfair MIMD
 	// variant of Fig. 3a, registered as scheme "ABC-MIMD".
 	disableAI bool
-	// DisableDualWindow removes the Cubic coexistence window (pure-ABC
-	// paths; used in unit tests and ablations).
-	DisableDualWindow bool
 
 	wabc  float64
 	cubic *cc.Cubic
@@ -47,9 +45,6 @@ type Sender struct {
 func NewSender() *Sender {
 	return &Sender{wabc: 4, cubic: cc.NewCubic()}
 }
-
-// Name implements cc.Algorithm.
-func (s *Sender) Name() string { return "ABC" }
 
 // WABC exposes the accel-brake window (Fig. 6 plots it).
 func (s *Sender) WABC() float64 { return s.wabc }
@@ -94,11 +89,9 @@ func (s *Sender) OnAck(now sim.Time, e *cc.Endpoint, info cc.AckInfo) {
 			s.wabc = 1
 		}
 	}
-	if !s.DisableDualWindow {
-		// The Cubic window grows normally on ACKs; congestion signals
-		// reach it via OnCongestion/OnRTO.
-		s.cubic.OnAck(now, e, info)
-	}
+	// The Cubic window grows normally on ACKs; congestion signals reach
+	// it via OnCongestion/OnRTO.
+	s.cubic.OnAck(now, e, info)
 	// Cap both windows to 2x in-flight (§5.1.1) so whichever window is
 	// not the bottleneck cannot grow without bound.
 	cap2 := 2 * float64(info.Inflight+1)
@@ -108,7 +101,7 @@ func (s *Sender) OnAck(now sim.Time, e *cc.Endpoint, info cc.AckInfo) {
 	if s.wabc > cap2 {
 		s.wabc = cap2
 	}
-	if !s.DisableDualWindow && s.cubic.Cwnd() > cap2 {
+	if s.cubic.Cwnd() > cap2 {
 		s.cubic.SetCwnd(cap2)
 	}
 }
@@ -116,27 +109,17 @@ func (s *Sender) OnAck(now sim.Time, e *cc.Endpoint, info cc.AckInfo) {
 // OnCongestion implements cc.Algorithm: drops and CE marks are non-ABC
 // congestion signals and drive only the Cubic window.
 func (s *Sender) OnCongestion(now sim.Time, e *cc.Endpoint) {
-	if !s.DisableDualWindow {
-		s.cubic.OnCongestion(now, e)
-	}
+	s.cubic.OnCongestion(now, e)
 }
 
-// OnRTO implements cc.Algorithm.
+// OnRTO implements cc.Algorithm: a timeout, like a drop, drives only the
+// Cubic window.
 func (s *Sender) OnRTO(now sim.Time, e *cc.Endpoint) {
-	if !s.DisableDualWindow {
-		s.cubic.OnRTO(now, e)
-	} else if s.wabc > 2 {
-		// Without the dual window, halve on timeout so outages do not
-		// leave a stale large window.
-		s.wabc /= 2
-	}
+	s.cubic.OnRTO(now, e)
 }
 
 // CwndPkts implements cc.Algorithm: send at the smaller window (§5.1.1).
 func (s *Sender) CwndPkts() float64 {
-	if s.DisableDualWindow {
-		return s.wabc
-	}
 	if c := s.cubic.Cwnd(); c < s.wabc {
 		return c
 	}

@@ -263,16 +263,3 @@ func TestVivaceRespondsToUtility(t *testing.T) {
 		t.Errorf("rate did not climb under good utility: %.1f -> %.1f Mbit/s", r0/1e6, r1/1e6)
 	}
 }
-
-func TestAlgorithmNames(t *testing.T) {
-	names := map[string]Algorithm{
-		"Cubic": NewCubic(), "Vegas": NewVegas(),
-		"BBR": NewBBR(), "Copa": NewCopa(), "PCC": NewVivace(),
-		"Sprout": NewSprout(), "Verus": NewVerus(),
-	}
-	for want, alg := range names {
-		if alg.Name() != want {
-			t.Errorf("Name() = %q, want %q", alg.Name(), want)
-		}
-	}
-}

@@ -84,9 +84,6 @@ func NewBBR() *BBR {
 	}
 }
 
-// Name implements Algorithm.
-func (b *BBR) Name() string { return "BBR" }
-
 // bdpPkts returns the estimated bandwidth-delay product in packets.
 func (b *BBR) bdpPkts(e *Endpoint) float64 {
 	bw := b.btlBw.max()

@@ -26,9 +26,6 @@ func NewCopa() *Copa {
 	return &Copa{cwnd: 4, velocity: 1, slowStart: true}
 }
 
-// Name implements Algorithm.
-func (c *Copa) Name() string { return "Copa" }
-
 // OnAck implements Algorithm.
 func (c *Copa) OnAck(now sim.Time, e *Endpoint, info AckInfo) {
 	if info.AckedBytes == 0 || !info.RTTValid {

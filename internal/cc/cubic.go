@@ -32,9 +32,6 @@ func NewCubic() *Cubic {
 	return &Cubic{cwnd: 4, ssthresh: 1e9}
 }
 
-// Name implements Algorithm.
-func (c *Cubic) Name() string { return "Cubic" }
-
 // OnAck implements Algorithm.
 func (c *Cubic) OnAck(now sim.Time, e *Endpoint, info AckInfo) {
 	if info.AckedBytes == 0 {

@@ -51,8 +51,6 @@ type AckInfo struct {
 
 // Algorithm is a congestion-control scheme.
 type Algorithm interface {
-	// Name identifies the scheme in reports.
-	Name() string
 	// OnAck processes every acknowledgement.
 	OnAck(now sim.Time, e *Endpoint, info AckInfo)
 	// OnCongestion signals at most one loss/CE event per window.

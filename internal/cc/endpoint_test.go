@@ -71,7 +71,6 @@ type fixedWindow struct {
 	rtos       int
 }
 
-func (f *fixedWindow) Name() string                       { return "fixed" }
 func (f *fixedWindow) OnAck(sim.Time, *Endpoint, AckInfo) {}
 func (f *fixedWindow) OnCongestion(sim.Time, *Endpoint)   { f.congestion++ }
 func (f *fixedWindow) OnRTO(sim.Time, *Endpoint)          { f.rtos++ }

@@ -41,9 +41,6 @@ type Greedy struct {
 // NewGreedy wraps inner in a greedy misbehaving sender.
 func NewGreedy(inner Algorithm) *Greedy { return &Greedy{inner: inner} }
 
-// Name implements Algorithm.
-func (g *Greedy) Name() string { return g.inner.Name() + "/greedy" }
-
 // OnAck rewrites the ACK's feedback fields to deny congestion, then
 // lets the inner algorithm process the sanitized view. The rewrite
 // happens on the ACK itself: the endpoint consumes EchoCE after OnAck,

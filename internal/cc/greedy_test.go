@@ -18,7 +18,6 @@ type fakeAlg struct {
 	congestions int
 }
 
-func (f *fakeAlg) Name() string { return "fake" }
 func (f *fakeAlg) OnAck(now sim.Time, e *Endpoint, info AckInfo) {
 	a := info.Ack
 	f.sawAccel = append(f.sawAccel, a.EchoAccel)
@@ -98,9 +97,6 @@ func TestGreedyIgnoresCongestionAndFloorsWindow(t *testing.T) {
 	inner.cwnd = 1 // inner collapsed (e.g. RTO path)
 	if w := g.CwndPkts(); w != 20 {
 		t.Errorf("CwndPkts = %g, want floor 20 (half of peak 40)", w)
-	}
-	if g.Name() != "fake/greedy" {
-		t.Errorf("Name = %q", g.Name())
 	}
 	if !g.HandlesCE() {
 		t.Error("greedy must claim CE handling to suppress endpoint backoff")

@@ -37,9 +37,6 @@ func NewSprout() *Sprout {
 	return &Sprout{cwnd: 4}
 }
 
-// Name implements Algorithm.
-func (s *Sprout) Name() string { return "Sprout" }
-
 // OnAck implements Algorithm.
 func (s *Sprout) OnAck(now sim.Time, e *Endpoint, info AckInfo) {
 	if info.AckedBytes == 0 {

@@ -27,9 +27,6 @@ func NewVegas() *Vegas {
 	return &Vegas{cwnd: 4, ssthresh: 1e9, slowStart: true}
 }
 
-// Name implements Algorithm.
-func (v *Vegas) Name() string { return "Vegas" }
-
 // OnAck implements Algorithm.
 func (v *Vegas) OnAck(now sim.Time, e *Endpoint, info AckInfo) {
 	if info.AckedBytes == 0 || !info.RTTValid {

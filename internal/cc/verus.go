@@ -29,9 +29,6 @@ func NewVerus() *Verus {
 	return &Verus{cwnd: 4}
 }
 
-// Name implements Algorithm.
-func (v *Verus) Name() string { return "Verus" }
-
 // OnAck implements Algorithm.
 func (v *Verus) OnAck(now sim.Time, e *Endpoint, info AckInfo) {
 	if info.RTTValid {

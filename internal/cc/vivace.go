@@ -50,9 +50,6 @@ func NewVivace() *Vivace {
 	return &Vivace{rate: 2e6, step: 1}
 }
 
-// Name implements Algorithm.
-func (v *Vivace) Name() string { return "PCC" }
-
 // utility evaluates the Vivace-latency utility for a finished interval.
 func (v *Vivace) utility(ph *vivacePhase, dur sim.Time) float64 {
 	if dur <= 0 {

@@ -311,3 +311,52 @@ func TestChainEventAddressing(t *testing.T) {
 		t.Fatalf("executed %d events, want 3", len(res.Events))
 	}
 }
+
+// TestQueueDelayFollowsSetRate: the standing-queue-delay series reads
+// its rate link's current rate, so after a set_rate event halves the
+// first bottleneck every sample is queued bytes × 8 / the new rate.
+func TestQueueDelayFollowsSetRate(t *testing.T) {
+	const setAt = sim.Second
+	spec := Spec{
+		Seed:     1,
+		Duration: 2 * sim.Second,
+		Warmup:   1,
+		Sample:   10 * sim.Millisecond,
+		Links:    []LinkSpec{{Rate: 12e6, Qdisc: QdiscSpec{Kind: "droptail"}}},
+		Flows:    []FlowSpec{{Scheme: "Cubic"}},
+		Events:   []EventSpec{{At: setAt, Kind: EventSetRate, Edge: "fwd0", RateMbps: 6}},
+	}
+	c, err := compile(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := c.edgeQ[0]
+	// Registered first, so it is read before QueueDelayTS at each
+	// sample instant, with nothing executed in between.
+	queued := c.sampled(func(sim.Time) float64 { return float64(q.Bytes()) })
+	res, _, err := c.run(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := res.QueueDelayTS
+	if len(got.Values) != len(queued.Values) {
+		t.Fatalf("%d queue-delay samples, %d queue samples", len(got.Values), len(queued.Values))
+	}
+	checked := 0
+	for i, at := range got.Times {
+		rate := 12e6
+		if at >= setAt.Seconds() {
+			rate = 6e6
+			if queued.Values[i] > 0 {
+				checked++
+			}
+		}
+		if want := queued.Values[i] * 8 / rate * 1000; got.Values[i] != want {
+			t.Fatalf("sample at %.2f s: queue delay %v ms, want %v ms (%v bytes at %v bit/s)",
+				at, got.Values[i], want, queued.Values[i], rate)
+		}
+	}
+	if checked == 0 {
+		t.Fatal("the queue was empty at every sample after the set_rate event")
+	}
+}

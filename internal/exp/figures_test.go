@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"abc/internal/sim"
@@ -101,6 +103,26 @@ func TestFig4SlopeMatchesTheory(t *testing.T) {
 	rel := (r.FittedSlopeMs - r.TheorySlopeMs) / r.TheorySlopeMs
 	if rel < -0.15 || rel > 0.15 {
 		t.Errorf("slope off by %.0f%% from S/R", rel*100)
+	}
+}
+
+// TestFig4FitIgnoresMapOrder: the slope fit over per-batch means is the
+// same to the last bit however often it runs, though Go ranges over a
+// map in a different order each time.
+func TestFig4FitIgnoresMapOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	means := make(map[int]float64)
+	for b := 1; b <= 20; b++ {
+		means[b] = 0.923*float64(b) + 0.31 + 0.05*rng.Float64()
+	}
+	want := fitSlope(means)
+	if want <= 0.9 || want >= 0.95 {
+		t.Fatalf("slope %v, want about 0.923", want)
+	}
+	for i := 0; i < 200; i++ {
+		if got := fitSlope(means); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("fit %d gave slope %v, the first gave %v", i, got, want)
+		}
 	}
 }
 

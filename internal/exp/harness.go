@@ -237,7 +237,7 @@ func (c *compiled) runAndMeasure(reg *obs.Registry) *metrics.DelayRecorder {
 	coord := g.Coordinator()
 	if spec.Sample > 0 {
 		if first := slices.IndexFunc(c.edgeQ, func(q qdisc.Qdisc) bool { return q != nil }); first >= 0 {
-			firstQ, firstCap := c.edgeQ[first], capacityFn(c.p.edges[first].link)
+			firstQ, firstCap := c.edgeQ[first], capacityFn(c.p.edges[first].link, c.g.Edge(first).Link)
 			res.QueueDelayTS = c.sampled(func(now sim.Time) float64 {
 				mu := firstCap(now)
 				if mu <= 0 {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 
 	"abc/internal/abc"
@@ -62,10 +63,22 @@ func fig4InterACK(p Params) (*Fig4Result, error) {
 	for b, c := range counts {
 		out.MeanTIA[b] /= float64(c)
 	}
-	// Least-squares slope over the per-batch means.
+	out.FittedSlopeMs = fitSlope(out.MeanTIA)
+	out.TheorySlopeMs = float64(packet.MTU*8) / wifi.BitrateForMCS(1) * 1000
+	return out, nil
+}
+
+// fitSlope returns the least-squares slope of means[b] against b. It
+// sums in ascending b, so the result does not depend on map order.
+func fitSlope(means map[int]float64) float64 {
+	bs := make([]int, 0, len(means))
+	for b := range means {
+		bs = append(bs, b)
+	}
+	slices.Sort(bs)
 	var sx, sy, sxx, sxy, n float64
-	for b, m := range out.MeanTIA {
-		x := float64(b)
+	for _, b := range bs {
+		x, m := float64(b), means[b]
 		sx += x
 		sy += m
 		sxx += x * x
@@ -73,10 +86,9 @@ func fig4InterACK(p Params) (*Fig4Result, error) {
 		n++
 	}
 	if d := n*sxx - sx*sx; d != 0 {
-		out.FittedSlopeMs = (n*sxy - sx*sy) / d
+		return (n*sxy - sx*sy) / d
 	}
-	out.TheorySlopeMs = float64(packet.MTU*8) / wifi.BitrateForMCS(1) * 1000
-	return out, nil
+	return 0
 }
 
 // injectCBR feeds MTU packets into dst at the given bit rate until end.

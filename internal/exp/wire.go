@@ -94,16 +94,16 @@ func (ls *LinkSpec) wifiConfig() wifi.LinkConfig {
 	return cfg
 }
 
-// capacityFn returns a capacity sampler (bits/sec) for a link spec, used
-// by the queue-delay time series.
-func capacityFn(ls *LinkSpec) func(now sim.Time) float64 {
+// capacityFn returns a capacity sampler (bits/sec) for a link spec and
+// the link built from it, used by the queue-delay time series. A rate
+// link is read live, so a set_rate event moves the sampler with it.
+func capacityFn(ls *LinkSpec, l topo.Link) func(now sim.Time) float64 {
 	switch ls.model() {
 	case "trace":
 		tr := ls.Trace
 		return func(now sim.Time) float64 { return tr.CapacityBps(now, 100*sim.Millisecond) }
 	case "rate":
-		rate := ls.Rate
-		return func(sim.Time) float64 { return rate }
+		return l.(*netem.RateLink).CapacityBps
 	case "wifi":
 		cfg := ls.wifiConfig()
 		return func(now sim.Time) float64 { return wifi.TrueCapacityBps(cfg, now) }

@@ -74,7 +74,7 @@ func TestXCPRouterOnlyReducesFeedback(t *testing.T) {
 }
 
 func TestXCPSenderAppliesFeedback(t *testing.T) {
-	s := NewXCPSender(false)
+	s := NewXCPSender()
 	w0 := s.CwndPkts()
 	ack := &packet.Packet{IsAck: true, XCP: packet.XCPHeader{Feedback: 3000, Valid: true}}
 	s.OnAck(0, nil, cc.AckInfo{Ack: ack, AckedBytes: packet.MTU})
@@ -89,14 +89,8 @@ func TestXCPSenderAppliesFeedback(t *testing.T) {
 	}
 }
 
-func TestXCPSenderNames(t *testing.T) {
-	if NewXCPSender(false).Name() != "XCP" || NewXCPSender(true).Name() != "XCPw" {
-		t.Error("names wrong")
-	}
-}
-
 func TestXCPSenderStampsHeader(t *testing.T) {
-	s := NewXCPSender(false)
+	s := NewXCPSender()
 	e := cc.NewEndpoint(sim.New(1), 1, packet.NodeFunc(func(*packet.Packet) {}), s)
 	p := packet.NewData(1, 0, packet.MTU, 0)
 	s.StampData(0, e, p)
@@ -315,7 +309,7 @@ func TestReversePathRouterTightensEchoedFeedback(t *testing.T) {
 		if out.XCP.Feedback >= packet.MTU {
 			t.Fatalf("reverse router left echoed feedback at %.1f, want reduced below %d", out.XCP.Feedback, packet.MTU)
 		}
-		s := NewXCPSender(false)
+		s := NewXCPSender()
 		before := s.CwndPkts()
 		s.OnAck(now, nil, cc.AckInfo{Ack: out, AckedBytes: packet.MTU})
 		if got := s.CwndPkts(); got >= before+1 {

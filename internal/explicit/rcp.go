@@ -103,9 +103,6 @@ type RCPSender struct {
 // NewRCPSender returns an RCP sender with a conservative initial rate.
 func NewRCPSender() *RCPSender { return &RCPSender{rate: 1e6} }
 
-// Name implements cc.Algorithm.
-func (s *RCPSender) Name() string { return "RCP" }
-
 // StampData implements cc.DataStamper: clear the rate field so routers
 // along the path stamp their minimum.
 func (s *RCPSender) StampData(now sim.Time, e *cc.Endpoint, p *packet.Packet) {

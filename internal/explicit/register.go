@@ -9,8 +9,8 @@ import (
 )
 
 func init() {
-	cc.Register(cc.Scheme{Name: "XCP", New: func() cc.Algorithm { return NewXCPSender(false) }, Qdisc: "xcp"})
-	cc.Register(cc.Scheme{Name: "XCPw", New: func() cc.Algorithm { return NewXCPSender(true) }, Qdisc: "xcpw"})
+	cc.Register(cc.Scheme{Name: "XCP", New: func() cc.Algorithm { return NewXCPSender() }, Qdisc: "xcp"})
+	cc.Register(cc.Scheme{Name: "XCPw", New: func() cc.Algorithm { return NewXCPSender() }, Qdisc: "xcpw"})
 	cc.Register(cc.Scheme{Name: "RCP", New: func() cc.Algorithm { return NewRCPSender() }, Qdisc: "rcp"})
 	cc.Register(cc.Scheme{Name: "VCP", New: func() cc.Algorithm { return NewVCPSender() }, Qdisc: "vcp"})
 

@@ -115,9 +115,6 @@ func NewVCPSender() *VCPSender {
 	return &VCPSender{cwnd: 4, curCode: vcpLow}
 }
 
-// Name implements cc.Algorithm.
-func (s *VCPSender) Name() string { return "VCP" }
-
 // StampData implements cc.DataStamper.
 func (s *VCPSender) StampData(now sim.Time, e *cc.Endpoint, p *packet.Packet) {
 	p.VCPLoad = 0

@@ -1,10 +1,12 @@
 // Package explicit implements the explicit congestion-control baselines
 // the paper compares ABC against: XCP (Katabi et al. 2002), the paper's
-// improved per-packet variant XCPw, RCP (Tai, Zhu, Dukkipati 2008) and
-// VCP (Xia et al. 2005). Each consists of a router qdisc that computes
-// feedback and a sender Algorithm that obeys it, communicating through
-// the multi-bit header fields in internal/packet — the header space whose
-// deployment cost motivates ABC's single-bit design.
+// improved per-packet variant XCPw (the same XCP sender over the
+// per-packet "xcpw" router, which alone does the extra work), RCP (Tai,
+// Zhu, Dukkipati 2008) and VCP (Xia et al. 2005). Each consists of a
+// router qdisc that computes feedback and a sender Algorithm that obeys
+// it, communicating through the multi-bit header fields in
+// internal/packet — the header space whose deployment cost motivates
+// ABC's single-bit design.
 //
 // The reverse channel is not assumed lossless: receivers echo the
 // multi-bit headers onto ACKs verbatim (packet.NewAck), and every router
@@ -180,23 +182,14 @@ func (x *XCPRouter) Dequeue(now sim.Time) *packet.Packet {
 
 // XCPSender is the window-based XCP endpoint algorithm: it stamps the
 // congestion header on data and applies the echoed feedback per ACK.
+// Schemes XCP and XCPw both run it; only their routers differ.
 type XCPSender struct {
-	Wireless bool // reported name XCPw when true (router does the work)
-
 	cwndBytes float64
 }
 
 // NewXCPSender returns an XCP sender.
-func NewXCPSender(wireless bool) *XCPSender {
-	return &XCPSender{Wireless: wireless, cwndBytes: 4 * packet.MTU}
-}
-
-// Name implements cc.Algorithm.
-func (s *XCPSender) Name() string {
-	if s.Wireless {
-		return "XCPw"
-	}
-	return "XCP"
+func NewXCPSender() *XCPSender {
+	return &XCPSender{cwndBytes: 4 * packet.MTU}
 }
 
 // StampData implements cc.DataStamper.

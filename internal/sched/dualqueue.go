@@ -1,10 +1,10 @@
 // Package sched implements the paper's §5.2 coexistence machinery: a
 // dual-queue bottleneck router that isolates ABC from non-ABC traffic,
-// schedules between the queues by weight, and periodically recomputes the
-// weights. Two weight policies are provided — ABC's max-min allocation
-// over measured flow demands, and RCP's Zombie-List equal-average-rate
-// policy, reproduced here as the baseline whose short-flow unfairness
-// Fig. 12 demonstrates.
+// bounds each queue by one limit, schedules between the queues by
+// weight, and recomputes the weights every 200 ms. Two weight policies
+// are provided — ABC's max-min allocation over measured flow demands,
+// and RCP's Zombie-List equal-average-rate policy, reproduced here as
+// the baseline whose short-flow unfairness Fig. 12 demonstrates.
 package sched
 
 import (
@@ -38,10 +38,10 @@ const (
 	// demandHeadroom is X: top-K flow demand is (1+X) times measured
 	// throughput (paper: X = 10%).
 	demandHeadroom float64 = 0.10
-	// defaultInterval is the weight recomputation period: with X = 10%
+	// interval is the weight recomputation period: with X = 10%
 	// headroom the weights converge to the fair split in a couple of
 	// seconds.
-	defaultInterval sim.Time = 200 * sim.Millisecond
+	interval sim.Time = 200 * sim.Millisecond
 	// minWeight clamps weights away from starvation.
 	minWeight float64 = 0.05
 )
@@ -50,11 +50,8 @@ const (
 type Config struct {
 	// Policy selects the weight assignment strategy.
 	Policy WeightPolicy
-	// Interval is the weight recomputation period (<= 0 means
-	// defaultInterval, 200 ms).
-	Interval sim.Time
-	// ABCLimit / OtherLimit bound each queue in packets.
-	ABCLimit, OtherLimit int
+	// Limit bounds each of the two queues in packets.
+	Limit int
 	// Router configures the inner ABC router for the ABC queue.
 	Router abc.RouterConfig
 }
@@ -62,11 +59,9 @@ type Config struct {
 // DefaultConfig returns the paper's coexistence parameters.
 func DefaultConfig() Config {
 	return Config{
-		Policy:     MaxMin,
-		Interval:   defaultInterval,
-		ABCLimit:   qdisc.DefaultBuffer,
-		OtherLimit: qdisc.DefaultBuffer,
-		Router:     abc.DefaultRouterConfig(),
+		Policy: MaxMin,
+		Limit:  qdisc.DefaultBuffer,
+		Router: abc.DefaultRouterConfig(),
 	}
 }
 
@@ -107,15 +102,12 @@ type DualQueue struct {
 
 // NewDualQueue returns the coexistence router.
 func NewDualQueue(cfg Config) *DualQueue {
-	if cfg.Interval <= 0 {
-		cfg.Interval = defaultInterval
-	}
 	r := abc.NewRouter(cfg.Router)
 	r.Limit = 0 // the dual queue enforces its own limits
 	return &DualQueue{
 		Cfg:         cfg,
 		ABC:         r,
-		Other:       qdisc.NewDropTail(cfg.OtherLimit),
+		Other:       qdisc.NewDropTail(cfg.Limit),
 		wABC:        0.5,
 		abcSketch:   topk.New(topK),
 		otherSketch: topk.New(topK),
@@ -149,7 +141,7 @@ func (d *DualQueue) Enqueue(now sim.Time, p *packet.Packet) bool {
 	if !p.ABCFlow {
 		return d.Other.Enqueue(now, p)
 	}
-	if d.Cfg.ABCLimit > 0 && d.ABC.Len() >= d.Cfg.ABCLimit {
+	if d.Cfg.Limit > 0 && d.ABC.Len() >= d.Cfg.Limit {
 		return d.ABC.Refuse() // counted on the child it was bound for
 	}
 	return d.ABC.Enqueue(now, p)
@@ -224,7 +216,7 @@ func (d *DualQueue) Counters() qdisc.Stats {
 
 // maybeReweigh recomputes queue weights once per interval.
 func (d *DualQueue) maybeReweigh(now sim.Time) {
-	if d.intervalStart == 0 || now-d.intervalStart < d.Cfg.Interval {
+	if d.intervalStart == 0 || now-d.intervalStart < interval {
 		return
 	}
 	dur := (now - d.intervalStart).Seconds()

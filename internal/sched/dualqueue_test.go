@@ -88,9 +88,7 @@ func TestInnerABCCapacityScaledByWeight(t *testing.T) {
 }
 
 func TestMaxMinReweighsTowardHeavyDemand(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Interval = 100 * sim.Millisecond
-	dq := NewDualQueue(cfg)
+	dq := NewDualQueue(DefaultConfig())
 	dq.SetCapacityProvider(func(sim.Time) float64 { return 24e6 })
 	now := sim.Time(0)
 	// 3 ABC long flows vs 1 Cubic long flow, all backlogged: max-min
@@ -116,7 +114,6 @@ func TestMaxMinReweighsTowardHeavyDemand(t *testing.T) {
 func TestZombieCountsFlowsNotDemand(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Policy = ZombieList
-	cfg.Interval = 100 * sim.Millisecond
 	dq := NewDualQueue(cfg)
 	dq.SetCapacityProvider(func(sim.Time) float64 { return 24e6 })
 	now := sim.Time(0)
@@ -211,7 +208,7 @@ func TestMaxMinProperties(t *testing.T) {
 
 func TestDualQueueRespectsLimits(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.ABCLimit, cfg.OtherLimit = 5, 5
+	cfg.Limit = 5
 	dq := NewDualQueue(cfg)
 	dq.SetCapacityProvider(func(sim.Time) float64 { return 24e6 })
 	for i := int64(0); i < 10; i++ {
@@ -227,9 +224,7 @@ func TestDualQueueRespectsLimits(t *testing.T) {
 }
 
 func TestWeightClamped(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Interval = 10 * sim.Millisecond
-	dq := NewDualQueue(cfg)
+	dq := NewDualQueue(DefaultConfig())
 	dq.SetCapacityProvider(func(sim.Time) float64 { return 24e6 })
 	now := sim.Time(0)
 	// Only non-ABC traffic for a long time: weight must stay above the
@@ -244,12 +239,10 @@ func TestWeightClamped(t *testing.T) {
 	}
 }
 
-// TestZeroIntervalTakesDefault: a Config with Interval 0 recomputes its
-// weights on DefaultConfig's 200 ms grid, the one default both share.
-func TestZeroIntervalTakesDefault(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Interval = 0
-	dq := NewDualQueue(cfg)
+// TestWeightsRecomputeEvery200ms: the weights are recomputed on a fixed
+// 200 ms grid that starts at the first packet.
+func TestWeightsRecomputeEvery200ms(t *testing.T) {
+	dq := NewDualQueue(DefaultConfig())
 	dq.SetCapacityProvider(func(sim.Time) float64 { return 24e6 })
 	var got []sim.Time
 	for now := sim.Millisecond; now <= 1000*sim.Millisecond; now += sim.Millisecond {

@@ -16,8 +16,7 @@ func buildDual(policy WeightPolicy) qdisc.Builder {
 			return nil, err
 		}
 		cfg := DefaultConfig()
-		cfg.Policy, cfg.Router = policy, rc
-		cfg.ABCLimit, cfg.OtherLimit = s.Buffer, s.Buffer
+		cfg.Policy, cfg.Router, cfg.Limit = policy, rc, s.Buffer
 		return NewDualQueue(cfg), nil
 	}
 }

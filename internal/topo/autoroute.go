@@ -104,8 +104,6 @@ func (v *LinkState) ShortestPath(origin, dst int, avoid map[int]bool, ignoreDown
 
 // Policy computes routes for managed flows from the link-state view.
 type Policy interface {
-	// Name identifies the policy in errors and annotations.
-	Name() string
 	// Setup is called once per managed route with its current installed
 	// path, letting the policy precompute (k-failover backups).
 	Setup(v *LinkState, flow int, ack bool, origin, dst int, current []int) error
@@ -119,9 +117,6 @@ type Policy interface {
 // ShortestPathPolicy recomputes a delay-weighted shortest path over the
 // up edges on every link-state change.
 type ShortestPathPolicy struct{}
-
-// Name implements Policy.
-func (ShortestPathPolicy) Name() string { return "shortest" }
 
 // Setup implements Policy (stateless).
 func (ShortestPathPolicy) Setup(*LinkState, int, bool, int, int, []int) error { return nil }
@@ -143,9 +138,6 @@ type KFailoverPolicy struct {
 	// plans holds the candidate lists per managed (flow, direction).
 	plans map[hopKey][][]int
 }
-
-// Name implements Policy.
-func (p *KFailoverPolicy) Name() string { return "kfailover" }
 
 // Setup implements Policy: precompute the backup candidates.
 func (p *KFailoverPolicy) Setup(v *LinkState, flow int, ack bool, origin, dst int, current []int) error {

@@ -377,13 +377,16 @@ type CellParams struct {
 	MinMbps, MaxMbps float64
 	// OutageProb is the per-100ms probability of entering an outage.
 	OutageProb float64
-	// OutageMs is the mean outage duration in milliseconds.
-	OutageMs float64
 }
 
+// outageMs is the mean duration of a synthetic cellular outage in
+// milliseconds; each lasts a uniform 0.5–1.5 times it.
+const outageMs = 250.0
+
 // Cellular generates a synthetic cellular trace: a mean-reverting random
-// walk in log-rate space with occasional outages, producing the 4x-within-
-// a-second swings the paper describes (§2), at millisecond granularity.
+// walk in log-rate space with occasional outages (outageMs on average),
+// producing the 4x-within-a-second swings the paper describes (§2), at
+// millisecond granularity.
 func Cellular(name string, p CellParams) *Trace {
 	if p.Duration <= 0 {
 		p.Duration = 60 * sim.Second
@@ -399,9 +402,6 @@ func Cellular(name string, p CellParams) *Trace {
 	}
 	if p.MaxMbps <= 0 {
 		p.MaxMbps = 4 * p.MeanMbps
-	}
-	if p.OutageMs <= 0 {
-		p.OutageMs = 250
 	}
 	rng := rand.New(rand.NewSource(p.Seed))
 	logMean := math.Log(p.MeanMbps)
@@ -430,7 +430,7 @@ func Cellular(name string, p CellParams) *Trace {
 		}
 		rates[i] = math.Exp(logRate)
 		if rng.Float64() < p.OutageProb*stepMs/100.0 {
-			outageLeft = p.OutageMs * (0.5 + rng.Float64())
+			outageLeft = outageMs * (0.5 + rng.Float64())
 		}
 	}
 	// Linear interpolation between steps keeps capacity continuous, as

@@ -2,11 +2,14 @@
 # cli_diff.sh GIT_REF
 #
 # The byte-for-byte check behind "this change moves no result": builds
-# abcsim and abcreport from GIT_REF (a `git archive` export into a
-# temporary directory, so neither the working tree nor .git is touched)
-# and from the working tree, runs every -exp id of the working tree's
-# `-exp list` at -dur 6 and -dur 13, every examples/scenarios/*.json and
-# `abcreport -fast` on both, and diffs the two outputs. Each side runs its
+# abcsim, abcreport and examples/quickstart from GIT_REF (a `git archive`
+# export into a temporary directory, so neither the working tree nor .git
+# is touched) and from the working tree, runs every -exp id of the
+# working tree's `-exp list` at -dur 6 and -dur 13, every
+# examples/scenarios/*.json (once plain, once with -trace-out, recording
+# the SHA-256 of the dump: the flight recorder's bytes must match too),
+# `abcreport -fast` and the quickstart on both, and diffs the two
+# outputs. Each side runs its
 # own examples/scenarios/*.json, labelled by file name: a file whose
 # spelling changed but whose scenario did not reads as "same scenario,
 # same bytes", and an edited, added or removed example as a difference.
@@ -28,9 +31,9 @@ trap 'rm -rf "$tmp"' EXIT
 
 mkdir "$tmp/src"
 git archive "$ref" | tar -x -C "$tmp/src"
-for cmd in abcsim abcreport; do
-    (cd "$tmp/src" && go build -o "$tmp/$cmd.ref" "./cmd/$cmd")
-    go build -o "$tmp/$cmd.tree" "./cmd/$cmd"
+for pkg in cmd/abcsim cmd/abcreport examples/quickstart; do
+    (cd "$tmp/src" && go build -o "$tmp/${pkg##*/}.ref" "./$pkg")
+    go build -o "$tmp/${pkg##*/}.tree" "./$pkg"
 done
 
 # run_all SIDE ROOT OUTFILE: runs SIDE's (ref or tree) binaries on the
@@ -47,8 +50,21 @@ run_all() {
         echo "=== -scenario examples/scenarios/${f##*/}"
         "$tmp/abcsim.$1" -scenario "$f" 2>&1 | cat
     done
+    # Both sides dump to the same path, so the recorder's stderr line
+    # (event count and path) compares as is.
+    for f in "$2"/examples/scenarios/*.json; do
+        echo "=== -scenario examples/scenarios/${f##*/} -trace-out (sha256)"
+        rm -f "$tmp/dump.jsonl"
+        "$tmp/abcsim.$1" -scenario "$f" -trace-out "$tmp/dump.jsonl" 2>&1 >/dev/null | cat
+        if [ -f "$tmp/dump.jsonl" ]; then
+            sha256sum <"$tmp/dump.jsonl" | cut -d' ' -f1
+        fi
+    done
+    rm -f "$tmp/dump.jsonl"
     echo "=== abcreport -fast"
     "$tmp/abcreport.$1" -fast 2>&1 | cat
+    echo "=== examples/quickstart"
+    "$tmp/quickstart.$1" 2>&1 | cat
 } >"$3"
 
 run_all ref "$tmp/src" "$tmp/ref.txt"
