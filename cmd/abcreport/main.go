@@ -1,6 +1,10 @@
 // Command abcreport runs the full evaluation sweep — every table and
-// figure — and prints an EXPERIMENTS.md-style report with the paper's
-// headline claims checked against the measured results.
+// figure — and prints an EXPERIMENTS.md-style report. Under each figure
+// that carries claims (exp.Driver.Claims) it checks the paper's
+// headline claims against the measured results: one row per claim with
+// the paper's statement, the measured value, the band and the verdict.
+// Each claim is measured at its own parameters and the report's seed,
+// so its verdict is the one TestPaperClaims gives for that seed.
 package main
 
 import (
@@ -82,6 +86,10 @@ func sections() []section {
 		{"Additive increase and fairness", []entry{{driver: "fig3"}}},
 		{"Wi-Fi estimator", []entry{{driver: "fig4"}, {driver: "fig5"}}},
 		{"Non-ABC bottlenecks", []entry{{driver: "fig6"}, {driver: "fig11"}}},
+		{"Multi-bottleneck paths", []entry{
+			{driver: "fig8", params: at(dur, "ABC", "Cubic")},
+			{driver: "markeduplink", params: at(dur, "ABC", "Cubic")},
+		}},
 		{"Coexistence with non-ABC flows", []entry{{driver: "fig7"}, {driver: "fig12", params: fig12}}},
 		{"Wi-Fi full stack", []entry{
 			{driver: "fig10", note: "one user", params: exp.Params{Dur: wifiDur, Users: 1}},
@@ -130,7 +138,32 @@ func run(opts exp.RunOptions) error {
 				return fmt.Errorf("%s: %w", d.Name, err)
 			}
 			d.Print(os.Stdout, v)
+			if err := printClaims(d, opts); err != nil {
+				return err
+			}
 		}
 	}
+	return nil
+}
+
+// printClaims checks the driver's claims and prints them as a table:
+// paper | measured | band | verdict.
+func printClaims(d exp.Driver, opts exp.RunOptions) error {
+	if len(d.Claims) == 0 {
+		return nil
+	}
+	fmt.Println("\n| claim | paper | measured | band | verdict |\n|---|---|---|---|---|")
+	for _, c := range d.Claims {
+		v, err := c.Check(*seed, opts)
+		if err != nil {
+			return fmt.Errorf("%s claim %s: %w", d.Name, c.Name, err)
+		}
+		verdict := "holds"
+		if !c.Holds(v) {
+			verdict = "FAILS"
+		}
+		fmt.Printf("| %s | %s | %.3f | %s | %s |\n", c.Name, c.Paper, v, c.Band(), verdict)
+	}
+	fmt.Println()
 	return nil
 }
