@@ -121,6 +121,59 @@ func BenchmarkWireRun(b *testing.B) {
 	}
 }
 
+// BenchmarkAckFold measures one data packet over a folded access tail
+// with 64 in flight: a flow whose ACKs return over the implicit direct
+// wire (topo.Graph.RouteFlow with no ACK edges), so its data tail folds
+// the ACK's return into the arrival (netem.Wire.Carry). As the packet
+// enters the tail the receiver takes it, stamped with its arrival
+// instant, and the ACK goes on the delay line of the tail and the return
+// wire together: one event per packet, the ACK's arrival, where the
+// sender puts the next packet on the tail. The tally draws from an
+// arena, as in a run, so steady state must report 0 allocs/op.
+func BenchmarkAckFold(b *testing.B) {
+	s := sim.New(1)
+	g := topo.New(s)
+	var tl packet.Tally
+	tl.UseArena(g.Arena())
+	var data packet.Node
+	var next, acks int64
+	send := func() {
+		data.Recv(tl.NewData(1, next, packet.MTU, s.Now()))
+		next++
+	}
+	sender := packet.NodeFunc(func(a *packet.Packet) {
+		a.Release()
+		acks++
+		send()
+	})
+	ret, err := g.RouteFlow(1, true, nil, 16*sim.Microsecond, sender)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rcv := netem.NewReceiver(s, 1, ret)
+	if data, err = g.RouteFlow(1, false, nil, 48*sim.Microsecond, rcv); err != nil {
+		b.Fatal(err)
+	}
+	if !data.(*netem.Wire).FoldAcks() {
+		b.Fatal("the data tail does not fold the ACK's return")
+	}
+	for j := 0; j < 64; j++ {
+		send()
+		s.RunUntil(s.Now() + sim.Microsecond)
+	}
+	s.RunUntil(s.Now() + sim.Millisecond) // arena, slab and lines at size
+	b.ReportAllocs()
+	b.ResetTimer()
+	start, acked := s.Executed(), acks
+	s.RunUntil(s.Now() + sim.Time(b.N)*sim.Microsecond)
+	// Packets whose arrival lay past the end of the warm-up run were not
+	// folded: each of those costs its arrival too, once.
+	if got, n := acks-acked, s.Executed()-start; got != int64(b.N) || n > uint64(b.N)+64 || tl.Live() != 64 {
+		b.Fatalf("%d ACKs in %d events with %d in flight, want %d, at most %d and 64: one event per packet",
+			got, n, tl.Live(), b.N, b.N+64)
+	}
+}
+
 // BenchmarkSimHold measures one event of a hold model on delay lines at
 // three heap depths: keys=8 (about hybrid_bg's 6 keys), keys=96 (above
 // flow_churn's 59 and mesh_seq's 49) and keys=1024 (bench's sim.event_ns

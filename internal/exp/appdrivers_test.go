@@ -348,37 +348,55 @@ func TestAppDriversDeterministic(t *testing.T) {
 }
 
 // TestShortFlowEventBudget bounds what a churn of short flows costs the
-// event queue: a 14-packet flow pays for its packets (trace-link
-// opportunities, two wire hops a packet, two an ACK) and a wake or two of
-// its endpoint, not for a housekeeping poll every 10 ms of its life. With
-// the periodic tick this run executed 5.3 events per delivered packet, 3.15
-// without it.
+// event queue: a 14-packet flow pays for its packets and a wake or two
+// of its endpoint, not for a housekeeping poll every 10 ms of its life.
+// Where the ACKs return over the implicit direct wire, a packet costs its
+// trace-link opportunity (shared by the packets one opportunity carries),
+// one event for its access tail and the ACK's return together (the tail
+// folds the ACK into the arrival, netem.Wire.Carry), and its share of
+// the endpoint's wakes: 2.15 events a delivered packet, 3.15 with the
+// arrival and the ACK as two events, 5.3 with the periodic tick as well.
+// Its twin routes the ACKs over a reverse link, which nothing folds: the
+// data arrival, the reverse link's service and the ACK's arrival are an
+// event each, 4.15 events a packet.
 func TestShortFlowEventBudget(t *testing.T) {
-	spec := Spec{
-		Seed:     1,
-		Duration: 8 * sim.Second,
-		Warmup:   sim.Nanosecond, // count every delivery
-		RTT:      100 * sim.Millisecond,
-		Links:    []LinkSpec{{Trace: trace.Constant("c24", 24e6), Qdisc: QdiscSpec{Kind: "droptail", Buffer: 250}}},
-		Workloads: []WorkloadSpec{{
-			Scheme:  "Cubic",
-			Arrival: app.Poisson{PerSec: 60},
-			Sizes:   app.FixedSize{Bytes: 20 << 10},
-		}},
-	}
-	res, _, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := &res.Workloads[0]
-	if w.Completed < 400 {
-		t.Fatalf("only %d of %d flows completed", w.Completed, w.Spawned)
-	}
-	pkts := float64(w.Bytes) / packet.MTU
-	perPkt := float64(res.Graph.S.Executed()) / pkts
-	t.Logf("%d events, %.0f delivered packets: %.2f events a packet", res.Graph.S.Executed(), pkts, perPkt)
-	if perPkt > 3.6 {
-		t.Errorf("%.2f events per delivered packet, want at most 3.6", perPkt)
+	for _, tc := range []struct {
+		name    string
+		reverse []LinkSpec
+		max     float64
+	}{
+		{"implicit ACK path", nil, 2.5},
+		{"reverse link", []LinkSpec{{Rate: 24e6, Qdisc: QdiscSpec{Kind: "droptail", Buffer: 250}}}, 4.6},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := Spec{
+				Seed:         1,
+				Duration:     8 * sim.Second,
+				Warmup:       sim.Nanosecond, // count every delivery
+				RTT:          100 * sim.Millisecond,
+				Links:        []LinkSpec{{Trace: trace.Constant("c24", 24e6), Qdisc: QdiscSpec{Kind: "droptail", Buffer: 250}}},
+				ReverseLinks: tc.reverse,
+				Workloads: []WorkloadSpec{{
+					Scheme:  "Cubic",
+					Arrival: app.Poisson{PerSec: 60},
+					Sizes:   app.FixedSize{Bytes: 20 << 10},
+				}},
+			}
+			res, _, err := Run(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := &res.Workloads[0]
+			if w.Completed < 400 {
+				t.Fatalf("only %d of %d flows completed", w.Completed, w.Spawned)
+			}
+			pkts := float64(w.Bytes) / packet.MTU
+			perPkt := float64(res.Graph.S.Executed()) / pkts
+			t.Logf("%d events, %.0f delivered packets: %.2f events a packet", res.Graph.S.Executed(), pkts, perPkt)
+			if perPkt > tc.max {
+				t.Errorf("%.2f events per delivered packet, want at most %.1f", perPkt, tc.max)
+			}
+		})
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"abc/internal/obs"
+	"abc/internal/packet"
 	"abc/internal/sim"
 	"abc/internal/topo"
 )
@@ -123,6 +124,38 @@ func lossy(spec Spec) Spec {
 	return out
 }
 
+// propagationFloor hooks every declared flow's receiver to record the
+// first data arrival stamped sooner than the packet's departure plus the
+// summed propagation delay of the flow's data route and its access tail
+// (ROADMAP item 16(c), without the serialisation term). A receiver that
+// takes packets ahead of their arrival must stamp the arrival instant,
+// not the instant the packet entered its last stretch; this is the
+// check that tells the two apart. It returns the record, empty while
+// every arrival keeps the floor.
+func propagationFloor(c *compiled) *string {
+	early := new(string)
+	for i, f := range c.flows {
+		fs := &c.spec.Flows[i]
+		rtt := fs.RTT
+		if rtt <= 0 {
+			rtt = c.spec.RTT
+		}
+		floor := rtt / 2
+		for _, e := range c.p.routes[i].data {
+			floor += c.p.edges[e].link.Delay
+		}
+		on := f.recv.OnData
+		f.recv.OnData = func(now sim.Time, p *packet.Packet) {
+			if now < p.SentAt+floor && *early == "" {
+				*early = fmt.Sprintf("flow %d: packet %d sent at %v arrived at %v, under its route's propagation floor %v",
+					i, p.Seq, p.SentAt, now, floor)
+			}
+			on(now, p)
+		}
+	}
+	return early
+}
+
 // TestMeshRelations checks, on every mesh example and on its lossy
 // variant, relations between runs that must hold whatever the right
 // numbers are:
@@ -133,7 +166,13 @@ func lossy(spec Spec) Spec {
 //     as an untraced one: wire runs do not depend on tracing;
 //   - a static run (whose graph crosses its bare stretches as wire runs)
 //     gives the numbers of its hop-by-hop twin, the same spec with an
-//     inert timeline event, which keeps the graph from being static.
+//     inert timeline event, which keeps the graph from being static; and
+//     splitting a wire of the twin changes no number either, so the wire
+//     split holds where the tail wire folds the ACK's return alone and
+//     where a wire run ending at the receiver does (netem.Wire.Carry);
+//   - in every one of those runs, no data packet reaches its receiver
+//     sooner than its departure plus its route's summed propagation
+//     delay (propagationFloor).
 func TestMeshRelations(t *testing.T) {
 	paths, err := filepath.Glob("../../examples/scenarios/*.json")
 	if err != nil {
@@ -158,9 +197,17 @@ func TestMeshRelations(t *testing.T) {
 			t.Parallel()
 			run := func(o RunOptions, spec Spec) (string, uint64) {
 				t.Helper()
-				res, _, err := o.Run(spec)
+				c, err := compile(spec, o.Trace)
 				if err != nil {
 					t.Fatal(err)
+				}
+				early := propagationFloor(c)
+				res, _, err := c.run(o.Metrics)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if *early != "" {
+					t.Error(*early)
 				}
 				return relationNumbers(res), res.Graph.S.Executed()
 			}
@@ -189,6 +236,11 @@ func TestMeshRelations(t *testing.T) {
 				}
 				if n < events {
 					t.Errorf("the static run executed %d events, its hop-by-hop twin %d", events, n)
+				}
+				if split, ok := splitWire(twin); ok {
+					if got, _ := run(RunOptions{}, split); got != want {
+						t.Errorf("splitting a wire of the hop-by-hop twin moved numbers:\n got %s\nwant %s", got, want)
+					}
 				}
 			}
 		})

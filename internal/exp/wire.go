@@ -218,7 +218,7 @@ func (c *compiled) wireFlows() error {
 			counter := &metrics.RateCounter{}
 			prev := recv.OnData
 			recv.OnData = func(now sim.Time, p *packet.Packet) {
-				counter.Add(int(p.Size))
+				counter.Add(now, int(p.Size))
 				prev(now, p)
 			}
 			fr.Tput = c.sampled(func(now sim.Time) float64 {

@@ -118,28 +118,52 @@ func (t *Timeseries) Max() float64 {
 }
 
 // RateCounter converts byte deliveries into interval throughput in bits/s.
+// A delivery is credited to the interval that holds its instant, which
+// may lie ahead of the clock when it is recorded (a receiver that takes
+// a packet ahead of its arrival, netem.Wire.Carry).
 type RateCounter struct {
-	bytes     int64
-	lastBytes int64
-	lastAt    sim.Time
+	bytes  int64
+	lastAt sim.Time
+	// ahead holds the deliveries not yet credited to an interval, in
+	// the order recorded; its storage is reused from sample to sample.
+	ahead []delivery
 }
 
-// Add records n delivered bytes.
-func (r *RateCounter) Add(n int) { r.bytes += int64(n) }
+// delivery is n bytes delivered at instant at.
+type delivery struct {
+	at sim.Time
+	n  int64
+}
+
+// Add records n bytes delivered at instant at.
+func (r *RateCounter) Add(at sim.Time, n int) {
+	r.bytes += int64(n)
+	r.ahead = append(r.ahead, delivery{at, int64(n)})
+}
 
 // TotalBytes returns all bytes recorded.
 func (r *RateCounter) TotalBytes() int64 { return r.bytes }
 
-// SampleBps returns the average rate since the previous call.
+// SampleBps returns the average rate since the previous call over the
+// deliveries at instants before now; those at or after it count towards
+// the next call.
 func (r *RateCounter) SampleBps(now sim.Time) float64 {
 	dur := now - r.lastAt
 	if dur <= 0 {
 		return 0
 	}
-	bps := float64(r.bytes-r.lastBytes) * 8 / dur.Seconds()
-	r.lastBytes = r.bytes
+	var n int64
+	later := r.ahead[:0]
+	for _, d := range r.ahead {
+		if d.at < now {
+			n += d.n
+		} else {
+			later = append(later, d)
+		}
+	}
+	r.ahead = later
 	r.lastAt = now
-	return bps
+	return float64(n) * 8 / dur.Seconds()
 }
 
 // JainIndex computes Jain's fairness index over per-flow throughputs:

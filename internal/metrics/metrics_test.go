@@ -134,8 +134,8 @@ func TestUtilization(t *testing.T) {
 
 func TestRateCounter(t *testing.T) {
 	var r RateCounter
-	r.Add(1500)
-	r.Add(1500)
+	r.Add(0, 1500)
+	r.Add(sim.Second/2, 1500)
 	bps := r.SampleBps(sim.Second)
 	if math.Abs(bps-24000) > 1 {
 		t.Errorf("rate = %v", bps)
@@ -146,6 +146,19 @@ func TestRateCounter(t *testing.T) {
 	}
 	if r.TotalBytes() != 3000 {
 		t.Errorf("total = %d", r.TotalBytes())
+	}
+	// A delivery recorded ahead of its instant counts in the interval
+	// that holds the instant; one at a sample instant counts after it.
+	r.Add(3*sim.Second, 1500)
+	r.Add(4*sim.Second+1, 1500)
+	if got := r.SampleBps(3 * sim.Second); got != 0 {
+		t.Errorf("rate before the delivery's instant = %v", got)
+	}
+	if got := r.SampleBps(4 * sim.Second); math.Abs(got-12000) > 1 {
+		t.Errorf("rate over the delivery's interval = %v", got)
+	}
+	if got := r.SampleBps(5 * sim.Second); math.Abs(got-12000) > 1 {
+		t.Errorf("rate over the last delivery's interval = %v", got)
 	}
 }
 

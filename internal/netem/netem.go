@@ -36,18 +36,39 @@ import (
 // arrival (internal/topo's wire runs); a wire a packet does cross — the
 // only wire of its stretch, or any wire of a graph that is not static —
 // behaves as here.
+//
+// A wire that FoldAcks ends at a receiver whose ACKs return over a wire
+// of their own, and it carries a data packet with no event of its own:
+// the receiver takes the packet as it enters, stamped with its arrival
+// instant, and only the ACK is scheduled, to reach the far end of the
+// return wire when it would have (Carry).
 type Wire struct {
 	S     *sim.Simulator
 	Delay sim.Time
 	Dst   packet.Node
 
-	// line is the simulator's delay line for Delay, which holds the
-	// packets in flight: with a constant delay their delivery times
-	// never decrease, so every wire of one delay together costs the
-	// event heap one entry. A packet writes nothing to the wire; only
-	// the first packet, or the first after Delay changed, takes a new
-	// handle, and the packets already in flight keep their instants.
+	// line is the simulator's delay line for the delay of the wire's
+	// last event: Delay, or Delay plus the return wire's when the ACK
+	// rode it. With a constant delay their delivery times never
+	// decrease, so every wire of one delay together costs the event heap
+	// one entry. A packet writes nothing to the wire; only the first
+	// packet, or the first after the delay changed, takes a new handle,
+	// and the packets already in flight keep their instants.
 	line sim.Line
+	// fold is Dst when FoldAcks found it a receiver that can take
+	// packets ahead of their arrival (nil = every packet is an event).
+	fold *Receiver
+}
+
+// FoldAcks resolves, once, whether w folds the ACK's return into the
+// data's arrival: it does when Dst is a Receiver whose Out is a Wire,
+// the implicit direct ACK path. Call it after the receiver's Out is set;
+// it reports whether the fold applies.
+func (w *Wire) FoldAcks() bool {
+	if r, ok := w.Dst.(*Receiver); ok && r.ret != nil {
+		w.fold = r
+	}
+	return w.fold != nil
 }
 
 // NewWire returns a wire that delivers packets to dst after delay.
@@ -61,11 +82,26 @@ func NewWire(s *sim.Simulator, delay sim.Time, dst packet.Node) *Wire {
 func wireDeliver(a, b any) { a.(*Wire).Dst.Recv(b.(*packet.Packet)) }
 
 // Recv implements packet.Node.
-func (w *Wire) Recv(p *packet.Packet) {
-	if !w.line.Is(w.S, w.Delay) {
-		w.line = w.S.Line(w.Delay)
+func (w *Wire) Recv(p *packet.Packet) { w.Carry(p, 0, &w.line) }
+
+// Carry puts p on the wire behind a bare stretch of delay lead in front
+// of it (internal/topo's wire run to the terminal, or none): p reaches
+// Dst lead+Delay from now. The event goes on the delay line l, the
+// caller's handle. On a folding wire whose arrival falls within the
+// simulator's horizon, the receiver takes p now, with that arrival
+// instant, and only its ACK is scheduled (Receiver.ahead); the ACK then
+// takes its sequence number as p enters rather than as it arrives,
+// which is the fold's one visible effect: an order among events due at
+// one instant.
+func (w *Wire) Carry(p *packet.Packet, lead sim.Time, l *sim.Line) {
+	d := lead + w.Delay
+	if w.fold != nil && w.fold.ahead(p, d, l) {
+		return
 	}
-	w.line.AfterArgs(wireDeliver, w, p)
+	if !l.Is(w.S, d) {
+		*l = w.S.Line(d)
+	}
+	l.AfterArgs(wireDeliver, w, p)
 }
 
 // DeliveryFunc observes packets delivered to a receiver.

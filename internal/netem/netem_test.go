@@ -67,13 +67,14 @@ func TestWireZeroValueLiteral(t *testing.T) {
 	checkArrivals(t, got, []arrival{{0, 5 * sim.Millisecond}, {1, 6 * sim.Millisecond}, {2, 7 * sim.Millisecond}})
 }
 
-// TestWireLayout: a wire is its three fields and its delay-line handle,
-// 56 bytes with no padding, and a packet crossing a warm wire writes
-// nothing to it: the packets in flight live on the simulator's line for
-// the delay, which every wire of that delay shares.
+// TestWireLayout: a wire is its three fields, its delay-line handle and
+// its fold target, 64 bytes (one cache line) with no padding beyond the
+// handle's, and a packet crossing a warm wire writes nothing to it: the
+// packets in flight live on the simulator's line for the delay, which
+// every wire of that delay shares.
 func TestWireLayout(t *testing.T) {
-	if size := unsafe.Sizeof(Wire{}); size != 56 {
-		t.Errorf("sizeof(Wire) = %d, want 56", size)
+	if size := unsafe.Sizeof(Wire{}); size != 64 {
+		t.Errorf("sizeof(Wire) = %d, want 64", size)
 	}
 	s := sim.New(1)
 	sink := &packet.Sink{}
@@ -383,5 +384,53 @@ func TestTraceLinkIdleAcrossPeriods(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("delivery %d at %v, the trace's opportunity is at %v\n got  %v\n want %v", i, got[i], want[i], got, want)
 		}
+	}
+}
+
+// TestWireFoldsAckReturn: a wire that ends at a receiver whose ACKs
+// return over a wire of their own carries data with no event of its
+// own. The receiver takes each packet as it enters, OnData stamped with
+// its arrival instant, and the ACK reaches the sender when it would
+// have: the same stamps and ACK arrivals as the unfolded wire, one event
+// fewer per packet. An arrival past the horizon is an event as before,
+// and a receiver whose ACKs do not return over a wire does not fold.
+func TestWireFoldsAckReturn(t *testing.T) {
+	run := func(fold bool) (stamps, acks []arrival, early int, events uint64) {
+		s := sim.New(1)
+		back := NewWire(s, 10*sim.Millisecond, nil)
+		back.Dst = packet.NodeFunc(func(a *packet.Packet) {
+			acks = append(acks, arrival{a.CumAck, s.Now()})
+			a.Release()
+		})
+		rcv := NewReceiver(s, 1, back)
+		rcv.OnData = func(now sim.Time, p *packet.Packet) { stamps = append(stamps, arrival{p.Seq, now}) }
+		w := NewWire(s, 20*sim.Millisecond, rcv)
+		if fold && !w.FoldAcks() {
+			t.Fatal("a wire ending at a receiver whose Out is a wire does not fold")
+		}
+		for i, at := range []sim.Time{0, sim.Millisecond, 2 * sim.Millisecond, 10 * sim.Millisecond} {
+			seq := int64(i)
+			s.At(at, func() { w.Recv(packet.NewData(1, seq, packet.MTU, s.Now())) })
+		}
+		s.At(5*sim.Millisecond, func() { early = len(stamps) })
+		s.RunUntil(25 * sim.Millisecond) // the packet sent at 10 ms arrives past it
+		s.Run()
+		return stamps, acks, early, s.Executed()
+	}
+	stamps, acks, early, events := run(false)
+	fStamps, fAcks, fEarly, fEvents := run(true)
+	checkArrivals(t, fStamps, stamps)
+	checkArrivals(t, fAcks, acks)
+	checkArrivals(t, fStamps, []arrival{{0, 20 * sim.Millisecond}, {1, 21 * sim.Millisecond}, {2, 22 * sim.Millisecond}, {3, 30 * sim.Millisecond}})
+	if early != 0 || fEarly != 3 {
+		t.Errorf("arrivals taken by 5 ms: %d unfolded, %d folded; want 0 and 3", early, fEarly)
+	}
+	if events != 13 || fEvents != 10 {
+		t.Errorf("%d events unfolded, %d folded; want 13 and 10 (the packet past the horizon is not folded)", events, fEvents)
+	}
+
+	s := sim.New(1)
+	if NewWire(s, sim.Millisecond, NewReceiver(s, 1, &packet.Sink{})).FoldAcks() {
+		t.Error("a receiver whose ACKs do not return over a wire folds")
 	}
 }

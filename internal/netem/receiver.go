@@ -16,8 +16,15 @@ type Receiver struct {
 	// Out carries ACKs back towards the sender.
 	Out packet.Node
 	// OnData, if set, observes every in-order-or-not data arrival
-	// (metrics hooks).
+	// (metrics hooks). Its time is the arrival instant, which is ahead
+	// of the clock when a wire folds the arrival (Wire.Carry); it is
+	// never past the simulator's horizon.
 	OnData DeliveryFunc
+
+	// ret is Out when Out is a Wire, the direct lossless path its ACKs
+	// return over: then a data wire in front of the receiver may fold
+	// the ACK's return into the data's arrival (Wire.Carry).
+	ret *Wire
 
 	nextExpected int64
 	// pending holds out-of-order sequence numbers above nextExpected. It
@@ -31,7 +38,9 @@ type Receiver struct {
 
 // NewReceiver returns a receiver for the flow that sends ACKs to out.
 func NewReceiver(s *sim.Simulator, flow int, out packet.Node) *Receiver {
-	return &Receiver{S: s, Flow: flow, Out: out}
+	r := &Receiver{}
+	r.Reset(s, flow, out)
+	return r
 }
 
 // Reset readies r for flow as NewReceiver would, keeping OnData and the
@@ -39,21 +48,56 @@ func NewReceiver(s *sim.Simulator, flow int, out packet.Node) *Receiver {
 // carries the next one.
 func (r *Receiver) Reset(s *sim.Simulator, flow int, out packet.Node) {
 	clear(r.pending)
-	*r = Receiver{S: s, Flow: flow, Out: out, OnData: r.OnData, pending: r.pending}
+	ret, _ := out.(*Wire)
+	*r = Receiver{S: s, Flow: flow, Out: out, OnData: r.OnData, ret: ret, pending: r.pending}
 }
 
 // Recv implements packet.Node for data packets.
 func (r *Receiver) Recv(p *packet.Packet) {
+	if ack := r.take(p, r.S.Now()); ack != nil {
+		r.Out.Recv(ack)
+		// The receiver is the data packet's terminal consumer: observers
+		// and the ACK builder are done with it, so it goes back to the
+		// free list.
+		p.Release()
+	}
+}
+
+// ahead takes p as arriving d from now and puts its ACK on the return
+// wire's delay line for d plus the wire's delay, through the caller's
+// handle l: the data's arrival and the ACK's return cost one event, the
+// ACK's. It reports false, touching nothing, when the ACKs do not return
+// over a wire or the arrival lies past the simulator's horizon; the
+// caller then schedules the arrival itself.
+func (r *Receiver) ahead(p *packet.Packet, d sim.Time, l *sim.Line) bool {
+	at := r.S.Now() + d
+	if r.ret == nil || at > r.S.Horizon() {
+		return false
+	}
+	if ack := r.take(p, at); ack != nil {
+		d += r.ret.Delay
+		if !l.Is(r.S, d) {
+			*l = r.S.Line(d)
+		}
+		l.AfterArgs(wireDeliver, r.ret, ack)
+		p.Release()
+	}
+	return true
+}
+
+// take is a data packet's arrival at instant at: it is counted, observed
+// and acknowledged, and its ACK returned. A misrouted packet is dropped
+// and take returns nil.
+func (r *Receiver) take(p *packet.Packet, at sim.Time) *packet.Packet {
 	if p.IsAck || p.Flow != r.Flow {
 		// Misrouted traffic still ends here: the receiver is the last
 		// holder, so the ownership contract says it drops it.
 		p.Drop(packet.Misrouted)
-		return
+		return nil
 	}
-	now := r.S.Now()
 	r.Delivered++
 	if r.OnData != nil {
-		r.OnData(now, p)
+		r.OnData(at, p)
 	}
 	// Advance the cumulative acknowledgement.
 	if p.Seq == r.nextExpected {
@@ -68,11 +112,7 @@ func (r *Receiver) Recv(p *packet.Packet) {
 		}
 		r.pending[p.Seq] = true
 	}
-	ack := packet.NewAck(p, r.nextExpected, now)
-	r.Out.Recv(ack)
-	// The receiver is the data packet's terminal consumer: observers and
-	// the ACK builder are done with it, so it goes back to the free list.
-	p.Release()
+	return packet.NewAck(p, r.nextExpected, at)
 }
 
 // CumAck returns the receiver's current cumulative acknowledgement point.

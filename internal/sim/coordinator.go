@@ -95,6 +95,11 @@ func (c *Coordinator) Run(end Time) uint64 {
 	sort.SliceStable(c.globals, func(i, j int) bool { return c.globals[i].at < c.globals[j].at })
 	s := c.s
 	start := s.executed
+	// The whole run, not one window, is what no caller looks inside:
+	// the horizon is the run's end, so what a component settles ahead
+	// does not depend on where barriers fall (Every hooks stay readers).
+	s.horizon = end
+	defer func() { s.horizon = s.now }()
 	for {
 		// g is the next barrier instant: a GlobalAt event or an Every tick.
 		g := timeInf
@@ -124,7 +129,7 @@ func (c *Coordinator) Run(end Time) uint64 {
 			break
 		}
 		c.rounds++
-		if s.RunBefore(h); s.halted {
+		if s.window(h); s.halted {
 			return s.executed - start
 		}
 	}

@@ -83,3 +83,42 @@ func TestCoordinatorHalt(t *testing.T) {
 		t.Errorf("clock %v after the resumed Run, want %v", now, end)
 	}
 }
+
+// TestHorizon: inside a run the horizon is the run's end — RunUntil's
+// end, the instant before RunBefore's limit, Coordinator.Run's end
+// whatever barriers its hooks add, the end of time for Run — and between
+// runs it is no later than the clock, so nothing done outside an event
+// may act ahead.
+func TestHorizon(t *testing.T) {
+	s := New(1)
+	var seen []Time
+	look := func() { seen = append(seen, s.Horizon()) }
+	s.At(Millisecond, look)
+	s.RunUntil(5 * Millisecond)
+	s.At(6*Millisecond, look)
+	s.RunBefore(8 * Millisecond)
+	between := s.Horizon()
+	s.At(9*Millisecond, look)
+	s.Run()
+	want := []Time{5 * Millisecond, 8*Millisecond - 1, timeInf - 1}
+	if !slices.Equal(seen, want) || between != 6*Millisecond || s.Horizon() != 9*Millisecond {
+		t.Fatalf("horizons %v (want %v), %v between runs and %v after (want the clock, 6ms and 9ms)",
+			seen, want, between, s.Horizon())
+	}
+
+	s = New(1)
+	c := NewCoordinator(s)
+	seen = nil
+	c.Every(Millisecond, func(Time) { look() })
+	c.GlobalAt(3*Millisecond, look)
+	s.At(2*Millisecond, look)
+	c.Run(4 * Millisecond)
+	for i, h := range seen {
+		if h != 4*Millisecond {
+			t.Fatalf("look %d inside Coordinator.Run(4ms) saw horizon %v", i, h)
+		}
+	}
+	if len(seen) != 6 || s.Horizon() != 4*Millisecond {
+		t.Fatalf("%d looks, horizon %v after the run; want 6 and the clock", len(seen), s.Horizon())
+	}
+}

@@ -254,6 +254,9 @@ type Simulator struct {
 	// limit aborts Run after this many events (0 = unlimited).
 	limit  uint64
 	halted bool
+	// horizon is the last instant the run in progress will reach (see
+	// Horizon); between runs it is at most the clock.
+	horizon Time
 }
 
 // New returns a simulator with its clock at zero and the given RNG seed.
@@ -296,6 +299,18 @@ func (s *Simulator) Seed() int64 { return s.seed }
 
 // Now returns the current virtual time.
 func (s *Simulator) Now() Time { return s.now }
+
+// Horizon returns the last instant the run in progress promises to
+// reach: RunUntil's or Coordinator.Run's end, the instant before
+// RunBefore's limit, or (for Run) the end of time. No caller can look at
+// the simulation between now and the horizon, so a component may settle
+// now an effect that is fixed and due at or before it — the receiver
+// that takes a packet off a constant-delay wire ahead of its arrival
+// (netem.Wire.Carry) — and schedule only what follows. Between runs,
+// and so for anything done outside an event, the horizon is at most the
+// clock: nothing may be settled ahead. A Halt breaks the promise; no
+// experiment run halts.
+func (s *Simulator) Horizon() Time { return s.horizon }
 
 // Rand returns the simulation's deterministic RNG.
 func (s *Simulator) Rand() *rand.Rand { return s.rng }
@@ -540,7 +555,7 @@ func (s *Simulator) step() {
 // of events executed by this call. An event at math.MaxInt64, the
 // largest Time, never runs: that instant means "never".
 func (s *Simulator) RunUntil(end Time) uint64 {
-	n := s.RunBefore(min(end, timeInf-1) + 1)
+	n := s.runTo(min(end, timeInf-1))
 	if !s.halted {
 		s.now = max(s.now, end)
 	}
@@ -549,10 +564,25 @@ func (s *Simulator) RunUntil(end Time) uint64 {
 
 // RunBefore executes pending events with timestamps strictly before
 // limit, leaving the clock at the last executed event — the caller owns
-// final clock placement. This is the one event loop: Run and RunUntil
-// call it, and it is the Coordinator's window, half-open because the
-// barrier callbacks at limit run before the simulator events at limit.
-func (s *Simulator) RunBefore(limit Time) uint64 {
+// final clock placement.
+func (s *Simulator) RunBefore(limit Time) uint64 { return s.runTo(limit - 1) }
+
+// runTo executes pending events up to and including horizon with the
+// horizon set, then brings the horizon back to the clock. Run, RunUntil
+// and RunBefore are one such stretch each; Coordinator.Run sets the
+// horizon itself and runs its windows under it (window).
+func (s *Simulator) runTo(horizon Time) uint64 {
+	s.horizon = horizon
+	n := s.window(horizon + 1)
+	s.horizon = s.now
+	return n
+}
+
+// window executes pending events with timestamps strictly before limit.
+// This is the one event loop: it is the Coordinator's window, half-open
+// because the barrier callbacks at limit run before the simulator events
+// at limit.
+func (s *Simulator) window(limit Time) uint64 {
 	start := s.executed
 	s.halted = false
 	for !s.halted {
@@ -567,4 +597,4 @@ func (s *Simulator) RunBefore(limit Time) uint64 {
 // Run executes all events until the queue drains or Halt is called,
 // leaving the clock at the last executed event. Like RunUntil, it never
 // runs an event at math.MaxInt64.
-func (s *Simulator) Run() uint64 { return s.RunBefore(timeInf) }
+func (s *Simulator) Run() uint64 { return s.runTo(timeInf - 1) }

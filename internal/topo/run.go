@@ -40,40 +40,40 @@ type run struct {
 	// its junction, rather than at the junction's forward; delay then
 	// includes that edge's wire.
 	atWire bool
-	// line is the simulator's delay line for the delay the last packet
-	// took: the stretch's own, plus the flow's tail on a stretch to the
-	// terminal. Flows of one class with different tails take different
-	// lines, so none overtakes another's packets on one.
+	// line is the simulator's delay line for the delay of the last event
+	// the stretch scheduled: its own delay, plus the flow's tail on a
+	// stretch to the terminal, plus the ACK's return when the tail folds
+	// it. Flows of one class with different tails take different lines,
+	// so none overtakes another's packets on one.
 	line sim.Line
 }
 
-// enter puts p on the stretch.
+// enter puts p on the stretch. A stretch to the terminal ends in the
+// flow's tail wire, which carries p the whole way (netem.Wire.Carry): the
+// wire folds the ACK's return into the arrival where the flow's ACKs
+// return directly, as it does for a packet that crosses it alone.
 func (r *run) enter(p *packet.Packet) {
-	d := r.delay
 	if r.to == deliver {
 		if w, ok := r.g.tails[dirOf(p)][p.Flow].(*netem.Wire); ok {
-			d += w.Delay
+			w.Carry(p, r.delay, &r.line)
+			return
 		}
 	}
-	if !r.line.Is(r.g.S, d) {
-		r.line = r.g.S.Line(d)
+	if !r.line.Is(r.g.S, r.delay) {
+		r.line = r.g.S.Line(r.delay)
 	}
 	r.line.AfterArgs(runArrive, r, p)
 }
 
 // runArrive is the static arrival callback: p reaches the stretch's far
-// end, the next edge or the flow's terminal behind its tail.
+// end, the next edge or the flow's terminal, which has no tail wire.
 func runArrive(a, b any) {
 	r, p := a.(*run), b.(*packet.Packet)
 	if r.to >= 0 {
 		r.g.edges[r.to].Recv(p)
 		return
 	}
-	dst := r.g.tails[dirOf(p)][p.Flow]
-	if w, ok := dst.(*netem.Wire); ok {
-		dst = w.Dst
-	}
-	dst.Recv(p)
+	r.g.tails[dirOf(p)][p.Flow].Recv(p)
 }
 
 // exit is an edge's delay wire as the link or impairment stage in front

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"abc/internal/netem"
 	"abc/internal/packet"
 	"abc/internal/sim"
 )
@@ -345,5 +346,65 @@ func TestStaticGraphRefusesForwardingChanges(t *testing.T) {
 			}()
 			call(g, e)
 		})
+	}
+}
+
+// TestAckFoldWhereAcksReturnDirect: RouteFlow folds a data route's tail
+// only when the flow's ACK route is direct, so the receiver's ACKs
+// return over a wire; on the wire run to the terminal and on the lone
+// tail alike, the folded flow's packets then cost one event each, the
+// ACK's, and reach the receiver and return to the sender at the
+// instants the unfolded hop-by-hop path gives. A flow whose ACKs cross
+// an edge is not folded.
+func TestAckFoldWhereAcksReturnDirect(t *testing.T) {
+	type trip struct{ at, acked sim.Time }
+	run := func(static, direct bool) ([]trip, uint64, bool) {
+		s := sim.New(1)
+		g := New(s)
+		for i := 0; i < 3; i++ {
+			g.AddNode(fmt.Sprint("n", i))
+		}
+		data := []int{wire(t, g, 0, 1, sim.Millisecond), wire(t, g, 1, 2, 2*sim.Millisecond)}
+		var ackPath []int
+		if !direct {
+			ackPath = []int{wire(t, g, 2, 0, 3*sim.Millisecond)}
+		}
+		if static {
+			g.SetStatic()
+		}
+		var tl packet.Tally
+		var trips []trip
+		sender := packet.NodeFunc(func(a *packet.Packet) {
+			trips[a.Seq].acked = s.Now()
+			a.Release()
+		})
+		ackEntry, err := g.RouteFlow(0, true, ackPath, 5*sim.Millisecond, sender)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rcv := netem.NewReceiver(s, 0, ackEntry)
+		rcv.OnData = func(now sim.Time, p *packet.Packet) { trips = append(trips, trip{at: now}) }
+		entry := route(t, g, 0, data, 4*sim.Millisecond, rcv)
+		send(s, &tl, entry, 0, 10)
+		s.Run()
+		tail, _ := g.routes[hopKey{flow: 0}].tail.(*netem.Wire)
+		return trips, s.Executed(), tail.FoldAcks()
+	}
+	hop, hopEvents, hopFold := run(false, true)
+	stat, statEvents, statFold := run(true, true)
+	for i, tr := range hop {
+		if want := (trip{sim.Time(i)*sim.Millisecond + 7*sim.Millisecond, sim.Time(i)*sim.Millisecond + 12*sim.Millisecond}); tr != want || stat[i] != want {
+			t.Fatalf("packet %d: arrived and acked %v hop by hop, %v on the run; want %v", i, tr, stat[i], want)
+		}
+	}
+	// Hop by hop: a send, two wires and the ACK; on the wire run: a
+	// send and the ACK.
+	if !hopFold || !statFold || hopEvents != 40 || statEvents != 20 {
+		t.Errorf("folded %v/%v with %d/%d events, want true/true with 40/20", hopFold, statFold, hopEvents, statEvents)
+	}
+	routed, routedEvents, routedFold := run(true, false)
+	if want := (trip{7 * sim.Millisecond, 15 * sim.Millisecond}); routedFold || routedEvents != 30 || routed[0] != want {
+		t.Errorf("a routed ACK path folded %v in %d events, first trip %v; want false in 30 (a send, the data run and the ACK run), %v",
+			routedFold, routedEvents, routed[0], want)
 	}
 }

@@ -688,6 +688,11 @@ func (g *Graph) setFlowTail(flow int, ack bool, tail packet.Node) {
 // to exactly one next hop. An empty edge sequence wires the terminal
 // (behind its tailDelay) directly; such direct routes bypass the tables
 // and cannot be rerouted.
+//
+// A data route's tail wire folds the ACK's return into the data's
+// arrival (netem.Wire.FoldAcks) when its terminal is a netem.Receiver
+// whose Out is a wire: the flow's ACK route is direct. Route the ACKs
+// and set the receiver's Out first; the fold is resolved here, once.
 func (g *Graph) RouteFlow(flow int, ack bool, edges []int, tailDelay sim.Time, terminal packet.Node) (packet.Node, error) {
 	key := hopKey{flow: int32(flow), ack: ack}
 	if _, dup := g.routes[key]; dup {
@@ -698,7 +703,11 @@ func (g *Graph) RouteFlow(flow int, ack bool, edges []int, tailDelay sim.Time, t
 	}
 	rt := routeState{tail: terminal, origin: -1, class: -1}
 	if tailDelay > 0 {
-		rt.tail = g.wire(tailDelay, terminal)
+		w := g.wire(tailDelay, terminal)
+		if !ack {
+			w.FoldAcks()
+		}
+		rt.tail = w
 	}
 	if len(edges) == 0 {
 		g.routes[key] = rt
