@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"abc/internal/abc"
 	"abc/internal/app"
 	"abc/internal/cc"
 	"abc/internal/exp"
@@ -467,24 +468,34 @@ func TestQdiscChurnRowsAreTheKinds(t *testing.T) {
 // BenchmarkLinkChurn measures the link models' per-packet path, one
 // sub-benchmark per model, untraced and with the flight recorder at
 // CatPacket: each delivered packet is offered straight back, so a standing
-// 64 packets circulate through a droptail queue and the link's schedule,
-// and one op is 256 of them delivered. Everything a packet touches —
+// 64 packets circulate through a queue and the link's schedule, and one op
+// is 256 of them delivered. The queue is a droptail, except behind the
+// cellular trace link: a synthetic cellular trace (several opportunities
+// on one timestamp, outages) in front of an ABC router, which reads the
+// link's µ(t) for every packet it dequeues. Everything a packet touches —
 // netem.Port's admit, sojourn booking, delivery count and its three
-// events, the model's timers, the A-MPDU slice — is reused, so every row
-// must report 0 allocs/op, the traced Wi-Fi AP included.
+// events, the model's timers and trace cursors, the A-MPDU slice — is
+// reused, so every row must report 0 allocs/op, the traced Wi-Fi AP
+// included.
 func BenchmarkLinkChurn(b *testing.B) {
 	const standing, perOp = 64, 256
+	dropTail := func() qdisc.Qdisc { return qdisc.NewDropTail(1000) }
 	models := []struct {
 		kind  string
+		queue func() qdisc.Qdisc
 		build func(s *sim.Simulator, q qdisc.Qdisc, dst packet.Node) topo.Link
 	}{
-		{"trace", func(s *sim.Simulator, q qdisc.Qdisc, dst packet.Node) topo.Link {
+		{"trace", dropTail, func(s *sim.Simulator, q qdisc.Qdisc, dst packet.Node) topo.Link {
 			return netem.NewTraceLink(s, trace.Constant("churn", 12e6), q, dst)
 		}},
-		{"rate", func(s *sim.Simulator, q qdisc.Qdisc, dst packet.Node) topo.Link {
+		{"cellular", func() qdisc.Qdisc { return abc.NewRouter(abc.DefaultRouterConfig()) }, func(s *sim.Simulator, q qdisc.Qdisc, dst packet.Node) topo.Link {
+			tr := trace.Cellular("churn", trace.CellParams{Seed: 1, Duration: 10 * sim.Second, MeanMbps: 24, OutageProb: 0.02})
+			return netem.NewTraceLink(s, tr, q, dst)
+		}},
+		{"rate", dropTail, func(s *sim.Simulator, q qdisc.Qdisc, dst packet.Node) topo.Link {
 			return netem.NewRateLink(s, netem.ConstRate(12e6), q, dst)
 		}},
-		{"wifi", func(s *sim.Simulator, q qdisc.Qdisc, dst packet.Node) topo.Link {
+		{"wifi", dropTail, func(s *sim.Simulator, q qdisc.Qdisc, dst packet.Node) topo.Link {
 			return wifi.NewLink(s, wifi.DefaultLinkConfig(), q, dst, nil)
 		}},
 	}
@@ -496,7 +507,7 @@ func BenchmarkLinkChurn(b *testing.B) {
 			}
 			b.Run("kind="+m.kind+"/rec="+rec, func(b *testing.B) {
 				s := sim.New(1)
-				q := qdisc.NewDropTail(1000)
+				q := m.queue()
 				var l topo.Link
 				var delivered, stopAt int64
 				l = m.build(s, q, packet.NodeFunc(func(p *packet.Packet) {

@@ -103,6 +103,7 @@ type Router struct {
 
 	token    float64
 	deqMeter qdisc.RateMeter
+	// enqMeter is fed and read only under Feedback == EnqueueRate.
 	enqMeter qdisc.RateMeter
 
 	// AccelMarked / BrakeMarked count feedback decisions on data packets
@@ -177,14 +178,18 @@ func (r *Router) Enqueue(now sim.Time, p *packet.Packet) bool {
 	if !r.Admit(now, p, qdisc.Slots(r.bg, now)) {
 		return false
 	}
-	r.enqMeter.Add(now, int(p.Size))
+	if r.Cfg.Feedback == EnqueueRate {
+		r.enqMeter.Add(now, int(p.Size))
+	}
 	return true
 }
 
 // QueueDelay returns the router's current queuing-delay estimate
 // x(t) = queued bytes / µ(t).
-func (r *Router) QueueDelay(now sim.Time) sim.Time {
-	mu := r.Mu(now)
+func (r *Router) QueueDelay(now sim.Time) sim.Time { return r.queueDelay(now, r.Mu(now)) }
+
+// queueDelay is QueueDelay at the capacity mu = µ(now).
+func (r *Router) queueDelay(now sim.Time, mu float64) sim.Time {
 	queued := float64(r.Bytes())
 	if r.bg != nil {
 		queued += r.bg.QueueBytes(now)
@@ -199,12 +204,14 @@ func (r *Router) QueueDelay(now sim.Time) sim.Time {
 }
 
 // TargetRate computes tr(t) of Eq. 1 in bits/sec.
-func (r *Router) TargetRate(now sim.Time) float64 {
-	mu := r.Mu(now)
+func (r *Router) TargetRate(now sim.Time) float64 { return r.targetRate(now, r.Mu(now)) }
+
+// targetRate is TargetRate at the capacity mu = µ(now).
+func (r *Router) targetRate(now sim.Time, mu float64) float64 {
 	if mu <= 0 {
 		return 0
 	}
-	x := r.QueueDelay(now)
+	x := r.queueDelay(now, mu)
 	tr := r.Cfg.Eta * mu
 	if excess := x - r.Cfg.DelayThreshold; excess > 0 {
 		tr -= mu * excess.Seconds() / r.Cfg.Delta.Seconds()
@@ -216,8 +223,9 @@ func (r *Router) TargetRate(now sim.Time) float64 {
 }
 
 // AccelFraction computes f(t) of Eq. 2 using the configured feedback mode.
+// It reads µ(now) once, for Eq. 1's rate and queuing delay both.
 func (r *Router) AccelFraction(now sim.Time) float64 {
-	tr := r.TargetRate(now)
+	tr := r.targetRate(now, r.Mu(now))
 	var ref float64
 	switch r.Cfg.Feedback {
 	case EnqueueRate:

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -81,6 +82,35 @@ func TestGoldenTracingInvariance(t *testing.T) {
 		if seen[k] == 0 {
 			t.Errorf("no %s event across the corpus: its cause goes unchecked", k)
 		}
+	}
+}
+
+// TestTracedSweepDumpIsDeterministic: the cells of a sweep share its one
+// recorder, so a traced sweep runs them one at a time in index order and
+// dumps the same bytes at any worker count. A short two-scheme fig9 sweep
+// (16 cells) is dumped at GOMAXPROCS 1 and 4; the ring is large enough
+// that nothing is overwritten, so every event of every cell is compared.
+func TestTracedSweepDumpIsDeterministic(t *testing.T) {
+	d, _ := Lookup("fig9")
+	dump := func(procs int) []byte {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		rec := obs.NewRecorder(1<<20, obs.CatMark|obs.CatCC)
+		p := Params{RunOptions: RunOptions{Trace: rec}, Dur: 2 * sim.Second, Schemes: []string{"ABC", "Cubic"}}
+		if _, err := d.Run(p); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Total() == 0 || rec.Overwritten() != 0 {
+			t.Fatalf("GOMAXPROCS=%d: %d events recorded, %d overwritten: want some, none lost", procs, rec.Total(), rec.Overwritten())
+		}
+		var b bytes.Buffer
+		if err := rec.WriteJSONL(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	one, four := dump(1), dump(4)
+	if !bytes.Equal(one, four) {
+		t.Fatalf("the traced fig9 dump differs between GOMAXPROCS 1 (%d bytes) and 4 (%d bytes)", len(one), len(four))
 	}
 }
 

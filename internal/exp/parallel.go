@@ -37,7 +37,9 @@ var Parallelism int
 // panic is converted into that cell's error (with its stack) and the
 // remaining cells complete. When o.Metrics is set, the obs cell counters
 // (obs.MetricCellsTotal/Done/Failed) track sweep progress for the
-// /metrics endpoint and the progress line.
+// /metrics endpoint and the progress line. When o.Trace is set the cells
+// run one at a time in index order: they share its one ring, and a dump
+// that interleaved them would depend on the worker count.
 func forEachCell(o RunOptions, n int, label func(i int) string, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
@@ -64,6 +66,9 @@ func forEachCell(o RunOptions, n int, label func(i int) string, fn func(i int) e
 		return fn(i)
 	}
 	w := min(n, runtime.GOMAXPROCS(0))
+	if o.Trace != nil {
+		w = 1
+	}
 	var next atomic.Int64
 	errs := make([]error, n)
 	var wg sync.WaitGroup

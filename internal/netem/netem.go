@@ -117,9 +117,17 @@ type TraceLink struct {
 	Lookahead sim.Time
 
 	// oppCur and capCur are the link's two streams of trace queries, each a
-	// clock that only moves forward: the delivery instants (opportunity,
-	// scheduleNext) and the capacity window that slides with now.
+	// clock that only moves forward: the delivery instants (Recv waking the
+	// link, opportunity stepping it) and the capacity window that slides
+	// with now.
 	oppCur, capCur trace.Cursor
+	// mu memoises CapacityBps for one instant: a capacity-aware router
+	// asks for µ(now) once or twice per packet it dequeues, and every
+	// packet of an opportunity leaves at the same now. CapacityBps is a
+	// pure function of now and Lookahead, the memo's key, so the memo is
+	// exact; muAt starts before any instant the clock can show.
+	muAt, muAhead sim.Time
+	mu            float64
 
 	// bgDebt carries the fractional opportunity bytes the fluid background
 	// has claimed but not yet been charged, so the long-run split is exact
@@ -137,7 +145,7 @@ const capWindow = 80 * sim.Millisecond
 // NewTraceLink wires a trace-driven link. Capacity-aware qdiscs receive a
 // provider reporting the trace's windowed rate.
 func NewTraceLink(s *sim.Simulator, tr *trace.Trace, q qdisc.Qdisc, dst packet.Node) *TraceLink {
-	l := &TraceLink{oppCur: tr.Cursor(), capCur: tr.Cursor()}
+	l := &TraceLink{oppCur: tr.Cursor(), capCur: tr.Cursor(), muAt: -1}
 	l.Port = Port{S: s, Q: q, Dst: dst}
 	if ca, ok := q.(qdisc.CapacityAware); ok {
 		ca.SetCapacityProvider(l.CapacityBps)
@@ -148,8 +156,17 @@ func NewTraceLink(s *sim.Simulator, tr *trace.Trace, q qdisc.Qdisc, dst packet.N
 // Trace returns the underlying trace.
 func (l *TraceLink) Trace() *trace.Trace { return l.oppCur.Trace() }
 
-// CapacityBps reports the link capacity estimate at time now.
+// CapacityBps reports the link capacity estimate at time now, reading the
+// trace once per instant.
 func (l *TraceLink) CapacityBps(now sim.Time) float64 {
+	if now != l.muAt || l.Lookahead != l.muAhead {
+		l.muAt, l.muAhead, l.mu = now, l.Lookahead, l.capacityBps(now)
+	}
+	return l.mu
+}
+
+// capacityBps is CapacityBps without the memo.
+func (l *TraceLink) capacityBps(now sim.Time) float64 {
 	if l.Lookahead > 0 {
 		return l.capCur.FutureCapacityBps(now, l.Lookahead)
 	}
@@ -166,13 +183,9 @@ func (l *TraceLink) Recv(p *packet.Packet) {
 	now := l.S.Now()
 	if l.Admit(now, p) && !l.running {
 		l.running = true
-		l.scheduleNext(now)
+		// The first delivery instant strictly after now.
+		l.S.AtArgs(l.oppCur.NextOpportunity(now), traceLinkOpportunity, l, nil)
 	}
-}
-
-// scheduleNext arms the next delivery opportunity strictly after now.
-func (l *TraceLink) scheduleNext(now sim.Time) {
-	l.S.AtArgs(l.oppCur.NextOpportunity(now), traceLinkOpportunity, l, nil)
 }
 
 // traceLinkOpportunity is the static delivery-opportunity callback (no
@@ -185,11 +198,11 @@ func traceLinkOpportunity(a, _ any) { a.(*TraceLink).opportunity() }
 // ends at the opportunity that carries it.
 func (l *TraceLink) opportunity() {
 	now := l.S.Now()
-	k := int(l.oppCur.CountIn(now, now+1))
+	k, next := l.oppCur.Step(now)
 	if k < 1 {
 		k = 1
 	}
-	budget := k * packet.MTU
+	budget := int(k) * packet.MTU
 	if l.bg != nil {
 		// The fluid aggregate consumed its share of this opportunity;
 		// accumulate fractional bytes so the charge is exact over time.
@@ -221,7 +234,7 @@ func (l *TraceLink) opportunity() {
 		l.Deliver(p)
 	}
 	if l.Q.Len() > 0 {
-		l.scheduleNext(now)
+		l.S.AtArgs(next, traceLinkOpportunity, l, nil)
 	} else {
 		l.running = false
 	}

@@ -2,6 +2,7 @@ package netem
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"unsafe"
 
@@ -204,6 +205,53 @@ func TestTraceLinkCapacityProviderLookahead(t *testing.T) {
 	}
 }
 
+// TestTraceLinkCapacityMatchesTrace: the link's µ(t), memoised for one
+// instant and read through its own cursor, is the stateless trace
+// formula — the forward window before capWindow, the trailing window
+// after it, the Lookahead oracle when set — whatever order it is asked
+// in: the same instant repeatedly, a clock creeping forward, jumps back,
+// interleaved with the delivery steps of the link's other cursor and
+// with Lookahead switched on and off between queries at one instant.
+func TestTraceLinkCapacityMatchesTrace(t *testing.T) {
+	ms := sim.Millisecond
+	tr := trace.Cellular("c", trace.CellParams{Seed: 5, Duration: 3 * sim.Second, MeanMbps: 20, OutageProb: 0.05})
+	want := func(now, ahead sim.Time) float64 {
+		switch {
+		case ahead > 0:
+			return tr.FutureCapacityBps(now, ahead)
+		case now < capWindow:
+			return tr.FutureCapacityBps(now, capWindow)
+		}
+		return tr.CapacityBps(now, capWindow)
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		l := NewTraceLink(sim.New(1), tr, qdisc.NewDropTail(0), &packet.Sink{})
+		now := sim.Time(0)
+		for i := 0; i < 3000; i++ {
+			switch r := rng.Intn(100); {
+			case r < 40: // the same instant again
+			case r < 85:
+				now += sim.Time(rng.Int63n(int64(3 * ms)))
+			case r < 95: // back, possibly to before capWindow
+				now -= sim.Time(rng.Int63n(int64(200 * ms)))
+				now = max(now, 0)
+			default:
+				now += 2*tr.Period() + sim.Time(rng.Int63n(int64(tr.Period())))
+			}
+			switch rng.Intn(10) {
+			case 0:
+				l.Lookahead = []sim.Time{0, 0, 50 * ms, 100 * ms}[rng.Intn(4)]
+			case 1:
+				l.oppCur.Step(now)
+			}
+			if got, w := l.CapacityBps(now), want(now, l.Lookahead); got != w {
+				t.Fatalf("seed %d query %d: CapacityBps(%v) with Lookahead %v = %v, the trace says %v", seed, i, now, l.Lookahead, got, w)
+			}
+		}
+	}
+}
+
 func TestRateLinkServiceTime(t *testing.T) {
 	s := sim.New(1)
 	sink := &packet.Sink{}
@@ -281,6 +329,83 @@ func TestReceiverResetKeepsOnData(t *testing.T) {
 	}
 	if want := []int64{0, 1}; len(cum) != 2 || cum[0] != want[0] || cum[1] != want[1] {
 		t.Errorf("cumulative ACKs %v, want %v", cum, want)
+	}
+}
+
+// TestReceiverReorderRingMatchesMap drives receivers with random arrival
+// orders — shuffled windows, whole-flow permutations, duplicates,
+// retransmissions below the cumulative point and jumps past the end of the
+// reorder ring — and checks every cumulative ACK against a reference
+// model, a map of the sequence numbers held. Each seed
+// carries several flows through one receiver: Reset must forget what was
+// held and keep the ring's storage.
+func TestReceiverReorderRingMatchesMap(t *testing.T) {
+	s := sim.New(1)
+	var grew int
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var acks int
+		r := NewReceiver(s, 0, packet.NodeFunc(func(p *packet.Packet) { acks++; p.Release() }))
+		for flow := 0; flow < 4; flow++ {
+			if flow > 0 {
+				before := r.pending
+				r.Reset(s, flow, r.Out)
+				if len(before) > 0 && (len(r.pending) != len(before) || &r.pending[0] != &before[0]) {
+					t.Fatalf("seed %d flow %d: Reset dropped the ring's storage", seed, flow)
+				}
+			}
+			var seqs []int64
+			n := 200 + rng.Intn(2000)
+			if rng.Intn(4) == 0 {
+				for _, i := range rng.Perm(n) { // the whole flow in any order
+					seqs = append(seqs, int64(i))
+				}
+			} else {
+				for base := 0; base < n; base += 64 { // a window at a time, shuffled
+					for _, i := range rng.Perm(64) {
+						seqs = append(seqs, int64(base+i))
+					}
+				}
+			}
+			next, held := int64(0), map[int64]bool{}
+			width := len(r.pending)
+			for i := 0; i < len(seqs); i++ {
+				seq := seqs[i]
+				switch rng.Intn(20) {
+				case 0: // a duplicate of an earlier arrival
+					seq = seqs[rng.Intn(i+1)]
+				case 1: // a retransmission of something already acknowledged
+					seq = next - 1 - rng.Int63n(next+1)
+				case 2: // a jump, past the end of the ring while it is small
+					seq = next + 1 + rng.Int63n(8192)
+				}
+				if seq < 0 {
+					seq = 0
+				}
+				r.Recv(packet.NewData(flow, seq, packet.MTU, 0))
+				if seq == next {
+					for next++; held[next]; next++ {
+						delete(held, next)
+					}
+				} else if seq > next {
+					held[seq] = true
+				}
+				if r.CumAck() != next {
+					t.Fatalf("seed %d flow %d arrival %d (seq %d): cumulative ACK %d, the map says %d", seed, flow, i, seq, r.CumAck(), next)
+				}
+				if len(r.pending) > width {
+					width = len(r.pending)
+					grew++
+				}
+			}
+			if acks != int(r.Delivered) {
+				t.Fatalf("seed %d flow %d: %d ACKs for %d data packets", seed, flow, acks, r.Delivered)
+			}
+			acks = 0
+		}
+	}
+	if grew < 100 {
+		t.Fatalf("the ring grew %d times: the script no longer jumps past its end", grew)
 	}
 }
 

@@ -3,6 +3,8 @@
 package netem
 
 import (
+	"math/bits"
+
 	"abc/internal/packet"
 	"abc/internal/sim"
 )
@@ -27,10 +29,14 @@ type Receiver struct {
 	ret *Wire
 
 	nextExpected int64
-	// pending holds out-of-order sequence numbers above nextExpected. It
-	// is nil until the first packet arrives out of order: most flows never
-	// reorder, and reading a nil map is fine.
-	pending map[int64]bool
+	// pending holds the out-of-order sequence numbers above nextExpected
+	// as a ring of bits: sequence s is bit s mod 64·len(pending), and only
+	// those in (nextExpected, nextExpected+64·len(pending)) can be set. It
+	// is nil until the first packet arrives out of order (most flows never
+	// reorder), doubles when one lands past its end, and keeps its storage
+	// across Reset. It spans at most what the sender has outstanding: a
+	// bit for each 16-byte slot of the sender's scoreboard.
+	pending []uint64
 
 	// Delivered counts data packets received (including retransmits).
 	Delivered int64
@@ -102,17 +108,50 @@ func (r *Receiver) take(p *packet.Packet, at sim.Time) *packet.Packet {
 	// Advance the cumulative acknowledgement.
 	if p.Seq == r.nextExpected {
 		r.nextExpected++
-		for r.pending[r.nextExpected] {
-			delete(r.pending, r.nextExpected)
+		for r.unhold(r.nextExpected) {
 			r.nextExpected++
 		}
 	} else if p.Seq > r.nextExpected {
-		if r.pending == nil {
-			r.pending = make(map[int64]bool)
-		}
-		r.pending[p.Seq] = true
+		r.hold(p.Seq)
 	}
 	return packet.NewAck(p, r.nextExpected, at)
+}
+
+// hold adds seq > nextExpected to pending, doubling the ring until seq
+// fits in it.
+func (r *Receiver) hold(seq int64) {
+	n := int64(len(r.pending)) * 64
+	if seq-r.nextExpected >= n {
+		m := max(n, 64)
+		for seq-r.nextExpected >= m {
+			m *= 2
+		}
+		old := r.pending
+		r.pending = make([]uint64, m/64)
+		for i, w := range old {
+			for ; w != 0; w &= w - 1 {
+				// The held sequence number s with s mod n = b.
+				b := int64(i*64 + bits.TrailingZeros64(w))
+				s := r.nextExpected + (b-r.nextExpected%n+n)%n
+				r.pending[s%m/64] |= 1 << (s % 64)
+			}
+		}
+		n = m
+	}
+	r.pending[seq%n/64] |= 1 << (seq % 64)
+}
+
+// unhold reports whether seq = nextExpected was held, and forgets it.
+func (r *Receiver) unhold(seq int64) bool {
+	if len(r.pending) == 0 {
+		return false
+	}
+	w, bit := &r.pending[seq%(int64(len(r.pending))*64)/64], uint64(1)<<(seq%64)
+	if *w&bit == 0 {
+		return false
+	}
+	*w &^= bit
+	return true
 }
 
 // CumAck returns the receiver's current cumulative acknowledgement point.

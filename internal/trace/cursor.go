@@ -7,33 +7,33 @@ import (
 )
 
 // pos is a point x on a trace's looping timeline: the period it falls in
-// and how many of that period's opportunities lie before it.
+// and how many of that period's distinct instants lie before it.
 type pos struct {
 	// full is the number of whole periods before x.
 	full int64
-	// idx is the number of opportunities in [full*period, x): a lower
-	// bound into ops for x - full*period.
+	// idx is the number of instants in [full*period, x): a lower bound
+	// into at for x - full*period.
 	idx int
 }
 
 // count returns the number of opportunities in [0, x) for the x p stands at.
 func (p pos) count(t *Trace) int64 {
-	return p.full*int64(len(t.ops)) + int64(p.idx)
+	return p.full*int64(t.cum[len(t.at)]) + int64(t.cum[p.idx])
 }
 
 // next returns the first opportunity at or after the x p stands at.
 func (p pos) next(t *Trace) sim.Time {
 	start := sim.Time(p.full) * t.period
-	if p.idx < len(t.ops) {
-		return start + t.ops[p.idx]
+	if p.idx < len(t.at) {
+		return start + t.at[p.idx]
 	}
-	return start + t.period + t.ops[0]
+	return start + t.period + t.at[0]
 }
 
-// lowerBound returns the number of opportunities of one period before rem,
-// given that at least lo of them are: a binary search over ops[lo:].
+// lowerBound returns the number of instants of one period before rem,
+// given that at least lo of them are: a binary search over at[lo:].
 func (t *Trace) lowerBound(lo int, rem sim.Time) int {
-	tail := t.ops[lo:]
+	tail := t.at[lo:]
 	return lo + sort.Search(len(tail), func(i int) bool { return tail[i] >= rem })
 }
 
@@ -46,15 +46,15 @@ func (t *Trace) locate(p *pos, x sim.Time) {
 }
 
 // cursorSteps bounds the linear advance: a link's successive queries are
-// rarely more than a few opportunities apart, and past that a binary
-// search over what is left is cheaper than walking.
+// rarely more than a few instants apart, and past that a binary search
+// over what is left is cheaper than walking.
 const cursorSteps = 8
 
 // walk moves p forward to x >= 0 if x lies in p's period or the one after,
-// at or past p's position: up to cursorSteps opportunities one by one,
-// then a binary search over the rest of the period. It reports false, with
-// p no longer meaningful, when x is not ahead like that (a backwards query,
-// a jump of more than a period).
+// at or past p's position: up to cursorSteps instants one by one, then a
+// binary search over the rest of the period. It reports false, with p no
+// longer meaningful, when x is not ahead like that (a backwards query, a
+// jump of more than a period).
 func (t *Trace) walk(p *pos, x sim.Time) bool {
 	rem := x - sim.Time(p.full)*t.period
 	if rem >= t.period && rem < 2*t.period {
@@ -62,14 +62,14 @@ func (t *Trace) walk(p *pos, x sim.Time) bool {
 		p.idx = 0
 		rem -= t.period
 	}
-	if rem < 0 || rem >= t.period || (p.idx > 0 && t.ops[p.idx-1] >= rem) {
+	if rem < 0 || rem >= t.period || (p.idx > 0 && t.at[p.idx-1] >= rem) {
 		return false
 	}
 	i := p.idx
-	for n := 0; n < cursorSteps && i < len(t.ops) && t.ops[i] < rem; n++ {
+	for n := 0; n < cursorSteps && i < len(t.at) && t.at[i] < rem; n++ {
 		i++
 	}
-	if i < len(t.ops) && t.ops[i] < rem {
+	if i < len(t.at) && t.at[i] < rem {
 		i = t.lowerBound(i, rem)
 	}
 	p.idx = i
@@ -85,21 +85,21 @@ func (t *Trace) seek(p *pos, x sim.Time) {
 }
 
 // Cursor answers the same questions as its Trace, with the same answers,
-// but remembers where the last interval's two ends fell and advances from
-// there. A caller whose clock moves forward — a link asking about now and
-// now+1 at each delivery instant, a router asking for the rate over a
-// window that slides with now — pays a few comparisons per query instead
-// of two binary searches. The cursor is a memo of a pure function: any
-// query order is legal and returns what the Trace method returns; order
-// only decides how fast. Keep one cursor per stream of queries (a sliding
-// window and a point query interleaved on one cursor would keep
-// dislodging each other). The zero Cursor is not usable; get one from
-// Trace.Cursor. A Cursor is a value with no pointers into itself, so it
-// may be embedded and copied.
+// but remembers where the last query fell and advances from there. A
+// caller whose clock moves forward — a link stepping from one delivery
+// instant to the next, a router asking for the rate over a window that
+// slides with now — pays a few comparisons per query instead of binary
+// searches. The cursor is a memo of a pure function: any query order is
+// legal and returns what the Trace method returns; order only decides
+// how fast. Keep one cursor per stream of queries (a sliding window and a
+// delivery schedule interleaved on one cursor would keep dislodging each
+// other). The zero Cursor is not usable; get one from Trace.Cursor. A
+// Cursor is a value with no pointers into itself, so it may be embedded
+// and copied.
 type Cursor struct {
 	t *Trace
 	// from and to stand at the two ends of the last CountIn interval;
-	// NextOpportunity(now) uses to, standing at now+1.
+	// Step(now) leaves to standing at now+1, on the instant it returns.
 	from, to pos
 }
 
@@ -108,6 +108,34 @@ func (t *Trace) Cursor() Cursor { return Cursor{t: t} }
 
 // Trace returns the trace the cursor reads.
 func (c *Cursor) Trace() *Trace { return c.t }
+
+// Step answers both questions a link asks at a delivery instant: k is
+// CountIn(now, now+1), the opportunities at now, and next is
+// NextOpportunity(now), the first instant after it. When now is the
+// instant the last step returned — a link that stays busy — the cursor
+// already stands on it: the step reads its count as one difference and
+// moves to the instant after, with no search. Any other now seeks first.
+func (c *Cursor) Step(now sim.Time) (k int64, next sim.Time) {
+	t, p := c.t, &c.to
+	if now < 0 {
+		return 0, t.at[0]
+	}
+	if p.next(t) != now {
+		t.seek(p, now)
+		if at := p.next(t); at != now {
+			return 0, at
+		}
+	}
+	// p stands on the instant at now, possibly as the end of the period
+	// before it.
+	if p.idx == len(t.at) {
+		p.full++
+		p.idx = 0
+	}
+	k = int64(t.cum[p.idx+1] - t.cum[p.idx])
+	p.idx++
+	return k, p.next(t)
+}
 
 // countUpTo is Trace.countUpTo through p.
 func (c *Cursor) countUpTo(p *pos, x sim.Time) int64 {
@@ -126,14 +154,10 @@ func (c *Cursor) CountIn(from, to sim.Time) int64 {
 	return c.countUpTo(&c.to, to) - c.countUpTo(&c.from, from)
 }
 
-// NextOpportunity is Trace.NextOpportunity. Right after CountIn(now, now+1)
-// the answer is already under the cursor.
+// NextOpportunity is Trace.NextOpportunity: the next of Step(now).
 func (c *Cursor) NextOpportunity(now sim.Time) sim.Time {
-	if now < 0 {
-		now = -1
-	}
-	c.t.seek(&c.to, now+1)
-	return c.to.next(c.t)
+	_, next := c.Step(now)
+	return next
 }
 
 // CapacityBps is Trace.CapacityBps.

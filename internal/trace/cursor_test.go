@@ -7,25 +7,44 @@ import (
 	"abc/internal/sim"
 )
 
-// bruteCount counts the opportunities in [0, x) one trace entry at a
-// time: no period split, no search, nothing shared with locate or seek.
-func bruteCount(t *Trace, x sim.Time) int64 {
+// opsOf expands t's instants back into one entry per opportunity.
+func opsOf(t *Trace) []sim.Time {
+	var ops []sim.Time
+	for j, at := range t.at {
+		for k := t.cum[j]; k < t.cum[j+1]; k++ {
+			ops = append(ops, at)
+		}
+	}
+	return ops
+}
+
+// brute answers a trace's questions one opportunity at a time: no period
+// split, no search, nothing shared with locate, seek or the instants.
+type brute struct {
+	ops    []sim.Time
+	period sim.Time
+}
+
+func bruteOf(t *Trace) brute { return brute{opsOf(t), t.period} }
+
+// count returns the number of opportunities in [0, x).
+func (b brute) count(x sim.Time) int64 {
 	var n int64
-	for _, op := range t.ops {
+	for _, op := range b.ops {
 		if x > op {
-			n += int64((x-op-1)/t.period) + 1
+			n += int64((x-op-1)/b.period) + 1
 		}
 	}
 	return n
 }
 
-// bruteNext returns the first opportunity strictly after now the same way.
-func bruteNext(t *Trace, now sim.Time) sim.Time {
+// next returns the first opportunity strictly after now.
+func (b brute) next(now sim.Time) sim.Time {
 	best := sim.Time(-1)
-	for _, op := range t.ops {
+	for _, op := range b.ops {
 		at := op
 		if now >= op {
-			at = op + ((now-op)/t.period+1)*t.period
+			at = op + ((now-op)/b.period+1)*b.period
 		}
 		if best < 0 || at < best {
 			best = at
@@ -74,25 +93,31 @@ func randomTrace(rng *rand.Rand) *Trace {
 }
 
 // TestCursorMatchesTrace asks one cursor and its trace the same random
-// questions, mostly with a clock that creeps forward as a link's does,
-// but also after idling for many periods, stepping back, at now = -1 and
+// questions, mostly with a clock that creeps forward or, as a busy link's
+// does, goes to the instant the last Step returned, but also after idling
+// for many periods and waking mid-period, stepping back, at now = -1 and
 // over empty intervals; every answer must be the stateless method's, and
-// CountIn and NextOpportunity must also agree with a brute-force count.
+// Step, CountIn and NextOpportunity must also agree with a brute-force
+// count. Its "like a link" part drives hand-made traces as a link does.
 func TestCursorMatchesTrace(t *testing.T) {
-	var walks, relocations int
+	t.Run("like a link", stepLikeALink)
+	var stands, walks, relocations int
 	for seed := int64(1); seed <= 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		tr := randomTrace(rng)
+		bf := bruteOf(tr)
 		c := tr.Cursor()
 		windows := []sim.Time{0, -sim.Millisecond, 1, 80 * sim.Millisecond, sim.Second, 3*tr.period + 7}
-		now := sim.Time(0)
-		for step := 0; step < 2000; step++ {
+		now, stepped := sim.Time(0), sim.Time(-1)
+		for step := 0; step < 3000; step++ {
 			switch r := rng.Intn(100); {
-			case r < 80: // the common case: a little later, or the same instant
+			case r < 30 && stepped >= 0: // a busy link: the instant the last step returned
+				now = stepped
+			case r < 80: // a little later, or the same instant
 				now += sim.Time(rng.Intn(4)) * sim.Time(rng.Intn(int(sim.Millisecond)))
 			case r < 84: // the next period
 				now += tr.period
-			case r < 91: // idle for many periods
+			case r < 91: // idle for many periods, waking mid-period
 				now += sim.Time(2+rng.Intn(40))*tr.period + sim.Time(rng.Int63n(int64(tr.period)))
 			case r < 97: // backwards, possibly to before time zero
 				now -= sim.Time(rng.Int63n(3 * int64(tr.period)))
@@ -102,47 +127,115 @@ func TestCursorMatchesTrace(t *testing.T) {
 			default:
 				now = -1
 			}
-			// Which way will the upper end go if the next query is about
-			// [now, now+1)? Asked of a copy, so the cursor is undisturbed.
-			if probe := c.to; now >= 0 && tr.walk(&probe, now+1) {
+			// Does the upper end already stand on now, or will it walk or
+			// relocate to reach it? Asked of a copy, so the cursor is
+			// undisturbed.
+			switch probe := c.to; {
+			case now < 0:
+			case probe.next(tr) == now:
+				stands++
+			case tr.walk(&probe, now):
 				walks++
-			} else if now >= 0 {
+			default:
 				relocations++
 			}
 			w := windows[rng.Intn(len(windows))]
-			switch rng.Intn(5) {
-			case 0: // what TraceLink.opportunity asks
-				if got, want := c.CountIn(now, now+1), tr.CountIn(now, now+1); got != want || want != bruteCount(tr, now+1)-bruteCount(tr, now) {
-					t.Fatalf("seed %d step %d: CountIn(%d, %d) = %d, trace says %d", seed, step, now, now+1, got, want)
+			switch rng.Intn(6) {
+			case 0, 1: // what TraceLink.opportunity asks
+				k, next := c.Step(now)
+				if wantK, wantNext := tr.CountIn(now, now+1), tr.NextOpportunity(now); k != wantK || next != wantNext ||
+					wantK != bf.count(now+1)-bf.count(now) || wantNext != bf.next(now) {
+					t.Fatalf("seed %d step %d: Step(%d) = %d, %d; trace says %d, %d; brute force %d, %d", seed, step, now, k, next,
+						wantK, wantNext, bf.count(now+1)-bf.count(now), bf.next(now))
 				}
-				fallthrough
-			case 1:
-				if got, want := c.NextOpportunity(now), tr.NextOpportunity(now); got != want || want != bruteNext(tr, now) {
-					t.Fatalf("seed %d step %d: NextOpportunity(%d) = %d, trace says %d, brute force %d", seed, step, now, got, want, bruteNext(tr, now))
+				stepped = next
+			case 2:
+				if got, want := c.NextOpportunity(now), tr.NextOpportunity(now); got != want || want != bf.next(now) {
+					t.Fatalf("seed %d step %d: NextOpportunity(%d) = %d, trace says %d, brute force %d", seed, step, now, got, want, bf.next(now))
 				}
-			case 2: // includes to <= from and from < 0
+			case 3: // includes to <= from, from < 0 and [now, now+1)
 				from := now - w
 				got, want := c.CountIn(from, now), tr.CountIn(from, now)
 				brute := int64(0)
 				if now > from {
-					brute = bruteCount(tr, now) - bruteCount(tr, from)
+					brute = bf.count(now) - bf.count(from)
 				}
 				if got != want || want != brute {
 					t.Fatalf("seed %d step %d: CountIn(%d, %d) = %d, trace says %d, brute force %d", seed, step, from, now, got, want, brute)
 				}
-			case 3:
+			case 4:
 				if got, want := c.CapacityBps(now, w), tr.CapacityBps(now, w); got != want {
 					t.Fatalf("seed %d step %d: CapacityBps(%d, %d) = %v, trace says %v", seed, step, now, w, got, want)
 				}
-			case 4:
+			case 5:
 				if got, want := c.FutureCapacityBps(now, w), tr.FutureCapacityBps(now, w); got != want {
 					t.Fatalf("seed %d step %d: FutureCapacityBps(%d, %d) = %v, trace says %v", seed, step, now, w, got, want)
 				}
 			}
 		}
 	}
-	if walks < 1000 || relocations < 1000 {
-		t.Fatalf("%d walks and %d relocations: the script no longer covers both of seek's paths", walks, relocations)
+	if stands < 1000 || walks < 1000 || relocations < 1000 {
+		t.Fatalf("%d stands, %d walks and %d relocations: the script no longer covers all three of Step's paths", stands, walks, relocations)
+	}
+}
+
+// stepLikeALink steps a cursor the way a trace link does — from each
+// delivery instant to the next one Step returns, idling now and then for
+// whole periods and waking mid-period or on a period edge — over traces
+// with repeated timestamps, opportunities on both period edges and a
+// single opportunity a period. Every instant must carry exactly its
+// opportunities, and over each busy stretch the steps must visit every
+// opportunity once.
+func stepLikeALink(t *testing.T) {
+	ms := sim.Millisecond
+	traces := []struct {
+		name   string
+		ops    []sim.Time
+		period sim.Time
+	}{
+		{"repeats on both edges", []sim.Time{0, 0, 0, 3 * ms, 3 * ms, 7 * ms, 10*ms - 1, 10*ms - 1}, 10 * ms},
+		{"one a period", []sim.Time{4 * ms}, 10 * ms},
+		{"one a period, on the edge", []sim.Time{0}, ms},
+		{"one instant, many opportunities", []sim.Time{2 * ms, 2 * ms, 2 * ms, 2 * ms}, 5 * ms},
+		{"cellular", opsOf(Cellular("c", CellParams{Seed: 3, Duration: 400 * ms, MeanMbps: 30})), 400 * ms},
+	}
+	for _, tc := range traces {
+		tr, err := New(tc.name, tc.ops, tc.period)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bf := bruteOf(tr)
+		c := tr.Cursor()
+		rng := rand.New(rand.NewSource(7))
+		wakes := []sim.Time{0, 1, tr.period/2 + 1, tr.period - 1}
+		now := sim.Time(0)
+		for busy := 0; busy < 30; busy++ {
+			// Wake after idling: the first instant strictly after now.
+			next := c.NextOpportunity(now)
+			if want := bf.next(now); next != want {
+				t.Fatalf("%s: woken at %d, next instant %d, want %d", tc.name, now, next, want)
+			}
+			from := next
+			var served int64
+			for n := rng.Intn(3 * len(tr.at)); n >= 0; n-- {
+				now = next
+				var k int64
+				k, next = c.Step(now)
+				if want := bf.count(now+1) - bf.count(now); k != want || k < 1 {
+					t.Fatalf("%s: Step(%d) = %d opportunities, want %d (>= 1)", tc.name, now, k, want)
+				}
+				if want := bf.next(now); next != want {
+					t.Fatalf("%s: Step(%d) next = %d, want %d", tc.name, now, next, want)
+				}
+				served += k
+			}
+			if want := bf.count(now+1) - bf.count(from); served != want {
+				t.Fatalf("%s: steps from %d to %d served %d opportunities, want %d", tc.name, from, now, served, want)
+			}
+			// Idle for zero to three whole periods, waking mid-period or
+			// on an edge.
+			now += sim.Time(rng.Intn(4))*tr.period + wakes[rng.Intn(len(wakes))]
+		}
 	}
 }
 

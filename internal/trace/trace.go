@@ -9,11 +9,16 @@
 // semantics of Mahimahi's LinkShell, which the paper uses for all cellular
 // experiments.
 //
-// A Trace is immutable and its methods are stateless: any goroutine may
-// ask about any instant. A Cursor (cursor.go) answers the same questions
-// for one caller whose clock moves forward, by advancing from where the
-// last query landed instead of searching the period again; it returns
-// exactly what the Trace method returns, in any query order.
+// A Trace holds one period as its distinct instants and their prefix
+// counts, so the opportunities at an instant are one difference however
+// many share its timestamp. A Trace is immutable and its methods are
+// stateless: any goroutine may ask about any instant. A Cursor
+// (cursor.go) answers the same questions from the same representation
+// for one caller whose clock moves forward, advancing from where the last
+// query landed instead of searching the period again; Cursor.Step is a
+// link's whole question at a delivery instant (how many opportunities are
+// here, when is the next). A cursor returns exactly what the Trace method
+// returns, in any query order.
 package trace
 
 import (
@@ -23,7 +28,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -35,8 +39,13 @@ import (
 type Trace struct {
 	// Name identifies the trace in reports.
 	Name string
-	// ops holds opportunity times within one period, sorted ascending.
-	ops []sim.Time
+	// at holds the distinct opportunity instants within one period,
+	// ascending, and cum their prefix counts: cum[j] opportunities fall
+	// before at[j], cum[j+1]-cum[j] at it, and cum[len(at)] in the whole
+	// period. A query lands on an instant and reads one difference, however
+	// many opportunities share the timestamp.
+	at  []sim.Time
+	cum []int32
 	// period is the loop length; always >= the last opportunity and > 0.
 	period sim.Time
 	// gen is how the trace was made, when one of the named or synthetic
@@ -53,16 +62,34 @@ func New(name string, ops []sim.Time, period sim.Time) (*Trace, error) {
 	if period <= 0 {
 		return nil, fmt.Errorf("trace %q: non-positive period %v", name, period)
 	}
-	sorted := make([]sim.Time, len(ops))
-	copy(sorted, ops)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	if len(ops) > math.MaxInt32 {
+		return nil, fmt.Errorf("trace %q: more than %d opportunities a period", name, math.MaxInt32)
+	}
+	sorted := slices.Clone(ops)
+	slices.Sort(sorted)
 	if sorted[0] < 0 {
 		return nil, fmt.Errorf("trace %q: negative opportunity time", name)
 	}
 	if last := sorted[len(sorted)-1]; last >= period {
 		return nil, fmt.Errorf("trace %q: opportunity %v at/after period %v", name, last, period)
 	}
-	return &Trace{Name: name, ops: sorted, period: period}, nil
+	// Fold the sorted times into distinct instants in place: the j-th
+	// instant is written no later than it is read.
+	m := 1
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i] != sorted[i-1] {
+			m++
+		}
+	}
+	t := &Trace{Name: name, at: sorted[:0], cum: make([]int32, 0, m+1), period: period}
+	for i, op := range sorted {
+		if len(t.at) == 0 || op != t.at[len(t.at)-1] {
+			t.at = append(t.at, op)
+			t.cum = append(t.cum, int32(i))
+		}
+	}
+	t.cum = append(t.cum, int32(len(sorted)))
+	return t, nil
 }
 
 // Parse reads the Mahimahi trace format: one integer millisecond timestamp
@@ -117,11 +144,13 @@ func Parse(name string, r io.Reader) (*Trace, error) {
 func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriter(w)
 	var n int64
-	for _, op := range t.ops {
-		c, err := fmt.Fprintf(bw, "%d\n", int64(op/sim.Millisecond))
-		n += int64(c)
-		if err != nil {
-			return n, err
+	for j, op := range t.at {
+		for k := t.cum[j]; k < t.cum[j+1]; k++ {
+			c, err := fmt.Fprintf(bw, "%d\n", int64(op/sim.Millisecond))
+			n += int64(c)
+			if err != nil {
+				return n, err
+			}
 		}
 	}
 	c, err := fmt.Fprintf(bw, "%d\n", int64(t.period/sim.Millisecond))
@@ -136,7 +165,7 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 func (t *Trace) Period() sim.Time { return t.period }
 
 // Opportunities returns the number of delivery opportunities per period.
-func (t *Trace) Opportunities() int { return len(t.ops) }
+func (t *Trace) Opportunities() int { return int(t.cum[len(t.at)]) }
 
 // countUpTo returns the number of opportunities in [0, x); 0 for x <= 0.
 func (t *Trace) countUpTo(x sim.Time) int64 {
@@ -211,7 +240,7 @@ func rateBps(n int64, span sim.Time) float64 {
 
 // AvgRateBps returns the long-run average capacity of the trace.
 func (t *Trace) AvgRateBps() float64 {
-	return float64(len(t.ops)) * packet.MTU * 8 / t.period.Seconds()
+	return float64(t.Opportunities()) * packet.MTU * 8 / t.period.Seconds()
 }
 
 // --- Constructors for analytically shaped traces ---
@@ -248,7 +277,8 @@ func FromRateFunc(name string, total sim.Time, rate func(sim.Time) float64) *Tra
 		panic("trace: FromRateFunc requires positive duration")
 	}
 	const tick = sim.Millisecond
-	var ops []sim.Time
+	tr := &Trace{Name: name, period: total}
+	var n int32
 	var credit float64 // accumulated bytes
 	for t := sim.Time(0); t < total; t += tick {
 		r := rate(t)
@@ -256,18 +286,21 @@ func FromRateFunc(name string, total sim.Time, rate func(sim.Time) float64) *Tra
 			r = 0
 		}
 		credit += r * tick.Seconds() / 8
+		k := int32(0)
 		for credit >= packet.MTU {
 			credit -= packet.MTU
-			ops = append(ops, t)
+			k++
+		}
+		if k > 0 {
+			tr.at = append(tr.at, t)
+			tr.cum = append(tr.cum, n)
+			n += k
 		}
 	}
-	if len(ops) == 0 {
-		ops = []sim.Time{0}
+	if n == 0 {
+		tr.at, tr.cum, n = []sim.Time{0}, []int32{0}, 1
 	}
-	tr, err := New(name, ops, total)
-	if err != nil {
-		panic(err)
-	}
+	tr.cum = append(tr.cum, n)
 	return tr
 }
 
