@@ -1,6 +1,6 @@
 // Command abcsim runs any of the paper's experiments by ID — or any
 // declarative scenario file — and prints the corresponding table rows or
-// series.
+// series; -report runs the whole evaluation with the paper's claims.
 //
 // Usage:
 //
@@ -9,6 +9,7 @@
 //	abcsim -exp fig9 -schemes ABC,Cubic,Cubic+Codel
 //	abcsim -exp schemes                      # registered schemes/qdiscs
 //	abcsim -scenario examples/scenarios/congested-uplink.json
+//	abcsim -report [-fast] [-seed 1]         # every table and figure, claims checked
 package main
 
 import (
@@ -36,12 +37,16 @@ var (
 
 func main() {
 	flag.Parse()
+	if err := checkReportFlags(); err != nil {
+		fmt.Fprintln(os.Stderr, "abcsim:", err)
+		os.Exit(2)
+	}
 	stop, err := prof.Start(prof.Config{Pprof: *pprofOut, Trace: *rtTrace})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "abcsim:", err)
 		os.Exit(1)
 	}
-	opts, obsDone, err := setupObs("abcsim")
+	opts, obsDone, err := setupObs()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "abcsim:", err)
 		os.Exit(1)
@@ -75,6 +80,9 @@ func params(opts exp.RunOptions) exp.Params {
 }
 
 func run(opts exp.RunOptions) error {
+	if *reportFlag {
+		return report(opts)
+	}
 	if *scenario != "" {
 		return runScenarioFile(opts, *scenario)
 	}

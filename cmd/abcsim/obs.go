@@ -27,47 +27,46 @@ var (
 // run gets and a teardown that stops the progress line and writes the
 // trace dump. The returned error from teardown is the dump's write
 // error, if any.
-func setupObs(prog string) (opts exp.RunOptions, teardown func() error, err error) {
-	teardown = func() error { return nil }
+func setupObs() (opts exp.RunOptions, teardown func() error, err error) {
+	stopProgress := func() {}
 	if *metricsAddr != "" {
 		reg := obs.NewRegistry()
 		addr, err := obs.Serve(*metricsAddr, reg)
 		if err != nil {
 			return opts, nil, err
 		}
-		fmt.Fprintf(os.Stderr, "[obs] %s: serving metrics on http://%s/metrics\n", prog, addr)
+		fmt.Fprintf(os.Stderr, "[obs] abcsim: serving metrics on http://%s/metrics\n", addr)
 		opts.Metrics = reg
-		stop := obs.StartProgress(os.Stderr, reg, 2*time.Second)
-		teardown = func() error { stop(); return nil }
+		stopProgress = obs.StartProgress(os.Stderr, reg, 2*time.Second)
 	}
-	if *traceOut != "" {
-		mask, err := obs.ParseMask(*traceMask)
-		if err != nil {
-			return opts, nil, err
-		}
-		rec := obs.NewRecorder(*traceCap, mask)
-		opts.Trace = rec
-		prev := teardown
-		teardown = func() error {
-			perr := prev()
-			f, err := os.Create(*traceOut)
-			if err == nil {
-				err = rec.WriteJSONL(f)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err == nil {
-				if over := rec.Overwritten(); over > 0 {
-					fmt.Fprintf(os.Stderr, "[obs] %s: trace ring wrapped; oldest %d of %d events lost (raise -trace-cap)\n", prog, over, rec.Total())
-				}
-				fmt.Fprintf(os.Stderr, "[obs] %s: wrote %d trace events to %s\n", prog, rec.Total()-rec.Overwritten(), *traceOut)
-			}
-			if perr == nil {
-				perr = err
-			}
-			return perr
-		}
+	if *traceOut == "" {
+		return opts, func() error { stopProgress(); return nil }, nil
 	}
-	return opts, teardown, nil
+	mask, err := obs.ParseMask(*traceMask)
+	if err != nil {
+		return opts, nil, err
+	}
+	rec := obs.NewRecorder(*traceCap, mask)
+	opts.Trace = rec
+	return opts, func() error { stopProgress(); return dumpTrace(rec) }, nil
+}
+
+// dumpTrace writes the recorder's ring to -trace-out.
+func dumpTrace(rec *obs.Recorder) error {
+	f, err := os.Create(*traceOut)
+	if err != nil {
+		return err
+	}
+	err = rec.WriteJSONL(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	if over := rec.Overwritten(); over > 0 {
+		fmt.Fprintf(os.Stderr, "[obs] abcsim: trace ring wrapped; oldest %d of %d events lost (raise -trace-cap)\n", over, rec.Total())
+	}
+	fmt.Fprintf(os.Stderr, "[obs] abcsim: wrote %d trace events to %s\n", rec.Total()-rec.Overwritten(), *traceOut)
+	return nil
 }

@@ -6,8 +6,8 @@
 // evaluated against (Cubic, Vegas, Copa, BBR, PCC-Vivace, Sprout, Verus,
 // XCP, RCP, VCP), plus one table of experiment drivers (exp.Drivers)
 // that regenerates each table and figure of the paper's evaluation:
-// abcsim -exp runs an entry, abcreport a selection, and the golden
-// corpus and the driver-table test run them all.
+// abcsim -exp runs an entry, abcsim -report the entries placed in the
+// report, and the golden corpus and the driver-table test run them all.
 //
 // Experiments are scenarios over a topology graph (internal/topo): a
 // directed graph of junction nodes and edges, each edge an optional
@@ -41,8 +41,9 @@
 //
 // The simulation fast path is engineered to be allocation-free in steady
 // state: the event core keeps event payloads in a recycled slot slab
-// under a 4-ary heap of keys, and queues each wire's in-flight packets
-// as a FIFO chain behind one heap entry (internal/sim), a run's packets
+// under a 4-ary heap of keys, and queues the in-flight packets of every
+// wire with the same delay on one FIFO line behind one heap entry
+// (sim.Line, internal/sim), a run's packets
 // cycle through the run's arena, slabs with a free list, with
 // single-owner release semantics (internal/packet — see packet.Get for
 // the ownership rules), a trace link keeps its place in

@@ -245,47 +245,26 @@ func (b *BarsResult) Average(scheme string) (util, meanMs, p95Ms float64) {
 // (trace, scheme) cells are independent simulations and fan out across
 // the worker pool; results are byte-identical to a sequential sweep.
 func fig9Bars(p Params, traces []string) (*BarsResult, error) {
-	schemes := p.Schemes
-	if len(schemes) == 0 {
-		schemes = Schemes
-	}
 	if len(traces) == 0 {
 		traces = trace.CellularNames
 	}
-	res := &BarsResult{
-		Traces:  traces,
-		Schemes: schemes,
-		Cells:   make(map[string]map[string]metrics.Summary),
-	}
 	// Parse traces up front (shared immutable inputs for all cells).
-	trs := make([]*trace.Trace, len(traces))
-	for i, trName := range traces {
+	trs := make(map[string]*trace.Trace, len(traces))
+	for _, trName := range traces {
 		tr, err := trace.NamedCellular(trName)
 		if err != nil {
 			return nil, err
 		}
-		trs[i] = tr
+		trs[trName] = tr
 	}
-	sums := make([]metrics.Summary, len(traces)*len(schemes))
-	err := forEachCell(p.RunOptions, len(sums), func(i int) string {
-		ti, si := i/len(schemes), i%len(schemes)
-		return fmt.Sprintf("bars trace=%s scheme=%s seed=%d", traces[ti], schemes[si], p.Seed)
-	}, func(i int) error {
-		ti, si := i/len(schemes), i%len(schemes)
-		s, err := runSingle(p.RunOptions, schemes[si], trs[ti], 100*sim.Millisecond, p.Dur, p.Seed)
-		sums[i] = s
-		return err
-	})
+	cells, schemes, err := grid(p, traces, func(tr string) string { return "bars trace=" + tr },
+		func(tr, sch string) (metrics.Summary, error) {
+			return runSingle(p.RunOptions, sch, trs[tr], 100*sim.Millisecond, p.Dur, p.Seed)
+		})
 	if err != nil {
 		return nil, err
 	}
-	for ti, trName := range traces {
-		res.Cells[trName] = make(map[string]metrics.Summary, len(schemes))
-		for si, sch := range schemes {
-			res.Cells[trName][sch] = sums[ti*len(schemes)+si]
-		}
-	}
-	return res, nil
+	return &BarsResult{Traces: traces, Schemes: schemes, Cells: cells}, nil
 }
 
 // cellularBars runs the eight-trace cellular corpus (Fig. 9 and 15).
@@ -360,20 +339,10 @@ func printTable1(w io.Writer, rows []Table1Row) {
 // fig18RTTSweep reproduces Fig. 18: each scheme across propagation RTTs
 // of 20/50/100/200 ms on a Verizon-like trace. Keyed [rttMs][scheme].
 func fig18RTTSweep(p Params) (map[int]map[string]metrics.Summary, error) {
-	schemes := p.Schemes
-	if len(schemes) == 0 {
-		schemes = Schemes
-	}
 	tr := trace.MustNamedCellular("Verizon1")
-	rtts := []int{20, 50, 100, 200}
-	sums := make([]metrics.Summary, len(rtts)*len(schemes))
-	err := forEachCell(p.RunOptions, len(sums), func(i int) string {
-		ri, si := i/len(schemes), i%len(schemes)
-		return fmt.Sprintf("fig18 rtt=%dms scheme=%s seed=%d", rtts[ri], schemes[si], p.Seed)
-	}, func(i int) error {
-		ri, si := i/len(schemes), i%len(schemes)
-		rtt := sim.Time(rtts[ri]) * sim.Millisecond
-		sch := schemes[si]
+	rttName := func(ms int) string { return fmt.Sprintf("fig18 rtt=%dms", ms) }
+	out, _, err := grid(p, []int{20, 50, 100, 200}, rttName, func(ms int, sch string) (metrics.Summary, error) {
+		rtt := sim.Time(ms) * sim.Millisecond
 		link := LinkSpec{Trace: tr}
 		if sch == "ABC" {
 			// Theorem 3.1 requires δ > (2/3)τ; scale δ with the
@@ -390,22 +359,11 @@ func fig18RTTSweep(p Params) (map[int]map[string]metrics.Summary, error) {
 			Flows: []FlowSpec{{Scheme: sch}},
 		})
 		if err != nil {
-			return err
+			return metrics.Summary{}, err
 		}
-		sums[i] = res.Summary(sch, pooled)
-		return nil
+		return res.Summary(sch, pooled), nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[int]map[string]metrics.Summary, len(rtts))
-	for ri, rttMs := range rtts {
-		out[rttMs] = make(map[string]metrics.Summary, len(schemes))
-		for si, sch := range schemes {
-			out[rttMs][sch] = sums[ri*len(schemes)+si]
-		}
-	}
-	return out, nil
+	return out, err
 }
 
 // printFig18 renders one block per RTT, schemes sorted (the result is

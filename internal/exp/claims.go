@@ -1,8 +1,8 @@
 // Claims: the paper's headline statements, each checked against what a
 // driver measures. A claim belongs to the driver row of the figure or
 // section it cites (Driver.Claims); TestPaperClaims checks every claim
-// on seeds 1 to 3, and abcreport prints each one under its figure with
-// the measured value, its band and the verdict.
+// on seeds 1 to 3, and `abcsim -report` prints each one under its
+// figure with the measured value, its band and the verdict.
 package exp
 
 import (
@@ -31,8 +31,10 @@ type Claim struct {
 	Measure func(Params) (float64, error)
 }
 
-// Holds reports whether v lies in the claim's band (NaN never does).
-func (c Claim) Holds(v float64) bool { return v >= c.Lo && v <= c.Hi }
+// Holds reports whether v lies in the claim's band. NaN and ±Inf never
+// do: a measure reads NaN on a run it cannot judge, and an infinite
+// ratio is a run where one side delivered nothing.
+func (c Claim) Holds(v float64) bool { return !math.IsInf(v, 0) && v >= c.Lo && v <= c.Hi }
 
 // Band formats the claim's band.
 func (c Claim) Band() string {
@@ -90,25 +92,41 @@ var fig9Claim = Claim{
 // minimum of the marks along its path (Theorem 3.1's setting, §3.1.2),
 // so ABC keeps its delay advantage over Cubic across both cell hops.
 // The measured value is Cubic's p95 delay over ABC's on the two-hop
-// panel: about 2.5 at HEAD.
+// panel, the only one it runs: about 2.5 at HEAD.
 var fig8Claim = Claim{
-	Name:   "min-of-marks",
-	Paper:  "a packet carries the minimum of its hops' marks, so ABC's p95 delay stays well below Cubic's across two cell hops (Fig. 8c, §3.1.2)",
-	Lo:     1.5,
-	Hi:     inf,
-	Params: Params{Dur: 20 * sim.Second, Schemes: []string{"ABC", "Cubic"}},
-	Measure: of(fig8Panels, func(panels []Fig8Panel) float64 {
-		var a, c float64
-		for _, s := range panels[UplinkDownlink].Rows {
-			switch s.Scheme {
-			case "ABC":
-				a = s.P95Ms
-			case "Cubic":
-				c = s.P95Ms
-			}
+	Name:    "min-of-marks",
+	Paper:   "a packet carries the minimum of its hops' marks, so ABC's p95 delay stays well below Cubic's across two cell hops (Fig. 8c, §3.1.2)",
+	Lo:      1.5,
+	Hi:      inf,
+	Params:  Params{Dur: 20 * sim.Second, Schemes: []string{"ABC", "Cubic"}},
+	Measure: of(fig8TwoHop, fig8MinOfMarks),
+}
+
+// fig8TwoHop runs Fig. 8c alone.
+func fig8TwoHop(p Params) ([]metrics.Summary, error) { return fig8Scatter(UplinkDownlink, p) }
+
+// fig8MinOfMarks is fig8Claim's reading of the two-hop rows.
+func fig8MinOfMarks(rows []metrics.Summary) float64 {
+	var a, c metrics.Summary
+	for _, s := range rows {
+		switch s.Scheme {
+		case "ABC":
+			a = s
+		case "Cubic":
+			c = s
 		}
-		return c / a
-	}),
+	}
+	return p95Ratio(c, a)
+}
+
+// p95Ratio is num's p95 delay over den's, or NaN if either delivered no
+// bytes: an empty run's p95 reads 0, which would make a sender that
+// sends nothing look faster than any other.
+func p95Ratio(num, den metrics.Summary) float64 {
+	if num.TputMbps == 0 || den.TputMbps == 0 {
+		return math.NaN()
+	}
+	return num.P95Ms / den.P95Ms
 }
 
 // markedUplinkClaim: the minimum extends over the return path — an ABC
@@ -197,18 +215,22 @@ func eq13FixedPoint(cfg abc.RouterConfig, n, mu, tau float64) float64 {
 // of ABC's p95 delay to Cubic's over the four RTTs: about 0.47 (at
 // 200 ms) at HEAD.
 var fig18Claim = Claim{
-	Name:   "rtt",
-	Paper:  "ABC's p95 delay stays well below Cubic's at every propagation RTT from 20 to 200 ms (Fig. 18, App. E)",
-	Lo:     0,
-	Hi:     0.7,
-	Params: Params{Dur: 20 * sim.Second, Schemes: []string{"ABC", "Cubic"}},
-	Measure: of(fig18RTTSweep, func(m map[int]map[string]metrics.Summary) float64 {
-		worst := 0.0
-		for _, row := range m {
-			worst = max(worst, row["ABC"].P95Ms/row["Cubic"].P95Ms)
-		}
-		return worst
-	}),
+	Name:    "rtt",
+	Paper:   "ABC's p95 delay stays well below Cubic's at every propagation RTT from 20 to 200 ms (Fig. 18, App. E)",
+	Lo:      0,
+	Hi:      0.7,
+	Params:  Params{Dur: 20 * sim.Second, Schemes: []string{"ABC", "Cubic"}},
+	Measure: of(fig18RTTSweep, fig18WorstRatio),
+}
+
+// fig18WorstRatio is fig18Claim's reading of the sweep: NaN if ABC or
+// Cubic delivered nothing at some RTT (max keeps a NaN).
+func fig18WorstRatio(m map[int]map[string]metrics.Summary) float64 {
+	worst := 0.0
+	for _, row := range m {
+		worst = max(worst, p95Ratio(row["ABC"], row["Cubic"]))
+	}
+	return worst
 }
 
 // fig12Claim: weighting the dual queue by max-min allocation keeps long

@@ -1,6 +1,11 @@
 package exp
 
-import "testing"
+import (
+	"math"
+	"testing"
+
+	"abc/internal/metrics"
+)
 
 // headlineClaims are the claims that must stay in the table: the
 // utilisation–delay ordering on the cellular corpus, the minimum of
@@ -53,5 +58,40 @@ func TestPaperClaims(t *testing.T) {
 		if !seen[h] {
 			t.Errorf("headline claim %s is not in the driver table", h)
 		}
+	}
+}
+
+// TestClaimNeedsDelivery: a run that delivered nothing confirms no
+// claim. Its p95 delay reads 0, so a delay ratio over it is 0 or +Inf:
+// Holds rejects ±Inf as it rejects NaN, even against an infinite bound,
+// and the fig8 and fig18 readings are NaN when ABC or Cubic delivered
+// no bytes.
+func TestClaimNeedsDelivery(t *testing.T) {
+	for _, c := range []Claim{fig8Claim, fig18Claim, {Lo: -inf, Hi: inf}} {
+		for _, v := range []float64{inf, -inf, math.NaN()} {
+			if c.Holds(v) {
+				t.Errorf("band %s holds %v", c.Band(), v)
+			}
+		}
+	}
+	silent := metrics.Summary{Scheme: "ABC"}
+	abc := metrics.Summary{Scheme: "ABC", TputMbps: 4, P95Ms: 60}
+	cubic := metrics.Summary{Scheme: "Cubic", TputMbps: 5, P95Ms: 300}
+	if v := fig8MinOfMarks([]metrics.Summary{abc, cubic}); v != 5 {
+		t.Errorf("fig8 reading = %v, want Cubic's p95 over ABC's, 5", v)
+	}
+	if v := fig8MinOfMarks([]metrics.Summary{silent, cubic}); !math.IsNaN(v) {
+		t.Errorf("fig8 reading with a silent ABC = %v, want NaN", v)
+	}
+	sweep := map[int]map[string]metrics.Summary{
+		20:  {"ABC": abc, "Cubic": cubic},
+		200: {"ABC": abc, "Cubic": cubic},
+	}
+	if v := fig18WorstRatio(sweep); v != 0.2 {
+		t.Errorf("fig18 reading = %v, want ABC's p95 over Cubic's, 0.2", v)
+	}
+	sweep[200] = map[string]metrics.Summary{"ABC": silent, "Cubic": cubic}
+	if v := fig18WorstRatio(sweep); !math.IsNaN(v) {
+		t.Errorf("fig18 reading with a silent ABC at one RTT = %v, want NaN", v)
 	}
 }

@@ -3,6 +3,13 @@ package exp
 import (
 	"bytes"
 	"encoding/json"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -18,14 +25,14 @@ import (
 var noGoldenRow = map[string]string{
 	"table1":    "a pure function of the bars fig9-bars digests (SummaryTable)",
 	"fig3":      "two fixed 250 s runs; shape asserted by TestFig3AIConvergesMIMDDoesNot",
-	"fig4":      "fixed-length Wi-Fi characterization; asserted by TestFig4SlopeMatchesTheory",
+	"fig4":      "fixed-length Wi-Fi characterization; its slope is claim fig4/tia-slope",
 	"fig5":      "fixed-length Wi-Fi sweep; asserted by TestFig5PredictionAccuracy",
 	"fig7":      "fixed 200 s run; asserted by TestFig7FairSharingLowABCDelay",
 	"fig13":     "asserted by TestFig13AppLimited",
 	"fig14":     "fig10-wifi digests the same runWiFi path; only the MCS walk differs",
 	"fig15":     "prints another column of the bars fig9-bars digests",
 	"fig16":     "fig9-bars digests the same fig9Bars path; only the scheme set differs",
-	"fig18":     "asserted by TestFig18ABCHoldsAcrossRTTs",
+	"fig18":     "its delay ordering is claim fig18/rtt; utilisation asserted by TestFig18ABCHoldsAcrossRTTs",
 	"jain":      "62 flows over five fixed 60 s runs; asserted by TestJainFairness",
 	"ablations": "asserted by TestAblationsProduceMonotoneTradeoffs",
 	"proxied":   "asserted by TestProxiedEncodingEquivalent",
@@ -118,6 +125,93 @@ func TestRegistryIsTheEvaluation(t *testing.T) {
 	for _, k := range qdisc.Kinds() {
 		if !paired[k] && !strings.HasPrefix(k, "dual-") {
 			t.Errorf("qdisc kind %q is registered but no scheme is paired with it", k)
+		}
+	}
+}
+
+// TestReportPlacesEveryClaim: every row that carries claims is in the
+// report, so `abcsim -report` prints every verdict; every placement
+// names a section of ReportSections, and every section holds one.
+func TestReportPlacesEveryClaim(t *testing.T) {
+	used := map[string]bool{}
+	for _, d := range Drivers {
+		if len(d.Claims) > 0 && len(d.Report) == 0 {
+			t.Errorf("driver %q has claims but no report placement", d.Name)
+		}
+		for _, pl := range d.Report {
+			if !slices.Contains(ReportSections, pl.Section) {
+				t.Errorf("driver %q is placed under %q, which is not in ReportSections", d.Name, pl.Section)
+			}
+			used[pl.Section] = true
+		}
+	}
+	for i, s := range ReportSections {
+		if !used[s] {
+			t.Errorf("report section %q holds no placement", s)
+		}
+		if slices.Index(ReportSections, s) != i {
+			t.Errorf("report section %q is listed twice", s)
+		}
+	}
+}
+
+// TestNoDriverNamedInCmd: the commands reach an experiment only through
+// the table (`-exp` looks its argument up, `-report` walks the
+// placements), so no string literal under cmd/ is a driver's name. A
+// literal that is also the name of a flag its command defines names that
+// flag: abcsim's -schemes is spelled like the schemes row.
+func TestNoDriverNamedInCmd(t *testing.T) {
+	names := map[string]bool{}
+	for _, d := range Drivers {
+		names[d.Name] = true
+	}
+	fset := token.NewFileSet()
+	pkgs := map[string][]*ast.File{}
+	err := filepath.WalkDir("../../cmd", func(path string, e fs.DirEntry, err error) error {
+		if err != nil || e.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		pkgs[filepath.Dir(path)] = append(pkgs[filepath.Dir(path)], f)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) == 0 {
+		t.Fatal("no Go files under cmd/")
+	}
+	str := func(n ast.Node) (string, bool) {
+		lit, ok := n.(*ast.BasicLit)
+		if !ok || lit.Kind != token.STRING {
+			return "", false
+		}
+		s, err := strconv.Unquote(lit.Value)
+		return s, err == nil
+	}
+	for _, files := range pkgs {
+		flags := map[string]bool{}
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok && len(call.Args) > 0 {
+					if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+						if x, ok := sel.X.(*ast.Ident); ok && x.Name == "flag" {
+							if s, ok := str(call.Args[0]); ok {
+								flags[s] = true
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if s, ok := str(n); ok && names[s] && !flags[s] {
+					t.Errorf("%s: string literal %q names a driver; reach it through exp.Drivers", fset.Position(n.Pos()), s)
+				}
+				return true
+			})
 		}
 	}
 }

@@ -90,22 +90,6 @@ func TestFig5PredictionAccuracy(t *testing.T) {
 	}
 }
 
-func TestFig4SlopeMatchesTheory(t *testing.T) {
-	r, err := fig4InterACK(Params{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("fitted slope=%.3f ms/frame, theory S/R=%.3f ms/frame, %d samples",
-		r.FittedSlopeMs, r.TheorySlopeMs, len(r.Samples))
-	if r.FittedSlopeMs <= 0 {
-		t.Fatal("no slope fitted")
-	}
-	rel := (r.FittedSlopeMs - r.TheorySlopeMs) / r.TheorySlopeMs
-	if rel < -0.15 || rel > 0.15 {
-		t.Errorf("slope off by %.0f%% from S/R", rel*100)
-	}
-}
-
 // TestFig4FitIgnoresMapOrder: the slope fit over per-batch means is the
 // same to the last bit however often it runs, though Go ranges over a
 // map in a different order each time.

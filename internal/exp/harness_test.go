@@ -150,7 +150,7 @@ func TestOneJudge(t *testing.T) {
 func TestOneFrontDoor(t *testing.T) {
 	wantFuncs := []string{"Check", "EnableTracing", "LoadScenario", "Lookup",
 		"PrintResult", "Run", "RunOptions.Run", "SummaryTable"}
-	wantVars := []string{"Drivers", "Parallelism", "Schemes"}
+	wantVars := []string{"Drivers", "Parallelism", "ReportSections", "Schemes"}
 	var funcs, vars []string
 	fset := token.NewFileSet()
 	for name, src := range sources(t) {

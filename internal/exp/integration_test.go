@@ -73,24 +73,22 @@ func TestFig7FairSharingLowABCDelay(t *testing.T) {
 }
 
 // TestFig8TwoHopABCStillWins checks the multi-ABC-bottleneck path: ABC
-// keeps a better delay profile than Cubic on the two-hop scenario.
+// keeps its throughput against Cubic on the two-hop scenario. Its delay
+// advantage there is claim fig8/min-of-marks.
 func TestFig8TwoHopABCStillWins(t *testing.T) {
 	sums, err := fig8Scatter(UplinkDownlink, Params{Schemes: []string{"ABC", "Cubic"}, Dur: 20 * sim.Second, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var abcP95, cubicP95, abcTput, cubicTput float64
+	var abcTput, cubicTput float64
 	for _, s := range sums {
 		t.Logf("%v", s)
 		switch s.Scheme {
 		case "ABC":
-			abcP95, abcTput = s.P95Ms, s.TputMbps
+			abcTput = s.TputMbps
 		case "Cubic":
-			cubicP95, cubicTput = s.P95Ms, s.TputMbps
+			cubicTput = s.TputMbps
 		}
-	}
-	if abcP95 >= cubicP95 {
-		t.Errorf("ABC p95 %.0f ms should beat Cubic's %.0f ms across two cell hops", abcP95, cubicP95)
 	}
 	if abcTput < cubicTput/2 {
 		t.Errorf("ABC throughput %.1f collapsed vs Cubic %.1f", abcTput, cubicTput)
@@ -173,8 +171,9 @@ func TestFig12MaxMinFairZombieUnfair(t *testing.T) {
 	}
 }
 
-// TestFig18ABCHoldsAcrossRTTs: ABC outperforms Cubic's delay at every
-// propagation RTT.
+// TestFig18ABCHoldsAcrossRTTs: ABC keeps the link busy at every
+// propagation RTT. Its delay advantage over Cubic there is claim
+// fig18/rtt.
 func TestFig18ABCHoldsAcrossRTTs(t *testing.T) {
 	out, err := fig18RTTSweep(Params{Schemes: []string{"ABC", "Cubic"}, Dur: 20 * sim.Second, Seed: 1})
 	if err != nil {
@@ -184,9 +183,6 @@ func TestFig18ABCHoldsAcrossRTTs(t *testing.T) {
 		a, c := out[rtt]["ABC"], out[rtt]["Cubic"]
 		t.Logf("rtt=%d: ABC %.2f/%.0fms Cubic %.2f/%.0fms",
 			rtt, a.Utilization, a.P95Ms, c.Utilization, c.P95Ms)
-		if a.P95Ms >= c.P95Ms {
-			t.Errorf("rtt %d ms: ABC p95 %.0f not below Cubic %.0f", rtt, a.P95Ms, c.P95Ms)
-		}
 		if a.Utilization < 0.6 {
 			t.Errorf("rtt %d ms: ABC utilization %.2f too low", rtt, a.Utilization)
 		}

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"abc/internal/metrics"
 	"abc/internal/obs"
 )
 
@@ -115,6 +116,36 @@ func sweep[R any](label string, p Params, def []string, cell func(scheme string)
 		return nil, err
 	}
 	return rows, nil
+}
+
+// grid is the two-axis sweep of Fig. 9's traces and Fig. 18's RTTs: it
+// runs cell once for every key and every scheme of p.Schemes (else
+// Schemes) across the worker pool, key-major, each cell labelled
+// "<name(key)> scheme=… seed=…", and returns the summaries keyed
+// [key][scheme] with the scheme set.
+func grid[K comparable](p Params, keys []K, name func(K) string, cell func(K, string) (metrics.Summary, error)) (map[K]map[string]metrics.Summary, []string, error) {
+	schemes := p.Schemes
+	if len(schemes) == 0 {
+		schemes = Schemes
+	}
+	sums := make([]metrics.Summary, len(keys)*len(schemes))
+	err := forEachCell(p.RunOptions, len(sums), func(i int) string {
+		return fmt.Sprintf("%s scheme=%s seed=%d", name(keys[i/len(schemes)]), schemes[i%len(schemes)], p.Seed)
+	}, func(i int) (err error) {
+		sums[i], err = cell(keys[i/len(schemes)], schemes[i%len(schemes)])
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	out := make(map[K]map[string]metrics.Summary, len(keys))
+	for ki, k := range keys {
+		out[k] = make(map[string]metrics.Summary, len(schemes))
+		for si, sch := range schemes {
+			out[k][sch] = sums[ki*len(schemes)+si]
+		}
+	}
+	return out, schemes, nil
 }
 
 // sweepMap is sweep with the rows keyed by scheme name.

@@ -2,8 +2,8 @@
 // into one start/stop pair for the command-line binaries: a CPU profile
 // with an exit-time heap snapshot, and a runtime execution trace —
 // `go tool trace` on a capture shows the worker pool's parallel cells
-// and where each one waited. The hooks profile any abcsim/abcreport
-// invocation.
+// and where each one waited. The hooks profile any abcsim invocation,
+// the -report sweep included.
 package prof
 
 import (
