@@ -41,20 +41,25 @@ func checkReportFlags() (err error) {
 }
 
 // report prints the sections in order. Within one, placements print in
-// table order, and a Last placement after the others.
+// table order, and those that view another run (Placement.From) after
+// the others, from that run's result.
 func report(opts exp.RunOptions) error {
 	fmt.Println("# ABC reproduction report")
 	for _, title := range exp.ReportSections {
 		fmt.Printf("\n## %s\n", title)
-		for _, last := range []bool{false, true} {
+		// ran holds the section's results by row, for the views.
+		ran := map[string]any{}
+		for _, views := range []bool{false, true} {
 			for _, d := range exp.Drivers {
 				for _, pl := range d.Report {
-					if pl.Section != title || pl.Last != last {
+					if pl.Section != title || (pl.From != "") != views {
 						continue
 					}
-					if err := reportRun(d, pl, opts); err != nil {
+					v, err := reportRun(d, pl, ran, opts)
+					if err != nil {
 						return err
 					}
+					ran[d.Name] = v
 				}
 			}
 		}
@@ -63,39 +68,50 @@ func report(opts exp.RunOptions) error {
 }
 
 // reportRun prints one placement: its heading, the row's result at the
-// placement's parameters, and the row's claims as a table: paper |
-// measured | band | verdict.
-func reportRun(d exp.Driver, pl exp.Placement, opts exp.RunOptions) error {
+// placement's parameters (or, for a view, of the section's run it
+// views), and the row's claims as a table: paper | measured | band |
+// verdict. It returns the result.
+func reportRun(d exp.Driver, pl exp.Placement, ran map[string]any, opts exp.RunOptions) (any, error) {
 	heading := fmt.Sprintf("### %s (%s): %s", d.Name, d.Paper, d.Desc)
 	if pl.Note != "" {
 		heading += ", " + pl.Note
 	}
 	fmt.Println(heading)
+	v, err := placementResult(d, pl, ran, opts)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", d.Name, err)
+	}
+	d.Print(os.Stdout, v)
+	if len(d.Claims) == 0 {
+		return v, nil
+	}
+	fmt.Println("\n| claim | paper | measured | band | verdict |\n|---|---|---|---|---|")
+	for _, c := range d.Claims {
+		m, err := c.Check(*seed, opts)
+		if err != nil {
+			return nil, fmt.Errorf("%s claim %s: %w", d.Name, c.Name, err)
+		}
+		verdict := "holds"
+		if !c.Holds(m) {
+			verdict = "FAILS"
+		}
+		fmt.Printf("| %s | %s | %.3f | %s | %s |\n", c.Name, c.Paper, m, c.Band(), verdict)
+	}
+	fmt.Println()
+	return v, nil
+}
+
+// placementResult runs the row at the placement's parameters, or
+// applies the row's Of to the section's result of the row it views
+// (TestReportViews pins that every view has both).
+func placementResult(d exp.Driver, pl exp.Placement, ran map[string]any, opts exp.RunOptions) (any, error) {
+	if pl.From != "" {
+		return d.Of(ran[pl.From]), nil
+	}
 	p := pl.Full
 	if *fast {
 		p = pl.Fast
 	}
 	p.Seed, p.RunOptions = *seed, opts
-	v, err := d.Run(p)
-	if err != nil {
-		return fmt.Errorf("%s: %w", d.Name, err)
-	}
-	d.Print(os.Stdout, v)
-	if len(d.Claims) == 0 {
-		return nil
-	}
-	fmt.Println("\n| claim | paper | measured | band | verdict |\n|---|---|---|---|---|")
-	for _, c := range d.Claims {
-		v, err := c.Check(*seed, opts)
-		if err != nil {
-			return fmt.Errorf("%s claim %s: %w", d.Name, c.Name, err)
-		}
-		verdict := "holds"
-		if !c.Holds(v) {
-			verdict = "FAILS"
-		}
-		fmt.Printf("| %s | %s | %.3f | %s | %s |\n", c.Name, c.Paper, v, c.Band(), verdict)
-	}
-	fmt.Println()
-	return nil
+	return d.Run(p)
 }

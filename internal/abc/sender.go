@@ -30,7 +30,7 @@ type Sender struct {
 	disableAI bool
 
 	wabc  float64
-	cubic *cc.Cubic
+	cubic cc.Cubic
 
 	// Accels and Brakes count feedback received, for tests and reports.
 	Accels int64
@@ -43,7 +43,7 @@ type Sender struct {
 
 // NewSender returns an ABC sender with the paper's initial window.
 func NewSender() *Sender {
-	return &Sender{wabc: 4, cubic: cc.NewCubic()}
+	return &Sender{wabc: 4, cubic: *cc.NewCubic()}
 }
 
 // WABC exposes the accel-brake window (Fig. 6 plots it).

@@ -1,6 +1,7 @@
 package cc
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -50,6 +51,32 @@ func TestCubicGrowthAndDecrease(t *testing.T) {
 	}
 	if c.CwndPkts() < 95 {
 		t.Errorf("cubic failed to regrow: %v", c.CwndPkts())
+	}
+}
+
+// TestCubeIsPow pins the identity Cubic.update relies on: d*d*d is
+// math.Pow(d, 3) to the bit, for magnitudes log-uniform over every
+// normal cube (2⁻³⁴⁰ up to past the overflow edge) of both signs, ±0,
+// ±Inf and the floats next to cbrt(MaxFloat64). Below 2⁻³⁴⁰ the cube
+// is subnormal and the two may round differently; update's d = t − k
+// of two times in seconds is 0 or far above that.
+func TestCubeIsPow(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	xs := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1)}
+	edge := math.Cbrt(math.MaxFloat64)
+	for lo, hi, i := edge, edge, 0; i < 64; i++ {
+		lo, hi = math.Nextafter(lo, 0), math.Nextafter(hi, math.Inf(1))
+		xs = append(xs, lo, hi)
+	}
+	for i := 0; i < 1_000_000; i++ {
+		xs = append(xs, math.Exp2(-340+rng.Float64()*682))
+	}
+	for _, x := range xs {
+		for _, v := range []float64{x, -x} {
+			if got, want := v*v*v, math.Pow(v, 3); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%v cubed: %v by multiplication, %v by math.Pow", v, got, want)
+			}
+		}
 	}
 }
 

@@ -276,15 +276,6 @@ func fig16(p Params) (*BarsResult, error) {
 	return cellularBars(p)
 }
 
-// table1 runs the corpus and normalizes it to ABC.
-func table1(p Params) ([]Table1Row, error) {
-	b, err := cellularBars(p)
-	if err != nil {
-		return nil, err
-	}
-	return SummaryTable(b), nil
-}
-
 // Table1Row is one line of the paper's §1 summary table.
 type Table1Row struct {
 	Scheme    string

@@ -49,6 +49,10 @@ type Driver struct {
 	// Claims are the paper's statements this row's artefact makes,
 	// each with the band its measured value must lie in (claims.go).
 	Claims []Claim
+	// Of, set on a row whose result is a pure function of another
+	// row's (built by view), computes it from that row's result: Run is
+	// the other row's run followed by Of.
+	Of func(any) any
 	// Report places the row's runs in `abcsim -report`; a row without
 	// one is not in the report.
 	Report []Placement
@@ -67,10 +71,12 @@ type Placement struct {
 	// Full and Fast are the run's parameters in the full report and
 	// under -fast; the report sets the seed and the run options.
 	Full, Fast Params
-	// Last prints the run after its section's other runs, which
-	// otherwise print in table order: table1 follows the fig9 bars it
-	// summarises.
-	Last bool
+	// From, if set, names the row whose run in the same section this
+	// placement views: the report hands that run's result to the row's
+	// Of instead of running again (Full and Fast are unused), and
+	// prints it after the section's other runs, which otherwise print
+	// in table order. table1 follows the fig9 bars it summarises.
+	From string
 }
 
 // ReportSections are the report's headings, in the order it prints
@@ -124,6 +130,22 @@ func drv[R any](name, paper, desc string, run func(Params) (R, error), print fun
 	}
 }
 
+// view builds the entry of a row whose result is of applied to base's:
+// Run runs base and applies of, and Of applies it to a result of base
+// the caller already has.
+func view[B, R any](name, paper, desc string, base func(Params) (B, error), of func(B) R, print func(io.Writer, R)) Driver {
+	d := drv(name, paper, desc, func(p Params) (R, error) {
+		b, err := base(p)
+		if err != nil {
+			var zero R
+			return zero, err
+		}
+		return of(b), nil
+	}, print)
+	d.Of = func(v any) any { return of(v.(B)) }
+	return d
+}
+
 // Lookup returns the named driver.
 func Lookup(name string) (Driver, bool) {
 	for _, d := range Drivers {
@@ -151,8 +173,8 @@ func printRegistered(w io.Writer, r registered) {
 // the paper's table and figures, its in-text experiments, then the
 // scenarios that extend past its evaluation.
 var Drivers = []Driver{
-	drv("table1", "Table 1 (§1)", "summary: normalized throughput/delay vs ABC", table1, printTable1).
-		in("Cellular corpus", Placement{Last: true, Full: timed().Full, Fast: timed().Fast}),
+	view("table1", "Table 1 (§1)", "summary: normalized throughput/delay vs ABC", cellularBars, SummaryTable, printTable1).
+		in("Cellular corpus", Placement{From: "fig9"}),
 	drv("fig1", "Fig. 1", "time series: Cubic, Verus, Cubic+Codel, ABC on LTE", fig1Timeseries, printFig1),
 	drv("fig2", "Fig. 2", "dequeue- vs enqueue-rate feedback", fig2FeedbackMode, printFig2).
 		in("Feedback-mode ablation"),

@@ -155,6 +155,51 @@ func TestReportPlacesEveryClaim(t *testing.T) {
 	}
 }
 
+// TestReportViews: a placement that views another run (Placement.From)
+// names a row placed once, as a run, in the same section, and its row's
+// Of turns that row's result into exactly what the row's own Run
+// returns, so the report prints the same bytes as running it again.
+func TestReportViews(t *testing.T) {
+	views := 0
+	for _, d := range Drivers {
+		for _, pl := range d.Report {
+			if pl.From == "" {
+				continue
+			}
+			views++
+			base, ok := Lookup(pl.From)
+			var runs []Placement
+			for _, bp := range base.Report {
+				if bp.Section == pl.Section {
+					runs = append(runs, bp)
+				}
+			}
+			if !ok || len(runs) != 1 || runs[0].From != "" || d.Of == nil {
+				t.Errorf("%s views %q, which is not one run of section %q, or has no Of", d.Name, pl.From, pl.Section)
+				continue
+			}
+			p := runs[0].Fast
+			p.Seed, p.Dur = 1, 4*sim.Second
+			b, err := base.Run(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v, err := d.Run(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _ := json.Marshal(d.Of(b))
+			want, _ := json.Marshal(v)
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s from %s's result:\n%s\nwant its own run's\n%s", d.Name, pl.From, got, want)
+			}
+		}
+	}
+	if views == 0 {
+		t.Error("no placement views another run; table1 views fig9's bars")
+	}
+}
+
 // TestNoDriverNamedInCmd: the commands reach an experiment only through
 // the table (`-exp` looks its argument up, `-report` walks the
 // placements), so no string literal under cmd/ is a driver's name. A

@@ -64,7 +64,9 @@ type RunOptions struct {
 }
 
 // Run executes the scenario and returns its result along with the pooled
-// per-packet delay recorder used for the paper's delay metrics.
+// per-packet delay recorder used for the paper's delay metrics. The
+// pooled recorder is read-only: in a one-flow run it is that flow's
+// Result.Flows[0].Delay itself.
 func (o RunOptions) Run(spec Spec) (*Result, *metrics.DelayRecorder, error) {
 	c, err := compile(spec, o.Trace)
 	if err != nil {
@@ -304,8 +306,17 @@ func (c *compiled) runAndMeasure(reg *obs.Registry) *metrics.DelayRecorder {
 // into the pooled recorder. While the run executes a receiver writes
 // only its own flow's (or workload's) recorder, so the pooled recorder
 // — Mean included — is a function of the per-flow recorders alone.
+//
+// A run with one declared flow, no workloads and no adversary pools
+// that flow's recorder alone, and merging one recorder into an empty
+// one reproduces its sum, count, extremes, raw samples and counters
+// exactly: the pooled recorder is the flow's own, not a copy.
 func (c *compiled) poolDelays() *metrics.DelayRecorder {
-	res, pooled := c.res, &metrics.DelayRecorder{}
+	res := c.res
+	if len(res.Flows) == 1 && len(res.Workloads) == 0 && c.adv == nil {
+		return &res.Flows[0].Delay
+	}
+	pooled := &metrics.DelayRecorder{}
 	for i := range res.Flows {
 		d := &res.Flows[i].Delay
 		pooled.Merge(d)

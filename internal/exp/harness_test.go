@@ -7,6 +7,7 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -17,6 +18,7 @@ import (
 
 	"abc/internal/abc"
 	"abc/internal/app"
+	"abc/internal/metrics"
 	"abc/internal/netem"
 	"abc/internal/obs"
 	"abc/internal/packet"
@@ -72,6 +74,56 @@ func TestHarnessCubicBuffers(t *testing.T) {
 	if p95C < 150 {
 		t.Errorf("Cubic p95 %.0f ms suspiciously low for a deep buffer", p95C)
 	}
+}
+
+// TestPooledDelays: a one-flow run's pooled recorder answers exactly
+// what merging its flow's recorder into an empty one would (it is the
+// flow's own), and a two-flow run still merges into a recorder of its
+// own.
+func TestPooledDelays(t *testing.T) {
+	spec := Spec{
+		Seed:     1,
+		Duration: 5 * sim.Second,
+		RTT:      100 * sim.Millisecond,
+		Links:    []LinkSpec{{Trace: trace.MustNamedCellular("Verizon1")}},
+		Flows:    []FlowSpec{{Scheme: "ABC"}},
+	}
+	same := func(name string, got, want *metrics.DelayRecorder) {
+		t.Helper()
+		if got.Count() != want.Count() || math.Float64bits(got.Mean()) != math.Float64bits(want.Mean()) {
+			t.Errorf("%s: count %d mean %v, want %d and %v", name, got.Count(), got.Mean(), want.Count(), want.Mean())
+		}
+		for _, p := range []float64{0, 1, 50, 95, 99, 100} {
+			if g, w := got.Percentile(p), want.Percentile(p); math.Float64bits(g) != math.Float64bits(w) {
+				t.Errorf("%s: p%v = %v, want %v", name, p, g, w)
+			}
+		}
+	}
+
+	// 5 s keeps the samples raw, 20 s spills them into buckets.
+	for _, dur := range []sim.Time{5 * sim.Second, 20 * sim.Second} {
+		spec.Duration = dur
+		res, pooled, err := Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var merged metrics.DelayRecorder
+		merged.Merge(&res.Flows[0].Delay)
+		same(fmt.Sprintf("one flow, %d delays", pooled.Count()), pooled, &merged)
+	}
+
+	spec.Flows = append(spec.Flows, FlowSpec{Scheme: "Cubic"})
+	res, pooled, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pooled == &res.Flows[0].Delay || pooled == &res.Flows[1].Delay {
+		t.Fatal("a two-flow run's pooled recorder is one of its flows'")
+	}
+	var merged metrics.DelayRecorder
+	merged.Merge(&res.Flows[0].Delay)
+	merged.Merge(&res.Flows[1].Delay)
+	same("two flows", pooled, &merged)
 }
 
 // TestOneWayOntoTheGraph guards the pipeline's shape: outside wire.go no

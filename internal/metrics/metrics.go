@@ -17,6 +17,9 @@ import (
 // and every percentile are a pure function of the multiset of samples
 // recorded, whatever the order, batching, merging or querying; only
 // Mean's float sum rounds differently in a different order.
+//
+// A pooled recorder (exp.Run's) is read-only: in a one-flow run it is
+// the flow's own recorder, so a sample added to it would count twice.
 type DelayRecorder struct {
 	sum  float64
 	hist histogram
@@ -36,8 +39,8 @@ func (d *DelayRecorder) AddSample(v float64) {
 // Merge folds another recorder's samples into this one, as if every
 // sample o recorded had been Added here: exactly so for Count and every
 // percentile (histogram counters add), to float rounding for Mean. The
-// harness uses it to pool the per-flow recorders after every run. o is
-// unchanged.
+// harness uses it to pool the per-flow recorders after a run; a one-flow
+// run's pool is the flow's own recorder. o is unchanged.
 func (d *DelayRecorder) Merge(o *DelayRecorder) {
 	d.sum += o.sum
 	d.hist.merge(&o.hist)

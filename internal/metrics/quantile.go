@@ -26,6 +26,10 @@
 // answered by sorting them, so handfuls of samples, per-class FCT
 // recorders and unit tests get exact nearest-rank percentiles and never
 // pay for a counter block; the 1001st sample moves them into buckets.
+// The raw slice grows by append's doublings up to rawStep samples and
+// then moves once into a slice of capacity rawLimit, so a recorder that
+// spills has allocated about 10 KiB of raw storage, not the ~23 KiB of
+// doublings to 1000, and a small one pays only its own doublings.
 //
 // A histogram is a pure function of the multiset of samples it has
 // seen: order, batching, merging and querying change neither its state
@@ -46,6 +50,9 @@ import (
 const (
 	// rawLimit is how many samples are kept raw before bucketing.
 	rawLimit = 1000
+	// rawStep is the raw length at which append's doublings stop and
+	// the samples move into one slice of capacity rawLimit.
+	rawStep = 128
 	// subBits is the number of mantissa bits in a bucket key: 512
 	// buckets an octave.
 	subBits  = 9
@@ -77,6 +84,9 @@ func (h *histogram) add(v float64) {
 	h.widen(v, v)
 	h.n++
 	if h.n <= rawLimit {
+		if len(h.raw) == cap(h.raw) && len(h.raw) >= rawStep {
+			h.raw = append(make([]float64, 0, rawLimit), h.raw...)
+		}
 		h.raw = append(h.raw, v)
 		return
 	}

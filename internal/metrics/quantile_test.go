@@ -127,7 +127,8 @@ func allocBytes(f func()) uint64 {
 
 // TestStreamingMemoryBounded: memory follows the range the samples
 // cover, not their number. 10⁶ delays between 1 ms and 1 s touch ten
-// octaves of 4 KiB; a handful of samples allocate only their own slice.
+// octaves of 4 KiB; a handful of samples allocate only their own slice,
+// and the 1000 samples before a spill about 10 KiB of raw storage.
 func TestStreamingMemoryBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var d DelayRecorder
@@ -136,8 +137,8 @@ func TestStreamingMemoryBounded(t *testing.T) {
 			d.Add(sim.Millisecond + sim.Time(rng.Int63n(int64(999*sim.Millisecond))))
 		}
 	})
-	// Ten 4 KiB octaves, append growing the sample slice to 1000 (25 KiB
-	// in all) and the octave index: 66 472 bytes when written.
+	// Ten 4 KiB octaves, the raw phase's 10 KiB and the octave index:
+	// 51 496 bytes when written.
 	if got > 72<<10 {
 		t.Errorf("10⁶ samples allocated %d bytes; not fixed-memory", got)
 	}
@@ -164,6 +165,23 @@ func TestStreamingMemoryBounded(t *testing.T) {
 	// allocator's smallest block is 16).
 	if got > 256 || small.hist.octs != nil {
 		t.Errorf("14 samples allocated %d bytes and %d octave slots, want only the sample slice", got, len(small.hist.octs))
+	}
+
+	var spilled DelayRecorder
+	got = allocBytes(func() {
+		for i := 0; i < rawLimit; i++ {
+			spilled.Add(sim.Time(i+1) * sim.Millisecond)
+		}
+	})
+	// The raw phase: append's doublings to rawStep float64s (2040
+	// bytes) and one slice of rawLimit (8000, an 8 KiB block); append
+	// alone would double its way to 1000 through about 23 KiB.
+	if got > 12<<10 || spilled.hist.octs != nil {
+		t.Errorf("1000 samples allocated %d bytes and %d octave slots, want at most 12 KiB of raw slices", got, len(spilled.hist.octs))
+	}
+	spilled.Add(sim.Second)
+	if spilled.hist.raw != nil || spilled.Count() != rawLimit+1 {
+		t.Errorf("the 1001st sample left %d raw samples and count %d, want 0 and %d", len(spilled.hist.raw), spilled.Count(), rawLimit+1)
 	}
 }
 

@@ -449,13 +449,16 @@ func (s *Simulator) newEvent(t Time, fn ArgsFunc, a, b any) int32 {
 	return i
 }
 
-// growSlab doubles the capacity of slots and pos together, starting at
-// initialSlots: one allocation each per doubling, and a slab's capacity
-// depends only on the most events it has held.
+// growSlab doubles the capacity of slots, pos and free together,
+// starting at initialSlots: one allocation each per doubling, and a
+// slab's capacity depends only on the most events it has held. free is
+// empty when the slab grows and never holds more indices than the slab
+// has slots, so freeSlot's append never reallocates.
 func (s *Simulator) growSlab() {
 	n := max(2*cap(s.slots), initialSlots)
 	s.slots = append(make([]slot, 0, n), s.slots...)
 	s.pos = append(make([]int32, 0, n), s.pos...)
+	s.free = make([]int32, 0, n)
 }
 
 // freeSlot recycles slot i: it drops the callback and arg references and

@@ -451,6 +451,32 @@ func TestScheduleSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestFirstDrainAllocs: the free list grows with the slab, so the first
+// drain of a fresh simulator, which frees every slot it ever took,
+// allocates nothing.
+func TestFirstDrainAllocs(t *testing.T) {
+	const pending, runs = 4096, 10
+	ping := func(a, b any) {}
+	// AllocsPerRun calls its function once more than runs, to warm up.
+	sims := make([]*Simulator, runs+1)
+	for i := range sims {
+		sims[i] = New(1)
+		for j := 0; j < pending; j++ {
+			sims[i].AfterArgs(Time(j)*Microsecond, ping, nil, nil)
+		}
+	}
+	allocs := testing.AllocsPerRun(runs, func() {
+		s := sims[0]
+		sims = sims[1:]
+		if n := s.Run(); n != pending {
+			t.Fatalf("drained %d events, want %d", n, pending)
+		}
+	})
+	if allocs > 0 {
+		t.Errorf("draining %d events from a fresh simulator allocated %.1f times, want 0", pending, allocs)
+	}
+}
+
 // TestSlotIsOneLine: an event's slab slot (callback, two arguments, line
 // key and link, generation) fills exactly one 64-byte cache line.
 func TestSlotIsOneLine(t *testing.T) {
