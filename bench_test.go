@@ -273,6 +273,7 @@ func (a *ackClockWindow) OnAck(sim.Time, *cc.Endpoint, cc.AckInfo) {
 func (a *ackClockWindow) OnCongestion(sim.Time, *cc.Endpoint) {}
 func (a *ackClockWindow) OnRTO(sim.Time, *cc.Endpoint)        {}
 func (a *ackClockWindow) CwndPkts() float64                   { return a.w }
+func (a *ackClockWindow) Reset()                              { a.acks = 0 }
 
 // BenchmarkEndpointAckClock measures one turn of the ACK clock: a data
 // packet from cc.Endpoint over a wire to netem.Receiver and its ACK over
@@ -721,37 +722,44 @@ func BenchmarkHybridBackground(b *testing.B) {
 // BenchmarkWorkloadChurn measures the dynamic-flow machinery: one run of
 // an open-loop workload churning ~160 short flows through a rate link
 // (spawn → route → transfer → complete → tear down, the flow unrouted
-// with its last packet and its endpoint, receiver, source, callbacks and
-// tail wires recycled for a later arrival). The committed allocs/op
-// ceiling in bench_thresholds.txt keeps flow spawning off the alloc fast
-// path: past the run's fixed cost a flow allocates only its Cubic, so a
-// regression here means per-flow wiring or per-packet allocation crept
-// back in. Recycling moved it from ≈ 2066 to ≈ 375 allocs/op
-// (-benchtime 3x).
+// with its last packet and its endpoint, receiver, source, algorithm,
+// callbacks and tail wires recycled for a later arrival), once per
+// scheme family: Cubic (a window), ABC (two windows and the marks) and
+// BBR (paced, with a filter whose array survives Reset). The committed
+// allocs/op ceilings in bench_thresholds.txt keep flow spawning off the
+// alloc fast path: a flow allocates nothing past the run's fixed cost
+// once the live set has stopped growing, so a regression here means
+// per-flow wiring or per-packet allocation crept back in. Recycling
+// moved Cubic from ≈ 2066 to ≈ 375 allocs/op, and resetting the
+// algorithm in place to ≈ 215 (-benchtime 3x).
 func BenchmarkWorkloadChurn(b *testing.B) {
-	spec := exp.Spec{
-		Seed:     1,
-		Duration: 8 * sim.Second,
-		Warmup:   sim.Second,
-		Links: []exp.LinkSpec{{
-			Kind:  "rate",
-			Rate:  netem.ConstRate(20e6),
-			Qdisc: exp.QdiscSpec{Kind: "droptail", Buffer: 250},
-		}},
-		Workloads: []exp.WorkloadSpec{{
-			Scheme:  "Cubic",
-			Arrival: app.Deterministic{Gap: 50 * sim.Millisecond},
-			Sizes:   app.FixedSize{Bytes: 20 * 1024},
-		}},
+	for _, scheme := range []string{"Cubic", "ABC", "BBR"} {
+		b.Run("scheme="+scheme, func(b *testing.B) {
+			spec := exp.Spec{
+				Seed:     1,
+				Duration: 8 * sim.Second,
+				Warmup:   sim.Second,
+				Links: []exp.LinkSpec{{
+					Kind:  "rate",
+					Rate:  netem.ConstRate(20e6),
+					Qdisc: exp.QdiscSpec{Kind: "droptail", Buffer: 250},
+				}},
+				Workloads: []exp.WorkloadSpec{{
+					Scheme:  scheme,
+					Arrival: app.Deterministic{Gap: 50 * sim.Millisecond},
+					Sizes:   app.FixedSize{Bytes: 20 * 1024},
+				}},
+			}
+			b.ReportAllocs()
+			var completed int
+			for i := 0; i < b.N; i++ {
+				res, _, err := exp.Run(spec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				completed = res.Workloads[0].Completed
+			}
+			b.ReportMetric(float64(completed), "flows_completed")
+		})
 	}
-	b.ReportAllocs()
-	var completed int
-	for i := 0; i < b.N; i++ {
-		res, _, err := exp.Run(spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		completed = res.Workloads[0].Completed
-	}
-	b.ReportMetric(float64(completed), "flows_completed")
 }

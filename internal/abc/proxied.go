@@ -55,8 +55,13 @@ type ProxiedSender struct {
 
 // NewProxiedSender returns a proxied-mode ABC sender.
 func NewProxiedSender() *ProxiedSender {
-	return &ProxiedSender{inner: NewSender()}
+	p := &ProxiedSender{inner: new(Sender)}
+	p.Reset()
+	return p
 }
+
+// Reset implements cc.Algorithm.
+func (p *ProxiedSender) Reset() { p.inner.Reset() }
 
 // WABC exposes the accel-brake window.
 func (p *ProxiedSender) WABC() float64 { return p.inner.WABC() }

@@ -43,7 +43,16 @@ type Sender struct {
 
 // NewSender returns an ABC sender with the paper's initial window.
 func NewSender() *Sender {
-	return &Sender{wabc: 4, cubic: *cc.NewCubic()}
+	s := new(Sender)
+	s.Reset()
+	return s
+}
+
+// Reset implements cc.Algorithm. The variant is kept: an ABC-MIMD
+// sender stays one.
+func (s *Sender) Reset() {
+	*s = Sender{disableAI: s.disableAI, wabc: 4}
+	s.cubic.Reset()
 }
 
 // WABC exposes the accel-brake window (Fig. 6 plots it).

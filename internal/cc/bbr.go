@@ -78,8 +78,16 @@ var bbrGains = [8]float64{1.25, 0.75, 1, 1, 1, 1, 1, 1}
 
 // NewBBR returns a simplified BBR sender.
 func NewBBR() *BBR {
-	return &BBR{
-		btlBw:   maxFilter{window: 10 * sim.Second},
+	b := new(BBR)
+	b.Reset()
+	return b
+}
+
+// Reset implements Algorithm. The bandwidth filter keeps its samples'
+// array, emptied.
+func (b *BBR) Reset() {
+	*b = BBR{
+		btlBw:   maxFilter{window: 10 * sim.Second, samples: b.btlBw.samples[:0]},
 		pktSize: packet.MTU,
 	}
 }

@@ -23,8 +23,13 @@ type Copa struct {
 
 // NewCopa returns a Copa sender in default mode.
 func NewCopa() *Copa {
-	return &Copa{cwnd: 4, velocity: 1, slowStart: true}
+	c := new(Copa)
+	c.Reset()
+	return c
 }
+
+// Reset implements Algorithm.
+func (c *Copa) Reset() { *c = Copa{cwnd: 4, velocity: 1, slowStart: true} }
 
 // OnAck implements Algorithm.
 func (c *Copa) OnAck(now sim.Time, e *Endpoint, info AckInfo) {

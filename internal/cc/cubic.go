@@ -29,8 +29,13 @@ type Cubic struct {
 
 // NewCubic returns a CUBIC sender with RFC 8312 constants.
 func NewCubic() *Cubic {
-	return &Cubic{cwnd: 4, ssthresh: 1e9}
+	c := new(Cubic)
+	c.Reset()
+	return c
 }
+
+// Reset implements Algorithm.
+func (c *Cubic) Reset() { *c = Cubic{cwnd: 4, ssthresh: 1e9} }
 
 // OnAck implements Algorithm.
 func (c *Cubic) OnAck(now sim.Time, e *Endpoint, info AckInfo) {

@@ -60,6 +60,13 @@ type Algorithm interface {
 	// CwndPkts returns the current window in packets; the endpoint sends
 	// while fewer packets are in flight.
 	CwndPkts() float64
+	// Reset puts the algorithm back in exactly the state its scheme's
+	// constructor returns, so that one instance can carry flow after
+	// flow. A variant's configuration survives it (an ABC-MIMD sender
+	// stays MIMD), and so does storage it can reuse (BBR's filter keeps
+	// its array, emptied). Every constructor builds its struct and calls
+	// Reset, so a scheme writes its initial state in one place.
+	Reset()
 }
 
 // Pacer is implemented by rate-based algorithms (BBR, RCP, PCC, Sprout,

@@ -75,6 +75,7 @@ func (f *fixedWindow) OnAck(sim.Time, *Endpoint, AckInfo) {}
 func (f *fixedWindow) OnCongestion(sim.Time, *Endpoint)   { f.congestion++ }
 func (f *fixedWindow) OnRTO(sim.Time, *Endpoint)          { f.rtos++ }
 func (f *fixedWindow) CwndPkts() float64                  { return f.w }
+func (f *fixedWindow) Reset()                             { f.congestion, f.rtos = 0, 0 }
 
 func TestEndpointWindowLimitsInflight(t *testing.T) {
 	s := sim.New(1)

@@ -41,6 +41,13 @@ type Greedy struct {
 // NewGreedy wraps inner in a greedy misbehaving sender.
 func NewGreedy(inner Algorithm) *Greedy { return &Greedy{inner: inner} }
 
+// Reset implements Algorithm: the inner algorithm is reset, and the
+// high-water marks and counters cleared.
+func (g *Greedy) Reset() {
+	g.inner.Reset()
+	*g = Greedy{inner: g.inner}
+}
+
 // OnAck rewrites the ACK's feedback fields to deny congestion, then
 // lets the inner algorithm process the sanitized view. The rewrite
 // happens on the ACK itself: the endpoint consumes EchoCE after OnAck,

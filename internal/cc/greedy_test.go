@@ -29,6 +29,7 @@ func (f *fakeAlg) OnAck(now sim.Time, e *Endpoint, info AckInfo) {
 func (f *fakeAlg) OnCongestion(now sim.Time, e *Endpoint) { f.congestions++ }
 func (f *fakeAlg) OnRTO(now sim.Time, e *Endpoint)        {}
 func (f *fakeAlg) CwndPkts() float64                      { return f.cwnd }
+func (f *fakeAlg) Reset()                                 { *f = fakeAlg{cwnd: f.cwnd} }
 
 // TestGreedyForgesFeedback: every feedback channel a scheme could hear
 // congestion through reaches the inner algorithm scrubbed clean.

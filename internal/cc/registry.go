@@ -15,7 +15,9 @@ import (
 type Scheme struct {
 	// Name is the registry key ("ABC", "Cubic+Codel", ...).
 	Name string
-	// New constructs a fresh algorithm instance for one flow.
+	// New constructs a fresh algorithm instance for one flow. An
+	// instance that has carried a flow returns to what New built with
+	// Algorithm.Reset, which is how a workload's recycled flows reuse it.
 	New func() Algorithm
 	// Qdisc names the bottleneck discipline the paper's evaluation pairs
 	// with the scheme ("" means droptail). The harness uses it for
@@ -37,7 +39,8 @@ func Register(s Scheme) {
 	schemes[s.Name] = s
 }
 
-// New constructs a fresh algorithm for the named scheme.
+// New constructs a fresh algorithm for the named scheme. To run another
+// flow of the same scheme on an instance, Reset it instead.
 func New(name string) (Algorithm, error) {
 	s, ok := schemes[name]
 	if !ok {

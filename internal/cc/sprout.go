@@ -34,8 +34,13 @@ type Sprout struct {
 
 // NewSprout returns a simplified Sprout sender.
 func NewSprout() *Sprout {
-	return &Sprout{cwnd: 4}
+	s := new(Sprout)
+	s.Reset()
+	return s
 }
+
+// Reset implements Algorithm.
+func (s *Sprout) Reset() { *s = Sprout{cwnd: 4} }
 
 // OnAck implements Algorithm.
 func (s *Sprout) OnAck(now sim.Time, e *Endpoint, info AckInfo) {

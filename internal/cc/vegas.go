@@ -24,8 +24,13 @@ type Vegas struct {
 
 // NewVegas returns a Vegas sender with conventional parameters.
 func NewVegas() *Vegas {
-	return &Vegas{cwnd: 4, ssthresh: 1e9, slowStart: true}
+	v := new(Vegas)
+	v.Reset()
+	return v
 }
+
+// Reset implements Algorithm.
+func (v *Vegas) Reset() { *v = Vegas{cwnd: 4, ssthresh: 1e9, slowStart: true} }
 
 // OnAck implements Algorithm.
 func (v *Vegas) OnAck(now sim.Time, e *Endpoint, info AckInfo) {

@@ -26,8 +26,13 @@ type Verus struct {
 
 // NewVerus returns a simplified Verus sender.
 func NewVerus() *Verus {
-	return &Verus{cwnd: 4}
+	v := new(Verus)
+	v.Reset()
+	return v
 }
+
+// Reset implements Algorithm.
+func (v *Verus) Reset() { *v = Verus{cwnd: 4} }
 
 // OnAck implements Algorithm.
 func (v *Verus) OnAck(now sim.Time, e *Endpoint, info AckInfo) {

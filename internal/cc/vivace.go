@@ -47,8 +47,13 @@ type Vivace struct {
 
 // NewVivace returns a Vivace-latency sender.
 func NewVivace() *Vivace {
-	return &Vivace{rate: 2e6, step: 1}
+	v := new(Vivace)
+	v.Reset()
+	return v
 }
+
+// Reset implements Algorithm.
+func (v *Vivace) Reset() { *v = Vivace{rate: 2e6, step: 1} }
 
 // utility evaluates the Vivace-latency utility for a finished interval.
 func (v *Vivace) utility(ph *vivacePhase, dur sim.Time) float64 {

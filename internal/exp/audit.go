@@ -7,7 +7,7 @@ package exp
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"abc/internal/cc"
 	"abc/internal/netem"
@@ -65,8 +65,8 @@ func (c *compiled) ledger() packet.Books {
 	}
 	for _, r := range c.workloads {
 		b.Add(r.drained.books)
-		for _, f := range r.live {
-			b.Add(f.ep.Tally.Books())
+		for _, s := range r.live {
+			b.Add(s.ep.Tally.Books())
 		}
 	}
 	return b
@@ -102,14 +102,11 @@ func (c *compiled) balance() error {
 		if err := r.drained.check(fmt.Sprintf("workload %s, drained flows", r.wr.Class)); err != nil {
 			return err
 		}
-		ids := make([]int, 0, len(r.live))
-		for id := range r.live {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			a := r.live[id].account()
-			if err := a.check(fmt.Sprintf("workload %s, flow %d", r.wr.Class, id)); err != nil {
+		live := slices.Clone(r.live)
+		slices.SortFunc(live, func(a, b *spawned) int { return a.id - b.id })
+		for _, s := range live {
+			a := s.ends().account()
+			if err := a.check(fmt.Sprintf("workload %s, flow %d", r.wr.Class, s.id)); err != nil {
 				return err
 			}
 		}

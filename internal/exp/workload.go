@@ -54,8 +54,9 @@ type WorkloadSpec struct {
 	// outpaces the link indefinitely. A completed flow is unrouted with
 	// its last packet and leaves only a class and a tail slot per
 	// direction on the graph (≈ 40 B); its endpoint, receiver, source,
-	// callbacks and tail wires are reused by later arrivals (spawned), so
-	// footprint follows the most flows active at once, not Spawned.
+	// algorithm, callbacks and tail wires are reused by later arrivals
+	// (spawned), so footprint follows the most flows active at once, not
+	// Spawned.
 	MaxActive int `spec:"max_active"`
 	// RefMbps, when > 0, additionally reports each FCT as a slowdown
 	// against an ideal same-size transfer at this rate plus one RTT.
@@ -148,12 +149,13 @@ type workloadRunner struct {
 	stopAt sim.Time
 	active int
 	err    error
-	// live holds the spawned flows whose packets have not all ended, by
-	// id. A drained flow leaves it, its account folded into drained, and
-	// its storage goes on free for the next arrival, so what the runner
-	// keeps of finished flows is one account and the bundles of the most
-	// flows it had live at once.
-	live    map[int]flowEnds
+	// live holds the bundles of the spawned flows whose packets have not
+	// all ended, in no order: each bundle knows its slot, and a drained
+	// flow leaves by swapping the last bundle into it. Its account is
+	// folded into drained and its bundle goes on free for the next
+	// arrival, so what the runner keeps of finished flows is one account
+	// and the bundles of the most flows it had live at once.
+	live    []*spawned
 	drained account
 	free    []*spawned
 }
@@ -194,7 +196,6 @@ func (c *compiled) startWorkloads() error {
 		r := &workloadRunner{
 			g: g, spec: spec, ws: ws, wr: wr, gaps: gaps, sizes: sizes,
 			adv: c.adv, route: routes[i], nextID: &nextID, stopAt: stop,
-			live: map[int]flowEnds{},
 		}
 		c.workloads = append(c.workloads, r)
 		g.S.At(ws.Start, r.schedule)
@@ -245,17 +246,22 @@ func workloadArrival(a, _ any) {
 // spawned is the storage of one spawned flow, which outlives the flow:
 // once the flow has drained, the bundle waits on its runner's free list
 // for the next arrival, which re-initialises it in place. The endpoint,
-// receiver and source are held by value, and the three callbacks are
-// method values bound once, when the bundle is made: the receiver's
-// OnData survives Reset, and each flow's OnComplete and Finish take
-// complete and drain.
+// receiver and source are held by value, the algorithm is built once
+// and Reset for each later flow, and the three callbacks are method
+// values bound once, when the bundle is made: the receiver's OnData
+// survives Reset, and each flow's OnComplete and Finish take complete
+// and drain.
 type spawned struct {
 	r        *workloadRunner
 	ep       cc.Endpoint
 	recv     netem.Receiver
 	src      cc.Fixed
+	alg      cc.Algorithm
 	complete func(sim.Time)
 	drain    func()
+	// slot is the bundle's index in its runner's live list while its
+	// flow is live.
+	slot int
 	// The flow it carries: its id, arrival time, size and RTT.
 	id      int
 	arrived sim.Time
@@ -264,18 +270,24 @@ type spawned struct {
 }
 
 // bundle returns storage for the next spawned flow: a drained flow's
-// from the free list, else a new bundle.
-func (r *workloadRunner) bundle() *spawned {
+// from the free list, its algorithm reset, else a new bundle with a new
+// algorithm of the workload's scheme.
+func (r *workloadRunner) bundle() (*spawned, error) {
 	if n := len(r.free); n > 0 {
 		b := r.free[n-1]
 		r.free = r.free[:n-1]
-		return b
+		b.alg.Reset()
+		return b, nil
 	}
-	b := &spawned{r: r}
+	alg, err := cc.New(r.ws.Scheme)
+	if err != nil {
+		return nil, err
+	}
+	b := &spawned{r: r, alg: alg}
 	b.recv.OnData = b.onData
 	b.complete = b.onComplete
 	b.drain = b.onDrain
-	return b
+	return b, nil
 }
 
 // spawn wires one finite flow onto the graph and starts it.
@@ -292,7 +304,7 @@ func (r *workloadRunner) spawn(now sim.Time) {
 	if size < 1 {
 		size = 1
 	}
-	alg, err := cc.New(r.ws.Scheme)
+	b, err := r.bundle()
 	if err != nil {
 		r.fail(err)
 		return
@@ -303,9 +315,7 @@ func (r *workloadRunner) spawn(now sim.Time) {
 	if rtt <= 0 {
 		rtt = r.spec.RTT
 	}
-	b := r.bundle()
-	f := flowEnds{&b.ep, &b.recv}
-	if err := attachFlow(r.g, id, alg, r.route, rtt, f); err != nil {
+	if err := attachFlow(r.g, id, b.alg, r.route, rtt, b.ends()); err != nil {
 		r.fail(err)
 		return
 	}
@@ -313,11 +323,15 @@ func (r *workloadRunner) spawn(now sim.Time) {
 	b.src = cc.Fixed{Remaining: size}
 	b.ep.Src = &b.src
 	b.ep.OnComplete = b.complete
-	r.live[id] = f
+	b.slot = len(r.live)
+	r.live = append(r.live, b)
 	r.active++
 	r.wr.Spawned++
 	b.ep.Start()
 }
+
+// ends returns the bundle's flow ends, for attachFlow and the audit.
+func (b *spawned) ends() flowEnds { return flowEnds{&b.ep, &b.recv} }
 
 // onData is the receiver's OnData hook: post-warmup deliveries feed the
 // workload's recorders.
@@ -368,9 +382,12 @@ func (b *spawned) onComplete(done sim.Time) {
 // cancelled them, and the receiver schedules none).
 func (b *spawned) onDrain() {
 	r := b.r
-	f := flowEnds{&b.ep, &b.recv}
-	r.drained.add(f.account())
-	delete(r.live, b.id)
+	r.drained.add(b.ends().account())
+	last := r.live[len(r.live)-1]
+	last.slot = b.slot
+	r.live[b.slot] = last
+	r.live[len(r.live)-1] = nil
+	r.live = r.live[:len(r.live)-1]
 	if err := r.g.UnrouteFlow(b.id); err != nil {
 		// Still routed to the bundle's endpoint and receiver: not reused.
 		r.fail(err)

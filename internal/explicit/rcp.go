@@ -101,7 +101,14 @@ type RCPSender struct {
 }
 
 // NewRCPSender returns an RCP sender with a conservative initial rate.
-func NewRCPSender() *RCPSender { return &RCPSender{rate: 1e6} }
+func NewRCPSender() *RCPSender {
+	s := new(RCPSender)
+	s.Reset()
+	return s
+}
+
+// Reset implements cc.Algorithm.
+func (s *RCPSender) Reset() { *s = RCPSender{rate: 1e6} }
 
 // StampData implements cc.DataStamper: clear the rate field so routers
 // along the path stamp their minimum.

@@ -112,8 +112,13 @@ type VCPSender struct {
 
 // NewVCPSender returns a VCP sender with the paper's parameters.
 func NewVCPSender() *VCPSender {
-	return &VCPSender{cwnd: 4, curCode: vcpLow}
+	s := new(VCPSender)
+	s.Reset()
+	return s
 }
+
+// Reset implements cc.Algorithm.
+func (s *VCPSender) Reset() { *s = VCPSender{cwnd: 4, curCode: vcpLow} }
 
 // StampData implements cc.DataStamper.
 func (s *VCPSender) StampData(now sim.Time, e *cc.Endpoint, p *packet.Packet) {

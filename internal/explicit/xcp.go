@@ -189,8 +189,13 @@ type XCPSender struct {
 
 // NewXCPSender returns an XCP sender.
 func NewXCPSender() *XCPSender {
-	return &XCPSender{cwndBytes: 4 * packet.MTU}
+	s := new(XCPSender)
+	s.Reset()
+	return s
 }
+
+// Reset implements cc.Algorithm.
+func (s *XCPSender) Reset() { *s = XCPSender{cwndBytes: 4 * packet.MTU} }
 
 // StampData implements cc.DataStamper.
 func (s *XCPSender) StampData(now sim.Time, e *cc.Endpoint, p *packet.Packet) {

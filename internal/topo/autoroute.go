@@ -166,13 +166,13 @@ func (p *KFailoverPolicy) Setup(v *LinkState, flow int, ack bool, origin, dst in
 	if len(plans) == 1 {
 		return fmt.Errorf("topo: kfailover: flow %d %s route has no edge-disjoint backup path", flow, dirName(ack))
 	}
-	p.plans[hopKey{flow: int32(flow), ack: ack}] = plans
+	p.plans[keyOf(flow, ack)] = plans
 	return nil
 }
 
 // Route implements Policy: the first fully-up candidate wins.
 func (p *KFailoverPolicy) Route(v *LinkState, flow int, ack bool, _, _ int) []int {
-	for _, cand := range p.plans[hopKey{flow: int32(flow), ack: ack}] {
+	for _, cand := range p.plans[keyOf(flow, ack)] {
 		up := true
 		for _, e := range cand {
 			if !v.Up(e) {
@@ -239,7 +239,7 @@ func (a *AutoRouter) SetDrain(d sim.Time) { a.drain = d }
 // installed route.
 func (a *AutoRouter) Manage(flow int, ack bool) error {
 	g := a.g
-	rt, ok := g.routes[hopKey{flow: int32(flow), ack: ack}]
+	rt, ok := g.routes[keyOf(flow, ack)]
 	if !ok {
 		return fmt.Errorf("topo: autoroute: flow %d has no %s route", flow, dirName(ack))
 	}

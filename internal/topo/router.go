@@ -42,7 +42,7 @@ func (g *Graph) Router() *Router { return &Router{g: g} }
 // the junctions' decisions change.
 func (r *Router) CheckReroute(flow int, ack bool, edges []int) error {
 	g := r.g
-	key := hopKey{flow: int32(flow), ack: ack}
+	key := keyOf(flow, ack)
 	rt, ok := g.routes[key]
 	if !ok {
 		return fmt.Errorf("topo: reroute: flow %d has no %s route", flow, dirName(ack))
@@ -96,7 +96,7 @@ func (r *Router) reroute(flow int, ack bool, edges []int, drain sim.Time) error 
 		return err
 	}
 	g := r.g
-	key := hopKey{flow: int32(flow), ack: ack}
+	key := keyOf(flow, ack)
 	rt := g.routes[key]
 	// A newer reroute supersedes any overrides still draining from the
 	// previous one; stragglers on that abandoned path fall back to the

@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"fmt"
 	"testing"
 
 	"abc/internal/obs"
@@ -134,14 +135,48 @@ func TestRerouteValidation(t *testing.T) {
 	}
 }
 
-func TestCheckPathRejectsLoopToOrigin(t *testing.T) {
+// TestCheckPath: each way a route can be malformed is rejected with its
+// own message, and an accepted path costs no allocation (a spawned
+// flow's data route is checked on every spawn, and a mesh route is
+// longer than a map the compiler keeps on the stack). A route looping
+// back to its origin would make the origin's table entry conflict with
+// the terminal's.
+func TestCheckPath(t *testing.T) {
 	s := sim.New(1)
 	g := New(s)
-	a, b := g.AddNode("a"), g.AddNode("b")
-	e1 := rateEdge(t, g, s, a, b, 0, Impairments{})
-	e2 := rateEdge(t, g, s, b, a, 0, Impairments{})
-	if err := g.CheckPath([]int{e1, e2}); err == nil {
-		t.Fatal("route looping back to its origin accepted; the origin's table entry would conflict with the terminal's")
+	chain := make([]int, 12) // a → n1 → n2 → … → n12
+	for i := range chain {
+		if i == 0 {
+			g.AddNode("a")
+		}
+		g.AddNode(fmt.Sprintf("n%d", i+1))
+		chain[i] = rateEdge(t, g, s, i, i+1, 0, Impairments{})
+	}
+	ab, bc, cd := chain[0], chain[1], chain[2]
+	ba := rateEdge(t, g, s, 1, 0, 0, Impairments{})
+	cb := rateEdge(t, g, s, 2, 1, 0, Impairments{})
+	for _, tc := range []struct {
+		name  string
+		edges []int
+		err   string
+	}{
+		{"unknown first edge", []int{99, bc}, "references unknown edge 99"},
+		{"unknown later edge", []int{ab, bc, -1}, "references unknown edge -1"},
+		{"not contiguous", []int{ab, cd}, `not contiguous: edge 2 starts at "n2", previous ends at "n1"`},
+		{"loop to origin", []int{ab, ba}, `loops back over node "a"`},
+		{"loop to interior node", []int{ab, bc, cb}, `loops back over node "n1"`},
+		{"accepted", []int{ab, bc, cd}, ""},
+		{"empty", nil, ""},
+	} {
+		err := g.CheckPath(tc.edges)
+		if got := fmt.Sprint(err); tc.err == "" && err != nil || tc.err != "" && got != tc.err {
+			t.Errorf("%s: CheckPath(%v) = %v, want %q", tc.name, tc.edges, err, tc.err)
+		}
+	}
+	for _, path := range [][]int{{ab, bc, cd}, chain} {
+		if n := testing.AllocsPerRun(100, func() { _ = g.CheckPath(path) }); n != 0 {
+			t.Errorf("CheckPath of an accepted %d-edge path allocates %v times, want 0", len(path), n)
+		}
 	}
 }
 

@@ -387,7 +387,7 @@ func TestAckFoldWhereAcksReturnDirect(t *testing.T) {
 		entry := route(t, g, 0, data, 4*sim.Millisecond, rcv)
 		send(s, &tl, entry, 0, 10)
 		s.Run()
-		tail, _ := g.routes[hopKey{flow: 0}].tail.(*netem.Wire)
+		tail, _ := g.routes[keyOf(0, false)].tail.(*netem.Wire)
 		return trips, s.Executed(), tail.FoldAcks()
 	}
 	hop, hopEvents, hopFold := run(false, true)

@@ -66,14 +66,22 @@ type Link interface {
 // construction). A nil factory makes the edge a pure propagation hop.
 type LinkFactory func(dst packet.Node) (Link, error)
 
-// hopKey addresses one direction of one flow: a flow's data packets and
-// its ACKs are routed independently, so a data route and an ACK route
-// may share junctions. Forwarding tables are keyed by FIB class, not by
-// hopKey — the key survives in the route registry and in the per-flow
-// override maps (make-before-break draining).
-type hopKey struct {
-	flow int32
-	ack  bool
+// hopKey addresses one direction of one flow, flow<<1 | ack: a flow's
+// data packets and its ACKs are routed independently, so a data route
+// and an ACK route may share junctions. Forwarding tables are keyed by
+// FIB class, not by hopKey — the key survives in the route registry and
+// in the per-flow override maps (make-before-break draining). One
+// integer, so a lookup on the spawn and drain path hashes a word, not a
+// padded struct.
+type hopKey uint64
+
+// keyOf returns the hopKey of one direction of a flow.
+func keyOf(flow int, ack bool) hopKey {
+	k := hopKey(flow) << 1
+	if ack {
+		k |= 1
+	}
+	return k
 }
 
 // hop is one forwarding-table entry: edge >= 0 forwards onto that edge;
@@ -121,7 +129,7 @@ func (n *Node) Recv(p *packet.Packet) {
 	g := n.g
 	dir := dirOf(p)
 	if n.override != nil {
-		if h, ok := n.override[hopKey{flow: int32(p.Flow), ack: p.IsAck}]; ok {
+		if h, ok := n.override[keyOf(p.Flow, p.IsAck)]; ok {
 			n.forward(h, dir, p)
 			return
 		}
@@ -515,16 +523,10 @@ func (g *Graph) Edges() int { return len(g.edges) }
 // route never revisits a node it started at or already passed through —
 // a forwarding table maps each (flow, direction) to exactly one next
 // hop, so a looping route could never be installed. Spec compilers call
-// it to reject malformed mesh routes before any wiring happens.
+// it to reject malformed mesh routes before any wiring happens. A route
+// is a handful of edges, so a revisit is found by scanning the nodes
+// already passed, which allocates nothing.
 func (g *Graph) CheckPath(edges []int) error {
-	if len(edges) == 0 {
-		return nil
-	}
-	if edges[0] < 0 || edges[0] >= len(g.edges) {
-		return fmt.Errorf("references unknown edge %d", edges[0])
-	}
-	seen := make(map[*Node]bool, len(edges)+1)
-	seen[g.edges[edges[0]].From] = true
 	for i, id := range edges {
 		if id < 0 || id >= len(g.edges) {
 			return fmt.Errorf("references unknown edge %d", id)
@@ -534,10 +536,16 @@ func (g *Graph) CheckPath(edges []int) error {
 			return fmt.Errorf("not contiguous: edge %d starts at %q, previous ends at %q",
 				id, e.From.Name, g.edges[edges[i-1]].To.Name)
 		}
-		if seen[e.To] {
+		// The nodes passed are the origin, which is edges[0]'s tail, and
+		// every earlier edge's head.
+		if e.To == g.edges[edges[0]].From {
 			return fmt.Errorf("loops back over node %q", e.To.Name)
 		}
-		seen[e.To] = true
+		for _, prev := range edges[:i] {
+			if g.edges[prev].To == e.To {
+				return fmt.Errorf("loops back over node %q", e.To.Name)
+			}
+		}
 	}
 	return nil
 }
@@ -694,7 +702,7 @@ func (g *Graph) setFlowTail(flow int, ack bool, tail packet.Node) {
 // whose Out is a wire: the flow's ACK route is direct. Route the ACKs
 // and set the receiver's Out first; the fold is resolved here, once.
 func (g *Graph) RouteFlow(flow int, ack bool, edges []int, tailDelay sim.Time, terminal packet.Node) (packet.Node, error) {
-	key := hopKey{flow: int32(flow), ack: ack}
+	key := keyOf(flow, ack)
 	if _, dup := g.routes[key]; dup {
 		return nil, fmt.Errorf("topo: flow %d %s route installed twice", flow, dirName(ack))
 	}
@@ -751,7 +759,7 @@ func (g *Graph) wire(delay sim.Time, dst packet.Node) *netem.Wire {
 func (g *Graph) UnrouteFlow(flow int) error {
 	routed := false
 	for _, ack := range [2]bool{false, true} {
-		key := hopKey{flow: int32(flow), ack: ack}
+		key := keyOf(flow, ack)
 		rt, ok := g.routes[key]
 		if !ok {
 			continue
@@ -778,7 +786,7 @@ func (g *Graph) UnrouteFlow(flow int) error {
 // direction of a flow, and whether such a route exists. The returned
 // slice must not be mutated.
 func (g *Graph) RouteOf(flow int, ack bool) ([]int, bool) {
-	rt, ok := g.routes[hopKey{flow: int32(flow), ack: ack}]
+	rt, ok := g.routes[keyOf(flow, ack)]
 	if !ok {
 		return nil, false
 	}
