@@ -522,6 +522,11 @@ func BenchmarkLinkChurn(b *testing.B) {
 		{"wifi", dropTail, func(s *sim.Simulator, q qdisc.Qdisc, dst packet.Node) topo.Link {
 			return wifi.NewLink(s, wifi.DefaultLinkConfig(), q, dst, nil)
 		}},
+		{"lazy", dropTail, func(s *sim.Simulator, q qdisc.Qdisc, dst packet.Node) topo.Link {
+			l := netem.NewRateLink(s, 12e6, q, dst)
+			l.ServeLazily(&oneHandoff{l.Handoff(0, dst)})
+			return l
+		}},
 	}
 	for _, m := range models {
 		for _, mask := range []obs.Cat{0, obs.CatPacket} {
@@ -568,6 +573,12 @@ func BenchmarkLinkChurn(b *testing.B) {
 		}
 	}
 }
+
+// oneHandoff is the stretch behind a lazily served link whose every
+// packet goes to one place.
+type oneHandoff struct{ h netem.Handoff }
+
+func (o *oneHandoff) Handoff(*packet.Packet) *netem.Handoff { return &o.h }
 
 // BenchmarkForwardHop measures one forwarding decision on the per-packet
 // path: a junction's (flow, direction) table lookup plus the edge's

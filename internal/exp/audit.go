@@ -150,11 +150,17 @@ func (c *compiled) balance() error {
 			continue
 		}
 		e := c.g.Edge(id)
-		if air, ok := e.Link.(interface{ InService() []*packet.Packet }); ok {
-			for _, p := range air.InService() {
+		switch l := e.Link.(type) {
+		case interface{ InService() []*packet.Packet }:
+			for _, p := range l.InService() {
 				inService[e.Link] += int64(p.Size)
 				serving++
 			}
+		case *netem.RateLink:
+			// A lazy link's transmission in progress was handed on as it
+			// started: its packet, or the ACK a folding receiver made of
+			// it, is counted in flight.
+			inService[e.Link] += l.Serving()
 		}
 		if d := q.Counters().DequeuedBytes - e.Link.DeliveredBytes(); d != inService[e.Link] {
 			return fmt.Errorf("edge %q: dequeued %d bytes more than it delivered, but holds %d in service", e.Name, d, inService[e.Link])

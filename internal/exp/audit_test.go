@@ -24,14 +24,33 @@ func (r *refusing) Enqueue(now sim.Time, p *packet.Packet) bool {
 	return r.Qdisc.Enqueue(now, p) || r.onRefuse(p)
 }
 
-// TestAuditCatchesMutations seeds four bookkeeping bugs into a compiled
+// unhanded wraps a discipline whose n-th dequeue releases the packet it
+// took and hands the link the next one instead: a lazy link's advance
+// that loses a dequeued packet without scheduling its handoff.
+type unhanded struct {
+	qdisc.Qdisc
+	n int
+}
+
+func (u *unhanded) Dequeue(now sim.Time) *packet.Packet {
+	p := u.Qdisc.Dequeue(now)
+	if u.n--; u.n == 0 && p != nil {
+		p.Release()
+		return u.Qdisc.Dequeue(now)
+	}
+	return p
+}
+
+// TestAuditCatchesMutations seeds five bookkeeping bugs into a compiled
 // run, each through the graph it built, and requires Run to fail with the
 // identity each one breaks: a swallowed packet leaves the books holding a
 // packet the network does not; a refused packet dropped a second time,
 // and a refusal booked as an impairment loss, leave the refusals on the
 // books disagreeing with the discipline's; an event left pending for a
 // stopped endpoint is one a recycled endpoint would run for its next
-// flow.
+// flow; and a packet that a lazily served link dequeues and releases
+// unhanded leaves one more packet ended delivered than its receiver
+// took in.
 func TestAuditCatchesMutations(t *testing.T) {
 	spec := Spec{
 		Seed:     1,
@@ -80,6 +99,41 @@ func TestAuditCatchesMutations(t *testing.T) {
 				ep.S.AfterArgs(5*sim.Second, func(any, any) {}, ep, nil)
 			})
 		}, "flow 0: its endpoint is stopped but has an event pending"},
+	}
+	// The same flow over a one-edge static mesh, whose rate link serves
+	// its queue lazily.
+	mesh := spec
+	mesh.Links, mesh.Nodes = nil, []string{"a", "b"}
+	mesh.Edges = []EdgeSpec{{Name: "ab", From: "a", To: "b", Link: LinkSpec{Rate: 10e6, Delay: 5 * sim.Millisecond,
+		Qdisc: QdiscSpec{Kind: "droptail", Buffer: 20}}}}
+	mesh.Flows = []FlowSpec{{Scheme: "Cubic", Path: []string{"ab"}}}
+	lazy := []struct {
+		name   string
+		mutate func(c *compiled)
+		want   string
+	}{
+		{"clean lazy", func(*compiled) {}, ""},
+		{"lazy advance loses a packet", func(c *compiled) {
+			l := link(c)
+			l.Q = &unhanded{l.Q, 100}
+		}, "data packets ended delivered, the receiver took in"},
+	}
+	for _, tc := range lazy {
+		c, err := compile(mesh, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !link(c).Lazy() {
+			t.Fatalf("%s: the mesh's rate link is not served lazily", tc.name)
+		}
+		tc.mutate(c)
+		_, _, err = c.run(nil)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: Run returned %v, want an error naming %q", tc.name, err, tc.want)
+		}
 	}
 	for _, tc := range cases {
 		c, err := compile(spec, nil)

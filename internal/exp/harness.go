@@ -14,6 +14,7 @@ import (
 	"slices"
 
 	"abc/internal/metrics"
+	"abc/internal/netem"
 	"abc/internal/obs"
 	"abc/internal/packet"
 	"abc/internal/qdisc"
@@ -92,9 +93,20 @@ func Check(spec Spec) error {
 }
 
 // compile is everything before the clock: validate the Spec, translate
-// its notation into a plan, and build and wire the plan onto a graph that
-// emits into rec (nil = untraced).
+// its notation into a plan, build and wire the plan onto a graph that
+// emits into rec (nil = untraced), and decide which links serve their
+// queues lazily.
 func compile(in Spec, rec *obs.Recorder) (*compiled, error) {
+	c, err := compileEventful(in, rec)
+	if err == nil {
+		c.serveLazily()
+	}
+	return c, err
+}
+
+// compileEventful is compile with every link on the eventful path: how
+// a test forces it.
+func compileEventful(in Spec, rec *obs.Recorder) (*compiled, error) {
 	if err := in.validate(); err != nil {
 		return nil, err
 	}
@@ -249,6 +261,9 @@ func (c *compiled) runAndMeasure(reg *obs.Registry) *metrics.DelayRecorder {
 			})
 		}
 		coord.Every(spec.Sample, func(now sim.Time) {
+			// The series are results: they read queues and receivers as
+			// of now, so the lazy links serve up to now first.
+			c.advanceLazy()
 			for _, s := range c.series {
 				s.ts.Add(now, s.read(now))
 			}
@@ -259,6 +274,9 @@ func (c *compiled) runAndMeasure(reg *obs.Registry) *metrics.DelayRecorder {
 		coord.Every(metricsPeriod, rs.sample)
 	}
 	coord.Run(spec.Duration)
+	// What the run reports counts every departure up to its end, and
+	// none after it.
+	c.advanceLazy()
 	if rs != nil {
 		// The last tick ran before the events at its instant, or the run
 		// ended between two ticks: publish what the run ended with.
@@ -298,6 +316,19 @@ func (c *compiled) runAndMeasure(reg *obs.Registry) *metrics.DelayRecorder {
 		res.Adversary = c.adv.report(spec, res)
 	}
 	return pooled
+}
+
+// advanceLazy brings every lazily served link up to the clock
+// (netem.RateLink.Advance): what a simulation-side reader calls before
+// it reads a queue, a link or a receiver the link hands packets to. An
+// out-of-band reader — the metrics sampler, the flight recorder — never
+// does, so it cannot change a run.
+func (c *compiled) advanceLazy() {
+	for id := range c.edgeQ {
+		if l, ok := c.g.Edge(id).Link.(*netem.RateLink); ok {
+			l.Advance()
+		}
+	}
 }
 
 // poolDelays builds the run-wide delay recorders from the per-flow ones

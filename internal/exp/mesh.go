@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"slices"
 
+	"abc/internal/abc"
 	"abc/internal/qdisc"
 	"abc/internal/topo"
 )
@@ -288,4 +289,40 @@ func checkRoute(g *topo.Graph, r flowRoute, kind string, i int) error {
 		return fmt.Errorf("exp: %s %d ack path %v", kind, i, err)
 	}
 	return nil
+}
+
+// serveLazily decides, once, which rate links serve their queues lazily
+// (netem.RateLink.ServeLazily): a packet's arrival at the far end of the
+// bare stretch behind the link is then its only event. A link qualifies
+// when its graph is a static mesh (a chain never is), its rate is
+// positive and no timeline touches it, no fluid background shares it,
+// its discipline draws no randomness at dequeue (an ABC router that
+// lies does), no workload's route crosses it — a spawned flow's route
+// is installed mid-run — and the graph finds every declared flow's
+// stretch behind it bare, ending at the next queue or at a receiver
+// that folds the ACK's return, one fixed delay long (topo.Graph.ServeLazily).
+func (c *compiled) serveLazily() {
+	p, spec := c.p, c.spec
+	if p.links > 0 || len(spec.Events) > 0 || spec.Routing != nil {
+		return
+	}
+	var buf [64]int // a run of up to 64 edges asks without allocating
+	ids := buf[:0]
+	for i := range p.edges {
+		e := &p.edges[i]
+		if e.link.model() != "rate" || e.link.Rate <= 0 ||
+			slices.ContainsFunc(spec.Background, func(bs BackgroundSpec) bool { return bs.Edge == e.name }) {
+			continue
+		}
+		if r, ok := c.edgeQ[i].(*abc.Router); ok && r.Cfg.LieFraction > 0 {
+			continue
+		}
+		if slices.ContainsFunc(p.wroutes, func(r flowRoute) bool {
+			return slices.Contains(r.data, i) || slices.Contains(r.ack, i)
+		}) {
+			continue
+		}
+		ids = append(ids, i)
+	}
+	c.g.ServeLazily(ids)
 }

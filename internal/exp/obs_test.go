@@ -114,6 +114,44 @@ func TestTracedSweepDumpIsDeterministic(t *testing.T) {
 	}
 }
 
+// TestTraceDumpTimeOrder: a trace dump reads forward in time. The mesh
+// and marked-uplink examples run for 2 s traced at the full mask — the
+// mesh's rate links serve their queues lazily, recording a dequeue when
+// they serve it, behind the clock — and every line of the dump has a t
+// no smaller than the line before it.
+func TestTraceDumpTimeOrder(t *testing.T) {
+	t.Parallel()
+	for _, name := range []string{"mesh", "marked-uplink"} {
+		sc, err := LoadScenario("../../examples/scenarios/" + name + ".json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc.Spec.Duration = 2 * sim.Second
+		rec := obs.NewRecorder(1<<20, obs.CatAll)
+		if _, _, err := (RunOptions{Trace: rec}).Run(sc.Spec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Total() == 0 || rec.Overwritten() != 0 {
+			t.Fatalf("%s: %d events recorded, %d overwritten: want some, none lost", name, rec.Total(), rec.Overwritten())
+		}
+		var b bytes.Buffer
+		if err := rec.WriteJSONL(&b); err != nil {
+			t.Fatal(err)
+		}
+		last := int64(-1)
+		for i, line := range strings.Split(strings.TrimSpace(b.String()), "\n") {
+			var e struct{ T int64 }
+			if err := json.Unmarshal([]byte(line), &e); err != nil {
+				t.Fatalf("%s line %d: %v", name, i+1, err)
+			}
+			if e.T < last {
+				t.Fatalf("%s line %d: t %d after %d", name, i+1, e.T, last)
+			}
+			last = e.T
+		}
+	}
+}
+
 // TestRunOptionsArePerRun: a run's observers are its own. One spec runs
 // on four goroutines at once, one of them with RunOptions{Trace,
 // Metrics} and three with none. Every run prints the same result, the

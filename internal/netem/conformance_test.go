@@ -49,6 +49,19 @@ var linkModels = []struct {
 		},
 	},
 	{
+		name: "lazy", sink: true, background: true,
+		build: func(s *sim.Simulator, q qdisc.Qdisc, dst packet.Node) link {
+			l := netem.NewRateLink(s, 12e6, q, dst)
+			l.ServeLazily(&oneHandoff{l.Handoff(0, dst)})
+			return l
+		},
+		// At transmission start, as the eventful rate link; it hands the
+		// packet on as the transmission ends.
+		booked: func(seen sim.Time, p *packet.Packet) sim.Time {
+			return seen - sim.FromSeconds(float64(p.Size*8)/12e6)
+		},
+	},
+	{
 		name: "wifi", sink: true, background: false,
 		build: func(s *sim.Simulator, q qdisc.Qdisc, dst packet.Node) link {
 			cfg := wifi.DefaultLinkConfig()
@@ -59,6 +72,12 @@ var linkModels = []struct {
 		booked: func(seen sim.Time, _ *packet.Packet) sim.Time { return seen },
 	},
 }
+
+// oneHandoff is the stretch behind a lazily served link whose every
+// packet goes to one place.
+type oneHandoff struct{ h netem.Handoff }
+
+func (o *oneHandoff) Handoff(*packet.Packet) *netem.Handoff { return &o.h }
 
 // TestLinkConformance drives every link model, over a droptail and over
 // an ABC router at an 8-packet limit, through one seeded script of bursty

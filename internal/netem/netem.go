@@ -242,12 +242,40 @@ func (l *TraceLink) opportunity() {
 
 // RateLink is a store-and-forward link with a constant bit rate, changed
 // in steps by SetRate; used for wired segments.
+//
+// A rate link serves its queue in one of two ways. The eventful way
+// schedules an event for each transmission's end, which delivers the
+// packet and starts the next one. A lazily served link (ServeLazily)
+// schedules none: since a transmission's end is known when it starts,
+// the link starts its transmissions in order, each at its own instant,
+// whenever something reaches it — an arrival, a handoff of its own, a
+// simulation-side reader (Advance) — and schedules only the packet's
+// arrival at the far end of the bare stretch behind it (Handoff).
 type RateLink struct {
 	hostPort
 	// Rate is the link's capacity in bits/sec.
 	Rate float64
 
+	// busy is set while a transmission is in progress or, on a lazy
+	// link, while one ended at free and the dequeue that follows it is
+	// still owed.
 	busy bool
+
+	// far, set by ServeLazily, resolves each packet's handoff; nil =
+	// the eventful way. line holds the link's handoffs, which fall due
+	// in the order of their transmissions, and late the arrivals past
+	// the simulator's horizon that a folding receiver cannot take
+	// ahead. free is the end of the last transmission started, and
+	// serving its bytes.
+	far        Stretch
+	line, late sim.Line
+	free       sim.Time
+	serving    int64
+	// lateN counts the arrivals pending on late: while one is, no
+	// packet folds, so a receiver takes its packets in order when a
+	// run continues past the horizon the late ones were scheduled
+	// under.
+	lateN int
 }
 
 // NewRateLink wires a link of rate bits/sec. Capacity-aware qdiscs
@@ -284,6 +312,10 @@ func ConstRate(bps float64) float64 { return bps }
 
 // Recv implements packet.Node.
 func (l *RateLink) Recv(p *packet.Packet) {
+	if l.far != nil {
+		l.lazyRecv(p)
+		return
+	}
 	if l.Admit(l.S.Now(), p) && !l.busy {
 		l.startNext()
 	}
@@ -318,8 +350,12 @@ func (l *RateLink) startNext() {
 		l.S.AfterArgs(sim.Millisecond, rateLinkFinish, l, p)
 		return
 	}
-	txTime := sim.FromSeconds(float64(p.Size*8) / rate)
-	l.S.AfterArgs(txTime, rateLinkFinish, l, p)
+	l.S.AfterArgs(txTime(p, rate), rateLinkFinish, l, p)
+}
+
+// txTime is p's serialisation time at rate bits/sec.
+func txTime(p *packet.Packet, rate float64) sim.Time {
+	return sim.FromSeconds(float64(p.Size*8) / rate)
 }
 
 // finish completes a transmission and hands the packet on.
@@ -327,3 +363,162 @@ func (l *RateLink) finish(p *packet.Packet) {
 	l.Deliver(p)
 	l.startNext()
 }
+
+// A Handoff is where a lazily served link's packet goes once it has
+// crossed the bare stretch of wire behind the link: delay after its
+// transmission ends, dst takes it. When dst is a flow's receiver behind
+// a tail wire that folds the ACK's return (Wire.FoldAcks), the receiver
+// takes the packet as its transmission starts, stamped with its arrival
+// instant, and the handoff's event is the ACK's return to the sender.
+type Handoff struct {
+	l     *RateLink
+	delay sim.Time
+	dst   packet.Node
+	fold  *Receiver
+}
+
+// A Stretch resolves the handoff of each packet a lazily served link
+// starts to transmit (ServeLazily).
+type Stretch interface {
+	Handoff(p *packet.Packet) *Handoff
+}
+
+// Handoff returns the handoff of the packets that reach dst d after
+// their transmission on l ends. A dst that is a Wire is the flow's
+// access tail: its delay adds to d, and the handoff goes to the wire's
+// far end, folding the ACK's return when the wire does.
+func (l *RateLink) Handoff(d sim.Time, dst packet.Node) Handoff {
+	if w, ok := dst.(*Wire); ok {
+		return Handoff{l: l, delay: d + w.Delay, dst: w.Dst, fold: w.fold}
+	}
+	return Handoff{l: l, delay: d, dst: dst}
+}
+
+// Delays reports how long after a transmission ends the packet reaches
+// the handoff's far end, and when the event the handoff schedules falls
+// due: the arrival, or the ACK's return to the sender when the handoff
+// folds.
+func (h *Handoff) Delays() (arrive, due sim.Time) {
+	if h.fold != nil {
+		return h.delay, h.delay + h.fold.ret.Delay
+	}
+	return h.delay, h.delay
+}
+
+// Folds reports whether the handoff folds the ACK's return.
+func (h *Handoff) Folds() bool { return h.fold != nil }
+
+// ServeLazily switches the idle link to lazy service: far resolves each
+// packet's handoff as its transmission starts. The handoffs far returns
+// must share their Delays, so that the link's handoffs fall due in the
+// order of their transmissions and each busy link keeps one heap entry;
+// the link's private lines panic on a handoff due before its
+// predecessor. The discipline must draw no randomness at dequeue, and
+// the link's rate must be positive, never set again and shared with no
+// fluid background: a lazy link dequeues at instants behind the clock.
+func (l *RateLink) ServeLazily(far Stretch) {
+	l.far, l.line, l.late = far, l.S.NewLine(), l.S.NewLine()
+}
+
+// Lazy reports whether the link serves its queue lazily.
+func (l *RateLink) Lazy() bool { return l.far != nil }
+
+// lazyHandoff and lazyReturn are the static handoff callbacks: the link
+// catches up to the clock, then the packet reaches the handoff's far
+// end, or the ACK the sender. lazyLate is the late line's: the receiver
+// takes the packet before the link catches up, so that a packet the
+// catching up folds is taken after it.
+func lazyHandoff(a, b any) {
+	h := a.(*Handoff)
+	h.l.Advance()
+	h.dst.Recv(b.(*packet.Packet))
+}
+
+func lazyReturn(a, b any) {
+	h := a.(*Handoff)
+	h.l.Advance()
+	h.fold.ret.Dst.Recv(b.(*packet.Packet))
+}
+
+func lazyLate(a, b any) {
+	h := a.(*Handoff)
+	h.dst.Recv(b.(*packet.Packet))
+	h.l.lateN--
+	h.l.Advance()
+}
+
+// lazyRecv is Recv on a lazy link. The transmissions due by now start
+// before p is offered: a departure and an arrival at one instant meet
+// the queue in that order. An idle link starts p's at once.
+func (l *RateLink) lazyRecv(p *packet.Packet) {
+	now := l.S.Now()
+	l.Advance()
+	if l.Admit(now, p) && !l.busy {
+		l.busy, l.free = true, now
+		l.Advance()
+	}
+}
+
+// Advance starts, in order and each at its own instant, every
+// transmission of a lazy link that starts at or before the clock: after
+// each transmission that ended by then, it makes the dequeue the
+// eventful way makes as that transmission ends. It draws no randomness.
+// A lazy link calls it on each arrival and each handoff; a
+// simulation-side reader of the link, its discipline or the receivers
+// behind it calls it first, and an out-of-band reader never does. It
+// does nothing on an eventful link.
+func (l *RateLink) Advance() {
+	if l.far == nil {
+		return
+	}
+	for now := l.S.Now(); l.busy && l.free <= now; {
+		st := l.free
+		p := l.Q.Dequeue(st)
+		if p == nil {
+			l.busy = false
+			return
+		}
+		l.Depart(st, p)
+		l.free = st + txTime(p, l.Rate)
+		l.hand(p)
+	}
+}
+
+// hand schedules p's handoff for the transmission ending at l.free and
+// counts p delivered. A folding receiver takes p now if its arrival
+// lies within the simulator's horizon, and only the ACK is scheduled;
+// an arrival past the horizon, and every one behind it while it is
+// pending, goes on the late line, since it can fall due before ACKs
+// already on the other.
+func (l *RateLink) hand(p *packet.Packet) {
+	l.count(p)
+	l.serving = int64(p.Size)
+	h := l.far.Handoff(p)
+	at := l.free + h.delay
+	switch {
+	case h.fold == nil:
+		l.line.AtArgs(at, lazyHandoff, h, p)
+	case at > l.S.Horizon() || l.lateN > 0:
+		l.lateN++
+		l.late.AtArgs(at, lazyLate, h, p)
+	default:
+		// A static graph's class delivers only the flow's own data to
+		// its receiver, so take always returns an ACK here.
+		ack := h.fold.take(p, at)
+		l.line.AtArgs(at+h.fold.ret.Delay, lazyReturn, h, ack)
+		p.Release()
+	}
+}
+
+// Serving reports the bytes of a lazy link's transmission in progress:
+// dequeued and handed on, not yet delivered. It is 0 on an eventful
+// link, whose transmission in progress is an event's argument.
+func (l *RateLink) Serving() int64 {
+	if l.far != nil && l.busy && l.free > l.S.Now() {
+		return l.serving
+	}
+	return 0
+}
+
+// DeliveredBytes reports the bytes whose transmission ended by now.
+func (l *RateLink) DeliveredBytes() int64 { return l.delivered - l.Serving() }

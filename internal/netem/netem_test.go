@@ -559,3 +559,58 @@ func TestWireFoldsAckReturn(t *testing.T) {
 		t.Error("a receiver whose ACKs do not return over a wire folds")
 	}
 }
+
+// oneStretch is the stretch behind a lazily served link whose every
+// packet goes to one place.
+type oneStretch struct{ h Handoff }
+
+func (o *oneStretch) Handoff(*packet.Packet) *Handoff { return &o.h }
+
+// TestLazyRateLinkFolds: a lazily served rate link in front of a wire
+// that folds the ACK's return stamps the same arrivals and returns the
+// same ACKs at the same instants as the eventful link, in a run made of
+// two pieces whose first horizon falls among the arrivals: the arrivals
+// past it are plain events on the link's late line. It costs one event
+// per packet, the ACK's or the late arrival's, and the transmissions
+// none.
+func TestLazyRateLinkFolds(t *testing.T) {
+	run := func(lazy bool) (stamps, acks []arrival, events uint64) {
+		s := sim.New(1)
+		back := NewWire(s, 10*sim.Millisecond, nil)
+		back.Dst = packet.NodeFunc(func(a *packet.Packet) {
+			acks = append(acks, arrival{a.CumAck, s.Now()})
+			a.Release()
+		})
+		rcv := NewReceiver(s, 1, back)
+		rcv.OnData = func(now sim.Time, p *packet.Packet) { stamps = append(stamps, arrival{p.Seq, now}) }
+		w := NewWire(s, 20*sim.Millisecond, rcv)
+		w.FoldAcks()
+		l := NewRateLink(s, 12e6, qdisc.NewDropTail(100), w)
+		if lazy {
+			l.ServeLazily(&oneStretch{l.Handoff(0, w)})
+		}
+		for i := 0; i < 8; i++ {
+			seq, at := int64(i), sim.Time(0)
+			if i >= 6 {
+				at = 10 * sim.Millisecond
+			}
+			s.At(at, func() { l.Recv(packet.NewData(1, seq, packet.MTU, s.Now())) })
+		}
+		s.RunUntil(25 * sim.Millisecond)
+		s.Run()
+		if l.DeliveredBytes() != 8*packet.MTU || l.Serving() != 0 {
+			t.Errorf("lazy %v: delivered %d bytes, %d in service; want %d and 0", lazy, l.DeliveredBytes(), l.Serving(), 8*packet.MTU)
+		}
+		return stamps, acks, s.Executed()
+	}
+	stamps, acks, events := run(false)
+	lStamps, lAcks, lEvents := run(true)
+	checkArrivals(t, lStamps, stamps)
+	checkArrivals(t, lAcks, acks)
+	if len(stamps) != 8 || len(acks) != 8 {
+		t.Fatalf("%d arrivals and %d ACKs, want 8 and 8", len(stamps), len(acks))
+	}
+	if want := events - 8; lEvents != want {
+		t.Errorf("lazy link ran %d events, the eventful one %d: want %d", lEvents, events, want)
+	}
+}

@@ -70,9 +70,13 @@ func (pt *Port) Depart(now sim.Time, p *packet.Packet) {
 
 // Deliver counts a transmitted packet and hands it to Dst.
 func (pt *Port) Deliver(p *packet.Packet) {
-	pt.delivered += int64(p.Size)
+	pt.count(p)
 	pt.Dst.Recv(p)
 }
+
+// count counts a transmitted packet: Deliver's, or a lazy rate link's
+// as it hands the packet on itself (RateLink.hand).
+func (pt *Port) count(p *packet.Packet) { pt.delivered += int64(p.Size) }
 
 // hostPort is a Port whose link can host a fluid background aggregate:
 // the trace and rate models embed it and charge bg's share in their

@@ -16,8 +16,10 @@ package obs
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -277,10 +279,15 @@ func (r *Recorder) Snapshot() []Event {
 }
 
 // WriteJSONL writes the retained events as one JSON object per line,
-// oldest first, keyed by sim-time.
+// keyed by sim-time, in time order: sorted stably by time, so events of
+// one instant keep the order they were recorded in. A lazily served
+// link records a dequeue when it serves it, behind the clock
+// (netem.RateLink.Advance), so recording order is not time order.
 func (r *Recorder) WriteJSONL(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	for _, e := range r.Snapshot() {
+	evs := r.Snapshot()
+	slices.SortStableFunc(evs, func(a, b Event) int { return cmp.Compare(a.T, b.T) })
+	for _, e := range evs {
 		_, err := fmt.Fprintf(bw, `{"t":%d,"kind":%q,"src":%d,"flow":%d,"a":%d,"b":%d}`+"\n",
 			e.T, e.Kind.String(), e.Src, e.Flow, e.A, e.B)
 		if err != nil {

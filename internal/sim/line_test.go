@@ -538,3 +538,68 @@ func TestOrderMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestPrivateLine: a line from NewLine is no delay's line, runs its
+// events at the absolute times AtArgs gives them — the first of them
+// behind the clock of a delay line's reckoning — in appending order
+// with one heap entry, and refuses an event due before its tail.
+func TestPrivateLine(t *testing.T) {
+	s := New(1)
+	l := s.NewLine()
+	if s.Line(0) == l || s.Line(0).Is(s, -1) {
+		t.Fatal("a private line is some delay's line")
+	}
+	var got []Time
+	fire := func(any, any) { got = append(got, s.Now()) }
+	s.RunUntil(10 * Millisecond)
+	for _, at := range []Time{10, 12, 12, 30} {
+		l.AtArgs(at*Millisecond, fire, nil, nil)
+	}
+	if s.Pending() != 4 || len(s.heap) != 1 {
+		t.Fatalf("Pending() = %d with %d heap entries, want 4 and 1", s.Pending(), len(s.heap))
+	}
+	s.Run()
+	if want := []Time{10, 12, 12, 30}; len(got) != 4 || got[0] != want[0]*Millisecond || got[1] != want[1]*Millisecond || got[3] != want[3]*Millisecond {
+		t.Fatalf("fired at %v, want %v ms", got, want)
+	}
+	l.AtArgs(40*Millisecond, fire, nil, nil)
+	defer func() {
+		if recover() == nil {
+			t.Error("AtArgs before the line's tail did not panic")
+		}
+	}()
+	l.AtArgs(39*Millisecond, fire, nil, nil)
+}
+
+// TestReverseTies: with ties reversed, of the ordinary events due at one
+// instant the one scheduled last runs first, and a line still runs its
+// own in appending order; the default comes back when the test restores
+// it.
+func TestReverseTies(t *testing.T) {
+	order := func() string {
+		s := New(1)
+		var got []byte
+		note := func(a, _ any) { got = append(got, a.(byte)) }
+		l := s.Line(Millisecond)
+		for _, c := range []byte("abc") {
+			s.AtArgs(Millisecond, note, c, nil)
+		}
+		for _, c := range []byte("xy") {
+			l.AfterArgs(note, c, nil)
+		}
+		s.Run()
+		return string(got)
+	}
+	if got := order(); got != "abcxy" {
+		t.Fatalf("default order %q, want abcxy", got)
+	}
+	prev := ReverseTies(true)
+	got := order()
+	ReverseTies(prev)
+	if got != "xycba" {
+		t.Errorf("reversed order %q, want xycba", got)
+	}
+	if got := order(); got != "abcxy" {
+		t.Errorf("order after restoring %q, want abcxy", got)
+	}
+}

@@ -37,7 +37,10 @@
 // them. Determinism is untouched: a line's event takes the next sequence
 // number when it is scheduled, exactly as an ordinary one would, and
 // (time, seq) remains the total order: each line is sorted by it, so its
-// head is its minimum and the heap root is the global minimum.
+// head is its minimum and the heap root is the global minimum. A source
+// whose events fall due in the order it schedules them, though not one
+// fixed delay ahead — a lazily served link's handoffs — keeps a private
+// line (NewLine) and appends at absolute times (Line.AtArgs).
 //
 // When the fired event has no line successor, step leaves the root
 // vacant instead of sifting the last key into it: the first key pushed
@@ -58,6 +61,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"sync/atomic"
 	"time"
 )
 
@@ -204,15 +208,25 @@ func (l Line) Is(s *Simulator, d Time) bool { return l.s == s && l.d == d }
 // and runs at the same point of the (time, insertion-order) order; there
 // is no Timer because an event on a line cannot be stopped. Only the
 // line's oldest pending event costs a heap entry.
-func (l Line) AfterArgs(fn ArgsFunc, a, b any) {
+func (l Line) AfterArgs(fn ArgsFunc, a, b any) { l.AtArgs(l.s.now+l.d, fn, a, b) }
+
+// AtArgs schedules fn(a, b) on the line at absolute time t, as AfterArgs
+// does at its delay. t must not come before the time of the line's
+// newest pending event: a line is a FIFO, and AtArgs panics rather than
+// run an event out of time order. A line of one delay meets that by
+// construction; a private line (NewLine) is for a source whose events
+// fall due in the order it schedules them.
+func (l Line) AtArgs(t Time, fn ArgsFunc, a, b any) {
 	s := l.s
-	t := s.now + l.d
 	i := s.newEvent(t, fn, a, b)
 	sl := &s.slots[i]
 	sl.at, sl.seq = t, s.seq
-	s.seq++
+	s.seq += s.seqStep
 	q := &s.lines[l.i]
 	if tail := &s.slots[q.tail]; tail.gen == q.gen {
+		if t < tail.at {
+			panic(fmt.Sprintf("sim: line event at %v before the line's tail at %v", t, tail.at))
+		}
 		tail.next = i
 		s.waiting++
 	} else { // the line is empty: the event heads it anew
@@ -225,6 +239,9 @@ func (l Line) AfterArgs(fn ArgsFunc, a, b any) {
 type Simulator struct {
 	now Time
 	seq uint64
+	// seqStep is what each scheduled event adds to seq: 1, or -1 (as an
+	// unsigned wrap) when the simulator reverses ties (ReverseTies).
+	seqStep uint64
 	// heap orders the keys of every pending event except those waiting
 	// behind a line's head. While vacant is set, heap[0] is the key of
 	// the event that just fired, not a pending one: the next push takes
@@ -263,9 +280,41 @@ type Simulator struct {
 // All randomness used by simulated components must come from Rand() so that
 // runs are reproducible.
 func New(seed int64) *Simulator {
-	s := &Simulator{rng: rand.New(rand.NewSource(seed)), seed: seed}
+	s := &Simulator{rng: rand.New(rand.NewSource(seed)), seed: seed, seqStep: 1}
+	if reverseTies.Load() {
+		s.seq, s.seqStep = ^uint64(0), ^uint64(0)
+	}
 	s.lines = s.lineBuf[:0]
 	return s
+}
+
+// reverseTies is ReverseTies' setting.
+var reverseTies atomic.Bool
+
+// ReverseTies sets which of two events due at one instant the
+// simulators New returns from now on run first: the one scheduled first
+// (false, the default) or the one scheduled last (true): sequence
+// numbers then count down. A delay line keeps its FIFO either way, since
+// only its oldest event is in the heap. It reports the previous setting.
+//
+// Only tests set it, with nothing else running: the order of events at
+// one instant is a convention of the simulator, not of the model, and a
+// result that moves with it rests on that convention
+// (exp.TestTieOrderRelation). No run option or scenario key reaches it.
+func ReverseTies(on bool) bool { return reverseTies.Swap(on) }
+
+// NewLine returns a line that no other caller shares: its events run in
+// the order AtArgs appends them, at the times given. A source whose
+// events fall due in nondecreasing time order — a lazily served link's
+// handoffs — keeps one such line, and costs the heap one entry while it
+// has an event pending. Line(d) never returns it, and AfterArgs on it
+// panics.
+func (s *Simulator) NewLine() Line {
+	if len(s.lines) == cap(s.lines) {
+		s.lines = append(make([]line, 0, 8*cap(s.lines)), s.lines...)
+	}
+	s.lines = append(s.lines, line{d: -1})
+	return Line{s: s, d: -1, i: int32(len(s.lines) - 1)}
 }
 
 // Line returns the handle of the simulator's delay line for d: every
@@ -280,11 +329,9 @@ func (s *Simulator) Line(d Time) Line {
 			return Line{s: s, d: d, i: int32(i)}
 		}
 	}
-	if len(s.lines) == cap(s.lines) {
-		s.lines = append(make([]line, 0, 8*cap(s.lines)), s.lines...)
-	}
-	s.lines = append(s.lines, line{d: d})
-	return Line{s: s, d: d, i: int32(len(s.lines) - 1)}
+	l := s.NewLine()
+	s.lines[l.i].d, l.d = d, d
+	return l
 }
 
 // initialSlots is the slab's first capacity. The slab holds every
@@ -474,7 +521,7 @@ func (s *Simulator) freeSlot(i int32) {
 func (s *Simulator) schedule(t Time, fn ArgsFunc, a, b any) Timer {
 	sl := s.newEvent(t, fn, a, b)
 	s.heapPush(key{at: t, seq: s.seq, slot: sl})
-	s.seq++
+	s.seq += s.seqStep
 	return Timer{s: s, slot: sl, gen: s.slots[sl].gen}
 }
 

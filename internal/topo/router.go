@@ -18,6 +18,7 @@ package topo
 
 import (
 	"fmt"
+	"slices"
 
 	"abc/internal/obs"
 	"abc/internal/sim"
@@ -138,16 +139,13 @@ func (r *Router) reroute(flow int, ack bool, edges []int, drain sim.Time) error 
 // dropped at the first off-route junction. Nodes shared with the new
 // route need no override — the class entry already forwards toward the
 // receiver. The route's origin is on both routes by construction, so new
-// packets are never diverted.
+// packets are never diverted. A route is a handful of edges, so a node
+// is looked up on the new route by scanning it, which allocates nothing
+// (as CheckPath does).
 func installOverrides(g *Graph, key hopKey, rt *routeState, old []int) {
-	onNew := make(map[*Node]bool, len(rt.edges)+1)
-	onNew[g.edges[rt.edges[0]].From] = true
-	for _, eid := range rt.edges {
-		onNew[g.edges[eid].To] = true
-	}
 	for i, eid := range old {
 		n := g.edges[eid].To
-		if onNew[n] {
+		if slices.ContainsFunc(rt.edges, func(e int) bool { return g.edges[e].To == n }) {
 			continue
 		}
 		h := hop{edge: deliver} // end of the old route: the flow's own tail

@@ -238,3 +238,44 @@ func TestDataAndAckRoutesShareJunction(t *testing.T) {
 		t.Fatalf("unrouted drops = %d", d)
 	}
 }
+
+// TestInstallOverridesAllocs: the make-before-break overrides find the
+// old route's junctions that are off the new route by scanning the new
+// route, so what installing them allocates is the overrides alone,
+// whatever the new route's length: a 12-edge new route costs no more
+// than a 2-edge one with the same junctions off it.
+func TestInstallOverridesAllocs(t *testing.T) {
+	g := New(sim.New(1))
+	o, d := g.AddNode("o"), g.AddNode("d")
+	path := func(name string, hops int) []int {
+		var edges []int
+		from := o
+		for i := 1; i <= hops; i++ {
+			to := d
+			if i < hops {
+				to = g.AddNode(fmt.Sprintf("%s%d", name, i))
+			}
+			id, err := g.AddEdge(fmt.Sprintf("%s%d-%d", name, i-1, i), from, to, 0, Impairments{}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			edges, from = append(edges, id), to
+		}
+		return edges
+	}
+	old, long, short := path("a", 12), path("b", 12), path("c", 2)
+	key := keyOf(1, false)
+	allocs := func(edges []int) float64 {
+		rt := routeState{edges: edges}
+		return testing.AllocsPerRun(50, func() {
+			installOverrides(g, key, &rt, old)
+			if len(rt.overNodes) != len(old)-1 {
+				t.Fatalf("%d overrides installed, want %d", len(rt.overNodes), len(old)-1)
+			}
+			clearOverrides(key, &rt)
+		})
+	}
+	if l, s := allocs(long), allocs(short); l != s {
+		t.Errorf("installing overrides off a %d-edge new route allocates %v times, off a %d-edge one %v", len(long), l, len(short), s)
+	}
+}
