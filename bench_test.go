@@ -733,16 +733,17 @@ func BenchmarkHybridBackground(b *testing.B) {
 // BenchmarkWorkloadChurn measures the dynamic-flow machinery: one run of
 // an open-loop workload churning ~160 short flows through a rate link
 // (spawn → route → transfer → complete → tear down, the flow unrouted
-// with its last packet and its endpoint, receiver, source, algorithm,
-// callbacks and tail wires recycled for a later arrival), once per
-// scheme family: Cubic (a window), ABC (two windows and the marks) and
-// BBR (paced, with a filter whose array survives Reset). The committed
-// allocs/op ceilings in bench_thresholds.txt keep flow spawning off the
-// alloc fast path: a flow allocates nothing past the run's fixed cost
-// once the live set has stopped growing, so a regression here means
-// per-flow wiring or per-packet allocation crept back in. Recycling
-// moved Cubic from ≈ 2066 to ≈ 375 allocs/op, and resetting the
-// algorithm in place to ≈ 215 (-benchtime 3x).
+// with its last packet and its route slot, endpoint, receiver, source,
+// algorithm, callbacks and tail wires recycled for a later arrival),
+// once per scheme family: Cubic (a window), ABC (two windows and the
+// marks) and BBR (paced, with a filter whose array survives Reset). The
+// committed allocs/op ceilings in bench_thresholds.txt keep flow
+// spawning off the alloc fast path: a flow allocates nothing past the
+// run's fixed cost once the live set has stopped growing, so a
+// regression here means per-flow wiring or per-packet allocation crept
+// back in. Recycling moved Cubic from ≈ 2066 to ≈ 375 allocs/op,
+// resetting the algorithm in place to ≈ 206, and route slots in place
+// of the graph's tables keyed by flow id to ≈ 192 (-benchtime 3x).
 func BenchmarkWorkloadChurn(b *testing.B) {
 	for _, scheme := range []string{"Cubic", "ABC", "BBR"} {
 		b.Run("scheme="+scheme, func(b *testing.B) {

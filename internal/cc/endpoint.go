@@ -624,9 +624,6 @@ func (e *Endpoint) sendOne() {
 	}
 	p := e.Tally.NewData(e.Flow, seq, pktSize, now)
 	p.Retx = retx
-	if e.Src != nil {
-		p.AppLimited = true
-	}
 	if st, ok := e.Alg.(DataStamper); ok {
 		st.StampData(now, e, p)
 	}

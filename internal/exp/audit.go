@@ -83,7 +83,10 @@ func (c *compiled) ledger() packet.Books {
 //   - per edge: the bytes its discipline dequeued and its link has not
 //     delivered are the bytes in the link's service;
 //   - per endpoint: a stopped one has no event pending, which is what
-//     lets a spawned flow's endpoint carry the next flow.
+//     lets a spawned flow's endpoint carry the next flow;
+//   - the graph's route slots: the flows holding one are exactly the
+//     declared flows and the workloads' live ones, so a drained flow
+//     left nothing routed.
 func (c *compiled) audit() error {
 	if err := c.balance(); err != nil {
 		return fmt.Errorf("exp: packet books do not balance: %v", err)
@@ -98,6 +101,7 @@ func (c *compiled) balance() error {
 			return err
 		}
 	}
+	routed := len(c.flows)
 	for _, r := range c.workloads {
 		if err := r.drained.check(fmt.Sprintf("workload %s, drained flows", r.wr.Class)); err != nil {
 			return err
@@ -109,7 +113,19 @@ func (c *compiled) balance() error {
 			if err := a.check(fmt.Sprintf("workload %s, flow %d", r.wr.Class, s.id)); err != nil {
 				return err
 			}
+			if _, ok := c.g.RouteOf(s.id, false); !ok {
+				return fmt.Errorf("workload %s, flow %d: live but not routed", r.wr.Class, s.id)
+			}
 		}
+		routed += len(live)
+	}
+	for i := range c.flows {
+		if _, ok := c.g.RouteOf(i, false); !ok {
+			return fmt.Errorf("flow %d: not routed", i)
+		}
+	}
+	if held, _ := c.g.Slots(); held != routed {
+		return fmt.Errorf("%d route slots held, but %d flows are declared or live", held, routed)
 	}
 
 	l := c.res.Ledger

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"abc/internal/app"
 	"abc/internal/netem"
 	"abc/internal/packet"
 	"abc/internal/qdisc"
@@ -41,16 +42,17 @@ func (u *unhanded) Dequeue(now sim.Time) *packet.Packet {
 	return p
 }
 
-// TestAuditCatchesMutations seeds five bookkeeping bugs into a compiled
+// TestAuditCatchesMutations seeds six bookkeeping bugs into a compiled
 // run, each through the graph it built, and requires Run to fail with the
 // identity each one breaks: a swallowed packet leaves the books holding a
 // packet the network does not; a refused packet dropped a second time,
 // and a refusal booked as an impairment loss, leave the refusals on the
 // books disagreeing with the discipline's; an event left pending for a
 // stopped endpoint is one a recycled endpoint would run for its next
-// flow; and a packet that a lazily served link dequeues and releases
+// flow; a packet that a lazily served link dequeues and releases
 // unhanded leaves one more packet ended delivered than its receiver
-// took in.
+// took in; and a spawned flow whose drain frees its bundle without
+// unrouting the flow leaves a route slot held by no live flow.
 func TestAuditCatchesMutations(t *testing.T) {
 	spec := Spec{
 		Seed:     1,
@@ -118,35 +120,54 @@ func TestAuditCatchesMutations(t *testing.T) {
 			l.Q = &unhanded{l.Q, 100}
 		}, "data packets ended delivered, the receiver took in"},
 	}
-	for _, tc := range lazy {
-		c, err := compile(mesh, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !link(c).Lazy() {
-			t.Fatalf("%s: the mesh's rate link is not served lazily", tc.name)
-		}
-		tc.mutate(c)
-		_, _, err = c.run(nil)
-		switch {
-		case tc.want == "" && err != nil:
-			t.Errorf("%s: %v", tc.name, err)
-		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
-			t.Errorf("%s: Run returned %v, want an error naming %q", tc.name, err, tc.want)
-		}
+	// The flow beside a workload of short flows.
+	churn := spec
+	churn.Workloads = []WorkloadSpec{{Scheme: "Cubic", Arrival: app.Poisson{PerSec: 50}, Sizes: app.FixedSize{Bytes: 20 << 10}}}
+	spawning := []struct {
+		name   string
+		mutate func(c *compiled)
+		want   string
+	}{
+		{"clean churn", func(*compiled) {}, ""},
+		{"drain keeps its route", func(c *compiled) {
+			// From one second on, the bundles live then retire as they
+			// drain, without UnrouteFlow, and so do the flows they carry
+			// later.
+			c.g.S.At(sim.Second, func() {
+				for _, b := range c.workloads[0].live {
+					b.drain = b.retire
+				}
+			})
+		}, "route slots held, but"},
 	}
-	for _, tc := range cases {
+	check := func(spec Spec, name string, mutate func(c *compiled), want string) *compiled {
 		c, err := compile(spec, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tc.mutate(c)
+		mutate(c)
 		_, _, err = c.run(nil)
 		switch {
-		case tc.want == "" && err != nil:
-			t.Errorf("%s: %v", tc.name, err)
-		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
-			t.Errorf("%s: Run returned %v, want an error naming %q", tc.name, err, tc.want)
+		case want == "" && err != nil:
+			t.Errorf("%s: %v", name, err)
+		case want != "" && (err == nil || !strings.Contains(err.Error(), want)):
+			t.Errorf("%s: Run returned %v, want an error naming %q", name, err, want)
+		}
+		return c
+	}
+	for _, tc := range lazy {
+		c := check(mesh, tc.name, tc.mutate, tc.want)
+		if !link(c).Lazy() {
+			t.Errorf("%s: the mesh's rate link is not served lazily", tc.name)
+		}
+	}
+	for _, tc := range cases {
+		check(spec, tc.name, tc.mutate, tc.want)
+	}
+	for _, tc := range spawning {
+		c := check(churn, tc.name, tc.mutate, tc.want)
+		if c.res.Workloads[0].Completed == 0 {
+			t.Errorf("%s: no spawned flow completed", tc.name)
 		}
 	}
 }

@@ -52,11 +52,10 @@ type WorkloadSpec struct {
 	// the *live* simulation load under overload (endpoints sending,
 	// retransmission timers, queue occupancy) where an open-loop process
 	// outpaces the link indefinitely. A completed flow is unrouted with
-	// its last packet and leaves only a class and a tail slot per
-	// direction on the graph (≈ 40 B); its endpoint, receiver, source,
-	// algorithm, callbacks and tail wires are reused by later arrivals
-	// (spawned), so footprint follows the most flows active at once, not
-	// Spawned.
+	// its last packet and leaves nothing on the graph; its route slot,
+	// endpoint, receiver, source, algorithm, callbacks and tail wires
+	// are reused by later arrivals (spawned), so footprint follows the
+	// most flows active at once, not Spawned.
 	MaxActive int `spec:"max_active"`
 	// RefMbps, when > 0, additionally reports each FCT as a slowdown
 	// against an ideal same-size transfer at this rate plus one RTT.
@@ -150,7 +149,7 @@ type workloadRunner struct {
 	active int
 	err    error
 	// live holds the bundles of the spawned flows whose packets have not
-	// all ended, in no order: each bundle knows its slot, and a drained
+	// all ended, in no order: each bundle knows its place, and a drained
 	// flow leaves by swapping the last bundle into it. Its account is
 	// folded into drained and its bundle goes on free for the next
 	// arrival, so what the runner keeps of finished flows is one account
@@ -259,9 +258,9 @@ type spawned struct {
 	alg      cc.Algorithm
 	complete func(sim.Time)
 	drain    func()
-	// slot is the bundle's index in its runner's live list while its
+	// pos is the bundle's index in its runner's live list while its
 	// flow is live.
-	slot int
+	pos int
 	// The flow it carries: its id, arrival time, size and RTT.
 	id      int
 	arrived sim.Time
@@ -323,7 +322,7 @@ func (r *workloadRunner) spawn(now sim.Time) {
 	b.src = cc.Fixed{Remaining: size}
 	b.ep.Src = &b.src
 	b.ep.OnComplete = b.complete
-	b.slot = len(r.live)
+	b.pos = len(r.live)
 	r.live = append(r.live, b)
 	r.active++
 	r.wr.Spawned++
@@ -376,23 +375,29 @@ func (b *spawned) onComplete(done sim.Time) {
 }
 
 // onDrain runs with the end of the flow's last packet: the flow is
-// unrouted, its books are folded into the workload's, and the bundle
-// goes on the free list. It is reusable now: its endpoint is stopped,
-// none of its packets is live, and no event of its own is pending (Stop
-// cancelled them, and the receiver schedules none).
+// unrouted, and the bundle retires.
 func (b *spawned) onDrain() {
+	if err := b.r.g.UnrouteFlow(b.id); err != nil {
+		// Still routed to the bundle's endpoint and receiver: not reused.
+		b.r.fail(err)
+		return
+	}
+	b.retire()
+}
+
+// retire folds the drained flow's books into the workload's and moves
+// the bundle from the live list to the free list. It is reusable now:
+// its endpoint is stopped, none of its packets is live, no event of its
+// own is pending (Stop cancelled them, and the receiver schedules none),
+// and its flow is unrouted.
+func (b *spawned) retire() {
 	r := b.r
 	r.drained.add(b.ends().account())
 	last := r.live[len(r.live)-1]
-	last.slot = b.slot
-	r.live[b.slot] = last
+	last.pos = b.pos
+	r.live[b.pos] = last
 	r.live[len(r.live)-1] = nil
 	r.live = r.live[:len(r.live)-1]
-	if err := r.g.UnrouteFlow(b.id); err != nil {
-		// Still routed to the bundle's endpoint and receiver: not reused.
-		r.fail(err)
-		return
-	}
 	r.free = append(r.free, b)
 }
 

@@ -75,9 +75,9 @@ func (e ECN) ECNCapable() bool { return e == Accel || e == Brake }
 //
 // The layout is part of the design: the fields are ordered so the struct
 // is exactly two cache lines (128 bytes, pinned by TestPacketLayout), and
-// the ones every hop reads or writes — Flow, Size, IsAck, ECN, the tally
-// its end is booked on, and the timestamps the queues touch — are in the
-// first. At 128 bytes Go's allocator places every packet at a line
+// the ones every hop reads or writes — Flow, Size, IsAck, ECN, Slot, the
+// tally its end is booked on, and the timestamps the queues touch — are
+// in the first. At 128 bytes Go's allocator places every packet at a line
 // boundary, so those fields share one line.
 type Packet struct {
 	// Flow identifies the flow this packet belongs to.
@@ -113,9 +113,11 @@ type Packet struct {
 	// ABCFlow tags packets of ABC flows so dual-queue routers (§5.2) can
 	// classify them, modelling the IPv6 flow-label convention.
 	ABCFlow bool
-	// AppLimited marks packets from application-limited flows (used only
-	// for reporting).
-	AppLimited bool
+	// Slot is the route slot of the packet's flow, stamped where the
+	// packet enters its route (topo.Graph.RouteFlow's entry): the graph's
+	// junctions read the flow's forwarding state from that slot, after
+	// checking that the slot still belongs to Flow.
+	Slot int32
 
 	// SentAt is when the (data) packet left the sender.
 	SentAt sim.Time
@@ -444,7 +446,6 @@ func NewAck(p *Packet, cumAck int64, now sim.Time) *Packet {
 	a.AckSentAt = p.SentAt
 	a.AckQueueDelay = p.QueueDelay
 	a.ABCFlow = p.ABCFlow
-	a.AppLimited = p.AppLimited
 	switch p.ECN {
 	case Accel:
 		a.EchoValid = true

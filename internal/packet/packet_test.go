@@ -279,6 +279,7 @@ func TestPacketLayout(t *testing.T) {
 	}{
 		{"Flow", unsafe.Offsetof(Packet{}.Flow)}, {"Size", unsafe.Offsetof(Packet{}.Size)},
 		{"IsAck", unsafe.Offsetof(Packet{}.IsAck)}, {"ECN", unsafe.Offsetof(Packet{}.ECN)},
+		{"Slot", unsafe.Offsetof(Packet{}.Slot)},
 		{"SentAt", unsafe.Offsetof(Packet{}.SentAt)},
 		{"QueueDelay", unsafe.Offsetof(Packet{}.QueueDelay)}, {"tally", unsafe.Offsetof(Packet{}.tally)},
 	}

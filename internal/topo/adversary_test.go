@@ -64,7 +64,7 @@ func TestTargetedDropHitsOnlyVictim(t *testing.T) {
 	var tl packet.Tally
 	s, g, e, got := attackEdge(t, 1, sim.Millisecond, 1, 2)
 	e.SetAttack(&Attack{Target: Target{Flows: []int{1}}, DropRate: 1})
-	entry := g.Node(e.From.ID)
+	entry := at(g, e.From.ID)
 	for i := 0; i < 50; i++ {
 		entry.Recv(tl.NewData(1, int64(i), packet.MTU, 0))
 		entry.Recv(tl.NewData(2, int64(i), packet.MTU, 0))
@@ -88,7 +88,7 @@ func TestAttackWindow(t *testing.T) {
 		Target:   Target{Flows: []int{1}, From: 10 * sim.Millisecond, To: 20 * sim.Millisecond},
 		DropRate: 1,
 	})
-	entry := g.Node(e.From.ID)
+	entry := at(g, e.From.ID)
 	for i := 0; i < 30; i++ {
 		seq := int64(i)
 		s.At(sim.Time(i)*sim.Millisecond, func() {
@@ -126,7 +126,7 @@ func TestAttackDirection(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.SetAttack(&Attack{Target: Target{Flows: []int{1}, Dir: TargetAck}, DropRate: 1})
-	entry := g.Node(a)
+	entry := at(g, a)
 	for i := 0; i < 10; i++ {
 		entry.Recv(packet.NewData(1, int64(i), packet.MTU, 0))
 		d := packet.NewData(1, int64(i), packet.MTU, 0)
@@ -160,7 +160,7 @@ func TestStripMarksDemotesAccel(t *testing.T) {
 	if _, err := g.RouteFlow(1, false, []int{id}, 0, sink); err != nil {
 		t.Fatal(err)
 	}
-	entry := g.Node(a)
+	entry := at(g, a)
 	for _, ecn := range []packet.ECN{packet.Accel, packet.Brake, packet.Accel} {
 		p := packet.NewData(1, 0, packet.MTU, 0)
 		p.ECN = ecn
@@ -183,13 +183,13 @@ func TestStripMarksDemotesAccel(t *testing.T) {
 func TestExtraDelayReorders(t *testing.T) {
 	s, g, e, got := attackEdge(t, 1, 0, 1, 2)
 	e.SetAttack(&Attack{Target: Target{Flows: []int{1}}, ExtraDelay: 5 * sim.Millisecond})
-	entry := g.Node(e.From.ID)
+	entry := at(g, e.From.ID)
 	var order []int
 	for f := 1; f <= 2; f++ {
 		f := f
 		sink := packet.NodeFunc(func(p *packet.Packet) { order = append(order, f); p.Release() })
 		// Rebind delivery tails to record global arrival order.
-		g.setFlowTail(f, false, sink)
+		flowSlot(g, f).tail[0] = sink
 	}
 	entry.Recv(packet.NewData(1, 0, packet.MTU, 0)) // victim, deferred 5ms
 	entry.Recv(packet.NewData(2, 0, packet.MTU, 0)) // bystander, immediate
@@ -209,7 +209,7 @@ func TestSetAttackRetune(t *testing.T) {
 	var tl packet.Tally
 	s, g, e, got := attackEdge(t, 1, 0, 1, 2)
 	e.SetAttack(&Attack{Target: Target{Flows: []int{1}}, DropRate: 1})
-	entry := g.Node(e.From.ID)
+	entry := at(g, e.From.ID)
 	inject := func(n int) {
 		for i := 0; i < n; i++ {
 			entry.Recv(tl.NewData(1, 0, packet.MTU, 0))

@@ -239,8 +239,8 @@ func (a *AutoRouter) SetDrain(d sim.Time) { a.drain = d }
 // installed route.
 func (a *AutoRouter) Manage(flow int, ack bool) error {
 	g := a.g
-	rt, ok := g.routes[keyOf(flow, ack)]
-	if !ok {
+	_, rt := g.routeOf(flow, ack)
+	if rt == nil {
 		return fmt.Errorf("topo: autoroute: flow %d has no %s route", flow, dirName(ack))
 	}
 	if rt.origin < 0 {

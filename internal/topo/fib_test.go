@@ -39,10 +39,10 @@ func TestFIBClassSharing(t *testing.T) {
 	if _, err := g.RouteFlow(3, false, []int{e3, e4}, 0, sink3); err != nil {
 		t.Fatal(err)
 	}
-	if c1, c2 := g.classOf[0][1], g.classOf[0][2]; c1 != c2 {
+	if c1, c2 := flowSlot(g, 1).class[0], flowSlot(g, 2).class[0]; c1 != c2 {
 		t.Fatalf("flows 1 and 2 share a route but classes differ: %d vs %d", c1, c2)
 	}
-	if c1, c3 := g.classOf[0][1], g.classOf[0][3]; c1 == c3 {
+	if c1, c3 := flowSlot(g, 1).class[0], flowSlot(g, 3).class[0]; c1 == c3 {
 		t.Fatalf("flows 1 and 3 use different routes but share class %d", c1)
 	}
 	// Junction b forwards for both shared-route flows off one entry.
@@ -53,7 +53,7 @@ func TestFIBClassSharing(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		seq := int64(i)
 		s.At(sim.Time(i)*sim.Millisecond, func() {
-			g.Node(0).Recv(packet.NewData(2, seq, packet.MTU, s.Now()))
+			at(g, 0).Recv(packet.NewData(2, seq, packet.MTU, s.Now()))
 		})
 	}
 	s.RunUntil(sim.Second)
@@ -70,7 +70,7 @@ func TestFIBClassRecycling(t *testing.T) {
 	if _, err := g.RouteFlow(1, false, []int{e1, e2}, 0, &packet.Sink{}); err != nil {
 		t.Fatal(err)
 	}
-	old := g.classOf[0][1]
+	old := flowSlot(g, 1).class[0]
 	if err := g.Router().Reroute(1, false, []int{e3, e4}); err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestFIBClassRecycling(t *testing.T) {
 	}
 	// The freed id is immediately recycled by the new route's class:
 	// a steady flap never grows the class registry.
-	if got := g.classOf[0][1]; got != old {
+	if got := flowSlot(g, 1).class[0]; got != old {
 		t.Fatalf("rerouted flow got class %d, want recycled id %d", got, old)
 	}
 	if len(g.classes) != 1 || len(g.freeClasses) != 0 {
@@ -90,14 +90,14 @@ func TestFIBClassRecycling(t *testing.T) {
 	if _, err := g.RouteFlow(2, false, []int{e1, e2}, 0, &packet.Sink{}); err != nil {
 		t.Fatal(err)
 	}
-	second := g.classOf[0][2]
+	second := flowSlot(g, 2).class[0]
 	if second == old {
 		t.Fatalf("distinct route shares class %d", old)
 	}
 	if err := g.Router().Reroute(2, false, []int{e3, e4}); err != nil {
 		t.Fatal(err)
 	}
-	if got := g.classOf[0][2]; got != old {
+	if got := flowSlot(g, 2).class[0]; got != old {
 		t.Fatalf("flow 2 after reroute got class %d, want shared class %d", got, old)
 	}
 	if g.classes[old].refs != 2 {
@@ -118,22 +118,23 @@ func TestUnrouteFlowInvertsRouteFlow(t *testing.T) {
 	s := sim.New(1)
 	g, e1, e2, e3, e4 := twoPathGraph(t, s)
 	sink1, sink2 := &packet.Sink{}, &packet.Sink{}
-	entry, err := g.RouteFlow(1, false, []int{e1, e2}, 5*sim.Millisecond, sink1)
+	if _, err := g.RouteFlow(1, false, []int{e1, e2}, 5*sim.Millisecond, sink1); err != nil {
+		t.Fatal(err)
+	}
+	entry, err := g.RouteFlow(2, false, []int{e1, e2}, 0, sink2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.RouteFlow(2, false, []int{e1, e2}, 0, sink2); err != nil {
-		t.Fatal(err)
-	}
-	shared := g.classOf[0][1]
+	shared := flowSlot(g, 1).class[0]
 	if err := g.UnrouteFlow(1); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := g.RouteOf(1, false); ok {
 		t.Error("RouteOf(1) still reports a route")
 	}
-	if g.classOf[0][1] != -1 || g.tails[0][1] != nil {
-		t.Errorf("flow 1 slots = class %d, tail %v; want -1, nil", g.classOf[0][1], g.tails[0][1])
+	if held, table := g.Slots(); held != 1 || table != 2 || g.slots[0].flow != -1 || g.slots[0].tail[0] != nil {
+		t.Errorf("%d of %d slots held, flow 1's left to flow %d with tail %v; want 1 of 2, -1 and nil",
+			held, table, g.slots[0].flow, g.slots[0].tail[0])
 	}
 	if n := entries(g.Node(1)); n != 1 || g.classes[shared].refs != 1 {
 		t.Fatalf("node b has %d entries, shared class refs %d; want 1, 1", n, g.classes[shared].refs)
@@ -152,13 +153,13 @@ func TestUnrouteFlowInvertsRouteFlow(t *testing.T) {
 			t.Errorf("node %d keeps %d table entries with no flow routed", id, n)
 		}
 	}
-	if len(g.routes) != 0 || len(g.classByRoute) != 0 {
-		t.Errorf("registry keeps %d routes, %d class keys", len(g.routes), len(g.classByRoute))
+	if held, _ := g.Slots(); held != 0 || len(g.classByRoute) != 0 {
+		t.Errorf("registry keeps %d route slots, %d class keys", held, len(g.classByRoute))
 	}
 	if _, err := g.RouteFlow(3, false, []int{e3, e4}, 0, &packet.Sink{}); err != nil {
 		t.Fatal(err)
 	}
-	if got := g.classOf[0][3]; got != shared || len(g.classes) != 1 {
+	if got := flowSlot(g, 3).class[0]; got != shared || len(g.classes) != 1 {
 		t.Errorf("new route got class %d of %d, want recycled id %d of 1", got, len(g.classes), shared)
 	}
 	// A straggler of an unrouted flow is dropped and counted at the first
@@ -169,6 +170,56 @@ func TestUnrouteFlowInvertsRouteFlow(t *testing.T) {
 	}
 	if err := g.UnrouteFlow(1); err == nil {
 		t.Error("unrouting a flow twice succeeded")
+	}
+}
+
+// TestStalePacketMissesSlotHeir: a packet of an unrouted flow still
+// carries the flow's route slot, which the next flow routed takes over.
+// Such a packet is an unrouted drop wherever the graph resolves it — at
+// a junction, and at the end of a wire run to the terminal it was on when
+// its flow left — and the slot's new flow never sees it.
+func TestStalePacketMissesSlotHeir(t *testing.T) {
+	for _, static := range []bool{false, true} {
+		var tlA, tlB packet.Tally
+		s := sim.New(1)
+		g := New(s)
+		a, b, c := g.AddNode("a"), g.AddNode("b"), g.AddNode("c")
+		path := []int{wire(t, g, a, b, sim.Millisecond), wire(t, g, b, c, sim.Millisecond)}
+		if static {
+			g.SetStatic()
+		}
+		sinkA, sinkB := &packet.Sink{}, &packet.Sink{}
+		entryA := route(t, g, 1, path, 0, sinkA)
+		// On the static graph, A's packet is on the wire run when A leaves.
+		var onRun *packet.Packet
+		if static {
+			if runOf(g, a, 1) == nil {
+				t.Fatal("no wire run from a on the static graph")
+			}
+			onRun = tlA.NewData(1, 0, packet.MTU, 0)
+			entryA.Recv(onRun)
+		}
+		slotA, _ := g.findSlot(1)
+		if err := g.UnrouteFlow(1); err != nil {
+			t.Fatal(err)
+		}
+		entryB := route(t, g, 2, path, 0, sinkB)
+		if slotB, _ := g.findSlot(2); slotB != slotA {
+			t.Fatalf("flow 2 took slot %d, want flow 1's %d", slotB, slotA)
+		}
+		stale := tlA.NewData(1, 1, packet.MTU, 0)
+		stale.Slot = slotA
+		g.Node(a).Recv(stale)
+		entryB.Recv(tlB.NewData(2, 0, packet.MTU, 0))
+		s.Run()
+		want := int64(1)
+		if static {
+			want = 2
+		}
+		if d := ended(&tlA, packet.Unrouted); d != want || sinkA.Count != 0 || sinkB.Count != 1 || sinkB.Last.Flow != 2 {
+			t.Errorf("static %v: %d of flow 1's packets unrouted, %d delivered to it; flow 2's terminal took %d; want %d, 0, 1 of flow 2's own",
+				static, d, sinkA.Count, sinkB.Count, want)
+		}
 	}
 }
 
@@ -187,7 +238,7 @@ func TestUnrouteFlowRecyclesTailWires(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	routed := g.tails[0][1]
+	routed := flowSlot(g, 1).tail[0]
 	if err := g.UnrouteFlow(1); err != nil {
 		t.Fatal(err)
 	}
@@ -199,9 +250,9 @@ func TestUnrouteFlowRecyclesTailWires(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, ok := g.tails[0][2].(*netem.Wire)
+	w, ok := flowSlot(g, 2).tail[0].(*netem.Wire)
 	if !ok || w != direct || len(g.spareWires) != 1 {
-		t.Fatalf("new tail %v with %d spare left, want the last wire unrouted (%p)", g.tails[0][2], len(g.spareWires), direct)
+		t.Fatalf("new tail %v with %d spare left, want the last wire unrouted (%p)", flowSlot(g, 2).tail[0], len(g.spareWires), direct)
 	}
 	if w.Delay != 7*sim.Millisecond || w.Dst != sink {
 		t.Errorf("recycled wire: delay %v to %v, want 7ms to the new sink", w.Delay, w.Dst)

@@ -43,9 +43,8 @@ func (g *Graph) Router() *Router { return &Router{g: g} }
 // the junctions' decisions change.
 func (r *Router) CheckReroute(flow int, ack bool, edges []int) error {
 	g := r.g
-	key := keyOf(flow, ack)
-	rt, ok := g.routes[key]
-	if !ok {
+	_, rt := g.routeOf(flow, ack)
+	if rt == nil {
 		return fmt.Errorf("topo: reroute: flow %d has no %s route", flow, dirName(ack))
 	}
 	if rt.origin < 0 {
@@ -97,37 +96,34 @@ func (r *Router) reroute(flow int, ack bool, edges []int, drain sim.Time) error 
 		return err
 	}
 	g := r.g
-	key := keyOf(flow, ack)
-	rt := g.routes[key]
+	key, dir := keyOf(flow, ack), dirIndex(ack)
+	s, rt := g.routeOf(flow, ack)
 	// A newer reroute supersedes any overrides still draining from the
 	// previous one; stragglers on that abandoned path fall back to the
 	// ordinary counted-drop contract.
-	clearOverrides(key, &rt)
+	clearOverrides(key, rt)
 	old := rt.edges
 	rt.edges = append([]int(nil), edges...)
 	if drain > 0 {
-		installOverrides(g, key, &rt, old)
+		installOverrides(g, key, rt, old)
 	}
-	g.detachClass(rt.class)
-	rt.class = g.attachClass(ack, rt.edges)
-	g.setFlowClass(flow, ack, rt.class)
-	g.routes[key] = rt
+	g.detachClass(s.class[dir])
+	s.class[dir] = g.attachClass(ack, rt.edges)
 	if g.rec.Enabled(obs.CatRoute) {
 		var draining int64
 		if drain > 0 {
 			draining = 1
 		}
-		g.rec.Emit(int64(g.S.Now()), obs.EvReroute, rt.class, int32(flow), draining, int64(len(edges)))
+		g.rec.Emit(int64(g.S.Now()), obs.EvReroute, s.class[dir], int32(flow), draining, int64(len(edges)))
 	}
 	if drain > 0 {
 		gen := rt.overGen
 		g.S.After(drain, func() {
-			cur, ok := g.routes[key]
-			if !ok || cur.overGen != gen {
+			_, cur := g.routeOf(flow, ack)
+			if cur == nil || cur.overGen != gen {
 				return // a newer reroute already replaced these overrides
 			}
-			clearOverrides(key, &cur)
-			g.routes[key] = cur
+			clearOverrides(key, cur)
 		})
 	}
 	return nil

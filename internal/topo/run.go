@@ -34,8 +34,10 @@ type run struct {
 	// delay is the stretch's summed propagation delay. A stretch to the
 	// terminal adds the arriving flow's access-tail delay per packet.
 	delay sim.Time
-	// to is the edge the stretch hands its packets to, or deliver.
-	to int32
+	// to is the edge the stretch hands its packets to, or deliver; end
+	// is the junction the stretch ends at.
+	to  int32
+	end int32
 	// atWire marks a stretch entered at the exit of the edge leading into
 	// its junction, rather than at the junction's forward; delay then
 	// includes that edge's wire.
@@ -48,13 +50,14 @@ type run struct {
 	line sim.Line
 }
 
-// enter puts p on the stretch. A stretch to the terminal ends in the
-// flow's tail wire, which carries p the whole way (netem.Wire.Carry): the
-// wire folds the ACK's return into the arrival where the flow's ACKs
-// return directly, as it does for a packet that crosses it alone.
-func (r *run) enter(p *packet.Packet) {
+// enter puts p on the stretch; tail is p's flow's delivery element in
+// p's direction. A stretch to the terminal ends in the flow's tail wire,
+// which carries p the whole way (netem.Wire.Carry): the wire folds the
+// ACK's return into the arrival where the flow's ACKs return directly,
+// as it does for a packet that crosses it alone.
+func (r *run) enter(tail packet.Node, p *packet.Packet) {
 	if r.to == deliver {
-		if w, ok := r.g.tails[dirOf(p)][p.Flow].(*netem.Wire); ok {
+		if w, ok := tail.(*netem.Wire); ok {
 			w.Carry(p, r.delay, &r.line)
 			return
 		}
@@ -66,14 +69,21 @@ func (r *run) enter(p *packet.Packet) {
 }
 
 // runArrive is the static arrival callback: p reaches the stretch's far
-// end, the next edge or the flow's terminal, which has no tail wire.
+// end, the next edge or the flow's terminal, which has no tail wire. The
+// terminal is read from p's slot as the packet arrives, so a packet whose
+// flow has been unrouted meanwhile is an unrouted drop at the stretch's
+// last junction.
 func runArrive(a, b any) {
 	r, p := a.(*run), b.(*packet.Packet)
 	if r.to >= 0 {
 		r.g.edges[r.to].Recv(p)
 		return
 	}
-	r.g.tails[dirOf(p)][p.Flow].Recv(p)
+	if s := r.g.slotOf(p); s != nil {
+		s.tail[dirOf(p)].Recv(p)
+		return
+	}
+	r.g.unrouted(int(r.end), p)
 }
 
 // exit is an edge's delay wire as the link or impairment stage in front
@@ -86,8 +96,9 @@ type exit Edge
 func (x *exit) Recv(p *packet.Packet) {
 	e := (*Edge)(x)
 	if e.g.static {
-		if r := e.To.classHop(dirOf(p), p).run; r != nil && r.atWire {
-			r.enter(p)
+		dir, s := dirOf(p), e.g.slotOf(p)
+		if r := e.To.classHop(dir, s).run; r != nil && r.atWire {
+			r.enter(s.tail[dir], p)
 			return
 		}
 	}
@@ -138,6 +149,7 @@ func (g *Graph) installRuns(id int32, edges []int) {
 		if j < len(edges) {
 			r.to = int32(edges[j])
 		} else {
+			r.end = int32(g.edges[edges[j-1]].To.ID)
 			wires++ // the access tail
 		}
 		if wires < 2 {

@@ -95,7 +95,7 @@ func route(t *testing.T, g *Graph, flow int, edges []int, tail sim.Time, sink pa
 // runOf returns the wire run that the data class of flow hangs off node
 // n, or nil.
 func runOf(g *Graph, n, flow int) *run {
-	return g.nodes[n].table[g.classOf[0][flow]].run
+	return g.nodes[n].table[flowSlot(g, flow).class[0]].run
 }
 
 // TestWireRunEndsAtLinkImpairmentAttack routes a flow over two bare
@@ -230,7 +230,7 @@ func TestWireRunTailsOvertake(t *testing.T) {
 		},
 	}
 	g, _, static := c.twins(t)
-	if g.classOf[0][0] != g.classOf[0][1] {
+	if flowSlot(g, 0).class[0] != flowSlot(g, 1).class[0] {
 		t.Fatal("the two flows should share one class")
 	}
 	_, got, _ := c.run(t, true)
@@ -387,7 +387,7 @@ func TestAckFoldWhereAcksReturnDirect(t *testing.T) {
 		entry := route(t, g, 0, data, 4*sim.Millisecond, rcv)
 		send(s, &tl, entry, 0, 10)
 		s.Run()
-		tail, _ := g.routes[keyOf(0, false)].tail.(*netem.Wire)
+		tail, _ := flowSlot(g, 0).tail[0].(*netem.Wire)
 		return trips, s.Executed(), tail.FoldAcks()
 	}
 	hop, hopEvents, hopFold := run(false, true)

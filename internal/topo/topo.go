@@ -9,13 +9,17 @@
 // mid-path are all expressible without bespoke wiring.
 //
 // Forwarding is a per-node decision: every node owns a forwarding table
-// keyed by (flow, direction) — direction distinguishing a flow's data
-// packets from its ACKs — whose entries name either the next edge of the
-// route or the terminal delivery element (the receiver for data, the
-// sender endpoint for ACKs). Because the decision is made at run time
-// rather than wired into a fixed chain at build time, routes can change
-// mid-run: Router atomically swaps a flow's table entries while packets
-// are in flight (see router.go for the conservation contract).
+// keyed by route class — flows whose route, direction included, is the
+// same edge sequence share a class — whose entries name either the next
+// edge of the route or the terminal delivery element (the receiver for
+// data, the sender endpoint for ACKs). A packet finds its flow's class
+// and terminal through the route slot stamped on it where it entered its
+// route (RouteFlow); a slot is recycled once its flow is unrouted, so the
+// graph's per-flow state is bounded by the flows routed at once
+// (slots.go). Because the decision is made at run time rather than wired
+// into a fixed chain at build time, routes can change mid-run: Router
+// atomically swaps a flow's table entries while packets are in flight
+// (see router.go for the conservation contract).
 //
 // A graph whose forwarding never changes during the run is declared
 // static (SetStatic). Then only the junctions that a link, an impairment
@@ -69,10 +73,10 @@ type LinkFactory func(dst packet.Node) (Link, error)
 // hopKey addresses one direction of one flow, flow<<1 | ack: a flow's
 // data packets and its ACKs are routed independently, so a data route
 // and an ACK route may share junctions. Forwarding tables are keyed by
-// FIB class, not by hopKey — the key survives in the route registry and
-// in the per-flow override maps (make-before-break draining). One
-// integer, so a lookup on the spawn and drain path hashes a word, not a
-// padded struct.
+// FIB class and the route registry lives in the flow's route slot; the
+// key survives in the per-flow override maps (make-before-break
+// draining). One integer, so a lookup hashes a word, not a padded
+// struct.
 type hopKey uint64
 
 // keyOf returns the hopKey of one direction of a flow.
@@ -123,64 +127,70 @@ type Node struct {
 }
 
 // Recv implements packet.Node: one forwarding decision. The fast path is
-// two slice indexes — the flow's class, then the class's entry — and
+// two slice indexes — the packet's slot, then its class's entry — and
 // allocation-free (BenchmarkFIBLookup pins 0 allocs/op).
 func (n *Node) Recv(p *packet.Packet) {
-	g := n.g
 	dir := dirOf(p)
+	s := n.g.slotOf(p)
+	if s == nil {
+		n.g.unrouted(n.ID, p)
+		return
+	}
 	if n.override != nil {
 		if h, ok := n.override[keyOf(p.Flow, p.IsAck)]; ok {
-			n.forward(h, dir, p)
+			n.forward(h, dir, s, p)
 			return
 		}
 	}
-	h := n.classHop(dir, p)
+	h := n.classHop(dir, s)
 	if h.edge == noRoute {
-		// No route for this (flow, direction) here: the node is the last
-		// holder. Book the drop so both wiring bugs and reroute-stranded
-		// packets are visible.
-		if g.rec.Enabled(obs.CatPacket) {
-			g.rec.Emit(n.nowNS(), obs.EvUnroutedDrop, int32(n.ID), int32(p.Flow), 0, 0)
-		}
-		p.Drop(packet.Unrouted)
+		n.g.unrouted(n.ID, p)
 		return
 	}
-	n.forward(h, dir, p)
+	n.forward(h, dir, s, p)
+}
+
+// unrouted drops p at node: p's flow has no route in p's direction
+// there, or no route at all — a packet that outlived its flow's route,
+// or one stranded by a reroute. The drop is booked so that wiring bugs
+// and stranded packets are both visible.
+func (g *Graph) unrouted(node int, p *packet.Packet) {
+	if g.rec.Enabled(obs.CatPacket) {
+		g.rec.Emit(int64(g.S.Now()), obs.EvUnroutedDrop, int32(node), int32(p.Flow), 0, 0)
+	}
+	p.Drop(packet.Unrouted)
 }
 
 // dirOf is p's route direction: 0 for data, 1 for ACKs.
-func dirOf(p *packet.Packet) int {
-	if p.IsAck {
-		return 1
-	}
-	return 0
-}
+func dirOf(p *packet.Packet) int { return dirIndex(p.IsAck) }
 
-// classHop returns n's table entry for the class of p's flow in
-// direction dir, or a noRoute entry when the flow has none here.
-func (n *Node) classHop(dir int, p *packet.Packet) hop {
-	if byFlow := n.g.classOf[dir]; p.Flow >= 0 && p.Flow < len(byFlow) {
-		if cls := byFlow[p.Flow]; cls >= 0 && int(cls) < len(n.table) {
+// classHop returns n's table entry for the class in direction dir of
+// the flow whose slot is s, or a noRoute entry when it has none here (or
+// s is nil: the packet's flow is not routed).
+func (n *Node) classHop(dir int, s *routeSlot) hop {
+	if s != nil {
+		if cls := s.class[dir]; cls >= 0 && int(cls) < len(n.table) {
 			return n.table[cls]
 		}
 	}
 	return hop{edge: noRoute}
 }
 
-// forward executes one resolved table entry (see hop for the shapes).
-func (n *Node) forward(h hop, dir int, p *packet.Packet) {
+// forward executes one resolved table entry (see hop for the shapes) for
+// p, whose flow's slot is s.
+func (n *Node) forward(h hop, dir int, s *routeSlot, p *packet.Packet) {
 	if n.g.rec.Enabled(obs.CatHop) {
 		n.g.rec.Emit(n.nowNS(), obs.EvHop, int32(n.ID), int32(p.Flow), int64(h.edge), 0)
 	}
 	if r := h.run; r != nil && !r.atWire {
-		r.enter(p)
+		r.enter(s.tail[dir], p)
 		return
 	}
 	if h.edge >= 0 {
 		n.g.edges[h.edge].Recv(p)
 		return
 	}
-	n.g.tails[dir][p.Flow].Recv(p)
+	s.tail[dir].Recv(p)
 }
 
 // Edge is one directed hop between two nodes.
@@ -296,21 +306,18 @@ func (e *Edge) SetBackground(bg qdisc.Background) error {
 	return nil
 }
 
-// routeState records one installed (flow, direction) route so Router can
-// atomically swap it later.
+// routeState records one installed direction of a flow's route, in the
+// flow's route slot, so Router can atomically swap it later. Its FIB
+// class and delivery element are the slot's, where the junctions read
+// them.
 type routeState struct {
-	edges []int
+	// routed is set while the direction has a route.
+	routed bool
+	edges  []int
 	// origin is the node the route's traffic is injected at (the first
 	// edge's tail), or -1 for direct routes (no edges: the terminal is
 	// wired straight to the producer and nothing is reroutable).
 	origin int
-	// class is the FIB class the route's table entries are aggregated
-	// under, or -1 for direct routes (which never touch tables).
-	class int32
-	// tail is the delivery element the route's last node hands packets
-	// to: the per-flow access-latency wire when the route has one, else
-	// the terminal itself. A reroute moves it to the new last node.
-	tail packet.Node
 	// overNodes lists the junctions currently holding a make-before-
 	// break override for this route's key; overGen guards the scheduled
 	// cleanup against a newer reroute having replaced the overrides.
@@ -322,8 +329,9 @@ type routeState struct {
 // (direction plus exact edge sequence) is identical shares the class's
 // table entries, so table size scales with the number of distinct routes
 // rather than the number of flows. Delivery at the route's end goes
-// through the arriving flow's own tail (Graph.tails), which is what lets
-// flows with different receivers and access latencies share a class.
+// through the arriving flow's own tail (routeSlot.tail), which is what
+// lets flows with different receivers and access latencies share a
+// class.
 type fibClass struct {
 	// key is the class's classByRoute key (classKey), kept so attach
 	// and detach churn never rebuilds it.
@@ -344,22 +352,24 @@ type Graph struct {
 	coord *sim.Coordinator
 	nodes []*Node
 	edges []*Edge
-	// routes registers every installed route by (flow, direction) for
-	// mid-run mutation and conservation accounting, until UnrouteFlow.
-	routes map[hopKey]routeState
 	// classes is the FIB class registry; classByRoute deduplicates
 	// classes by (direction, exact edge sequence) and freeClasses
 	// recycles ids of fully-detached classes.
 	classes      []fibClass
 	classByRoute map[string]int32
 	freeClasses  []int32
-	// classOf resolves a flow to its FIB class per direction (index 0
-	// data, 1 ACK; -1 = unrouted). Slices, not maps: the per-packet
-	// lookup is a bounds-checked index.
-	classOf [2][]int32
-	// tails holds each flow's delivery element per direction — what a
-	// class's end-of-route sentinel dereferences to.
-	tails [2][]packet.Node
+	// slots holds the routed flows' forwarding state, one slot per
+	// flow, indexed by the slot a packet carries (packet.Slot): a
+	// slice, not a map, so the per-packet lookup is a bounds-checked
+	// index. RouteFlow takes a slot from freeSlots, or appends one, and
+	// UnrouteFlow puts it back; index finds a flow's slot by flow id,
+	// and spareRoutes is what is left of the block new slots' route
+	// registries are carved from (slots.go). They hold as many slots as
+	// the most flows routed at once, however many flows the run routes.
+	slots       []routeSlot
+	freeSlots   []int32
+	index       []int32
+	spareRoutes []slotRoutes
 	// spareWires are the access-latency wires of unrouted flows, which
 	// RouteFlow hands to the next routes it builds (see UnrouteFlow).
 	spareWires []*netem.Wire
@@ -431,7 +441,7 @@ func (n *Node) nowNS() int64 { return int64(n.g.S.Now()) }
 // through the graph's Coordinator.
 func New(s *sim.Simulator) *Graph {
 	return &Graph{S: s, coord: sim.NewCoordinator(s),
-		routes: make(map[hopKey]routeState), classByRoute: make(map[string]int32)}
+		classByRoute: make(map[string]int32)}
 }
 
 // Arena returns the graph's packet arena, for the tallies of the flows
@@ -657,39 +667,16 @@ func (n *Node) setHop(id, edge int32) {
 	n.table[id] = hop{edge: edge}
 }
 
-// setFlowClass points one direction of a flow at a class (-1 detaches),
-// growing the per-direction resolution slice as flow ids appear.
-func (g *Graph) setFlowClass(flow int, ack bool, id int32) {
-	dir := 0
-	if ack {
-		dir = 1
-	}
-	for len(g.classOf[dir]) <= flow {
-		g.classOf[dir] = append(g.classOf[dir], -1)
-	}
-	g.classOf[dir][flow] = id
-}
-
-// setFlowTail records a flow's delivery element for one direction.
-func (g *Graph) setFlowTail(flow int, ack bool, tail packet.Node) {
-	dir := 0
-	if ack {
-		dir = 1
-	}
-	for len(g.tails[dir]) <= flow {
-		g.tails[dir] = append(g.tails[dir], nil)
-	}
-	g.tails[dir][flow] = tail
-}
-
 // RouteFlow installs one direction of a flow's route along the given
 // edge sequence and terminates it at terminal (the flow's receiver for
 // data routes — ack false — and its sender endpoint for ACK routes — ack
 // true). tailDelay, when positive, inserts a final per-flow propagation
 // hop — the flow's access latency — between the last node and the
 // terminal. It returns the element the route's traffic must be injected
-// into: the route's origin node, so that every hop including the first
-// is a forwarding-table decision (and hence reroutable).
+// into: the entry to the route's origin node, which stamps each packet
+// with the flow's route slot, so that every hop including the first is a
+// forwarding-table decision (and hence reroutable). The flow takes a
+// slot with its first route and keeps it until UnrouteFlow.
 //
 // The edges must satisfy CheckPath, and the (flow, direction) pair must
 // not already be routed at any node along the way — each table maps it
@@ -702,32 +689,37 @@ func (g *Graph) setFlowTail(flow int, ack bool, tail packet.Node) {
 // whose Out is a wire: the flow's ACK route is direct. Route the ACKs
 // and set the receiver's Out first; the fold is resolved here, once.
 func (g *Graph) RouteFlow(flow int, ack bool, edges []int, tailDelay sim.Time, terminal packet.Node) (packet.Node, error) {
-	key := keyOf(flow, ack)
-	if _, dup := g.routes[key]; dup {
+	dir := dirIndex(ack)
+	id, held := g.findSlot(flow)
+	if held && g.slots[id].routes.route[dir].routed {
 		return nil, fmt.Errorf("topo: flow %d %s route installed twice", flow, dirName(ack))
 	}
 	if err := g.CheckPath(edges); err != nil {
 		return nil, fmt.Errorf("topo: flow %d route %v", flow, err)
 	}
-	rt := routeState{tail: terminal, origin: -1, class: -1}
+	if !held {
+		id = g.takeSlot(flow)
+	}
+	s := &g.slots[id]
+	s.tail[dir] = terminal
 	if tailDelay > 0 {
 		w := g.wire(tailDelay, terminal)
 		if !ack {
 			w.FoldAcks()
 		}
-		rt.tail = w
+		s.tail[dir] = w
 	}
+	rt := &s.routes.route[dir]
+	*rt = routeState{routed: true, origin: -1}
 	if len(edges) == 0 {
-		g.routes[key] = rt
-		return rt.tail, nil
+		return s.tail[dir], nil
 	}
-	g.setFlowTail(flow, ack, rt.tail)
-	rt.class = g.attachClass(ack, edges)
-	g.setFlowClass(flow, ack, rt.class)
+	s.class[dir] = g.attachClass(ack, edges)
 	origin := g.edges[edges[0]].From
+	in := &s.routes.entry
+	in.origin[dir] = origin
 	rt.edges, rt.origin = edges, origin.ID
-	g.routes[key] = rt
-	return origin, nil
+	return in, nil
 }
 
 // wire returns an access-latency wire: a spare one if UnrouteFlow left
@@ -745,40 +737,37 @@ func (g *Graph) wire(delay sim.Time, dst packet.Node) *netem.Wire {
 
 // UnrouteFlow is routeFlow's inverse for both directions of a flow:
 // each leaves its FIB class (the last flow off a class uninstalls the
-// class's table entries, as a reroute does), drops any draining
-// overrides and its registry entry, and has its class slot reset to -1
-// and its tail slot to nil. What the graph keeps of the flow afterwards
-// is those two emptied slots per direction; its tail wires go to a spare
-// list that the next routes built reuse, and its terminals are the
-// caller's to reuse or drop. A packet of the flow that still arrives at
-// a junction is an unrouted drop, but one still on a tail wire, or
-// injected into what a direct route (no edges) returned, would reach the
-// terminal of whichever flow reuses the wire. So a caller unroutes a
-// flow only once its last packet is released (packet.Tally), and
-// injects nothing of it afterwards.
+// class's table entries, as a reroute does) and drops any draining
+// overrides, and the flow's route slot goes back to the free list, for
+// the next flow routed. The graph keeps nothing of the flow afterwards:
+// its tail wires go to a spare list that the next routes built reuse,
+// and its terminals are the caller's to reuse or drop. A packet of the
+// flow that still arrives at a junction, or at the end of a wire run, is
+// an unrouted drop, since the slot it carries no longer names its flow;
+// but one still on a tail wire, or injected into what a direct route
+// (no edges) returned, would reach the terminal of whichever flow reuses
+// the wire. So a caller unroutes a flow only once its last packet is
+// released (packet.Tally), and injects nothing of it afterwards.
 func (g *Graph) UnrouteFlow(flow int) error {
-	routed := false
-	for _, ack := range [2]bool{false, true} {
-		key := keyOf(flow, ack)
-		rt, ok := g.routes[key]
-		if !ok {
-			continue
-		}
-		routed = true
-		clearOverrides(key, &rt)
-		if rt.class >= 0 {
-			g.detachClass(rt.class)
-			g.setFlowClass(flow, ack, -1)
-			g.setFlowTail(flow, ack, nil)
-		}
-		if w, ok := rt.tail.(*netem.Wire); ok {
-			g.spareWires = append(g.spareWires, w)
-		}
-		delete(g.routes, key)
-	}
-	if !routed {
+	id, ok := g.findSlot(flow)
+	if !ok {
 		return fmt.Errorf("topo: flow %d has no route to remove", flow)
 	}
+	s := &g.slots[id]
+	for dir := range s.routes.route {
+		rt := &s.routes.route[dir]
+		if !rt.routed {
+			continue
+		}
+		clearOverrides(keyOf(flow, dir == 1), rt)
+		if s.class[dir] >= 0 {
+			g.detachClass(s.class[dir])
+		}
+		if w, ok := s.tail[dir].(*netem.Wire); ok {
+			g.spareWires = append(g.spareWires, w)
+		}
+	}
+	g.freeSlot(id)
 	return nil
 }
 
@@ -786,11 +775,10 @@ func (g *Graph) UnrouteFlow(flow int) error {
 // direction of a flow, and whether such a route exists. The returned
 // slice must not be mutated.
 func (g *Graph) RouteOf(flow int, ack bool) ([]int, bool) {
-	rt, ok := g.routes[keyOf(flow, ack)]
-	if !ok {
-		return nil, false
+	if _, rt := g.routeOf(flow, ack); rt != nil {
+		return rt.edges, true
 	}
-	return rt.edges, true
+	return nil, false
 }
 
 // dirName names a route direction in errors.

@@ -38,6 +38,26 @@ func send(s *sim.Simulator, tl *packet.Tally, entry packet.Node, flow, n int) {
 // ended reports how many of the packets on tl ended for cause c.
 func ended(tl *packet.Tally, c packet.Cause) int64 { return tl.Books().Released[c] }
 
+// flowSlot returns the route slot of a routed flow, or nil.
+func flowSlot(g *Graph, flow int) *routeSlot {
+	if id, ok := g.findSlot(flow); ok {
+		return &g.slots[id]
+	}
+	return nil
+}
+
+// at returns an injection point at node n for packets of any routed
+// flow: it stamps each with its flow's route slot, as the flow's own
+// entry would, and hands it to the junction.
+func at(g *Graph, n int) packet.Node {
+	return packet.NodeFunc(func(p *packet.Packet) {
+		if id, ok := g.findSlot(p.Flow); ok {
+			p.Slot = id
+		}
+		g.Node(n).Recv(p)
+	})
+}
+
 func TestRouteFlowDelivers(t *testing.T) {
 	var tl packet.Tally
 	s := sim.New(1)
