@@ -462,9 +462,14 @@ func (e *Endpoint) rto() sim.Time {
 // only an ACK or a timeout refreshes, not from when the oldest
 // outstanding packet was sent. A persistent flow that sat idle for longer
 // than rto() therefore declares its next flight lost at the first grid
-// instant after sending it and sends it twice. The app-rpc and app-video
-// goldens embody this; fixing it is a deliberate golden update (ROADMAP
-// item 1).
+// instant after sending it and sends it twice. Fixing it is ROADMAP item
+// 19(a), a deliberate golden update: restarting the timer when a send
+// finds the flight empty (RFC 6298 §5.1) moves 11 of the 33 timeline
+// hashes, the fig11-cross-traffic, app-rpc and hybrid goldens, and 20 of
+// the 117 runs of scripts/cli_diff.sh (fig11, fig13, fig16, shortflows,
+// rpc, video, hybrid, their example scenarios and both reports). It also
+// cuts fig13's utilisation at 20 s from 0.82 to 0.39, which the claim
+// fig13/app-limited catches.
 func (e *Endpoint) checkRTO() {
 	if e.inflight == 0 {
 		return

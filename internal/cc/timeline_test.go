@@ -375,8 +375,10 @@ func TestTimelineScenariosBite(t *testing.T) {
 // TestSpuriousRTOAfterIdle pins a known defect rather than fixing it:
 // checkRTO measures from lastAckAt, which sending does not refresh, so a
 // flow that was idle for longer than its RTO declares the next flight
-// lost at the first housekeeping instant after sending it. The app-rpc
-// and app-video goldens embody this; ROADMAP item 1 has the fix.
+// lost at the first housekeeping instant after sending it. ROADMAP item
+// 19(a) has the fix, and checkRTO's comment what it moves: 11 timeline
+// hashes, three goldens (fig11-cross-traffic, app-rpc, hybrid) and 20
+// runs of scripts/cli_diff.sh.
 func TestSpuriousRTOAfterIdle(t *testing.T) {
 	log := runTimeline(timelineScenario(t, "idle"), 250*sim.Millisecond).buf.String()
 	if n := strings.Count(log, " rto\n"); n != 1 {

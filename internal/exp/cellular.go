@@ -423,20 +423,21 @@ type Fig13Result struct {
 	AppLimitedTputMbps float64
 }
 
-// fig13AppLimited reproduces Fig. 13: one backlogged ABC flow shares an
-// ABC cellular bottleneck with n application-limited ABC flows sending
-// aggAppMbps in aggregate; everyone keeps low delay and the link stays
+// fig13 reproduces Fig. 13: one backlogged ABC flow shares an ABC
+// cellular bottleneck with 50 application-limited ABC flows sending
+// 1 Mbit/s in aggregate; everyone keeps low delay and the link stays
 // utilized.
-func fig13AppLimited(o RunOptions, n int, aggAppMbps float64, dur sim.Time, seed int64) (*Fig13Result, error) {
+func fig13(p Params) (*Fig13Result, error) {
+	const n, aggAppMbps = 50, 1.0
 	tr := trace.MustNamedCellular("Verizon3")
 	flows := make([]FlowSpec, 0, n+1)
 	flows = append(flows, FlowSpec{Scheme: "ABC"}) // backlogged
-	per := aggAppMbps * 1e6 / float64(n)
+	per := aggAppMbps * 1e6 / n
 	for i := 0; i < n; i++ {
 		flows = append(flows, FlowSpec{Scheme: "ABC", Source: &SourceSpec{Kind: "rate", Rate: per}})
 	}
-	res, _, err := o.Run(Spec{
-		Seed: seed, Duration: dur, RTT: 100 * sim.Millisecond,
+	res, _, err := p.Run(Spec{
+		Seed: p.Seed, Duration: p.Dur, RTT: 100 * sim.Millisecond,
 		Links: []LinkSpec{{Trace: tr}},
 		Flows: flows,
 	})
@@ -454,11 +455,6 @@ func fig13AppLimited(o RunOptions, n int, aggAppMbps float64, dur sim.Time, seed
 	}
 	out.QDelayP95 = res.Flows[0].QDelay.P95()
 	return out, nil
-}
-
-// fig13 is Fig. 13's row: 50 app-limited flows offering 1 Mbit/s.
-func fig13(p Params) (*Fig13Result, error) {
-	return fig13AppLimited(p.RunOptions, 50, 1.0, p.Dur, p.Seed)
 }
 
 func printFig13(w io.Writer, r *Fig13Result) {

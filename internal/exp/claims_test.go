@@ -2,71 +2,70 @@ package exp
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"abc/internal/metrics"
 	"abc/internal/sim"
 )
 
-// headlineClaims are the claims that must stay in the table: the
-// utilisation–delay ordering on the cellular corpus, the minimum of
-// marks on the forward and the return path, Eq. 13's fixed point, the
-// RTT sweep, Fig. 12's weight policies and Fig. 4's slope. Dropping one
-// is a deliberate edit of this list.
+// headlineClaims are the driver table's claims, in table order: adding
+// or dropping one is a deliberate edit of this list.
 var headlineClaims = []string{
-	"fig9/util-delay",
-	"fig8/min-of-marks",
-	"markeduplink/reverse-min-of-marks",
-	"stability/eq13-fixed-point",
-	"fig18/rtt",
-	"fig12/weight-policy",
-	"fig4/tia-slope",
+	"fig3/ai-fairness", "fig4/tia-slope", "fig5/backlogged-prediction", "fig7/dual-queue-share",
+	"fig8/min-of-marks", "fig9/util-delay", "fig12/weight-policy", "fig13/app-limited", "fig18/rtt",
+	"fig18/util", "jain/min-index", "ablations/tradeoffs", "proxied/equivalent",
+	"pkabc/future-knowledge", "stability/eq13-fixed-point", "markeduplink/reverse-min-of-marks",
 }
 
 // TestPaperClaims checks every claim of the driver table on seeds 1 to
-// 3: the measured value must lie in the claim's band on each. For a
-// driver whose output does not move with the seed the three runs are
-// one sample, and the band's margin is what the claim's comment
-// derives it from.
+// 3 under both orders of the events due at one instant (sim.ReverseTies),
+// which the paper's model leaves unordered. The order is process-wide,
+// so each order is one pass; a pass runs its claims in parallel and logs
+// each reading's margin to its band's nearer edge.
 func TestPaperClaims(t *testing.T) {
-	seen := map[string]bool{}
+	var names []string
 	for _, d := range Drivers {
 		for _, c := range d.Claims {
-			c, name := c, d.Name+"/"+c.Name
-			if seen[name] {
-				t.Errorf("claim %s is in the table twice", name)
+			names = append(names, d.Name+"/"+c.Name)
+			if c.Paper == "" || c.Measure == nil || !(c.Lo <= c.Hi) {
+				t.Errorf("claim %s/%s incomplete: paper=%q band=%s", d.Name, c.Name, c.Paper, c.Band())
 			}
-			seen[name] = true
-			t.Run(name, func(t *testing.T) {
-				t.Parallel()
-				if c.Paper == "" || c.Measure == nil || !(c.Lo <= c.Hi) {
-					t.Fatalf("claim incomplete: paper=%q band=%s", c.Paper, c.Band())
-				}
-				for seed := int64(1); seed <= 3; seed++ {
-					v, err := c.Check(seed, RunOptions{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					t.Logf("seed %d: measured %.4f, band %s", seed, v, c.Band())
-					if !c.Holds(v) {
-						t.Errorf("seed %d: %s: measured %.4f outside %s", seed, c.Paper, v, c.Band())
-					}
-				}
-			})
 		}
 	}
-	for _, h := range headlineClaims {
-		if !seen[h] {
-			t.Errorf("headline claim %s is not in the driver table", h)
-		}
+	if !slices.Equal(names, headlineClaims) {
+		t.Errorf("the driver table's claims are\n%q\nwant headlineClaims\n%q", names, headlineClaims)
+	}
+	defer sim.ReverseTies(sim.ReverseTies(false))
+	for _, order := range []string{"scheduling order", "reversed ties"} {
+		sim.ReverseTies(order == "reversed ties")
+		t.Run(order, func(t *testing.T) {
+			for _, d := range Drivers {
+				for _, c := range d.Claims {
+					c := c
+					t.Run(d.Name+"/"+c.Name, func(t *testing.T) {
+						t.Parallel()
+						for seed := int64(1); seed <= 3; seed++ {
+							v, err := c.Check(seed, RunOptions{})
+							if err != nil {
+								t.Fatal(err)
+							}
+							t.Logf("seed %d, %s: measured %.4f against %s (margin %+.4f)", seed, order, v, c.Band(), min(v-c.Lo, c.Hi-v))
+							if !c.Holds(v) {
+								t.Errorf("seed %d, %s: %s: measured %.4f outside %s", seed, order, c.Paper, v, c.Band())
+							}
+						}
+					})
+				}
+			}
+		})
 	}
 }
 
 // TestClaimNeedsDelivery: a run that delivered nothing confirms no
-// claim. Its p95 delay reads 0, so a delay ratio over it is 0 or +Inf:
-// Holds rejects ±Inf as it rejects NaN, even against an infinite bound,
-// and the fig8 and fig18 readings are NaN when ABC or Cubic delivered
-// no bytes.
+// claim. Holds rejects NaN and ±Inf, even against an infinite bound, and
+// every reading that compares runs is NaN when a side it compares
+// delivered no bytes; the others read a value outside their band.
 func TestClaimNeedsDelivery(t *testing.T) {
 	for _, c := range []Claim{fig8Claim, fig18Claim, {Lo: -inf, Hi: inf}} {
 		for _, v := range []float64{inf, -inf, math.NaN()} {
@@ -81,9 +80,6 @@ func TestClaimNeedsDelivery(t *testing.T) {
 	if v := fig8MinOfMarks([]metrics.Summary{abc, cubic}); v != 5 {
 		t.Errorf("fig8 reading = %v, want Cubic's p95 over ABC's, 5", v)
 	}
-	if v := fig8MinOfMarks([]metrics.Summary{silent, cubic}); !math.IsNaN(v) {
-		t.Errorf("fig8 reading with a silent ABC = %v, want NaN", v)
-	}
 	sweep := map[int]map[string]metrics.Summary{
 		20:  {"ABC": abc, "Cubic": cubic},
 		200: {"ABC": abc, "Cubic": cubic},
@@ -92,48 +88,26 @@ func TestClaimNeedsDelivery(t *testing.T) {
 		t.Errorf("fig18 reading = %v, want ABC's p95 over Cubic's, 0.2", v)
 	}
 	sweep[200] = map[string]metrics.Summary{"ABC": silent, "Cubic": cubic}
-	if v := fig18WorstRatio(sweep); !math.IsNaN(v) {
-		t.Errorf("fig18 reading with a silent ABC at one RTT = %v, want NaN", v)
-	}
-}
-
-// TestTieOrderRelation checks every claim of the driver table on seeds
-// 1 to 3 under both orders of the events due at one instant: the order
-// they were scheduled in, and its reverse (sim.ReverseTies). Two flows'
-// packets reaching one queue in one nanosecond have no order in the
-// paper's model, so a claim that holds under only one of them rests on a
-// convention of the simulator. It logs fig9's margin over its band
-// under each order. The order is process-wide, so the test runs alone;
-// its claims run in parallel with one another.
-func TestTieOrderRelation(t *testing.T) {
-	defer sim.ReverseTies(sim.ReverseTies(false))
-	for _, reversed := range []bool{false, true} {
-		order := "scheduling order"
-		if reversed {
-			order = "reversed ties"
+	zero := &metrics.Timeseries{Values: []float64{0}}
+	silentFig3 := &Fig3Result{Tput: []*metrics.Timeseries{zero, zero}, JainAllActive: 1}
+	silentSweeps := []AblationSweep{{Points: []AblationPoint{{}}}, {}, {Points: []AblationPoint{{}}}}
+	for _, r := range []struct {
+		claim string
+		c     Claim
+		v     float64
+	}{
+		{"fig8 with a silent ABC", fig8Claim, fig8MinOfMarks([]metrics.Summary{silent, cubic})},
+		{"fig18 with a silent ABC at one RTT", fig18Claim, fig18WorstRatio(sweep)},
+		{"fig3 with silent flows", fig3Claim, fig3Jain(silentFig3)},
+		{"fig5 with no prediction", fig5Claim, fig5MaxErrorBacklogged([]Fig5Point{{OfferedMbps: 40, TrueMbps: 30}})},
+		{"fig7 with silent ABC flows", fig7Claim, fig7Margin(&Fig7Result{SteadyTput: []float64{0, 0, 9, 9}, Jain: 1, CubicQDelayP95: 300})},
+		{"jain with silent flows", jainClaim, jainLowest([]JainPoint{{Flows: 2, Jain: 1}})},
+		{"ablations with silent runs", ablationClaim, ablationMargin(silentSweeps)},
+		{"proxied with silent runs", proxiedClaim, proxiedDeviation([]metrics.Summary{silent, silent})},
+		{"pkabc with silent runs", pkabcClaim, pkabcExcess(&PKABCResult{})},
+	} {
+		if r.c.Holds(r.v) {
+			t.Errorf("%s: reading %v holds %s", r.claim, r.v, r.c.Band())
 		}
-		sim.ReverseTies(reversed)
-		t.Run(order, func(t *testing.T) {
-			for _, d := range Drivers {
-				for _, c := range d.Claims {
-					c, name := c, d.Name+"/"+c.Name
-					t.Run(name, func(t *testing.T) {
-						t.Parallel()
-						for seed := int64(1); seed <= 3; seed++ {
-							v, err := c.Check(seed, RunOptions{})
-							if err != nil {
-								t.Fatal(err)
-							}
-							if !c.Holds(v) {
-								t.Errorf("seed %d, %s: measured %.4f outside %s", seed, order, v, c.Band())
-							}
-							if name == "fig9/util-delay" {
-								t.Logf("fig9 margin, seed %d, %s: %.4f against %s (%+.1f %%)", seed, order, v, c.Band(), 100*(v/c.Lo-1))
-							}
-						}
-					})
-				}
-			}
-		})
 	}
 }

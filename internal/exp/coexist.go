@@ -145,20 +145,7 @@ func fig7Coexistence(p Params) (*Fig7Result, error) {
 	for i := range res.Flows {
 		out.Tput = append(out.Tput, res.Flows[i].Tput)
 		// Steady window: 100–195 s (all flows active).
-		ts := res.Flows[i].Tput
-		var sum float64
-		var n int
-		for j, t := range ts.Times {
-			if t >= 100 && t <= 195 {
-				sum += ts.Values[j]
-				n++
-			}
-		}
-		if n > 0 {
-			out.SteadyTput = append(out.SteadyTput, sum/float64(n))
-		} else {
-			out.SteadyTput = append(out.SteadyTput, 0)
-		}
+		out.SteadyTput = append(out.SteadyTput, meanIn(res.Flows[i].Tput, 100, 195))
 	}
 	out.Jain = metrics.JainIndex(out.SteadyTput)
 	out.ABCQDelayP95 = res.Flows[0].QDelay.P95()

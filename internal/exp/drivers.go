@@ -82,7 +82,7 @@ type Placement struct {
 // ReportSections are the report's headings, in the order it prints
 // them. Each holds the placements that name it.
 var ReportSections = []string{
-	"Cellular corpus", "Feedback-mode ablation", "Additive increase and fairness", "Wi-Fi estimator",
+	"Cellular corpus", "Feedback-mode ablation", "Router parameter sweeps", "Additive increase and fairness", "Wi-Fi estimator",
 	"Non-ABC bottlenecks", "Multi-bottleneck paths", "Coexistence with non-ABC flows", "Wi-Fi full stack",
 	"Explicit schemes", "RTT sensitivity", "Application workloads", "Dynamic topology",
 	"Adversarial robustness", "Hybrid fluid/packet", "In-text experiments and Theorem 3.1",
@@ -178,15 +178,15 @@ var Drivers = []Driver{
 	drv("fig1", "Fig. 1", "time series: Cubic, Verus, Cubic+Codel, ABC on LTE", fig1Timeseries, printFig1),
 	drv("fig2", "Fig. 2", "dequeue- vs enqueue-rate feedback", fig2FeedbackMode, printFig2).
 		in("Feedback-mode ablation"),
-	drv("fig3", "Fig. 3", "fairness among ABC flows with/without AI", fig3Both, printFig3).
+	drv("fig3", "Fig. 3", "fairness among ABC flows with/without AI", fig3Both, printFig3, fig3Claim).
 		in("Additive increase and fairness"),
 	drv("fig4", "Fig. 4", "Wi-Fi inter-ACK time vs A-MPDU size", fig4InterACK, printFig4, fig4Claim).
 		in("Wi-Fi estimator"),
-	drv("fig5", "Fig. 5", "Wi-Fi link-rate prediction accuracy", fig5RatePrediction, printFig5).
+	drv("fig5", "Fig. 5", "Wi-Fi link-rate prediction accuracy", fig5RatePrediction, printFig5, fig5Claim).
 		in("Wi-Fi estimator"),
 	drv("fig6", "Fig. 6", "coexistence with a non-ABC wired bottleneck", fig6NonABCBottleneck, printFig6).
 		in("Non-ABC bottlenecks"),
-	drv("fig7", "Fig. 7", "ABC + Cubic on a dual-queue bottleneck", fig7Coexistence, printFig7).
+	drv("fig7", "Fig. 7", "ABC + Cubic on a dual-queue bottleneck", fig7Coexistence, printFig7, fig7Claim).
 		in("Coexistence with non-ABC flows"),
 	drv("fig8", "Fig. 8a-c", "throughput/delay scatter (down, up, two-hop)", fig8Panels, printFig8, fig8Claim).
 		in("Multi-bottleneck paths", timed("ABC", "Cubic")),
@@ -198,7 +198,8 @@ var Drivers = []Driver{
 		in("Non-ABC bottlenecks"),
 	drv("fig12", "Fig. 12", "max-min vs zombie-list weight policy", fig12Both, printFig12, fig12Claim).
 		in("Coexistence with non-ABC flows", Placement{Full: Params{Runs: 5}, Fast: Params{Runs: 2, Dur: 20 * sim.Second}}),
-	drv("fig13", "Fig. 13", "application-limited ABC flows", fig13, printFig13),
+	drv("fig13", "Fig. 13", "application-limited ABC flows", fig13, printFig13, fig13Claim).
+		in("Application workloads", timed()),
 	drv("fig14", "Fig. 14 (App. B)", "Wi-Fi comparison (Brownian MCS walk)", fig14, printSummaries).
 		in("Wi-Fi full stack", wifiTimed("", 0)),
 	drv("fig15", "Fig. 15 (App. C)", "mean per-packet delay across traces", cellularBars, printMeanDelay),
@@ -206,14 +207,15 @@ var Drivers = []Driver{
 		in("Explicit schemes", timed()),
 	drv("fig17", "Fig. 17 (App. D)", "square-wave adaptation: ABC vs RCP vs XCPw",
 		fig17SquareWave, printFig17).in("Explicit schemes"),
-	drv("fig18", "Fig. 18 (App. E)", "RTT sensitivity sweep", fig18RTTSweep, printFig18, fig18Claim).
+	drv("fig18", "Fig. 18 (App. E)", "RTT sensitivity sweep", fig18RTTSweep, printFig18, fig18Claim, fig18UtilClaim).
 		in("RTT sensitivity", timed("ABC", "Cubic+Codel", "Cubic", "BBR")),
-	drv("jain", "§6.5", "Jain fairness index, 2-32 flows", jainSweep, printJain).
+	drv("jain", "§6.5", "Jain fairness index, 2-32 flows", jainSweep, printJain, jainClaim).
 		in("In-text experiments and Theorem 3.1"),
 	drv("ablations", "§3", "ABC parameter sweeps (dt, delta, eta, token limit, window)",
-		ablations, printAblations),
-	drv("proxied", "§5.1.2", "proxied-network ECN encoding vs NS-bit encoding", proxied, printSummaries),
-	drv("pkabc", "§6.6", "perfect-knowledge ABC", pkABC, printPKABC).
+		ablations, printAblations, ablationClaim).in("Router parameter sweeps", timed()),
+	drv("proxied", "§5.1.2", "proxied-network ECN encoding vs NS-bit encoding", proxied, printSummaries,
+		proxiedClaim).in("Non-ABC bottlenecks", timed()),
+	drv("pkabc", "§6.6", "perfect-knowledge ABC", pkABC, printPKABC, pkabcClaim).
 		in("In-text experiments and Theorem 3.1", timed()),
 	drv("stability", "Thm. 3.1", "stability boundary sweep", stabilityRegion, printStability, eq13Claim).
 		in("In-text experiments and Theorem 3.1"),

@@ -3,11 +3,14 @@ package exp
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strconv"
 	"strings"
@@ -24,19 +27,19 @@ import (
 // one of these still runs and prints under TestDriverTable.
 var noGoldenRow = map[string]string{
 	"table1":    "a pure function of the bars fig9-bars digests (SummaryTable)",
-	"fig3":      "two fixed 250 s runs; shape asserted by TestFig3AIConvergesMIMDDoesNot",
+	"fig3":      "two fixed 250 s runs; their shape is claim fig3/ai-fairness",
 	"fig4":      "fixed-length Wi-Fi characterization; its slope is claim fig4/tia-slope",
-	"fig5":      "fixed-length Wi-Fi sweep; asserted by TestFig5PredictionAccuracy",
-	"fig7":      "fixed 200 s run; asserted by TestFig7FairSharingLowABCDelay",
-	"fig13":     "asserted by TestFig13AppLimited",
+	"fig5":      "fixed-length Wi-Fi sweep; its backlogged accuracy is claim fig5/backlogged-prediction",
+	"fig7":      "fixed 200 s run; its sharing and queue split are claim fig7/dual-queue-share",
+	"fig13":     "its utilisation and app-limited throughput are claim fig13/app-limited",
 	"fig14":     "fig10-wifi digests the same runWiFi path; only the MCS walk differs",
 	"fig15":     "prints another column of the bars fig9-bars digests",
 	"fig16":     "fig9-bars digests the same fig9Bars path; only the scheme set differs",
-	"fig18":     "its delay ordering is claim fig18/rtt; utilisation asserted by TestFig18ABCHoldsAcrossRTTs",
-	"jain":      "62 flows over five fixed 60 s runs; asserted by TestJainFairness",
-	"ablations": "asserted by TestAblationsProduceMonotoneTradeoffs",
-	"proxied":   "asserted by TestProxiedEncodingEquivalent",
-	"pkabc":     "asserted by TestPKABCHalvesDelay",
+	"fig18":     "its delay ordering is claim fig18/rtt, its utilisation claim fig18/util",
+	"jain":      "62 flows over five fixed 60 s runs; its lowest index is claim jain/min-index",
+	"ablations": "its dt and eta trade-offs are claim ablations/tradeoffs",
+	"proxied":   "its equivalence to the NS-bit encoding is claim proxied/equivalent",
+	"pkabc":     "its delay cut and utilisation cost are claim pkabc/future-knowledge",
 	"schemes":   "lists the registries, runs nothing",
 }
 
@@ -257,6 +260,56 @@ func TestNoDriverNamedInCmd(t *testing.T) {
 				}
 				return true
 			})
+		}
+	}
+}
+
+// TestDocNamesExist: every test, benchmark, fuzz target or example that
+// DESIGN.md, a README or a Go comment names is declared in some Go file.
+// CHANGES.md and ROADMAP.md are history, and may name what is gone.
+func TestDocNamesExist(t *testing.T) {
+	named := regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz|Example)[A-Z_]\w*`)
+	declared, cited := map[string]bool{}, map[string]string{} // cited: name -> where
+	cite := func(where, text string) {
+		for _, n := range named.FindAllString(text, -1) {
+			cited[n] = where
+		}
+	}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir("../..", func(path string, e fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case e.IsDir() && path != "../.." && strings.HasPrefix(e.Name(), "."):
+			return filepath.SkipDir
+		case strings.HasSuffix(path, ".go"):
+			f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+			if err != nil {
+				return err
+			}
+			for _, d := range f.Decls {
+				if fn, ok := d.(*ast.FuncDecl); ok {
+					declared[fn.Name.Name] = true
+				}
+			}
+			for _, g := range f.Comments {
+				cite(fset.Position(g.Pos()).String(), g.Text())
+			}
+		case e.Name() == "DESIGN.md" || strings.HasPrefix(e.Name(), "README"):
+			b, err := os.ReadFile(path)
+			for i, line := range strings.Split(string(b), "\n") {
+				cite(fmt.Sprintf("%s:%d", path, i+1), line)
+			}
+			return err
+		}
+		return nil
+	})
+	if err != nil || len(cited) == 0 || !declared["TestDocNamesExist"] {
+		t.Fatalf("walked %d citations and %d declarations: %v", len(cited), len(declared), err)
+	}
+	for n, where := range cited {
+		if !declared[n] {
+			t.Errorf("%s names %s, which no Go file declares", where, n)
 		}
 	}
 }

@@ -20,37 +20,6 @@ type Fig3Result struct {
 	JainAllActive float64
 }
 
-// fig3Fairness reproduces Fig. 3: five ABC flows with the same RTT start
-// and depart one by one on a 24 Mbit/s link. With the additive-increase
-// term the flows converge to equal shares; without it (pure MIMD) they
-// hold whatever split they happened to start with. The fairness index is
-// taken over the all-active window, the 1 s samples in [105, 123] s.
-func fig3Fairness(o RunOptions, withAI bool, seed int64) (*Fig3Result, error) {
-	res, _, err := o.Run(fig3Spec(withAI, seed))
-	if err != nil {
-		return nil, err
-	}
-	out := &Fig3Result{WithAI: withAI}
-	rates := make([]float64, len(res.Flows))
-	for i := range res.Flows {
-		ts := res.Flows[i].Tput
-		out.Tput = append(out.Tput, ts)
-		var sum float64
-		var n int
-		for j, t := range ts.Times {
-			if t >= 105 && t <= 123 {
-				sum += ts.Values[j]
-				n++
-			}
-		}
-		if n > 0 {
-			rates[i] = sum / float64(n)
-		}
-	}
-	out.JainAllActive = metrics.JainIndex(rates)
-	return out, nil
-}
-
 // fig3Spec is Fig. 3's scenario; without additive increase every sender
 // runs pure MIMD (scheme "ABC-MIMD").
 func fig3Spec(withAI bool, seed int64) Spec {
@@ -82,17 +51,45 @@ func fig3Spec(withAI bool, seed int64) Spec {
 	}
 }
 
-// fig3Both runs Fig. 3 without, then with, additive increase.
+// fig3Both reproduces Fig. 3, without and then with additive increase:
+// five ABC flows with the same RTT start and depart one by one on a
+// 24 Mbit/s link. With the additive-increase term they converge to equal
+// shares; without it (pure MIMD) they hold whatever split they started
+// with. Jain's index is over the 1 s samples in [105, 123] s.
 func fig3Both(p Params) ([]*Fig3Result, error) {
 	var out []*Fig3Result
 	for _, ai := range []bool{false, true} {
-		r, err := fig3Fairness(p.RunOptions, ai, p.Seed)
+		res, _, err := p.Run(fig3Spec(ai, p.Seed))
 		if err != nil {
 			return nil, err
 		}
+		r := &Fig3Result{WithAI: ai}
+		rates := make([]float64, len(res.Flows))
+		for i := range res.Flows {
+			r.Tput = append(r.Tput, res.Flows[i].Tput)
+			rates[i] = meanIn(res.Flows[i].Tput, 105, 123)
+		}
+		r.JainAllActive = metrics.JainIndex(rates)
 		out = append(out, r)
 	}
 	return out, nil
+}
+
+// meanIn is the mean of ts's samples taken in [lo, hi] seconds, 0
+// if there are none.
+func meanIn(ts *metrics.Timeseries, lo, hi float64) float64 {
+	var sum float64
+	var n int
+	for j, t := range ts.Times {
+		if t >= lo && t <= hi {
+			sum += ts.Values[j]
+			n++
+		}
+	}
+	if n == 0 {
+		return 0
+	}
+	return sum / float64(n)
 }
 
 func printFig3(w io.Writer, runs []*Fig3Result) {
@@ -101,50 +98,45 @@ func printFig3(w io.Writer, runs []*Fig3Result) {
 	}
 }
 
-// jainFairness runs n concurrent ABC flows on a 24 Mbit/s wired
-// bottleneck for 60 s and returns Jain's index of their throughputs
-// (§6.5 reports within 5% of 1 for 2–32 flows).
-func jainFairness(o RunOptions, n int, seed int64) (float64, error) {
-	flows := make([]FlowSpec, n)
-	for i := range flows {
-		flows[i] = FlowSpec{Scheme: "ABC"}
-	}
-	res, _, err := o.Run(Spec{
-		Seed:     seed,
-		Duration: 60 * sim.Second,
-		Warmup:   10 * sim.Second,
-		RTT:      100 * sim.Millisecond,
-		Links: []LinkSpec{{
-			Rate:  24e6,
-			Qdisc: QdiscSpec{Kind: "abc", Buffer: 500},
-		}},
-		Flows: flows,
-	})
-	if err != nil {
-		return 0, err
-	}
-	rates := make([]float64, n)
-	for i := range res.Flows {
-		rates[i] = res.Flows[i].TputMbps
-	}
-	return metrics.JainIndex(rates), nil
-}
-
 // JainPoint is one flow count of the §6.5 sweep.
 type JainPoint struct {
-	Flows int
-	Jain  float64
+	Flows    int
+	Jain     float64
+	TputMbps float64 // the flows' aggregate throughput
 }
 
-// jainSweep runs jainFairness at 2 to 32 flows.
+// jainSweep runs 2 to 32 concurrent ABC flows on a 24 Mbit/s wired
+// bottleneck for 60 s each and reports Jain's index of their throughputs
+// (§6.5 reports within 5% of 1 for 2–32 flows).
 func jainSweep(p Params) ([]JainPoint, error) {
 	var out []JainPoint
 	for _, n := range []int{2, 4, 8, 16, 32} {
-		idx, err := jainFairness(p.RunOptions, n, p.Seed)
+		flows := make([]FlowSpec, n)
+		for i := range flows {
+			flows[i] = FlowSpec{Scheme: "ABC"}
+		}
+		res, _, err := p.Run(Spec{
+			Seed:     p.Seed,
+			Duration: 60 * sim.Second,
+			Warmup:   10 * sim.Second,
+			RTT:      100 * sim.Millisecond,
+			Links: []LinkSpec{{
+				Rate:  24e6,
+				Qdisc: QdiscSpec{Kind: "abc", Buffer: 500},
+			}},
+			Flows: flows,
+		})
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, JainPoint{Flows: n, Jain: idx})
+		pt := JainPoint{Flows: n}
+		rates := make([]float64, n)
+		for i := range res.Flows {
+			rates[i] = res.Flows[i].TputMbps
+			pt.TputMbps += rates[i]
+		}
+		pt.Jain = metrics.JainIndex(rates)
+		out = append(out, pt)
 	}
 	return out, nil
 }

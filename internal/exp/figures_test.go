@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"abc/internal/sim"
 )
 
 func TestFig2DequeueBeatsEnqueue(t *testing.T) {
@@ -18,19 +16,6 @@ func TestFig2DequeueBeatsEnqueue(t *testing.T) {
 	if r.QDelayP95Enqueue <= r.QDelayP95Dequeue {
 		t.Errorf("enqueue-rate feedback should have higher p95 queuing delay (got %0.f vs %0.f ms)",
 			r.QDelayP95Enqueue, r.QDelayP95Dequeue)
-	}
-}
-
-func TestJainFairness(t *testing.T) {
-	for _, n := range []int{2, 4, 8} {
-		idx, err := jainFairness(RunOptions{}, n, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("n=%d jain=%.3f", n, idx)
-		if idx < 0.95 {
-			t.Errorf("Jain index %.3f < 0.95 for %d flows", idx, n)
-		}
 	}
 }
 
@@ -78,18 +63,6 @@ func TestStabilityRegion(t *testing.T) {
 	}
 }
 
-func TestFig5PredictionAccuracy(t *testing.T) {
-	pts, err := fig5RatePrediction(Params{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	worst := fig5MaxErrorBacklogged(pts)
-	t.Logf("worst backlogged prediction error: %.1f%%", worst*100)
-	if worst > 0.07 {
-		t.Errorf("backlogged link-rate prediction error %.1f%% exceeds the paper's ~5%%", worst*100)
-	}
-}
-
 // TestFig4FitIgnoresMapOrder: the slope fit over per-batch means is the
 // same to the last bit however often it runs, though Go ranges over a
 // map in a different order each time.
@@ -107,20 +80,5 @@ func TestFig4FitIgnoresMapOrder(t *testing.T) {
 		if got := fitSlope(means); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("fit %d gave slope %v, the first gave %v", i, got, want)
 		}
-	}
-}
-
-func TestFig13AppLimited(t *testing.T) {
-	r, err := fig13AppLimited(RunOptions{}, 20, 1.0, 20*sim.Second, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("util=%.2f backlogged=%.1f app=%.2f qdelay p95=%.0fms",
-		r.Utilization, r.BackloggedTputMbps, r.AppLimitedTputMbps, r.QDelayP95)
-	if r.Utilization < 0.5 {
-		t.Errorf("utilization %.2f too low with app-limited flows", r.Utilization)
-	}
-	if r.AppLimitedTputMbps < 0.5 {
-		t.Errorf("app-limited aggregate %.2f Mbit/s below offered 1 Mbit/s", r.AppLimitedTputMbps)
 	}
 }

@@ -9,30 +9,6 @@ import (
 	"abc/internal/wifi"
 )
 
-// TestFig3AIConvergesMIMDDoesNot checks the Fig. 3 headline end to end:
-// the additive-increase term turns MIMD into a fair MAIMD.
-func TestFig3AIConvergesMIMDDoesNot(t *testing.T) {
-	if testing.Short() {
-		t.Skip("250 s scenario")
-	}
-	with, err := fig3Fairness(RunOptions{}, true, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	without, err := fig3Fairness(RunOptions{}, false, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("jain with AI=%.3f without=%.3f", with.JainAllActive, without.JainAllActive)
-	if with.JainAllActive < 0.9 {
-		t.Errorf("with AI: Jain %.3f < 0.9", with.JainAllActive)
-	}
-	if without.JainAllActive > with.JainAllActive-0.1 {
-		t.Errorf("MIMD (%.3f) should be clearly less fair than MAIMD (%.3f)",
-			without.JainAllActive, with.JainAllActive)
-	}
-}
-
 // TestFig6DualWindowTracksBottleneckSwitches checks the Fig. 6 behaviour:
 // low tracking error across wired/wireless bottleneck switches.
 func TestFig6DualWindowTracksBottleneckSwitches(t *testing.T) {
@@ -48,27 +24,6 @@ func TestFig6DualWindowTracksBottleneckSwitches(t *testing.T) {
 	// larger window stays within ~2x the in-flight implied by the other.
 	if len(r.WABC.Values) == 0 || len(r.WCubic.Values) == 0 {
 		t.Fatal("window series missing")
-	}
-}
-
-// TestFig7FairSharingLowABCDelay checks Fig. 7: fair sharing with Cubic
-// while ABC's queue stays an order of magnitude shorter.
-func TestFig7FairSharingLowABCDelay(t *testing.T) {
-	if testing.Short() {
-		t.Skip("200 s scenario")
-	}
-	r, err := fig7Coexistence(Params{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("steady=%v jain=%.3f abcQ=%.0fms cubicQ=%.0fms",
-		r.SteadyTput, r.Jain, r.ABCQDelayP95, r.CubicQDelayP95)
-	if r.Jain < 0.85 {
-		t.Errorf("Jain %.3f < 0.85", r.Jain)
-	}
-	if r.ABCQDelayP95 > r.CubicQDelayP95/4 {
-		t.Errorf("ABC queue p95 %.0f ms not clearly below Cubic's %.0f ms",
-			r.ABCQDelayP95, r.CubicQDelayP95)
 	}
 }
 
@@ -168,88 +123,6 @@ func TestFig12MaxMinFairZombieUnfair(t *testing.T) {
 	}
 	if zbGap < mmGap {
 		t.Errorf("zombie gap (%.0f%%) should exceed maxmin gap (%.0f%%)", zbGap*100, mmGap*100)
-	}
-}
-
-// TestFig18ABCHoldsAcrossRTTs: ABC keeps the link busy at every
-// propagation RTT. Its delay advantage over Cubic there is claim
-// fig18/rtt.
-func TestFig18ABCHoldsAcrossRTTs(t *testing.T) {
-	out, err := fig18RTTSweep(Params{Schemes: []string{"ABC", "Cubic"}, Dur: 20 * sim.Second, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rtt := range []int{20, 50, 100, 200} {
-		a, c := out[rtt]["ABC"], out[rtt]["Cubic"]
-		t.Logf("rtt=%d: ABC %.2f/%.0fms Cubic %.2f/%.0fms",
-			rtt, a.Utilization, a.P95Ms, c.Utilization, c.P95Ms)
-		if a.Utilization < 0.6 {
-			t.Errorf("rtt %d ms: ABC utilization %.2f too low", rtt, a.Utilization)
-		}
-	}
-}
-
-// TestPKABCHalvesDelay checks §6.6: future knowledge cuts p95 queuing
-// delay substantially without wrecking utilization.
-func TestPKABCHalvesDelay(t *testing.T) {
-	r, err := pkABC(Params{Dur: 30 * sim.Second, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("ABC %.0fms@%.2f -> PK %.0fms@%.2f",
-		r.QDelayP95ABC, r.ABC.Utilization, r.QDelayP95PK, r.PK.Utilization)
-	if r.QDelayP95PK > 0.7*r.QDelayP95ABC {
-		t.Errorf("PK p95 %.0f ms not clearly below ABC's %.0f ms", r.QDelayP95PK, r.QDelayP95ABC)
-	}
-	if r.PK.Utilization < r.ABC.Utilization-0.15 {
-		t.Errorf("PK utilization dropped too much: %.2f vs %.2f",
-			r.PK.Utilization, r.ABC.Utilization)
-	}
-}
-
-// TestProxiedEncodingEquivalent checks §5.1.2: the proxied deployment
-// (brake = CE, unmodified receiver) performs like the NS-bit deployment.
-func TestProxiedEncodingEquivalent(t *testing.T) {
-	rows, err := proxied(Params{Dur: 20 * sim.Second, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	std, prox := rows[0], rows[1]
-	t.Logf("standard: %v", std)
-	t.Logf("proxied:  %v", prox)
-	if math.Abs(std.Utilization-prox.Utilization) > 0.1 {
-		t.Errorf("utilization diverged: %.2f vs %.2f", std.Utilization, prox.Utilization)
-	}
-	if prox.P95Ms > std.P95Ms*1.5+20 {
-		t.Errorf("proxied delay %.0f ms diverged from standard %.0f ms", prox.P95Ms, std.P95Ms)
-	}
-}
-
-// TestAblationsProduceMonotoneTradeoffs sanity-checks the parameter
-// sweeps: larger dt must not reduce delay, and η=1 must not lower
-// utilization versus η=0.9.
-func TestAblationsProduceMonotoneTradeoffs(t *testing.T) {
-	sweeps, err := ablations(Params{Dur: 20 * sim.Second, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dt, eta := sweeps[0].Points, sweeps[2].Points
-	if dt[0].Param != "dt_ms" || eta[0].Param != "eta" {
-		t.Fatalf("sweep order changed: got %s, %s", dt[0].Param, eta[0].Param)
-	}
-	for _, p := range dt {
-		t.Logf("dt=%v: util=%.2f p95=%.0f", p.Value, p.Util, p.P95Ms)
-	}
-	if dt[0].P95Ms > dt[len(dt)-1].P95Ms {
-		t.Errorf("p95 at dt=%v (%.0f) exceeds dt=%v (%.0f)",
-			dt[0].Value, dt[0].P95Ms, dt[len(dt)-1].Value, dt[len(dt)-1].P95Ms)
-	}
-	for _, p := range eta {
-		t.Logf("eta=%v: util=%.2f p95=%.0f", p.Value, p.Util, p.P95Ms)
-	}
-	lo, hi := eta[0], eta[len(eta)-1]
-	if hi.Util < lo.Util-0.03 {
-		t.Errorf("eta=%.2f util %.2f below eta=%.2f util %.2f", hi.Value, hi.Util, lo.Value, lo.Util)
 	}
 }
 
