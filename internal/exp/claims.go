@@ -1,9 +1,9 @@
 // Claims: the paper's headline statements, each checked against what a
 // driver measures. A claim belongs to the driver row of the figure or
 // section it cites (Driver.Claims); TestPaperClaims checks every claim
-// on seeds 1 to 3 under both orders of same-instant events, and `abcsim
-// -report` prints each one under its figure with the measured value, its
-// band and the verdict.
+// on seeds 1 to 3, TestTieOrderRelation under both orders of
+// same-instant events, and `abcsim -report` prints each one under its
+// figure with the measured value, its band and the verdict.
 package exp
 
 import (

@@ -3,6 +3,8 @@ package exp
 import (
 	"math"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"abc/internal/metrics"
@@ -19,10 +21,10 @@ var headlineClaims = []string{
 }
 
 // TestPaperClaims checks every claim of the driver table on seeds 1 to
-// 3 under both orders of the events due at one instant (sim.ReverseTies),
-// which the paper's model leaves unordered. The order is process-wide,
-// so each order is one pass; a pass runs its claims in parallel and logs
-// each reading's margin to its band's nearer edge.
+// 3 in the scheduling order of same-instant events. The claims run in
+// parallel; each logs its reading's margin to its band's nearer edge and
+// hands its readings to TestTieOrderRelation, which so runs no claim in
+// this order a second time.
 func TestPaperClaims(t *testing.T) {
 	var names []string
 	for _, d := range Drivers {
@@ -36,30 +38,89 @@ func TestPaperClaims(t *testing.T) {
 	if !slices.Equal(names, headlineClaims) {
 		t.Errorf("the driver table's claims are\n%q\nwant headlineClaims\n%q", names, headlineClaims)
 	}
+	handed := map[string][]float64{}
+	var mu sync.Mutex
+	prev := sim.ReverseTies(false)
+	t.Cleanup(func() {
+		sim.ReverseTies(prev)
+		schedulingReadings.Store(&handed)
+	})
+	for _, d := range Drivers {
+		for _, c := range d.Claims {
+			c, name := c, d.Name+"/"+c.Name
+			t.Run(name, func(t *testing.T) {
+				t.Parallel()
+				vs := checkClaim(t, c, "scheduling order", nil)
+				mu.Lock()
+				handed[name] = vs
+				mu.Unlock()
+			})
+		}
+	}
+}
+
+// schedulingReadings holds the readings of TestPaperClaims' last run
+// until TestTieOrderRelation takes them.
+var schedulingReadings atomic.Pointer[map[string][]float64]
+
+// TestTieOrderRelation checks every claim of the driver table on seeds
+// 1 to 3 under both orders of the events due at one instant: the order
+// they were scheduled in, and its reverse (sim.ReverseTies). Two flows'
+// packets reaching one queue in one nanosecond have no order in the
+// paper's model, so a claim that holds under only one of them rests on a
+// convention of the simulator. In the scheduling order it checks the
+// readings TestPaperClaims handed over, and runs only the claims that
+// did not. The order is process-wide, so each order is one pass; a pass
+// runs its claims in parallel and logs each reading's margin.
+func TestTieOrderRelation(t *testing.T) {
+	handed := map[string][]float64{}
+	if p := schedulingReadings.Swap(nil); p != nil {
+		handed = *p
+	}
 	defer sim.ReverseTies(sim.ReverseTies(false))
 	for _, order := range []string{"scheduling order", "reversed ties"} {
 		sim.ReverseTies(order == "reversed ties")
 		t.Run(order, func(t *testing.T) {
 			for _, d := range Drivers {
 				for _, c := range d.Claims {
-					c := c
-					t.Run(d.Name+"/"+c.Name, func(t *testing.T) {
+					c, name := c, d.Name+"/"+c.Name
+					var vs []float64
+					if order == "scheduling order" {
+						vs = handed[name]
+					}
+					t.Run(name, func(t *testing.T) {
 						t.Parallel()
-						for seed := int64(1); seed <= 3; seed++ {
-							v, err := c.Check(seed, RunOptions{})
-							if err != nil {
-								t.Fatal(err)
-							}
-							t.Logf("seed %d, %s: measured %.4f against %s (margin %+.4f)", seed, order, v, c.Band(), min(v-c.Lo, c.Hi-v))
-							if !c.Holds(v) {
-								t.Errorf("seed %d, %s: %s: measured %.4f outside %s", seed, order, c.Paper, v, c.Band())
-							}
-						}
+						checkClaim(t, c, order, vs)
 					})
 				}
 			}
 		})
 	}
+}
+
+// checkClaim checks c's readings on seeds 1 to 3 under order, the one
+// in force: vs when it holds all three, else c measured now. It logs
+// each reading's margin and returns the readings, nil if a run failed.
+func checkClaim(t *testing.T, c Claim, order string, vs []float64) []float64 {
+	t.Helper()
+	if len(vs) != 3 {
+		vs = nil
+		for seed := int64(1); seed <= 3; seed++ {
+			v, err := c.Check(seed, RunOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			vs = append(vs, v)
+		}
+	}
+	for i, v := range vs {
+		seed := i + 1
+		t.Logf("seed %d, %s: measured %.4f against %s (margin %+.4f)", seed, order, v, c.Band(), min(v-c.Lo, c.Hi-v))
+		if !c.Holds(v) {
+			t.Errorf("seed %d, %s: %s: measured %.4f outside %s", seed, order, c.Paper, v, c.Band())
+		}
+	}
+	return vs
 }
 
 // TestClaimNeedsDelivery: a run that delivered nothing confirms no

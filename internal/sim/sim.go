@@ -299,9 +299,9 @@ var reverseTies atomic.Bool
 //
 // Only tests set it, with nothing else running: the order of events at
 // one instant is a convention of the simulator, not of the model, and a
-// result that moves with it rests on that convention (exp.TestPaperClaims
-// checks every claim under both orders). No run option or scenario key
-// reaches it.
+// result that moves with it rests on that convention
+// (exp.TestTieOrderRelation checks every claim under both orders). No
+// run option or scenario key reaches it.
 func ReverseTies(on bool) bool { return reverseTies.Swap(on) }
 
 // NewLine returns a line that no other caller shares: its events run in

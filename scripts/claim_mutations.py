@@ -5,8 +5,8 @@ Checks that each claim of the driver table (exp.Driver.Claims) can fail:
 for every named claim (all of them by default) and each of its seeded
 mutations it copies the working tree into a temporary directory, applies
 the mutation there — never in the checkout — and runs the claim's
-TestPaperClaims subtests on the copy, under both orders of same-instant
-events. Every mutation must make its claim fail under both orders; the
+TestTieOrderRelation subtests on the copy, under both orders of
+same-instant events. Every mutation must make its claim fail under both orders; the
 script prints the measured values and exits non-zero if a claim still
 holds under one of its mutations in either order.
 
@@ -99,7 +99,7 @@ def main(names):
                 sys.exit(f'{name}: mutation site not found in {path}')
             with open(src, 'w') as f:
                 f.write(text.replace(old, new, 1))
-            r = subprocess.run(['go', 'test', '-count=1', '-run', f'TestPaperClaims/.*/{name}$', '-v', './internal/exp/'],
+            r = subprocess.run(['go', 'test', '-count=1', '-run', f'TestTieOrderRelation/.*/{name}$', '-v', './internal/exp/'],
                                cwd=tree, capture_output=True, text=True)
         # A copy that does not build fails too, but not as the claim.
         lines = r.stdout.splitlines()
