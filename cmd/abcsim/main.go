@@ -81,7 +81,7 @@ func params(opts exp.RunOptions) exp.Params {
 
 func run(opts exp.RunOptions) error {
 	if *reportFlag {
-		return report(opts)
+		return report(os.Stdout, opts)
 	}
 	if *scenario != "" {
 		return runScenarioFile(opts, *scenario)

@@ -1,11 +1,18 @@
 package main
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"os"
 	"os/exec"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
+
+	"abc/internal/exp"
 )
 
 // TestReportRejectsIgnoredFlags runs abcsim's main in a child process
@@ -35,5 +42,61 @@ func TestReportRejectsIgnoredFlags(t *testing.T) {
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), want) {
 			t.Errorf("abcsim %s: err %v, output %q; want exit 2 and %q", args, err, out, want)
 		}
+	}
+}
+
+// TestReportRunsEachPlacementOnce runs `abcsim -report -fast` with every
+// driver's Run counted per parameters and every claim's Read watched:
+// each (driver, Params) runs once, and each claim reads the result
+// printed just above its verdict row.
+func TestReportRunsEachPlacementOnce(t *testing.T) {
+	drivers := exp.Drivers
+	t.Cleanup(func() { exp.Drivers, *fast = drivers, false })
+	*fast = true
+	runs := map[string]int{}
+	var printed any
+	claims := 0
+	exp.Drivers = nil
+	for _, d := range drivers {
+		d, run, print := d, d.Run, d.Print
+		d.Run = func(p exp.Params) (any, error) {
+			runs[fmt.Sprintf("%s %+v", d.Name, p)]++
+			return run(p)
+		}
+		d.Print = func(w io.Writer, v any) {
+			printed = v
+			print(w, v)
+		}
+		d.Report = slices.Clone(d.Report)
+		for i, pl := range d.Report {
+			pl.Claims = slices.Clone(pl.Claims)
+			for j, c := range pl.Claims {
+				c, read := c, c.Read
+				pl.Claims[j].Read = func(v any) float64 {
+					if !reflect.DeepEqual(v, printed) {
+						t.Errorf("%s/%s reads a result other than the one printed above it", d.Name, c.Name)
+					}
+					return read(v)
+				}
+				claims++
+			}
+			d.Report[i] = pl
+		}
+		exp.Drivers = append(exp.Drivers, d)
+	}
+	var out bytes.Buffer
+	if err := report(&out, exp.RunOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if len(runs) == 0 {
+		t.Fatal("the report ran nothing")
+	}
+	for run, n := range runs {
+		if n != 1 {
+			t.Errorf("%s: %d runs, want 1", run, n)
+		}
+	}
+	if rows := strings.Count(out.String(), " | holds |\n") + strings.Count(out.String(), " | FAILS |\n"); rows != claims {
+		t.Errorf("%d verdict rows for %d claims", rows, claims)
 	}
 }

@@ -1,18 +1,19 @@
 // The report: `abcsim -report` runs every placement of the driver table
 // (exp.Driver.Report) under the headings of exp.ReportSections and
-// prints an EXPERIMENTS.md-style report. Under each figure that carries
-// claims (exp.Driver.Claims) it checks the paper's headline claims
-// against the measured results: one row per claim with the paper's
-// statement, the measured value, the band and the verdict. Each claim is
-// measured at its own parameters and the report's seed, so its verdict
-// is the one TestPaperClaims gives for that seed.
+// prints an EXPERIMENTS.md-style report. Under each result whose
+// placement carries claims (exp.Placement.Claims) it checks the paper's
+// headline claims on that result: one row per claim with the paper's
+// statement, the value read off the result printed above it, the band
+// and the verdict. Each placement runs once, so under -fast, whose
+// parameters are TestPaperClaims', a verdict is the one TestPaperClaims
+// gives for the report's seed.
 package main
 
 import (
 	"errors"
 	"flag"
 	"fmt"
-	"os"
+	"io"
 	"slices"
 
 	"abc/internal/exp"
@@ -40,13 +41,13 @@ func checkReportFlags() (err error) {
 	return err
 }
 
-// report prints the sections in order. Within one, placements print in
-// table order, and those that view another run (Placement.From) after
+// report prints the sections to w in order. Within one, placements print
+// in table order, and those that view another run (Placement.From) after
 // the others, from that run's result.
-func report(opts exp.RunOptions) error {
-	fmt.Println("# ABC reproduction report")
+func report(w io.Writer, opts exp.RunOptions) error {
+	fmt.Fprintln(w, "# ABC reproduction report")
 	for _, title := range exp.ReportSections {
-		fmt.Printf("\n## %s\n", title)
+		fmt.Fprintf(w, "\n## %s\n", title)
 		// ran holds the section's results by row, for the views.
 		ran := map[string]any{}
 		for _, views := range []bool{false, true} {
@@ -55,7 +56,7 @@ func report(opts exp.RunOptions) error {
 					if pl.Section != title || (pl.From != "") != views {
 						continue
 					}
-					v, err := reportRun(d, pl, ran, opts)
+					v, err := reportRun(w, d, pl, ran, opts)
 					if err != nil {
 						return err
 					}
@@ -69,35 +70,32 @@ func report(opts exp.RunOptions) error {
 
 // reportRun prints one placement: its heading, the row's result at the
 // placement's parameters (or, for a view, of the section's run it
-// views), and the row's claims as a table: paper | measured | band |
-// verdict. It returns the result.
-func reportRun(d exp.Driver, pl exp.Placement, ran map[string]any, opts exp.RunOptions) (any, error) {
+// views), and the placement's claims read off that result as a table:
+// paper | measured | band | verdict. It returns the result.
+func reportRun(w io.Writer, d exp.Driver, pl exp.Placement, ran map[string]any, opts exp.RunOptions) (any, error) {
 	heading := fmt.Sprintf("### %s (%s): %s", d.Name, d.Paper, d.Desc)
 	if pl.Note != "" {
 		heading += ", " + pl.Note
 	}
-	fmt.Println(heading)
+	fmt.Fprintln(w, heading)
 	v, err := placementResult(d, pl, ran, opts)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", d.Name, err)
 	}
-	d.Print(os.Stdout, v)
-	if len(d.Claims) == 0 {
+	d.Print(w, v)
+	if len(pl.Claims) == 0 {
 		return v, nil
 	}
-	fmt.Println("\n| claim | paper | measured | band | verdict |\n|---|---|---|---|---|")
-	for _, c := range d.Claims {
-		m, err := c.Check(*seed, opts)
-		if err != nil {
-			return nil, fmt.Errorf("%s claim %s: %w", d.Name, c.Name, err)
-		}
+	fmt.Fprintln(w, "\n| claim | paper | measured | band | verdict |\n|---|---|---|---|---|")
+	for _, c := range pl.Claims {
+		m := c.Read(v)
 		verdict := "holds"
 		if !c.Holds(m) {
 			verdict = "FAILS"
 		}
-		fmt.Printf("| %s | %s | %.3f | %s | %s |\n", c.Name, c.Paper, m, c.Band(), verdict)
+		fmt.Fprintf(w, "| %s | %s | %.3f | %s | %s |\n", c.Name, c.Paper, m, c.Band(), verdict)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	return v, nil
 }
 

@@ -39,7 +39,7 @@ type TargetedResult struct {
 	Victim, Bystander AttackClassDelta
 	// JainHonest / JainAttacked are Jain's fairness indices over all
 	// flows in each run.
-	JainHonest, JainAttacked float64
+	JainHonest, JainAttacked metrics.Fairness
 	// Drops / Delayed / Stripped count the adversarial stage's actions in
 	// the attacked run.
 	Drops, Delayed, Stripped int64
@@ -97,7 +97,7 @@ func classStats(res *Result) (victimMbps, victimP95, byMbps, byP95 float64) {
 }
 
 // jain computes Jain's index over a run's per-flow throughputs.
-func jain(res *Result) float64 {
+func jain(res *Result) metrics.Fairness {
 	xs := make([]float64, len(res.Flows))
 	for i := range res.Flows {
 		xs[i] = res.Flows[i].TputMbps
@@ -155,7 +155,7 @@ type GreedyResult struct {
 	HonestMeanMbps float64
 	// JainBaseline / JainGreedy are Jain's indices over all flows in each
 	// run: the fairness collapse is the attack's signature.
-	JainBaseline, JainGreedy float64
+	JainBaseline, JainGreedy metrics.Fairness
 	// BrakesIgnored / CEsIgnored / FeedbackClamped count the feedback the
 	// greedy shim suppressed (scheme-dependent: ABC brakes, CE echoes,
 	// XCP/RCP/VCP explicit feedback).

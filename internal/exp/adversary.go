@@ -42,8 +42,8 @@ type AdversaryReport struct {
 	// JainAll is Jain's fairness index over every static flow's
 	// throughput; JainHonest excludes the attackers, isolating how evenly
 	// the adversary's damage spreads over the honest flows.
-	JainAll    float64 `json:"jain_all"`
-	JainHonest float64 `json:"jain_honest"`
+	JainAll    metrics.Fairness `json:"jain_all"`
+	JainHonest metrics.Fairness `json:"jain_honest"`
 	// VictimFCT / BystanderFCT summarize workload flow completion times
 	// per class (nil when no workload flow of the class completed).
 	VictimFCT    *metrics.FCTStats `json:"victim_fct,omitempty"`

@@ -1,22 +1,23 @@
-// Claims: the paper's headline statements, each checked against what a
-// driver measures. A claim belongs to the driver row of the figure or
-// section it cites (Driver.Claims); TestPaperClaims checks every claim
-// on seeds 1 to 3, TestTieOrderRelation under both orders of
-// same-instant events, and `abcsim -report` prints each one under its
-// figure with the measured value, its band and the verdict.
+// Claims: the paper's headline statements, each read off a result its
+// driver row produced. A claim belongs to the report placement of the
+// figure or section it cites (Placement.Claims) and is checked on that
+// placement's result: `abcsim -report` prints the result and, under it,
+// each claim with the measured value, its band and the verdict;
+// TestPaperClaims runs the placement's -fast parameters once on each of
+// seeds 1 to 3 and checks every claim it carries, and
+// TestTieOrderRelation does so under both orders of same-instant events.
 package exp
 
 import (
 	"fmt"
 	"math"
 
-	"abc/internal/abc"
 	"abc/internal/metrics"
-	"abc/internal/sim"
 )
 
 // Claim is one statement of the paper that a run can confirm or refute:
-// a value measured on the run and the band the statement puts it in.
+// a value read off the run's result and the band the statement puts it
+// in.
 type Claim struct {
 	// Name identifies the claim within its driver; Paper states it,
 	// citing the figure or section (PAPER.md carries no text, so a claim
@@ -25,11 +26,9 @@ type Claim struct {
 	// Lo and Hi bound the measured value: the claim holds when
 	// Lo <= measured <= Hi. An infinite bound is no bound.
 	Lo, Hi float64
-	// Params are the parameters the claim is measured at; the checker
-	// sets the seed and the run options.
-	Params Params
-	// Measure runs what the claim needs and returns the measured value.
-	Measure func(Params) (float64, error)
+	// Read returns the measured value of a result of the row whose
+	// placement carries the claim (built by reads).
+	Read func(any) float64
 }
 
 // Holds reports whether v lies in the claim's band. NaN and ±Inf never
@@ -48,23 +47,9 @@ func (c Claim) Band() string {
 	return fmt.Sprintf("[%.3g, %.3g]", c.Lo, c.Hi)
 }
 
-// Check measures the claim at seed with the given run options.
-func (c Claim) Check(seed int64, o RunOptions) (float64, error) {
-	p := c.Params
-	p.Seed, p.RunOptions = seed, o
-	return c.Measure(p)
-}
-
-// of turns a typed driver run and a reading of its result into a
-// claim's Measure.
-func of[R any](run func(Params) (R, error), read func(R) float64) func(Params) (float64, error) {
-	return func(p Params) (float64, error) {
-		r, err := run(p)
-		if err != nil {
-			return 0, err
-		}
-		return read(r), nil
-	}
+// reads turns a typed reading of a row's result into a claim's Read.
+func reads[R any](read func(R) float64) func(any) float64 {
+	return func(v any) float64 { return read(v.(R)) }
 }
 
 var inf = math.Inf(1)
@@ -75,12 +60,11 @@ var inf = math.Inf(1)
 // delay over ABC's. At HEAD the smallest is Copa's at about 1.19 and the
 // other two are about 1.8 and 4.8; the band asks for 10 % on each.
 var fig9Claim = Claim{
-	Name:   "util-delay",
-	Paper:  "ABC carries more than Cubic+Codel and Copa, at far less delay than BBR (Fig. 9, Table 1)",
-	Lo:     1.1,
-	Hi:     inf,
-	Params: Params{Dur: 20 * sim.Second, Schemes: []string{"ABC", "Cubic+Codel", "BBR", "Copa"}},
-	Measure: of(cellularBars, func(b *BarsResult) float64 {
+	Name:  "util-delay",
+	Paper: "ABC carries more than Cubic+Codel and Copa, at far less delay than BBR (Fig. 9, Table 1)",
+	Lo:    1.1,
+	Hi:    inf,
+	Read: reads(func(b *BarsResult) float64 {
 		au, _, ap := b.Average("ABC")
 		cu, _, _ := b.Average("Cubic+Codel")
 		ou, _, _ := b.Average("Copa")
@@ -93,18 +77,16 @@ var fig9Claim = Claim{
 // minimum of the marks along its path (Theorem 3.1's setting, §3.1.2),
 // so ABC keeps its delay advantage over Cubic across both cell hops.
 // The measured value is Cubic's p95 delay over ABC's on the two-hop
-// panel, the only one it runs: about 2.5 at HEAD.
+// panel: about 2.5 at HEAD.
 var fig8Claim = Claim{
-	Name:    "min-of-marks",
-	Paper:   "a packet carries the minimum of its hops' marks, so ABC's p95 delay stays well below Cubic's across two cell hops (Fig. 8c, §3.1.2)",
-	Lo:      1.5,
-	Hi:      inf,
-	Params:  Params{Dur: 20 * sim.Second, Schemes: []string{"ABC", "Cubic"}},
-	Measure: of(fig8TwoHop, fig8MinOfMarks),
+	Name:  "min-of-marks",
+	Paper: "a packet carries the minimum of its hops' marks, so ABC's p95 delay stays well below Cubic's across two cell hops (Fig. 8c, §3.1.2)",
+	Lo:    1.5,
+	Hi:    inf,
+	Read: reads(func(panels []Fig8Panel) float64 {
+		return fig8MinOfMarks(panels[UplinkDownlink].Rows)
+	}),
 }
-
-// fig8TwoHop runs Fig. 8c alone.
-func fig8TwoHop(p Params) ([]metrics.Summary, error) { return fig8Scatter(UplinkDownlink, p) }
 
 // fig8MinOfMarks is fig8Claim's reading of the two-hop rows.
 func fig8MinOfMarks(rows []metrics.Summary) float64 {
@@ -126,7 +108,7 @@ func p95Ratio(num, den metrics.Summary) float64 {
 }
 
 // whenDelivered is v, or NaN if a throughput is 0: an empty run's p95
-// reads 0 and Jain's index over all-zero rates 1, which could hold.
+// reads 0, which could hold.
 func whenDelivered(v float64, tputs ...float64) float64 {
 	for _, t := range tputs {
 		if t == 0 {
@@ -142,12 +124,11 @@ func whenDelivered(v float64, tputs ...float64) float64 {
 // reverse brakes seen by the sender per demotion by the router (0 when
 // the router demoted nothing).
 var markedUplinkClaim = Claim{
-	Name:   "reverse-min-of-marks",
-	Paper:  "an ACK's echoed accelerate is demoted by an ABC router on the return path, and the sender brakes for each one (§3.1.2, §5.1.2)",
-	Lo:     1,
-	Hi:     1,
-	Params: Params{Dur: 12 * sim.Second, Schemes: []string{"ABC"}},
-	Measure: of(markedUplink, func(m map[string]MarkedUplinkResult) float64 {
+	Name:  "reverse-min-of-marks",
+	Paper: "an ACK's echoed accelerate is demoted by an ABC router on the return path, and the sender brakes for each one (§3.1.2, §5.1.2)",
+	Lo:    1,
+	Hi:    1,
+	Read: reads(func(m map[string]MarkedUplinkResult) float64 {
 		r := m["ABC"]
 		if r.EchoDemoted == 0 {
 			return 0
@@ -157,56 +138,14 @@ var markedUplinkClaim = Claim{
 }
 
 // eq13Claim: the packet simulator settles at Eq. 13's fixed point. The
-// cell is 20 backlogged ABC flows on a 12 Mbit/s link at τ = δ = 100 ms,
-// five packets per flow per round trip, where the fluid model's
-// one-increase-per-round-trip approximation is closest (ROADMAP item
-// 18's probe put this cell within 2 %). The measured value is the
-// relative error of the mean standing queuing delay over 30–60 s
-// against x* = dt + δ·((η − 1) + N/(µ·(τ + x*))).
+// measured value is the relative error of the stability row's packet
+// cell (Eq13Cell) against x*.
 var eq13Claim = Claim{
-	Name:    "eq13-fixed-point",
-	Paper:   "the queuing delay settles at Eq. 13's fixed point x* = dt + δ·((η−1) + N/(µ·(τ+x*))) (App. A, Thm. 3.1)",
-	Lo:      -0.12,
-	Hi:      0.12,
-	Measure: func(p Params) (float64, error) { return eq13Error(p, 12e6, 20, 100*sim.Millisecond) },
-}
-
-// eq13Error runs one Eq. 13 cell: n backlogged ABC flows on a rate link
-// of rate bits/sec, τ = 100 ms, the router's δ set to delta, and returns
-// (measured − x*)/x* for the mean sampled queuing delay over 30–60 s.
-func eq13Error(p Params, rate float64, n int, delta sim.Time) (float64, error) {
-	const tau = 100 * sim.Millisecond
-	cfg := abc.DefaultRouterConfig()
-	cfg.Delta = delta
-	flows := make([]FlowSpec, n)
-	for i := range flows {
-		flows[i] = FlowSpec{Scheme: "ABC"}
-	}
-	res, _, err := p.Run(Spec{
-		Seed:     p.Seed,
-		Duration: 60 * sim.Second,
-		RTT:      tau,
-		Sample:   10 * sim.Millisecond,
-		Links:    []LinkSpec{{Rate: rate, Qdisc: QdiscSpec{Kind: "abc", Buffer: 2000, ABCConfig: &cfg}}},
-		Flows:    flows,
-	})
-	if err != nil {
-		return 0, err
-	}
-	x := eq13FixedPoint(cfg, float64(n), rate/8/1500, tau.Seconds())
-	return (meanIn(res.QueueDelayTS, 30, inf)/1000 - x) / x, nil
-}
-
-// eq13FixedPoint solves x = dt + δ·((η − 1) + N/(µ·(τ + x))) by
-// iteration (µ in packets/sec, times in seconds): the additive increase
-// comes once per round trip, propagation plus queuing.
-func eq13FixedPoint(cfg abc.RouterConfig, n, mu, tau float64) float64 {
-	dt, delta := cfg.DelayThreshold.Seconds(), cfg.Delta.Seconds()
-	x := dt
-	for i := 0; i < 200; i++ {
-		x = dt + delta*((cfg.Eta-1)+n/(mu*(tau+x)))
-	}
-	return x
+	Name:  "eq13-fixed-point",
+	Paper: "the queuing delay settles at Eq. 13's fixed point x* = dt + δ·((η−1) + N/(µ·(τ+x*))) (App. A, Thm. 3.1)",
+	Lo:    -0.12,
+	Hi:    0.12,
+	Read:  reads(func(r *StabilityResult) float64 { return r.Eq13.Error() }),
 }
 
 // fig18Claim: ABC's delay advantage over Cubic holds at every
@@ -214,12 +153,11 @@ func eq13FixedPoint(cfg abc.RouterConfig, n, mu, tau float64) float64 {
 // of ABC's p95 delay to Cubic's over the four RTTs: about 0.47 (at
 // 200 ms) at HEAD.
 var fig18Claim = Claim{
-	Name:    "rtt",
-	Paper:   "ABC's p95 delay stays well below Cubic's at every propagation RTT from 20 to 200 ms (Fig. 18, App. E)",
-	Lo:      0,
-	Hi:      0.7,
-	Params:  Params{Dur: 20 * sim.Second, Schemes: []string{"ABC", "Cubic"}},
-	Measure: of(fig18RTTSweep, fig18WorstRatio),
+	Name:  "rtt",
+	Paper: "ABC's p95 delay stays well below Cubic's at every propagation RTT from 20 to 200 ms (Fig. 18, App. E)",
+	Lo:    0,
+	Hi:    0.7,
+	Read:  reads(fig18WorstRatio),
 }
 
 // fig18WorstRatio is fig18Claim's reading of the sweep: NaN if ABC or
@@ -239,12 +177,11 @@ func fig18WorstRatio(m map[int]map[string]metrics.Summary) float64 {
 // the zombie list's gap minus max-min's, averaged over the offered
 // loads.
 var fig12Claim = Claim{
-	Name:   "weight-policy",
-	Paper:  "the zombie list favours Cubic's long flows over ABC's by a clearly wider gap than max-min weights do (Fig. 12)",
-	Lo:     0.1,
-	Hi:     inf,
-	Params: Params{Runs: 2, Dur: 25 * sim.Second},
-	Measure: of(fig12Both, func(pts []Fig12Point) float64 {
+	Name:  "weight-policy",
+	Paper: "the zombie list favours Cubic's long flows over ABC's by a clearly wider gap than max-min weights do (Fig. 12)",
+	Lo:    0.1,
+	Hi:    inf,
+	Read: reads(func(pts []Fig12Point) float64 {
 		gap := map[string]float64{}
 		loads := map[float64]bool{}
 		for _, p := range pts {
@@ -259,45 +196,36 @@ var fig12Claim = Claim{
 // slope S/R the estimator of §4.1 relies on. The measured value is the
 // fitted slope over S/R.
 var fig4Claim = Claim{
-	Name:    "tia-slope",
-	Paper:   "the inter-ACK time grows by S/R per frame in the A-MPDU (Fig. 4, §4.1)",
-	Lo:      0.9,
-	Hi:      1.1,
-	Measure: of(fig4InterACK, func(r *Fig4Result) float64 { return r.FittedSlopeMs / r.TheorySlopeMs }),
+	Name:  "tia-slope",
+	Paper: "the inter-ACK time grows by S/R per frame in the A-MPDU (Fig. 4, §4.1)",
+	Lo:    0.9,
+	Hi:    1.1,
+	Read:  reads(func(r *Fig4Result) float64 { return r.FittedSlopeMs / r.TheorySlopeMs }),
 }
 
 // fig3Claim: the value is the smaller margin of Jain's index with
 // additive increase (MAIMD) over 0.9 and its lead over pure MIMD's over
-// 0.1.
+// 0.1; NaN if a run delivered nothing, whose index reads NaN.
 var fig3Claim = Claim{
 	Name:  "ai-fairness",
 	Paper: "with additive increase five staggered ABC flows converge to a fair share; without it (pure MIMD) they stay clearly less fair (Fig. 3, §3.1.3)",
 	Lo:    1,
 	Hi:    inf,
-	Measure: of(fig3Both, func(r []*Fig3Result) float64 {
-		mimd, maimd := fig3Jain(r[0]), fig3Jain(r[1])
+	Read: reads(func(r []*Fig3Result) float64 {
+		mimd, maimd := float64(r[0].JainAllActive), float64(r[1].JainAllActive)
 		return min(maimd/0.9, (maimd-mimd)/0.1)
 	}),
-}
-
-// fig3Jain is a Fig. 3 run's Jain index, NaN if it delivered nothing.
-func fig3Jain(r *Fig3Result) float64 {
-	var total float64
-	for _, ts := range r.Tput {
-		total += ts.Mean()
-	}
-	return whenDelivered(r.JainAllActive, total)
 }
 
 // fig5Claim: the estimator of §4.1 predicts a backlogged Wi-Fi user's
 // link rate. The value is the worst relative error over the three
 // links' backlogged points; a prediction of 0 reads 1.
 var fig5Claim = Claim{
-	Name:    "backlogged-prediction",
-	Paper:   "for a backlogged user the estimator predicts the link rate to within about 5 % (Fig. 5, §4.1)",
-	Lo:      0,
-	Hi:      0.07,
-	Measure: of(fig5RatePrediction, fig5MaxErrorBacklogged),
+	Name:  "backlogged-prediction",
+	Paper: "for a backlogged user the estimator predicts the link rate to within about 5 % (Fig. 5, §4.1)",
+	Lo:    0,
+	Hi:    0.07,
+	Read:  reads(fig5MaxErrorBacklogged),
 }
 
 // fig7Claim: ABC and Cubic flows share a dual-queue ABC bottleneck
@@ -305,18 +233,18 @@ var fig5Claim = Claim{
 // margin of Jain's index over the steady window over 0.85, and of 0.25
 // over ABC's p95 queuing delay relative to Cubic's.
 var fig7Claim = Claim{
-	Name:    "dual-queue-share",
-	Paper:   "two ABC and two Cubic flows share a dual-queue ABC bottleneck fairly, and ABC's queue stays far shorter than Cubic's (Fig. 7, §5.2)",
-	Lo:      1,
-	Hi:      inf,
-	Measure: of(fig7Coexistence, fig7Margin),
+	Name:  "dual-queue-share",
+	Paper: "two ABC and two Cubic flows share a dual-queue ABC bottleneck fairly, and ABC's queue stays far shorter than Cubic's (Fig. 7, §5.2)",
+	Lo:    1,
+	Hi:    inf,
+	Read:  reads(fig7Margin),
 }
 
 // fig7Margin is fig7Claim's reading, NaN if the ABC or the Cubic flows
 // delivered nothing in the steady window (flows 0–1 are ABC, 2–3 Cubic).
 func fig7Margin(r *Fig7Result) float64 {
 	abc, cubic := r.SteadyTput[0]+r.SteadyTput[1], r.SteadyTput[2]+r.SteadyTput[3]
-	return whenDelivered(min(r.Jain/0.85, 0.25*r.CubicQDelayP95/r.ABCQDelayP95), abc, cubic)
+	return whenDelivered(min(float64(r.Jain)/0.85, 0.25*r.CubicQDelayP95/r.ABCQDelayP95), abc, cubic)
 }
 
 // fig13Claim: the value is the smaller margin of the utilisation and of
@@ -328,23 +256,21 @@ func fig7Margin(r *Fig7Result) float64 {
 // Fixing the timer cuts the utilisation from 0.82 to 0.39, and this
 // claim is what catches that.
 var fig13Claim = Claim{
-	Name:    "app-limited",
-	Paper:   "a backlogged ABC flow keeps the cell utilised beside application-limited ABC flows, which get their offered rate through (Fig. 13, §6.3)",
-	Lo:      1,
-	Hi:      inf,
-	Params:  Params{Dur: 20 * sim.Second},
-	Measure: of(fig13, func(r *Fig13Result) float64 { return min(r.Utilization/0.5, r.AppLimitedTputMbps/0.5) }),
+	Name:  "app-limited",
+	Paper: "a backlogged ABC flow keeps the cell utilised beside application-limited ABC flows, which get their offered rate through (Fig. 13, §6.3)",
+	Lo:    1,
+	Hi:    inf,
+	Read:  reads(func(r *Fig13Result) float64 { return min(r.Utilization/0.5, r.AppLimitedTputMbps/0.5) }),
 }
 
 // fig18UtilClaim: ABC keeps the link busy at every RTT of the sweep.
 // The value is ABC's lowest utilisation over the RTTs.
 var fig18UtilClaim = Claim{
-	Name:   "util",
-	Paper:  "ABC keeps the link utilised at every propagation RTT from 20 to 200 ms (Fig. 18, App. E)",
-	Lo:     0.6,
-	Hi:     inf,
-	Params: Params{Dur: 20 * sim.Second, Schemes: []string{"ABC"}},
-	Measure: of(fig18RTTSweep, func(m map[int]map[string]metrics.Summary) float64 {
+	Name:  "util",
+	Paper: "ABC keeps the link utilised at every propagation RTT from 20 to 200 ms (Fig. 18, App. E)",
+	Lo:    0.6,
+	Hi:    inf,
+	Read: reads(func(m map[int]map[string]metrics.Summary) float64 {
 		lowest := inf
 		for _, row := range m {
 			lowest = min(lowest, row["ABC"].Utilization)
@@ -356,18 +282,19 @@ var fig18UtilClaim = Claim{
 // jainClaim: ABC shares a wired bottleneck fairly among 2 to 32 flows.
 // The value is the sweep's lowest Jain index, 0.951 in scheduling order.
 var jainClaim = Claim{
-	Name:    "min-index",
-	Paper:   "Jain's fairness index stays within 5 % of 1 for 2 to 32 ABC flows (§6.5)",
-	Lo:      0.95,
-	Hi:      inf,
-	Measure: of(jainSweep, jainLowest),
+	Name:  "min-index",
+	Paper: "Jain's fairness index stays within 5 % of 1 for 2 to 32 ABC flows (§6.5)",
+	Lo:    0.95,
+	Hi:    inf,
+	Read:  reads(jainLowest),
 }
 
-// jainLowest is the lowest Jain index, NaN if a run delivered nothing.
+// jainLowest is the lowest Jain index, NaN if a run delivered nothing
+// (metrics.JainIndex reads NaN then, and min keeps a NaN).
 func jainLowest(pts []JainPoint) float64 {
 	lowest := inf
 	for _, p := range pts {
-		lowest = min(lowest, whenDelivered(p.Jain, p.TputMbps))
+		lowest = min(lowest, float64(p.Jain))
 	}
 	return lowest
 }
@@ -376,12 +303,11 @@ func jainLowest(pts []JainPoint) float64 {
 // delay at dt = 100 ms over that at 5 ms, over 1.5, and of the
 // utilisation at η = 1 over that at η = 0.85.
 var ablationClaim = Claim{
-	Name:    "tradeoffs",
-	Paper:   "a larger delay threshold dt lets a longer queue stand, and a target utilisation η below 1 gives up throughput (§3.1)",
-	Lo:      1,
-	Hi:      inf,
-	Params:  Params{Dur: 20 * sim.Second},
-	Measure: of(ablations, ablationMargin),
+	Name:  "tradeoffs",
+	Paper: "a larger delay threshold dt lets a longer queue stand, and a target utilisation η below 1 gives up throughput (§3.1)",
+	Lo:    1,
+	Hi:    inf,
+	Read:  reads(ablationMargin),
 }
 
 // ablationMargin reads the dt sweep (listed first) and the η sweep
@@ -396,12 +322,11 @@ func ablationMargin(sweeps []AblationSweep) float64 {
 // proxiedClaim: the value is the larger of the utilisation difference
 // over 0.1 and the proxied p95 delay over 1.5× the NS-bit one + 20 ms.
 var proxiedClaim = Claim{
-	Name:    "equivalent",
-	Paper:   "the proxied encoding (brake = CE, unmodified receiver) performs like the NS-bit encoding (§5.1.2)",
-	Lo:      -inf,
-	Hi:      1,
-	Params:  Params{Dur: 20 * sim.Second},
-	Measure: of(proxied, proxiedDeviation),
+	Name:  "equivalent",
+	Paper: "the proxied encoding (brake = CE, unmodified receiver) performs like the NS-bit encoding (§5.1.2)",
+	Lo:    -inf,
+	Hi:    1,
+	Read:  reads(proxiedDeviation),
 }
 
 // proxiedDeviation is proxiedClaim's reading, NaN if a run delivered
@@ -416,12 +341,11 @@ func proxiedDeviation(rows []metrics.Summary) float64 {
 // relative to ABC's over 0.7, and ABC's utilisation minus PK-ABC's over
 // 0.15.
 var pkabcClaim = Claim{
-	Name:    "future-knowledge",
-	Paper:   "perfect future knowledge of the link rate cuts ABC's p95 queuing delay well below ABC's at little cost in utilisation (§6.6)",
-	Lo:      -inf,
-	Hi:      1,
-	Params:  Params{Dur: 30 * sim.Second},
-	Measure: of(pkABC, pkabcExcess),
+	Name:  "future-knowledge",
+	Paper: "perfect future knowledge of the link rate cuts ABC's p95 queuing delay well below ABC's at little cost in utilisation (§6.6)",
+	Lo:    -inf,
+	Hi:    1,
+	Read:  reads(pkabcExcess),
 }
 
 // pkabcExcess is pkabcClaim's reading, NaN if a run delivered nothing.

@@ -20,18 +20,59 @@ var headlineClaims = []string{
 	"pkabc/future-knowledge", "stability/eq13-fixed-point", "markeduplink/reverse-min-of-marks",
 }
 
+// claimed is one placement of the table that carries claims, with its
+// row.
+type claimed struct {
+	d  Driver
+	pl Placement
+}
+
+// claimedPlacements lists the table's placements with claims, in table
+// order.
+func claimedPlacements() []claimed {
+	var out []claimed
+	for _, d := range Drivers {
+		for _, pl := range d.Report {
+			if len(pl.Claims) > 0 {
+				out = append(out, claimed{d, pl})
+			}
+		}
+	}
+	return out
+}
+
+// seedRuns returns the placement's results at its -fast parameters on
+// seeds 1 to 3, run in the tie order then in force the first time one of
+// its claims asks, and the same results to each claim after.
+func (cp claimed) seedRuns() func() ([]any, error) {
+	return sync.OnceValues(func() ([]any, error) {
+		var rs []any
+		for seed := int64(1); seed <= 3; seed++ {
+			p := cp.pl.Fast
+			p.Seed = seed
+			r, err := cp.d.Run(p)
+			if err != nil {
+				return nil, err
+			}
+			rs = append(rs, r)
+		}
+		return rs, nil
+	})
+}
+
 // TestPaperClaims checks every claim of the driver table on seeds 1 to
-// 3 in the scheduling order of same-instant events. The claims run in
-// parallel; each logs its reading's margin to its band's nearer edge and
-// hands its readings to TestTieOrderRelation, which so runs no claim in
-// this order a second time.
+// 3 in the scheduling order of same-instant events. Each placement with
+// claims runs once per seed, and every claim it carries reads those
+// results. The claims run in parallel; each logs its reading's margin to
+// its band's nearer edge and hands its readings to TestTieOrderRelation,
+// which so runs no placement in this order a second time.
 func TestPaperClaims(t *testing.T) {
 	var names []string
-	for _, d := range Drivers {
-		for _, c := range d.Claims {
-			names = append(names, d.Name+"/"+c.Name)
-			if c.Paper == "" || c.Measure == nil || !(c.Lo <= c.Hi) {
-				t.Errorf("claim %s/%s incomplete: paper=%q band=%s", d.Name, c.Name, c.Paper, c.Band())
+	for _, cp := range claimedPlacements() {
+		for _, c := range cp.pl.Claims {
+			names = append(names, cp.d.Name+"/"+c.Name)
+			if c.Paper == "" || c.Read == nil || !(c.Lo <= c.Hi) {
+				t.Errorf("claim %s/%s incomplete: paper=%q band=%s", cp.d.Name, c.Name, c.Paper, c.Band())
 			}
 		}
 	}
@@ -45,12 +86,13 @@ func TestPaperClaims(t *testing.T) {
 		sim.ReverseTies(prev)
 		schedulingReadings.Store(&handed)
 	})
-	for _, d := range Drivers {
-		for _, c := range d.Claims {
-			c, name := c, d.Name+"/"+c.Name
+	for _, cp := range claimedPlacements() {
+		runs := cp.seedRuns()
+		for _, c := range cp.pl.Claims {
+			c, name := c, cp.d.Name+"/"+c.Name
 			t.Run(name, func(t *testing.T) {
 				t.Parallel()
-				vs := checkClaim(t, c, "scheduling order", nil)
+				vs := checkClaim(t, c, "scheduling order", nil, runs)
 				mu.Lock()
 				handed[name] = vs
 				mu.Unlock()
@@ -69,9 +111,10 @@ var schedulingReadings atomic.Pointer[map[string][]float64]
 // packets reaching one queue in one nanosecond have no order in the
 // paper's model, so a claim that holds under only one of them rests on a
 // convention of the simulator. In the scheduling order it checks the
-// readings TestPaperClaims handed over, and runs only the claims that
-// did not. The order is process-wide, so each order is one pass; a pass
-// runs its claims in parallel and logs each reading's margin.
+// readings TestPaperClaims handed over, and runs only the placements
+// whose claims it did not. The order is process-wide, so each order is
+// one pass; a pass runs each placement once per seed, checks its claims
+// in parallel and logs each reading's margin.
 func TestTieOrderRelation(t *testing.T) {
 	handed := map[string][]float64{}
 	if p := schedulingReadings.Swap(nil); p != nil {
@@ -81,16 +124,17 @@ func TestTieOrderRelation(t *testing.T) {
 	for _, order := range []string{"scheduling order", "reversed ties"} {
 		sim.ReverseTies(order == "reversed ties")
 		t.Run(order, func(t *testing.T) {
-			for _, d := range Drivers {
-				for _, c := range d.Claims {
-					c, name := c, d.Name+"/"+c.Name
+			for _, cp := range claimedPlacements() {
+				runs := cp.seedRuns()
+				for _, c := range cp.pl.Claims {
+					c, name := c, cp.d.Name+"/"+c.Name
 					var vs []float64
 					if order == "scheduling order" {
 						vs = handed[name]
 					}
 					t.Run(name, func(t *testing.T) {
 						t.Parallel()
-						checkClaim(t, c, order, vs)
+						checkClaim(t, c, order, vs, runs)
 					})
 				}
 			}
@@ -99,18 +143,19 @@ func TestTieOrderRelation(t *testing.T) {
 }
 
 // checkClaim checks c's readings on seeds 1 to 3 under order, the one
-// in force: vs when it holds all three, else c measured now. It logs
-// each reading's margin and returns the readings, nil if a run failed.
-func checkClaim(t *testing.T, c Claim, order string, vs []float64) []float64 {
+// in force: vs when it holds all three, else c read off runs' results.
+// It logs each reading's margin and returns the readings, nil if a run
+// failed.
+func checkClaim(t *testing.T, c Claim, order string, vs []float64, runs func() ([]any, error)) []float64 {
 	t.Helper()
 	if len(vs) != 3 {
+		rs, err := runs()
+		if err != nil {
+			t.Fatal(err)
+		}
 		vs = nil
-		for seed := int64(1); seed <= 3; seed++ {
-			v, err := c.Check(seed, RunOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			vs = append(vs, v)
+		for _, r := range rs {
+			vs = append(vs, c.Read(r))
 		}
 	}
 	for i, v := range vs {
@@ -149,8 +194,8 @@ func TestClaimNeedsDelivery(t *testing.T) {
 		t.Errorf("fig18 reading = %v, want ABC's p95 over Cubic's, 0.2", v)
 	}
 	sweep[200] = map[string]metrics.Summary{"ABC": silent, "Cubic": cubic}
-	zero := &metrics.Timeseries{Values: []float64{0}}
-	silentFig3 := &Fig3Result{Tput: []*metrics.Timeseries{zero, zero}, JainAllActive: 1}
+	nothing := metrics.JainIndex([]float64{0, 0})
+	silentFig3 := &Fig3Result{JainAllActive: nothing}
 	silentSweeps := []AblationSweep{{Points: []AblationPoint{{}}}, {}, {Points: []AblationPoint{{}}}}
 	for _, r := range []struct {
 		claim string
@@ -159,10 +204,10 @@ func TestClaimNeedsDelivery(t *testing.T) {
 	}{
 		{"fig8 with a silent ABC", fig8Claim, fig8MinOfMarks([]metrics.Summary{silent, cubic})},
 		{"fig18 with a silent ABC at one RTT", fig18Claim, fig18WorstRatio(sweep)},
-		{"fig3 with silent flows", fig3Claim, fig3Jain(silentFig3)},
+		{"fig3 with silent flows", fig3Claim, fig3Claim.Read([]*Fig3Result{silentFig3, silentFig3})},
 		{"fig5 with no prediction", fig5Claim, fig5MaxErrorBacklogged([]Fig5Point{{OfferedMbps: 40, TrueMbps: 30}})},
 		{"fig7 with silent ABC flows", fig7Claim, fig7Margin(&Fig7Result{SteadyTput: []float64{0, 0, 9, 9}, Jain: 1, CubicQDelayP95: 300})},
-		{"jain with silent flows", jainClaim, jainLowest([]JainPoint{{Flows: 2, Jain: 1}})},
+		{"jain with silent flows", jainClaim, jainLowest([]JainPoint{{Flows: 2, Jain: nothing}})},
 		{"ablations with silent runs", ablationClaim, ablationMargin(silentSweeps)},
 		{"proxied with silent runs", proxiedClaim, proxiedDeviation([]metrics.Summary{silent, silent})},
 		{"pkabc with silent runs", pkabcClaim, pkabcExcess(&PKABCResult{})},

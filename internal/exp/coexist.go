@@ -109,7 +109,7 @@ type Fig7Result struct {
 	// flows are active.
 	SteadyTput []float64
 	// Jain is the fairness index over SteadyTput.
-	Jain float64
+	Jain metrics.Fairness
 }
 
 // fig7Spec is Fig. 7's scenario.

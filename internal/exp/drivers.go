@@ -3,9 +3,9 @@
 // driver-table test and the claims test. A new experiment is one entry
 // here: a name, the paper artefact it reproduces, a run function that
 // turns the CLI's parameters into a JSON-serializable result, a print
-// function that renders that result in a fixed order, the paper's
-// claims about that artefact that its runs can check, and where the
-// report prints it. A row names its experiment's func(Params) (R, error)
+// function that renders that result in a fixed order, and where the
+// report prints it, with the paper's claims that each printed result
+// is checked against. A row names its experiment's func(Params) (R, error)
 // directly, and that function is the only way into the experiment: the
 // package exports no per-figure runner.
 package exp
@@ -35,7 +35,7 @@ type Params struct {
 }
 
 // Driver is one experiment: what it is called, what it reproduces, how
-// to run it and how to print what it returns.
+// to run it, how to print what it returns and where the report runs it.
 type Driver struct {
 	// Name is the `-exp` id; Paper the artefact reproduced ("ext." for
 	// experiments beyond the paper's evaluation); Desc what is reported.
@@ -46,9 +46,6 @@ type Driver struct {
 	// Print renders a Run result. Output order is fixed, so equal
 	// results print equal bytes.
 	Print func(io.Writer, any)
-	// Claims are the paper's statements this row's artefact makes,
-	// each with the band its measured value must lie in (claims.go).
-	Claims []Claim
 	// Of, set on a row whose result is a pure function of another
 	// row's (built by view), computes it from that row's result: Run is
 	// the other row's run followed by Of.
@@ -59,8 +56,9 @@ type Driver struct {
 }
 
 // Placement is one run of a driver in the report: the section it prints
-// under and the parameters it runs at. The report prints the run's
-// result through the row's Print, then checks the row's claims.
+// under, the parameters it runs at and the paper's claims its result is
+// checked against. The report prints the run's result through the row's
+// Print, then reads each claim off that result.
 type Placement struct {
 	// Section is the heading the run prints under, one of
 	// ReportSections.
@@ -69,8 +67,12 @@ type Placement struct {
 	// driver apart.
 	Note string
 	// Full and Fast are the run's parameters in the full report and
-	// under -fast; the report sets the seed and the run options.
+	// under -fast; the report sets the seed and the run options. A
+	// placement with claims is what TestPaperClaims runs, at Fast.
 	Full, Fast Params
+	// Claims are the paper's statements read off this run's result,
+	// each with the band its measured value must lie in (claims.go).
+	Claims []Claim
 	// From, if set, names the row whose run in the same section this
 	// placement views: the report hands that run's result to the row's
 	// Of instead of running again (Full and Fast are unused), and
@@ -110,6 +112,12 @@ func timed(schemes ...string) Placement {
 	}
 }
 
+// checks returns the placement with claims read off its result.
+func (pl Placement) checks(claims ...Claim) Placement {
+	pl.Claims = claims
+	return pl
+}
+
 // wifiTimed is a Wi-Fi run for users: 45 s, 15 s under -fast.
 func wifiTimed(note string, users int) Placement {
 	return Placement{
@@ -119,14 +127,12 @@ func wifiTimed(note string, users int) Placement {
 	}
 }
 
-// drv builds a table entry from a typed run/print pair and the claims
-// of the artefact it reproduces.
-func drv[R any](name, paper, desc string, run func(Params) (R, error), print func(io.Writer, R), claims ...Claim) Driver {
+// drv builds a table entry from a typed run/print pair.
+func drv[R any](name, paper, desc string, run func(Params) (R, error), print func(io.Writer, R)) Driver {
 	return Driver{
 		Name: name, Paper: paper, Desc: desc,
-		Run:    func(p Params) (any, error) { return run(p) },
-		Print:  func(w io.Writer, v any) { print(w, v.(R)) },
-		Claims: claims,
+		Run:   func(p Params) (any, error) { return run(p) },
+		Print: func(w io.Writer, v any) { print(w, v.(R)) },
 	}
 }
 
@@ -178,28 +184,29 @@ var Drivers = []Driver{
 	drv("fig1", "Fig. 1", "time series: Cubic, Verus, Cubic+Codel, ABC on LTE", fig1Timeseries, printFig1),
 	drv("fig2", "Fig. 2", "dequeue- vs enqueue-rate feedback", fig2FeedbackMode, printFig2).
 		in("Feedback-mode ablation"),
-	drv("fig3", "Fig. 3", "fairness among ABC flows with/without AI", fig3Both, printFig3, fig3Claim).
-		in("Additive increase and fairness"),
-	drv("fig4", "Fig. 4", "Wi-Fi inter-ACK time vs A-MPDU size", fig4InterACK, printFig4, fig4Claim).
-		in("Wi-Fi estimator"),
-	drv("fig5", "Fig. 5", "Wi-Fi link-rate prediction accuracy", fig5RatePrediction, printFig5, fig5Claim).
-		in("Wi-Fi estimator"),
+	drv("fig3", "Fig. 3", "fairness among ABC flows with/without AI", fig3Both, printFig3).
+		in("Additive increase and fairness", Placement{}.checks(fig3Claim)),
+	drv("fig4", "Fig. 4", "Wi-Fi inter-ACK time vs A-MPDU size", fig4InterACK, printFig4).
+		in("Wi-Fi estimator", Placement{}.checks(fig4Claim)),
+	drv("fig5", "Fig. 5", "Wi-Fi link-rate prediction accuracy", fig5RatePrediction, printFig5).
+		in("Wi-Fi estimator", Placement{}.checks(fig5Claim)),
 	drv("fig6", "Fig. 6", "coexistence with a non-ABC wired bottleneck", fig6NonABCBottleneck, printFig6).
 		in("Non-ABC bottlenecks"),
-	drv("fig7", "Fig. 7", "ABC + Cubic on a dual-queue bottleneck", fig7Coexistence, printFig7, fig7Claim).
-		in("Coexistence with non-ABC flows"),
-	drv("fig8", "Fig. 8a-c", "throughput/delay scatter (down, up, two-hop)", fig8Panels, printFig8, fig8Claim).
-		in("Multi-bottleneck paths", timed("ABC", "Cubic")),
-	drv("fig9", "Fig. 9", "utilization and p95 delay across 8 traces", cellularBars, printBars, fig9Claim).
-		in("Cellular corpus", timed()),
+	drv("fig7", "Fig. 7", "ABC + Cubic on a dual-queue bottleneck", fig7Coexistence, printFig7).
+		in("Coexistence with non-ABC flows", Placement{}.checks(fig7Claim)),
+	drv("fig8", "Fig. 8a-c", "throughput/delay scatter (down, up, two-hop)", fig8Panels, printFig8).
+		in("Multi-bottleneck paths", timed("ABC", "Cubic").checks(fig8Claim)),
+	drv("fig9", "Fig. 9", "utilization and p95 delay across 8 traces", cellularBars, printBars).
+		in("Cellular corpus", timed().checks(fig9Claim)),
 	drv("fig10", "Fig. 10", "Wi-Fi comparison (alternating MCS)", fig10, printSummaries).
 		in("Wi-Fi full stack", wifiTimed("one user", 1), wifiTimed("two users", 2)),
 	drv("fig11", "Fig. 11", "tracking with on-off cross traffic", fig11CrossTraffic, printFig11).
 		in("Non-ABC bottlenecks"),
-	drv("fig12", "Fig. 12", "max-min vs zombie-list weight policy", fig12Both, printFig12, fig12Claim).
-		in("Coexistence with non-ABC flows", Placement{Full: Params{Runs: 5}, Fast: Params{Runs: 2, Dur: 20 * sim.Second}}),
-	drv("fig13", "Fig. 13", "application-limited ABC flows", fig13, printFig13, fig13Claim).
-		in("Application workloads", timed()),
+	drv("fig12", "Fig. 12", "max-min vs zombie-list weight policy", fig12Both, printFig12).
+		in("Coexistence with non-ABC flows",
+			Placement{Full: Params{Runs: 5}, Fast: Params{Runs: 2, Dur: 25 * sim.Second}}.checks(fig12Claim)),
+	drv("fig13", "Fig. 13", "application-limited ABC flows", fig13, printFig13).
+		in("Application workloads", timed().checks(fig13Claim)),
 	drv("fig14", "Fig. 14 (App. B)", "Wi-Fi comparison (Brownian MCS walk)", fig14, printSummaries).
 		in("Wi-Fi full stack", wifiTimed("", 0)),
 	drv("fig15", "Fig. 15 (App. C)", "mean per-packet delay across traces", cellularBars, printMeanDelay),
@@ -207,25 +214,29 @@ var Drivers = []Driver{
 		in("Explicit schemes", timed()),
 	drv("fig17", "Fig. 17 (App. D)", "square-wave adaptation: ABC vs RCP vs XCPw",
 		fig17SquareWave, printFig17).in("Explicit schemes"),
-	drv("fig18", "Fig. 18 (App. E)", "RTT sensitivity sweep", fig18RTTSweep, printFig18, fig18Claim, fig18UtilClaim).
-		in("RTT sensitivity", timed("ABC", "Cubic+Codel", "Cubic", "BBR")),
-	drv("jain", "§6.5", "Jain fairness index, 2-32 flows", jainSweep, printJain, jainClaim).
-		in("In-text experiments and Theorem 3.1"),
+	drv("fig18", "Fig. 18 (App. E)", "RTT sensitivity sweep", fig18RTTSweep, printFig18).
+		in("RTT sensitivity", timed("ABC", "Cubic+Codel", "Cubic", "BBR").checks(fig18Claim, fig18UtilClaim)),
+	drv("jain", "§6.5", "Jain fairness index, 2-32 flows", jainSweep, printJain).
+		in("In-text experiments and Theorem 3.1", Placement{}.checks(jainClaim)),
 	drv("ablations", "§3", "ABC parameter sweeps (dt, delta, eta, token limit, window)",
-		ablations, printAblations, ablationClaim).in("Router parameter sweeps", timed()),
-	drv("proxied", "§5.1.2", "proxied-network ECN encoding vs NS-bit encoding", proxied, printSummaries,
-		proxiedClaim).in("Non-ABC bottlenecks", timed()),
-	drv("pkabc", "§6.6", "perfect-knowledge ABC", pkABC, printPKABC, pkabcClaim).
-		in("In-text experiments and Theorem 3.1", timed()),
-	drv("stability", "Thm. 3.1", "stability boundary sweep", stabilityRegion, printStability, eq13Claim).
-		in("In-text experiments and Theorem 3.1"),
+		ablations, printAblations).in("Router parameter sweeps", timed().checks(ablationClaim)),
+	drv("proxied", "§5.1.2", "proxied-network ECN encoding vs NS-bit encoding", proxied, printSummaries).
+		in("Non-ABC bottlenecks", timed().checks(proxiedClaim)),
+	drv("pkabc", "§6.6", "perfect-knowledge ABC", pkABC, printPKABC).
+		in("In-text experiments and Theorem 3.1",
+			Placement{Full: Params{Dur: 60 * sim.Second}, Fast: Params{Dur: 30 * sim.Second}}.checks(pkabcClaim)),
+	drv("stability", "Thm. 3.1", "stability boundary sweep and Eq. 13 packet check", stabilityRegion, printStability).
+		in("In-text experiments and Theorem 3.1", Placement{}.checks(eq13Claim)),
 	drv("uplink", "ext.", "asymmetric cellular: congested uplink carrying the ACKs",
 		uplinkCongestedACK, printUplink),
 	drv("mesh", "ext.", "shared-junction mesh: disjoint multi-hop paths through one hub",
 		meshSharedJunction, printMesh),
 	drv("markeduplink", "ext.", "downlink ACKs re-marked by an ABC router on the uplink edge",
-		markedUplink, printMarkedUplink, markedUplinkClaim).
-		in("Multi-bottleneck paths", timed("ABC", "Cubic")),
+		markedUplink, printMarkedUplink).
+		in("Multi-bottleneck paths", Placement{
+			Full: Params{Dur: 60 * sim.Second, Schemes: []string{"ABC", "Cubic"}},
+			Fast: Params{Dur: 12 * sim.Second, Schemes: []string{"ABC", "Cubic"}},
+		}.checks(markedUplinkClaim)),
 	drv("heterortt", "ext.", "heterogeneous-RTT fairness sweep", heteroRTTSweep, printHeteroRTT),
 	drv("lossy", "ext.", "lossy-link robustness sweep (random + bursty loss)", lossyBoth, printLossy),
 	drv("handover", "ext.", "mid-run base-station handover via forwarding-table reroute",

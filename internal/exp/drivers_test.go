@@ -132,15 +132,13 @@ func TestRegistryIsTheEvaluation(t *testing.T) {
 	}
 }
 
-// TestReportPlacesEveryClaim: every row that carries claims is in the
-// report, so `abcsim -report` prints every verdict; every placement
-// names a section of ReportSections, and every section holds one.
+// TestReportPlacesEveryClaim: a claim lives on a report placement
+// (Placement.Claims), so `abcsim -report` prints every verdict under
+// the result it reads, if every placement names a section of
+// ReportSections; and every section holds one.
 func TestReportPlacesEveryClaim(t *testing.T) {
 	used := map[string]bool{}
 	for _, d := range Drivers {
-		if len(d.Claims) > 0 && len(d.Report) == 0 {
-			t.Errorf("driver %q has claims but no report placement", d.Name)
-		}
 		for _, pl := range d.Report {
 			if !slices.Contains(ReportSections, pl.Section) {
 				t.Errorf("driver %q is placed under %q, which is not in ReportSections", d.Name, pl.Section)
@@ -265,14 +263,28 @@ func TestNoDriverNamedInCmd(t *testing.T) {
 }
 
 // TestDocNamesExist: every test, benchmark, fuzz target or example that
-// DESIGN.md, a README or a Go comment names is declared in some Go file.
-// CHANGES.md and ROADMAP.md are history, and may name what is gone.
+// DESIGN.md, a README or a Go comment names is declared in some Go file,
+// and every backticked `Type.Member` (or `exp.Type.Member`) they write
+// whose Type is declared in this package names a field or method Type
+// has, its own or one it embeds. CHANGES.md and ROADMAP.md are history,
+// and may name what is gone.
 func TestDocNamesExist(t *testing.T) {
 	named := regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz|Example)[A-Z_]\w*`)
+	qualified := regexp.MustCompile("`(?:exp\\.)?(\\w+)\\.(\\w+)")
 	declared, cited := map[string]bool{}, map[string]string{} // cited: name -> where
+	members := map[string]map[string]bool{}                   // this package's types: fields, methods, embedded types
+	member := func(typ, name string) {
+		if members[typ] == nil {
+			members[typ] = map[string]bool{}
+		}
+		members[typ][name] = true
+	}
 	cite := func(where, text string) {
 		for _, n := range named.FindAllString(text, -1) {
 			cited[n] = where
+		}
+		for _, m := range qualified.FindAllStringSubmatch(text, -1) {
+			cited[m[1]+"."+m[2]] = where
 		}
 	}
 	fset := token.NewFileSet()
@@ -287,9 +299,53 @@ func TestDocNamesExist(t *testing.T) {
 			if err != nil {
 				return err
 			}
+			here := filepath.Dir(path) == filepath.Join("../..", "internal", "exp")
 			for _, d := range f.Decls {
-				if fn, ok := d.(*ast.FuncDecl); ok {
-					declared[fn.Name.Name] = true
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					declared[d.Name.Name] = true
+					if here && d.Recv != nil {
+						recv := d.Recv.List[0].Type
+						if star, ok := recv.(*ast.StarExpr); ok {
+							recv = star.X
+						}
+						if ix, ok := recv.(*ast.IndexExpr); ok {
+							recv = ix.X
+						}
+						member(recv.(*ast.Ident).Name, d.Name.Name)
+					}
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						ts, ok := spec.(*ast.TypeSpec)
+						if !ok || !here {
+							continue
+						}
+						member(ts.Name.Name, "")
+						var fields *ast.FieldList
+						switch typ := ts.Type.(type) {
+						case *ast.StructType:
+							fields = typ.Fields
+						case *ast.InterfaceType:
+							fields = typ.Methods
+						default:
+							continue
+						}
+						for _, fl := range fields.List {
+							for _, n := range fl.Names {
+								member(ts.Name.Name, n.Name)
+							}
+							if len(fl.Names) == 0 { // embedded: its name, and its members through it
+								typ := fl.Type
+								if star, ok := typ.(*ast.StarExpr); ok {
+									typ = star.X
+								}
+								if sel, ok := typ.(*ast.SelectorExpr); ok {
+									typ = sel.Sel
+								}
+								member(ts.Name.Name, typ.(*ast.Ident).Name)
+							}
+						}
+					}
 				}
 			}
 			for _, g := range f.Comments {
@@ -304,12 +360,27 @@ func TestDocNamesExist(t *testing.T) {
 		}
 		return nil
 	})
-	if err != nil || len(cited) == 0 || !declared["TestDocNamesExist"] {
-		t.Fatalf("walked %d citations and %d declarations: %v", len(cited), len(declared), err)
+	if err != nil || len(cited) == 0 || !declared["TestDocNamesExist"] || len(members) == 0 {
+		t.Fatalf("walked %d citations, %d declarations and %d types: %v", len(cited), len(declared), len(members), err)
+	}
+	// has reports whether typ has the member, directly or through a
+	// type of this package it embeds.
+	var has func(typ, name string) bool
+	has = func(typ, name string) bool {
+		for m := range members[typ] {
+			if m == name || m != "" && m != typ && members[m] != nil && has(m, name) {
+				return true
+			}
+		}
+		return false
 	}
 	for n, where := range cited {
-		if !declared[n] {
+		typ, name, ok := strings.Cut(n, ".")
+		switch {
+		case !ok && !declared[n]:
 			t.Errorf("%s names %s, which no Go file declares", where, n)
+		case ok && members[typ] != nil && !has(typ, name):
+			t.Errorf("%s names %s, but exp.%s has no field or method %s", where, n, typ, name)
 		}
 	}
 }

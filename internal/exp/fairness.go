@@ -17,7 +17,7 @@ type Fig3Result struct {
 	Tput []*metrics.Timeseries
 	// JainAllActive is the fairness index over the window where all five
 	// flows are active.
-	JainAllActive float64
+	JainAllActive metrics.Fairness
 }
 
 // fig3Spec is Fig. 3's scenario; without additive increase every sender
@@ -101,7 +101,7 @@ func printFig3(w io.Writer, runs []*Fig3Result) {
 // JainPoint is one flow count of the §6.5 sweep.
 type JainPoint struct {
 	Flows    int
-	Jain     float64
+	Jain     metrics.Fairness
 	TputMbps float64 // the flows' aggregate throughput
 }
 

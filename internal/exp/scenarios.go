@@ -95,7 +95,7 @@ type HeteroRTTResult struct {
 	// TputMbps[i] is the throughput of the flow with RTTsMs[i].
 	TputMbps []float64
 	// Jain is the fairness index across the flows.
-	Jain float64
+	Jain metrics.Fairness
 	// MaxQDelayP95 is the worst flow's p95 accumulated queuing delay (ms).
 	MaxQDelayP95 float64
 }

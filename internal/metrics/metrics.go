@@ -5,6 +5,7 @@
 package metrics
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 
@@ -169,9 +170,24 @@ func (r *RateCounter) SampleBps(now sim.Time) float64 {
 	return float64(n) * 8 / dur.Seconds()
 }
 
+// Fairness is a Jain index as a result field. NaN, the index of a run
+// that delivered nothing, marshals to JSON as null, which encoding/json
+// refuses for a float64; any other value marshals as its float64 does.
+type Fairness float64
+
+// MarshalJSON implements json.Marshaler.
+func (f Fairness) MarshalJSON() ([]byte, error) {
+	if math.IsNaN(float64(f)) {
+		return []byte("null"), nil
+	}
+	return json.Marshal(float64(f))
+}
+
 // JainIndex computes Jain's fairness index over per-flow throughputs:
 // (Σx)² / (n·Σx²), which is 1 for perfect fairness and 1/n at worst.
-func JainIndex(xs []float64) float64 {
+// Over rates that are all 0 it is NaN: a run that delivered nothing is
+// not fair, it is not a measurement.
+func JainIndex(xs []float64) Fairness {
 	if len(xs) == 0 {
 		return 0
 	}
@@ -180,10 +196,7 @@ func JainIndex(xs []float64) float64 {
 		sum += x
 		sumSq += x * x
 	}
-	if sumSq == 0 {
-		return 1 // all zero: degenerate but "equal"
-	}
-	return sum * sum / (float64(len(xs)) * sumSq)
+	return Fairness(sum * sum / (float64(len(xs)) * sumSq))
 }
 
 // Utilization is delivered/capacity clamped to [0, 1+], reported as the

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"encoding/json"
 	"math"
 	"sort"
 	"testing"
@@ -82,17 +83,36 @@ func TestPercentileMonotonicProperty(t *testing.T) {
 }
 
 func TestJainIndexKnownValues(t *testing.T) {
-	if got := JainIndex([]float64{5, 5, 5, 5}); math.Abs(got-1) > 1e-12 {
+	if got := float64(JainIndex([]float64{5, 5, 5, 5})); math.Abs(got-1) > 1e-12 {
 		t.Errorf("equal shares: %v", got)
 	}
-	if got := JainIndex([]float64{1, 0, 0, 0}); math.Abs(got-0.25) > 1e-12 {
+	if got := float64(JainIndex([]float64{1, 0, 0, 0})); math.Abs(got-0.25) > 1e-12 {
 		t.Errorf("one hog of four: %v", got)
 	}
 	if got := JainIndex(nil); got != 0 {
 		t.Errorf("empty: %v", got)
 	}
-	if got := JainIndex([]float64{0, 0}); got != 1 {
-		t.Errorf("all-zero: %v", got)
+}
+
+// TestJainIndexAllZeroIsNaN: rates that are all 0 are a run that
+// delivered nothing, and its index reads NaN, not a perfect 1. In a
+// result it marshals to JSON as null, and any other index as the
+// float64 it is.
+func TestJainIndexAllZeroIsNaN(t *testing.T) {
+	for _, xs := range [][]float64{{0}, {0, 0}, {0, 0, 0, 0}} {
+		if got := JainIndex(xs); !math.IsNaN(float64(got)) {
+			t.Errorf("JainIndex(%v) = %v, want NaN", xs, got)
+		}
+	}
+	for _, x := range []float64{math.NaN(), 0.25, 1, 1e-7} {
+		want := []byte("null")
+		if !math.IsNaN(x) {
+			want, _ = json.Marshal(x)
+		}
+		got, err := json.Marshal(Fairness(x))
+		if err != nil || string(got) != string(want) {
+			t.Errorf("Fairness(%v) marshals to %s (%v), want %s", x, got, err, want)
+		}
 	}
 }
 
@@ -114,7 +134,7 @@ func TestJainIndexBoundsProperty(t *testing.T) {
 		if !anyPos {
 			return true
 		}
-		j := JainIndex(xs)
+		j := float64(JainIndex(xs))
 		n := float64(len(xs))
 		return j >= 1/n-1e-12 && j <= 1+1e-12
 	}

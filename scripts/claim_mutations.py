@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """claim_mutations.py [CLAIM ...]
 
-Checks that each claim of the driver table (exp.Driver.Claims) can fail:
+Checks that each claim of the driver table (exp.Placement.Claims) can fail:
 for every named claim (all of them by default) and each of its seeded
 mutations it copies the working tree into a temporary directory, applies
 the mutation there — never in the checkout — and runs the claim's
