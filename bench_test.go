@@ -580,6 +580,30 @@ type oneHandoff struct{ h netem.Handoff }
 
 func (o *oneHandoff) Handoff(*packet.Packet) *netem.Handoff { return &o.h }
 
+// BenchmarkTraceLookup walks a 20 s synthetic cellular trace from one
+// delivery instant to the next with the stateless NextOpportunity and
+// CountIn(t, t+1), over and over from the start of the period: the
+// questions bench's rotate asks of every trace it builds, and what its
+// trace.lookup_ns rung asks. One op is one instant. Every query lands
+// through the trace's bucket index, which only reads, so a lookup may
+// not allocate.
+func BenchmarkTraceLookup(b *testing.B) {
+	tr := trace.Cellular("lookup", trace.CellParams{Seed: 11, Duration: 20 * sim.Second, MeanMbps: 9, Sigma: 0.22, OutageProb: 0.015})
+	var found int64
+	t := tr.NextOpportunity(-1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		found += tr.CountIn(t, t+1)
+		if t = tr.NextOpportunity(t); t >= tr.Period() {
+			t = tr.NextOpportunity(-1)
+		}
+	}
+	if found < int64(b.N) {
+		b.Fatalf("%d opportunities at %d instants", found, b.N)
+	}
+}
+
 // BenchmarkForwardHop measures one forwarding decision on the per-packet
 // path: a junction's (flow, direction) table lookup plus the edge's
 // up/down gate. The routing refactor moved every hop onto this path, so

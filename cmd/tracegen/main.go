@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"abc/internal/sim"
@@ -54,14 +55,23 @@ func run(w io.Writer) error {
 		_, err := tr.WriteTo(w)
 		return err
 	case *mean > 0:
-		tr := trace.Cellular("custom", trace.CellParams{
+		switch {
+		case !(*durSec > 0):
+			return fmt.Errorf("-dur %v: a trace needs a positive duration", *durSec)
+		case *durSec > math.MaxInt64/float64(sim.Second):
+			return fmt.Errorf("-dur %v: beyond the simulator's clock", *durSec)
+		}
+		p := trace.CellParams{
 			Seed:       *seed,
 			Duration:   sim.FromSeconds(*durSec),
 			MeanMbps:   *mean,
 			Sigma:      *sigma,
 			OutageProb: *outage,
-		})
-		_, err := tr.WriteTo(w)
+		}
+		if err := p.Check(); err != nil {
+			return fmt.Errorf("-dur %v -mean %v: %w", *durSec, *mean, err)
+		}
+		_, err := trace.Cellular("custom", p).WriteTo(w)
 		return err
 	}
 	flag.Usage()

@@ -113,7 +113,7 @@ func TestInspectOutput(t *testing.T) {
 // TestRunFlagPaths drives the flag-dispatched run() itself for the
 // generator paths, so the command wiring has coverage too.
 func TestRunFlagPaths(t *testing.T) {
-	defer func() { *name, *constBW, *inspect = "", 0, "" }()
+	defer func() { *name, *constBW, *inspect, *mean, *durSec = "", 0, "", 0, 60 }()
 	*name = "ATT1"
 	var buf bytes.Buffer
 	if err := run(&buf); err != nil {
@@ -136,5 +136,54 @@ func TestRunFlagPaths(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "average rate:") {
 		t.Errorf("run -inspect produced no statistics:\n%s", buf.String())
+	}
+
+	// -mean: -dur must be positive and within the loop bound that
+	// trace.Generator holds synthetic traces to; a trace shorter than the
+	// walk's 100 ms step is fine.
+	*inspect, *mean = "", 10
+	for _, c := range []struct {
+		dur  float64
+		want string // "" for a trace of dur seconds
+	}{
+		{0.05, ""},
+		{2, ""},
+		{0, "positive duration"},
+		{-3, "positive duration"},
+		{math.NaN(), "positive duration"},
+		{5000, "at most 4194304 ms"},
+		{1300, "4194304 packets"},
+		{1e300, "beyond the simulator's clock"},
+	} {
+		*durSec = c.dur
+		buf.Reset()
+		err := run(&buf)
+		if c.want != "" {
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("run -mean 10 -dur %v: error %v, want one saying %q", c.dur, err, c.want)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("run -mean 10 -dur %v: %v", c.dur, err)
+			continue
+		}
+		if tr, err := trace.Parse("custom", bytes.NewReader(buf.Bytes())); err != nil {
+			t.Errorf("run -mean 10 -dur %v output does not parse: %v", c.dur, err)
+		} else if tr.Period() != sim.FromSeconds(c.dur) {
+			t.Errorf("run -mean 10 -dur %v: period %v", c.dur, tr.Period())
+		}
+	}
+
+	// -const below 6 kbit/s: one opportunity a period, at the true rate.
+	*mean, *constBW = 0, 0.004
+	buf.Reset()
+	if err := run(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if tr, err := trace.Parse("const", bytes.NewReader(buf.Bytes())); err != nil {
+		t.Errorf("run -const 0.004 output does not parse: %v", err)
+	} else if r := tr.AvgRateBps(); r != 4000 {
+		t.Errorf("run -const 0.004: %.0f bit/s, want 4000", r)
 	}
 }

@@ -1,7 +1,7 @@
 package trace
 
 import (
-	"sort"
+	"slices"
 
 	"abc/internal/sim"
 )
@@ -31,30 +31,47 @@ func (p pos) next(t *Trace) sim.Time {
 }
 
 // lowerBound returns the number of instants of one period before rem,
-// given that at least lo of them are: a binary search over at[lo:].
+// given that at least lo of them are. The answer lies in rem's bucket of
+// the index: every instant of an earlier bucket is before rem and none of
+// a later one is. So it scans forward from the bucket's first instant (or
+// lo, if that is further on), or, where more than cursorSteps instants
+// are left in the bucket, searches them.
 func (t *Trace) lowerBound(lo int, rem sim.Time) int {
-	tail := t.at[lo:]
-	return lo + sort.Search(len(tail), func(i int) bool { return tail[i] >= rem })
+	b := rem >> t.shift
+	lo = max(lo, int(t.first[b]))
+	hi := int(t.first[b+1])
+	if hi-lo > cursorSteps {
+		i, _ := slices.BinarySearch(t.at[lo:hi], rem)
+		return lo + i
+	}
+	for lo < hi && t.at[lo] < rem {
+		lo++
+	}
+	return lo
 }
 
-// locate puts p at x >= 0 from scratch: one division for the period, one
-// binary search over the whole period. Every stateless Trace method is
-// this, and it is the cursor's fallback.
+// locate puts p at x >= 0 from scratch: a division for the period, which
+// an x in the first period skips, and one landing through the index.
+// Every stateless Trace method is this, and it is the cursor's fallback.
 func (t *Trace) locate(p *pos, x sim.Time) {
-	p.full = int64(x / t.period)
-	p.idx = t.lowerBound(0, x%t.period)
+	p.full = 0
+	if x >= t.period {
+		p.full = int64(x / t.period)
+		x %= t.period
+	}
+	p.idx = t.lowerBound(0, x)
 }
 
-// cursorSteps bounds the linear advance: a link's successive queries are
+// cursorSteps bounds a linear scan: a link's successive queries are
 // rarely more than a few instants apart, and past that a binary search
 // over what is left is cheaper than walking.
 const cursorSteps = 8
 
 // walk moves p forward to x >= 0 if x lies in p's period or the one after,
 // at or past p's position: up to cursorSteps instants one by one, then a
-// binary search over the rest of the period. It reports false, with p no
-// longer meaningful, when x is not ahead like that (a backwards query, a
-// jump of more than a period).
+// landing through the index. It reports false, with p no longer
+// meaningful, when x is not ahead like that (a backwards query, a jump of
+// more than a period).
 func (t *Trace) walk(p *pos, x sim.Time) bool {
 	rem := x - sim.Time(p.full)*t.period
 	if rem >= t.period && rem < 2*t.period {

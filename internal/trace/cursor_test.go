@@ -2,6 +2,8 @@ package trace
 
 import (
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"abc/internal/sim"
@@ -92,19 +94,112 @@ func randomTrace(rng *rand.Rand) *Trace {
 	return tr
 }
 
+// clusteredTrace draws hundreds of instants a few nanoseconds apart and
+// then a few sparse ones over a long period: the cluster fills one or two
+// buckets with far more than cursorSteps instants, so a landing there
+// searches, and the sparse stretch leaves buckets empty.
+func clusteredTrace(rng *rand.Rand) *Trace {
+	period := sim.Time(50+rng.Intn(150)) * sim.Millisecond
+	at := sim.Time(rng.Int63n(int64(period / 2)))
+	var ops []sim.Time
+	for n := 200 + rng.Intn(300); n > 0; n-- {
+		at += sim.Time(1 + rng.Intn(5))
+		ops = append(ops, at)
+	}
+	for n := 1 + rng.Intn(10); n > 0; n-- {
+		ops = append(ops, at+sim.Time(rng.Int63n(int64(period-at))))
+	}
+	tr, err := New("clustered", ops, period)
+	if err != nil {
+		panic(err)
+	}
+	return tr
+}
+
+// offGridTrace draws instants over an odd period, which no bucket width
+// divides, so the last bucket is cut short, and puts opportunities in the
+// period's last nanoseconds.
+func offGridTrace(rng *rand.Rand) *Trace {
+	period := (sim.Time(1+rng.Intn(200))*sim.Millisecond + sim.Time(rng.Intn(int(sim.Millisecond)))) | 1
+	ops := []sim.Time{period - 1, period - 2 - sim.Time(rng.Intn(1000))}
+	for n := rng.Intn(80); n > 0; n-- {
+		ops = append(ops, sim.Time(rng.Int63n(int64(period))))
+	}
+	tr, err := New("off-grid", ops, period)
+	if err != nil {
+		panic(err)
+	}
+	return tr
+}
+
+// checkIndex holds tr's bucket index to its definition: the width is the
+// smallest power of two at or above the mean gap between instants, the
+// buckets cover the period with at most len(at)+1 entries, and first[b]
+// counts the instants before b<<shift.
+func checkIndex(t *testing.T, tr *Trace) {
+	t.Helper()
+	n, w := sim.Time(len(tr.at)), sim.Time(1)<<tr.shift
+	if w*n < tr.period || (w > 1 && w/2*n >= tr.period) {
+		t.Fatalf("%s: width %d for %d instants over %d", tr.Name, w, n, tr.period)
+	}
+	if len(tr.first) > len(tr.at)+1 || sim.Time(len(tr.first)-1)*w < tr.period {
+		t.Fatalf("%s: %d index entries for %d instants", tr.Name, len(tr.first), len(tr.at))
+	}
+	for b := range tr.first {
+		before := 0
+		for _, at := range tr.at {
+			if at < sim.Time(b)*w {
+				before++
+			}
+		}
+		if int(tr.first[b]) != before {
+			t.Fatalf("%s: first[%d] = %d, %d instants before %d", tr.Name, b, tr.first[b], before, sim.Time(b)*w)
+		}
+	}
+}
+
+// landing names how lowerBound(0, rem) finds its answer in rem's bucket:
+// a direct hit on the bucket's first instant (or its end), a forward scan
+// past one or more instants, or a binary search in a bucket of more than
+// cursorSteps.
+func landing(tr *Trace, rem sim.Time) string {
+	b := rem >> tr.shift
+	lo, hi := int(tr.first[b]), int(tr.first[b+1])
+	switch {
+	case hi-lo > cursorSteps:
+		return "search"
+	case lo < hi && tr.at[lo] < rem:
+		return "scan"
+	}
+	return "hit"
+}
+
 // TestCursorMatchesTrace asks one cursor and its trace the same random
 // questions, mostly with a clock that creeps forward or, as a busy link's
 // does, goes to the instant the last Step returned, but also after idling
 // for many periods and waking mid-period, stepping back, at now = -1 and
 // over empty intervals; every answer must be the stateless method's, and
 // Step, CountIn and NextOpportunity must also agree with a brute-force
-// count. Its "like a link" part drives hand-made traces as a link does.
+// count. Besides randomTrace's kinds it draws clustered and off-grid
+// traces, holds every trace's index to its definition, and requires all
+// three ways of landing in a bucket to have run. Its "like a link" part
+// drives hand-made traces as a link does.
 func TestCursorMatchesTrace(t *testing.T) {
 	t.Run("like a link", stepLikeALink)
 	var stands, walks, relocations int
-	for seed := int64(1); seed <= 60; seed++ {
+	landings := map[string]int{}
+	for seed := int64(1); seed <= 80; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		tr := randomTrace(rng)
+		var tr *Trace
+		switch {
+		case seed <= 60:
+			tr = randomTrace(rng)
+		case seed <= 70:
+			tr = clusteredTrace(rng)
+		default:
+			tr = offGridTrace(rng)
+		}
+		checkIndex(t, tr)
 		bf := bruteOf(tr)
 		c := tr.Cursor()
 		windows := []sim.Time{0, -sim.Millisecond, 1, 80 * sim.Millisecond, sim.Second, 3*tr.period + 7}
@@ -113,8 +208,10 @@ func TestCursorMatchesTrace(t *testing.T) {
 			switch r := rng.Intn(100); {
 			case r < 30 && stepped >= 0: // a busy link: the instant the last step returned
 				now = stepped
-			case r < 80: // a little later, or the same instant
+			case r < 72: // a little later, or the same instant
 				now += sim.Time(rng.Intn(4)) * sim.Time(rng.Intn(int(sim.Millisecond)))
+			case r < 80: // on or beside one of the period's instants
+				now = max(now, 0)/tr.period*tr.period + tr.at[rng.Intn(len(tr.at))] + sim.Time(rng.Intn(3)-1)
 			case r < 84: // the next period
 				now += tr.period
 			case r < 91: // idle for many periods, waking mid-period
@@ -130,6 +227,9 @@ func TestCursorMatchesTrace(t *testing.T) {
 			// Does the upper end already stand on now, or will it walk or
 			// relocate to reach it? Asked of a copy, so the cursor is
 			// undisturbed.
+			if now >= -1 {
+				landings[landing(tr, (now+1)%tr.period)]++ // NextOpportunity's
+			}
 			switch probe := c.to; {
 			case now < 0:
 			case probe.next(tr) == now:
@@ -174,8 +274,12 @@ func TestCursorMatchesTrace(t *testing.T) {
 			}
 		}
 	}
+	t.Logf("%d stands, %d walks, %d relocations; landings %v", stands, walks, relocations, landings)
 	if stands < 1000 || walks < 1000 || relocations < 1000 {
 		t.Fatalf("%d stands, %d walks and %d relocations: the script no longer covers all three of Step's paths", stands, walks, relocations)
+	}
+	if landings["hit"] < 1000 || landings["scan"] < 1000 || landings["search"] < 1000 {
+		t.Fatalf("landings %v: the script no longer covers all three ways into a bucket", landings)
 	}
 }
 
@@ -284,4 +388,51 @@ func TestSeekWalksAndRelocates(t *testing.T) {
 			t.Errorf("%s: seek %d -> %d left %+v, locate says %+v", c.name, c.from, c.to, p, want)
 		}
 	}
+}
+
+// TestSharedTraceConcurrentQueries: a sweep's parallel cells share one
+// *Trace, so several goroutines ask it at once, each through the
+// stateless methods and through a cursor of its own, one with a clock
+// that moves forward and the others in orders of their own. Every answer
+// must be the one the trace gave when asked alone. CI runs it under
+// -race.
+func TestSharedTraceConcurrentQueries(t *testing.T) {
+	tr := Cellular("shared", CellParams{Seed: 5, Duration: 2 * sim.Second, MeanMbps: 20, OutageProb: 0.02})
+	const window = 100 * sim.Millisecond
+	rng := rand.New(rand.NewSource(1))
+	queries := make([]sim.Time, 3000)
+	for i := range queries {
+		queries[i] = sim.Time(rng.Int63n(int64(5 * tr.Period())))
+	}
+	slices.Sort(queries)
+	type answer struct {
+		k, inWindow int64
+		next        sim.Time
+	}
+	want := make([]answer, len(queries))
+	for i, q := range queries {
+		want[i] = answer{tr.CountIn(q, q+1), tr.CountIn(q, q+window), tr.NextOpportunity(q)}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		order := rand.New(rand.NewSource(int64(g))).Perm(len(queries))
+		if g == 0 {
+			slices.Sort(order)
+		}
+		wg.Add(1)
+		go func(g int, order []int) {
+			defer wg.Done()
+			c := tr.Cursor()
+			for _, i := range order {
+				q := queries[i]
+				stateless := answer{tr.CountIn(q, q+1), tr.CountIn(q, q+window), tr.NextOpportunity(q)}
+				k, next := c.Step(q)
+				if cursor := (answer{k, c.CountIn(q, q+window), next}); stateless != want[i] || cursor != want[i] {
+					t.Errorf("goroutine %d, query %d: trace says %+v, cursor %+v, asked alone %+v", g, q, stateless, cursor, want[i])
+					return
+				}
+			}
+		}(g, order)
+	}
+	wg.Wait()
 }

@@ -11,14 +11,21 @@
 //
 // A Trace holds one period as its distinct instants and their prefix
 // counts, so the opportunities at an instant are one difference however
-// many share its timestamp. A Trace is immutable and its methods are
-// stateless: any goroutine may ask about any instant. A Cursor
-// (cursor.go) answers the same questions from the same representation
-// for one caller whose clock moves forward, advancing from where the last
-// query landed instead of searching the period again; Cursor.Step is a
-// link's whole question at a delivery instant (how many opportunities are
-// here, when is the next). A cursor returns exactly what the Trace method
-// returns, in any query order.
+// many share its timestamp, and a bucket index over the instants: the
+// period is cut into buckets whose width is the smallest power of two at
+// or above the mean gap between instants, and the index holds, per
+// bucket, how many instants lie before it. That is at most one int32 per
+// instant, plus one (38 KB for a 20 s synthetic cellular trace), and a
+// query lands in its bucket with a shift and scans forward; only a bucket
+// holding more than eight instants (a burst of instants nanoseconds
+// apart) is searched, and then only within itself. A Trace is immutable
+// and its methods are stateless: any goroutine may ask about any
+// instant. A Cursor (cursor.go) answers the same questions from the same
+// representation for one caller whose clock moves forward, advancing
+// from where the last query landed instead of landing afresh;
+// Cursor.Step is a link's whole question at a delivery instant (how many
+// opportunities are here, when is the next). A cursor returns exactly
+// what the Trace method returns, in any query order.
 package trace
 
 import (
@@ -26,6 +33,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"strconv"
@@ -46,6 +54,13 @@ type Trace struct {
 	// many opportunities share the timestamp.
 	at  []sim.Time
 	cum []int32
+	// first indexes at by time: the period is cut into buckets of width
+	// 1<<shift, and first[b] instants lie before b<<shift, the last entry
+	// being len(at). The width is the smallest power of two at or above
+	// the mean gap between instants, so there are at most len(at)
+	// buckets and a bucket holds about one instant.
+	first []int32
+	shift uint
 	// period is the loop length; always >= the last opportunity and > 0.
 	period sim.Time
 	// gen is how the trace was made, when one of the named or synthetic
@@ -89,7 +104,24 @@ func New(name string, ops []sim.Time, period sim.Time) (*Trace, error) {
 		}
 	}
 	t.cum = append(t.cum, int32(len(sorted)))
+	t.index()
 	return t, nil
+}
+
+// index builds first and shift from at and period.
+func (t *Trace) index() {
+	gap := (t.period-1)/sim.Time(len(t.at)) + 1 // the mean gap, rounded up
+	t.shift = uint(bits.Len64(uint64(gap - 1)))
+	t.first = make([]int32, (t.period-1)>>t.shift+2)
+	b := 0
+	for j, at := range t.at {
+		for ; b <= int(at>>t.shift); b++ {
+			t.first[b] = int32(j)
+		}
+	}
+	for ; b < len(t.first); b++ {
+		t.first[b] = int32(len(t.at))
+	}
 }
 
 // Parse reads the Mahimahi trace format: one integer millisecond timestamp
@@ -251,13 +283,10 @@ func Constant(name string, bps float64) *Trace {
 	if bps <= 0 {
 		panic("trace: Constant requires positive rate")
 	}
-	// Opportunities are evenly spaced at MTU*8/bps.
+	// Opportunities are evenly spaced at MTU*8/bps, as many as fit in
+	// about a second; at more than 2 s apart the period is one gap.
 	gap := float64(packet.MTU*8) / bps // seconds per opportunity
-	n := int(math.Round(1.0 / gap))    // opportunities per second
-	if n < 1 {
-		n = 1
-		gap = 1.0
-	}
+	n := max(1, int(math.Round(1.0/gap)))
 	ops := make([]sim.Time, n)
 	for i := range ops {
 		ops[i] = sim.FromSeconds(float64(i) * gap)
@@ -301,6 +330,7 @@ func FromRateFunc(name string, total sim.Time, rate func(sim.Time) float64) *Tra
 		tr.at, tr.cum, n = []sim.Time{0}, []int32{0}, 1
 	}
 	tr.cum = append(tr.cum, n)
+	tr.index()
 	return tr
 }
 
@@ -412,15 +442,10 @@ type CellParams struct {
 	OutageProb float64
 }
 
-// outageMs is the mean duration of a synthetic cellular outage in
-// milliseconds; each lasts a uniform 0.5–1.5 times it.
-const outageMs = 250.0
-
-// Cellular generates a synthetic cellular trace: a mean-reverting random
-// walk in log-rate space with occasional outages (outageMs on average),
-// producing the 4x-within-a-second swings the paper describes (§2), at
-// millisecond granularity.
-func Cellular(name string, p CellParams) *Trace {
+// withDefaults fills in what p leaves at zero or below: a 60 s loop,
+// 10 Mbit/s, σ 0.18, and a walk clamped to 0.4 Mbit/s and four times the
+// mean.
+func (p CellParams) withDefaults() CellParams {
 	if p.Duration <= 0 {
 		p.Duration = 60 * sim.Second
 	}
@@ -436,15 +461,37 @@ func Cellular(name string, p CellParams) *Trace {
 	if p.MaxMbps <= 0 {
 		p.MaxMbps = 4 * p.MeanMbps
 	}
+	return p
+}
+
+// Check reports an error when the trace Cellular makes from p would break
+// the bound Generator.Trace holds synthetic traces to: one loop of at
+// most 2^22 ms, and of at most 2^22 packets at the walk's highest rate.
+func (p CellParams) Check() error {
+	p = p.withDefaults()
+	return synthetic("a cellular trace's duration", p.Duration, p.MaxMbps*1e6)
+}
+
+// outageMs is the mean duration of a synthetic cellular outage in
+// milliseconds; each lasts a uniform 0.5–1.5 times it.
+const outageMs = 250.0
+
+// Cellular generates a synthetic cellular trace: a mean-reverting random
+// walk in log-rate space with occasional outages (outageMs on average),
+// producing the 4x-within-a-second swings the paper describes (§2), at
+// millisecond granularity.
+func Cellular(name string, p CellParams) *Trace {
+	p = p.withDefaults()
 	rng := rand.New(rand.NewSource(p.Seed))
 	logMean := math.Log(p.MeanMbps)
 	logRate := logMean
 	outageLeft := 0.0 // ms of outage remaining
 	// The walk steps every 100 ms: LTE scheduling-grant granularity.
 	// With σ ≈ 0.2–0.3 per step the rate typically swings 2–4x within a
-	// second, matching the variability the paper describes (§2).
+	// second, matching the variability the paper describes (§2). A trace
+	// shorter than a step holds the walk's first rate.
 	const stepMs = 100.0
-	steps := int(p.Duration.Millis() / stepMs)
+	steps := max(1, int(p.Duration.Millis()/stepMs))
 	rates := make([]float64, steps)
 	for i := range rates {
 		if outageLeft > 0 {

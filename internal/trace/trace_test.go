@@ -162,11 +162,14 @@ func TestCountAdditivityProperty(t *testing.T) {
 }
 
 func TestConstantRate(t *testing.T) {
-	tr := Constant("c", 12e6)
-	got := tr.AvgRateBps()
-	if math.Abs(got-12e6)/12e6 > 0.01 {
-		t.Errorf("avg rate %.0f, want 12e6", got)
+	// Below 6 kbit/s an opportunity is more than 2 s from the next, and
+	// the period is that gap.
+	for _, bps := range []float64{12e6, 7e3, 4e3, 100} {
+		if got := Constant("c", bps).AvgRateBps(); math.Abs(got-bps)/bps > 0.01 {
+			t.Errorf("Constant(%v): avg rate %.0f", bps, got)
+		}
 	}
+	tr := Constant("c", 12e6)
 	// Capacity over any full second is the same.
 	c1 := tr.CapacityBps(2*sim.Second, sim.Second)
 	c2 := tr.CapacityBps(5*sim.Second, sim.Second)
@@ -227,6 +230,37 @@ func TestNamedCellularAllExist(t *testing.T) {
 	}
 	if _, err := NamedCellular("nope"); err == nil {
 		t.Error("unknown name accepted")
+	}
+}
+
+// TestCellularShorterThanOneStep: a trace shorter than the walk's 100 ms
+// step is one step of the walk, cut to its duration.
+func TestCellularShorterThanOneStep(t *testing.T) {
+	for _, d := range []sim.Time{sim.Millisecond, 50 * sim.Millisecond, 100*sim.Millisecond - 1} {
+		tr := Cellular("short", CellParams{Seed: 1, Duration: d, MeanMbps: 10})
+		if tr.Period() != d || tr.Opportunities() < 1 {
+			t.Errorf("%v: period %v, %d opportunities", d, tr.Period(), tr.Opportunities())
+		}
+	}
+}
+
+// TestCellularCheck: Check holds a cellular trace to the loop bound of
+// Generator.Trace's synthetic traces, at the walk's highest rate.
+func TestCellularCheck(t *testing.T) {
+	for _, c := range []struct {
+		p  CellParams
+		ok bool
+	}{
+		{CellParams{}, true}, // 60 s at 10 Mbit/s, as Cellular makes it
+		{CellParams{Duration: 4000 * sim.Second, MeanMbps: 1}, true},
+		{CellParams{Duration: 4200 * sim.Second, MeanMbps: 1}, false}, // more than 2^22 ms
+		{CellParams{Duration: 1200 * sim.Second, MeanMbps: 10}, true},
+		{CellParams{Duration: 1300 * sim.Second, MeanMbps: 10}, false}, // 2^22 packets at 40 Mbit/s
+		{CellParams{Duration: 1300 * sim.Second, MeanMbps: 10, MaxMbps: 20}, true},
+	} {
+		if err := c.p.Check(); (err == nil) != c.ok {
+			t.Errorf("%+v: Check() = %v, want ok %v", c.p, err, c.ok)
+		}
 	}
 }
 
